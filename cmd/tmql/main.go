@@ -10,16 +10,15 @@
 //	tmql -q '...' -strategy naive -explain
 //	tmql -q '...' -par 8           (morsel-scheduler degree 8)
 //	tmql -q '...' -batch 1024      (vectorized batches of 1024 rows; -1 = rows)
-//	tmql -q '...' -rewrite         (pin the §6-rewritten alternative)
+//	tmql -q '...' -pin rewrite     (pin the §6-rewritten alternative)
 //	tmql -q '...' -pin 'order:((z y) x)'
 //	tmql -plancache 64             (bound the LRU plan cache)
 //
 // Under the auto strategy the optimizer already enumerates the §6 rewrites
-// and join orders as costed candidates, so -rewrite is not needed to benefit
-// from them: it is a compatibility override that PINS the rewritten
-// alternative (on a fixed strategy it applies the rewrite fixpoint, the
-// historical toggle behavior). -pin pins any alternative by the label shown
-// in EXPLAIN's candidate table.
+// and join orders as costed candidates, so no pin is needed to benefit from
+// them. -pin pins one alternative by the label shown in EXPLAIN's candidate
+// table; base and rewrite also work under a fixed strategy, where rewrite
+// applies the §6 rewrite fixpoint to the translation.
 //
 // REPL commands:
 //
@@ -33,8 +32,8 @@
 //	                               model weigh batched against row-at-a-time
 //	                               plans, n pins batches of n rows, row pins
 //	                               row-at-a-time)
-//	\rewrite on|off               (pin / unpin the §6-rewritten alternative)
-//	\pin <label>|off              (pin a logical alternative by label)
+//	\pin <label>|off              (pin a logical alternative by label:
+//	                               base | rewrite | order:…)
 //	\access auto|scan|index       (access path for selections: auto lets the
 //	                               optimizer weigh index scans, index pins
 //	                               them, scan pins full scans)
@@ -93,7 +92,6 @@ func main() {
 		par      = flag.Int("par", 0, "morsel-scheduler degree: worker pool and hash partitions (0 = planner default, 1 = serial)")
 		batch    = flag.Int("batch", 0, "rows per vectorized batch and morsel (0 = cost model decides, -1 = row-at-a-time)")
 		noSteal  = flag.Bool("nosteal", false, "disable work stealing in the morsel scheduler (ablation; results identical)")
-		rewrite  = flag.Bool("rewrite", false, "pin the §6-rewritten logical alternative (the optimizer considers rewrites either way)")
 		pin      = flag.String("pin", "", "pin a logical alternative by candidate-table label (base | rewrite | order:…)")
 		cacheCap = flag.Int("plancache", 0, "plan-cache LRU capacity (0 = default 256)")
 		explain  = flag.Bool("explain", false, "print the physical plan with cost estimates instead of executing")
@@ -122,7 +120,6 @@ func main() {
 	opts.Parallelism = *par
 	opts.BatchSize = *batch
 	opts.NoSteal = *noSteal
-	opts.Rewrite = *rewrite
 	opts.PinAlt = *pin
 	opts.Limits = engine.Limits{Timeout: *timeout, MaxRows: *maxRows, MaxBuildBytes: *maxBuild}
 
@@ -266,7 +263,7 @@ func analyze(eng *engine.Engine) {
 
 func repl(eng *engine.Engine, opts engine.Options) {
 	fmt.Println("tmql — nested-query optimization shell (EDBT'94 reproduction)")
-	fmt.Printf("strategy=%s; explain <q>, \\strategy, \\joins, \\par, \\batch, \\rewrite, \\pin, \\timeout, \\budget, \\cache, \\analyze, \\insert, \\delete, \\index, \\tables, \\quit\n", opts.Strategy)
+	fmt.Printf("strategy=%s; explain <q>, \\strategy, \\joins, \\par, \\batch, \\pin, \\timeout, \\budget, \\cache, \\analyze, \\insert, \\delete, \\index, \\tables, \\quit\n", opts.Strategy)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -337,17 +334,6 @@ func repl(eng *engine.Engine, opts engine.Options) {
 				}
 				opts.BatchSize = n
 				fmt.Printf("batch = %d\n", n)
-			}
-		case strings.HasPrefix(line, "\\rewrite "):
-			switch strings.TrimSpace(strings.TrimPrefix(line, "\\rewrite ")) {
-			case "on":
-				opts.Rewrite = true
-				fmt.Println("pinned the §6-rewritten alternative (auto considers rewrites either way)")
-			case "off":
-				opts.Rewrite = false
-				fmt.Println("rewrite pin removed")
-			default:
-				fmt.Println("usage: \\rewrite on|off")
 			}
 		case line == "\\access":
 			fmt.Printf("access path = %s (\\access auto|scan|index to change)\n", opts.Access)

@@ -26,11 +26,10 @@ import (
 //	equivalence in equiv_test.go.
 //
 // Optimize applies the rules bottom-up until a fixpoint. It is semantics-
-// preserving (property-tested against execution of both plans). Since the
-// unified optimizer, it is no longer a pre-planning pass: the planner's
-// logical-alternative generator calls it to produce the "rewrite" peer
-// candidate that competes on cost with the as-translated plan (see
-// planner.Alternatives); Options.Rewrite merely pins that candidate.
+// preserving (property-tested against execution of both plans). The
+// planner's logical-alternative generator calls it to produce the "rewrite"
+// peer candidate that competes on cost with the as-translated plan (see
+// planner.Alternatives); engine.Options.PinAlt can pin that candidate.
 func Optimize(b *Builder, p Plan) (Plan, error) {
 	for {
 		q, changed, err := rewriteOnce(b, p)

@@ -40,11 +40,11 @@ func runE(cat *schema.Catalog, db *storage.DB, src string, s Strategy, ji planne
 	if err != nil {
 		return value.Value{}, fmt.Errorf("translate: %w", err)
 	}
-	it, err := planner.New(exec.NewCtx(db), planner.Options{Joins: ji}).Compile(plan)
+	tree, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{Joins: ji}).Compile(plan)
 	if err != nil {
 		return value.Value{}, fmt.Errorf("compile: %w", err)
 	}
-	v, err := exec.Collect(it)
+	v, err := tree.Collect(nil)
 	if err != nil {
 		return value.Value{}, fmt.Errorf("exec (%s): %w", algebra.Explain(plan), err)
 	}
@@ -495,11 +495,11 @@ func mustBind(t *testing.T, cat *schema.Catalog, src string) tmql.Expr {
 // execPlan compiles and runs a logical plan, returning its result set.
 func execPlan(t *testing.T, db *storage.DB, plan algebra.Plan) value.Value {
 	t.Helper()
-	it, err := planner.New(exec.NewCtx(db), planner.Options{}).Compile(plan)
+	tree, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{}).Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := exec.Collect(it)
+	v, err := tree.Collect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

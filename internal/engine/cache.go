@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"tmdb/internal/planner"
 	"tmdb/internal/tmql"
 )
 
@@ -33,11 +34,7 @@ import (
 //
 // The cache is bounded: at most capacity entries are kept and the least
 // recently used entry is evicted on overflow, so long-running engines serving
-// many distinct queries hold planning memory constant. Since the unified
-// optimizer, the key carries the pinned-alternative label instead of the
-// obsolete rewrite boolean: rewrites are enumerated inside planning, so only
-// an explicit pin (Options.PinAlt, or the Options.Rewrite compatibility
-// override mapping to planner.AltRewrite) distinguishes cache entries.
+// many distinct queries hold planning memory constant.
 type planCache struct {
 	mu            sync.Mutex
 	capacity      int
@@ -70,17 +67,17 @@ func newPlanCache() *planCache {
 }
 
 // cacheKey builds the memoization key for a bound query under the given
-// options, resolved parallelism degree, and the epoch vector of the tables
-// the query references (names sorted, so the rendering is deterministic).
-// The pin component replaces the pre-unified-optimizer rewrite boolean; the
-// epoch vector makes entries self-invalidating under mutation.
-func cacheKey(bound tmql.Expr, opts Options, par int, tables []string, epochs map[string]uint64) string {
+// options, the physical pin they resolve to, and the epoch vector of the
+// tables the query references (names sorted, so the rendering is
+// deterministic). The epoch vector makes entries self-invalidating under
+// mutation.
+func cacheKey(bound tmql.Expr, opts Options, pin planner.PhysicalSpec, tables []string, epochs map[string]uint64) string {
 	var ev strings.Builder
 	for _, t := range tables {
 		fmt.Fprintf(&ev, "%s:%d,", t, epochs[t])
 	}
 	return fmt.Sprintf("s=%d|j=%d|a=%d|p=%d|b=%d|pin=%s|e=%s|%s",
-		opts.Strategy, opts.Joins, opts.Access, par, opts.batch(), opts.pin(), ev.String(), tmql.Format(bound))
+		opts.Strategy, pin.Joins, pin.Access, pin.Degree, pin.Batch, opts.PinAlt, ev.String(), tmql.Format(bound))
 }
 
 func (c *planCache) get(key string) (*planned, bool) {

@@ -63,7 +63,7 @@ func TestPlanCacheHitsRepeatedQueries(t *testing.T) {
 
 // TestPlanCacheKeyedOnOptions checks that differing options plan separately:
 // a fixed strategy, a different join family, a different degree, and the
-// rewrite flag each get their own entry.
+// rewrite pin each get their own entry.
 func TestPlanCacheKeyedOnOptions(t *testing.T) {
 	eng := xyzEngine(t)
 	// Degrees are explicit throughout: the zero option resolves to
@@ -75,7 +75,7 @@ func TestPlanCacheKeyedOnOptions(t *testing.T) {
 		{Strategy: core.StrategyNestJoin, Joins: planner.ImplNestedLoop, Parallelism: 1},
 		{Strategy: core.StrategyNestJoin, Parallelism: 2},
 		{Strategy: core.StrategyNestJoin, Parallelism: 4},
-		{Rewrite: true, Parallelism: 1},
+		{PinAlt: planner.AltRewrite, Parallelism: 1},
 	}
 	for _, opts := range optss {
 		if _, err := eng.Query(cacheQ, opts); err != nil {
@@ -148,16 +148,16 @@ func TestPlanCacheServesExplain(t *testing.T) {
 // positive default, explicit degrees pass through, and the executed result
 // is identical at every degree.
 func TestParallelismResolution(t *testing.T) {
-	if resolveParallelism(0, true) < 1 {
+	eng := xyzEngine(t)
+	if eng.autoDegree([]string{"X", "Y"}) < 1 {
 		t.Error("auto-path default parallelism must be >= 1")
 	}
-	if resolveParallelism(0, false) != 1 {
+	if (Options{}).pin().Fixed().Degree != 1 {
 		t.Error("fixed-path default must stay serial")
 	}
-	if resolveParallelism(7, false) != 7 {
+	if (Options{Parallelism: 7}).pin().Fixed().Degree != 7 {
 		t.Error("explicit parallelism must pass through")
 	}
-	eng := xyzEngine(t)
 	base, err := eng.Query(cacheQ, Options{Strategy: core.StrategyNestJoin, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@
 // every alternative × join-family × parallelism-degree combination against
 // the statistics catalog (exact for tiny tables, histogram/sketch estimates
 // above the threshold), and executes the cheapest — the path Explain renders
-// together with the full candidate table. Options.Rewrite and Options.PinAlt
-// pin one logical alternative instead of toggling a pre-planning pass.
+// together with the full candidate table. Options.PinAlt pins one logical
+// alternative.
 // Planning decisions are memoized in a bounded per-engine LRU plan cache
 // keyed on the bound query and options (invalidated by Analyze), so repeated
 // queries skip translation and enumeration. It is the implementation behind
@@ -113,23 +113,16 @@ type Options struct {
 	// releases). Results are byte-identical at every degree and any steal
 	// schedule.
 	Parallelism int
-	// Rewrite is a compatibility override. The optimizer now enumerates the
-	// §6 rewrite rules (selection pushdown through nest joins, selection
-	// through projections, dead nest-join elimination, select fusion) as
-	// logical alternatives inside the candidate search, so the cost-based
-	// path weighs rewritten and as-translated plans automatically and this
-	// flag is unnecessary there. Setting it PINS the rewritten alternative:
-	// on the cost-based path only rewrite candidates are considered (falling
-	// back to the translation when no rule fires); on a fixed-strategy path
-	// the rewrite fixpoint is applied to the translated plan, preserving the
-	// historical toggle behavior.
-	Rewrite bool
-	// PinAlt pins one logical alternative by label on the cost-based path:
-	// planner.AltBase, planner.AltRewrite, or a join-order label as shown in
-	// EXPLAIN's candidate table (e.g. "order:((z y) x)"). Empty means free
-	// choice. Pinning a label the query does not generate is an error; the
-	// conformance harness uses this to execute every alternative and assert
-	// identical results. Ignored on fixed-strategy paths.
+	// PinAlt pins one logical alternative by label: planner.AltBase,
+	// planner.AltRewrite (the §6 rewrite fixpoint — selection pushdown
+	// through nest joins and projections, dead nest-join elimination, select
+	// fusion — or the translation itself where no rule fires), or, on the
+	// cost-based path, a join-order label as shown in EXPLAIN's candidate
+	// table (e.g. "order:((z y) x)"). Empty means free choice on the
+	// cost-based path and the translation as produced under a fixed strategy.
+	// Pinning a label the path does not generate is an error; the conformance
+	// harness uses this to execute every alternative and assert identical
+	// results.
 	PinAlt string
 	// Access selects the access path for leaf selections. The zero value
 	// (planner.AccessAuto) lets the cost-based planner weigh index scans
@@ -163,43 +156,19 @@ type Options struct {
 	NoSteal bool
 }
 
-// pin resolves the effective alternative pin: PinAlt wins, then the Rewrite
-// compatibility override.
-func (o Options) pin() string {
-	if o.PinAlt != "" {
-		return o.PinAlt
-	}
-	if o.Rewrite {
-		return planner.AltRewrite
-	}
-	return ""
-}
-
-// batch canonicalizes the BatchSize option for the plan-cache key: every
-// negative value pins row-at-a-time (-1), positive values clamp to the
-// effective size, zero defers to the planner.
-func (o Options) batch() int {
+// pin translates the physical options into the planner's pin. BatchSize is
+// canonicalized for the plan-cache key: every negative value pins
+// row-at-a-time (-1), positive values clamp to the effective size, zero
+// defers to the planner.
+func (o Options) pin() planner.PhysicalSpec {
+	pin := planner.PhysicalSpec{Joins: o.Joins, Degree: o.Parallelism, Access: o.Access, Batch: o.BatchSize}
 	switch {
-	case o.BatchSize < 0:
-		return -1
-	case o.BatchSize > 0:
-		return exec.NormalizeBatchSize(o.BatchSize)
+	case pin.Batch < 0:
+		pin.Batch = -1
+	case pin.Batch > 0:
+		pin.Batch = exec.NormalizeBatchSize(pin.Batch)
 	}
-	return 0
-}
-
-// resolveParallelism maps the option to an effective degree for the given
-// planning path: on the cost-based path the zero value opens the full
-// machine (the chooser still decides whether parallelism pays), on the
-// fixed path it stays serial.
-func resolveParallelism(p int, auto bool) int {
-	if p <= 0 {
-		if auto {
-			return runtime.GOMAXPROCS(0)
-		}
-		return 1
-	}
-	return p
+	return pin
 }
 
 // Result is the outcome of a query execution.
@@ -251,13 +220,10 @@ type Result struct {
 // stores. Entries are immutable after construction — the plan is compiled
 // afresh into iterators per execution, never mutated.
 type planned struct {
-	plan       algebra.Plan
-	strategy   core.Strategy
-	alt        string
-	joins      planner.JoinImpl
-	access     planner.AccessPath
-	par        int
-	batch      int
+	plan     algebra.Plan
+	strategy core.Strategy
+	alt      string
+	planner.PhysicalSpec
 	cost       planner.Cost
 	auto       bool
 	candidates []planner.Candidate
@@ -345,30 +311,17 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 	// One scheduler per query: every partitioned operator of the plan shares
 	// the worker pool and the stats counters reported on Result.Sched.
 	ectx.Sched = exec.NewScheduler(exec.SchedConfig{
-		Workers: pl.par, MorselSize: pl.batch, NoSteal: opts.NoSteal,
+		Workers: pl.Degree, MorselSize: pl.Batch, NoSteal: opts.NoSteal,
 	})
 	defer recoverAbort(gov, &res, &err)
-	pltr := planner.New(ectx, planner.Options{Joins: pl.joins, Parallelism: pl.par, Access: pl.access, BatchSize: pl.batch})
-	var v value.Value
-	if pl.batch > 0 {
-		it, cerr := pltr.CompileBatch(pl.plan)
-		if cerr != nil {
-			if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
-				return nil, terr
-			}
-			return nil, cerr
+	tree, cerr := planner.New(ectx, pl.PhysicalSpec).Compile(pl.plan)
+	if cerr != nil {
+		if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
+			return nil, terr
 		}
-		v, err = exec.CollectBatchesGoverned(gov, it)
-	} else {
-		it, cerr := pltr.Compile(pl.plan)
-		if cerr != nil {
-			if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
-				return nil, terr
-			}
-			return nil, cerr
-		}
-		v, err = exec.CollectGoverned(gov, it)
+		return nil, cerr
 	}
+	v, err := tree.Collect(gov)
 	if err != nil {
 		// A table dropped between the liveness pre-check and execution fails
 		// deep in the executor with an untyped unknown-table error; reclassify
@@ -386,10 +339,10 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 		Expr:        bound,
 		Strategy:    pl.strategy,
 		Alt:         pl.alt,
-		Joins:       pl.joins,
-		Access:      pl.access,
-		Parallelism: pl.par,
-		Batch:       pl.batch,
+		Joins:       pl.Joins,
+		Access:      pl.Access,
+		Parallelism: pl.Degree,
+		Batch:       pl.Batch,
 		Cost:        pl.cost,
 		Auto:        pl.auto,
 		CacheHit:    hit,
@@ -399,28 +352,19 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 	}, nil
 }
 
-// plan resolves Options into a concrete (plan, strategy, join family,
-// degree), consulting the plan cache first. The cache key carries the
-// mutation-epoch vector of the tables the query references, so a cached
-// decision is served only while every one of its tables is unchanged — a
-// mutated table shows a different epoch, the key misses, and the query
-// replans against fresh statistics. The reported bool is true on a cache
-// hit.
+// plan resolves Options into a planned decision, consulting the plan cache
+// first. The cache key carries the mutation-epoch vector of the tables the
+// query references, so a cached decision is served only while every one of
+// its tables is unchanged — a mutated table shows a different epoch, the key
+// misses, and the query replans against fresh statistics. The reported bool
+// is true on a cache hit.
 func (e *Engine) plan(bound tmql.Expr, opts Options) (*planned, bool, error) {
-	par := resolveParallelism(opts.Parallelism, opts.Strategy == core.StrategyAuto)
 	tables := tmql.Tables(bound)
-	if opts.Parallelism == 0 && par > 1 {
-		// Left to the planner, the degree is sized from statistics instead of
-		// opening the whole machine: enough partitions for ~1k rows each,
-		// bounded by GOMAXPROCS. Explicit pins pass through untouched.
-		rows := 0.0
-		sc := e.Stats()
-		for _, name := range tables {
-			if ts := sc.Table(name); ts != nil && float64(ts.Card) > rows {
-				rows = float64(ts.Card)
-			}
-		}
-		par = planner.PartitionDegree(rows, par)
+	pin := opts.pin()
+	if opts.Strategy != core.StrategyAuto {
+		pin = pin.Fixed()
+	} else if pin.Degree <= 0 {
+		pin.Degree = e.autoDegree(tables)
 	}
 	epochs := make(map[string]uint64, len(tables))
 	for _, name := range tables {
@@ -428,88 +372,106 @@ func (e *Engine) plan(bound tmql.Expr, opts Options) (*planned, bool, error) {
 			epochs[name] = t.Epoch()
 		}
 	}
-	key := cacheKey(bound, opts, par, tables, epochs)
+	key := cacheKey(bound, opts, pin, tables, epochs)
 	if pl, ok := e.cache.get(key); ok {
 		return pl, true, nil
 	}
-	pl, err := e.planMiss(bound, opts, par)
+	pl, err := e.planMiss(bound, opts, pin)
 	if err != nil {
 		return nil, false, err
 	}
 	// Validate a pinned join family before caching or executing, so Query and
 	// Explain fail identically at plan time (the auto path only ever chooses
 	// feasible families). An infeasible decision is never cached.
-	if reason := planner.ImplInfeasible(pl.plan, pl.joins); reason != "" {
-		return nil, false, fmt.Errorf("engine: %s join requested but %s", pl.joins, reason)
+	if reason := planner.ImplInfeasible(pl.plan, pl.Joins); reason != "" {
+		return nil, false, fmt.Errorf("engine: %s join requested but %s", pl.Joins, reason)
 	}
 	e.cache.put(key, tables, pl)
 	return pl, false, nil
 }
 
-// planMiss performs the full planning work: the fixed path translates under
-// the requested strategy and keeps the requested join family (applying the
-// §6 rewrite fixpoint when Options.Rewrite pins it); the auto path is the
-// unified optimizer — logical alternatives × join orders × join families ×
-// degrees, costed uniformly.
-func (e *Engine) planMiss(bound tmql.Expr, opts Options, par int) (*planned, error) {
+// autoDegree is the maximum degree the cost-based path enumerates when the
+// caller leaves Parallelism to the planner: not the whole machine
+// unconditionally but enough partitions for ~1k rows each of the query's
+// largest table, bounded by GOMAXPROCS (see planner.PartitionDegree). The
+// chooser still decides whether parallelism pays.
+func (e *Engine) autoDegree(tables []string) int {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		return procs
+	}
+	rows := 0.0
+	for _, name := range tables {
+		if ts := e.statsCat.Table(name); ts != nil && float64(ts.Card) > rows {
+			rows = float64(ts.Card)
+		}
+	}
+	return planner.PartitionDegree(rows, procs)
+}
+
+// planMiss performs the full planning work: translate (under the fixed
+// strategy, or under every correct one), settle the logical alternatives
+// (the pinned one, or all of them for the optimizer to weigh), and resolve
+// the physical spec — by the pin's fixed defaults under a fixed strategy, by
+// cost over alternative × join-family × degree × access × batch candidates
+// otherwise.
+func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpec) (*planned, error) {
+	est := planner.NewEstimatorStats(e.statsCat)
+	alts, err := e.alternatives(bound, opts, est)
+	if err != nil {
+		return nil, err
+	}
 	var pl *planned
-	if opts.Strategy == core.StrategyAuto {
-		var err error
-		pl, err = e.autoPlan(bound, opts, par)
+	if opts.Strategy != core.StrategyAuto {
+		pl = &planned{plan: alts[0].Plan, strategy: opts.Strategy, alt: alts[0].Alt, PhysicalSpec: pin}
+	} else {
+		best, all, err := est.Choose(alts, pin)
 		if err != nil {
 			return nil, err
 		}
-	} else {
+		strategy, _ := core.ParseStrategy(best.Strategy)
+		pl = &planned{
+			plan: best.Plan, strategy: strategy, alt: best.Alt, PhysicalSpec: best.PhysicalSpec,
+			cost: best.Cost, auto: true, candidates: all,
+		}
+	}
+	// Result.Parallelism reports the degree the plan actually runs at: a
+	// degree > 1 on a (possibly rewritten) plan with nothing to partition
+	// is serial.
+	if pl.Degree > 1 && !planner.Parallelizable(pl.plan, pl.Joins) {
+		pl.Degree = 1
+	}
+	return pl, nil
+}
+
+// alternatives translates the query and returns the logical alternatives
+// planning chooses among, restricted to Options.PinAlt when set. A fixed
+// strategy yields exactly one: its translation as produced, or the §6
+// rewrite fixpoint of it when PinAlt asks for that (any other label is the
+// same no-match error the cost-based path raises) — no statistics are
+// touched, so fixed-strategy benchmark runs skip that work. StrategyAuto
+// translates under every correct strategy and expands each translation into
+// its alternatives (as translated, §6 rewrite, join orders costed by est).
+func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estimator) ([]planner.StrategyPlan, error) {
+	if opts.Strategy != core.StrategyAuto {
 		tr := core.NewTranslator(e.cat)
 		p, err := tr.Translate(bound, opts.Strategy)
 		if err != nil {
 			return nil, err
 		}
-		alt := planner.AltBase
-		if opts.Rewrite {
-			if p, err = algebra.Optimize(tr.Builder(), p); err != nil {
+		alt := planner.StrategyPlan{Strategy: opts.Strategy.String(), Alt: planner.AltBase, Plan: p}
+		if opts.PinAlt == planner.AltRewrite {
+			if alt.Plan, err = algebra.Optimize(tr.Builder(), p); err != nil {
 				return nil, err
 			}
-			alt = planner.AltRewrite
+			alt.Alt = planner.AltRewrite
 		}
-		// On fixed-strategy paths the physical choices are the caller's:
-		// AccessAuto stays on scans (an explicit AccessIndex opts in), so
-		// historical experiment numbers are unaffected by index creation.
-		access := opts.Access
-		if access == planner.AccessAuto {
-			access = planner.AccessScan
-		}
-		// Like parallelism and index scans, vectorization on a fixed strategy
-		// is an explicit opt-in: zero stays row-at-a-time.
-		batch := 0
-		if opts.BatchSize > 0 {
-			batch = exec.NormalizeBatchSize(opts.BatchSize)
-		}
-		pl = &planned{plan: p, strategy: opts.Strategy, alt: alt, joins: opts.Joins, access: access, par: par, batch: batch}
+		return planner.PinAlternatives([]planner.StrategyPlan{alt}, opts.PinAlt)
 	}
-	// Result.Parallelism reports the degree the plan actually runs at: a
-	// degree > 1 on a (possibly rewritten) plan with nothing to partition
-	// is serial. Checked after the rewrite, which can eliminate joins.
-	if pl.par > 1 && !planner.Parallelizable(pl.plan, pl.joins) {
-		pl.par = 1
-	}
-	return pl, nil
-}
-
-// autoPlan is the unified cost-based path: translate under every correct
-// strategy, expand each translation into its logical alternatives (as
-// translated, §6 rewrite, join orders), honor a pinned alternative, and let
-// the planner cost alternative × join-family × parallelism candidates to
-// pick the cheapest. A fixed Options.Joins pins the join family; strategy,
-// alternative, and degree are still enumerated.
-func (e *Engine) autoPlan(bound tmql.Expr, opts Options, par int) (*planned, error) {
-	est := planner.NewEstimatorStats(e.Stats())
-	strategies := make(map[string]core.Strategy)
 	var sps []planner.StrategyPlan
 	var firstErr error
 	for _, s := range core.CandidateStrategies() {
-		tr := core.NewTranslator(e.cat)
-		p, err := tr.Translate(bound, s)
+		p, err := core.NewTranslator(e.cat).Translate(bound, s)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -517,7 +479,6 @@ func (e *Engine) autoPlan(bound tmql.Expr, opts Options, par int) (*planned, err
 			continue
 		}
 		sps = append(sps, planner.StrategyPlan{Strategy: s.String(), Plan: p})
-		strategies[s.String()] = s
 	}
 	if len(sps) == 0 {
 		if firstErr != nil {
@@ -525,27 +486,7 @@ func (e *Engine) autoPlan(bound tmql.Expr, opts Options, par int) (*planned, err
 		}
 		return nil, fmt.Errorf("engine: no strategy could translate the query")
 	}
-	alts := est.Alternatives(algebra.NewBuilder(e.cat), sps)
-	alts, err := planner.PinAlternatives(alts, opts.pin())
-	if err != nil {
-		return nil, err
-	}
-	best, all, err := est.ChooseExec(alts, opts.Joins, par, opts.Access, opts.BatchSize)
-	if err != nil {
-		return nil, err
-	}
-	return &planned{
-		plan:       best.Plan,
-		strategy:   strategies[best.Strategy],
-		alt:        best.Alt,
-		joins:      best.Joins,
-		access:     best.Access,
-		par:        best.Par,
-		batch:      best.Batch,
-		cost:       best.Cost,
-		auto:       true,
-		candidates: all,
-	}, nil
+	return planner.PinAlternatives(est.Alternatives(algebra.NewBuilder(e.cat), sps), opts.PinAlt)
 }
 
 // Explain parses, binds, and plans a query, returning the physical plan
@@ -614,15 +555,15 @@ func (e *Engine) explainBound(bound tmql.Expr, opts Options) (string, error) {
 		alt = planner.AltBase
 	}
 	batch := "row"
-	if pl.batch > 0 {
-		batch = fmt.Sprintf("%d", pl.batch)
+	if pl.Batch > 0 {
+		batch = fmt.Sprintf("%d", pl.Batch)
 	}
 	// sched/morsel render the runtime configuration the plan executes under:
 	// the scheduler's worker-pool size (= the degree) and the effective
 	// rows-per-morsel the exchange feeds it.
 	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s parallelism=%d sched=%d morsel=%d batch=%s (%s)\n",
-		pl.strategy, alt, pl.joins, pl.access, pl.par, pl.par, exec.NormalizeBatchSize(pl.batch), batch, mode)
-	b.WriteString(est.ExplainExec(pl.plan, pl.joins, pl.par, pl.access, pl.batch))
+		pl.strategy, alt, pl.Joins, pl.Access, pl.Degree, pl.Degree, exec.NormalizeBatchSize(pl.Batch), batch, mode)
+	b.WriteString(est.Explain(pl.plan, pl.PhysicalSpec))
 	if pl.auto && len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")
 		for _, c := range pl.candidates {

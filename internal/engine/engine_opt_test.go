@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tmdb/internal/algebra"
 	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/planner"
@@ -141,42 +142,58 @@ func TestPinAltExecutesEveryAlternative(t *testing.T) {
 			}
 		}
 	}
-	if _, err := eng.Query(multiQ, Options{PinAlt: "order:(bogus)"}); err == nil {
-		t.Error("pinning an absent alternative must error")
+	// An absent label is the same error on both paths: a fixed strategy
+	// generates base and rewrite only, so a join-order pin cannot match there.
+	_, autoErr := eng.Query(multiQ, Options{PinAlt: "order:(bogus)"})
+	_, fixedErr := eng.Query(multiQ, Options{Strategy: core.StrategyNestJoin, PinAlt: "order:(y x)"})
+	for path, err := range map[string]error{"auto": autoErr, "fixed": fixedErr} {
+		if err == nil || !strings.Contains(err.Error(), "no candidate matches pinned alternative") {
+			t.Errorf("%s path: pinning an absent alternative: err = %v", path, err)
+		}
 	}
 }
 
-// TestRewriteOptionPins: the compatibility override maps onto the rewrite
-// pin on the auto path and still applies the fixpoint on the fixed path.
-func TestRewriteOptionPins(t *testing.T) {
+// TestRewritePinOnBothPaths: PinAlt "rewrite" restricts the auto path to the
+// rewrite alternatives (base where no rule fires) and applies the §6 rewrite
+// fixpoint on the fixed path; "base" is honoured on both.
+func TestRewritePinOnBothPaths(t *testing.T) {
 	eng := optEngine(t)
-	auto, err := eng.Query(rewriteQ, Options{Rewrite: true})
+	rewrite := Options{PinAlt: planner.AltRewrite}
+	auto, err := eng.Query(rewriteQ, rewrite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auto.Alt != planner.AltRewrite {
-		t.Errorf("auto path Rewrite=true executed alt=%s", auto.Alt)
+		t.Errorf("auto path rewrite pin executed alt=%s", auto.Alt)
 	}
 	// No rewrite applies → falls back to base instead of erroring.
-	plain, err := eng.Query(`SELECT x.b FROM X x`, Options{Rewrite: true})
+	plain, err := eng.Query(`SELECT x.b FROM X x`, rewrite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Alt != planner.AltBase {
 		t.Errorf("no-op rewrite pin executed alt=%s", plain.Alt)
 	}
-	fixed, err := eng.Query(rewriteQ, Options{Strategy: core.StrategyNestJoin, Rewrite: true})
+	fixed, err := eng.Query(rewriteQ, Options{Strategy: core.StrategyNestJoin, PinAlt: planner.AltRewrite})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fixed.Alt != planner.AltRewrite || fixed.Auto {
-		t.Errorf("fixed path Rewrite=true: alt=%s auto=%v", fixed.Alt, fixed.Auto)
+		t.Errorf("fixed path rewrite pin: alt=%s auto=%v", fixed.Alt, fixed.Auto)
+	}
+	fixedBase, err := eng.Query(rewriteQ, Options{Strategy: core.StrategyNestJoin, PinAlt: planner.AltBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixedBase.Alt != planner.AltBase || algebra.Explain(fixedBase.Plan) == algebra.Explain(fixed.Plan) {
+		t.Errorf("fixed path base pin: alt=%s, plan equals the rewritten one: %v", fixedBase.Alt,
+			algebra.Explain(fixedBase.Plan) == algebra.Explain(fixed.Plan))
 	}
 	oracle, err := eng.Query(rewriteQ, Options{Strategy: core.StrategyNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !value.Equal(fixed.Value, oracle.Value) || !value.Equal(auto.Value, oracle.Value) {
+	if !value.Equal(fixed.Value, oracle.Value) || !value.Equal(fixedBase.Value, oracle.Value) || !value.Equal(auto.Value, oracle.Value) {
 		t.Error("pinned rewrite changed results")
 	}
 }

@@ -218,23 +218,3 @@ func CollectBatchesGoverned(gov *Governor, it BatchIterator) (value.Value, error
 	}
 	return b.Build(), nil
 }
-
-// DrainBatches drains a batch iterator into a row slice preserving arrival
-// order (duplicates kept); used by tests and adapters.
-func DrainBatches(it BatchIterator) ([]value.Value, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []value.Value
-	for {
-		bt, ok, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, bt.Rows...)
-	}
-}

@@ -122,9 +122,9 @@ func TestBatchHashJoinMatchesRow(t *testing.T) {
 	}
 }
 
-// TestParHashJoinBatchedInputs feeds the exchange batched inputs directly
-// (BL/BR) and streams the output via NextBatch, asserting equality with the
-// serial row join.
+// TestParHashJoinBatchedInputs feeds the exchange batch-native inputs and
+// streams the output via NextBatch, asserting equality with the serial row
+// join.
 func TestParHashJoinBatchedInputs(t *testing.T) {
 	l, r := genRows(600, 13, "k", "v"), genRows(300, 7, "j", "w")
 	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
@@ -139,7 +139,7 @@ func TestParHashJoinBatchedInputs(t *testing.T) {
 		for _, degree := range []int{2, 4} {
 			par := &ParHashJoin{
 				Ctx: NewCtx(nil), Kind: algebra.JoinInner,
-				BL: &BatchSliceScan{Rows: l, Size: size}, BR: &BatchSliceScan{Rows: r, Size: size},
+				L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
 				LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 				RElem: relem, Degree: degree, BatchSize: size,
 			}
@@ -184,18 +184,34 @@ func TestBatchDistinctIdentity(t *testing.T) {
 	}
 }
 
-// TestSortBatchBuildMatchesRow drains Sort through its batch-native build at
-// every batch size and asserts the emitted sequence — not just the set — is
-// byte-identical to the row build's.
+// mergeSelfJoin is a merge nest join of rows with itself on x.k = y.k, its
+// sorted runs built from row inputs (size 0) or from batches of size rows —
+// the two builds of the sorted-run helpers the merge joins share.
+func mergeSelfJoin(ctx *Ctx, rows []value.Value, size int) *MergeNestJoin {
+	j := &MergeNestJoin{
+		Ctx: ctx, LVar: "x", RVar: "y",
+		LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
+		Fn: pred("y.v"), Label: "g",
+	}
+	if size > 0 {
+		j.BL, j.BR = &BatchSliceScan{Rows: rows, Size: size}, &BatchSliceScan{Rows: rows, Size: size}
+	} else {
+		j.L, j.R = &SliceScan{Rows: rows}, &SliceScan{Rows: rows}
+	}
+	return j
+}
+
+// TestSortBatchBuildMatchesRow drains the merge nest join through its
+// batch-native sorted-run build at every batch size and asserts the emitted
+// sequence — not just the set — is byte-identical to the row build's.
 func TestSortBatchBuildMatchesRow(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
-	keys := []tmql.Expr{pred("x.k")}
-	want, err := Drain(&Sort{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Var: "x", Keys: keys})
+	want, err := Drain(mergeSelfJoin(NewCtx(nil), rows, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range batchSizes {
-		got, err := Drain(&Sort{Ctx: NewCtx(nil), BIn: &BatchSliceScan{Rows: rows, Size: size}, Var: "x", Keys: keys})
+		got, err := Drain(mergeSelfJoin(NewCtx(nil), rows, size))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,18 +226,18 @@ func TestSortBatchBuildMatchesRow(t *testing.T) {
 	}
 }
 
-// TestSortBatchBuildBudget pins the batched sort build's governance: the
-// flat per-row build charge is still accounted (summed per batch), so a
+// TestSortBatchBuildBudget pins the batched sorted-run build's governance:
+// the flat per-row build charge is still accounted (summed per batch), so a
 // build budget trips exactly as it does on the row path.
 func TestSortBatchBuildBudget(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
-	gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
-	ctx := NewCtxGoverned(nil, gov)
-	s := &Sort{Ctx: ctx, BIn: &BatchSliceScan{Rows: rows, Size: 64}, Var: "x", Keys: []tmql.Expr{pred("x.k")}}
-	_, err := Drain(s)
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Resource != "build_bytes" {
-		t.Fatalf("want build_bytes BudgetError, got %v", err)
+	for _, size := range []int{0, 64} {
+		gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
+		_, err := Drain(mergeSelfJoin(NewCtxGoverned(nil, gov), rows, size))
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Resource != "build_bytes" {
+			t.Fatalf("size=%d: want build_bytes BudgetError, got %v", size, err)
+		}
 	}
 }
 

@@ -107,7 +107,7 @@ func TestParHashNestJoinCancellation(t *testing.T) {
 			}
 		}
 		return &ParHashNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			Ctx: ctx, L: batched(l, 0), R: batched(r, 0),
 			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
 			Degree: degree,
 		}

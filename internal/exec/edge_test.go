@@ -40,7 +40,8 @@ func TestErrorPropagation(t *testing.T) {
 	iters := []Iterator{
 		&Filter{Ctx: ctx, In: &failingIter{failOpen: true}, Var: "x", Pred: pred("TRUE")},
 		&MapIter{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x.k")},
-		&Sort{Ctx: ctx, In: &failingIter{n: 2}, Var: "x", Keys: []tmql.Expr{pred("x.k")}},
+		&MergeNestJoin{Ctx: ctx, L: &failingIter{n: 2}, R: &SliceScan{}, LVar: "x", RVar: "y",
+			LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}, Fn: pred("y"), Label: "s"},
 		&Distinct{In: &failingIter{n: 1}},
 		&NLJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{}, R: &failingIter{failOpen: true},
 			LVar: "x", RVar: "y", Pred: pred("TRUE")},

@@ -231,19 +231,6 @@ func TestFilterMapDistinct(t *testing.T) {
 	}
 }
 
-func TestSortIter(t *testing.T) {
-	x, _ := xyRows()
-	// Sort descending via key -x.e.
-	s := &Sort{Ctx: NewCtx(nil), In: &SliceScan{Rows: x}, Var: "x", Keys: []tmql.Expr{pred("-x.e")}}
-	rows, err := Drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows[0].MustGet("e").AsInt() != 3 {
-		t.Errorf("Sort: %v", rows)
-	}
-}
-
 func TestNestAndNestStar(t *testing.T) {
 	rows := []value.Value{
 		tup("g", 1, "a", 10),

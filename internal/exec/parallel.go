@@ -342,16 +342,6 @@ func (o *parOutput) Close() error {
 	return nil
 }
 
-// batchInput returns the batch form of a partitioned operator's input: the
-// batch iterator itself when the planner compiled the child batched, the row
-// iterator adapted otherwise.
-func batchInput(it Iterator, bit BatchIterator, size int) BatchIterator {
-	if bit != nil {
-		return bit
-	}
-	return &RowsToBatch{It: it, Size: size}
-}
-
 // runPartitioned is the shared orchestration of the partitioned operators on
 // the morsel scheduler: validate the degree, exchange-partition both inputs
 // through the pump, then run two scheduled phases with a barrier between —
@@ -471,9 +461,11 @@ func buildPartition(c *Ctx, ps *partitionSet, p int) (*hashTable, error) {
 // across Degree partitions and scheduled as morsels on the query's worker
 // pool. Open materializes the full output; Next streams it.
 type ParHashJoin struct {
-	Ctx          *Ctx
-	Kind         algebra.JoinKind
-	L, R         Iterator
+	Ctx  *Ctx
+	Kind algebra.JoinKind
+	// L and R feed the exchange with batches; a row-at-a-time plan adapts its
+	// subtrees with RowsToBatch.
+	L, R         BatchIterator
 	LVar, RVar   string
 	LKeys, RKeys []tmql.Expr
 	Residual     tmql.Expr
@@ -482,10 +474,7 @@ type ParHashJoin struct {
 	// from the query's Scheduler (Degree doubles as the pool hint when the
 	// context carries none).
 	Degree int
-	// BL/BR, when set, feed the exchange directly with batches (batched
-	// plans); otherwise L/R are adapted. BatchSize sizes the exchange feed
-	// and the output batches (0 = default).
-	BL, BR    BatchIterator
+	// BatchSize sizes the output batches (0 = default).
 	BatchSize int
 
 	parOutput
@@ -503,8 +492,7 @@ func (j *ParHashJoin) Open() error {
 		j.pad = nullTuple(j.RElem)
 	}
 	j.reset(j.Degree, j.BatchSize)
-	return runPartitioned(j.Ctx, j.Degree,
-		batchInput(j.L, j.BL, j.BatchSize), batchInput(j.R, j.BR, j.BatchSize),
+	return runPartitioned(j.Ctx, j.Degree, j.L, j.R,
 		j.LKeys, j.RKeys, j.LVar, j.RVar, j.probeFragment, j.out)
 }
 
@@ -578,17 +566,16 @@ func probeAnyBucket(c *Ctx, l value.Value, bucket []value.Value,
 // emitted — a left element's matches all share its key and therefore its
 // partition, so the group is complete within one probe morsel.
 type ParHashNestJoin struct {
-	Ctx          *Ctx
-	L, R         Iterator
+	Ctx *Ctx
+	// L, R, Degree and BatchSize are as in ParHashJoin.
+	L, R         BatchIterator
 	LVar, RVar   string
 	LKeys, RKeys []tmql.Expr
 	Residual     tmql.Expr
 	Fn           tmql.Expr
 	Label        string
 	Degree       int
-	// BL/BR/BatchSize mirror ParHashJoin's batched inputs.
-	BL, BR    BatchIterator
-	BatchSize int
+	BatchSize    int
 
 	parOutput
 }
@@ -597,8 +584,7 @@ type ParHashNestJoin struct {
 // per-fragment group-probe morsels on the worker pool.
 func (j *ParHashNestJoin) Open() error {
 	j.reset(j.Degree, j.BatchSize)
-	return runPartitioned(j.Ctx, j.Degree,
-		batchInput(j.L, j.BL, j.BatchSize), batchInput(j.R, j.BR, j.BatchSize),
+	return runPartitioned(j.Ctx, j.Degree, j.L, j.R,
 		j.LKeys, j.RKeys, j.LVar, j.RVar, j.probeFragment, j.out)
 }
 

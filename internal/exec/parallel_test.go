@@ -21,6 +21,12 @@ func genRows(n, keys int, key, val string) []value.Value {
 	return out
 }
 
+// batched adapts rows for the partitioned operators' exchange the way a
+// row-at-a-time plan does.
+func batched(rows []value.Value, size int) BatchIterator {
+	return &RowsToBatch{It: &SliceScan{Rows: rows}, Size: size}
+}
+
 func parJoinPair(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, degree int) (serial, par Iterator) {
 	lk := []tmql.Expr{pred("x.k")}
 	rk := []tmql.Expr{pred("y.j")}
@@ -30,7 +36,7 @@ func parJoinPair(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual t
 		LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Residual: residual, RElem: relem,
 	}
 	par = &ParHashJoin{
-		Ctx: ctx, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+		Ctx: ctx, Kind: kind, L: batched(l, 0), R: batched(r, 0),
 		LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Residual: residual, RElem: relem,
 		Degree: degree,
 	}
@@ -108,7 +114,7 @@ func TestParHashNestJoinMatchesSerial(t *testing.T) {
 		want := collect(t, serial)
 		for _, degree := range []int{2, 8} {
 			par := &ParHashNestJoin{
-				Ctx: NewCtx(nil), L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r},
+				Ctx: NewCtx(nil), L: batched(ds.l, 0), R: batched(ds.r, 0),
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
 				Degree: degree,
 			}
@@ -132,7 +138,7 @@ func TestParHashJoinErrors(t *testing.T) {
 	}
 	bad := &ParHashJoin{
 		Ctx: NewCtx(nil), Kind: algebra.JoinInner,
-		L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r}, LVar: "x", RVar: "y", Degree: 2,
+		L: batched(l, 0), R: batched(r, 0), LVar: "x", RVar: "y", Degree: 2,
 	}
 	if err := bad.Open(); err == nil {
 		t.Error("empty key lists should be rejected")

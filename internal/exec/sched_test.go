@@ -47,7 +47,7 @@ func TestSchedulerStealsUnderSkew(t *testing.T) {
 			}
 		}
 		return &ParHashJoin{
-			Ctx: ctx, Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			Ctx: ctx, Kind: algebra.JoinSemi, L: batched(l, 64), R: batched(r, 64),
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 			RElem: relem, Degree: degree, BatchSize: 64,
 		}
@@ -98,7 +98,7 @@ func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
 	mk := func(ctx *Ctx, degree int) *ParHashJoin {
 		return &ParHashJoin{
-			Ctx: ctx, Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+			Ctx: ctx, Kind: algebra.JoinSemi, L: batched(l, 64), R: batched(r, 64),
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 			RElem: relem, Degree: degree, BatchSize: 64,
 		}

@@ -105,86 +105,18 @@ func (d *Distinct) Next() (value.Value, bool, error) {
 // Close closes the input.
 func (d *Distinct) Close() error { d.seen = nil; return d.In.Close() }
 
-// Sort materializes its input in Open and emits it ordered by the canonical
-// value order of the key expressions (then by the full element, making the
-// order total and deterministic). It underlies the sort-merge join variants.
-//
-// The input is either a row iterator (In) or a batch iterator (BIn): when BIn
-// is set, the build drains whole batches with per-batch governance and never
-// pays the row-adapter hop. Both builds feed the same comparator, so the
-// sorted runs — and therefore every downstream result — are byte-identical.
-type Sort struct {
-	Ctx *Ctx
-	// In is the row-at-a-time input; ignored when BIn is set.
-	In Iterator
-	// BIn, when non-nil, is the batch-native input.
-	BIn  BatchIterator
-	Var  string
-	Keys []tmql.Expr
-	rows []sortedRow
-	i    int
-}
-
+// sortedRow is one element of a sorted run: the merge joins order their
+// inputs by the canonical value order of the key expressions, then by the
+// full element, making the order total and deterministic.
 type sortedRow struct {
 	key value.Value // tuple of key values (label-free list encoded as a list value)
 	v   value.Value
 }
 
-// Open drains and sorts the input.
-func (s *Sort) Open() error {
-	if s.BIn != nil {
-		rows, err := drainSortedBatches(s.Ctx, s.BIn, s.Var, s.Keys)
-		if err != nil {
-			return err
-		}
-		s.rows = rows
-		s.i = 0
-		return nil
-	}
-	if err := s.In.Open(); err != nil {
-		return err
-	}
-	defer s.In.Close()
-	s.rows = s.rows[:0]
-	for {
-		v, ok, err := s.In.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := sortBuildCheck(s.Ctx); err != nil {
-			return err
-		}
-		k, err := evalKey(s.Ctx, s.Keys, s.Var, v)
-		if err != nil {
-			return err
-		}
-		s.rows = append(s.rows, sortedRow{key: k, v: v})
-	}
-	sortRowsStable(s.rows)
-	s.i = 0
-	return nil
-}
-
-// Next returns the next element in key order.
-func (s *Sort) Next() (value.Value, bool, error) {
-	if s.i >= len(s.rows) {
-		return value.Value{}, false, nil
-	}
-	v := s.rows[s.i].v
-	s.i++
-	return v, true, nil
-}
-
-// Close releases the sorted rows.
-func (s *Sort) Close() error { s.rows = nil; return nil }
-
 // sortBuildCheck is the per-row governance + fault-injection + budget gate
-// of every sort-run build loop (Sort and the merge joins' sorted drains).
-// Sort rows carry no pre-encoded key, so the build budget charges the flat
-// per-row overhead only.
+// of the merge joins' row-at-a-time sorted-run build loop. Sort rows carry
+// no pre-encoded key, so the build budget charges the flat per-row overhead
+// only.
 func sortBuildCheck(c *Ctx) error {
 	if err := c.check(); err != nil {
 		return err
@@ -224,10 +156,9 @@ func sortRowsStable(rows []sortedRow) {
 }
 
 // drainSortedBatches drains a batch input into one sorted run: the
-// batch-native counterpart of the merge joins' drainSorted and Sort's row
-// build. Retaining a row out of a batch is a struct copy (value.Value is
-// immutable; only the batch's backing slice is reused), so the per-row work
-// left is key evaluation.
+// batch-native counterpart of the merge joins' drainSorted. Retaining a row
+// out of a batch is a struct copy (value.Value is immutable; only the batch's
+// backing slice is reused), so the per-row work left is key evaluation.
 func drainSortedBatches(c *Ctx, in BatchIterator, varName string, keys []tmql.Expr) ([]sortedRow, error) {
 	if err := in.Open(); err != nil {
 		return nil, err

@@ -17,9 +17,9 @@ import (
 // equality conjuncts compare stored attributes against plan-time constants
 // can be served by a persistent index: the longest index prefix covered by
 // those conjuncts is probed point-wise, uncovered conjuncts become a
-// residual filter, and the base scan is never materialized. The shape test
-// is shared between compilation (storage registry) and costing (statistics
-// catalog), exactly like the join-side FindIndexProbe.
+// residual filter, and the base scan is never materialized. Like the
+// join-side FindIndexProbe, the shape test runs inside the shared resolver
+// (resolve.go).
 
 // AccessPath selects how leaf selections read their tables.
 type AccessPath uint8
@@ -321,29 +321,6 @@ func crossPoints(lists [][]tmql.Expr) [][]tmql.Expr {
 		points = next
 	}
 	return points
-}
-
-// findIndexScanStats is the costing-side matcher, against the statistics
-// catalog's index view.
-func (e *Estimator) findIndexScanStats(n *algebra.Select) (IndexScanMatch, bool) {
-	return FindIndexScan(n, e.statsIndexes)
-}
-
-// HasIndexScan reports whether any selection in the plan can be served by a
-// live persistent index — the condition under which Choose adds the idxscan
-// access path to the candidate enumeration.
-func (e *Estimator) HasIndexScan(p algebra.Plan) bool {
-	if sel, ok := p.(*algebra.Select); ok {
-		if _, ok := e.findIndexScanStats(sel); ok {
-			return true
-		}
-	}
-	for _, ch := range p.Children() {
-		if e.HasIndexScan(ch) {
-			return true
-		}
-	}
-	return false
 }
 
 // compileIndexScan compiles a matched selection to the index-backed access

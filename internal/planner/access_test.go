@@ -10,6 +10,7 @@ import (
 	"tmdb/internal/datagen"
 	"tmdb/internal/exec"
 	"tmdb/internal/schema"
+	"tmdb/internal/stats"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
@@ -28,7 +29,7 @@ func accessEnv(t *testing.T) (*Estimator, *algebra.Builder, *storage.DB, *schema
 	if err := db.CreateIndex("Y", "b", "d"); err != nil {
 		t.Fatal(err)
 	}
-	return NewEstimator(db), algebra.NewBuilder(cat), db, cat
+	return NewEstimatorStats(stats.New(db)), algebra.NewBuilder(cat), db, cat
 }
 
 // TestFindIndexScanShapes pins the σ-shape matcher: direct scans, chains of
@@ -41,47 +42,47 @@ func TestFindIndexScanShapes(t *testing.T) {
 
 	// Direct σ-over-scan, literal on the right.
 	s1, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	m, ok := FindIndexScan(s1, est.statsIndexes)
+	m, ok := FindIndexScan(s1, est.stats.Indexes)
 	if !ok || m.Table != "X" || m.Name() != "b" || m.Depth != 1 || m.Residual != nil {
 		t.Fatalf("direct match = %+v, %v", m, ok)
 	}
 	// Literal on the left.
 	s2, _ := b.Select(x, "x", tmql.MustParse("3 = x.b"))
-	if _, ok := FindIndexScan(s2, est.statsIndexes); !ok {
+	if _, ok := FindIndexScan(s2, est.stats.Indexes); !ok {
 		t.Error("flipped orientation not matched")
 	}
 	// Unindexed attribute: no match.
 	s3, _ := b.Select(y, "y", tmql.MustParse("y.a = 1"))
-	if _, ok := FindIndexScan(s3, est.statsIndexes); ok {
+	if _, ok := FindIndexScan(s3, est.stats.Indexes); ok {
 		t.Error("unindexed attribute matched")
 	}
 	// Composite coverage: both conjuncts disappear, no residual.
 	s4, _ := b.Select(y, "y", tmql.MustParse("y.d = 2 AND y.b = 3"))
-	m4, ok := FindIndexScan(s4, est.statsIndexes)
+	m4, ok := FindIndexScan(s4, est.stats.Indexes)
 	if !ok || m4.Name() != "b,d" || m4.Depth != 2 || m4.Residual != nil {
 		t.Fatalf("composite match = %+v, %v", m4, ok)
 	}
 	// Prefix coverage with residual: only the leading attribute is equal-to-
 	// constant; the rest of the predicate survives.
 	s5, _ := b.Select(y, "y", tmql.MustParse("y.b = 3 AND y.a > 0"))
-	m5, ok := FindIndexScan(s5, est.statsIndexes)
+	m5, ok := FindIndexScan(s5, est.stats.Indexes)
 	if !ok || m5.Depth != 1 || m5.Residual == nil {
 		t.Fatalf("prefix match = %+v, %v", m5, ok)
 	}
 	// Non-leading attribute alone cannot use the composite index.
 	s6, _ := b.Select(y, "y", tmql.MustParse("y.d = 2"))
-	if _, ok := FindIndexScan(s6, est.statsIndexes); ok {
+	if _, ok := FindIndexScan(s6, est.stats.Indexes); ok {
 		t.Error("non-leading composite attribute matched")
 	}
 	// Non-constant comparison: no match.
 	s7, _ := b.Select(x, "x", tmql.MustParse("x.b = x.b"))
-	if _, ok := FindIndexScan(s7, est.statsIndexes); ok {
+	if _, ok := FindIndexScan(s7, est.stats.Indexes); ok {
 		t.Error("variable-vs-variable equality matched")
 	}
 	// Chain: σ over σ over scan still matches, the inner selection is kept.
 	inner, _ := b.Select(x, "x", tmql.MustParse("x.b > -100"))
 	s8, _ := b.Select(inner, "x", tmql.MustParse("x.b = 3"))
-	m8, ok := FindIndexScan(s8, est.statsIndexes)
+	m8, ok := FindIndexScan(s8, est.stats.Indexes)
 	if !ok || m8.Table != "X" {
 		t.Fatalf("chained match = %+v, %v", m8, ok)
 	}
@@ -94,7 +95,7 @@ func TestFindIndexScanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m9, ok := FindIndexScan(s9, est.statsIndexes)
+	m9, ok := FindIndexScan(s9, est.stats.Indexes)
 	if !ok || m9.Table != "X" || m9.Depth != 1 {
 		t.Fatalf("wrapper match = %+v, %v", m9, ok)
 	}
@@ -106,7 +107,7 @@ func TestFindIndexScanShapes(t *testing.T) {
 	}
 	s10, err := b.Select(j, "v", tmql.MustParse("v.b = 3"))
 	if err == nil {
-		if _, ok := FindIndexScan(s10, est.statsIndexes); ok {
+		if _, ok := FindIndexScan(s10, est.stats.Indexes); ok {
 			t.Error("join input treated as an access chain")
 		}
 	}
@@ -126,19 +127,19 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 
 	// OR of equalities over one attribute: three points, no residual.
 	s1, _ := b.Select(x, "x", tmql.MustParse("x.b = 1 OR x.b = 2 OR 3 = x.b"))
-	m, ok := FindIndexScan(s1, est.statsIndexes)
+	m, ok := FindIndexScan(s1, est.stats.Indexes)
 	if !ok || m.Depth != 1 || len(m.Points) != 3 || m.Residual != nil {
 		t.Fatalf("or-list match = %+v, %v", m, ok)
 	}
 	// IN-list: same shape through the membership operator, duplicates fold.
 	s2, _ := b.Select(x, "x", tmql.MustParse("x.b IN {1, 2, 2, 3}"))
-	m2, ok := FindIndexScan(s2, est.statsIndexes)
+	m2, ok := FindIndexScan(s2, est.stats.Indexes)
 	if !ok || len(m2.Points) != 3 {
 		t.Fatalf("in-list match = %+v, %v", m2, ok)
 	}
 	// Composite coverage multiplies out: 2 × 2 points over Y(b,d).
 	s3, _ := b.Select(y, "y", tmql.MustParse("y.b IN {1, 2} AND (y.d = 3 OR y.d = 4)"))
-	m3, ok := FindIndexScan(s3, est.statsIndexes)
+	m3, ok := FindIndexScan(s3, est.stats.Indexes)
 	if !ok || m3.Depth != 2 || len(m3.Points) != 4 || m3.Residual != nil {
 		t.Fatalf("composite multi-point match = %+v, %v", m3, ok)
 	}
@@ -147,26 +148,26 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := FindIndexScan(s4, est.statsIndexes); ok {
+	if _, ok := FindIndexScan(s4, est.stats.Indexes); ok {
 		t.Error("mixed-attribute OR matched")
 	}
 	// Closed non-literal constants are evaluated at plan time: 1 + 1 is a
 	// point like any literal, and plan-time values — not expression shapes —
 	// drive the dedup that keeps the expanded points disjoint.
 	s5, _ := b.Select(x, "x", tmql.MustParse("x.b = 1 OR x.b = 1 + 1"))
-	m5, ok := FindIndexScan(s5, est.statsIndexes)
+	m5, ok := FindIndexScan(s5, est.stats.Indexes)
 	if !ok || m5.Depth != 1 || len(m5.Points) != 2 {
 		t.Fatalf("closed-constant OR match = %+v, %v", m5, ok)
 	}
 	s5b, _ := b.Select(x, "x", tmql.MustParse("x.b IN {2, 1 + 1, 3}"))
-	m5b, ok := FindIndexScan(s5b, est.statsIndexes)
+	m5b, ok := FindIndexScan(s5b, est.stats.Indexes)
 	if !ok || len(m5b.Points) != 2 {
 		t.Fatalf("value-level dedup of closed constants = %+v, %v", m5b, ok)
 	}
 	// Open disjunct constants (free variables) still poison the list.
 	s5c, err := b.Select(x, "x", tmql.MustParse("x.b = 1 OR x.b = x.a + 1"))
 	if err == nil {
-		if _, ok := FindIndexScan(s5c, est.statsIndexes); ok {
+		if _, ok := FindIndexScan(s5c, est.stats.Indexes); ok {
 			t.Error("open OR constant matched")
 		}
 	}
@@ -176,19 +177,8 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 		elems[i] = strconv.Itoa(i)
 	}
 	s6, _ := b.Select(x, "x", tmql.MustParse("x.b IN {"+strings.Join(elems, ", ")+"}"))
-	if _, ok := FindIndexScan(s6, est.statsIndexes); ok {
+	if _, ok := FindIndexScan(s6, est.stats.Indexes); ok {
 		t.Errorf("IN-list beyond the %d-point cap matched", maxIndexScanPoints)
-	}
-	// Multi-point scans cost one probe per point, cardinality unchanged.
-	one := est.EstimateAccess(s2, ImplAuto, 1, AccessIndex)
-	single, _ := b.Select(x, "x", tmql.MustParse("x.b = 1"))
-	base := est.EstimateAccess(single, ImplAuto, 1, AccessIndex)
-	if one.Work != 3*base.Work {
-		t.Errorf("3-point probe work %v, want 3× single-point %v", one.Work, base.Work)
-	}
-	// EXPLAIN names the points.
-	if out := est.ExplainAccess(s2, ImplAuto, 1, AccessIndex); !strings.Contains(out, "points=3") {
-		t.Errorf("multi-point scan not rendered:\n%s", out)
 	}
 }
 
@@ -202,11 +192,11 @@ func TestCompileIndexScanMultiPointExecutes(t *testing.T) {
 	y, _ := b.Scan("Y")
 	run := func(t *testing.T, plan algebra.Plan, access AccessPath) value.Value {
 		t.Helper()
-		it, err := New(exec.NewCtx(db), Options{Access: access}).Compile(plan)
+		tree, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := exec.Collect(it)
+		v, err := tree.Collect(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +288,11 @@ func TestCompileIndexScanExecutes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(access AccessPath) value.Value {
-				it, err := New(exec.NewCtx(db), Options{Access: access}).Compile(tc.plan)
+				tree, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(tc.plan)
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := exec.Collect(it)
+				v, err := tree.Collect(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -317,97 +307,6 @@ func TestCompileIndexScanExecutes(t *testing.T) {
 	}
 }
 
-// TestIndexScanCheaperThanScan pins the cost intuition that makes the
-// optimizer pick idxscan, and that cardinality estimates stay
-// access-independent.
-func TestIndexScanCheaperThanScan(t *testing.T) {
-	est, b, _, _ := accessEnv(t)
-	x, _ := b.Scan("X")
-	s, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	scan := est.EstimateAccess(s, ImplAuto, 1, AccessScan)
-	idx := est.EstimateAccess(s, ImplAuto, 1, AccessIndex)
-	if idx.Work >= scan.Work {
-		t.Errorf("idxscan %v should be cheaper than scan %v", idx, scan)
-	}
-	if idx.Rows != scan.Rows {
-		t.Errorf("access path changed the cardinality estimate: %v vs %v", idx, scan)
-	}
-	// Unindexed selection: identical costs either way.
-	y, _ := b.Scan("Y")
-	sy, _ := b.Select(y, "y", tmql.MustParse("y.a = 1"))
-	if got, want := est.EstimateAccess(sy, ImplAuto, 1, AccessIndex), est.EstimateAccess(sy, ImplAuto, 1, AccessScan); got != want {
-		t.Errorf("fallback cost %v differs from scan %v", got, want)
-	}
-}
-
-// TestChooseEnumeratesIdxScan: the idxscan access path joins the enumeration
-// exactly when an index can serve a selection, wins on cost, and renders in
-// the candidate table.
-func TestChooseEnumeratesIdxScan(t *testing.T) {
-	est, b, _, _ := accessEnv(t)
-	x, _ := b.Scan("X")
-	s, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	best, all, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Access != AccessIndex {
-		t.Errorf("chose access=%s, want idxscan; candidates: %v", best.Access, all)
-	}
-	seenScan, seenIdx := false, false
-	for _, c := range all {
-		switch c.Access {
-		case AccessScan:
-			seenScan = true
-		case AccessIndex:
-			seenIdx = true
-			if !strings.Contains(c.String(), "+idxscan") {
-				t.Errorf("idxscan candidate row lacks the access marker: %s", c.String())
-			}
-		}
-	}
-	if !seenScan || !seenIdx {
-		t.Fatalf("enumeration incomplete: scan=%v idx=%v", seenScan, seenIdx)
-	}
-	// Without a matching index the access dimension collapses to scans.
-	y, _ := b.Scan("Y")
-	sy, _ := b.Select(y, "y", tmql.MustParse("y.a = 1"))
-	_, all2, err := est.Choose([]StrategyPlan{{Strategy: "nestjoin", Plan: sy}}, ImplAuto, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range all2 {
-		if c.Access == AccessIndex {
-			t.Errorf("idxscan enumerated without a usable index: %v", c)
-		}
-	}
-	// Explicit pins restrict the enumeration.
-	bestIdx, _, err := est.ChooseAccess([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessIndex)
-	if err != nil || bestIdx.Access != AccessIndex {
-		t.Errorf("AccessIndex pin: best=%+v err=%v", bestIdx, err)
-	}
-	bestScan, _, err := est.ChooseAccess([]StrategyPlan{{Strategy: "nestjoin", Plan: s}}, ImplAuto, 1, AccessScan)
-	if err != nil || bestScan.Access != AccessScan {
-		t.Errorf("AccessScan pin: best=%+v err=%v", bestScan, err)
-	}
-}
-
-// TestExplainRendersIndexScan: the estimator-aware rendering names the
-// index-served selection with its index, prefix, and residual.
-func TestExplainRendersIndexScan(t *testing.T) {
-	est, b, _, _ := accessEnv(t)
-	y, _ := b.Scan("Y")
-	s, _ := b.Select(y, "y", tmql.MustParse("y.b = 3 AND y.a > 0"))
-	out := est.ExplainAccess(s, ImplAuto, 1, AccessIndex)
-	if !strings.Contains(out, "IndexScan(Y) using Y(b,d) prefix=1") || !strings.Contains(out, "residual[") {
-		t.Errorf("index scan not rendered:\n%s", out)
-	}
-	// Scan rendering unchanged under the scan path.
-	if out := est.ExplainAccess(s, ImplAuto, 1, AccessScan); strings.Contains(out, "IndexScan") {
-		t.Errorf("scan path rendered an IndexScan:\n%s", out)
-	}
-}
-
 // TestCompositeIndexProbeJoins: the composite-prefix matcher serves
 // multi-key equi-joins — both pairs fold into the probe, leaving no
 // residual — and compiled results match the hash family.
@@ -416,9 +315,11 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 	x, _ := b.Scan("X")
 	y, _ := b.Scan("Y")
 	j, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b = y.b AND x.b = y.d"))
-	pr, ok := est.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar)
-	if !ok || pr.Name() != "b,d" || pr.Depth != 2 || len(pr.Pairs) != 2 {
-		t.Fatalf("composite probe = %+v, %v", pr, ok)
+	idxjoin := PhysicalSpec{Joins: ImplIndex}
+	op := est.resolve(j, idxjoin)
+	pr := op.probe
+	if op.family != ImplIndex || pr.Name() != "b,d" || pr.Depth != 2 || len(pr.Pairs) != 2 {
+		t.Fatalf("composite probe = %+v, family %s", pr, op.family)
 	}
 	lk, rk, residual := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
 	if res := indexResidual(lk, rk, pr, residual); res != nil {
@@ -429,11 +330,11 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 		t.Fatalf("probeLKeys = %d exprs, want 2", len(keys))
 	}
 	run := func(impl JoinImpl) value.Value {
-		it, err := New(exec.NewCtx(db), Options{Joins: impl}).Compile(j)
+		tree, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := exec.Collect(it)
+		v, err := tree.Collect(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,9 +345,10 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 	}
 	// Only one pair addressed: depth-1 prefix probe, the other pair residual.
 	j1, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b = y.b AND x.b = y.a"))
-	pr1, ok := est.indexProbeFor(j1.R, j1.RVar, j1.Pred, j1.LVar)
-	if !ok || pr1.Depth != 1 || pr1.Name() != "b,d" {
-		t.Fatalf("prefix probe = %+v, %v", pr1, ok)
+	op1 := est.resolve(j1, idxjoin)
+	pr1 := op1.probe
+	if op1.family != ImplIndex || pr1.Depth != 1 || pr1.Name() != "b,d" {
+		t.Fatalf("prefix probe = %+v, family %s", pr1, op1.family)
 	}
 	lk1, rk1, res1 := ExtractEquiKeys(j1.Pred, j1.LVar, j1.RVar)
 	if res := indexResidual(lk1, rk1, pr1, res1); res == nil {

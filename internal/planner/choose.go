@@ -6,17 +6,13 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/exec"
-	"tmdb/internal/tmql"
 )
 
 // Cost-based physical planning: the engine translates the query once per
 // candidate unnesting strategy, Alternatives expands each translation into
 // its logical alternatives (as translated, §6-rewritten, reordered joins),
-// and Choose enumerates those plans × the physical join families × the
-// parallelism degrees, estimates each feasible combination, and returns the
-// cheapest. This replaces the seed behavior where the caller had to fix
-// Options.Strategy and Options.Joins by hand and Options.Rewrite was a
-// pre-planning toggle the optimizer could not weigh.
+// and Choose enumerates those plans × every PhysicalSpec the pin leaves open,
+// estimates each feasible combination, and returns the cheapest.
 
 // StrategyPlan is one logical candidate plan: a strategy's translation of a
 // query, optionally refined into a labeled logical alternative (the planner
@@ -30,25 +26,18 @@ type StrategyPlan struct {
 	Plan algebra.Plan
 }
 
-// Candidate is one logical alternative × join-implementation × access-path
-// × parallelism combination considered by Choose.
+// Candidate is one logical alternative × PhysicalSpec combination considered
+// by Choose: the join family, the degree and batch size it was costed at
+// (1 = serial, 0 = row-at-a-time), and the access path leaf selections read
+// through (AccessScan unless an index-scan variant was enumerated).
 type Candidate struct {
 	Strategy string
 	// Alt is the logical-alternative label (AltBase when the strategy's
 	// translation ran unmodified).
-	Alt   string
-	Joins JoinImpl
-	// Access is the access path leaf selections read through (AccessScan
-	// unless an index-scan variant was enumerated).
-	Access AccessPath
-	// Par is the partitioned-execution degree this candidate was costed at
-	// (1 = serial).
-	Par int
-	// Batch is the vectorized batch size this candidate was costed at (0 =
-	// row-at-a-time execution).
-	Batch int
-	Plan  algebra.Plan
-	Cost  Cost
+	Alt string
+	PhysicalSpec
+	Plan algebra.Plan
+	Cost Cost
 	// Infeasible is non-empty when the combination cannot execute (e.g. a
 	// hash family requested with no equi-key); such candidates are never
 	// chosen.
@@ -62,8 +51,8 @@ type Candidate struct {
 // degree and access path, and estimated cost.
 func (c Candidate) String() string {
 	joins := c.Joins.String()
-	if c.Par > 1 {
-		joins = fmt.Sprintf("%s×%d", joins, c.Par)
+	if c.Degree > 1 {
+		joins = fmt.Sprintf("%s×%d", joins, c.Degree)
 	}
 	if c.Access == AccessIndex {
 		joins += "+idxscan"
@@ -86,53 +75,43 @@ func (c Candidate) String() string {
 	}
 }
 
-// Choose picks the cheapest feasible strategy × join-implementation ×
-// parallelism combination by estimated work. fixed restricts the join family
-// when the caller set one explicitly (ImplAuto enumerates all); par is the
-// maximum partitioned-execution degree — combinations that compile to
-// partitioned operators are additionally costed at that degree, so EXPLAIN
-// shows whether parallelism pays and the winner carries the chosen degree.
-// Plans without join-family operators collapse to a single candidate per
-// strategy, since the implementation choice cannot matter. The returned
-// slice reports every candidate considered (for EXPLAIN); the returned
-// pointer aliases its winning entry.
-func (e *Estimator) Choose(plans []StrategyPlan, fixed JoinImpl, par int) (*Candidate, []Candidate, error) {
-	return e.ChooseAccess(plans, fixed, par, AccessAuto)
-}
-
-// ChooseAccess is Choose with an access-path pin: AccessAuto enumerates the
-// full-scan variant of every combination plus an index-scan variant for
-// plans where a live index can serve a selection; AccessScan and AccessIndex
-// restrict the enumeration to that path (AccessIndex still falls back to
-// scans per selection at compile time, exactly as ImplIndex falls back per
-// join operator).
-func (e *Estimator) ChooseAccess(plans []StrategyPlan, fixed JoinImpl, par int, access AccessPath) (*Candidate, []Candidate, error) {
-	return e.ChooseExec(plans, fixed, par, access, -1)
-}
-
-// ChooseExec is ChooseAccess with a batch-size pin, the full physical
-// enumeration the engine uses: batch < 0 restricts the enumeration to
-// row-at-a-time execution (the seed behavior ChooseAccess preserves), batch =
-// 0 enumerates a vectorized variant at exec.DefaultBatchSize alongside every
-// row-at-a-time combination, and batch > 0 pins every candidate to vectorized
-// execution at that size (clamped to exec.MaxBatchSize). Batch size is
-// orthogonal to the other physical dimensions — every strategy × alternative
-// × join family × degree × access combination is costed at every enumerated
-// batch size.
-func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, access AccessPath, batch int) (*Candidate, []Candidate, error) {
+// Choose picks the cheapest feasible logical alternative × PhysicalSpec
+// combination by estimated work. Every dimension is orthogonal to the others
+// — each plan × join family × degree × access path combination is costed at
+// every enumerated batch size — and pin restricts the enumeration per
+// dimension:
+//
+//   - pin.Joins fixes the join family; ImplAuto enumerates nested-loop, hash
+//     and sort-merge, plus idxjoin for plans where a live persistent index
+//     can serve a join. Plans without join-family operators collapse to a
+//     single ImplAuto candidate, since the choice cannot matter.
+//   - pin.Degree is the maximum partitioned-execution degree: combinations
+//     that compile to partitioned operators are additionally costed at that
+//     degree, so EXPLAIN shows whether parallelism pays.
+//   - pin.Access fixes the access path; AccessAuto enumerates full scans plus
+//     an index-scan variant for plans where a live index can serve a
+//     selection (AccessIndex still falls back to scans per selection, as
+//     ImplIndex falls back per join operator).
+//   - pin.Batch > 0 fixes vectorized execution at that size (clamped to
+//     exec.MaxBatchSize), < 0 fixes row-at-a-time, and 0 enumerates
+//     row-at-a-time plus exec.DefaultBatchSize.
+//
+// The returned slice reports every candidate considered (for EXPLAIN); the
+// returned pointer aliases its winning entry.
+func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, []Candidate, error) {
 	if len(plans) == 0 {
 		return nil, nil, fmt.Errorf("planner: no candidate plans to choose from")
 	}
 	batches := []int{0}
 	switch {
-	case batch == 0:
+	case pin.Batch == 0:
 		batches = []int{0, exec.DefaultBatchSize}
-	case batch > 0:
-		batches = []int{exec.NormalizeBatchSize(batch)}
+	case pin.Batch > 0:
+		batches = []int{exec.NormalizeBatchSize(pin.Batch)}
 	}
 	impls := []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge}
-	if fixed != ImplAuto {
-		impls = []JoinImpl{fixed}
+	if pin.Joins != ImplAuto {
+		impls = []JoinImpl{pin.Joins}
 	}
 	var all []Candidate
 	best := -1
@@ -140,7 +119,7 @@ func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, ac
 		implsHere := impls
 		if !hasJoinFamily(sp.Plan) {
 			implsHere = []JoinImpl{ImplAuto}
-		} else if fixed == ImplAuto && e.HasIndexProbe(sp.Plan) {
+		} else if pin.Joins == ImplAuto && e.HasIndexProbe(sp.Plan) {
 			// A live persistent index can serve at least one join of this
 			// plan: the idxjoin family joins the enumeration (it skips the
 			// right-input drain and build pass where the index applies and
@@ -148,7 +127,7 @@ func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, ac
 			implsHere = append(append([]JoinImpl{}, implsHere...), ImplIndex)
 		}
 		accesses := []AccessPath{AccessScan}
-		switch access {
+		switch pin.Access {
 		case AccessAuto:
 			if e.HasIndexScan(sp.Plan) {
 				accesses = append(accesses, AccessIndex)
@@ -165,20 +144,21 @@ func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, ac
 			// infeasible combination once, not per degree.
 			if reason := ImplInfeasible(sp.Plan, impl); reason != "" {
 				all = append(all, Candidate{
-					Strategy: sp.Strategy, Alt: alt, Joins: impl, Access: AccessScan,
-					Par: 1, Plan: sp.Plan, Infeasible: reason,
+					Strategy: sp.Strategy, Alt: alt, Plan: sp.Plan, Infeasible: reason,
+					PhysicalSpec: PhysicalSpec{Joins: impl, Degree: 1, Access: AccessScan},
 				})
 				continue
 			}
 			degrees := []int{1}
-			if par > 1 && Parallelizable(sp.Plan, impl) {
-				degrees = append(degrees, par)
+			if pin.Degree > 1 && Parallelizable(sp.Plan, impl) {
+				degrees = append(degrees, pin.Degree)
 			}
 			for _, deg := range degrees {
 				for _, acc := range accesses {
 					for _, bsz := range batches {
-						c := Candidate{Strategy: sp.Strategy, Alt: alt, Joins: impl, Access: acc, Par: deg, Batch: bsz, Plan: sp.Plan}
-						c.Cost = e.EstimateExec(sp.Plan, impl, deg, acc, bsz)
+						spec := PhysicalSpec{Joins: impl, Degree: deg, Access: acc, Batch: bsz}
+						c := Candidate{Strategy: sp.Strategy, Alt: alt, PhysicalSpec: spec, Plan: sp.Plan}
+						c.Cost = e.Estimate(sp.Plan, spec)
 						all = append(all, c)
 						if best < 0 || c.Cost.Work < all[best].Cost.Work {
 							best = len(all) - 1
@@ -189,230 +169,28 @@ func (e *Estimator) ChooseExec(plans []StrategyPlan, fixed JoinImpl, par int, ac
 		}
 	}
 	if best < 0 {
-		return nil, all, fmt.Errorf("planner: no feasible strategy × join combination (joins=%s)", fixed)
+		return nil, all, fmt.Errorf("planner: no feasible strategy × join combination (joins=%s)", pin.Joins)
 	}
 	all[best].Chosen = true
 	return &all[best], all, nil
 }
 
-// Parallelizable reports whether the plan contains a join-family operator
-// that the given implementation choice would compile to a partitioned
-// parallel operator at degrees >= 2. The idxjoin family is deliberately
-// serial: index probes have no build pass to partition, so ImplIndex plans
-// report false and run at degree 1. The decision reuses the same
-// implementation-resolution rules Compile applies — effectiveJoinImpl plus
-// the flat-join merge→hash lowering — so the chooser, the EXPLAIN renderer,
-// and compilation cannot drift apart. The engine uses it to report an
-// honest Result.Parallelism for fixed-strategy plans.
-func Parallelizable(p algebra.Plan, impl JoinImpl) bool {
-	switch j := p.(type) {
-	case *algebra.Join:
-		lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
-		eff := effectiveJoinImpl(impl, len(lk) > 0)
-		if eff == ImplMerge {
-			eff = ImplHash // flat joins have no merge variant; Compile uses hash
-		}
-		if eff == ImplHash {
-			return true
-		}
-	case *algebra.NestJoin:
-		lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
-		if effectiveJoinImpl(impl, len(lk) > 0) == ImplHash {
-			return true
-		}
+// Explain renders the plan as the physical operator tree spec compiles it
+// to, each node named by the shared resolver and annotated with its estimated
+// rows and cost — the body of the engine's EXPLAIN.
+func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
+	if spec.Batch > 0 {
+		spec.Batch = exec.NormalizeBatchSize(spec.Batch)
 	}
-	for _, ch := range p.Children() {
-		if Parallelizable(ch, impl) {
-			return true
-		}
-	}
-	return false
-}
-
-// ImplInfeasible reports why a plan cannot be compiled under the given join
-// implementation ("" when it can): the hash and sort-merge families require
-// an extractable equi-key on every join-family operator, mirroring the
-// errors Compile would raise. The idxjoin family is always feasible — an
-// operator without a usable index falls back to the auto mapping.
-func ImplInfeasible(p algebra.Plan, impl JoinImpl) string {
-	if impl != ImplHash && impl != ImplMerge {
-		return ""
-	}
-	var reason string
-	var walk func(n algebra.Plan)
-	walk = func(n algebra.Plan) {
-		if reason != "" {
-			return
-		}
-		switch j := n.(type) {
-		case *algebra.Join:
-			if lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar); len(lk) == 0 {
-				reason = fmt.Sprintf("no equi-key in %s", tmql.Format(j.Pred))
-				return
-			}
-		case *algebra.NestJoin:
-			if lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar); len(lk) == 0 {
-				reason = fmt.Sprintf("no equi-key in %s", tmql.Format(j.Pred))
-				return
-			}
-		}
-		for _, ch := range n.Children() {
-			walk(ch)
-		}
-	}
-	walk(p)
-	return reason
-}
-
-// hasJoinFamily reports whether the plan contains any join-family operator,
-// i.e. whether the join-implementation choice can affect execution.
-func hasJoinFamily(p algebra.Plan) bool {
-	switch p.(type) {
-	case *algebra.Join, *algebra.NestJoin:
-		return true
-	}
-	for _, ch := range p.Children() {
-		if hasJoinFamily(ch) {
-			return true
-		}
-	}
-	return false
-}
-
-// ExplainPhysical renders the plan as the physical operator tree the given
-// implementation choice compiles to, annotated with per-node estimated rows
-// and cost — the body of the engine's EXPLAIN. The deprecated two-argument
-// form renders the serial mapping; ExplainPhysicalPar names the partitioned
-// operators ("ParHashJoin[4]") at degrees >= 2, and ExplainAccess
-// additionally names index-served selections ("IndexScan(X) using X(b)")
-// under the idxscan access path.
-func (e *Estimator) ExplainPhysical(p algebra.Plan, impl JoinImpl) string {
-	return e.ExplainAccess(p, impl, 1, AccessScan)
-}
-
-// ExplainPhysicalPar is ExplainPhysical at a partitioned-execution degree.
-func (e *Estimator) ExplainPhysicalPar(p algebra.Plan, impl JoinImpl, par int) string {
-	return e.ExplainAccess(p, impl, par, AccessScan)
-}
-
-// ExplainAccess is the fully physical rendering: implementation choice,
-// partitioned-execution degree, and access path.
-func (e *Estimator) ExplainAccess(p algebra.Plan, impl JoinImpl, par int, access AccessPath) string {
 	var b strings.Builder
 	var walk func(n algebra.Plan, depth int)
 	walk = func(n algebra.Plan, depth int) {
-		c := e.EstimateAccess(n, impl, par, access)
 		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s  (%s)\n", e.physicalDescribeAccess(n, impl, par, access), c)
+		fmt.Fprintf(&b, "%s  (%s)\n", e.resolve(n, spec).describe(n, spec), e.Estimate(n, spec))
 		for _, ch := range n.Children() {
 			walk(ch, depth+1)
 		}
 	}
 	walk(p, 0)
 	return b.String()
-}
-
-// physicalDescribeAccess is the estimator-aware operator naming: under the
-// idxjoin family it consults the index registry to render index-served
-// operators as "Idx…" with the probed index (naming the auto fallback for
-// the rest), and under the idxscan access path it renders index-served
-// selections as "IndexScan" with the probed index and depth; everything else
-// delegates to PhysicalDescribePar.
-func (e *Estimator) physicalDescribeAccess(n algebra.Plan, impl JoinImpl, par int, access AccessPath) string {
-	if access == AccessIndex {
-		if sel, ok := n.(*algebra.Select); ok {
-			if m, ok := e.findIndexScanStats(sel); ok {
-				desc := fmt.Sprintf("IndexScan(%s) using %s(%s)", m.Table, m.Table, m.Name())
-				if m.Depth < len(m.IndexAttrs) {
-					desc += fmt.Sprintf(" prefix=%d", m.Depth)
-				}
-				if len(m.Points) > 1 {
-					desc += fmt.Sprintf(" points=%d", len(m.Points))
-				}
-				if m.Residual != nil {
-					desc += fmt.Sprintf(" residual[%s]", tmql.Format(m.Residual))
-				}
-				return desc
-			}
-		}
-	}
-	if impl != ImplIndex {
-		return PhysicalDescribePar(n, impl, par)
-	}
-	switch j := n.(type) {
-	case *algebra.Join:
-		if pr, ok := e.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar); ok {
-			return fmt.Sprintf("Idx%s using %s(%s)", j.Describe(), pr.Table, pr.Name())
-		}
-	case *algebra.NestJoin:
-		if pr, ok := e.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar); ok {
-			return fmt.Sprintf("Idx%s using %s(%s)", j.Describe(), pr.Table, pr.Name())
-		}
-	}
-	return PhysicalDescribePar(n, ImplAuto, par)
-}
-
-// PhysicalDescribe names the physical operator a logical node compiles to
-// under the given implementation choice, matching the exec package's
-// operator names (NLJoin, HashSemiJoin, MergeNestJoin, …). Non-join nodes
-// keep their logical description.
-func PhysicalDescribe(n algebra.Plan, impl JoinImpl) string {
-	return PhysicalDescribePar(n, impl, 1)
-}
-
-// PhysicalDescribePar is PhysicalDescribe at a partitioned-execution degree:
-// nodes that compile to the parallel operators render as "ParHash…[degree]".
-func PhysicalDescribePar(n algebra.Plan, impl JoinImpl, par int) string {
-	switch j := n.(type) {
-	case *algebra.Join:
-		lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
-		eff := effectiveJoinImpl(impl, len(lk) > 0)
-		if eff == ImplMerge {
-			eff = ImplHash // flat joins have no merge variant; Compile uses hash
-		}
-		return parPrefix(eff, par) + implPrefix(eff) + j.Describe() + parSuffix(eff, par)
-	case *algebra.NestJoin:
-		lk, _, _ := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
-		eff := effectiveJoinImpl(impl, len(lk) > 0)
-		return parPrefix(eff, par) + implPrefix(eff) + j.Describe() + parSuffix(eff, par)
-	}
-	return n.Describe()
-}
-
-// parPrefix and parSuffix decorate operators that run partitioned: only the
-// hash family parallelizes, at degrees >= 2.
-func parPrefix(eff JoinImpl, par int) string {
-	if par > 1 && eff == ImplHash {
-		return "Par"
-	}
-	return ""
-}
-
-func parSuffix(eff JoinImpl, par int) string {
-	if par > 1 && eff == ImplHash {
-		return fmt.Sprintf("[%d]", par)
-	}
-	return ""
-}
-
-func effectiveJoinImpl(impl JoinImpl, hashable bool) JoinImpl {
-	if !hashable {
-		return ImplNestedLoop
-	}
-	if impl == ImplAuto {
-		return ImplHash
-	}
-	return impl
-}
-
-func implPrefix(impl JoinImpl) string {
-	switch impl {
-	case ImplNestedLoop:
-		return "NL"
-	case ImplHash:
-		return "Hash"
-	case ImplMerge:
-		return "Merge"
-	}
-	return ""
 }

@@ -6,7 +6,6 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/stats"
-	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 )
 
@@ -36,12 +35,6 @@ func (c Cost) String() string {
 // queries.
 type Estimator struct {
 	stats *stats.Catalog
-}
-
-// NewEstimator returns an estimator with a fresh lazy statistics catalog
-// over db.
-func NewEstimator(db *storage.DB) *Estimator {
-	return &Estimator{stats: stats.New(db)}
 }
 
 // NewEstimatorStats returns an estimator over an existing catalog (shared
@@ -75,41 +68,48 @@ const (
 	parStartupWork   = 200.0
 )
 
-// Estimate computes the cost of a logical plan under the auto physical
-// mapping (hash where an equi-key exists, nested loops otherwise).
-func (e *Estimator) Estimate(p algebra.Plan) Cost {
-	return e.EstimatePhysical(p, ImplAuto)
-}
+// Batch-execution cost constants, following the B-series profiles that
+// motivated batching: batchDispatchShare of row-at-a-time work is per-row
+// dispatch (interface calls, governor polls) that vectorized operators pay
+// once per batch instead, and batchStartupWork is the flat per-plan cost of
+// adapters and scratch arenas that keeps tiny queries on the row engine.
+const (
+	batchDispatchShare = 0.35
+	batchStartupWork   = 32.0
+)
 
-// EstimatePhysical computes the serial cost of a logical plan when its
-// join-family operators are compiled with the given implementation choice.
-func (e *Estimator) EstimatePhysical(p algebra.Plan, impl JoinImpl) Cost {
-	return e.EstimatePhysicalPar(p, impl, 1)
-}
-
-// EstimatePhysicalPar computes the cost of a logical plan when its
-// join-family operators are compiled with the given implementation choice at
-// the given partitioned-execution degree, with leaf selections reading
-// through full scans. EstimateAccess is the access-path-aware form the
-// candidate enumeration uses. par <= 1 is serial; at higher degrees hash
-// probe work divides by par while the partition pass and per-worker startup
-// are added, so parallelism only wins where the §7-style cost arguments say
-// it should. Infeasible choices (hash without an equi-key) are costed as
-// their nested-loop fallback; feasibility is checked separately by
-// ImplInfeasible.
-func (e *Estimator) EstimatePhysicalPar(p algebra.Plan, impl JoinImpl, par int) Cost {
-	return e.EstimateAccess(p, impl, par, AccessScan)
-}
-
-// EstimateAccess is EstimatePhysicalPar under an access-path choice: with
-// AccessIndex, selections served by a live persistent index are costed as
-// point probes (per-bucket depth statistics instead of a scan of the input).
-// The output cardinality of a selection is access-independent — only the
-// work term changes — mirroring how join implementations share cardinality.
-func (e *Estimator) EstimateAccess(p algebra.Plan, impl JoinImpl, par int, access AccessPath) Cost {
-	if par < 1 {
-		par = 1
+// BatchWorkFactor scales row-at-a-time work for execution at the given batch
+// size: the dispatch share divides by the batch size, the rest is per-row
+// work batching cannot remove. Factor 1 at batch <= 1.
+func BatchWorkFactor(batch int) float64 {
+	if batch <= 1 {
+		return 1
 	}
+	return (1 - batchDispatchShare) + batchDispatchShare/float64(batch)
+}
+
+// Estimate computes the cost of a logical plan compiled under spec; the zero
+// spec is the auto mapping (hash where an equi-key exists, nested loops
+// otherwise) over full scans, serial and row-at-a-time. Output cardinalities
+// are independent of the spec — only the work term changes. At Degree >= 2
+// hash probe work divides by the degree while the partition pass and
+// per-worker startup are added, so parallelism only wins where the §7-style
+// cost arguments say it should; under AccessIndex, selections served by a
+// live index are costed as point probes; at Batch > 1 the dispatch
+// amortization and the flat vectorization overhead apply, and row-at-a-time
+// candidates are untouched, so adding the batch dimension cannot perturb the
+// other choices. Infeasible specs (hash without an equi-key) are costed as
+// their nested-loop fallback; feasibility is ImplInfeasible's job.
+func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
+	c := e.rowCost(p, spec)
+	if spec.Batch > 1 {
+		c.Work = c.Work*BatchWorkFactor(spec.Batch) + batchStartupWork
+	}
+	return c
+}
+
+// rowCost is Estimate before the batch adjustment.
+func (e *Estimator) rowCost(p algebra.Plan, spec PhysicalSpec) Cost {
 	switch n := p.(type) {
 	case *algebra.Scan:
 		card := float64(e.tableStats(n.Table).Card)
@@ -120,38 +120,50 @@ func (e *Estimator) EstimateAccess(p algebra.Plan, impl JoinImpl, par int, acces
 		return e.evalCost(n.Expr)
 
 	case *algebra.Select:
-		in := e.EstimateAccess(n.In, impl, par, access)
-		sel := e.predicateSelectivity(n.Pred, n.In, n.Var)
-		rows := in.Rows * sel
-		if access == AccessIndex {
-			if m, ok := e.findIndexScanStats(n); ok {
-				return Cost{Rows: rows, Work: e.indexScanWork(m)}
-			}
+		in := e.rowCost(n.In, spec)
+		rows := in.Rows * e.predicateSelectivity(n.Pred, n.In, n.Var)
+		if op := e.resolve(n, spec); op.indexScan {
+			return Cost{Rows: rows, Work: e.indexScanWork(op.scan)}
 		}
 		return Cost{Rows: rows, Work: in.Work + in.Rows}
 
 	case *algebra.Map:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.rowCost(n.In, spec)
 		return Cost{Rows: in.Rows, Work: in.Work + in.Rows}
 
 	case *algebra.Join:
-		return e.estimateJoin(n, impl, par, access)
+		l, op, matches, work := e.joinWork(n, n.L, n.R, n.RVar, spec)
+		dang := e.danglingFrac(n.L, n.LVar, op.lk, n.R, n.RVar, op.rk)
+		rows := matches
+		switch n.Kind {
+		case algebra.JoinSemi:
+			rows = l.Rows * (1 - dang)
+		case algebra.JoinAnti:
+			rows = l.Rows * dang
+		case algebra.JoinLeftOuter:
+			if rows < l.Rows {
+				rows = l.Rows
+			}
+		}
+		return Cost{Rows: rows, Work: work}
 
 	case *algebra.NestJoin:
-		return e.estimateNestJoin(n, impl, par, access)
+		// One output tuple per left element, always (dangling survive with ∅).
+		l, _, _, work := e.joinWork(n, n.L, n.R, n.RVar, spec)
+		return Cost{Rows: l.Rows, Work: work}
 
 	case *algebra.Nest:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.rowCost(n.In, spec)
 		return Cost{Rows: in.Rows * 0.5, Work: in.Work + in.Rows}
 
 	case *algebra.Unnest:
-		in := e.EstimateAccess(n.In, impl, par, access)
+		in := e.rowCost(n.In, spec)
 		fanout := e.unnestFanout(n)
 		return Cost{Rows: in.Rows * fanout, Work: in.Work + in.Rows*fanout}
 
 	case *algebra.SetOp:
-		l := e.EstimateAccess(n.L, impl, par, access)
-		r := e.EstimateAccess(n.R, impl, par, access)
+		l := e.rowCost(n.L, spec)
+		r := e.rowCost(n.R, spec)
 		rows := l.Rows
 		switch n.Kind {
 		case algebra.SetUnion:
@@ -183,106 +195,40 @@ func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 	return float64(len(m.Points)) * (1 + 2*avg)
 }
 
-func (e *Estimator) estimateJoin(n *algebra.Join, impl JoinImpl, par int, access AccessPath) Cost {
-	l := e.EstimateAccess(n.L, impl, par, access)
-	r := e.EstimateAccess(n.R, impl, par, access)
-	lk, rk, _ := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
-	hashable := len(lk) > 0
-
-	var matches float64
-	if hashable {
-		matches = l.Rows * r.Rows * e.keySelectivity(n.R, n.RVar, rk)
-	} else {
-		matches = l.Rows * r.Rows * defaultSelectivity
+// joinWork costs join-family node n (operands lp and rp, the right iterated
+// as rvar) under the operator it resolves to, returning the left operand's
+// estimate, the resolved operator, the expected matching pairs and the
+// node's total work. Nested loops evaluate the predicate over the cross
+// product; hash pays one visit per tuple on each side plus the matches
+// emitted; sort-merge adds the n·log n ordering passes on top of a hash-like
+// merge; partitioned hash divides the probe across the workers, with an
+// extra partition pass over both inputs and per-worker startup overhead; an
+// index-served operator never drains the right input — the persistent index
+// pre-exists, so neither the right subtree's work nor a build pass is paid,
+// only the per-left-row probe and the emitted matches.
+func (e *Estimator) joinWork(n, lp, rp algebra.Plan, rvar string, spec PhysicalSpec) (l Cost, op physOp, matches, work float64) {
+	l, r := e.rowCost(lp, spec), e.rowCost(rp, spec)
+	op = e.resolve(n, spec)
+	sel := defaultSelectivity
+	if len(op.lk) > 0 {
+		sel = e.keySelectivity(rp, rvar, op.rk)
 	}
-
-	dang := e.danglingFrac(n.L, n.LVar, lk, n.R, n.RVar, rk)
-	rows := matches
-	switch n.Kind {
-	case algebra.JoinSemi:
-		rows = l.Rows * (1 - dang)
-	case algebra.JoinAnti:
-		rows = l.Rows * dang
-	case algebra.JoinLeftOuter:
-		if rows < l.Rows {
-			rows = l.Rows
-		}
+	matches = l.Rows * r.Rows * sel
+	var probe float64
+	switch {
+	case op.family == ImplIndex:
+		return l, op, matches, l.Work + l.Rows + matches
+	case op.family == ImplNestedLoop:
+		probe = l.Rows * r.Rows
+	case op.family == ImplMerge:
+		probe = sortCost(l.Rows) + sortCost(r.Rows) + l.Rows + r.Rows + matches
+	case op.partitioned:
+		par := float64(spec.Degree)
+		probe = (l.Rows+r.Rows)*parPartitionWork + (l.Rows+r.Rows+matches)/par + parStartupWork*par
+	default: // serial hash
+		probe = l.Rows + r.Rows + matches
 	}
-
-	// An index-served operator never drains the right input: the persistent
-	// index pre-exists, so neither the right subtree's work nor a build pass
-	// is paid — only the per-left-row probe and the emitted matches.
-	if impl == ImplIndex {
-		if _, ok := FindIndexProbe(n.R, n.RVar, rk, e.statsIndexes); ok {
-			return Cost{Rows: rows, Work: l.Work + l.Rows + matches}
-		}
-	}
-
-	// Flat joins have no merge variant: Compile lowers ImplMerge to hash, so
-	// cost what actually runs. An idxjoin operator without a usable index
-	// falls back to the auto mapping, exactly as Compile does.
-	joinImpl := impl
-	if joinImpl == ImplMerge || joinImpl == ImplIndex {
-		joinImpl = ImplHash
-	}
-	probe := e.joinProbeWork(l.Rows, r.Rows, matches, joinImpl, hashable, par)
-	return Cost{Rows: rows, Work: l.Work + r.Work + probe}
-}
-
-func (e *Estimator) estimateNestJoin(n *algebra.NestJoin, impl JoinImpl, par int, access AccessPath) Cost {
-	l := e.EstimateAccess(n.L, impl, par, access)
-	r := e.EstimateAccess(n.R, impl, par, access)
-	lk, rk, _ := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
-	hashable := len(lk) > 0
-
-	var matches float64
-	if hashable {
-		matches = l.Rows * r.Rows * e.keySelectivity(n.R, n.RVar, rk)
-	} else {
-		matches = l.Rows * r.Rows * defaultSelectivity
-	}
-	// One output tuple per left element, always (dangling survive with ∅).
-	if impl == ImplIndex {
-		if _, ok := FindIndexProbe(n.R, n.RVar, rk, e.statsIndexes); ok {
-			return Cost{Rows: l.Rows, Work: l.Work + l.Rows + matches}
-		}
-		impl = ImplAuto // no usable index: costed as Compile's fallback
-	}
-	probe := e.joinProbeWork(l.Rows, r.Rows, matches, impl, hashable, par)
-	return Cost{Rows: l.Rows, Work: l.Work + r.Work + probe}
-}
-
-// joinProbeWork is the per-implementation cost of pairing the operands:
-// nested loops evaluate the predicate over the cross product; hash pays one
-// visit per tuple on each side plus the matches emitted; sort-merge adds the
-// n·log n ordering passes on top of a hash-like merge. At par >= 2 the hash
-// family runs partitioned: probe work divides across the workers, with an
-// extra partition pass over both inputs and per-worker startup overhead.
-func (e *Estimator) joinProbeWork(lRows, rRows, matches float64, impl JoinImpl, hashable bool, par int) float64 {
-	eff := impl
-	if eff == ImplAuto {
-		if hashable {
-			eff = ImplHash
-		} else {
-			eff = ImplNestedLoop
-		}
-	}
-	if !hashable {
-		// Hash/merge without a key cannot run; cost the nested-loop fallback.
-		eff = ImplNestedLoop
-	}
-	switch eff {
-	case ImplNestedLoop:
-		return lRows * rRows
-	case ImplMerge:
-		return sortCost(lRows) + sortCost(rRows) + lRows + rRows + matches
-	default: // ImplHash
-		serial := lRows + rRows + matches
-		if par < 2 {
-			return serial
-		}
-		return (lRows+rRows)*parPartitionWork + serial/float64(par) + parStartupWork*float64(par)
-	}
+	return l, op, matches, l.Work + r.Work + probe
 }
 
 func sortCost(n float64) float64 {
@@ -629,13 +575,13 @@ func (e *Estimator) evalCost(x tmql.Expr) Cost {
 }
 
 // ExplainCosts renders the plan with per-node logical cost annotations
-// (auto physical mapping). See ExplainPhysical for the physical rendering
-// the engine's EXPLAIN uses.
+// (auto physical mapping). See Explain for the physical rendering the
+// engine's EXPLAIN uses.
 func (e *Estimator) ExplainCosts(p algebra.Plan) string {
 	var out string
 	var walk func(n algebra.Plan, depth int)
 	walk = func(n algebra.Plan, depth int) {
-		c := e.Estimate(n)
+		c := e.Estimate(n, PhysicalSpec{})
 		for i := 0; i < depth; i++ {
 			out += "  "
 		}

@@ -14,9 +14,9 @@ import (
 // hash table. Composite indexes serve multi-key equi-joins — every covered
 // pair disappears from the residual, so a covering index removes the
 // per-probe residual evaluation single-attribute probes used to pay. The
-// shape test is shared between compilation (which asks the storage layer
-// which indexes are live) and costing (which asks the statistics catalog),
-// so the chooser, EXPLAIN, and the compiled operators cannot drift apart.
+// shape test runs inside the shared resolver (resolve.go), against the
+// storage registry at compile time and the statistics catalog at costing
+// time.
 //
 // (Selections get the analogous treatment in access.go: the same index
 // registry serves σ-over-scan shapes through the IndexScan access path.)
@@ -128,70 +128,4 @@ func indexResidual(lk, rk []tmql.Expr, pr IndexProbe, residual tmql.Expr) tmql.E
 		parts = append(parts, residual)
 	}
 	return tmql.JoinAnd(parts)
-}
-
-// liveIndexes is the compile-time index oracle: the live indexes of a table
-// in the planner's execution context.
-func (p *Planner) liveIndexes(table string) [][]string {
-	if p.ctx == nil || p.ctx.DB == nil {
-		return nil
-	}
-	t, ok := p.ctx.DB.Table(table)
-	if !ok {
-		return nil
-	}
-	return t.Indexes()
-}
-
-// resolveIndex fetches the *HashIndex snapshot the compiled operator will
-// probe. Resolving at compile time (rather than Open) pins the query to the
-// index state it was compiled against — buckets are copy-on-write, so the
-// snapshot stays probeable even if the registry entry is dropped mid-query —
-// and a miss (the index vanished between the match and this resolve) lets
-// the caller fall back to the scan/hash family silently, so concurrent
-// CreateIndex/DropIndex churn never fails a query.
-func (p *Planner) resolveIndex(table, name string) (*storage.HashIndex, bool) {
-	if p.ctx == nil || p.ctx.DB == nil {
-		return nil, false
-	}
-	t, ok := p.ctx.DB.Table(table)
-	if !ok {
-		return nil, false
-	}
-	return t.Index(name)
-}
-
-// statsIndexes is the costing-side index oracle, backed by the statistics
-// catalog (which consults the storage registry).
-func (e *Estimator) statsIndexes(table string) [][]string {
-	return e.stats.Indexes(table)
-}
-
-// indexProbeFor resolves the index probe for a join-family node at costing
-// time: the node's equi-keys against the statistics catalog's index view.
-func (e *Estimator) indexProbeFor(r algebra.Plan, rvar string, pred tmql.Expr, lvar string) (IndexProbe, bool) {
-	_, rk, _ := ExtractEquiKeys(pred, lvar, rvar)
-	return FindIndexProbe(r, rvar, rk, e.statsIndexes)
-}
-
-// HasIndexProbe reports whether any join-family operator in the plan can be
-// served by a live persistent index — the condition under which Choose adds
-// the idxjoin family to the candidate enumeration.
-func (e *Estimator) HasIndexProbe(p algebra.Plan) bool {
-	switch j := p.(type) {
-	case *algebra.Join:
-		if _, ok := e.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar); ok {
-			return true
-		}
-	case *algebra.NestJoin:
-		if _, ok := e.indexProbeFor(j.R, j.RVar, j.Pred, j.LVar); ok {
-			return true
-		}
-	}
-	for _, ch := range p.Children() {
-		if e.HasIndexProbe(ch) {
-			return true
-		}
-	}
-	return false
 }

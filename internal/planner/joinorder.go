@@ -316,7 +316,7 @@ func (ob *orderBuilder) leaf(i int, fvs []uint) (*orderEntry, error) {
 		}
 	}
 	ent.plan = out
-	ent.work = ob.e.Estimate(out).Work
+	ent.work = ob.e.Estimate(out, PhysicalSpec{}).Work
 	return ent, nil
 }
 
@@ -355,7 +355,7 @@ func (ob *orderBuilder) join(l, r *orderEntry, fvs []uint) (*orderEntry, error) 
 		label:    "(" + l.label + " " + r.label + ")",
 		leftDeep: l.leftDeep && bits.OnesCount(r.mask) == 1,
 	}
-	ent.work = ob.e.Estimate(jp).Work
+	ent.work = ob.e.Estimate(jp, PhysicalSpec{}).Work
 	return ent, nil
 }
 

@@ -4,10 +4,7 @@
 // translated, its §6-rewritten form, and (for multi-FROM flat-join blocks)
 // the join orders found by the join-order search — so Choose can weigh
 // nested-vs-flattened forms, rewrites, join orders, physical families, and
-// parallelism degrees on one cost scale. This replaces the seed design where
-// the §6 rules ran as an engine pre-planning pass gated by Options.Rewrite:
-// the toggle survives only as a compatibility override that pins the rewrite
-// alternative (see PinAlternatives).
+// parallelism degrees on one cost scale.
 package planner
 
 import (
@@ -61,11 +58,10 @@ func (e *Estimator) Alternatives(b *algebra.Builder, sps []StrategyPlan) []Strat
 }
 
 // PinAlternatives restricts the generated alternatives to the pinned label
-// (the compatibility override behind Options.Rewrite and the conformance
-// harness's per-alternative runs). Pinning AltRewrite keeps, per strategy,
-// the rewrite when one fired and that strategy's base otherwise — exactly
-// the historical Rewrite=true behavior, where a no-op fixpoint left the
-// translation in place and the strategy stayed in the running. Pinning any
+// (engine.Options.PinAlt; the conformance harness runs every alternative
+// this way). Pinning AltRewrite keeps, per strategy, the rewrite when one
+// fired and that strategy's base otherwise — a no-op fixpoint leaves the
+// translation in place and the strategy stays in the running. Pinning any
 // other absent label is an error.
 func PinAlternatives(alts []StrategyPlan, pin string) ([]StrategyPlan, error) {
 	if pin == "" {

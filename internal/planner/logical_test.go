@@ -9,6 +9,7 @@ import (
 	"tmdb/internal/datagen"
 	"tmdb/internal/exec"
 	"tmdb/internal/schema"
+	"tmdb/internal/stats"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
@@ -20,7 +21,7 @@ func logicalEnv(t *testing.T) (*schema.Catalog, *storage.DB, *core.Translator, *
 	cat, db := datagen.XYZ(datagen.Spec{
 		NX: 80, NY: 240, NZ: 160, Keys: 12, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 31,
 	})
-	return cat, db, core.NewTranslator(cat), NewEstimator(db)
+	return cat, db, core.NewTranslator(cat), NewEstimatorStats(stats.New(db))
 }
 
 func translate(t *testing.T, tr *core.Translator, q string, s core.Strategy) algebra.Plan {
@@ -38,11 +39,11 @@ func translate(t *testing.T, tr *core.Translator, q string, s core.Strategy) alg
 
 func runPlan(t *testing.T, db *storage.DB, p algebra.Plan) value.Value {
 	t.Helper()
-	it, err := New(exec.NewCtx(db), Options{}).Compile(p)
+	tree, err := New(exec.NewCtx(db), PhysicalSpec{}).Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := exec.Collect(it)
+	v, err := tree.Collect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +165,7 @@ func TestPinAlternatives(t *testing.T) {
 		t.Errorf("no pin must keep all: %v %v", free, err)
 	}
 	// The rewrite pin keeps nestjoin's rewrite and, since naive produced no
-	// rewrite, naive's base — the strategy stays in the running exactly as
-	// the historical Rewrite=true toggle behaved.
+	// rewrite, naive's base — the strategy stays in the running.
 	rw, err := PinAlternatives(alts, AltRewrite)
 	if err != nil || len(rw) != 2 || rw[0].Alt != AltRewrite || rw[1].Strategy != "naive" {
 		t.Errorf("rewrite pin: %v %v", rw, err)
@@ -194,7 +194,7 @@ func TestChooseWeighsRewriteAlternative(t *testing.T) {
 	q := `SELECT x.b FROM X x WHERE x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b) AND x.b < 0`
 	base := translate(t, tr, q, core.StrategyNestJoin)
 	alts := est.Alternatives(b, []StrategyPlan{{Strategy: "nestjoin", Plan: base}})
-	best, all, err := est.Choose(alts, ImplAuto, 1)
+	best, all, err := est.Choose(alts, PhysicalSpec{Degree: 1, Batch: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,9 @@
-// Package planner compiles logical algebra plans into physical exec
-// iterators. Its central decision mirrors §6 "Implementation": join-family
+// Package planner is the optimizer's back half: it expands translations
+// into logical alternatives (logical.go, joinorder.go), chooses a
+// PhysicalSpec for one by estimated cost (choose.go, cost.go), and compiles
+// the plan under that spec into exec operators (this file) — costing, EXPLAIN
+// and compilation all reading one operator-resolution rule (resolve.go). Its
+// central decision mirrors §6 "Implementation": join-family
 // operators get hash implementations whenever an equi-key can be extracted
 // from the predicate (with the right operand as build side — mandatory for
 // the nest join), falling back to nested loops for arbitrary predicates. The
@@ -13,6 +17,7 @@ import (
 	"tmdb/internal/algebra"
 	"tmdb/internal/exec"
 	"tmdb/internal/tmql"
+	"tmdb/internal/value"
 )
 
 // JoinImpl selects the physical family used for joins with extractable
@@ -51,232 +56,306 @@ func (ji JoinImpl) String() string {
 	return "impl?"
 }
 
-// Options configure physical planning.
-type Options struct {
-	// Joins picks the implementation family for all join-like operators.
+// PhysicalSpec is one point in the physical planning space: the join family,
+// the partitioned-execution degree, the access path of leaf selections and
+// the batch size. §6's observation that the nest join "adapts any common join
+// method" makes these choices orthogonal to the unnesting strategy, so they
+// travel as one value that Choose enumerates and that Estimate, Explain and
+// Compile all read through the same operator-resolution rule (resolve.go).
+//
+// As a decision (what Candidate carries and Estimate/Explain/Compile take)
+// the fields mean what runs. As a pin (what Choose takes) a zero field leaves
+// that dimension to the enumeration; see Choose.
+//
+// The two byte-sized fields are adjacent so they share a word: a Candidate
+// embeds the spec, and one more word per candidate moves the candidate
+// table's append growth up a size class (TestCandidateSize).
+type PhysicalSpec struct {
+	// Joins is the implementation family of all join-like operators.
 	Joins JoinImpl
-	// Parallelism is the scheduler-degree hint for the hash join family:
-	// values >= 2 compile hash joins and hash nest joins to their
-	// partitioned forms (ParHashJoin, ParHashNestJoin), which exchange both
-	// inputs by key hash across that many partitions and run build/probe
-	// morsels on the query's morsel scheduler (exec.Scheduler) — one
-	// runtime at every degree, not a separate parallel operator family. 0
-	// and 1 mean serial streaming execution. Results are byte-identical at
-	// any degree and any steal schedule — final results are canonical sets
-	// — so the knob only trades latency.
-	Parallelism int
-	// Access picks the access path for leaf selections: AccessIndex compiles
-	// selections whose equality conjuncts cover a live index prefix to
+	// Access is the access path of leaf selections: AccessIndex serves
+	// selections whose equality conjuncts cover a live index prefix through
 	// exec.IndexScan (per-selection fallback to scans elsewhere); AccessAuto
-	// and AccessScan compile full scans — under the cost-based engine path
-	// the chooser resolves AccessAuto before compilation.
+	// and AccessScan read full scans.
 	Access AccessPath
-	// BatchSize is the rows-per-batch capacity CompileBatch builds vectorized
-	// operators with (0 = exec.DefaultBatchSize; capped at
-	// exec.MaxBatchSize). Compile ignores it — row-at-a-time plans are
-	// unchanged.
-	BatchSize int
+	// Degree is the scheduler-degree hint for the hash join family: values
+	// >= 2 run hash joins and hash nest joins partitioned (ParHashJoin,
+	// ParHashNestJoin), exchanging both inputs by key hash across that many
+	// partitions as morsels on the query's exec.Scheduler; 0 and 1 are serial
+	// streaming execution. Results are byte-identical at any degree and any
+	// steal schedule — final results are canonical sets.
+	Degree int
+	// Batch is the rows-per-batch capacity of vectorized execution (capped at
+	// exec.MaxBatchSize); 0 is row-at-a-time.
+	Batch int
 }
 
-// parallel reports whether planning targets the partitioned operators.
-func (o Options) parallel() bool { return o.Parallelism >= 2 }
+// Fixed resolves a pin without enumeration — the fixed-strategy path, where
+// every physical choice is the caller's and an open dimension takes its
+// conservative value (full scans, row-at-a-time, serial), so fixed-strategy
+// experiment numbers do not move when indexes, batching or cores appear.
+func (s PhysicalSpec) Fixed() PhysicalSpec {
+	if s.Access == AccessAuto {
+		s.Access = AccessScan
+	}
+	if s.Batch < 0 {
+		s.Batch = 0
+	}
+	if s.Degree < 1 {
+		s.Degree = 1
+	}
+	return s
+}
 
-// Planner compiles logical plans to iterators over a context.
+// Planner compiles logical plans to operator trees over a context.
 type Planner struct {
 	ctx  *exec.Ctx
-	opts Options
+	spec PhysicalSpec
 }
 
-// New returns a planner executing against ctx.
-func New(ctx *exec.Ctx, opts Options) *Planner {
-	return &Planner{ctx: ctx, opts: opts}
+// New returns a planner compiling under spec against ctx.
+func New(ctx *exec.Ctx, spec PhysicalSpec) *Planner {
+	return &Planner{ctx: ctx, spec: spec}
 }
 
-// Compile turns a logical plan into a physical iterator tree.
-func (p *Planner) Compile(plan algebra.Plan) (exec.Iterator, error) {
+// Tree is a compiled operator tree in the protocol its root speaks: exactly
+// one of Rows and Batches is set.
+type Tree struct {
+	Rows    exec.Iterator
+	Batches exec.BatchIterator
+}
+
+// Collect drains the tree into a canonical set value under gov (nil =
+// ungoverned).
+func (t Tree) Collect(gov *exec.Governor) (value.Value, error) {
+	if t.Batches != nil {
+		return exec.CollectBatchesGoverned(gov, t.Batches)
+	}
+	return exec.CollectGoverned(gov, t.Rows)
+}
+
+// Compile turns a logical plan into a physical operator tree. With
+// spec.Batch == 0 the tree is row-at-a-time throughout (the partitioned
+// operators, which exchange batches internally, read their inputs through
+// RowsToBatch); with spec.Batch > 0 every node with a batch-native operator
+// gets it, the rest keep their row operator, and asRows/asBatch adapt between
+// the two only where a consumer needs the other protocol — so a cold operator
+// in the middle of a plan never forces the subtree below it back to rows.
+// Results are identical either way by the set canonicalization in Collect.
+func (p *Planner) Compile(plan algebra.Plan) (Tree, error) {
+	t, err := p.compile(plan)
+	if err != nil {
+		return Tree{}, err
+	}
+	if p.spec.Batch > 0 {
+		return Tree{Batches: p.asBatch(t)}, nil
+	}
+	return t, nil
+}
+
+// asRows adapts a subtree for a row consumer.
+func (p *Planner) asRows(t Tree) exec.Iterator {
+	if t.Rows != nil {
+		return t.Rows
+	}
+	return &exec.BatchToRows{In: t.Batches}
+}
+
+// asBatch adapts a subtree for a batch consumer.
+func (p *Planner) asBatch(t Tree) exec.BatchIterator {
+	if t.Batches != nil {
+		return t.Batches
+	}
+	return &exec.RowsToBatch{It: t.Rows, Size: p.spec.Batch}
+}
+
+// exchange places a partitioned operator, which speaks both protocols, in
+// the one the plan runs in.
+func (p *Planner) exchange(op interface {
+	exec.Iterator
+	exec.BatchIterator
+}) Tree {
+	if p.spec.Batch > 0 {
+		return Tree{Batches: op}
+	}
+	return Tree{Rows: op}
+}
+
+// compile2 compiles both operands of a binary node.
+func (p *Planner) compile2(lp, rp algebra.Plan) (l, r Tree, err error) {
+	if l, err = p.compile(lp); err != nil {
+		return l, r, err
+	}
+	r, err = p.compile(rp)
+	return l, r, err
+}
+
+// compile is the one walk: each case asks the resolver which operator the
+// node becomes under the spec and builds it over its compiled children.
+func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
+	op, ix := p.resolve(plan)
+	if op.infeasible != "" {
+		return Tree{}, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
+	}
+	c := p.ctx
+	batch := p.spec.Batch > 0 && op.batchNative
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		return &exec.TableScan{Ctx: p.ctx, Table: n.Table}, nil
+		if batch {
+			return Tree{Batches: &exec.BatchTableScan{Ctx: c, Table: n.Table, Size: p.spec.Batch}}, nil
+		}
+		return Tree{Rows: &exec.TableScan{Ctx: c, Table: n.Table}}, nil
 
 	case *algebra.EvalNode:
-		return &exec.EvalScan{Ctx: p.ctx, Expr: n.Expr}, nil
+		return Tree{Rows: &exec.EvalScan{Ctx: c, Expr: n.Expr}}, nil
 
 	case *algebra.Select:
-		if p.opts.Access == AccessIndex {
-			if m, ok := FindIndexScan(n, p.liveIndexes); ok {
-				if ix, live := p.resolveIndex(m.Table, m.Name()); live {
-					return p.compileIndexScan(n, m, ix)
-				}
-			}
-			// No usable index on this selection (or it vanished before the
-			// resolve): scan fallback below.
+		if op.indexScan {
+			// An index scan is a bucket probe, not a row loop: a row operator
+			// at any batch size.
+			it, err := p.compileIndexScan(n, op.scan, ix)
+			return Tree{Rows: it}, err
 		}
-		in, err := p.Compile(n.In)
+		in, err := p.compile(n.In)
 		if err != nil {
-			return nil, err
+			return Tree{}, err
 		}
-		return &exec.Filter{Ctx: p.ctx, In: in, Var: n.Var, Pred: n.Pred}, nil
+		if batch {
+			return Tree{Batches: &exec.BatchFilter{Ctx: c, In: p.asBatch(in), Var: n.Var, Pred: n.Pred}}, nil
+		}
+		return Tree{Rows: &exec.Filter{Ctx: c, In: p.asRows(in), Var: n.Var, Pred: n.Pred}}, nil
 
 	case *algebra.Map:
-		in, err := p.Compile(n.In)
+		in, err := p.compile(n.In)
 		if err != nil {
-			return nil, err
+			return Tree{}, err
 		}
 		// Map may collapse distinct inputs onto one value; a Distinct keeps
 		// set semantics downstream.
-		return &exec.Distinct{Ctx: p.ctx, In: &exec.MapIter{Ctx: p.ctx, In: in, Var: n.Var, Out: n.Out}}, nil
+		if batch {
+			return Tree{Batches: &exec.BatchDistinct{Ctx: c, In: &exec.BatchMap{Ctx: c, In: p.asBatch(in), Var: n.Var, Out: n.Out}}}, nil
+		}
+		return Tree{Rows: &exec.Distinct{Ctx: c, In: &exec.MapIter{Ctx: c, In: p.asRows(in), Var: n.Var, Out: n.Out}}}, nil
 
 	case *algebra.Join:
-		return p.compileJoin(n)
+		if op.family == ImplIndex {
+			// The persistent index stands in for the right operand, which is
+			// never compiled, drained or built.
+			l, err := p.compile(n.L)
+			if err != nil {
+				return Tree{}, err
+			}
+			return Tree{Rows: &exec.IndexJoin{
+				Ctx: c, Kind: n.Kind, L: p.asRows(l),
+				Table: op.probe.Table, Index: op.probe.Name(), Ix: ix,
+				LVar: n.LVar, RVar: n.RVar,
+				LKeys:    probeLKeys(op.lk, op.probe),
+				Residual: indexResidual(op.lk, op.rk, op.probe, op.residual),
+				RElem:    n.R.Elem(),
+			}}, nil
+		}
+		l, r, err := p.compile2(n.L, n.R)
+		if err != nil {
+			return Tree{}, err
+		}
+		switch {
+		case op.family == ImplNestedLoop:
+			return Tree{Rows: &exec.NLJoin{
+				Ctx: c, Kind: n.Kind, L: p.asRows(l), R: p.asRows(r),
+				LVar: n.LVar, RVar: n.RVar, Pred: n.Pred, RElem: n.R.Elem(),
+			}}, nil
+		case op.partitioned:
+			return p.exchange(&exec.ParHashJoin{
+				Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
+				LVar: n.LVar, RVar: n.RVar,
+				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
+				Degree: p.spec.Degree, BatchSize: p.spec.Batch,
+			}), nil
+		case batch:
+			return Tree{Batches: &exec.BatchHashJoin{
+				Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
+				LVar: n.LVar, RVar: n.RVar,
+				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
+			}}, nil
+		}
+		return Tree{Rows: &exec.HashJoin{
+			Ctx: c, Kind: n.Kind, L: p.asRows(l), R: p.asRows(r),
+			LVar: n.LVar, RVar: n.RVar,
+			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
+		}}, nil
 
 	case *algebra.NestJoin:
-		return p.compileNestJoin(n)
+		if op.family == ImplIndex {
+			l, err := p.compile(n.L)
+			if err != nil {
+				return Tree{}, err
+			}
+			return Tree{Rows: &exec.IndexNestJoin{
+				Ctx: c, L: p.asRows(l),
+				Table: op.probe.Table, Index: op.probe.Name(), Ix: ix,
+				LVar: n.LVar, RVar: n.RVar,
+				LKeys:    probeLKeys(op.lk, op.probe),
+				Residual: indexResidual(op.lk, op.rk, op.probe, op.residual),
+				Fn:       n.Fn, Label: n.Label,
+			}}, nil
+		}
+		l, r, err := p.compile2(n.L, n.R)
+		if err != nil {
+			return Tree{}, err
+		}
+		switch {
+		case op.family == ImplNestedLoop:
+			return Tree{Rows: &exec.NLNestJoin{
+				Ctx: c, L: p.asRows(l), R: p.asRows(r), LVar: n.LVar, RVar: n.RVar,
+				Pred: n.Pred, Fn: n.Fn, Label: n.Label,
+			}}, nil
+		case op.partitioned:
+			return p.exchange(&exec.ParHashNestJoin{
+				Ctx: c, L: p.asBatch(l), R: p.asBatch(r), LVar: n.LVar, RVar: n.RVar,
+				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
+				Degree: p.spec.Degree, BatchSize: p.spec.Batch,
+			}), nil
+		case op.family == ImplMerge:
+			// The merge nest join emits rows, but in a batched plan its sorted
+			// runs are built from batches directly.
+			m := &exec.MergeNestJoin{
+				Ctx: c, LVar: n.LVar, RVar: n.RVar,
+				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
+			}
+			if p.spec.Batch > 0 {
+				m.BL, m.BR = p.asBatch(l), p.asBatch(r)
+			} else {
+				m.L, m.R = p.asRows(l), p.asRows(r)
+			}
+			return Tree{Rows: m}, nil
+		}
+		return Tree{Rows: &exec.HashNestJoin{
+			Ctx: c, L: p.asRows(l), R: p.asRows(r), LVar: n.LVar, RVar: n.RVar,
+			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
+		}}, nil
 
 	case *algebra.Nest:
-		in, err := p.Compile(n.In)
+		in, err := p.compile(n.In)
 		if err != nil {
-			return nil, err
+			return Tree{}, err
 		}
-		return &exec.NestIter{Ctx: p.ctx, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}, nil
+		return Tree{Rows: &exec.NestIter{Ctx: c, In: p.asRows(in), Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}}, nil
 
 	case *algebra.Unnest:
-		in, err := p.Compile(n.In)
+		in, err := p.compile(n.In)
 		if err != nil {
-			return nil, err
+			return Tree{}, err
 		}
-		return &exec.UnnestIter{Ctx: p.ctx, In: in, Attr: n.Attr, Scalar: n.Scalar()}, nil
+		return Tree{Rows: &exec.UnnestIter{Ctx: c, In: p.asRows(in), Attr: n.Attr, Scalar: n.Scalar()}}, nil
 
 	case *algebra.SetOp:
-		l, err := p.Compile(n.L)
+		l, r, err := p.compile2(n.L, n.R)
 		if err != nil {
-			return nil, err
+			return Tree{}, err
 		}
-		r, err := p.Compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.SetOpIter{Ctx: p.ctx, Kind: int(n.Kind), L: l, R: r}, nil
+		return Tree{Rows: &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: p.asRows(l), R: p.asRows(r)}}, nil
 	}
-	return nil, fmt.Errorf("planner: unhandled plan node %T", plan)
-}
-
-func (p *Planner) compileJoin(n *algebra.Join) (exec.Iterator, error) {
-	l, err := p.Compile(n.L)
-	if err != nil {
-		return nil, err
-	}
-	lk, rk, residual := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
-	if p.opts.Joins == ImplIndex {
-		if pr, ok := FindIndexProbe(n.R, n.RVar, rk, p.liveIndexes); ok {
-			if ix, live := p.resolveIndex(pr.Table, pr.Name()); live {
-				return &exec.IndexJoin{
-					Ctx: p.ctx, Kind: n.Kind, L: l,
-					Table: pr.Table, Index: pr.Name(), Ix: ix,
-					LVar: n.LVar, RVar: n.RVar,
-					LKeys:    probeLKeys(lk, pr),
-					Residual: indexResidual(lk, rk, pr, residual),
-					RElem:    n.R.Elem(),
-				}, nil
-			}
-		}
-		// No usable index on this operator: auto fallback below.
-	}
-	r, err := p.Compile(n.R)
-	if err != nil {
-		return nil, err
-	}
-	useHash := len(lk) > 0
-	switch p.opts.Joins {
-	case ImplNestedLoop:
-		useHash = false
-	case ImplHash, ImplMerge:
-		if len(lk) == 0 {
-			return nil, fmt.Errorf("planner: hash join requested but no equi-key in %s", tmql.Format(n.Pred))
-		}
-		useHash = true
-	}
-	if !useHash {
-		return &exec.NLJoin{
-			Ctx: p.ctx, Kind: n.Kind, L: l, R: r,
-			LVar: n.LVar, RVar: n.RVar, Pred: n.Pred, RElem: n.R.Elem(),
-		}, nil
-	}
-	if p.opts.parallel() {
-		return &exec.ParHashJoin{
-			Ctx: p.ctx, Kind: n.Kind, L: l, R: r,
-			LVar: n.LVar, RVar: n.RVar,
-			LKeys: lk, RKeys: rk, Residual: residual, RElem: n.R.Elem(),
-			Degree: p.opts.Parallelism,
-		}, nil
-	}
-	return &exec.HashJoin{
-		Ctx: p.ctx, Kind: n.Kind, L: l, R: r,
-		LVar: n.LVar, RVar: n.RVar,
-		LKeys: lk, RKeys: rk, Residual: residual, RElem: n.R.Elem(),
-	}, nil
-}
-
-func (p *Planner) compileNestJoin(n *algebra.NestJoin) (exec.Iterator, error) {
-	l, err := p.Compile(n.L)
-	if err != nil {
-		return nil, err
-	}
-	lk, rk, residual := ExtractEquiKeys(n.Pred, n.LVar, n.RVar)
-	impl := p.opts.Joins
-	if impl == ImplIndex {
-		if pr, ok := FindIndexProbe(n.R, n.RVar, rk, p.liveIndexes); ok {
-			if ix, live := p.resolveIndex(pr.Table, pr.Name()); live {
-				return &exec.IndexNestJoin{
-					Ctx: p.ctx, L: l,
-					Table: pr.Table, Index: pr.Name(), Ix: ix,
-					LVar: n.LVar, RVar: n.RVar,
-					LKeys:    probeLKeys(lk, pr),
-					Residual: indexResidual(lk, rk, pr, residual),
-					Fn:       n.Fn, Label: n.Label,
-				}, nil
-			}
-		}
-		impl = ImplAuto // no usable index on this operator
-	}
-	r, err := p.Compile(n.R)
-	if err != nil {
-		return nil, err
-	}
-	if impl == ImplAuto {
-		if len(lk) > 0 {
-			impl = ImplHash
-		} else {
-			impl = ImplNestedLoop
-		}
-	}
-	if impl != ImplNestedLoop && len(lk) == 0 {
-		return nil, fmt.Errorf("planner: %s nest join requested but no equi-key in %s",
-			impl, tmql.Format(n.Pred))
-	}
-	switch impl {
-	case ImplNestedLoop:
-		return &exec.NLNestJoin{
-			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-			Pred: n.Pred, Fn: n.Fn, Label: n.Label,
-		}, nil
-	case ImplMerge:
-		return &exec.MergeNestJoin{
-			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-			LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
-		}, nil
-	default:
-		if p.opts.parallel() {
-			return &exec.ParHashNestJoin{
-				Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-				LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
-				Degree: p.opts.Parallelism,
-			}, nil
-		}
-		return &exec.HashNestJoin{
-			Ctx: p.ctx, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-			LKeys: lk, RKeys: rk, Residual: residual, Fn: n.Fn, Label: n.Label,
-		}, nil
-	}
+	return Tree{}, fmt.Errorf("planner: unhandled plan node %T", plan)
 }
 
 // ExtractEquiKeys splits a join predicate over (lvar, rvar) into equi-key

@@ -59,7 +59,7 @@ func TestSplitJoinConjuncts(t *testing.T) {
 }
 
 // compile builds a small nest-join plan and compiles it under the impl.
-func compileNJ(t *testing.T, impl JoinImpl, pred string) (exec.Iterator, *exec.Ctx) {
+func compileNJ(t *testing.T, impl JoinImpl, pred string) Tree {
 	t.Helper()
 	cat, db := datagen.XYZ(datagen.DefaultSpec())
 	b := algebra.NewBuilder(cat)
@@ -69,19 +69,17 @@ func compileNJ(t *testing.T, impl JoinImpl, pred string) (exec.Iterator, *exec.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := exec.NewCtx(db)
-	it, err := New(ctx, Options{Joins: impl}).Compile(nj)
+	tree, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return it, ctx
+	return tree
 }
 
 func TestNestJoinImplEquivalence(t *testing.T) {
 	var want value.Value
 	for i, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge, ImplAuto} {
-		it, _ := compileNJ(t, impl, "x.b = y.b")
-		got, err := exec.Collect(it)
+		got, err := compileNJ(t, impl, "x.b = y.b").Collect(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", impl, err)
 		}
@@ -97,15 +95,15 @@ func TestNestJoinImplEquivalence(t *testing.T) {
 
 func TestPhysicalChoice(t *testing.T) {
 	// Equi predicate + auto → hash; non-equi + auto → nested loop.
-	it, _ := compileNJ(t, ImplAuto, "x.b = y.b")
+	it := compileNJ(t, ImplAuto, "x.b = y.b").Rows
 	if _, ok := it.(*exec.HashNestJoin); !ok {
 		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin", it)
 	}
-	it, _ = compileNJ(t, ImplAuto, "x.b < y.b")
+	it = compileNJ(t, ImplAuto, "x.b < y.b").Rows
 	if _, ok := it.(*exec.NLNestJoin); !ok {
 		t.Errorf("auto without equi-key compiled to %T, want NLNestJoin", it)
 	}
-	it, _ = compileNJ(t, ImplMerge, "x.b = y.b")
+	it = compileNJ(t, ImplMerge, "x.b = y.b").Rows
 	if _, ok := it.(*exec.MergeNestJoin); !ok {
 		t.Errorf("merge compiled to %T", it)
 	}
@@ -118,11 +116,11 @@ func TestHashRequestedWithoutKeysFails(t *testing.T) {
 	y, _ := b.Scan("Y")
 	nj, _ := b.NestJoin(x, y, "x", "y", tmql.MustParse("x.b < y.b"), nil, "zs")
 	ctx := exec.NewCtx(nil)
-	if _, err := New(ctx, Options{Joins: ImplHash}).Compile(nj); err == nil {
+	if _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(nj); err == nil {
 		t.Error("hash without keys should fail")
 	}
 	j, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b < y.b"))
-	if _, err := New(ctx, Options{Joins: ImplHash}).Compile(j); err == nil {
+	if _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(j); err == nil {
 		t.Error("hash join without keys should fail")
 	}
 }
@@ -136,11 +134,11 @@ func TestCompileFullPipeline(t *testing.T) {
 	sel, _ := b.Select(nj, "x", tmql.MustParse("x.a SUBSETEQ x.zs"))
 	proj, _ := b.Project(sel, "x", "a", "b")
 	ctx := exec.NewCtx(db)
-	it, err := New(ctx, Options{}).Compile(proj)
+	tree, err := New(ctx, PhysicalSpec{}).Compile(proj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Collect(it)
+	got, err := tree.Collect(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,22 +170,22 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	x2, _ := b.Scan("X")
 	u, _ := b.SetOp(algebra.SetIntersect, x1, x2)
 	ctx := exec.NewCtx(db)
-	it, err := New(ctx, Options{}).Compile(u)
+	tree, err := New(ctx, PhysicalSpec{}).Compile(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := exec.Collect(it)
+	got, _ := tree.Collect(nil)
 	xTab, _ := db.Table("X")
 	if got.Len() != xTab.Len() {
 		t.Errorf("X ∩ X has %d elements, want %d", got.Len(), xTab.Len())
 	}
 
 	un, _ := b.Unnest(x1, "a")
-	it2, err := New(ctx, Options{}).Compile(un)
+	tree2, err := New(ctx, PhysicalSpec{}).Compile(un)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Collect(it2); err != nil {
+	if _, err := tree2.Collect(nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,9 +30,10 @@ type WireOptions struct {
 	// BatchSize: 0 = planner default (cost-chosen), n > 0 = vectorized
 	// execution at n rows per batch, -1 = row-at-a-time.
 	BatchSize int `json:"batch_size,omitempty"`
-	// Rewrite pins the §6-rewritten logical alternative.
-	Rewrite bool `json:"rewrite,omitempty"`
-	// PinAlt pins a logical alternative by its candidate-table label.
+	// PinAlt pins a logical alternative by its candidate-table label: base |
+	// rewrite (the §6-rewritten alternative) | order:… (cost-based path
+	// only). The request decoder is strict, so a body still carrying the
+	// removed "rewrite" field is a 400; send "pin_alt": "rewrite".
 	PinAlt string `json:"pin_alt,omitempty"`
 	// TimeoutMs is the per-query wall-clock deadline in milliseconds
 	// (0 = none). On expiry the request fails with 408 deadline_exceeded.
@@ -88,7 +89,6 @@ func (w WireOptions) Engine() (engine.Options, error) {
 		return opts, fmt.Errorf("batch_size must be >= -1, got %d", w.BatchSize)
 	}
 	opts.BatchSize = w.BatchSize
-	opts.Rewrite = w.Rewrite
 	opts.PinAlt = w.PinAlt
 	if w.TimeoutMs < 0 {
 		return opts, fmt.Errorf("timeout_ms must be >= 0, got %d", w.TimeoutMs)

@@ -24,9 +24,9 @@
 //     degrees, costs them against per-table statistics (see Analyze), and
 //     executes the cheapest; Engine.Explain renders the chosen physical plan
 //     with per-operator estimated rows and cost plus the full candidate
-//     table. Options.Rewrite is a compatibility override that pins the
-//     §6-rewritten alternative (the optimizer weighs rewrites regardless);
-//     Options.PinAlt pins any alternative by its candidate-table label;
+//     table. Options.PinAlt pins one alternative by its candidate-table
+//     label (AltRewrite pins the §6-rewritten one; the optimizer weighs
+//     rewrites regardless);
 //   - histogram/sketch statistics: tables above a threshold are summarized
 //     by equi-depth histograms and KMV distinct-count sketches (selectivity,
 //     NDV, and dangling fractions become bounded-error estimates), tiny

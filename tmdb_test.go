@@ -78,7 +78,7 @@ func TestPublicSchemaBuilding(t *testing.T) {
 	}
 }
 
-func TestRewriteOptionPreservesSemanticsAndSimplifies(t *testing.T) {
+func TestRewritePinPreservesSemantics(t *testing.T) {
 	cat, db := tmdb.CompanyExample(4, 24, 4)
 	eng := tmdb.New(cat, db)
 	// TRUE conjunct is dropped by the rewriter; result unchanged.
@@ -87,12 +87,12 @@ func TestRewriteOptionPreservesSemanticsAndSimplifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := eng.Query(q, tmdb.Options{Rewrite: true})
+	rewritten, err := eng.Query(q, tmdb.Options{PinAlt: tmdb.AltRewrite})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !value.Equal(plain.Value, rewritten.Value) {
-		t.Error("Rewrite changed semantics")
+		t.Error("the rewrite pin changed semantics")
 	}
 }
 
