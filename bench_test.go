@@ -489,3 +489,30 @@ func BenchmarkB8IndexScan(b *testing.B) {
 		})
 	}
 }
+
+// --- B11: a single-row write costs what it changes. One insert plus one
+// predicate delete of that row on the repo benchmark's indexed dataset
+// (XYZ{2000, 6000, 4000}, indexes X(b), Y(d), Y(b,d)) — the mixed_rw write
+// path at the engine boundary: one copy-on-write row-slice copy per write,
+// no sort, no statistics rescan, no plan-cache sweep; the delete's victim
+// query is a planned scan of Y (no index covers y.a). ---
+
+func BenchmarkB11SingleRowWrite(b *testing.B) {
+	eng := xyzEngine(2000, 6000, 4000) // Keys 500, dangling 0.25: the repo benchmark's shape
+	for _, ix := range [][]string{{"X", "b"}, {"Y", "d"}, {"Y", "b", "d"}} {
+		if err := eng.CreateIndex(ix[0], ix[1:]...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := int64(1_000_000 + i)
+		if added, err := eng.InsertValue("Y", datagen.YRow(a, 1, 1, 2)); err != nil || !added {
+			b.Fatalf("insert: added=%v err=%v", added, err)
+		}
+		if n, err := eng.Delete("Y", "y", fmt.Sprintf("y.a = %d", a)); err != nil || n != 1 {
+			b.Fatalf("delete: n=%d err=%v", n, err)
+		}
+	}
+}

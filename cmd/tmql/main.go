@@ -47,15 +47,15 @@
 //	                               exceeded; bare \budget shows the current
 //	                               settings)
 //	\cache                        (plan-cache statistics incl. evictions and
-//	                               per-table invalidations; \cache clear
+//	                               per-table index/drop invalidations; \cache clear
 //	                               drops it, \cache cap <n> bounds the LRU)
 //	\explain <query>               (alias of explain)
-//	\analyze                       (collect and show table statistics;
-//	                                per-table staleness means only mutated
-//	                                tables rescan)
-//	\insert <table> <tuple-expr>   (mutate a sealed table in place; plans and
-//	                                statistics for it — and only it — go
-//	                                stale via the table's mutation epoch)
+//	\analyze                       (bring table statistics up to date and
+//	                                show them; only mutated tables rescan)
+//	\insert <table> <tuple-expr>   (mutate a sealed table in place; cached
+//	                                plans stay valid, and its statistics —
+//	                                only its — are recollected once a tenth
+//	                                of the table has changed, or by \analyze)
 //	\delete <table> <var> WHERE <pred>
 //	\index <table> <attr> [attr…]  (create a persistent hash index — several
 //	                                attributes build a composite index whose
@@ -425,7 +425,7 @@ func repl(eng *engine.Engine, opts engine.Options) {
 			case err != nil:
 				fmt.Println("error:", err)
 			case added:
-				fmt.Printf("inserted into %s (epoch advanced; plans/stats for it invalidated)\n", args[0])
+				fmt.Printf("inserted into %s\n", args[0])
 			default:
 				fmt.Printf("already present in %s (set semantics)\n", args[0])
 			}

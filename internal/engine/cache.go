@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"tmdb/internal/planner"
@@ -13,24 +12,20 @@ import (
 
 // planCache memoizes physical planning decisions per engine: the key is the
 // bound query (canonically formatted) plus every option that can change the
-// outcome plus the mutation-epoch vector of the referenced tables, and the
-// value is the fully resolved planned decision — chosen strategy, logical
-// alternative, join family, parallelism degree, plan, cost, and the
-// candidate table for EXPLAIN. Repeated queries therefore skip translation,
-// alternative generation, and costing entirely. Entries are treated as
-// immutable after insertion.
+// outcome plus, on the cost-based path, the statistics generation of each
+// referenced table, and the value is the fully resolved planned decision —
+// chosen strategy, logical alternative, join family, parallelism degree,
+// plan, cost, and the candidate table for EXPLAIN. Repeated queries therefore
+// skip translation, alternative generation, and costing entirely. Entries
+// are treated as immutable after insertion.
 //
-// Invalidation is per table, in two layers. The epoch vector in the key
-// makes entries self-invalidating: mutating a table advances its epoch, so
-// the next lookup of any query touching it builds a different key and
-// replans (an "epoch mismatch"), while queries over untouched tables keep
-// hitting. On top of that, invalidateTable proactively sweeps the entries
-// referencing a table — the engine calls it from its mutation entry points
-// so stale decisions don't linger in the LRU, and from CreateIndex, where
-// the data (and hence the epoch) is unchanged but new physical candidates
-// exist. Analyze no longer touches the cache at all: statistics are
-// epoch-tracked per table, so a cached plan and its statistics can only go
-// stale together.
+// A decision is only ever a matter of cost, never of correctness, so it is
+// reused across writes: the generation in the key changes when the catalog
+// recollects a table (drift past its bound, or Analyze), and the next lookup
+// of a query over that table then misses and replans; entries of the old
+// generation age out of the LRU. invalidateTable sweeps a table's entries
+// where the set of feasible plans changes without the statistics moving —
+// CreateIndex, DropIndex, DropTable, and the stale-index retry.
 //
 // The cache is bounded: at most capacity entries are kept and the least
 // recently used entry is evicted on overflow, so long-running engines serving
@@ -67,17 +62,12 @@ func newPlanCache() *planCache {
 }
 
 // cacheKey builds the memoization key for a bound query under the given
-// options, the physical pin they resolve to, and the epoch vector of the
-// tables the query references (names sorted, so the rendering is
-// deterministic). The epoch vector makes entries self-invalidating under
-// mutation.
-func cacheKey(bound tmql.Expr, opts Options, pin planner.PhysicalSpec, tables []string, epochs map[string]uint64) string {
-	var ev strings.Builder
-	for _, t := range tables {
-		fmt.Fprintf(&ev, "%s:%d,", t, epochs[t])
-	}
-	return fmt.Sprintf("s=%d|j=%d|a=%d|p=%d|b=%d|pin=%s|e=%s|%s",
-		opts.Strategy, pin.Joins, pin.Access, pin.Degree, pin.Batch, opts.PinAlt, ev.String(), tmql.Format(bound))
+// options, the physical pin they resolve to, and gens, the rendered
+// statistics generations the plan is costed against ("table:generation,"
+// per referenced table in name order; empty on fixed-strategy paths).
+func cacheKey(bound tmql.Expr, opts Options, pin planner.PhysicalSpec, gens string) string {
+	return fmt.Sprintf("s=%d|j=%d|a=%d|p=%d|b=%d|pin=%s|g=%s|%s",
+		opts.Strategy, pin.Joins, pin.Access, pin.Degree, pin.Batch, opts.PinAlt, gens, tmql.Format(bound))
 }
 
 func (c *planCache) get(key string) (*planned, bool) {
@@ -138,9 +128,7 @@ func (c *planCache) clear() {
 }
 
 // invalidateTable drops every cached decision whose plan reads the named
-// table — and only those — returning how many were dropped. The epoch vector
-// in the keys already prevents stale hits; the sweep reclaims the memory and
-// covers mutations that do not advance the epoch (index creation).
+// table — and only those — returning how many were dropped.
 func (c *planCache) invalidateTable(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,8 +161,8 @@ type CacheStats struct {
 	// the cache does not reset them). Evictions counts LRU displacements —
 	// a high rate signals the capacity is too small for the query mix.
 	Hits, Misses, Evictions uint64
-	// Invalidations counts entries dropped by per-table invalidation
-	// (mutations and index creation on the tables they reference).
+	// Invalidations counts entries dropped by per-table invalidation (index
+	// creation or removal on, or the drop of, a table they reference).
 	Invalidations uint64
 }
 

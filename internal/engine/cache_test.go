@@ -149,7 +149,7 @@ func TestPlanCacheServesExplain(t *testing.T) {
 // is identical at every degree.
 func TestParallelismResolution(t *testing.T) {
 	eng := xyzEngine(t)
-	if eng.autoDegree([]string{"X", "Y"}) < 1 {
+	if autoDegree(eng.Stats().Table("Y").Card) < 1 {
 		t.Error("auto-path default parallelism must be >= 1")
 	}
 	if (Options{}).pin().Fixed().Degree != 1 {

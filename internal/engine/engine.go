@@ -10,9 +10,9 @@
 // together with the full candidate table. Options.PinAlt pins one logical
 // alternative.
 // Planning decisions are memoized in a bounded per-engine LRU plan cache
-// keyed on the bound query and options (invalidated by Analyze), so repeated
-// queries skip translation and enumeration. It is the implementation behind
-// the public tmdb package.
+// keyed on the bound query, the options and the statistics generations they
+// were costed against, so repeated queries skip translation and enumeration.
+// It is the implementation behind the public tmdb package.
 package engine
 
 import (
@@ -38,12 +38,12 @@ import (
 type Engine struct {
 	cat *schema.Catalog
 	db  *storage.DB
-	// statsCat caches per-table statistics across queries; staleness is
-	// tracked per table through storage mutation epochs, so mutating one
-	// table recollects only that table's figures (lazily, on next use).
+	// statsCat caches per-table statistics across queries; a table's figures
+	// are recollected (lazily, on next use) once it has drifted from them by
+	// a tenth of its cardinality, never because another table changed.
 	statsCat *stats.Catalog
-	// cache memoizes (bound query, options, table epochs) → physical
-	// planning decision, invalidated per table on mutation.
+	// cache memoizes (bound query, options, statistics generations) →
+	// physical planning decision.
 	cache *planCache
 }
 
@@ -63,15 +63,15 @@ func (e *Engine) DB() *storage.DB { return e.db }
 // queries).
 func (e *Engine) Stats() *stats.Catalog { return e.statsCat }
 
-// Analyze eagerly collects statistics for every table (the ANALYZE entry
-// point) and returns the engine's catalog. Tables whose statistics are
-// already current (their mutation epoch is unchanged) are not rescanned, and
-// the plan cache is left alone: cached plans carry the epoch vector of their
-// tables, so a plan and the statistics it was costed with can only go stale
-// together — per table, on mutation.
+// Analyze brings every table's statistics up to date exactly (the ANALYZE
+// entry point) and returns the engine's catalog. Between Analyze calls
+// statistics are allowed a bounded drift; here any table that has mutated at
+// all since collection is rescanned, and untouched tables are not. The plan
+// cache is left alone: cached plans carry the statistics generations they
+// were costed against, so plans over a refreshed table replan on next use.
 func (e *Engine) Analyze() *stats.Catalog {
 	for _, name := range e.db.Names() {
-		e.statsCat.Table(name)
+		e.statsCat.Refresh(name)
 	}
 	return e.statsCat
 }
@@ -259,24 +259,25 @@ func (e *Engine) QueryExprContext(ctx context.Context, expr tmql.Expr, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	return e.execBound(ctx, bound, opts)
+	return e.execBound(ctx, bound, opts, false)
 }
 
 // execBound plans and executes an already bound expression — the shared tail
-// of QueryExprContext and Prepared.QueryContext. bound must be fully typed
-// and is never mutated, so prepared statements may execute it from many
-// goroutines. Governance wraps the whole execution: Options.Limits.Timeout
-// tightens the context's deadline, a Governor (created only when the context
-// is cancellable or budgets are set — otherwise nil, the free path) is
-// polled by every operator, and a recovered panic becomes a typed
-// *PanicError rather than taking the process down.
-func (e *Engine) execBound(ctx context.Context, bound tmql.Expr, opts Options) (*Result, error) {
+// of QueryExprContext, Prepared.QueryContext and Delete's victim query
+// (oneShot: planned past the cache). bound must be fully typed and is never
+// mutated, so prepared statements may execute it from many goroutines.
+// Governance wraps the whole execution: Options.Limits.Timeout tightens the
+// context's deadline, a Governor (created only when the context is
+// cancellable or budgets are set — otherwise nil, the free path) is polled by
+// every operator, and a recovered panic becomes a typed *PanicError rather
+// than taking the process down.
+func (e *Engine) execBound(ctx context.Context, bound tmql.Expr, opts Options, oneShot bool) (*Result, error) {
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
 		if err := e.checkTablesLive(tmql.Tables(bound)); err != nil {
 			return nil, err
 		}
-		pl, hit, err := e.plan(bound, opts)
+		pl, hit, err := e.plan(bound, opts, oneShot)
 		if err != nil {
 			return nil, err
 		}
@@ -353,28 +354,40 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 }
 
 // plan resolves Options into a planned decision, consulting the plan cache
-// first. The cache key carries the mutation-epoch vector of the tables the
-// query references, so a cached decision is served only while every one of
-// its tables is unchanged — a mutated table shows a different epoch, the key
-// misses, and the query replans against fresh statistics. The reported bool
-// is true on a cache hit.
-func (e *Engine) plan(bound tmql.Expr, opts Options) (*planned, bool, error) {
+// first. On the cost-based path the cache key carries, per referenced table,
+// the generation of the statistics the plan is costed against, so a cached
+// decision is served until one of its tables has drifted far enough for the
+// catalog to recollect it — then the key misses and the query replans against
+// the new statistics. A write within the drift bound changes neither. That
+// is safe because a planned decision holds only algebra and a PhysicalSpec:
+// rows and indexes are resolved per execution, and every plan returns the
+// same answer. Fixed-strategy plans depend on no statistics and touch none.
+// A oneShot decision bypasses the cache in both directions. The reported
+// bool is true on a cache hit.
+func (e *Engine) plan(bound tmql.Expr, opts Options, oneShot bool) (*planned, bool, error) {
 	tables := tmql.Tables(bound)
 	pin := opts.pin()
+	var gens strings.Builder
 	if opts.Strategy != core.StrategyAuto {
 		pin = pin.Fixed()
-	} else if pin.Degree <= 0 {
-		pin.Degree = e.autoDegree(tables)
-	}
-	epochs := make(map[string]uint64, len(tables))
-	for _, name := range tables {
-		if t, ok := e.db.Table(name); ok {
-			epochs[name] = t.Epoch()
+	} else {
+		// One catalog lookup per table serves both the key and the degree.
+		rows := 0
+		for _, name := range tables {
+			ts := e.statsCat.Table(name)
+			fmt.Fprintf(&gens, "%s:%d,", name, ts.Epoch)
+			rows = max(rows, ts.Card)
+		}
+		if pin.Degree <= 0 {
+			pin.Degree = autoDegree(rows)
 		}
 	}
-	key := cacheKey(bound, opts, pin, tables, epochs)
-	if pl, ok := e.cache.get(key); ok {
-		return pl, true, nil
+	var key string
+	if !oneShot {
+		key = cacheKey(bound, opts, pin, gens.String())
+		if pl, ok := e.cache.get(key); ok {
+			return pl, true, nil
+		}
 	}
 	pl, err := e.planMiss(bound, opts, pin)
 	if err != nil {
@@ -386,27 +399,24 @@ func (e *Engine) plan(bound tmql.Expr, opts Options) (*planned, bool, error) {
 	if reason := planner.ImplInfeasible(pl.plan, pl.Joins); reason != "" {
 		return nil, false, fmt.Errorf("engine: %s join requested but %s", pl.Joins, reason)
 	}
-	e.cache.put(key, tables, pl)
+	if !oneShot {
+		e.cache.put(key, tables, pl)
+	}
 	return pl, false, nil
 }
 
 // autoDegree is the maximum degree the cost-based path enumerates when the
 // caller leaves Parallelism to the planner: not the whole machine
 // unconditionally but enough partitions for ~1k rows each of the query's
-// largest table, bounded by GOMAXPROCS (see planner.PartitionDegree). The
-// chooser still decides whether parallelism pays.
-func (e *Engine) autoDegree(tables []string) int {
+// largest table (rows, from its statistics), bounded by GOMAXPROCS (see
+// planner.PartitionDegree). The chooser still decides whether parallelism
+// pays.
+func autoDegree(rows int) int {
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 2 {
 		return procs
 	}
-	rows := 0.0
-	for _, name := range tables {
-		if ts := e.statsCat.Table(name); ts != nil && float64(ts.Card) > rows {
-			rows = float64(ts.Card)
-		}
-	}
-	return planner.PartitionDegree(rows, procs)
+	return planner.PartitionDegree(float64(rows), procs)
 }
 
 // planMiss performs the full planning work: translate (under the fixed
@@ -540,7 +550,7 @@ func (e *Engine) explainBound(bound tmql.Expr, opts Options) (string, error) {
 	if err := e.checkTablesLive(tmql.Tables(bound)); err != nil {
 		return "", err
 	}
-	pl, _, err := e.plan(bound, opts)
+	pl, _, err := e.plan(bound, opts, false)
 	if err != nil {
 		return "", err
 	}
@@ -587,7 +597,7 @@ func (e *Engine) PlanCandidates(src string, opts Options) ([]planner.Candidate, 
 	if err != nil {
 		return nil, err
 	}
-	pl, _, err := e.plan(bound, opts)
+	pl, _, err := e.plan(bound, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -606,7 +616,7 @@ func (e *Engine) ExplainCosts(src string, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl, _, err := e.plan(bound, opts)
+	pl, _, err := e.plan(bound, opts, false)
 	if err != nil {
 		return "", err
 	}

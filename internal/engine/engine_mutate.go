@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"tmdb/internal/eval"
@@ -11,20 +12,18 @@ import (
 	"tmdb/internal/value"
 )
 
-// Mutation entry points. The storage layer already advances a table's epoch
-// on every mutation — which self-invalidates cached plans (the epoch vector
-// in the cache key changes) and statistics (the stats catalog recollects a
-// table whose epoch advanced). The engine wrappers additionally sweep the
-// plan cache's entries for the mutated table so stale decisions do not
-// occupy LRU capacity, and give the REPL and embedders a typed, typechecked
-// surface: literals are parsed, bound, and evaluated with the naive
-// evaluator; delete predicates are bound against the table's element type
-// and evaluated over a snapshot (never under the table's lock, so predicates
-// may freely subquery any table, including the one being mutated).
+// Mutation entry points. A write costs what it changes: storage advances the
+// table's data epoch and copies the row slice once, and that is all — cached
+// plans stay valid (they hold no rows, and every plan returns the same
+// answer), and statistics are allowed to drift until the catalog's bound
+// recollects them. The engine wrappers give the REPL and embedders a typed,
+// typechecked surface: literals are parsed, bound, and evaluated with the
+// naive evaluator; delete predicates are bound against the table's element
+// type and run as a query over snapshots (never under the table's lock, so
+// predicates may freely subquery any table, including the one being mutated).
 
 // InsertValue inserts one tuple into a sealed table, reporting whether it
-// was actually added (false: already present, set semantics). Cached plans
-// and statistics for that table — and only that table — invalidate.
+// was actually added (false: already present, set semantics).
 func (e *Engine) InsertValue(table string, v value.Value) (bool, error) {
 	tab, ok := e.db.Table(table)
 	if !ok {
@@ -33,11 +32,7 @@ func (e *Engine) InsertValue(table string, v value.Value) (bool, error) {
 	if err := faultinject.Hit(faultinject.PointMutationEpoch); err != nil {
 		return false, err
 	}
-	added, err := tab.InsertSealed(v)
-	if added {
-		e.cache.invalidateTable(table)
-	}
-	return added, err
+	return tab.InsertSealed(v)
 }
 
 // Insert parses src as a closed TM expression (typically a tuple
@@ -68,18 +63,17 @@ func (e *Engine) DeleteValue(table string, v value.Value) (bool, error) {
 	if err := faultinject.Hit(faultinject.PointMutationEpoch); err != nil {
 		return false, err
 	}
-	removed, err := tab.Delete(v)
-	if removed {
-		e.cache.invalidateTable(table)
-	}
-	return removed, err
+	return tab.Delete(v)
 }
 
 // Delete removes every tuple of the table satisfying the predicate, with
 // varName bound to the candidate tuple (e.g. Delete("EMP", "e",
-// "e.sal > 4000")). It returns the number of tuples removed. The predicate
-// is evaluated over a snapshot of the rows first and the victims deleted in
-// one batch, so it may contain subqueries over any table.
+// "e.sal > 4000")). It returns the number of tuples removed. The victims are
+// the result of the query SELECT v FROM table v WHERE pred, planned and
+// executed like any other (an index scan when an index covers the predicate)
+// over snapshots, then deleted in one batch — so the predicate may contain
+// subqueries over any table. The victim plan never repeats and is kept out
+// of the plan cache.
 func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	tab, ok := e.db.Table(table)
 	if !ok {
@@ -91,38 +85,32 @@ func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	}
 	elem, err := e.cat.ElementType(table)
 	if err != nil {
-		elem = tab.ElemType()
+		return 0, err
 	}
-	pred, err := tmql.NewBinder(e.cat).BindIn(expr, tmql.VarBinding{Name: varName, Type: elem})
+	b := tmql.NewBinder(e.cat)
+	pred, err := b.BindIn(expr, tmql.VarBinding{Name: varName, Type: elem})
 	if err != nil {
 		return 0, err
 	}
 	if !types.AssignableTo(pred.Type(), types.Bool) {
 		return 0, fmt.Errorf("engine: delete predicate must be BOOL, got %s", pred.Type())
 	}
-	ev := eval.New(e.db)
-	var victims []value.Value
-	for _, row := range tab.Rows() {
-		env := (*eval.Env)(nil).Bind(varName, row)
-		v, err := ev.EvalEnv(pred, env)
-		if err != nil {
-			return 0, err
-		}
-		if v.Kind() != value.KindBool {
-			return 0, fmt.Errorf("engine: delete predicate yielded %s, not BOOL", v)
-		}
-		if v.AsBool() {
-			victims = append(victims, row)
-		}
+	victims, err := b.Bind(&tmql.SFW{
+		Result: &tmql.Var{Name: varName},
+		Froms:  []tmql.FromItem{{Var: varName, Src: &tmql.TableRef{Name: table}}},
+		Where:  pred,
+	})
+	if err != nil {
+		return 0, err
+	}
+	res, err := e.execBound(context.Background(), victims, Options{}, true)
+	if err != nil {
+		return 0, err
 	}
 	if err := faultinject.Hit(faultinject.PointMutationEpoch); err != nil {
 		return 0, err
 	}
-	n, err := tab.DeleteRows(victims)
-	if n > 0 {
-		e.cache.invalidateTable(table)
-	}
-	return n, err
+	return tab.DeleteRows(res.Value.Elems())
 }
 
 // DropTable unregisters the table from the engine's database, invalidating

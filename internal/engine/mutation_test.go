@@ -17,83 +17,111 @@ const (
 	zQ  = `SELECT z.c FROM Z z WHERE z.d = 1`
 )
 
-// TestMutationInvalidatesPerTable is the acceptance test for per-table plan
-// cache invalidation: after mutating Y, the cached plan for the X⋈Y query is
-// discarded (epoch mismatch — the next lookup misses and the swept entry is
-// gone), while the Z-only query keeps hitting, and results track the new
-// data.
+// sameAsNaive fails unless res is the naive oracle's answer to q on the
+// current data.
+func sameAsNaive(t *testing.T, eng *Engine, q string, res *Result) {
+	t.Helper()
+	oracle, err := eng.Query(q, Options{Strategy: core.StrategyNaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if value.Key(res.Value) != value.Key(oracle.Value) {
+		t.Errorf("%s: result differs from the naive oracle", q)
+	}
+}
+
+// insertY adds n fresh rows to Y with a-values from base upwards.
+func insertY(t *testing.T, eng *Engine, base, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if added, err := eng.InsertValue("Y", datagen.YRow(int64(base+i), 7, 1, 424242)); err != nil || !added {
+			t.Fatalf("insert %d: added=%v err=%v", i, added, err)
+		}
+	}
+}
+
+// TestMutationInvalidatesPerTable is the acceptance test for the plan cache
+// under writes. Within the drift bound a read after a write is a cache hit
+// costed against the same statistics generation, nothing is swept, and the
+// result still equals naive; once Y has drifted past a tenth of its
+// cardinality — or after Analyze — the X⋈Y query replans against fresh
+// statistics. The Z-only query and Z's statistics are untouched throughout.
 func TestMutationInvalidatesPerTable(t *testing.T) {
 	eng := xyzEngine(t)
-	if _, err := eng.Query(xyQ, Options{}); err != nil {
-		t.Fatal(err)
+	for _, q := range []string{xyQ, zQ} {
+		if _, err := eng.Query(q, Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := eng.Query(zQ, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.PlanCacheStats(); st.Entries != 2 {
-		t.Fatalf("precondition: %+v", st)
-	}
+	genY, genZ := eng.Stats().Table("Y"), eng.Stats().Table("Z")
+	bound := genY.Card / 10
 
-	// Mutate Y: insert a row whose d-value matches no current X.b, then one
-	// that matches every dangling X row? No — keep it surgical: a fresh key.
-	added, err := eng.Insert("Y", `(a = 2, b = 7, c = {1}, d = 424242)`)
+	insertY(t, eng, 1000, 1)
+	if st := eng.PlanCacheStats(); st.Entries != 2 || st.Invalidations != 0 {
+		t.Errorf("a write swept the plan cache: %+v", st)
+	}
+	res, err := eng.Query(xyQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !added {
-		t.Fatal("insert reported a duplicate")
+	if !res.CacheHit || eng.Stats().Table("Y") != genY {
+		t.Errorf("read after a write within the bound: hit=%v, same generation=%v", res.CacheHit, eng.Stats().Table("Y") == genY)
 	}
+	sameAsNaive(t, eng, xyQ, res)
 
-	// The swept entry is gone; only the Z entry remains.
-	st := eng.PlanCacheStats()
-	if st.Entries != 1 {
-		t.Errorf("after mutating Y: %d entries, want 1 (X⋈Y swept)", st.Entries)
-	}
-	if st.Invalidations == 0 {
-		t.Error("no invalidations recorded")
-	}
-
-	resXY, err := eng.Query(xyQ, Options{})
+	// Drift Y past the bound: the next read replans against a new generation.
+	insertY(t, eng, 2000, bound)
+	res, err = eng.Query(xyQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resXY.CacheHit {
-		t.Error("query over the mutated table must replan (epoch mismatch)")
+	fresh := eng.Stats().Table("Y")
+	if res.CacheHit || fresh == genY || fresh.Card != genY.Card+bound+1 {
+		t.Errorf("read past the bound: hit=%v, Card=%d (collected at %d, %d rows since)", res.CacheHit, fresh.Card, genY.Card, bound+1)
 	}
+	sameAsNaive(t, eng, xyQ, res)
+
+	// Analyze forces exactness after a single write.
+	insertY(t, eng, 3000, 1)
+	if eng.Analyze().Table("Y") == fresh {
+		t.Error("Analyze left a mutated table's statistics alone")
+	}
+	res, err = eng.Query(xyQ, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit {
+		t.Error("read after Analyze served a plan costed against the previous generation")
+	}
+	sameAsNaive(t, eng, xyQ, res)
+
 	resZ, err := eng.Query(zQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resZ.CacheHit {
-		t.Error("query over the untouched table must stay cached")
+	if !resZ.CacheHit || eng.Stats().Table("Z") != genZ {
+		t.Error("writes to Y cost the Z-only query its plan or Z its statistics")
 	}
-
-	// Correctness across the mutation: the replanned result matches naive.
-	oracle, err := eng.Query(xyQ, Options{Strategy: core.StrategyNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if value.Key(resXY.Value) != value.Key(oracle.Value) {
-		t.Error("replanned result differs from naive oracle after mutation")
+	if st := eng.PlanCacheStats(); st.Invalidations != 0 {
+		t.Errorf("writes swept the plan cache: %+v", st)
 	}
 }
 
-// TestMutationRefreshesStatsLazily: the engine's statistics catalog
-// recollects exactly the mutated table, reflected in the cardinalities the
-// cost model sees.
+// TestMutationRefreshesStatsLazily: statistics stay at their generation
+// while a table drifts within the bound, Analyze brings exactly the mutated
+// table up to date, and an untouched table is never rescanned.
 func TestMutationRefreshesStatsLazily(t *testing.T) {
 	eng := xyzEngine(t)
-	cardY := eng.Stats().Table("Y").Card
-	zBefore := eng.Stats().Table("Z")
+	genY, genZ := eng.Stats().Table("Y"), eng.Stats().Table("Z")
 
 	if _, err := eng.Insert("Y", `(a = 2, b = 7, c = {1}, d = 555555)`); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Stats().Table("Y").Card; got != cardY+1 {
-		t.Errorf("Y Card after insert = %d, want %d", got, cardY+1)
+	if eng.Stats().Table("Y") != genY {
+		t.Error("one insert into a 120-row table recollected it")
 	}
-	if eng.Stats().Table("Z") != zBefore {
-		t.Error("Z statistics recollected although Z never mutated")
+	if got := eng.Analyze().Table("Y").Card; got != genY.Card+1 {
+		t.Errorf("Y Card after insert + Analyze = %d, want %d", got, genY.Card+1)
 	}
 
 	n, err := eng.Delete("Y", "y", "y.d = 555555")
@@ -103,8 +131,69 @@ func TestMutationRefreshesStatsLazily(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("deleted %d rows, want 1", n)
 	}
-	if got := eng.Stats().Table("Y").Card; got != cardY {
-		t.Errorf("Y Card after delete = %d, want %d", got, cardY)
+	if got := eng.Analyze().Table("Y").Card; got != genY.Card {
+		t.Errorf("Y Card after delete + Analyze = %d, want %d", got, genY.Card)
+	}
+	if eng.Stats().Table("Z") != genZ {
+		t.Error("Z statistics recollected although Z never mutated")
+	}
+}
+
+// TestMutationDeleteThroughPlanner: Delete runs its predicate as the planned query
+// SELECT v FROM T v WHERE pred and removes exactly the rows the naive
+// evaluator selects — also when the predicate subqueries the table being
+// mutated — through an index scan when an index covers the predicate, and
+// without leaving its one-shot plan in the plan cache.
+func TestMutationDeleteThroughPlanner(t *testing.T) {
+	for _, pred := range []string{
+		`y.d < 0`,
+		`y.d = 3`,
+		`y.b = 2 AND y.a < 4`,
+		`y.d IN SELECT o.d FROM Y o WHERE o.b = y.b AND o.a < y.a`,
+		`false`,
+	} {
+		eng := xyzEngine(t)
+		if err := eng.CreateIndex("Y", "d"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Query(xyQ, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Query(`SELECT y FROM Y y WHERE `+pred, Options{Strategy: core.StrategyNaive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (want.Value.Len() == 0) != (pred == `false`) {
+			t.Fatalf("%s selects %d rows: the case is vacuous", pred, want.Value.Len())
+		}
+		tab, _ := eng.DB().Table("Y")
+		before, cache := tab.AsSet(), eng.PlanCacheStats()
+		n, err := eng.Delete("Y", "y", pred)
+		if err != nil {
+			t.Fatalf("%s: %v", pred, err)
+		}
+		if n != want.Value.Len() || !value.Equal(tab.AsSet(), value.Diff(before, want.Value)) {
+			t.Errorf("%s: removed %d rows, naive selects %d; or the wrong ones", pred, n, want.Value.Len())
+		}
+		if after := eng.PlanCacheStats(); after.Entries != cache.Entries || after.Misses != cache.Misses {
+			t.Errorf("%s: the victim plan went through the plan cache: %+v → %+v", pred, cache, after)
+		}
+	}
+
+	eng := xyzEngine(t)
+	if err := eng.CreateIndex("Y", "d"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := eng.Explain(`SELECT y FROM Y y WHERE y.d = 3`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "access=idxscan") || !strings.Contains(out, "using Y(d)") {
+		t.Errorf("the victim query of an indexed predicate is not an index scan:\n%s", out)
+	}
+	_, err = eng.Delete("Y", "y", "y.d + 1")
+	if err == nil || !strings.Contains(err.Error(), "engine: delete predicate must be BOOL, got") {
+		t.Errorf("non-BOOL predicate: %v", err)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 // Prepared is a parse-once/bind-once statement: Prepare pays parsing and
 // binding a single time, and every execution goes straight to planning —
 // where the plan cache takes over, keyed on the bound query, the options, and
-// the mutation-epoch vector of the referenced tables. Re-executing after one
-// of those tables mutates therefore replans automatically (the epoch in the
-// key changes); until then repeated executions hit the cached decision.
+// the statistics generations of the referenced tables. Repeated executions
+// hit the cached decision across writes; once a table has drifted far enough
+// for its statistics to be recollected (or after Analyze) the next execution
+// replans automatically.
 //
 // A Prepared is immutable after construction: the bound tree is never
 // mutated by planning or execution, so one statement may be executed from
@@ -41,7 +42,7 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 func (p *Prepared) Source() string { return p.src }
 
 // Tables returns the extension tables the statement references (sorted) —
-// the set whose mutation epochs key its cached plans.
+// the set whose statistics generations key its cached plans.
 func (p *Prepared) Tables() []string { return append([]string(nil), p.tables...) }
 
 // Query plans (through the engine's plan cache) and executes the statement.
@@ -54,7 +55,7 @@ func (p *Prepared) Query(opts Options) (*Result, error) {
 // dropped returns a typed *TableDroppedError instead of failing deep in the
 // executor.
 func (p *Prepared) QueryContext(ctx context.Context, opts Options) (*Result, error) {
-	return p.e.execBound(ctx, p.bound, opts)
+	return p.e.execBound(ctx, p.bound, opts, false)
 }
 
 // Explain renders the physical plan the statement would execute with, using
@@ -74,7 +75,7 @@ func (p *Prepared) ExplainContext(ctx context.Context, opts Options) (string, er
 // Candidates plans the statement and returns the optimizer's candidate table
 // (empty on fixed-strategy paths), like Engine.PlanCandidates.
 func (p *Prepared) Candidates(opts Options) ([]planner.Candidate, error) {
-	pl, _, err := p.e.plan(p.bound, opts)
+	pl, _, err := p.e.plan(p.bound, opts, false)
 	if err != nil {
 		return nil, err
 	}

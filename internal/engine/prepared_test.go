@@ -46,9 +46,13 @@ func TestPreparedReusesPlanCache(t *testing.T) {
 	}
 }
 
+// TestPreparedReplansAfterMutation: a prepared statement keeps hitting its
+// cached plan across a write (and sees the new row), replans once after
+// Analyze moved the table to a new statistics generation, then hits again.
 func TestPreparedReplansAfterMutation(t *testing.T) {
 	eng := xyzEngine(t)
-	stmt, err := eng.Prepare(`SELECT y.a FROM Y y WHERE y.b = 777`)
+	const q = `SELECT y.a FROM Y y WHERE y.b = 777`
+	stmt, err := eng.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +63,6 @@ func TestPreparedReplansAfterMutation(t *testing.T) {
 	if before.Value.Len() != 0 {
 		t.Fatalf("expected empty result before the insert, got %s", before.Value)
 	}
-	if _, err := stmt.Query(Options{}); err != nil {
-		t.Fatal(err)
-	}
 	added, err := eng.InsertValue("Y", datagen.YRow(42, 777, 5, 9))
 	if err != nil || !added {
 		t.Fatalf("InsertValue: added=%v err=%v", added, err)
@@ -70,22 +71,36 @@ func TestPreparedReplansAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.CacheHit {
-		t.Fatal("execution after a Y mutation served a stale cached plan (epoch vector should have missed)")
+	if !after.CacheHit {
+		t.Fatal("execution after one Y write replanned (the write is within the drift bound)")
 	}
 	if after.Value.Len() != 1 {
 		t.Fatalf("expected the inserted row to be visible, got %s", after.Value)
+	}
+	sameAsNaive(t, eng, q, after)
+
+	eng.Analyze()
+	for i, wantHit := range []bool{false, true} {
+		res, err := stmt.Query(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit != wantHit {
+			t.Fatalf("execution %d after Analyze: CacheHit=%v, want %v", i, res.CacheHit, wantHit)
+		}
+		sameAsNaive(t, eng, q, res)
 	}
 	// A query over an untouched table keeps hitting its cached plan.
 	if _, err := eng.Query(`SELECT z.c FROM Z z WHERE z.d = 1`, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	eng.Analyze()
 	zres, err := eng.Query(`SELECT z.c FROM Z z WHERE z.d = 1`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !zres.CacheHit {
-		t.Fatal("mutating Y invalidated a cached plan over Z")
+		t.Fatal("mutating and analyzing Y cost a cached plan over Z")
 	}
 }
 

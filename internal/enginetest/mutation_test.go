@@ -9,15 +9,17 @@ import (
 	"tmdb/internal/value"
 )
 
-// Conformance across mutations: the engine-level guarantee that a mutated
-// table never serves stale plans or statistics. Each phase mutates the data
-// a different way (sealed insert through the engine, predicate delete,
-// direct storage seal→unseal→bulk-load→reseal cycle), and after every phase
-// the cost-based auto path must agree byte-for-byte with a freshly computed
-// naive oracle — at parallelism degrees 1, 2, and 8, and with persistent
-// indexes registered so the idxjoin family participates. CI runs this
-// package under -race, which also exercises the copy-on-write snapshot
-// contract between mutators and parallel workers.
+// Conformance across mutations: the engine-level guarantee that plans and
+// statistics kept across writes never change an answer. Each phase mutates
+// the data a different way (sealed insert through the engine, predicate
+// delete, direct storage seal→unseal→bulk-load→reseal cycle), and after
+// every phase the cost-based auto path must agree byte-for-byte with a
+// freshly computed naive oracle — at parallelism degrees 1, 2, and 8, with
+// persistent indexes registered so the idxjoin family participates, and both
+// with statistics left to drift within their bound and with Analyze forcing
+// them exact between phases. CI runs this package under -race, which also
+// exercises the copy-on-write snapshot contract between mutators and
+// parallel workers.
 
 // mutationQueries are the conformance queries for the mutation cycles; they
 // jointly touch X, Y, and Z through semijoin, antijoin, and nest-join paths.
@@ -37,8 +39,22 @@ func yRow(a, b, c, d int64) value.Value {
 
 // TestConformanceAcrossMutationCycles is the seal→mutate→reseal conformance
 // axis: auto ≡ naive, byte-identical, after every mutation phase and at
-// every parallelism degree.
+// every parallelism degree — and the run that lets statistics drift produces
+// the same bytes as the run that analyzes after every phase.
 func TestConformanceAcrossMutationCycles(t *testing.T) {
+	drifting, analyzed := runMutationCycles(t, false), runMutationCycles(t, true)
+	for i := range drifting {
+		if drifting[i] != analyzed[i] {
+			t.Errorf("result %d differs between drifting and freshly analyzed statistics", i)
+		}
+	}
+}
+
+// runMutationCycles runs the mutation phases on a fresh engine, checks every
+// result against the naive oracle, and returns the auto path's result keys
+// in execution order. With analyze set, Analyze runs after every phase.
+func runMutationCycles(t *testing.T, analyze bool) []string {
+	t.Helper()
 	eng := OpenDB("xyz")
 	for _, ix := range [][2]string{{"Y", "d"}, {"Y", "b"}, {"Z", "d"}} {
 		if err := eng.CreateIndex(ix[0], ix[1]); err != nil {
@@ -69,8 +85,7 @@ func TestConformanceAcrossMutationCycles(t *testing.T) {
 			}
 		}},
 		{"storage-reseal-cycle", func(t *testing.T) {
-			// Bypass the engine entirely: the epoch vector in the plan-cache
-			// key must still invalidate, with no explicit sweep.
+			// Bypass the engine entirely.
 			tab, _ := eng.DB().Table("Z")
 			tab.Unseal()
 			tab.MustInsert(value.TupleOf(value.F("c", value.Int(77)), value.F("d", value.Int(1))))
@@ -79,8 +94,12 @@ func TestConformanceAcrossMutationCycles(t *testing.T) {
 		}},
 	}
 
+	var keys []string
 	for _, ph := range phases {
 		ph.mutate(t)
+		if analyze {
+			eng.Analyze()
+		}
 		for qi, q := range mutationQueries {
 			oracle, err := eng.Query(q, engine.Options{Strategy: core.StrategyNaive})
 			if err != nil {
@@ -92,6 +111,7 @@ func TestConformanceAcrossMutationCycles(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s q%d par %d: %v", ph.name, qi, par, err)
 				}
+				keys = append(keys, value.Key(res.Value))
 				if value.Key(res.Value) != oracleKey {
 					t.Errorf("%s q%d par %d: auto result not byte-identical to naive oracle",
 						ph.name, qi, par)
@@ -108,12 +128,15 @@ func TestConformanceAcrossMutationCycles(t *testing.T) {
 			}
 		}
 	}
+	return keys
 }
 
 // TestMutationInvalidationIsPerTable checks the cache behavior end to end in
-// the harness environment: mutating Y discards only plans touching Y —
-// including via the epoch vector when storage is mutated directly — while
-// plans over other tables keep hitting.
+// the harness environment, with storage mutated directly (no engine entry
+// point runs): one write to Y leaves every cached plan a hit; writes past
+// Y's drift bound make the plan touching Y replan — the statistics
+// generation in its key moved — while the plan over Z keeps hitting and Z is
+// never rescanned.
 func TestMutationInvalidationIsPerTable(t *testing.T) {
 	eng := OpenDB("xyz")
 	qY := mutationQueries[0] // touches X and Y
@@ -123,26 +146,41 @@ func TestMutationInvalidationIsPerTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Direct storage mutation: no engine sweep runs, the epoch vector alone
-	// must force the replan.
+	genY, genZ := eng.Stats().Table("Y"), eng.Stats().Table("Z")
+	if genY.Card < 10 {
+		t.Fatalf("Y has %d rows: too small to drift without refreshing", genY.Card)
+	}
 	tab, _ := eng.DB().Table("Y")
-	if _, err := tab.InsertSealed(yRow(9, 9, 9, 909090)); err != nil {
-		t.Fatal(err)
-	}
-	resY, err := eng.Query(qY, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resY.CacheHit {
-		t.Error("epoch mismatch must force a replan after direct storage mutation")
+	wantHit := true
+	for _, writes := range []int{1, genY.Card / 10} {
+		for i := 0; i < writes; i++ {
+			if _, err := tab.InsertSealed(yRow(9, 9, int64(writes+i), 909090)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resY, err := eng.Query(qY, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resY.CacheHit != wantHit || (eng.Stats().Table("Y") == genY) != wantHit {
+			t.Errorf("after %d more writes to Y: CacheHit=%v, same generation=%v, want both %v",
+				writes, resY.CacheHit, eng.Stats().Table("Y") == genY, wantHit)
+		}
+		oracle, err := eng.Query(qY, engine.Options{Strategy: core.StrategyNaive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if value.Key(resY.Value) != value.Key(oracle.Value) {
+			t.Errorf("after %d more writes to Y: result differs from naive", writes)
+		}
+		wantHit = false
 	}
 	resZ, err := eng.Query(qZ, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resZ.CacheHit {
-		t.Error("plans over untouched tables must stay cached")
+	if !resZ.CacheHit || eng.Stats().Table("Z") != genZ {
+		t.Error("plans and statistics over untouched tables must stay cached")
 	}
 }
 

@@ -11,9 +11,10 @@
 //     server's default options. Sessions also namespace prepared statements.
 //   - Prepared statements: POST /prepare parses and binds once
 //     (engine.Prepare); POST /execute re-executes the bound tree, going
-//     straight to the engine's plan cache — whose keys carry the
-//     mutation-epoch vector of the referenced tables, so re-execution after a
-//     mutation replans instead of serving a stale plan.
+//     straight to the engine's plan cache — a hit also after writes (the
+//     plan holds no rows); its keys carry the statistics generations of the
+//     referenced tables, so re-execution replans once a table has drifted
+//     far enough for its statistics to be recollected.
 //   - Admission control: at most Config.MaxConcurrency queries execute at
 //     once; excess requests queue up to Config.QueueTimeout and then fail
 //     with a structured queue_timeout error rather than piling onto the

@@ -14,12 +14,14 @@
 // Every table also carries histograms for the planner's equality/range
 // selectivity estimates regardless of mode. Collection is lazy by default
 // (New); Analyze is the eager ANALYZE entry point that scans every table up
-// front. Staleness is per table: statistics remember the storage epoch they
-// were collected at and recollect automatically when the table has mutated —
-// mutating one table never invalidates the statistics of another. FromXYZSpec is the datagen-aware entry point: it derives the same
-// catalog analytically from a generator Spec, without touching data — used to
-// validate Analyze against ground truth and to cost plans for
-// not-yet-materialized workloads.
+// front. Staleness is per table and bounded, not zero: statistics remember
+// the storage epoch they were collected at — their generation — and are
+// recollected once the table has drifted from it by more than a tenth of its
+// cardinality (see driftBound); Catalog.Refresh forces exactness. Mutating
+// one table never touches the statistics of another. FromXYZSpec is the
+// datagen-aware entry point: it derives the same catalog analytically from a
+// generator Spec, without touching data — used to validate Analyze against
+// ground truth and to cost plans for not-yet-materialized workloads.
 package stats
 
 import (
@@ -50,15 +52,31 @@ type TableStats struct {
 	// were dropped (table larger than the catalog's exact threshold).
 	Approx bool
 
-	// Epoch is the storage epoch of the table at collection time; the catalog
-	// recollects lazily when the table's current epoch differs (see
-	// storage.Table.Epoch).
+	// Epoch is the storage epoch of the table at collection time — the
+	// statistics generation. Everything derived from these statistics (cached
+	// plans, dangling fractions, index depth profiles) is tagged with it and
+	// goes stale when the catalog recollects (see driftBound).
 	Epoch uint64
 
 	// keys retains the distinct value keys per attribute so the catalog can
 	// compute dangling fractions without rescanning this side. nil when
 	// Approx.
 	keys map[string]map[string]bool
+}
+
+// driftBound bounds statistics staleness: statistics collected at epoch e₀
+// over n rows stay current while (epoch − e₀)·driftBound ≤ n. Every strategy
+// and physical choice returns the same answer, so statistics only steer cost
+// and need not be exact; under this bound each O(n) rescan is paid for by at
+// least n/driftBound mutations, a tiny table still refreshes on every write,
+// and a bulk load trips it at once.
+const driftBound = 10
+
+// current reports whether s may still stand in for its table, now at epoch:
+// when nothing changed since collection and — unless exact is demanded —
+// while the drift stays within the bound.
+func (s *TableStats) current(epoch uint64, exact bool) bool {
+	return epoch <= s.Epoch || !exact && (epoch-s.Epoch)*driftBound <= uint64(s.Card)
 }
 
 // Histogram returns the attribute's histogram, or nil when the attribute is
@@ -81,9 +99,11 @@ func (s *TableStats) Selectivity(attr string) float64 {
 //
 // Staleness is tracked per table through storage mutation epochs: statistics
 // record the table's epoch at collection time, and a lookup against a table
-// whose epoch has since advanced recollects that table (and drops the
-// dangling fractions involving it) lazily. Mutating one table therefore
-// never discards the statistics of the others.
+// that has drifted past driftBound since recollects that table (and drops
+// the dangling fractions involving it) lazily. Mutating one table therefore
+// never discards the statistics of the others. The O(n) scans behind a miss
+// run outside mu, one at a time per table or attribute pair (see claim), so
+// recollecting one table never stalls lookups of another.
 type Catalog struct {
 	db *storage.DB
 
@@ -91,9 +111,13 @@ type Catalog struct {
 	tables   map[string]*TableStats
 	dangling map[danglingKey]float64
 	// indexDepth caches per-bucket depth profiles of index prefix levels,
-	// tagged with the owning table's epoch (computing one scans the level's
-	// bucket lengths; the cost model reads it per candidate plan).
+	// tagged with the owning table's statistics generation (computing one
+	// scans the level's bucket lengths; the cost model reads it per candidate
+	// plan).
 	indexDepth map[indexDepthKey]indexDepthEntry
+	// inflight marks the scans in progress, keyed by table name or
+	// danglingKey; the channel closes when the scan has published.
+	inflight map[any]chan struct{}
 	// exactThreshold is the cardinality at or below which a table keeps exact
 	// statistics; above it the catalog stores histograms and sketches only.
 	exactThreshold int
@@ -106,8 +130,8 @@ type indexDepthKey struct {
 	depth        int
 }
 
-// indexDepthEntry tags a cached profile with the table epoch it was computed
-// at; a differing current epoch recomputes.
+// indexDepthEntry tags a cached profile with the statistics generation it
+// was computed under; a differing current generation recomputes.
 type indexDepthEntry struct {
 	epoch   uint64
 	profile storage.DepthProfile
@@ -132,6 +156,7 @@ func New(db *storage.DB) *Catalog {
 		tables:         make(map[string]*TableStats),
 		dangling:       make(map[danglingKey]float64),
 		indexDepth:     make(map[indexDepthKey]indexDepthEntry),
+		inflight:       make(map[any]chan struct{}),
 		exactThreshold: DefaultExactThreshold,
 	}
 }
@@ -171,19 +196,43 @@ func (c *Catalog) Names() []string {
 }
 
 // Table returns statistics for the named table, computing and caching them
-// on first use and recollecting them lazily when the table has mutated since
-// (its storage epoch advanced). Unknown tables yield zero statistics.
-func (c *Catalog) Table(name string) *TableStats {
+// on first use and recollecting them lazily once the table has drifted past
+// driftBound since. Unknown tables yield zero statistics.
+func (c *Catalog) Table(name string) *TableStats { return c.lookup(name, false) }
+
+// Refresh is Table demanding exactness: the table is rescanned if it has
+// mutated at all since its statistics were collected — ANALYZE for one table.
+func (c *Catalog) Refresh(name string) *TableStats { return c.lookup(name, true) }
+
+// claim makes the scan behind a cache miss single-flight. Called with mu
+// held. It reports true when the caller now owns key: mu stays held, and the
+// caller must scan (outside mu), publish, and release(key). Otherwise another
+// goroutine owns it: claim unlocks mu, waits for that scan to publish, and
+// reports false — the caller locks again and re-reads the cache.
+func (c *Catalog) claim(key any) bool {
+	done, busy := c.inflight[key]
+	if !busy {
+		c.inflight[key] = make(chan struct{})
+		return true
+	}
+	c.mu.Unlock()
+	<-done
+	return false
+}
+
+// release ends the caller's ownership of key and wakes its waiters.
+func (c *Catalog) release(key any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.table(name)
+	close(c.inflight[key])
+	delete(c.inflight, key)
 }
 
 // MarkStale drops the cached statistics for one table and every dangling
 // fraction involving it; the next lookup recollects. Epoch tracking makes
-// this automatic for storage-backed tables — MarkStale exists for catalogs
-// populated through SetTable/SetDangling, whose figures have no backing
-// epoch to compare against.
+// this automatic for storage-backed tables — MarkStale exists for dropped
+// tables and for catalogs populated through SetTable/SetDangling, whose
+// figures have no backing epoch to compare against.
 func (c *Catalog) MarkStale(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -238,8 +287,8 @@ func (c *Catalog) Indexes(table string) [][]string {
 // IndexDepth returns the per-bucket depth profile of the index's prefix
 // level — distinct prefixes, total rows, average and maximum bucket size —
 // the figures driving the planner's index-scan probe cost. Profiles are
-// cached per table epoch, so the O(distinct-prefixes) bucket scan is paid
-// once per mutation generation, not per query.
+// cached per statistics generation, so the O(distinct-prefixes) bucket scan
+// is paid once per generation, not per query or per mutation.
 func (c *Catalog) IndexDepth(table string, attrs []string, depth int) (storage.DepthProfile, bool) {
 	if c.db == nil {
 		return storage.DepthProfile{}, false
@@ -253,7 +302,7 @@ func (c *Catalog) IndexDepth(table string, attrs []string, depth int) (storage.D
 		return storage.DepthProfile{}, false
 	}
 	key := indexDepthKey{table: table, index: ix.Name(), depth: depth}
-	epoch := tab.Epoch()
+	epoch := c.Table(table).Epoch
 	c.mu.Lock()
 	if e, ok := c.indexDepth[key]; ok && e.epoch == epoch {
 		c.mu.Unlock()
@@ -270,35 +319,56 @@ func (c *Catalog) IndexDepth(table string, attrs []string, depth int) (storage.D
 	return prof, true
 }
 
-func (c *Catalog) table(name string) *TableStats {
-	var epoch uint64
+// lookup returns the cached statistics while they are current and otherwise
+// collects a new generation — outside mu, so only lookups of this table wait.
+func (c *Catalog) lookup(name string, exact bool) *TableStats {
 	var tab *storage.Table
 	if c.db != nil {
-		if t, ok := c.db.Table(name); ok {
-			tab = t
-			epoch = t.Epoch()
-		}
+		tab, _ = c.db.Table(name)
 	}
-	if s, ok := c.tables[name]; ok {
-		if tab == nil || s.Epoch == epoch {
+	for {
+		var epoch uint64
+		if tab != nil {
+			epoch = tab.Epoch()
+		}
+		c.mu.Lock()
+		if s, ok := c.tables[name]; ok && (tab == nil || s.current(epoch, exact)) {
+			c.mu.Unlock()
 			return s
 		}
-		// The table mutated since collection: recollect it (and only it).
-		c.evict(name)
+		if c.claim(name) {
+			break
+		}
 	}
+	threshold := c.exactThreshold
+	c.mu.Unlock()
+	defer c.release(name)
+	s := collect(tab, threshold)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.evict(name)
+	c.tables[name] = s
+	return s
+}
+
+// collect scans tab once into a new statistics generation (zero statistics
+// for a nil table), exact at or below the threshold.
+func collect(tab *storage.Table, exactThreshold int) *TableStats {
 	s := &TableStats{
 		Distinct:  make(map[string]int),
 		AvgSetLen: make(map[string]float64),
 		Hist:      make(map[string]*Histogram),
 		keys:      make(map[string]map[string]bool),
 	}
-	c.tables[name] = s
 	if tab == nil {
 		return s
 	}
-	s.Epoch = epoch
-	s.Card = tab.Len()
-	s.Approx = s.Card > c.exactThreshold
+	// Epoch before rows: a write landing in between makes the rows newer than
+	// the generation claims, which only brings the next recollection forward.
+	s.Epoch = tab.Epoch()
+	rows := tab.Rows()
+	s.Card = len(rows)
+	s.Approx = s.Card > exactThreshold
 	setLen := make(map[string]int)
 	setCnt := make(map[string]int)
 	scalars := make(map[string][]value.Value)
@@ -316,7 +386,7 @@ func (c *Catalog) table(name string) *TableStats {
 		s.keys = nil
 		sketches = make(map[string]*distinctSketch)
 	}
-	for i, r := range tab.Rows() {
+	for i, r := range rows {
 		if r.Kind() != value.KindTuple {
 			continue
 		}
@@ -385,49 +455,67 @@ func (c *Catalog) Selectivity(table, attr string) float64 {
 // attribute histograms by bucket overlap. When either side is unknown the
 // conventional default 0.5 is returned.
 func (c *Catalog) DanglingFrac(lTable, lAttr, rTable, rAttr string) float64 {
-	const def = 0.5
 	key := danglingKey{lTable, lAttr, rTable, rAttr}
+	// Freshness first: looking up either side recollects it if it drifted
+	// past the bound, which also sweeps the dangling entries involving it —
+	// so a cached fraction always belongs to the current generations.
+	ls, rs := c.Table(lTable), c.Table(rTable)
+	for {
+		c.mu.Lock()
+		if f, ok := c.dangling[key]; ok {
+			c.mu.Unlock()
+			return f
+		}
+		if c.claim(key) {
+			break
+		}
+	}
+	c.mu.Unlock()
+	defer c.release(key)
+	frac := c.danglingFrac(ls, rs, key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Freshness first: looking up either side recollects it if its epoch
-	// advanced, which also sweeps stale dangling entries involving it — so
-	// the cache hit below is always consistent with the current data.
-	ls, rs := c.table(lTable), c.table(rTable)
-	if f, ok := c.dangling[key]; ok {
-		return f
+	// Publish only into the generations the fraction was computed from.
+	if c.tables[lTable] == ls && c.tables[rTable] == rs {
+		c.dangling[key] = frac
 	}
+	return frac
+}
+
+// danglingFrac computes one dangling fraction from the two sides' statistics,
+// scanning the left table on the exact path. Called without mu.
+func (c *Catalog) danglingFrac(ls, rs *TableStats, key danglingKey) float64 {
+	const def = 0.5
 	if c.db == nil || ls.Card == 0 {
-		c.dangling[key] = def
 		return def
 	}
-	rKeys := rs.keys[rAttr]
+	rKeys := rs.keys[key.rAttr]
 	if rKeys == nil {
 		// Approximate path: estimate from histogram overlap.
-		frac := estimateDangling(ls.Hist[lAttr], rs.Hist[rAttr])
-		if frac < 0 {
-			frac = def
+		if frac := estimateDangling(ls.Hist[key.lAttr], rs.Hist[key.rAttr]); frac >= 0 {
+			return frac
 		}
-		c.dangling[key] = frac
-		return frac
-	}
-	tab, ok := c.db.Table(lTable)
-	if !ok {
-		c.dangling[key] = def
 		return def
 	}
-	dangling := 0
+	tab, ok := c.db.Table(key.lTable)
+	if !ok {
+		return def
+	}
+	dangling, n := 0, 0
 	for _, r := range tab.Rows() {
 		if r.Kind() != value.KindTuple {
 			continue
 		}
-		f, ok := r.Get(lAttr)
+		n++
+		f, ok := r.Get(key.lAttr)
 		if !ok || !rKeys[value.Key(f)] {
 			dangling++
 		}
 	}
-	frac := float64(dangling) / float64(ls.Card)
-	c.dangling[key] = frac
-	return frac
+	if n == 0 {
+		return def
+	}
+	return float64(dangling) / float64(n)
 }
 
 // estimateDangling estimates the dangling fraction of the left attribute
@@ -480,7 +568,7 @@ func (c *Catalog) SetTable(name string, s *TableStats) {
 		s.keys = make(map[string]map[string]bool)
 	}
 	// Tag the override with the current epoch (when the table is backed by
-	// storage), so it survives lookups until the table actually mutates.
+	// storage), so it survives lookups until the table drifts past the bound.
 	if c.db != nil {
 		if t, ok := c.db.Table(name); ok {
 			s.Epoch = t.Epoch()

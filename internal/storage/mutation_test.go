@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -256,4 +258,117 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	if ix.Len() != tab.Len() {
 		t.Errorf("index rows %d out of sync with table %d", ix.Len(), tab.Len())
 	}
+}
+
+// TestSetViewMatchesRows: the set view aliases the copy-on-write row slice,
+// so after any history of sealed inserts, single and batched deletes (victims
+// in canonical order, shuffled, duplicated, absent) and reseal cycles it must
+// equal the canonicalization of the rows, and the index must follow.
+func TestSetViewMatchesRows(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := NewTable("T", rowType())
+		if err := tab.CreateIndex("b"); err != nil {
+			t.Fatal(err)
+		}
+		live := map[int64]bool{}
+		key := func(a int64) value.Value { return row(a, fmt.Sprintf("k%d", a%7)) }
+		tab.Seal()
+		for step := 0; step < 300; step++ {
+			a := rng.Int63n(60)
+			switch op := rng.Intn(10); {
+			case op < 5:
+				added, err := tab.InsertSealed(key(a))
+				if err != nil || added == live[a] {
+					t.Fatalf("seed %d step %d: InsertSealed(%d) added=%v err=%v, present=%v", seed, step, a, added, err, live[a])
+				}
+				live[a] = true
+			case op < 7:
+				removed, err := tab.Delete(key(a))
+				if err != nil || removed != live[a] {
+					t.Fatalf("seed %d step %d: Delete(%d) removed=%v err=%v, present=%v", seed, step, a, removed, err, live[a])
+				}
+				delete(live, a)
+			case op < 9:
+				var victims []value.Value
+				want := 0
+				for _, r := range tab.Rows() {
+					if rng.Intn(4) == 0 {
+						victims = append(victims, r)
+						want++
+					}
+				}
+				victims = append(victims, row(-1, "absent"))
+				if op == 8 && len(victims) > 1 {
+					victims = append(victims, victims[0])
+					rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+				}
+				n, err := tab.DeleteRows(victims)
+				if err != nil || n != want {
+					t.Fatalf("seed %d step %d: DeleteRows removed %d (err %v), want %d", seed, step, n, err, want)
+				}
+				for _, v := range victims {
+					delete(live, v.MustGet("a").AsInt())
+				}
+			default:
+				tab.Unseal()
+				tab.MustInsert(key(a))
+				tab.Seal()
+				live[a] = true
+			}
+			rows := tab.Rows()
+			if len(rows) != len(live) || !value.Equal(tab.AsSet(), value.SetOf(rows...)) {
+				t.Fatalf("seed %d step %d: %d rows, %d live, set view equal to SetOf(rows)=%v",
+					seed, step, len(rows), len(live), value.Equal(tab.AsSet(), value.SetOf(rows...)))
+			}
+			if ix, _ := tab.Index("b"); ix.Len() != len(rows) {
+				t.Fatalf("seed %d step %d: index holds %d rows, table %d", seed, step, ix.Len(), len(rows))
+			}
+		}
+	}
+}
+
+// TestSetViewSnapshotStableUnderWriter: a set view taken before a write is
+// the same value after it — the writer copies, never edits, the slice the
+// view aliases. Run with -race: readers walk their snapshots while the writer
+// mutates.
+func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
+	tab := NewTable("T", rowType())
+	for i := 0; i < 500; i++ {
+		tab.MustInsert(row(int64(2*i), "v"))
+	}
+	tab.Seal()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := tab.AsSet()
+				want := value.Key(snap)
+				runtime.Gosched()
+				if value.Key(snap) != want || !value.Equal(snap, value.SetOf(snap.Elems()...)) {
+					t.Error("a set view changed under its reader")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := tab.InsertSealed(row(int64(2*i+1), "w")); err != nil {
+			t.Error(err)
+		}
+		if _, err := tab.DeleteRows([]value.Value{row(int64(2*i), "v"), row(int64(2*i+1), "w")}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

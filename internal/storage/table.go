@@ -7,18 +7,19 @@
 // Tables are mutable. The lifecycle is: bulk-load with Insert, Seal once, and
 // from then on either mutate in place with InsertSealed/Delete/DeleteWhere or
 // run an Unseal → bulk Insert → Seal cycle. Every mutation advances the
-// table's epoch, a monotonic counter that the statistics catalog and the
-// engine's plan cache use for per-table staleness: a cached artifact derived
-// at epoch e is valid exactly while the table still reports e.
+// table's data epoch, a monotonic counter; the statistics catalog measures
+// how far a table has drifted from its last collection by it.
 //
 // Concurrency: readers (scans, set views, index lookups) may run concurrently
-// with mutators. Sealed-table mutations replace the row slice and set view
-// (copy-on-write) instead of editing them, so a snapshot taken by an open
-// scan stays immutable while later mutations build new ones.
+// with mutators. Sealed-table mutations replace the row slice (copy-on-write:
+// one O(n) copy per write, no sort) instead of editing it, and the set view
+// is that same slice, so a snapshot taken by an open scan stays immutable
+// while later mutations build new ones.
 package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,10 +33,11 @@ type Table struct {
 	name string
 	elem *types.Type
 
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// rows is in canonical order and duplicate-free while sealed, and then
+	// never modified in place: AsSet aliases it.
 	rows   []value.Value
 	sealed bool
-	asSet  *value.Value // cached set view, valid while sealed
 	// epoch counts mutations (inserts, deletes, seal/unseal transitions).
 	epoch uint64
 	// indexes maps a canonical index name (IndexName of the ordered attribute
@@ -64,8 +66,8 @@ func (t *Table) ElemType() *types.Type { return t.elem }
 // Epoch returns the table's mutation epoch: a monotonically increasing
 // counter advanced by every successful Insert, InsertSealed, Delete,
 // DeleteWhere, Seal, and Unseal. Consumers caching anything derived from the
-// table's contents (statistics, plans) record the epoch at derivation time
-// and treat a differing current epoch as staleness.
+// table's contents record the epoch at derivation time; the difference to
+// the current epoch is the number of mutations since.
 func (t *Table) Epoch() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -105,10 +107,7 @@ func (t *Table) MustInsert(v value.Value) {
 }
 
 // Seal deduplicates (set semantics), sorts into the canonical order, freezes
-// the bulk-load path, materializes the set view, and (re)builds every
-// registered index. The set view is materialized here rather than lazily in
-// AsSet so that sealed snapshots are immutable — parallel join workers may
-// evaluate table references concurrently, and a lazy cache fill would race.
+// the bulk-load path, and (re)builds every registered index.
 //
 // Sorting and deduplication work on a fresh copy of the row slice: a snapshot
 // handed out by Rows before this Seal (e.g. to a query running concurrently
@@ -130,17 +129,14 @@ func (t *Table) Seal() {
 	}
 	t.rows = out
 	t.sealed = true
-	s := value.SetOf(t.rows...)
-	t.asSet = &s
 	t.epoch++
 	for name, ix := range t.indexes {
 		t.indexes[name] = t.buildIndexLocked(ix.Attrs())
 	}
 }
 
-// Unseal reopens the table for bulk loading: the set view and indexes go
-// stale (indexes are rebuilt by the next Seal) and the epoch advances, so
-// any plan or statistic derived from the sealed state invalidates.
+// Unseal reopens the table for bulk loading: the indexes go stale (they are
+// rebuilt by the next Seal) and the epoch advances.
 func (t *Table) Unseal() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -148,16 +144,14 @@ func (t *Table) Unseal() {
 		return
 	}
 	t.sealed = false
-	t.asSet = nil
 	t.epoch++
 }
 
 // InsertSealed inserts one tuple into a sealed table, maintaining the sorted
-// duplicate-free row order, the set view, and every registered index
-// incrementally. It reports whether the tuple was actually added (false for
-// a duplicate: set semantics make duplicate insertion a no-op). The row
-// slice and set view are replaced, not edited, so open scans keep a
-// consistent snapshot.
+// duplicate-free row order and every registered index incrementally. It
+// reports whether the tuple was actually added (false for a duplicate: set
+// semantics make duplicate insertion a no-op). The row slice is replaced,
+// not edited, so open scans keep a consistent snapshot.
 func (t *Table) InsertSealed(v value.Value) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -176,8 +170,6 @@ func (t *Table) InsertSealed(v value.Value) (bool, error) {
 	rows = append(rows, v)
 	rows = append(rows, t.rows[i:]...)
 	t.rows = rows
-	s := value.SetOf(rows...)
-	t.asSet = &s
 	t.epoch++
 	for _, ix := range t.indexes {
 		if !ix.Add(v) {
@@ -190,8 +182,7 @@ func (t *Table) InsertSealed(v value.Value) (bool, error) {
 }
 
 // Delete removes one tuple (by value equality) from a sealed table,
-// maintaining row order, set view, and indexes. It reports whether the tuple
-// was present.
+// maintaining row order and indexes. It reports whether the tuple was present.
 func (t *Table) Delete(v value.Value) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -202,7 +193,7 @@ func (t *Table) Delete(v value.Value) (bool, error) {
 	if i >= len(t.rows) || !value.Equal(t.rows[i], v) {
 		return false, nil
 	}
-	t.removeRowsLocked(map[int]bool{i: true})
+	t.removeRowsLocked([]int{i})
 	return true, nil
 }
 
@@ -210,68 +201,73 @@ func (t *Table) Delete(v value.Value) (bool, error) {
 // table in one batch — the entry point for callers that computed the victim
 // set from a snapshot (e.g. by evaluating a predicate that may itself read
 // this table, which must not run under the table's lock). Returns the number
-// of tuples actually present and removed.
+// of tuples actually present and removed. Victims in canonical order (a query
+// result's element order) are located by a search that only ever moves
+// forward; any other order costs one full binary search per victim.
 func (t *Table) DeleteRows(vs []value.Value) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.sealed {
 		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
 	}
-	victims := make(map[int]bool)
-	for _, v := range vs {
-		i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
-		if i < len(t.rows) && value.Equal(t.rows[i], v) {
-			victims[i] = true
+	victims := make([]int, 0, len(vs))
+	lo := 0
+	for k, v := range vs {
+		if k > 0 && !value.Less(vs[k-1], v) {
+			lo = 0
+		}
+		i, found := slices.BinarySearchFunc(t.rows[lo:], v, value.Compare)
+		if lo += i; found {
+			victims = append(victims, lo)
 		}
 	}
-	if len(victims) == 0 {
-		return 0, nil
+	if !slices.IsSorted(victims) {
+		slices.Sort(victims)
 	}
+	victims = slices.Compact(victims)
 	t.removeRowsLocked(victims)
 	return len(victims), nil
 }
 
 // DeleteWhere removes every tuple of a sealed table for which pred returns
-// true, returning the number removed. Mutation bookkeeping (epoch, set view,
-// indexes) is paid once for the whole batch. pred runs under the table's
-// lock: it must be a pure function of the row and must not read this table
-// (or any table, transitively) through the database.
+// true, returning the number removed. Mutation bookkeeping (epoch, indexes)
+// is paid once for the whole batch. pred runs under the table's lock: it must
+// be a pure function of the row and must not read this table (or any table,
+// transitively) through the database.
 func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.sealed {
 		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
 	}
-	victims := make(map[int]bool)
+	var victims []int
 	for i, r := range t.rows {
 		if pred(r) {
-			victims[i] = true
+			victims = append(victims, i)
 		}
-	}
-	if len(victims) == 0 {
-		return 0, nil
 	}
 	t.removeRowsLocked(victims)
 	return len(victims), nil
 }
 
-// removeRowsLocked drops the rows at the given indices (copy-on-write),
-// refreshes the set view, removes the victims from every index, and advances
-// the epoch. Caller holds the write lock on a sealed table.
-func (t *Table) removeRowsLocked(victims map[int]bool) {
-	rows := make([]value.Value, 0, len(t.rows)-len(victims))
-	for i, r := range t.rows {
-		if victims[i] {
-			for _, ix := range t.indexes {
-				ix.Remove(r)
-			}
-			continue
-		}
-		rows = append(rows, r)
+// removeRowsLocked drops the rows at the given strictly ascending positions:
+// the surviving runs between victims are copied into a fresh slice
+// (copy-on-write), the victims leave every index, and the epoch advances. No
+// victims, no mutation. Caller holds the write lock on a sealed table.
+func (t *Table) removeRowsLocked(victims []int) {
+	if len(victims) == 0 {
+		return
 	}
-	t.rows = rows
-	s := value.SetOf(rows...)
-	t.asSet = &s
+	rows := make([]value.Value, 0, len(t.rows)-len(victims))
+	from := 0
+	for _, i := range victims {
+		for _, ix := range t.indexes {
+			ix.Remove(t.rows[i])
+		}
+		rows = append(rows, t.rows[from:i]...)
+		from = i + 1
+	}
+	t.rows = append(rows, t.rows[from:]...)
 	t.epoch++
 }
 
@@ -292,16 +288,20 @@ func (t *Table) Rows() []value.Value {
 }
 
 // AsSet returns the table contents as a TM set value (used by the naive
-// evaluator, where a table reference is simply a set-valued constant). The
-// view is maintained while the table is sealed, so repeated correlated
-// re-evaluation does not pay the canonicalization again.
+// evaluator, where a table reference is simply a set-valued constant). A
+// sealed table's rows are already canonical and never modified in place, so
+// the view is the row snapshot itself; an unsealed table canonicalizes a copy.
 func (t *Table) AsSet() value.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.sealed {
-		return *t.asSet
+		return value.CanonicalSet(t.rows)
 	}
-	return value.SetOf(t.rows...)
+	b := value.NewSetBuilder(len(t.rows))
+	for _, r := range t.rows {
+		b.Add(r)
+	}
+	return b.Build()
 }
 
 // --- Per-table index registry ---

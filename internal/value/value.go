@@ -138,6 +138,13 @@ func setFromOwned(es []Value) Value {
 	return Value{kind: KindSet, elems: out}
 }
 
+// CanonicalSet wraps es as a set without copying or sorting. The caller
+// vouches that es is already in canonical order (strictly ascending under
+// Compare, hence duplicate-free) and is never modified again: the set
+// aliases the slice. Storage uses it to hand out a sealed table's
+// copy-on-write row slice as its set view; anything else wants SetOf.
+func CanonicalSet(es []Value) Value { return Value{kind: KindSet, elems: es} }
+
 // EmptySet is the empty set value — in TM the empty set is part of the model,
 // which is precisely why the nest join needs no NULLs.
 var EmptySet = Value{kind: KindSet}

@@ -48,14 +48,17 @@
 //     decide, n > 0 pins batches of n, negative pins rows); results are
 //     byte-identical to the row engine and EXPLAIN annotates batched
 //     operators with [batch=n];
-//   - mutable storage with per-table invalidation: tables are bulk-loaded,
-//     sealed, and then mutated in place (Engine.Insert / Engine.Delete /
-//     Engine.InsertValue / Engine.DeleteValue, or the storage-level
-//     InsertSealed / Delete / DeleteWhere / Unseal→reseal cycle). Every
-//     mutation advances the table's epoch; statistics recollect lazily for
-//     exactly the mutated table, and cached plans carry the epoch vector of
-//     the tables they read, so a mutation invalidates the plans and
-//     statistics of that table — and only that table;
+//   - mutable storage whose writes cost what they change: tables are
+//     bulk-loaded, sealed, and then mutated in place (Engine.Insert /
+//     Engine.Delete / Engine.InsertValue / Engine.DeleteValue, or the
+//     storage-level InsertSealed / Delete / DeleteWhere / Unseal→reseal
+//     cycle). A write copies the table's row slice once and advances its
+//     data epoch; it rescans no statistics and discards no plan. Statistics
+//     only steer cost — every plan returns the same answer — so they may
+//     drift: a table is recollected once a tenth of its cardinality has
+//     changed since (per table; Engine.Analyze forces it exact);
+//     Engine.Delete runs its predicate as a planned query, so an index
+//     covering it is used;
 //   - persistent secondary indexes: Engine.CreateIndex registers a hash
 //     index on an ordered attribute list — one attribute for the classic
 //     equi-key index, several for a composite index whose every prefix is
@@ -72,11 +75,14 @@
 //     an index under concurrent queries never fails them — affected
 //     cached plans are swept and recompile against the shrunken registry;
 //   - a bounded per-engine plan cache memoizing (bound query, options,
-//     table epochs) → physical plan with LRU eviction (default capacity
-//     256, see Engine.SetPlanCacheCapacity), so repeated queries skip
-//     translation and candidate enumeration; mutations invalidate per
-//     table (epoch mismatch + sweep), Engine.PlanCacheStats reports hits,
-//     misses, evictions, and invalidations;
+//     statistics generations) → physical plan with LRU eviction (default
+//     capacity 256, see Engine.SetPlanCacheCapacity), so repeated queries
+//     skip translation and candidate enumeration, also across writes: a
+//     query replans when the statistics of a table it reads were
+//     recollected (drift past the bound, or Analyze) and when an index or
+//     table it reads is created or dropped (a per-table sweep);
+//     Engine.PlanCacheStats reports hits, misses, evictions, and
+//     invalidations;
 //   - end-to-end cancellation and resource governance: context-observing
 //     APIs (Engine.QueryContext, Prepared.QueryContext), per-query
 //     wall-clock deadlines and row / build-byte budgets (Options.Limits)
