@@ -1,10 +1,12 @@
 // Benchmarks regenerating the paper's performance claims, one group per
-// experiment in EXPERIMENTS.md. Run with:
+// experiment listed by `go run ./cmd/repro -list`. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // Absolute numbers are machine-dependent; the claims are about shape: who
-// wins, by roughly what factor, and how gaps scale with input size.
+// wins, by roughly what factor, and how gaps scale with input size. These are
+// developer tools and gate nothing; performance claims are judged by
+// `bash bench/run.sh` against BENCHMARK.json (see BENCHMARKS.md).
 package tmdb_test
 
 import (
@@ -242,8 +244,8 @@ func BenchmarkB4ParallelNestJoin(b *testing.B) {
 // of the probe rows in one hash partition, so the partition-dedicated runtime
 // (NoSteal) serializes on the hot partition while the work-stealing scheduler
 // lets idle workers drain it. Both modes are byte-identical; stealing must
-// clear 1.3× NoSteal at n=2000 on a multi-core host (gated via cmd/benchdiff,
-// demonstrated by `go run ./cmd/repro -exp B10`). ---
+// clear 1.3× NoSteal at n=2000 on a multi-core host (demonstrated by
+// `go run ./cmd/repro -exp B10`). ---
 
 func BenchmarkB10MorselSkew(b *testing.B) {
 	const q = `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
@@ -283,8 +285,8 @@ func BenchmarkB10MorselSkew(b *testing.B) {
 // --- B9: vectorized batch pipeline — the same scan→filter→hash-join→project
 // plan executed row-at-a-time, at fixed batch sizes, and under the auto
 // (cost-chosen) protocol. The gap is per-tuple iterator dispatch plus
-// governor polling; batch must clear 1.5× row throughput at n=2000 (gated
-// via cmd/benchdiff, demonstrated by `go run ./cmd/repro -exp B9`). ---
+// governor polling; batch must clear 1.5× row throughput at n=2000
+// (demonstrated by `go run ./cmd/repro -exp B9`). ---
 
 func BenchmarkB9BatchPipeline(b *testing.B) {
 	const q = `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`

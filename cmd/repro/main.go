@@ -1,18 +1,14 @@
 // Command repro regenerates every table and figure of the paper
 // "Optimization of Nested Queries in a Complex Object Model" (EDBT 1994)
-// plus the performance experiments derived from its claims; see
-// EXPERIMENTS.md for the index.
+// plus the performance experiments derived from its claims; run
+// `go run ./cmd/repro -list` for the index.
 //
 // Usage:
 //
 //	repro            # run the full suite
-//	repro -exp T1    # run one experiment (T1 T2 Q12 CB SB S8 EQ B1..B5)
+//	repro -exp T1    # run one experiment (T1 T2 Q12 CB SB S8 EQ B1..B5 B9 B10)
 //	repro -quick     # smaller workloads (CI-sized)
 //	repro -list      # list experiments
-//	repro -parbench BENCH_parallel.json
-//	                 # measure serial vs parallel hash joins over B1–B5 and
-//	                 # write the JSON artifact (-parbench-quick shrinks,
-//	                 # -parbench-par sets the degree)
 package main
 
 import (
@@ -26,22 +22,11 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("exp", "", "experiment id to run (default: all)")
-		quick    = flag.Bool("quick", false, "use CI-sized workloads")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		parbench = flag.String("parbench", "", "write the serial-vs-parallel B-series report to this JSON file and exit")
-		parQuick = flag.Bool("parbench-quick", false, "CI-sized parallel bench workloads")
-		parDeg   = flag.Int("parbench-par", 0, "parallel degree for -parbench (0 = max(GOMAXPROCS, 4))")
+		expID = flag.String("exp", "", "experiment id to run (default: all)")
+		quick = flag.Bool("quick", false, "use CI-sized workloads")
+		list  = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
-
-	if *parbench != "" {
-		if err := runParBench(*parbench, *parQuick, *parDeg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	exps := benchkit.All()
 	if *list {
@@ -66,24 +51,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expID)
 		os.Exit(2)
 	}
-}
-
-// runParBench measures the B-series serial vs parallel and writes the JSON
-// artifact, echoing the human-readable table to stdout.
-func runParBench(path string, quick bool, par int) error {
-	report, err := benchkit.RunParallelBench(quick, par)
-	if err != nil {
-		return err
-	}
-	report.Print(os.Stdout)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
 }

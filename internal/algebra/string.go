@@ -6,7 +6,7 @@ import (
 
 // Explain renders a plan tree as an indented multi-line string, one operator
 // per line, children indented below their parent — the format printed by
-// `tmql -explain` and by EXPERIMENTS.md plan listings.
+// `tmql -explain` and by cmd/repro's plan listings.
 func Explain(p Plan) string {
 	var sb strings.Builder
 	explain(&sb, p, 0)

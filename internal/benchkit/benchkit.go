@@ -1,5 +1,5 @@
-// Package benchkit is the experiment harness behind cmd/repro and the
-// repository benchmarks: it runs queries under the four strategies over
+// Package benchkit is the experiment harness behind cmd/repro, the paper
+// reproduction: it runs queries under the four strategies over
 // parameterized workloads, measures wall-clock time and machine-independent
 // evaluation steps, checks answers against the naive oracle, and prints
 // aligned tables in the style of the paper's artifacts.

@@ -1,9 +1,9 @@
 // Package exec implements the physical operators executing the algebra of
-// internal/algebra: Volcano-style iterators for scan, filter, map, sort,
-// distinct, set operations, the flat join family (nested-loop, hash, and
-// sort-merge variants; inner, semi, anti, and left-outer), the restructuring
-// operators ν / ν* / μ, and three implementations of the paper's nest join
-// (nested-loop, hash, sort-merge).
+// internal/algebra: Volcano-style iterators for scan, filter, map, distinct,
+// set operations, the flat join family (nested-loop, hash, and index
+// variants; inner, semi, anti, and left-outer), the restructuring operators
+// ν / ν* / μ, and the paper's nest join (nested-loop, hash, sort-merge, and
+// index implementations).
 //
 // As §6 ("Implementation") prescribes, the nest join implementations are
 // simple modifications of the corresponding join methods with two

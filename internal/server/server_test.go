@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/engine"
 	"tmdb/internal/enginetest"
@@ -393,15 +396,39 @@ func TestShutdownContextExpiry(t *testing.T) {
 }
 
 // TestServerConcurrentMixedLoad exercises the whole API surface from many
-// goroutines at once — run under -race this is the server-side half of the
+// goroutines at once — reads, prepared execution, EXPLAIN, /stats, inserts and
+// deletes on Y, index create/drop churn on X(b) under queries that want that
+// index, and per-request option overrides that give one text distinct
+// plan-cache keys. Run under -race this is the server-side half of the
 // concurrency sweep.
 func TestServerConcurrentMixedLoad(t *testing.T) {
 	srv, hs := newTestServer(t, Config{MaxConcurrency: 4, QueueTimeout: 5 * time.Second})
-	const workers = 8
+	const workers, cases = 8, 9
 	iters := 15
 	if testing.Short() {
 		iters = 5
 	}
+	// X is never written, so its point answer is fixed: every override and
+	// the final auto-planned read must match naive evaluation byte for byte.
+	const point = `SELECT x FROM X x WHERE x.b = 3`
+	naive, err := srv.Engine().Query(point, engine.Options{Strategy: core.StrategyNaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := json.Marshal(naive.Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overrides := []WireOptions{
+		{Strategy: "nestjoin"}, {Joins: "nl"}, {BatchSize: -1}, {BatchSize: 256}, {Access: "scan"},
+	}
+	probe := NewClient(hs.URL, hs.Client())
+	before, err := probe.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var seq, live atomic.Int64 // $SEQ source for distinct Y rows; rows inserted and not yet deleted
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for g := 0; g < workers; g++ {
@@ -418,28 +445,67 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 				errs <- err
 				return
 			}
+			var mine []int64 // this worker's inserted, undeleted rows' a values
+			// Starting each worker at its own case covers every case per run
+			// even in -short mode.
 			for i := 0; i < iters; i++ {
-				switch i % 4 {
+				var err error
+				switch k := (gid + i) % cases; k {
 				case 0:
-					if _, err := c.Query(`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, nil); err != nil {
-						errs <- err
-						return
-					}
+					_, err = c.Query(`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, nil)
 				case 1:
-					if _, err := c.Execute(name, nil); err != nil {
-						errs <- err
-						return
-					}
+					_, err = c.Execute(name, nil)
 				case 2:
-					if _, err := c.Explain(`SELECT y.a FROM Y y WHERE y.b = 3`, "", nil); err != nil {
-						errs <- err
-						return
-					}
+					_, err = c.Explain(`SELECT y.a FROM Y y WHERE y.b = 3`, "", nil)
 				case 3:
-					if _, err := c.Stats(); err != nil {
-						errs <- err
-						return
+					_, err = c.Stats()
+				case 4:
+					a := 1_000_000 + seq.Add(1)
+					var added bool
+					if added, err = c.Insert("Y", fmt.Sprintf("(a = %d, b = 7, c = {1}, d = 424242)", a)); err == nil && !added {
+						err = fmt.Errorf("insert of distinct row a=%d reported added=false", a)
 					}
+					if added {
+						mine = append(mine, a)
+						live.Add(1)
+					}
+				case 5:
+					a, want := 1_000_000+seq.Add(1), 0 // a row nobody inserted
+					if len(mine) > 0 {
+						a, mine, want = mine[0], mine[1:], 1
+					}
+					var n int
+					if n, err = c.Delete("Y", "y", fmt.Sprintf("y.a = %d", a)); err == nil && n != want {
+						err = fmt.Errorf("delete of y.a = %d removed %d rows, want %d", a, n, want)
+					}
+					live.Add(-int64(n))
+				case 6, 7:
+					if k == 6 {
+						err = c.CreateIndex("X", "b")
+					} else {
+						err = c.DropIndex("X", "b")
+					}
+					// Creating an existing index is a no-op; a racing drop may
+					// find the index already gone, and only that is allowed.
+					var se *ServerError
+					if errors.As(err, &se) && se.Code == "query_error" && strings.Contains(se.Message, "no index") {
+						err = nil
+					}
+				case 8:
+					for _, opts := range overrides {
+						var resp *QueryResponse
+						if resp, err = c.Query(point, &opts); err != nil {
+							break
+						}
+						if !bytes.Equal(resp.Result, oracle) {
+							err = fmt.Errorf("%+v: result diverged from naive:\n  got:  %s\n  want: %s", opts, resp.Result, oracle)
+							break
+						}
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("worker %d iter %d: %w", gid, i, err)
+					return
 				}
 			}
 			errs <- c.CloseSession()
@@ -454,5 +520,27 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 	}
 	if got := srv.InFlight(); got != 0 {
 		t.Fatalf("in-flight after load = %d", got)
+	}
+	after, err := probe.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Inserts == before.Inserts || after.Deletes == before.Deletes ||
+		after.IndexCreates+after.IndexDrops == before.IndexCreates+before.IndexDrops {
+		t.Errorf("/stats delta misses the load's writes: before %+v, after %+v", before, after)
+	}
+	final, err := probe.Query(point, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(final.Result, oracle) {
+		t.Errorf("final %s diverged from naive:\n  got:  %s\n  want: %s", point, final.Result, oracle)
+	}
+	ys, err := probe.Query(`SELECT y.a FROM Y y WHERE y.d = 424242`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(ys.Rows) != live.Load() {
+		t.Errorf("Y holds %d inserted rows after the load, want %d (inserted minus deleted)", ys.Rows, live.Load())
 	}
 }

@@ -100,8 +100,8 @@
 //	res, err := eng.Query(`SELECT d.name FROM DEPT d`, tmdb.Options{})
 //	fmt.Println(res.Value)
 //
-// See examples/ for complete programs and EXPERIMENTS.md for the paper
-// reproduction.
+// See examples/ for complete programs and `go run ./cmd/repro -list` for the
+// paper reproduction.
 package tmdb
 
 import (
