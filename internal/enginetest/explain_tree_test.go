@@ -38,7 +38,6 @@ func operator(op any) any {
 // chain has no operators of its own).
 func explainedAs(n algebra.Plan, op any, spec planner.PhysicalSpec) (desc string, kids []any, err error) {
 	batch := fmt.Sprintf("[batch=%d]", spec.Batch)
-	par := fmt.Sprintf("[%d]", spec.Degree)
 	d := n.Describe()
 	switch o := operator(op).(type) {
 	case *exec.TableScan:
@@ -66,32 +65,15 @@ func explainedAs(n algebra.Plan, op any, spec planner.PhysicalSpec) (desc string
 	case *exec.NLJoin:
 		return "NL" + d, []any{o.L, o.R}, nil
 	case *exec.HashJoin:
-		return "Hash" + d, []any{o.L, o.R}, nil
-	case *exec.BatchHashJoin:
-		return "Hash" + d + batch, []any{o.L, o.R}, nil
-	case *exec.ParHashJoin:
-		desc = "ParHash" + d + par
-		if spec.Batch > 0 {
-			desc += batch
-		}
-		return desc, []any{o.L, o.R}, nil
+		return hashName(d, o.Degree, spec), []any{o.L, o.R}, nil
 	case *exec.IndexJoin:
 		return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), []any{o.L, nil}, nil
 	case *exec.NLNestJoin:
 		return "NL" + d, []any{o.L, o.R}, nil
 	case *exec.HashNestJoin:
-		return "Hash" + d, []any{o.L, o.R}, nil
+		return hashName(d, o.Degree, spec), []any{o.L, o.R}, nil
 	case *exec.MergeNestJoin:
-		if spec.Batch > 0 {
-			return "Merge" + d, []any{o.BL, o.BR}, nil
-		}
 		return "Merge" + d, []any{o.L, o.R}, nil
-	case *exec.ParHashNestJoin:
-		desc = "ParHash" + d + par
-		if spec.Batch > 0 {
-			desc += batch
-		}
-		return desc, []any{o.L, o.R}, nil
 	case *exec.IndexNestJoin:
 		return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), []any{o.L, nil}, nil
 	case *exec.NestIter:
@@ -103,6 +85,19 @@ func explainedAs(n algebra.Plan, op any, spec planner.PhysicalSpec) (desc string
 	default:
 		return "", nil, fmt.Errorf("no EXPLAIN name for operator %T", o)
 	}
+}
+
+// hashName is the EXPLAIN name of a hash-family operator compiled at the
+// given degree: partitioned from degree 2, batch-native in every batched plan.
+func hashName(d string, degree int, spec planner.PhysicalSpec) string {
+	name := "Hash" + d
+	if degree >= 2 {
+		name = fmt.Sprintf("ParHash%s[%d]", d, degree)
+	}
+	if spec.Batch > 0 {
+		name += fmt.Sprintf("[batch=%d]", spec.Batch)
+	}
+	return name
 }
 
 // indexScanLeaf descends the chain compileIndexScan rebuilds above the

@@ -52,10 +52,10 @@ func NormalizeBatchSize(n int) int {
 }
 
 // Batch carries up to one batch size worth of rows plus a columnar scratch
-// arena for their encoded keys (filled on demand by encodeKeys, reusing the
-// value.AppendKey encoding the hash join family keys on). The arena is
-// columnar in the sense that all key bytes live in one contiguous buffer
-// delimited by offsets, not one allocation per row.
+// arena for their encoded keys (filled on demand by encodeKeys, or row by row
+// by the exchange's add, in the value.AppendKey encoding the hash join family
+// keys on). The arena is columnar in the sense that all key bytes live in one
+// contiguous buffer delimited by offsets, not one allocation per row.
 type Batch struct {
 	Rows []value.Value
 	keys []byte
@@ -74,6 +74,16 @@ func (b *Batch) reset() {
 
 // Key returns row i's encoded key bytes; valid only after encodeKeys.
 func (b *Batch) Key(i int) []byte { return b.keys[b.offs[i]:b.offs[i+1]] }
+
+// add appends row v with its encoded key.
+func (b *Batch) add(v value.Value, key []byte) {
+	if len(b.offs) == 0 {
+		b.offs = append(b.offs, 0)
+	}
+	b.Rows = append(b.Rows, v)
+	b.keys = append(b.keys, key...)
+	b.offs = append(b.offs, uint32(len(b.keys)))
+}
 
 // encodeKeys fills the key arena with every row's encoded key. The encoder's
 // scratch state and the batch arena are both reused across batches, so a
@@ -111,8 +121,9 @@ func (c *Ctx) checkBatch() error {
 }
 
 // RowsToBatch adapts a row iterator to the batch protocol, buffering up to
-// Size rows per batch. It is how cold operators (sorts, set operations,
-// merge/NL joins) participate in batched plans.
+// Size rows per batch. It is how row operators (set operations, nest and
+// unnest, NL and index joins) feed batch-native ones, in batched and row plans
+// alike.
 type RowsToBatch struct {
 	It   Iterator
 	Size int

@@ -157,6 +157,8 @@ func (p *rowPredicate) eval(row value.Value) (bool, error) {
 }
 
 // pairPredicate is rowPredicate over two variables — the join residual form.
+// It is a value so an operator can hold one without allocating when there is
+// no residual.
 type pairPredicate struct {
 	c          *Ctx
 	pred       tmql.Expr
@@ -164,8 +166,8 @@ type pairPredicate struct {
 	envL, envR *eval.Env // envR is the head of the chain, envL its tail node
 }
 
-func newPairPredicate(c *Ctx, pred tmql.Expr, lvar, rvar string) *pairPredicate {
-	p := &pairPredicate{c: c, pred: pred}
+func newPairPredicate(c *Ctx, pred tmql.Expr, lvar, rvar string) pairPredicate {
+	p := pairPredicate{c: c, pred: pred}
 	if pred == nil {
 		return p
 	}
@@ -186,6 +188,22 @@ func (p *pairPredicate) eval(l, r value.Value) (bool, error) {
 	p.envL.Rebind(l)
 	p.envR.Rebind(r)
 	return p.c.evalPred(p.pred, p.envR)
+}
+
+// any reports whether some row of bucket passes the predicate against l: the
+// semi and anti joins' early-out probe. With no predicate, bucket membership
+// already answers it.
+func (p *pairPredicate) any(l value.Value, bucket []value.Value) (bool, error) {
+	if p.pred == nil {
+		return len(bucket) > 0, nil
+	}
+	for _, r := range bucket {
+		ok, err := p.eval(l, r)
+		if err != nil || ok {
+			return ok, err
+		}
+	}
+	return false, nil
 }
 
 // rowProjector evaluates a Map output expression per row: compiled for
@@ -248,9 +266,9 @@ func (p *rowProjector) eval(row value.Value) (value.Value, error) {
 // keyEncoder appends the encoded join/partition key of a row onto a caller
 // scratch buffer: compiled extractors when every key expression is in the
 // scalar subset, generic evaluation under a reused environment otherwise.
-// countSteps forces the generic path — the parallel exchange uses it so
-// serial and parallel row plans report identical EvalSteps, a property the
-// parallelism tests pin. Not safe for concurrent use; fork per worker.
+// value.AppendKey encodings are self-delimiting, so the concatenation is
+// injective for a fixed key arity — two rows produce identical bytes iff
+// their key tuples are Equal. Not safe for concurrent use; fork per worker.
 type keyEncoder struct {
 	c        *Ctx
 	keys     []tmql.Expr
@@ -258,17 +276,13 @@ type keyEncoder struct {
 	env      *eval.Env
 }
 
-func newKeyEncoder(c *Ctx, keys []tmql.Expr, varName string, countSteps bool) *keyEncoder {
-	enc := &keyEncoder{c: c, keys: keys}
-	if !countSteps {
-		compiled := make([]scalar2, len(keys))
-		for i, k := range keys {
-			if compiled[i] = compileScalar2(k, varName, ""); compiled[i] == nil {
-				compiled = nil
-				break
-			}
+func newKeyEncoder(c *Ctx, keys []tmql.Expr, varName string) *keyEncoder {
+	enc := &keyEncoder{c: c, keys: keys, compiled: make([]scalar2, len(keys))}
+	for i, k := range keys {
+		if enc.compiled[i] = compileScalar2(k, varName, ""); enc.compiled[i] == nil {
+			enc.compiled = nil
+			break
 		}
-		enc.compiled = compiled
 	}
 	if enc.compiled == nil {
 		enc.env = env1(varName, value.Value{})
@@ -277,7 +291,7 @@ func newKeyEncoder(c *Ctx, keys []tmql.Expr, varName string, countSteps bool) *k
 }
 
 // appendKey appends row's encoded key onto buf and returns the extended
-// slice, exactly as appendRowKey does for the row engine.
+// slice.
 func (e *keyEncoder) appendKey(buf []byte, row value.Value) ([]byte, error) {
 	if e.compiled != nil {
 		for _, s := range e.compiled {

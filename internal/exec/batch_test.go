@@ -3,12 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
-	"tmdb/internal/algebra"
 	"tmdb/internal/tmql"
-	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
 
@@ -81,76 +78,6 @@ func TestBatchPipelineMatchesRow(t *testing.T) {
 	}
 }
 
-// TestBatchHashJoinMatchesRow runs every flat join kind, with and without
-// residuals (compiled and generic), at every batch size.
-func TestBatchHashJoinMatchesRow(t *testing.T) {
-	residuals := map[string]tmql.Expr{
-		"nil": nil,
-		// In the compiled subset: field-vs-field comparison.
-		"compiled": pred("x.v <= y.w"),
-		// Arithmetic forces generic residual evaluation.
-		"generic": pred("x.v <= y.w + 250"),
-	}
-	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter} {
-		for rname, residual := range residuals {
-			for _, n := range []int{0, 7, 500} {
-				l, r := genRows(n, 13, "k", "v"), genRows(n/2, 7, "j", "w")
-				ctx := NewCtx(nil)
-				serial := &HashJoin{
-					Ctx: ctx, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-					LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-					Residual: residual, RElem: relem,
-				}
-				want := collect(t, serial)
-				for _, size := range batchSizes {
-					name := fmt.Sprintf("%s/%s/n=%d/size=%d", kind, rname, n, size)
-					bctx := NewCtx(nil)
-					bj := &BatchHashJoin{
-						Ctx: bctx, Kind: kind,
-						L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
-						LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-						Residual: residual, RElem: relem,
-					}
-					got := collectBatches(t, bj)
-					if !value.Equal(got, want) {
-						t.Errorf("%s: batch join differs from row:\nwant %s\ngot  %s", name, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParHashJoinBatchedInputs feeds the exchange batch-native inputs and
-// streams the output via NextBatch, asserting equality with the serial row
-// join.
-func TestParHashJoinBatchedInputs(t *testing.T) {
-	l, r := genRows(600, 13, "k", "v"), genRows(300, 7, "j", "w")
-	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	ctx := NewCtx(nil)
-	serial := &HashJoin{
-		Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-		RElem: relem,
-	}
-	want := collect(t, serial)
-	for _, size := range batchSizes {
-		for _, degree := range []int{2, 4} {
-			par := &ParHashJoin{
-				Ctx: NewCtx(nil), Kind: algebra.JoinInner,
-				L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
-				LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-				RElem: relem, Degree: degree, BatchSize: size,
-			}
-			got := collectBatches(t, par)
-			if !value.Equal(got, want) {
-				t.Errorf("size=%d/p=%d: batched parallel join differs:\nwant %s\ngot  %s", size, degree, want, got)
-			}
-		}
-	}
-}
-
 // TestCompiledPredicateErrorsMatchGeneric pins error parity: a predicate
 // whose field selection fails must produce the evaluator's exact error
 // whether it ran compiled or generic.
@@ -185,28 +112,21 @@ func TestBatchDistinctIdentity(t *testing.T) {
 }
 
 // mergeSelfJoin is a merge nest join of rows with itself on x.k = y.k, its
-// sorted runs built from row inputs (size 0) or from batches of size rows —
-// the two builds of the sorted-run helpers the merge joins share.
+// sorted runs built from batches of size rows.
 func mergeSelfJoin(ctx *Ctx, rows []value.Value, size int) *MergeNestJoin {
-	j := &MergeNestJoin{
-		Ctx: ctx, LVar: "x", RVar: "y",
-		LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
+	return &MergeNestJoin{
+		Ctx: ctx, L: &BatchSliceScan{Rows: rows, Size: size}, R: &BatchSliceScan{Rows: rows, Size: size},
+		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
 		Fn: pred("y.v"), Label: "g",
 	}
-	if size > 0 {
-		j.BL, j.BR = &BatchSliceScan{Rows: rows, Size: size}, &BatchSliceScan{Rows: rows, Size: size}
-	} else {
-		j.L, j.R = &SliceScan{Rows: rows}, &SliceScan{Rows: rows}
-	}
-	return j
 }
 
-// TestSortBatchBuildMatchesRow drains the merge nest join through its
-// batch-native sorted-run build at every batch size and asserts the emitted
-// sequence — not just the set — is byte-identical to the row build's.
-func TestSortBatchBuildMatchesRow(t *testing.T) {
+// TestSortedRunBatchSizes drains the merge nest join at every batch size and
+// asserts the emitted sequence — not just the set — is byte-identical to the
+// single-row-batch build's: the sorted runs do not depend on batching.
+func TestSortedRunBatchSizes(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
-	want, err := Drain(mergeSelfJoin(NewCtx(nil), rows, 0))
+	want, err := Drain(mergeSelfJoin(NewCtx(nil), rows, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +140,18 @@ func TestSortBatchBuildMatchesRow(t *testing.T) {
 		}
 		for i := range want {
 			if value.Key(got[i]) != value.Key(want[i]) {
-				t.Fatalf("size=%d: row %d differs from row build", size, i)
+				t.Fatalf("size=%d: row %d differs from the size-1 build", size, i)
 			}
 		}
 	}
 }
 
-// TestSortBatchBuildBudget pins the batched sorted-run build's governance:
-// the flat per-row build charge is still accounted (summed per batch), so a
-// build budget trips exactly as it does on the row path.
+// TestSortBatchBuildBudget pins the sorted-run build's governance: the flat
+// per-row build charge is accounted (summed per batch), so a build budget
+// trips at any batch size.
 func TestSortBatchBuildBudget(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
-	for _, size := range []int{0, 64} {
+	for _, size := range []int{1, 64} {
 		gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
 		_, err := Drain(mergeSelfJoin(NewCtxGoverned(nil, gov), rows, size))
 		var be *BudgetError
@@ -241,26 +161,25 @@ func TestSortBatchBuildBudget(t *testing.T) {
 	}
 }
 
-// TestMergeNestJoinBatchedInputs builds the merge nest join's sorted runs
-// from batch inputs (BL/BR) at every batch size and asserts byte-identity
-// with the row-input build, with and without a residual.
-func TestMergeNestJoinBatchedInputs(t *testing.T) {
+// TestMergeNestJoinMatchesNL builds the merge nest join's sorted runs at
+// every batch size and asserts byte-identity with the nested-loop nest
+// join, with and without a residual.
+func TestMergeNestJoinMatchesNL(t *testing.T) {
 	l, r := genRows(400, 13, "k", "v"), genRows(200, 7, "j", "w")
 	lk, rk := []tmql.Expr{pred("x.k")}, []tmql.Expr{pred("y.j")}
 	for rname, residual := range map[string]tmql.Expr{"nil": nil, "residual": pred("x.v <= y.w")} {
-		want := collect(t, &MergeNestJoin{
+		want := collect(t, &NLNestJoin{
 			Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk,
-			Residual: residual, Fn: pred("y"), Label: "g",
+			LVar: "x", RVar: "y", Pred: joinPred("x.k = y.j", residual), Fn: pred("y"), Label: "g",
 		})
 		for _, size := range batchSizes {
 			got := collect(t, &MergeNestJoin{
-				Ctx: NewCtx(nil), BL: &BatchSliceScan{Rows: l, Size: size}, BR: &BatchSliceScan{Rows: r, Size: size},
+				Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk,
 				Residual: residual, Fn: pred("y"), Label: "g",
 			})
 			if value.Key(got) != value.Key(want) {
-				t.Errorf("%s/size=%d: batched merge nest join differs:\nwant %s\ngot  %s", rname, size, want, got)
+				t.Errorf("%s/size=%d: merge nest join differs from nested loops:\nwant %s\ngot  %s", rname, size, want, got)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/faultinject"
-	"tmdb/internal/tmql"
 )
 
 // waitGoroutines polls until the goroutine count returns to (roughly) base,
@@ -39,161 +38,120 @@ func slowPoint(point string) func() {
 	})
 }
 
-// TestParHashJoinCancellation cancels ParHashJoin mid-build and mid-probe at
-// degrees 2 and 8: the workers must observe the cancellation, drain, and exit
-// without leaking goroutines, Collect must surface ErrCanceled, and an
-// identical query afterwards (faults off) must be byte-identical to the
-// serial oracle.
-func TestParHashJoinCancellation(t *testing.T) {
-	l, r := genRows(2000, 13, "k", "v"), genRows(1000, 7, "j", "w")
-	serial, _ := parJoinPair(NewCtx(nil), algebra.JoinInner, l, r, nil, 0)
-	want := collect(t, serial).String()
+// cancelDegrees are the degrees the hash family's cancellation, budget and
+// fault cases run at: one table, and partitioned.
+var cancelDegrees = []int{1, 4}
 
-	phases := []struct{ name, point string }{
-		{"build", faultinject.PointHashBuild},
-		{"probe", faultinject.PointHashProbe},
+// cancelMidRun runs the join built by mk under a governor, cancels it 20ms
+// in while the fault point slows every row by 1ms, and asserts that Collect
+// surfaces ErrCanceled within 5s, that no worker goroutine outlives it, and
+// that a rerun with faults off matches the oracle want.
+func cancelMidRun(t *testing.T, point, want string, mk func(ctx *Ctx) BatchIterator) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	deactivate := slowPoint(point)
+	defer deactivate()
+
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gov := NewGovernor(cctx, Limits{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := CollectBatchesGoverned(gov, mk(NewCtxGoverned(nil, gov)))
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("want ErrCanceled, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancellation did not interrupt the join within 5s")
 	}
-	for _, ph := range phases {
-		for _, degree := range []int{2, 8} {
+	deactivate()
+	waitGoroutines(t, base)
+
+	if got := collectBatches(t, mk(NewCtx(nil))).String(); got != want {
+		t.Fatalf("post-cancel rerun diverged from oracle:\nwant %s\ngot  %s", want, got)
+	}
+}
+
+// hashPhases are the hash family's fault points: one per build row, one per
+// probe row.
+var hashPhases = []struct{ name, point string }{
+	{"build", faultinject.PointHashBuild},
+	{"probe", faultinject.PointHashProbe},
+}
+
+// TestHashJoinCancellation cancels HashJoin mid-build and mid-probe at every
+// cancellation degree: at degree 1 the build and probe loops, partitioned the
+// workers, must observe the cancellation, drain, and exit without leaking
+// goroutines; Collect must surface ErrCanceled, and an identical query
+// afterwards (faults off) must be byte-identical to the nested-loop oracle.
+func TestHashJoinCancellation(t *testing.T) {
+	l, r := genRows(1000, 13, "k", "v"), genRows(500, 7, "j", "w")
+	want := collect(t, nlJoin(algebra.JoinInner, l, r, nil)).String()
+	for _, ph := range hashPhases {
+		for _, degree := range cancelDegrees {
 			t.Run(fmt.Sprintf("%s/p=%d", ph.name, degree), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				deactivate := slowPoint(ph.point)
-				defer deactivate()
-
-				cctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				gov := NewGovernor(cctx, Limits{})
-				ctx := NewCtxGoverned(nil, gov)
-				_, par := parJoinPair(ctx, algebra.JoinInner, l, r, nil, degree)
-
-				done := make(chan error, 1)
-				go func() {
-					_, err := CollectGoverned(gov, par)
-					done <- err
-				}()
-				time.Sleep(20 * time.Millisecond)
-				cancel()
-				select {
-				case err := <-done:
-					if !errors.Is(err, ErrCanceled) {
-						t.Fatalf("want ErrCanceled, got %v", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("cancellation did not interrupt the join within 5s")
-				}
-				deactivate()
-				waitGoroutines(t, base)
-
-				_, rerun := parJoinPair(NewCtx(nil), algebra.JoinInner, l, r, nil, degree)
-				if got := collect(t, rerun).String(); got != want {
-					t.Fatalf("post-cancel rerun diverged from oracle:\nwant %s\ngot  %s", want, got)
-				}
+				cancelMidRun(t, ph.point, want, func(ctx *Ctx) BatchIterator {
+					return hashJoin(ctx, algebra.JoinInner, l, r, nil, degree, 0)
+				})
 			})
 		}
 	}
 }
 
-// TestParHashNestJoinCancellation is the same contract for the parallel nest
-// join (build-side and probe-side cancellation at degrees 2 and 8).
-func TestParHashNestJoinCancellation(t *testing.T) {
-	l, r := genRows(2000, 17, "k", "v"), genRows(1000, 11, "j", "w")
-	lk, rk := []tmql.Expr{pred("x.k")}, []tmql.Expr{pred("y.j")}
-	fn := pred("y")
-	mk := func(ctx *Ctx, degree int) Iterator {
-		if degree < 2 {
-			return &HashNestJoin{
-				Ctx: ctx, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
-			}
-		}
-		return &ParHashNestJoin{
-			Ctx: ctx, L: batched(l, 0), R: batched(r, 0),
-			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
-			Degree: degree,
-		}
-	}
-	want := collect(t, mk(NewCtx(nil), 0)).String()
-
-	phases := []struct{ name, point string }{
-		{"build", faultinject.PointHashBuild},
-		{"probe", faultinject.PointHashProbe},
-	}
-	for _, ph := range phases {
-		for _, degree := range []int{2, 8} {
+// TestHashNestJoinCancellation is the same contract for the hash nest join.
+func TestHashNestJoinCancellation(t *testing.T) {
+	l, r := genRows(1000, 17, "k", "v"), genRows(500, 11, "j", "w")
+	want := collect(t, &NLNestJoin{
+		Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r}, LVar: "x", RVar: "y",
+		Pred: pred("x.k = y.j"), Fn: pred("y"), Label: "s",
+	}).String()
+	for _, ph := range hashPhases {
+		for _, degree := range cancelDegrees {
 			t.Run(fmt.Sprintf("%s/p=%d", ph.name, degree), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				deactivate := slowPoint(ph.point)
-				defer deactivate()
-
-				cctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				gov := NewGovernor(cctx, Limits{})
-				ctx := NewCtxGoverned(nil, gov)
-
-				done := make(chan error, 1)
-				go func() {
-					_, err := CollectGoverned(gov, mk(ctx, degree))
-					done <- err
-				}()
-				time.Sleep(20 * time.Millisecond)
-				cancel()
-				select {
-				case err := <-done:
-					if !errors.Is(err, ErrCanceled) {
-						t.Fatalf("want ErrCanceled, got %v", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("cancellation did not interrupt the nest join within 5s")
-				}
-				deactivate()
-				waitGoroutines(t, base)
-
-				if got := collect(t, mk(NewCtx(nil), degree)).String(); got != want {
-					t.Fatalf("post-cancel rerun diverged from oracle:\nwant %s\ngot  %s", want, got)
-				}
+				cancelMidRun(t, ph.point, want, func(ctx *Ctx) BatchIterator {
+					return hashNestJoin(ctx, l, r, "x.k", "y.j", nil, degree)
+				})
 			})
 		}
 	}
 }
 
 // TestGovernorBudgets pins the budget taxonomy at the exec layer: a row
-// budget trips in CollectGoverned, a build budget trips inside the hash
-// build, and both surface as *BudgetError matching ErrBudgetExceeded.
+// budget trips in CollectBatchesGoverned, a build budget trips inside the
+// hash build — shared by the workers when partitioned — and both surface as
+// *BudgetError matching ErrBudgetExceeded.
 func TestGovernorBudgets(t *testing.T) {
 	l, r := genRows(500, 13, "k", "v"), genRows(300, 7, "j", "w")
+	for _, degree := range cancelDegrees {
+		gov := NewGovernor(context.Background(), Limits{MaxRows: 5})
+		_, err := CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, degree, 0))
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Resource != "rows" {
+			t.Fatalf("p=%d: want rows BudgetError, got %v", degree, err)
+		}
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("p=%d: BudgetError must match ErrBudgetExceeded, got %v", degree, err)
+		}
 
-	gov := NewGovernor(context.Background(), Limits{MaxRows: 5})
-	ctx := NewCtxGoverned(nil, gov)
-	rowsJoin, _ := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 0)
-	_, err := CollectGoverned(gov, rowsJoin)
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Resource != "rows" {
-		t.Fatalf("want rows BudgetError, got %v", err)
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("BudgetError must match ErrBudgetExceeded, got %v", err)
-	}
-
-	gov = NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
-	ctx = NewCtxGoverned(nil, gov)
-	serial, _ := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 0)
-	_, err = CollectGoverned(gov, serial)
-	if !errors.As(err, &be) || be.Resource != "build_bytes" {
-		t.Fatalf("want build_bytes BudgetError, got %v", err)
-	}
-
-	gov = NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
-	ctx = NewCtxGoverned(nil, gov)
-	_, par8 := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 8)
-	if _, err = CollectGoverned(gov, par8); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("parallel build must observe the shared build budget, got %v", err)
+		gov = NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
+		_, err = CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, degree, 0))
+		if !errors.As(err, &be) || be.Resource != "build_bytes" {
+			t.Fatalf("p=%d: want build_bytes BudgetError, got %v", degree, err)
+		}
 	}
 }
 
 // TestSchedulerPanicPropagates pins the worker panic contract: a panic
 // inside a scheduled morsel resurfaces on the calling goroutine (where the
 // engine's recover can isolate it) instead of crashing the process from a
-// worker, and the pool drains first.
+// worker, and the pool drains first; at degree 1 the panic is the caller's
+// own.
 func TestSchedulerPanicPropagates(t *testing.T) {
 	l, r := genRows(2000, 13, "k", "v"), genRows(1000, 7, "j", "w")
 	deactivate := faultinject.Activate(faultinject.Schedule{
@@ -204,20 +162,20 @@ func TestSchedulerPanicPropagates(t *testing.T) {
 	})
 	defer deactivate()
 	base := runtime.NumGoroutine()
-	func() {
-		defer func() {
-			p := recover()
-			if p == nil {
-				t.Fatal("worker panic did not propagate to the caller")
-			}
-			if _, ok := p.(*faultinject.InjectedPanic); !ok {
-				t.Fatalf("propagated panic is %T, want *faultinject.InjectedPanic", p)
-			}
+	for _, degree := range cancelDegrees {
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("p=%d: panic did not propagate to the caller", degree)
+				}
+				if _, ok := p.(*faultinject.InjectedPanic); !ok {
+					t.Fatalf("p=%d: propagated panic is %T, want *faultinject.InjectedPanic", degree, p)
+				}
+			}()
+			_, _ = CollectBatches(hashJoin(NewCtx(nil), algebra.JoinInner, l, r, nil, degree, 0))
 		}()
-		ctx := NewCtx(nil)
-		_, par := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 4)
-		_, _ = Collect(par)
-	}()
+	}
 	deactivate()
 	waitGoroutines(t, base)
 }

@@ -35,26 +35,42 @@ func (f *failingIter) Next() (value.Value, bool, error) {
 
 func (f *failingIter) Close() error { return nil }
 
+// operatorOf names the operator beneath a BatchToRows adapter.
+func operatorOf(it Iterator) any {
+	if a, ok := it.(*BatchToRows); ok {
+		return a.In
+	}
+	return it
+}
+
 func TestErrorPropagation(t *testing.T) {
 	ctx := NewCtx(nil)
 	iters := []Iterator{
 		&Filter{Ctx: ctx, In: &failingIter{failOpen: true}, Var: "x", Pred: pred("TRUE")},
 		&MapIter{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x.k")},
-		&MergeNestJoin{Ctx: ctx, L: &failingIter{n: 2}, R: &SliceScan{}, LVar: "x", RVar: "y",
+		&MergeNestJoin{Ctx: ctx, L: &RowsToBatch{It: &failingIter{n: 2}}, R: &BatchSliceScan{}, LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}, Fn: pred("y"), Label: "s"},
 		&Distinct{In: &failingIter{n: 1}},
 		&NLJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{}, R: &failingIter{failOpen: true},
 			LVar: "x", RVar: "y", Pred: pred("TRUE")},
-		&HashNestJoin{Ctx: ctx, L: &SliceScan{}, R: &failingIter{n: 1},
-			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
-			Fn: pred("y"), Label: "s"},
 		&NestIter{In: &failingIter{n: 2}, Attrs: []string{"k"}, Label: "s"},
 		&UnnestIter{In: &failingIter{n: 1}, Attr: "k"},
 		&SetOpIter{Kind: 0, L: &SliceScan{}, R: &failingIter{n: 1}},
 	}
+	for _, degree := range []int{1, 4} {
+		iters = append(iters, &BatchToRows{In: &HashNestJoin{
+			Ctx: ctx, L: &BatchSliceScan{}, R: &RowsToBatch{It: &failingIter{n: 1}},
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
+			Fn: pred("y"), Label: "s", Degree: degree,
+		}}, &BatchToRows{In: &HashJoin{
+			Ctx: ctx, Kind: algebra.JoinInner, L: &RowsToBatch{It: &failingIter{n: 1}}, R: &BatchSliceScan{},
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
+			Degree: degree,
+		}})
+	}
 	for _, it := range iters {
 		if _, err := Collect(it); err == nil {
-			t.Errorf("%T should surface input errors", it)
+			t.Errorf("%T should surface input errors", operatorOf(it))
 		}
 	}
 }
@@ -101,10 +117,12 @@ func TestJoinsOnEmptyInputs(t *testing.T) {
 	}
 
 	// Empty left side: everything empty.
-	hj := &HashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{}, R: &SliceScan{Rows: rows},
-		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.e")}}
-	if got := collect(t, hj); got.Len() != 0 {
-		t.Errorf("hash join on empty left: %s", got)
+	for _, degree := range []int{1, 4} {
+		hj := &HashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &BatchSliceScan{}, R: &BatchSliceScan{Rows: rows},
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.e")}, Degree: degree}
+		if got := collectBatches(t, hj); got.Len() != 0 {
+			t.Errorf("p=%d: hash join on empty left: %s", degree, got)
+		}
 	}
 
 	// Nest join on empty right: every left extended with ∅.
@@ -135,7 +153,7 @@ func TestMergeNestJoinDuplicateKeys(t *testing.T) {
 	}
 	ys = append(ys, tup("a", 99, "b", 2))
 	mj := &MergeNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
+		Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: xs}, R: &BatchSliceScan{Rows: ys},
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "s",
@@ -197,16 +215,19 @@ func TestOuterJoinWithoutRElem(t *testing.T) {
 	if err := nl.Open(); err == nil {
 		t.Error("outer NLJoin without RElem should fail to open")
 	}
-	hj := &HashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &SliceScan{}, R: &SliceScan{},
-		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}}
-	if err := hj.Open(); err == nil {
-		t.Error("outer HashJoin without RElem should fail to open")
+	for _, degree := range []int{1, 4} {
+		hj := &HashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &BatchSliceScan{}, R: &BatchSliceScan{},
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}, Degree: degree}
+		if err := hj.Open(); err == nil {
+			t.Errorf("p=%d: outer HashJoin without RElem should fail to open", degree)
+		}
 	}
 }
 
 func TestSemiJoinEarlyOutProbesLess(t *testing.T) {
 	// Semijoin should touch fewer right candidates than the nest join when
-	// matches are plentiful: verify via the evaluator step counter.
+	// matches are plentiful: verify via the evaluator step counter, which
+	// the generic residual feeds.
 	var xs, ys []value.Value
 	for i := 0; i < 50; i++ {
 		xs = append(xs, tup("e", i, "d", 1))
@@ -216,18 +237,18 @@ func TestSemiJoinEarlyOutProbesLess(t *testing.T) {
 	}
 	ctxSemi := NewCtx(nil)
 	semi := &HashJoin{Ctx: ctxSemi, Kind: algebra.JoinSemi,
-		L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys}, LVar: "x", RVar: "y",
+		L: &BatchSliceScan{Rows: xs}, R: &BatchSliceScan{Rows: ys}, LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
-		Residual: pred("y.a >= 0")}
-	if _, err := Collect(semi); err != nil {
+		Residual: pred("y.a + 0 >= 0")}
+	if _, err := CollectBatches(semi); err != nil {
 		t.Fatal(err)
 	}
 	ctxNest := NewCtx(nil)
 	nest := &HashNestJoin{Ctx: ctxNest,
-		L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys}, LVar: "x", RVar: "y",
+		L: &BatchSliceScan{Rows: xs}, R: &BatchSliceScan{Rows: ys}, LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
-		Residual: pred("y.a >= 0"), Fn: pred("y.a"), Label: "s"}
-	if _, err := Collect(nest); err != nil {
+		Residual: pred("y.a + 0 >= 0"), Fn: pred("y.a"), Label: "s"}
+	if _, err := CollectBatches(nest); err != nil {
 		t.Fatal(err)
 	}
 	if ctxSemi.Ev.Steps >= ctxNest.Ev.Steps {

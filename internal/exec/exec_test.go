@@ -81,19 +81,23 @@ func nestJoinIters(ctx *Ctx, x, y []value.Value) map[string]Iterator {
 			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
 		},
-		"hash": &HashNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		"hash": &BatchToRows{In: &HashNestJoin{
+			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
-		},
+		}},
+		"hash×4": &BatchToRows{In: &HashNestJoin{
+			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s", Degree: 4,
+		}},
 		"merge": &MergeNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		},
 	}
 }
 
 // TestTable1 reproduces the paper's Table 1 (the nest equijoin example) with
-// all three nest-join implementations.
+// every nest-join implementation.
 func TestTable1(t *testing.T) {
 	x, y := xyRows()
 	want := table1Want()
@@ -109,12 +113,12 @@ func TestNestJoinFunctionProjection(t *testing.T) {
 	// Fn projects y.a — the §8 step (1) shape.
 	x, y := xyRows()
 	it := &HashNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "zs",
 	}
-	got := collect(t, it)
+	got := collectBatches(t, it)
 	want := value.SetOf(
 		tup("e", 1, "d", 1, "zs", ints(1, 2)),
 		tup("e", 2, "d", 2, "zs", value.EmptySet),
@@ -129,14 +133,14 @@ func TestNestJoinResidualPredicate(t *testing.T) {
 	// Equi-key plus residual: x.d = y.b AND y.a > 1.
 	x, y := xyRows()
 	for _, impl := range []Iterator{
-		&HashNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		&BatchToRows{In: &HashNestJoin{
+			Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
-		},
+		}},
 		&MergeNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
@@ -154,7 +158,7 @@ func TestNestJoinResidualPredicate(t *testing.T) {
 			tup("e", 3, "d", 3, "zs", ints(3)),
 		)
 		if !value.Equal(got, want) {
-			t.Errorf("%T: got %s\nwant %s", impl, got, want)
+			t.Errorf("%T: got %s\nwant %s", operatorOf(impl), got, want)
 		}
 	}
 }
@@ -192,14 +196,16 @@ func TestFlatJoins(t *testing.T) {
 		if got := collect(t, nl); !value.Equal(got, c.want) {
 			t.Errorf("NLJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
-		hj := &HashJoin{
-			Ctx: NewCtx(nil), Kind: c.kind, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
-			LVar: "x", RVar: "y",
-			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
-			RElem: yElem,
-		}
-		if got := collect(t, hj); !value.Equal(got, c.want) {
-			t.Errorf("HashJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
+		for _, degree := range []int{1, 4} {
+			hj := &HashJoin{
+				Ctx: NewCtx(nil), Kind: c.kind, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+				LVar: "x", RVar: "y",
+				LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
+				RElem: yElem, Degree: degree,
+			}
+			if got := collectBatches(t, hj); !value.Equal(got, c.want) {
+				t.Errorf("HashJoin %s/p=%d:\n got %s\nwant %s", c.kind, degree, got, c.want)
+			}
 		}
 	}
 }
@@ -385,15 +391,17 @@ func TestTableScanUnknown(t *testing.T) {
 }
 
 func TestHashJoinKeyValidation(t *testing.T) {
-	hj := &HashJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
-	if err := hj.Open(); err == nil {
-		t.Error("HashJoin without keys should fail to open")
+	for _, degree := range []int{1, 4} {
+		hj := &HashJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y", Degree: degree}
+		if err := hj.Open(); err == nil {
+			t.Errorf("p=%d: HashJoin without keys should fail to open", degree)
+		}
+		hnj := &HashNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y", Degree: degree}
+		if err := hnj.Open(); err == nil {
+			t.Errorf("p=%d: HashNestJoin without keys should fail to open", degree)
+		}
 	}
-	hnj := &HashNestJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
-	if err := hnj.Open(); err == nil {
-		t.Error("HashNestJoin without keys should fail to open")
-	}
-	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
+	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
 	if err := mnj.Open(); err == nil {
 		t.Error("MergeNestJoin without keys should fail to open")
 	}

@@ -1,15 +1,18 @@
 // Package exec implements the physical operators executing the algebra of
-// internal/algebra: Volcano-style iterators for scan, filter, map, distinct,
-// set operations, the flat join family (nested-loop, hash, and index
-// variants; inner, semi, anti, and left-outer), the restructuring operators
-// ν / ν* / μ, and the paper's nest join (nested-loop, hash, sort-merge, and
-// index implementations).
+// internal/algebra: Volcano-style iterators and batch operators for scan,
+// filter, map, distinct, set operations, the flat join family (nested-loop,
+// hash, and index variants; inner, semi, anti, and left-outer), the
+// restructuring operators ν / ν* / μ, and the paper's nest join
+// (nested-loop, hash, sort-merge, and index implementations).
 //
 // As §6 ("Implementation") prescribes, the nest join implementations are
 // simple modifications of the corresponding join methods with two
 // restrictions honored: an output tuple is emitted only after the entire
 // matching group is known, and the build/inner side must be the right
-// operand so output stays grouped by left tuples.
+// operand so output stays grouped by left tuples. The hash method exists
+// once: HashJoin and HashNestJoin differ only in their per-row probe, and
+// share one build kernel and one probe kernel at every Degree — one table
+// below 2, key-partitioned morsels on the query's scheduler from 2 up.
 package exec
 
 import (

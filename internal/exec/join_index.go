@@ -107,6 +107,7 @@ type IndexJoin struct {
 	RElem *types.Type
 
 	probe   indexProbeSide
+	res     pairPredicate
 	cur     value.Value
 	bucket  []value.Value
 	bi      int
@@ -122,6 +123,7 @@ func (j *IndexJoin) Open() error {
 	if err := j.probe.open(); err != nil {
 		return err
 	}
+	j.res = newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
 	if j.Kind == algebra.JoinLeftOuter {
 		if j.RElem == nil {
 			return fmt.Errorf("exec: outer IndexJoin needs RElem for NULL padding")
@@ -159,7 +161,7 @@ func (j *IndexJoin) Next() (value.Value, bool, error) {
 			j.matched = false
 			switch j.Kind {
 			case algebra.JoinSemi, algebra.JoinAnti:
-				m, err := probeAnyBucket(j.Ctx, j.cur, j.bucket, j.LVar, j.RVar, j.Residual)
+				m, err := j.res.any(j.cur, j.bucket)
 				if err != nil {
 					return value.Value{}, false, err
 				}
@@ -174,14 +176,12 @@ func (j *IndexJoin) Next() (value.Value, bool, error) {
 			for j.bi < len(j.bucket) {
 				r := j.bucket[j.bi]
 				j.bi++
-				if j.Residual != nil {
-					ok, err := j.Ctx.evalPred(j.Residual, env2(j.LVar, j.cur, j.RVar, r))
-					if err != nil {
-						return value.Value{}, false, err
-					}
-					if !ok {
-						continue
-					}
+				ok, err := j.res.eval(j.cur, r)
+				if err != nil {
+					return value.Value{}, false, err
+				}
+				if !ok {
+					continue
 				}
 				j.matched = true
 				return j.cur.Concat(r), true, nil
@@ -219,6 +219,7 @@ type IndexNestJoin struct {
 	Label      string
 
 	probe indexProbeSide
+	res   pairPredicate
 }
 
 // Open resolves the index and opens the left input.
@@ -227,6 +228,7 @@ func (j *IndexNestJoin) Open() error {
 	if err := j.probe.open(); err != nil {
 		return err
 	}
+	j.res = newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
 	return j.L.Open()
 }
 
@@ -243,7 +245,7 @@ func (j *IndexNestJoin) Next() (value.Value, bool, error) {
 	if err != nil {
 		return value.Value{}, false, err
 	}
-	group, err := nestGroup(j.Ctx, l, bucket, j.LVar, j.RVar, j.Residual, j.Fn)
+	group, err := nestGroup(j.Ctx, &j.res, l, bucket, j.LVar, j.RVar, j.Fn)
 	if err != nil {
 		return value.Value{}, false, err
 	}

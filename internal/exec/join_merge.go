@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
+	"tmdb/internal/faultinject"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
@@ -17,13 +19,8 @@ import (
 // join is subsumed by HashJoin/NLJoin in the planner, while the merge *nest*
 // join exists to demonstrate §6's point that any common join method adapts.
 type MergeNestJoin struct {
-	Ctx *Ctx
-	// L/R are the row inputs; BL/BR, when set, replace them with batch-native
-	// inputs whose sorted runs are built batch-at-a-time (per-batch
-	// governance, no row-adapter hop). Either form feeds the same comparator,
-	// so the runs — and the join output — are byte-identical.
-	L, R         Iterator
-	BL, BR       BatchIterator
+	Ctx          *Ctx
+	L, R         BatchIterator
 	LVar, RVar   string
 	LKeys, RKeys []tmql.Expr
 	Residual     tmql.Expr
@@ -42,44 +39,14 @@ func (j *MergeNestJoin) Open() error {
 		return fmt.Errorf("exec: MergeNestJoin needs matching non-empty key lists")
 	}
 	var err error
-	if j.BL != nil {
-		j.left, err = drainSortedBatches(j.Ctx, j.BL, j.LVar, j.LKeys)
-	} else {
-		j.left, err = drainSorted(j.Ctx, j.L, j.LVar, j.LKeys)
-	}
-	if err != nil {
+	if j.left, err = sortedRun(j.Ctx, j.L, j.LVar, j.LKeys); err != nil {
 		return err
 	}
-	if j.BR != nil {
-		j.right, err = drainSortedBatches(j.Ctx, j.BR, j.RVar, j.RKeys)
-	} else {
-		j.right, err = drainSorted(j.Ctx, j.R, j.RVar, j.RKeys)
-	}
-	if err != nil {
+	if j.right, err = sortedRun(j.Ctx, j.R, j.RVar, j.RKeys); err != nil {
 		return err
 	}
 	j.li, j.rlo = 0, 0
 	return nil
-}
-
-func drainSorted(c *Ctx, in Iterator, varName string, keys []tmql.Expr) ([]sortedRow, error) {
-	rows, err := Drain(in)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sortedRow, len(rows))
-	for i, v := range rows {
-		if err := sortBuildCheck(c); err != nil {
-			return nil, err
-		}
-		k, err := evalKey(c, keys, varName, v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = sortedRow{key: k, v: v}
-	}
-	sortRowsStable(out)
-	return out, nil
 }
 
 // Next emits the next left element with its group.
@@ -121,4 +88,77 @@ func (j *MergeNestJoin) Next() (value.Value, bool, error) {
 func (j *MergeNestJoin) Close() error {
 	j.left, j.right = nil, nil
 	return nil
+}
+
+// sortedRow is one element of a sorted run: the merge nest join orders its
+// inputs by the canonical value order of the key expressions, then by the
+// full element, making the order total and deterministic.
+type sortedRow struct {
+	key value.Value // tuple of key values (label-free list encoded as a list value)
+	v   value.Value
+}
+
+// sortedRun drains a batch input into one sorted run, ordered by the
+// canonical key order with ties broken by the full element. Retaining a row
+// out of a batch is a struct copy (value.Value is immutable; only the batch's
+// backing slice is reused), so the per-row work left is key evaluation. Each
+// batch passes one governor poll and the sort.build fault point, and charges
+// the flat per-row build overhead for all its rows in one budget call (sort
+// rows carry no encoded key).
+func sortedRun(c *Ctx, in BatchIterator, varName string, keys []tmql.Expr) ([]sortedRow, error) {
+	if err := in.Open(); err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	var out []sortedRow
+	for {
+		bt, ok, err := in.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if err := c.checkBatch(); err != nil {
+			return nil, err
+		}
+		if err := faultinject.Hit(faultinject.PointSortBuild); err != nil {
+			return nil, err
+		}
+		if c.Gov != nil {
+			if err := c.Gov.AddBuildBytes(int64(bt.Len()) * buildRowOverhead); err != nil {
+				return nil, err
+			}
+		}
+		for _, v := range bt.Rows {
+			k, err := evalKey(c, keys, varName, v)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, sortedRow{key: k, v: v})
+		}
+	}
+	slices.SortStableFunc(out, func(a, b sortedRow) int {
+		if c := value.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return value.Compare(a.v, b.v)
+	})
+	return out, nil
+}
+
+// evalKey evaluates the key expressions for element v bound to varName and
+// packs them into one list value (lists compare lexicographically, which is
+// exactly the composite-key order the merge nest join needs).
+func evalKey(c *Ctx, keys []tmql.Expr, varName string, v value.Value) (value.Value, error) {
+	env := env1(varName, v)
+	ks := make([]value.Value, len(keys))
+	for i, k := range keys {
+		kv, err := c.evalIn(k, env)
+		if err != nil {
+			return value.Value{}, err
+		}
+		ks[i] = kv
+	}
+	return value.ListOf(ks...), nil
 }

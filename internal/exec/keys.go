@@ -1,33 +1,15 @@
 package exec
 
 import (
-	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
-// The allocation-lean key path shared by the hash join family (serial and
-// parallel): key expressions are evaluated per row and their canonical
-// encodings appended onto a reusable scratch buffer instead of materializing
-// a value.Key string per row. Map lookups go through string(buf), which the
-// Go compiler performs without allocating; only the first insertion of a
-// distinct key pays a string allocation (see hashTable).
-
-// appendRowKey appends the canonical encodings of the key expressions,
-// evaluated for v bound to varName, onto buf and returns the extended slice.
-// value.AppendKey encodings are self-delimiting, so the concatenation is
-// injective for a fixed key arity — two rows produce identical bytes iff
-// their key tuples are Equal.
-func appendRowKey(c *Ctx, keys []tmql.Expr, varName string, v value.Value, buf []byte) ([]byte, error) {
-	env := env1(varName, v)
-	for _, k := range keys {
-		kv, err := c.evalIn(k, env)
-		if err != nil {
-			return nil, err
-		}
-		buf = value.AppendKey(buf, kv)
-	}
-	return buf, nil
-}
+// The allocation-lean key path of the hash join family: key expressions are
+// evaluated per row (keyEncoder) and their canonical encodings appended onto a
+// reusable buffer instead of materializing a value.Key string per row. Map
+// lookups go through string(buf), which the Go compiler performs without
+// allocating; only the first insertion of a distinct key pays a string
+// allocation (see hashTable).
 
 // hashTable is an exact (collision-free) multimap from encoded key bytes to
 // row buckets. The indirection through idx exists so that adding a row to an

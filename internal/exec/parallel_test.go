@@ -21,46 +21,65 @@ func genRows(n, keys int, key, val string) []value.Value {
 	return out
 }
 
-// batched adapts rows for the partitioned operators' exchange the way a
-// row-at-a-time plan does.
-func batched(rows []value.Value, size int) BatchIterator {
-	return &RowsToBatch{It: &SliceScan{Rows: rows}, Size: size}
+// hashDegrees straddles the exchange: degree 1 builds one table, 2 and up
+// partition, 8 more partitions than the inputs of the small sizes have rows.
+var hashDegrees = []int{1, 2, 3, 8}
+
+// joinRElem is the right element type of genRows(…, "j", "w").
+var joinRElem = types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
+
+// joinPred is the equi-predicate eq conjoined with residual, if any.
+func joinPred(eq string, residual tmql.Expr) tmql.Expr {
+	if residual == nil {
+		return pred(eq)
+	}
+	return tmql.JoinAnd([]tmql.Expr{pred(eq), residual})
 }
 
-func parJoinPair(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, degree int) (serial, par Iterator) {
-	lk := []tmql.Expr{pred("x.k")}
-	rk := []tmql.Expr{pred("y.j")}
-	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	serial = &HashJoin{
-		Ctx: ctx, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-		LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Residual: residual, RElem: relem,
+// hashJoin is the flat hash join of l and r on x.k = y.j at degree, its
+// inputs scanned in batches of size rows (0 = default).
+func hashJoin(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, degree, size int) *HashJoin {
+	return &HashJoin{
+		Ctx: ctx, Kind: kind, L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
+		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
+		Residual: residual, RElem: joinRElem, Degree: degree, BatchSize: size,
 	}
-	par = &ParHashJoin{
-		Ctx: ctx, Kind: kind, L: batched(l, 0), R: batched(r, 0),
-		LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Residual: residual, RElem: relem,
-		Degree: degree,
-	}
-	return serial, par
 }
 
-// TestParHashJoinMatchesSerial runs every flat join kind, with and without a
-// residual, at several degrees and sizes (straddling the inline threshold),
-// asserting the parallel operator's canonical result equals the serial one.
-func TestParHashJoinMatchesSerial(t *testing.T) {
-	residuals := map[string]tmql.Expr{"nil": nil, "resid": pred("x.v <= y.w + 250")}
+// nlJoin is hashJoin's reference: the nested-loop join on the whole
+// predicate.
+func nlJoin(kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr) *NLJoin {
+	return &NLJoin{
+		Ctx: NewCtx(nil), Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+		LVar: "x", RVar: "y", Pred: joinPred("x.k = y.j", residual), RElem: joinRElem,
+	}
+}
+
+// TestHashJoinMatchesNL runs every flat join kind, with no residual and
+// with compiled and generic residuals, at every degree, input size
+// (straddling minParallelRows) and batch size, asserting the hash join's
+// canonical result equals the nested-loop join's.
+func TestHashJoinMatchesNL(t *testing.T) {
+	residuals := map[string]tmql.Expr{
+		"nil": nil,
+		// In the compiled subset: field-vs-field comparison.
+		"compiled": pred("x.v <= y.w"),
+		// Arithmetic forces generic residual evaluation.
+		"generic": pred("x.v <= y.w + 250"),
+	}
 	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter} {
 		for rname, residual := range residuals {
 			for _, n := range []int{0, 7, 500} {
 				// Dangling left rows: left keys range over 13, right over 7.
 				l, r := genRows(n, 13, "k", "v"), genRows(n/2, 7, "j", "w")
-				for _, degree := range []int{2, 3, 8} {
-					name := fmt.Sprintf("%s/%s/n=%d/p=%d", kind, rname, n, degree)
-					ctx := NewCtx(nil)
-					serial, par := parJoinPair(ctx, kind, l, r, residual, degree)
-					want := collect(t, serial)
-					got := collect(t, par)
-					if !value.Equal(got, want) {
-						t.Errorf("%s: parallel result differs from serial:\nwant %s\ngot  %s", name, want, got)
+				want := collect(t, nlJoin(kind, l, r, residual))
+				for _, degree := range hashDegrees {
+					for _, size := range batchSizes {
+						got := collectBatches(t, hashJoin(NewCtx(nil), kind, l, r, residual, degree, size))
+						if !value.Equal(got, want) {
+							t.Errorf("%s/%s/n=%d/p=%d/size=%d: hash join differs from nested loops:\nwant %s\ngot  %s",
+								kind, rname, n, degree, size, want, got)
+						}
 					}
 				}
 			}
@@ -68,86 +87,175 @@ func TestParHashJoinMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParHashJoinStepsMatchSerial pins the step accounting: the partitioned
-// plan performs exactly the same expression evaluations as the serial one
-// (keys once per row, residual once per candidate), just sharded per worker.
-func TestParHashJoinStepsMatchSerial(t *testing.T) {
+// TestHashJoinStepsMatchAcrossDegrees pins the step accounting: every
+// degree performs exactly the evaluations degree 1 does (keys once per row,
+// residual once per candidate, through the same compiled or generic path),
+// just sharded per worker. The generic keys and residual make the counts
+// nonzero.
+func TestHashJoinStepsMatchAcrossDegrees(t *testing.T) {
 	l, r := genRows(400, 13, "k", "v"), genRows(300, 7, "j", "w")
+	residual := pred("x.v <= y.w + 250")
 	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi} {
-		sctx, pctx := NewCtx(nil), NewCtx(nil)
-		serial, _ := parJoinPair(sctx, kind, l, r, pred("x.v <= y.w + 250"), 0)
-		_, par := parJoinPair(pctx, kind, l, r, pred("x.v <= y.w + 250"), 4)
-		collect(t, serial)
-		collect(t, par)
-		if sctx.Ev.Steps != pctx.Ev.Steps {
-			t.Errorf("%s: serial performed %d eval steps, parallel %d", kind, sctx.Ev.Steps, pctx.Ev.Steps)
-		}
-		if pctx.Ev.Steps == 0 {
-			t.Errorf("%s: parallel run reported zero eval steps", kind)
+		for _, keys := range []string{"compiled", "generic"} {
+			steps := func(degree int) int64 {
+				ctx := NewCtx(nil)
+				j := hashJoin(ctx, kind, l, r, residual, degree, 0)
+				if keys == "generic" {
+					j.LKeys, j.RKeys = []tmql.Expr{pred("x.k + 0")}, []tmql.Expr{pred("y.j + 0")}
+				}
+				collectBatches(t, j)
+				return ctx.Ev.Steps
+			}
+			want := steps(1)
+			if want == 0 {
+				t.Fatalf("%s/%s: degree 1 reported zero eval steps", kind, keys)
+			}
+			for _, degree := range []int{2, 4} {
+				if got := steps(degree); got != want {
+					t.Errorf("%s/%s: degree 1 performed %d eval steps, degree %d %d", kind, keys, want, degree, got)
+				}
+			}
 		}
 	}
 }
 
-// TestParHashNestJoinMatchesSerial compares the parallel nest join against
-// the serial hash nest join on the Table 1 example and larger generated data.
-func TestParHashNestJoinMatchesSerial(t *testing.T) {
+// countingBatches counts the batches pulled from its input.
+type countingBatches struct {
+	BatchIterator
+	pulled int
+}
+
+func (c *countingBatches) NextBatch() (*Batch, bool, error) {
+	c.pulled++
+	return c.BatchIterator.NextBatch()
+}
+
+// TestHashJoinDegreeOneStreams pins that degree 1 streams: Open builds the
+// table without touching the left input, and each output batch is the probe
+// of one left batch — the join is never materialized whole. Every left key
+// has right partners, so the first left batch already produces output.
+func TestHashJoinDegreeOneStreams(t *testing.T) {
+	l, r := genRows(500, 7, "k", "v"), genRows(100, 7, "j", "w")
+	joins := map[string]func(BatchIterator) BatchIterator{
+		"flat": func(left BatchIterator) BatchIterator {
+			j := hashJoin(NewCtx(nil), algebra.JoinInner, nil, r, nil, 1, 16)
+			j.L = left
+			return j
+		},
+		"nest": func(left BatchIterator) BatchIterator {
+			j := hashNestJoin(NewCtx(nil), nil, r, "x.k", "y.j", nil, 1)
+			j.L = left
+			return j
+		},
+	}
+	for name, join := range joins {
+		left := &countingBatches{BatchIterator: &BatchSliceScan{Rows: l, Size: 16}}
+		j := join(left)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if left.pulled != 0 {
+			t.Errorf("%s: Open pulled %d left batches, want 0", name, left.pulled)
+		}
+		b, ok, err := j.NextBatch()
+		if err != nil || !ok || b.Len() == 0 {
+			t.Fatalf("%s: first NextBatch = %v, %v, want output", name, ok, err)
+		}
+		if left.pulled != 1 {
+			t.Errorf("%s: first output batch pulled %d left batches, want 1", name, left.pulled)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHashJoinThroughRowAdapter drains both hash operators the way row plans
+// reach them — through BatchToRows — at degree 1 and partitioned, and
+// compares with the nested-loop references.
+func TestHashJoinThroughRowAdapter(t *testing.T) {
+	l, r := genRows(500, 13, "k", "v"), genRows(250, 7, "j", "w")
+	residual := pred("x.v <= y.w + 250")
+	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter} {
+		want := collect(t, nlJoin(kind, l, r, residual))
+		for _, degree := range []int{1, 4} {
+			got := collect(t, &BatchToRows{In: hashJoin(NewCtx(nil), kind, l, r, residual, degree, 64)})
+			if !value.Equal(got, want) {
+				t.Errorf("%s/p=%d: row-drained hash join differs from nested loops:\nwant %s\ngot  %s", kind, degree, want, got)
+			}
+		}
+	}
+	want := collect(t, &NLNestJoin{
+		Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r}, LVar: "x", RVar: "y",
+		Pred: joinPred("x.k = y.j", residual), Fn: pred("y"), Label: "s",
+	})
+	for _, degree := range []int{1, 4} {
+		got := collect(t, &BatchToRows{In: hashNestJoin(NewCtx(nil), l, r, "x.k", "y.j", residual, degree)})
+		if !value.Equal(got, want) {
+			t.Errorf("nest/p=%d: row-drained hash nest join differs from nested loops:\nwant %s\ngot  %s", degree, want, got)
+		}
+	}
+}
+
+// hashNestJoin is the hash nest join of l and r on lk = rk grouping y under
+// s, at degree.
+func hashNestJoin(ctx *Ctx, l, r []value.Value, lk, rk string, residual tmql.Expr, degree int) *HashNestJoin {
+	return &HashNestJoin{
+		Ctx: ctx, L: &BatchSliceScan{Rows: l}, R: &BatchSliceScan{Rows: r},
+		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred(lk)}, RKeys: []tmql.Expr{pred(rk)},
+		Residual: residual, Fn: pred("y"), Label: "s", Degree: degree,
+	}
+}
+
+// TestHashNestJoinMatchesNL compares the hash nest join at every degree
+// against the nested-loop nest join on the Table 1 example and on generated
+// data of sizes straddling minParallelRows, with and without a residual.
+func TestHashNestJoinMatchesNL(t *testing.T) {
 	type dataset struct {
-		name string
-		l, r []value.Value
+		name   string
+		l, r   []value.Value
+		lk, rk string
+		resid  tmql.Expr
 	}
 	x, y := xyRows()
-	sets := []dataset{
-		{"table1", x, y},
-		{"generated", genRows(600, 17, "k", "v"), genRows(900, 11, "j", "w")},
+	sets := []dataset{{"table1", x, y, "x.d", "y.b", nil}}
+	for _, n := range []int{0, 7, 500} {
+		l, r := genRows(n, 17, "k", "v"), genRows(n*3/2, 11, "j", "w")
+		sets = append(sets,
+			dataset{fmt.Sprintf("n=%d", n), l, r, "x.k", "y.j", nil},
+			dataset{fmt.Sprintf("n=%d/resid", n), l, r, "x.k", "y.j", pred("x.v <= y.w + 250")})
 	}
 	for _, ds := range sets {
-		lk, rk := []tmql.Expr{pred("x.k")}, []tmql.Expr{pred("y.j")}
-		fn := pred("y")
-		if ds.name == "table1" {
-			lk, rk = []tmql.Expr{pred("x.d")}, []tmql.Expr{pred("y.b")}
-		}
-		ctx := NewCtx(nil)
-		serial := &HashNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r},
-			LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
-		}
-		want := collect(t, serial)
-		for _, degree := range []int{2, 8} {
-			par := &ParHashNestJoin{
-				Ctx: NewCtx(nil), L: batched(ds.l, 0), R: batched(ds.r, 0),
-				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk, Fn: fn, Label: "s",
-				Degree: degree,
-			}
-			got := collect(t, par)
+		want := collect(t, &NLNestJoin{
+			Ctx: NewCtx(nil), L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r}, LVar: "x", RVar: "y",
+			Pred: joinPred(ds.lk+" = "+ds.rk, ds.resid), Fn: pred("y"), Label: "s",
+		})
+		for _, degree := range hashDegrees {
+			got := collectBatches(t, hashNestJoin(NewCtx(nil), ds.l, ds.r, ds.lk, ds.rk, ds.resid, degree))
 			if !value.Equal(got, want) {
-				t.Errorf("%s/p=%d: parallel nest join differs from serial:\nwant %s\ngot  %s",
-					ds.name, degree, want, got)
+				t.Errorf("%s/p=%d: hash nest join differs from nested loops:\nwant %s\ngot  %s", ds.name, degree, want, got)
 			}
 		}
 	}
 }
 
-// TestParHashJoinErrors pins the failure modes: degree < 2, missing keys,
-// and a worker-side evaluation error must surface deterministically.
-func TestParHashJoinErrors(t *testing.T) {
+// TestHashJoinErrors pins the failure modes at degree 1 and partitioned:
+// missing keys are rejected, and an evaluation error — inside the workers
+// when partitioned — surfaces out of Collect.
+func TestHashJoinErrors(t *testing.T) {
 	l, r := genRows(300, 5, "k", "v"), genRows(300, 5, "j", "w")
-	ctx := NewCtx(nil)
-	_, par := parJoinPair(ctx, algebra.JoinInner, l, r, nil, 1)
-	if err := par.Open(); err == nil {
-		t.Error("Degree=1 should be rejected")
-	}
-	bad := &ParHashJoin{
-		Ctx: NewCtx(nil), Kind: algebra.JoinInner,
-		L: batched(l, 0), R: batched(r, 0), LVar: "x", RVar: "y", Degree: 2,
-	}
-	if err := bad.Open(); err == nil {
-		t.Error("empty key lists should be rejected")
-	}
-	// Residual referencing a missing field fails inside workers; the error
-	// must propagate out of Collect.
-	_, evalErr := parJoinPair(NewCtx(nil), algebra.JoinInner, l, r, pred("x.missing = y.w"), 4)
-	if _, err := Collect(evalErr); err == nil {
-		t.Error("worker evaluation error did not propagate")
+	for _, degree := range []int{1, 4} {
+		bad := hashJoin(NewCtx(nil), algebra.JoinInner, l, r, nil, degree, 0)
+		bad.LKeys, bad.RKeys = nil, nil
+		if err := bad.Open(); err == nil {
+			t.Errorf("p=%d: empty key lists should be rejected", degree)
+		}
+		// A residual referencing a missing field fails on the first
+		// candidate; the error must propagate out of Collect.
+		evalErr := hashJoin(NewCtx(nil), algebra.JoinInner, l, r, pred("x.missing = y.w"), degree, 0)
+		if _, err := CollectBatches(evalErr); err == nil {
+			t.Errorf("p=%d: evaluation error did not propagate", degree)
+		}
 	}
 }
 
@@ -159,7 +267,8 @@ func TestPartitionInputRouting(t *testing.T) {
 	for _, nparts := range []int{2, 5, 8} {
 		ctx := NewCtx(nil)
 		s := NewScheduler(SchedConfig{Workers: nparts})
-		ps, err := partitionInput(ctx, s, &RowsToBatch{It: &SliceScan{Rows: rows}}, []tmql.Expr{pred("x.k")}, "x", nparts)
+		// A generic key, so the workers' evaluation steps show up in ctx.
+		ps, err := partitionInput(ctx, s, &BatchSliceScan{Rows: rows}, []tmql.Expr{pred("x.k + 0")}, "x", nparts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +279,15 @@ func TestPartitionInputRouting(t *testing.T) {
 		keyPart := map[string]int{}
 		for p := 0; p < nparts; p++ {
 			total += ps.rowCount(p)
-			ps.each(p, func(v value.Value, key []byte) error {
-				if prev, seen := keyPart[string(key)]; seen && prev != p {
-					t.Fatalf("key %x routed to partitions %d and %d", key, prev, p)
+			for _, fr := range ps.parts[p] {
+				for i := range fr.Rows {
+					key := fr.Key(i)
+					if prev, seen := keyPart[string(key)]; seen && prev != p {
+						t.Fatalf("key %x routed to partitions %d and %d", key, prev, p)
+					}
+					keyPart[string(key)] = p
 				}
-				keyPart[string(key)] = p
-				return nil
-			})
+			}
 		}
 		if total != len(rows) {
 			t.Errorf("nparts=%d: %d rows in, %d rows across partitions", nparts, len(rows), total)

@@ -10,8 +10,6 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/faultinject"
-	"tmdb/internal/tmql"
-	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
 
@@ -34,25 +32,13 @@ func skewRows(n int, key, val string) []value.Value {
 // 90% of rows in one partition, idle workers steal the hot partition's probe
 // morsels (nonzero steal counter), with stealing disabled every morsel runs on
 // its home worker (zero steal counter), and either way the result is
-// byte-identical to the serial oracle at degrees 2 and 8.
+// byte-identical to the nested-loop oracle at degrees 2 and 8.
 func TestSchedulerStealsUnderSkew(t *testing.T) {
 	l, r := skewRows(2000, "k", "v"), skewRows(1000, "j", "w")
-	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	mk := func(ctx *Ctx, degree int) Iterator {
-		if degree < 2 {
-			return &HashJoin{
-				Ctx: ctx, Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-				LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-				RElem: relem,
-			}
-		}
-		return &ParHashJoin{
-			Ctx: ctx, Kind: algebra.JoinSemi, L: batched(l, 64), R: batched(r, 64),
-			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-			RElem: relem, Degree: degree, BatchSize: 64,
-		}
+	mk := func(ctx *Ctx, degree int) BatchIterator {
+		return hashJoin(ctx, algebra.JoinSemi, l, r, nil, degree, 64)
 	}
-	want := value.Key(collect(t, mk(NewCtx(nil), 0)))
+	want := value.Key(collect(t, nlJoin(algebra.JoinSemi, l, r, nil)))
 
 	for _, degree := range []int{2, 8} {
 		t.Run(fmt.Sprintf("steal/p=%d", degree), func(t *testing.T) {
@@ -63,9 +49,9 @@ func TestSchedulerStealsUnderSkew(t *testing.T) {
 			defer deactivate()
 			ctx := NewCtx(nil)
 			ctx.Sched = NewScheduler(SchedConfig{Workers: degree, MorselSize: 64})
-			got := value.Key(collect(t, mk(ctx, degree)))
+			got := value.Key(collectBatches(t, mk(ctx, degree)))
 			if got != want {
-				t.Fatalf("p=%d: skewed parallel result not byte-identical to serial", degree)
+				t.Fatalf("p=%d: skewed parallel result not byte-identical to the oracle", degree)
 			}
 			stats := ctx.Sched.Stats()
 			if stats.Dispatched == 0 {
@@ -78,9 +64,9 @@ func TestSchedulerStealsUnderSkew(t *testing.T) {
 		t.Run(fmt.Sprintf("nosteal/p=%d", degree), func(t *testing.T) {
 			ctx := NewCtx(nil)
 			ctx.Sched = NewScheduler(SchedConfig{Workers: degree, MorselSize: 64, NoSteal: true})
-			got := value.Key(collect(t, mk(ctx, degree)))
+			got := value.Key(collectBatches(t, mk(ctx, degree)))
 			if got != want {
-				t.Fatalf("p=%d: NoSteal result not byte-identical to serial", degree)
+				t.Fatalf("p=%d: NoSteal result not byte-identical to the oracle", degree)
 			}
 			if stolen := ctx.Sched.Stats().Stolen; stolen != 0 {
 				t.Errorf("NoSteal scheduler stole %d morsels", stolen)
@@ -92,23 +78,13 @@ func TestSchedulerStealsUnderSkew(t *testing.T) {
 // TestSchedulerSkewCancellationMidSteal cancels the skewed join while morsels
 // are being stolen (every morsel held 1ms at the scheduler gate): the pool
 // must drain without leaking goroutines, Collect must surface ErrCanceled,
-// and a rerun with faults off must be byte-identical to the serial oracle.
+// and a rerun with faults off must be byte-identical to the nested-loop oracle.
 func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 	l, r := skewRows(2000, "k", "v"), skewRows(1000, "j", "w")
-	relem := types.Tuple(types.F("j", types.Int), types.F("w", types.Int))
-	mk := func(ctx *Ctx, degree int) *ParHashJoin {
-		return &ParHashJoin{
-			Ctx: ctx, Kind: algebra.JoinSemi, L: batched(l, 64), R: batched(r, 64),
-			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-			RElem: relem, Degree: degree, BatchSize: 64,
-		}
+	mk := func(ctx *Ctx, degree int) BatchIterator {
+		return hashJoin(ctx, algebra.JoinSemi, l, r, nil, degree, 64)
 	}
-	serial := &HashJoin{
-		Ctx: NewCtx(nil), Kind: algebra.JoinSemi, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
-		RElem: relem,
-	}
-	want := value.Key(collect(t, serial))
+	want := value.Key(collect(t, nlJoin(algebra.JoinSemi, l, r, nil)))
 
 	for _, degree := range []int{2, 8} {
 		t.Run(fmt.Sprintf("p=%d", degree), func(t *testing.T) {
@@ -124,7 +100,7 @@ func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 
 			done := make(chan error, 1)
 			go func() {
-				_, err := CollectGoverned(gov, mk(ctx, degree))
+				_, err := CollectBatchesGoverned(gov, mk(ctx, degree))
 				done <- err
 			}()
 			time.Sleep(20 * time.Millisecond)
@@ -142,8 +118,8 @@ func TestSchedulerSkewCancellationMidSteal(t *testing.T) {
 
 			rctx := NewCtx(nil)
 			rctx.Sched = NewScheduler(SchedConfig{Workers: degree, MorselSize: 64})
-			if got := value.Key(collect(t, mk(rctx, degree))); got != want {
-				t.Fatalf("post-cancel rerun diverged from serial oracle")
+			if got := value.Key(collectBatches(t, mk(rctx, degree))); got != want {
+				t.Fatalf("post-cancel rerun diverged from the oracle")
 			}
 		})
 	}

@@ -81,10 +81,11 @@ func (c Candidate) String() string {
 // every enumerated batch size — and pin restricts the enumeration per
 // dimension:
 //
-//   - pin.Joins fixes the join family; ImplAuto enumerates nested-loop, hash
-//     and sort-merge, plus idxjoin for plans where a live persistent index
-//     can serve a join. Plans without join-family operators collapse to a
-//     single ImplAuto candidate, since the choice cannot matter.
+//   - pin.Joins fixes the join family; ImplAuto enumerates nested-loop and
+//     hash, sort-merge for plans with a nest join (the only operator it
+//     changes), and idxjoin for plans where a live persistent index can
+//     serve a join. Plans without join-family operators collapse to a single
+//     ImplAuto candidate, since the choice cannot matter.
 //   - pin.Degree is the maximum partitioned-execution degree: combinations
 //     that compile to partitioned operators are additionally costed at that
 //     degree, so EXPLAIN shows whether parallelism pays.
@@ -117,14 +118,23 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 	best := -1
 	for _, sp := range plans {
 		implsHere := impls
-		if !hasJoinFamily(sp.Plan) {
+		switch {
+		case !contains(sp.Plan, isJoinFamily):
 			implsHere = []JoinImpl{ImplAuto}
-		} else if pin.Joins == ImplAuto && e.HasIndexProbe(sp.Plan) {
-			// A live persistent index can serve at least one join of this
-			// plan: the idxjoin family joins the enumeration (it skips the
-			// right-input drain and build pass where the index applies and
-			// falls back to the auto mapping elsewhere).
-			implsHere = append(append([]JoinImpl{}, implsHere...), ImplIndex)
+		case pin.Joins == ImplAuto:
+			if !contains(sp.Plan, isNestJoin) {
+				// Flat joins have no merge variant (resolveJoin lowers it
+				// to hash), so sort-merge would only repeat the hash rows.
+				implsHere = impls[:2]
+			}
+			if e.HasIndexProbe(sp.Plan) {
+				// A live persistent index can serve at least one join of
+				// this plan: the idxjoin family joins the enumeration (it
+				// skips the right-input drain and build pass where the
+				// index applies and falls back to the auto mapping
+				// elsewhere).
+				implsHere = append(implsHere[:len(implsHere):len(implsHere)], ImplIndex)
+			}
 		}
 		accesses := []AccessPath{AccessScan}
 		switch pin.Access {

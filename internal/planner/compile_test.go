@@ -26,11 +26,29 @@ func TestCompile(t *testing.T) {
 	b, ctx := env.b, exec.NewCtx(env.db)
 	x, nj, fj := env.plans["scan-x"], env.plans["nest-xy"], env.plans["semi-xz"]
 
-	// Shapes: at degree >= 2 the hash family compiles to its partitioned
-	// forms, nested-loop and merge nest joins stay serial; in a batched plan
-	// scans and hash flat joins are batch-native and the partitioned exchange
-	// is fed batches directly, while everything cold comes back a row
-	// operator behind RowsToBatch.
+	// Shapes: the hash family is one operator per join kind at every degree,
+	// batch-native in every plan — fed batches directly in a batched plan and
+	// through RowsToBatch in a row plan, whose root comes back through
+	// BatchToRows; nested-loop and merge nest joins ignore the degree; in a
+	// batched plan scans are batch-native too, while row operators come back
+	// behind RowsToBatch.
+	hashDegree := func(want int, inputs string) func(op any) error {
+		return func(op any) error {
+			var degree int
+			var l, r exec.BatchIterator
+			switch j := op.(type) {
+			case *exec.HashJoin:
+				degree, l, r = j.Degree, j.L, j.R
+			case *exec.HashNestJoin:
+				degree, l, r = j.Degree, j.L, j.R
+			}
+			if got := fmt.Sprintf("%d %T %T", degree, l, r); got != fmt.Sprintf("%d %s", want, inputs) {
+				return fmt.Errorf("degree and inputs = %s, want %d %s", got, want, inputs)
+			}
+			return nil
+		}
+	}
+	const adapted, batched = "*exec.RowsToBatch *exec.RowsToBatch", "*exec.BatchTableScan *exec.BatchTableScan"
 	for _, tc := range []struct {
 		name  string
 		plan  algebra.Plan
@@ -38,27 +56,22 @@ func TestCompile(t *testing.T) {
 		want  string
 		check func(op any) error
 	}{
-		{"flat hash ×4", fj, PhysicalSpec{Joins: ImplHash, Degree: 4}, "*exec.ParHashJoin", func(op any) error {
-			pj := op.(*exec.ParHashJoin)
-			if _, adapted := pj.L.(*exec.RowsToBatch); pj.Degree != 4 || !adapted {
-				return fmt.Errorf("degree = %d, L = %T; want 4 over adapted row subtrees", pj.Degree, pj.L)
-			}
-			return nil
+		{"flat hash ×4", fj, PhysicalSpec{Joins: ImplHash, Degree: 4}, "*exec.BatchToRows", func(op any) error {
+			return hashDegree(4, adapted)(op.(*exec.BatchToRows).In)
 		}},
-		{"nest hash ×4", nj, PhysicalSpec{Joins: ImplHash, Degree: 4}, "*exec.ParHashNestJoin", nil},
-		{"nest hash ×1", nj, PhysicalSpec{Joins: ImplHash, Degree: 1}, "*exec.HashNestJoin", nil},
-		{"nest merge ×4 stays serial", nj, PhysicalSpec{Joins: ImplMerge, Degree: 4}, "*exec.MergeNestJoin", nil},
-		{"nest nl ×4 stays serial", nj, PhysicalSpec{Joins: ImplNestedLoop, Degree: 4}, "*exec.NLNestJoin", nil},
+		{"nest hash ×4", nj, PhysicalSpec{Joins: ImplHash, Degree: 4}, "*exec.BatchToRows", func(op any) error {
+			return hashDegree(4, adapted)(op.(*exec.BatchToRows).In)
+		}},
+		{"nest hash ×1", nj, PhysicalSpec{Joins: ImplHash, Degree: 1}, "*exec.BatchToRows", func(op any) error {
+			return hashDegree(1, adapted)(op.(*exec.BatchToRows).In)
+		}},
+		{"nest merge ×4 ignores the degree", nj, PhysicalSpec{Joins: ImplMerge, Degree: 4}, "*exec.MergeNestJoin", nil},
+		{"nest nl ×4 ignores the degree", nj, PhysicalSpec{Joins: ImplNestedLoop, Degree: 4}, "*exec.NLNestJoin", nil},
 		{"batched scan", x, PhysicalSpec{Batch: 64}, "*exec.BatchTableScan", nil},
-		{"batched flat equi join", fj, PhysicalSpec{Batch: 64}, "*exec.BatchHashJoin", nil},
-		{"batched flat hash ×4", fj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.ParHashJoin", func(op any) error {
-			if pj := op.(*exec.ParHashJoin); fmt.Sprintf("%T %T", pj.L, pj.R) != "*exec.BatchTableScan *exec.BatchTableScan" {
-				return fmt.Errorf("partitioned join should be fed batched inputs directly, got %T, %T", pj.L, pj.R)
-			}
-			return nil
-		}},
-		{"batched nest hash ×4", nj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.ParHashNestJoin", nil},
-		{"batched serial nest join is cold", nj, PhysicalSpec{Batch: 64}, "*exec.RowsToBatch", nil},
+		{"batched flat equi join", fj, PhysicalSpec{Batch: 64}, "*exec.HashJoin", hashDegree(0, batched)},
+		{"batched flat hash ×4", fj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.HashJoin", hashDegree(4, batched)},
+		{"batched nest hash ×4", nj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.HashNestJoin", hashDegree(4, batched)},
+		{"batched serial nest join is batch-native", nj, PhysicalSpec{Batch: 64}, "*exec.HashNestJoin", hashDegree(0, batched)},
 		{"batched nl join is cold", fj, PhysicalSpec{Joins: ImplNestedLoop, Batch: 64}, "*exec.RowsToBatch", nil},
 	} {
 		tree, err := New(ctx, tc.spec).Compile(tc.plan)

@@ -78,11 +78,11 @@ type PhysicalSpec struct {
 	// exec.IndexScan (per-selection fallback to scans elsewhere); AccessAuto
 	// and AccessScan read full scans.
 	Access AccessPath
-	// Degree is the scheduler-degree hint for the hash join family: values
-	// >= 2 run hash joins and hash nest joins partitioned (ParHashJoin,
-	// ParHashNestJoin), exchanging both inputs by key hash across that many
-	// partitions as morsels on the query's exec.Scheduler; 0 and 1 are serial
-	// streaming execution. Results are byte-identical at any degree and any
+	// Degree is the scheduler-degree hint for the hash join family: at
+	// values >= 2 exec.HashJoin and exec.HashNestJoin run partitioned,
+	// exchanging both inputs by key hash across that many partitions as
+	// morsels on the query's exec.Scheduler; 0 and 1 build one table and
+	// stream the probe. Results are byte-identical at any degree and any
 	// steal schedule — final results are canonical sets.
 	Degree int
 	// Batch is the rows-per-batch capacity of vectorized execution (capped at
@@ -134,14 +134,14 @@ func (t Tree) Collect(gov *exec.Governor) (value.Value, error) {
 	return exec.CollectGoverned(gov, t.Rows)
 }
 
-// Compile turns a logical plan into a physical operator tree. With
-// spec.Batch == 0 the tree is row-at-a-time throughout (the partitioned
-// operators, which exchange batches internally, read their inputs through
-// RowsToBatch); with spec.Batch > 0 every node with a batch-native operator
-// gets it, the rest keep their row operator, and asRows/asBatch adapt between
-// the two only where a consumer needs the other protocol — so a cold operator
-// in the middle of a plan never forces the subtree below it back to rows.
-// Results are identical either way by the set canonicalization in Collect.
+// Compile turns a logical plan into a physical operator tree. The hash join
+// family is batch-only and runs in every plan; with spec.Batch == 0 every
+// other node is a row operator and the tree's root speaks rows, with
+// spec.Batch > 0 every node with a batch-native operator gets it. Either
+// way asRows/asBatch adapt between the two protocols only where a consumer
+// needs the other one — so a row operator in the middle of a plan never
+// forces the subtree below it back to rows. Results are identical either way
+// by the set canonicalization in Collect.
 func (p *Planner) Compile(plan algebra.Plan) (Tree, error) {
 	t, err := p.compile(plan)
 	if err != nil {
@@ -150,7 +150,7 @@ func (p *Planner) Compile(plan algebra.Plan) (Tree, error) {
 	if p.spec.Batch > 0 {
 		return Tree{Batches: p.asBatch(t)}, nil
 	}
-	return t, nil
+	return Tree{Rows: p.asRows(t)}, nil
 }
 
 // asRows adapts a subtree for a row consumer.
@@ -167,18 +167,6 @@ func (p *Planner) asBatch(t Tree) exec.BatchIterator {
 		return t.Batches
 	}
 	return &exec.RowsToBatch{It: t.Rows, Size: p.spec.Batch}
-}
-
-// exchange places a partitioned operator, which speaks both protocols, in
-// the one the plan runs in.
-func (p *Planner) exchange(op interface {
-	exec.Iterator
-	exec.BatchIterator
-}) Tree {
-	if p.spec.Batch > 0 {
-		return Tree{Batches: op}
-	}
-	return Tree{Rows: op}
 }
 
 // compile2 compiles both operands of a binary node.
@@ -258,30 +246,17 @@ func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
 		if err != nil {
 			return Tree{}, err
 		}
-		switch {
-		case op.family == ImplNestedLoop:
+		if op.family == ImplNestedLoop {
 			return Tree{Rows: &exec.NLJoin{
 				Ctx: c, Kind: n.Kind, L: p.asRows(l), R: p.asRows(r),
 				LVar: n.LVar, RVar: n.RVar, Pred: n.Pred, RElem: n.R.Elem(),
 			}}, nil
-		case op.partitioned:
-			return p.exchange(&exec.ParHashJoin{
-				Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
-				LVar: n.LVar, RVar: n.RVar,
-				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
-				Degree: p.spec.Degree, BatchSize: p.spec.Batch,
-			}), nil
-		case batch:
-			return Tree{Batches: &exec.BatchHashJoin{
-				Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
-				LVar: n.LVar, RVar: n.RVar,
-				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
-			}}, nil
 		}
-		return Tree{Rows: &exec.HashJoin{
-			Ctx: c, Kind: n.Kind, L: p.asRows(l), R: p.asRows(r),
+		return Tree{Batches: &exec.HashJoin{
+			Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
 			LVar: n.LVar, RVar: n.RVar,
 			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
+			Degree: p.spec.Degree, BatchSize: p.spec.Batch,
 		}}, nil
 
 	case *algebra.NestJoin:
@@ -303,35 +278,22 @@ func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
 		if err != nil {
 			return Tree{}, err
 		}
-		switch {
-		case op.family == ImplNestedLoop:
+		switch op.family {
+		case ImplNestedLoop:
 			return Tree{Rows: &exec.NLNestJoin{
 				Ctx: c, L: p.asRows(l), R: p.asRows(r), LVar: n.LVar, RVar: n.RVar,
 				Pred: n.Pred, Fn: n.Fn, Label: n.Label,
 			}}, nil
-		case op.partitioned:
-			return p.exchange(&exec.ParHashNestJoin{
+		case ImplMerge:
+			return Tree{Rows: &exec.MergeNestJoin{
 				Ctx: c, L: p.asBatch(l), R: p.asBatch(r), LVar: n.LVar, RVar: n.RVar,
 				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
-				Degree: p.spec.Degree, BatchSize: p.spec.Batch,
-			}), nil
-		case op.family == ImplMerge:
-			// The merge nest join emits rows, but in a batched plan its sorted
-			// runs are built from batches directly.
-			m := &exec.MergeNestJoin{
-				Ctx: c, LVar: n.LVar, RVar: n.RVar,
-				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
-			}
-			if p.spec.Batch > 0 {
-				m.BL, m.BR = p.asBatch(l), p.asBatch(r)
-			} else {
-				m.L, m.R = p.asRows(l), p.asRows(r)
-			}
-			return Tree{Rows: m}, nil
+			}}, nil
 		}
-		return Tree{Rows: &exec.HashNestJoin{
-			Ctx: c, L: p.asRows(l), R: p.asRows(r), LVar: n.LVar, RVar: n.RVar,
+		return Tree{Batches: &exec.HashNestJoin{
+			Ctx: c, L: p.asBatch(l), R: p.asBatch(r), LVar: n.LVar, RVar: n.RVar,
 			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
+			Degree: p.spec.Degree, BatchSize: p.spec.Batch,
 		}}, nil
 
 	case *algebra.Nest:

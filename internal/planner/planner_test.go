@@ -96,8 +96,10 @@ func TestNestJoinImplEquivalence(t *testing.T) {
 func TestPhysicalChoice(t *testing.T) {
 	// Equi predicate + auto → hash; non-equi + auto → nested loop.
 	it := compileNJ(t, ImplAuto, "x.b = y.b").Rows
-	if _, ok := it.(*exec.HashNestJoin); !ok {
-		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin", it)
+	if a, ok := it.(*exec.BatchToRows); !ok {
+		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin behind BatchToRows", it)
+	} else if _, ok := a.In.(*exec.HashNestJoin); !ok {
+		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin", a.In)
 	}
 	it = compileNJ(t, ImplAuto, "x.b < y.b").Rows
 	if _, ok := it.(*exec.NLNestJoin); !ok {

@@ -31,13 +31,13 @@ type physOp struct {
 	// scan.
 	indexScan bool
 	scan      IndexScanMatch
-	// partitioned marks the hash family at spec.Degree >= 2: ParHashJoin /
-	// ParHashNestJoin.
+	// partitioned marks the hash family at spec.Degree >= 2, where HashJoin
+	// and HashNestJoin exchange their inputs across Degree partitions.
 	partitioned bool
 	// batchNative reports that a batch-native operator exists for the node,
-	// built when spec.Batch > 0: scans, scan-served selections, maps, hash
-	// flat joins, and the partitioned exchange (the serial hash nest join is
-	// a row operator).
+	// built when spec.Batch > 0: scans, scan-served selections, maps and the
+	// hash join family (which is batch-only, so row plans reach it through
+	// the adapters).
 	batchNative bool
 	// infeasible is why the spec cannot run this node ("" when it can): the
 	// hash and sort-merge families need an equi-key.
@@ -102,15 +102,15 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 		op.family = impl
 	}
 	op.partitioned = op.family == ImplHash && spec.Degree > 1
-	op.batchNative = op.partitioned || (!nest && op.family == ImplHash)
+	op.batchNative = op.family == ImplHash
 	return op
 }
 
-// describe names the resolved operator as EXPLAIN prints it, matching the
-// exec package's operator names (NLJoin, HashSemiJoin, ParHashNestJoin[4],
-// IdxSemiJoin using Y(d), IndexScan(X) using X(b), …) with a [batch=N]
-// suffix on batch-native operators of a batched plan. Nodes with a single
-// physical form keep their logical description.
+// describe names the resolved operator as EXPLAIN prints it, after the exec
+// package's operator names (NLJoin, HashSemiJoin, ParHashSemiJoin[4] for a
+// HashJoin at degree 4, IdxSemiJoin using Y(d), IndexScan(X) using X(b), …)
+// with a [batch=N] suffix on batch-native operators of a batched plan. Nodes
+// with a single physical form keep their logical description.
 func (op physOp) describe(n algebra.Plan, spec PhysicalSpec) string {
 	desc := n.Describe()
 	switch {
@@ -254,17 +254,31 @@ func ImplInfeasible(p algebra.Plan, impl JoinImpl) string {
 	return op.infeasible
 }
 
-// hasJoinFamily reports whether the plan contains any join-family operator,
-// i.e. whether the join-implementation choice can affect execution.
-func hasJoinFamily(p algebra.Plan) bool {
-	switch p.(type) {
-	case *algebra.Join, *algebra.NestJoin:
+// contains reports whether some node of the plan, the root included, is one
+// of the given operator kinds — a Join or NestJoin anywhere means the
+// join-implementation choice can affect execution, a NestJoin anywhere that
+// sort-merge can.
+func contains(p algebra.Plan, kinds func(algebra.Plan) bool) bool {
+	if kinds(p) {
 		return true
 	}
 	for _, ch := range p.Children() {
-		if hasJoinFamily(ch) {
+		if contains(ch, kinds) {
 			return true
 		}
 	}
 	return false
+}
+
+func isJoinFamily(p algebra.Plan) bool {
+	switch p.(type) {
+	case *algebra.Join, *algebra.NestJoin:
+		return true
+	}
+	return false
+}
+
+func isNestJoin(p algebra.Plan) bool {
+	_, ok := p.(*algebra.NestJoin)
+	return ok
 }

@@ -334,10 +334,10 @@ func TestExplain(t *testing.T) {
 		{"nl", "plain", "nest-xy", PhysicalSpec{Joins: ImplNestedLoop}, []string{"NLNestJoin"}, nil},
 		{"merge", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge}, []string{"MergeNestJoin"}, nil},
 		{"flat joins have no merge variant: the hash lowering", "plain", "semi-xz", PhysicalSpec{Joins: ImplMerge}, []string{"HashSemiJoin"}, nil},
-		{"partitioned", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Degree: 4}, []string{"ParHashNestJoin", "[4]"}, nil},
+		{"partitioned", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Degree: 4}, []string{"ParHashNest", "(x, y)[4]"}, nil},
 		{"merge nest joins stay serial at degree 4", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge, Degree: 4}, nil, []string{"Par"}},
 		{"batch-native operators carry the size", "plain", "inner-xz", PhysicalSpec{Batch: 1024}, []string{"(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, nil},
-		{"the serial hash nest join is a row operator", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash, Batch: 1024}, []string{"Scan(X)[batch=1024]"}, []string{"(x, z)[batch="}},
+		{"the serial hash nest join is batch-native", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash, Batch: 1024}, []string{"HashNestJoin[", "(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, []string{"Par"}},
 		{"idxscan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessIndex}, []string{"IndexScan(Y) using Y(b,d) prefix=1", "residual["}, nil},
 		{"scan path renders no IndexScan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessScan}, nil, []string{"IndexScan"}},
 		{"multi-point idxscan", "access", "sel-xb-in3", PhysicalSpec{Access: AccessIndex}, []string{"points=3"}, nil},

@@ -3,6 +3,7 @@ package stats
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"tmdb/internal/value"
@@ -56,7 +57,7 @@ func buildHistogram(vals []value.Value, nb int) *Histogram {
 	if len(vals) == 0 {
 		return nil
 	}
-	sort.Slice(vals, func(i, j int) bool { return value.Less(vals[i], vals[j]) })
+	slices.SortFunc(vals, value.Compare)
 	if nb < 1 {
 		nb = 1
 	}
@@ -193,8 +194,8 @@ func coverFrac(b Bucket, lo, hi value.Value) float64 {
 	}
 	if b.Lo.Kind() == value.KindInt && b.Hi.Kind() == value.KindInt {
 		width := bh - bl + 1
-		upTo := math.Min(width, math.Floor(hf)-bl+1)  // values <= hi
-		below := math.Max(0, math.Ceil(lf)-bl)        // values < lo
+		upTo := math.Min(width, math.Floor(hf)-bl+1) // values <= hi
+		below := math.Max(0, math.Ceil(lf)-bl)       // values < lo
 		return math.Max(0, math.Min(1, (upTo-below)/width))
 	}
 	if bh == bl {

@@ -120,7 +120,7 @@ func (t *Table) Seal() {
 		return
 	}
 	rows := append(make([]value.Value, 0, len(t.rows)), t.rows...)
-	sort.Slice(rows, func(i, j int) bool { return value.Less(rows[i], rows[j]) })
+	slices.SortFunc(rows, value.Compare)
 	out := rows[:0]
 	for i, r := range rows {
 		if i == 0 || !value.Equal(r, out[len(out)-1]) {

@@ -7,7 +7,9 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,7 +60,7 @@ var (
 func Tuple(fields ...Field) *Type {
 	fs := make([]Field, len(fields))
 	copy(fs, fields)
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Label < fs[j].Label })
+	slices.SortFunc(fs, func(a, b Field) int { return cmp.Compare(a.Label, b.Label) })
 	for i := 1; i < len(fs); i++ {
 		if fs[i].Label == fs[i-1].Label {
 			panic("types: duplicate tuple label " + fs[i].Label)

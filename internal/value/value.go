@@ -12,8 +12,10 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,7 +107,7 @@ var (
 func TupleOf(fields ...Field) Value {
 	fs := make([]Field, len(fields))
 	copy(fs, fields)
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Label < fs[j].Label })
+	slices.SortFunc(fs, func(a, b Field) int { return cmp.Compare(a.Label, b.Label) })
 	for i := 1; i < len(fs); i++ {
 		if fs[i].Label == fs[i-1].Label {
 			panic("value: duplicate tuple label " + fs[i].Label)
@@ -128,7 +130,7 @@ func SetOf(elems ...Value) Value {
 // setFromOwned canonicalizes es in place and wraps it as a set. The caller
 // must not use es afterwards.
 func setFromOwned(es []Value) Value {
-	sort.Slice(es, func(i, j int) bool { return Compare(es[i], es[j]) < 0 })
+	slices.SortFunc(es, Compare)
 	out := es[:0]
 	for i, e := range es {
 		if i == 0 || Compare(e, out[len(out)-1]) != 0 {
