@@ -492,6 +492,46 @@ func BenchmarkB8IndexScan(b *testing.B) {
 	}
 }
 
+// --- nested_exec at the library boundary: the repo benchmark's six nested
+// statements (bench/workloads.go's nestedQueries) as prepared statements on
+// its dataset, executed through Prepared.Query with no server in between.
+// This is the loop to profile the paper's operators with:
+//
+//	go test -run=NONE -bench=NestedExecStatements -benchmem -cpu 2 \
+//	    -cpuprofile cpu.out -memprofile mem.out -outputdir <dir>
+//
+// ---
+
+func BenchmarkNestedExecStatements(b *testing.B) {
+	statements := []struct{ name, q string }{
+		{"in", `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`},
+		{"subseteq", `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b`},
+		{"chain3", `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b AND y.c SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`},
+		{"count", `SELECT x FROM X x WHERE COUNT(SELECT y.a FROM Y y WHERE x.b = y.b) >= 2`},
+		{"selnest", `SELECT (b = x.b, ys = SELECT y.a FROM Y y WHERE x.b = y.b) FROM X x`},
+		{"flat", `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`},
+	}
+	cat, db := datagen.XYZ(datagen.Spec{
+		NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994,
+	})
+	eng := tmdb.New(cat, db)
+	eng.Analyze()
+	for _, st := range statements {
+		p, err := eng.Prepare(st.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Query(tmdb.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- B11: a single-row write costs what it changes. One insert plus one
 // predicate delete of that row on the repo benchmark's indexed dataset
 // (XYZ{2000, 6000, 4000}, indexes X(b), Y(d), Y(b,d)) — the mixed_rw write

@@ -207,7 +207,10 @@ type Result struct {
 	// excluding parse/bind).
 	Duration time.Duration
 	// EvalSteps counts elementary expression-evaluation steps performed by
-	// operators and naive evaluation — a machine-independent work measure.
+	// operators and naive evaluation — a machine-independent work measure of
+	// evaluator work performed. Expressions the executor compiles (join keys,
+	// residuals, projections and nest-join functions in the compiled subset)
+	// run without the evaluator and count no steps.
 	EvalSteps int64
 	// Sched reports the morsel scheduler's per-query counters: morsels
 	// dispatched to their home worker, morsels stolen by idle workers, and

@@ -62,6 +62,10 @@ func explainedAs(n algebra.Plan, op any, spec planner.PhysicalSpec) (desc string
 			return "", nil, fmt.Errorf("BatchDistinct over %T, want BatchMap", o.In)
 		}
 		return d + batch, []any{m.In}, nil
+	case *exec.MapIter:
+		return d, []any{o.In}, nil
+	case *exec.BatchMap:
+		return d + batch, []any{o.In}, nil
 	case *exec.NLJoin:
 		return "NL" + d, []any{o.L, o.R}, nil
 	case *exec.HashJoin:

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"tmdb/internal/value"
 )
 
@@ -52,49 +54,70 @@ func NormalizeBatchSize(n int) int {
 }
 
 // Batch carries up to one batch size worth of rows plus a columnar scratch
-// arena for their encoded keys (filled on demand by encodeKeys, or row by row
-// by the exchange's add, in the value.AppendKey encoding the hash join family
-// keys on). The arena is columnar in the sense that all key bytes live in one
-// contiguous buffer delimited by offsets, not one allocation per row.
+// arena for their encoded keys (filled on demand by encodeKeys, in the
+// value.AppendKey encoding the hash join family keys on). The arena is
+// columnar in the sense that all key bytes live in one contiguous buffer
+// delimited by offsets, not one allocation per row.
+//
+// A batch may also carry a selection vector, MonetDB/X100-style: its rows are
+// then Rows[sel[0]], Rows[sel[1]], … and row i's key is the sel[i]-th of the
+// arena. Only the exchange's fragments carry one — each shares the routed
+// batch's rows and key arena and selects its partition's positions — and
+// only the hash build and probe kernels read fragments, through Len, row and
+// Key; every batch an operator returns from NextBatch has no selection.
 type Batch struct {
 	Rows []value.Value
 	keys []byte
 	offs []uint32
+	sel  []int32
 }
 
 // Len returns the number of rows in the batch.
-func (b *Batch) Len() int { return len(b.Rows) }
+func (b *Batch) Len() int {
+	if b.sel != nil {
+		return len(b.sel)
+	}
+	return len(b.Rows)
+}
+
+// row returns row i, through the selection vector if there is one.
+func (b *Batch) row(i int) value.Value {
+	if b.sel != nil {
+		return b.Rows[b.sel[i]]
+	}
+	return b.Rows[i]
+}
 
 // reset clears the batch for refilling, retaining capacity.
 func (b *Batch) reset() {
 	b.Rows = b.Rows[:0]
 	b.keys = b.keys[:0]
 	b.offs = b.offs[:0]
+	b.sel = nil
 }
 
 // Key returns row i's encoded key bytes; valid only after encodeKeys.
-func (b *Batch) Key(i int) []byte { return b.keys[b.offs[i]:b.offs[i+1]] }
-
-// add appends row v with its encoded key.
-func (b *Batch) add(v value.Value, key []byte) {
-	if len(b.offs) == 0 {
-		b.offs = append(b.offs, 0)
+func (b *Batch) Key(i int) []byte {
+	if b.sel != nil {
+		i = int(b.sel[i])
 	}
-	b.Rows = append(b.Rows, v)
-	b.keys = append(b.keys, key...)
-	b.offs = append(b.offs, uint32(len(b.keys)))
+	return b.keys[b.offs[i]:b.offs[i+1]]
 }
 
 // encodeKeys fills the key arena with every row's encoded key. The encoder's
 // scratch state and the batch arena are both reused across batches, so a
-// steady-state batch encodes keys with zero allocations.
+// steady-state batch encodes keys with zero allocations; a fresh arena is
+// sized from the first key, which is exact for fixed-width keys.
 func (b *Batch) encodeKeys(enc *keyEncoder) error {
 	b.keys = b.keys[:0]
-	b.offs = append(b.offs[:0], 0)
-	for _, v := range b.Rows {
+	b.offs = append(slices.Grow(b.offs[:0], len(b.Rows)+1), 0)
+	for i, v := range b.Rows {
 		buf, err := enc.appendKey(b.keys, v)
 		if err != nil {
 			return err
+		}
+		if i == 0 {
+			buf = slices.Grow(buf, len(buf)*(len(b.Rows)-1))
 		}
 		b.keys = buf
 		b.offs = append(b.offs, uint32(len(buf)))

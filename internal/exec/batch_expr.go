@@ -2,27 +2,30 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/eval"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
-// Compiled row programs for the batched operators. The expressions that
-// dominate hot plans — field selections off the row variable, comparisons
-// against literals or other fields, conjunctions of those, and tuple
-// constructors over them — are compiled once at Open into direct closures
-// over value.Value, so the per-row batch loops skip the evaluator's tree
-// walk entirely. Everything outside this subset falls back to the generic
-// evaluator with a reused environment node (eval.Env.Rebind), which keeps
-// semantics and error behavior exactly those of the row engine.
+// Compiled row programs for the batched operators and the join family. The
+// expressions that dominate hot plans — field selections off the row
+// variables, comparisons against literals or other fields, conjunctions of
+// those, tuple constructors over them, and nest-join functions of that shape
+// — are compiled once at Open into direct closures over value.Value, so the
+// per-row loops skip the evaluator's tree walk entirely. Everything outside
+// this subset falls back to the generic evaluator with a reused environment
+// node (eval.Env.Rebind), which keeps semantics and error behavior exactly
+// those of the row engine.
 //
 // Semantics parity: compiled comparisons go through eval.Apply — the same
 // function the evaluator uses — and compiled field selection reproduces the
 // evaluator's error messages verbatim, so a query errors identically whether
-// its predicate compiled or not. Compiled programs do not advance the
-// evaluator's step counter: EvalSteps measures evaluator work performed, and
-// compiled batch loops genuinely perform none.
+// its predicate compiled or not. Compiled programs — keys, residuals,
+// projections and nest-join functions alike — do not advance the evaluator's
+// step counter: EvalSteps measures evaluator work performed, and compiled
+// loops genuinely perform none.
 
 // scalar2 is a compiled scalar expression over up to two row variables.
 type scalar2 func(a, b value.Value) (value.Value, error)
@@ -156,45 +159,64 @@ func (p *rowPredicate) eval(row value.Value) (bool, error) {
 	return p.c.evalPred(p.pred, p.env)
 }
 
-// pairPredicate is rowPredicate over two variables — the join residual form.
-// It is a value so an operator can hold one without allocating when there is
-// no residual.
-type pairPredicate struct {
+// pairExpr is an expression over two row variables with the generic
+// evaluator's fallback: two environment nodes built once and rebound per
+// pair. pairPredicate and pairScalar share it and differ only in the
+// compiled closure and in evalPred vs evalIn.
+type pairExpr struct {
 	c          *Ctx
-	pred       tmql.Expr
-	compiled   pred2
+	e          tmql.Expr
 	envL, envR *eval.Env // envR is the head of the chain, envL its tail node
 }
 
+// useEnv sets up the fallback's environment nodes; only expressions outside
+// the compiled subset need them.
+func (p *pairExpr) useEnv(lvar, rvar string) {
+	p.envL = env1(lvar, value.Value{})
+	p.envR = p.envL.Bind(rvar, value.Value{})
+}
+
+// bind rebinds the two variables to l and r and returns the chain's head.
+func (p *pairExpr) bind(l, r value.Value) *eval.Env {
+	p.envL.Rebind(l)
+	p.envR.Rebind(r)
+	return p.envR
+}
+
+// pairPredicate is rowPredicate over two variables — the join residual form.
+// It is a value so an operator can hold one without allocating when there is
+// no residual (a nil e).
+type pairPredicate struct {
+	pairExpr
+	compiled pred2
+}
+
 func newPairPredicate(c *Ctx, pred tmql.Expr, lvar, rvar string) pairPredicate {
-	p := pairPredicate{c: c, pred: pred}
+	p := pairPredicate{pairExpr: pairExpr{c: c, e: pred}}
 	if pred == nil {
 		return p
 	}
 	if p.compiled = compilePred2(pred, lvar, rvar); p.compiled == nil {
-		p.envL = env1(lvar, value.Value{})
-		p.envR = p.envL.Bind(rvar, value.Value{})
+		p.useEnv(lvar, rvar)
 	}
 	return p
 }
 
 func (p *pairPredicate) eval(l, r value.Value) (bool, error) {
-	if p.pred == nil {
+	if p.e == nil {
 		return true, nil
 	}
 	if p.compiled != nil {
 		return p.compiled(l, r)
 	}
-	p.envL.Rebind(l)
-	p.envR.Rebind(r)
-	return p.c.evalPred(p.pred, p.envR)
+	return p.c.evalPred(p.e, p.bind(l, r))
 }
 
 // any reports whether some row of bucket passes the predicate against l: the
 // semi and anti joins' early-out probe. With no predicate, bucket membership
 // already answers it.
 func (p *pairPredicate) any(l value.Value, bucket []value.Value) (bool, error) {
-	if p.pred == nil {
+	if p.e == nil {
 		return len(bucket) > 0, nil
 	}
 	for _, r := range bucket {
@@ -204,6 +226,29 @@ func (p *pairPredicate) any(l value.Value, bucket []value.Value) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// pairScalar is pairPredicate's scalar twin — the nest-join function G(l, r)
+// — compiled when the shape allows, generic evaluation otherwise. Not safe
+// for concurrent use; each prober builds its own.
+type pairScalar struct {
+	pairExpr
+	compiled scalar2
+}
+
+func newPairScalar(c *Ctx, fn tmql.Expr, lvar, rvar string) pairScalar {
+	s := pairScalar{pairExpr: pairExpr{c: c, e: fn}}
+	if s.compiled = compileScalar2(fn, lvar, rvar); s.compiled == nil {
+		s.useEnv(lvar, rvar)
+	}
+	return s
+}
+
+func (s *pairScalar) eval(l, r value.Value) (value.Value, error) {
+	if s.compiled != nil {
+		return s.compiled(l, r)
+	}
+	return s.c.evalIn(s.e, s.bind(l, r))
 }
 
 // rowProjector evaluates a Map output expression per row: compiled for
@@ -225,7 +270,10 @@ func newRowProjector(c *Ctx, out tmql.Expr, varName string) *rowProjector {
 }
 
 // compileProjector extends the scalar subset with tuple constructors, the
-// shape every SELECT projection bottoms out in.
+// shape every SELECT projection bottoms out in. The labels are sorted once
+// here: each field is evaluated in source order (so the first error is the
+// evaluator's) and stored at its label's canonical position, and the tuple
+// is wrapped as is — one allocation per row, no sort.
 func compileProjector(out tmql.Expr, varName string) scalar2 {
 	if s := compileScalar2(out, varName, ""); s != nil {
 		return s
@@ -234,13 +282,23 @@ func compileProjector(out tmql.Expr, varName string) scalar2 {
 	if !ok {
 		return nil
 	}
-	labels := make([]string, len(cons.Fields))
+	sorted := make([]string, len(cons.Fields))
 	scalars := make([]scalar2, len(cons.Fields))
 	for i, f := range cons.Fields {
 		if scalars[i] = compileScalar2(f.E, varName, ""); scalars[i] == nil {
 			return nil
 		}
-		labels[i] = f.Label
+		sorted[i] = f.Label
+	}
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil // duplicate labels: the evaluator reports them
+		}
+	}
+	pos := make([]int, len(cons.Fields))
+	for i, f := range cons.Fields {
+		pos[i], _ = slices.BinarySearch(sorted, f.Label)
 	}
 	return func(a, b value.Value) (value.Value, error) {
 		fs := make([]value.Field, len(scalars))
@@ -249,9 +307,9 @@ func compileProjector(out tmql.Expr, varName string) scalar2 {
 			if err != nil {
 				return value.Value{}, err
 			}
-			fs[i] = value.F(labels[i], fv)
+			fs[pos[i]] = value.F(sorted[pos[i]], fv)
 		}
-		return value.TupleOf(fs...), nil
+		return value.CanonicalTuple(fs), nil
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/faultinject"
@@ -24,11 +25,12 @@ import (
 // probed as it arrives. At 2 or more both inputs are exchanged by key hash
 // across Degree partitions, then built and probed as morsels on the query's
 // scheduler (see parallel.go). Either way every row goes through the same
-// build kernel (buildRows) and probe kernel (probeRows) over key-encoded
-// batches, with keys and residuals compiled where the expressions allow, so
-// results and EvalSteps are the same at every degree. Governance is per row
-// at every degree: each build row passes the hash.build gate and is charged to
-// the build budget, each probe row passes the hash.probe gate.
+// build kernel (buildTable) and probe kernel (probeRows) over key-encoded
+// batches, with keys, residuals and the nest-join function compiled where the
+// expressions allow, so results and EvalSteps are the same at every degree.
+// Governance is per row at every degree: each build row passes the
+// hash.build gate and is charged to the build budget, each probe row passes
+// the hash.probe gate.
 
 // HashJoin is the hash implementation of the flat join family on equi-keys.
 type HashJoin struct {
@@ -64,7 +66,7 @@ func (j *HashJoin) Open() error {
 		}
 		j.pad = nullTuple(j.RElem)
 	}
-	return j.open(j.Ctx, j.L, j.R, j.LVar, j.RVar, j.LKeys, j.RKeys, j.Degree, j.BatchSize, j.prober)
+	return j.open(j.Ctx, j.L, j.R, j.LVar, j.RVar, j.LKeys, j.RKeys, j.Degree, j.BatchSize, false, j.prober)
 }
 
 // prober returns the flat join's row probe over c. The semi and anti joins
@@ -126,15 +128,16 @@ type HashNestJoin struct {
 // Open builds the right input's table (at Degree >= 2, runs the whole
 // partitioned join) and opens the left.
 func (j *HashNestJoin) Open() error {
-	return j.open(j.Ctx, j.L, j.R, j.LVar, j.RVar, j.LKeys, j.RKeys, j.Degree, j.BatchSize, j.prober)
+	return j.open(j.Ctx, j.L, j.R, j.LVar, j.RVar, j.LKeys, j.RKeys, j.Degree, j.BatchSize, true, j.prober)
 }
 
 // prober returns the nest join's row probe over c: one output tuple per left
 // element, extended with its group.
 func (j *HashNestJoin) prober(c *Ctx) rowProbe {
 	res := newPairPredicate(c, j.Residual, j.LVar, j.RVar)
+	fn := newPairScalar(c, j.Fn, j.LVar, j.RVar)
 	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
-		group, err := nestGroup(c, &res, l, bucket, j.LVar, j.RVar, j.Fn)
+		group, err := nestGroup(&res, &fn, l, bucket)
 		if err != nil {
 			return nil, err
 		}
@@ -147,8 +150,7 @@ func (j *HashNestJoin) prober(c *Ctx) rowProbe {
 // into a set. The builder is sized by the bucket — the group is at most the
 // bucket — so group construction never regrows. Shared by the hash and index
 // nest joins.
-func nestGroup(c *Ctx, res *pairPredicate, l value.Value, bucket []value.Value,
-	lvar, rvar string, fn tmql.Expr) (value.Value, error) {
+func nestGroup(res *pairPredicate, fn *pairScalar, l value.Value, bucket []value.Value) (value.Value, error) {
 	group := value.NewSetBuilder(len(bucket))
 	for _, r := range bucket {
 		match, err := res.eval(l, r)
@@ -158,7 +160,7 @@ func nestGroup(c *Ctx, res *pairPredicate, l value.Value, bucket []value.Value,
 		if !match {
 			continue
 		}
-		g, err := c.evalIn(fn, env2(lvar, l, rvar, r))
+		g, err := fn.eval(l, r)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -185,15 +187,18 @@ type hashCore struct {
 	probe rowProbe
 	out   Batch
 
-	// Partitioned: the per-partition output materialized by open, streamed
-	// in partition order as zero-copy batches of bsize rows.
+	// Partitioned: the output materialized by open, one slot per probe
+	// morsel in static (partition, fragment) order, streamed as zero-copy
+	// batches of at most bsize rows.
 	parts  [][]value.Value
 	pi, oi int
 	bsize  int
 }
 
+// nest says the probe emits exactly one row per probe row, which lets the
+// partitioned form size its output slots exactly.
 func (h *hashCore) open(c *Ctx, l, r BatchIterator, lvar, rvar string, lkeys, rkeys []tmql.Expr,
-	degree, batchSize int, prober func(*Ctx) rowProbe) error {
+	degree, batchSize int, nest bool, prober func(*Ctx) rowProbe) error {
 	if len(lkeys) == 0 || len(lkeys) != len(rkeys) {
 		return fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
@@ -201,7 +206,7 @@ func (h *hashCore) open(c *Ctx, l, r BatchIterator, lvar, rvar string, lkeys, rk
 	if h.partitioned {
 		h.bsize = NormalizeBatchSize(batchSize)
 		var err error
-		h.parts, err = runPartitioned(c, degree, l, r, lkeys, rkeys, lvar, rvar, prober)
+		h.parts, err = runPartitioned(c, degree, l, r, lkeys, rkeys, lvar, rvar, nest, prober)
 		return err
 	}
 	table, err := buildSerial(c, r, newKeyEncoder(c, rkeys, rvar))
@@ -212,56 +217,38 @@ func (h *hashCore) open(c *Ctx, l, r BatchIterator, lvar, rvar string, lkeys, rk
 	return l.Open()
 }
 
-// buildSerial drains r into one table, encoding each batch's keys in place:
-// no exchange and no row copies.
+// buildSerial drains r into owned copies of its batches, each row's key
+// encoded once, and builds one table from them with the build kernel.
 func buildSerial(c *Ctx, r BatchIterator, enc *keyEncoder) (*hashTable, error) {
 	if err := r.Open(); err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	table := newHashTable(0)
+	var owned []Batch
 	for {
 		bt, ok, err := r.NextBatch()
-		if err != nil || !ok {
-			return table, err
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return buildTable(c, owned)
 		}
 		if err := bt.encodeKeys(enc); err != nil {
 			return nil, err
 		}
-		if err := buildRows(c, table, bt); err != nil {
-			return nil, err
-		}
+		owned = append(owned, Batch{Rows: slices.Clone(bt.Rows), keys: slices.Clone(bt.keys), offs: slices.Clone(bt.offs)})
 	}
-}
-
-// buildRows is the build kernel: it inserts b's rows into table under their
-// encoded keys.
-func buildRows(c *Ctx, table *hashTable, b *Batch) error {
-	for i, r := range b.Rows {
-		if err := c.check(); err != nil {
-			return err
-		}
-		if err := faultinject.Hit(faultinject.PointHashBuild); err != nil {
-			return err
-		}
-		key := b.Key(i)
-		if err := c.addBuild(len(key)); err != nil {
-			return err
-		}
-		table.add(key, r)
-	}
-	return nil
 }
 
 // probeRows is the probe kernel: it probes each of b's rows against table
 // under its encoded key, appending the output to out.
 func probeRows(c *Ctx, table *hashTable, b *Batch, probe rowProbe, out []value.Value) ([]value.Value, error) {
-	for i, l := range b.Rows {
+	for i := 0; i < b.Len(); i++ {
 		if err := probeCheck(c); err != nil {
 			return nil, err
 		}
 		var err error
-		if out, err = probe(l, table.bucket(b.Key(i)), out); err != nil {
+		if out, err = probe(b.row(i), table.bucket(b.Key(i)), out); err != nil {
 			return nil, err
 		}
 	}
@@ -303,8 +290,8 @@ func (h *hashCore) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// nextPart streams the partitioned output as zero-copy slices of the
-// per-partition result vectors.
+// nextPart streams the partitioned output as zero-copy slices of the probe
+// slots.
 func (h *hashCore) nextPart() (*Batch, bool, error) {
 	for h.pi < len(h.parts) {
 		part := h.parts[h.pi]

@@ -220,6 +220,7 @@ type IndexNestJoin struct {
 
 	probe indexProbeSide
 	res   pairPredicate
+	fn    pairScalar
 }
 
 // Open resolves the index and opens the left input.
@@ -229,6 +230,7 @@ func (j *IndexNestJoin) Open() error {
 		return err
 	}
 	j.res = newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
+	j.fn = newPairScalar(j.Ctx, j.Fn, j.LVar, j.RVar)
 	return j.L.Open()
 }
 
@@ -245,7 +247,7 @@ func (j *IndexNestJoin) Next() (value.Value, bool, error) {
 	if err != nil {
 		return value.Value{}, false, err
 	}
-	group, err := nestGroup(j.Ctx, &j.res, l, bucket, j.LVar, j.RVar, j.Fn)
+	group, err := nestGroup(&j.res, &j.fn, l, bucket)
 	if err != nil {
 		return value.Value{}, false, err
 	}

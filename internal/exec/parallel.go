@@ -19,7 +19,7 @@ import (
 // worker and can be stolen by idle workers, so a skewed partition does not
 // serialize on one goroutine. Results are correct because rows that can ever
 // match share identical key bytes and therefore land in the same partition;
-// results are deterministic because output slots are concatenated in static
+// results are deterministic because output slots are streamed in static
 // (partition, fragment) order and every query result passes through the set
 // canonicalization in exec.Collect, which erases arrival order — so the final
 // value is bit-identical to serial execution at any degree and any steal
@@ -27,10 +27,17 @@ import (
 //
 // Each worker runs over a forked Ctx with its own evaluator, so the
 // EvalSteps counter is sharded per worker — no races, no false sharing —
-// and folded back into the parent by the scheduler. Key encodings are
-// computed once during partitioning into each fragment's key arena (a
-// fragment is a Batch); build and probe reuse them, keeping the per-row key
-// cost to a single evaluation and zero string allocations on the probe side.
+// and folded back into the parent by the scheduler.
+//
+// The exchange routes positions, not rows. The feeder copies each input
+// batch's rows once into an owned slice (the source's batch is only valid
+// until its next NextBatch); a pump worker encodes every row's key once into
+// one arena for the batch and hands each partition a fragment — a Batch that
+// shares the owned rows and the arena and selects its partition's positions
+// through a selection vector. Build and probe read rows and keys through the
+// fragments, so a row is copied once on the way in, once into its hash
+// bucket on the build side, and a key is evaluated once with zero string
+// allocations on the probe side.
 
 // minParallelRows is the input size below which the partitioned operators
 // run their morsels inline on the calling goroutine: the partitioned
@@ -44,15 +51,6 @@ const minParallelRows = 256
 type partitionSet struct {
 	parts [][]Batch
 	total int
-}
-
-// rowCount returns the number of rows routed to partition p.
-func (ps *partitionSet) rowCount(p int) int {
-	n := 0
-	for i := range ps.parts[p] {
-		n += ps.parts[p][i].Len()
-	}
-	return n
 }
 
 // fork returns a context over the same database with a fresh evaluator, so
@@ -96,26 +94,41 @@ type seqFragment struct {
 	seq int
 }
 
-// routeBatch routes one batch's rows into per-partition fragments, encoding
-// each row's key on the way (the per-row hot cost the pump parallelizes),
-// and appends the non-empty fragments to acc. scratch is the reusable key
-// buffer, returned extended for reuse.
-func routeBatch(enc *keyEncoder, sb seqRows, nparts int, acc [][]seqFragment, scratch []byte) ([]byte, error) {
-	frs := make([]Batch, nparts)
-	for _, r := range sb.rows {
-		buf, err := enc.appendKey(scratch[:0], r)
-		if err != nil {
-			return scratch, err
-		}
-		scratch = buf[:0]
-		frs[hashKeyBytes(buf)%uint64(nparts)].add(r, buf)
+// routeBatch routes one fed batch into per-partition fragments without
+// copying its rows: it encodes each row's key once (the per-row hot cost the
+// pump parallelizes), assigns the row its partition, and appends one fragment
+// per non-empty partition to acc — sharing sb.rows and the key arena, with
+// the partition's positions carved from one selection array. part is a
+// reusable per-row partition buffer, returned extended for reuse.
+func routeBatch(enc *keyEncoder, sb seqRows, nparts int, acc [][]seqFragment, part []int32) ([]int32, error) {
+	b := Batch{Rows: sb.rows}
+	if err := b.encodeKeys(enc); err != nil {
+		return part, err
 	}
-	for p := range frs {
-		if frs[p].Len() > 0 {
-			acc[p] = append(acc[p], seqFragment{Batch: frs[p], seq: sb.seq})
+	counts := make([]int, nparts)
+	part = part[:0]
+	for i := range b.Rows {
+		p := int32(hashKeyBytes(b.Key(i)) % uint64(nparts))
+		part = append(part, p)
+		counts[p]++
+	}
+	sels := make([][]int32, nparts)
+	backing := make([]int32, len(part))
+	for p, off := 0, 0; p < nparts; p++ {
+		sels[p] = backing[off : off : off+counts[p]]
+		off += counts[p]
+	}
+	for i, p := range part {
+		sels[p] = append(sels[p], int32(i))
+	}
+	for p, sel := range sels {
+		if len(sel) > 0 {
+			fr := b
+			fr.sel = sel
+			acc[p] = append(acc[p], seqFragment{Batch: fr, seq: sb.seq})
 		}
 	}
-	return scratch, nil
+	return part, nil
 }
 
 // assemblePartitions merges per-producer fragment accumulators into a
@@ -191,10 +204,10 @@ func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, v
 		ctx := c.fork()
 		enc := newKeyEncoder(ctx, keys, varName)
 		acc := make([][]seqFragment, nparts)
-		var scratch []byte
+		var part []int32
 		var err error
 		for _, sb := range pending {
-			if scratch, err = routeBatch(enc, sb, nparts, acc, scratch); err != nil {
+			if part, err = routeBatch(enc, sb, nparts, acc, part); err != nil {
 				break
 			}
 		}
@@ -221,14 +234,14 @@ func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, v
 	}
 	accs := make([][][]seqFragment, s.Workers())
 	encs := make([]*keyEncoder, s.Workers())
-	scratches := make([][]byte, s.Workers())
+	parts := make([][]int32, s.Workers())
 	err := s.pump(c, feedAll, func(w int, ctx *Ctx, sb seqRows) error {
 		if accs[w] == nil {
 			accs[w] = make([][]seqFragment, nparts)
 			encs[w] = newKeyEncoder(ctx, keys, varName)
 		}
 		var rerr error
-		scratches[w], rerr = routeBatch(encs[w], sb, nparts, accs[w], scratches[w])
+		parts[w], rerr = routeBatch(encs[w], sb, nparts, accs[w], parts[w])
 		return rerr
 	})
 	src.Close()
@@ -245,14 +258,14 @@ func partitionInput(c *Ctx, s *Scheduler, src BatchIterator, keys []tmql.Expr, v
 }
 
 // runPartitioned runs one partitioned hash join on the morsel scheduler and
-// returns its output per partition: exchange-partition both inputs through
-// the pump, then run two scheduled phases with a barrier between — build (one
-// morsel per partition) and probe (one morsel per (partition, fragment), each
-// with its own row probe from prober) — and concatenate the probe slots of
-// each partition in static order. Inputs below minParallelRows run the same
-// morsels inline on one worker.
+// returns its output as the non-empty probe slots in static (partition,
+// fragment) order: exchange-partition both inputs through the pump, then run
+// two scheduled phases with a barrier between — build (one morsel per
+// partition) and probe (one morsel per (partition, fragment), each with its
+// own row probe from prober). Inputs below minParallelRows run the same
+// morsels inline on one worker. nest is as in hashCore.open.
 func runPartitioned(c *Ctx, degree int, l, r BatchIterator,
-	lkeys, rkeys []tmql.Expr, lvar, rvar string, prober func(*Ctx) rowProbe) ([][]value.Value, error) {
+	lkeys, rkeys []tmql.Expr, lvar, rvar string, nest bool, prober func(*Ctx) rowProbe) ([][]value.Value, error) {
 	s := c.scheduler(degree, 0)
 	rp, err := partitionInput(c, s, r, rkeys, rvar, degree)
 	if err != nil {
@@ -272,14 +285,9 @@ func runPartitioned(c *Ctx, degree int, l, r BatchIterator,
 	btasks := make([]morselTask, degree)
 	for p := 0; p < degree; p++ {
 		btasks[p] = morselTask{home: p, fn: func(ctx *Ctx) error {
-			t := newHashTable(rp.rowCount(p))
-			for i := range rp.parts[p] {
-				if err := buildRows(ctx, t, &rp.parts[p][i]); err != nil {
-					return err
-				}
-			}
+			t, err := buildTable(ctx, rp.parts[p])
 			tables[p] = t
-			return nil
+			return err
 		}}
 	}
 	if err := s.run(c, btasks, maxWorkers); err != nil {
@@ -289,39 +297,37 @@ func runPartitioned(c *Ctx, degree int, l, r BatchIterator,
 	// Probe phase: one morsel per (partition, fragment). A fragment holds at
 	// most one input batch of rows, so this is the morsel granularity that
 	// lets idle workers steal into a skewed partition; each morsel writes a
-	// statically assigned slot, so stealing can never reorder output.
+	// statically assigned slot, so stealing can never reorder output. A nest
+	// join's slot starts with room for exactly its output, one row per probe
+	// row; a flat join's starts empty, so a selective join keeps no
+	// probe-sized slot alive.
 	slots := make([][][]value.Value, degree)
 	var ptasks []morselTask
 	for p := 0; p < degree; p++ {
 		slots[p] = make([][]value.Value, len(lp.parts[p]))
 		for fi := range lp.parts[p] {
 			ptasks = append(ptasks, morselTask{home: p, fn: func(ctx *Ctx) error {
-				res, err := probeRows(ctx, tables[p], &lp.parts[p][fi], prober(ctx), nil)
-				if err != nil {
-					return err
+				fr := &lp.parts[p][fi]
+				var res []value.Value
+				if nest {
+					res = make([]value.Value, 0, fr.Len())
 				}
+				res, err := probeRows(ctx, tables[p], fr, prober(ctx), res)
 				slots[p][fi] = res
-				return nil
+				return err
 			}})
 		}
 	}
 	if err := s.run(c, ptasks, maxWorkers); err != nil {
 		return nil, err
 	}
-	out := make([][]value.Value, degree)
-	for p := 0; p < degree; p++ {
-		n := 0
-		for _, fo := range slots[p] {
-			n += len(fo)
+	var out [][]value.Value
+	for _, ps := range slots {
+		for _, fo := range ps {
+			if len(fo) > 0 {
+				out = append(out, fo)
+			}
 		}
-		if n == 0 {
-			continue
-		}
-		merged := make([]value.Value, 0, n)
-		for _, fo := range slots[p] {
-			merged = append(merged, fo...)
-		}
-		out[p] = merged
 	}
 	return out, nil
 }

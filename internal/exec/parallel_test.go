@@ -209,31 +209,48 @@ func hashNestJoin(ctx *Ctx, l, r []value.Value, lk, rk string, residual tmql.Exp
 
 // TestHashNestJoinMatchesNL compares the hash nest join at every degree
 // against the nested-loop nest join on the Table 1 example and on generated
-// data of sizes straddling minParallelRows, with and without a residual.
+// data of sizes straddling minParallelRows, with and without a residual, and
+// with nest-join functions inside the compiled subset (y.w), outside it
+// (evaluated generically) and failing (a field of a non-tuple): results must
+// render byte-identically and errors must carry the evaluator's exact text.
 func TestHashNestJoinMatchesNL(t *testing.T) {
 	type dataset struct {
 		name   string
 		l, r   []value.Value
 		lk, rk string
 		resid  tmql.Expr
+		fn     string // the nest-join function; "" is the identity y
 	}
 	x, y := xyRows()
-	sets := []dataset{{"table1", x, y, "x.d", "y.b", nil}}
+	sets := []dataset{{"table1", x, y, "x.d", "y.b", nil, ""}}
 	for _, n := range []int{0, 7, 500} {
 		l, r := genRows(n, 17, "k", "v"), genRows(n*3/2, 11, "j", "w")
 		sets = append(sets,
-			dataset{fmt.Sprintf("n=%d", n), l, r, "x.k", "y.j", nil},
-			dataset{fmt.Sprintf("n=%d/resid", n), l, r, "x.k", "y.j", pred("x.v <= y.w + 250")})
+			dataset{fmt.Sprintf("n=%d", n), l, r, "x.k", "y.j", nil, ""},
+			dataset{fmt.Sprintf("n=%d/resid", n), l, r, "x.k", "y.j", pred("x.v <= y.w + 250"), ""},
+			dataset{fmt.Sprintf("n=%d/fn=compiled", n), l, r, "x.k", "y.j", nil, "y.w"},
+			dataset{fmt.Sprintf("n=%d/fn=generic", n), l, r, "x.k", "y.j", pred("x.v <= y.w + 250"), "{y.w} UNION {1}"})
 	}
+	// Every matching y.a is 7, so the failing pair's text does not depend on
+	// which left row a degree probes first.
+	sevens := []value.Value{tup("a", 7, "b", 1), tup("a", 7, "b", 3)}
+	sets = append(sets, dataset{"table1/fn=field-of-non-tuple", x, sevens, "x.d", "y.b", nil, "y.a.z"})
 	for _, ds := range sets {
-		want := collect(t, &NLNestJoin{
+		fn := pred("y")
+		if ds.fn != "" {
+			fn = pred(ds.fn)
+		}
+		want, wantErr := Collect(&NLNestJoin{
 			Ctx: NewCtx(nil), L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r}, LVar: "x", RVar: "y",
-			Pred: joinPred(ds.lk+" = "+ds.rk, ds.resid), Fn: pred("y"), Label: "s",
+			Pred: joinPred(ds.lk+" = "+ds.rk, ds.resid), Fn: fn, Label: "s",
 		})
 		for _, degree := range hashDegrees {
-			got := collectBatches(t, hashNestJoin(NewCtx(nil), ds.l, ds.r, ds.lk, ds.rk, ds.resid, degree))
-			if !value.Equal(got, want) {
-				t.Errorf("%s/p=%d: hash nest join differs from nested loops:\nwant %s\ngot  %s", ds.name, degree, want, got)
+			j := hashNestJoin(NewCtx(nil), ds.l, ds.r, ds.lk, ds.rk, ds.resid, degree)
+			j.Fn = fn
+			got, err := CollectBatches(j)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || got.String() != want.String() {
+				t.Errorf("%s/p=%d: hash nest join differs from nested loops:\nwant %s (err %v)\ngot  %s (err %v)",
+					ds.name, degree, want, wantErr, got, err)
 			}
 		}
 	}
@@ -261,14 +278,17 @@ func TestHashJoinErrors(t *testing.T) {
 
 // TestPartitionInputRouting checks the exchange invariant directly: equal
 // keys land in the same partition, every row lands somewhere, and the row
-// total is preserved at any producer count.
+// total is preserved at any producer count. It also pins that fragments route
+// positions, not copies: every fragment of one fed batch aliases that batch's
+// single owned copy of the rows, which is not the source's slice.
 func TestPartitionInputRouting(t *testing.T) {
 	rows := genRows(1000, 23, "k", "v")
+	const size = 100
 	for _, nparts := range []int{2, 5, 8} {
 		ctx := NewCtx(nil)
 		s := NewScheduler(SchedConfig{Workers: nparts})
 		// A generic key, so the workers' evaluation steps show up in ctx.
-		ps, err := partitionInput(ctx, s, &BatchSliceScan{Rows: rows}, []tmql.Expr{pred("x.k + 0")}, "x", nparts)
+		ps, err := partitionInput(ctx, s, &BatchSliceScan{Rows: rows, Size: size}, []tmql.Expr{pred("x.k + 0")}, "x", nparts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,23 +297,127 @@ func TestPartitionInputRouting(t *testing.T) {
 		}
 		total := 0
 		keyPart := map[string]int{}
+		copies := map[*value.Value]int{} // owned copy → its row count
 		for p := 0; p < nparts; p++ {
-			total += ps.rowCount(p)
 			for _, fr := range ps.parts[p] {
-				for i := range fr.Rows {
+				if len(fr.Rows) > size {
+					t.Fatalf("fragment rows span %d rows, more than one fed batch", len(fr.Rows))
+				}
+				for j := range rows {
+					if &rows[j] == &fr.Rows[0] {
+						t.Fatalf("fragment rows alias the source slice at row %d, not the feed copy", j)
+					}
+				}
+				copies[&fr.Rows[0]] = len(fr.Rows)
+				total += fr.Len()
+				for i := 0; i < fr.Len(); i++ {
 					key := fr.Key(i)
 					if prev, seen := keyPart[string(key)]; seen && prev != p {
 						t.Fatalf("key %x routed to partitions %d and %d", key, prev, p)
 					}
 					keyPart[string(key)] = p
+					if got := hashKeyBytes(key) % uint64(nparts); got != uint64(p) {
+						t.Fatalf("row %s with key hash partition %d found in partition %d", fr.row(i), got, p)
+					}
 				}
 			}
 		}
 		if total != len(rows) {
 			t.Errorf("nparts=%d: %d rows in, %d rows across partitions", nparts, len(rows), total)
 		}
+		copied := 0
+		for _, n := range copies {
+			copied += n
+		}
+		if len(copies) != len(rows)/size || copied != len(rows) {
+			t.Errorf("nparts=%d: fragments alias %d row slices holding %d rows, want one copy per fed batch (%d) holding %d",
+				nparts, len(copies), copied, len(rows)/size, len(rows))
+		}
 		if len(keyPart) != 23 {
 			t.Errorf("nparts=%d: expected 23 distinct keys, saw %d", nparts, len(keyPart))
 		}
+		// Routing one fed batch hands every fragment that batch's rows.
+		acc := make([][]seqFragment, nparts)
+		if _, err := routeBatch(newKeyEncoder(ctx, []tmql.Expr{pred("x.k")}, "x"), seqRows{rows: rows}, nparts, acc, nil); err != nil {
+			t.Fatal(err)
+		}
+		for p := range acc {
+			for _, sf := range acc[p] {
+				if &sf.Rows[0] != &rows[0] || len(sf.Rows) != len(rows) {
+					t.Fatalf("nparts=%d: partition %d's fragment copies the fed rows instead of selecting them", nparts, p)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildTable pins the build kernel's layout: each key's bucket is a
+// contiguous run of one flat row slice holding exactly the build rows, in
+// input order within the key, whether the table is built from plain batches
+// or from the exchange's position-selecting fragments. Its allocations do
+// not grow with the rows per key.
+func TestBuildTable(t *testing.T) {
+	ctx := NewCtx(nil)
+	enc := newKeyEncoder(ctx, []tmql.Expr{pred("x.k")}, "x")
+	// batches cuts rows into owned, key-encoded batches of 7 rows.
+	batches := func(rows []value.Value) []Batch {
+		var bs []Batch
+		for lo := 0; lo < len(rows); lo += 7 {
+			b := Batch{Rows: rows[lo:min(lo+7, len(rows))]}
+			if err := b.encodeKeys(enc); err != nil {
+				t.Fatal(err)
+			}
+			bs = append(bs, b)
+		}
+		return bs
+	}
+	rows := genRows(500, 13, "k", "v")
+	acc := make([][]seqFragment, 3)
+	if _, err := routeBatch(enc, seqRows{rows: rows}, 3, acc, nil); err != nil {
+		t.Fatal(err)
+	}
+	var fragments []Batch
+	for _, sfs := range acc {
+		for _, sf := range sfs {
+			fragments = append(fragments, sf.Batch)
+		}
+	}
+	for name, in := range map[string][]Batch{"batches": batches(rows), "fragments": fragments} {
+		table, err := buildTable(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(table.rows) != len(rows) {
+			t.Fatalf("%s: table holds %d rows, built from %d", name, len(table.rows), len(rows))
+		}
+		seen := 0
+		for k := 0; k < 13; k++ {
+			key := value.AppendKey(nil, value.Int(int64(k)))
+			bucket := table.bucket(key)
+			s := table.idx[string(key)]
+			if len(bucket) == 0 || &bucket[0] != &table.rows[table.start[s]] {
+				t.Fatalf("%s: key %d's bucket is not a run of the table's row slice", name, k)
+			}
+			for i, r := range bucket {
+				if r.MustGet("k").AsInt() != int64(k) || (i > 0 && r.MustGet("v").AsInt() <= bucket[i-1].MustGet("v").AsInt()) {
+					t.Fatalf("%s: key %d's bucket is not its rows in input order: %v", name, k, bucket)
+				}
+			}
+			seen += len(bucket)
+		}
+		if seen != len(rows) || table.bucket([]byte("absent")) != nil {
+			t.Errorf("%s: buckets hold %d of %d rows, or an absent key has a bucket", name, seen, len(rows))
+		}
+	}
+	allocs := func(perKey int) float64 {
+		in := batches(genRows(16*perKey, 16, "k", "v"))
+		return testing.AllocsPerRun(20, func() {
+			if _, err := buildTable(ctx, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); many > one {
+		t.Errorf("build allocations grow with rows per key: %v at 1 row per key, %v at 64", one, many)
 	}
 }

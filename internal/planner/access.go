@@ -348,7 +348,10 @@ func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *stor
 		case *algebra.Select:
 			it = &exec.Filter{Ctx: p.ctx, In: it, Var: c.Var, Pred: c.Pred}
 		case *algebra.Map:
-			it = &exec.Distinct{Ctx: p.ctx, In: &exec.MapIter{Ctx: p.ctx, In: it, Var: c.Var, Out: c.Out}}
+			it = &exec.MapIter{Ctx: p.ctx, In: it, Var: c.Var, Out: c.Out}
+			if p.needsDistinct(c) {
+				it = &exec.Distinct{Ctx: p.ctx, In: it}
+			}
 		}
 	}
 	if m.Residual != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tmdb/internal/algebra"
+	"tmdb/internal/datagen"
 	"tmdb/internal/exec"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
@@ -49,6 +50,24 @@ func TestCompile(t *testing.T) {
 		}
 	}
 	const adapted, batched = "*exec.RowsToBatch *exec.RowsToBatch", "*exec.BatchTableScan *exec.BatchTableScan"
+	// Identity maps — the variable itself, or a tuple wrapping it — are
+	// injective, so they skip the Distinct over a duplicate-free scan but not
+	// over μ, which emits duplicates.
+	ident := func(in algebra.Plan, v string, wrap bool) algebra.Plan {
+		var out tmql.Expr = &tmql.Var{Name: v}
+		if wrap {
+			out = &tmql.TupleCons{Fields: []tmql.TupleField{{Label: v, E: out}}}
+		}
+		m, err := b.Map(in, v, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	unnested, err := b.Unnest(x, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name  string
 		plan  algebra.Plan
@@ -73,6 +92,10 @@ func TestCompile(t *testing.T) {
 		{"batched nest hash ×4", nj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.HashNestJoin", hashDegree(4, batched)},
 		{"batched serial nest join is batch-native", nj, PhysicalSpec{Batch: 64}, "*exec.HashNestJoin", hashDegree(0, batched)},
 		{"batched nl join is cold", fj, PhysicalSpec{Joins: ImplNestedLoop, Batch: 64}, "*exec.RowsToBatch", nil},
+		{"identity map over a scan", ident(x, "x", false), PhysicalSpec{}, "*exec.MapIter", nil},
+		{"wrapping map over a scan", ident(x, "x", true), PhysicalSpec{Batch: 64}, "*exec.BatchMap", nil},
+		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Distinct", nil},
+		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{Batch: 64}, "*exec.BatchDistinct", nil},
 	} {
 		tree, err := New(ctx, tc.spec).Compile(tc.plan)
 		if err != nil {
@@ -85,6 +108,14 @@ func TestCompile(t *testing.T) {
 				t.Errorf("%s: %v", tc.name, err)
 			}
 		}
+	}
+	// An unsealed table's rows are appended without deduplication, so an
+	// identity map over its scan keeps the Distinct.
+	_, udb := datagen.XYZ(datagen.DefaultSpec())
+	utab, _ := udb.Table("X")
+	utab.Unseal()
+	if tree, err := New(exec.NewCtx(udb), PhysicalSpec{}).Compile(ident(x, "x", false)); err != nil || fmt.Sprintf("%T", root(tree)) != "*exec.Distinct" {
+		t.Errorf("identity map over an unsealed scan compiled to %T (%v), want *exec.Distinct", root(tree), err)
 	}
 
 	// Equivalence: every operator family × join implementation × degree at

@@ -13,6 +13,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/exec"
@@ -218,12 +219,18 @@ func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
 		if err != nil {
 			return Tree{}, err
 		}
-		// Map may collapse distinct inputs onto one value; a Distinct keeps
-		// set semantics downstream.
 		if batch {
-			return Tree{Batches: &exec.BatchDistinct{Ctx: c, In: &exec.BatchMap{Ctx: c, In: p.asBatch(in), Var: n.Var, Out: n.Out}}}, nil
+			var m exec.BatchIterator = &exec.BatchMap{Ctx: c, In: p.asBatch(in), Var: n.Var, Out: n.Out}
+			if p.needsDistinct(n) {
+				m = &exec.BatchDistinct{Ctx: c, In: m}
+			}
+			return Tree{Batches: m}, nil
 		}
-		return Tree{Rows: &exec.Distinct{Ctx: c, In: &exec.MapIter{Ctx: c, In: p.asRows(in), Var: n.Var, Out: n.Out}}}, nil
+		var m exec.Iterator = &exec.MapIter{Ctx: c, In: p.asRows(in), Var: n.Var, Out: n.Out}
+		if p.needsDistinct(n) {
+			m = &exec.Distinct{Ctx: c, In: m}
+		}
+		return Tree{Rows: m}, nil
 
 	case *algebra.Join:
 		if op.family == ImplIndex {
@@ -318,6 +325,56 @@ func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
 		return Tree{Rows: &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: p.asRows(l), R: p.asRows(r)}}, nil
 	}
 	return Tree{}, fmt.Errorf("planner: unhandled plan node %T", plan)
+}
+
+// needsDistinct reports whether a compiled Map needs a Distinct above it to
+// keep set semantics downstream: a Map may collapse distinct inputs onto one
+// value. It does not when the map is injective — its output is the variable
+// itself or a tuple with a field that is the variable, as in Map[x](x) and
+// Map[(x = x)](x) — and its input is duplicate-free by construction.
+func (p *Planner) needsDistinct(m *algebra.Map) bool {
+	isVar := func(e tmql.Expr) bool {
+		v, ok := e.(*tmql.Var)
+		return ok && v.Name == m.Var
+	}
+	injective := isVar(m.Out)
+	if cons, ok := m.Out.(*tmql.TupleCons); ok {
+		injective = slices.ContainsFunc(cons.Fields, func(f tmql.TupleField) bool { return isVar(f.E) })
+	}
+	return !injective || !p.duplicateFree(m.In)
+}
+
+// duplicateFree reports whether plan's output is duplicate-free by
+// construction. The cases are a whitelist: scans of a sealed table (and index
+// scans, which are selections over one; an unsealed table's rows are appended
+// without deduplication, so its scan is not vouched for), selections of a
+// duplicate-free input, semi and anti joins of a duplicate-free left input,
+// inner, left-outer and nest joins of duplicate-free inputs, and every Map
+// (compiled injective or with a Distinct). Unnest emits duplicates (see
+// exec.UnnestIter), and set operations and everything else are not vouched
+// for. A plan is compiled per execution, so the sealed state is the one the
+// scan will read.
+func (p *Planner) duplicateFree(plan algebra.Plan) bool {
+	switch n := plan.(type) {
+	case *algebra.Scan:
+		if p.ctx.DB == nil {
+			return false
+		}
+		t, ok := p.ctx.DB.Table(n.Table)
+		return ok && t.Sealed()
+	case *algebra.Map:
+		return true
+	case *algebra.Select:
+		return p.duplicateFree(n.In)
+	case *algebra.Join:
+		if n.Kind == algebra.JoinSemi || n.Kind == algebra.JoinAnti {
+			return p.duplicateFree(n.L)
+		}
+		return p.duplicateFree(n.L) && p.duplicateFree(n.R)
+	case *algebra.NestJoin:
+		return p.duplicateFree(n.L) && p.duplicateFree(n.R)
+	}
+	return false
 }
 
 // ExtractEquiKeys splits a join predicate over (lvar, rvar) into equi-key

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -147,6 +146,13 @@ func setFromOwned(es []Value) Value {
 // copy-on-write row slice as its set view; anything else wants SetOf.
 func CanonicalSet(es []Value) Value { return Value{kind: KindSet, elems: es} }
 
+// CanonicalTuple wraps fs as a tuple without copying or sorting. The caller
+// vouches that fs is already canonical (labels strictly ascending, hence
+// unique) and is never modified again: the tuple aliases the slice. Compiled
+// projections use it, having sorted their labels once at compile time;
+// anything else wants TupleOf.
+func CanonicalTuple(fs []Field) Value { return Value{kind: KindTuple, tuple: fs} }
+
 // EmptySet is the empty set value — in TM the empty set is part of the model,
 // which is precisely why the nest join needs no NULLs.
 var EmptySet = Value{kind: KindSet}
@@ -216,12 +222,14 @@ func (v Value) Arity() int {
 }
 
 // Get returns the field value for label, and whether the label exists. It
-// panics if v is not a tuple.
+// panics if v is not a tuple. Tuples are narrow, so it scans the labels
+// linearly; string equalities are cheaper than a binary search's closure.
 func (v Value) Get(label string) (Value, bool) {
 	v.mustBe(KindTuple)
-	i := sort.Search(len(v.tuple), func(i int) bool { return v.tuple[i].Label >= label })
-	if i < len(v.tuple) && v.tuple[i].Label == label {
-		return v.tuple[i].V, true
+	for i := range v.tuple {
+		if v.tuple[i].Label == label {
+			return v.tuple[i].V, true
+		}
 	}
 	return Value{}, false
 }
@@ -255,23 +263,45 @@ func (v Value) Labels() []string {
 // the tuple holding all fields of both. It panics if either is not a tuple or
 // if labels collide — the paper requires the nest-join label "not occurring on
 // the top level of X", and the algebra validator enforces that statically.
+//
+// Both field lists are already sorted, so the result is their merge: one
+// allocation, no sort.
 func (v Value) Concat(w Value) Value {
 	v.mustBe(KindTuple)
 	w.mustBe(KindTuple)
-	fs := make([]Field, 0, len(v.tuple)+len(w.tuple))
-	fs = append(fs, v.tuple...)
-	fs = append(fs, w.tuple...)
-	return TupleOf(fs...)
+	a, b := v.tuple, w.tuple
+	fs := make([]Field, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Label < b[0].Label:
+			fs, a = append(fs, a[0]), a[1:]
+		case a[0].Label > b[0].Label:
+			fs, b = append(fs, b[0]), b[1:]
+		default:
+			panic("value: duplicate tuple label " + a[0].Label)
+		}
+	}
+	fs = append(fs, a...)
+	return Value{kind: KindTuple, tuple: append(fs, b...)}
 }
 
 // Extend returns v ++ (label = x), the nest-join extension of a tuple with a
-// single new field.
+// single new field, inserted at its sorted position (one allocation, no
+// sort). It panics if v is not a tuple or already has the label.
 func (v Value) Extend(label string, x Value) Value {
 	v.mustBe(KindTuple)
-	fs := make([]Field, 0, len(v.tuple)+1)
-	fs = append(fs, v.tuple...)
-	fs = append(fs, Field{Label: label, V: x})
-	return TupleOf(fs...)
+	i := 0
+	for i < len(v.tuple) && v.tuple[i].Label < label {
+		i++
+	}
+	if i < len(v.tuple) && v.tuple[i].Label == label {
+		panic("value: duplicate tuple label " + label)
+	}
+	fs := make([]Field, len(v.tuple)+1)
+	copy(fs, v.tuple[:i])
+	fs[i] = Field{Label: label, V: x}
+	copy(fs[i+1:], v.tuple[i:])
+	return Value{kind: KindTuple, tuple: fs}
 }
 
 // Project returns the tuple restricted to the given labels. Missing labels

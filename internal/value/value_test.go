@@ -76,6 +76,95 @@ func TestTupleConcatExtendProjectDrop(t *testing.T) {
 	}
 }
 
+// randomLabels returns n distinct labels drawn from a pool mixing one- and
+// two-letter names, so sorted order is not insertion order.
+func randomLabels(r *rand.Rand, n int) []string {
+	pool := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n",
+		"aa", "ab", "ba", "bz", "x1", "y", "z", "zs"}
+	r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	return pool[:n]
+}
+
+// TestConcatExtendMatchTupleOf checks the merging constructors against
+// TupleOf over the combined fields, for random label sets split at random
+// between the operands.
+func TestConcatExtendMatchTupleOf(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for iter := 0; iter < 500; iter++ {
+		labels := randomLabels(r, r.Intn(13))
+		var left, right, all []Field
+		for i, l := range labels {
+			f := F(l, Int(int64(i)))
+			all = append(all, f)
+			if r.Intn(2) == 0 {
+				left = append(left, f)
+			} else {
+				right = append(right, f)
+			}
+		}
+		want := TupleOf(all...)
+		if got := TupleOf(left...).Concat(TupleOf(right...)); !reflect.DeepEqual(got.Fields(), want.Fields()) {
+			t.Fatalf("Concat(%v, %v) = %s, want %s", left, right, got, want)
+		}
+		if len(all) == 0 {
+			continue
+		}
+		k := r.Intn(len(all))
+		rest := append(append([]Field(nil), all[:k]...), all[k+1:]...)
+		if got := TupleOf(rest...).Extend(all[k].Label, all[k].V); !reflect.DeepEqual(got.Fields(), want.Fields()) {
+			t.Fatalf("Extend(%v, %s) = %s, want %s", rest, all[k].Label, got, want)
+		}
+	}
+}
+
+// TestTupleLabelCollisionPanics pins that Concat and Extend refuse a label
+// collision with TupleOf's panic text.
+func TestTupleLabelCollisionPanics(t *testing.T) {
+	panicText := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	want := panicText(func() { TupleOf(F("b", Int(1)), F("b", Int(2))) })
+	if want != "value: duplicate tuple label b" {
+		t.Fatalf("TupleOf panic = %v", want)
+	}
+	x := TupleOf(F("a", Int(1)), F("b", Int(2)), F("c", Int(3)))
+	for name, f := range map[string]func(){
+		"Concat":       func() { x.Concat(TupleOf(F("b", Int(9)))) },
+		"Concat/multi": func() { x.Concat(TupleOf(F("aa", Int(0)), F("b", Int(9)), F("d", Int(0)))) },
+		"Extend":       func() { x.Extend("b", EmptySet) },
+	} {
+		if got := panicText(f); got != want {
+			t.Errorf("%s panic = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestGetMatchesBinarySearch checks Get — a linear scan — against a binary
+// search over the canonical labels at every arity from 0 to 12, for present
+// and absent labels alike.
+func TestGetMatchesBinarySearch(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	probes := []string{"", "a", "aa", "m", "zs", "zz", "missing"}
+	for arity := 0; arity <= 12; arity++ {
+		fs := make([]Field, arity)
+		for i, l := range randomLabels(r, arity) {
+			fs[i] = F(l, Int(int64(i)))
+		}
+		tup := TupleOf(fs...)
+		for _, label := range append(tup.Labels(), probes...) {
+			sorted := tup.Fields()
+			i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Label >= label })
+			wantOK := i < len(sorted) && sorted[i].Label == label
+			got, ok := tup.Get(label)
+			if ok != wantOK || (ok && !Equal(got, sorted[i].V)) {
+				t.Errorf("arity %d: Get(%q) = %s, %v; binary search says present=%v", arity, label, got, ok, wantOK)
+			}
+		}
+	}
+}
+
 func TestSetCanonicalization(t *testing.T) {
 	s := SetOf(Int(3), Int(1), Int(3), Int(2), Int(1))
 	if s.Len() != 3 {
