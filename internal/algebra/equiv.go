@@ -416,81 +416,10 @@ func renameVar(e tmql.Expr, old, newName string) tmql.Expr {
 	if old == newName {
 		return e
 	}
-	return substFreeVar(e, old, newName)
-}
-
-func substFreeVar(e tmql.Expr, old, newName string) tmql.Expr {
-	switch n := e.(type) {
-	case nil:
-		return nil
-	case *tmql.Var:
-		if n.Name == old {
-			return &tmql.Var{Name: newName}
+	return tmql.Rewrite(e, func(n tmql.Expr, bound map[string]int) (tmql.Expr, bool) {
+		if v, ok := n.(*tmql.Var); ok && v.Name == old && bound[old] == 0 {
+			return &tmql.Var{Name: newName}, true
 		}
-		return n
-	case *tmql.Lit, *tmql.TableRef:
-		return e
-	case *tmql.FieldSel:
-		return &tmql.FieldSel{X: substFreeVar(n.X, old, newName), Label: n.Label}
-	case *tmql.TupleCons:
-		fs := make([]tmql.TupleField, len(n.Fields))
-		for i, f := range n.Fields {
-			fs[i] = tmql.TupleField{Label: f.Label, E: substFreeVar(f.E, old, newName)}
-		}
-		return &tmql.TupleCons{Fields: fs}
-	case *tmql.SetCons:
-		es := make([]tmql.Expr, len(n.Elems))
-		for i, el := range n.Elems {
-			es[i] = substFreeVar(el, old, newName)
-		}
-		return &tmql.SetCons{Elems: es}
-	case *tmql.ListCons:
-		es := make([]tmql.Expr, len(n.Elems))
-		for i, el := range n.Elems {
-			es[i] = substFreeVar(el, old, newName)
-		}
-		return &tmql.ListCons{Elems: es}
-	case *tmql.Binary:
-		return &tmql.Binary{Op: n.Op, L: substFreeVar(n.L, old, newName), R: substFreeVar(n.R, old, newName)}
-	case *tmql.Unary:
-		return &tmql.Unary{Op: n.Op, X: substFreeVar(n.X, old, newName)}
-	case *tmql.Agg:
-		return &tmql.Agg{Kind: n.Kind, X: substFreeVar(n.X, old, newName)}
-	case *tmql.Quant:
-		over := substFreeVar(n.Over, old, newName)
-		pred := n.Pred
-		if n.Var != old {
-			pred = substFreeVar(n.Pred, old, newName)
-		}
-		return &tmql.Quant{Kind: n.Kind, Var: n.Var, Over: over, Pred: pred}
-	case *tmql.SFW:
-		froms := make([]tmql.FromItem, len(n.Froms))
-		shadowed := false
-		for i, f := range n.Froms {
-			src := f.Src
-			if !shadowed {
-				src = substFreeVar(f.Src, old, newName)
-			}
-			froms[i] = tmql.FromItem{Var: f.Var, Src: src}
-			if f.Var == old {
-				shadowed = true
-			}
-		}
-		where, result := n.Where, n.Result
-		if !shadowed {
-			where = substFreeVar(n.Where, old, newName)
-			result = substFreeVar(n.Result, old, newName)
-		}
-		return &tmql.SFW{Result: result, Froms: froms, Where: where}
-	case *tmql.Let:
-		def := substFreeVar(n.Def, old, newName)
-		body := n.Body
-		if n.V != old {
-			body = substFreeVar(n.Body, old, newName)
-		}
-		return &tmql.Let{V: n.V, Def: def, Body: body}
-	case *tmql.Unnest:
-		return &tmql.Unnest{X: substFreeVar(n.X, old, newName)}
-	}
-	return e
+		return nil, false
+	})
 }

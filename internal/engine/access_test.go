@@ -218,3 +218,42 @@ func TestFixedStrategyStaysOnScans(t *testing.T) {
 		t.Error("fixed-path access pin changed the result")
 	}
 }
+
+// TestLargeIntKeysMatchNaive: ints beyond 2^53 that round to one float64
+// are distinct keys, so an index scan and a hash semijoin on them return
+// exactly the rows naive evaluation does.
+func TestLargeIntKeysMatchNaive(t *testing.T) {
+	eng := accessEngine(t)
+	const big = int64(1) << 53 // 9007199254740992
+	for _, b := range []int64{big, big + 1} {
+		if _, err := eng.InsertValue("X", value.TupleOf(value.F("a", value.EmptySet), value.F("b", value.Int(b)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.InsertValue("Y", datagen.YRow(1, 1, 1, big+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateIndex("X", "b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		opts Options
+	}{
+		{`SELECT x.b FROM X x WHERE x.b = 9007199254740993`, Options{Access: planner.AccessIndex}},
+		{`SELECT x.b FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND y.d > 9007199254740991`,
+			Options{Strategy: core.StrategyNestJoin, Joins: planner.ImplHash}},
+	} {
+		got, err := eng.Query(c.q, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Query(c.q, Options{Strategy: core.StrategyNaive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !value.Equal(got.Value, want.Value) || want.Value.Len() != 1 {
+			t.Errorf("%s: got %s, naive %s", c.q, got.Value, want.Value)
+		}
+	}
+}

@@ -7,17 +7,20 @@ import (
 	"sync"
 
 	"tmdb/internal/planner"
-	"tmdb/internal/tmql"
 )
 
 // planCache memoizes physical planning decisions per engine: the key is the
-// bound query (canonically formatted) plus every option that can change the
-// outcome plus, on the cost-based path, the statistics generation of each
-// referenced table, and the value is the fully resolved planned decision —
-// chosen strategy, logical alternative, join family, parallelism degree,
-// plan, cost, and the candidate table for EXPLAIN. Repeated queries therefore
-// skip translation, alternative generation, and costing entirely. Entries
-// are treated as immutable after insertion.
+// query's shape (tmql.Shape: the bound query, canonically formatted, with
+// every slotted constant — see tmql.MarkSlots — rendered as its kind) plus
+// every option that can change the outcome plus, on the cost-based path, the
+// statistics generation of each referenced table, and the value is the fully
+// resolved planned decision — chosen strategy, logical alternative, join
+// family, parallelism degree, plan, cost, the candidate table for EXPLAIN,
+// and the constants the plan carries. Repeated queries, and queries that
+// differ only in slotted constants, therefore skip translation, alternative
+// generation, and costing entirely; a hit with other constants runs a copy of
+// the plan carrying its own (query.rebind). Entries are treated as immutable
+// after insertion.
 //
 // A decision is only ever a matter of cost, never of correctness, so it is
 // reused across writes: the generation in the key changes when the catalog
@@ -61,13 +64,13 @@ func newPlanCache() *planCache {
 	}
 }
 
-// cacheKey builds the memoization key for a bound query under the given
+// cacheKey builds the memoization key for a query shape under the given
 // options, the physical pin they resolve to, and gens, the rendered
 // statistics generations the plan is costed against ("table:generation,"
 // per referenced table in name order; empty on fixed-strategy paths).
-func cacheKey(bound tmql.Expr, opts Options, pin planner.PhysicalSpec, gens string) string {
+func cacheKey(shape string, opts Options, pin planner.PhysicalSpec, gens string) string {
 	return fmt.Sprintf("s=%d|j=%d|a=%d|p=%d|b=%d|pin=%s|g=%s|%s",
-		opts.Strategy, pin.Joins, pin.Access, pin.Degree, pin.Batch, opts.PinAlt, gens, tmql.Format(bound))
+		opts.Strategy, pin.Joins, pin.Access, pin.Degree, pin.Batch, opts.PinAlt, gens, shape)
 }
 
 func (c *planCache) get(key string) (*planned, bool) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tmdb/internal/algebra"
 	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/planner"
@@ -208,4 +209,80 @@ func TestAutoDegreeStatsSized(t *testing.T) {
 	if !value.Equal(res.Value, pinned.Value) {
 		t.Error("sized and pinned degrees disagree on the result")
 	}
+}
+
+// TestPlanCacheShapes pins the shape-keyed cache contract: texts differing
+// only in a slotted constant share one entry — the later ones hit, carry
+// their own constant in Result.Plan and match naive — while a constant's
+// kind, a COUNT bound, an IN-list and a bool comparand are part of the shape.
+func TestPlanCacheShapes(t *testing.T) {
+	const count = `SELECT x FROM X x WHERE COUNT(SELECT y FROM Y y WHERE x.b = y.d) >= `
+	const flag = `SELECT s FROM (SELECT (b = x.b, p = x.b > 2) FROM X x) s WHERE s.p = `
+	cases := []struct {
+		name    string
+		texts   []string
+		entries int
+		// shows is a fragment of the last text's plan, absent from the first's.
+		shows string
+	}{
+		{"slotted constant", []string{`SELECT x FROM X x WHERE x.b = 3`, `SELECT x FROM X x WHERE x.b = 5`}, 1, "x.b = 5"},
+		{"reversed operands", []string{`SELECT y.a FROM Y y WHERE 2 < y.d AND y.b = 1`, `SELECT y.a FROM Y y WHERE 6 < y.d AND y.b = 4`}, 1, "6 < y.d"},
+		{"kinds", []string{`SELECT v FROM {} v WHERE v.a = 1`, `SELECT v FROM {} v WHERE v.a = 1.0`, `SELECT v FROM {} v WHERE v.a = "1"`}, 3, `"1"`},
+		{"COUNT bound", []string{count + `1`, count + `2`}, 2, ">= 2"},
+		{"IN-list", []string{`SELECT x FROM X x WHERE x.b IN {1, 2}`, `SELECT x FROM X x WHERE x.b IN {1, 3}`}, 2, "{1, 3}"},
+		{"bool comparand", []string{flag + `TRUE`, flag + `FALSE`}, 2, "false"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, oracle := xyzEngine(t), xyzEngine(t)
+			var first, last *Result
+			for i, text := range tc.texts {
+				res, err := eng.Query(text, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracle.Query(text, Options{Strategy: core.StrategyNaive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !value.Equal(res.Value, want.Value) {
+					t.Errorf("%s: auto %s, naive %s", text, res.Value, want.Value)
+				}
+				if hit := i >= tc.entries; res.CacheHit != hit {
+					t.Errorf("%s: CacheHit = %v, want %v", text, res.CacheHit, hit)
+				}
+				if first == nil {
+					first = res
+				}
+				last = res
+			}
+			if st := eng.PlanCacheStats(); st.Entries != tc.entries {
+				t.Errorf("entries = %d, want %d", st.Entries, tc.entries)
+			}
+			if !strings.Contains(algebra.Explain(last.Plan), tc.shows) || strings.Contains(algebra.Explain(first.Plan), tc.shows) {
+				t.Errorf("plans do not carry their own constants:\nfirst:\n%s\nlast:\n%s",
+					algebra.Explain(first.Plan), algebra.Explain(last.Plan))
+			}
+		})
+	}
+
+	t.Run("EXPLAIN of a hit", func(t *testing.T) {
+		eng := xyzEngine(t)
+		if err := eng.CreateIndex("X", "b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Query(`SELECT x FROM X x WHERE x.b = 3 AND x.b <> 7`, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.Explain(`SELECT x FROM X x WHERE x.b = 5 AND x.b <> 9`, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.PlanCacheStats(); st.Entries != 1 || st.Hits != 1 {
+			t.Errorf("EXPLAIN of the same shape missed: %+v", st)
+		}
+		if !strings.Contains(out, "IndexScan(X) using X(b) residual[x.b <> 9]") {
+			t.Errorf("EXPLAIN of a hit does not show its own constant:\n%s", out)
+		}
+	})
 }

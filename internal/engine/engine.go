@@ -10,9 +10,11 @@
 // together with the full candidate table. Options.PinAlt pins one logical
 // alternative.
 // Planning decisions are memoized in a bounded per-engine LRU plan cache
-// keyed on the bound query, the options and the statistics generations they
-// were costed against, so repeated queries skip translation and enumeration.
-// It is the implementation behind the public tmdb package.
+// keyed on the query's shape — the bound query with each constant compared
+// against a field path replaced by a typed parameter slot — the options and
+// the statistics generations they were costed against, so repeated queries,
+// and queries differing only in such constants, skip translation and
+// enumeration. It is the implementation behind the public tmdb package.
 package engine
 
 import (
@@ -20,7 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"tmdb/internal/algebra"
@@ -42,7 +46,7 @@ type Engine struct {
 	// are recollected (lazily, on next use) once it has drifted from them by
 	// a tenth of its cardinality, never because another table changed.
 	statsCat *stats.Catalog
-	// cache memoizes (bound query, options, statistics generations) →
+	// cache memoizes (query shape, options, statistics generations) →
 	// physical planning decision.
 	cache *planCache
 }
@@ -201,7 +205,11 @@ type Result struct {
 	Cost planner.Cost
 	// Auto reports whether the cost-based planner chose the plan.
 	Auto bool
-	// CacheHit reports whether planning was served from the plan cache.
+	// CacheHit reports whether planning was served from the plan cache: by
+	// this query's shape, possibly planned with other values for its slotted
+	// constants (Plan then carries this query's values, while Cost and the
+	// strategy, join and access choices are those of the values that planned
+	// the shape).
 	CacheHit bool
 	// Duration is the wall-clock execution time (translation + execution,
 	// excluding parse/bind).
@@ -221,7 +229,8 @@ type Result struct {
 
 // planned is a resolved physical planning decision: what the plan cache
 // stores. Entries are immutable after construction — the plan is compiled
-// afresh into iterators per execution, never mutated.
+// afresh into iterators per execution, never mutated. vals are the slotted
+// constants the plan carries.
 type planned struct {
 	plan     algebra.Plan
 	strategy core.Strategy
@@ -230,6 +239,67 @@ type planned struct {
 	cost       planner.Cost
 	auto       bool
 	candidates []planner.Candidate
+	vals       []value.Value
+}
+
+// query is one bound top-level query, computed once per text: the bound
+// expression, the tables it reads (sorted), its shape (tmql.Shape, the query
+// part of the plan-cache key) and the values of its slotted constants in
+// slot order. Query, Explain and their siblings bind one per call; a
+// Prepared statement holds one for its lifetime.
+type query struct {
+	expr   tmql.Expr
+	tables []string
+	shape  string
+	vals   []value.Value
+	// memo is the last cache entry this query hit with other values, bound to
+	// this query's: prepared statements of one shape share an entry, and each
+	// substitutes its values once rather than per execution.
+	memo atomic.Pointer[boundEntry]
+}
+
+// boundEntry copies the cached decision of, its plan carrying another query's
+// values.
+type boundEntry struct {
+	of *planned
+	planned
+}
+
+// bind parses and binds src and gives its constants parameter slots.
+func (e *Engine) bind(src string) (*query, error) {
+	expr, err := tmql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.bindExpr(expr)
+}
+
+// bindExpr binds a parsed (possibly already bound) expression and gives its
+// constants parameter slots.
+func (e *Engine) bindExpr(expr tmql.Expr) (*query, error) {
+	bound, err := tmql.NewBinder(e.cat).Bind(expr)
+	if err != nil {
+		return nil, err
+	}
+	vals := tmql.MarkSlots(bound)
+	return &query{expr: bound, tables: tmql.Tables(bound), shape: tmql.Shape(bound), vals: vals}, nil
+}
+
+// rebind returns the cached decision pl for q's constants: pl itself when it
+// carries them already, otherwise a copy whose plan carries them (memoized
+// per query). The copy keeps pl's strategy, physical spec, cost and candidate
+// table: a shape plans once, against the first values that reach it.
+func (q *query) rebind(pl *planned) *planned {
+	if slices.EqualFunc(pl.vals, q.vals, value.Equal) {
+		return pl
+	}
+	if m := q.memo.Load(); m != nil && m.of == pl {
+		return &m.planned
+	}
+	m := &boundEntry{of: pl, planned: *pl}
+	m.plan, m.vals = algebra.BindSlots(pl.plan, q.vals), q.vals
+	q.memo.Store(m)
+	return &m.planned
 }
 
 // Query parses, binds, translates, and executes a TM query string. It is
@@ -244,11 +314,11 @@ func (e *Engine) Query(src string, opts Options) (*Result, error) {
 // exit leak-free), surfacing as exec.ErrCanceled / exec.ErrDeadlineExceeded
 // wrapped in an *AbortError carrying partial-work accounting.
 func (e *Engine) QueryContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	expr, err := tmql.Parse(src)
+	q, err := e.bind(src)
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryExprContext(ctx, expr, opts)
+	return e.execBound(ctx, q, opts, false)
 }
 
 // QueryExpr executes an already parsed (possibly already bound) expression.
@@ -258,39 +328,39 @@ func (e *Engine) QueryExpr(expr tmql.Expr, opts Options) (*Result, error) {
 
 // QueryExprContext is QueryExpr observing ctx.
 func (e *Engine) QueryExprContext(ctx context.Context, expr tmql.Expr, opts Options) (*Result, error) {
-	bound, err := tmql.NewBinder(e.cat).Bind(expr)
+	q, err := e.bindExpr(expr)
 	if err != nil {
 		return nil, err
 	}
-	return e.execBound(ctx, bound, opts, false)
+	return e.execBound(ctx, q, opts, false)
 }
 
-// execBound plans and executes an already bound expression — the shared tail
-// of QueryExprContext, Prepared.QueryContext and Delete's victim query
-// (oneShot: planned past the cache). bound must be fully typed and is never
-// mutated, so prepared statements may execute it from many goroutines.
+// execBound plans and executes a bound query — the shared tail of
+// QueryContext, QueryExprContext, Prepared.QueryContext and Delete's victim
+// query (oneShot: planned past the cache). The bound tree is never mutated,
+// so prepared statements may execute it from many goroutines.
 // Governance wraps the whole execution: Options.Limits.Timeout tightens the
 // context's deadline, a Governor (created only when the context is
 // cancellable or budgets are set — otherwise nil, the free path) is polled by
 // every operator, and a recovered panic becomes a typed *PanicError rather
 // than taking the process down.
-func (e *Engine) execBound(ctx context.Context, bound tmql.Expr, opts Options, oneShot bool) (*Result, error) {
+func (e *Engine) execBound(ctx context.Context, q *query, opts Options, oneShot bool) (*Result, error) {
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
-		if err := e.checkTablesLive(tmql.Tables(bound)); err != nil {
+		if err := e.checkTablesLive(q.tables); err != nil {
 			return nil, err
 		}
-		pl, hit, err := e.plan(bound, opts, oneShot)
+		pl, hit, err := e.plan(q, opts, oneShot)
 		if err != nil {
 			return nil, err
 		}
-		res, err := e.runPlanned(ctx, bound, opts, pl, hit, start)
+		res, err := e.runPlanned(ctx, q, opts, pl, hit, start)
 		if err != nil && attempt == 0 && errors.Is(err, exec.ErrStaleIndex) {
 			// The plan probed an index dropped between planning and Open (the
 			// DropIndex cache sweep raced this execution). Sweep the query's
 			// tables and replan once against the current index registry; only a
 			// second stale failure — the churn outran the retry — surfaces.
-			for _, name := range tmql.Tables(bound) {
+			for _, name := range q.tables {
 				e.cache.invalidateTable(name)
 			}
 			continue
@@ -301,7 +371,7 @@ func (e *Engine) execBound(ctx context.Context, bound tmql.Expr, opts Options, o
 
 // runPlanned executes one resolved planning decision under governance — the
 // per-attempt body of execBound.
-func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, pl *planned, hit bool, start time.Time) (res *Result, err error) {
+func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *planned, hit bool, start time.Time) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -320,7 +390,7 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 	defer recoverAbort(gov, &res, &err)
 	tree, cerr := planner.New(ectx, pl.PhysicalSpec).Compile(pl.plan)
 	if cerr != nil {
-		if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
+		if terr := e.checkTablesLive(q.tables); terr != nil {
 			return nil, terr
 		}
 		return nil, cerr
@@ -331,7 +401,7 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 		// deep in the executor with an untyped unknown-table error; reclassify
 		// it (governance aborts keep their own taxonomy).
 		if !abortCause(err) {
-			if terr := e.checkTablesLive(tmql.Tables(bound)); terr != nil {
+			if terr := e.checkTablesLive(q.tables); terr != nil {
 				return nil, terr
 			}
 		}
@@ -340,7 +410,7 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 	return &Result{
 		Value:       v,
 		Plan:        pl.plan,
-		Expr:        bound,
+		Expr:        q.expr,
 		Strategy:    pl.strategy,
 		Alt:         pl.alt,
 		Joins:       pl.Joins,
@@ -365,10 +435,11 @@ func (e *Engine) runPlanned(ctx context.Context, bound tmql.Expr, opts Options, 
 // is safe because a planned decision holds only algebra and a PhysicalSpec:
 // rows and indexes are resolved per execution, and every plan returns the
 // same answer. Fixed-strategy plans depend on no statistics and touch none.
-// A oneShot decision bypasses the cache in both directions. The reported
-// bool is true on a cache hit.
-func (e *Engine) plan(bound tmql.Expr, opts Options, oneShot bool) (*planned, bool, error) {
-	tables := tmql.Tables(bound)
+// The key's query part is the shape, so a hit may have been planned with
+// other values for the slotted constants; rebind substitutes q's. A oneShot
+// decision bypasses the cache in both directions. The reported bool is true
+// on a cache hit.
+func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, error) {
 	pin := opts.pin()
 	var gens strings.Builder
 	if opts.Strategy != core.StrategyAuto {
@@ -376,7 +447,7 @@ func (e *Engine) plan(bound tmql.Expr, opts Options, oneShot bool) (*planned, bo
 	} else {
 		// One catalog lookup per table serves both the key and the degree.
 		rows := 0
-		for _, name := range tables {
+		for _, name := range q.tables {
 			ts := e.statsCat.Table(name)
 			fmt.Fprintf(&gens, "%s:%d,", name, ts.Epoch)
 			rows = max(rows, ts.Card)
@@ -387,15 +458,16 @@ func (e *Engine) plan(bound tmql.Expr, opts Options, oneShot bool) (*planned, bo
 	}
 	var key string
 	if !oneShot {
-		key = cacheKey(bound, opts, pin, gens.String())
+		key = cacheKey(q.shape, opts, pin, gens.String())
 		if pl, ok := e.cache.get(key); ok {
-			return pl, true, nil
+			return q.rebind(pl), true, nil
 		}
 	}
-	pl, err := e.planMiss(bound, opts, pin)
+	pl, err := e.planMiss(q.expr, opts, pin)
 	if err != nil {
 		return nil, false, err
 	}
+	pl.vals = q.vals
 	// Validate a pinned join family before caching or executing, so Query and
 	// Explain fail identically at plan time (the auto path only ever chooses
 	// feasible families). An infeasible decision is never cached.
@@ -403,7 +475,7 @@ func (e *Engine) plan(bound tmql.Expr, opts Options, oneShot bool) (*planned, bo
 		return nil, false, fmt.Errorf("engine: %s join requested but %s", pl.Joins, reason)
 	}
 	if !oneShot {
-		e.cache.put(key, tables, pl)
+		e.cache.put(key, q.tables, pl)
 	}
 	return pl, false, nil
 }
@@ -519,15 +591,11 @@ func (e *Engine) ExplainContext(ctx context.Context, src string, opts Options) (
 	if err := ctxErr(ctx); err != nil {
 		return "", err
 	}
-	expr, err := tmql.Parse(src)
+	q, err := e.bind(src)
 	if err != nil {
 		return "", err
 	}
-	bound, err := tmql.NewBinder(e.cat).Bind(expr)
-	if err != nil {
-		return "", err
-	}
-	return e.explainBound(bound, opts)
+	return e.explainBound(q, opts)
 }
 
 // ctxErr maps a context's state into the exec error taxonomy.
@@ -546,14 +614,14 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// explainBound renders the physical plan for an already bound expression —
-// the shared tail of Explain and Prepared.Explain. Infeasible pinned join
-// families are rejected inside plan, identically to execution.
-func (e *Engine) explainBound(bound tmql.Expr, opts Options) (string, error) {
-	if err := e.checkTablesLive(tmql.Tables(bound)); err != nil {
+// explainBound renders the physical plan for a bound query — the shared tail
+// of Explain and Prepared.Explain. Infeasible pinned join families are
+// rejected inside plan, identically to execution.
+func (e *Engine) explainBound(q *query, opts Options) (string, error) {
+	if err := e.checkTablesLive(q.tables); err != nil {
 		return "", err
 	}
-	pl, _, err := e.plan(bound, opts, false)
+	pl, _, err := e.plan(q, opts, false)
 	if err != nil {
 		return "", err
 	}
@@ -592,15 +660,11 @@ func (e *Engine) explainBound(bound tmql.Expr, opts Options) (string, error) {
 // path the slice is empty. The conformance harness uses it to enumerate and
 // pin each logical alternative.
 func (e *Engine) PlanCandidates(src string, opts Options) ([]planner.Candidate, error) {
-	expr, err := tmql.Parse(src)
+	q, err := e.bind(src)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := tmql.NewBinder(e.cat).Bind(expr)
-	if err != nil {
-		return nil, err
-	}
-	pl, _, err := e.plan(bound, opts, false)
+	pl, _, err := e.plan(q, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -611,15 +675,11 @@ func (e *Engine) PlanCandidates(src string, opts Options) ([]planner.Candidate, 
 // per-node estimates (the auto physical mapping), without strategy
 // enumeration. Explain is the physical, candidate-aware variant.
 func (e *Engine) ExplainCosts(src string, opts Options) (string, error) {
-	expr, err := tmql.Parse(src)
+	q, err := e.bind(src)
 	if err != nil {
 		return "", err
 	}
-	bound, err := tmql.NewBinder(e.cat).Bind(expr)
-	if err != nil {
-		return "", err
-	}
-	pl, _, err := e.plan(bound, opts, false)
+	pl, _, err := e.plan(q, opts, false)
 	if err != nil {
 		return "", err
 	}

@@ -103,7 +103,7 @@ func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := e.execBound(context.Background(), victims, Options{}, true)
+	res, err := e.execBound(context.Background(), &query{expr: victims, tables: tmql.Tables(victims)}, Options{}, true)
 	if err != nil {
 		return 0, err
 	}

@@ -203,9 +203,11 @@ func TestRewritePinOnBothPaths(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	eng := optEngine(t)
 	eng.SetPlanCacheCapacity(3)
-	queries := make([]string, 5)
+	// Five shapes: texts differing only in the constant would share an entry.
+	ops := []string{"=", "<", ">", "<=", ">="}
+	queries := make([]string, len(ops))
 	for i := range queries {
-		queries[i] = fmt.Sprintf(`SELECT x.b FROM X x WHERE x.b = %d`, i)
+		queries[i] = fmt.Sprintf(`SELECT x.b FROM X x WHERE x.b %s %d`, ops[i], i)
 		if _, err := eng.Query(queries[i], Options{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}

@@ -244,3 +244,83 @@ func TestStorageSealRacesReaderSnapshot(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestShapeSharedConcurrently runs prepared statements and ad-hoc texts that
+// share shapes but not constants from 8 goroutines on one engine: every
+// execution goes through the one cache entry per shape, the prepared ones
+// through their per-statement rebinding memo as well. Under -race it is the
+// sweep for the shared entry and the memo; every result must match naive.
+func TestShapeSharedConcurrently(t *testing.T) {
+	cat, db := datagen.XYZ(datagen.Spec{
+		NX: 30, NY: 90, NZ: 60, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1,
+	})
+	eng := New(cat, db)
+	if err := eng.CreateIndex("X", "b"); err != nil {
+		t.Fatal(err)
+	}
+	templates := []string{
+		`SELECT x FROM X x WHERE x.b = %d`,
+		`SELECT y.a FROM Y y WHERE y.d < %d AND y.b > 2`,
+		`SELECT x FROM X x WHERE x.b = %d AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`,
+	}
+	const keys = 8
+	type stmt struct {
+		text string
+		p    *Prepared
+		want value.Value
+	}
+	var stmts []stmt
+	for _, tmpl := range templates {
+		for k := 0; k < keys; k++ {
+			text := fmt.Sprintf(tmpl, k)
+			p, err := eng.Prepare(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.Query(text, Options{Strategy: core.StrategyNaive})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stmts = append(stmts, stmt{text, p, want.Value})
+		}
+	}
+	iters := 200
+	if testing.Short() {
+		iters = 50
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(gid int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(gid)))
+			for i := 0; i < iters; i++ {
+				s := stmts[r.Intn(len(stmts))]
+				var res *Result
+				var err error
+				if r.Intn(2) == 0 {
+					res, err = s.p.Query(Options{})
+				} else {
+					res, err = eng.Query(s.text, Options{})
+				}
+				if err == nil && !value.Equal(res.Value, s.want) {
+					err = fmt.Errorf("%s: got %s, naive %s", s.text, res.Value, s.want)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("worker %d: %w", gid, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// One auto entry per shape, next to the naive oracle's.
+	if st := eng.PlanCacheStats(); st.Entries != 2*len(templates) {
+		t.Errorf("entries = %d, want %d", st.Entries, 2*len(templates))
+	}
+}

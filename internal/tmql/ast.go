@@ -27,10 +27,13 @@ func (b *exprBase) isExpr()               {}
 // typed lets the binder annotate nodes without a type switch.
 type typed interface{ setType(*types.Type) }
 
-// Lit is a literal constant (int, float, string, bool).
+// Lit is a literal constant (int, float, string, bool). Slot is the
+// literal's parameter slot (1-based, see MarkSlots); 0 means the constant is
+// part of the query's shape.
 type Lit struct {
 	exprBase
-	V value.Value
+	V    value.Value
+	Slot int
 }
 
 // Var is a name: a bound iteration variable, a WITH-bound local, or (resolved

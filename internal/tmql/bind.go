@@ -74,7 +74,7 @@ func errAt(p Pos, format string, args ...any) error {
 func (b *Binder) bind(e Expr, sc *scope) (Expr, error) {
 	switch n := e.(type) {
 	case *Lit:
-		out := &Lit{exprBase: exprBase{pos: n.pos}, V: n.V}
+		out := &Lit{exprBase: exprBase{pos: n.pos}, V: n.V, Slot: n.Slot}
 		out.setType(types.TypeOf(n.V))
 		return out, nil
 

@@ -10,9 +10,25 @@ import (
 // Parse (tested property: Parse(Format(e)) structurally equals e up to
 // positions).
 func Format(e Expr) string {
-	var sb strings.Builder
-	writeExpr(&sb, e, 0)
-	return sb.String()
+	var p printer
+	p.expr(e, 0)
+	return p.String()
+}
+
+// Shape renders e like Format but prints every slotted literal (see
+// MarkSlots) as ?<kind> — ?int, ?float, ?string — so texts that differ only
+// in those constants render alike. The engine keys its plan cache on it.
+func Shape(e Expr) string {
+	p := printer{shape: true}
+	p.expr(e, 0)
+	return p.String()
+}
+
+// printer renders expressions; shape selects Shape's rendering of slotted
+// literals.
+type printer struct {
+	strings.Builder
+	shape bool
 }
 
 // Precedence levels matching the parser, loosest first.
@@ -48,154 +64,159 @@ func opPrec(op Op) int {
 	return precUnary
 }
 
-func writeExpr(sb *strings.Builder, e Expr, min int) {
+func (p *printer) expr(e Expr, min int) {
 	switch n := e.(type) {
 	case *Lit:
-		sb.WriteString(n.V.String())
+		if p.shape && n.Slot > 0 {
+			p.WriteByte('?')
+			p.WriteString(n.V.Kind().String())
+			return
+		}
+		p.WriteString(n.V.String())
 	case *Var:
-		sb.WriteString(n.Name)
+		p.WriteString(n.Name)
 	case *TableRef:
-		sb.WriteString(n.Name)
+		p.WriteString(n.Name)
 	case *FieldSel:
-		writeExpr(sb, n.X, precPostfix)
-		sb.WriteByte('.')
-		sb.WriteString(n.Label)
+		p.expr(n.X, precPostfix)
+		p.WriteByte('.')
+		p.WriteString(n.Label)
 	case *TupleCons:
 		// Elements print at precOr so a WITH (Let) gets parentheses — the
 		// comma would otherwise be swallowed by the WITH-binding list.
-		sb.WriteByte('(')
+		p.WriteByte('(')
 		for i, f := range n.Fields {
 			if i > 0 {
-				sb.WriteString(", ")
+				p.WriteString(", ")
 			}
-			sb.WriteString(f.Label)
-			sb.WriteString(" = ")
-			writeExpr(sb, f.E, precOr)
+			p.WriteString(f.Label)
+			p.WriteString(" = ")
+			p.expr(f.E, precOr)
 		}
-		sb.WriteByte(')')
+		p.WriteByte(')')
 	case *SetCons:
-		sb.WriteByte('{')
+		p.WriteByte('{')
 		for i, el := range n.Elems {
 			if i > 0 {
-				sb.WriteString(", ")
+				p.WriteString(", ")
 			}
-			writeExpr(sb, el, precOr)
+			p.expr(el, precOr)
 		}
-		sb.WriteByte('}')
+		p.WriteByte('}')
 	case *ListCons:
-		sb.WriteByte('[')
+		p.WriteByte('[')
 		for i, el := range n.Elems {
 			if i > 0 {
-				sb.WriteString(", ")
+				p.WriteString(", ")
 			}
-			writeExpr(sb, el, precOr)
+			p.expr(el, precOr)
 		}
-		sb.WriteByte(']')
+		p.WriteByte(']')
 	case *Binary:
 		prec := opPrec(n.Op)
 		if prec < min {
-			sb.WriteByte('(')
+			p.WriteByte('(')
 		}
 		// Comparison is non-associative: children print one level tighter.
 		childMin := prec
 		if prec == precCmp {
 			childMin = precSet
 		}
-		writeExpr(sb, n.L, childMin)
-		sb.WriteByte(' ')
-		sb.WriteString(n.Op.String())
-		sb.WriteByte(' ')
-		writeExpr(sb, n.R, childMin+boolToInt(prec != precCmp && isLeftAssoc(n.Op)))
+		p.expr(n.L, childMin)
+		p.WriteByte(' ')
+		p.WriteString(n.Op.String())
+		p.WriteByte(' ')
+		p.expr(n.R, childMin+boolToInt(prec != precCmp && isLeftAssoc(n.Op)))
 		if prec < min {
-			sb.WriteByte(')')
+			p.WriteByte(')')
 		}
 	case *Unary:
 		if n.Op == OpNot {
 			if precNot < min {
-				sb.WriteByte('(')
+				p.WriteByte('(')
 			}
-			sb.WriteString("NOT ")
-			writeExpr(sb, n.X, precNot)
+			p.WriteString("NOT ")
+			p.expr(n.X, precNot)
 			if precNot < min {
-				sb.WriteByte(')')
+				p.WriteByte(')')
 			}
 			return
 		}
 		if precUnary < min {
-			sb.WriteByte('(')
+			p.WriteByte('(')
 		}
-		sb.WriteByte('-')
+		p.WriteByte('-')
 		// Guard against "--", which the lexer reads as a line comment: a
 		// negative literal or nested negation is parenthesized.
-		var inner strings.Builder
-		writeExpr(&inner, n.X, precUnary)
+		inner := printer{shape: p.shape}
+		inner.expr(n.X, precUnary)
 		if strings.HasPrefix(inner.String(), "-") {
-			sb.WriteByte('(')
-			sb.WriteString(inner.String())
-			sb.WriteByte(')')
+			p.WriteByte('(')
+			p.WriteString(inner.String())
+			p.WriteByte(')')
 		} else {
-			sb.WriteString(inner.String())
+			p.WriteString(inner.String())
 		}
 		if precUnary < min {
-			sb.WriteByte(')')
+			p.WriteByte(')')
 		}
 	case *Agg:
-		sb.WriteString(n.Kind.String())
-		sb.WriteByte('(')
-		writeExpr(sb, n.X, 0)
-		sb.WriteByte(')')
+		p.WriteString(n.Kind.String())
+		p.WriteByte('(')
+		p.expr(n.X, 0)
+		p.WriteByte(')')
 	case *Quant:
 		if precCmp < min {
-			sb.WriteByte('(')
+			p.WriteByte('(')
 		}
-		fmt.Fprintf(sb, "%s %s IN ", n.Kind, n.Var)
-		writeExpr(sb, n.Over, precAdd)
-		sb.WriteString(" (")
-		writeExpr(sb, n.Pred, 0)
-		sb.WriteByte(')')
+		fmt.Fprintf(p, "%s %s IN ", n.Kind, n.Var)
+		p.expr(n.Over, precAdd)
+		p.WriteString(" (")
+		p.expr(n.Pred, 0)
+		p.WriteByte(')')
 		if precCmp < min {
-			sb.WriteByte(')')
+			p.WriteByte(')')
 		}
 	case *SFW:
 		if min > precWith {
-			sb.WriteByte('(')
+			p.WriteByte('(')
 		}
-		sb.WriteString("SELECT ")
-		writeExpr(sb, n.Result, precOr)
-		sb.WriteString(" FROM ")
+		p.WriteString("SELECT ")
+		p.expr(n.Result, precOr)
+		p.WriteString(" FROM ")
 		for i, f := range n.Froms {
 			if i > 0 {
-				sb.WriteString(", ")
+				p.WriteString(", ")
 			}
-			writeExpr(sb, f.Src, precPostfix)
-			sb.WriteByte(' ')
-			sb.WriteString(f.Var)
+			p.expr(f.Src, precPostfix)
+			p.WriteByte(' ')
+			p.WriteString(f.Var)
 		}
 		if n.Where != nil {
-			sb.WriteString(" WHERE ")
-			writeExpr(sb, n.Where, 0)
+			p.WriteString(" WHERE ")
+			p.expr(n.Where, 0)
 		}
 		if min > precWith {
-			sb.WriteByte(')')
+			p.WriteByte(')')
 		}
 	case *Let:
 		if min > precWith {
-			sb.WriteByte('(')
+			p.WriteByte('(')
 		}
-		writeExpr(sb, n.Body, precOr)
-		sb.WriteString(" WITH ")
-		sb.WriteString(n.V)
-		sb.WriteString(" = ")
-		writeExpr(sb, n.Def, precOr)
+		p.expr(n.Body, precOr)
+		p.WriteString(" WITH ")
+		p.WriteString(n.V)
+		p.WriteString(" = ")
+		p.expr(n.Def, precOr)
 		if min > precWith {
-			sb.WriteByte(')')
+			p.WriteByte(')')
 		}
 	case *Unnest:
-		sb.WriteString("UNNEST(")
-		writeExpr(sb, n.X, 0)
-		sb.WriteByte(')')
+		p.WriteString("UNNEST(")
+		p.expr(n.X, 0)
+		p.WriteByte(')')
 	default:
-		fmt.Fprintf(sb, "<?%T>", e)
+		fmt.Fprintf(p, "<?%T>", e)
 	}
 }
 

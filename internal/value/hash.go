@@ -22,19 +22,21 @@ func Hash(seed maphash.Seed, v Value) uint64 {
 }
 
 func writeHash(h *maphash.Hash, v Value) {
-	var tag [1]byte
-	tag[0] = byte(v.kind)
-	// Ints that are exactly representable as themselves and floats with an
-	// integral value must hash alike because Compare treats 1 == 1.0.
+	// An int that a float can equal (Compare treats 1 == 1.0) hashes as that
+	// float; any other int keeps its own tag and bits.
 	if v.kind == KindInt {
-		tag[0] = byte(KindFloat)
-		h.Write(tag[:])
-		writeFloatBits(h, float64(v.i))
-		return
+		if f, exact := intAsFloat(v.i); exact {
+			writeHash(h, Float(f))
+			return
+		}
 	}
-	h.Write(tag[:])
+	h.WriteByte(byte(v.kind))
 	switch v.kind {
 	case KindNull:
+	case KindInt:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(v.i))
+		h.Write(buf[:])
 	case KindBool:
 		if v.b {
 			h.WriteByte(1)
@@ -59,6 +61,14 @@ func writeHash(h *maphash.Hash, v Value) {
 			writeHash(h, e)
 		}
 	}
+}
+
+// intAsFloat returns float64(i) and whether that conversion is exact — true
+// for every |i| <= 2^53 and for the larger ints that happen to be
+// representable. Only such an int can equal a float under Compare.
+func intAsFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < 0x1p63 && int64(f) == i
 }
 
 func writeFloatBits(h *maphash.Hash, f float64) {
@@ -100,8 +110,12 @@ func Key(v Value) string {
 // a previously unseen key materializes a string.
 func AppendKey(buf []byte, v Value) []byte {
 	if v.kind == KindInt {
-		// Same normalization as hashing: ints encode as floats.
-		return AppendKey(buf, Float(float64(v.i)))
+		// Same normalization as hashing: an int a float can equal encodes as
+		// that float, any other int under its own tag.
+		if f, exact := intAsFloat(v.i); exact {
+			return AppendKey(buf, Float(f))
+		}
+		return binary.LittleEndian.AppendUint64(append(buf, byte(KindInt)), uint64(v.i))
 	}
 	buf = append(buf, byte(v.kind))
 	switch v.kind {

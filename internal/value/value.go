@@ -413,12 +413,16 @@ func (v Value) write(sb *strings.Builder) {
 // different kinds order by kind; within a kind the order is the natural one
 // (lexicographic for tuples by label/value pairs, for sets/lists elementwise).
 // Ints and floats compare numerically against each other so that 1 = 1.0, as
-// TM treats INT as a subtype of REAL.
+// TM treats INT as a subtype of REAL; the comparison is exact, so an int
+// beyond 2^53 never equals a float it merely rounds to.
 func Compare(a, b Value) int {
 	ka, kb := a.kind, b.kind
 	// Numeric cross-kind comparison.
 	if a.IsNumeric() && b.IsNumeric() && ka != kb {
-		return compareFloat(a.AsFloat(), b.AsFloat())
+		if ka == KindInt {
+			return compareIntFloat(a.i, b.f)
+		}
+		return -compareIntFloat(b.i, a.f)
 	}
 	if ka != kb {
 		if ka < kb {
@@ -478,6 +482,19 @@ func Compare(a, b Value) int {
 		return len(a.elems) - len(b.elems)
 	}
 	panic("value: unreachable kind in Compare")
+}
+
+// compareIntFloat compares i with f exactly: through float64 first, and on a
+// tie — f is then integral and equal to i rounded — by the integers
+// themselves. float64(MaxInt64) rounds up to 2^63, which no int64 reaches.
+func compareIntFloat(i int64, f float64) int {
+	if c := compareFloat(float64(i), f); c != 0 {
+		return c
+	}
+	if f >= 0x1p63 {
+		return -1
+	}
+	return cmp.Compare(i, int64(f))
 }
 
 func compareFloat(a, b float64) int {

@@ -337,6 +337,46 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestLargeIntKeysExact pins Equal ⇔ Key equality, and Hash agreeing with
+// both, at the edges of float64's exact integer range: ints beyond 2^53 that
+// round to the same float stay distinct, while every int a float can equal
+// still keys and hashes like that float.
+func TestLargeIntKeysExact(t *testing.T) {
+	const p53 = int64(1) << 53
+	vals := []Value{Float(math.Copysign(0, -1)), Float(0), Int(0), Float(math.NaN()),
+		Float(0x1p63), Float(-0x1p63), Int(math.MaxInt64), Int(math.MinInt64), Int(math.MinInt64 + 1)}
+	for _, i := range []int64{p53 - 1, p53, p53 + 1, p53 + 2} {
+		vals = append(vals, Int(i), Int(-i), Float(float64(i)), Float(-float64(i)))
+	}
+	seed := maphash.MakeSeed()
+	for _, a := range vals {
+		for _, b := range vals {
+			if eq := Equal(a, b); eq != (Key(a) == Key(b)) {
+				t.Errorf("Equal(%s, %s) = %v but keys equal = %v", a, b, eq, !eq)
+			} else if eq && Hash(seed, a) != Hash(seed, b) {
+				t.Errorf("equal %s and %s hash differently", a, b)
+			}
+			if sgn(Compare(a, b)) != -sgn(Compare(b, a)) {
+				t.Errorf("not antisymmetric: %s vs %s", a, b)
+			}
+			for _, c := range vals {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("not transitive: %s ≤ %s ≤ %s but a > c", a, b, c)
+				}
+			}
+		}
+	}
+	if Equal(Int(p53+1), Int(p53)) || Equal(Int(p53+1), Float(float64(p53))) {
+		t.Error("2^53+1 equals 2^53")
+	}
+	if Compare(Int(p53+1), Float(float64(p53))) <= 0 || Compare(Int(math.MaxInt64), Float(0x1p63)) >= 0 {
+		t.Error("int/float comparison is not exact beyond 2^53")
+	}
+	if !Equal(Int(math.MinInt64), Float(-0x1p63)) || Key(Int(p53)) != Key(Float(float64(p53))) {
+		t.Error("exactly representable ints must equal and key like their floats")
+	}
+}
+
 func TestHashQuick(t *testing.T) {
 	seed := maphash.MakeSeed()
 	cfg := &quick.Config{MaxCount: 300, Values: func(vs []reflect.Value, r *rand.Rand) {
