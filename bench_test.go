@@ -202,122 +202,6 @@ func parseBind(cat *tmdb.Catalog, q string) (tmql.Expr, error) {
 	return tmql.NewBinder(cat).Bind(e)
 }
 
-// --- Parallel partitioned execution: serial vs degree-P hash joins ---
-
-// benchQueryPar fixes the partitioned-execution degree alongside the
-// strategy/impl pair.
-func benchQueryPar(b *testing.B, eng *tmdb.Engine, q string, s core.Strategy, ji planner.JoinImpl, par int) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(q, engine.Options{Strategy: s, Joins: ji, Parallelism: par}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkB1ParallelSemiJoin(b *testing.B) {
-	const q = `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
-	for _, n := range []int{400, 2000} {
-		eng := xyzEngine(n, 2*n, 0)
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("hash/n=%d/par=%d", n, par), func(b *testing.B) {
-				benchQueryPar(b, eng, q, core.StrategyNestJoin, planner.ImplHash, par)
-			})
-		}
-	}
-}
-
-func BenchmarkB4ParallelNestJoin(b *testing.B) {
-	const q = `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b`
-	for _, n := range []int{400, 2000} {
-		eng := xyzEngine(n, 4*n, 0)
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("hash/n=%d/par=%d", n, par), func(b *testing.B) {
-				benchQueryPar(b, eng, q, core.StrategyNestJoin, planner.ImplHash, par)
-			})
-		}
-	}
-}
-
-// --- B10: morsel scheduling under skew — a 90/10-skewed join key lands ~90%
-// of the probe rows in one hash partition, so the partition-dedicated runtime
-// (NoSteal) serializes on the hot partition while the work-stealing scheduler
-// lets idle workers drain it. Both modes are byte-identical; stealing must
-// clear 1.3× NoSteal at n=2000 on a multi-core host (demonstrated by
-// `go run ./cmd/repro -exp B10`). ---
-
-func BenchmarkB10MorselSkew(b *testing.B) {
-	const q = `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
-	benchSteal := func(b *testing.B, eng *tmdb.Engine, par int, noSteal bool) {
-		b.Helper()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			opts := engine.Options{
-				Strategy: core.StrategyNestJoin, Joins: planner.ImplHash,
-				Parallelism: par, NoSteal: noSteal,
-			}
-			if _, err := eng.Query(q, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, n := range []int{400, 2000} {
-		cat, db := datagen.XYZ(datagen.Spec{
-			NX: n, NY: 2 * n, NZ: 0, Keys: 16, DanglingFrac: 0.2, SetAttrCard: 3,
-			SkewFrac: 0.9, Seed: 7,
-		})
-		eng := tmdb.New(cat, db)
-		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
-			benchSteal(b, eng, 1, false)
-		})
-		for _, par := range []int{2, 4} {
-			b.Run(fmt.Sprintf("steal/n=%d/par=%d", n, par), func(b *testing.B) {
-				benchSteal(b, eng, par, false)
-			})
-			b.Run(fmt.Sprintf("nosteal/n=%d/par=%d", n, par), func(b *testing.B) {
-				benchSteal(b, eng, par, true)
-			})
-		}
-	}
-}
-
-// --- B9: vectorized batch pipeline — the same scan→filter→hash-join→project
-// plan executed row-at-a-time, at fixed batch sizes, and under the auto
-// (cost-chosen) protocol. The gap is per-tuple iterator dispatch plus
-// governor polling; batch must clear 1.5× row throughput at n=2000
-// (demonstrated by `go run ./cmd/repro -exp B9`). ---
-
-func BenchmarkB9BatchPipeline(b *testing.B) {
-	const q = `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`
-	benchBatch := func(b *testing.B, eng *tmdb.Engine, batch int) {
-		b.Helper()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(q, engine.Options{Parallelism: 1, BatchSize: batch}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, n := range []int{400, 2000} {
-		cat, db := datagen.XYZ(datagen.Spec{
-			NX: n, NY: n, NZ: 0, Keys: n, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 7,
-		})
-		eng := tmdb.New(cat, db)
-		b.Run(fmt.Sprintf("row/n=%d", n), func(b *testing.B) {
-			benchBatch(b, eng, -1)
-		})
-		for _, size := range []int{64, 256, 1024} {
-			b.Run(fmt.Sprintf("batch=%d/n=%d", size, n), func(b *testing.B) {
-				benchBatch(b, eng, size)
-			})
-		}
-		b.Run(fmt.Sprintf("auto/n=%d", n), func(b *testing.B) {
-			benchBatch(b, eng, 0)
-		})
-	}
-}
-
 // --- Plan cache: repeated auto-planned queries skip strategy enumeration ---
 
 func BenchmarkPlanCacheRepeatedAuto(b *testing.B) {
@@ -326,7 +210,7 @@ func BenchmarkPlanCacheRepeatedAuto(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(q, engine.Options{Parallelism: 1}); err != nil {
+			if _, err := eng.Query(q, engine.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -340,7 +224,7 @@ func BenchmarkPlanCacheRepeatedAuto(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng.ClearPlanCache()
-			if _, err := eng.Query(q, engine.Options{Parallelism: 1}); err != nil {
+			if _, err := eng.Query(q, engine.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -369,13 +253,13 @@ func BenchmarkB6RewriteSensitive(b *testing.B) {
 	pushdown := `SELECT x.b FROM X x WHERE x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b) AND x.b < 0`
 	eng := xyzEngine(400, 1200, 0)
 	b.Run("pushdown/pin-base", func(b *testing.B) {
-		benchOpts(b, eng, pushdown, engine.Options{PinAlt: tmdb.AltBase, Parallelism: 1})
+		benchOpts(b, eng, pushdown, engine.Options{PinAlt: tmdb.AltBase})
 	})
 	b.Run("pushdown/pin-rewrite", func(b *testing.B) {
-		benchOpts(b, eng, pushdown, engine.Options{PinAlt: tmdb.AltRewrite, Parallelism: 1})
+		benchOpts(b, eng, pushdown, engine.Options{PinAlt: tmdb.AltRewrite})
 	})
 	b.Run("pushdown/auto", func(b *testing.B) {
-		benchOpts(b, eng, pushdown, engine.Options{Parallelism: 1})
+		benchOpts(b, eng, pushdown, engine.Options{})
 	})
 
 	nested := `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b`
@@ -387,7 +271,7 @@ func BenchmarkB6RewriteSensitive(b *testing.B) {
 		benchQuery(b, eng2, nested, core.StrategyOuterJoin, planner.ImplAuto)
 	})
 	b.Run("nested-wins/auto", func(b *testing.B) {
-		benchOpts(b, eng2, nested, engine.Options{Parallelism: 1})
+		benchOpts(b, eng2, nested, engine.Options{})
 	})
 }
 
@@ -415,7 +299,7 @@ func BenchmarkB7IndexJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("auto/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Query(q, engine.Options{Parallelism: 1})
+				res, err := eng.Query(q, engine.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -430,7 +314,7 @@ func BenchmarkB7IndexJoin(b *testing.B) {
 				if _, err := eng.InsertValue("Y", datagen.YRow(int64(i), int64(i%7), int64(i%5), int64(1_000_000+i))); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Query(q, engine.Options{Parallelism: 1}); err != nil {
+				if _, err := eng.Query(q, engine.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -456,7 +340,7 @@ func BenchmarkB8IndexScan(b *testing.B) {
 			b.Helper()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(q, engine.Options{Access: access, Parallelism: 1}); err != nil {
+				if _, err := eng.Query(q, engine.Options{Access: access}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -470,7 +354,7 @@ func BenchmarkB8IndexScan(b *testing.B) {
 		b.Run(fmt.Sprintf("auto/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Query(q, engine.Options{Parallelism: 1})
+				res, err := eng.Query(q, engine.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

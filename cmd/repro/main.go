@@ -6,7 +6,7 @@
 // Usage:
 //
 //	repro            # run the full suite
-//	repro -exp T1    # run one experiment (T1 T2 Q12 CB SB S8 EQ B1..B5 B9 B10)
+//	repro -exp T1    # run one experiment (T1 T2 Q12 CB SB S8 EQ B1..B5)
 //	repro -quick     # smaller workloads (CI-sized)
 //	repro -list      # list experiments
 package main

@@ -8,7 +8,6 @@
 //	tmql -db xyz                   # REPL over the synthetic X/Y/Z database
 //	tmql -q 'SELECT d.name FROM DEPT d'
 //	tmql -q '...' -strategy naive -explain
-//	tmql -q '...' -par 8           (morsel-scheduler degree 8)
 //	tmql -q '...' -batch 1024      (vectorized batches of 1024 rows; -1 = rows)
 //	tmql -q '...' -pin rewrite     (pin the §6-rewritten alternative)
 //	tmql -q '...' -pin 'order:((z y) x)'
@@ -24,10 +23,9 @@
 //
 //	explain <query>                (physical plan, estimated rows/cost,
 //	                                candidate table: strategy × alternative
-//	                                × join family × degree under auto)
+//	                                × join family under auto)
 //	\strategy auto|naive|nestjoin|kim|outerjoin
 //	\joins auto|nl|hash|merge|index
-//	\par <n>                      (0 = planner default, 1 = serial, n >= 2 = degree)
 //	\batch <n>|auto|row           (vectorized execution: auto lets the cost
 //	                               model weigh batched against row-at-a-time
 //	                               plans, n pins batches of n rows, row pins
@@ -89,9 +87,7 @@ func main() {
 		strategy = flag.String("strategy", "auto", "auto | naive | nestjoin | kim | outerjoin")
 		joins    = flag.String("joins", "auto", "auto | nl | hash | merge | index")
 		access   = flag.String("access", "auto", "auto | scan | index (access path for selections)")
-		par      = flag.Int("par", 0, "morsel-scheduler degree: worker pool and hash partitions (0 = planner default, 1 = serial)")
-		batch    = flag.Int("batch", 0, "rows per vectorized batch and morsel (0 = cost model decides, -1 = row-at-a-time)")
-		noSteal  = flag.Bool("nosteal", false, "disable work stealing in the morsel scheduler (ablation; results identical)")
+		batch    = flag.Int("batch", 0, "rows per vectorized batch (0 = cost model decides, -1 = row-at-a-time)")
 		pin      = flag.String("pin", "", "pin a logical alternative by candidate-table label (base | rewrite | order:…)")
 		cacheCap = flag.Int("plancache", 0, "plan-cache LRU capacity (0 = default 256)")
 		explain  = flag.Bool("explain", false, "print the physical plan with cost estimates instead of executing")
@@ -117,9 +113,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	opts.Parallelism = *par
 	opts.BatchSize = *batch
-	opts.NoSteal = *noSteal
 	opts.PinAlt = *pin
 	opts.Limits = engine.Limits{Timeout: *timeout, MaxRows: *maxRows, MaxBuildBytes: *maxBuild}
 
@@ -215,12 +209,6 @@ func runOne(eng *engine.Engine, q string, opts engine.Options, explain bool) err
 	if res.Access == planner.AccessIndex {
 		how += ", idxscan"
 	}
-	if res.Parallelism > 1 {
-		how += fmt.Sprintf(", parallelism %d", res.Parallelism)
-		if res.Sched.Dispatched+res.Sched.Stolen > 0 {
-			how += fmt.Sprintf(" (morsels %d+%d stolen)", res.Sched.Dispatched, res.Sched.Stolen)
-		}
-	}
 	if res.Batch > 0 {
 		how += fmt.Sprintf(", batch %d", res.Batch)
 	}
@@ -263,7 +251,7 @@ func analyze(eng *engine.Engine) {
 
 func repl(eng *engine.Engine, opts engine.Options) {
 	fmt.Println("tmql — nested-query optimization shell (EDBT'94 reproduction)")
-	fmt.Printf("strategy=%s; explain <q>, \\strategy, \\joins, \\par, \\batch, \\pin, \\timeout, \\budget, \\cache, \\analyze, \\insert, \\delete, \\index, \\tables, \\quit\n", opts.Strategy)
+	fmt.Printf("strategy=%s; explain <q>, \\strategy, \\joins, \\batch, \\pin, \\timeout, \\budget, \\cache, \\analyze, \\insert, \\delete, \\index, \\tables, \\quit\n", opts.Strategy)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -300,14 +288,6 @@ func repl(eng *engine.Engine, opts engine.Options) {
 			}
 			opts.Joins = o.Joins
 			fmt.Println("join impl updated")
-		case strings.HasPrefix(line, "\\par "):
-			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "\\par ")))
-			if err != nil || n < 0 {
-				fmt.Println("usage: \\par <n>  (0 = planner default, 1 = serial, n >= 2 = degree)")
-				continue
-			}
-			opts.Parallelism = n
-			fmt.Printf("parallelism = %d\n", n)
 		case line == "\\batch":
 			switch {
 			case opts.BatchSize > 0:

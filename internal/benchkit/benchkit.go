@@ -107,7 +107,6 @@ type Run struct {
 	Value    value.Value
 	Duration time.Duration
 	Steps    int64
-	Batch    int // rows per vectorized batch the run executed with (0 = row-at-a-time)
 	Err      error
 }
 

@@ -90,7 +90,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 		"B3":  "kim",
 		"B4":  "sort-merge",
 		"B5":  "blocks",
-		"B9":  "vectorized batches",
 	}
 	for _, exp := range All() {
 		var buf bytes.Buffer

@@ -35,8 +35,6 @@ func All() []Experiment {
 		{"B3", "nest join vs outerjoin+ν* vs Kim", RunB3},
 		{"B4", "nest join physical implementations", RunB4},
 		{"B5", "nesting depth (linear chains)", RunB5},
-		{"B9", "vectorized batch pipeline vs row-at-a-time", RunB9},
-		{"B10", "morsel scheduling vs partition-dedicated under skew", RunB10},
 	}
 }
 

@@ -132,9 +132,9 @@ type Spec struct {
 	SetAttrCard int
 	// SkewFrac in [0,1) is the fraction of matched join keys collapsed onto
 	// key 0: with SkewFrac = 0.9, ~90% of the matched rows in every relation
-	// share one key, so one hash partition carries almost all the join work —
-	// the workload the morsel scheduler's stealing exists for. Zero (the
-	// default) leaves the uniform key draw untouched, byte-for-byte.
+	// share one key, so one hash bucket carries almost all the join work.
+	// Zero (the default) leaves the uniform key draw untouched,
+	// byte-for-byte.
 	SkewFrac float64
 	Seed     int64
 }

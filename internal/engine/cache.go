@@ -15,8 +15,8 @@ import (
 // every option that can change the outcome plus, on the cost-based path, the
 // statistics generation of each referenced table, and the value is the fully
 // resolved planned decision — chosen strategy, logical alternative, join
-// family, parallelism degree, plan, cost, the candidate table for EXPLAIN,
-// and the constants the plan carries. Repeated queries, and queries that
+// family, access path, batch size, plan, cost, the candidate table for
+// EXPLAIN, and the constants the plan carries. Repeated queries, and queries that
 // differ only in slotted constants, therefore skip translation, alternative
 // generation, and costing entirely; a hit with other constants runs a copy of
 // the plan carrying its own (query.rebind). Entries are treated as immutable
@@ -69,8 +69,8 @@ func newPlanCache() *planCache {
 // statistics generations the plan is costed against ("table:generation,"
 // per referenced table in name order; empty on fixed-strategy paths).
 func cacheKey(shape string, opts Options, pin planner.PhysicalSpec, gens string) string {
-	return fmt.Sprintf("s=%d|j=%d|a=%d|p=%d|b=%d|pin=%s|g=%s|%s",
-		opts.Strategy, pin.Joins, pin.Access, pin.Degree, pin.Batch, opts.PinAlt, gens, shape)
+	return fmt.Sprintf("s=%d|j=%d|a=%d|b=%d|pin=%s|g=%s|%s",
+		opts.Strategy, pin.Joins, pin.Access, pin.Batch, opts.PinAlt, gens, shape)
 }
 
 func (c *planCache) get(key string) (*planned, bool) {

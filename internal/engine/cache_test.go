@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +24,7 @@ func xyzEngine(t *testing.T) *Engine {
 
 // TestPlanCacheHitsRepeatedQueries checks the memoization contract: the
 // first execution misses, repeats hit, results stay identical, and the
-// resolved decision (strategy × joins × degree) is stable across hits.
+// resolved decision (strategy × joins × batch) is stable across hits.
 func TestPlanCacheHitsRepeatedQueries(t *testing.T) {
 	eng := xyzEngine(t)
 	first, err := eng.Query(cacheQ, Options{})
@@ -50,10 +49,10 @@ func TestPlanCacheHitsRepeatedQueries(t *testing.T) {
 		if !value.Equal(res.Value, first.Value) {
 			t.Fatalf("repeat %d: cached plan produced a different result", i)
 		}
-		if res.Strategy != first.Strategy || res.Joins != first.Joins || res.Parallelism != first.Parallelism {
+		if res.Strategy != first.Strategy || res.Joins != first.Joins || res.Batch != first.Batch {
 			t.Fatalf("repeat %d: decision drifted: %v×%v×%d vs %v×%v×%d", i,
-				res.Strategy, res.Joins, res.Parallelism,
-				first.Strategy, first.Joins, first.Parallelism)
+				res.Strategy, res.Joins, res.Batch,
+				first.Strategy, first.Joins, first.Batch)
 		}
 	}
 	st = eng.PlanCacheStats()
@@ -63,20 +62,17 @@ func TestPlanCacheHitsRepeatedQueries(t *testing.T) {
 }
 
 // TestPlanCacheKeyedOnOptions checks that differing options plan separately:
-// a fixed strategy, a different join family, a different degree, and the
-// rewrite pin each get their own entry.
+// a fixed strategy, a different join family, a different batch size, and
+// the rewrite pin each get their own entry.
 func TestPlanCacheKeyedOnOptions(t *testing.T) {
 	eng := xyzEngine(t)
-	// Degrees are explicit throughout: the zero option resolves to
-	// GOMAXPROCS, which on some machines would legitimately collide with an
-	// explicit degree (same resolved plan, same entry).
 	optss := []Options{
-		{Parallelism: 1},
-		{Strategy: core.StrategyNestJoin, Parallelism: 1},
-		{Strategy: core.StrategyNestJoin, Joins: planner.ImplNestedLoop, Parallelism: 1},
-		{Strategy: core.StrategyNestJoin, Parallelism: 2},
-		{Strategy: core.StrategyNestJoin, Parallelism: 4},
-		{PinAlt: planner.AltRewrite, Parallelism: 1},
+		{},
+		{Strategy: core.StrategyNestJoin},
+		{Strategy: core.StrategyNestJoin, Joins: planner.ImplNestedLoop},
+		{Strategy: core.StrategyNestJoin, BatchSize: 64},
+		{Strategy: core.StrategyNestJoin, BatchSize: 256},
+		{PinAlt: planner.AltRewrite},
 	}
 	for _, opts := range optss {
 		if _, err := eng.Query(cacheQ, opts); err != nil {
@@ -88,7 +84,7 @@ func TestPlanCacheKeyedOnOptions(t *testing.T) {
 		t.Errorf("expected %d distinct entries, got %+v", len(optss), st)
 	}
 	// And a different query text is a different entry.
-	if _, err := eng.Query(`SELECT x.b FROM X x`, Options{Parallelism: 1}); err != nil {
+	if _, err := eng.Query(`SELECT x.b FROM X x`, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.PlanCacheStats(); st.Entries != len(optss)+1 {
@@ -126,15 +122,15 @@ func TestPlanCacheSurvivesAnalyze(t *testing.T) {
 }
 
 // TestPlanCacheServesExplain checks Explain and Query share the cache and
-// that Explain renders the parallelism degree header.
+// that Explain renders the batch header.
 func TestPlanCacheServesExplain(t *testing.T) {
 	eng := xyzEngine(t)
 	out, err := eng.Explain(cacheQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "parallelism=") {
-		t.Errorf("Explain misses the degree header:\n%s", out)
+	if !strings.Contains(out, "batch=") {
+		t.Errorf("Explain misses the batch header:\n%s", out)
 	}
 	res, err := eng.Query(cacheQ, Options{})
 	if err != nil {
@@ -142,72 +138,6 @@ func TestPlanCacheServesExplain(t *testing.T) {
 	}
 	if !res.CacheHit {
 		t.Error("Query after Explain with identical options should hit the cache")
-	}
-}
-
-// TestParallelismResolution checks the option semantics: 0 resolves to a
-// positive default, explicit degrees pass through, and the executed result
-// is identical at every degree.
-func TestParallelismResolution(t *testing.T) {
-	eng := xyzEngine(t)
-	if autoDegree(eng.Stats().Table("Y").Card) < 1 {
-		t.Error("auto-path default parallelism must be >= 1")
-	}
-	if (Options{}).pin().Fixed().Degree != 1 {
-		t.Error("fixed-path default must stay serial")
-	}
-	if (Options{Parallelism: 7}).pin().Fixed().Degree != 7 {
-		t.Error("explicit parallelism must pass through")
-	}
-	base, err := eng.Query(cacheQ, Options{Strategy: core.StrategyNestJoin, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Parallelism != 1 {
-		t.Errorf("resolved degree = %d, want 1", base.Parallelism)
-	}
-	for _, p := range []int{2, 8} {
-		res, err := eng.Query(cacheQ, Options{Strategy: core.StrategyNestJoin, Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Parallelism != p {
-			t.Errorf("resolved degree = %d, want %d", res.Parallelism, p)
-		}
-		if !value.Equal(res.Value, base.Value) {
-			t.Errorf("degree %d changed the result", p)
-		}
-	}
-}
-
-// TestAutoDegreeStatsSized pins the statistics-driven partition sizing: with
-// the degree left to the planner, the candidate degree comes from the row
-// estimates of the query's tables (~1k rows per partition) instead of the
-// machine width, while explicit pins are untouched.
-func TestAutoDegreeStatsSized(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >= 2 procs to partition")
-	}
-	eng := xyzEngine(t) // 40–120-row tables: the sized bound is 2
-	res, err := eng.Query(`SELECT (xb = x.b, yd = y.d) FROM X x, Y y WHERE x.b = y.d`, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallelism > 2 {
-		t.Errorf("auto degree = %d over tiny tables, want <= 2 (stats-sized)", res.Parallelism)
-	}
-	// An explicit pin still opens exactly the requested degree (fixed
-	// strategy: the degree is the caller's, not a costed candidate).
-	pinned, err := eng.Query(`SELECT (xb = x.b, yd = y.d) FROM X x, Y y WHERE x.b = y.d`,
-		Options{Strategy: core.StrategyNestJoin, Joins: planner.ImplHash, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned.Parallelism != 8 {
-		t.Errorf("pinned degree = %d, want 8", pinned.Parallelism)
-	}
-	if !value.Equal(res.Value, pinned.Value) {
-		t.Error("sized and pinned degrees disagree on the result")
 	}
 }
 

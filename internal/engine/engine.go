@@ -4,11 +4,11 @@
 // optimizer: it translates the query under every correct strategy, expands
 // each translation into its logical alternatives (the plan as translated,
 // its §6 rewrite, and reordered join trees for multi-FROM blocks), costs
-// every alternative × join-family × parallelism-degree combination against
-// the statistics catalog (exact for tiny tables, histogram/sketch estimates
-// above the threshold), and executes the cheapest — the path Explain renders
-// together with the full candidate table. Options.PinAlt pins one logical
-// alternative.
+// every alternative × join-family × access-path × batch-size combination
+// against the statistics catalog (exact for tiny tables, histogram/sketch
+// estimates above the threshold), and executes the cheapest — the path
+// Explain renders together with the full candidate table. Options.PinAlt
+// pins one logical alternative.
 // Planning decisions are memoized in a bounded per-engine LRU plan cache
 // keyed on the query's shape — the bound query with each constant compared
 // against a field path replaced by a typed parameter slot — the options and
@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -104,19 +103,6 @@ type Options struct {
 	// cost under StrategyAuto, hash-when-an-equi-key-exists under a fixed
 	// strategy).
 	Joins planner.JoinImpl
-	// Parallelism sizes the query's morsel scheduler: values >= 2 run the
-	// hash join family partitioned across a worker pool of that size (hash
-	// partitions and pool share the degree; idle workers steal morsels from
-	// loaded ones), 1 forces serial execution. The zero value defers to the
-	// planner: under StrategyAuto it resolves to runtime.GOMAXPROCS(0)
-	// (sized down by statistics — see planner.PartitionDegree) and the cost
-	// model decides per query whether a parallel variant actually wins;
-	// under a fixed strategy the physical decision is pinned by the caller,
-	// so zero stays serial and parallel execution is an explicit opt-in
-	// (keeping fixed-strategy experiment numbers comparable across
-	// releases). Results are byte-identical at every degree and any steal
-	// schedule.
-	Parallelism int
 	// PinAlt pins one logical alternative by label: planner.AltBase,
 	// planner.AltRewrite (the §6 rewrite fixpoint — selection pushdown
 	// through nest joins and projections, dead nest-join elimination, select
@@ -151,13 +137,6 @@ type Options struct {
 	// Results are identical either way — batching only trades dispatch
 	// overhead.
 	BatchSize int
-	// NoSteal disables work stealing in the morsel scheduler, pinning every
-	// morsel to its home worker — the partition-dedicated assignment the
-	// scheduler replaced. Results are identical either way; the knob exists
-	// as an ablation for benchmarks (B10 measures steal vs no-steal under
-	// skew) and for diagnosing scheduling anomalies. Like Limits it never
-	// affects planning, so it is excluded from the plan-cache key.
-	NoSteal bool
 }
 
 // pin translates the physical options into the planner's pin. BatchSize is
@@ -165,7 +144,7 @@ type Options struct {
 // row-at-a-time (-1), positive values clamp to the effective size, zero
 // defers to the planner.
 func (o Options) pin() planner.PhysicalSpec {
-	pin := planner.PhysicalSpec{Joins: o.Joins, Degree: o.Parallelism, Access: o.Access, Batch: o.BatchSize}
+	pin := planner.PhysicalSpec{Joins: o.Joins, Access: o.Access, Batch: o.BatchSize}
 	switch {
 	case pin.Batch < 0:
 		pin.Batch = -1
@@ -195,8 +174,9 @@ type Result struct {
 	// Access is the access path leaf selections read through
 	// (planner.AccessIndex when index scans served them).
 	Access planner.AccessPath
-	// Parallelism is the partitioned-execution degree the plan ran at
-	// (1 = serial).
+	// Parallelism is always 1: execution is serial. It remains only because
+	// the benchmark harness (bench/trace.go) still reads it; the next change
+	// to the benchmark removes that read, and then this field.
 	Parallelism int
 	// Batch is the vectorized batch size the plan ran at (0 = row-at-a-time).
 	Batch int
@@ -220,11 +200,10 @@ type Result struct {
 	// residuals, projections and nest-join functions in the compiled subset)
 	// run without the evaluator and count no steps.
 	EvalSteps int64
-	// Sched reports the morsel scheduler's per-query counters: morsels
-	// dispatched to their home worker, morsels stolen by idle workers, and
-	// summed worker busy time. All zero for plans with no partitioned
-	// operators.
-	Sched exec.SchedStats
+	// Sched is always zero: there is no morsel scheduler. It remains only
+	// because the benchmark harness (bench/trace.go) still reads it; the next
+	// change to the benchmark removes that read, and then this field.
+	Sched struct{ Dispatched, Stolen, BusyNanos int64 }
 }
 
 // planned is a resolved physical planning decision: what the plan cache
@@ -310,9 +289,9 @@ func (e *Engine) Query(src string, opts Options) (*Result, error) {
 }
 
 // QueryContext is Query observing ctx: cancellation and deadline reach every
-// operator's Next()/build loop (including parallel workers, which drain and
-// exit leak-free), surfacing as exec.ErrCanceled / exec.ErrDeadlineExceeded
-// wrapped in an *AbortError carrying partial-work accounting.
+// operator's Next()/build loop, surfacing as exec.ErrCanceled /
+// exec.ErrDeadlineExceeded wrapped in an *AbortError carrying partial-work
+// accounting.
 func (e *Engine) QueryContext(ctx context.Context, src string, opts Options) (*Result, error) {
 	q, err := e.bind(src)
 	if err != nil {
@@ -382,11 +361,6 @@ func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *pla
 	}
 	gov := exec.NewGovernor(ctx, opts.Limits.exec())
 	ectx := exec.NewCtxGoverned(e.db, gov)
-	// One scheduler per query: every partitioned operator of the plan shares
-	// the worker pool and the stats counters reported on Result.Sched.
-	ectx.Sched = exec.NewScheduler(exec.SchedConfig{
-		Workers: pl.Degree, MorselSize: pl.Batch, NoSteal: opts.NoSteal,
-	})
 	defer recoverAbort(gov, &res, &err)
 	tree, cerr := planner.New(ectx, pl.PhysicalSpec).Compile(pl.plan)
 	if cerr != nil {
@@ -415,14 +389,13 @@ func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *pla
 		Alt:         pl.alt,
 		Joins:       pl.Joins,
 		Access:      pl.Access,
-		Parallelism: pl.Degree,
+		Parallelism: 1,
 		Batch:       pl.Batch,
 		Cost:        pl.cost,
 		Auto:        pl.auto,
 		CacheHit:    hit,
 		Duration:    time.Since(start),
 		EvalSteps:   ectx.Ev.Steps,
-		Sched:       ectx.Sched.Stats(),
 	}, nil
 }
 
@@ -445,15 +418,8 @@ func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, err
 	if opts.Strategy != core.StrategyAuto {
 		pin = pin.Fixed()
 	} else {
-		// One catalog lookup per table serves both the key and the degree.
-		rows := 0
 		for _, name := range q.tables {
-			ts := e.statsCat.Table(name)
-			fmt.Fprintf(&gens, "%s:%d,", name, ts.Epoch)
-			rows = max(rows, ts.Card)
-		}
-		if pin.Degree <= 0 {
-			pin.Degree = autoDegree(rows)
+			fmt.Fprintf(&gens, "%s:%d,", name, e.statsCat.Table(name).Epoch)
 		}
 	}
 	var key string
@@ -480,26 +446,11 @@ func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, err
 	return pl, false, nil
 }
 
-// autoDegree is the maximum degree the cost-based path enumerates when the
-// caller leaves Parallelism to the planner: not the whole machine
-// unconditionally but enough partitions for ~1k rows each of the query's
-// largest table (rows, from its statistics), bounded by GOMAXPROCS (see
-// planner.PartitionDegree). The chooser still decides whether parallelism
-// pays.
-func autoDegree(rows int) int {
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 2 {
-		return procs
-	}
-	return planner.PartitionDegree(float64(rows), procs)
-}
-
 // planMiss performs the full planning work: translate (under the fixed
 // strategy, or under every correct one), settle the logical alternatives
 // (the pinned one, or all of them for the optimizer to weigh), and resolve
 // the physical spec — by the pin's fixed defaults under a fixed strategy, by
-// cost over alternative × join-family × degree × access × batch candidates
-// otherwise.
+// cost over alternative × join-family × access × batch candidates otherwise.
 func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpec) (*planned, error) {
 	est := planner.NewEstimatorStats(e.statsCat)
 	alts, err := e.alternatives(bound, opts, est)
@@ -520,12 +471,6 @@ func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpe
 			cost: best.Cost, auto: true, candidates: all,
 		}
 	}
-	// Result.Parallelism reports the degree the plan actually runs at: a
-	// degree > 1 on a (possibly rewritten) plan with nothing to partition
-	// is serial.
-	if pl.Degree > 1 && !planner.Parallelizable(pl.plan, pl.Joins) {
-		pl.Degree = 1
-	}
 	return pl, nil
 }
 
@@ -537,6 +482,9 @@ func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpe
 // touched, so fixed-strategy benchmark runs skip that work. StrategyAuto
 // translates under every correct strategy and expands each translation into
 // its alternatives (as translated, §6 rewrite, join orders costed by est).
+// A non-naive translation that is one bare Eval node unnested nothing: it is
+// the naive plan under another name, so it is dropped and the naive
+// candidate stands for it.
 func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estimator) ([]planner.StrategyPlan, error) {
 	if opts.Strategy != core.StrategyAuto {
 		tr := core.NewTranslator(e.cat)
@@ -563,6 +511,9 @@ func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estima
 			}
 			continue
 		}
+		if _, bare := p.(*algebra.EvalNode); bare && s != core.StrategyNaive {
+			continue
+		}
 		sps = append(sps, planner.StrategyPlan{Strategy: s.String(), Plan: p})
 	}
 	if len(sps) == 0 {
@@ -575,7 +526,7 @@ func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estima
 }
 
 // Explain parses, binds, and plans a query, returning the physical plan
-// rendering — chosen strategy, join family, and parallelism degree,
+// rendering — chosen strategy, join family, access path and batch size,
 // per-operator estimated rows and cost, and (on the cost-based path) every
 // candidate considered — without executing it. Planning is served from the
 // plan cache when possible, exactly as execution would be.
@@ -639,11 +590,8 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	if pl.Batch > 0 {
 		batch = fmt.Sprintf("%d", pl.Batch)
 	}
-	// sched/morsel render the runtime configuration the plan executes under:
-	// the scheduler's worker-pool size (= the degree) and the effective
-	// rows-per-morsel the exchange feeds it.
-	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s parallelism=%d sched=%d morsel=%d batch=%s (%s)\n",
-		pl.strategy, alt, pl.Joins, pl.Access, pl.Degree, pl.Degree, exec.NormalizeBatchSize(pl.Batch), batch, mode)
+	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s batch=%s (%s)\n",
+		pl.strategy, alt, pl.Joins, pl.Access, batch, mode)
 	b.WriteString(est.Explain(pl.plan, pl.PhysicalSpec))
 	if pl.auto && len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tmdb/internal/algebra"
 	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/planner"
@@ -104,6 +105,62 @@ func TestExplainAutoListsCandidates(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// evalOnlyQ is a query no strategy unnests: its outerjoin translation is one
+// bare Eval node — the naive plan under another name.
+const evalOnlyQ = `SELECT x FROM X x, Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`
+
+// TestAutoNamesBareEvalNaive: on the cost-based path a translation that is a
+// bare Eval node is the naive candidate, so EXPLAIN's header, its candidate
+// table and Result.Strategy all say naive, and no duplicate rows appear
+// under the name of a strategy that never translated the query.
+func TestAutoNamesBareEvalNaive(t *testing.T) {
+	eng := autoEngine(t)
+	out, err := eng.Explain(evalOnlyQ, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "strategy=naive ") {
+		t.Errorf("Explain header names a strategy that did not translate the query:\n%s", out)
+	}
+	cands, err := eng.PlanCandidates(evalOnlyQ, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cands {
+		if c.Strategy != core.StrategyNaive.String() {
+			t.Errorf("candidate %s duplicates the naive plan", c)
+		}
+	}
+	res, err := eng.Query(evalOnlyQ, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, bare := res.Plan.(*algebra.EvalNode); !bare || res.Strategy != core.StrategyNaive {
+		t.Errorf("Result.Strategy = %s over %s, want naive over a bare Eval", res.Strategy, res.Plan.Describe())
+	}
+}
+
+// TestPinnedStrategyKeepsBareEvalName: a pinned strategy is reported as
+// pinned, even when its translation is a bare Eval node.
+func TestPinnedStrategyKeepsBareEvalName(t *testing.T) {
+	eng := autoEngine(t)
+	opts := Options{Strategy: core.StrategyOuterJoin}
+	out, err := eng.Explain(evalOnlyQ, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "strategy=outerjoin ") {
+		t.Errorf("pinned Explain header:\n%s", out)
+	}
+	res, err := eng.Query(evalOnlyQ, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, bare := res.Plan.(*algebra.EvalNode); !bare || res.Strategy != core.StrategyOuterJoin {
+		t.Errorf("Result.Strategy = %s over %s, want outerjoin over a bare Eval", res.Strategy, res.Plan.Describe())
 	}
 }
 

@@ -36,9 +36,7 @@ func (l Limits) exec() exec.Limits {
 
 // PanicError is a panic recovered during query execution, isolated to the
 // failing query: the engine (and any server above it) stays up. Val is the
-// recovered value; Stack the goroutine stack at recovery. Scheduler workers'
-// panics are re-raised on the query goroutine (see exec.Scheduler), so they
-// surface here identically to serial panics.
+// recovered value; Stack the goroutine stack at recovery.
 type PanicError struct {
 	Val   any
 	Stack string

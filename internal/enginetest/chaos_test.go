@@ -24,8 +24,7 @@ func chaosSchedule(seed uint64) faultinject.Schedule {
 	r := rand.New(rand.NewSource(int64(seed)))
 	points := []string{
 		faultinject.PointScan, faultinject.PointHashBuild, faultinject.PointHashProbe,
-		faultinject.PointPartitionSend, faultinject.PointSortBuild,
-		faultinject.PointSchedMorsel,
+		faultinject.PointSortBuild,
 	}
 	kinds := []faultinject.Kind{faultinject.Delay, faultinject.Error, faultinject.Panic}
 	n := 1 + r.Intn(3)
@@ -59,7 +58,7 @@ func chaosTaxonomy(err error) bool {
 }
 
 // TestChaosGoldens runs the conformance goldens under randomized fault
-// schedules (fixed seed matrix, serial and partitioned execution) and asserts
+// schedules (fixed seed matrix) and asserts
 // the PR's chaos contract: when a query survives the faults its result is
 // byte-identical to the fault-free oracle; when it fails, the error is inside
 // the documented taxonomy; and no run leaks goroutines. A final fault-free
@@ -69,8 +68,7 @@ func TestChaosGoldens(t *testing.T) {
 		name string
 		opts engine.Options
 	}{
-		{"serial", engine.Options{}},
-		{"par=4", engine.Options{Parallelism: 4}},
+		{"auto", engine.Options{}},
 	}
 
 	engines := map[string]*engine.Engine{}

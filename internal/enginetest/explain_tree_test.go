@@ -7,16 +7,19 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/core"
+	"tmdb/internal/engine"
 	"tmdb/internal/exec"
 	"tmdb/internal/planner"
 	"tmdb/internal/tmql"
 )
 
 // EXPLAIN and compilation both name a node's operator by asking the
-// planner's resolver; this test holds them to it. For every golden × fixed
-// strategy × join family × degree × access path × batch size, with indexes
-// registered, each EXPLAIN line must name exactly the operator the compile
-// walk built for that node.
+// planner's resolver; this test holds them to it. For every golden × catalog
+// × fixed strategy × join family × access path × batch size, each EXPLAIN
+// line must name exactly the operator the compile walk built for that node.
+// The catalog axis runs each golden with its access indexes registered and,
+// where it has any, again without them, so the index pins' fallbacks to
+// scans and to the other join families are held to EXPLAIN too.
 
 // operator skips adapters and returns the operator beneath them.
 func operator(op any) any {
@@ -69,13 +72,13 @@ func explainedAs(n algebra.Plan, op any, spec planner.PhysicalSpec) (desc string
 	case *exec.NLJoin:
 		return "NL" + d, []any{o.L, o.R}, nil
 	case *exec.HashJoin:
-		return hashName(d, o.Degree, spec), []any{o.L, o.R}, nil
+		return hashName(d, spec), []any{o.L, o.R}, nil
 	case *exec.IndexJoin:
 		return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), []any{o.L, nil}, nil
 	case *exec.NLNestJoin:
 		return "NL" + d, []any{o.L, o.R}, nil
 	case *exec.HashNestJoin:
-		return hashName(d, o.Degree, spec), []any{o.L, o.R}, nil
+		return hashName(d, spec), []any{o.L, o.R}, nil
 	case *exec.MergeNestJoin:
 		return "Merge" + d, []any{o.L, o.R}, nil
 	case *exec.IndexNestJoin:
@@ -91,13 +94,10 @@ func explainedAs(n algebra.Plan, op any, spec planner.PhysicalSpec) (desc string
 	}
 }
 
-// hashName is the EXPLAIN name of a hash-family operator compiled at the
-// given degree: partitioned from degree 2, batch-native in every batched plan.
-func hashName(d string, degree int, spec planner.PhysicalSpec) string {
+// hashName is the EXPLAIN name of a hash-family operator: batch-native in
+// every batched plan.
+func hashName(d string, spec planner.PhysicalSpec) string {
 	name := "Hash" + d
-	if degree >= 2 {
-		name = fmt.Sprintf("ParHash%s[%d]", d, degree)
-	}
 	if spec.Batch > 0 {
 		name += fmt.Sprintf("[batch=%d]", spec.Batch)
 	}
@@ -168,52 +168,70 @@ func matchTree(t *testing.T, n algebra.Plan, op any, spec planner.PhysicalSpec, 
 }
 
 func TestExplainMatchesCompiledTree(t *testing.T) {
-	fixed := []core.Strategy{core.StrategyNaive, core.StrategyNestJoin, core.StrategyKim, core.StrategyOuterJoin}
-	impls := []planner.JoinImpl{planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge, planner.ImplIndex}
 	checked := 0
 	for _, g := range Goldens {
-		eng := OpenDB(g.DB)
-		registerAccessIndexes(t, eng, g.DB)
-		bound, err := tmql.NewBinder(eng.Catalog()).Bind(tmql.MustParse(g.Query))
-		if err != nil {
-			t.Fatal(err)
+		catalogs := []bool{true}
+		if len(AccessIndexes[g.DB]) > 0 {
+			catalogs = append(catalogs, false)
 		}
-		est := planner.NewEstimatorStats(eng.Stats())
-		for _, s := range fixed {
-			plan, err := core.NewTranslator(eng.Catalog()).Translate(bound, s)
-			if err != nil {
-				continue
+		for _, indexed := range catalogs {
+			eng := OpenDB(g.DB)
+			name := g.Name + "/bare"
+			if indexed {
+				registerAccessIndexes(t, eng, g.DB)
+				name = g.Name + "/indexed"
 			}
-			for _, ji := range impls {
-				if planner.ImplInfeasible(plan, ji) != "" {
-					continue
-				}
-				for _, degree := range []int{1, 2} {
-					for _, access := range []planner.AccessPath{planner.AccessScan, planner.AccessIndex} {
-						for _, batch := range []int{0, 64} {
-							spec := planner.PhysicalSpec{Joins: ji, Degree: degree, Access: access, Batch: batch}
-							t.Run(fmt.Sprintf("%s/%s/%s×%d/%s/b%d", g.Name, s, ji, degree, access, batch), func(t *testing.T) {
-								tree, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(plan)
-								if err != nil {
-									t.Fatal(err)
-								}
-								var root any = tree.Rows
-								if tree.Batches != nil {
-									root = tree.Batches
-								}
-								lines := strings.Split(strings.TrimRight(est.Explain(plan, spec), "\n"), "\n")
-								if rest := matchTree(t, plan, root, spec, lines); len(rest) != 0 {
-									t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
-								}
-							})
-							checked++
-						}
-					}
-				}
-			}
+			checked += explainMatchesCompiled(t, eng, name, g.Query)
 		}
 	}
-	if checked < 1000 {
+	if checked < 2000 {
 		t.Errorf("matrix shrank to %d combinations", checked)
 	}
+}
+
+// explainMatchesCompiled runs the EXPLAIN-versus-compiled-tree check for one
+// query on eng under every fixed strategy × feasible join family × access
+// path × batch size, one subtest each under prefix, and returns how many it
+// ran.
+func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query string) int {
+	fixed := []core.Strategy{core.StrategyNaive, core.StrategyNestJoin, core.StrategyKim, core.StrategyOuterJoin}
+	impls := []planner.JoinImpl{planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge, planner.ImplIndex}
+	bound, err := tmql.NewBinder(eng.Catalog()).Bind(tmql.MustParse(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := planner.NewEstimatorStats(eng.Stats())
+	checked := 0
+	for _, s := range fixed {
+		plan, err := core.NewTranslator(eng.Catalog()).Translate(bound, s)
+		if err != nil {
+			continue
+		}
+		for _, ji := range impls {
+			if planner.ImplInfeasible(plan, ji) != "" {
+				continue
+			}
+			for _, access := range []planner.AccessPath{planner.AccessScan, planner.AccessIndex} {
+				for _, batch := range []int{0, 64} {
+					spec := planner.PhysicalSpec{Joins: ji, Access: access, Batch: batch}
+					t.Run(fmt.Sprintf("%s/%s/%s/%s/b%d", prefix, s, ji, access, batch), func(t *testing.T) {
+						tree, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(plan)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var root any = tree.Rows
+						if tree.Batches != nil {
+							root = tree.Batches
+						}
+						lines := strings.Split(strings.TrimRight(est.Explain(plan, spec), "\n"), "\n")
+						if rest := matchTree(t, plan, root, spec, lines); len(rest) != 0 {
+							t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
+						}
+					})
+					checked++
+				}
+			}
+		}
+	}
+	return checked
 }

@@ -155,9 +155,9 @@ var Goldens = []Golden{
 		Query: `SELECT y.a FROM Y y WHERE y.b = 3 AND y.d = 2`,
 	},
 	{
-		// B9's filtered flat join and the repo benchmark's nested_exec
-		// "flat" statement: single-table restrictions on both sides of an
-		// equi-join, the pipeline the batch and partitioned operators serve.
+		// The repo benchmark's nested_exec "flat" statement: single-table
+		// restrictions on both sides of an equi-join, the pipeline the batch
+		// operators serve.
 		Name:  "filtered-flat-join",
 		DB:    "xyz",
 		Query: `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`,

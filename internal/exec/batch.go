@@ -58,34 +58,15 @@ func NormalizeBatchSize(n int) int {
 // value.AppendKey encoding the hash join family keys on). The arena is
 // columnar in the sense that all key bytes live in one contiguous buffer
 // delimited by offsets, not one allocation per row.
-//
-// A batch may also carry a selection vector, MonetDB/X100-style: its rows are
-// then Rows[sel[0]], Rows[sel[1]], … and row i's key is the sel[i]-th of the
-// arena. Only the exchange's fragments carry one — each shares the routed
-// batch's rows and key arena and selects its partition's positions — and
-// only the hash build and probe kernels read fragments, through Len, row and
-// Key; every batch an operator returns from NextBatch has no selection.
 type Batch struct {
 	Rows []value.Value
 	keys []byte
 	offs []uint32
-	sel  []int32
 }
 
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int {
-	if b.sel != nil {
-		return len(b.sel)
-	}
 	return len(b.Rows)
-}
-
-// row returns row i, through the selection vector if there is one.
-func (b *Batch) row(i int) value.Value {
-	if b.sel != nil {
-		return b.Rows[b.sel[i]]
-	}
-	return b.Rows[i]
 }
 
 // reset clears the batch for refilling, retaining capacity.
@@ -93,14 +74,10 @@ func (b *Batch) reset() {
 	b.Rows = b.Rows[:0]
 	b.keys = b.keys[:0]
 	b.offs = b.offs[:0]
-	b.sel = nil
 }
 
 // Key returns row i's encoded key bytes; valid only after encodeKeys.
 func (b *Batch) Key(i int) []byte {
-	if b.sel != nil {
-		i = int(b.sel[i])
-	}
 	return b.keys[b.offs[i]:b.offs[i+1]]
 }
 

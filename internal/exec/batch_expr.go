@@ -129,7 +129,7 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 // rowPredicate evaluates a single-variable predicate per row: compiled when
 // the shape allows, generic evaluation under a reused environment node
 // otherwise. Not safe for concurrent use (the environment node is shared
-// across rows); parallel workers build their own.
+// across rows).
 type rowPredicate struct {
 	c        *Ctx
 	pred     tmql.Expr
@@ -321,12 +321,12 @@ func (p *rowProjector) eval(row value.Value) (value.Value, error) {
 	return p.c.evalIn(p.out, p.env)
 }
 
-// keyEncoder appends the encoded join/partition key of a row onto a caller
+// keyEncoder appends the encoded join key of a row onto a caller
 // scratch buffer: compiled extractors when every key expression is in the
 // scalar subset, generic evaluation under a reused environment otherwise.
 // value.AppendKey encodings are self-delimiting, so the concatenation is
 // injective for a fixed key arity — two rows produce identical bytes iff
-// their key tuples are Equal. Not safe for concurrent use; fork per worker.
+// their key tuples are Equal. Not safe for concurrent use.
 type keyEncoder struct {
 	c        *Ctx
 	keys     []tmql.Expr

@@ -56,17 +56,15 @@ func TestErrorPropagation(t *testing.T) {
 		&NestIter{In: &failingIter{n: 2}, Attrs: []string{"k"}, Label: "s"},
 		&UnnestIter{In: &failingIter{n: 1}, Attr: "k"},
 		&SetOpIter{Kind: 0, L: &SliceScan{}, R: &failingIter{n: 1}},
-	}
-	for _, degree := range []int{1, 4} {
-		iters = append(iters, &BatchToRows{In: &HashNestJoin{
+		&BatchToRows{In: &HashNestJoin{
 			Ctx: ctx, L: &BatchSliceScan{}, R: &RowsToBatch{It: &failingIter{n: 1}},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
-			Fn: pred("y"), Label: "s", Degree: degree,
-		}}, &BatchToRows{In: &HashJoin{
+			Fn: pred("y"), Label: "s",
+		}},
+		&BatchToRows{In: &HashJoin{
 			Ctx: ctx, Kind: algebra.JoinInner, L: &RowsToBatch{It: &failingIter{n: 1}}, R: &BatchSliceScan{},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
-			Degree: degree,
-		}})
+		}},
 	}
 	for _, it := range iters {
 		if _, err := Collect(it); err == nil {
@@ -117,12 +115,10 @@ func TestJoinsOnEmptyInputs(t *testing.T) {
 	}
 
 	// Empty left side: everything empty.
-	for _, degree := range []int{1, 4} {
-		hj := &HashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &BatchSliceScan{}, R: &BatchSliceScan{Rows: rows},
-			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.e")}, Degree: degree}
-		if got := collectBatches(t, hj); got.Len() != 0 {
-			t.Errorf("p=%d: hash join on empty left: %s", degree, got)
-		}
+	hj := &HashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &BatchSliceScan{}, R: &BatchSliceScan{Rows: rows},
+		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.e")}}
+	if got := collectBatches(t, hj); got.Len() != 0 {
+		t.Errorf("hash join on empty left: %s", got)
 	}
 
 	// Nest join on empty right: every left extended with ∅.
@@ -215,12 +211,10 @@ func TestOuterJoinWithoutRElem(t *testing.T) {
 	if err := nl.Open(); err == nil {
 		t.Error("outer NLJoin without RElem should fail to open")
 	}
-	for _, degree := range []int{1, 4} {
-		hj := &HashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &BatchSliceScan{}, R: &BatchSliceScan{},
-			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}, Degree: degree}
-		if err := hj.Open(); err == nil {
-			t.Errorf("p=%d: outer HashJoin without RElem should fail to open", degree)
-		}
+	hj := &HashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &BatchSliceScan{}, R: &BatchSliceScan{},
+		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}}
+	if err := hj.Open(); err == nil {
+		t.Error("outer HashJoin without RElem should fail to open")
 	}
 }
 

@@ -85,10 +85,6 @@ func nestJoinIters(ctx *Ctx, x, y []value.Value) map[string]Iterator {
 			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		}},
-		"hash×4": &BatchToRows{In: &HashNestJoin{
-			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
-			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s", Degree: 4,
-		}},
 		"merge": &MergeNestJoin{
 			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
@@ -196,16 +192,14 @@ func TestFlatJoins(t *testing.T) {
 		if got := collect(t, nl); !value.Equal(got, c.want) {
 			t.Errorf("NLJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
-		for _, degree := range []int{1, 4} {
-			hj := &HashJoin{
-				Ctx: NewCtx(nil), Kind: c.kind, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
-				LVar: "x", RVar: "y",
-				LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
-				RElem: yElem, Degree: degree,
-			}
-			if got := collectBatches(t, hj); !value.Equal(got, c.want) {
-				t.Errorf("HashJoin %s/p=%d:\n got %s\nwant %s", c.kind, degree, got, c.want)
-			}
+		hj := &HashJoin{
+			Ctx: NewCtx(nil), Kind: c.kind, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+			LVar: "x", RVar: "y",
+			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
+			RElem: yElem,
+		}
+		if got := collectBatches(t, hj); !value.Equal(got, c.want) {
+			t.Errorf("HashJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
 	}
 }
@@ -391,15 +385,13 @@ func TestTableScanUnknown(t *testing.T) {
 }
 
 func TestHashJoinKeyValidation(t *testing.T) {
-	for _, degree := range []int{1, 4} {
-		hj := &HashJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y", Degree: degree}
-		if err := hj.Open(); err == nil {
-			t.Errorf("p=%d: HashJoin without keys should fail to open", degree)
-		}
-		hnj := &HashNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y", Degree: degree}
-		if err := hnj.Open(); err == nil {
-			t.Errorf("p=%d: HashNestJoin without keys should fail to open", degree)
-		}
+	hj := &HashJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
+	if err := hj.Open(); err == nil {
+		t.Error("HashJoin without keys should fail to open")
+	}
+	hnj := &HashNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
+	if err := hnj.Open(); err == nil {
+		t.Error("HashNestJoin without keys should fail to open")
 	}
 	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
 	if err := mnj.Open(); err == nil {

@@ -9,9 +9,7 @@ import (
 
 // Query governance: cancellation, deadlines, and resource budgets, threaded
 // through every operator. A Governor is shared by a query's whole operator
-// tree — including the forked contexts of parallel workers, whose atomic
-// counters make accounting race-free — and is consulted through Ctx.check()
-// at every Next()/build loop. Ungoverned queries (Ctx.Gov == nil) pay a
+// tree and is consulted through Ctx.check() at every Next()/build loop. Ungoverned queries (Ctx.Gov == nil) pay a
 // single nil check, keeping hot benchmark paths at their pre-governance
 // cost.
 //
@@ -60,10 +58,10 @@ type Limits struct {
 	// (counted pre-deduplication, as produced by the plan root).
 	MaxRows int64
 	// MaxBuildBytes bounds the approximate bytes materialized into hash
-	// tables and sort runs, summed across all build sites of the plan
-	// (including every parallel partition). The accounting is an estimate —
-	// encoded key bytes plus a fixed per-row overhead — not an allocator
-	// measurement; it exists to bound runaway builds, not to meter memory.
+	// tables and sort runs, summed across all build sites of the plan. The
+	// accounting is an estimate — encoded key bytes plus a fixed per-row
+	// overhead — not an allocator measurement; it exists to bound runaway
+	// builds, not to meter memory.
 	MaxBuildBytes int64
 }
 
@@ -73,7 +71,7 @@ type Limits struct {
 const buildRowOverhead = 48
 
 // Governor enforces one query's cancellation and budgets. All methods are
-// safe for concurrent use by parallel workers.
+// safe for concurrent use.
 type Governor struct {
 	done   <-chan struct{}
 	ctx    context.Context

@@ -11,8 +11,7 @@
 // matching group is known, and the build/inner side must be the right
 // operand so output stays grouped by left tuples. The hash method exists
 // once: HashJoin and HashNestJoin differ only in their per-row probe, and
-// share one build kernel and one probe kernel at every Degree — one table
-// below 2, key-partitioned morsels on the query's scheduler from 2 up.
+// share one build kernel and one probe kernel over one table.
 package exec
 
 import (
@@ -41,16 +40,9 @@ type Ctx struct {
 	DB *storage.DB
 	Ev *eval.Evaluator
 	// Gov enforces cancellation, deadline, and budgets; nil for ungoverned
-	// queries (the free fast path). Shared — never forked — across parallel
-	// workers, so accounting is query-global.
+	// queries (the free fast path).
 	Gov *Governor
-	// Sched is the query's morsel scheduler (see sched.go): the engine
-	// attaches one per query so every partitioned operator of the plan
-	// shares the worker pool and the stats counters. Operators fall back to
-	// a private scheduler sized from their own Degree/BatchSize hints when
-	// nil (exec used standalone).
-	Sched *Scheduler
-	// ticks spaces out the governor polls of check(); worker-local.
+	// ticks spaces out the governor polls of check().
 	ticks uint32
 }
 

@@ -68,10 +68,9 @@ func buildTable(c *Ctx, bs []Batch) (*hashTable, error) {
 	t.rows = make([]value.Value, n)
 	j := 0
 	for bi := range bs {
-		b := &bs[bi]
-		for i := 0; i < b.Len(); i++ {
+		for _, row := range bs[bi].Rows {
 			s := slots[j]
-			t.rows[next[s]] = b.row(i)
+			t.rows[next[s]] = row
 			next[s]++
 			j++
 		}
@@ -86,16 +85,4 @@ func (t *hashTable) bucket(key []byte) []value.Value {
 		return t.rows[lo:hi:hi]
 	}
 	return nil
-}
-
-// hashKeyBytes hashes an encoded key (FNV-1a). It is deterministic across
-// runs — unlike maphash — so parallel partition assignment, and therefore
-// the bytes each worker sees, is reproducible for a given input.
-func hashKeyBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

@@ -8,7 +8,7 @@
 //
 // Determinism contract: for a fixed seed and rule set, the set of hit
 // ordinals that trigger at each point is a pure function of (seed, point,
-// ordinal). Under parallel execution the interleaving decides which worker
+// ordinal). Under concurrent queries the interleaving decides which query
 // draws a triggering ordinal, but the number of injected faults per point is
 // reproducible whenever the per-point hit count is.
 package faultinject
@@ -24,18 +24,10 @@ import (
 const (
 	// PointScan fires once per row leaving a table scan.
 	PointScan = "scan.next"
-	// PointHashBuild fires once per row entering a hash-table build
-	// (serial joins and per-partition parallel builds alike).
+	// PointHashBuild fires once per row entering a hash-table build.
 	PointHashBuild = "hash.build"
 	// PointHashProbe fires once per probe-side row in the hash join family.
 	PointHashProbe = "hash.probe"
-	// PointPartitionSend fires once per batch fed into the parallel
-	// exchange (the exchange moves rows in batches, one channel send each).
-	PointPartitionSend = "partition.send"
-	// PointSchedMorsel fires once per morsel entering the scheduler's
-	// morsel loop — exchange consumers, partition builds, and probe
-	// fragments alike — the single gate every scheduled operator inherits.
-	PointSchedMorsel = "sched.morsel"
 	// PointSortBuild fires once per row drained into a sort (Sort operator
 	// and the merge joins' sorted runs).
 	PointSortBuild = "sort.build"
@@ -47,8 +39,7 @@ const (
 // Points returns the registry of fault points, in documentation order.
 func Points() []string {
 	return []string{
-		PointScan, PointHashBuild, PointHashProbe,
-		PointPartitionSend, PointSchedMorsel, PointSortBuild, PointMutationEpoch,
+		PointScan, PointHashBuild, PointHashProbe, PointSortBuild, PointMutationEpoch,
 	}
 }
 
@@ -56,7 +47,7 @@ func Points() []string {
 type Kind int
 
 const (
-	// Delay sleeps Rule.Delay, simulating a slow device or a stalled worker.
+	// Delay sleeps Rule.Delay, simulating a slow device or a stalled operator.
 	Delay Kind = iota
 	// Error returns an *InjectedError from the fault point.
 	Error

@@ -124,7 +124,7 @@ func TestDelayAndPanicKinds(t *testing.T) {
 // also sweeps the atomics).
 func TestConcurrentHits(t *testing.T) {
 	defer Activate(Schedule{Seed: 11, Rules: []Rule{
-		{Point: PointPartitionSend, Kind: Error, OneInN: 1 << 62},
+		{Point: PointHashProbe, Kind: Error, OneInN: 1 << 62},
 	}})()
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -133,13 +133,13 @@ func TestConcurrentHits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_ = Hit(PointPartitionSend)
+				_ = Hit(PointHashProbe)
 			}
 		}()
 	}
 	wg.Wait()
 	st := active.Load()
-	if got := st.hits[PointPartitionSend].Load(); got != workers*per {
+	if got := st.hits[PointHashProbe].Load(); got != workers*per {
 		t.Fatalf("hit counter %d, want %d", got, workers*per)
 	}
 }
@@ -148,7 +148,6 @@ func TestConcurrentHits(t *testing.T) {
 func TestPointsRegistry(t *testing.T) {
 	want := map[string]bool{
 		PointScan: true, PointHashBuild: true, PointHashProbe: true,
-		PointPartitionSend: true, PointSchedMorsel: true,
 		PointSortBuild: true, PointMutationEpoch: true,
 	}
 	pts := Points()

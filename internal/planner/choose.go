@@ -27,9 +27,9 @@ type StrategyPlan struct {
 }
 
 // Candidate is one logical alternative × PhysicalSpec combination considered
-// by Choose: the join family, the degree and batch size it was costed at
-// (1 = serial, 0 = row-at-a-time), and the access path leaf selections read
-// through (AccessScan unless an index-scan variant was enumerated).
+// by Choose: the join family, the batch size it was costed at (0 =
+// row-at-a-time), and the access path leaf selections read through
+// (AccessScan unless an index-scan variant was enumerated).
 type Candidate struct {
 	Strategy string
 	// Alt is the logical-alternative label (AltBase when the strategy's
@@ -48,12 +48,9 @@ type Candidate struct {
 
 // String renders the candidate as one row of EXPLAIN's candidate table:
 // strategy, logical alternative (the "rewrite" column), join family with
-// degree and access path, and estimated cost.
+// access path and batch size, and estimated cost.
 func (c Candidate) String() string {
 	joins := c.Joins.String()
-	if c.Degree > 1 {
-		joins = fmt.Sprintf("%s×%d", joins, c.Degree)
-	}
 	if c.Access == AccessIndex {
 		joins += "+idxscan"
 	}
@@ -77,7 +74,7 @@ func (c Candidate) String() string {
 
 // Choose picks the cheapest feasible logical alternative × PhysicalSpec
 // combination by estimated work. Every dimension is orthogonal to the others
-// — each plan × join family × degree × access path combination is costed at
+// — each plan × join family × access path combination is costed at
 // every enumerated batch size — and pin restricts the enumeration per
 // dimension:
 //
@@ -86,9 +83,6 @@ func (c Candidate) String() string {
 //     changes), and idxjoin for plans where a live persistent index can
 //     serve a join. Plans without join-family operators collapse to a single
 //     ImplAuto candidate, since the choice cannot matter.
-//   - pin.Degree is the maximum partitioned-execution degree: combinations
-//     that compile to partitioned operators are additionally costed at that
-//     degree, so EXPLAIN shows whether parallelism pays.
 //   - pin.Access fixes the access path; AccessAuto enumerates full scans plus
 //     an index-scan variant for plans where a live index can serve a
 //     selection (AccessIndex still falls back to scans per selection, as
@@ -150,29 +144,23 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 			alt = AltBase
 		}
 		for _, impl := range implsHere {
-			// Feasibility does not depend on degree or access path: report an
-			// infeasible combination once, not per degree.
+			// Feasibility does not depend on access path or batch size:
+			// report an infeasible combination once.
 			if reason := ImplInfeasible(sp.Plan, impl); reason != "" {
 				all = append(all, Candidate{
 					Strategy: sp.Strategy, Alt: alt, Plan: sp.Plan, Infeasible: reason,
-					PhysicalSpec: PhysicalSpec{Joins: impl, Degree: 1, Access: AccessScan},
+					PhysicalSpec: PhysicalSpec{Joins: impl, Access: AccessScan},
 				})
 				continue
 			}
-			degrees := []int{1}
-			if pin.Degree > 1 && Parallelizable(sp.Plan, impl) {
-				degrees = append(degrees, pin.Degree)
-			}
-			for _, deg := range degrees {
-				for _, acc := range accesses {
-					for _, bsz := range batches {
-						spec := PhysicalSpec{Joins: impl, Degree: deg, Access: acc, Batch: bsz}
-						c := Candidate{Strategy: sp.Strategy, Alt: alt, PhysicalSpec: spec, Plan: sp.Plan}
-						c.Cost = e.Estimate(sp.Plan, spec)
-						all = append(all, c)
-						if best < 0 || c.Cost.Work < all[best].Cost.Work {
-							best = len(all) - 1
-						}
+			for _, acc := range accesses {
+				for _, bsz := range batches {
+					spec := PhysicalSpec{Joins: impl, Access: acc, Batch: bsz}
+					c := Candidate{Strategy: sp.Strategy, Alt: alt, PhysicalSpec: spec, Plan: sp.Plan}
+					c.Cost = e.Estimate(sp.Plan, spec)
+					all = append(all, c)
+					if best < 0 || c.Cost.Work < all[best].Cost.Work {
+						best = len(all) - 1
 					}
 				}
 			}

@@ -27,24 +27,22 @@ func TestCompile(t *testing.T) {
 	b, ctx := env.b, exec.NewCtx(env.db)
 	x, nj, fj := env.plans["scan-x"], env.plans["nest-xy"], env.plans["semi-xz"]
 
-	// Shapes: the hash family is one operator per join kind at every degree,
-	// batch-native in every plan — fed batches directly in a batched plan and
-	// through RowsToBatch in a row plan, whose root comes back through
-	// BatchToRows; nested-loop and merge nest joins ignore the degree; in a
-	// batched plan scans are batch-native too, while row operators come back
-	// behind RowsToBatch.
-	hashDegree := func(want int, inputs string) func(op any) error {
+	// Shapes: the hash family is one operator per join kind, batch-native in
+	// every plan — fed batches directly in a batched plan and through
+	// RowsToBatch in a row plan, whose root comes back through BatchToRows;
+	// in a batched plan scans are batch-native too, while row operators come
+	// back behind RowsToBatch.
+	hashInputs := func(inputs string) func(op any) error {
 		return func(op any) error {
-			var degree int
 			var l, r exec.BatchIterator
 			switch j := op.(type) {
 			case *exec.HashJoin:
-				degree, l, r = j.Degree, j.L, j.R
+				l, r = j.L, j.R
 			case *exec.HashNestJoin:
-				degree, l, r = j.Degree, j.L, j.R
+				l, r = j.L, j.R
 			}
-			if got := fmt.Sprintf("%d %T %T", degree, l, r); got != fmt.Sprintf("%d %s", want, inputs) {
-				return fmt.Errorf("degree and inputs = %s, want %d %s", got, want, inputs)
+			if got := fmt.Sprintf("%T %T", l, r); got != inputs {
+				return fmt.Errorf("inputs = %s, want %s", got, inputs)
 			}
 			return nil
 		}
@@ -75,22 +73,17 @@ func TestCompile(t *testing.T) {
 		want  string
 		check func(op any) error
 	}{
-		{"flat hash ×4", fj, PhysicalSpec{Joins: ImplHash, Degree: 4}, "*exec.BatchToRows", func(op any) error {
-			return hashDegree(4, adapted)(op.(*exec.BatchToRows).In)
+		{"flat hash", fj, PhysicalSpec{Joins: ImplHash}, "*exec.BatchToRows", func(op any) error {
+			return hashInputs(adapted)(op.(*exec.BatchToRows).In)
 		}},
-		{"nest hash ×4", nj, PhysicalSpec{Joins: ImplHash, Degree: 4}, "*exec.BatchToRows", func(op any) error {
-			return hashDegree(4, adapted)(op.(*exec.BatchToRows).In)
+		{"nest hash", nj, PhysicalSpec{Joins: ImplHash}, "*exec.BatchToRows", func(op any) error {
+			return hashInputs(adapted)(op.(*exec.BatchToRows).In)
 		}},
-		{"nest hash ×1", nj, PhysicalSpec{Joins: ImplHash, Degree: 1}, "*exec.BatchToRows", func(op any) error {
-			return hashDegree(1, adapted)(op.(*exec.BatchToRows).In)
-		}},
-		{"nest merge ×4 ignores the degree", nj, PhysicalSpec{Joins: ImplMerge, Degree: 4}, "*exec.MergeNestJoin", nil},
-		{"nest nl ×4 ignores the degree", nj, PhysicalSpec{Joins: ImplNestedLoop, Degree: 4}, "*exec.NLNestJoin", nil},
+		{"nest merge", nj, PhysicalSpec{Joins: ImplMerge}, "*exec.MergeNestJoin", nil},
+		{"nest nl", nj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.NLNestJoin", nil},
 		{"batched scan", x, PhysicalSpec{Batch: 64}, "*exec.BatchTableScan", nil},
-		{"batched flat equi join", fj, PhysicalSpec{Batch: 64}, "*exec.HashJoin", hashDegree(0, batched)},
-		{"batched flat hash ×4", fj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.HashJoin", hashDegree(4, batched)},
-		{"batched nest hash ×4", nj, PhysicalSpec{Degree: 4, Batch: 64}, "*exec.HashNestJoin", hashDegree(4, batched)},
-		{"batched serial nest join is batch-native", nj, PhysicalSpec{Batch: 64}, "*exec.HashNestJoin", hashDegree(0, batched)},
+		{"batched flat equi join", fj, PhysicalSpec{Batch: 64}, "*exec.HashJoin", hashInputs(batched)},
+		{"batched nest join is batch-native", nj, PhysicalSpec{Batch: 64}, "*exec.HashNestJoin", hashInputs(batched)},
 		{"batched nl join is cold", fj, PhysicalSpec{Joins: ImplNestedLoop, Batch: 64}, "*exec.RowsToBatch", nil},
 		{"identity map over a scan", ident(x, "x", false), PhysicalSpec{}, "*exec.MapIter", nil},
 		{"wrapping map over a scan", ident(x, "x", true), PhysicalSpec{Batch: 64}, "*exec.BatchMap", nil},
@@ -118,7 +111,7 @@ func TestCompile(t *testing.T) {
 		t.Errorf("identity map over an unsealed scan compiled to %T (%v), want *exec.Distinct", root(tree), err)
 	}
 
-	// Equivalence: every operator family × join implementation × degree at
+	// Equivalence: every operator family × join implementation at
 	// every batch size against the row plan — and on infeasible specs (merge
 	// or pinned hash without an equi-key) the same refusal.
 	plans := map[string]algebra.Plan{
@@ -157,7 +150,7 @@ func TestCompile(t *testing.T) {
 		return tree.Collect(nil)
 	}
 	for name, plan := range plans {
-		for _, base := range []PhysicalSpec{{}, {Degree: 4}, {Joins: ImplNestedLoop}, {Joins: ImplMerge}} {
+		for _, base := range []PhysicalSpec{{}, {Joins: ImplNestedLoop}, {Joins: ImplMerge}} {
 			want, rowErr := run(plan, base)
 			for _, size := range []int{1, 3, exec.DefaultBatchSize} {
 				spec := base

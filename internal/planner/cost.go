@@ -57,17 +57,6 @@ const defaultSelectivity = 0.33
 // direct scans with statistically known key attributes.
 const defaultDangling = 0.5
 
-// Parallel-execution cost constants: partitioning pays one extra pass over
-// both inputs at parPartitionWork per tuple (key encoding and routing are
-// cheaper than a full tuple visit), and every worker costs parStartupWork of
-// fixed overhead (goroutine start, per-partition hash table). Small inputs
-// therefore keep a serial plan cheapest, matching the runtime's inline
-// threshold.
-const (
-	parPartitionWork = 0.5
-	parStartupWork   = 200.0
-)
-
 // Batch-execution cost constants, following the B-series profiles that
 // motivated batching: batchDispatchShare of row-at-a-time work is per-row
 // dispatch (interface calls, governor polls) that vectorized operators pay
@@ -90,16 +79,14 @@ func BatchWorkFactor(batch int) float64 {
 
 // Estimate computes the cost of a logical plan compiled under spec; the zero
 // spec is the auto mapping (hash where an equi-key exists, nested loops
-// otherwise) over full scans, serial and row-at-a-time. Output cardinalities
-// are independent of the spec — only the work term changes. At Degree >= 2
-// hash probe work divides by the degree while the partition pass and
-// per-worker startup are added, so parallelism only wins where the §7-style
-// cost arguments say it should; under AccessIndex, selections served by a
-// live index are costed as point probes; at Batch > 1 the dispatch
-// amortization and the flat vectorization overhead apply, and row-at-a-time
-// candidates are untouched, so adding the batch dimension cannot perturb the
-// other choices. Infeasible specs (hash without an equi-key) are costed as
-// their nested-loop fallback; feasibility is ImplInfeasible's job.
+// otherwise) over full scans and row-at-a-time. Output cardinalities are
+// independent of the spec — only the work term changes. Under AccessIndex,
+// selections served by a live index are costed as point probes; at Batch > 1
+// the dispatch amortization and the flat vectorization overhead apply, and
+// row-at-a-time candidates are untouched, so adding the batch dimension
+// cannot perturb the other choices. Infeasible specs (hash without an
+// equi-key) are costed as their nested-loop fallback; feasibility is
+// ImplInfeasible's job.
 func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 	c := e.rowCost(p, spec)
 	if spec.Batch > 1 {
@@ -201,9 +188,7 @@ func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 // node's total work. Nested loops evaluate the predicate over the cross
 // product; hash pays one visit per tuple on each side plus the matches
 // emitted; sort-merge adds the n·log n ordering passes on top of a hash-like
-// merge; partitioned hash divides the probe across the workers, with an
-// extra partition pass over both inputs and per-worker startup overhead; an
-// index-served operator never drains the right input — the persistent index
+// merge; an index-served operator never drains the right input — the persistent index
 // pre-exists, so neither the right subtree's work nor a build pass is paid,
 // only the per-left-row probe and the emitted matches.
 func (e *Estimator) joinWork(n, lp, rp algebra.Plan, rvar string, spec PhysicalSpec) (l Cost, op physOp, matches, work float64) {
@@ -222,10 +207,7 @@ func (e *Estimator) joinWork(n, lp, rp algebra.Plan, rvar string, spec PhysicalS
 		probe = l.Rows * r.Rows
 	case op.family == ImplMerge:
 		probe = sortCost(l.Rows) + sortCost(r.Rows) + l.Rows + r.Rows + matches
-	case op.partitioned:
-		par := float64(spec.Degree)
-		probe = (l.Rows+r.Rows)*parPartitionWork + (l.Rows+r.Rows+matches)/par + parStartupWork*par
-	default: // serial hash
+	default: // hash
 		probe = l.Rows + r.Rows + matches
 	}
 	return l, op, matches, l.Work + r.Work + probe

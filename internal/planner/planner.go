@@ -58,11 +58,11 @@ func (ji JoinImpl) String() string {
 }
 
 // PhysicalSpec is one point in the physical planning space: the join family,
-// the partitioned-execution degree, the access path of leaf selections and
-// the batch size. §6's observation that the nest join "adapts any common join
-// method" makes these choices orthogonal to the unnesting strategy, so they
-// travel as one value that Choose enumerates and that Estimate, Explain and
-// Compile all read through the same operator-resolution rule (resolve.go).
+// the access path of leaf selections and the batch size. §6's observation
+// that the nest join "adapts any common join method" makes these choices
+// orthogonal to the unnesting strategy, so they travel as one value that
+// Choose enumerates and that Estimate, Explain and Compile all read through
+// the same operator-resolution rule (resolve.go).
 //
 // As a decision (what Candidate carries and Estimate/Explain/Compile take)
 // the fields mean what runs. As a pin (what Choose takes) a zero field leaves
@@ -79,13 +79,6 @@ type PhysicalSpec struct {
 	// exec.IndexScan (per-selection fallback to scans elsewhere); AccessAuto
 	// and AccessScan read full scans.
 	Access AccessPath
-	// Degree is the scheduler-degree hint for the hash join family: at
-	// values >= 2 exec.HashJoin and exec.HashNestJoin run partitioned,
-	// exchanging both inputs by key hash across that many partitions as
-	// morsels on the query's exec.Scheduler; 0 and 1 build one table and
-	// stream the probe. Results are byte-identical at any degree and any
-	// steal schedule — final results are canonical sets.
-	Degree int
 	// Batch is the rows-per-batch capacity of vectorized execution (capped at
 	// exec.MaxBatchSize); 0 is row-at-a-time.
 	Batch int
@@ -93,17 +86,14 @@ type PhysicalSpec struct {
 
 // Fixed resolves a pin without enumeration — the fixed-strategy path, where
 // every physical choice is the caller's and an open dimension takes its
-// conservative value (full scans, row-at-a-time, serial), so fixed-strategy
-// experiment numbers do not move when indexes, batching or cores appear.
+// conservative value (full scans, row-at-a-time), so fixed-strategy
+// experiment numbers do not move when indexes or batching appear.
 func (s PhysicalSpec) Fixed() PhysicalSpec {
 	if s.Access == AccessAuto {
 		s.Access = AccessScan
 	}
 	if s.Batch < 0 {
 		s.Batch = 0
-	}
-	if s.Degree < 1 {
-		s.Degree = 1
 	}
 	return s
 }
@@ -263,7 +253,6 @@ func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
 			Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
 			LVar: n.LVar, RVar: n.RVar,
 			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
-			Degree: p.spec.Degree, BatchSize: p.spec.Batch,
 		}}, nil
 
 	case *algebra.NestJoin:
@@ -300,7 +289,6 @@ func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
 		return Tree{Batches: &exec.HashNestJoin{
 			Ctx: c, L: p.asBatch(l), R: p.asBatch(r), LVar: n.LVar, RVar: n.RVar,
 			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
-			Degree: p.spec.Degree, BatchSize: p.spec.Batch,
 		}}, nil
 
 	case *algebra.Nest:

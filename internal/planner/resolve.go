@@ -10,7 +10,7 @@ import (
 
 // Operator resolution: which exec operator a plan node becomes under a
 // PhysicalSpec. resolve is the only place that decision is made — the cost
-// model, Parallelizable, ImplInfeasible, HasIndexProbe/HasIndexScan, the
+// model, ImplInfeasible, HasIndexProbe/HasIndexScan, the
 // EXPLAIN renderer and the compile walk all read its answer, and
 // enginetest's TestExplainMatchesCompiledTree checks the last two against
 // each other over the conformance matrix.
@@ -31,9 +31,6 @@ type physOp struct {
 	// scan.
 	indexScan bool
 	scan      IndexScanMatch
-	// partitioned marks the hash family at spec.Degree >= 2, where HashJoin
-	// and HashNestJoin exchange their inputs across Degree partitions.
-	partitioned bool
 	// batchNative reports that a batch-native operator exists for the node,
 	// built when spec.Batch > 0: scans, scan-served selections, maps and the
 	// hash join family (which is batch-only, so row plans reach it through
@@ -101,14 +98,13 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 	default:
 		op.family = impl
 	}
-	op.partitioned = op.family == ImplHash && spec.Degree > 1
 	op.batchNative = op.family == ImplHash
 	return op
 }
 
 // describe names the resolved operator as EXPLAIN prints it, after the exec
-// package's operator names (NLJoin, HashSemiJoin, ParHashSemiJoin[4] for a
-// HashJoin at degree 4, IdxSemiJoin using Y(d), IndexScan(X) using X(b), …)
+// package's operator names (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d),
+// IndexScan(X) using X(b), …)
 // with a [batch=N] suffix on batch-native operators of a batched plan. Nodes
 // with a single physical form keep their logical description.
 func (op physOp) describe(n algebra.Plan, spec PhysicalSpec) string {
@@ -132,8 +128,6 @@ func (op physOp) describe(n algebra.Plan, spec PhysicalSpec) string {
 		desc = "NL" + desc
 	case op.family == ImplMerge:
 		desc = "Merge" + desc
-	case op.partitioned:
-		desc = fmt.Sprintf("ParHash%s[%d]", desc, spec.Degree)
 	case op.family == ImplHash:
 		desc = "Hash" + desc
 	}
@@ -223,20 +217,6 @@ func (e *Estimator) HasIndexProbe(p algebra.Plan) bool {
 func (e *Estimator) HasIndexScan(p algebra.Plan) bool {
 	_, ok := firstOp(p, PhysicalSpec{Access: AccessIndex}, e.stats.Indexes,
 		func(op physOp) bool { return op.indexScan })
-	return ok
-}
-
-// Parallelizable reports whether the plan contains a join-family operator
-// that the given implementation choice runs partitioned at degrees >= 2. The
-// idxjoin family is deliberately serial — index probes have no build pass to
-// partition — so ImplIndex plans report false and run at degree 1. The engine
-// uses it to report an honest Result.Parallelism for fixed-strategy plans.
-func Parallelizable(p algebra.Plan, impl JoinImpl) bool {
-	if impl == ImplIndex {
-		return false
-	}
-	_, ok := firstOp(p, PhysicalSpec{Joins: impl, Degree: 2}, noIndexes,
-		func(op physOp) bool { return op.partitioned })
 	return ok
 }
 

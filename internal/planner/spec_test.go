@@ -24,11 +24,10 @@ type specEnv struct {
 	plans map[string]algebra.Plan
 }
 
-// specEnvs builds the three environments the tables draw from:
+// specEnvs builds the environments the tables draw from:
 //
 //   - plain: |X|=200 |Y|=800 |Z|=400, no indexes — the scale at which hash
-//     beats nested loops, parallel beats serial and batching beats rows.
-//   - tiny: |X|=10 |Y|=20, where startup overheads keep serial cheapest.
+//     beats nested loops and batching beats rows.
 //   - access: indexes X(b) and Y(b,d) for index scans.
 //   - index: index Z(d) for index joins.
 func specEnvs(t *testing.T) map[string]*specEnv {
@@ -84,14 +83,13 @@ func specEnvs(t *testing.T) map[string]*specEnv {
 	mid := datagen.Spec{NX: 200, NY: 800, NZ: 400, Keys: 25, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 6}
 	return map[string]*specEnv{
 		"plain":  mk(mid),
-		"tiny":   mk(datagen.Spec{NX: 10, NY: 20, NZ: 10, Keys: 3, DanglingFrac: 0.25, SetAttrCard: 2, Seed: 6}),
 		"access": mk(datagen.Spec{NX: 120, NY: 400, NZ: 200, Keys: 20, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 9}, []string{"X", "b"}, []string{"Y", "b", "d"}),
 		"index":  mk(datagen.Spec{NX: 100, NY: 400, NZ: 200, Keys: 20, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 4}, []string{"Z", "d"}),
 	}
 }
 
 // rowOnly is the pin of the pre-batch enumeration: everything open, rows only.
-var rowOnly = PhysicalSpec{Degree: 1, Batch: -1}
+var rowOnly = PhysicalSpec{Batch: -1}
 
 func TestChoose(t *testing.T) {
 	envs := specEnvs(t)
@@ -118,18 +116,18 @@ func TestChoose(t *testing.T) {
 					t.Errorf("expected 3 join-impl candidates, got %d", len(all))
 				}
 				for _, c := range all {
-					if c.Batch != 0 || c.Degree != 1 {
-						t.Errorf("row-only serial pin enumerated %v", c)
+					if c.Batch != 0 {
+						t.Errorf("row-only pin enumerated %v", c)
 					}
 				}
 			}},
-		{name: "pinned family is the only candidate", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Joins: ImplMerge, Degree: 1, Batch: -1},
+		{name: "pinned family is the only candidate", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Joins: ImplMerge, Batch: -1},
 			check: func(t *testing.T, best *Candidate, all []Candidate) {
 				if best.Joins != ImplMerge || len(all) != 1 {
 					t.Errorf("fixed impl not respected: best=%s candidates=%d", best.Joins, len(all))
 				}
 			}},
-		{name: "pinned hash on a theta join: nothing feasible", env: "plain", plan: "theta-xz", pin: PhysicalSpec{Joins: ImplHash, Degree: 1, Batch: -1}, wantErr: true,
+		{name: "pinned hash on a theta join: nothing feasible", env: "plain", plan: "theta-xz", pin: PhysicalSpec{Joins: ImplHash, Batch: -1}, wantErr: true,
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
 				if len(all) != 1 || all[0].Infeasible == "" {
 					t.Errorf("candidates = %+v", all)
@@ -147,22 +145,7 @@ func TestChoose(t *testing.T) {
 					t.Errorf("got %d candidates", len(all))
 				}
 			}},
-		{name: "degree: hash is also costed at the cap and wins there", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Degree: 4, Batch: -1},
-			check: func(t *testing.T, best *Candidate, all []Candidate) {
-				// nl(1), hash(1), hash(4), merge(1): the merge nest join cannot partition.
-				if len(all) != 4 {
-					t.Errorf("expected 4 candidates, got %d: %v", len(all), all)
-				}
-				for _, c := range all {
-					if c.Degree > 1 && c.Joins != ImplHash {
-						t.Errorf("parallel degree offered for %s", c.Joins)
-					}
-				}
-				if best.Joins != ImplHash || best.Degree != 4 {
-					t.Errorf("best = %s degree=%d, want hash degree=4 at this scale", best.Joins, best.Degree)
-				}
-			}},
-		{name: "batch auto pairs every row candidate with a default-size one", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Degree: 1},
+		{name: "batch auto pairs every row candidate with a default-size one", env: "plain", plan: "nest-xy", pin: PhysicalSpec{},
 			check: func(t *testing.T, best *Candidate, all []Candidate) {
 				batched := 0
 				for _, c := range feasible(all) {
@@ -180,7 +163,7 @@ func TestChoose(t *testing.T) {
 					t.Errorf("batched hash should win at this scale, best = %+v", best)
 				}
 			}},
-		{name: "batch pin restricts every candidate to that size", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Degree: 1, Batch: 256},
+		{name: "batch pin restricts every candidate to that size", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Batch: 256},
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
 				for _, c := range feasible(all) {
 					if c.Batch != 256 {
@@ -215,13 +198,13 @@ func TestChoose(t *testing.T) {
 					}
 				}
 			}},
-		{name: "access pin: idxscan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Degree: 1, Access: AccessIndex, Batch: -1},
+		{name: "access pin: idxscan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Access: AccessIndex, Batch: -1},
 			check: func(t *testing.T, best *Candidate, _ []Candidate) {
 				if best.Access != AccessIndex {
 					t.Errorf("best = %+v", best)
 				}
 			}},
-		{name: "access pin: scan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Degree: 1, Access: AccessScan, Batch: -1},
+		{name: "access pin: scan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Access: AccessScan, Batch: -1},
 			check: func(t *testing.T, best *Candidate, _ []Candidate) {
 				if best.Access != AccessScan {
 					t.Errorf("best = %+v", best)
@@ -280,8 +263,6 @@ func TestEstimate(t *testing.T) {
 	}{
 		{"hash < merge", "plain", "nest-xy", hash, '<', PhysicalSpec{Joins: ImplMerge}},
 		{"merge < nl", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge}, '<', PhysicalSpec{Joins: ImplNestedLoop}},
-		{"degree 4 beats serial at scale", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Degree: 4}, '<', hash},
-		{"tiny input: serial stays cheapest", "tiny", "nest-xy", PhysicalSpec{Joins: ImplHash, Degree: 8}, '>', hash},
 		{"batch < 0 is the row estimate", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Batch: -1}, '=', hash},
 		{"batching wins at scale", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Batch: exec.DefaultBatchSize}, '<', hash},
 		{"idxscan < scan", "access", "sel-xb", PhysicalSpec{Access: AccessIndex}, '<', PhysicalSpec{Access: AccessScan}},
@@ -330,18 +311,16 @@ func TestExplain(t *testing.T) {
 		spec            PhysicalSpec
 		want, absent    []string
 	}{
-		{"hash", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash}, []string{"HashNestJoin", "rows≈"}, []string{"Par"}},
+		{"hash", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash}, []string{"HashNestJoin", "rows≈"}, nil},
 		{"nl", "plain", "nest-xy", PhysicalSpec{Joins: ImplNestedLoop}, []string{"NLNestJoin"}, nil},
 		{"merge", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge}, []string{"MergeNestJoin"}, nil},
 		{"flat joins have no merge variant: the hash lowering", "plain", "semi-xz", PhysicalSpec{Joins: ImplMerge}, []string{"HashSemiJoin"}, nil},
-		{"partitioned", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Degree: 4}, []string{"ParHashNest", "(x, y)[4]"}, nil},
-		{"merge nest joins stay serial at degree 4", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge, Degree: 4}, nil, []string{"Par"}},
 		{"batch-native operators carry the size", "plain", "inner-xz", PhysicalSpec{Batch: 1024}, []string{"(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, nil},
-		{"the serial hash nest join is batch-native", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash, Batch: 1024}, []string{"HashNestJoin[", "(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, []string{"Par"}},
+		{"the hash nest join is batch-native", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash, Batch: 1024}, []string{"HashNestJoin[", "(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, nil},
 		{"idxscan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessIndex}, []string{"IndexScan(Y) using Y(b,d) prefix=1", "residual["}, nil},
 		{"scan path renders no IndexScan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessScan}, nil, []string{"IndexScan"}},
 		{"multi-point idxscan", "access", "sel-xb-in3", PhysicalSpec{Access: AccessIndex}, []string{"points=3"}, nil},
-		{"idxjoin", "index", "semi-xz", PhysicalSpec{Joins: ImplIndex, Degree: 1}, []string{"IdxSemiJoin", "using Z(d)"}, nil},
+		{"idxjoin", "index", "semi-xz", PhysicalSpec{Joins: ImplIndex}, []string{"IdxSemiJoin", "using Z(d)"}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := envs[tc.env]
@@ -360,7 +339,7 @@ func TestExplain(t *testing.T) {
 	}
 	plain := envs["plain"]
 	fj := plain.plans["inner-xz"]
-	if got, want := plain.est.Explain(fj, PhysicalSpec{Degree: 4, Batch: -1}), plain.est.Explain(fj, PhysicalSpec{Degree: 4}); got != want {
+	if got, want := plain.est.Explain(fj, PhysicalSpec{Batch: -1}), plain.est.Explain(fj, PhysicalSpec{}); got != want {
 		t.Errorf("batch < 0 must match the row rendering:\nrow:\n%s\nbatch:\n%s", want, got)
 	}
 }
@@ -368,10 +347,10 @@ func TestExplain(t *testing.T) {
 // TestFixedDefaults: a pin resolved without enumeration takes the
 // conservative value in every open dimension and keeps every explicit one.
 func TestFixedDefaults(t *testing.T) {
-	if got, want := (PhysicalSpec{Batch: -1}).Fixed(), (PhysicalSpec{Degree: 1, Access: AccessScan}); got != want {
+	if got, want := (PhysicalSpec{Batch: -1}).Fixed(), (PhysicalSpec{Access: AccessScan}); got != want {
 		t.Errorf("open pin resolved to %+v, want %+v", got, want)
 	}
-	pinned := PhysicalSpec{Joins: ImplMerge, Degree: 4, Access: AccessIndex, Batch: 64}
+	pinned := PhysicalSpec{Joins: ImplMerge, Access: AccessIndex, Batch: 64}
 	if got := pinned.Fixed(); got != pinned {
 		t.Errorf("explicit pin changed: %+v", got)
 	}
@@ -392,9 +371,9 @@ func TestCandidateString(t *testing.T) {
 		spec         PhysicalSpec
 		want, absent string
 	}{
-		{PhysicalSpec{Joins: ImplHash, Degree: 4}, "hash×4", "+"},
-		{PhysicalSpec{Joins: ImplHash, Degree: 1}, "hash", "×1"},
-		{PhysicalSpec{Joins: ImplHash, Degree: 4, Batch: 1024}, "hash×4+b1024", "idxscan"},
+		{PhysicalSpec{Joins: ImplHash}, "hash", "+"},
+		{PhysicalSpec{Joins: ImplHash, Batch: 1024}, "hash+b1024", "idxscan"},
+		{PhysicalSpec{Joins: ImplHash, Access: AccessIndex}, "hash+idxscan", "+b"},
 	} {
 		s := Candidate{Strategy: "nestjoin", PhysicalSpec: tc.spec, Cost: Cost{Work: 123}}.String()
 		if !strings.Contains(s, tc.want) || strings.Contains(s, tc.absent) {
@@ -403,9 +382,8 @@ func TestCandidateString(t *testing.T) {
 	}
 }
 
-func TestImplInfeasibleAndParallelizable(t *testing.T) {
-	envs := specEnvs(t)
-	plain, index := envs["plain"], envs["index"]
+func TestImplInfeasible(t *testing.T) {
+	plain := specEnvs(t)["plain"]
 	theta, equi := plain.plans["theta-xz"], plain.plans["nest-xy"]
 	if r := ImplInfeasible(theta, ImplHash); !strings.Contains(r, "no equi-key") {
 		t.Errorf("ImplInfeasible(theta, hash) = %q", r)
@@ -415,11 +393,5 @@ func TestImplInfeasibleAndParallelizable(t *testing.T) {
 	}
 	if r := ImplInfeasible(equi, ImplMerge); r != "" {
 		t.Errorf("equi plan feasible under merge, got %q", r)
-	}
-	if !Parallelizable(equi, ImplHash) || Parallelizable(equi, ImplMerge) || Parallelizable(theta, ImplAuto) {
-		t.Error("only hash-resolved operators partition")
-	}
-	if Parallelizable(index.plans["semi-xz"], ImplIndex) {
-		t.Error("idxjoin plans must report serial execution")
 	}
 }

@@ -21,12 +21,6 @@ type WireOptions struct {
 	Joins string `json:"joins,omitempty"`
 	// Access: auto | scan | index.
 	Access string `json:"access,omitempty"`
-	// Parallelism sizes the morsel scheduler: 0 = planner default,
-	// 1 = serial, n >= 2 = worker-pool size (= hash partition count).
-	Parallelism int `json:"parallelism,omitempty"`
-	// NoSteal disables work stealing in the morsel scheduler (ablation /
-	// diagnostics; results are identical either way).
-	NoSteal bool `json:"no_steal,omitempty"`
 	// BatchSize: 0 = planner default (cost-chosen), n > 0 = vectorized
 	// execution at n rows per batch, -1 = row-at-a-time.
 	BatchSize int `json:"batch_size,omitempty"`
@@ -80,11 +74,6 @@ func (w WireOptions) Engine() (engine.Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown access path %q (auto | scan | index)", w.Access)
 	}
-	if w.Parallelism < 0 {
-		return opts, fmt.Errorf("parallelism must be >= 0, got %d", w.Parallelism)
-	}
-	opts.Parallelism = w.Parallelism
-	opts.NoSteal = w.NoSteal
 	if w.BatchSize < -1 {
 		return opts, fmt.Errorf("batch_size must be >= -1, got %d", w.BatchSize)
 	}

@@ -6,7 +6,7 @@
 // The pieces:
 //
 //   - Sessions: POST /session registers per-session engine.Options (strategy,
-//     join family, access path, parallelism, pins); subsequent requests name
+//     join family, access path, batch size, pins); subsequent requests name
 //     the session and inherit them. Requests without a session run under the
 //     server's default options. Sessions also namespace prepared statements.
 //   - Prepared statements: POST /prepare parses and binds once
@@ -117,12 +117,6 @@ type Server struct {
 	panics           atomic.Uint64
 	discardedRows    atomic.Int64
 	discardedBytes   atomic.Int64
-
-	// morsel-scheduler counters for /stats, aggregated across completed
-	// queries (see exec.SchedStats).
-	morselsDispatched atomic.Int64
-	morselsStolen     atomic.Int64
-	schedBusyNs       atomic.Int64
 
 	// mutation counters for /stats: successful data and DDL operations.
 	inserts      atomic.Uint64
@@ -370,25 +364,18 @@ type prepareResponse struct {
 // value's canonical JSON (sets in canonical element order), so two responses
 // are byte-comparable.
 type QueryResponse struct {
-	RequestID   string          `json:"request_id"`
-	Result      json.RawMessage `json:"result"`
-	Rows        int             `json:"rows"`
-	Strategy    string          `json:"strategy"`
-	Alt         string          `json:"alt,omitempty"`
-	Joins       string          `json:"joins"`
-	Access      string          `json:"access"`
-	Parallelism int             `json:"parallelism"`
-	Batch       int             `json:"batch"`
-	Auto        bool            `json:"auto"`
-	CacheHit    bool            `json:"cache_hit"`
-	DurationNs  int64           `json:"duration_ns"`
-	EvalSteps   int64           `json:"eval_steps"`
-	// Morsel-scheduler counters for this query: morsels run by their home
-	// worker, morsels stolen by idle workers, and summed worker busy time.
-	// All zero for serial plans.
-	SchedDispatched int64 `json:"sched_dispatched"`
-	SchedStolen     int64 `json:"sched_stolen"`
-	SchedBusyNs     int64 `json:"sched_busy_ns"`
+	RequestID  string          `json:"request_id"`
+	Result     json.RawMessage `json:"result"`
+	Rows       int             `json:"rows"`
+	Strategy   string          `json:"strategy"`
+	Alt        string          `json:"alt,omitempty"`
+	Joins      string          `json:"joins"`
+	Access     string          `json:"access"`
+	Batch      int             `json:"batch"`
+	Auto       bool            `json:"auto"`
+	CacheHit   bool            `json:"cache_hit"`
+	DurationNs int64           `json:"duration_ns"`
+	EvalSteps  int64           `json:"eval_steps"`
 }
 
 type explainResponse struct {
@@ -426,12 +413,6 @@ type StatsResponse struct {
 	Panics              uint64 `json:"panics"`
 	DiscardedRows       int64  `json:"discarded_rows"`
 	DiscardedBuildBytes int64  `json:"discarded_build_bytes"`
-
-	// Morsel scheduler: per-query exec.SchedStats summed across completed
-	// queries — dispatched/stolen morsel counts and worker busy time.
-	MorselsDispatched int64 `json:"morsels_dispatched"`
-	MorselsStolen     int64 `json:"morsels_stolen"`
-	SchedBusyNs       int64 `json:"sched_busy_ns"`
 
 	// Mutations: successful data and DDL operations served.
 	Inserts      uint64 `json:"inserts"`
@@ -501,12 +482,22 @@ func (s *Server) writeEngineError(w http.ResponseWriter, reqID string, err error
 	}
 }
 
+// maxRequestBytes caps every request body; decode answers a larger one with
+// 413 request_too_large instead of buffering it.
+const maxRequestBytes = 1 << 20
+
 // decode parses a JSON request body, returning false (response written) on
-// malformed input.
+// malformed or oversized input.
 func decode(w http.ResponseWriter, r *http.Request, reqID string, into any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, reqID, "request_too_large",
+				"request body exceeds %d bytes", tooLarge.Limit)
+			return false
+		}
 		writeError(w, http.StatusBadRequest, reqID, "bad_request", "malformed request body: %v", err)
 		return false
 	}
@@ -794,10 +785,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DiscardedRows:       s.discardedRows.Load(),
 		DiscardedBuildBytes: s.discardedBytes.Load(),
 
-		MorselsDispatched: s.morselsDispatched.Load(),
-		MorselsStolen:     s.morselsStolen.Load(),
-		SchedBusyNs:       s.schedBusyNs.Load(),
-
 		Inserts:      s.inserts.Load(),
 		Deletes:      s.deletes.Load(),
 		IndexCreates: s.indexCreates.Load(),
@@ -814,38 +801,29 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reqID, map[string]string{"status": "ok", "request_id": reqID})
 }
 
-// writeResult renders an engine result as a QueryResponse and folds the
-// query's scheduler counters into the server-wide /stats aggregates.
+// writeResult renders an engine result as a QueryResponse.
 func (s *Server) writeResult(w http.ResponseWriter, reqID string, res *engine.Result) {
 	raw, err := json.Marshal(res.Value)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, reqID, "internal", "encoding result: %v", err)
 		return
 	}
-	s.morselsDispatched.Add(res.Sched.Dispatched)
-	s.morselsStolen.Add(res.Sched.Stolen)
-	s.schedBusyNs.Add(res.Sched.BusyNanos)
 	alt := res.Alt
 	if alt == "base" {
 		alt = ""
 	}
 	writeJSON(w, http.StatusOK, reqID, QueryResponse{
-		RequestID:   reqID,
-		Result:      raw,
-		Rows:        res.Value.Len(),
-		Strategy:    res.Strategy.String(),
-		Alt:         alt,
-		Joins:       res.Joins.String(),
-		Access:      res.Access.String(),
-		Parallelism: res.Parallelism,
-		Batch:       res.Batch,
-		Auto:        res.Auto,
-		CacheHit:    res.CacheHit,
-		DurationNs:  res.Duration.Nanoseconds(),
-		EvalSteps:   res.EvalSteps,
-
-		SchedDispatched: res.Sched.Dispatched,
-		SchedStolen:     res.Sched.Stolen,
-		SchedBusyNs:     res.Sched.BusyNanos,
+		RequestID:  reqID,
+		Result:     raw,
+		Rows:       res.Value.Len(),
+		Strategy:   res.Strategy.String(),
+		Alt:        alt,
+		Joins:      res.Joins.String(),
+		Access:     res.Access.String(),
+		Batch:      res.Batch,
+		Auto:       res.Auto,
+		CacheHit:   res.CacheHit,
+		DurationNs: res.Duration.Nanoseconds(),
+		EvalSteps:  res.EvalSteps,
 	})
 }

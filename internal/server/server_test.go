@@ -258,19 +258,59 @@ func TestStructuredErrors(t *testing.T) {
 	}
 
 	// Malformed body — and, the decoder being strict, a body carrying a
-	// field the wire no longer has (the removed "rewrite" option).
-	for _, body := range []string{`{"quer`, `{"query":"SELECT x FROM X x","options":{"rewrite":true}}`} {
+	// field the wire no longer has (the removed "rewrite", "parallelism"
+	// and "no_steal" options).
+	for _, body := range []string{
+		`{"quer`,
+		`{"query":"SELECT x FROM X x","options":{"rewrite":true}}`,
+		`{"query":"SELECT x FROM X x","options":{"parallelism":4}}`,
+		`{"query":"SELECT x FROM X x","options":{"no_steal":true}}`,
+	} {
 		resp, err := hs.Client().Post(hs.URL+"/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %s: http %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
+			t.Fatalf("body %s: http %d code %q, want 400 bad_request", body, resp.StatusCode, er.Error.Code)
 		}
 		if resp.Header.Get("X-Request-ID") == "" {
 			t.Fatal("response carries no X-Request-ID header")
 		}
+	}
+}
+
+// TestRequestBodyCap: a /query body one byte over maxRequestBytes is refused
+// with 413 request_too_large, and the server goes on serving.
+func TestRequestBodyCap(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	const prefix, suffix = `{"query":"SELECT x FROM X x`, `"}`
+	body := prefix + strings.Repeat(" ", maxRequestBytes+1-len(prefix)-len(suffix)) + suffix
+	resp, err := hs.Client().Post(hs.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Error.Code != "request_too_large" {
+		t.Fatalf("oversized body: http %d code %q, want 413 request_too_large", resp.StatusCode, er.Error.Code)
+	}
+	if resp.Header.Get("X-Request-ID") == "" {
+		t.Fatal("response carries no X-Request-ID header")
+	}
+	res, err := NewClient(hs.URL, hs.Client()).Query(`SELECT x FROM X x`, nil)
+	if err != nil {
+		t.Fatalf("request after the oversized one: %v", err)
+	}
+	if res.Rows == 0 {
+		t.Fatal("request after the oversized one returned no rows")
 	}
 }
 

@@ -203,8 +203,8 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 }
 
 // TestConcurrentReadersAndWriter races scans, set views, and index lookups
-// against sealed mutations — the copy-on-write contract the parallel join
-// workers rely on. Run with -race.
+// against sealed mutations — the copy-on-write contract concurrent queries
+// rely on. Run with -race.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	tab := NewTable("T", rowType())
 	if err := tab.CreateIndex("b"); err != nil {

@@ -20,8 +20,8 @@
 //   - a unified cost-driven optimizer: with Options left zero the engine
 //     enumerates the correct strategies × logical alternatives (each
 //     translation as produced, its §6 rewrite, and bushy/left-deep join
-//     orders for multi-FROM blocks) × join implementations × parallelism
-//     degrees, costs them against per-table statistics (see Analyze), and
+//     orders for multi-FROM blocks) × join implementations × access paths ×
+//     batch sizes, costs them against per-table statistics (see Analyze), and
 //     executes the cheapest; Engine.Explain renders the chosen physical plan
 //     with per-operator estimated rows and cost plus the full candidate
 //     table. Options.PinAlt pins one alternative by its candidate-table
@@ -31,23 +31,12 @@
 //     by equi-depth histograms and KMV distinct-count sketches (selectivity,
 //     NDV, and dangling fractions become bounded-error estimates), tiny
 //     tables keep exact figures;
-//   - morsel-driven parallel execution: hash joins and hash nest joins run
-//     as batch-sized morsels on a work-stealing scheduler sized by
-//     Options.Parallelism (under the auto strategy the degree is sized from
-//     table statistics, capped at GOMAXPROCS, and the cost model decides
-//     whether parallelism pays; fixed strategies opt in explicitly). Idle
-//     workers steal morsels from skewed partitions, Options.NoSteal pins
-//     morsels to their home worker as an ablation knob, scheduler counters
-//     (morsels dispatched/stolen, busy time) surface on Result.Sched, and
-//     results are bit-identical to serial execution at any degree and any
-//     steal schedule;
 //   - vectorized batch execution: the hot path (scans, filters, projections,
-//     hash joins, and the parallel exchange) moves rows in batches of up to
-//     Options.BatchSize with pre-encoded join keys, costed against
-//     row-at-a-time execution as a physical dimension (0 lets the cost model
-//     decide, n > 0 pins batches of n, negative pins rows); results are
-//     byte-identical to the row engine and EXPLAIN annotates batched
-//     operators with [batch=n];
+//     and hash joins) moves rows in batches of up to Options.BatchSize with
+//     pre-encoded join keys, costed against row-at-a-time execution as a
+//     physical dimension (0 lets the cost model decide, n > 0 pins batches
+//     of n, negative pins rows); results are byte-identical to the row
+//     engine and EXPLAIN annotates batched operators with [batch=n];
 //   - mutable storage whose writes cost what they change: tables are
 //     bulk-loaded, sealed, and then mutated in place (Engine.Insert /
 //     Engine.Delete / Engine.InsertValue / Engine.DeleteValue, or the
@@ -213,13 +202,6 @@ type Type = types.Type
 // CacheStats reports the engine's plan-cache entry and hit/miss counts
 // (see Engine.PlanCacheStats).
 type CacheStats = engine.CacheStats
-
-// SchedStats are one query's morsel-scheduler counters, surfaced on
-// Result.Sched: morsels dispatched and stolen, and per-worker busy time.
-// Stolen > 0 says work stealing actually rebalanced a skewed partition;
-// Options.NoSteal pins morsels to their home worker (an ablation knob —
-// results are identical either way, only the counters move).
-type SchedStats = exec.SchedStats
 
 // Prepared is a parsed-and-bound statement that executes without re-parsing
 // and shares the engine's plan cache (see Engine.Prepare). Safe for
