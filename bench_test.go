@@ -11,6 +11,7 @@ package tmdb_test
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"tmdb"
@@ -441,4 +442,80 @@ func BenchmarkB11SingleRowWrite(b *testing.B) {
 			b.Fatalf("delete: n=%d err=%v", n, err)
 		}
 	}
+}
+
+// --- Per-request garbage on the server-bound workloads: point lookups
+// through a loopback tmdb.Server and tmdb.Client on the repo benchmark's
+// indexed dataset (XYZ{2000, 6000, 4000}, seed 1994, indexes X(b), Y(d),
+// Y(b,d)). "prepared" alternates the prepared point_x and point_y statements
+// (plan-cache hits: HTTP, JSON, admission); "adhoc" cycles point_x, point_y
+// and semi_pt as never-repeating text (every request also parses, binds and
+// plans). B/op here is what sets point_wire's and adhoc_plan's GC cadence,
+// and with it their p95: the smaller the live heap, the more collections the
+// same garbage costs. Client and server share the process, so both halves of
+// the wire count. Profile the allocation sites with:
+//
+//	go test -run=NONE -bench=ServerPointRequest -benchmem -cpu 2 \
+//	    -memprofile mem.out -memprofilerate 1 -outputdir <dir>
+//
+// ---
+
+func BenchmarkServerPointRequest(b *testing.B) {
+	cat, db := datagen.XYZ(datagen.Spec{
+		NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994,
+	})
+	eng := tmdb.New(cat, db)
+	for _, ix := range [][]string{{"X", "b"}, {"Y", "d"}, {"Y", "b", "d"}} {
+		if err := eng.CreateIndex(ix[0], ix[1:]...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.Analyze()
+	ys, _ := eng.DB().Table("Y")
+	var pointY string
+	for _, row := range ys.Rows() {
+		if d := row.MustGet("d").AsInt(); d >= 0 { // dangling rows carry negative keys
+			pointY = fmt.Sprintf(`SELECT y.a FROM Y y WHERE y.b = %d AND y.d = %d`, row.MustGet("b").AsInt(), d)
+			break
+		}
+	}
+	const pointX = `SELECT x FROM X x WHERE x.b = 17`
+	const semiSub = ` AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
+
+	hs := httptest.NewServer(tmdb.NewServer(eng, tmdb.ServerConfig{}))
+	defer hs.Close()
+	c := tmdb.NewServerClient(hs.URL)
+	if _, err := c.NewSession(tmdb.WireOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	for name, q := range map[string]string{"point_x": pointX, "point_y": pointY} {
+		if _, err := c.Prepare(name, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	b.Run("prepared", func(b *testing.B) {
+		names := []string{"point_x", "point_y"}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Execute(names[i%2], nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("adhoc", func(b *testing.B) {
+		// An extra conjunct excluding a literal no row holds keeps every text
+		// new while the answer stays the statement's.
+		texts := []string{
+			pointX + ` AND x.b <> %d`,
+			pointY + ` AND y.a <> %d`,
+			pointX + ` AND x.b <> %d` + semiSub,
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Query(fmt.Sprintf(texts[i%3], -1-i), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -131,6 +132,21 @@ func (c *Client) do(method, path string, body, into any) error {
 	return err
 }
 
+// readBufs recycles the buffers doOnce reads responses into. Nothing decoded
+// from one aliases it — json.Unmarshal copies, RawMessage included — so a
+// buffer is free again once doOnce returns; one grown past maxPooledRead is
+// left to the collector rather than pinned.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 64 << 10
+
+func putReadBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledRead {
+		b.Reset()
+		readBufs.Put(b)
+	}
+}
+
 // doOnce sends one request (body pre-marshaled so retries re-send identical
 // bytes) and decodes the response.
 func (c *Client) doOnce(method, path string, body []byte, into any) error {
@@ -150,10 +166,12 @@ func (c *Client) doOnce(method, path string, body []byte, into any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer putReadBuf(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
+	raw := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		var er errorResponse
 		if json.Unmarshal(raw, &er) == nil && er.Error.Code != "" {

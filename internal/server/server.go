@@ -800,30 +800,3 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, reqID, map[string]string{"status": "ok", "request_id": reqID})
 }
-
-// writeResult renders an engine result as a QueryResponse.
-func (s *Server) writeResult(w http.ResponseWriter, reqID string, res *engine.Result) {
-	raw, err := json.Marshal(res.Value)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, reqID, "internal", "encoding result: %v", err)
-		return
-	}
-	alt := res.Alt
-	if alt == "base" {
-		alt = ""
-	}
-	writeJSON(w, http.StatusOK, reqID, QueryResponse{
-		RequestID:  reqID,
-		Result:     raw,
-		Rows:       res.Value.Len(),
-		Strategy:   res.Strategy.String(),
-		Alt:        alt,
-		Joins:      res.Joins.String(),
-		Access:     res.Access.String(),
-		Batch:      res.Batch,
-		Auto:       res.Auto,
-		CacheHit:   res.CacheHit,
-		DurationNs: res.Duration.Nanoseconds(),
-		EvalSteps:  res.EvalSteps,
-	})
-}

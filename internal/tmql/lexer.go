@@ -24,12 +24,21 @@ func NewLexer(src string) *Lexer {
 // Lex scans the entire input, returning the token stream (terminated by a
 // TokEOF token) or the first lexical error.
 func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var out []Token
+	toks, err := appendTokens(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// appendTokens lexes src onto out. On a lexical error it returns the tokens
+// appended so far along with the error.
+func appendTokens(out []Token, src string) ([]Token, error) {
+	lx := Lexer{src: src, line: 1, col: 1}
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		out = append(out, t)
 		if t.Kind == TokEOF {

@@ -3,6 +3,7 @@ package tmql
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"tmdb/internal/value"
 )
@@ -19,9 +20,24 @@ type Parser struct {
 	i    int
 }
 
+// tokenBufs recycles Parse's token buffers. The AST keeps no Token, so a
+// buffer is free again once Parse returns; one grown past maxPooledTokens
+// is left to the collector rather than pinned.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+const maxPooledTokens = 1024
+
 // Parse parses a complete TM expression; trailing input is an error.
 func Parse(src string) (Expr, error) {
-	toks, err := Lex(src)
+	buf := tokenBufs.Get().(*[]Token)
+	toks, err := appendTokens((*buf)[:0], src)
+	defer func() {
+		if cap(toks) <= maxPooledTokens {
+			clear(toks) // drop the references into src
+			*buf = toks[:0]
+			tokenBufs.Put(buf)
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func Aggregate(kind AggKind, coll Value) (Value, error) {
 	if coll.kind != KindSet && coll.kind != KindList {
 		return Value{}, fmt.Errorf("aggregate %s: operand is %s, not a collection", kind, coll.kind)
 	}
-	es := coll.elems
+	es := coll.elems()
 	switch kind {
 	case AggCount:
 		return Int(int64(len(es))), nil
@@ -97,11 +97,11 @@ func sum(es []Value) (Value, error) {
 	for _, e := range es {
 		switch e.kind {
 		case KindInt:
-			si += e.i
-			sf += float64(e.i)
+			si += e.i()
+			sf += float64(e.i())
 		case KindFloat:
 			allInt = false
-			sf += e.f
+			sf += e.f()
 		default:
 			return Value{}, fmt.Errorf("SUM: non-numeric element %s", e)
 		}

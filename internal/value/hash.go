@@ -25,7 +25,7 @@ func writeHash(h *maphash.Hash, v Value) {
 	// An int that a float can equal (Compare treats 1 == 1.0) hashes as that
 	// float; any other int keeps its own tag and bits.
 	if v.kind == KindInt {
-		if f, exact := intAsFloat(v.i); exact {
+		if f, exact := intAsFloat(v.i()); exact {
 			writeHash(h, Float(f))
 			return
 		}
@@ -35,29 +35,25 @@ func writeHash(h *maphash.Hash, v Value) {
 	case KindNull:
 	case KindInt:
 		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.i))
+		binary.LittleEndian.PutUint64(buf[:], v.w)
 		h.Write(buf[:])
 	case KindBool:
-		if v.b {
-			h.WriteByte(1)
-		} else {
-			h.WriteByte(0)
-		}
+		h.WriteByte(byte(v.w))
 	case KindFloat:
-		writeFloatBits(h, v.f)
+		writeFloatBits(h, v.f())
 	case KindString:
-		writeLen(h, len(v.s))
-		h.WriteString(v.s)
+		writeLen(h, int(v.w))
+		h.WriteString(v.str())
 	case KindTuple:
-		writeLen(h, len(v.tuple))
-		for _, f := range v.tuple {
+		writeLen(h, int(v.w))
+		for _, f := range v.fields() {
 			writeLen(h, len(f.Label))
 			h.WriteString(f.Label)
 			writeHash(h, f.V)
 		}
 	case KindSet, KindList:
-		writeLen(h, len(v.elems))
-		for _, e := range v.elems {
+		writeLen(h, int(v.w))
+		for _, e := range v.elems() {
 			writeHash(h, e)
 		}
 	}
@@ -112,22 +108,18 @@ func AppendKey(buf []byte, v Value) []byte {
 	if v.kind == KindInt {
 		// Same normalization as hashing: an int a float can equal encodes as
 		// that float, any other int under its own tag.
-		if f, exact := intAsFloat(v.i); exact {
+		if f, exact := intAsFloat(v.i()); exact {
 			return AppendKey(buf, Float(f))
 		}
-		return binary.LittleEndian.AppendUint64(append(buf, byte(KindInt)), uint64(v.i))
+		return binary.LittleEndian.AppendUint64(append(buf, byte(KindInt)), v.w)
 	}
 	buf = append(buf, byte(v.kind))
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		if v.b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, byte(v.w))
 	case KindFloat:
-		f := v.f
+		f := v.f()
 		if f == 0 {
 			f = 0
 		}
@@ -137,18 +129,18 @@ func AppendKey(buf []byte, v Value) []byte {
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, bits)
 	case KindString:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.s)))
-		buf = append(buf, v.s...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.w))
+		buf = append(buf, v.str()...)
 	case KindTuple:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.tuple)))
-		for _, f := range v.tuple {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.w))
+		for _, f := range v.fields() {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Label)))
 			buf = append(buf, f.Label...)
 			buf = AppendKey(buf, f.V)
 		}
 	case KindSet, KindList:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.elems)))
-		for _, e := range v.elems {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.w))
+		for _, e := range v.elems() {
 			buf = AppendKey(buf, e)
 		}
 	}

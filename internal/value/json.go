@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // JSON interop for complex-object values, used by tools that export query
@@ -26,72 +27,88 @@ import (
 
 // MarshalJSON implements json.Marshaler.
 func (v Value) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeJSON(&buf, v); err != nil {
+	b, err := AppendJSON(nil, v)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-func writeJSON(buf *bytes.Buffer, v Value) error {
+// AppendJSON appends the JSON encoding of v to dst and returns the extended
+// slice. The bytes are exactly what json.Marshal(v) produces — compact, with
+// encoding/json's float formatting and HTML-safe string escaping — so a
+// caller can assemble a response around a result without a second pass. NaN
+// and ±Inf have no JSON encoding and are an error.
+func AppendJSON(dst []byte, v Value) ([]byte, error) {
 	switch v.kind {
 	case KindNull:
-		buf.WriteString("null")
+		dst = append(dst, "null"...)
 	case KindBool:
-		if v.b {
-			buf.WriteString("true")
+		if v.w != 0 {
+			dst = append(dst, "true"...)
 		} else {
-			buf.WriteString("false")
+			dst = append(dst, "false"...)
 		}
 	case KindInt:
-		fmt.Fprintf(buf, "%d", v.i)
+		dst = strconv.AppendInt(dst, v.i(), 10)
 	case KindFloat:
-		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
-			return fmt.Errorf("value: cannot encode %v as JSON", v.f)
+		f := v.f()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return dst, fmt.Errorf("value: cannot encode %v as JSON", f)
 		}
-		b, err := json.Marshal(v.f)
+		b, err := json.Marshal(f)
 		if err != nil {
-			return err
+			return dst, err
 		}
-		buf.Write(b)
+		dst = append(dst, b...)
 	case KindString:
-		b, err := json.Marshal(v.s)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
+		dst = appendJSONString(dst, v.str())
 	case KindTuple:
-		buf.WriteByte('{')
-		for i, f := range v.tuple {
+		dst = append(dst, '{')
+		for i, f := range v.fields() {
 			if i > 0 {
-				buf.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			kb, err := json.Marshal(f.Label)
-			if err != nil {
-				return err
-			}
-			buf.Write(kb)
-			buf.WriteByte(':')
-			if err := writeJSON(buf, f.V); err != nil {
-				return err
+			dst = append(appendJSONString(dst, f.Label), ':')
+			var err error
+			if dst, err = AppendJSON(dst, f.V); err != nil {
+				return dst, err
 			}
 		}
-		buf.WriteByte('}')
+		dst = append(dst, '}')
 	case KindSet, KindList:
-		buf.WriteByte('[')
-		for i, e := range v.elems {
+		dst = append(dst, '[')
+		for i, e := range v.elems() {
 			if i > 0 {
-				buf.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			if err := writeJSON(buf, e); err != nil {
-				return err
+			var err error
+			if dst, err = AppendJSON(dst, e); err != nil {
+				return dst, err
 			}
 		}
-		buf.WriteByte(']')
+		dst = append(dst, ']')
 	default:
-		return fmt.Errorf("value: unknown kind %d", v.kind)
+		return dst, fmt.Errorf("value: unknown kind %d", v.kind)
 	}
-	return nil
+	return dst, nil
+}
+
+// appendJSONString quotes s as json.Marshal does. A string of printable ASCII
+// that needs no escaping — no quote, backslash or HTML-sensitive <, >, & — is
+// copied between quotes; any other goes through json.Marshal, which escapes
+// control bytes, U+2028/U+2029 and HTML characters and replaces invalid
+// UTF-8.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // FromJSON decodes JSON text into a Value: objects become tuples, arrays

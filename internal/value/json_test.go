@@ -1,7 +1,9 @@
 package value
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -146,5 +148,179 @@ func randomJSONSafeValue(r *rand.Rand, depth int) Value {
 			es[i] = randomJSONSafeValue(r, depth-1)
 		}
 		return SetOf(es...)
+	}
+}
+
+// marshalReference is the encoder AppendJSON replaced: json.Marshal for every
+// float, string and label, fmt for ints. AppendJSON must reproduce its bytes.
+func marshalReference(buf *bytes.Buffer, v Value) error {
+	switch v.Kind() {
+	case KindNull:
+		buf.WriteString("null")
+	case KindBool:
+		if v.AsBool() {
+			buf.WriteString("true")
+		} else {
+			buf.WriteString("false")
+		}
+	case KindInt:
+		fmt.Fprintf(buf, "%d", v.AsInt())
+	case KindFloat:
+		f := v.AsFloat()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("value: cannot encode %v as JSON", f)
+		}
+		b, err := json.Marshal(f)
+		if err != nil {
+			return err
+		}
+		buf.Write(b)
+	case KindString:
+		b, _ := json.Marshal(v.AsString())
+		buf.Write(b)
+	case KindTuple:
+		buf.WriteByte('{')
+		for i, f := range v.Fields() {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			kb, _ := json.Marshal(f.Label)
+			buf.Write(kb)
+			buf.WriteByte(':')
+			if err := marshalReference(buf, f.V); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte('}')
+	default:
+		buf.WriteByte('[')
+		for i, e := range v.Elems() {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			if err := marshalReference(buf, e); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte(']')
+	}
+	return nil
+}
+
+// jsonStrings need every escaping rule encoding/json has: quotes and
+// backslashes, HTML characters, control bytes, DEL, U+2028/U+2029, invalid
+// UTF-8 and multi-byte runes.
+var jsonStrings = []string{
+	"", "plain", "with space", `q"uote`, `back\slash`, "<a&b>", "x>y", "tab\tnl\n", "\x00\x01\x1f",
+	"\x7f", "line\u2028sep\u2029", "\xff\xfe", "ok\xc3", "héllo", "日本", "emoji 🙂", "/slash",
+}
+
+var jsonFloats = []float64{
+	0, math.Copysign(0, -1), 0.1, -0.1, 1, 1.5, 1e20, 1e21, -1e21, 1e-6, 9.99e-7, 1e-7, 5e-324,
+	math.MaxFloat64, math.SmallestNonzeroFloat64, 123456789.125, 1e100, 2.5e-10,
+}
+
+// randomJSONValue draws from every kind, with jsonStrings and jsonFloats
+// mixed into random ints, floats and bytes.
+func randomJSONValue(r *rand.Rand, depth int) Value {
+	max := 6
+	if depth > 0 {
+		max = 9
+	}
+	switch r.Intn(max) {
+	case 0:
+		return Null
+	case 1:
+		return Bool(r.Intn(2) == 0)
+	case 2:
+		return Int(r.Int63() - r.Int63())
+	case 3:
+		if r.Intn(2) == 0 {
+			return Float(jsonFloats[r.Intn(len(jsonFloats))])
+		}
+		f := math.Float64frombits(r.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			f = 0.25
+		}
+		return Float(f)
+	case 4:
+		if r.Intn(2) == 0 {
+			return Str(jsonStrings[r.Intn(len(jsonStrings))])
+		}
+		b := make([]byte, r.Intn(6))
+		for i := range b {
+			b[i] = byte(r.Intn(256))
+		}
+		return Str(string(b))
+	case 5:
+		return Str(string(rune('a' + r.Intn(26))))
+	case 6:
+		n := r.Intn(4)
+		fs := make([]Field, 0, n)
+		for i := 0; i < n; i++ {
+			label := jsonStrings[r.Intn(len(jsonStrings))] + string(rune('a'+i))
+			fs = append(fs, F(label, randomJSONValue(r, depth-1)))
+		}
+		return TupleOf(fs...)
+	case 7:
+		n := r.Intn(4)
+		es := make([]Value, n)
+		for i := range es {
+			es[i] = randomJSONValue(r, depth-1)
+		}
+		return SetOf(es...)
+	default:
+		n := r.Intn(3)
+		es := make([]Value, n)
+		for i := range es {
+			es[i] = randomJSONValue(r, depth-1)
+		}
+		return ListOf(es...)
+	}
+}
+
+// TestAppendJSONMatchesMarshalQuick: AppendJSON appends exactly the bytes of
+// the reference encoder, which are also json.Marshal's (MarshalJSON wraps
+// AppendJSON, and json.Marshal's compaction and HTML escaping must find
+// nothing left to change).
+func TestAppendJSONMatchesMarshalQuick(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 2000, Values: func(vs []reflect.Value, r *rand.Rand) {
+		for i := range vs {
+			vs[i] = reflect.ValueOf(randomJSONValue(r, 3))
+		}
+	}}
+	if err := quick.Check(func(v Value) bool {
+		var want bytes.Buffer
+		if err := marshalReference(&want, v); err != nil {
+			t.Fatalf("reference encoder failed on %s: %v", v, err)
+		}
+		got, err := AppendJSON([]byte("prefix"), v)
+		if err != nil || string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want.Bytes()) {
+			t.Logf("AppendJSON(%s) = %q, %v; want %q", v, got, err, want.Bytes())
+			return false
+		}
+		marshaled, err := json.Marshal(v)
+		if err != nil || !bytes.Equal(marshaled, want.Bytes()) {
+			t.Logf("json.Marshal(%s) = %q, %v; want %q", v, marshaled, err, want.Bytes())
+			return false
+		}
+		return true
+	}, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendJSONRejectsNonFinite pins the error text, also from deep inside
+// a container.
+func TestAppendJSONRejectsNonFinite(t *testing.T) {
+	for _, v := range []Value{
+		Float(math.NaN()), Float(math.Inf(-1)),
+		TupleOf(F("a", Int(1)), F("b", ListOf(SetOf(Float(math.Inf(1)))))),
+	} {
+		var ref bytes.Buffer
+		wantErr := marshalReference(&ref, v)
+		if _, err := AppendJSON(nil, v); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Errorf("AppendJSON(%s) error = %v, want %v", v, err, wantErr)
+		}
 	}
 }

@@ -8,74 +8,78 @@ package value
 // order makes membership O(log n).
 func Contains(s, x Value) bool {
 	s.mustBe(KindSet)
-	lo, hi := 0, len(s.elems)
+	es := s.elems()
+	lo, hi := 0, len(es)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if Compare(s.elems[mid], x) < 0 {
+		if Compare(es[mid], x) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo < len(s.elems) && Compare(s.elems[lo], x) == 0
+	return lo < len(es) && Compare(es[lo], x) == 0
 }
 
 // Union returns a ∪ b.
 func Union(a, b Value) Value {
 	a.mustBe(KindSet)
 	b.mustBe(KindSet)
-	out := make([]Value, 0, len(a.elems)+len(b.elems))
+	ae, be := a.elems(), b.elems()
+	out := make([]Value, 0, len(ae)+len(be))
 	i, j := 0, 0
-	for i < len(a.elems) && j < len(b.elems) {
-		switch c := Compare(a.elems[i], b.elems[j]); {
+	for i < len(ae) && j < len(be) {
+		switch c := Compare(ae[i], be[j]); {
 		case c < 0:
-			out = append(out, a.elems[i])
+			out = append(out, ae[i])
 			i++
 		case c > 0:
-			out = append(out, b.elems[j])
+			out = append(out, be[j])
 			j++
 		default:
-			out = append(out, a.elems[i])
+			out = append(out, ae[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, a.elems[i:]...)
-	out = append(out, b.elems[j:]...)
-	return Value{kind: KindSet, elems: out}
+	out = append(out, ae[i:]...)
+	out = append(out, be[j:]...)
+	return elemsValue(KindSet, out)
 }
 
 // Intersect returns a ∩ b.
 func Intersect(a, b Value) Value {
 	a.mustBe(KindSet)
 	b.mustBe(KindSet)
-	out := make([]Value, 0)
+	ae, be := a.elems(), b.elems()
+	var out []Value
 	i, j := 0, 0
-	for i < len(a.elems) && j < len(b.elems) {
-		switch c := Compare(a.elems[i], b.elems[j]); {
+	for i < len(ae) && j < len(be) {
+		switch c := Compare(ae[i], be[j]); {
 		case c < 0:
 			i++
 		case c > 0:
 			j++
 		default:
-			out = append(out, a.elems[i])
+			out = append(out, ae[i])
 			i++
 			j++
 		}
 	}
-	return Value{kind: KindSet, elems: out}
+	return elemsValue(KindSet, out)
 }
 
 // Diff returns a − b.
 func Diff(a, b Value) Value {
 	a.mustBe(KindSet)
 	b.mustBe(KindSet)
-	out := make([]Value, 0, len(a.elems))
+	ae, be := a.elems(), b.elems()
+	out := make([]Value, 0, len(ae))
 	i, j := 0, 0
-	for i < len(a.elems) && j < len(b.elems) {
-		switch c := Compare(a.elems[i], b.elems[j]); {
+	for i < len(ae) && j < len(be) {
+		switch c := Compare(ae[i], be[j]); {
 		case c < 0:
-			out = append(out, a.elems[i])
+			out = append(out, ae[i])
 			i++
 		case c > 0:
 			j++
@@ -84,20 +88,21 @@ func Diff(a, b Value) Value {
 			j++
 		}
 	}
-	out = append(out, a.elems[i:]...)
-	return Value{kind: KindSet, elems: out}
+	out = append(out, ae[i:]...)
+	return elemsValue(KindSet, out)
 }
 
 // SubsetEq reports a ⊆ b.
 func SubsetEq(a, b Value) bool {
 	a.mustBe(KindSet)
 	b.mustBe(KindSet)
-	if len(a.elems) > len(b.elems) {
+	ae, be := a.elems(), b.elems()
+	if len(ae) > len(be) {
 		return false
 	}
 	i, j := 0, 0
-	for i < len(a.elems) && j < len(b.elems) {
-		switch c := Compare(a.elems[i], b.elems[j]); {
+	for i < len(ae) && j < len(be) {
+		switch c := Compare(ae[i], be[j]); {
 		case c < 0:
 			return false
 		case c > 0:
@@ -107,12 +112,14 @@ func SubsetEq(a, b Value) bool {
 			j++
 		}
 	}
-	return i == len(a.elems)
+	return i == len(ae)
 }
 
 // Subset reports a ⊂ b (proper subset).
 func Subset(a, b Value) bool {
-	return len(a.elems) < len(b.elems) && SubsetEq(a, b)
+	a.mustBe(KindSet)
+	b.mustBe(KindSet)
+	return a.w < b.w && SubsetEq(a, b)
 }
 
 // SupersetEq reports a ⊇ b.
@@ -125,9 +132,10 @@ func Superset(a, b Value) bool { return Subset(b, a) }
 func Disjoint(a, b Value) bool {
 	a.mustBe(KindSet)
 	b.mustBe(KindSet)
+	ae, be := a.elems(), b.elems()
 	i, j := 0, 0
-	for i < len(a.elems) && j < len(b.elems) {
-		switch c := Compare(a.elems[i], b.elems[j]); {
+	for i < len(ae) && j < len(be) {
+		switch c := Compare(ae[i], be[j]); {
 		case c < 0:
 			i++
 		case c > 0:
@@ -169,14 +177,15 @@ func (b *SetBuilder) Build() Value {
 // operator the paper uses to collapse SELECT-clause nesting (§5).
 func UnnestSet(s Value) Value {
 	s.mustBe(KindSet)
+	es := s.elems()
 	n := 0
-	for _, e := range s.elems {
+	for _, e := range es {
 		n += e.Len()
 	}
 	b := NewSetBuilder(n)
-	for _, e := range s.elems {
+	for _, e := range es {
 		e.mustBe(KindSet)
-		for _, x := range e.Elems() {
+		for _, x := range e.elems() {
 			b.Add(x)
 		}
 	}

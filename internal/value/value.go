@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates the variants of a Value.
@@ -68,30 +69,68 @@ type Field struct {
 }
 
 // Value is a TM complex-object value. The zero Value is Null.
+//
+// A Value is three words: the kind, one payload word and one pointer. Scalars
+// live in w; a string, tuple, set or list keeps its length in w and its first
+// byte, Field or element in p, and the accessors str, fields and elems
+// rebuild the Go string or slice from the two. Those accessors read w as a
+// length whatever the kind, so each may be called only after a kind check:
+// elems on a string would read its bytes as Values.
 type Value struct {
-	kind  Kind
-	b     bool
-	i     int64
-	f     float64
-	s     string
-	tuple []Field // KindTuple: sorted by Label, labels unique
-	elems []Value // KindSet: canonical (sorted, deduped); KindList: as given
+	_    [0]func() // not comparable: == would compare payload pointers
+	kind Kind
+	w    uint64         // bool 0/1, int64 bits, float64 bits; the length for string/tuple/set/list
+	p    unsafe.Pointer // string bytes, first Field (tuple), first Value (set/list); nil for scalars and empties
 }
 
 // Null is the NULL value used only by the relational outerjoin baseline.
 var Null = Value{kind: KindNull}
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, w: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, w: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, w: math.Float64bits(f)} }
 
 // Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, w: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// tupleValue wraps canonical fields as a tuple, aliasing the slice.
+func tupleValue(fs []Field) Value {
+	if len(fs) == 0 {
+		return Value{kind: KindTuple}
+	}
+	return Value{kind: KindTuple, w: uint64(len(fs)), p: unsafe.Pointer(unsafe.SliceData(fs))}
+}
+
+// elemsValue wraps es as a set (canonical es) or list, aliasing the slice.
+func elemsValue(k Kind, es []Value) Value {
+	if len(es) == 0 {
+		return Value{kind: k}
+	}
+	return Value{kind: k, w: uint64(len(es)), p: unsafe.Pointer(unsafe.SliceData(es))}
+}
+
+// The payload accessors. Each is valid only for its kinds (see Value).
+
+func (v Value) i() int64        { return int64(v.w) }
+func (v Value) f() float64      { return math.Float64frombits(v.w) }
+func (v Value) str() string     { return unsafe.String((*byte)(v.p), int(v.w)) }
+func (v Value) fields() []Field { return unsafe.Slice((*Field)(v.p), int(v.w)) }
+func (v Value) elems() []Value  { return unsafe.Slice((*Value)(v.p), int(v.w)) }
 
 // True and False are the two boolean values.
 var (
@@ -112,7 +151,7 @@ func TupleOf(fields ...Field) Value {
 			panic("value: duplicate tuple label " + fs[i].Label)
 		}
 	}
-	return Value{kind: KindTuple, tuple: fs}
+	return tupleValue(fs)
 }
 
 // F is shorthand for constructing a tuple field.
@@ -136,7 +175,7 @@ func setFromOwned(es []Value) Value {
 			out = append(out, e)
 		}
 	}
-	return Value{kind: KindSet, elems: out}
+	return elemsValue(KindSet, out)
 }
 
 // CanonicalSet wraps es as a set without copying or sorting. The caller
@@ -144,14 +183,14 @@ func setFromOwned(es []Value) Value {
 // Compare, hence duplicate-free) and is never modified again: the set
 // aliases the slice. Storage uses it to hand out a sealed table's
 // copy-on-write row slice as its set view; anything else wants SetOf.
-func CanonicalSet(es []Value) Value { return Value{kind: KindSet, elems: es} }
+func CanonicalSet(es []Value) Value { return elemsValue(KindSet, es) }
 
 // CanonicalTuple wraps fs as a tuple without copying or sorting. The caller
 // vouches that fs is already canonical (labels strictly ascending, hence
 // unique) and is never modified again: the tuple aliases the slice. Compiled
 // projections use it, having sorted their labels once at compile time;
 // anything else wants TupleOf.
-func CanonicalTuple(fs []Field) Value { return Value{kind: KindTuple, tuple: fs} }
+func CanonicalTuple(fs []Field) Value { return tupleValue(fs) }
 
 // EmptySet is the empty set value — in TM the empty set is part of the model,
 // which is precisely why the nest join needs no NULLs.
@@ -161,7 +200,7 @@ var EmptySet = Value{kind: KindSet}
 func ListOf(elems ...Value) Value {
 	es := make([]Value, len(elems))
 	copy(es, elems)
-	return Value{kind: KindList, elems: es}
+	return elemsValue(KindList, es)
 }
 
 // Kind reports the variant of v.
@@ -173,22 +212,22 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // AsBool returns the boolean payload; it panics if v is not a bool.
 func (v Value) AsBool() bool {
 	v.mustBe(KindBool)
-	return v.b
+	return v.w != 0
 }
 
 // AsInt returns the integer payload; it panics if v is not an int.
 func (v Value) AsInt() int64 {
 	v.mustBe(KindInt)
-	return v.i
+	return v.i()
 }
 
 // AsFloat returns the float payload, widening ints; it panics otherwise.
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i())
 	}
 	panic("value: " + v.kind.String() + " is not numeric")
 }
@@ -196,7 +235,7 @@ func (v Value) AsFloat() float64 {
 // AsString returns the string payload; it panics if v is not a string.
 func (v Value) AsString() string {
 	v.mustBe(KindString)
-	return v.s
+	return v.str()
 }
 
 func (v Value) mustBe(k Kind) {
@@ -212,13 +251,13 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 // returned slice must not be modified. It panics if v is not a tuple.
 func (v Value) Fields() []Field {
 	v.mustBe(KindTuple)
-	return v.tuple
+	return v.fields()
 }
 
 // Arity returns the number of fields of a tuple.
 func (v Value) Arity() int {
 	v.mustBe(KindTuple)
-	return len(v.tuple)
+	return int(v.w)
 }
 
 // Get returns the field value for label, and whether the label exists. It
@@ -226,9 +265,10 @@ func (v Value) Arity() int {
 // linearly; string equalities are cheaper than a binary search's closure.
 func (v Value) Get(label string) (Value, bool) {
 	v.mustBe(KindTuple)
-	for i := range v.tuple {
-		if v.tuple[i].Label == label {
-			return v.tuple[i].V, true
+	fs := v.fields()
+	for i := range fs {
+		if fs[i].Label == label {
+			return fs[i].V, true
 		}
 	}
 	return Value{}, false
@@ -252,8 +292,9 @@ func (v Value) HasField(label string) bool {
 // Labels returns the labels of a tuple in canonical order.
 func (v Value) Labels() []string {
 	v.mustBe(KindTuple)
-	out := make([]string, len(v.tuple))
-	for i, f := range v.tuple {
+	fs := v.fields()
+	out := make([]string, len(fs))
+	for i, f := range fs {
 		out[i] = f.Label
 	}
 	return out
@@ -269,7 +310,7 @@ func (v Value) Labels() []string {
 func (v Value) Concat(w Value) Value {
 	v.mustBe(KindTuple)
 	w.mustBe(KindTuple)
-	a, b := v.tuple, w.tuple
+	a, b := v.fields(), w.fields()
 	fs := make([]Field, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
 		switch {
@@ -282,7 +323,7 @@ func (v Value) Concat(w Value) Value {
 		}
 	}
 	fs = append(fs, a...)
-	return Value{kind: KindTuple, tuple: append(fs, b...)}
+	return tupleValue(append(fs, b...))
 }
 
 // Extend returns v ++ (label = x), the nest-join extension of a tuple with a
@@ -290,18 +331,19 @@ func (v Value) Concat(w Value) Value {
 // sort). It panics if v is not a tuple or already has the label.
 func (v Value) Extend(label string, x Value) Value {
 	v.mustBe(KindTuple)
+	old := v.fields()
 	i := 0
-	for i < len(v.tuple) && v.tuple[i].Label < label {
+	for i < len(old) && old[i].Label < label {
 		i++
 	}
-	if i < len(v.tuple) && v.tuple[i].Label == label {
+	if i < len(old) && old[i].Label == label {
 		panic("value: duplicate tuple label " + label)
 	}
-	fs := make([]Field, len(v.tuple)+1)
-	copy(fs, v.tuple[:i])
+	fs := make([]Field, len(old)+1)
+	copy(fs, old[:i])
 	fs[i] = Field{Label: label, V: x}
-	copy(fs[i+1:], v.tuple[i:])
-	return Value{kind: KindTuple, tuple: fs}
+	copy(fs[i+1:], old[i:])
+	return tupleValue(fs)
 }
 
 // Project returns the tuple restricted to the given labels. Missing labels
@@ -321,13 +363,13 @@ func (v Value) Drop(labels ...string) Value {
 	for _, l := range labels {
 		drop[l] = true
 	}
-	fs := make([]Field, 0, len(v.tuple))
-	for _, f := range v.tuple {
+	fs := make([]Field, 0, v.w)
+	for _, f := range v.fields() {
 		if !drop[f.Label] {
 			fs = append(fs, f)
 		}
 	}
-	return Value{kind: KindTuple, tuple: fs}
+	return tupleValue(fs)
 }
 
 // Elems returns the elements of a set (in canonical order) or list (in list
@@ -336,22 +378,20 @@ func (v Value) Elems() []Value {
 	if v.kind != KindSet && v.kind != KindList {
 		panic("value: " + v.kind.String() + " has no elements")
 	}
-	return v.elems
+	return v.elems()
 }
 
 // Len returns the number of elements of a set or list, or fields of a tuple.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindSet, KindList:
-		return len(v.elems)
-	case KindTuple:
-		return len(v.tuple)
+	case KindSet, KindList, KindTuple:
+		return int(v.w)
 	}
 	panic("value: " + v.kind.String() + " has no length")
 }
 
 // IsEmptySet reports whether v is a set with no elements.
-func (v Value) IsEmptySet() bool { return v.kind == KindSet && len(v.elems) == 0 }
+func (v Value) IsEmptySet() bool { return v.kind == KindSet && v.w == 0 }
 
 // String renders the value in TM-ish syntax: tuples as ⟨a = 1, b = {…}⟩
 // printed with parentheses, sets in braces, lists in brackets.
@@ -366,20 +406,20 @@ func (v Value) write(sb *strings.Builder) {
 	case KindNull:
 		sb.WriteString("NULL")
 	case KindBool:
-		if v.b {
+		if v.w != 0 {
 			sb.WriteString("true")
 		} else {
 			sb.WriteString("false")
 		}
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(v.i(), 10))
 	case KindFloat:
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(v.f(), 'g', -1, 64))
 	case KindString:
-		sb.WriteString(strconv.Quote(v.s))
+		sb.WriteString(strconv.Quote(v.str()))
 	case KindTuple:
 		sb.WriteByte('(')
-		for i, f := range v.tuple {
+		for i, f := range v.fields() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -390,7 +430,7 @@ func (v Value) write(sb *strings.Builder) {
 		sb.WriteByte(')')
 	case KindSet:
 		sb.WriteByte('{')
-		for i, e := range v.elems {
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -399,7 +439,7 @@ func (v Value) write(sb *strings.Builder) {
 		sb.WriteByte('}')
 	case KindList:
 		sb.WriteByte('[')
-		for i, e := range v.elems {
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -420,9 +460,9 @@ func Compare(a, b Value) int {
 	// Numeric cross-kind comparison.
 	if a.IsNumeric() && b.IsNumeric() && ka != kb {
 		if ka == KindInt {
-			return compareIntFloat(a.i, b.f)
+			return compareIntFloat(a.i(), b.f())
 		}
-		return -compareIntFloat(b.i, a.f)
+		return -compareIntFloat(b.i(), a.f())
 	}
 	if ka != kb {
 		if ka < kb {
@@ -434,52 +474,35 @@ func Compare(a, b Value) int {
 	case KindNull:
 		return 0
 	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0
-		case !a.b:
-			return -1
-		default:
-			return 1
-		}
+		// false (0) orders before true (1).
+		return cmp.Compare(a.w, b.w)
 	case KindInt:
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(a.i(), b.i())
 	case KindFloat:
-		return compareFloat(a.f, b.f)
+		return compareFloat(a.f(), b.f())
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindTuple:
-		n := len(a.tuple)
-		if len(b.tuple) < n {
-			n = len(b.tuple)
-		}
+		af, bf := a.fields(), b.fields()
+		n := min(len(af), len(bf))
 		for i := 0; i < n; i++ {
-			if c := strings.Compare(a.tuple[i].Label, b.tuple[i].Label); c != 0 {
+			if c := strings.Compare(af[i].Label, bf[i].Label); c != 0 {
 				return c
 			}
-			if c := Compare(a.tuple[i].V, b.tuple[i].V); c != 0 {
+			if c := Compare(af[i].V, bf[i].V); c != 0 {
 				return c
 			}
 		}
-		return len(a.tuple) - len(b.tuple)
+		return len(af) - len(bf)
 	case KindSet, KindList:
-		n := len(a.elems)
-		if len(b.elems) < n {
-			n = len(b.elems)
-		}
+		ae, be := a.elems(), b.elems()
+		n := min(len(ae), len(be))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.elems[i], b.elems[i]); c != 0 {
+			if c := Compare(ae[i], be[i]); c != 0 {
 				return c
 			}
 		}
-		return len(a.elems) - len(b.elems)
+		return len(ae) - len(be)
 	}
 	panic("value: unreachable kind in Compare")
 }

@@ -103,7 +103,7 @@ func TestConcatExtendMatchTupleOf(t *testing.T) {
 			}
 		}
 		want := TupleOf(all...)
-		if got := TupleOf(left...).Concat(TupleOf(right...)); !reflect.DeepEqual(got.Fields(), want.Fields()) {
+		if got := TupleOf(left...).Concat(TupleOf(right...)); !Equal(got, want) {
 			t.Fatalf("Concat(%v, %v) = %s, want %s", left, right, got, want)
 		}
 		if len(all) == 0 {
@@ -111,7 +111,7 @@ func TestConcatExtendMatchTupleOf(t *testing.T) {
 		}
 		k := r.Intn(len(all))
 		rest := append(append([]Field(nil), all[:k]...), all[k+1:]...)
-		if got := TupleOf(rest...).Extend(all[k].Label, all[k].V); !reflect.DeepEqual(got.Fields(), want.Fields()) {
+		if got := TupleOf(rest...).Extend(all[k].Label, all[k].V); !Equal(got, want) {
 			t.Fatalf("Extend(%v, %s) = %s, want %s", rest, all[k].Label, got, want)
 		}
 	}
