@@ -8,7 +8,6 @@
 //	tmql -db xyz                   # REPL over the synthetic X/Y/Z database
 //	tmql -q 'SELECT d.name FROM DEPT d'
 //	tmql -q '...' -strategy naive -explain
-//	tmql -q '...' -batch 1024      (vectorized batches of 1024 rows; -1 = rows)
 //	tmql -q '...' -pin rewrite     (pin the §6-rewritten alternative)
 //	tmql -q '...' -pin 'order:((z y) x)'
 //	tmql -plancache 64             (bound the LRU plan cache)
@@ -26,10 +25,6 @@
 //	                                × join family under auto)
 //	\strategy auto|naive|nestjoin|kim|outerjoin
 //	\joins auto|nl|hash|merge|index
-//	\batch <n>|auto|row           (vectorized execution: auto lets the cost
-//	                               model weigh batched against row-at-a-time
-//	                               plans, n pins batches of n rows, row pins
-//	                               row-at-a-time)
 //	\pin <label>|off              (pin a logical alternative by label:
 //	                               base | rewrite | order:…)
 //	\access auto|scan|index       (access path for selections: auto lets the
@@ -87,7 +82,6 @@ func main() {
 		strategy = flag.String("strategy", "auto", "auto | naive | nestjoin | kim | outerjoin")
 		joins    = flag.String("joins", "auto", "auto | nl | hash | merge | index")
 		access   = flag.String("access", "auto", "auto | scan | index (access path for selections)")
-		batch    = flag.Int("batch", 0, "rows per vectorized batch (0 = cost model decides, -1 = row-at-a-time)")
 		pin      = flag.String("pin", "", "pin a logical alternative by candidate-table label (base | rewrite | order:…)")
 		cacheCap = flag.Int("plancache", 0, "plan-cache LRU capacity (0 = default 256)")
 		explain  = flag.Bool("explain", false, "print the physical plan with cost estimates instead of executing")
@@ -113,7 +107,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	opts.BatchSize = *batch
 	opts.PinAlt = *pin
 	opts.Limits = engine.Limits{Timeout: *timeout, MaxRows: *maxRows, MaxBuildBytes: *maxBuild}
 
@@ -209,9 +202,6 @@ func runOne(eng *engine.Engine, q string, opts engine.Options, explain bool) err
 	if res.Access == planner.AccessIndex {
 		how += ", idxscan"
 	}
-	if res.Batch > 0 {
-		how += fmt.Sprintf(", batch %d", res.Batch)
-	}
 	if res.CacheHit {
 		how += ", plan cached"
 	}
@@ -251,7 +241,7 @@ func analyze(eng *engine.Engine) {
 
 func repl(eng *engine.Engine, opts engine.Options) {
 	fmt.Println("tmql — nested-query optimization shell (EDBT'94 reproduction)")
-	fmt.Printf("strategy=%s; explain <q>, \\strategy, \\joins, \\batch, \\pin, \\timeout, \\budget, \\cache, \\analyze, \\insert, \\delete, \\index, \\tables, \\quit\n", opts.Strategy)
+	fmt.Printf("strategy=%s; explain <q>, \\strategy, \\joins, \\pin, \\timeout, \\budget, \\cache, \\analyze, \\insert, \\delete, \\index, \\tables, \\quit\n", opts.Strategy)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -288,33 +278,6 @@ func repl(eng *engine.Engine, opts engine.Options) {
 			}
 			opts.Joins = o.Joins
 			fmt.Println("join impl updated")
-		case line == "\\batch":
-			switch {
-			case opts.BatchSize > 0:
-				fmt.Printf("batch = %d (\\batch <n>|auto|row to change)\n", opts.BatchSize)
-			case opts.BatchSize < 0:
-				fmt.Println("batch = row (\\batch <n>|auto|row to change)")
-			default:
-				fmt.Println("batch = auto (\\batch <n>|auto|row to change)")
-			}
-		case strings.HasPrefix(line, "\\batch "):
-			arg := strings.TrimSpace(strings.TrimPrefix(line, "\\batch "))
-			switch arg {
-			case "auto":
-				opts.BatchSize = 0
-				fmt.Println("batch = auto (cost model weighs batched vs row plans)")
-			case "row":
-				opts.BatchSize = -1
-				fmt.Println("batch = row (row-at-a-time execution pinned)")
-			default:
-				n, err := strconv.Atoi(arg)
-				if err != nil || n <= 0 {
-					fmt.Println("usage: \\batch <n>|auto|row  (n > 0 pins batches of n rows)")
-					continue
-				}
-				opts.BatchSize = n
-				fmt.Printf("batch = %d\n", n)
-			}
 		case line == "\\access":
 			fmt.Printf("access path = %s (\\access auto|scan|index to change)\n", opts.Access)
 		case strings.HasPrefix(line, "\\access "):

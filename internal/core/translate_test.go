@@ -44,7 +44,7 @@ func runE(cat *schema.Catalog, db *storage.DB, src string, s Strategy, ji planne
 	if err != nil {
 		return value.Value{}, fmt.Errorf("compile: %w", err)
 	}
-	v, err := tree.Collect(nil)
+	v, err := exec.CollectBatches(tree)
 	if err != nil {
 		return value.Value{}, fmt.Errorf("exec (%s): %w", algebra.Explain(plan), err)
 	}
@@ -499,7 +499,7 @@ func execPlan(t *testing.T, db *storage.DB, plan algebra.Plan) value.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := tree.Collect(nil)
+	v, err := exec.CollectBatches(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,59 @@
+//go:build !race
+
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"tmdb/internal/datagen"
+)
+
+// TestPointPathAllocs guards the allocations of the prepared point lookups
+// the point_wire, adhoc_plan and mixed_rw benchmark workloads are made of,
+// on the benchmark's dataset shape and indexes, served from the plan cache.
+// The bounds are what the same lookups allocated through row-at-a-time
+// operators (go1.24, amd64): a batch of one must cost no more than a row.
+// The race detector changes allocation counts, so -race builds leave it out.
+func TestPointPathAllocs(t *testing.T) {
+	cat, db := datagen.XYZ(datagen.Spec{NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994})
+	eng := New(cat, db)
+	for _, ix := range [][]string{{"X", "b"}, {"Y", "d"}, {"Y", "b", "d"}} {
+		if err := eng.CreateIndex(ix[0], ix[1:]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Analyze()
+	ys, _ := db.Table("Y")
+	y := ys.Rows()[0]
+	const semi = ` AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
+	for _, tc := range []struct {
+		name, query string
+		max         float64
+	}{
+		{"point_x", `SELECT x FROM X x WHERE x.b = 7`, 31},
+		{"point_y", fmt.Sprintf(`SELECT y.a FROM Y y WHERE y.b = %d AND y.d = %d`, y.MustGet("b").AsInt(), y.MustGet("d").AsInt()), 43},
+		{"point_y_miss", `SELECT y.a FROM Y y WHERE y.b = 7 AND y.d = 7`, 38},
+		{"semi_pt", `SELECT x FROM X x WHERE x.b = 7` + semi, 56},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := eng.Prepare(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Query(Options{}); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				res, err := p.Query(Options{})
+				if err != nil || !res.CacheHit {
+					t.Fatalf("execution missed the plan cache (err %v)", err)
+				}
+			})
+			t.Logf("%.0f allocs per execution", allocs)
+			if allocs > tc.max {
+				t.Errorf("%.0f allocs per execution, want at most %.0f", allocs, tc.max)
+			}
+		})
+	}
+}

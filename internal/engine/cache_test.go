@@ -49,10 +49,10 @@ func TestPlanCacheHitsRepeatedQueries(t *testing.T) {
 		if !value.Equal(res.Value, first.Value) {
 			t.Fatalf("repeat %d: cached plan produced a different result", i)
 		}
-		if res.Strategy != first.Strategy || res.Joins != first.Joins || res.Batch != first.Batch {
-			t.Fatalf("repeat %d: decision drifted: %v×%v×%d vs %v×%v×%d", i,
-				res.Strategy, res.Joins, res.Batch,
-				first.Strategy, first.Joins, first.Batch)
+		if res.Strategy != first.Strategy || res.Joins != first.Joins || res.Access != first.Access {
+			t.Fatalf("repeat %d: decision drifted: %v×%v×%v vs %v×%v×%v", i,
+				res.Strategy, res.Joins, res.Access,
+				first.Strategy, first.Joins, first.Access)
 		}
 	}
 	st = eng.PlanCacheStats()
@@ -62,7 +62,7 @@ func TestPlanCacheHitsRepeatedQueries(t *testing.T) {
 }
 
 // TestPlanCacheKeyedOnOptions checks that differing options plan separately:
-// a fixed strategy, a different join family, a different batch size, and
+// a fixed strategy, different join families, a different access path, and
 // the rewrite pin each get their own entry.
 func TestPlanCacheKeyedOnOptions(t *testing.T) {
 	eng := xyzEngine(t)
@@ -70,8 +70,8 @@ func TestPlanCacheKeyedOnOptions(t *testing.T) {
 		{},
 		{Strategy: core.StrategyNestJoin},
 		{Strategy: core.StrategyNestJoin, Joins: planner.ImplNestedLoop},
-		{Strategy: core.StrategyNestJoin, BatchSize: 64},
-		{Strategy: core.StrategyNestJoin, BatchSize: 256},
+		{Strategy: core.StrategyNestJoin, Joins: planner.ImplHash},
+		{Strategy: core.StrategyNestJoin, Access: planner.AccessIndex},
 		{PinAlt: planner.AltRewrite},
 	}
 	for _, opts := range optss {
@@ -122,15 +122,15 @@ func TestPlanCacheSurvivesAnalyze(t *testing.T) {
 }
 
 // TestPlanCacheServesExplain checks Explain and Query share the cache and
-// that Explain renders the batch header.
+// that Explain renders the access-path header.
 func TestPlanCacheServesExplain(t *testing.T) {
 	eng := xyzEngine(t)
 	out, err := eng.Explain(cacheQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "batch=") {
-		t.Errorf("Explain misses the batch header:\n%s", out)
+	if !strings.Contains(out, "access=") {
+		t.Errorf("Explain misses the access header:\n%s", out)
 	}
 	res, err := eng.Query(cacheQ, Options{})
 	if err != nil {

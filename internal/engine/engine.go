@@ -4,8 +4,7 @@
 // optimizer: it translates the query under every correct strategy, expands
 // each translation into its logical alternatives (the plan as translated,
 // its §6 rewrite, and reordered join trees for multi-FROM blocks), costs
-// every alternative × join-family × access-path × batch-size combination
-// against the statistics catalog (exact for tiny tables, histogram/sketch
+// every alternative × join-family × access-path combination against the statistics catalog (exact for tiny tables, histogram/sketch
 // estimates above the threshold), and executes the cheapest — the path
 // Explain renders together with the full candidate table. Options.PinAlt
 // pins one logical alternative.
@@ -127,31 +126,11 @@ type Options struct {
 	// plan-cache key and identical queries share cached plans across
 	// different budgets.
 	Limits Limits
-	// BatchSize controls vectorized (batch-at-a-time) execution. The zero
-	// value defers to the planner: under StrategyAuto the cost model weighs a
-	// vectorized variant (at exec.DefaultBatchSize) against row-at-a-time for
-	// every candidate; under a fixed strategy zero stays row-at-a-time so
-	// historical experiment numbers are unaffected. A positive value pins
-	// vectorized execution at that many rows per batch (clamped to
-	// exec.MaxBatchSize); a negative value pins row-at-a-time execution.
-	// Results are identical either way — batching only trades dispatch
-	// overhead.
-	BatchSize int
 }
 
-// pin translates the physical options into the planner's pin. BatchSize is
-// canonicalized for the plan-cache key: every negative value pins
-// row-at-a-time (-1), positive values clamp to the effective size, zero
-// defers to the planner.
+// pin translates the physical options into the planner's pin.
 func (o Options) pin() planner.PhysicalSpec {
-	pin := planner.PhysicalSpec{Joins: o.Joins, Access: o.Access, Batch: o.BatchSize}
-	switch {
-	case pin.Batch < 0:
-		pin.Batch = -1
-	case pin.Batch > 0:
-		pin.Batch = exec.NormalizeBatchSize(pin.Batch)
-	}
-	return pin
+	return planner.PhysicalSpec{Joins: o.Joins, Access: o.Access}
 }
 
 // Result is the outcome of a query execution.
@@ -178,8 +157,6 @@ type Result struct {
 	// the benchmark harness (bench/trace.go) still reads it; the next change
 	// to the benchmark removes that read, and then this field.
 	Parallelism int
-	// Batch is the vectorized batch size the plan ran at (0 = row-at-a-time).
-	Batch int
 	// Cost is the plan's estimated cost. Populated only on the cost-based
 	// path (Auto), so fixed-strategy benchmark runs skip statistics work.
 	Cost planner.Cost
@@ -369,7 +346,7 @@ func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *pla
 		}
 		return nil, cerr
 	}
-	v, err := tree.Collect(gov)
+	v, err := exec.CollectBatchesGoverned(gov, tree)
 	if err != nil {
 		// A table dropped between the liveness pre-check and execution fails
 		// deep in the executor with an untyped unknown-table error; reclassify
@@ -390,7 +367,6 @@ func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *pla
 		Joins:       pl.Joins,
 		Access:      pl.Access,
 		Parallelism: 1,
-		Batch:       pl.Batch,
 		Cost:        pl.cost,
 		Auto:        pl.auto,
 		CacheHit:    hit,
@@ -450,7 +426,7 @@ func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, err
 // strategy, or under every correct one), settle the logical alternatives
 // (the pinned one, or all of them for the optimizer to weigh), and resolve
 // the physical spec — by the pin's fixed defaults under a fixed strategy, by
-// cost over alternative × join-family × access × batch candidates otherwise.
+// cost over alternative × join-family × access candidates otherwise.
 func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpec) (*planned, error) {
 	est := planner.NewEstimatorStats(e.statsCat)
 	alts, err := e.alternatives(bound, opts, est)
@@ -526,7 +502,7 @@ func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estima
 }
 
 // Explain parses, binds, and plans a query, returning the physical plan
-// rendering — chosen strategy, join family, access path and batch size,
+// rendering — chosen strategy, join family and access path,
 // per-operator estimated rows and cost, and (on the cost-based path) every
 // candidate considered — without executing it. Planning is served from the
 // plan cache when possible, exactly as execution would be.
@@ -586,12 +562,8 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	if alt == "" {
 		alt = planner.AltBase
 	}
-	batch := "row"
-	if pl.Batch > 0 {
-		batch = fmt.Sprintf("%d", pl.Batch)
-	}
-	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s batch=%s (%s)\n",
-		pl.strategy, alt, pl.Joins, pl.Access, batch, mode)
+	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s (%s)\n",
+		pl.strategy, alt, pl.Joins, pl.Access, mode)
 	b.WriteString(est.Explain(pl.plan, pl.PhysicalSpec))
 	if pl.auto && len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")

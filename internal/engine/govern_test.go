@@ -36,8 +36,9 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d at start, %d now", base, runtime.NumGoroutine())
 }
 
-// TestDeadlineAbortsSlowPlan is the PR's acceptance scenario: a query with a
-// 50ms deadline against a plan that would run >1s (scan delayed 1ms/row)
+// TestDeadlineAbortsSlowPlan is the deadline acceptance scenario: a query
+// with a 50ms deadline against a plan that would run >1s (every hash build
+// and probe row delayed 1ms)
 // must return deadline_exceeded in well under 200ms, leak no goroutines, and
 // leave the engine answering byte-identically afterwards.
 func TestDeadlineAbortsSlowPlan(t *testing.T) {
@@ -51,16 +52,17 @@ func TestDeadlineAbortsSlowPlan(t *testing.T) {
 	deactivate := faultinject.Activate(faultinject.Schedule{
 		Seed: 1,
 		Rules: []faultinject.Rule{
-			{Point: faultinject.PointScan, Kind: faultinject.Delay, OneInN: 1, Delay: time.Millisecond},
+			{Point: faultinject.PointHashBuild, Kind: faultinject.Delay, OneInN: 1, Delay: time.Millisecond},
+			{Point: faultinject.PointHashProbe, Kind: faultinject.Delay, OneInN: 1, Delay: time.Millisecond},
 		},
 	})
 	defer deactivate()
 	base := runtime.NumGoroutine()
-	// BatchSize -1 pins row-at-a-time execution: this schedule's 1ms delay
-	// per PointScan hit only makes the plan slow when hits are per row.
-	// govern_batch_test.go covers the batched abort bounds.
+	// Scans hit their fault point once per batch; the build and probe
+	// points fire per row, which is what makes this plan slow.
+	// govern_batch_test.go covers the per-batch scan delay.
 	opts := Options{
-		Joins: planner.ImplHash, BatchSize: -1,
+		Joins:  planner.ImplHash,
 		Limits: Limits{Timeout: 50 * time.Millisecond},
 	}
 	start := time.Now()
@@ -96,7 +98,7 @@ func TestQueryContextCancellation(t *testing.T) {
 	deactivate := faultinject.Activate(faultinject.Schedule{
 		Seed: 2,
 		Rules: []faultinject.Rule{
-			{Point: faultinject.PointScan, Kind: faultinject.Delay, OneInN: 1, Delay: time.Millisecond},
+			{Point: faultinject.PointHashBuild, Kind: faultinject.Delay, OneInN: 1, Delay: time.Millisecond},
 		},
 	})
 	defer deactivate()
@@ -106,7 +108,7 @@ func TestQueryContextCancellation(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	_, err := eng.QueryContext(ctx, slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: -1})
+	_, err := eng.QueryContext(ctx, slowJoinQuery, Options{Joins: planner.ImplHash})
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -172,9 +174,9 @@ func TestPanicIsolation(t *testing.T) {
 			{Point: faultinject.PointHashBuild, Kind: faultinject.Panic, OneInN: 10},
 		},
 	})
-	// Row-pinned so the 1-in-10 build fault sees per-row hit ordinals;
-	// batched panic isolation is covered in govern_batch_test.go.
-	_, err = eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash, BatchSize: -1})
+	// The build point fires per row, so the 1-in-10 fault sees per-row hit
+	// ordinals.
+	_, err = eng.Query(slowJoinQuery, Options{Joins: planner.ImplHash})
 	deactivate()
 	var pe *PanicError
 	if !errors.As(err, &pe) {

@@ -41,8 +41,9 @@ func fuzzSpec(nx, ny, keys, dangPct uint8, seed int64) datagen.Spec {
 }
 
 // FuzzAutoMatchesNaive is the planner property test: over generated XYZ
-// schemas, the cost-based plan's result must equal the naive oracle's, and
-// EXPLAIN must render without error. The seed corpus covers every query
+// schemas, the cost-based plan's result and the paper's fixed nest-join
+// strategy's must equal the naive oracle's, and EXPLAIN must render without
+// error. The seed corpus covers every query
 // shape and runs under plain `go test`; `go test -fuzz=FuzzAutoMatchesNaive`
 // explores further.
 func FuzzAutoMatchesNaive(f *testing.F) {
@@ -74,6 +75,13 @@ func FuzzAutoMatchesNaive(f *testing.F) {
 		}
 		if auto.Strategy == core.StrategyKim {
 			t.Fatal("auto selected Kim")
+		}
+		nest, err := eng.Query(q, engine.Options{Strategy: core.StrategyNestJoin})
+		if err != nil {
+			t.Fatalf("nestjoin failed where naive succeeded: %v", err)
+		}
+		if value.Key(nest.Value) != value.Key(oracle.Value) {
+			t.Fatalf("nestjoin (× %s) differs from naive on spec %+v:\nquery: %s", nest.Joins, spec, q)
 		}
 
 		out, err := eng.Explain(q, engine.Options{})

@@ -29,33 +29,41 @@ var skewedXYZ = []struct {
 	}},
 }
 
+// skewIndexes are the persistent indexes the indexed catalog registers: one
+// on the right-hand key of every fuzz query's join, so the hot bucket is an
+// index bucket too.
+var skewIndexes = [][]string{{"Y", "d"}, {"Y", "b"}, {"Z", "d"}}
+
 // TestConformanceSkewMatchesNaive executes every fuzz query shape on each
 // hot-bucket instance under the auto planner and the nest-join and outer-join
-// strategies, crossed with every join family that needs no index and with
-// row-at-a-time and batched execution, and asserts each result is
-// byte-identical to the naive oracle.
+// strategies, crossed with every join family, over a bare catalog and one
+// with skewIndexes registered, and asserts each result is byte-identical to
+// the naive oracle.
 func TestConformanceSkewMatchesNaive(t *testing.T) {
 	strategies := []core.Strategy{core.StrategyAuto, core.StrategyNestJoin, core.StrategyOuterJoin}
-	impls := []planner.JoinImpl{planner.ImplAuto, planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge}
+	impls := []planner.JoinImpl{planner.ImplAuto, planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge, planner.ImplIndex}
 	for _, d := range skewedXYZ {
-		cat, db := datagen.XYZ(d.spec)
-		eng := engine.New(cat, db)
-		for qi, q := range fuzzQueries {
-			t.Run(fmt.Sprintf("%s/q%d", d.name, qi), func(t *testing.T) {
-				oracle, err := eng.Query(q, engine.Options{Strategy: core.StrategyNaive})
-				if err != nil {
-					t.Fatalf("naive: %v", err)
+		for _, catalog := range []string{"bare", "indexed"} {
+			cat, db := datagen.XYZ(d.spec)
+			eng := engine.New(cat, db)
+			if catalog == "indexed" {
+				for _, ix := range skewIndexes {
+					if err := eng.CreateIndex(ix[0], ix[1:]...); err != nil {
+						t.Fatal(err)
+					}
 				}
-				want := value.Key(oracle.Value)
-				for _, s := range strategies {
-					for _, ji := range impls {
-						for _, batch := range []int{-1, 64} {
-							mode := "row"
-							if batch > 0 {
-								mode = fmt.Sprintf("b%d", batch)
-							}
-							t.Run(fmt.Sprintf("%s×%s/%s", s, ji, mode), func(t *testing.T) {
-								res, err := eng.Query(q, engine.Options{Strategy: s, Joins: ji, BatchSize: batch})
+			}
+			for qi, q := range fuzzQueries {
+				t.Run(fmt.Sprintf("%s/%s/q%d", d.name, catalog, qi), func(t *testing.T) {
+					oracle, err := eng.Query(q, engine.Options{Strategy: core.StrategyNaive})
+					if err != nil {
+						t.Fatalf("naive: %v", err)
+					}
+					want := value.Key(oracle.Value)
+					for _, s := range strategies {
+						for _, ji := range impls {
+							t.Run(fmt.Sprintf("%s×%s", s, ji), func(t *testing.T) {
+								res, err := eng.Query(q, engine.Options{Strategy: s, Joins: ji})
 								if SkippableError(err) {
 									t.Skip(err)
 								}
@@ -69,17 +77,8 @@ func TestConformanceSkewMatchesNaive(t *testing.T) {
 							})
 						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

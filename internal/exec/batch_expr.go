@@ -9,7 +9,7 @@ import (
 	"tmdb/internal/value"
 )
 
-// Compiled row programs for the batched operators and the join family. The
+// Compiled row programs for the operators and the join family. The
 // expressions that dominate hot plans — field selections off the row
 // variables, comparisons against literals or other fields, conjunctions of
 // those, tuple constructors over them, and nest-join functions of that shape
@@ -17,7 +17,7 @@ import (
 // per-row loops skip the evaluator's tree walk entirely. Everything outside
 // this subset falls back to the generic evaluator with a reused environment
 // node (eval.Env.Rebind), which keeps semantics and error behavior exactly
-// those of the row engine.
+// those of the naive evaluator.
 //
 // Semantics parity: compiled comparisons go through eval.Apply — the same
 // function the evaluator uses — and compiled field selection reproduces the
@@ -126,10 +126,16 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 	return nil
 }
 
+// env1 builds the one-variable environment the generic fallbacks evaluate
+// under.
+func env1(name string, v value.Value) *eval.Env {
+	return (*eval.Env)(nil).Bind(name, v)
+}
+
 // rowPredicate evaluates a single-variable predicate per row: compiled when
 // the shape allows, generic evaluation under a reused environment node
-// otherwise. Not safe for concurrent use (the environment node is shared
-// across rows).
+// otherwise; the zero value (no predicate) passes every row. Not safe for
+// concurrent use (the environment node is shared across rows).
 type rowPredicate struct {
 	c        *Ctx
 	pred     tmql.Expr
@@ -137,8 +143,8 @@ type rowPredicate struct {
 	env      *eval.Env
 }
 
-func newRowPredicate(c *Ctx, pred tmql.Expr, varName string) *rowPredicate {
-	p := &rowPredicate{c: c, pred: pred}
+func newRowPredicate(c *Ctx, pred tmql.Expr, varName string) rowPredicate {
+	p := rowPredicate{c: c, pred: pred}
 	if pred == nil {
 		return p
 	}
@@ -157,6 +163,22 @@ func (p *rowPredicate) eval(row value.Value) (bool, error) {
 	}
 	p.env.Rebind(row)
 	return p.c.evalPred(p.pred, p.env)
+}
+
+// filter appends the rows that pass the predicate to out[:0], in input
+// order, retaining out's capacity.
+func (p *rowPredicate) filter(rows, out []value.Value) ([]value.Value, error) {
+	out = out[:0]
+	for _, v := range rows {
+		keep, err := p.eval(v)
+		if err != nil {
+			return out, err
+		}
+		if keep {
+			out = append(out, v)
+		}
+	}
+	return out, nil
 }
 
 // pairExpr is an expression over two row variables with the generic
@@ -261,8 +283,8 @@ type rowProjector struct {
 	env      *eval.Env
 }
 
-func newRowProjector(c *Ctx, out tmql.Expr, varName string) *rowProjector {
-	p := &rowProjector{c: c, out: out}
+func newRowProjector(c *Ctx, out tmql.Expr, varName string) rowProjector {
+	p := rowProjector{c: c, out: out}
 	if p.compiled = compileProjector(out, varName); p.compiled == nil {
 		p.env = env1(varName, value.Value{})
 	}

@@ -2,43 +2,40 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/faultinject"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
-// Batched forms of the hot-path leaf and unary operators. Each polls the
-// governor and hits its fault point once per batch (see batch.go for the
-// protocol), and runs its per-row work in a tight loop over the batch slice
-// through compiled row programs where the expressions allow.
+// The leaf and unary operators. Each polls the governor and hits its fault
+// point once per batch (see exec.go for the protocol), and runs its per-row
+// work in a tight loop over the batch slice through compiled row programs
+// where the expressions allow.
 
-// BatchTableScan reads a stored table one zero-copy batch at a time: each
-// emitted batch's Rows is a subslice of the table's row snapshot.
-type BatchTableScan struct {
+// TableScan reads a stored table one zero-copy batch at a time: each
+// emitted batch is a subslice of the table's row snapshot.
+type TableScan struct {
 	Ctx   *Ctx
 	Table string
-	Size  int
-	rows  []value.Value
-	i     int
-	b     Batch
+	src   chunks
 }
 
 // Open resolves the table.
-func (s *BatchTableScan) Open() error {
+func (s *TableScan) Open() error {
 	t, ok := s.Ctx.DB.Table(s.Table)
 	if !ok {
 		return fmt.Errorf("exec: unknown table %s", s.Table)
 	}
-	s.rows = t.Rows()
-	s.i = 0
-	s.Size = NormalizeBatchSize(s.Size)
+	s.src = chunks{rows: t.Rows()}
 	return nil
 }
 
 // NextBatch returns the next batch of rows.
-func (s *BatchTableScan) NextBatch() (*Batch, bool, error) {
-	if s.i >= len(s.rows) {
+func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
+	b, ok := s.src.next()
+	if !ok {
 		return nil, false, nil
 	}
 	if err := s.Ctx.checkBatch(); err != nil {
@@ -47,71 +44,61 @@ func (s *BatchTableScan) NextBatch() (*Batch, bool, error) {
 	if err := faultinject.Hit(faultinject.PointScan); err != nil {
 		return nil, false, err
 	}
-	end := s.i + s.Size
-	if end > len(s.rows) {
-		end = len(s.rows)
+	return b, true, nil
+}
+
+// Close releases the row snapshot.
+func (s *TableScan) Close() error { s.src = chunks{}; return nil }
+
+// EvalScan evaluates a closed set-typed TM expression with the naive
+// evaluator and emits its elements in zero-copy batches — the physical form
+// of algebra.EvalNode.
+type EvalScan struct {
+	Ctx  *Ctx
+	Expr tmql.Expr
+	src  chunks
+}
+
+// Open evaluates the expression.
+func (s *EvalScan) Open() error {
+	v, err := s.Ctx.evalIn(s.Expr, nil)
+	if err != nil {
+		return err
 	}
-	s.b.reset()
-	s.b.Rows = s.rows[s.i:end]
-	s.i = end
-	return &s.b, true, nil
-}
-
-// Close releases the row slice.
-func (s *BatchTableScan) Close() error { s.rows = nil; return nil }
-
-// BatchSliceScan iterates a fixed slice in zero-copy batches; the batched
-// SliceScan.
-type BatchSliceScan struct {
-	Rows []value.Value
-	Size int
-	i    int
-	b    Batch
-}
-
-// Open resets the cursor.
-func (s *BatchSliceScan) Open() error {
-	s.i = 0
-	s.Size = NormalizeBatchSize(s.Size)
+	if v.Kind() != value.KindSet && v.Kind() != value.KindList {
+		return fmt.Errorf("exec: EvalScan expression yielded %s, not a collection", v)
+	}
+	s.src = chunks{rows: v.Elems()}
 	return nil
 }
 
 // NextBatch returns the next batch of elements.
-func (s *BatchSliceScan) NextBatch() (*Batch, bool, error) {
-	if s.i >= len(s.Rows) {
-		return nil, false, nil
-	}
-	end := s.i + s.Size
-	if end > len(s.Rows) {
-		end = len(s.Rows)
-	}
-	s.b.reset()
-	s.b.Rows = s.Rows[s.i:end]
-	s.i = end
-	return &s.b, true, nil
+func (s *EvalScan) NextBatch() ([]value.Value, bool, error) {
+	b, ok := s.src.next()
+	return b, ok, nil
 }
 
-// Close is a no-op.
-func (s *BatchSliceScan) Close() error { return nil }
+// Close releases the elements.
+func (s *EvalScan) Close() error { s.src = chunks{}; return nil }
 
-// BatchFilter is the batched σ: it emits the input batch's qualifying rows.
-type BatchFilter struct {
+// Filter is σ: it emits the input batch's qualifying rows.
+type Filter struct {
 	Ctx  *Ctx
 	In   BatchIterator
 	Var  string
 	Pred tmql.Expr
-	pred *rowPredicate
-	out  Batch
+	pred rowPredicate
+	out  []value.Value
 }
 
 // Open compiles the predicate and opens the input.
-func (f *BatchFilter) Open() error {
+func (f *Filter) Open() error {
 	f.pred = newRowPredicate(f.Ctx, f.Pred, f.Var)
 	return f.In.Open()
 }
 
 // NextBatch filters input batches until one yields at least one row.
-func (f *BatchFilter) NextBatch() (*Batch, bool, error) {
+func (f *Filter) NextBatch() ([]value.Value, bool, error) {
 	for {
 		bt, ok, err := f.In.NextBatch()
 		if err != nil || !ok {
@@ -120,106 +107,88 @@ func (f *BatchFilter) NextBatch() (*Batch, bool, error) {
 		if err := f.Ctx.checkBatch(); err != nil {
 			return nil, false, err
 		}
-		f.out.reset()
-		for _, v := range bt.Rows {
-			keep, err := f.pred.eval(v)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				f.out.Rows = append(f.out.Rows, v)
-			}
+		if f.out, err = f.pred.filter(bt, f.out); err != nil {
+			return nil, false, err
 		}
-		if f.out.Len() > 0 {
-			return &f.out, true, nil
+		if len(f.out) > 0 {
+			return f.out, true, nil
 		}
 	}
 }
 
 // Close closes the input.
-func (f *BatchFilter) Close() error { return f.In.Close() }
+func (f *Filter) Close() error { return f.In.Close() }
 
-// BatchMap applies Out(Var) to every row of every input batch.
-type BatchMap struct {
-	Ctx  *Ctx
-	In   BatchIterator
-	Var  string
-	Out  tmql.Expr
-	proj *rowProjector
-	out  Batch
+// Map applies Out(Var) to every row of every input batch. With
+// Distinct set it also drops every output row equal to an earlier one: TM
+// collections are sets, and a map may collapse distinct inputs onto one value
+// that must not reach set-valued results twice. It dedups on the canonical
+// key encoding (the identity value.Key gives), looked up allocation-free via
+// string(buf); only first-seen rows pay a retained key-string allocation. A
+// map whose output is its bare variable, Map[x](x), without Distinct passes
+// its input batches through unchanged.
+type Map struct {
+	Ctx      *Ctx
+	In       BatchIterator
+	Var      string
+	Out      tmql.Expr
+	Distinct bool
+
+	identity bool
+	proj     rowProjector
+	seen     map[string]bool
+	scratch  []byte
+	out      []value.Value
 }
 
-// Open compiles the projection and opens the input.
-func (m *BatchMap) Open() error {
-	m.proj = newRowProjector(m.Ctx, m.Out, m.Var)
+// Open compiles the projection (none for the identity) and opens the input.
+func (m *Map) Open() error {
+	v, ok := m.Out.(*tmql.Var)
+	m.identity = ok && v.Name == m.Var
+	if !m.identity {
+		m.proj = newRowProjector(m.Ctx, m.Out, m.Var)
+	}
+	if m.Distinct {
+		m.seen = make(map[string]bool)
+	}
 	return m.In.Open()
 }
 
-// NextBatch maps the next input batch.
-func (m *BatchMap) NextBatch() (*Batch, bool, error) {
-	bt, ok, err := m.In.NextBatch()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if err := m.Ctx.checkBatch(); err != nil {
-		return nil, false, err
-	}
-	m.out.reset()
-	for _, v := range bt.Rows {
-		ov, err := m.proj.eval(v)
-		if err != nil {
-			return nil, false, err
-		}
-		m.out.Rows = append(m.out.Rows, ov)
-	}
-	return &m.out, true, nil
-}
-
-// Close closes the input.
-func (m *BatchMap) Close() error { return m.In.Close() }
-
-// BatchDistinct removes duplicates across batches. It dedups on the
-// canonical key encoding (the same identity value.Key gives the row
-// Distinct), looked up allocation-free via string(buf); only first-seen rows
-// pay a retained key-string allocation.
-type BatchDistinct struct {
-	Ctx     *Ctx
-	In      BatchIterator
-	seen    map[string]bool
-	scratch []byte
-	out     Batch
-}
-
-// Open opens the input and resets the seen table.
-func (d *BatchDistinct) Open() error {
-	d.seen = make(map[string]bool)
-	return d.In.Open()
-}
-
-// NextBatch dedups input batches until one yields a not-yet-seen row.
-func (d *BatchDistinct) NextBatch() (*Batch, bool, error) {
+// NextBatch maps input batches until one yields at least one row.
+func (m *Map) NextBatch() ([]value.Value, bool, error) {
 	for {
-		bt, ok, err := d.In.NextBatch()
+		bt, ok, err := m.In.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if err := d.Ctx.checkBatch(); err != nil {
+		if err := m.Ctx.checkBatch(); err != nil {
 			return nil, false, err
 		}
-		d.out.reset()
-		for _, v := range bt.Rows {
-			buf := value.AppendKey(d.scratch[:0], v)
-			d.scratch = buf[:0]
-			if !d.seen[string(buf)] {
-				d.seen[string(buf)] = true
-				d.out.Rows = append(d.out.Rows, v)
-			}
+		if m.identity && !m.Distinct {
+			return bt, true, nil
 		}
-		if d.out.Len() > 0 {
-			return &d.out, true, nil
+		m.out = slices.Grow(m.out[:0], len(bt))
+		for _, v := range bt {
+			if !m.identity {
+				if v, err = m.proj.eval(v); err != nil {
+					return nil, false, err
+				}
+			}
+			if m.Distinct {
+				buf := value.AppendKey(m.scratch[:0], v)
+				m.scratch = buf[:0]
+				if m.seen[string(buf)] {
+					continue
+				}
+				m.seen[string(buf)] = true
+			}
+			m.out = append(m.out, v)
+		}
+		if len(m.out) > 0 {
+			return m.out, true, nil
 		}
 	}
 }
 
-// Close closes the input.
-func (d *BatchDistinct) Close() error { d.seen = nil; return d.In.Close() }
+// Close releases the seen table and closes the input.
+func (m *Map) Close() error { m.seen = nil; return m.In.Close() }

@@ -9,94 +9,27 @@ import (
 	"tmdb/internal/value"
 )
 
-func collectBatches(t *testing.T, it BatchIterator) value.Value {
-	t.Helper()
-	v, err := CollectBatches(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-// batchSizes straddles the interesting boundaries: single-row batches, a
-// partial final batch, and the default.
-var batchSizes = []int{1, 3, 64, DefaultBatchSize}
-
-// TestAdaptersRoundTrip checks rows → batches → rows preserves content and
-// order at every batch size.
-func TestAdaptersRoundTrip(t *testing.T) {
-	rows := genRows(257, 13, "k", "v")
-	for _, size := range batchSizes {
-		got, err := Drain(&BatchToRows{In: &RowsToBatch{It: &SliceScan{Rows: rows}, Size: size}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(rows) {
-			t.Fatalf("size=%d: %d rows out, want %d", size, len(got), len(rows))
-		}
-		for i := range rows {
-			if !value.Equal(got[i], rows[i]) {
-				t.Fatalf("size=%d: row %d differs", size, i)
-			}
-		}
-	}
-}
-
-// TestBatchPipelineMatchesRow runs scan → filter → map → distinct in both
-// engines at every batch size, with predicates and projections inside and
-// outside the compiled subset, asserting canonical equality.
-func TestBatchPipelineMatchesRow(t *testing.T) {
-	rows := genRows(500, 23, "k", "v")
-	cases := []struct {
-		name string
-		pred string // filter over x
-		out  string // projection over x
-	}{
-		// Compiled: comparisons and field selections only.
-		{"compiled", "x.k <= 11", "(a = x.k, b = x.v)"},
-		// Conjunction still compiled; projection a bare scalar.
-		{"compiled-and", "x.k <= 11 and x.v >= 20", "x.k"},
-		// Arithmetic forces the generic fallback on both sides.
-		{"generic", "x.v % 3 = 0", "(m = x.v * 2)"},
-	}
-	for _, tc := range cases {
-		ctx := NewCtx(nil)
-		row := &Distinct{Ctx: ctx, In: &MapIter{Ctx: ctx, In: &Filter{
-			Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred(tc.pred)},
-			Var: "x", Out: pred(tc.out)}}
-		want := collect(t, row)
-		for _, size := range batchSizes {
-			bctx := NewCtx(nil)
-			bat := &BatchDistinct{Ctx: bctx, In: &BatchMap{Ctx: bctx, In: &BatchFilter{
-				Ctx: bctx, In: &BatchSliceScan{Rows: rows, Size: size}, Var: "x", Pred: pred(tc.pred)},
-				Var: "x", Out: pred(tc.out)}}
-			got := collectBatches(t, bat)
-			if !value.Equal(got, want) {
-				t.Errorf("%s/size=%d: batch differs from row:\nwant %s\ngot  %s", tc.name, size, want, got)
-			}
-		}
-	}
-}
-
 // TestCompiledPredicateErrorsMatchGeneric pins error parity: a predicate
 // whose field selection fails must produce the evaluator's exact error
 // whether it ran compiled or generic.
 func TestCompiledPredicateErrorsMatchGeneric(t *testing.T) {
 	rows := []value.Value{tup("k", 1, "v", 2)}
-	rowIt := &Filter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Var: "x", Pred: pred("x.missing = 1")}
-	_, rowErr := Collect(rowIt)
-	batIt := &BatchFilter{Ctx: NewCtx(nil), In: &BatchSliceScan{Rows: rows}, Var: "x", Pred: pred("x.missing = 1")}
-	_, batErr := CollectBatches(batIt)
-	if rowErr == nil || batErr == nil {
-		t.Fatalf("expected errors, got row=%v batch=%v", rowErr, batErr)
-	}
-	if rowErr.Error() != batErr.Error() {
-		t.Errorf("error mismatch:\nrow   %v\nbatch %v", rowErr, batErr)
+	for _, p := range []string{"x.missing = 1", "x.k.z = 1"} {
+		_, evalErr := NewCtx(nil).evalPred(pred(p), env1("x", rows[0]))
+		it := &Filter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Var: "x", Pred: pred(p)}
+		_, err := CollectBatches(it)
+		if evalErr == nil || err == nil {
+			t.Fatalf("%s: expected errors, got evaluator=%v filter=%v", p, evalErr, err)
+		}
+		if evalErr.Error() != err.Error() {
+			t.Errorf("%s: error mismatch:\nevaluator %v\nfilter    %v", p, evalErr, err)
+		}
 	}
 }
 
-// TestBatchDistinctIdentity checks BatchDistinct's encoding-based dedup
-// agrees with the row Distinct's value.Key dedup on values of every kind.
+// TestBatchDistinctIdentity checks the deduplicating map's encoding-based dedup
+// agrees with value.Key's identity on values of every kind, across batch
+// boundaries.
 func TestBatchDistinctIdentity(t *testing.T) {
 	rows := []value.Value{
 		value.Int(1), value.Float(1), // ints normalize to floats in both identities
@@ -104,10 +37,22 @@ func TestBatchDistinctIdentity(t *testing.T) {
 		tup("a", 1, "b", 2), tup("b", 2, "a", 1), // label-sorted: equal tuples
 		value.SetOf(value.Int(1), value.Int(2)), value.SetOf(value.Int(2), value.Int(1)),
 	}
-	want := collect(t, &Distinct{In: &SliceScan{Rows: rows}})
-	got := collectBatches(t, &BatchDistinct{Ctx: NewCtx(nil), In: &BatchSliceScan{Rows: rows, Size: 2}})
-	if !value.Equal(got, want) {
-		t.Errorf("distinct identity mismatch:\nwant %s\ngot  %s", want, got)
+	keys := map[string]bool{}
+	for _, r := range rows {
+		keys[value.Key(r)] = true
+	}
+	for _, size := range splitSizes {
+		got, err := drainRows(&Map{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows, Size: size}, Var: "v", Out: pred("v"), Distinct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, r := range got {
+			seen[value.Key(r)] = true
+		}
+		if len(got) != len(keys) || len(seen) != len(keys) {
+			t.Errorf("size=%d: %d rows out (%d distinct), want the %d distinct values", size, len(got), len(seen), len(keys))
+		}
 	}
 }
 
@@ -115,23 +60,23 @@ func TestBatchDistinctIdentity(t *testing.T) {
 // sorted runs built from batches of size rows.
 func mergeSelfJoin(ctx *Ctx, rows []value.Value, size int) *MergeNestJoin {
 	return &MergeNestJoin{
-		Ctx: ctx, L: &BatchSliceScan{Rows: rows, Size: size}, R: &BatchSliceScan{Rows: rows, Size: size},
+		Ctx: ctx, L: &SliceScan{Rows: rows, Size: size}, R: &SliceScan{Rows: rows, Size: size},
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
 		Fn: pred("y.v"), Label: "g",
 	}
 }
 
-// TestSortedRunBatchSizes drains the merge nest join at every batch size and
+// TestSortedRunBatchSizes drains the merge nest join at every split size and
 // asserts the emitted sequence — not just the set — is byte-identical to the
 // single-row-batch build's: the sorted runs do not depend on batching.
 func TestSortedRunBatchSizes(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
-	want, err := Drain(mergeSelfJoin(NewCtx(nil), rows, 1))
+	want, err := drainRows(mergeSelfJoin(NewCtx(nil), rows, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range batchSizes {
-		got, err := Drain(mergeSelfJoin(NewCtx(nil), rows, size))
+	for _, size := range splitSizes {
+		got, err := drainRows(mergeSelfJoin(NewCtx(nil), rows, size))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,12 +93,12 @@ func TestSortedRunBatchSizes(t *testing.T) {
 
 // TestSortBatchBuildBudget pins the sorted-run build's governance: the flat
 // per-row build charge is accounted (summed per batch), so a build budget
-// trips at any batch size.
+// trips at any split size.
 func TestSortBatchBuildBudget(t *testing.T) {
 	rows := genRows(500, 23, "k", "v")
-	for _, size := range []int{1, 64} {
+	for _, size := range splitSizes {
 		gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
-		_, err := Drain(mergeSelfJoin(NewCtxGoverned(nil, gov), rows, size))
+		_, err := drainRows(mergeSelfJoin(NewCtxGoverned(nil, gov), rows, size))
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Resource != "build_bytes" {
 			t.Fatalf("size=%d: want build_bytes BudgetError, got %v", size, err)
@@ -162,19 +107,18 @@ func TestSortBatchBuildBudget(t *testing.T) {
 }
 
 // TestMergeNestJoinMatchesNL builds the merge nest join's sorted runs at
-// every batch size and asserts byte-identity with the nested-loop nest
+// every split size and asserts byte-identity with the nested-loop nest
 // join, with and without a residual.
 func TestMergeNestJoinMatchesNL(t *testing.T) {
 	l, r := genRows(400, 13, "k", "v"), genRows(200, 7, "j", "w")
 	lk, rk := []tmql.Expr{pred("x.k")}, []tmql.Expr{pred("y.j")}
 	for rname, residual := range map[string]tmql.Expr{"nil": nil, "residual": pred("x.v <= y.w")} {
-		want := collect(t, &NLNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-			LVar: "x", RVar: "y", Pred: joinPred("x.k = y.j", residual), Fn: pred("y"), Label: "g",
-		})
-		for _, size := range batchSizes {
+		ref := nlNestJoin(l, r, joinPred("x.k = y.j", residual))
+		ref.Label = "g"
+		want := collect(t, ref)
+		for _, size := range splitSizes {
 			got := collect(t, &MergeNestJoin{
-				Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
+				Ctx: NewCtx(nil), L: &SliceScan{Rows: l, Size: size}, R: &SliceScan{Rows: r, Size: size},
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk,
 				Residual: residual, Fn: pred("y"), Label: "g",
 			})

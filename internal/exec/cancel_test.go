@@ -50,7 +50,7 @@ func cancelMidRun(t *testing.T, point, want string, mk func(ctx *Ctx) BatchItera
 	}
 	deactivate()
 
-	if got := collectBatches(t, mk(NewCtx(nil))).String(); got != want {
+	if got := collect(t, mk(NewCtx(nil))).String(); got != want {
 		t.Fatalf("post-cancel rerun diverged from oracle:\nwant %s\ngot  %s", want, got)
 	}
 }
@@ -81,10 +81,7 @@ func TestHashJoinCancellation(t *testing.T) {
 // TestHashNestJoinCancellation is the same contract for the hash nest join.
 func TestHashNestJoinCancellation(t *testing.T) {
 	l, r := genRows(1000, 17, "k", "v"), genRows(500, 11, "j", "w")
-	want := collect(t, &NLNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r}, LVar: "x", RVar: "y",
-		Pred: pred("x.k = y.j"), Fn: pred("y"), Label: "s",
-	}).String()
+	want := collect(t, nlNestJoin(l, r, pred("x.k = y.j"))).String()
 	for _, ph := range hashPhases {
 		t.Run(ph.name, func(t *testing.T) {
 			cancelMidRun(t, ph.point, want, func(ctx *Ctx) BatchIterator {
@@ -113,5 +110,30 @@ func TestGovernorBudgets(t *testing.T) {
 	_, err = CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, 0))
 	if !errors.As(err, &be) || be.Resource != "build_bytes" {
 		t.Fatalf("want build_bytes BudgetError, got %v", err)
+	}
+}
+
+// TestRowBudgetBoundsJoinFanout pins that the row budget bounds what a join
+// materializes: with every left row matching every right row, a join that
+// emitted a whole left batch's output at once would build |L|·|R| tuples
+// before the budget could count any. Join cuts its output at
+// DefaultBatchSize rows, so the budget trips within one bucket's fanout.
+func TestRowBudgetBoundsJoinFanout(t *testing.T) {
+	l, r := genRows(DefaultBatchSize, 1, "k", "v"), genRows(4000, 1, "j", "w")
+	for name, method := range map[string]JoinMethod{"nl": JoinNL, "hash": JoinHash} {
+		gov := NewGovernor(context.Background(), Limits{MaxRows: 1000})
+		j := hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, 0)
+		if method == JoinNL {
+			j = nlJoin(algebra.JoinInner, l, r, nil)
+			j.Ctx = NewCtxGoverned(nil, gov)
+		}
+		_, err := CollectBatchesGoverned(gov, j)
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Resource != "rows" {
+			t.Fatalf("%s: want rows BudgetError, got %v", name, err)
+		}
+		if limit := int64(DefaultBatchSize + len(r)); be.Used > limit {
+			t.Errorf("%s: %d rows produced before the budget tripped, want at most %d", name, be.Used, limit)
+		}
 	}
 }

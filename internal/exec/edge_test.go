@@ -10,8 +10,8 @@ import (
 	"tmdb/internal/value"
 )
 
-// failingIter errors on Open or on the nth Next, for error-propagation
-// tests.
+// failingIter errors on Open or after n single-row batches, for
+// error-propagation tests.
 type failingIter struct {
 	failOpen bool
 	n        int
@@ -25,50 +25,43 @@ func (f *failingIter) Open() error {
 	return nil
 }
 
-func (f *failingIter) Next() (value.Value, bool, error) {
+func (f *failingIter) NextBatch() ([]value.Value, bool, error) {
 	if f.i >= f.n {
-		return value.Value{}, false, errors.New("boom-next")
+		return nil, false, errors.New("boom-next")
 	}
 	f.i++
-	return value.TupleOf(value.F("k", value.Int(int64(f.i)))), true, nil
+	return []value.Value{value.TupleOf(value.F("k", value.Int(int64(f.i))))}, true, nil
 }
 
 func (f *failingIter) Close() error { return nil }
 
-// operatorOf names the operator beneath a BatchToRows adapter.
-func operatorOf(it Iterator) any {
-	if a, ok := it.(*BatchToRows); ok {
-		return a.In
-	}
-	return it
-}
-
 func TestErrorPropagation(t *testing.T) {
 	ctx := NewCtx(nil)
-	iters := []Iterator{
+	iters := []BatchIterator{
 		&Filter{Ctx: ctx, In: &failingIter{failOpen: true}, Var: "x", Pred: pred("TRUE")},
-		&MapIter{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x.k")},
-		&MergeNestJoin{Ctx: ctx, L: &RowsToBatch{It: &failingIter{n: 2}}, R: &BatchSliceScan{}, LVar: "x", RVar: "y",
+		&Map{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x.k")},
+		&Map{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x")},
+		&MergeNestJoin{Ctx: ctx, L: &failingIter{n: 2}, R: &SliceScan{}, LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}, Fn: pred("y"), Label: "s"},
-		&Distinct{In: &failingIter{n: 1}},
-		&NLJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &SliceScan{}, R: &failingIter{failOpen: true},
-			LVar: "x", RVar: "y", Pred: pred("TRUE")},
-		&NestIter{In: &failingIter{n: 2}, Attrs: []string{"k"}, Label: "s"},
-		&UnnestIter{In: &failingIter{n: 1}, Attr: "k"},
-		&SetOpIter{Kind: 0, L: &SliceScan{}, R: &failingIter{n: 1}},
-		&BatchToRows{In: &HashNestJoin{
-			Ctx: ctx, L: &BatchSliceScan{}, R: &RowsToBatch{It: &failingIter{n: 1}},
+		&Map{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x"), Distinct: true},
+		&Join{Ctx: ctx, Method: JoinNL, Kind: algebra.JoinInner, L: &SliceScan{}, R: &failingIter{failOpen: true},
+			LVar: "x", RVar: "y", Residual: pred("TRUE")},
+		&NestIter{Ctx: ctx, In: &failingIter{n: 2}, Attrs: []string{"k"}, Label: "s"},
+		&UnnestIter{Ctx: ctx, In: &failingIter{n: 1}, Attr: "k"},
+		&SetOpIter{Ctx: ctx, Kind: 0, L: &SliceScan{}, R: &failingIter{n: 1}},
+		&Join{
+			Ctx: ctx, Method: JoinHash, L: &SliceScan{}, R: &failingIter{n: 1},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
 			Fn: pred("y"), Label: "s",
-		}},
-		&BatchToRows{In: &HashJoin{
-			Ctx: ctx, Kind: algebra.JoinInner, L: &RowsToBatch{It: &failingIter{n: 1}}, R: &BatchSliceScan{},
+		},
+		&Join{
+			Ctx: ctx, Method: JoinHash, Kind: algebra.JoinInner, L: &failingIter{n: 1}, R: &SliceScan{},
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
-		}},
+		},
 	}
 	for _, it := range iters {
-		if _, err := Collect(it); err == nil {
-			t.Errorf("%T should surface input errors", operatorOf(it))
+		if _, err := CollectBatches(it); err == nil {
+			t.Errorf("%T should surface input errors", it)
 		}
 	}
 }
@@ -78,12 +71,12 @@ func TestPredicateTypeErrors(t *testing.T) {
 	rows := []value.Value{tup("k", 1)}
 	// Predicate yields a non-boolean.
 	f := &Filter{Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred("x.k + 1")}
-	if _, err := Collect(f); err == nil || !strings.Contains(err.Error(), "not BOOL") {
+	if _, err := CollectBatches(f); err == nil || !strings.Contains(err.Error(), "not BOOL") {
 		t.Errorf("non-boolean predicate: %v", err)
 	}
 	// Predicate references missing field.
 	f2 := &Filter{Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred("x.nosuch = 1")}
-	if _, err := Collect(f2); err == nil {
+	if _, err := CollectBatches(f2); err == nil {
 		t.Error("missing field should error at evaluation")
 	}
 }
@@ -95,8 +88,8 @@ func TestJoinsOnEmptyInputs(t *testing.T) {
 
 	// Empty right side.
 	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter} {
-		nl := &NLJoin{Ctx: ctx, Kind: kind, L: &SliceScan{Rows: rows}, R: &SliceScan{},
-			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), RElem: yElem}
+		nl := &Join{Ctx: ctx, Method: JoinNL, Kind: kind, L: &SliceScan{Rows: rows}, R: &SliceScan{},
+			LVar: "x", RVar: "y", Residual: pred("x.d = y.b"), RElem: yElem}
 		got := collect(t, nl)
 		switch kind {
 		case algebra.JoinInner, algebra.JoinSemi:
@@ -115,9 +108,9 @@ func TestJoinsOnEmptyInputs(t *testing.T) {
 	}
 
 	// Empty left side: everything empty.
-	hj := &HashJoin{Ctx: ctx, Kind: algebra.JoinInner, L: &BatchSliceScan{}, R: &BatchSliceScan{Rows: rows},
+	hj := &Join{Ctx: ctx, Method: JoinHash, Kind: algebra.JoinInner, L: &SliceScan{}, R: &SliceScan{Rows: rows},
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.e")}}
-	if got := collectBatches(t, hj); got.Len() != 0 {
+	if got := collect(t, hj); got.Len() != 0 {
 		t.Errorf("hash join on empty left: %s", got)
 	}
 
@@ -149,7 +142,7 @@ func TestMergeNestJoinDuplicateKeys(t *testing.T) {
 	}
 	ys = append(ys, tup("a", 99, "b", 2))
 	mj := &MergeNestJoin{
-		Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: xs}, R: &BatchSliceScan{Rows: ys},
+		Ctx: NewCtx(nil), L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "s",
@@ -170,9 +163,9 @@ func TestNestJoinDuplicateFnImages(t *testing.T) {
 	// must deduplicate.
 	xs := []value.Value{tup("e", 1, "d", 1)}
 	ys := []value.Value{tup("a", 5, "b", 1), tup("a", 5, "b", 1), tup("a", 6, "b", 1)}
-	nj := &NLNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
-		LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y.a"), Label: "s",
+	nj := &Join{
+		Ctx: NewCtx(nil), Method: JoinNL, L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
+		LVar: "x", RVar: "y", Residual: pred("x.d = y.b"), Fn: pred("y.a"), Label: "s",
 	}
 	got := collect(t, nj)
 	if !value.Equal(got.Elems()[0].MustGet("s"), ints(5, 6)) {
@@ -182,39 +175,37 @@ func TestNestJoinDuplicateFnImages(t *testing.T) {
 
 func TestUnnestErrors(t *testing.T) {
 	// Attribute missing.
-	u := &UnnestIter{In: &SliceScan{Rows: []value.Value{tup("k", 1)}}, Attr: "zs"}
-	if _, err := Collect(u); err == nil {
+	ctx := NewCtx(nil)
+	u := &UnnestIter{Ctx: ctx, In: &SliceScan{Rows: []value.Value{tup("k", 1)}}, Attr: "zs"}
+	if _, err := CollectBatches(u); err == nil {
 		t.Error("missing attribute should error")
 	}
 	// Attribute not a set.
-	u2 := &UnnestIter{In: &SliceScan{Rows: []value.Value{tup("zs", 1)}}, Attr: "zs"}
-	if _, err := Collect(u2); err == nil {
+	u2 := &UnnestIter{Ctx: ctx, In: &SliceScan{Rows: []value.Value{tup("zs", 1)}}, Attr: "zs"}
+	if _, err := CollectBatches(u2); err == nil {
 		t.Error("non-set attribute should error")
 	}
 	// Non-tuple element without Scalar.
-	u3 := &UnnestIter{In: &SliceScan{Rows: []value.Value{tup("zs", ints(1, 2))}}, Attr: "zs"}
-	if _, err := Collect(u3); err == nil {
+	u3 := &UnnestIter{Ctx: ctx, In: &SliceScan{Rows: []value.Value{tup("zs", ints(1, 2))}}, Attr: "zs"}
+	if _, err := CollectBatches(u3); err == nil {
 		t.Error("scalar elements need Scalar=true")
 	}
 }
 
 func TestNestOverNonTuple(t *testing.T) {
-	n := &NestIter{In: &SliceScan{Rows: []value.Value{value.Int(1)}}, Attrs: []string{"a"}, Label: "s"}
-	if _, err := Collect(n); err == nil {
+	n := &NestIter{Ctx: NewCtx(nil), In: &SliceScan{Rows: []value.Value{value.Int(1)}}, Attrs: []string{"a"}, Label: "s"}
+	if _, err := CollectBatches(n); err == nil {
 		t.Error("nest over scalars should error")
 	}
 }
 
 func TestOuterJoinWithoutRElem(t *testing.T) {
-	nl := &NLJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &SliceScan{}, R: &SliceScan{},
-		LVar: "x", RVar: "y", Pred: pred("TRUE")}
-	if err := nl.Open(); err == nil {
-		t.Error("outer NLJoin without RElem should fail to open")
-	}
-	hj := &HashJoin{Ctx: NewCtx(nil), Kind: algebra.JoinLeftOuter, L: &BatchSliceScan{}, R: &BatchSliceScan{},
-		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}}
-	if err := hj.Open(); err == nil {
-		t.Error("outer HashJoin without RElem should fail to open")
+	for _, m := range []JoinMethod{JoinNL, JoinHash, JoinIndex} {
+		j := &Join{Ctx: NewCtx(nil), Method: m, Kind: algebra.JoinLeftOuter, L: &SliceScan{}, R: &SliceScan{},
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}}
+		if err := j.Open(); err == nil || !strings.Contains(err.Error(), "RElem") {
+			t.Errorf("outer join (method %d) without RElem opened: %v", m, err)
+		}
 	}
 }
 
@@ -230,16 +221,16 @@ func TestSemiJoinEarlyOutProbesLess(t *testing.T) {
 		ys = append(ys, tup("a", i, "b", 1))
 	}
 	ctxSemi := NewCtx(nil)
-	semi := &HashJoin{Ctx: ctxSemi, Kind: algebra.JoinSemi,
-		L: &BatchSliceScan{Rows: xs}, R: &BatchSliceScan{Rows: ys}, LVar: "x", RVar: "y",
+	semi := &Join{Ctx: ctxSemi, Method: JoinHash, Kind: algebra.JoinSemi,
+		L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys}, LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Residual: pred("y.a + 0 >= 0")}
 	if _, err := CollectBatches(semi); err != nil {
 		t.Fatal(err)
 	}
 	ctxNest := NewCtx(nil)
-	nest := &HashNestJoin{Ctx: ctxNest,
-		L: &BatchSliceScan{Rows: xs}, R: &BatchSliceScan{Rows: ys}, LVar: "x", RVar: "y",
+	nest := &Join{Ctx: ctxNest, Method: JoinHash,
+		L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys}, LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Residual: pred("y.a + 0 >= 0"), Fn: pred("y.a"), Label: "s"}
 	if _, err := CollectBatches(nest); err != nil {

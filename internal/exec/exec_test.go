@@ -55,9 +55,9 @@ func xyRows() (x, y []value.Value) {
 
 func pred(src string) tmql.Expr { return tmql.MustParse(src) }
 
-func collect(t *testing.T, it Iterator) value.Value {
+func collect(t *testing.T, it BatchIterator) value.Value {
 	t.Helper()
-	v, err := Collect(it)
+	v, err := CollectBatches(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +73,20 @@ func table1Want() value.Value {
 	)
 }
 
-func nestJoinIters(ctx *Ctx, x, y []value.Value) map[string]Iterator {
+func nestJoinIters(ctx *Ctx, x, y []value.Value) map[string]BatchIterator {
 	keysL := []tmql.Expr{pred("x.d")}
 	keysR := []tmql.Expr{pred("y.b")}
-	return map[string]Iterator{
-		"nl": &NLNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
-			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
+	return map[string]BatchIterator{
+		"nl": &Join{
+			Ctx: ctx, Method: JoinNL, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			LVar: "x", RVar: "y", Residual: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
 		},
-		"hash": &BatchToRows{In: &HashNestJoin{
-			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+		"hash": &Join{
+			Ctx: ctx, Method: JoinHash, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
-		}},
+		},
 		"merge": &MergeNestJoin{
-			Ctx: ctx, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		},
 	}
@@ -108,13 +108,13 @@ func TestTable1(t *testing.T) {
 func TestNestJoinFunctionProjection(t *testing.T) {
 	// Fn projects y.a — the §8 step (1) shape.
 	x, y := xyRows()
-	it := &HashNestJoin{
-		Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+	it := &Join{
+		Ctx: NewCtx(nil), Method: JoinHash, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "zs",
 	}
-	got := collectBatches(t, it)
+	got := collect(t, it)
 	want := value.SetOf(
 		tup("e", 1, "d", 1, "zs", ints(1, 2)),
 		tup("e", 2, "d", 2, "zs", value.EmptySet),
@@ -128,22 +128,22 @@ func TestNestJoinFunctionProjection(t *testing.T) {
 func TestNestJoinResidualPredicate(t *testing.T) {
 	// Equi-key plus residual: x.d = y.b AND y.a > 1.
 	x, y := xyRows()
-	for _, impl := range []Iterator{
-		&BatchToRows{In: &HashNestJoin{
-			Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
-			LVar: "x", RVar: "y",
-			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
-			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
-		}},
-		&MergeNestJoin{
-			Ctx: NewCtx(nil), L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+	for _, impl := range []BatchIterator{
+		&Join{
+			Ctx: NewCtx(nil), Method: JoinHash, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
 		},
-		&NLNestJoin{
+		&MergeNestJoin{
 			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
-			LVar: "x", RVar: "y", Pred: pred("x.d = y.b AND y.a > 1"),
+			LVar: "x", RVar: "y",
+			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
+			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
+		},
+		&Join{
+			Ctx: NewCtx(nil), Method: JoinNL, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			LVar: "x", RVar: "y", Residual: pred("x.d = y.b AND y.a > 1"),
 			Fn: pred("y.a"), Label: "zs",
 		},
 	} {
@@ -154,7 +154,7 @@ func TestNestJoinResidualPredicate(t *testing.T) {
 			tup("e", 3, "d", 3, "zs", ints(3)),
 		)
 		if !value.Equal(got, want) {
-			t.Errorf("%T: got %s\nwant %s", operatorOf(impl), got, want)
+			t.Errorf("%T: got %s\nwant %s", impl, got, want)
 		}
 	}
 }
@@ -185,21 +185,21 @@ func TestFlatJoins(t *testing.T) {
 	}
 	yElem := yElemType()
 	for _, c := range cases {
-		nl := &NLJoin{
-			Ctx: NewCtx(nil), Kind: c.kind, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
-			LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), RElem: yElem,
+		nl := &Join{
+			Ctx: NewCtx(nil), Method: JoinNL, Kind: c.kind, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+			LVar: "x", RVar: "y", Residual: pred("x.d = y.b"), RElem: yElem,
 		}
 		if got := collect(t, nl); !value.Equal(got, c.want) {
-			t.Errorf("NLJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
+			t.Errorf("nested-loop %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
-		hj := &HashJoin{
-			Ctx: NewCtx(nil), Kind: c.kind, L: &BatchSliceScan{Rows: x}, R: &BatchSliceScan{Rows: y},
+		hj := &Join{
+			Ctx: NewCtx(nil), Method: JoinHash, Kind: c.kind, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			RElem: yElem,
 		}
-		if got := collectBatches(t, hj); !value.Equal(got, c.want) {
-			t.Errorf("HashJoin %s:\n got %s\nwant %s", c.kind, got, c.want)
+		if got := collect(t, hj); !value.Equal(got, c.want) {
+			t.Errorf("hash %s:\n got %s\nwant %s", c.kind, got, c.want)
 		}
 	}
 }
@@ -219,13 +219,13 @@ func TestFilterMapDistinct(t *testing.T) {
 	if got := collect(t, f); got.Len() != 2 {
 		t.Errorf("Filter: %s", got)
 	}
-	m := &MapIter{Ctx: ctx, In: &SliceScan{Rows: x}, Var: "x", Out: pred("x.e + 10")}
+	m := &Map{Ctx: ctx, In: &SliceScan{Rows: x}, Var: "x", Out: pred("x.e + 10")}
 	if got := collect(t, m); !value.Equal(got, ints(11, 12, 13)) {
 		t.Errorf("Map: %s", got)
 	}
 	dup := []value.Value{value.Int(1), value.Int(1), value.Int(2)}
-	d := &Distinct{In: &SliceScan{Rows: dup}}
-	rows, err := Drain(d)
+	d := &Map{Ctx: ctx, In: &SliceScan{Rows: dup, Size: 1}, Var: "v", Out: pred("v"), Distinct: true}
+	rows, err := drainRows(d)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("Distinct: %v %v", rows, err)
 	}
@@ -237,7 +237,7 @@ func TestNestAndNestStar(t *testing.T) {
 		tup("g", 1, "a", 20),
 		tup("g", 2, "a", 30),
 	}
-	n := &NestIter{In: &SliceScan{Rows: rows}, Attrs: []string{"a"}, Label: "as"}
+	n := &NestIter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Attrs: []string{"a"}, Label: "as"}
 	got := collect(t, n)
 	want := value.SetOf(
 		tup("g", 1, "as", value.SetOf(tup("a", 10), tup("a", 20))),
@@ -252,7 +252,7 @@ func TestNestAndNestStar(t *testing.T) {
 		tup("g", 1, "a", value.Null),
 		tup("g", 2, "a", 30),
 	}
-	ns := &NestIter{In: &SliceScan{Rows: rowsNull}, Attrs: []string{"a"}, Label: "as", NullAware: true}
+	ns := &NestIter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rowsNull}, Attrs: []string{"a"}, Label: "as", NullAware: true}
 	got = collect(t, ns)
 	want = value.SetOf(
 		tup("g", 1, "as", value.EmptySet),
@@ -261,7 +261,7 @@ func TestNestAndNestStar(t *testing.T) {
 	if !value.Equal(got, want) {
 		t.Errorf("Nest*: got %s want %s", got, want)
 	}
-	nv := &NestIter{In: &SliceScan{Rows: rowsNull}, Attrs: []string{"a"}, Label: "as"}
+	nv := &NestIter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rowsNull}, Attrs: []string{"a"}, Label: "as"}
 	got = collect(t, nv)
 	if value.Equal(got, want) {
 		t.Error("plain ν should keep the NULL tuple, differing from ν*")
@@ -273,7 +273,7 @@ func TestUnnestIter(t *testing.T) {
 		tup("g", 1, "as", value.SetOf(tup("a", 10), tup("a", 20))),
 		tup("g", 2, "as", value.EmptySet), // dangling: vanishes under μ
 	}
-	u := &UnnestIter{In: &SliceScan{Rows: rows}, Attr: "as"}
+	u := &UnnestIter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Attr: "as"}
 	got := collect(t, u)
 	want := value.SetOf(tup("g", 1, "a", 10), tup("g", 1, "a", 20))
 	if !value.Equal(got, want) {
@@ -282,7 +282,7 @@ func TestUnnestIter(t *testing.T) {
 
 	// Scalar elements keep the attribute label.
 	rows2 := []value.Value{tup("g", 1, "vs", ints(7, 8))}
-	u2 := &UnnestIter{In: &SliceScan{Rows: rows2}, Attr: "vs", Scalar: true}
+	u2 := &UnnestIter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows2}, Attr: "vs", Scalar: true}
 	got = collect(t, u2)
 	want = value.SetOf(tup("g", 1, "vs", 7), tup("g", 1, "vs", 8))
 	if !value.Equal(got, want) {
@@ -298,9 +298,9 @@ func TestNestJoinEqualsOuterJoinNestStar(t *testing.T) {
 	ctx := NewCtx(nil)
 
 	// Left: nest join (identity function, wrapped right rows to mirror).
-	nj := &NLNestJoin{
-		Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
-		LVar: "x", RVar: "y", Pred: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
+	nj := &Join{
+		Ctx: ctx, Method: JoinNL, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		LVar: "x", RVar: "y", Residual: pred("x.d = y.b"), Fn: pred("y"), Label: "s",
 	}
 	njOut := collect(t, nj)
 
@@ -310,17 +310,13 @@ func TestNestJoinEqualsOuterJoinNestStar(t *testing.T) {
 	for i, r := range y {
 		wrapped[i] = tup("w", r)
 	}
-	oj := &NLJoin{
-		Ctx: ctx, Kind: algebra.JoinLeftOuter,
+	oj := &Join{
+		Ctx: ctx, Method: JoinNL, Kind: algebra.JoinLeftOuter,
 		L: &SliceScan{Rows: x}, R: &SliceScan{Rows: wrapped},
-		LVar: "x", RVar: "y", Pred: pred("x.d = y.w.b"), RElem: wrapType(),
+		LVar: "x", RVar: "y", Residual: pred("x.d = y.w.b"), RElem: wrapType(),
 	}
-	rows, err := Drain(oj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := &NestIter{In: &SliceScan{Rows: rows}, Attrs: []string{"w"}, Label: "s", NullAware: true}
-	nsRows, err := Drain(ns)
+	ns := &NestIter{Ctx: ctx, In: oj, Attrs: []string{"w"}, Label: "s", NullAware: true}
+	nsRows, err := drainRows(ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +348,7 @@ func TestSetOpIter(t *testing.T) {
 		{2, ints(1, 3)},
 	}
 	for _, c := range cases {
-		it := &SetOpIter{Kind: c.kind, L: &SliceScan{Rows: a}, R: &SliceScan{Rows: b}}
+		it := &SetOpIter{Ctx: NewCtx(nil), Kind: c.kind, L: &SliceScan{Rows: a, Size: 1}, R: &SliceScan{Rows: b}}
 		if got := collect(t, it); !value.Equal(got, c.want) {
 			t.Errorf("SetOp %d: got %s want %s", c.kind, got, c.want)
 		}
@@ -385,15 +381,20 @@ func TestTableScanUnknown(t *testing.T) {
 }
 
 func TestHashJoinKeyValidation(t *testing.T) {
-	hj := &HashJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
+	hj := &Join{Ctx: NewCtx(nil), Method: JoinHash, L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
 	if err := hj.Open(); err == nil {
-		t.Error("HashJoin without keys should fail to open")
+		t.Error("hash join without keys should fail to open")
 	}
-	hnj := &HashNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
+	hnj := &Join{Ctx: NewCtx(nil), Method: JoinHash, L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y",
+		Fn: pred("y"), Label: "s"}
 	if err := hnj.Open(); err == nil {
-		t.Error("HashNestJoin without keys should fail to open")
+		t.Error("hash nest join without keys should fail to open")
 	}
-	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &BatchSliceScan{}, R: &BatchSliceScan{}, LVar: "x", RVar: "y"}
+	inj := &Join{Ctx: NewCtx(nil), Method: JoinIndex, L: &SliceScan{}, LVar: "x", RVar: "y", Table: "T", Index: "a"}
+	if err := inj.Open(); err == nil {
+		t.Error("index join without keys should fail to open")
+	}
+	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
 	if err := mnj.Open(); err == nil {
 		t.Error("MergeNestJoin without keys should fail to open")
 	}

@@ -9,8 +9,9 @@ import (
 
 // Query governance: cancellation, deadlines, and resource budgets, threaded
 // through every operator. A Governor is shared by a query's whole operator
-// tree and is consulted through Ctx.check() at every Next()/build loop. Ungoverned queries (Ctx.Gov == nil) pay a
-// single nil check, keeping hot benchmark paths at their pre-governance
+// tree and is consulted once per batch (Ctx.checkBatch) and in every per-row
+// build and probe loop (Ctx.check). Ungoverned queries (Ctx.Gov == nil) pay
+// a single nil check, keeping hot benchmark paths at their pre-governance
 // cost.
 //
 // The error taxonomy operators surface (and the server maps to wire codes):
@@ -156,7 +157,7 @@ func (g *Governor) BuildBytes() int64 {
 // increment and a branch between polls.
 const checkEvery = 64
 
-// check is the cancel-check every operator calls in its Next()/build loop.
+// check is the cancel-check of the per-row build and probe loops.
 // Ungoverned contexts return immediately on the nil check; governed ones
 // poll the governor once per checkEvery calls. See ARCHITECTURE.md
 // "Cancellation, budgets, and fault injection" for the operator-author

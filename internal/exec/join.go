@@ -1,0 +1,344 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+
+	"tmdb/internal/algebra"
+	"tmdb/internal/faultinject"
+	"tmdb/internal/storage"
+	"tmdb/internal/tmql"
+	"tmdb/internal/types"
+	"tmdb/internal/value"
+)
+
+// The join family is one operator. Join walks its left input batch by batch
+// and hands every left row, with the bucket of right rows that can match it,
+// to a row probe: the flat kinds' (inner, semi, anti, left-outer) or the nest
+// join's. Where the bucket comes from is the join method, the one thing the
+// physical families differ in:
+//
+//   - JoinNL: the right input, drained once at Open. Every left row's bucket
+//     is all of it, and Residual is the whole join predicate; no equi-key is
+//     needed.
+//   - JoinHash: a table built over the right input on RKeys at Open; a left
+//     row's bucket is the one under its LKeys encoding.
+//   - JoinIndex: a stored table's persistent hash index
+//     (storage.Table.CreateIndex), probed under the same LKeys encoding — a
+//     HashIndex keys its buckets by the concatenated value.AppendKey
+//     encodings of the attribute values, exactly what keyEncoder appends. The
+//     right input is never read: there is no build phase at all, and a
+//     composite index serves as many leading key pairs as the predicate
+//     pairs, the rest staying in Residual.
+//
+// The right operand is always the bucket side and the left probes it. For the
+// regular join one would pick the smaller operand to build; the family fixes
+// build = right because §6 requires the right operand to be the build side of
+// the nest join whenever the key is not unique on the right, so output stays
+// grouped by left rows. Residual predicates are re-checked per bucket
+// candidate. Governance is per row: each hash build row passes the
+// hash.build gate and is charged to the build budget, and each left row of
+// every method passes the hash.probe gate.
+
+// JoinMethod is where Join finds a left row's candidate right rows.
+type JoinMethod uint8
+
+// The join methods.
+const (
+	JoinNL JoinMethod = iota
+	JoinHash
+	JoinIndex
+)
+
+// Join is the join operator: the flat join of Kind, or the paper's nest join
+// X △[Q, G; a] Y when Fn is set.
+type Join struct {
+	Ctx    *Ctx
+	Method JoinMethod
+	// Kind selects the flat variant; the nest join ignores it.
+	Kind algebra.JoinKind
+	// L is the probing input; R is the right input of JoinNL and JoinHash.
+	L, R       BatchIterator
+	LVar, RVar string
+	// LKeys/RKeys are the equi-key expressions over LVar and RVar; the i-th
+	// left key matches the i-th right key. JoinIndex takes only LKeys, in
+	// the index's attribute order; len(LKeys) is the probed prefix depth.
+	LKeys, RKeys []tmql.Expr
+	// Residual is what the bucket does not decide (may be nil): under JoinNL
+	// the whole join predicate.
+	Residual tmql.Expr
+	// RElem is required for the outer join's NULL padding.
+	RElem *types.Type
+	// Table and Index locate JoinIndex's persistent index: the stored right
+	// table and the index's canonical registry name (storage.IndexName).
+	Table, Index string
+	// Ix is the index snapshot resolved by the planner at compile time; nil
+	// falls back to registry resolution at Open (typed-stale on miss).
+	Ix *storage.HashIndex
+	// Fn and Label make the operator the nest join: each left element is
+	// emitted exactly once, extended with Label = the (possibly empty) set
+	// of Fn's images of its matches.
+	Fn    tmql.Expr
+	Label string
+
+	right []value.Value
+	table *hashTable
+	ix    *storage.HashIndex
+	lenc  *keyEncoder
+	key   []byte
+	probe rowProbe
+	// left is the unprobed rest of the current left batch.
+	left []value.Value
+	out  []value.Value
+}
+
+// Open prepares the bucket source — drains the right input, builds its
+// table, or resolves the index — and opens the left input.
+func (j *Join) Open() error {
+	probe, err := j.prober()
+	if err != nil {
+		return err
+	}
+	j.probe = probe
+	c := j.Ctx
+	switch j.Method {
+	case JoinHash:
+		if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) {
+			return fmt.Errorf("exec: hash join needs matching non-empty key lists")
+		}
+		if j.table, err = buildRight(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar)); err != nil {
+			return err
+		}
+	case JoinIndex:
+		if j.ix, err = openIndex(c, j.Ix, j.Table, j.Index, len(j.LKeys)); err != nil {
+			return err
+		}
+	default:
+		if j.right, err = drainRows(j.R); err != nil {
+			return err
+		}
+	}
+	j.lenc = newKeyEncoder(c, j.LKeys, j.LVar)
+	return j.L.Open()
+}
+
+// rowProbe probes one left row against its bucket and appends the row's join
+// output to out.
+type rowProbe func(l value.Value, bucket, out []value.Value) ([]value.Value, error)
+
+// prober returns the row probe of the join's kind. The semi and anti joins
+// take the early-out probe that never builds a group — the efficiency edge
+// §8 exploits when grouping is provably unnecessary.
+func (j *Join) prober() (rowProbe, error) {
+	res := newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
+	if j.Fn != nil {
+		fn := newPairScalar(j.Ctx, j.Fn, j.LVar, j.RVar)
+		// A key bucket bounds its group closely; the nested-loop bucket is
+		// the whole right input, which would make every group hold |R| slots.
+		keyed := j.Method != JoinNL
+		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+			size := 0
+			if keyed {
+				size = len(bucket)
+			}
+			group, err := nestGroup(&res, &fn, l, bucket, size)
+			if err != nil {
+				return nil, err
+			}
+			return append(out, l.Extend(j.Label, group)), nil
+		}, nil
+	}
+	switch j.Kind {
+	case algebra.JoinSemi, algebra.JoinAnti:
+		semi := j.Kind == algebra.JoinSemi
+		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+			m, err := res.any(l, bucket)
+			if err != nil {
+				return nil, err
+			}
+			if m == semi {
+				out = append(out, l)
+			}
+			return out, nil
+		}, nil
+	}
+	outer := j.Kind == algebra.JoinLeftOuter
+	var pad value.Value
+	if outer {
+		if j.RElem == nil {
+			return nil, fmt.Errorf("exec: outer join needs RElem for NULL padding")
+		}
+		pad = nullTuple(j.RElem)
+	}
+	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+		matched := false
+		for _, r := range bucket {
+			ok, err := res.eval(l, r)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				matched = true
+				out = append(out, l.Concat(r))
+			}
+		}
+		if outer && !matched {
+			out = append(out, l.Concat(pad))
+		}
+		return out, nil
+	}, nil
+}
+
+// nullTuple builds a tuple of the given type with NULL in every attribute —
+// the relational outerjoin padding (TM itself has no NULLs; this exists for
+// the Ganski–Wong baseline).
+func nullTuple(t *types.Type) value.Value {
+	fs := make([]value.Field, 0, len(t.Fields))
+	for _, f := range t.Fields {
+		fs = append(fs, value.F(f.Label, value.Null))
+	}
+	return value.TupleOf(fs...)
+}
+
+// nestGroup applies the nest join's per-left-element grouping: the join
+// function over the bucket candidates passing the residual, canonicalized
+// into a set. The builder starts with room for size elements and the set
+// keeps that backing array, so callers pass the bucket's length only when
+// the bucket is the key's matches (then construction never regrows) and 0
+// otherwise. Shared by Join and MergeNestJoin.
+func nestGroup(res *pairPredicate, fn *pairScalar, l value.Value, bucket []value.Value, size int) (value.Value, error) {
+	group := value.NewSetBuilder(size)
+	for _, r := range bucket {
+		match, err := res.eval(l, r)
+		if err != nil {
+			return value.Value{}, err
+		}
+		if !match {
+			continue
+		}
+		g, err := fn.eval(l, r)
+		if err != nil {
+			return value.Value{}, err
+		}
+		group.Add(g)
+	}
+	return group.Build(), nil
+}
+
+// buildRight drains r into keyed copies of its batches, each row's key
+// encoded once, and builds one table from them with the build kernel.
+func buildRight(c *Ctx, r BatchIterator, enc *keyEncoder) (*hashTable, error) {
+	if err := r.Open(); err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var owned []keyed
+	for {
+		bt, ok, err := r.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return buildTable(c, owned)
+		}
+		k, err := newKeyed(bt, enc)
+		if err != nil {
+			return nil, err
+		}
+		owned = append(owned, k)
+	}
+}
+
+// openIndex returns the persistent index a join or index scan probes at
+// depth leading attributes. The planner resolves the *HashIndex at compile
+// time and passes it as ix — index buckets are copy-on-write, so the
+// snapshot stays probeable even if the registry entry is dropped mid-query,
+// exactly like a scan's row snapshot. An operator constructed without the
+// pre-resolved handle resolves table's index by name and surfaces the typed
+// ErrStaleIndex when the registry no longer serves it (dropped, or the table
+// unsealed, since planning).
+func openIndex(c *Ctx, ix *storage.HashIndex, table, index string, depth int) (*storage.HashIndex, error) {
+	if depth < 1 {
+		return nil, fmt.Errorf("exec: index probe on %s.%s needs at least one key", table, index)
+	}
+	if ix == nil {
+		t, ok := c.DB.Table(table)
+		if !ok {
+			return nil, fmt.Errorf("exec: unknown table %s", table)
+		}
+		if ix, ok = t.Index(index); !ok {
+			return nil, fmt.Errorf("no live index on %s(%s) (table unsealed or index dropped since planning): %w",
+				table, index, ErrStaleIndex)
+		}
+	}
+	if depth > len(ix.Attrs()) {
+		return nil, fmt.Errorf("exec: probe depth %d exceeds index %s(%s)", depth, table, index)
+	}
+	return ix, nil
+}
+
+// bucket returns the candidates of left row l: all of the right input, or
+// the table's or index's bucket under l's encoded key.
+func (j *Join) bucket(l value.Value) ([]value.Value, error) {
+	if j.Method == JoinNL {
+		return j.right, nil
+	}
+	key, err := j.lenc.appendKey(j.key[:0], l)
+	if err != nil {
+		return nil, err
+	}
+	j.key = key
+	if j.Method == JoinHash {
+		return j.table.bucket(key), nil
+	}
+	return j.ix.LookupEncoded(string(key), len(j.LKeys)), nil
+}
+
+// probeCheck is the per-left-row governance + fault-injection gate of the
+// join's probe loop.
+func probeCheck(c *Ctx) error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	return faultinject.Hit(faultinject.PointHashProbe)
+}
+
+// NextBatch returns the next output batch: the output of the rest of the
+// current left batch, cut short once it reaches DefaultBatchSize rows. The
+// join keeps its place in the left batch and resumes there, so a batch
+// overshoots DefaultBatchSize by at most one bucket's fanout however large
+// the join's fanout is, and no output batch spans two left batches.
+func (j *Join) NextBatch() ([]value.Value, bool, error) {
+	j.out = j.out[:0]
+	for len(j.out) < DefaultBatchSize {
+		if len(j.left) == 0 {
+			if len(j.out) > 0 {
+				break
+			}
+			bt, ok, err := j.L.NextBatch()
+			if err != nil || !ok {
+				return nil, false, err
+			}
+			j.left, j.out = bt, slices.Grow(j.out, len(bt))
+		}
+		l := j.left[0]
+		j.left = j.left[1:]
+		if err := probeCheck(j.Ctx); err != nil {
+			return nil, false, err
+		}
+		bucket, err := j.bucket(l)
+		if err != nil {
+			return nil, false, err
+		}
+		if j.out, err = j.probe(l, bucket, j.out); err != nil {
+			return nil, false, err
+		}
+	}
+	return j.out, true, nil
+}
+
+// Close releases the bucket source and closes the left input.
+func (j *Join) Close() error {
+	j.right, j.table, j.ix, j.left = nil, nil, nil, nil
+	return j.L.Close()
+}

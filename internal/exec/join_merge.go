@@ -15,9 +15,10 @@ import (
 // output order follows the left operand, each left element appearing exactly
 // once with its full group.
 //
-// Only the nest-join variant of the merge join is provided: the inner merge
-// join is subsumed by HashJoin/NLJoin in the planner, while the merge *nest*
-// join exists to demonstrate §6's point that any common join method adapts.
+// Only the nest-join variant of the merge join is provided: the flat joins
+// are served by Join, while the merge *nest* join exists to demonstrate §6's
+// point that any common join method adapts. A left element's right run is its
+// bucket, grouped by the same kernel as Join's (nestGroup).
 type MergeNestJoin struct {
 	Ctx          *Ctx
 	L, R         BatchIterator
@@ -28,9 +29,11 @@ type MergeNestJoin struct {
 	Label        string
 
 	left  []sortedRow
-	right []sortedRow
-	li    int
-	rlo   int
+	rkeys []value.Value
+	rrows []value.Value
+	res   pairPredicate
+	fn    pairScalar
+	out   []value.Value
 }
 
 // Open drains and sorts both inputs by key.
@@ -42,51 +45,54 @@ func (j *MergeNestJoin) Open() error {
 	if j.left, err = sortedRun(j.Ctx, j.L, j.LVar, j.LKeys); err != nil {
 		return err
 	}
-	if j.right, err = sortedRun(j.Ctx, j.R, j.RVar, j.RKeys); err != nil {
+	right, err := sortedRun(j.Ctx, j.R, j.RVar, j.RKeys)
+	if err != nil {
 		return err
 	}
-	j.li, j.rlo = 0, 0
+	j.rkeys, j.rrows = make([]value.Value, len(right)), make([]value.Value, len(right))
+	for i, r := range right {
+		j.rkeys[i], j.rrows[i] = r.key, r.v
+	}
+	j.res = newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
+	j.fn = newPairScalar(j.Ctx, j.Fn, j.LVar, j.RVar)
 	return nil
 }
 
-// Next emits the next left element with its group.
-func (j *MergeNestJoin) Next() (value.Value, bool, error) {
-	if j.li >= len(j.left) {
-		return value.Value{}, false, nil
+// NextBatch emits the next DefaultBatchSize left elements with their groups.
+func (j *MergeNestJoin) NextBatch() ([]value.Value, bool, error) {
+	if len(j.left) == 0 {
+		return nil, false, nil
 	}
-	if err := j.Ctx.check(); err != nil {
-		return value.Value{}, false, err
-	}
-	l := j.left[j.li]
-	j.li++
-	// Advance the right cursor to the first key ≥ l.key. Because the left is
-	// also sorted, rlo never moves backwards across Next calls.
-	for j.rlo < len(j.right) && value.Compare(j.right[j.rlo].key, l.key) < 0 {
-		j.rlo++
-	}
-	group := value.NewSetBuilder(0)
-	for ri := j.rlo; ri < len(j.right) && value.Compare(j.right[ri].key, l.key) == 0; ri++ {
-		r := j.right[ri]
-		env := env2(j.LVar, l.v, j.RVar, r.v)
-		match, err := j.Ctx.evalPred(j.Residual, env)
+	j.out = slices.Grow(j.out[:0], min(len(j.left), DefaultBatchSize))
+	for len(j.left) > 0 && len(j.out) < DefaultBatchSize {
+		if err := j.Ctx.check(); err != nil {
+			return nil, false, err
+		}
+		l := j.left[0]
+		j.left = j.left[1:]
+		// Skip the right rows keyed below l. Because the left is also
+		// sorted, the right cursor never moves backwards.
+		lo := 0
+		for lo < len(j.rkeys) && value.Compare(j.rkeys[lo], l.key) < 0 {
+			lo++
+		}
+		j.rkeys, j.rrows = j.rkeys[lo:], j.rrows[lo:]
+		hi := 0
+		for hi < len(j.rkeys) && value.Compare(j.rkeys[hi], l.key) == 0 {
+			hi++
+		}
+		group, err := nestGroup(&j.res, &j.fn, l.v, j.rrows[:hi], hi)
 		if err != nil {
-			return value.Value{}, false, err
+			return nil, false, err
 		}
-		if !match {
-			continue
-		}
-		g, err := j.Ctx.evalIn(j.Fn, env)
-		if err != nil {
-			return value.Value{}, false, err
-		}
-		group.Add(g)
+		j.out = append(j.out, l.v.Extend(j.Label, group))
 	}
-	return l.v.Extend(j.Label, group.Build()), true, nil
+	return j.out, true, nil
 }
 
 // Close releases the sorted runs.
 func (j *MergeNestJoin) Close() error {
-	j.left, j.right = nil, nil
+	j.left, j.rkeys, j.rrows = nil, nil, nil
 	return nil
 }
 
@@ -126,11 +132,11 @@ func sortedRun(c *Ctx, in BatchIterator, varName string, keys []tmql.Expr) ([]so
 			return nil, err
 		}
 		if c.Gov != nil {
-			if err := c.Gov.AddBuildBytes(int64(bt.Len()) * buildRowOverhead); err != nil {
+			if err := c.Gov.AddBuildBytes(int64(len(bt)) * buildRowOverhead); err != nil {
 				return nil, err
 			}
 		}
-		for _, v := range bt.Rows {
+		for _, v := range bt {
 			k, err := evalKey(c, keys, varName, v)
 			if err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tmdb/internal/algebra"
@@ -32,10 +33,10 @@ func joinPred(eq string, residual tmql.Expr) tmql.Expr {
 }
 
 // hashJoin is the flat hash join of l and r on x.k = y.j, its inputs
-// scanned in batches of size rows (0 = default).
-func hashJoin(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, size int) *HashJoin {
-	return &HashJoin{
-		Ctx: ctx, Kind: kind, L: &BatchSliceScan{Rows: l, Size: size}, R: &BatchSliceScan{Rows: r, Size: size},
+// scanned in batches of size rows (0 = all rows in one batch).
+func hashJoin(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr, size int) *Join {
+	return &Join{
+		Ctx: ctx, Method: JoinHash, Kind: kind, L: &SliceScan{Rows: l, Size: size}, R: &SliceScan{Rows: r, Size: size},
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")},
 		Residual: residual, RElem: joinRElem,
 	}
@@ -43,15 +44,24 @@ func hashJoin(ctx *Ctx, kind algebra.JoinKind, l, r []value.Value, residual tmql
 
 // nlJoin is hashJoin's reference: the nested-loop join on the whole
 // predicate.
-func nlJoin(kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr) *NLJoin {
-	return &NLJoin{
-		Ctx: NewCtx(nil), Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
-		LVar: "x", RVar: "y", Pred: joinPred("x.k = y.j", residual), RElem: joinRElem,
+func nlJoin(kind algebra.JoinKind, l, r []value.Value, residual tmql.Expr) *Join {
+	return &Join{
+		Ctx: NewCtx(nil), Method: JoinNL, Kind: kind, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+		LVar: "x", RVar: "y", Residual: joinPred("x.k = y.j", residual), RElem: joinRElem,
+	}
+}
+
+// nlNestJoin is the nested-loop nest join of l and r on the whole predicate,
+// grouping y under s.
+func nlNestJoin(l, r []value.Value, pred tmql.Expr) *Join {
+	return &Join{
+		Ctx: NewCtx(nil), Method: JoinNL, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
+		LVar: "x", RVar: "y", Residual: pred, Fn: tmql.MustParse("y"), Label: "s",
 	}
 }
 
 // TestHashJoinMatchesNL runs every flat join kind, with no residual and
-// with compiled and generic residuals, at every input size and batch size,
+// with compiled and generic residuals, at every input size and split size,
 // asserting the hash join's canonical result equals the nested-loop join's.
 func TestHashJoinMatchesNL(t *testing.T) {
 	residuals := map[string]tmql.Expr{
@@ -67,8 +77,8 @@ func TestHashJoinMatchesNL(t *testing.T) {
 				// Dangling left rows: left keys range over 13, right over 7.
 				l, r := genRows(n, 13, "k", "v"), genRows(n/2, 7, "j", "w")
 				want := collect(t, nlJoin(kind, l, r, residual))
-				for _, size := range batchSizes {
-					got := collectBatches(t, hashJoin(NewCtx(nil), kind, l, r, residual, size))
+				for _, size := range splitSizes {
+					got := collect(t, hashJoin(NewCtx(nil), kind, l, r, residual, size))
 					if !value.Equal(got, want) {
 						t.Errorf("%s/%s/n=%d/size=%d: hash join differs from nested loops:\nwant %s\ngot  %s",
 							kind, rname, n, size, want, got)
@@ -85,12 +95,12 @@ type countingBatches struct {
 	pulled int
 }
 
-func (c *countingBatches) NextBatch() (*Batch, bool, error) {
+func (c *countingBatches) NextBatch() ([]value.Value, bool, error) {
 	c.pulled++
 	return c.BatchIterator.NextBatch()
 }
 
-// TestHashJoinStreams pins that the hash joins stream: Open builds the
+// TestHashJoinStreams pins that hash joins stream: Open builds the
 // table without touching the left input, and each output batch is the probe
 // of one left batch — the join is never materialized whole. Every left key
 // has right partners, so the first left batch already produces output.
@@ -109,7 +119,7 @@ func TestHashJoinStreams(t *testing.T) {
 		},
 	}
 	for name, join := range joins {
-		left := &countingBatches{BatchIterator: &BatchSliceScan{Rows: l, Size: 16}}
+		left := &countingBatches{BatchIterator: &SliceScan{Rows: l, Size: 16}}
 		j := join(left)
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
@@ -118,7 +128,7 @@ func TestHashJoinStreams(t *testing.T) {
 			t.Errorf("%s: Open pulled %d left batches, want 0", name, left.pulled)
 		}
 		b, ok, err := j.NextBatch()
-		if err != nil || !ok || b.Len() == 0 {
+		if err != nil || !ok || len(b) == 0 {
 			t.Fatalf("%s: first NextBatch = %v, %v, want output", name, ok, err)
 		}
 		if left.pulled != 1 {
@@ -130,34 +140,11 @@ func TestHashJoinStreams(t *testing.T) {
 	}
 }
 
-// TestHashJoinThroughRowAdapter drains both hash operators the way row plans
-// reach them — through BatchToRows — and compares with the nested-loop
-// references.
-func TestHashJoinThroughRowAdapter(t *testing.T) {
-	l, r := genRows(500, 13, "k", "v"), genRows(250, 7, "j", "w")
-	residual := pred("x.v <= y.w + 250")
-	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter} {
-		want := collect(t, nlJoin(kind, l, r, residual))
-		got := collect(t, &BatchToRows{In: hashJoin(NewCtx(nil), kind, l, r, residual, 64)})
-		if !value.Equal(got, want) {
-			t.Errorf("%s: row-drained hash join differs from nested loops:\nwant %s\ngot  %s", kind, want, got)
-		}
-	}
-	want := collect(t, &NLNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r}, LVar: "x", RVar: "y",
-		Pred: joinPred("x.k = y.j", residual), Fn: pred("y"), Label: "s",
-	})
-	got := collect(t, &BatchToRows{In: hashNestJoin(NewCtx(nil), l, r, "x.k", "y.j", residual)})
-	if !value.Equal(got, want) {
-		t.Errorf("nest: row-drained hash nest join differs from nested loops:\nwant %s\ngot  %s", want, got)
-	}
-}
-
 // hashNestJoin is the hash nest join of l and r on lk = rk grouping y under
 // s.
-func hashNestJoin(ctx *Ctx, l, r []value.Value, lk, rk string, residual tmql.Expr) *HashNestJoin {
-	return &HashNestJoin{
-		Ctx: ctx, L: &BatchSliceScan{Rows: l}, R: &BatchSliceScan{Rows: r},
+func hashNestJoin(ctx *Ctx, l, r []value.Value, lk, rk string, residual tmql.Expr) *Join {
+	return &Join{
+		Ctx: ctx, Method: JoinHash, L: &SliceScan{Rows: l}, R: &SliceScan{Rows: r},
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred(lk)}, RKeys: []tmql.Expr{pred(rk)},
 		Residual: residual, Fn: pred("y"), Label: "s",
 	}
@@ -196,10 +183,9 @@ func TestHashNestJoinMatchesNL(t *testing.T) {
 		if ds.fn != "" {
 			fn = pred(ds.fn)
 		}
-		want, wantErr := Collect(&NLNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: ds.l}, R: &SliceScan{Rows: ds.r}, LVar: "x", RVar: "y",
-			Pred: joinPred(ds.lk+" = "+ds.rk, ds.resid), Fn: fn, Label: "s",
-		})
+		ref := nlNestJoin(ds.l, ds.r, joinPred(ds.lk+" = "+ds.rk, ds.resid))
+		ref.Fn = fn
+		want, wantErr := CollectBatches(ref)
 		j := hashNestJoin(NewCtx(nil), ds.l, ds.r, ds.lk, ds.rk, ds.resid)
 		j.Fn = fn
 		got, err := CollectBatches(j)
@@ -234,15 +220,15 @@ func TestHashJoinErrors(t *testing.T) {
 func TestBuildTable(t *testing.T) {
 	ctx := NewCtx(nil)
 	enc := newKeyEncoder(ctx, []tmql.Expr{pred("x.k")}, "x")
-	// batches cuts rows into owned, key-encoded batches of 7 rows.
-	batches := func(rows []value.Value) []Batch {
-		var bs []Batch
+	// batches cuts rows into keyed runs of 7 rows.
+	batches := func(rows []value.Value) []keyed {
+		var bs []keyed
 		for lo := 0; lo < len(rows); lo += 7 {
-			b := Batch{Rows: rows[lo:min(lo+7, len(rows))]}
-			if err := b.encodeKeys(enc); err != nil {
+			k, err := newKeyed(rows[lo:min(lo+7, len(rows))], enc)
+			if err != nil {
 				t.Fatal(err)
 			}
-			bs = append(bs, b)
+			bs = append(bs, k)
 		}
 		return bs
 	}
@@ -282,5 +268,29 @@ func TestBuildTable(t *testing.T) {
 	}
 	if one, many := allocs(1), allocs(64); many > one {
 		t.Errorf("build allocations grow with rows per key: %v at 1 row per key, %v at 64", one, many)
+	}
+}
+
+// TestNLNestJoinGroupsSizedByMatches pins that a nested-loop nest join's
+// groups grow with their matches, not with the right input: every left row's
+// bucket is the whole right side, and a group builder sized by it would keep
+// |R| slots alive in each output tuple (|L|·|R|·24 bytes here, 25 MiB).
+func TestNLNestJoinGroupsSizedByMatches(t *testing.T) {
+	const nl, nr = 128, 8192
+	l, r := genRows(nl, nr, "k", "v"), genRows(nr, nr, "j", "w")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := CollectBatches(nlNestJoin(l, r, pred("x.k = y.j")))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != nl {
+		t.Fatalf("got %d groups, want %d", got.Len(), nl)
+	}
+	// Draining the right side costs nr·24 bytes; everything else is the
+	// nl one-element groups and their tuples.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2<<20 {
+		t.Errorf("NL nest join allocated %d bytes for %d one-element groups over %d right rows", alloc, nl, nr)
 	}
 }

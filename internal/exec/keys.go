@@ -1,18 +1,52 @@
 package exec
 
 import (
+	"slices"
+
 	"tmdb/internal/faultinject"
 	"tmdb/internal/value"
 )
 
-// The allocation-lean key path of the hash join family: key expressions are
-// evaluated per row (keyEncoder) and their canonical encodings appended onto a
-// batch's key arena instead of materializing a value.Key string per row. Map
-// lookups go through string(key), which the Go compiler performs without
-// allocating; only the first insertion of a distinct key pays a string
-// allocation. The table itself is built in two passes (buildTable) so that
-// every bucket is a contiguous run of one flat row slice: no per-bucket slice,
-// and no append growth.
+// The allocation-lean key path of the join family: key expressions are
+// evaluated per row (keyEncoder) and their canonical encodings appended onto
+// a reused scratch buffer (probe side) or one contiguous arena per build run
+// (keyed) instead of materializing a value.Key string per row. Map lookups go
+// through string(key), which the Go compiler performs without allocating;
+// only the first insertion of a distinct key pays a string allocation. The
+// table itself is built in two passes (buildTable) so that every bucket is a
+// contiguous run of one flat row slice: no per-bucket slice, and no append
+// growth.
+
+// keyed is an owned run of build rows with every row's encoded key, all key
+// bytes in one arena delimited by offsets — not one allocation per row.
+type keyed struct {
+	rows []value.Value
+	keys []byte
+	offs []uint32
+}
+
+// newKeyed copies rows and encodes each one's key with enc. The arena is
+// sized from the first key, which is exact for fixed-width keys.
+func newKeyed(rows []value.Value, enc *keyEncoder) (keyed, error) {
+	k := keyed{rows: slices.Clone(rows), offs: make([]uint32, 1, len(rows)+1)}
+	for i, v := range k.rows {
+		buf, err := enc.appendKey(k.keys, v)
+		if err != nil {
+			return keyed{}, err
+		}
+		if i == 0 {
+			buf = slices.Grow(buf, len(buf)*(len(rows)-1))
+		}
+		k.keys = buf
+		k.offs = append(k.offs, uint32(len(buf)))
+	}
+	return k, nil
+}
+
+// key returns row i's encoded key.
+func (k *keyed) key(i int) []byte {
+	return k.keys[k.offs[i]:k.offs[i+1]]
+}
 
 // hashTable is an exact (collision-free) multimap from encoded key bytes to
 // row buckets. idx maps a key to its slot; slot s's bucket is
@@ -23,29 +57,29 @@ type hashTable struct {
 	start []int32
 }
 
-// buildTable is the build kernel: it builds one table from the rows of bs,
-// whose keys are encoded. Pass 1 gates every row — the governor check, the
-// hash.build fault point and the build-budget charge — and assigns it its
-// key's slot, counting rows per slot; pass 2 places each row at its slot's
-// next position in one flat row slice.
-func buildTable(c *Ctx, bs []Batch) (*hashTable, error) {
+// buildTable is the build kernel: it builds one table from the keyed runs
+// bs. Pass 1 gates every row — the governor check, the hash.build fault
+// point and the build-budget charge — and assigns it its key's slot,
+// counting rows per slot; pass 2 places each row at its slot's next position
+// in one flat row slice.
+func buildTable(c *Ctx, bs []keyed) (*hashTable, error) {
 	n := 0
 	for i := range bs {
-		n += bs[i].Len()
+		n += len(bs[i].rows)
 	}
 	t := &hashTable{idx: make(map[string]int32)}
 	slots := make([]int32, 0, n)
 	var counts []int32
 	for bi := range bs {
 		b := &bs[bi]
-		for i := 0; i < b.Len(); i++ {
+		for i := range b.rows {
 			if err := c.check(); err != nil {
 				return nil, err
 			}
 			if err := faultinject.Hit(faultinject.PointHashBuild); err != nil {
 				return nil, err
 			}
-			key := b.Key(i)
+			key := b.key(i)
 			if err := c.addBuild(len(key)); err != nil {
 				return nil, err
 			}
@@ -68,7 +102,7 @@ func buildTable(c *Ctx, bs []Batch) (*hashTable, error) {
 	t.rows = make([]value.Value, n)
 	j := 0
 	for bi := range bs {
-		for _, row := range bs[bi].Rows {
+		for _, row := range bs[bi].rows {
 			s := slots[j]
 			t.rows[next[s]] = row
 			next[s]++

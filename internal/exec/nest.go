@@ -14,21 +14,18 @@ import (
 // rows nest to ∅ — the identity X △ Y = ν*[a](X ⟗ Y) depends on exactly
 // this.
 type NestIter struct {
-	// Ctx may be nil (tests); the planner wires it so the grouping loop
-	// observes cancellation.
 	Ctx       *Ctx
-	In        Iterator
+	In        BatchIterator
 	Attrs     []string
 	Label     string
 	NullAware bool
 
-	out []value.Value
-	i   int
+	out chunks
 }
 
 // Open materializes the input and performs the grouping.
 func (n *NestIter) Open() error {
-	rows, err := Drain(n.In)
+	rows, err := drainRows(n.In)
 	if err != nil {
 		return err
 	}
@@ -43,10 +40,8 @@ func (n *NestIter) Open() error {
 	order := make([]string, 0)
 	groups := make(map[string]*group)
 	for _, r := range rows {
-		if n.Ctx != nil {
-			if err := n.Ctx.check(); err != nil {
-				return err
-			}
+		if err := n.Ctx.check(); err != nil {
+			return err
 		}
 		if r.Kind() != value.KindTuple {
 			return fmt.Errorf("exec: nest over non-tuple %s", r)
@@ -76,27 +71,23 @@ func (n *NestIter) Open() error {
 		}
 		g.b.Add(value.TupleOf(projFields...))
 	}
-	n.out = n.out[:0]
+	out := make([]value.Value, 0, len(order))
 	for _, k := range order {
 		g := groups[k]
-		n.out = append(n.out, g.rest.Extend(n.Label, g.b.Build()))
+		out = append(out, g.rest.Extend(n.Label, g.b.Build()))
 	}
-	n.i = 0
+	n.out = chunks{rows: out}
 	return nil
 }
 
-// Next returns the next group tuple.
-func (n *NestIter) Next() (value.Value, bool, error) {
-	if n.i >= len(n.out) {
-		return value.Value{}, false, nil
-	}
-	v := n.out[n.i]
-	n.i++
-	return v, true, nil
+// NextBatch returns the next batch of group tuples.
+func (n *NestIter) NextBatch() ([]value.Value, bool, error) {
+	b, ok := n.out.next()
+	return b, ok, nil
 }
 
 // Close releases the grouped output.
-func (n *NestIter) Close() error { n.out = nil; return nil }
+func (n *NestIter) Close() error { n.out = chunks{}; return nil }
 
 // UnnestIter implements μ[attr]: each input tuple t yields one tuple per
 // element of the set t.attr; tuples with t.attr = ∅ produce nothing (the
@@ -104,69 +95,53 @@ func (n *NestIter) Close() error { n.out = nil; return nil }
 // concatenated into the remainder of t; scalar elements are re-attached under
 // the attribute's own label.
 type UnnestIter struct {
-	// Ctx may be nil (tests); the planner wires it so the flattening loop
-	// observes cancellation.
 	Ctx  *Ctx
-	In   Iterator
+	In   BatchIterator
 	Attr string
 	// Scalar selects the scalar-element behavior (set by the planner from
 	// the algebra node's typing).
 	Scalar bool
 
-	cur   value.Value // current input tuple with Attr dropped
-	elems []value.Value
-	ei    int
-	done  bool
+	out []value.Value
 }
 
 // Open opens the input.
-func (u *UnnestIter) Open() error {
-	u.done = false
-	u.elems = nil
-	u.ei = 0
-	return u.In.Open()
-}
+func (u *UnnestIter) Open() error { return u.In.Open() }
 
-// Next returns the next flattened tuple.
-func (u *UnnestIter) Next() (value.Value, bool, error) {
+// NextBatch flattens input batches until one yields at least one tuple.
+func (u *UnnestIter) NextBatch() ([]value.Value, bool, error) {
 	for {
-		if u.Ctx != nil {
-			if err := u.Ctx.check(); err != nil {
-				return value.Value{}, false, err
+		bt, ok, err := u.In.NextBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if err := u.Ctx.checkBatch(); err != nil {
+			return nil, false, err
+		}
+		u.out = u.out[:0]
+		for _, t := range bt {
+			s, found := t.Get(u.Attr)
+			if !found {
+				return nil, false, fmt.Errorf("exec: unnest attribute %s missing in %s", u.Attr, t)
+			}
+			if s.Kind() != value.KindSet {
+				return nil, false, fmt.Errorf("exec: unnest attribute %s is not a set in %s", u.Attr, t)
+			}
+			rest := t.Drop(u.Attr)
+			for _, e := range s.Elems() {
+				switch {
+				case u.Scalar:
+					u.out = append(u.out, rest.Extend(u.Attr, e))
+				case e.Kind() != value.KindTuple:
+					return nil, false, fmt.Errorf("exec: unnest element %s is not a tuple", e)
+				default:
+					u.out = append(u.out, rest.Concat(e))
+				}
 			}
 		}
-		if u.ei < len(u.elems) {
-			e := u.elems[u.ei]
-			u.ei++
-			if u.Scalar {
-				return u.cur.Extend(u.Attr, e), true, nil
-			}
-			if e.Kind() != value.KindTuple {
-				return value.Value{}, false, fmt.Errorf("exec: unnest element %s is not a tuple", e)
-			}
-			return u.cur.Concat(e), true, nil
+		if len(u.out) > 0 {
+			return u.out, true, nil
 		}
-		if u.done {
-			return value.Value{}, false, nil
-		}
-		t, ok, err := u.In.Next()
-		if err != nil {
-			return value.Value{}, false, err
-		}
-		if !ok {
-			u.done = true
-			continue
-		}
-		s, found := t.Get(u.Attr)
-		if !found {
-			return value.Value{}, false, fmt.Errorf("exec: unnest attribute %s missing in %s", u.Attr, t)
-		}
-		if s.Kind() != value.KindSet {
-			return value.Value{}, false, fmt.Errorf("exec: unnest attribute %s is not a set in %s", u.Attr, t)
-		}
-		u.cur = t.Drop(u.Attr)
-		u.elems = s.Elems()
-		u.ei = 0
 	}
 }
 
@@ -175,25 +150,23 @@ func (u *UnnestIter) Close() error { return u.In.Close() }
 
 // SetOpIter implements plan-level Union / Intersect / Diff by materializing
 // the right input into a key set and streaming the left. Union additionally
-// emits right elements unseen on the left.
+// emits right elements unseen on the left, once the left is exhausted.
 type SetOpIter struct {
-	// Ctx may be nil (tests); the planner wires it so the streaming loop
-	// observes cancellation.
 	Ctx *Ctx
 	// Kind: 0 = union, 1 = intersect, 2 = diff (mirrors algebra.SetOpKind).
 	Kind int
-	L, R Iterator
+	L, R BatchIterator
 
 	right     map[string]value.Value
 	rightKeys []string
 	seen      map[string]bool
-	phase     int // 0 = streaming left, 1 = draining right (union only)
-	ri        int
+	leftDone  bool
+	out       []value.Value
 }
 
-// Open materializes the right input.
+// Open materializes the right input and opens the left.
 func (s *SetOpIter) Open() error {
-	rows, err := Drain(s.R)
+	rows, err := drainRows(s.R)
 	if err != nil {
 		return err
 	}
@@ -207,59 +180,55 @@ func (s *SetOpIter) Open() error {
 		}
 	}
 	s.seen = make(map[string]bool)
-	s.phase = 0
-	s.ri = 0
+	s.leftDone = false
 	return s.L.Open()
 }
 
-// Next returns the next element of the combination.
-func (s *SetOpIter) Next() (value.Value, bool, error) {
-	for s.phase == 0 {
-		v, ok, err := s.L.Next()
+// NextBatch returns the next batch of the combination.
+func (s *SetOpIter) NextBatch() ([]value.Value, bool, error) {
+	for !s.leftDone {
+		bt, ok, err := s.L.NextBatch()
 		if err != nil {
-			return value.Value{}, false, err
-		}
-		if s.Ctx != nil {
-			if cerr := s.Ctx.check(); cerr != nil {
-				return value.Value{}, false, cerr
-			}
+			return nil, false, err
 		}
 		if !ok {
-			if s.Kind == 0 {
-				s.phase = 1
-				break
-			}
-			return value.Value{}, false, nil
+			s.leftDone = true
+			break
 		}
-		k := value.Key(v)
-		if s.seen[k] {
-			continue
+		if err := s.Ctx.checkBatch(); err != nil {
+			return nil, false, err
 		}
-		s.seen[k] = true
-		_, inRight := s.right[k]
-		switch s.Kind {
-		case 0: // union: left always passes
-			return v, true, nil
-		case 1: // intersect
-			if inRight {
-				return v, true, nil
+		s.out = s.out[:0]
+		for _, v := range bt {
+			k := value.Key(v)
+			if s.seen[k] {
+				continue
 			}
-		case 2: // diff
-			if !inRight {
-				return v, true, nil
-			}
-		}
-	}
-	// Union phase 1: right elements not already emitted.
-	for s.ri < len(s.rightKeys) {
-		k := s.rightKeys[s.ri]
-		s.ri++
-		if !s.seen[k] {
 			s.seen[k] = true
-			return s.right[k], true, nil
+			// Union passes every left element, intersect those in the right,
+			// diff those not in it.
+			if _, inRight := s.right[k]; s.Kind == 0 || inRight == (s.Kind == 1) {
+				s.out = append(s.out, v)
+			}
+		}
+		if len(s.out) > 0 {
+			return s.out, true, nil
 		}
 	}
-	return value.Value{}, false, nil
+	// Union's tail: the right elements not already emitted, in one batch.
+	s.out = s.out[:0]
+	if s.Kind == 0 {
+		for _, k := range s.rightKeys {
+			if !s.seen[k] {
+				s.seen[k] = true
+				s.out = append(s.out, s.right[k])
+			}
+		}
+	}
+	if len(s.out) == 0 {
+		return nil, false, nil
+	}
+	return s.out, true, nil
 }
 
 // Close releases state and closes the left input.

@@ -13,9 +13,10 @@ import (
 // selection whose equality conjuncts cover a prefix of a persistent index
 // (σ[x.a = c AND …](X)) reads exactly the matching bucket(s) instead of
 // scanning the table. The base scan is never materialized — Open resolves
-// the index and the point keys, Next streams the bucket rows through the
-// residual predicate. This is the physical family behind the planner's
-// AccessIndex ("idxscan") access path.
+// the index and the point keys, NextBatch emits the buckets as zero-copy
+// batches, filtered through the residual predicate when there is one. This
+// is the physical family behind the planner's AccessIndex ("idxscan") access
+// path.
 //
 // Points holds one or more key points. Each point is a list of closed key
 // expressions (no free variables — the planner only matches conjuncts whose
@@ -40,9 +41,11 @@ type IndexScan struct {
 	Var      string
 	Residual tmql.Expr
 
-	probe   indexProbeSide
+	ix      *storage.HashIndex
 	buckets [][]value.Value
-	pi, ri  int
+	src     chunks
+	pred    rowPredicate
+	out     []value.Value
 }
 
 // Open resolves the index, evaluates every point's keys, and fetches the
@@ -51,15 +54,12 @@ func (s *IndexScan) Open() error {
 	if s.Depth < 1 || len(s.Points) == 0 {
 		return fmt.Errorf("exec: IndexScan on %s(%s) needs a positive depth and at least one point", s.Table, s.Index)
 	}
-	// Reuse the probe side's index resolution; key evaluation differs (closed
-	// expressions, evaluated once here rather than per left row).
-	s.probe = indexProbeSide{ctx: s.Ctx, table: s.Table, index: s.Index, lvar: s.Var,
-		lkeys: make([]tmql.Expr, s.Depth), ix: s.Ix}
-	if err := s.probe.open(); err != nil {
+	ix, err := openIndex(s.Ctx, s.Ix, s.Table, s.Index, s.Depth)
+	if err != nil {
 		return err
 	}
-	s.buckets = s.buckets[:0]
-	var buf []byte
+	s.ix, s.buckets, s.src = ix, s.buckets[:0], chunks{}
+	buf := make([]byte, 0, 32) // point keys are short: the buffer stays on the stack
 	for _, pt := range s.Points {
 		if len(pt) != s.Depth {
 			return fmt.Errorf("exec: IndexScan point has %d keys, want depth %d", len(pt), s.Depth)
@@ -72,47 +72,47 @@ func (s *IndexScan) Open() error {
 			}
 			buf = value.AppendKey(buf, kv)
 		}
-		if b := s.probe.ix.LookupEncoded(string(buf), s.Depth); len(b) > 0 {
+		if b := ix.LookupEncoded(string(buf), s.Depth); len(b) > 0 {
 			s.buckets = append(s.buckets, b)
 		}
 	}
-	s.pi, s.ri = 0, 0
+	s.pred = newRowPredicate(s.Ctx, s.Residual, s.Var)
 	return nil
 }
 
-// Next returns the next bucket row passing the residual predicate.
-func (s *IndexScan) Next() (value.Value, bool, error) {
-	for s.pi < len(s.buckets) {
-		b := s.buckets[s.pi]
-		for s.ri < len(b) {
-			if err := s.Ctx.check(); err != nil {
-				return value.Value{}, false, err
+// NextBatch returns the next batch of bucket rows passing the residual
+// predicate.
+func (s *IndexScan) NextBatch() ([]value.Value, bool, error) {
+	for {
+		b, ok := s.src.next()
+		if !ok {
+			if len(s.buckets) == 0 {
+				return nil, false, nil
 			}
-			if err := faultinject.Hit(faultinject.PointScan); err != nil {
-				return value.Value{}, false, err
-			}
-			v := b[s.ri]
-			s.ri++
-			if s.Residual != nil {
-				keep, err := s.Ctx.evalPred(s.Residual, env1(s.Var, v))
-				if err != nil {
-					return value.Value{}, false, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			return v, true, nil
+			s.src.rows, s.buckets = s.buckets[0], s.buckets[1:]
+			continue
 		}
-		s.pi++
-		s.ri = 0
+		if err := s.Ctx.checkBatch(); err != nil {
+			return nil, false, err
+		}
+		if err := faultinject.Hit(faultinject.PointScan); err != nil {
+			return nil, false, err
+		}
+		if s.Residual == nil {
+			return b, true, nil
+		}
+		var err error
+		if s.out, err = s.pred.filter(b, s.out); err != nil {
+			return nil, false, err
+		}
+		if len(s.out) > 0 {
+			return s.out, true, nil
+		}
 	}
-	return value.Value{}, false, nil
 }
 
 // Close releases the buckets and the index reference.
 func (s *IndexScan) Close() error {
-	s.probe.ix = nil
-	s.buckets = nil
+	s.ix, s.buckets, s.src = nil, nil, chunks{}
 	return nil
 }

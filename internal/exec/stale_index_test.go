@@ -20,46 +20,47 @@ func TestStaleIndexTyped(t *testing.T) {
 	tab := db.MustCreate("T", elem)
 	tab.Seal()
 
-	key, err := tmql.Parse("1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewCtx(db)
 
-	probe := &indexProbeSide{ctx: ctx, table: "T", index: "a", lvar: "x", lkeys: []tmql.Expr{key}}
-	if err := probe.open(); !errors.Is(err, ErrStaleIndex) {
-		t.Errorf("missing index: open() = %v, want ErrStaleIndex", err)
+	if _, err := openIndex(ctx, nil, "T", "a", 1); !errors.Is(err, ErrStaleIndex) {
+		t.Errorf("missing index: openIndex = %v, want ErrStaleIndex", err)
+	}
+	if _, err := openIndex(ctx, nil, "nope", "a", 1); err == nil || errors.Is(err, ErrStaleIndex) {
+		t.Errorf("unknown table: openIndex = %v, want an untyped (non-stale) error", err)
 	}
 
-	unknown := &indexProbeSide{ctx: ctx, table: "nope", index: "a", lvar: "x", lkeys: []tmql.Expr{key}}
-	if err := unknown.open(); err == nil || errors.Is(err, ErrStaleIndex) {
-		t.Errorf("unknown table: open() = %v, want an untyped (non-stale) error", err)
-	}
-
-	// A live index opens. After a drop, a probe side holding the resolved
-	// snapshot reopens fine (compile-time resolution pins the snapshot), while
-	// a fresh name-resolving probe observes the stale error.
+	// A live index opens. After a drop, the resolved snapshot still opens
+	// (compile-time resolution pins it), while resolving by name observes
+	// the stale error.
 	if err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	live := &indexProbeSide{ctx: ctx, table: "T", index: "a", lvar: "x", lkeys: []tmql.Expr{key}}
-	if err := live.open(); err != nil {
+	live, err := openIndex(ctx, nil, "T", "a", 1)
+	if err != nil {
 		t.Fatalf("live index failed to open: %v", err)
 	}
 	if !tab.DropIndex("a") {
 		t.Fatal("DropIndex reported false")
 	}
-	if err := live.open(); err != nil {
+	if _, err := openIndex(ctx, live, "T", "a", 1); err != nil {
 		t.Errorf("resolved snapshot failed to reopen after drop: %v", err)
 	}
-	fresh := &indexProbeSide{ctx: ctx, table: "T", index: "a", lvar: "x", lkeys: []tmql.Expr{key}}
-	if err := fresh.open(); !errors.Is(err, ErrStaleIndex) {
-		t.Errorf("dropped index: open() = %v, want ErrStaleIndex", err)
+	if _, err := openIndex(ctx, nil, "T", "a", 1); !errors.Is(err, ErrStaleIndex) {
+		t.Errorf("dropped index: openIndex = %v, want ErrStaleIndex", err)
+	}
+	if _, err := openIndex(ctx, live, "T", "a", 2); err == nil {
+		t.Error("a probe deeper than the index opened")
 	}
 
-	// The compile-time path: a pre-resolved Ix is served as-is.
-	pre := &indexProbeSide{ctx: ctx, table: "T", index: "a", lvar: "x", lkeys: []tmql.Expr{key}, ix: live.ix}
-	if err := pre.open(); err != nil {
-		t.Errorf("pre-resolved probe failed to open: %v", err)
+	// Both index operators surface the typed error from Open.
+	for name, op := range map[string]BatchIterator{
+		"join": &Join{Ctx: ctx, Method: JoinIndex, L: &SliceScan{}, LVar: "x", RVar: "t",
+			Table: "T", Index: "a", LKeys: []tmql.Expr{tmql.MustParse("x")}},
+		"scan": &IndexScan{Ctx: ctx, Table: "T", Index: "a", Depth: 1,
+			Points: [][]tmql.Expr{{tmql.MustParse("1")}}},
+	} {
+		if err := op.Open(); !errors.Is(err, ErrStaleIndex) {
+			t.Errorf("%s: Open = %v, want ErrStaleIndex", name, err)
+		}
 	}
 }

@@ -22,14 +22,17 @@ import (
 // Registered fault points. The names are stable API: tests address them in
 // schedules and the ARCHITECTURE.md registry documents them.
 const (
-	// PointScan fires once per row leaving a table scan.
+	// PointScan fires once per batch leaving a table scan
+	// (exec.TableScan) or an index scan (exec.IndexScan).
 	PointScan = "scan.next"
-	// PointHashBuild fires once per row entering a hash-table build.
+	// PointHashBuild fires once per right-input row entering the table of a
+	// hash join (exec.Join with the JoinHash method).
 	PointHashBuild = "hash.build"
-	// PointHashProbe fires once per probe-side row in the hash join family.
+	// PointHashProbe fires once per left row probed by exec.Join, whatever
+	// its method: hash table, persistent index or nested loops.
 	PointHashProbe = "hash.probe"
-	// PointSortBuild fires once per row drained into a sort (Sort operator
-	// and the merge joins' sorted runs).
+	// PointSortBuild fires once per input batch drained into a sorted run of
+	// the merge nest join (exec.MergeNestJoin).
 	PointSortBuild = "sort.build"
 	// PointMutationEpoch fires once per engine-level mutation that advances a
 	// table epoch (insert, delete, index creation).

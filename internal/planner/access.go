@@ -328,7 +328,7 @@ func crossPoints(lists [][]tmql.Expr) [][]tmql.Expr {
 // residual when the selection sits directly over the scan) with the
 // intermediate chain nodes — further selections and wrapper Maps — rebuilt
 // above the bucket rows.
-func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *storage.HashIndex) (exec.Iterator, error) {
+func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *storage.HashIndex) (exec.BatchIterator, error) {
 	chain, _, ok := AccessChain(n.In)
 	if !ok {
 		return nil, fmt.Errorf("planner: index-scan match without an access chain on %s", n.Describe())
@@ -337,21 +337,18 @@ func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *stor
 		Ctx: p.ctx, Table: m.Table, Index: m.Name(), Ix: ix, Depth: m.Depth,
 		Points: m.Points,
 	}
-	var it exec.Iterator = leaf
 	if len(chain) == 0 {
 		// Direct σ-over-scan: the operator applies the residual itself.
 		leaf.Var, leaf.Residual = n.Var, m.Residual
-		return it, nil
+		return leaf, nil
 	}
+	var it exec.BatchIterator = leaf
 	for i := len(chain) - 1; i >= 0; i-- {
 		switch c := chain[i].(type) {
 		case *algebra.Select:
 			it = &exec.Filter{Ctx: p.ctx, In: it, Var: c.Var, Pred: c.Pred}
 		case *algebra.Map:
-			it = &exec.MapIter{Ctx: p.ctx, In: it, Var: c.Var, Out: c.Out}
-			if p.needsDistinct(c) {
-				it = &exec.Distinct{Ctx: p.ctx, In: it}
-			}
+			it = p.compileMap(c, it)
 		}
 	}
 	if m.Residual != nil {

@@ -196,7 +196,7 @@ func TestCompileIndexScanMultiPointExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := tree.Collect(nil)
+		v, err := exec.CollectBatches(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestCompileIndexScanExecutes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := tree.Collect(nil)
+				v, err := exec.CollectBatches(tree)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,7 +334,7 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := tree.Collect(nil)
+		v, err := exec.CollectBatches(tree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tmdb/internal/algebra"
-	"tmdb/internal/exec"
 )
 
 // Cost-based physical planning: the engine translates the query once per
@@ -27,9 +26,8 @@ type StrategyPlan struct {
 }
 
 // Candidate is one logical alternative × PhysicalSpec combination considered
-// by Choose: the join family, the batch size it was costed at (0 =
-// row-at-a-time), and the access path leaf selections read through
-// (AccessScan unless an index-scan variant was enumerated).
+// by Choose: the join family and the access path leaf selections read
+// through (AccessScan unless an index-scan variant was enumerated).
 type Candidate struct {
 	Strategy string
 	// Alt is the logical-alternative label (AltBase when the strategy's
@@ -48,14 +46,11 @@ type Candidate struct {
 
 // String renders the candidate as one row of EXPLAIN's candidate table:
 // strategy, logical alternative (the "rewrite" column), join family with
-// access path and batch size, and estimated cost.
+// access path, and estimated cost.
 func (c Candidate) String() string {
 	joins := c.Joins.String()
 	if c.Access == AccessIndex {
 		joins += "+idxscan"
-	}
-	if c.Batch > 0 {
-		joins += fmt.Sprintf("+b%d", c.Batch)
 	}
 	alt := c.Alt
 	if alt == "" {
@@ -74,9 +69,8 @@ func (c Candidate) String() string {
 
 // Choose picks the cheapest feasible logical alternative × PhysicalSpec
 // combination by estimated work. Every dimension is orthogonal to the others
-// — each plan × join family × access path combination is costed at
-// every enumerated batch size — and pin restricts the enumeration per
-// dimension:
+// — each plan × join family × access path combination is costed — and pin
+// restricts the enumeration per dimension:
 //
 //   - pin.Joins fixes the join family; ImplAuto enumerates nested-loop and
 //     hash, sort-merge for plans with a nest join (the only operator it
@@ -87,22 +81,12 @@ func (c Candidate) String() string {
 //     an index-scan variant for plans where a live index can serve a
 //     selection (AccessIndex still falls back to scans per selection, as
 //     ImplIndex falls back per join operator).
-//   - pin.Batch > 0 fixes vectorized execution at that size (clamped to
-//     exec.MaxBatchSize), < 0 fixes row-at-a-time, and 0 enumerates
-//     row-at-a-time plus exec.DefaultBatchSize.
 //
 // The returned slice reports every candidate considered (for EXPLAIN); the
 // returned pointer aliases its winning entry.
 func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, []Candidate, error) {
 	if len(plans) == 0 {
 		return nil, nil, fmt.Errorf("planner: no candidate plans to choose from")
-	}
-	batches := []int{0}
-	switch {
-	case pin.Batch == 0:
-		batches = []int{0, exec.DefaultBatchSize}
-	case pin.Batch > 0:
-		batches = []int{exec.NormalizeBatchSize(pin.Batch)}
 	}
 	impls := []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge}
 	if pin.Joins != ImplAuto {
@@ -144,8 +128,8 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 			alt = AltBase
 		}
 		for _, impl := range implsHere {
-			// Feasibility does not depend on access path or batch size:
-			// report an infeasible combination once.
+			// Feasibility does not depend on the access path: report an
+			// infeasible combination once.
 			if reason := ImplInfeasible(sp.Plan, impl); reason != "" {
 				all = append(all, Candidate{
 					Strategy: sp.Strategy, Alt: alt, Plan: sp.Plan, Infeasible: reason,
@@ -154,14 +138,12 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 				continue
 			}
 			for _, acc := range accesses {
-				for _, bsz := range batches {
-					spec := PhysicalSpec{Joins: impl, Access: acc, Batch: bsz}
-					c := Candidate{Strategy: sp.Strategy, Alt: alt, PhysicalSpec: spec, Plan: sp.Plan}
-					c.Cost = e.Estimate(sp.Plan, spec)
-					all = append(all, c)
-					if best < 0 || c.Cost.Work < all[best].Cost.Work {
-						best = len(all) - 1
-					}
+				spec := PhysicalSpec{Joins: impl, Access: acc}
+				c := Candidate{Strategy: sp.Strategy, Alt: alt, PhysicalSpec: spec, Plan: sp.Plan}
+				c.Cost = e.Estimate(sp.Plan, spec)
+				all = append(all, c)
+				if best < 0 || c.Cost.Work < all[best].Cost.Work {
+					best = len(all) - 1
 				}
 			}
 		}
@@ -177,14 +159,11 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 // to, each node named by the shared resolver and annotated with its estimated
 // rows and cost — the body of the engine's EXPLAIN.
 func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
-	if spec.Batch > 0 {
-		spec.Batch = exec.NormalizeBatchSize(spec.Batch)
-	}
 	var b strings.Builder
 	var walk func(n algebra.Plan, depth int)
 	walk = func(n algebra.Plan, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s  (%s)\n", e.resolve(n, spec).describe(n, spec), e.Estimate(n, spec))
+		fmt.Fprintf(&b, "%s  (%s)\n", e.resolve(n, spec).describe(n), e.Estimate(n, spec))
 		for _, ch := range n.Children() {
 			walk(ch, depth+1)
 		}

@@ -11,46 +11,39 @@ import (
 	"tmdb/internal/value"
 )
 
-// root returns the tree's root operator in whichever protocol it speaks.
-func root(t Tree) any {
-	if t.Batches != nil {
-		return t.Batches
-	}
-	return t.Rows
-}
-
 // TestCompile covers the one compile walk over spec rows: the operator each
-// spec puts at the root of a plan, and that a batched plan computes the same
-// canonical result as the row-at-a-time plan of the same spec.
+// spec puts at the root of a plan, and that every join family computes the
+// same canonical result as the nested-loop plan.
 func TestCompile(t *testing.T) {
 	env := specEnvs(t)["plain"]
 	b, ctx := env.b, exec.NewCtx(env.db)
 	x, nj, fj := env.plans["scan-x"], env.plans["nest-xy"], env.plans["semi-xz"]
 
-	// Shapes: the hash family is one operator per join kind, batch-native in
-	// every plan — fed batches directly in a batched plan and through
-	// RowsToBatch in a row plan, whose root comes back through BatchToRows;
-	// in a batched plan scans are batch-native too, while row operators come
-	// back behind RowsToBatch.
-	hashInputs := func(inputs string) func(op any) error {
+	// Shapes: every join family is one operator, exec.Join, differing in its
+	// method; scans feed it directly.
+	method := func(want exec.JoinMethod) func(op any) error {
 		return func(op any) error {
-			var l, r exec.BatchIterator
-			switch j := op.(type) {
-			case *exec.HashJoin:
-				l, r = j.L, j.R
-			case *exec.HashNestJoin:
-				l, r = j.L, j.R
+			j := op.(*exec.Join)
+			if j.Method != want {
+				return fmt.Errorf("method = %d, want %d", j.Method, want)
 			}
-			if got := fmt.Sprintf("%T %T", l, r); got != inputs {
-				return fmt.Errorf("inputs = %s, want %s", got, inputs)
+			if got := fmt.Sprintf("%T %T", j.L, j.R); got != "*exec.TableScan *exec.TableScan" {
+				return fmt.Errorf("inputs = %s, want two table scans", got)
 			}
 			return nil
 		}
 	}
-	const adapted, batched = "*exec.RowsToBatch *exec.RowsToBatch", "*exec.BatchTableScan *exec.BatchTableScan"
 	// Identity maps — the variable itself, or a tuple wrapping it — are
-	// injective, so they skip the Distinct over a duplicate-free scan but not
-	// over μ, which emits duplicates.
+	// injective, so they skip deduplication over a duplicate-free scan but
+	// not over μ, which emits duplicates.
+	distinct := func(want bool) func(op any) error {
+		return func(op any) error {
+			if m, ok := op.(*exec.Map); !ok || m.Distinct != want {
+				return fmt.Errorf("%T is not a map with Distinct = %v", op, want)
+			}
+			return nil
+		}
+	}
 	ident := func(in algebra.Plan, v string, wrap bool) algebra.Plan {
 		var out tmql.Expr = &tmql.Var{Name: v}
 		if wrap {
@@ -73,31 +66,25 @@ func TestCompile(t *testing.T) {
 		want  string
 		check func(op any) error
 	}{
-		{"flat hash", fj, PhysicalSpec{Joins: ImplHash}, "*exec.BatchToRows", func(op any) error {
-			return hashInputs(adapted)(op.(*exec.BatchToRows).In)
-		}},
-		{"nest hash", nj, PhysicalSpec{Joins: ImplHash}, "*exec.BatchToRows", func(op any) error {
-			return hashInputs(adapted)(op.(*exec.BatchToRows).In)
-		}},
+		{"flat hash", fj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", method(exec.JoinHash)},
+		{"nest hash", nj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", method(exec.JoinHash)},
 		{"nest merge", nj, PhysicalSpec{Joins: ImplMerge}, "*exec.MergeNestJoin", nil},
-		{"nest nl", nj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.NLNestJoin", nil},
-		{"batched scan", x, PhysicalSpec{Batch: 64}, "*exec.BatchTableScan", nil},
-		{"batched flat equi join", fj, PhysicalSpec{Batch: 64}, "*exec.HashJoin", hashInputs(batched)},
-		{"batched nest join is batch-native", nj, PhysicalSpec{Batch: 64}, "*exec.HashNestJoin", hashInputs(batched)},
-		{"batched nl join is cold", fj, PhysicalSpec{Joins: ImplNestedLoop, Batch: 64}, "*exec.RowsToBatch", nil},
-		{"identity map over a scan", ident(x, "x", false), PhysicalSpec{}, "*exec.MapIter", nil},
-		{"wrapping map over a scan", ident(x, "x", true), PhysicalSpec{Batch: 64}, "*exec.BatchMap", nil},
-		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Distinct", nil},
-		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{Batch: 64}, "*exec.BatchDistinct", nil},
+		{"nest nl", nj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", method(exec.JoinNL)},
+		{"flat nl", fj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", method(exec.JoinNL)},
+		{"scan", x, PhysicalSpec{}, "*exec.TableScan", nil},
+		{"identity map over a scan", ident(x, "x", false), PhysicalSpec{}, "*exec.Map", distinct(false)},
+		{"wrapping map over a scan", ident(x, "x", true), PhysicalSpec{}, "*exec.Map", distinct(false)},
+		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Map", distinct(true)},
+		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{}, "*exec.Map", distinct(true)},
 	} {
 		tree, err := New(ctx, tc.spec).Compile(tc.plan)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := fmt.Sprintf("%T", root(tree)); got != tc.want {
+		if got := fmt.Sprintf("%T", tree); got != tc.want {
 			t.Errorf("%s: compiled to %s, want %s", tc.name, got, tc.want)
 		} else if tc.check != nil {
-			if err := tc.check(root(tree)); err != nil {
+			if err := tc.check(tree); err != nil {
 				t.Errorf("%s: %v", tc.name, err)
 			}
 		}
@@ -107,13 +94,13 @@ func TestCompile(t *testing.T) {
 	_, udb := datagen.XYZ(datagen.DefaultSpec())
 	utab, _ := udb.Table("X")
 	utab.Unseal()
-	if tree, err := New(exec.NewCtx(udb), PhysicalSpec{}).Compile(ident(x, "x", false)); err != nil || fmt.Sprintf("%T", root(tree)) != "*exec.Distinct" {
-		t.Errorf("identity map over an unsealed scan compiled to %T (%v), want *exec.Distinct", root(tree), err)
+	if tree, err := New(exec.NewCtx(udb), PhysicalSpec{}).Compile(ident(x, "x", false)); err != nil || distinct(true)(tree) != nil {
+		t.Errorf("identity map over an unsealed scan compiled to %+v (%v), want a deduplicating map", tree, err)
 	}
 
-	// Equivalence: every operator family × join implementation at
-	// every batch size against the row plan — and on infeasible specs (merge
-	// or pinned hash without an equi-key) the same refusal.
+	// Equivalence: every operator family × join implementation against the
+	// nested-loop plan — and on infeasible specs (merge or pinned hash
+	// without an equi-key) a refusal.
 	plans := map[string]algebra.Plan{
 		"semijoin": fj, "theta-join": env.plans["theta-xz"], "nestjoin": nj,
 	}
@@ -138,7 +125,6 @@ func TestCompile(t *testing.T) {
 	must("unnest", un, err)
 	nst, err := b.Nest(x, []string{"a"}, "g", false)
 	must("nest", nst, err)
-	// Cold over cold: no adapter pair between adjacent row operators.
 	nn, err := b.Unnest(njf, "zs")
 	must("unnest-over-nestjoin", nn, err)
 
@@ -147,21 +133,20 @@ func TestCompile(t *testing.T) {
 		if err != nil {
 			return value.Value{}, err
 		}
-		return tree.Collect(nil)
+		return exec.CollectBatches(tree)
 	}
 	for name, plan := range plans {
-		for _, base := range []PhysicalSpec{{}, {Joins: ImplNestedLoop}, {Joins: ImplMerge}} {
-			want, rowErr := run(plan, base)
-			for _, size := range []int{1, 3, exec.DefaultBatchSize} {
-				spec := base
-				spec.Batch = size
-				got, batErr := run(plan, spec)
-				if (rowErr == nil) != (batErr == nil) {
-					t.Fatalf("%s/%+v: row err %v, batch err %v", name, spec, rowErr, batErr)
-				}
-				if rowErr == nil && !value.Equal(got, want) {
-					t.Errorf("%s/%+v: batch result differs from row:\nwant %s\ngot  %s", name, spec, want, got)
-				}
+		want, err := run(plan, PhysicalSpec{Joins: ImplNestedLoop})
+		if err != nil {
+			t.Fatalf("%s: nested loops: %v", name, err)
+		}
+		for _, spec := range []PhysicalSpec{{}, {Joins: ImplHash}, {Joins: ImplMerge}} {
+			got, err := run(plan, spec)
+			if infeasible := ImplInfeasible(plan, spec.Joins); (infeasible != "") != (err != nil) {
+				t.Fatalf("%s/%+v: err %v, infeasible %q", name, spec, err, infeasible)
+			}
+			if err == nil && !value.Equal(got, want) {
+				t.Errorf("%s/%+v: result differs from nested loops:\nwant %s\ngot  %s", name, spec, want, got)
 			}
 		}
 	}

@@ -57,46 +57,14 @@ const defaultSelectivity = 0.33
 // direct scans with statistically known key attributes.
 const defaultDangling = 0.5
 
-// Batch-execution cost constants, following the B-series profiles that
-// motivated batching: batchDispatchShare of row-at-a-time work is per-row
-// dispatch (interface calls, governor polls) that vectorized operators pay
-// once per batch instead, and batchStartupWork is the flat per-plan cost of
-// adapters and scratch arenas that keeps tiny queries on the row engine.
-const (
-	batchDispatchShare = 0.35
-	batchStartupWork   = 32.0
-)
-
-// BatchWorkFactor scales row-at-a-time work for execution at the given batch
-// size: the dispatch share divides by the batch size, the rest is per-row
-// work batching cannot remove. Factor 1 at batch <= 1.
-func BatchWorkFactor(batch int) float64 {
-	if batch <= 1 {
-		return 1
-	}
-	return (1 - batchDispatchShare) + batchDispatchShare/float64(batch)
-}
-
 // Estimate computes the cost of a logical plan compiled under spec; the zero
 // spec is the auto mapping (hash where an equi-key exists, nested loops
-// otherwise) over full scans and row-at-a-time. Output cardinalities are
-// independent of the spec — only the work term changes. Under AccessIndex,
-// selections served by a live index are costed as point probes; at Batch > 1
-// the dispatch amortization and the flat vectorization overhead apply, and
-// row-at-a-time candidates are untouched, so adding the batch dimension
-// cannot perturb the other choices. Infeasible specs (hash without an
+// otherwise) over full scans. Output cardinalities are independent of the
+// spec — only the work term changes. Under AccessIndex, selections served by
+// a live index are costed as point probes. Infeasible specs (hash without an
 // equi-key) are costed as their nested-loop fallback; feasibility is
 // ImplInfeasible's job.
 func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
-	c := e.rowCost(p, spec)
-	if spec.Batch > 1 {
-		c.Work = c.Work*BatchWorkFactor(spec.Batch) + batchStartupWork
-	}
-	return c
-}
-
-// rowCost is Estimate before the batch adjustment.
-func (e *Estimator) rowCost(p algebra.Plan, spec PhysicalSpec) Cost {
 	switch n := p.(type) {
 	case *algebra.Scan:
 		card := float64(e.tableStats(n.Table).Card)
@@ -107,7 +75,7 @@ func (e *Estimator) rowCost(p algebra.Plan, spec PhysicalSpec) Cost {
 		return e.evalCost(n.Expr)
 
 	case *algebra.Select:
-		in := e.rowCost(n.In, spec)
+		in := e.Estimate(n.In, spec)
 		rows := in.Rows * e.predicateSelectivity(n.Pred, n.In, n.Var)
 		if op := e.resolve(n, spec); op.indexScan {
 			return Cost{Rows: rows, Work: e.indexScanWork(op.scan)}
@@ -115,7 +83,7 @@ func (e *Estimator) rowCost(p algebra.Plan, spec PhysicalSpec) Cost {
 		return Cost{Rows: rows, Work: in.Work + in.Rows}
 
 	case *algebra.Map:
-		in := e.rowCost(n.In, spec)
+		in := e.Estimate(n.In, spec)
 		return Cost{Rows: in.Rows, Work: in.Work + in.Rows}
 
 	case *algebra.Join:
@@ -140,17 +108,17 @@ func (e *Estimator) rowCost(p algebra.Plan, spec PhysicalSpec) Cost {
 		return Cost{Rows: l.Rows, Work: work}
 
 	case *algebra.Nest:
-		in := e.rowCost(n.In, spec)
+		in := e.Estimate(n.In, spec)
 		return Cost{Rows: in.Rows * 0.5, Work: in.Work + in.Rows}
 
 	case *algebra.Unnest:
-		in := e.rowCost(n.In, spec)
+		in := e.Estimate(n.In, spec)
 		fanout := e.unnestFanout(n)
 		return Cost{Rows: in.Rows * fanout, Work: in.Work + in.Rows*fanout}
 
 	case *algebra.SetOp:
-		l := e.rowCost(n.L, spec)
-		r := e.rowCost(n.R, spec)
+		l := e.Estimate(n.L, spec)
+		r := e.Estimate(n.R, spec)
 		rows := l.Rows
 		switch n.Kind {
 		case algebra.SetUnion:
@@ -192,7 +160,7 @@ func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 // pre-exists, so neither the right subtree's work nor a build pass is paid,
 // only the per-left-row probe and the emitted matches.
 func (e *Estimator) joinWork(n, lp, rp algebra.Plan, rvar string, spec PhysicalSpec) (l Cost, op physOp, matches, work float64) {
-	l, r := e.rowCost(lp, spec), e.rowCost(rp, spec)
+	l, r := e.Estimate(lp, spec), e.Estimate(rp, spec)
 	op = e.resolve(n, spec)
 	sel := defaultSelectivity
 	if len(op.lk) > 0 {

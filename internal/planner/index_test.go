@@ -112,7 +112,7 @@ func TestCompileIndexJoinExecutes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := tree.Collect(nil)
+				v, err := exec.CollectBatches(tree)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,8 +3,8 @@
 // expands each translation into its peer logical candidates — the plan as
 // translated, its §6-rewritten form, and (for multi-FROM flat-join blocks)
 // the join orders found by the join-order search — so Choose can weigh
-// nested-vs-flattened forms, rewrites, join orders, physical families,
-// access paths and batch sizes on one cost scale.
+// nested-vs-flattened forms, rewrites, join orders, physical families and
+// access paths on one cost scale.
 package planner
 
 import (

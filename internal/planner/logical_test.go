@@ -43,7 +43,7 @@ func runPlan(t *testing.T, db *storage.DB, p algebra.Plan) value.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := tree.Collect(nil)
+	v, err := exec.CollectBatches(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestChooseWeighsRewriteAlternative(t *testing.T) {
 	q := `SELECT x.b FROM X x WHERE x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b) AND x.b < 0`
 	base := translate(t, tr, q, core.StrategyNestJoin)
 	alts := est.Alternatives(b, []StrategyPlan{{Strategy: "nestjoin", Plan: base}})
-	best, all, err := est.Choose(alts, PhysicalSpec{Batch: -1})
+	best, all, err := est.Choose(alts, PhysicalSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

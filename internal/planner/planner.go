@@ -17,8 +17,8 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/exec"
+	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
-	"tmdb/internal/value"
 )
 
 // JoinImpl selects the physical family used for joins with extractable
@@ -34,7 +34,7 @@ const (
 	// ImplIndex probes a table's persistent hash index (see
 	// storage.Table.CreateIndex) instead of building a per-query hash table:
 	// join-family operators whose right operand is a direct scan of an
-	// indexed equi-key attribute compile to IndexJoin/IndexNestJoin, skipping
+	// indexed equi-key attribute compile to exec.JoinIndex joins, skipping
 	// the build pass entirely; operators without a usable index fall back to
 	// the auto mapping (hash when an equi-key exists, else nested loops).
 	ImplIndex
@@ -57,20 +57,16 @@ func (ji JoinImpl) String() string {
 	return "impl?"
 }
 
-// PhysicalSpec is one point in the physical planning space: the join family,
-// the access path of leaf selections and the batch size. §6's observation
-// that the nest join "adapts any common join method" makes these choices
-// orthogonal to the unnesting strategy, so they travel as one value that
-// Choose enumerates and that Estimate, Explain and Compile all read through
-// the same operator-resolution rule (resolve.go).
+// PhysicalSpec is one point in the physical planning space: the join family
+// and the access path of leaf selections. §6's observation that the nest
+// join "adapts any common join method" makes these choices orthogonal to the
+// unnesting strategy, so they travel as one value that Choose enumerates and
+// that Estimate, Explain and Compile all read through the same
+// operator-resolution rule (resolve.go).
 //
 // As a decision (what Candidate carries and Estimate/Explain/Compile take)
 // the fields mean what runs. As a pin (what Choose takes) a zero field leaves
 // that dimension to the enumeration; see Choose.
-//
-// The two byte-sized fields are adjacent so they share a word: a Candidate
-// embeds the spec, and one more word per candidate moves the candidate
-// table's append growth up a size class (TestCandidateSize).
 type PhysicalSpec struct {
 	// Joins is the implementation family of all join-like operators.
 	Joins JoinImpl
@@ -79,21 +75,15 @@ type PhysicalSpec struct {
 	// exec.IndexScan (per-selection fallback to scans elsewhere); AccessAuto
 	// and AccessScan read full scans.
 	Access AccessPath
-	// Batch is the rows-per-batch capacity of vectorized execution (capped at
-	// exec.MaxBatchSize); 0 is row-at-a-time.
-	Batch int
 }
 
 // Fixed resolves a pin without enumeration — the fixed-strategy path, where
-// every physical choice is the caller's and an open dimension takes its
-// conservative value (full scans, row-at-a-time), so fixed-strategy
-// experiment numbers do not move when indexes or batching appear.
+// every physical choice is the caller's and an open access path takes its
+// conservative value (full scans), so fixed-strategy experiment numbers do
+// not move when indexes appear.
 func (s PhysicalSpec) Fixed() PhysicalSpec {
 	if s.Access == AccessAuto {
 		s.Access = AccessScan
-	}
-	if s.Batch < 0 {
-		s.Batch = 0
 	}
 	return s
 }
@@ -109,214 +99,127 @@ func New(ctx *exec.Ctx, spec PhysicalSpec) *Planner {
 	return &Planner{ctx: ctx, spec: spec}
 }
 
-// Tree is a compiled operator tree in the protocol its root speaks: exactly
-// one of Rows and Batches is set.
-type Tree struct {
-	Rows    exec.Iterator
-	Batches exec.BatchIterator
-}
-
-// Collect drains the tree into a canonical set value under gov (nil =
-// ungoverned).
-func (t Tree) Collect(gov *exec.Governor) (value.Value, error) {
-	if t.Batches != nil {
-		return exec.CollectBatchesGoverned(gov, t.Batches)
-	}
-	return exec.CollectGoverned(gov, t.Rows)
-}
-
-// Compile turns a logical plan into a physical operator tree. The hash join
-// family is batch-only and runs in every plan; with spec.Batch == 0 every
-// other node is a row operator and the tree's root speaks rows, with
-// spec.Batch > 0 every node with a batch-native operator gets it. Either
-// way asRows/asBatch adapt between the two protocols only where a consumer
-// needs the other one — so a row operator in the middle of a plan never
-// forces the subtree below it back to rows. Results are identical either way
-// by the set canonicalization in Collect.
-func (p *Planner) Compile(plan algebra.Plan) (Tree, error) {
-	t, err := p.compile(plan)
-	if err != nil {
-		return Tree{}, err
-	}
-	if p.spec.Batch > 0 {
-		return Tree{Batches: p.asBatch(t)}, nil
-	}
-	return Tree{Rows: p.asRows(t)}, nil
-}
-
-// asRows adapts a subtree for a row consumer.
-func (p *Planner) asRows(t Tree) exec.Iterator {
-	if t.Rows != nil {
-		return t.Rows
-	}
-	return &exec.BatchToRows{In: t.Batches}
-}
-
-// asBatch adapts a subtree for a batch consumer.
-func (p *Planner) asBatch(t Tree) exec.BatchIterator {
-	if t.Batches != nil {
-		return t.Batches
-	}
-	return &exec.RowsToBatch{It: t.Rows, Size: p.spec.Batch}
-}
-
-// compile2 compiles both operands of a binary node.
-func (p *Planner) compile2(lp, rp algebra.Plan) (l, r Tree, err error) {
-	if l, err = p.compile(lp); err != nil {
-		return l, r, err
-	}
-	r, err = p.compile(rp)
-	return l, r, err
-}
-
-// compile is the one walk: each case asks the resolver which operator the
-// node becomes under the spec and builds it over its compiled children.
-func (p *Planner) compile(plan algebra.Plan) (Tree, error) {
+// Compile turns a logical plan into a physical operator tree — the one walk:
+// each case asks the resolver which operator the node becomes under the spec
+// and builds it over its compiled children.
+func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, error) {
 	op, ix := p.resolve(plan)
 	if op.infeasible != "" {
-		return Tree{}, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
+		return nil, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
 	}
 	c := p.ctx
-	batch := p.spec.Batch > 0 && op.batchNative
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		if batch {
-			return Tree{Batches: &exec.BatchTableScan{Ctx: c, Table: n.Table, Size: p.spec.Batch}}, nil
-		}
-		return Tree{Rows: &exec.TableScan{Ctx: c, Table: n.Table}}, nil
+		return &exec.TableScan{Ctx: c, Table: n.Table}, nil
 
 	case *algebra.EvalNode:
-		return Tree{Rows: &exec.EvalScan{Ctx: c, Expr: n.Expr}}, nil
+		return &exec.EvalScan{Ctx: c, Expr: n.Expr}, nil
 
 	case *algebra.Select:
 		if op.indexScan {
-			// An index scan is a bucket probe, not a row loop: a row operator
-			// at any batch size.
-			it, err := p.compileIndexScan(n, op.scan, ix)
-			return Tree{Rows: it}, err
+			return p.compileIndexScan(n, op.scan, ix)
 		}
-		in, err := p.compile(n.In)
+		in, err := p.Compile(n.In)
 		if err != nil {
-			return Tree{}, err
+			return nil, err
 		}
-		if batch {
-			return Tree{Batches: &exec.BatchFilter{Ctx: c, In: p.asBatch(in), Var: n.Var, Pred: n.Pred}}, nil
-		}
-		return Tree{Rows: &exec.Filter{Ctx: c, In: p.asRows(in), Var: n.Var, Pred: n.Pred}}, nil
+		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: n.Pred}, nil
 
 	case *algebra.Map:
-		in, err := p.compile(n.In)
+		in, err := p.Compile(n.In)
 		if err != nil {
-			return Tree{}, err
+			return nil, err
 		}
-		if batch {
-			var m exec.BatchIterator = &exec.BatchMap{Ctx: c, In: p.asBatch(in), Var: n.Var, Out: n.Out}
-			if p.needsDistinct(n) {
-				m = &exec.BatchDistinct{Ctx: c, In: m}
-			}
-			return Tree{Batches: m}, nil
-		}
-		var m exec.Iterator = &exec.MapIter{Ctx: c, In: p.asRows(in), Var: n.Var, Out: n.Out}
-		if p.needsDistinct(n) {
-			m = &exec.Distinct{Ctx: c, In: m}
-		}
-		return Tree{Rows: m}, nil
+		return p.compileMap(n, in), nil
 
 	case *algebra.Join:
-		if op.family == ImplIndex {
-			// The persistent index stands in for the right operand, which is
-			// never compiled, drained or built.
-			l, err := p.compile(n.L)
-			if err != nil {
-				return Tree{}, err
-			}
-			return Tree{Rows: &exec.IndexJoin{
-				Ctx: c, Kind: n.Kind, L: p.asRows(l),
-				Table: op.probe.Table, Index: op.probe.Name(), Ix: ix,
-				LVar: n.LVar, RVar: n.RVar,
-				LKeys:    probeLKeys(op.lk, op.probe),
-				Residual: indexResidual(op.lk, op.rk, op.probe, op.residual),
-				RElem:    n.R.Elem(),
-			}}, nil
-		}
-		l, r, err := p.compile2(n.L, n.R)
-		if err != nil {
-			return Tree{}, err
-		}
-		if op.family == ImplNestedLoop {
-			return Tree{Rows: &exec.NLJoin{
-				Ctx: c, Kind: n.Kind, L: p.asRows(l), R: p.asRows(r),
-				LVar: n.LVar, RVar: n.RVar, Pred: n.Pred, RElem: n.R.Elem(),
-			}}, nil
-		}
-		return Tree{Batches: &exec.HashJoin{
-			Ctx: c, Kind: n.Kind, L: p.asBatch(l), R: p.asBatch(r),
-			LVar: n.LVar, RVar: n.RVar,
-			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, RElem: n.R.Elem(),
-		}}, nil
+		return p.compileJoin(op, ix, n.L, n.R, &exec.Join{
+			Ctx: c, Kind: n.Kind, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, RElem: n.R.Elem(),
+		})
 
 	case *algebra.NestJoin:
-		if op.family == ImplIndex {
-			l, err := p.compile(n.L)
+		if op.family == ImplMerge {
+			l, r, err := p.compile2(n.L, n.R)
 			if err != nil {
-				return Tree{}, err
+				return nil, err
 			}
-			return Tree{Rows: &exec.IndexNestJoin{
-				Ctx: c, L: p.asRows(l),
-				Table: op.probe.Table, Index: op.probe.Name(), Ix: ix,
-				LVar: n.LVar, RVar: n.RVar,
-				LKeys:    probeLKeys(op.lk, op.probe),
-				Residual: indexResidual(op.lk, op.rk, op.probe, op.residual),
-				Fn:       n.Fn, Label: n.Label,
-			}}, nil
-		}
-		l, r, err := p.compile2(n.L, n.R)
-		if err != nil {
-			return Tree{}, err
-		}
-		switch op.family {
-		case ImplNestedLoop:
-			return Tree{Rows: &exec.NLNestJoin{
-				Ctx: c, L: p.asRows(l), R: p.asRows(r), LVar: n.LVar, RVar: n.RVar,
-				Pred: n.Pred, Fn: n.Fn, Label: n.Label,
-			}}, nil
-		case ImplMerge:
-			return Tree{Rows: &exec.MergeNestJoin{
-				Ctx: c, L: p.asBatch(l), R: p.asBatch(r), LVar: n.LVar, RVar: n.RVar,
+			return &exec.MergeNestJoin{
+				Ctx: c, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
 				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
-			}}, nil
+			}, nil
 		}
-		return Tree{Batches: &exec.HashNestJoin{
-			Ctx: c, L: p.asBatch(l), R: p.asBatch(r), LVar: n.LVar, RVar: n.RVar,
-			LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
-		}}, nil
+		return p.compileJoin(op, ix, n.L, n.R, &exec.Join{
+			Ctx: c, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, Fn: n.Fn, Label: n.Label,
+		})
 
 	case *algebra.Nest:
-		in, err := p.compile(n.In)
+		in, err := p.Compile(n.In)
 		if err != nil {
-			return Tree{}, err
+			return nil, err
 		}
-		return Tree{Rows: &exec.NestIter{Ctx: c, In: p.asRows(in), Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}}, nil
+		return &exec.NestIter{Ctx: c, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}, nil
 
 	case *algebra.Unnest:
-		in, err := p.compile(n.In)
+		in, err := p.Compile(n.In)
 		if err != nil {
-			return Tree{}, err
+			return nil, err
 		}
-		return Tree{Rows: &exec.UnnestIter{Ctx: c, In: p.asRows(in), Attr: n.Attr, Scalar: n.Scalar()}}, nil
+		return &exec.UnnestIter{Ctx: c, In: in, Attr: n.Attr, Scalar: n.Scalar()}, nil
 
 	case *algebra.SetOp:
 		l, r, err := p.compile2(n.L, n.R)
 		if err != nil {
-			return Tree{}, err
+			return nil, err
 		}
-		return Tree{Rows: &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: p.asRows(l), R: p.asRows(r)}}, nil
+		return &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: l, R: r}, nil
 	}
-	return Tree{}, fmt.Errorf("planner: unhandled plan node %T", plan)
+	return nil, fmt.Errorf("planner: unhandled plan node %T", plan)
 }
 
-// needsDistinct reports whether a compiled Map needs a Distinct above it to
-// keep set semantics downstream: a Map may collapse distinct inputs onto one
+// compile2 compiles both operands of a binary node.
+func (p *Planner) compile2(lp, rp algebra.Plan) (l, r exec.BatchIterator, err error) {
+	if l, err = p.Compile(lp); err != nil {
+		return nil, nil, err
+	}
+	r, err = p.Compile(rp)
+	return l, r, err
+}
+
+// compileMap builds a Map over its compiled input, deduplicating where set
+// semantics need it.
+func (p *Planner) compileMap(m *algebra.Map, in exec.BatchIterator) exec.BatchIterator {
+	return &exec.Map{Ctx: p.ctx, In: in, Var: m.Var, Out: m.Out, Distinct: p.needsDistinct(m)}
+}
+
+// compileJoin completes j, which carries the node's kind, variables, whole
+// predicate (as Residual) and nest-join function, as the resolved family's
+// join method over the compiled operands of lp and rp.
+func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.Plan, j *exec.Join) (exec.BatchIterator, error) {
+	var err error
+	if j.L, err = p.Compile(lp); err != nil {
+		return nil, err
+	}
+	switch op.family {
+	case ImplIndex:
+		// The persistent index stands in for the right operand, which is
+		// never compiled, drained or built.
+		j.Method, j.Table, j.Index, j.Ix = exec.JoinIndex, op.probe.Table, op.probe.Name(), ix
+		j.LKeys = probeLKeys(op.lk, op.probe)
+		j.Residual = indexResidual(op.lk, op.rk, op.probe, op.residual)
+		return j, nil
+	case ImplNestedLoop:
+		j.Method = exec.JoinNL
+	default:
+		j.Method, j.LKeys, j.RKeys, j.Residual = exec.JoinHash, op.lk, op.rk, op.residual
+	}
+	if j.R, err = p.Compile(rp); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// needsDistinct reports whether a compiled Map needs to deduplicate its
+// output to keep set semantics downstream: a Map may collapse distinct inputs onto one
 // value. It does not when the map is injective — its output is the variable
 // itself or a tuple with a field that is the variable, as in Map[x](x) and
 // Map[(x = x)](x) — and its input is duplicate-free by construction.
@@ -338,7 +241,7 @@ func (p *Planner) needsDistinct(m *algebra.Map) bool {
 // without deduplication, so its scan is not vouched for), selections of a
 // duplicate-free input, semi and anti joins of a duplicate-free left input,
 // inner, left-outer and nest joins of duplicate-free inputs, and every Map
-// (compiled injective or with a Distinct). Unnest emits duplicates (see
+// (compiled injective or deduplicating). Unnest emits duplicates (see
 // exec.UnnestIter), and set operations and everything else are not vouched
 // for. A plan is compiled per execution, so the sealed state is the one the
 // scan will read.

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"testing"
 
 	"tmdb/internal/algebra"
@@ -59,7 +60,7 @@ func TestSplitJoinConjuncts(t *testing.T) {
 }
 
 // compile builds a small nest-join plan and compiles it under the impl.
-func compileNJ(t *testing.T, impl JoinImpl, pred string) Tree {
+func compileNJ(t *testing.T, impl JoinImpl, pred string) exec.BatchIterator {
 	t.Helper()
 	cat, db := datagen.XYZ(datagen.DefaultSpec())
 	b := algebra.NewBuilder(cat)
@@ -79,7 +80,7 @@ func compileNJ(t *testing.T, impl JoinImpl, pred string) Tree {
 func TestNestJoinImplEquivalence(t *testing.T) {
 	var want value.Value
 	for i, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge, ImplAuto} {
-		got, err := compileNJ(t, impl, "x.b = y.b").Collect(nil)
+		got, err := exec.CollectBatches(compileNJ(t, impl, "x.b = y.b"))
 		if err != nil {
 			t.Fatalf("%s: %v", impl, err)
 		}
@@ -95,18 +96,16 @@ func TestNestJoinImplEquivalence(t *testing.T) {
 
 func TestPhysicalChoice(t *testing.T) {
 	// Equi predicate + auto → hash; non-equi + auto → nested loop.
-	it := compileNJ(t, ImplAuto, "x.b = y.b").Rows
-	if a, ok := it.(*exec.BatchToRows); !ok {
-		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin behind BatchToRows", it)
-	} else if _, ok := a.In.(*exec.HashNestJoin); !ok {
-		t.Errorf("auto with equi-key compiled to %T, want HashNestJoin", a.In)
+	for _, tc := range []struct {
+		pred string
+		want exec.JoinMethod
+	}{{"x.b = y.b", exec.JoinHash}, {"x.b < y.b", exec.JoinNL}} {
+		it := compileNJ(t, ImplAuto, tc.pred)
+		if j, ok := it.(*exec.Join); !ok || j.Method != tc.want || j.Fn == nil {
+			t.Errorf("auto on %s compiled to %T, want a nest Join of method %d", tc.pred, it, tc.want)
+		}
 	}
-	it = compileNJ(t, ImplAuto, "x.b < y.b").Rows
-	if _, ok := it.(*exec.NLNestJoin); !ok {
-		t.Errorf("auto without equi-key compiled to %T, want NLNestJoin", it)
-	}
-	it = compileNJ(t, ImplMerge, "x.b = y.b").Rows
-	if _, ok := it.(*exec.MergeNestJoin); !ok {
+	if it := compileNJ(t, ImplMerge, "x.b = y.b"); fmt.Sprintf("%T", it) != "*exec.MergeNestJoin" {
 		t.Errorf("merge compiled to %T", it)
 	}
 }
@@ -140,7 +139,7 @@ func TestCompileFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tree.Collect(nil)
+	got, err := exec.CollectBatches(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tree.Collect(nil)
+	got, _ := exec.CollectBatches(tree)
 	xTab, _ := db.Table("X")
 	if got.Len() != xTab.Len() {
 		t.Errorf("X ∩ X has %d elements, want %d", got.Len(), xTab.Len())
@@ -187,7 +186,7 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree2.Collect(nil); err != nil {
+	if _, err := exec.CollectBatches(tree2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,11 +31,6 @@ type physOp struct {
 	// scan.
 	indexScan bool
 	scan      IndexScanMatch
-	// batchNative reports that a batch-native operator exists for the node,
-	// built when spec.Batch > 0: scans, scan-served selections, maps and the
-	// hash join family (which is batch-only, so row plans reach it through
-	// the adapters).
-	batchNative bool
 	// infeasible is why the spec cannot run this node ("" when it can): the
 	// hash and sort-merge families need an equi-key.
 	infeasible string
@@ -49,8 +44,6 @@ func noIndexes(string) [][]string { return nil }
 // the statistics catalog at costing time.
 func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][]string) physOp {
 	switch n := n.(type) {
-	case *algebra.Scan, *algebra.Map:
-		return physOp{batchNative: true}
 	case *algebra.Select:
 		if spec.Access == AccessIndex {
 			if m, ok := FindIndexScan(n, indexesOf); ok {
@@ -58,7 +51,6 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 			}
 			// No usable index on this selection: scan fallback.
 		}
-		return physOp{batchNative: true}
 	case *algebra.Join:
 		return resolveJoin(n.Pred, n.LVar, n.RVar, n.R, false, spec, indexesOf)
 	case *algebra.NestJoin:
@@ -98,16 +90,14 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 	default:
 		op.family = impl
 	}
-	op.batchNative = op.family == ImplHash
 	return op
 }
 
-// describe names the resolved operator as EXPLAIN prints it, after the exec
-// package's operator names (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d),
-// IndexScan(X) using X(b), …)
-// with a [batch=N] suffix on batch-native operators of a batched plan. Nodes
-// with a single physical form keep their logical description.
-func (op physOp) describe(n algebra.Plan, spec PhysicalSpec) string {
+// describe names the resolved operator as EXPLAIN prints it: a join prefixed
+// with its method (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d), …), an
+// index-served selection as IndexScan(X) using X(b). Nodes with a single
+// physical form keep their logical description.
+func (op physOp) describe(n algebra.Plan) string {
 	desc := n.Describe()
 	switch {
 	case op.indexScan:
@@ -130,9 +120,6 @@ func (op physOp) describe(n algebra.Plan, spec PhysicalSpec) string {
 		desc = "Merge" + desc
 	case op.family == ImplHash:
 		desc = "Hash" + desc
-	}
-	if spec.Batch > 0 && op.batchNative {
-		desc += fmt.Sprintf("[batch=%d]", spec.Batch)
 	}
 	return desc
 }

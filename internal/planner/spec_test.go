@@ -1,13 +1,13 @@
 package planner
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/datagen"
-	"tmdb/internal/exec"
 	"tmdb/internal/stats"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
@@ -88,9 +88,6 @@ func specEnvs(t *testing.T) map[string]*specEnv {
 	}
 }
 
-// rowOnly is the pin of the pre-batch enumeration: everything open, rows only.
-var rowOnly = PhysicalSpec{Batch: -1}
-
 func TestChoose(t *testing.T) {
 	envs := specEnvs(t)
 	feasible := func(all []Candidate) (out []Candidate) {
@@ -107,7 +104,7 @@ func TestChoose(t *testing.T) {
 		wantErr         bool
 		check           func(t *testing.T, best *Candidate, all []Candidate)
 	}{
-		{name: "hash wins an equi plan; three families, rows only", env: "plain", plan: "nest-xy", pin: rowOnly,
+		{name: "hash wins an equi plan; three families", env: "plain", plan: "nest-xy", pin: PhysicalSpec{},
 			check: func(t *testing.T, best *Candidate, all []Candidate) {
 				if best.Joins != ImplHash || !best.Chosen {
 					t.Errorf("best = %+v, want hash marked Chosen", best)
@@ -115,63 +112,43 @@ func TestChoose(t *testing.T) {
 				if len(all) != 3 {
 					t.Errorf("expected 3 join-impl candidates, got %d", len(all))
 				}
-				for _, c := range all {
-					if c.Batch != 0 {
-						t.Errorf("row-only pin enumerated %v", c)
-					}
-				}
 			}},
-		{name: "pinned family is the only candidate", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Joins: ImplMerge, Batch: -1},
+		{name: "pinned family is the only candidate", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Joins: ImplMerge},
 			check: func(t *testing.T, best *Candidate, all []Candidate) {
 				if best.Joins != ImplMerge || len(all) != 1 {
 					t.Errorf("fixed impl not respected: best=%s candidates=%d", best.Joins, len(all))
 				}
 			}},
-		{name: "pinned hash on a theta join: nothing feasible", env: "plain", plan: "theta-xz", pin: PhysicalSpec{Joins: ImplHash, Batch: -1}, wantErr: true,
+		{name: "pinned hash on a theta join: nothing feasible", env: "plain", plan: "theta-xz", pin: PhysicalSpec{Joins: ImplHash}, wantErr: true,
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
 				if len(all) != 1 || all[0].Infeasible == "" {
 					t.Errorf("candidates = %+v", all)
 				}
 			}},
-		{name: "theta join falls to nested loops", env: "plain", plan: "theta-xz", pin: rowOnly,
+		{name: "theta join falls to nested loops", env: "plain", plan: "theta-xz", pin: PhysicalSpec{},
 			check: func(t *testing.T, best *Candidate, _ []Candidate) {
 				if best.Joins != ImplNestedLoop {
 					t.Errorf("chose %s", best.Joins)
 				}
 			}},
-		{name: "join-free plan collapses the family dimension", env: "plain", plan: "sel-xb", pin: rowOnly,
+		{name: "join-free plan collapses the family dimension", env: "plain", plan: "sel-xb", pin: PhysicalSpec{},
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
 				if len(all) != 1 {
 					t.Errorf("got %d candidates", len(all))
 				}
 			}},
-		{name: "batch auto pairs every row candidate with a default-size one", env: "plain", plan: "nest-xy", pin: PhysicalSpec{},
-			check: func(t *testing.T, best *Candidate, all []Candidate) {
-				batched := 0
-				for _, c := range feasible(all) {
-					if c.Batch > 0 {
-						batched++
-						if c.Batch != exec.DefaultBatchSize {
-							t.Errorf("auto mode should enumerate the default size, got %d", c.Batch)
-						}
-					}
-				}
-				if batched == 0 || batched*2 != len(feasible(all)) {
-					t.Errorf("%d batched of %d feasible", batched, len(feasible(all)))
-				}
-				if best.Batch != exec.DefaultBatchSize {
-					t.Errorf("batched hash should win at this scale, best = %+v", best)
-				}
-			}},
-		{name: "batch pin restricts every candidate to that size", env: "plain", plan: "nest-xy", pin: PhysicalSpec{Batch: 256},
+		{name: "every family × access pair is costed once", env: "access", plan: "sel-xb", pin: PhysicalSpec{},
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
-				for _, c := range feasible(all) {
-					if c.Batch != 256 {
-						t.Errorf("pinned size ignored: %v", c)
-					}
-				}
+				distinctSpecs(t, feasible(all))
 			}},
-		{name: "access auto enumerates idxscan where an index serves, and it wins", env: "access", plan: "sel-xb", pin: rowOnly,
+		{name: "every family is costed once, idxjoin included", env: "index", plan: "semi-xz", pin: PhysicalSpec{},
+			check: func(t *testing.T, _ *Candidate, all []Candidate) {
+				if len(feasible(all)) != 3 {
+					t.Errorf("want nested-loop, hash and idxjoin, got %v", all)
+				}
+				distinctSpecs(t, feasible(all))
+			}},
+		{name: "access auto enumerates idxscan where an index serves, and it wins", env: "access", plan: "sel-xb", pin: PhysicalSpec{},
 			check: func(t *testing.T, best *Candidate, all []Candidate) {
 				if best.Access != AccessIndex {
 					t.Errorf("chose access=%s; candidates: %v", best.Access, all)
@@ -190,7 +167,7 @@ func TestChoose(t *testing.T) {
 					t.Errorf("enumeration incomplete: scan=%v idx=%v", seenScan, seenIdx)
 				}
 			}},
-		{name: "access collapses to scans without a matching index", env: "access", plan: "sel-ya", pin: rowOnly,
+		{name: "access collapses to scans without a matching index", env: "access", plan: "sel-ya", pin: PhysicalSpec{},
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
 				for _, c := range all {
 					if c.Access == AccessIndex {
@@ -198,19 +175,19 @@ func TestChoose(t *testing.T) {
 					}
 				}
 			}},
-		{name: "access pin: idxscan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Access: AccessIndex, Batch: -1},
+		{name: "access pin: idxscan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Access: AccessIndex},
 			check: func(t *testing.T, best *Candidate, _ []Candidate) {
 				if best.Access != AccessIndex {
 					t.Errorf("best = %+v", best)
 				}
 			}},
-		{name: "access pin: scan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Access: AccessScan, Batch: -1},
+		{name: "access pin: scan", env: "access", plan: "sel-xb", pin: PhysicalSpec{Access: AccessScan},
 			check: func(t *testing.T, best *Candidate, _ []Candidate) {
 				if best.Access != AccessScan {
 					t.Errorf("best = %+v", best)
 				}
 			}},
-		{name: "idxjoin joins the enumeration where an index serves, and it wins", env: "index", plan: "semi-xz", pin: rowOnly,
+		{name: "idxjoin joins the enumeration where an index serves, and it wins", env: "index", plan: "semi-xz", pin: PhysicalSpec{},
 			check: func(t *testing.T, best *Candidate, all []Candidate) {
 				if best.Joins != ImplIndex {
 					t.Errorf("chose %s; candidates: %v", best.Joins, all)
@@ -221,7 +198,7 @@ func TestChoose(t *testing.T) {
 					}
 				}
 			}},
-		{name: "idxjoin stays out without a usable index", env: "index", plan: "semi-xz-unindexed", pin: rowOnly,
+		{name: "idxjoin stays out without a usable index", env: "index", plan: "semi-xz-unindexed", pin: PhysicalSpec{},
 			check: func(t *testing.T, _ *Candidate, all []Candidate) {
 				for _, c := range all {
 					if c.Joins == ImplIndex {
@@ -246,9 +223,23 @@ func TestChoose(t *testing.T) {
 	best, _, err := plain.est.Choose([]StrategyPlan{
 		{Strategy: "naive", Plan: plain.plans["naive-in"]},
 		{Strategy: "nestjoin", Plan: plain.plans["nest-xy"]},
-	}, rowOnly)
+	}, PhysicalSpec{})
 	if err != nil || best.Strategy != "nestjoin" {
 		t.Errorf("chose %+v (%v), want nestjoin", best, err)
+	}
+}
+
+// distinctSpecs fails when two candidates share a strategy, alternative and
+// PhysicalSpec.
+func distinctSpecs(t *testing.T, cands []Candidate) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, c := range cands {
+		k := fmt.Sprintf("%s/%s/%+v", c.Strategy, c.Alt, c.PhysicalSpec)
+		if seen[k] {
+			t.Errorf("candidate %s costed twice", k)
+		}
+		seen[k] = true
 	}
 }
 
@@ -263,8 +254,8 @@ func TestEstimate(t *testing.T) {
 	}{
 		{"hash < merge", "plain", "nest-xy", hash, '<', PhysicalSpec{Joins: ImplMerge}},
 		{"merge < nl", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge}, '<', PhysicalSpec{Joins: ImplNestedLoop}},
-		{"batch < 0 is the row estimate", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Batch: -1}, '=', hash},
-		{"batching wins at scale", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash, Batch: exec.DefaultBatchSize}, '<', hash},
+		{"the zero spec is hash on an equi plan", "plain", "nest-xy", PhysicalSpec{}, '=', hash},
+		{"the zero spec is nested loops on a theta plan", "plain", "theta-xz", PhysicalSpec{}, '=', PhysicalSpec{Joins: ImplNestedLoop}},
 		{"idxscan < scan", "access", "sel-xb", PhysicalSpec{Access: AccessIndex}, '<', PhysicalSpec{Access: AccessScan}},
 		{"idxscan without an index costs as the scan", "access", "sel-ya", PhysicalSpec{Access: AccessIndex}, '=', PhysicalSpec{Access: AccessScan}},
 		{"idxjoin < hash: no right drain, no build", "index", "semi-xz", PhysicalSpec{Joins: ImplIndex}, '<', hash},
@@ -289,13 +280,6 @@ func TestEstimate(t *testing.T) {
 	if three, one := acc.est.Estimate(acc.plans["sel-xb-in3"], idx), acc.est.Estimate(acc.plans["sel-xb-one"], idx); three.Work != 3*one.Work {
 		t.Errorf("3-point probe work %v, want 3× single-point %v", three.Work, one.Work)
 	}
-	// Tiny-input crossover: work below the flat overhead keeps row cheaper.
-	if BatchWorkFactor(exec.DefaultBatchSize)*20+batchStartupWork <= 20 {
-		t.Error("flat overhead must keep tiny plans on the row engine")
-	}
-	if BatchWorkFactor(1) != 1 || BatchWorkFactor(0) != 1 {
-		t.Error("factor must be 1 at batch <= 1")
-	}
 	// Naive evaluation: a correlated nested query reflects the |X|·|Y| blowup.
 	plain := envs["plain"]
 	cs, cn := plain.est.Estimate(plain.plans["naive-scan"], PhysicalSpec{}), plain.est.Estimate(plain.plans["naive-in"], PhysicalSpec{})
@@ -315,8 +299,8 @@ func TestExplain(t *testing.T) {
 		{"nl", "plain", "nest-xy", PhysicalSpec{Joins: ImplNestedLoop}, []string{"NLNestJoin"}, nil},
 		{"merge", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge}, []string{"MergeNestJoin"}, nil},
 		{"flat joins have no merge variant: the hash lowering", "plain", "semi-xz", PhysicalSpec{Joins: ImplMerge}, []string{"HashSemiJoin"}, nil},
-		{"batch-native operators carry the size", "plain", "inner-xz", PhysicalSpec{Batch: 1024}, []string{"(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, nil},
-		{"the hash nest join is batch-native", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash, Batch: 1024}, []string{"HashNestJoin[", "(x, z)[batch=1024]", "Scan(X)[batch=1024]"}, nil},
+		{"flat nested loops", "plain", "semi-xz", PhysicalSpec{Joins: ImplNestedLoop}, []string{"NLSemiJoin"}, nil},
+		{"operators carry no batch annotation", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash}, []string{"HashNestJoin[", "Scan(X)  ("}, []string{"[batch"}},
 		{"idxscan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessIndex}, []string{"IndexScan(Y) using Y(b,d) prefix=1", "residual["}, nil},
 		{"scan path renders no IndexScan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessScan}, nil, []string{"IndexScan"}},
 		{"multi-point idxscan", "access", "sel-xb-in3", PhysicalSpec{Access: AccessIndex}, []string{"points=3"}, nil},
@@ -337,20 +321,15 @@ func TestExplain(t *testing.T) {
 			}
 		})
 	}
-	plain := envs["plain"]
-	fj := plain.plans["inner-xz"]
-	if got, want := plain.est.Explain(fj, PhysicalSpec{Batch: -1}), plain.est.Explain(fj, PhysicalSpec{}); got != want {
-		t.Errorf("batch < 0 must match the row rendering:\nrow:\n%s\nbatch:\n%s", want, got)
-	}
 }
 
 // TestFixedDefaults: a pin resolved without enumeration takes the
 // conservative value in every open dimension and keeps every explicit one.
 func TestFixedDefaults(t *testing.T) {
-	if got, want := (PhysicalSpec{Batch: -1}).Fixed(), (PhysicalSpec{Access: AccessScan}); got != want {
+	if got, want := (PhysicalSpec{}).Fixed(), (PhysicalSpec{Access: AccessScan}); got != want {
 		t.Errorf("open pin resolved to %+v, want %+v", got, want)
 	}
-	pinned := PhysicalSpec{Joins: ImplMerge, Access: AccessIndex, Batch: 64}
+	pinned := PhysicalSpec{Joins: ImplMerge, Access: AccessIndex}
 	if got := pinned.Fixed(); got != pinned {
 		t.Errorf("explicit pin changed: %+v", got)
 	}
@@ -372,7 +351,7 @@ func TestCandidateString(t *testing.T) {
 		want, absent string
 	}{
 		{PhysicalSpec{Joins: ImplHash}, "hash", "+"},
-		{PhysicalSpec{Joins: ImplHash, Batch: 1024}, "hash+b1024", "idxscan"},
+		{PhysicalSpec{Joins: ImplNestedLoop, Access: AccessIndex}, "nested-loop+idxscan", "hash"},
 		{PhysicalSpec{Joins: ImplHash, Access: AccessIndex}, "hash+idxscan", "+b"},
 	} {
 		s := Candidate{Strategy: "nestjoin", PhysicalSpec: tc.spec, Cost: Cost{Work: 123}}.String()

@@ -68,8 +68,6 @@ func appendQueryResponse(dst []byte, reqID string, res *engine.Result) ([]byte, 
 	dst = appendString(dst, res.Joins.String())
 	dst = append(dst, `,"access":`...)
 	dst = appendString(dst, res.Access.String())
-	dst = append(dst, `,"batch":`...)
-	dst = strconv.AppendInt(dst, int64(res.Batch), 10)
 	dst = append(dst, `,"auto":`...)
 	dst = strconv.AppendBool(dst, res.Auto)
 	dst = append(dst, `,"cache_hit":`...)

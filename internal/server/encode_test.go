@@ -31,7 +31,7 @@ func encodeReference(t *testing.T, reqID string, res *engine.Result) []byte {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(QueryResponse{
 		RequestID: reqID, Result: raw, Rows: res.Value.Len(), Strategy: res.Strategy.String(), Alt: alt,
-		Joins: res.Joins.String(), Access: res.Access.String(), Batch: res.Batch, Auto: res.Auto,
+		Joins: res.Joins.String(), Access: res.Access.String(), Auto: res.Auto,
 		CacheHit: res.CacheHit, DurationNs: res.Duration.Nanoseconds(), EvalSteps: res.EvalSteps,
 	}); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestEnvelopeMatchesEncoder(t *testing.T) {
 	}
 	variants := []engine.Result{
 		{Strategy: core.StrategyNestJoin, Joins: planner.ImplHash, Access: planner.AccessIndex, Auto: true, CacheHit: true,
-			Batch: 1024, Duration: 1234567 * time.Nanosecond, EvalSteps: 42},
+			Duration: 1234567 * time.Nanosecond, EvalSteps: 42},
 		{Strategy: core.StrategyNaive, Alt: "base", Duration: -1},
 		{Strategy: core.StrategyOuterJoin, Alt: "rewrite", Joins: planner.ImplMerge, EvalSteps: math.MaxInt64},
 		{Strategy: core.StrategyKim, Alt: `order:(x (y "z"))<&>`, Access: planner.AccessScan},

@@ -14,13 +14,15 @@ import (
 
 const flatJoinQuery = `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d`
 
-// slowScans arms a per-row scan delay so queries over the xyz sample database
-// take hundreds of milliseconds without burning CPU.
-func slowScans(d time.Duration) func() {
+// slowJoins arms a per-row delay on the hash build and probe loops, so join
+// queries over the xyz sample database take hundreds of milliseconds without
+// burning CPU.
+func slowJoins(d time.Duration) func() {
 	return faultinject.Activate(faultinject.Schedule{
 		Seed: 1,
 		Rules: []faultinject.Rule{
-			{Point: faultinject.PointScan, Kind: faultinject.Delay, OneInN: 1, Delay: d},
+			{Point: faultinject.PointHashBuild, Kind: faultinject.Delay, OneInN: 1, Delay: d},
+			{Point: faultinject.PointHashProbe, Kind: faultinject.Delay, OneInN: 1, Delay: d},
 		},
 	})
 }
@@ -45,13 +47,11 @@ func wantServerError(t *testing.T, err error, code string, status int) *ServerEr
 // work accounted as discarded).
 func TestTimeoutReturns408(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
-	defer slowScans(2 * time.Millisecond)()
+	defer slowJoins(2 * time.Millisecond)()
 	c := NewClient(hs.URL, hs.Client())
 
 	start := time.Now()
-	// batch_size -1 pins row-at-a-time execution so the per-row delay keeps
-	// the plan slow (and exercises the wire option's row pin end to end).
-	_, err := c.Query(flatJoinQuery, &WireOptions{Joins: "hash", BatchSize: -1, TimeoutMs: 20})
+	_, err := c.Query(flatJoinQuery, &WireOptions{Joins: "hash", TimeoutMs: 20})
 	elapsed := time.Since(start)
 	wantServerError(t, err, "deadline_exceeded", http.StatusRequestTimeout)
 	if elapsed > time.Second {
@@ -67,7 +67,7 @@ func TestTimeoutReturns408(t *testing.T) {
 	}
 
 	// Per-session timeouts ride on the session's options the same way.
-	if _, err := c.NewSession(WireOptions{Joins: "hash", BatchSize: -1, TimeoutMs: 20}); err != nil {
+	if _, err := c.NewSession(WireOptions{Joins: "hash", TimeoutMs: 20}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Query(flatJoinQuery, nil)
@@ -105,7 +105,7 @@ func TestBadLimitOptionsRejected(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	c := NewClient(hs.URL, hs.Client())
 	for _, opts := range []WireOptions{
-		{TimeoutMs: -1}, {MaxRows: -5}, {MaxBuildBytes: -1}, {BatchSize: -2},
+		{TimeoutMs: -1}, {MaxRows: -5}, {MaxBuildBytes: -1}, {Joins: "bogus"},
 	} {
 		_, err := c.Query(flatJoinQuery, &opts)
 		wantServerError(t, err, "bad_options", http.StatusBadRequest)

@@ -21,9 +21,6 @@ type WireOptions struct {
 	Joins string `json:"joins,omitempty"`
 	// Access: auto | scan | index.
 	Access string `json:"access,omitempty"`
-	// BatchSize: 0 = planner default (cost-chosen), n > 0 = vectorized
-	// execution at n rows per batch, -1 = row-at-a-time.
-	BatchSize int `json:"batch_size,omitempty"`
 	// PinAlt pins a logical alternative by its candidate-table label: base |
 	// rewrite (the §6-rewritten alternative) | order:… (cost-based path
 	// only). The request decoder is strict, so a body still carrying the
@@ -74,10 +71,6 @@ func (w WireOptions) Engine() (engine.Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown access path %q (auto | scan | index)", w.Access)
 	}
-	if w.BatchSize < -1 {
-		return opts, fmt.Errorf("batch_size must be >= -1, got %d", w.BatchSize)
-	}
-	opts.BatchSize = w.BatchSize
 	opts.PinAlt = w.PinAlt
 	if w.TimeoutMs < 0 {
 		return opts, fmt.Errorf("timeout_ms must be >= 0, got %d", w.TimeoutMs)

@@ -6,7 +6,7 @@
 // The pieces:
 //
 //   - Sessions: POST /session registers per-session engine.Options (strategy,
-//     join family, access path, batch size, pins); subsequent requests name
+//     join family, access path, pins); subsequent requests name
 //     the session and inherit them. Requests without a session run under the
 //     server's default options. Sessions also namespace prepared statements.
 //   - Prepared statements: POST /prepare parses and binds once
@@ -371,7 +371,6 @@ type QueryResponse struct {
 	Alt        string          `json:"alt,omitempty"`
 	Joins      string          `json:"joins"`
 	Access     string          `json:"access"`
-	Batch      int             `json:"batch"`
 	Auto       bool            `json:"auto"`
 	CacheHit   bool            `json:"cache_hit"`
 	DurationNs int64           `json:"duration_ns"`

@@ -192,29 +192,48 @@ func TestSessionOptionsAndOverride(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOverWire pins the batch_size option end to end: a pinned
-// vectorized query reports its batch in the response and answers
-// byte-identically to the row-pinned plan.
-func TestBatchSizeOverWire(t *testing.T) {
+// TestBatchSizeRejected pins that batch_size is gone from the wire: the
+// strict decoder answers 400 bad_request whether the option rides on a new
+// session, on a query, or on an execute — and the session it would have
+// configured is never created.
+func TestBatchSizeRejected(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	c := NewClient(hs.URL, hs.Client())
-	const q = `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d`
-	row, err := c.Query(q, &WireOptions{Joins: "hash", BatchSize: -1})
+	sid, err := c.NewSession(WireOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.Batch != 0 {
-		t.Fatalf("row-pinned response batch = %d, want 0", row.Batch)
-	}
-	bat, err := c.Query(q, &WireOptions{Joins: "hash", BatchSize: 256})
-	if err != nil {
+	if _, err := c.Prepare("p", `SELECT x FROM X x`); err != nil {
 		t.Fatal(err)
 	}
-	if bat.Batch != 256 {
-		t.Fatalf("batch-pinned response batch = %d, want 256", bat.Batch)
+	sessions := func() int {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Sessions
 	}
-	if !bytes.Equal(row.Result, bat.Result) {
-		t.Fatalf("batched result diverged from row result:\n  row:   %s\n  batch: %s", row.Result, bat.Result)
+	before := sessions()
+	for path, body := range map[string]string{
+		"/session": `{"options":{"batch_size":64}}`,
+		"/query":   `{"query":"SELECT x FROM X x","options":{"batch_size":-1}}`,
+		"/execute": fmt.Sprintf(`{"session_id":%q,"name":"p","options":{"batch_size":1024}}`, sid),
+	} {
+		resp, err := hs.Client().Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
+			t.Errorf("%s with batch_size: http %d code %q, want 400 bad_request", path, resp.StatusCode, er.Error.Code)
+		}
+	}
+	if got := sessions(); got != before {
+		t.Errorf("sessions = %d after the rejected /session, want %d", got, before)
 	}
 }
 
@@ -460,7 +479,7 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	overrides := []WireOptions{
-		{Strategy: "nestjoin"}, {Joins: "nl"}, {BatchSize: -1}, {BatchSize: 256}, {Access: "scan"},
+		{Strategy: "nestjoin"}, {Joins: "nl"}, {Joins: "hash"}, {Joins: "merge"}, {Access: "scan"},
 	}
 	probe := NewClient(hs.URL, hs.Client())
 	before, err := probe.Stats()

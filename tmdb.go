@@ -15,13 +15,14 @@
 //   - baselines: naive nested-loop evaluation, Kim's group-then-join
 //     transformation (exhibiting the generalized COUNT bug), and the
 //     outerjoin + ν* repair;
-//   - physical operators: nested-loop / hash / sort-merge implementations of
-//     joins and nest joins, hash semijoins/antijoins, outerjoins, ν, ν*, μ;
+//   - physical operators: one join operator serving joins, semijoins,
+//     antijoins, outerjoins and nest joins over nested-loop, hash-table and
+//     persistent-index buckets, a sort-merge nest join, ν, ν*, μ;
 //   - a unified cost-driven optimizer: with Options left zero the engine
 //     enumerates the correct strategies × logical alternatives (each
 //     translation as produced, its §6 rewrite, and bushy/left-deep join
-//     orders for multi-FROM blocks) × join implementations × access paths ×
-//     batch sizes, costs them against per-table statistics (see Analyze), and
+//     orders for multi-FROM blocks) × join implementations × access paths,
+//     costs them against per-table statistics (see Analyze), and
 //     executes the cheapest; Engine.Explain renders the chosen physical plan
 //     with per-operator estimated rows and cost plus the full candidate
 //     table. Options.PinAlt pins one alternative by its candidate-table
@@ -31,12 +32,11 @@
 //     by equi-depth histograms and KMV distinct-count sketches (selectivity,
 //     NDV, and dangling fractions become bounded-error estimates), tiny
 //     tables keep exact figures;
-//   - vectorized batch execution: the hot path (scans, filters, projections,
-//     and hash joins) moves rows in batches of up to Options.BatchSize with
-//     pre-encoded join keys, costed against row-at-a-time execution as a
-//     physical dimension (0 lets the cost model decide, n > 0 pins batches
-//     of n, negative pins rows); results are byte-identical to the row
-//     engine and EXPLAIN annotates batched operators with [batch=n];
+//   - batch-at-a-time execution: every operator speaks one protocol and
+//     moves rows in batches (sources cut them at 1024 rows; a point lookup
+//     is a batch of one), with compiled keys, predicates and projections;
+//     there is no batch-size option, and how rows are cut never shows in a
+//     result;
 //   - mutable storage whose writes cost what they change: tables are
 //     bulk-loaded, sealed, and then mutated in place (Engine.Insert /
 //     Engine.Delete / Engine.InsertValue / Engine.DeleteValue, or the
