@@ -102,9 +102,10 @@ func TestExplain(t *testing.T) {
 func TestEvalStepsReported(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.DefaultSpec())
 	eng := New(cat, db)
-	// The SUBSETEQ selection above the nest join is outside the compiled
-	// subset, so the unnested plan still does evaluator work to count.
-	q := `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b`
+	// The quantifier the groupjoin tests its groups with is outside the
+	// compiled subset, so the unnested plan still does evaluator work to
+	// count.
+	q := `SELECT x FROM X x WHERE FORALL w IN x.a (w IN SELECT y.a FROM Y y WHERE x.b = y.b)`
 	naive, err := eng.Query(q, Options{Strategy: core.StrategyNaive})
 	if err != nil {
 		t.Fatal(err)

@@ -25,39 +25,61 @@ import (
 // reordered trees are held to it as well.
 
 // explainedAs renders the EXPLAIN description of plan node n from the
-// operator compiled for it, and returns the operators compiled for n's
-// children (nil under an index-served operator, whose right operand or scan
-// chain has no operators of its own).
-func explainedAs(n algebra.Plan, op any) (desc string, kids []any, err error) {
-	d := n.Describe()
+// operator compiled for it, and returns the plan nodes that operator reads
+// (n's children, or the nest join's operands under a groupjoin) with the
+// operators compiled for them (nil under an index-served operator, whose
+// right operand or scan chain has no operators of its own).
+func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, kids []any, err error) {
+	d, inputs := n.Describe(), n.Children()
 	switch o := op.(type) {
 	case *exec.TableScan:
-		return d, nil, nil
+		return d, inputs, nil, nil
 	case *exec.EvalScan:
-		return d, nil, nil
+		return d, inputs, nil, nil
 	case *exec.Filter:
-		return d, []any{o.In}, nil
+		return d, inputs, []any{o.In}, nil
 	case *exec.Map:
-		return d, []any{o.In}, nil
+		return d, inputs, []any{o.In}, nil
 	case *exec.Join:
+		if o.Test != nil {
+			nj, ok := groupjoinOf(n)
+			if !ok {
+				return "", nil, nil, fmt.Errorf("groupjoin compiled for %T, not Map ∘ Select ∘ NestJoin", n)
+			}
+			d, inputs = nj.Describe(), nj.Children()
+			i := strings.LastIndex(d, "](")
+			d = d[:i] + " | " + tmql.Format(o.Test) + d[i:]
+		}
 		switch o.Method {
 		case exec.JoinIndex:
-			return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), []any{o.L, nil}, nil
+			return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), inputs, []any{o.L, nil}, nil
 		case exec.JoinHash:
-			return "Hash" + d, []any{o.L, o.R}, nil
+			return "Hash" + d, inputs, []any{o.L, o.R}, nil
 		}
-		return "NL" + d, []any{o.L, o.R}, nil
+		return "NL" + d, inputs, []any{o.L, o.R}, nil
 	case *exec.MergeNestJoin:
-		return "Merge" + d, []any{o.L, o.R}, nil
+		return "Merge" + d, inputs, []any{o.L, o.R}, nil
 	case *exec.NestIter:
-		return d, []any{o.In}, nil
+		return d, inputs, []any{o.In}, nil
 	case *exec.UnnestIter:
-		return d, []any{o.In}, nil
+		return d, inputs, []any{o.In}, nil
 	case *exec.SetOpIter:
-		return d, []any{o.L, o.R}, nil
+		return d, inputs, []any{o.L, o.R}, nil
 	default:
-		return "", nil, fmt.Errorf("no EXPLAIN name for operator %T", o)
+		return "", nil, nil, fmt.Errorf("no EXPLAIN name for operator %T", o)
 	}
+}
+
+// groupjoinOf returns the nest join at the bottom of the Map ∘ Select ∘
+// NestJoin stack a groupjoin is compiled from.
+func groupjoinOf(n algebra.Plan) (*algebra.NestJoin, bool) {
+	if m, ok := n.(*algebra.Map); ok {
+		if sel, ok := m.In.(*algebra.Select); ok {
+			nj, ok := sel.In.(*algebra.NestJoin)
+			return nj, ok
+		}
+	}
+	return nil, false
 }
 
 // indexScanLeaf descends the chain compileIndexScan rebuilds above the
@@ -104,18 +126,17 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
 		}
 		return matchTree(t, sel.In, nil, lines)
 	}
-	want, kids, err := explainedAs(n, op)
+	want, inputs, kids, err := explainedAs(n, op)
 	if err != nil {
 		t.Fatalf("%s: %v", n.Describe(), err)
 	}
 	if line != want {
 		t.Errorf("EXPLAIN says %q, the compiled %T renders as %q", line, op, want)
 	}
-	children := n.Children()
-	if len(kids) != len(children) {
-		t.Fatalf("%s: %d compiled inputs for %d plan children", line, len(kids), len(children))
+	if len(kids) != len(inputs) {
+		t.Fatalf("%s: %d compiled inputs for %d plan inputs", line, len(kids), len(inputs))
 	}
-	for i, ch := range children {
+	for i, ch := range inputs {
 		lines = matchTree(t, ch, kids[i], lines)
 	}
 	return lines

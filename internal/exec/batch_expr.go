@@ -11,13 +11,14 @@ import (
 
 // Compiled row programs for the operators and the join family. The
 // expressions that dominate hot plans — field selections off the row
-// variables, comparisons against literals or other fields, conjunctions of
-// those, tuple constructors over them, and nest-join functions of that shape
-// — are compiled once at Open into direct closures over value.Value, so the
-// per-row loops skip the evaluator's tree walk entirely. Everything outside
-// this subset falls back to the generic evaluator with a reused environment
-// node (eval.Env.Rebind), which keeps semantics and error behavior exactly
-// those of the naive evaluator.
+// variables, aggregates of them, comparisons (set comparisons included)
+// against literals or other fields, conjunctions of those, tuple
+// constructors over them, and nest-join functions and groupjoin tests of
+// that shape — are compiled once at Open into direct closures over
+// value.Value, so the per-row loops skip the evaluator's tree walk entirely.
+// Everything outside this subset falls back to the generic evaluator with a
+// reused environment node (eval.Env.Rebind), which keeps semantics and error
+// behavior exactly those of the naive evaluator.
 //
 // Semantics parity: compiled comparisons go through eval.Apply — the same
 // function the evaluator uses — and compiled field selection reproduces the
@@ -35,8 +36,8 @@ type pred2 func(a, b value.Value) (bool, error)
 
 // compileScalar2 compiles e to a direct function of the rows bound to n1 and
 // n2 (pass n2 = "" for single-variable contexts), or nil when e falls
-// outside the compiled subset: literals, the row variables themselves, and
-// field-selection chains over them.
+// outside the compiled subset: literals, the row variables themselves,
+// field-selection chains over them, and aggregates of those.
 func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 	switch n := e.(type) {
 	case *tmql.Lit:
@@ -70,15 +71,28 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 			}
 			return f, nil
 		}
+	case *tmql.Agg:
+		x := compileScalar2(n.X, n1, n2)
+		if x == nil {
+			return nil
+		}
+		kind := n.Kind
+		return func(a, b value.Value) (value.Value, error) {
+			xv, err := x(a, b)
+			if err != nil {
+				return value.Value{}, err
+			}
+			return value.Aggregate(kind, xv)
+		}
 	}
 	return nil
 }
 
 // compilePred2 compiles a predicate to a direct boolean function, or nil
-// when it falls outside the compiled subset: comparisons between compiled
-// scalars and AND/OR combinations of compiled predicates (which always yield
-// booleans, so the evaluator's short-circuit truthiness is reproduced
-// exactly).
+// when it falls outside the compiled subset: comparisons — scalar, set
+// membership and set inclusion — between compiled scalars and AND/OR
+// combinations of compiled predicates (which always yield booleans, so the
+// evaluator's short-circuit truthiness is reproduced exactly).
 func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 	b, ok := e.(*tmql.Binary)
 	if !ok {
@@ -101,7 +115,8 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 			}
 			return r(a, c)
 		}
-	case tmql.OpEq, tmql.OpNe, tmql.OpLt, tmql.OpLe, tmql.OpGt, tmql.OpGe:
+	case tmql.OpEq, tmql.OpNe, tmql.OpLt, tmql.OpLe, tmql.OpGt, tmql.OpGe,
+		tmql.OpIn, tmql.OpNotIn, tmql.OpSubset, tmql.OpSubsetEq, tmql.OpSupset, tmql.OpSupsetEq:
 		ls, rs := compileScalar2(b.L, n1, n2), compileScalar2(b.R, n1, n2)
 		if ls == nil || rs == nil {
 			return nil

@@ -80,6 +80,11 @@ type Join struct {
 	// of Fn's images of its matches.
 	Fn    tmql.Expr
 	Label string
+	// Test, on a nest join, fuses the selection above it (the groupjoin):
+	// a left element is emitted unchanged, without its group, when Test
+	// holds with LVar bound to it and Label bound to its group, and dropped
+	// otherwise. A dangling element's group is ∅.
+	Test tmql.Expr
 
 	right []value.Value
 	table *hashTable
@@ -132,21 +137,7 @@ type rowProbe func(l value.Value, bucket, out []value.Value) ([]value.Value, err
 func (j *Join) prober() (rowProbe, error) {
 	res := newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
 	if j.Fn != nil {
-		fn := newPairScalar(j.Ctx, j.Fn, j.LVar, j.RVar)
-		// A key bucket bounds its group closely; the nested-loop bucket is
-		// the whole right input, which would make every group hold |R| slots.
-		keyed := j.Method != JoinNL
-		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
-			size := 0
-			if keyed {
-				size = len(bucket)
-			}
-			group, err := nestGroup(&res, &fn, l, bucket, size)
-			if err != nil {
-				return nil, err
-			}
-			return append(out, l.Extend(j.Label, group)), nil
-		}, nil
+		return j.nestProber(res), nil
 	}
 	switch j.Kind {
 	case algebra.JoinSemi, algebra.JoinAnti:
@@ -187,6 +178,82 @@ func (j *Join) prober() (rowProbe, error) {
 		}
 		return out, nil
 	}, nil
+}
+
+// bucketGroup is one nest-join group: the group, and the fused test's
+// verdict on it once that verdict is known to hold for the whole bucket.
+type bucketGroup struct {
+	group          value.Value
+	holds, decided bool
+}
+
+// bucketID names a bucket by its first row; nil names the empty bucket.
+func bucketID(bucket []value.Value) *value.Value {
+	if len(bucket) == 0 {
+		return nil
+	}
+	return &bucket[0]
+}
+
+// nestProber returns the nest join's row probe. When neither the residual
+// nor the join function reads the left row, a group is a function of its
+// bucket alone: it is built once per hash slot or index bucket and shared by
+// every left row probing that bucket. A fused Test that does not read the
+// left row either is then also evaluated once per bucket.
+func (j *Join) nestProber(res pairPredicate) rowProbe {
+	fn := newPairScalar(j.Ctx, j.Fn, j.LVar, j.RVar)
+	// A key bucket bounds its group closely; the nested-loop bucket is the
+	// whole right input, which would make every group hold |R| slots.
+	keyed := j.Method != JoinNL
+	var memo map[*value.Value]bucketGroup
+	if j.Residual == nil && !tmql.FreeVars(j.Fn)[j.LVar] {
+		memo = make(map[*value.Value]bucketGroup)
+	}
+	groupOf := func(l value.Value, bucket []value.Value) (bucketGroup, error) {
+		if g, ok := memo[bucketID(bucket)]; ok {
+			return g, nil
+		}
+		size := 0
+		if keyed {
+			size = len(bucket)
+		}
+		group, err := nestGroup(&res, &fn, l, bucket, size)
+		g := bucketGroup{group: group}
+		if err == nil && memo != nil {
+			memo[bucketID(bucket)] = g
+		}
+		return g, err
+	}
+	if j.Test == nil {
+		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+			g, err := groupOf(l, bucket)
+			if err != nil {
+				return nil, err
+			}
+			return append(out, l.Extend(j.Label, g.group)), nil
+		}
+	}
+	test := newPairPredicate(j.Ctx, j.Test, j.LVar, j.Label)
+	perBucket := memo != nil && !tmql.FreeVars(j.Test)[j.LVar]
+	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+		g, err := groupOf(l, bucket)
+		if err != nil {
+			return nil, err
+		}
+		if !g.decided {
+			if g.holds, err = test.eval(l, g.group); err != nil {
+				return nil, err
+			}
+			if perBucket {
+				g.decided = true
+				memo[bucketID(bucket)] = g
+			}
+		}
+		if g.holds {
+			out = append(out, l)
+		}
+		return out, nil
+	}
 }
 
 // nullTuple builds a tuple of the given type with NULL in every attribute —

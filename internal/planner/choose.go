@@ -162,9 +162,10 @@ func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
 	var b strings.Builder
 	var walk func(n algebra.Plan, depth int)
 	walk = func(n algebra.Plan, depth int) {
+		op := e.resolve(n, spec)
 		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s  (%s)\n", e.resolve(n, spec).describe(n), e.Estimate(n, spec))
-		for _, ch := range n.Children() {
+		fmt.Fprintf(&b, "%s  (%s)\n", op.describe(n), e.Estimate(n, spec))
+		for _, ch := range op.inputs(n) {
 			walk(ch, depth+1)
 		}
 	}

@@ -151,3 +151,116 @@ func TestCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileGroupjoin: the grouping pipeline Map ∘ Select ∘ NestJoin
+// compiles to one fused exec.Join on the nested-loop, hash and index
+// families and stays three operators under sort-merge, with the same result
+// either way. Over an unsealed left table holding a duplicate row, the fused
+// join is wrapped in the deduplicating map the projection it replaces was.
+func TestCompileGroupjoin(t *testing.T) {
+	cat, db := datagen.XYZ(datagen.Spec{NX: 40, NY: 120, NZ: 10, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 9})
+	b := algebra.NewBuilder(cat)
+	x, _ := b.Scan("X")
+	y, _ := b.Scan("Y")
+	nj, err := b.NestJoin(x, y, "x", "y", tmql.MustParse("x.b = y.b"), tmql.MustParse("y.a"), "zs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := b.Select(nj, "x", tmql.MustParse("x.a SUBSETEQ x.zs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := b.Project(sel, "x", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ytab, _ := db.Table("Y")
+	if err := ytab.CreateIndex("b"); err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec PhysicalSpec) (exec.BatchIterator, value.Value) {
+		tree, err := New(exec.NewCtx(db), spec).Compile(plan)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		v, err := exec.CollectBatches(tree)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		return tree, v
+	}
+	merge, want := run(PhysicalSpec{Joins: ImplMerge})
+	if _, ok := merge.(*exec.Map); !ok {
+		t.Errorf("sort-merge compiled to %T, want the unfused projection", merge)
+	}
+	for _, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplIndex} {
+		tree, got := run(PhysicalSpec{Joins: impl})
+		if j, ok := tree.(*exec.Join); !ok || j.Test == nil {
+			t.Errorf("%s compiled to %T, want a fused exec.Join", impl, tree)
+		}
+		if !value.Equal(got, want) {
+			t.Errorf("%s: groupjoin differs from the unfused plan:\nwant %s\ngot  %s", impl, want, got)
+		}
+	}
+
+	xtab, _ := db.Table("X")
+	xtab.Unseal()
+	xtab.MustInsert(xtab.Rows()[0])
+	tree, got := run(PhysicalSpec{Joins: ImplHash})
+	if m, ok := tree.(*exec.Map); !ok || !m.Distinct {
+		t.Errorf("over an unsealed left table compiled to %T, want a deduplicating map", tree)
+	} else if j, ok := m.In.(*exec.Join); !ok || j.Test == nil {
+		t.Errorf("deduplicating map over %T, want the fused exec.Join", m.In)
+	}
+	if !value.Equal(got, want) {
+		t.Errorf("over an unsealed left table: got %s, want %s", got, want)
+	}
+}
+
+// TestGroupjoinRuleShapes: the rule fuses only a selection that reads the
+// joined row through its fields, under a projection onto exactly the left
+// element's labels; everything else keeps the three operators.
+func TestGroupjoinRuleShapes(t *testing.T) {
+	cat, _ := datagen.XYZ(datagen.Spec{NX: 4, NY: 4, NZ: 4, Keys: 2, SetAttrCard: 2, Seed: 1})
+	b := algebra.NewBuilder(cat)
+	x, _ := b.Scan("X")
+	y, _ := b.Scan("Y")
+	nj, err := b.NestJoin(x, y, "x", "y", tmql.MustParse("x.b = y.b"), tmql.MustParse("y.a"), "zs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pred   string
+		labels []string
+		test   string // "" when the stack must not fuse
+	}{
+		{"x.a SUBSETEQ x.zs", []string{"a", "b"}, "x.a SUBSETEQ zs"},
+		{"COUNT(x.zs) >= 2 AND x.b > 0", []string{"b", "a"}, "COUNT(zs) >= 2 AND x.b > 0"},
+		{"FORALL w IN x.a (w IN x.zs)", []string{"a", "b"}, "FORALL w IN x.a (w IN zs)"},
+		// A binder named x shadows the row: its fields are not the row's.
+		{"EXISTS x IN x.zs (x = 1)", []string{"a", "b"}, "EXISTS x IN zs (x = 1)"},
+		// The row read whole.
+		{"x.a SUBSETEQ x.zs AND x <> x", []string{"a", "b"}, ""},
+		// A binder named zs would capture the group variable.
+		{"EXISTS zs IN x.a (zs IN x.zs)", []string{"a", "b"}, ""},
+		// Projections that are not exactly the left element's labels.
+		{"x.a SUBSETEQ x.zs", []string{"a"}, ""},
+		{"x.a SUBSETEQ x.zs", []string{"a", "zs"}, ""},
+	} {
+		sel, err := b.Select(nj, "x", tmql.MustParse(c.pred))
+		if err != nil {
+			t.Fatalf("%s: %v", c.pred, err)
+		}
+		m, err := b.Project(sel, "x", c.labels...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.pred, err)
+		}
+		got := ""
+		if fused, test := groupjoin(m); fused != nil {
+			got = tmql.Format(test)
+		}
+		if got != c.test {
+			t.Errorf("%s under %v: fused test %q, want %q", c.pred, c.labels, got, c.test)
+		}
+	}
+}

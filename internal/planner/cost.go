@@ -80,11 +80,17 @@ func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 		if op := e.resolve(n, spec); op.indexScan {
 			return Cost{Rows: rows, Work: e.indexScanWork(op.scan)}
 		}
-		return Cost{Rows: rows, Work: in.Work + in.Rows}
+		return Cost{Rows: rows, Work: in.Work + in.Rows*e.rowWork(n.Pred)}
 
 	case *algebra.Map:
 		in := e.Estimate(n.In, spec)
-		return Cost{Rows: in.Rows, Work: in.Work + in.Rows}
+		if op := e.resolve(n, spec); op.fused != nil {
+			// The groupjoin: the nest join plus one test per left row,
+			// emitting the selection's rows.
+			nj := e.Estimate(op.fused, spec)
+			return Cost{Rows: in.Rows, Work: nj.Work + nj.Rows*e.rowWork(op.test)}
+		}
+		return Cost{Rows: in.Rows, Work: in.Work + in.Rows*e.rowWork(n.Out)}
 
 	case *algebra.Join:
 		l, op, matches, work := e.joinWork(n, n.L, n.R, n.RVar, spec)
@@ -131,6 +137,22 @@ func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 		return Cost{Rows: rows, Work: l.Work + r.Work + l.Rows + r.Rows}
 	}
 	return Cost{Rows: 1, Work: 1}
+}
+
+// rowWork is the cost of evaluating a Select's or Map's expression x on one
+// row: one visit, plus the naive cost of every subquery over a stored
+// extension that x embeds, which the evaluator runs afresh for each row.
+func (e *Estimator) rowWork(x tmql.Expr) float64 {
+	work := 1.0
+	tmql.Walk(x, func(n tmql.Expr) bool {
+		sfw, ok := n.(*tmql.SFW)
+		if !ok || len(tmql.Tables(sfw)) == 0 {
+			return true
+		}
+		work += e.evalCost(sfw).Work
+		return false
+	})
+	return work
 }
 
 // indexScanWork is the probe-cost model for an index-served selection: one

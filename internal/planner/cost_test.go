@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tmdb/internal/algebra"
+	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/stats"
 	"tmdb/internal/storage"
@@ -135,5 +136,40 @@ func TestEstimatorUnknownTable(t *testing.T) {
 	c := est.tableStats("GHOST")
 	if c.Card != 0 {
 		t.Error("unknown table should have zero card")
+	}
+}
+
+// TestHiddenSubqueryChargedPerRow: a subquery the translator leaves inside a
+// Select predicate runs in the evaluator once per input row, so the plan
+// holding it can cost no less than one naive run of the subquery. The
+// multi-FROM inner block is such a query: it is only planned here, never
+// executed, since the hidden nested loop it plans to runs for seconds.
+func TestHiddenSubqueryChargedPerRow(t *testing.T) {
+	cat, _, tr, est := logicalEnv(t)
+	q := `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b`
+	bound, err := tmql.NewBinder(cat).Bind(tmql.MustParse(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []StrategyPlan
+	for _, s := range core.CandidateStrategies() {
+		if p, err := tr.Translate(bound, s); err == nil {
+			plans = append(plans, StrategyPlan{Strategy: s.String(), Plan: p})
+		}
+	}
+	best, _, err := est.Choose(est.Alternatives(algebra.NewBuilder(cat), plans), PhysicalSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block tmql.Expr
+	tmql.Walk(bound.(*tmql.SFW).Where, func(n tmql.Expr) bool {
+		if sfw, ok := n.(*tmql.SFW); ok && block == nil {
+			block = sfw
+		}
+		return block == nil
+	})
+	if naive := est.evalCost(block).Work; best.Cost.Work < naive {
+		t.Errorf("%s/%s chosen at cost≈%.0f, below one naive run of the embedded block (≈%.0f):\n%s",
+			best.Strategy, best.Alt, best.Cost.Work, naive, est.Explain(best.Plan, best.PhysicalSpec))
 	}
 }

@@ -126,6 +126,9 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, error) {
 		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: n.Pred}, nil
 
 	case *algebra.Map:
+		if nj := op.fused; nj != nil {
+			return p.compileGroupjoin(op, ix, n, nj)
+		}
 		in, err := p.Compile(n.In)
 		if err != nil {
 			return nil, err
@@ -189,6 +192,20 @@ func (p *Planner) compile2(lp, rp algebra.Plan) (l, r exec.BatchIterator, err er
 // semantics need it.
 func (p *Planner) compileMap(m *algebra.Map, in exec.BatchIterator) exec.BatchIterator {
 	return &exec.Map{Ctx: p.ctx, In: in, Var: m.Var, Out: m.Out, Distinct: p.needsDistinct(m)}
+}
+
+// compileGroupjoin builds the groupjoin m resolved to: nest join nj with
+// the selection between them as its test. The join emits left rows
+// unchanged, so where those are not duplicate-free by construction an
+// identity map deduplicates them, as the projection it replaces would have.
+func (p *Planner) compileGroupjoin(op physOp, ix *storage.HashIndex, m *algebra.Map, nj *algebra.NestJoin) (exec.BatchIterator, error) {
+	j, err := p.compileJoin(op, ix, nj.L, nj.R, &exec.Join{
+		Ctx: p.ctx, LVar: nj.LVar, RVar: nj.RVar, Residual: nj.Pred, Fn: nj.Fn, Label: nj.Label, Test: op.test,
+	})
+	if err != nil || p.duplicateFree(nj.L) {
+		return j, err
+	}
+	return &exec.Map{Ctx: p.ctx, In: j, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, nil
 }
 
 // compileJoin completes j, which carries the node's kind, variables, whole
@@ -271,28 +288,58 @@ func (p *Planner) duplicateFree(plan algebra.Plan) bool {
 // ExtractEquiKeys splits a join predicate over (lvar, rvar) into equi-key
 // pairs and a residual: every top-level conjunct of the form e1 = e2 with
 // FreeVars(e1) ⊆ {lvar} and FreeVars(e2) ⊆ {rvar} (either orientation)
-// becomes a key pair; the conjunction of everything else is the residual
-// (nil when empty). Constant conjuncts stay in the residual.
+// becomes a key pair, once — a conjunct repeating the field paths of a pair
+// already extracted, in either orientation, is implied by it and dropped;
+// the conjunction of everything else is the residual (nil when empty).
+// Constant conjuncts stay in the residual.
 func ExtractEquiKeys(pred tmql.Expr, lvar, rvar string) (lkeys, rkeys []tmql.Expr, residual tmql.Expr) {
-	conjuncts := SplitConjuncts(pred)
 	var rest []tmql.Expr
-	for _, c := range conjuncts {
-		if eq, ok := c.(*tmql.Binary); ok && eq.Op == tmql.OpEq {
-			lf, rf := tmql.FreeVars(eq.L), tmql.FreeVars(eq.R)
-			switch {
-			case onlyVar(lf, lvar) && onlyVar(rf, rvar) && lf[lvar] && rf[rvar]:
-				lkeys = append(lkeys, eq.L)
-				rkeys = append(rkeys, eq.R)
-				continue
-			case onlyVar(lf, rvar) && onlyVar(rf, lvar) && lf[rvar] && rf[lvar]:
-				lkeys = append(lkeys, eq.R)
-				rkeys = append(rkeys, eq.L)
-				continue
-			}
+	for _, c := range SplitConjuncts(pred) {
+		l, r, ok := equiKey(c, lvar, rvar)
+		if !ok {
+			rest = append(rest, c)
+			continue
 		}
-		rest = append(rest, c)
+		repeated := false
+		for i := range lkeys {
+			repeated = repeated || samePath(lkeys[i], l) && samePath(rkeys[i], r)
+		}
+		if !repeated {
+			lkeys, rkeys = append(lkeys, l), append(rkeys, r)
+		}
 	}
 	return lkeys, rkeys, JoinConjuncts(rest)
+}
+
+// samePath reports whether a and b are the same variable or the same field
+// path off one; other expressions are never the same.
+func samePath(a, b tmql.Expr) bool {
+	switch a := a.(type) {
+	case *tmql.Var:
+		b, ok := b.(*tmql.Var)
+		return ok && a.Name == b.Name
+	case *tmql.FieldSel:
+		b, ok := b.(*tmql.FieldSel)
+		return ok && a.Label == b.Label && samePath(a.X, b.X)
+	}
+	return false
+}
+
+// equiKey returns conjunct c as an equi-key pair, its left key over lvar and
+// its right key over rvar, if it is one.
+func equiKey(c tmql.Expr, lvar, rvar string) (l, r tmql.Expr, ok bool) {
+	eq, isEq := c.(*tmql.Binary)
+	if !isEq || eq.Op != tmql.OpEq {
+		return nil, nil, false
+	}
+	lf, rf := tmql.FreeVars(eq.L), tmql.FreeVars(eq.R)
+	switch {
+	case onlyVar(lf, lvar) && onlyVar(rf, rvar) && lf[lvar] && rf[rvar]:
+		return eq.L, eq.R, true
+	case onlyVar(lf, rvar) && onlyVar(rf, lvar) && lf[rvar] && rf[lvar]:
+		return eq.R, eq.L, true
+	}
+	return nil, nil, false
 }
 
 // onlyVar reports whether the free-variable set contains nothing but

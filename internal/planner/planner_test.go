@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"tmdb/internal/algebra"
@@ -31,6 +32,39 @@ func TestExtractEquiKeys(t *testing.T) {
 		lk, rk, res := ExtractEquiKeys(tmql.MustParse(c.pred), "x", "y")
 		if len(lk) != c.nKeys || len(rk) != c.nKeys {
 			t.Errorf("ExtractEquiKeys(%q): %d/%d keys, want %d", c.pred, len(lk), len(rk), c.nKeys)
+		}
+		got := ""
+		if res != nil {
+			got = tmql.Format(res)
+		}
+		if got != c.residual {
+			t.Errorf("ExtractEquiKeys(%q) residual = %q, want %q", c.pred, got, c.residual)
+		}
+	}
+}
+
+// TestExtractEquiKeysDropsRepeatedPairs pins that a key pair repeated in
+// either orientation is extracted once and is not re-checked as residual: an
+// IN subquery's semijoin carries x.b = y.d twice, once from its WHERE and
+// once from the membership test.
+func TestExtractEquiKeysDropsRepeatedPairs(t *testing.T) {
+	cases := []struct {
+		pred, keys, residual string
+	}{
+		{"x.b = y.d AND y.d = x.b", "x.b=y.d", ""},
+		{"x.b = y.d AND x.b = y.d", "x.b=y.d", ""},
+		{"y.d = x.b AND y.a > 1 AND x.b = y.d", "x.b=y.d", "y.a > 1"},
+		{"x.b = y.d AND x.a = y.d AND y.d = x.a", "x.b=y.d x.a=y.d", ""},
+		{"x.b = y.d AND x.b + 0 = y.d", "x.b=y.d x.b + 0=y.d", ""},
+	}
+	for _, c := range cases {
+		lk, rk, res := ExtractEquiKeys(tmql.MustParse(c.pred), "x", "y")
+		var keys []string
+		for i := range lk {
+			keys = append(keys, tmql.Format(lk[i])+"="+tmql.Format(rk[i]))
+		}
+		if got := strings.Join(keys, " "); got != c.keys {
+			t.Errorf("ExtractEquiKeys(%q) keys = %q, want %q", c.pred, got, c.keys)
 		}
 		got := ""
 		if res != nil {

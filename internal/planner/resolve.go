@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"strings"
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/storage"
@@ -17,9 +18,9 @@ import (
 
 // physOp is resolve's answer for one node.
 type physOp struct {
-	// family is the join family a Join/NestJoin runs as — ImplNestedLoop,
-	// ImplHash, ImplMerge or ImplIndex, never ImplAuto — and ImplAuto (zero)
-	// for every other node.
+	// family is the join family a Join/NestJoin (or a groupjoin's nest
+	// join) runs as — ImplNestedLoop, ImplHash, ImplMerge or ImplIndex,
+	// never ImplAuto — and ImplAuto (zero) for every other node.
 	family JoinImpl
 	// lk, rk and residual split a join-family predicate into equi-key pairs
 	// and the rest (ExtractEquiKeys).
@@ -34,6 +35,10 @@ type physOp struct {
 	// infeasible is why the spec cannot run this node ("" when it can): the
 	// hash and sort-merge families need an equi-key.
 	infeasible string
+	// fused marks a Map resolved as the groupjoin: one exec.Join running
+	// the nest join fused, with the selection between them as its test.
+	fused *algebra.NestJoin
+	test  tmql.Expr
 }
 
 // noIndexes is the index oracle of a context with no registry.
@@ -51,12 +56,89 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 			}
 			// No usable index on this selection: scan fallback.
 		}
+	case *algebra.Map:
+		if nj, test := groupjoin(n); nj != nil {
+			op := resolveJoin(nj.Pred, nj.LVar, nj.RVar, nj.R, true, spec, indexesOf)
+			if op.family != ImplMerge && op.infeasible == "" {
+				op.fused, op.test = nj, test
+				return op
+			}
+		}
 	case *algebra.Join:
 		return resolveJoin(n.Pred, n.LVar, n.RVar, n.R, false, spec, indexesOf)
 	case *algebra.NestJoin:
 		return resolveJoin(n.Pred, n.LVar, n.RVar, n.R, true, spec, indexesOf)
 	}
 	return physOp{}
+}
+
+// groupjoin matches the pipeline a Table 2 grouping predicate P translates
+// to, Map[(a = x.a, …)](x) ∘ Select[P(x.nj)](x) ∘ X △[…; nj] Y, where the map
+// projects exactly back onto the left element's labels. It returns the nest
+// join and P as the fused test, in which the group variable nj stands for
+// x.nj; nil when the stack has another shape or P cannot be rewritten.
+func groupjoin(m *algebra.Map) (*algebra.NestJoin, tmql.Expr) {
+	sel, ok := m.In.(*algebra.Select)
+	if !ok {
+		return nil, nil
+	}
+	nj, ok := sel.In.(*algebra.NestJoin)
+	if !ok || sel.Var != nj.LVar || !stripsLabel(m, nj) {
+		return nil, nil
+	}
+	if test := groupTest(sel.Pred, sel.Var, nj.Label); test != nil {
+		return nj, test
+	}
+	return nil, nil
+}
+
+// stripsLabel reports whether m's output is the tuple (f = v.f, …) over the
+// labels of nj's left element, v being m's variable: over nj's output
+// (bound, so the labels are distinct and present), that is every label but
+// nj's own.
+func stripsLabel(m *algebra.Map, nj *algebra.NestJoin) bool {
+	cons, ok := m.Out.(*tmql.TupleCons)
+	if !ok || len(cons.Fields) != len(nj.L.Elem().Fields) {
+		return false
+	}
+	for _, f := range cons.Fields {
+		sel, ok := f.E.(*tmql.FieldSel)
+		if !ok || sel.Label != f.Label || f.Label == nj.Label {
+			return false
+		}
+		if v, ok := sel.X.(*tmql.Var); !ok || v.Name != m.Var {
+			return false
+		}
+	}
+	return true
+}
+
+// groupTest rewrites p, a predicate over the nest join's output row v, into
+// the fused test over the left row v and the group variable label: each
+// free v.label becomes label, and every other field of v is read off the
+// left row, which has the same fields but label. It returns nil when p reads
+// v whole or already uses the name label, which the rewrite could capture.
+func groupTest(p tmql.Expr, v, label string) tmql.Expr {
+	ok := true
+	test := tmql.Rewrite(p, func(n tmql.Expr, bound map[string]int) (tmql.Expr, bool) {
+		ok = ok && bound[label] == 0 // no binder of label is in scope
+		switch n := n.(type) {
+		case *tmql.FieldSel:
+			if x, isVar := n.X.(*tmql.Var); isVar && x.Name == v && bound[v] == 0 {
+				if n.Label == label {
+					return &tmql.Var{Name: label}, true
+				}
+				return n, true
+			}
+		case *tmql.Var: // label unused, v read only through its fields
+			ok = ok && n.Name != label && (n.Name != v || bound[v] > 0)
+		}
+		return nil, false
+	})
+	if !ok {
+		return nil
+	}
+	return test
 }
 
 // needsEquiKey reports whether the family cannot run a join without an
@@ -99,6 +181,13 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 // physical form keep their logical description.
 func (op physOp) describe(n algebra.Plan) string {
 	desc := n.Describe()
+	if op.fused != nil {
+		// The groupjoin: the nest join with its test after a bar,
+		// HashNestJoin[x.b = y.b; y.a; nj_2 | x.a SUBSETEQ nj_2](x, y).
+		desc = op.fused.Describe()
+		i := strings.LastIndex(desc, "](")
+		desc = desc[:i] + " | " + tmql.Format(op.test) + desc[i:]
+	}
 	switch {
 	case op.indexScan:
 		m := op.scan
@@ -122,6 +211,15 @@ func (op physOp) describe(n algebra.Plan) string {
 		desc = "Hash" + desc
 	}
 	return desc
+}
+
+// inputs are the plan nodes the resolved operator reads: a groupjoin reads
+// its nest join's operands, every other operator its node's children.
+func (op physOp) inputs(n algebra.Plan) []algebra.Plan {
+	if op.fused != nil {
+		return op.fused.Children()
+	}
+	return n.Children()
 }
 
 // resolve is the costing-side resolver, against the statistics catalog's
