@@ -55,10 +55,10 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 			return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), inputs, []any{o.L, nil}, nil
 		case exec.JoinHash:
 			return "Hash" + d, inputs, []any{o.L, o.R}, nil
+		case exec.JoinMerge:
+			return "Merge" + d, inputs, []any{o.L, o.R}, nil
 		}
 		return "NL" + d, inputs, []any{o.L, o.R}, nil
-	case *exec.MergeNestJoin:
-		return "Merge" + d, inputs, []any{o.L, o.R}, nil
 	case *exec.NestIter:
 		return d, inputs, []any{o.In}, nil
 	case *exec.UnnestIter:

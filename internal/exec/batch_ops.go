@@ -61,7 +61,7 @@ type EvalScan struct {
 
 // Open evaluates the expression.
 func (s *EvalScan) Open() error {
-	v, err := s.Ctx.evalIn(s.Expr, nil)
+	v, err := s.Ctx.Ev.Eval(s.Expr)
 	if err != nil {
 		return err
 	}
@@ -87,13 +87,13 @@ type Filter struct {
 	In   BatchIterator
 	Var  string
 	Pred tmql.Expr
-	pred rowPredicate
+	pred pred2
 	out  []value.Value
 }
 
 // Open compiles the predicate and opens the input.
 func (f *Filter) Open() error {
-	f.pred = newRowPredicate(f.Ctx, f.Pred, f.Var)
+	f.pred = compilePred(f.Ctx, f.Pred, f.Var, "")
 	return f.In.Open()
 }
 
@@ -107,7 +107,7 @@ func (f *Filter) NextBatch() ([]value.Value, bool, error) {
 		if err := f.Ctx.checkBatch(); err != nil {
 			return nil, false, err
 		}
-		if f.out, err = f.pred.filter(bt, f.out); err != nil {
+		if f.out, err = filterRows(f.pred, bt, f.out); err != nil {
 			return nil, false, err
 		}
 		if len(f.out) > 0 {
@@ -135,19 +135,17 @@ type Map struct {
 	Distinct bool
 
 	identity bool
-	proj     rowProjector
+	proj     scalar2
 	seen     map[string]bool
 	scratch  []byte
 	out      []value.Value
 }
 
-// Open compiles the projection (none for the identity) and opens the input.
+// Open compiles the projection and opens the input.
 func (m *Map) Open() error {
 	v, ok := m.Out.(*tmql.Var)
 	m.identity = ok && v.Name == m.Var
-	if !m.identity {
-		m.proj = newRowProjector(m.Ctx, m.Out, m.Var)
-	}
+	m.proj = compile(m.Ctx, m.Out, m.Var, "")
 	if m.Distinct {
 		m.seen = make(map[string]bool)
 	}
@@ -169,10 +167,8 @@ func (m *Map) NextBatch() ([]value.Value, bool, error) {
 		}
 		m.out = slices.Grow(m.out[:0], len(bt))
 		for _, v := range bt {
-			if !m.identity {
-				if v, err = m.proj.eval(v); err != nil {
-					return nil, false, err
-				}
+			if v, err = m.proj(v, value.Value{}); err != nil {
+				return nil, false, err
 			}
 			if m.Distinct {
 				buf := value.AppendKey(m.scratch[:0], v)

@@ -5,25 +5,77 @@ import (
 	"errors"
 	"testing"
 
+	"tmdb/internal/eval"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
-// TestCompiledPredicateErrorsMatchGeneric pins error parity: a predicate
+// TestCompiledPredicateErrorsMatchGeneric pins error parity: an expression
 // whose field selection fails must produce the evaluator's exact error
-// whether it ran compiled or generic.
+// whether it ran compiled or generic — a filter predicate, a tuple
+// constructor inside a nest-join function, a sort-merge key over a
+// non-tuple. A predicate mixing the compiled subset with a quantifier falls
+// back whole: the filter spends exactly the evaluator's own steps on it.
 func TestCompiledPredicateErrorsMatchGeneric(t *testing.T) {
-	rows := []value.Value{tup("k", 1, "v", 2)}
-	for _, p := range []string{"x.missing = 1", "x.k.z = 1"} {
-		_, evalErr := NewCtx(nil).evalPred(pred(p), env1("x", rows[0]))
-		it := &Filter{Ctx: NewCtx(nil), In: &SliceScan{Rows: rows}, Var: "x", Pred: pred(p)}
-		_, err := CollectBatches(it)
-		if evalErr == nil || err == nil {
-			t.Fatalf("%s: expected errors, got evaluator=%v filter=%v", p, evalErr, err)
+	row, yrow := tup("k", 1, "v", 2), tup("j", 1, "w", 2)
+	x := (*eval.Env)(nil).Bind("x", row)
+	evalErr := func(e string, env *eval.Env) error {
+		_, err := eval.New(nil).EvalEnv(pred(e), env)
+		return err
+	}
+	filter := func(p string) BatchIterator {
+		return &Filter{Ctx: NewCtx(nil), In: &SliceScan{Rows: []value.Value{row}}, Var: "x", Pred: pred(p)}
+	}
+	nestJoin := func(method JoinMethod, l value.Value, fn string) BatchIterator {
+		return &Join{Ctx: NewCtx(nil), Method: method, L: &SliceScan{Rows: []value.Value{l}}, R: &SliceScan{Rows: []value.Value{yrow}},
+			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")}, Fn: pred(fn), Label: "s"}
+	}
+	const fn = "(a = y.j, b = y.missing)"
+	if compileScalar2(pred(fn), "x", "y") == nil {
+		t.Fatalf("%s is outside the compiled subset", fn)
+	}
+	for _, c := range []struct {
+		name string
+		want error
+		it   BatchIterator
+	}{
+		{"filter/missing", evalErr("x.missing = 1", x), filter("x.missing = 1")},
+		{"filter/non-tuple", evalErr("x.k.z = 1", x), filter("x.k.z = 1")},
+		{"nest-join fn", evalErr(fn, x.Bind("y", yrow)), nestJoin(JoinHash, row, fn)},
+		{"merge key", evalErr("x.k", (*eval.Env)(nil).Bind("x", value.Int(7))), nestJoin(JoinMerge, value.Int(7), "y")},
+	} {
+		_, err := CollectBatches(c.it)
+		if c.want == nil || err == nil {
+			t.Fatalf("%s: expected errors, got evaluator=%v operator=%v", c.name, c.want, err)
 		}
-		if evalErr.Error() != err.Error() {
-			t.Errorf("%s: error mismatch:\nevaluator %v\nfilter    %v", p, evalErr, err)
+		if c.want.Error() != err.Error() {
+			t.Errorf("%s: error mismatch:\nevaluator %v\noperator  %v", c.name, c.want, err)
 		}
+	}
+
+	const mixed = "x.b = 1 AND FORALL e IN x.c (e > 1)"
+	if compilePred2(pred(mixed), "x", "") != nil {
+		t.Fatalf("%s compiled", mixed)
+	}
+	rows := []value.Value{tup("b", 1, "c", ints(2, 3)), tup("b", 1, "c", ints(1)), tup("b", 2, "c", ints(5))}
+	ev := eval.New(nil)
+	var want []value.Value
+	for _, r := range rows {
+		v, err := ev.EvalEnv(pred(mixed), (*eval.Env)(nil).Bind("x", r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.AsBool() {
+			want = append(want, r)
+		}
+	}
+	ctx := NewCtx(nil)
+	got := collect(t, &Filter{Ctx: ctx, In: &SliceScan{Rows: rows}, Var: "x", Pred: pred(mixed)})
+	if !value.Equal(got, value.SetOf(want...)) {
+		t.Errorf("%s: got %s, want %s", mixed, got, value.SetOf(want...))
+	}
+	if ctx.Ev.Steps != ev.Steps {
+		t.Errorf("%s: filter spent %d evaluator steps, the whole-expression evaluator %d", mixed, ctx.Ev.Steps, ev.Steps)
 	}
 }
 
@@ -56,11 +108,11 @@ func TestBatchDistinctIdentity(t *testing.T) {
 	}
 }
 
-// mergeSelfJoin is a merge nest join of rows with itself on x.k = y.k, its
-// sorted runs built from batches of size rows.
-func mergeSelfJoin(ctx *Ctx, rows []value.Value, size int) *MergeNestJoin {
-	return &MergeNestJoin{
-		Ctx: ctx, L: &SliceScan{Rows: rows, Size: size}, R: &SliceScan{Rows: rows, Size: size},
+// mergeSelfJoin is a sort-merge nest join of rows with itself on x.k = y.k,
+// its sorted runs built from batches of size rows.
+func mergeSelfJoin(ctx *Ctx, rows []value.Value, size int) *Join {
+	return &Join{
+		Ctx: ctx, Method: JoinMerge, L: &SliceScan{Rows: rows, Size: size}, R: &SliceScan{Rows: rows, Size: size},
 		LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")},
 		Fn: pred("y.v"), Label: "g",
 	}
@@ -117,8 +169,8 @@ func TestMergeNestJoinMatchesNL(t *testing.T) {
 		ref.Label = "g"
 		want := collect(t, ref)
 		for _, size := range splitSizes {
-			got := collect(t, &MergeNestJoin{
-				Ctx: NewCtx(nil), L: &SliceScan{Rows: l, Size: size}, R: &SliceScan{Rows: r, Size: size},
+			got := collect(t, &Join{
+				Ctx: NewCtx(nil), Method: JoinMerge, L: &SliceScan{Rows: l, Size: size}, R: &SliceScan{Rows: r, Size: size},
 				LVar: "x", RVar: "y", LKeys: lk, RKeys: rk,
 				Residual: residual, Fn: pred("y"), Label: "g",
 			})

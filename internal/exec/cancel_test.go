@@ -91,6 +91,26 @@ func TestHashNestJoinCancellation(t *testing.T) {
 	}
 }
 
+// TestMergeJoinCancellation is the same contract for the sort-merge join,
+// cancelled mid-sort (its inputs cut into single-row batches, each passing
+// the sort.build point) and mid-probe.
+func TestMergeJoinCancellation(t *testing.T) {
+	l, r := genRows(1000, 17, "k", "v"), genRows(500, 11, "j", "w")
+	want := collect(t, nlNestJoin(l, r, pred("x.k = y.j"))).String()
+	for _, ph := range []struct{ name, point string }{
+		{"sort", faultinject.PointSortBuild},
+		{"probe", faultinject.PointHashProbe},
+	} {
+		t.Run(ph.name, func(t *testing.T) {
+			cancelMidRun(t, ph.point, want, func(ctx *Ctx) BatchIterator {
+				j := hashNestJoin(ctx, nil, nil, "x.k", "y.j", nil)
+				j.Method, j.L, j.R = JoinMerge, &SliceScan{Rows: l, Size: 1}, &SliceScan{Rows: r, Size: 1}
+				return j
+			})
+		})
+	}
+}
+
 // TestGovernorBudgets pins the budget taxonomy at the exec layer: a row
 // budget trips in CollectBatchesGoverned, a build budget trips inside the
 // hash build, and both surface as *BudgetError matching ErrBudgetExceeded.

@@ -41,7 +41,7 @@ func TestErrorPropagation(t *testing.T) {
 		&Filter{Ctx: ctx, In: &failingIter{failOpen: true}, Var: "x", Pred: pred("TRUE")},
 		&Map{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x.k")},
 		&Map{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x")},
-		&MergeNestJoin{Ctx: ctx, L: &failingIter{n: 2}, R: &SliceScan{}, LVar: "x", RVar: "y",
+		&Join{Ctx: ctx, Method: JoinMerge, L: &failingIter{n: 2}, R: &SliceScan{}, LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.k")}, Fn: pred("y"), Label: "s"},
 		&Map{Ctx: ctx, In: &failingIter{n: 1}, Var: "x", Out: pred("x"), Distinct: true},
 		&Join{Ctx: ctx, Method: JoinNL, Kind: algebra.JoinInner, L: &SliceScan{}, R: &failingIter{failOpen: true},
@@ -141,8 +141,8 @@ func TestMergeNestJoinDuplicateKeys(t *testing.T) {
 		ys = append(ys, tup("a", 10+i, "b", 1))
 	}
 	ys = append(ys, tup("a", 99, "b", 2))
-	mj := &MergeNestJoin{
-		Ctx: NewCtx(nil), L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
+	mj := &Join{
+		Ctx: NewCtx(nil), Method: JoinMerge, L: &SliceScan{Rows: xs}, R: &SliceScan{Rows: ys},
 		LVar: "x", RVar: "y",
 		LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 		Fn: pred("y.a"), Label: "s",

@@ -1,9 +1,11 @@
 // Package exec implements the physical operators executing the algebra of
 // internal/algebra. Every operator speaks one protocol, BatchIterator: scan,
 // filter, map, distinct, set operations, the restructuring operators ν / ν*
-// / μ, one join operator (Join) serving the flat join family (inner, semi,
-// anti, left-outer) and the paper's nest join over nested-loop, hash and
-// index buckets, and the sort-merge nest join.
+// / μ, and one join operator (Join) serving the flat join family (inner,
+// semi, anti, left-outer) and the paper's nest join over four bucket
+// sources: nested loops, a hash table, a persistent index and sorted runs.
+// Every expression an operator embeds is compiled once into one closure form
+// (batch_expr.go).
 //
 // As §6 ("Implementation") prescribes, the nest join is a simple
 // modification of the join methods with two restrictions honored: an output
@@ -15,11 +17,8 @@
 package exec
 
 import (
-	"fmt"
-
 	"tmdb/internal/eval"
 	"tmdb/internal/storage"
-	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
@@ -80,26 +79,6 @@ func NewCtxGoverned(db *storage.DB, gov *Governor) *Ctx {
 		c.Ev.Check = gov.Err
 	}
 	return c
-}
-
-// evalIn evaluates e under the given variable bindings.
-func (c *Ctx) evalIn(e tmql.Expr, env *eval.Env) (value.Value, error) {
-	return c.Ev.EvalEnv(e, env)
-}
-
-// evalPred evaluates a predicate, requiring a boolean.
-func (c *Ctx) evalPred(e tmql.Expr, env *eval.Env) (bool, error) {
-	if e == nil {
-		return true, nil
-	}
-	v, err := c.Ev.EvalEnv(e, env)
-	if err != nil {
-		return false, err
-	}
-	if v.Kind() != value.KindBool {
-		return false, fmt.Errorf("exec: predicate yielded %s, not BOOL", v)
-	}
-	return v.AsBool(), nil
 }
 
 // checkBatch is the per-batch governance poll of every operator loop: a

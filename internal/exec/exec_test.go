@@ -85,8 +85,8 @@ func nestJoinIters(ctx *Ctx, x, y []value.Value) map[string]BatchIterator {
 			Ctx: ctx, Method: JoinHash, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		},
-		"merge": &MergeNestJoin{
-			Ctx: ctx, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		"merge": &Join{
+			Ctx: ctx, Method: JoinMerge, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y", LKeys: keysL, RKeys: keysR, Fn: pred("y"), Label: "s",
 		},
 	}
@@ -135,8 +135,8 @@ func TestNestJoinResidualPredicate(t *testing.T) {
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
 		},
-		&MergeNestJoin{
-			Ctx: NewCtx(nil), L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
+		&Join{
+			Ctx: NewCtx(nil), Method: JoinMerge, L: &SliceScan{Rows: x}, R: &SliceScan{Rows: y},
 			LVar: "x", RVar: "y",
 			LKeys: []tmql.Expr{pred("x.d")}, RKeys: []tmql.Expr{pred("y.b")},
 			Residual: pred("y.a > 1"), Fn: pred("y.a"), Label: "zs",
@@ -394,8 +394,9 @@ func TestHashJoinKeyValidation(t *testing.T) {
 	if err := inj.Open(); err == nil {
 		t.Error("index join without keys should fail to open")
 	}
-	mnj := &MergeNestJoin{Ctx: NewCtx(nil), L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y"}
+	mnj := &Join{Ctx: NewCtx(nil), Method: JoinMerge, L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y",
+		Fn: pred("y"), Label: "s"}
 	if err := mnj.Open(); err == nil {
-		t.Error("MergeNestJoin without keys should fail to open")
+		t.Error("sort-merge nest join without keys should fail to open")
 	}
 }

@@ -20,7 +20,7 @@ func fusedNestJoin(ctx *Ctx, l, r []value.Value, test string) *Join {
 // TestFusedNestJoinMatchesUnfused holds the groupjoin to the pipeline it
 // replaces — the nest join, a filter on its group, and the projection back
 // onto the left row's labels — for tests that read the left row and tests
-// that do not, on the hash and nested-loop methods, at every split size of
+// that do not, on the hash, sort-merge and nested-loop methods, at every split size of
 // the left input. Left keys range over 13 and right keys over 7, so some
 // left rows dangle and see an empty group.
 func TestFusedNestJoinMatchesUnfused(t *testing.T) {
@@ -37,10 +37,12 @@ func TestFusedNestJoinMatchesUnfused(t *testing.T) {
 			t.Errorf("%s: nested-loop groupjoin differs from the unfused pipeline:\nwant %s\ngot  %s", test, want, got)
 		}
 		for _, size := range splitSizes {
-			j := fusedNestJoin(NewCtx(nil), nil, r, test)
-			j.L = &Split{In: &SliceScan{Rows: l}, N: size}
-			if got := collect(t, j); !value.Equal(got, want) {
-				t.Errorf("%s/size=%d: hash groupjoin differs from the unfused pipeline:\nwant %s\ngot  %s", test, size, want, got)
+			for name, method := range map[string]JoinMethod{"hash": JoinHash, "sort-merge": JoinMerge} {
+				j := fusedNestJoin(NewCtx(nil), nil, r, test)
+				j.Method, j.L = method, &Split{In: &SliceScan{Rows: l}, N: size}
+				if got := collect(t, j); !value.Equal(got, want) {
+					t.Errorf("%s/size=%d: %s groupjoin differs from the unfused pipeline:\nwant %s\ngot  %s", test, size, name, want, got)
+				}
 			}
 		}
 	}
@@ -51,20 +53,24 @@ func TestFusedNestJoinMatchesUnfused(t *testing.T) {
 // over k keys build k groups, not n. Each group here holds 64 right rows, so
 // one group per left row would allocate n·64·24 bytes (6 MiB) of group
 // slots; one per key allocates 24 KiB. With and without a fused test, the
-// rest is the left rows' output and the build.
+// rest is the left rows' output and the build (for sort-merge, the sorted
+// runs).
 func TestFusedNestJoinBuildsOneGroupPerKey(t *testing.T) {
 	const n, k, nr = 4096, 16, 1024
 	l, r := genRows(n, k, "k", "v"), genRows(nr, k, "j", "w")
 	for _, c := range []struct {
 		name, test string
+		method     JoinMethod
 		rows       int
 	}{
-		{"nest", "", n},
+		{"nest", "", JoinHash, n},
 		// Every group holds nr/k = 64 rows: the rows with x.v < 64 fail.
-		{"fused", "x.v >= COUNT(s)", n - nr/k},
+		{"fused", "x.v >= COUNT(s)", JoinHash, n - nr/k},
+		{"merge", "x.v >= COUNT(s)", JoinMerge, n - nr/k},
 	} {
 		name := c.name
 		j := hashNestJoin(NewCtx(nil), l, r, "x.k", "y.j", nil)
+		j.Method = c.method
 		if c.test != "" {
 			j.Test = pred(c.test)
 		}

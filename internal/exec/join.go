@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -30,6 +31,11 @@ import (
 //     right input is never read: there is no build phase at all, and a
 //     composite index serves as many leading key pairs as the predicate
 //     pairs, the rest staying in Residual.
+//   - JoinMerge: sort-merge. Open drains the left input and then the right
+//     one, each stably sorted by the same key encoding; the left rows are
+//     probed in key order, and a left row's bucket is the right run under its
+//     key, found by a cursor that only moves forward. Key equality is the
+//     byte equality of the hash and index methods, so all three agree.
 //
 // The right operand is always the bucket side and the left probes it. For the
 // regular join one would pick the smaller operand to build; the family fixes
@@ -38,7 +44,8 @@ import (
 // grouped by left rows. Residual predicates are re-checked per bucket
 // candidate. Governance is per row: each hash build row passes the
 // hash.build gate and is charged to the build budget, and each left row of
-// every method passes the hash.probe gate.
+// every method passes the hash.probe gate. The sorted runs are gated per
+// drained batch instead (sortGate).
 
 // JoinMethod is where Join finds a left row's candidate right rows.
 type JoinMethod uint8
@@ -48,6 +55,7 @@ const (
 	JoinNL JoinMethod = iota
 	JoinHash
 	JoinIndex
+	JoinMerge
 )
 
 // Join is the join operator: the flat join of Kind, or the paper's nest join
@@ -57,7 +65,8 @@ type Join struct {
 	Method JoinMethod
 	// Kind selects the flat variant; the nest join ignores it.
 	Kind algebra.JoinKind
-	// L is the probing input; R is the right input of JoinNL and JoinHash.
+	// L is the probing input; R is the right input of every method but
+	// JoinIndex.
 	L, R       BatchIterator
 	LVar, RVar string
 	// LKeys/RKeys are the equi-key expressions over LVar and RVar; the i-th
@@ -86,19 +95,27 @@ type Join struct {
 	// otherwise. A dangling element's group is ∅.
 	Test tmql.Expr
 
+	// right is JoinNL's right input, or JoinMerge's sorted right rows not
+	// yet passed by the cursor, with their keys in rkeys.
 	right []value.Value
+	rkeys [][]byte
 	table *hashTable
 	ix    *storage.HashIndex
-	lenc  *keyEncoder
+	lenc  keyEncoder
 	key   []byte
 	probe rowProbe
+	// sorted and lkeys are JoinMerge's left rows in key order, not yet
+	// handed out as batches, and the keys of the rows not yet probed.
+	sorted chunks
+	lkeys  [][]byte
 	// left is the unprobed rest of the current left batch.
 	left []value.Value
 	out  []value.Value
 }
 
 // Open prepares the bucket source — drains the right input, builds its
-// table, or resolves the index — and opens the left input.
+// table, resolves the index, or sorts both inputs — and opens the left
+// input.
 func (j *Join) Open() error {
 	probe, err := j.prober()
 	if err != nil {
@@ -106,24 +123,35 @@ func (j *Join) Open() error {
 	}
 	j.probe = probe
 	c := j.Ctx
+	j.lenc = newKeyEncoder(c, j.LKeys, j.LVar)
+	if (j.Method == JoinHash || j.Method == JoinMerge) && (len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys)) {
+		return fmt.Errorf("exec: hash and sort-merge joins need matching non-empty key lists")
+	}
 	switch j.Method {
 	case JoinHash:
-		if len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys) {
-			return fmt.Errorf("exec: hash join needs matching non-empty key lists")
+		bs, err := drainKeyed(j.R, newKeyEncoder(c, j.RKeys, j.RVar), nil)
+		if err != nil {
+			return err
 		}
-		if j.table, err = buildRight(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar)); err != nil {
+		if j.table, err = buildTable(c, bs); err != nil {
 			return err
 		}
 	case JoinIndex:
 		if j.ix, err = openIndex(c, j.Ix, j.Table, j.Index, len(j.LKeys)); err != nil {
 			return err
 		}
+	case JoinMerge:
+		// The sort drains and closes L: there is nothing left to open.
+		if j.sorted.rows, j.lkeys, err = sortRun(c, j.L, j.lenc); err != nil {
+			return err
+		}
+		j.right, j.rkeys, err = sortRun(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar))
+		return err
 	default:
 		if j.right, err = drainRows(j.R); err != nil {
 			return err
 		}
 	}
-	j.lenc = newKeyEncoder(c, j.LKeys, j.LVar)
 	return j.L.Open()
 }
 
@@ -135,7 +163,7 @@ type rowProbe func(l value.Value, bucket, out []value.Value) ([]value.Value, err
 // take the early-out probe that never builds a group — the efficiency edge
 // §8 exploits when grouping is provably unnecessary.
 func (j *Join) prober() (rowProbe, error) {
-	res := newPairPredicate(j.Ctx, j.Residual, j.LVar, j.RVar)
+	res := compilePred(j.Ctx, j.Residual, j.LVar, j.RVar)
 	if j.Fn != nil {
 		return j.nestProber(res), nil
 	}
@@ -143,9 +171,15 @@ func (j *Join) prober() (rowProbe, error) {
 	case algebra.JoinSemi, algebra.JoinAnti:
 		semi := j.Kind == algebra.JoinSemi
 		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
-			m, err := res.any(l, bucket)
-			if err != nil {
-				return nil, err
+			m := false
+			for _, r := range bucket {
+				var err error
+				if m, err = res(l, r); err != nil {
+					return nil, err
+				}
+				if m {
+					break
+				}
 			}
 			if m == semi {
 				out = append(out, l)
@@ -164,7 +198,7 @@ func (j *Join) prober() (rowProbe, error) {
 	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
 		matched := false
 		for _, r := range bucket {
-			ok, err := res.eval(l, r)
+			ok, err := res(l, r)
 			if err != nil {
 				return nil, err
 			}
@@ -200,8 +234,8 @@ func bucketID(bucket []value.Value) *value.Value {
 // bucket alone: it is built once per hash slot or index bucket and shared by
 // every left row probing that bucket. A fused Test that does not read the
 // left row either is then also evaluated once per bucket.
-func (j *Join) nestProber(res pairPredicate) rowProbe {
-	fn := newPairScalar(j.Ctx, j.Fn, j.LVar, j.RVar)
+func (j *Join) nestProber(res pred2) rowProbe {
+	fn := compile(j.Ctx, j.Fn, j.LVar, j.RVar)
 	// A key bucket bounds its group closely; the nested-loop bucket is the
 	// whole right input, which would make every group hold |R| slots.
 	keyed := j.Method != JoinNL
@@ -217,7 +251,7 @@ func (j *Join) nestProber(res pairPredicate) rowProbe {
 		if keyed {
 			size = len(bucket)
 		}
-		group, err := nestGroup(&res, &fn, l, bucket, size)
+		group, err := nestGroup(res, fn, l, bucket, size)
 		g := bucketGroup{group: group}
 		if err == nil && memo != nil {
 			memo[bucketID(bucket)] = g
@@ -233,7 +267,7 @@ func (j *Join) nestProber(res pairPredicate) rowProbe {
 			return append(out, l.Extend(j.Label, g.group)), nil
 		}
 	}
-	test := newPairPredicate(j.Ctx, j.Test, j.LVar, j.Label)
+	test := compilePred(j.Ctx, j.Test, j.LVar, j.Label)
 	perBucket := memo != nil && !tmql.FreeVars(j.Test)[j.LVar]
 	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
 		g, err := groupOf(l, bucket)
@@ -241,7 +275,7 @@ func (j *Join) nestProber(res pairPredicate) rowProbe {
 			return nil, err
 		}
 		if !g.decided {
-			if g.holds, err = test.eval(l, g.group); err != nil {
+			if g.holds, err = test(l, g.group); err != nil {
 				return nil, err
 			}
 			if perBucket {
@@ -272,48 +306,24 @@ func nullTuple(t *types.Type) value.Value {
 // into a set. The builder starts with room for size elements and the set
 // keeps that backing array, so callers pass the bucket's length only when
 // the bucket is the key's matches (then construction never regrows) and 0
-// otherwise. Shared by Join and MergeNestJoin.
-func nestGroup(res *pairPredicate, fn *pairScalar, l value.Value, bucket []value.Value, size int) (value.Value, error) {
+// otherwise.
+func nestGroup(res pred2, fn scalar2, l value.Value, bucket []value.Value, size int) (value.Value, error) {
 	group := value.NewSetBuilder(size)
 	for _, r := range bucket {
-		match, err := res.eval(l, r)
+		match, err := res(l, r)
 		if err != nil {
 			return value.Value{}, err
 		}
 		if !match {
 			continue
 		}
-		g, err := fn.eval(l, r)
+		g, err := fn(l, r)
 		if err != nil {
 			return value.Value{}, err
 		}
 		group.Add(g)
 	}
 	return group.Build(), nil
-}
-
-// buildRight drains r into keyed copies of its batches, each row's key
-// encoded once, and builds one table from them with the build kernel.
-func buildRight(c *Ctx, r BatchIterator, enc *keyEncoder) (*hashTable, error) {
-	if err := r.Open(); err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var owned []keyed
-	for {
-		bt, ok, err := r.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return buildTable(c, owned)
-		}
-		k, err := newKeyed(bt, enc)
-		if err != nil {
-			return nil, err
-		}
-		owned = append(owned, k)
-	}
 }
 
 // openIndex returns the persistent index a join or index scan probes at
@@ -344,11 +354,14 @@ func openIndex(c *Ctx, ix *storage.HashIndex, table, index string, depth int) (*
 	return ix, nil
 }
 
-// bucket returns the candidates of left row l: all of the right input, or
-// the table's or index's bucket under l's encoded key.
+// bucket returns the candidates of left row l: all of the right input, the
+// table's or index's bucket under l's encoded key, or l's right run.
 func (j *Join) bucket(l value.Value) ([]value.Value, error) {
-	if j.Method == JoinNL {
+	switch j.Method {
+	case JoinNL:
 		return j.right, nil
+	case JoinMerge:
+		return j.mergeRun(), nil
 	}
 	key, err := j.lenc.appendKey(j.key[:0], l)
 	if err != nil {
@@ -359,6 +372,22 @@ func (j *Join) bucket(l value.Value) ([]value.Value, error) {
 		return j.table.bucket(key), nil
 	}
 	return j.ix.LookupEncoded(string(key), len(j.LKeys)), nil
+}
+
+// mergeRun returns the bucket of the next left row in key order: the right
+// run under its key. The cursor skips the right rows keyed below it and,
+// since the left rows come in key order, never moves back.
+func (j *Join) mergeRun() []value.Value {
+	key := j.lkeys[0]
+	j.lkeys = j.lkeys[1:]
+	for len(j.rkeys) > 0 && bytes.Compare(j.rkeys[0], key) < 0 {
+		j.right, j.rkeys = j.right[1:], j.rkeys[1:]
+	}
+	n := 0
+	for n < len(j.rkeys) && bytes.Equal(j.rkeys[n], key) {
+		n++
+	}
+	return j.right[:n:n]
 }
 
 // probeCheck is the per-left-row governance + fault-injection gate of the
@@ -382,7 +411,7 @@ func (j *Join) NextBatch() ([]value.Value, bool, error) {
 			if len(j.out) > 0 {
 				break
 			}
-			bt, ok, err := j.L.NextBatch()
+			bt, ok, err := j.nextLeft()
 			if err != nil || !ok {
 				return nil, false, err
 			}
@@ -404,8 +433,22 @@ func (j *Join) NextBatch() ([]value.Value, bool, error) {
 	return j.out, true, nil
 }
 
-// Close releases the bucket source and closes the left input.
+// nextLeft returns the next left batch: of the sorted left rows under
+// JoinMerge, of the left input otherwise.
+func (j *Join) nextLeft() ([]value.Value, bool, error) {
+	if j.Method == JoinMerge {
+		b, ok := j.sorted.next()
+		return b, ok, nil
+	}
+	return j.L.NextBatch()
+}
+
+// Close releases the bucket source and closes the left input, which the
+// sort-merge method already closed at Open.
 func (j *Join) Close() error {
-	j.right, j.table, j.ix, j.left = nil, nil, nil, nil
+	j.right, j.rkeys, j.lkeys, j.sorted, j.table, j.ix, j.left = nil, nil, nil, chunks{}, nil, nil, nil
+	if j.Method == JoinMerge {
+		return nil
+	}
 	return j.L.Close()
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"slices"
 
 	"tmdb/internal/faultinject"
@@ -15,7 +16,7 @@ import (
 // only the first insertion of a distinct key pays a string allocation. The
 // table itself is built in two passes (buildTable) so that every bucket is a
 // contiguous run of one flat row slice: no per-bucket slice, and no append
-// growth.
+// growth. The sort-merge method keys its sorted runs the same way.
 
 // keyed is an owned run of build rows with every row's encoded key, all key
 // bytes in one arena delimited by offsets — not one allocation per row.
@@ -27,7 +28,7 @@ type keyed struct {
 
 // newKeyed copies rows and encodes each one's key with enc. The arena is
 // sized from the first key, which is exact for fixed-width keys.
-func newKeyed(rows []value.Value, enc *keyEncoder) (keyed, error) {
+func newKeyed(rows []value.Value, enc keyEncoder) (keyed, error) {
 	k := keyed{rows: slices.Clone(rows), offs: make([]uint32, 1, len(rows)+1)}
 	for i, v := range k.rows {
 		buf, err := enc.appendKey(k.keys, v)
@@ -46,6 +47,78 @@ func newKeyed(rows []value.Value, enc *keyEncoder) (keyed, error) {
 // key returns row i's encoded key.
 func (k *keyed) key(i int) []byte {
 	return k.keys[k.offs[i]:k.offs[i+1]]
+}
+
+// drainKeyed opens in, drains it into keyed copies of its batches, each
+// row's key encoded once, and closes it. A non-nil gate runs once per batch,
+// before the batch's keys are encoded, with the batch's row count.
+func drainKeyed(in BatchIterator, enc keyEncoder, gate func(rows int) error) ([]keyed, error) {
+	if err := in.Open(); err != nil {
+		return nil, err
+	}
+	defer in.Close()
+	var owned []keyed
+	for {
+		bt, ok, err := in.NextBatch()
+		if err != nil || !ok {
+			return owned, err
+		}
+		if gate != nil {
+			if err := gate(len(bt)); err != nil {
+				return nil, err
+			}
+		}
+		k, err := newKeyed(bt, enc)
+		if err != nil {
+			return nil, err
+		}
+		owned = append(owned, k)
+	}
+}
+
+// sortGate is the per-batch gate of a sorted run: one governor poll, the
+// sort.build fault point, and the flat per-row build overhead charged for
+// all of the batch's rows in one budget call.
+func (c *Ctx) sortGate(rows int) error {
+	if err := c.checkBatch(); err != nil {
+		return err
+	}
+	if err := faultinject.Hit(faultinject.PointSortBuild); err != nil {
+		return err
+	}
+	if c.Gov == nil {
+		return nil
+	}
+	return c.Gov.AddBuildBytes(int64(rows) * buildRowOverhead)
+}
+
+// sortRun drains in through sortGate and returns its rows stably sorted by
+// encoded key, with each row's key: the sort-merge join's input.
+func sortRun(c *Ctx, in BatchIterator, enc keyEncoder) ([]value.Value, [][]byte, error) {
+	bs, err := drainKeyed(in, enc, c.sortGate)
+	if err != nil {
+		return nil, nil, err
+	}
+	type keyedRow struct {
+		key []byte
+		v   value.Value
+	}
+	n := 0
+	for _, b := range bs {
+		n += len(b.rows)
+	}
+	all := make([]keyedRow, 0, n)
+	for _, b := range bs {
+		for i, v := range b.rows {
+			all = append(all, keyedRow{b.key(i), v})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b keyedRow) int { return bytes.Compare(a.key, b.key) })
+	rows, keys := make([]value.Value, len(all)), make([][]byte, len(all))
+	for i, r := range all {
+		rows[i], keys[i] = r.v, r.key
+	}
+	return rows, keys, nil
 }
 
 // hashTable is an exact (collision-free) multimap from encoded key bytes to

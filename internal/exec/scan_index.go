@@ -44,7 +44,7 @@ type IndexScan struct {
 	ix      *storage.HashIndex
 	buckets [][]value.Value
 	src     chunks
-	pred    rowPredicate
+	pred    pred2
 	out     []value.Value
 }
 
@@ -66,7 +66,7 @@ func (s *IndexScan) Open() error {
 		}
 		buf = buf[:0]
 		for _, k := range pt {
-			kv, err := s.Ctx.evalIn(k, nil)
+			kv, err := s.Ctx.Ev.Eval(k)
 			if err != nil {
 				return err
 			}
@@ -76,7 +76,7 @@ func (s *IndexScan) Open() error {
 			s.buckets = append(s.buckets, b)
 		}
 	}
-	s.pred = newRowPredicate(s.Ctx, s.Residual, s.Var)
+	s.pred = compilePred(s.Ctx, s.Residual, s.Var, "")
 	return nil
 }
 
@@ -102,7 +102,7 @@ func (s *IndexScan) NextBatch() ([]value.Value, bool, error) {
 			return b, true, nil
 		}
 		var err error
-		if s.out, err = s.pred.filter(b, s.out); err != nil {
+		if s.out, err = filterRows(s.pred, b, s.out); err != nil {
 			return nil, false, err
 		}
 		if len(s.out) > 0 {

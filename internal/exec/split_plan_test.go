@@ -34,9 +34,6 @@ func resplit(op exec.BatchIterator, n int) exec.BatchIterator {
 	case *exec.Join:
 		in(&o.L)
 		in(&o.R)
-	case *exec.MergeNestJoin:
-		in(&o.L)
-		in(&o.R)
 	case *exec.SetOpIter:
 		in(&o.L)
 		in(&o.R)

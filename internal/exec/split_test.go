@@ -140,8 +140,7 @@ type splitCase struct {
 // the naive evaluator's answer to the equivalent TM query: scan, filter,
 // map and distinct; the join driver over each bucket source × inner, semi,
 // anti and left-outer, plus the nest join, with no, compiled and generic
-// residuals; the merge nest join; ν, ν* and μ; the set operations; and
-// index scans.
+// residuals; ν, ν* and μ; the set operations; and index scans.
 func TestSplitBatchesMatchNaive(t *testing.T) {
 	cat, db := splitDB(t)
 	q := func(src string) value.Value { return naive(t, cat, db, src) }
@@ -180,7 +179,7 @@ func TestSplitBatchesMatchNaive(t *testing.T) {
 		method JoinMethod
 		index  string
 	}
-	sources := []source{{"nl", JoinNL, ""}, {"hash", JoinHash, ""}, {"index", JoinIndex, "d"}, {"index-prefix", JoinIndex, "d,c"}}
+	sources := []source{{"nl", JoinNL, ""}, {"hash", JoinHash, ""}, {"merge", JoinMerge, ""}, {"index", JoinIndex, "d"}, {"index-prefix", JoinIndex, "d,c"}}
 	residuals := []struct{ name, pred string }{{"none", ""}, {"compiled", "x.b <= z.c"}, {"generic", "x.b <= z.c + 1"}}
 	for _, res := range residuals {
 		cond := "x.b = z.d"
@@ -219,7 +218,7 @@ func TestSplitBatchesMatchNaive(t *testing.T) {
 						switch src.method {
 						case JoinNL:
 							j.R, j.Residual = in(scan(c, "Z")), pred(cond)
-						case JoinHash:
+						case JoinHash, JoinMerge:
 							j.R, j.LKeys, j.RKeys, j.Residual = in(scan(c, "Z")), []tmql.Expr{pred("x.b")}, []tmql.Expr{pred("z.d")}, residual
 						case JoinIndex:
 							j.Table, j.Index, j.LKeys, j.Residual = "Z", src.index, []tmql.Expr{pred("x.b")}, residual
@@ -231,10 +230,6 @@ func TestSplitBatchesMatchNaive(t *testing.T) {
 					}, k.want})
 			}
 		}
-		cases = append(cases, splitCase{"merge-nest/residual=" + res.name, func(c *Ctx, in func(BatchIterator) BatchIterator) BatchIterator {
-			return &MergeNestJoin{Ctx: c, L: in(scan(c, "X")), R: in(scan(c, "Z")), LVar: "x", RVar: "z",
-				LKeys: []tmql.Expr{pred("x.b")}, RKeys: []tmql.Expr{pred("z.d")}, Residual: residual, Fn: pred("z.c"), Label: "s"}
-		}, kinds[4].want})
 	}
 
 	// ν, ν* (the §6 identity X △ Z = ν*(X ⟗ Z)) and μ (scalar elements, and

@@ -29,22 +29,15 @@ const (
 	// hash join (exec.Join with the JoinHash method).
 	PointHashBuild = "hash.build"
 	// PointHashProbe fires once per left row probed by exec.Join, whatever
-	// its method: hash table, persistent index or nested loops.
+	// its method: hash table, persistent index, nested loops or sort-merge.
 	PointHashProbe = "hash.probe"
 	// PointSortBuild fires once per input batch drained into a sorted run of
-	// the merge nest join (exec.MergeNestJoin).
+	// a sort-merge join (exec.Join with the JoinMerge method).
 	PointSortBuild = "sort.build"
 	// PointMutationEpoch fires once per engine-level mutation that advances a
 	// table epoch (insert, delete, index creation).
 	PointMutationEpoch = "mutation.epoch"
 )
-
-// Points returns the registry of fault points, in documentation order.
-func Points() []string {
-	return []string{
-		PointScan, PointHashBuild, PointHashProbe, PointSortBuild, PointMutationEpoch,
-	}
-}
 
 // Kind is the action a triggered rule takes.
 type Kind int
@@ -144,9 +137,6 @@ func Activate(s Schedule) (deactivate func()) {
 	active.Store(st)
 	return func() { active.CompareAndSwap(st, nil) }
 }
-
-// Enabled reports whether a schedule is armed.
-func Enabled() bool { return active.Load() != nil }
 
 // Hit records one pass through the named fault point and applies any
 // triggered rule: Delay sleeps and returns nil, Error returns an

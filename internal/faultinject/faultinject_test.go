@@ -160,3 +160,13 @@ func TestPointsRegistry(t *testing.T) {
 		}
 	}
 }
+
+// Enabled reports whether a schedule is armed.
+func Enabled() bool { return active.Load() != nil }
+
+// Points returns the registry of fault points, in documentation order.
+func Points() []string {
+	return []string{
+		PointScan, PointHashBuild, PointHashProbe, PointSortBuild, PointMutationEpoch,
+	}
+}

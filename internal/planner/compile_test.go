@@ -68,7 +68,7 @@ func TestCompile(t *testing.T) {
 	}{
 		{"flat hash", fj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", method(exec.JoinHash)},
 		{"nest hash", nj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", method(exec.JoinHash)},
-		{"nest merge", nj, PhysicalSpec{Joins: ImplMerge}, "*exec.MergeNestJoin", nil},
+		{"nest merge", nj, PhysicalSpec{Joins: ImplMerge}, "*exec.Join", method(exec.JoinMerge)},
 		{"nest nl", nj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", method(exec.JoinNL)},
 		{"flat nl", fj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", method(exec.JoinNL)},
 		{"scan", x, PhysicalSpec{}, "*exec.TableScan", nil},
@@ -153,9 +153,8 @@ func TestCompile(t *testing.T) {
 }
 
 // TestCompileGroupjoin: the grouping pipeline Map ∘ Select ∘ NestJoin
-// compiles to one fused exec.Join on the nested-loop, hash and index
-// families and stays three operators under sort-merge, with the same result
-// either way. Over an unsealed left table holding a duplicate row, the fused
+// compiles to one fused exec.Join on every family — nested-loop, hash,
+// sort-merge and index — with the result of the unfused pipeline. Over an unsealed left table holding a duplicate row, the fused
 // join is wrapped in the deduplicating map the projection it replaces was.
 func TestCompileGroupjoin(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{NX: 40, NY: 120, NZ: 10, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 9})
@@ -189,11 +188,17 @@ func TestCompileGroupjoin(t *testing.T) {
 		}
 		return tree, v
 	}
-	merge, want := run(PhysicalSpec{Joins: ImplMerge})
-	if _, ok := merge.(*exec.Map); !ok {
-		t.Errorf("sort-merge compiled to %T, want the unfused projection", merge)
+	// The unfused pipeline: the rule fires on the Map, so its input compiles
+	// to the filter over the nest join, and the projection goes on top.
+	in, err := New(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}).Compile(sel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplIndex} {
+	want, err := exec.CollectBatches(&exec.Map{Ctx: exec.NewCtx(db), In: in, Var: "x", Out: plan.Out, Distinct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge, ImplIndex} {
 		tree, got := run(PhysicalSpec{Joins: impl})
 		if j, ok := tree.(*exec.Join); !ok || j.Test == nil {
 			t.Errorf("%s compiled to %T, want a fused exec.Join", impl, tree)
@@ -219,7 +224,8 @@ func TestCompileGroupjoin(t *testing.T) {
 
 // TestGroupjoinRuleShapes: the rule fuses only a selection that reads the
 // joined row through its fields, under a projection onto exactly the left
-// element's labels; everything else keeps the three operators.
+// element's labels; everything else keeps the three operators. The join
+// family does not matter: sort-merge fuses the same shapes as hash.
 func TestGroupjoinRuleShapes(t *testing.T) {
 	cat, _ := datagen.XYZ(datagen.Spec{NX: 4, NY: 4, NZ: 4, Keys: 2, SetAttrCard: 2, Seed: 1})
 	b := algebra.NewBuilder(cat)
@@ -261,6 +267,11 @@ func TestGroupjoinRuleShapes(t *testing.T) {
 		}
 		if got != c.test {
 			t.Errorf("%s under %v: fused test %q, want %q", c.pred, c.labels, got, c.test)
+		}
+		for _, impl := range []JoinImpl{ImplHash, ImplMerge} {
+			if op := resolve(m, PhysicalSpec{Joins: impl}, noIndexes); (op.fused != nil) != (c.test != "") {
+				t.Errorf("%s under %v: %s resolves fused=%v, want %v", c.pred, c.labels, impl, op.fused != nil, c.test != "")
+			}
 		}
 	}
 }

@@ -7,8 +7,9 @@
 // operators get hash implementations whenever an equi-key can be extracted
 // from the predicate (with the right operand as build side — mandatory for
 // the nest join), falling back to nested loops for arbitrary predicates. The
-// nest join may alternatively be compiled to sort-merge for ablation
-// experiments.
+// nest join may alternatively run sort-merge (exec.JoinMerge) for ablation
+// experiments; every family compiles to the one exec.Join, groupjoins
+// included.
 package planner
 
 import (
@@ -141,16 +142,6 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, error) {
 		})
 
 	case *algebra.NestJoin:
-		if op.family == ImplMerge {
-			l, r, err := p.compile2(n.L, n.R)
-			if err != nil {
-				return nil, err
-			}
-			return &exec.MergeNestJoin{
-				Ctx: c, L: l, R: r, LVar: n.LVar, RVar: n.RVar,
-				LKeys: op.lk, RKeys: op.rk, Residual: op.residual, Fn: n.Fn, Label: n.Label,
-			}, nil
-		}
 		return p.compileJoin(op, ix, n.L, n.R, &exec.Join{
 			Ctx: c, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, Fn: n.Fn, Label: n.Label,
 		})
@@ -170,22 +161,17 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, error) {
 		return &exec.UnnestIter{Ctx: c, In: in, Attr: n.Attr, Scalar: n.Scalar()}, nil
 
 	case *algebra.SetOp:
-		l, r, err := p.compile2(n.L, n.R)
+		l, err := p.Compile(n.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.Compile(n.R)
 		if err != nil {
 			return nil, err
 		}
 		return &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: l, R: r}, nil
 	}
 	return nil, fmt.Errorf("planner: unhandled plan node %T", plan)
-}
-
-// compile2 compiles both operands of a binary node.
-func (p *Planner) compile2(lp, rp algebra.Plan) (l, r exec.BatchIterator, err error) {
-	if l, err = p.Compile(lp); err != nil {
-		return nil, nil, err
-	}
-	r, err = p.Compile(rp)
-	return l, r, err
 }
 
 // compileMap builds a Map over its compiled input, deduplicating where set
@@ -228,6 +214,9 @@ func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.P
 		j.Method = exec.JoinNL
 	default:
 		j.Method, j.LKeys, j.RKeys, j.Residual = exec.JoinHash, op.lk, op.rk, op.residual
+		if op.family == ImplMerge {
+			j.Method = exec.JoinMerge
+		}
 	}
 	if j.R, err = p.Compile(rp); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -139,8 +138,8 @@ func TestPhysicalChoice(t *testing.T) {
 			t.Errorf("auto on %s compiled to %T, want a nest Join of method %d", tc.pred, it, tc.want)
 		}
 	}
-	if it := compileNJ(t, ImplMerge, "x.b = y.b"); fmt.Sprintf("%T", it) != "*exec.MergeNestJoin" {
-		t.Errorf("merge compiled to %T", it)
+	if j, ok := compileNJ(t, ImplMerge, "x.b = y.b").(*exec.Join); !ok || j.Method != exec.JoinMerge || j.Fn == nil {
+		t.Errorf("merge compiled to %+v, want a nest Join of method %d", j, exec.JoinMerge)
 	}
 }
 

@@ -59,7 +59,7 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 	case *algebra.Map:
 		if nj, test := groupjoin(n); nj != nil {
 			op := resolveJoin(nj.Pred, nj.LVar, nj.RVar, nj.R, true, spec, indexesOf)
-			if op.family != ImplMerge && op.infeasible == "" {
+			if op.infeasible == "" {
 				op.fused, op.test = nj, test
 				return op
 			}

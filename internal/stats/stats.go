@@ -18,18 +18,14 @@
 // the storage epoch they were collected at — their generation — and are
 // recollected once the table has drifted from it by more than a tenth of its
 // cardinality (see driftBound); Catalog.Refresh forces exactness. Mutating
-// one table never touches the statistics of another. FromXYZSpec is the
-// datagen-aware entry point: it derives the same catalog analytically from a
-// generator Spec, without touching data — used to validate Analyze against
-// ground truth and to cost plans for not-yet-materialized workloads.
+// one table never touches the statistics of another. SetTable and
+// SetDangling record statistics directly, without touching data.
 package stats
 
 import (
-	"math"
 	"sort"
 	"sync"
 
-	"tmdb/internal/datagen"
 	"tmdb/internal/storage"
 	"tmdb/internal/value"
 )
@@ -543,8 +539,7 @@ func estimateDangling(lh, rh *Histogram) float64 {
 	return dangling / float64(lh.Total)
 }
 
-// SetDangling records a dangling fraction directly, bypassing scanning. Used
-// by the analytic (datagen-aware) constructors.
+// SetDangling records a dangling fraction directly, bypassing scanning.
 func (c *Catalog) SetDangling(lTable, lAttr, rTable, rAttr string, frac float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -575,78 +570,4 @@ func (c *Catalog) SetTable(name string, s *TableStats) {
 		}
 	}
 	c.tables[name] = s
-}
-
-// FromXYZSpec is the datagen-aware ANALYZE: it derives the catalog for the
-// synthetic X/Y/Z workload analytically from the generator parameters,
-// without building or scanning the database. Matched tuples draw their join
-// key uniformly from spec.Keys values; dangling tuples use a disjoint
-// negative range, so the distinct count of a key attribute is roughly
-// Keys + dangling rows, and DanglingFrac mirrors spec.DanglingFrac exactly.
-func FromXYZSpec(spec datagen.Spec) *Catalog {
-	if spec.Keys <= 0 {
-		spec.Keys = 1
-	}
-	c := New(nil)
-	keyNDV := func(n int) int {
-		d := int(spec.DanglingFrac * float64(n))
-		ndv := spec.Keys + d
-		if ndv > n {
-			ndv = n
-		}
-		return ndv
-	}
-	avgSet := float64(spec.SetAttrCard) / 2
-	c.SetTable("X", &TableStats{
-		Card:      spec.NX,
-		Distinct:  map[string]int{"b": keyNDV(spec.NX)},
-		AvgSetLen: map[string]float64{"a": avgSet},
-	})
-	c.SetTable("Y", &TableStats{
-		Card: spec.NY,
-		Distinct: map[string]int{
-			"b": min(spec.Keys, spec.NY),
-			"d": keyNDV(spec.NY),
-			"a": min(2*max(1, spec.SetAttrCard), spec.NY),
-		},
-		AvgSetLen: map[string]float64{"c": avgSet},
-	})
-	// Z draws both attributes from small domains, so duplicate rows are
-	// common and Seal's set semantics shrinks the stored cardinality; model
-	// it as the expected number of distinct draws.
-	zDomain := 2 * max(1, spec.SetAttrCard) * spec.Keys
-	c.SetTable("Z", &TableStats{
-		Card: int(expectedDistinct(spec.NZ, zDomain)),
-		Distinct: map[string]int{
-			"d": min(spec.Keys, spec.NZ),
-			"c": min(2*max(1, spec.SetAttrCard), spec.NZ),
-		},
-	})
-	c.SetDangling("X", "b", "Y", "b", spec.DanglingFrac)
-	c.SetDangling("X", "b", "Y", "d", spec.DanglingFrac)
-	c.SetDangling("Y", "d", "Z", "d", spec.DanglingFrac)
-	return c
-}
-
-// expectedDistinct is the expected number of distinct values among n uniform
-// draws from a domain of d values: d·(1 − (1 − 1/d)^n).
-func expectedDistinct(n, d int) float64 {
-	if d <= 0 || n <= 0 {
-		return 0
-	}
-	return float64(d) * (1 - math.Pow(1-1/float64(d), float64(n)))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

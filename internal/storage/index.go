@@ -233,14 +233,3 @@ func (ix *HashIndex) Profile(depth int) (DepthProfile, bool) {
 	}
 	return p, true
 }
-
-// BuildHashIndex indexes every row of the table on the given attribute list.
-func BuildHashIndex(t *Table, attrs ...string) (*HashIndex, error) {
-	ix := NewHashIndex(attrs...)
-	for _, r := range t.Rows() {
-		if !ix.Add(r) {
-			return nil, errMissingAttr(t.name, r, attrs)
-		}
-	}
-	return ix, nil
-}

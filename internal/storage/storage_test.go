@@ -94,3 +94,14 @@ func TestHashIndex(t *testing.T) {
 		t.Errorf("Keys=%d Len=%d", ix.Keys(), ix.Len())
 	}
 }
+
+// BuildHashIndex indexes every row of the table on the given attribute list.
+func BuildHashIndex(t *Table, attrs ...string) (*HashIndex, error) {
+	ix := NewHashIndex(attrs...)
+	for _, r := range t.Rows() {
+		if !ix.Add(r) {
+			return nil, errMissingAttr(t.name, r, attrs)
+		}
+	}
+	return ix, nil
+}

@@ -137,41 +137,6 @@ func (o Op) IsComparison() bool {
 	return false
 }
 
-// IsSetComparison reports whether the operator is one of the set-membership /
-// inclusion predicates.
-func (o Op) IsSetComparison() bool {
-	switch o {
-	case OpIn, OpNotIn, OpSubset, OpSubsetEq, OpSupset, OpSupsetEq:
-		return true
-	}
-	return false
-}
-
-// Negate returns the complemented comparison/set operator and whether one
-// exists (e.g. ¬(a = b) ⇝ a <> b, ¬(e IN s) ⇝ e NOT IN s). Used by the
-// classifier to push NOT inward.
-func (o Op) Negate() (Op, bool) {
-	switch o {
-	case OpEq:
-		return OpNe, true
-	case OpNe:
-		return OpEq, true
-	case OpLt:
-		return OpGe, true
-	case OpLe:
-		return OpGt, true
-	case OpGt:
-		return OpLe, true
-	case OpGe:
-		return OpLt, true
-	case OpIn:
-		return OpNotIn, true
-	case OpNotIn:
-		return OpIn, true
-	}
-	return 0, false
-}
-
 // Binary is a binary operation.
 type Binary struct {
 	exprBase
@@ -368,16 +333,4 @@ func collectFree(e Expr, bound map[string]int, out map[string]bool) {
 	case *Unnest:
 		collectFree(n.X, bound, out)
 	}
-}
-
-// IsCorrelated reports whether expression e references any of the given
-// variable names free — the paper's notion of a correlated subquery.
-func IsCorrelated(e Expr, vars map[string]bool) bool {
-	free := FreeVars(e)
-	for v := range vars {
-		if free[v] {
-			return true
-		}
-	}
-	return false
 }

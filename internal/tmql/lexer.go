@@ -16,21 +16,6 @@ type Lexer struct {
 	col  int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Lex scans the entire input, returning the token stream (terminated by a
-// TokEOF token) or the first lexical error.
-func Lex(src string) ([]Token, error) {
-	toks, err := appendTokens(nil, src)
-	if err != nil {
-		return nil, err
-	}
-	return toks, nil
-}
-
 // appendTokens lexes src onto out. On a lexical error it returns the tokens
 // appended so far along with the error.
 func appendTokens(out []Token, src string) ([]Token, error) {

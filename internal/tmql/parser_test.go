@@ -280,32 +280,6 @@ func TestFreeVars(t *testing.T) {
 	}
 }
 
-func TestIsCorrelated(t *testing.T) {
-	sub := MustParse("SELECT y.a FROM Y y WHERE x.b = y.b")
-	if !IsCorrelated(sub, map[string]bool{"x": true}) {
-		t.Error("subquery referencing x should be correlated on x")
-	}
-	if IsCorrelated(sub, map[string]bool{"q": true}) {
-		t.Error("not correlated on q")
-	}
-}
-
-func TestOpNegate(t *testing.T) {
-	pairs := map[Op]Op{
-		OpEq: OpNe, OpNe: OpEq, OpLt: OpGe, OpGe: OpLt, OpGt: OpLe, OpLe: OpGt,
-		OpIn: OpNotIn, OpNotIn: OpIn,
-	}
-	for op, want := range pairs {
-		got, ok := op.Negate()
-		if !ok || got != want {
-			t.Errorf("Negate(%s) = %s, %v", op, got, ok)
-		}
-	}
-	if _, ok := OpSubsetEq.Negate(); ok {
-		t.Error("SUBSETEQ has no single-op negation")
-	}
-}
-
 func TestWalkVisitsEverything(t *testing.T) {
 	e := MustParse(`SELECT (a = COUNT(z)) FROM X x WHERE EXISTS v IN x.s (v IN z) WITH z = {1}`)
 	var n int
@@ -332,4 +306,14 @@ func TestPosReporting(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "1:25") {
 		t.Errorf("error should cite position 1:25: %v", err)
 	}
+}
+
+// Lex scans the entire input, returning the token stream (terminated by a
+// TokEOF token) or the first lexical error.
+func Lex(src string) ([]Token, error) {
+	toks, err := appendTokens(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
 }

@@ -2,62 +2,14 @@ package value
 
 import (
 	"encoding/binary"
-	"hash/maphash"
 	"math"
 )
 
-// Hashing of complex-object values, used by the hash-based join family
-// (hash join, hash semijoin/antijoin, hash nest join) and by grouping.
-//
-// The invariant is the usual one: Equal(a, b) ⇒ Hash(seed, a) == Hash(seed, b).
-// Because sets and tuples are canonical, structural recursion is sufficient —
-// no order-independent mixing is needed.
-
-// Hash returns a 64-bit hash of v under the given seed.
-func Hash(seed maphash.Seed, v Value) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	writeHash(&h, v)
-	return h.Sum64()
-}
-
-func writeHash(h *maphash.Hash, v Value) {
-	// An int that a float can equal (Compare treats 1 == 1.0) hashes as that
-	// float; any other int keeps its own tag and bits.
-	if v.kind == KindInt {
-		if f, exact := intAsFloat(v.i()); exact {
-			writeHash(h, Float(f))
-			return
-		}
-	}
-	h.WriteByte(byte(v.kind))
-	switch v.kind {
-	case KindNull:
-	case KindInt:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v.w)
-		h.Write(buf[:])
-	case KindBool:
-		h.WriteByte(byte(v.w))
-	case KindFloat:
-		writeFloatBits(h, v.f())
-	case KindString:
-		writeLen(h, int(v.w))
-		h.WriteString(v.str())
-	case KindTuple:
-		writeLen(h, int(v.w))
-		for _, f := range v.fields() {
-			writeLen(h, len(f.Label))
-			h.WriteString(f.Label)
-			writeHash(h, f.V)
-		}
-	case KindSet, KindList:
-		writeLen(h, int(v.w))
-		for _, e := range v.elems() {
-			writeHash(h, e)
-		}
-	}
-}
+// The identity of complex-object values as bytes, used by the hash-based join
+// family (hash join, hash semijoin/antijoin, hash nest join), the persistent
+// indexes and grouping: Equal(a, b) ⇔ Key(a) == Key(b). Because sets and
+// tuples are canonical, structural recursion is sufficient — no
+// order-independent mixing is needed.
 
 // intAsFloat returns float64(i) and whether that conversion is exact — true
 // for every |i| <= 2^53 and for the larger ints that happen to be
@@ -65,27 +17,6 @@ func writeHash(h *maphash.Hash, v Value) {
 func intAsFloat(i int64) (float64, bool) {
 	f := float64(i)
 	return f, f < 0x1p63 && int64(f) == i
-}
-
-func writeFloatBits(h *maphash.Hash, f float64) {
-	// Normalize -0.0 to 0.0 and all NaNs to one pattern so that hashing is
-	// consistent with Compare.
-	if f == 0 {
-		f = 0
-	}
-	bits := math.Float64bits(f)
-	if math.IsNaN(f) {
-		bits = math.Float64bits(math.NaN())
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], bits)
-	h.Write(buf[:])
-}
-
-func writeLen(h *maphash.Hash, n int) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(n))
-	h.Write(buf[:])
 }
 
 // Key returns a canonical string encoding of v suitable for use as a Go map
@@ -106,8 +37,8 @@ func Key(v Value) string {
 // a previously unseen key materializes a string.
 func AppendKey(buf []byte, v Value) []byte {
 	if v.kind == KindInt {
-		// Same normalization as hashing: an int a float can equal encodes as
-		// that float, any other int under its own tag.
+		// An int a float can equal (Compare treats 1 == 1.0) encodes as that
+		// float, any other int under its own tag.
 		if f, exact := intAsFloat(v.i()); exact {
 			return AppendKey(buf, Float(f))
 		}

@@ -128,25 +128,6 @@ func SupersetEq(a, b Value) bool { return SubsetEq(b, a) }
 // Superset reports a ⊃ b (proper superset).
 func Superset(a, b Value) bool { return Subset(b, a) }
 
-// Disjoint reports a ∩ b = ∅ without materializing the intersection.
-func Disjoint(a, b Value) bool {
-	a.mustBe(KindSet)
-	b.mustBe(KindSet)
-	ae, be := a.elems(), b.elems()
-	i, j := 0, 0
-	for i < len(ae) && j < len(be) {
-		switch c := Compare(ae[i], be[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // SetBuilder accumulates elements and produces a canonical set. It is the
 // building block of the nest join, ν, and the evaluator's SFW loop: elements
 // arrive in arbitrary order and possibly duplicated; Build canonicalizes once.

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"math"
 	"math/rand"
@@ -595,4 +596,92 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 		}
 		seen[k] = v
 	}
+}
+
+// Disjoint reports a ∩ b = ∅ without materializing the intersection.
+func Disjoint(a, b Value) bool {
+	a.mustBe(KindSet)
+	b.mustBe(KindSet)
+	ae, be := a.elems(), b.elems()
+	i, j := 0, 0
+	for i < len(ae) && j < len(be) {
+		switch c := Compare(ae[i], be[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// Hash is a 64-bit structural hash of v under the given seed, held by the
+// tests below to the same invariant as Key: Equal(a, b) ⇒ Hash(seed, a) ==
+// Hash(seed, b).
+func Hash(seed maphash.Seed, v Value) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	writeHash(&h, v)
+	return h.Sum64()
+}
+
+func writeHash(h *maphash.Hash, v Value) {
+	// An int that a float can equal (Compare treats 1 == 1.0) hashes as that
+	// float; any other int keeps its own tag and bits.
+	if v.kind == KindInt {
+		if f, exact := intAsFloat(v.i()); exact {
+			writeHash(h, Float(f))
+			return
+		}
+	}
+	h.WriteByte(byte(v.kind))
+	switch v.kind {
+	case KindNull:
+	case KindInt:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v.w)
+		h.Write(buf[:])
+	case KindBool:
+		h.WriteByte(byte(v.w))
+	case KindFloat:
+		writeFloatBits(h, v.f())
+	case KindString:
+		writeLen(h, int(v.w))
+		h.WriteString(v.str())
+	case KindTuple:
+		writeLen(h, int(v.w))
+		for _, f := range v.fields() {
+			writeLen(h, len(f.Label))
+			h.WriteString(f.Label)
+			writeHash(h, f.V)
+		}
+	case KindSet, KindList:
+		writeLen(h, int(v.w))
+		for _, e := range v.elems() {
+			writeHash(h, e)
+		}
+	}
+}
+
+func writeFloatBits(h *maphash.Hash, f float64) {
+	// Normalize -0.0 to 0.0 and all NaNs to one pattern so that hashing is
+	// consistent with Compare.
+	if f == 0 {
+		f = 0
+	}
+	bits := math.Float64bits(f)
+	if math.IsNaN(f) {
+		bits = math.Float64bits(math.NaN())
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], bits)
+	h.Write(buf[:])
+}
+
+func writeLen(h *maphash.Hash, n int) {
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], uint32(n))
+	h.Write(buf[:])
 }

@@ -16,8 +16,8 @@
 //     transformation (exhibiting the generalized COUNT bug), and the
 //     outerjoin + ν* repair;
 //   - physical operators: one join operator serving joins, semijoins,
-//     antijoins, outerjoins and nest joins over nested-loop, hash-table and
-//     persistent-index buckets, a sort-merge nest join, ν, ν*, μ;
+//     antijoins, outerjoins and nest joins over nested-loop, hash-table,
+//     persistent-index and sort-merge buckets, ν, ν*, μ;
 //   - a unified cost-driven optimizer: with Options left zero the engine
 //     enumerates the correct strategies × logical alternatives (each
 //     translation as produced, its §6 rewrite, and bushy/left-deep join
