@@ -225,14 +225,16 @@ func rulePushSelectLeftOfNestJoin(b *Builder, p Plan) (Plan, bool, error) {
 // through field selections of constructed labels (never the whole tuple).
 // This is what lets a restriction that the translator placed above a
 // label-projection sink toward the nest join below it, where
-// rulePushSelectLeftOfNestJoin can take over.
+// rulePushSelectLeftOfNestJoin can take over. A flat-join leaf selection
+// stays over its source's wrapper Map, where the join-order search placed
+// and costed it.
 func ruleSelectThroughProject(b *Builder, p Plan) (Plan, bool, error) {
 	s, ok := p.(*Select)
 	if !ok {
 		return p, false, nil
 	}
 	m, ok := s.In.(*Map)
-	if !ok {
+	if !ok || WrapperLabel(m) != "" {
 		return p, false, nil
 	}
 	cons, ok := m.Out.(*tmql.TupleCons)
@@ -396,7 +398,9 @@ func substVarFields(e tmql.Expr, v string, fields map[string]tmql.Expr) tmql.Exp
 
 // childrenOf returns the direct child expressions of n (binders included —
 // callers above only inspect Var/FieldSel patterns that shadowing cannot
-// produce for operator variables, which are fresh by construction).
+// produce for operator variables, which are fresh by construction: JoinGraph
+// names the flat-join operators' variables away from every name in the
+// block).
 func childrenOf(n tmql.Expr) []tmql.Expr {
 	var out []tmql.Expr
 	first := true

@@ -1,0 +1,79 @@
+package algebra
+
+import (
+	"strings"
+	"testing"
+
+	"tmdb/internal/tmql"
+)
+
+func graphOf(rels []JoinRel, conjuncts []string, result string) *JoinGraph {
+	var cs []tmql.Expr
+	for _, c := range conjuncts {
+		cs = append(cs, tmql.MustParse(c))
+	}
+	return NewJoinGraph(rels, cs, tmql.MustParse(result))
+}
+
+// TestJoinGraphNamesAvoidBlockNames: user variables and binders named like
+// the builder's operator variables (j1, j3) are never captured — the plan
+// builds, each operator variable gets a suffix until it is fresh, and the
+// quantifier keeps its own binder.
+func TestJoinGraphNamesAvoidBlockNames(t *testing.T) {
+	g := graphOf([]JoinRel{{"x", "X"}, {"j1", "Y"}},
+		[]string{"x.b = j1.d", "EXISTS j3 IN j1.c (j3 = x.b)"}, "(a = x.b, c = j1.a)")
+	p, err := g.Build(builder())
+	if err != nil {
+		t.Fatalf("capturing names: %v", err)
+	}
+	want := "Map[(a = j3_.x.b, c = j3_.j1.a)](j3_)\n" +
+		"  Join[j1_.x.b = j2.j1.d AND EXISTS j3 IN j2.j1.c (j3 = j1_.x.b)](j1_, j2)\n"
+	if got := Explain(p); !strings.HasPrefix(got, want) {
+		t.Errorf("got\n%swant prefix\n%s", got, want)
+	}
+}
+
+// TestJoinGraphEqualTreesBuildEqualPlans: the FROM-order fold and the same
+// tree assembled step by step build byte-equal plans; single-relation
+// conjuncts sit over their leaf's wrap and the variable-free one over the
+// joins.
+func TestJoinGraphEqualTreesBuildEqualPlans(t *testing.T) {
+	b := builder()
+	g := graphOf([]JoinRel{{"x", "X"}, {"y", "Y"}, {"z", "Z"}},
+		[]string{"x.b = y.d", "y.a < 3", "y.b = z.d", "1 = 1"}, "(xb = x.b, zc = z.c)")
+	built, err := g.Build(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []*JoinTree
+	for i := range g.Rels {
+		l, err := g.Leaf(b, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, l)
+	}
+	xy, err := g.Join(b, leaves[0], leaves[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	xyz, err := g.Join(b, xy, leaves[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepped, err := g.Finish(b, xyz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Explain(built) != Explain(stepped) {
+		t.Errorf("equal trees built different plans:\n%s\nvs\n%s", Explain(built), Explain(stepped))
+	}
+	if xyz.Label != "((x y) z)" {
+		t.Errorf("label %s", xyz.Label)
+	}
+	for _, want := range []string{"Select[j2.y.a < 3](j2)", "Select[1 = 1](j7)", "Join[j1.x.b = j2.y.d](j1, j2)"} {
+		if !strings.Contains(Explain(built), want) {
+			t.Errorf("plan lacks %s:\n%s", want, Explain(built))
+		}
+	}
+}

@@ -5,8 +5,7 @@ import (
 )
 
 // Rewriting utilities over tmql ASTs, thin wrappers around the generic
-// rewriter in internal/tmql (shared with the planner's join-order
-// extractor). All functions build fresh trees (the input is never mutated)
+// rewriter in internal/tmql. All functions build fresh trees (the input is never mutated)
 // and strip inferred types — the algebra builder re-binds every expression
 // it receives, so types are recomputed after rewriting.
 

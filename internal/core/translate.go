@@ -76,6 +76,7 @@ type Translator struct {
 	b     *algebra.Builder
 	cat   *schema.Catalog
 	fresh int
+	graph *algebra.JoinGraph
 }
 
 // NewTranslator returns a translator over the catalog.
@@ -85,6 +86,11 @@ func NewTranslator(cat *schema.Catalog) *Translator {
 
 // Builder exposes the underlying plan builder (used by baselines and tests).
 func (t *Translator) Builder() *algebra.Builder { return t.b }
+
+// JoinGraph returns the join graph of the last translation when it was a
+// flat join block (a multi-FROM block or a collapsed UNNEST), else nil. The
+// planner's join-order search reorders it.
+func (t *Translator) JoinGraph() *algebra.JoinGraph { return t.graph }
 
 func (t *Translator) freshName(prefix string) string {
 	t.fresh++
@@ -96,6 +102,7 @@ func (t *Translator) freshName(prefix string) string {
 // to naive evaluation (an EvalNode leaf) — the paper's position that queries
 // "may always be handled by means of nested-loop processing".
 func (t *Translator) Translate(q tmql.Expr, s Strategy) (algebra.Plan, error) {
+	t.graph = nil
 	switch s {
 	case StrategyAuto:
 		return nil, fmt.Errorf("core: StrategyAuto must be resolved by the cost-based planner before translation")
@@ -148,9 +155,9 @@ func (t *Translator) trySFW(sfw *tmql.SFW) (algebra.Plan, bool, error) {
 		}
 		return nil, false, nil
 	}
-	// Multi-item FROM: a flat join query (the paper's target form). Only
-	// handled when every source is a stored extension and no subqueries over
-	// extensions remain in the predicate.
+	// Multi-item FROM: a flat join query (the paper's target form), handled
+	// when every source is a stored extension; translateFlatJoin refuses a
+	// predicate with a correlated subquery over an extension.
 	for _, f := range sfw.Froms {
 		if _, ok := f.Src.(*tmql.TableRef); !ok {
 			return nil, false, nil
@@ -378,8 +385,8 @@ func (t *Translator) innerBlock(sub *tmql.SFW, outerVar string) (*innerBlockInfo
 //
 //	UNNEST(SELECT (SELECT G(x,y) FROM Y y WHERE Q(x,y)) FROM X x [WHERE P(x)])
 //
-// and produces the equivalent flat join query. Variables are wrapped in
-// per-source tuples so the join never suffers label collisions.
+// and produces the equivalent flat join query: the two-relation join graph
+// whose conjuncts are P's and Q's and whose result is G.
 func (t *Translator) tryUnnestCollapse(u *tmql.Unnest) (algebra.Plan, bool, error) {
 	outer, ok := u.X.(*tmql.SFW)
 	if !ok || len(outer.Froms) != 1 {
@@ -404,69 +411,20 @@ func (t *Translator) tryUnnestCollapse(u *tmql.Unnest) (algebra.Plan, bool, erro
 	if findExtensionSubquery(inner.Where, y) != nil || findExtensionSubquery(inner.Result, y) != nil {
 		return nil, false, nil
 	}
-
-	xp, err := t.scanPlan(outerTable.Name)
-	if err != nil {
-		return nil, false, err
+	outerWhere := InlineLets(outer.Where)
+	if findExtensionSubquery(outerWhere, x) != nil {
+		return nil, false, nil
 	}
-	if outer.Where != nil {
-		w := InlineLets(outer.Where)
-		if findExtensionSubquery(w, x) != nil {
-			return nil, false, nil
-		}
-		xp, err = t.b.Select(xp, x, w)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	yp, err := t.scanPlan(innerTable.Name)
-	if err != nil {
-		return nil, false, err
-	}
-
-	// Wrap both sides: elements become (x = row) and (y = row).
-	lw, err := t.b.Map(xp, x, &tmql.TupleCons{Fields: []tmql.TupleField{{Label: x, E: &tmql.Var{Name: x}}}})
-	if err != nil {
-		return nil, false, err
-	}
-	rw, err := t.b.Map(yp, y, &tmql.TupleCons{Fields: []tmql.TupleField{{Label: y, E: &tmql.Var{Name: y}}}})
-	if err != nil {
-		return nil, false, err
-	}
-	lv, rv := t.freshName("l"), t.freshName("r")
-	rebind := func(e tmql.Expr) tmql.Expr {
-		e = SubstVar(e, x, fieldOf(lv, x))
-		return SubstVar(e, y, fieldOf(rv, y))
-	}
-	pred := trueExpr()
-	if inner.Where != nil {
-		pred = rebind(InlineLets(inner.Where))
-	}
-	jp, err := t.b.Join(algebra.JoinInner, lw, rw, lv, rv, pred)
-	if err != nil {
-		return nil, false, err
-	}
-	// After the join the element is (x = …, y = …) addressed through one
-	// variable; rewrite the result under that variable.
-	jv := t.freshName("j")
-	res := SubstVar(SubstVar(InlineLets(inner.Result), x, fieldOf(jv, x)), y, fieldOf(jv, y))
-	mp, err := t.b.Map(jp, jv, res)
-	if err != nil {
-		return nil, false, err
-	}
-	return mp, true, nil
+	rels := []algebra.JoinRel{{Var: x, Table: outerTable.Name}, {Var: y, Table: innerTable.Name}}
+	conjuncts := append(splitConjuncts(outerWhere), splitConjuncts(InlineLets(inner.Where))...)
+	p, err := t.buildJoinGraph(algebra.NewJoinGraph(rels, conjuncts, InlineLets(inner.Result)))
+	return p, err == nil, err
 }
 
-// translateFlatJoin compiles SELECT F FROM X₁ v₁, …, Xₙ vₙ WHERE P as a
-// left-deep chain of inner joins. Every source is wrapped into a one-field
-// tuple labeled by its iteration variable, so concatenation never collides
-// and each conjunct is rewritten to address fields of the accumulated tuple.
-// Conjuncts are placed at the lowest join where their variables are
-// available; the remainder (e.g. single-table predicates of the first
-// source) becomes a final selection.
+// translateFlatJoin compiles SELECT F FROM X₁ v₁, …, Xₙ vₙ WHERE P as the
+// block's join graph folded in FROM order.
 func (t *Translator) translateFlatJoin(sfw *tmql.SFW) (algebra.Plan, error) {
-	where := InlineLets(sfw.Where)
-	conjuncts := splitConjuncts(where)
+	conjuncts := splitConjuncts(InlineLets(sfw.Where))
 	for _, c := range conjuncts {
 		for _, f := range sfw.Froms {
 			if findExtensionSubquery(c, f.Var) != nil {
@@ -474,102 +432,26 @@ func (t *Translator) translateFlatJoin(sfw *tmql.SFW) (algebra.Plan, error) {
 			}
 		}
 	}
+	rels := make([]algebra.JoinRel, len(sfw.Froms))
 	seen := map[string]bool{}
-	for _, f := range sfw.Froms {
+	for i, f := range sfw.Froms {
 		if seen[f.Var] {
 			return nil, fmt.Errorf("core: duplicate FROM variable %s", f.Var)
 		}
 		seen[f.Var] = true
+		rels[i] = algebra.JoinRel{Var: f.Var, Table: f.Src.(*tmql.TableRef).Name}
 	}
+	return t.buildJoinGraph(algebra.NewJoinGraph(rels, conjuncts, InlineLets(sfw.Result)))
+}
 
-	wrap := func(f tmql.FromItem) (algebra.Plan, error) {
-		sp, err := t.b.Scan(f.Src.(*tmql.TableRef).Name)
-		if err != nil {
-			return nil, err
-		}
-		return t.b.Map(sp, f.Var, &tmql.TupleCons{
-			Fields: []tmql.TupleField{{Label: f.Var, E: &tmql.Var{Name: f.Var}}},
-		})
+// buildJoinGraph builds the FROM-order plan of a flat join block and keeps
+// its graph for the join-order search.
+func (t *Translator) buildJoinGraph(g *algebra.JoinGraph) (algebra.Plan, error) {
+	p, err := g.Build(t.b)
+	if err == nil {
+		t.graph = g
 	}
-
-	avail := map[string]bool{sfw.Froms[0].Var: true}
-	used := make([]bool, len(conjuncts))
-	plan, err := wrap(sfw.Froms[0])
-	if err != nil {
-		return nil, err
-	}
-
-	// decidable reports whether all free variables of c are available given
-	// additionally extra (the right side of the join being formed).
-	decidable := func(c tmql.Expr, extra string) bool {
-		for v := range tmql.FreeVars(c) {
-			if !avail[v] && v != extra {
-				return false
-			}
-		}
-		return true
-	}
-	// readdress rewrites conjunct variables to field accesses: available
-	// variables through lv, the incoming variable through rv.
-	readdress := func(c tmql.Expr, lv, rvVar, rv string) tmql.Expr {
-		for v := range avail {
-			c = SubstVar(c, v, fieldOf(lv, v))
-		}
-		if rvVar != "" {
-			c = SubstVar(c, rvVar, fieldOf(rv, rvVar))
-		}
-		return c
-	}
-
-	for _, f := range sfw.Froms[1:] {
-		wrapped, err := wrap(f)
-		if err != nil {
-			return nil, err
-		}
-		lv, rv := t.freshName("l"), t.freshName("r")
-		var parts []tmql.Expr
-		for ci, c := range conjuncts {
-			if !used[ci] && tmql.FreeVars(c)[f.Var] && decidable(c, f.Var) {
-				used[ci] = true
-				parts = append(parts, readdress(c, lv, f.Var, rv))
-			}
-		}
-		pred := conjoin(parts)
-		if pred == nil {
-			pred = trueExpr()
-		}
-		plan, err = t.b.Join(algebra.JoinInner, plan, wrapped, lv, rv, pred)
-		if err != nil {
-			return nil, err
-		}
-		avail[f.Var] = true
-	}
-
-	// Leftover conjuncts (single-variable on the first source, constants).
-	var rest []tmql.Expr
-	sv := t.freshName("s")
-	for ci, c := range conjuncts {
-		if used[ci] {
-			continue
-		}
-		if !decidable(c, "") {
-			return nil, fmt.Errorf("core: conjunct %s references unknown variables", tmql.Format(c))
-		}
-		rest = append(rest, readdress(c, sv, "", ""))
-	}
-	if p := conjoin(rest); p != nil {
-		plan, err = t.b.Select(plan, sv, p)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	rv := t.freshName("f")
-	res := InlineLets(sfw.Result)
-	for _, f := range sfw.Froms {
-		res = SubstVar(res, f.Var, fieldOf(rv, f.Var))
-	}
-	return t.b.Map(plan, rv, res)
+	return p, err
 }
 
 // --- helpers ---

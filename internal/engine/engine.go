@@ -195,7 +195,10 @@ type planned struct {
 	cost       planner.Cost
 	auto       bool
 	candidates []planner.Candidate
-	vals       []value.Value
+	// declined holds, on the cost-based path, "strategy: error" for every
+	// strategy whose translation failed.
+	declined []string
+	vals     []value.Value
 }
 
 // query is one bound top-level query, computed once per text: the bound
@@ -429,7 +432,7 @@ func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, err
 // cost over alternative × join-family × access candidates otherwise.
 func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpec) (*planned, error) {
 	est := planner.NewEstimatorStats(e.statsCat)
-	alts, err := e.alternatives(bound, opts, est)
+	alts, declined, err := e.alternatives(bound, opts, est)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +447,7 @@ func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpe
 		strategy, _ := core.ParseStrategy(best.Strategy)
 		pl = &planned{
 			plan: best.Plan, strategy: strategy, alt: best.Alt, PhysicalSpec: best.PhysicalSpec,
-			cost: best.Cost, auto: true, candidates: all,
+			cost: best.Cost, auto: true, candidates: all, declined: declined,
 		}
 	}
 	return pl, nil
@@ -457,48 +460,54 @@ func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpe
 // same no-match error the cost-based path raises) — no statistics are
 // touched, so fixed-strategy benchmark runs skip that work. StrategyAuto
 // translates under every correct strategy and expands each translation into
-// its alternatives (as translated, §6 rewrite, join orders costed by est).
-// A non-naive translation that is one bare Eval node unnested nothing: it is
-// the naive plan under another name, so it is dropped and the naive
-// candidate stands for it.
-func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estimator) ([]planner.StrategyPlan, error) {
+// its alternatives (as translated, §6 rewrite, join orders costed by est);
+// the strategies whose translation failed are returned as declined, each
+// with its error. A non-naive translation that is one bare Eval node
+// unnested nothing: it is the naive plan under another name, so it is
+// dropped and the naive candidate stands for it.
+func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estimator) ([]planner.StrategyPlan, []string, error) {
 	if opts.Strategy != core.StrategyAuto {
 		tr := core.NewTranslator(e.cat)
 		p, err := tr.Translate(bound, opts.Strategy)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		alt := planner.StrategyPlan{Strategy: opts.Strategy.String(), Alt: planner.AltBase, Plan: p}
 		if opts.PinAlt == planner.AltRewrite {
 			if alt.Plan, err = algebra.Optimize(tr.Builder(), p); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			alt.Alt = planner.AltRewrite
 		}
-		return planner.PinAlternatives([]planner.StrategyPlan{alt}, opts.PinAlt)
+		alts, err := planner.PinAlternatives([]planner.StrategyPlan{alt}, opts.PinAlt)
+		return alts, nil, err
 	}
 	var sps []planner.StrategyPlan
+	var declined []string
 	var firstErr error
 	for _, s := range core.CandidateStrategies() {
-		p, err := core.NewTranslator(e.cat).Translate(bound, s)
+		tr := core.NewTranslator(e.cat)
+		p, err := tr.Translate(bound, s)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
+			declined = append(declined, fmt.Sprintf("%s: %v", s, err))
 			continue
 		}
 		if _, bare := p.(*algebra.EvalNode); bare && s != core.StrategyNaive {
 			continue
 		}
-		sps = append(sps, planner.StrategyPlan{Strategy: s.String(), Plan: p})
+		sps = append(sps, planner.StrategyPlan{Strategy: s.String(), Plan: p, Graph: tr.JoinGraph()})
 	}
 	if len(sps) == 0 {
 		if firstErr != nil {
-			return nil, firstErr
+			return nil, nil, firstErr
 		}
-		return nil, fmt.Errorf("engine: no strategy could translate the query")
+		return nil, nil, fmt.Errorf("engine: no strategy could translate the query")
 	}
-	return planner.PinAlternatives(est.Alternatives(algebra.NewBuilder(e.cat), sps), opts.PinAlt)
+	alts, err := planner.PinAlternatives(est.Alternatives(algebra.NewBuilder(e.cat), sps), opts.PinAlt)
+	return alts, declined, err
 }
 
 // Explain parses, binds, and plans a query, returning the physical plan
@@ -570,6 +579,9 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 		for _, c := range pl.candidates {
 			fmt.Fprintf(&b, "  %s\n", c)
 		}
+	}
+	for _, d := range pl.declined {
+		fmt.Fprintf(&b, "declined: %s\n", d)
 	}
 	return b.String(), nil
 }

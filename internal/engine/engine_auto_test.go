@@ -143,6 +143,29 @@ func TestAutoNamesBareEvalNaive(t *testing.T) {
 	}
 }
 
+// TestExplainNamesDeclinedStrategies: EXPLAIN names every strategy whose
+// translation failed, with its error, even when a single candidate is left
+// and no candidate table is printed; a query every strategy translates
+// declines nothing.
+func TestExplainNamesDeclinedStrategies(t *testing.T) {
+	eng := autoEngine(t)
+	out, err := eng.Explain(evalOnlyQ, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "declined: nestjoin: core: correlated subqueries in multi-source FROM are not flattenable\n"
+	if !strings.HasSuffix(out, want) || strings.Count(out, "declined:") != 1 || strings.Contains(out, "candidates considered:") {
+		t.Errorf("Explain does not name the declined strategy once:\n%s", out)
+	}
+	out, err = eng.Explain(`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "declined:") {
+		t.Errorf("Explain names a declined strategy where none failed:\n%s", out)
+	}
+}
+
 // TestPinnedStrategyKeepsBareEvalName: a pinned strategy is reported as
 // pinned, even when its translation is a bare Eval node.
 func TestPinnedStrategyKeepsBareEvalName(t *testing.T) {

@@ -88,16 +88,18 @@ func TestAutoKeepsNestedOriginal(t *testing.T) {
 	}
 }
 
-// TestExplainListsJoinOrders: on a multi-FROM block the candidate table must
-// list join-order alternatives alongside base.
+// TestExplainListsJoinOrders: on a multi-FROM block whose FROM order joins
+// two unconnected sources first, the candidate table must list join-order
+// alternatives beside base, and one of them must win.
 func TestExplainListsJoinOrders(t *testing.T) {
 	eng := optEngine(t)
-	out, err := eng.Explain(multiQ, Options{})
+	q := `SELECT (xb = x.b, zc = z.c) FROM Z z, X x, Y y WHERE x.b = y.d AND y.b = z.d`
+	out, err := eng.Explain(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "order:(") {
-		t.Errorf("no join-order alternatives in candidate table:\n%s", out)
+	if !strings.Contains(out, "  nestjoin  order:(") || !strings.HasPrefix(out, "strategy=nestjoin alt=order:(") {
+		t.Errorf("no winning join-order alternative in candidate table:\n%s", out)
 	}
 }
 

@@ -1,9 +1,11 @@
 package enginetest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tmdb/internal/core"
 	"tmdb/internal/engine"
 	"tmdb/internal/planner"
 	"tmdb/internal/value"
@@ -128,5 +130,56 @@ func TestConformanceExplainShowsAlternatives(t *testing.T) {
 		if g.Name == "filtered-flat-join" && strings.Contains(out, "sort-merge") {
 			t.Errorf("%s: sort-merge candidates for a plan without a nest join:\n%s", g.Name, out)
 		}
+	}
+}
+
+// TestCandidateTableHasNoRepeats: a flat join block's translation is its
+// FROM-order tree, built by the join-order search's own steps, so a
+// reordered tree equal to it deduplicates away — no two rows of the
+// three-way golden's candidate table cost one plan, whatever its variable
+// names, under one strategy and physical spec.
+func TestCandidateTableHasNoRepeats(t *testing.T) {
+	for _, g := range Goldens {
+		if g.Name != "three-table-join-order" {
+			continue
+		}
+		eng := OpenDB(g.DB)
+		cands, err := eng.PlanCandidates(g.Query, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := planner.NewEstimatorStats(eng.Stats())
+		seen := map[string]string{}
+		for _, c := range cands {
+			skel, _ := skeleton(strings.Split(strings.TrimSpace(est.Explain(c.Plan, c.PhysicalSpec)), "\n"))
+			key := fmt.Sprintf("%s %s %s %s %.0f", c.Strategy, c.Joins, c.Access, skel, c.Cost.Work)
+			if prev, ok := seen[key]; ok {
+				t.Errorf("candidate %s repeats %s", c, prev)
+			}
+			seen[key] = c.String()
+		}
+	}
+}
+
+// TestAutoUnnestsCaptureGoldens: the capture goldens are flat join blocks
+// whose user variables look like generated ones; the nest-join translation
+// handles them, so auto must run them as nestjoin, not fall back to naive.
+func TestAutoUnnestsCaptureGoldens(t *testing.T) {
+	n := 0
+	for _, g := range Goldens {
+		if !strings.HasPrefix(g.Name, "capture-") {
+			continue
+		}
+		n++
+		res, err := OpenDB(g.DB).Query(g.Query, engine.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if res.Strategy != core.StrategyNestJoin {
+			t.Errorf("%s: auto ran %s, want nestjoin", g.Name, res.Strategy)
+		}
+	}
+	if n != 4 {
+		t.Errorf("%d capture goldens, want 4", n)
 	}
 }

@@ -178,11 +178,13 @@ func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query stri
 	est := planner.NewEstimatorStats(eng.Stats())
 	checked := 0
 	for _, s := range fixed {
-		plan, err := core.NewTranslator(eng.Catalog()).Translate(bound, s)
+		tr := core.NewTranslator(eng.Catalog())
+		plan, err := tr.Translate(bound, s)
 		if err != nil {
 			continue
 		}
-		alts := est.Alternatives(algebra.NewBuilder(eng.Catalog()), []planner.StrategyPlan{{Strategy: s.String(), Plan: plan}})
+		sp := planner.StrategyPlan{Strategy: s.String(), Plan: plan, Graph: tr.JoinGraph()}
+		alts := est.Alternatives(algebra.NewBuilder(eng.Catalog()), []planner.StrategyPlan{sp})
 		for _, alt := range alts {
 			for _, ji := range impls {
 				if planner.ImplInfeasible(alt.Plan, ji) != "" {

@@ -162,6 +162,32 @@ var Goldens = []Golden{
 		DB:    "xyz",
 		Query: `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`,
 	},
+	// Variable capture: each of the next four names a user variable the way
+	// a flat-join builder that numbers its fresh variables would name one
+	// (l_1, f_6), as a FROM variable, as the variable of the final map, or
+	// as a quantifier binder inside a conjunct. The builder's names must
+	// differ from every name in the block.
+	{
+		Name:  "capture-two-way",
+		DB:    "xyz",
+		Query: `SELECT (a = x.b, c = l_1.a) FROM X x, Y l_1 WHERE x.b = l_1.d AND x.b < 5`,
+	},
+	{
+		Name:  "capture-three-way",
+		DB:    "xyz",
+		Query: `SELECT (xb = x.b, zc = f_6.c) FROM X x, Y y, Z f_6 WHERE x.b = y.d AND y.b = f_6.d`,
+	},
+	{
+		Name:  "capture-exists-binder",
+		DB:    "xyz",
+		Query: `SELECT (a = x.b, c = y.a) FROM X x, Y y WHERE x.b = y.d AND EXISTS l_1 IN y.c (l_1 = x.b)`,
+	},
+	{
+		Name:     "capture-unnest",
+		DB:       "xyz",
+		Query:    `UNNEST(SELECT (SELECT (a = x.b, b = l_1.a) FROM Y l_1 WHERE x.b = l_1.d) FROM X x)`,
+		KimBuggy: true,
+	},
 }
 
 // AccessIndexSpec names one persistent index to register: a table and its

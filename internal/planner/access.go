@@ -94,7 +94,7 @@ func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok b
 			chain = append(chain, n)
 			p = n.In
 		case *algebra.Map:
-			if wrapperLabel(n) == "" {
+			if algebra.WrapperLabel(n) == "" {
 				return nil, nil, false
 			}
 			chain = append(chain, n)
@@ -103,20 +103,6 @@ func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok b
 			return nil, nil, false
 		}
 	}
-}
-
-// wrapperLabel reports the label of a single-field wrapper Map ((w = var))
-// — the shape the flat-join translation builds for every FROM source — or
-// "" when the Map is anything else.
-func wrapperLabel(m *algebra.Map) string {
-	cons, ok := m.Out.(*tmql.TupleCons)
-	if !ok || len(cons.Fields) != 1 {
-		return ""
-	}
-	if v, ok := cons.Fields[0].E.(*tmql.Var); ok && v.Name == m.Var {
-		return cons.Fields[0].Label
-	}
-	return ""
 }
 
 // FindIndexScan reports how the selection n can be served by a persistent

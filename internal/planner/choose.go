@@ -23,6 +23,9 @@ type StrategyPlan struct {
 	// AltRewrite, or a join-order label ("order:(x (y z))").
 	Alt  string
 	Plan algebra.Plan
+	// Graph is the join graph when Plan is a flat join block's translation;
+	// the join-order search reorders it.
+	Graph *algebra.JoinGraph
 }
 
 // Candidate is one logical alternative × PhysicalSpec combination considered

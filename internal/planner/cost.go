@@ -322,24 +322,10 @@ func unwrapToScan(p algebra.Plan) *algebra.Scan {
 func findWrapperScan(p algebra.Plan, w string) *algebra.Scan {
 	var found *algebra.Scan
 	algebra.Walk(p, func(n algebra.Plan) bool {
-		if found != nil {
-			return false
+		if m, ok := n.(*algebra.Map); ok && found == nil && algebra.WrapperLabel(m) == w {
+			found = unwrapToScan(m.In)
 		}
-		m, ok := n.(*algebra.Map)
-		if !ok {
-			return true
-		}
-		cons, ok := m.Out.(*tmql.TupleCons)
-		if !ok || len(cons.Fields) != 1 || cons.Fields[0].Label != w {
-			return true
-		}
-		if v, ok := cons.Fields[0].E.(*tmql.Var); ok && v.Name == m.Var {
-			if s := unwrapToScan(m.In); s != nil {
-				found = s
-				return false
-			}
-		}
-		return true
+		return found == nil
 	})
 	return found
 }

@@ -26,8 +26,8 @@ const (
 
 // Alternatives expands strategy translations into logical alternatives:
 // every input plan (labeled AltBase), its §6 rewrite when any rule fires
-// (AltRewrite), and reordered join trees for flat multi-FROM chains
-// ("order:…"). Structural duplicates are dropped, so the slice enumerates
+// (AltRewrite), and reordered join trees for translations of flat join
+// blocks, which carry their join graph ("order:…"). Structural duplicates are dropped, so the slice enumerates
 // genuinely distinct plans; input order is preserved (ties in Choose resolve
 // to the earliest candidate, keeping the pre-alternative behavior stable).
 func (e *Estimator) Alternatives(b *algebra.Builder, sps []StrategyPlan) []StrategyPlan {
@@ -50,7 +50,7 @@ func (e *Estimator) Alternatives(b *algebra.Builder, sps []StrategyPlan) []Strat
 		if rw, err := algebra.Optimize(b, sp.Plan); err == nil {
 			add(StrategyPlan{Strategy: sp.Strategy, Alt: AltRewrite, Plan: rw})
 		}
-		for _, ord := range e.JoinOrders(b, sp.Plan) {
+		for _, ord := range e.JoinOrders(b, sp.Graph) {
 			add(StrategyPlan{Strategy: sp.Strategy, Alt: ord.Alt, Plan: ord.Plan})
 		}
 	}

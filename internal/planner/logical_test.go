@@ -50,7 +50,7 @@ func runPlan(t *testing.T, db *storage.DB, p algebra.Plan) value.Value {
 	return v
 }
 
-// TestJoinOrdersReorderAndAgree: a three-table flat join must yield
+// TestJoinOrdersReorderAndAgree: a three-table flat join's graph must yield
 // join-order alternatives whose plans execute to the same result as the
 // FROM-order translation.
 func TestJoinOrdersReorderAndAgree(t *testing.T) {
@@ -59,7 +59,7 @@ func TestJoinOrdersReorderAndAgree(t *testing.T) {
 	base := translate(t, tr, q, core.StrategyNestJoin)
 	want := runPlan(t, db, base)
 
-	orders := est.JoinOrders(algebra.NewBuilder(cat), base)
+	orders := est.JoinOrders(algebra.NewBuilder(cat), tr.JoinGraph())
 	if len(orders) == 0 {
 		t.Fatalf("no join-order alternatives for a three-table chain:\n%s", algebra.Explain(base))
 	}
@@ -75,45 +75,46 @@ func TestJoinOrdersReorderAndAgree(t *testing.T) {
 }
 
 // TestJoinOrderPushesLeafSelections: single-relation conjuncts must sit on
-// their scan leaf in reordered plans (the FROM-order translation leaves
-// first-source conjuncts in a top selection).
+// their source's leaf, over its wrap, both in the translation (the FROM-order
+// tree) and in every reordered plan.
 func TestJoinOrderPushesLeafSelections(t *testing.T) {
 	cat, db, tr, est := logicalEnv(t)
 	q := `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d AND x.b > 3`
 	base := translate(t, tr, q, core.StrategyNestJoin)
 	want := runPlan(t, db, base)
-	orders := est.JoinOrders(algebra.NewBuilder(cat), base)
+	orders := est.JoinOrders(algebra.NewBuilder(cat), tr.JoinGraph())
 	if len(orders) == 0 {
 		t.Fatal("no alternatives")
 	}
-	foundLeafSelect := false
-	for _, o := range orders {
+	for _, o := range append(orders, StrategyPlan{Alt: AltBase, Plan: base}) {
+		leafSelect := false
 		algebra.Walk(o.Plan, func(n algebra.Plan) bool {
 			if s, ok := n.(*algebra.Select); ok {
 				if _, ok := s.In.(*algebra.Map); ok {
-					foundLeafSelect = true
+					leafSelect = true
 				}
 			}
 			return true
 		})
+		if !leafSelect {
+			t.Errorf("%s did not push the single-relation conjunct to its leaf:\n%s", o.Alt, algebra.Explain(o.Plan))
+		}
 		if got := runPlan(t, db, o.Plan); !value.Equal(got, want) {
 			t.Errorf("%s changed the result", o.Alt)
 		}
 	}
-	if !foundLeafSelect {
-		t.Error("no reordered plan pushed the single-relation conjunct to its leaf")
-	}
 }
 
-// TestJoinOrdersNilOffShape: plans that are not flat-join chains produce no
-// order alternatives.
+// TestJoinOrdersNilOffShape: a translation that is not a flat join block
+// carries no join graph, so it gets no order alternatives.
 func TestJoinOrdersNilOffShape(t *testing.T) {
 	cat, _, tr, est := logicalEnv(t)
-	nested := translate(t, tr,
-		`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`,
-		core.StrategyNestJoin)
-	if alts := est.JoinOrders(algebra.NewBuilder(cat), nested); len(alts) != 0 {
-		t.Errorf("semijoin plan yielded order alternatives: %v", alts)
+	translate(t, tr, `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, core.StrategyNestJoin)
+	if g := tr.JoinGraph(); g != nil {
+		t.Errorf("semijoin translation carries a join graph over %v", g.Rels)
+	}
+	if alts := est.JoinOrders(algebra.NewBuilder(cat), tr.JoinGraph()); len(alts) != 0 {
+		t.Errorf("semijoin translation yielded order alternatives: %v", alts)
 	}
 }
 

@@ -27,8 +27,8 @@ func Tables(e Expr) []string {
 // is never mutated) and strip inferred types — consumers re-bind rewritten
 // expressions, so types are recomputed afterwards. The shared worker tracks
 // variable bindings in scope so callbacks can respect shadowing; core's
-// translation utilities and the planner's join-order extractor are both built
-// on it.
+// translation utilities, the flat-join builder's readdressing and the §6
+// rewrite rules are built on it.
 
 // Rewrite rebuilds e bottom-up; at each node fn may return a replacement.
 // The bound map passed to fn counts enclosing binders per variable name, so
@@ -50,9 +50,9 @@ func Subst(e Expr, name string, repl Expr) Expr {
 }
 
 // SubstFieldSel replaces free field selections u.l (u a free variable, not
-// shadowed at the site) by repl(u, l) wherever repl returns non-nil. The
-// planner's join-order extractor uses it to invert the readdressing the flat
-// join translation applied (container.var.attr back to var.attr).
+// shadowed at the site) by repl(u, l) wherever repl returns non-nil. The §6
+// rule moving a selection through a projection uses it to replace v.l by the
+// expression the projection binds to l.
 func SubstFieldSel(e Expr, repl func(varName, label string) Expr) Expr {
 	return Rewrite(e, func(n Expr, bound map[string]int) (Expr, bool) {
 		if fs, ok := n.(*FieldSel); ok {

@@ -18,8 +18,8 @@ import "tmdb/internal/value"
 // estimate, and compilation runs on the substituted plan:
 //   - core's classifyCountComparison specializes COUNT(…) op k, but there the
 //     other operand is an aggregate, so k is never slotted;
-//   - the rule dropping σ[true] and the join-order extractor read only bool
-//     literals, which are never slotted;
+//   - the rule dropping σ[true] reads only bool literals, which are never
+//     slotted;
 //   - IN-lists and set literals are not comparison operands and stay in the
 //     shape.
 func MarkSlots(e Expr) []value.Value {
