@@ -50,6 +50,9 @@ func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
 // Close releases the row snapshot.
 func (s *TableScan) Close() error { s.src = chunks{}; return nil }
 
+// stableBatches marks the batches as subslices of an immutable snapshot.
+func (*TableScan) stableBatches() {}
+
 // EvalScan evaluates a closed set-typed TM expression with the naive
 // evaluator and emits its elements in zero-copy batches — the physical form
 // of algebra.EvalNode.
@@ -80,6 +83,9 @@ func (s *EvalScan) NextBatch() ([]value.Value, bool, error) {
 
 // Close releases the elements.
 func (s *EvalScan) Close() error { s.src = chunks{}; return nil }
+
+// stableBatches marks the batches as subslices of an immutable collection.
+func (*EvalScan) stableBatches() {}
 
 // Filter is σ: it emits the input batch's qualifying rows.
 type Filter struct {
@@ -123,10 +129,10 @@ func (f *Filter) Close() error { return f.In.Close() }
 // Distinct set it also drops every output row equal to an earlier one: TM
 // collections are sets, and a map may collapse distinct inputs onto one value
 // that must not reach set-valued results twice. It dedups on the canonical
-// key encoding (the identity value.Key gives), looked up allocation-free via
-// string(buf); only first-seen rows pay a retained key-string allocation. A
-// map whose output is its bare variable, Map[x](x), without Distinct passes
-// its input batches through unchanged.
+// key encoding (value.AppendKey) in a key table whose arena keeps each
+// distinct row's key once: no per-row or per-key allocation. A map whose
+// output is its bare variable, Map[x](x), without Distinct passes its input
+// batches through unchanged.
 type Map struct {
 	Ctx      *Ctx
 	In       BatchIterator
@@ -136,8 +142,7 @@ type Map struct {
 
 	identity bool
 	proj     scalar2
-	seen     map[string]bool
-	scratch  []byte
+	seen     *keyTable // allocated only under Distinct
 	out      []value.Value
 }
 
@@ -147,7 +152,7 @@ func (m *Map) Open() error {
 	m.identity = ok && v.Name == m.Var
 	m.proj = compile(m.Ctx, m.Out, m.Var, "")
 	if m.Distinct {
-		m.seen = make(map[string]bool)
+		m.seen = new(keyTable)
 	}
 	return m.In.Open()
 }
@@ -166,17 +171,16 @@ func (m *Map) NextBatch() ([]value.Value, bool, error) {
 			return bt, true, nil
 		}
 		m.out = slices.Grow(m.out[:0], len(bt))
+		scratch := make([]byte, 0, 64) // short keys stay on the stack
 		for _, v := range bt {
 			if v, err = m.proj(v, value.Value{}); err != nil {
 				return nil, false, err
 			}
 			if m.Distinct {
-				buf := value.AppendKey(m.scratch[:0], v)
-				m.scratch = buf[:0]
-				if m.seen[string(buf)] {
+				scratch = value.AppendKey(scratch[:0], v)
+				if _, added := m.seen.intern(scratch); !added {
 					continue
 				}
-				m.seen[string(buf)] = true
 			}
 			m.out = append(m.out, v)
 		}

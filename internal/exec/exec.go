@@ -31,7 +31,12 @@ import (
 //     until the next NextBatch or Close on that operator. Consumers copy the
 //     rows they retain (value.Value is an immutable struct, so retaining a
 //     row is a struct copy — the batch's backing slice is what gets reused),
-//     and never change the batch.
+//     and never change the batch. The exception is a source whose batches
+//     alias immutable rows and so stay valid for good: TableScan (subslices
+//     of the table's row snapshot), EvalScan (of the evaluated collection)
+//     and ν (of its grouped output) say so through the stableSource marker,
+//     and a consumer may retain their batches without copying — the hash
+//     build does (drainKeyed).
 //   - Sources — table, index and evaluated scans, ν's output — emit
 //     zero-copy batches of at most DefaultBatchSize rows. Join stops
 //     probing once its output reaches DefaultBatchSize and resumes at the

@@ -129,11 +129,11 @@ func (j *Join) Open() error {
 	}
 	switch j.Method {
 	case JoinHash:
-		bs, err := drainKeyed(j.R, newKeyEncoder(c, j.RKeys, j.RVar), nil)
+		run, err := drainKeyed(j.R, newKeyEncoder(c, j.RKeys, j.RVar), nil)
 		if err != nil {
 			return err
 		}
-		if j.table, err = buildTable(c, bs); err != nil {
+		if j.table, err = buildTable(c, run); err != nil {
 			return err
 		}
 	case JoinIndex:

@@ -220,17 +220,13 @@ func TestHashJoinErrors(t *testing.T) {
 func TestBuildTable(t *testing.T) {
 	ctx := NewCtx(nil)
 	enc := newKeyEncoder(ctx, []tmql.Expr{pred("x.k")}, "x")
-	// batches cuts rows into keyed runs of 7 rows.
-	batches := func(rows []value.Value) []keyed {
-		var bs []keyed
-		for lo := 0; lo < len(rows); lo += 7 {
-			k, err := newKeyed(rows[lo:min(lo+7, len(rows))], enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bs = append(bs, k)
+	// batches drains rows, cut into batches of 7 rows, into a keyed run.
+	batches := func(rows []value.Value) keyedRun {
+		run, err := drainKeyed(&SliceScan{Rows: rows, Size: 7}, enc, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return bs
+		return run
 	}
 	rows := genRows(500, 13, "k", "v")
 	table, err := buildTable(ctx, batches(rows))
@@ -244,8 +240,8 @@ func TestBuildTable(t *testing.T) {
 	for k := 0; k < 13; k++ {
 		key := value.AppendKey(nil, value.Int(int64(k)))
 		bucket := table.bucket(key)
-		s := table.idx[string(key)]
-		if len(bucket) == 0 || &bucket[0] != &table.rows[table.start[s]] {
+		s := table.keys.find(key)
+		if len(bucket) == 0 || s < 0 || &bucket[0] != &table.rows[table.start[s]] {
 			t.Fatalf("key %d's bucket is not a run of the table's row slice", k)
 		}
 		for i, r := range bucket {

@@ -2,77 +2,239 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/maphash"
 	"slices"
 
 	"tmdb/internal/faultinject"
 	"tmdb/internal/value"
 )
 
-// The allocation-lean key path of the join family: key expressions are
+// The allocation-lean key path of every keyed operator: key expressions are
 // evaluated per row (keyEncoder) and their canonical encodings appended onto
-// a reused scratch buffer (probe side) or one contiguous arena per build run
-// (keyed) instead of materializing a value.Key string per row. Map lookups go
-// through string(key), which the Go compiler performs without allocating;
-// only the first insertion of a distinct key pays a string allocation. The
-// table itself is built in two passes (buildTable) so that every bucket is a
+// a reused scratch buffer, then stored length-prefixed in byte chunks,
+// instead of materializing a value.Key string per row. One exact key table
+// (keyTable) maps encoded keys to dense slots for the hash join's build and
+// probe, DISTINCT, ν's groups and the set operations: open addressing over a
+// pointer-free []int32, one stored hash per distinct key, and keys compared
+// in place in their chunk, so neither a distinct key nor a row costs an
+// allocation of its own and the GC has almost no pointers to scan. The hash
+// table is built in two passes (buildTable) so that every bucket is a
 // contiguous run of one flat row slice: no per-bucket slice, and no append
 // growth. The sort-merge method keys its sorted runs the same way.
 
-// keyed is an owned run of build rows with every row's encoded key, all key
-// bytes in one arena delimited by offsets — not one allocation per row.
-type keyed struct {
-	rows []value.Value
-	keys []byte
-	offs []uint32
+// appendKeyEntry appends key to chunk as one entry: its uvarint length, then
+// its bytes.
+func appendKeyEntry(chunk, key []byte) []byte {
+	return append(binary.AppendUvarint(chunk, uint64(len(key))), key...)
 }
 
-// newKeyed copies rows and encodes each one's key with enc. The arena is
-// sized from the first key, which is exact for fixed-width keys.
-func newKeyed(rows []value.Value, enc keyEncoder) (keyed, error) {
-	k := keyed{rows: slices.Clone(rows), offs: make([]uint32, 1, len(rows)+1)}
-	for i, v := range k.rows {
-		buf, err := enc.appendKey(k.keys, v)
-		if err != nil {
-			return keyed{}, err
-		}
-		if i == 0 {
-			buf = slices.Grow(buf, len(buf)*(len(rows)-1))
-		}
-		k.keys = buf
-		k.offs = append(k.offs, uint32(len(buf)))
+// keyEntry returns the key of the entry at off in chunk and the offset of
+// the entry after it.
+func keyEntry(chunk []byte, off uint32) (key []byte, next uint32) {
+	n, w := binary.Uvarint(chunk[off:])
+	lo := off + uint32(w)
+	return chunk[lo : lo+uint32(n)], lo + uint32(n)
+}
+
+// keySeed seeds every key table's hash. Slots are numbered in first-seen
+// order, so no output depends on it.
+var keySeed = maphash.MakeSeed()
+
+// hashKey is the key tables' hash of an encoded key.
+func hashKey(key []byte) uint64 { return maphash.Bytes(keySeed, key) }
+
+const (
+	// minKeyIndex is the smallest index a key table allocates; a power of
+	// two.
+	minKeyIndex = 8
+	// keyChunkBytes is the size past which an interning key table starts a
+	// new chunk rather than growing its first one, and the size of every
+	// later chunk.
+	keyChunkBytes = 32 << 10
+)
+
+// keyTable is an exact (collision-free) map from encoded keys to dense slot
+// ids, numbered 0, 1, … in first-seen order. index is an open-addressing
+// table with linear probing whose entries hold slot+1 (0 is empty); its
+// length is a power of two that doubles when the distinct keys reach half
+// of it, so its size follows the distinct keys. slots holds each slot's
+// hash, so a mismatch almost never reaches a byte compare, and where its key
+// is: an entry of one of chunks. The chunks are the caller's — a drained
+// input's key arenas (buildTable) — or the table's own, filled by intern.
+type keyTable struct {
+	chunks [][]byte
+	index  []int32
+	slots  []keySlot
+}
+
+// keySlot is one distinct key: its hash and its entry's place in the chunks.
+type keySlot struct {
+	hash       uint64
+	chunk, off uint32
+}
+
+// find returns key's slot, or -1 if key is absent. Allocation-free.
+func (t *keyTable) find(key []byte) int32 {
+	return t.lookup(key, hashKey(key))
+}
+
+// lookup is find with key's hash h supplied.
+func (t *keyTable) lookup(key []byte, h uint64) int32 {
+	if len(t.index) == 0 {
+		return -1
 	}
-	return k, nil
+	mask := uint64(len(t.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := t.index[i]
+		if e == 0 {
+			return -1
+		}
+		if sl := &t.slots[e-1]; sl.hash == h {
+			if k, _ := keyEntry(t.chunks[sl.chunk], sl.off); bytes.Equal(k, key) {
+				return e - 1
+			}
+		}
+	}
 }
 
-// key returns row i's encoded key.
-func (k *keyed) key(i int) []byte {
-	return k.keys[k.offs[i]:k.offs[i+1]]
+// insert returns the slot of key, whose hash is h and whose entry is at off
+// in chunk c, assigning it the next slot if no earlier key equals it; added
+// reports which.
+func (t *keyTable) insert(key []byte, h uint64, c, off uint32) (slot int32, added bool) {
+	if s := t.lookup(key, h); s >= 0 {
+		return s, false
+	}
+	return t.add(h, c, off), true
 }
 
-// drainKeyed opens in, drains it into keyed copies of its batches, each
-// row's key encoded once, and closes it. A non-nil gate runs once per batch,
-// before the batch's keys are encoded, with the batch's row count.
-func drainKeyed(in BatchIterator, enc keyEncoder, gate func(rows int) error) ([]keyed, error) {
+// add assigns the next slot to an absent key with hash h whose entry is at
+// off in chunk c.
+func (t *keyTable) add(h uint64, c, off uint32) int32 {
+	if 2*(len(t.slots)+1) > len(t.index) {
+		t.grow()
+	}
+	s := int32(len(t.slots))
+	t.slots = append(t.slots, keySlot{hash: h, chunk: c, off: off})
+	t.place(s)
+	return s
+}
+
+// intern returns key's slot, appending a copy of key to the table's own
+// chunks if it is new; added reports which.
+func (t *keyTable) intern(key []byte) (slot int32, added bool) {
+	h := hashKey(key)
+	if s := t.lookup(key, h); s >= 0 {
+		return s, false
+	}
+	c := t.chunkFor(len(key) + binary.MaxVarintLen32)
+	off := uint32(len(t.chunks[c]))
+	t.chunks[c] = appendKeyEntry(t.chunks[c], key)
+	return t.add(h, uint32(c), off), true
+}
+
+// chunkFor returns the own chunk that takes the next key entry of at most
+// need bytes. The first chunk starts with room for a few short keys and
+// grows in place until it reaches keyChunkBytes; after that, an entry that
+// does not fit the last chunk opens a new one, so no later chunk is ever
+// copied.
+func (t *keyTable) chunkFor(need int) int {
+	last := len(t.chunks) - 1
+	switch {
+	case last < 0:
+		t.chunks = append(t.chunks, make([]byte, 0, max(64, need)))
+	case len(t.chunks[last])+need <= cap(t.chunks[last]) || last == 0 && len(t.chunks[0]) < keyChunkBytes:
+		return last
+	default:
+		t.chunks = append(t.chunks, make([]byte, 0, max(keyChunkBytes, need)))
+	}
+	return len(t.chunks) - 1
+}
+
+// grow doubles the index (or allocates the first one), gives the slots room
+// for the distinct keys the new index admits, and re-places every slot from
+// its stored hash.
+func (t *keyTable) grow() {
+	t.index = make([]int32, max(minKeyIndex, 2*len(t.index)))
+	t.slots = append(make([]keySlot, 0, len(t.index)/2), t.slots...)
+	for s := range t.slots {
+		t.place(int32(s))
+	}
+}
+
+// place puts slot s at the first empty index entry from its hash's home.
+func (t *keyTable) place(s int32) {
+	mask := uint64(len(t.index) - 1)
+	i := t.slots[s].hash & mask
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = s + 1
+}
+
+// stableSource is implemented by the sources whose batches alias immutable
+// rows — a stored table's snapshot, an evaluated collection, ν's grouped
+// output — and stay valid after the next NextBatch and after Close: a
+// consumer may retain them without copying.
+type stableSource interface {
+	stableBatches()
+}
+
+// keyedRun is a drained input: its batches in input order, and for each
+// batch one key chunk holding every row's encoded key as consecutive
+// entries (appendKeyEntry), sized once — not one allocation per row.
+type keyedRun struct {
+	batches [][]value.Value
+	keys    [][]byte
+}
+
+// len returns the run's row count.
+func (r *keyedRun) len() int {
+	n := 0
+	for _, b := range r.batches {
+		n += len(b)
+	}
+	return n
+}
+
+// drainKeyed opens in, drains it into a keyed run, each row's key encoded
+// once, and closes it. A stable source's batches are retained as emitted,
+// any other source's are copied. A non-nil gate runs once per batch, before
+// the batch's keys are encoded, with the batch's row count.
+func drainKeyed(in BatchIterator, enc keyEncoder, gate func(rows int) error) (keyedRun, error) {
+	var run keyedRun
 	if err := in.Open(); err != nil {
-		return nil, err
+		return run, err
 	}
 	defer in.Close()
-	var owned []keyed
+	_, stable := in.(stableSource)
+	scratch := make([]byte, 0, 64)
 	for {
 		bt, ok, err := in.NextBatch()
 		if err != nil || !ok {
-			return owned, err
+			return run, err
 		}
 		if gate != nil {
 			if err := gate(len(bt)); err != nil {
-				return nil, err
+				return keyedRun{}, err
 			}
 		}
-		k, err := newKeyed(bt, enc)
-		if err != nil {
-			return nil, err
+		if !stable {
+			bt = slices.Clone(bt)
 		}
-		owned = append(owned, k)
+		var chunk []byte
+		for i, v := range bt {
+			if scratch, err = enc.appendKey(scratch[:0], v); err != nil {
+				return keyedRun{}, err
+			}
+			chunk = appendKeyEntry(chunk, scratch)
+			if i == 0 {
+				// Sized from the first key: exact for fixed-width keys.
+				chunk = slices.Grow(chunk, len(chunk)*(len(bt)-1))
+			}
+		}
+		run.batches = append(run.batches, bt)
+		run.keys = append(run.keys, chunk)
 	}
 }
 
@@ -95,7 +257,7 @@ func (c *Ctx) sortGate(rows int) error {
 // sortRun drains in through sortGate and returns its rows stably sorted by
 // encoded key, with each row's key: the sort-merge join's input.
 func sortRun(c *Ctx, in BatchIterator, enc keyEncoder) ([]value.Value, [][]byte, error) {
-	bs, err := drainKeyed(in, enc, c.sortGate)
+	run, err := drainKeyed(in, enc, c.sortGate)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,14 +265,13 @@ func sortRun(c *Ctx, in BatchIterator, enc keyEncoder) ([]value.Value, [][]byte,
 		key []byte
 		v   value.Value
 	}
-	n := 0
-	for _, b := range bs {
-		n += len(b.rows)
-	}
-	all := make([]keyedRow, 0, n)
-	for _, b := range bs {
-		for i, v := range b.rows {
-			all = append(all, keyedRow{b.key(i), v})
+	all := make([]keyedRow, 0, run.len())
+	for bi, b := range run.batches {
+		off := uint32(0)
+		for _, v := range b {
+			var key []byte
+			key, off = keyEntry(run.keys[bi], off)
+			all = append(all, keyedRow{key, v})
 		}
 	}
 	slices.SortStableFunc(all, func(a, b keyedRow) int { return bytes.Compare(a.key, b.key) })
@@ -121,61 +282,56 @@ func sortRun(c *Ctx, in BatchIterator, enc keyEncoder) ([]value.Value, [][]byte,
 	return rows, keys, nil
 }
 
-// hashTable is an exact (collision-free) multimap from encoded key bytes to
-// row buckets. idx maps a key to its slot; slot s's bucket is
-// rows[start[s]:start[s+1]], the rows of that key in input order.
+// hashTable is an exact multimap from encoded key bytes to row buckets: slot
+// s's bucket is rows[start[s]:start[s+1]], the rows of slot s's key in input
+// order.
 type hashTable struct {
-	idx   map[string]int32
+	keys  keyTable
 	rows  []value.Value
 	start []int32
 }
 
-// buildTable is the build kernel: it builds one table from the keyed runs
-// bs. Pass 1 gates every row — the governor check, the hash.build fault
-// point and the build-budget charge — and assigns it its key's slot,
-// counting rows per slot; pass 2 places each row at its slot's next position
-// in one flat row slice.
-func buildTable(c *Ctx, bs []keyed) (*hashTable, error) {
-	n := 0
-	for i := range bs {
-		n += len(bs[i].rows)
-	}
-	t := &hashTable{idx: make(map[string]int32)}
+// buildTable is the build kernel: it builds one table from the keyed run,
+// whose key chunks the table keeps. Pass 1 gates every row — the governor
+// check, the hash.build fault point and the build-budget charge — and
+// assigns it its key's slot; pass 2 places each row at its slot's next
+// position in one flat row slice.
+func buildTable(c *Ctx, run keyedRun) (*hashTable, error) {
+	n := run.len()
+	t := &hashTable{keys: keyTable{chunks: run.keys}}
 	slots := make([]int32, 0, n)
-	var counts []int32
-	for bi := range bs {
-		b := &bs[bi]
-		for i := range b.rows {
+	for bi, b := range run.batches {
+		off := uint32(0)
+		for range b {
 			if err := c.check(); err != nil {
 				return nil, err
 			}
 			if err := faultinject.Hit(faultinject.PointHashBuild); err != nil {
 				return nil, err
 			}
-			key := b.key(i)
+			key, next := keyEntry(run.keys[bi], off)
 			if err := c.addBuild(len(key)); err != nil {
 				return nil, err
 			}
-			s, ok := t.idx[string(key)]
-			if !ok {
-				s = int32(len(counts))
-				t.idx[string(key)] = s
-				counts = append(counts, 0)
-			}
-			counts[s]++
+			s, _ := t.keys.insert(key, hashKey(key), uint32(bi), off)
 			slots = append(slots, s)
+			off = next
 		}
 	}
-	t.start = make([]int32, len(counts)+1)
-	for s, k := range counts {
-		t.start[s+1] = t.start[s] + k
+	k := len(t.keys.slots)
+	t.start = make([]int32, k+1)
+	for _, s := range slots {
+		t.start[s+1]++
 	}
-	next := counts // reused as each slot's next free position
+	for s := range k {
+		t.start[s+1] += t.start[s]
+	}
+	next := make([]int32, k) // each slot's next free position
 	copy(next, t.start)
 	t.rows = make([]value.Value, n)
 	j := 0
-	for bi := range bs {
-		for _, row := range bs[bi].rows {
+	for _, b := range run.batches {
+		for _, row := range b {
 			s := slots[j]
 			t.rows[next[s]] = row
 			next[s]++
@@ -187,7 +343,7 @@ func buildTable(c *Ctx, bs []keyed) (*hashTable, error) {
 
 // bucket returns the rows stored under key (nil if none). Allocation-free.
 func (t *hashTable) bucket(key []byte) []value.Value {
-	if s, ok := t.idx[string(key)]; ok {
+	if s := t.keys.find(key); s >= 0 {
 		lo, hi := t.start[s], t.start[s+1]
 		return t.rows[lo:hi:hi]
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/value"
 )
@@ -29,16 +30,13 @@ func (n *NestIter) Open() error {
 	if err != nil {
 		return err
 	}
-	nested := make(map[string]bool, len(n.Attrs))
-	for _, a := range n.Attrs {
-		nested[a] = true
-	}
 	type group struct {
 		rest value.Value
 		b    *value.SetBuilder
 	}
-	order := make([]string, 0)
-	groups := make(map[string]*group)
+	var keys keyTable // slot s is groups[s]'s key
+	var groups []group
+	scratch := make([]byte, 0, 64) // short keys stay on the stack
 	for _, r := range rows {
 		if err := n.Ctx.check(); err != nil {
 			return err
@@ -49,7 +47,7 @@ func (n *NestIter) Open() error {
 		var restFields, projFields []value.Field
 		allNull := true
 		for _, f := range r.Fields() {
-			if nested[f.Label] {
+			if slices.Contains(n.Attrs, f.Label) {
 				projFields = append(projFields, f)
 				if !f.V.IsNull() {
 					allNull = false
@@ -59,21 +57,18 @@ func (n *NestIter) Open() error {
 			}
 		}
 		rest := value.TupleOf(restFields...)
-		k := value.Key(rest)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{rest: rest, b: value.NewSetBuilder(1)}
-			groups[k] = g
-			order = append(order, k)
+		scratch = value.AppendKey(scratch[:0], rest)
+		s, added := keys.intern(scratch)
+		if added {
+			groups = append(groups, group{rest: rest, b: value.NewSetBuilder(1)})
 		}
 		if n.NullAware && allNull {
 			continue // ν*: NULL padding nests to the empty set
 		}
-		g.b.Add(value.TupleOf(projFields...))
+		groups[s].b.Add(value.TupleOf(projFields...))
 	}
-	out := make([]value.Value, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
+	out := make([]value.Value, 0, len(groups))
+	for _, g := range groups {
 		out = append(out, g.rest.Extend(n.Label, g.b.Build()))
 	}
 	n.out = chunks{rows: out}
@@ -88,6 +83,10 @@ func (n *NestIter) NextBatch() ([]value.Value, bool, error) {
 
 // Close releases the grouped output.
 func (n *NestIter) Close() error { n.out = chunks{}; return nil }
+
+// stableBatches marks the batches as subslices of the grouped output, which
+// is built once at Open and never changed.
+func (*NestIter) stableBatches() {}
 
 // UnnestIter implements μ[attr]: each input tuple t yields one tuple per
 // element of the set t.attr; tuples with t.attr = ∅ produce nothing (the
@@ -157,11 +156,15 @@ type SetOpIter struct {
 	Kind int
 	L, R BatchIterator
 
-	right     map[string]value.Value
-	rightKeys []string
-	seen      map[string]bool
-	leftDone  bool
-	out       []value.Value
+	// right keys the distinct right elements, slot s being rightRows[s];
+	// inLeft[s] records that slot s's element also occurred on the left.
+	right     keyTable
+	rightRows []value.Value
+	inLeft    []bool
+	// seen keys the distinct left elements.
+	seen     keyTable
+	leftDone bool
+	out      []value.Value
 }
 
 // Open materializes the right input and opens the left.
@@ -170,16 +173,15 @@ func (s *SetOpIter) Open() error {
 	if err != nil {
 		return err
 	}
-	s.right = make(map[string]value.Value, len(rows))
-	s.rightKeys = s.rightKeys[:0]
+	s.right, s.seen, s.rightRows = keyTable{}, keyTable{}, s.rightRows[:0]
+	scratch := make([]byte, 0, 64) // short keys stay on the stack
 	for _, r := range rows {
-		k := value.Key(r)
-		if _, dup := s.right[k]; !dup {
-			s.right[k] = r
-			s.rightKeys = append(s.rightKeys, k)
+		scratch = value.AppendKey(scratch[:0], r)
+		if _, added := s.right.intern(scratch); added {
+			s.rightRows = append(s.rightRows, r)
 		}
 	}
-	s.seen = make(map[string]bool)
+	s.inLeft = make([]bool, len(s.rightRows))
 	s.leftDone = false
 	return s.L.Open()
 }
@@ -199,15 +201,19 @@ func (s *SetOpIter) NextBatch() ([]value.Value, bool, error) {
 			return nil, false, err
 		}
 		s.out = s.out[:0]
+		scratch := make([]byte, 0, 64) // short keys stay on the stack
 		for _, v := range bt {
-			k := value.Key(v)
-			if s.seen[k] {
+			scratch = value.AppendKey(scratch[:0], v)
+			if _, added := s.seen.intern(scratch); !added {
 				continue
 			}
-			s.seen[k] = true
+			rs := s.right.find(scratch)
+			if rs >= 0 {
+				s.inLeft[rs] = true
+			}
 			// Union passes every left element, intersect those in the right,
 			// diff those not in it.
-			if _, inRight := s.right[k]; s.Kind == 0 || inRight == (s.Kind == 1) {
+			if s.Kind == 0 || (rs >= 0) == (s.Kind == 1) {
 				s.out = append(s.out, v)
 			}
 		}
@@ -218,10 +224,10 @@ func (s *SetOpIter) NextBatch() ([]value.Value, bool, error) {
 	// Union's tail: the right elements not already emitted, in one batch.
 	s.out = s.out[:0]
 	if s.Kind == 0 {
-		for _, k := range s.rightKeys {
-			if !s.seen[k] {
-				s.seen[k] = true
-				s.out = append(s.out, s.right[k])
+		for rs, r := range s.rightRows {
+			if !s.inLeft[rs] {
+				s.inLeft[rs] = true
+				s.out = append(s.out, r)
 			}
 		}
 	}
@@ -233,7 +239,6 @@ func (s *SetOpIter) NextBatch() ([]value.Value, bool, error) {
 
 // Close releases state and closes the left input.
 func (s *SetOpIter) Close() error {
-	s.right = nil
-	s.seen = nil
+	s.right, s.seen, s.rightRows, s.inLeft = keyTable{}, keyTable{}, nil, nil
 	return s.L.Close()
 }
