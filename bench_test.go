@@ -417,6 +417,51 @@ func BenchmarkNestedExecStatements(b *testing.B) {
 	}
 }
 
+// --- Block shapes: the three SELECT-FROM-WHERE shapes the block builder
+// unnests — FROM-clause subqueries, a two-table FROM with a correlated
+// subquery, a multi-FROM inner block — each paired with a hand-flattened
+// form that answers the same question, as prepared statements on
+// nested_exec's dataset. Each shape should run within 10× of its form:
+//
+//	go test -run=NONE -bench=BlockShapes -benchmem -cpu 2 .
+//
+// ---
+
+func BenchmarkBlockShapes(b *testing.B) {
+	pairs := []struct{ name, shape, flat string }{
+		{"from_subqueries",
+			`SELECT x FROM (SELECT x FROM X x WHERE x.b < 250) x, (SELECT y FROM Y y WHERE y.a < 3) y WHERE x.b = y.d`,
+			`SELECT x FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`},
+		{"multi_from_correlated",
+			`SELECT x FROM X x, Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`,
+			`SELECT x FROM X x WHERE x.a SUBSETEQ (SELECT z.c FROM Z z WHERE x.b = z.d) AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`},
+		{"multi_from_inner",
+			`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b`,
+			`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.b AND y.d IN SELECT z.d FROM Z z WHERE y.d = z.d`},
+	}
+	cat, db := datagen.XYZ(datagen.Spec{
+		NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994,
+	})
+	eng := tmdb.New(cat, db)
+	eng.Analyze()
+	for _, pr := range pairs {
+		for _, form := range []struct{ name, q string }{{"shape", pr.shape}, {"flat", pr.flat}} {
+			p, err := eng.Prepare(form.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(pr.name+"/"+form.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.Query(tmdb.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- B11: a single-row write costs what it changes. One insert plus one
 // predicate delete of that row on the repo benchmark's indexed dataset
 // (XYZ{2000, 6000, 4000}, indexes X(b), Y(d), Y(b,d)) — the mixed_rw write

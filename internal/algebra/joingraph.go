@@ -10,21 +10,24 @@ import (
 // Flat join blocks — the paper's target form (§5's UNNEST collapse, §8's
 // multi-FROM blocks)
 //
-//	SELECT R FROM T₁ v₁, …, Tₙ vₙ WHERE C₁ ∧ … ∧ Cₘ
+//	SELECT R FROM S₁ v₁, …, Sₙ vₙ WHERE C₁ ∧ … ∧ Cₘ
 //
-// are built here and only here, both by the translation (Build, the FROM-order
+// are built here and only here, both by the translation (Rows, the FROM-order
 // tree) and by the planner's join-order search (Leaf, Join and Finish over
-// any tree). Every source is wrapped into a one-field tuple labeled by its
-// FROM variable, Map[(v = v)](Scan Tᵢ), so concatenating join operands never
-// collides, and every expression is readdressed from v.a to s.v.a through the
-// variable s of the operator it sits on.
+// any tree). A source Sᵢ is any plan: a stored table's Scan, or the
+// translation of a closed FROM subquery. Every source is wrapped into a
+// one-field tuple labeled by its FROM variable, Map[(v = v)](Sᵢ), so
+// concatenating join operands never collides, and every expression is
+// readdressed from v.a to s.v.a through the variable s of the operator it
+// sits on.
 //
 // Those operator variables are derived from the relation subset the operator
 // covers, so equal trees build byte-equal plans, and they differ from every
 // name occurring in the block — FROM variables, free variables and binders
-// of the conjuncts and the result — so readdressing never captures.
+// of the conjuncts, the result and the held expressions — so readdressing
+// never captures.
 
-// JoinGraph is a flat join block: its relations, its WHERE conjuncts and its
+// JoinGraph is a flat join block: its relations, its join conjuncts and its
 // result, all over the FROM variables.
 type JoinGraph struct {
 	Rels      []JoinRel
@@ -36,9 +39,11 @@ type JoinGraph struct {
 	taken map[string]bool
 }
 
-// JoinRel is one FROM source: its variable and the extension it scans.
+// JoinRel is one FROM source: its variable and the plan it ranges over.
+// Plans are immutable, so every tree built over the graph shares it.
 type JoinRel struct {
-	Var, Table string
+	Var  string
+	Plan Plan
 }
 
 // JoinTree is a built join subtree: its plan, the relation subset it covers,
@@ -50,9 +55,14 @@ type JoinTree struct {
 	Label string
 }
 
-// NewJoinGraph returns the graph of a flat join block.
-func NewJoinGraph(rels []JoinRel, conjuncts []tmql.Expr, result tmql.Expr) *JoinGraph {
-	g := &JoinGraph{Rels: rels, conjuncts: conjuncts, result: result, taken: map[string]bool{}}
+// NewJoinGraph returns the graph of a flat join block. held are the block's
+// other expressions over the FROM variables — conjuncts holding a
+// correlated subquery, an enclosing block's correlation — which the caller
+// applies over the rows itself: they join nothing, but their names are
+// taken.
+func NewJoinGraph(rels []JoinRel, conjuncts []tmql.Expr, result tmql.Expr, held ...tmql.Expr) *JoinGraph {
+	g := &JoinGraph{Rels: rels, conjuncts: conjuncts, result: result}
+	g.taken = tmql.Names(append(append([]tmql.Expr{result}, held...), conjuncts...)...)
 	bit := map[string]uint{}
 	for i, r := range rels {
 		bit[r.Var] = 1 << uint(i)
@@ -64,64 +74,38 @@ func NewJoinGraph(rels []JoinRel, conjuncts []tmql.Expr, result tmql.Expr) *Join
 			ref |= bit[v]
 		}
 		g.refs = append(g.refs, ref)
-		g.take(c)
 	}
-	g.take(result)
 	return g
-}
-
-// take records every variable and binder name occurring in e.
-func (g *JoinGraph) take(e tmql.Expr) {
-	tmql.Walk(e, func(n tmql.Expr) bool {
-		switch n := n.(type) {
-		case *tmql.Var:
-			g.taken[n.Name] = true
-		case *tmql.Quant:
-			g.taken[n.Var] = true
-		case *tmql.Let:
-			g.taken[n.V] = true
-		case *tmql.SFW:
-			for _, f := range n.Froms {
-				g.taken[f.Var] = true
-			}
-		}
-		return true
-	})
 }
 
 // Refs returns, per conjunct, the relation subset it references.
 func (g *JoinGraph) Refs() []uint { return g.refs }
 
-// Build folds the relations in FROM order into a left-deep tree and
-// finishes it: the translation's plan for the block.
-func (g *JoinGraph) Build(b *Builder) (Plan, error) {
+// Rows folds the relations in FROM order into a left-deep tree and applies
+// the conjuncts no join took (the variable-free ones): the block's rows over
+// Var, onto which Readdress moves the result and the held expressions.
+func (g *JoinGraph) Rows(b *Builder) (Plan, error) {
 	t, err := g.Leaf(b, 0)
+	for i := 1; i < len(g.Rels) && err == nil; i++ {
+		var r *JoinTree
+		if r, err = g.Leaf(b, i); err == nil {
+			t, err = g.Join(b, t, r)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(g.Rels); i++ {
-		r, err := g.Leaf(b, i)
-		if err != nil {
-			return nil, err
-		}
-		if t, err = g.Join(b, t, r); err != nil {
-			return nil, err
-		}
-	}
-	return g.Finish(b, t)
+	return g.rows(b, t)
 }
 
 // Leaf wraps relation i and applies its single-relation conjuncts as a
 // selection over the wrap.
 func (g *JoinGraph) Leaf(b *Builder, i int) (*JoinTree, error) {
 	r := g.Rels[i]
-	sp, err := b.Scan(r.Table)
-	if err != nil {
-		return nil, err
-	}
 	wrap := &tmql.TupleCons{Fields: []tmql.TupleField{{Label: r.Var, E: &tmql.Var{Name: r.Var}}}}
 	t := &JoinTree{Mask: 1 << uint(i), Label: r.Var}
-	if t.Plan, err = b.Map(sp, r.Var, wrap); err != nil {
+	var err error
+	if t.Plan, err = b.Map(r.Plan, r.Var, wrap); err != nil {
 		return nil, err
 	}
 	if pred := g.apply(t, t.Mask, func(ref uint) bool { return ref == t.Mask }); pred != nil {
@@ -143,18 +127,31 @@ func (g *JoinGraph) Join(b *Builder, l, r *JoinTree) (*JoinTree, error) {
 	return t, err
 }
 
-// Finish caps a tree covering every relation: the conjuncts it left
-// unapplied (the variable-free ones) as a selection, then the result map.
+// Finish caps a tree covering every relation: its rows, then the result
+// map.
 func (g *JoinGraph) Finish(b *Builder, t *JoinTree) (Plan, error) {
-	v, plan := g.varOf(t.Mask), t.Plan
-	if pred := g.apply(t, t.Mask, func(uint) bool { return true }); pred != nil {
-		sel, err := b.Select(plan, v, pred)
-		if err != nil {
-			return nil, err
-		}
-		plan = sel
+	p, err := g.rows(b, t)
+	if err != nil {
+		return nil, err
 	}
-	return b.Map(plan, v, g.readdress(g.result, t.Mask, 0))
+	return b.Map(p, g.Var(), g.Readdress(g.result))
+}
+
+// rows applies the conjuncts t left unapplied (the variable-free ones) as a
+// selection over t.
+func (g *JoinGraph) rows(b *Builder, t *JoinTree) (Plan, error) {
+	if pred := g.apply(t, t.Mask, func(uint) bool { return true }); pred != nil {
+		return b.Select(t.Plan, g.Var(), pred)
+	}
+	return t.Plan, nil
+}
+
+// Var names the variable the rows of the whole block are iterated as.
+func (g *JoinGraph) Var() string { return g.varOf(1<<uint(len(g.Rels)) - 1) }
+
+// Readdress rewrites each free FROM variable v of e to Var().v.
+func (g *JoinGraph) Readdress(e tmql.Expr) tmql.Expr {
+	return g.readdress(e, 1<<uint(len(g.Rels))-1, 0)
 }
 
 // apply marks as used on t every unused conjunct whose references satisfy

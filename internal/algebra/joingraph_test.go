@@ -7,7 +7,17 @@ import (
 	"tmdb/internal/tmql"
 )
 
-func graphOf(rels []JoinRel, conjuncts []string, result string) *JoinGraph {
+// graphOf builds the graph of FROM items vars[i] over the tables
+// tables[i].
+func graphOf(b *Builder, vars, tables []string, conjuncts []string, result string) *JoinGraph {
+	rels := make([]JoinRel, len(vars))
+	for i, v := range vars {
+		s, err := b.Scan(tables[i])
+		if err != nil {
+			panic(err)
+		}
+		rels[i] = JoinRel{Var: v, Plan: s}
+	}
 	var cs []tmql.Expr
 	for _, c := range conjuncts {
 		cs = append(cs, tmql.MustParse(c))
@@ -15,14 +25,25 @@ func graphOf(rels []JoinRel, conjuncts []string, result string) *JoinGraph {
 	return NewJoinGraph(rels, cs, tmql.MustParse(result))
 }
 
+// build is the translation's plan of a pure flat join block: its rows, then
+// the result map.
+func build(b *Builder, g *JoinGraph) (Plan, error) {
+	rows, err := g.Rows(b)
+	if err != nil {
+		return nil, err
+	}
+	return b.Map(rows, g.Var(), g.Readdress(g.result))
+}
+
 // TestJoinGraphNamesAvoidBlockNames: user variables and binders named like
 // the builder's operator variables (j1, j3) are never captured — the plan
 // builds, each operator variable gets a suffix until it is fresh, and the
 // quantifier keeps its own binder.
 func TestJoinGraphNamesAvoidBlockNames(t *testing.T) {
-	g := graphOf([]JoinRel{{"x", "X"}, {"j1", "Y"}},
+	b := builder()
+	g := graphOf(b, []string{"x", "j1"}, []string{"X", "Y"},
 		[]string{"x.b = j1.d", "EXISTS j3 IN j1.c (j3 = x.b)"}, "(a = x.b, c = j1.a)")
-	p, err := g.Build(builder())
+	p, err := build(b, g)
 	if err != nil {
 		t.Fatalf("capturing names: %v", err)
 	}
@@ -39,9 +60,9 @@ func TestJoinGraphNamesAvoidBlockNames(t *testing.T) {
 // joins.
 func TestJoinGraphEqualTreesBuildEqualPlans(t *testing.T) {
 	b := builder()
-	g := graphOf([]JoinRel{{"x", "X"}, {"y", "Y"}, {"z", "Z"}},
+	g := graphOf(b, []string{"x", "y", "z"}, []string{"X", "Y", "Z"},
 		[]string{"x.b = y.d", "y.a < 3", "y.b = z.d", "1 = 1"}, "(xb = x.b, zc = z.c)")
-	built, err := g.Build(b)
+	built, err := build(b, g)
 	if err != nil {
 		t.Fatal(err)
 	}

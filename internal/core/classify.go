@@ -7,7 +7,8 @@
 //     suffices — or requires grouping (classify.go);
 //   - the translator from nested SFW expressions to algebra plans built on
 //     the nest join, semijoin, and antijoin, processing linear nested queries
-//     bottom-up as in §8 (translate.go);
+//     bottom-up as in §8, every block through one block builder over
+//     algebra.JoinGraph (translate.go);
 //   - two relational baselines for the experiments: Kim's group-then-join
 //     transformation, which exhibits the (generalized) COUNT bug on dangling
 //     tuples (kim.go), and the outerjoin + ν* repair in the style of

@@ -121,27 +121,14 @@ func (t *Translator) translateKim(q tmql.Expr) (algebra.Plan, error) {
 			tmql.Format(conjoin(c.join)))
 	}
 
-	// Outer operand with its plain predicates.
-	xp, err := t.scanPlan(c.xTable)
+	// Outer operand with its plain predicates, inner with its local ones.
+	xp, err := t.operand(c.xTable, c.x, c.plain)
 	if err != nil {
 		return nil, err
 	}
-	xLabels := topLabels(xp)
-	for _, pc := range c.plain {
-		if xp, err = t.b.Select(xp, c.x, pc); err != nil {
-			return nil, err
-		}
-	}
-
-	// Inner operand with local predicates.
-	yp, err := t.scanPlan(c.yTable)
+	yp, err := t.operand(c.yTable, c.y, c.local)
 	if err != nil {
 		return nil, err
-	}
-	for _, lc := range c.local {
-		if yp, err = t.b.Select(yp, c.y, lc); err != nil {
-			return nil, err
-		}
 	}
 
 	// T = the inner operand grouped by its correlation attributes:
@@ -187,11 +174,25 @@ func (t *Translator) translateKim(q tmql.Expr) (algebra.Plan, error) {
 	}
 
 	// Restore the outer element type, then map the result expression.
-	proj, err := t.b.Project(joined, c.x, xLabels...)
+	proj, err := t.b.Project(joined, c.x, topLabels(xp)...)
 	if err != nil {
 		return nil, err
 	}
 	return t.b.Map(proj, c.x, InlineLets(sfw.Result))
+}
+
+// operand scans table and selects each of conds over v on it: a baseline's
+// filtered operand.
+func (t *Translator) operand(table, v string, conds []tmql.Expr) (p algebra.Plan, err error) {
+	if p, err = t.b.Scan(table); err != nil {
+		return nil, err
+	}
+	for _, c := range conds {
+		if p, err = t.b.Select(p, v, c); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // equiPairs splits conjuncts over (x, y) into equi-key pairs; conjuncts that

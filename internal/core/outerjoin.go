@@ -29,24 +29,13 @@ func (t *Translator) translateOuterJoin(q tmql.Expr) (algebra.Plan, error) {
 		return t.translateNestJoin(q)
 	}
 
-	xp, err := t.scanPlan(c.xTable)
+	xp, err := t.operand(c.xTable, c.x, c.plain)
 	if err != nil {
 		return nil, err
 	}
-	xLabels := topLabels(xp)
-	for _, pc := range c.plain {
-		if xp, err = t.b.Select(xp, c.x, pc); err != nil {
-			return nil, err
-		}
-	}
-	yp, err := t.scanPlan(c.yTable)
+	yp, err := t.operand(c.yTable, c.y, c.local)
 	if err != nil {
 		return nil, err
-	}
-	for _, lc := range c.local {
-		if yp, err = t.b.Select(yp, c.y, lc); err != nil {
-			return nil, err
-		}
 	}
 
 	// Wrap the inner operand so the outerjoin concatenation cannot collide
@@ -90,7 +79,7 @@ func (t *Translator) translateOuterJoin(q tmql.Expr) (algebra.Plan, error) {
 		return nil, err
 	}
 
-	proj, err := t.b.Project(sel, c.x, xLabels...)
+	proj, err := t.b.Project(sel, c.x, topLabels(xp)...)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/schema"
@@ -76,6 +77,8 @@ type Translator struct {
 	b     *algebra.Builder
 	cat   *schema.Catalog
 	fresh int
+	q     tmql.Expr
+	taken map[string]bool // q's names, which fresh names avoid; built on first use
 	graph *algebra.JoinGraph
 }
 
@@ -88,21 +91,33 @@ func NewTranslator(cat *schema.Catalog) *Translator {
 func (t *Translator) Builder() *algebra.Builder { return t.b }
 
 // JoinGraph returns the join graph of the last translation when it was a
-// flat join block (a multi-FROM block or a collapsed UNNEST), else nil. The
-// planner's join-order search reorders it.
+// pure flat join block (several FROM items or a collapsed UNNEST, and no
+// correlated subquery left to unnest), else nil. The planner's join-order
+// search reorders it.
 func (t *Translator) JoinGraph() *algebra.JoinGraph { return t.graph }
 
 func (t *Translator) freshName(prefix string) string {
-	t.fresh++
-	return fmt.Sprintf("%s_%d", prefix, t.fresh)
+	if t.taken == nil {
+		t.taken = tmql.Names(t.q)
+	}
+	for {
+		t.fresh++
+		if name := fmt.Sprintf("%s_%d", prefix, t.fresh); !t.taken[name] {
+			return name
+		}
+	}
 }
 
 // Translate compiles a bound, set-typed TM expression to an algebra plan
-// under the given strategy. Expressions the strategy cannot flatten fall back
-// to naive evaluation (an EvalNode leaf) — the paper's position that queries
-// "may always be handled by means of nested-loop processing".
+// under the given strategy. Under the paper's strategy every
+// SELECT-FROM-WHERE block — outer, inner, in FROM, or a collapsed UNNEST —
+// goes through one block builder (buildBlock); a block it keeps nested, and
+// any expression that is no block, is evaluated naively where it stands (an
+// EvalNode leaf, or a subquery inside a selection or map) — the paper's
+// position that queries "may always be handled by means of nested-loop
+// processing".
 func (t *Translator) Translate(q tmql.Expr, s Strategy) (algebra.Plan, error) {
-	t.graph = nil
+	t.graph, t.q, t.taken = nil, q, nil
 	switch s {
 	case StrategyAuto:
 		return nil, fmt.Errorf("core: StrategyAuto must be resolved by the cost-based planner before translation")
@@ -121,109 +136,155 @@ func (t *Translator) Translate(q tmql.Expr, s Strategy) (algebra.Plan, error) {
 // --- The paper's strategy ---
 
 func (t *Translator) translateNestJoin(q tmql.Expr) (algebra.Plan, error) {
-	// §5 special case: UNNEST of a directly nested SELECT collapses to a
-	// flat join.
-	if u, ok := q.(*tmql.Unnest); ok {
-		if p, ok, err := t.tryUnnestCollapse(u); err != nil {
-			return nil, err
-		} else if ok {
-			return p, nil
+	switch q := q.(type) {
+	case *tmql.SFW:
+		return t.translateSFW(q, q.Froms, q.Where, q.Result)
+	case *tmql.Unnest:
+		// §5 special case: UNNEST of a directly nested SELECT is the flat
+		// block over both FROM clauses,
+		//
+		//	UNNEST(SELECT (SELECT G FROM F₂ WHERE Q) FROM F₁ WHERE P)
+		//	  = SELECT G FROM F₁, F₂ WHERE P ∧ Q.
+		if outer, ok := q.X.(*tmql.SFW); ok {
+			if inner, ok := InlineLets(outer.Result).(*tmql.SFW); ok {
+				froms := append(append([]tmql.FromItem{}, outer.Froms...), inner.Froms...)
+				return t.translateSFW(q, froms, conjoinPair(InlineLets(outer.Where), InlineLets(inner.Where)), inner.Result)
+			}
 		}
 	}
-	if sfw, ok := q.(*tmql.SFW); ok {
-		if p, ok, err := t.trySFW(sfw); err != nil {
-			return nil, err
-		} else if ok {
-			return p, nil
-		}
-	}
-	// Not a flattenable shape: nested-loop processing.
+	// Not a block: nested-loop processing.
 	return t.b.EvalSet(q)
 }
 
-// trySFW translates a SELECT-FROM-WHERE block whose FROM sources are stored
-// extensions. It reports ok=false when the shape is outside the flattenable
-// class (the caller then falls back to naive evaluation).
-func (t *Translator) trySFW(sfw *tmql.SFW) (algebra.Plan, bool, error) {
-	if len(sfw.Froms) == 1 {
-		if _, ok := sfw.Froms[0].Src.(*tmql.TableRef); ok {
-			p, err := t.translateBlockQuery(sfw)
-			if err != nil {
-				return nil, false, err
-			}
-			return p, true, nil
-		}
-		return nil, false, nil
+// translateSFW translates the block SELECT result FROM froms WHERE where,
+// the query q, bottom-up as in §8: the block builder's rows, the remaining
+// conjuncts through applyWhere (WHERE-clause nesting, §4), the SELECT
+// clause's correlated subqueries as nest joins (§5 — "nesting in the SELECT
+// clause always requires grouping"), then the result map. A block the
+// builder keeps nested is evaluated naively. The join graph of a pure flat
+// join block is kept for the join-order search.
+func (t *Translator) translateSFW(q tmql.Expr, froms []tmql.FromItem, where, result tmql.Expr) (algebra.Plan, error) {
+	result = InlineLets(result)
+	blk, err := t.buildBlock(froms, splitConjuncts(InlineLets(where)), result)
+	if _, ok := err.(refusal); ok {
+		return t.b.EvalSet(q)
+	} else if err != nil {
+		return nil, err
 	}
-	// Multi-item FROM: a flat join query (the paper's target form), handled
-	// when every source is a stored extension; translateFlatJoin refuses a
-	// predicate with a correlated subquery over an extension.
-	for _, f := range sfw.Froms {
-		if _, ok := f.Src.(*tmql.TableRef); !ok {
-			return nil, false, nil
-		}
-	}
-	p, err := t.translateFlatJoin(sfw)
-	if err != nil {
-		return nil, false, err
-	}
-	return p, true, nil
-}
-
-// translateBlockQuery handles the paper's general single-variable block
-//
-//	SELECT F(x) FROM X x WHERE P₁ ∧ … ∧ Pₙ
-//
-// where conjuncts may contain correlated subqueries over stored extensions
-// (WHERE-clause nesting, §4) and F may contain them too (SELECT-clause
-// nesting, §5). Deeper linear nesting inside the subqueries is translated
-// bottom-up as in §8.
-func (t *Translator) translateBlockQuery(sfw *tmql.SFW) (algebra.Plan, error) {
-	x := sfw.Froms[0].Var
-	table := sfw.Froms[0].Src.(*tmql.TableRef)
-	plan, err := t.b.Scan(table.Name)
+	p, err := t.applyWhere(blk.plan, blk.v, blk.rest, topLabels(blk.plan))
 	if err != nil {
 		return nil, err
 	}
-	baseLabels := topLabels(plan)
-
-	where := InlineLets(sfw.Where)
-	p, err := t.applyWhere(plan, x, where, baseLabels)
-	if err != nil {
-		return nil, err
+	graph := blk.graph
+	if len(blk.rest) > 0 {
+		graph = nil
 	}
-
-	// SELECT clause: unnest correlated subqueries over extensions into nest
-	// joins (§5 — "nesting in the SELECT clause always requires grouping"),
-	// then map the (rewritten) result expression.
-	result := InlineLets(sfw.Result)
+	result = blk.readdress(result)
 	for {
-		sub := findExtensionSubquery(result, x)
+		sub := findExtensionSubquery(result, blk.v)
 		if sub == nil {
 			break
 		}
-		blk, err := t.innerBlock(sub, x)
+		inner, err := t.innerBlock(sub, blk.v)
 		if err != nil {
 			return nil, err
 		}
-		if blk == nil {
-			// Subquery over an extension but with an unsupported shape:
-			// leave it to the evaluator inside the Map below.
-			break
+		if inner == nil {
+			break // kept nested: the evaluator runs it inside the Map below
 		}
 		label := t.freshName("nj")
-		p, err = t.b.NestJoin(p, blk.plan, x, blk.v, blk.joinPred(), blk.result, label)
+		if p, err = t.b.NestJoin(p, inner.plan, blk.v, inner.v, inner.joinPred(), inner.result, label); err != nil {
+			return nil, err
+		}
+		result = ReplaceNode(result, sub, fieldOf(blk.v, label))
+		graph = nil
+	}
+	t.graph = graph
+	return t.b.Map(p, blk.v, result)
+}
+
+// refusal names a block shape the builder keeps nested (§3.2); the block is
+// then evaluated naively where it stands.
+type refusal string
+
+func (r refusal) Error() string { return "core: " + string(r) }
+
+// block is a SELECT-FROM-WHERE block's FROM clause with its flat conjuncts
+// applied: rows of one variable v. rest holds the conjuncts left to the
+// caller, already over v; readdress moves any other expression over the
+// FROM variables onto v.
+type block struct {
+	plan  algebra.Plan
+	v     string
+	graph *algebra.JoinGraph // nil for a single stored table
+	rest  []tmql.Expr
+}
+
+func (k *block) readdress(e tmql.Expr) tmql.Expr {
+	if k.graph == nil {
+		return e
+	}
+	return k.graph.Readdress(e)
+}
+
+// buildBlock is the one block builder. A single stored table is its bare
+// Scan, every conjunct left in rest. Otherwise every FROM item is a
+// relation of the block's join graph — a stored table's Scan, or the
+// translation of a closed FROM subquery — and the graph's rows apply every
+// conjunct except those holding a correlated subquery over an extension,
+// which stay in rest. Any other FROM item, such as a path x.a over an
+// earlier FROM variable, keeps the block nested, as does a duplicate FROM
+// variable. result and held (an enclosing block's correlation) are the
+// caller's other expressions over the FROM variables; the graph's names
+// avoid theirs.
+func (t *Translator) buildBlock(froms []tmql.FromItem, conjuncts []tmql.Expr, result tmql.Expr, held ...tmql.Expr) (*block, error) {
+	if tab, ok := froms[0].Src.(*tmql.TableRef); ok && len(froms) == 1 {
+		p, err := t.b.Scan(tab.Name)
+		return &block{plan: p, v: froms[0].Var, rest: conjuncts}, err
+	}
+	var rels []algebra.JoinRel
+	var vars []string
+	for _, f := range froms {
+		if slices.Contains(vars, f.Var) {
+			return nil, refusal("duplicate FROM variable " + f.Var)
+		}
+		var p algebra.Plan
+		var err error
+		switch src := f.Src.(type) {
+		case *tmql.TableRef:
+			p, err = t.b.Scan(src.Name)
+		case *tmql.SFW:
+			if len(tmql.FreeVars(src)) > 0 {
+				return nil, refusal("FROM subquery " + f.Var + " has free variables")
+			}
+			graph := t.graph // a FROM subquery's own graph is not the block's
+			p, err = t.translateNestJoin(src)
+			t.graph = graph
+		default:
+			return nil, refusal("FROM item " + f.Var + " is neither a stored extension nor a subquery")
+		}
 		if err != nil {
 			return nil, err
 		}
-		result = ReplaceNode(result, sub, fieldOf(x, label))
+		rels, vars = append(rels, algebra.JoinRel{Var: f.Var, Plan: p}), append(vars, f.Var)
 	}
-
-	m, err := t.b.Map(p, x, result)
+	var flat, rest []tmql.Expr
+	for _, c := range conjuncts {
+		if holdsSubquery(c, vars...) {
+			rest = append(rest, c)
+		} else {
+			flat = append(flat, c)
+		}
+	}
+	g := algebra.NewJoinGraph(rels, flat, result, append(rest, held...)...)
+	p, err := g.Rows(t.b)
 	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	for i, c := range rest {
+		rest[i] = g.Readdress(c)
+	}
+	return &block{plan: p, v: g.Var(), graph: g, rest: rest}, nil
 }
 
 // applyWhere folds the WHERE conjuncts into the plan: plain conjuncts become
@@ -233,25 +294,20 @@ func (t *Translator) translateBlockQuery(sfw *tmql.SFW) (algebra.Plan, error) {
 // labels projected away) after every conjunct, so conjuncts compose — this is
 // also what supports multiple subqueries per WHERE clause (paper future
 // work).
-func (t *Translator) applyWhere(p algebra.Plan, x string, where tmql.Expr, baseLabels []string) (algebra.Plan, error) {
-	for _, conjunct := range splitConjuncts(where) {
+func (t *Translator) applyWhere(p algebra.Plan, x string, conjuncts []tmql.Expr, baseLabels []string) (algebra.Plan, error) {
+	for _, conjunct := range conjuncts {
 		sub := findExtensionSubquery(conjunct, x)
-		if sub == nil {
-			var err error
-			p, err = t.b.Select(p, x, conjunct)
-			if err != nil {
+		var blk *innerBlockInfo
+		var err error
+		if sub != nil {
+			if blk, err = t.innerBlock(sub, x); err != nil {
 				return nil, err
 			}
-			continue
-		}
-		blk, err := t.innerBlock(sub, x)
-		if err != nil {
-			return nil, err
 		}
 		if blk == nil {
-			// Unsupported inner shape: evaluate the conjunct naively.
-			p, err = t.b.Select(p, x, conjunct)
-			if err != nil {
+			// No subquery to unnest, or one kept nested: a selection, the
+			// evaluator running any subquery once per row.
+			if p, err = t.b.Select(p, x, conjunct); err != nil {
 				return nil, err
 			}
 			continue
@@ -292,15 +348,12 @@ func (t *Translator) applyWhere(p algebra.Plan, x string, where tmql.Expr, baseL
 			// If the conjunct held further subqueries they were substituted
 			// into selPred untouched; recurse on them first.
 			if findExtensionSubquery(selPred, x) != nil {
-				p, err = t.applyWhere(p, x, selPred, append(baseLabels, label))
-				if err != nil {
-					return nil, err
-				}
+				p, err = t.applyWhere(p, x, []tmql.Expr{selPred}, append(baseLabels, label))
 			} else {
 				p, err = t.b.Select(p, x, selPred)
-				if err != nil {
-					return nil, err
-				}
+			}
+			if err != nil {
+				return nil, err
 			}
 			p, err = t.b.Project(p, x, currentLabels(p, baseLabels)...)
 			if err != nil {
@@ -316,8 +369,8 @@ func (t *Translator) applyWhere(p algebra.Plan, x string, where tmql.Expr, baseL
 //	SELECT G(x,y) FROM Y y WHERE Q(x,y) ∧ local(y)
 //
 // after bottom-up processing: plan computes the (locally filtered and
-// unnested) operand; join holds the conjuncts referencing the outer
-// variable; result is G.
+// unnested) operand, iterated as v; join holds the conjuncts referencing the
+// outer variable; result is G. join and result are over v.
 type innerBlockInfo struct {
 	plan   algebra.Plan
 	v      string
@@ -332,157 +385,92 @@ func (b *innerBlockInfo) joinPred() tmql.Expr {
 	return trueExpr()
 }
 
-// innerBlock translates the inner block of a nested query bottom-up (§8):
-// local conjuncts (including deeper subqueries) fold into the plan; neighbor
-// predicates referencing outerVar are returned for the enclosing join. A nil
-// result (no error) means the block's shape is unsupported and the caller
-// must fall back.
+// innerBlock translates the inner block of a nested query bottom-up (§8)
+// through the block builder: local conjuncts (including deeper subqueries)
+// fold into the plan; neighbor predicates referencing outerVar are returned
+// for the enclosing join. A nil result (no error) means the block stays
+// nested and the caller leaves it to the evaluator.
 func (t *Translator) innerBlock(sub *tmql.SFW, outerVar string) (*innerBlockInfo, error) {
-	if len(sub.Froms) != 1 {
+	vars := []string{outerVar}
+	for _, f := range sub.Froms {
+		vars = append(vars, f.Var)
+	}
+	var join, local []tmql.Expr
+	for _, c := range splitConjuncts(InlineLets(sub.Where)) {
+		switch {
+		case !mentionsVar(c, outerVar):
+			local = append(local, c)
+		case holdsSubquery(c, vars...):
+			return nil, nil // non-linear: a neighbor predicate holding a subquery
+		default:
+			join = append(join, c)
+		}
+	}
+	result := InlineLets(sub.Result)
+	blk, err := t.buildBlock(sub.Froms, local, result, join...)
+	if _, ok := err.(refusal); ok {
 		return nil, nil
+	} else if err != nil {
+		return nil, err
 	}
-	table, ok := sub.Froms[0].Src.(*tmql.TableRef)
-	if !ok {
-		return nil, nil
-	}
-	y := sub.Froms[0].Var
-	if y == outerVar {
-		return nil, nil // shadowing: keep naive semantics
-	}
-	plan, err := t.b.Scan(table.Name)
+	plan, err := t.applyWhere(blk.plan, blk.v, blk.rest, topLabels(blk.plan))
 	if err != nil {
 		return nil, err
 	}
-	baseLabels := topLabels(plan)
-
-	var join []tmql.Expr
-	var local tmql.Expr
-	for _, c := range splitConjuncts(InlineLets(sub.Where)) {
-		if mentionsVar(c, outerVar) {
-			// Neighbor predicate. It must not itself contain an extension
-			// subquery (non-linear correlation, out of scope).
-			if findExtensionSubquery(c, y) != nil || findExtensionSubquery(c, outerVar) != nil {
-				return nil, nil
-			}
-			join = append(join, c)
-			continue
-		}
-		local = conjoinPair(local, c)
+	for i, c := range join {
+		join[i] = blk.readdress(c)
 	}
-	if local != nil {
-		plan2, err := t.applyWhere(plan, y, local, baseLabels)
-		if err != nil {
-			return nil, err
-		}
-		// applyWhere may have widened and re-projected; types line up by
-		// construction.
-		return &innerBlockInfo{plan: plan2, v: y, join: join, result: InlineLets(sub.Result)}, nil
-	}
-	return &innerBlockInfo{plan: plan, v: y, join: join, result: InlineLets(sub.Result)}, nil
-}
-
-// tryUnnestCollapse recognizes §5's special case
-//
-//	UNNEST(SELECT (SELECT G(x,y) FROM Y y WHERE Q(x,y)) FROM X x [WHERE P(x)])
-//
-// and produces the equivalent flat join query: the two-relation join graph
-// whose conjuncts are P's and Q's and whose result is G.
-func (t *Translator) tryUnnestCollapse(u *tmql.Unnest) (algebra.Plan, bool, error) {
-	outer, ok := u.X.(*tmql.SFW)
-	if !ok || len(outer.Froms) != 1 {
-		return nil, false, nil
-	}
-	outerTable, ok := outer.Froms[0].Src.(*tmql.TableRef)
-	if !ok {
-		return nil, false, nil
-	}
-	inner, ok := InlineLets(outer.Result).(*tmql.SFW)
-	if !ok || len(inner.Froms) != 1 {
-		return nil, false, nil
-	}
-	innerTable, ok := inner.Froms[0].Src.(*tmql.TableRef)
-	if !ok {
-		return nil, false, nil
-	}
-	x, y := outer.Froms[0].Var, inner.Froms[0].Var
-	if x == y {
-		return nil, false, nil
-	}
-	if findExtensionSubquery(inner.Where, y) != nil || findExtensionSubquery(inner.Result, y) != nil {
-		return nil, false, nil
-	}
-	outerWhere := InlineLets(outer.Where)
-	if findExtensionSubquery(outerWhere, x) != nil {
-		return nil, false, nil
-	}
-	rels := []algebra.JoinRel{{Var: x, Table: outerTable.Name}, {Var: y, Table: innerTable.Name}}
-	conjuncts := append(splitConjuncts(outerWhere), splitConjuncts(InlineLets(inner.Where))...)
-	p, err := t.buildJoinGraph(algebra.NewJoinGraph(rels, conjuncts, InlineLets(inner.Result)))
-	return p, err == nil, err
-}
-
-// translateFlatJoin compiles SELECT F FROM X₁ v₁, …, Xₙ vₙ WHERE P as the
-// block's join graph folded in FROM order.
-func (t *Translator) translateFlatJoin(sfw *tmql.SFW) (algebra.Plan, error) {
-	conjuncts := splitConjuncts(InlineLets(sfw.Where))
-	for _, c := range conjuncts {
-		for _, f := range sfw.Froms {
-			if findExtensionSubquery(c, f.Var) != nil {
-				return nil, fmt.Errorf("core: correlated subqueries in multi-source FROM are not flattenable")
-			}
-		}
-	}
-	rels := make([]algebra.JoinRel, len(sfw.Froms))
-	seen := map[string]bool{}
-	for i, f := range sfw.Froms {
-		if seen[f.Var] {
-			return nil, fmt.Errorf("core: duplicate FROM variable %s", f.Var)
-		}
-		seen[f.Var] = true
-		rels[i] = algebra.JoinRel{Var: f.Var, Table: f.Src.(*tmql.TableRef).Name}
-	}
-	return t.buildJoinGraph(algebra.NewJoinGraph(rels, conjuncts, InlineLets(sfw.Result)))
-}
-
-// buildJoinGraph builds the FROM-order plan of a flat join block and keeps
-// its graph for the join-order search.
-func (t *Translator) buildJoinGraph(g *algebra.JoinGraph) (algebra.Plan, error) {
-	p, err := g.Build(t.b)
-	if err == nil {
-		t.graph = g
-	}
-	return p, err
+	return &innerBlockInfo{plan: plan, v: blk.v, join: join, result: blk.readdress(result)}, nil
 }
 
 // --- helpers ---
 
 // findExtensionSubquery returns the first SFW node inside e (not e itself
-// unless it qualifies) whose single FROM source is a stored extension and
-// which references outerVar free — a correlated subquery eligible for
-// unnesting. Subqueries over set-valued attributes (FROM d.emps e) are never
-// returned: the paper keeps those nested (§3.2). Uncorrelated extension
-// subqueries are constants and are also left in place.
+// unless it qualifies) that references outerVar free and whose FROM items
+// are all stored extensions or closed subqueries, at least one reading a
+// stored extension — a correlated subquery eligible for unnesting.
+// Subqueries over set-valued attributes (FROM d.emps e) are never returned:
+// the paper keeps those nested (§3.2). Uncorrelated extension subqueries are
+// constants and are also left in place.
 func findExtensionSubquery(e tmql.Expr, outerVar string) *tmql.SFW {
 	var found *tmql.SFW
 	tmql.Walk(e, func(n tmql.Expr) bool {
 		if found != nil {
 			return false
 		}
-		sfw, ok := n.(*tmql.SFW)
-		if !ok {
-			return true
-		}
-		if len(sfw.Froms) == 1 {
-			if _, isTable := sfw.Froms[0].Src.(*tmql.TableRef); isTable {
-				if tmql.FreeVars(sfw)[outerVar] {
-					found = sfw
-					return false
-				}
-			}
+		if sfw, ok := n.(*tmql.SFW); ok && overExtensions(sfw) && tmql.FreeVars(sfw)[outerVar] {
+			found = sfw
+			return false
 		}
 		return true
 	})
 	return found
+}
+
+// overExtensions reports whether every FROM item of sfw is a stored
+// extension or a closed subquery, and at least one reads an extension.
+func overExtensions(sfw *tmql.SFW) bool {
+	reads := false
+	for _, f := range sfw.Froms {
+		switch src := f.Src.(type) {
+		case *tmql.TableRef:
+			reads = true
+		case *tmql.SFW:
+			if len(tmql.FreeVars(src)) > 0 {
+				return false
+			}
+			reads = reads || len(tmql.Tables(src)) > 0
+		default:
+			return false
+		}
+	}
+	return reads
+}
+
+// holdsSubquery reports whether e holds a subquery eligible for unnesting
+// that is correlated to one of vars.
+func holdsSubquery(e tmql.Expr, vars ...string) bool {
+	return slices.ContainsFunc(vars, func(v string) bool { return findExtensionSubquery(e, v) != nil })
 }
 
 // splitConjuncts flattens an AND tree (nil yields nil).
@@ -541,10 +529,4 @@ func currentLabels(p algebra.Plan, base []string) []string {
 		}
 	}
 	return out
-}
-
-// scanPlan returns a table scan typed as the Plan interface so callers can
-// reassign the variable to wrapping operators.
-func (t *Translator) scanPlan(name string) (algebra.Plan, error) {
-	return t.b.Scan(name)
 }

@@ -336,8 +336,16 @@ func TestSection8FlatVariant(t *testing.T) {
 	}
 }
 
-// --- Flat multi-source FROM queries ---
+// --- Multi-source FROM blocks ---
 
+// TestFlatJoinQueries: every SELECT-FROM-WHERE block goes through one join
+// graph whose relations may be any plan — flat joins, FROM subqueries, a
+// multi-FROM outer block holding a correlated subquery in WHERE or SELECT,
+// a multi-FROM inner block, an UNNEST collapse holding a subquery — and
+// none keeps an Eval leaf. Nothing is captured: not a FROM variable named
+// like the translator's nest-join label (nj_2), not an outer variable named
+// like the inner graph's (j3), not the outer graph's variable by the inner
+// graph's.
 func TestFlatJoinQueries(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.DefaultSpec())
 	queries := []string{
@@ -346,6 +354,14 @@ func TestFlatJoinQueries(t *testing.T) {
 		`SELECT (xb = x.b) FROM X x, Y y WHERE x.b = y.d AND y.a > 1 AND x.b > 0`,
 		// Non-equi join predicate.
 		`SELECT (xb = x.b, ya = y.a) FROM X x, Y y WHERE x.b < y.d AND y.d < 3`,
+		`SELECT x FROM (SELECT x FROM X x WHERE x.b < 5) x, (SELECT y FROM Y y WHERE y.a < 3) y WHERE x.b = y.d`,
+		`SELECT x FROM X x, Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`,
+		`SELECT (b = x.b, n = COUNT(SELECT z.c FROM Z z WHERE y.b = z.d)) FROM X x, Y y WHERE x.b = y.d`,
+		`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b`,
+		`UNNEST(SELECT (SELECT y.a FROM Y y WHERE x.b = y.d AND y.c SUBSETEQ SELECT z.c FROM Z z WHERE y.b = z.d) FROM X x)`,
+		`SELECT x FROM X x, Y nj_2 WHERE x.b = nj_2.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE nj_2.d = z.d`,
+		`SELECT j3 FROM X j3 WHERE j3.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND j3.b = y.b`,
+		`SELECT (b = x.b, n = COUNT(SELECT z.c FROM Z z, Y w WHERE w.d = z.d AND y.b = z.d)) FROM X x, Y y WHERE x.b = y.d`,
 	}
 	for _, q := range queries {
 		want := run(t, cat, db, q, StrategyNaive, planner.ImplAuto)
@@ -354,6 +370,45 @@ func TestFlatJoinQueries(t *testing.T) {
 			if !value.Equal(got, want) {
 				t.Errorf("flat join (%s) differs on %s:\n got %s\nwant %s", ji, q, got, want)
 			}
+		}
+		if plan := planFor(t, cat, q, StrategyNestJoin); algebra.CountOps(plan)["Eval"] != 0 {
+			t.Errorf("block kept an Eval leaf for %s:\n%s", q, algebra.Explain(plan))
+		}
+	}
+}
+
+// TestBlockBuilderRefusals: the four shapes kept nested, each by its one
+// branch — a FROM item over neither a stored extension nor a subquery (a
+// path over an earlier FROM variable, §3.2), a FROM subquery with free
+// variables, a duplicate FROM variable, and an inner block whose neighbor
+// predicate holds a subquery (non-linear). Each still matches naive.
+func TestBlockBuilderRefusals(t *testing.T) {
+	cat, db := datagen.XYZ(datagen.Spec{NX: 12, NY: 30, NZ: 20, Keys: 4, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1})
+	cases := []struct{ q, refusal string }{
+		{`SELECT (b = x.b, w = w) FROM X x, x.a w WHERE w > 1`, "core: FROM item w is neither a stored extension nor a subquery"},
+		{`SELECT (b = x.b, a = w.a) FROM X x, (SELECT y FROM Y y WHERE x.b = y.b) w`, "core: FROM subquery w has free variables"},
+		{`SELECT x FROM X x, Y x WHERE x.b > 0`, "core: duplicate FROM variable x"},
+		{`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE x.b = z.d`, ""},
+	}
+	for _, c := range cases {
+		want := run(t, cat, db, c.q, StrategyNaive, planner.ImplAuto)
+		if got := run(t, cat, db, c.q, StrategyNestJoin, planner.ImplAuto); !value.Equal(got, want) {
+			t.Errorf("refused block differs on %s:\n got %s\nwant %s", c.q, got, want)
+		}
+		sfw := mustBind(t, cat, c.q).(*tmql.SFW)
+		tr := NewTranslator(cat)
+		if c.refusal == "" {
+			sub := findExtensionSubquery(sfw.Where, "x")
+			if blk, err := tr.innerBlock(sub, "x"); blk != nil || err != nil {
+				t.Errorf("non-linear inner block translated: %v, %v", blk, err)
+			}
+			continue
+		}
+		if _, err := tr.buildBlock(sfw.Froms, nil, sfw.Result); err == nil || err.Error() != c.refusal {
+			t.Errorf("%s: refusal %v, want %s", c.q, err, c.refusal)
+		}
+		if _, bare := planFor(t, cat, c.q, StrategyNestJoin).(*algebra.EvalNode); !bare {
+			t.Errorf("%s: refused block is not one Eval leaf", c.q)
 		}
 	}
 }

@@ -573,6 +573,9 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	}
 	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s (%s)\n",
 		pl.strategy, alt, pl.Joins, pl.Access, mode)
+	if n := planner.NaiveLeaves(pl.plan); n > 0 {
+		fmt.Fprintf(&b, "naive leaves: %d\n", n)
+	}
 	b.WriteString(est.Explain(pl.plan, pl.PhysicalSpec))
 	if pl.auto && len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")

@@ -108,9 +108,11 @@ func TestExplainAutoListsCandidates(t *testing.T) {
 	}
 }
 
-// evalOnlyQ is a query no strategy unnests: its outerjoin translation is one
-// bare Eval node — the naive plan under another name.
-const evalOnlyQ = `SELECT x FROM X x, Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`
+// evalOnlyQ is a query no strategy unnests: its FROM item w ranges over a
+// set-valued attribute of the earlier item x, which the paper keeps nested
+// (§3.2), so its nestjoin and outerjoin translations are each one bare Eval
+// node — the naive plan under another name.
+const evalOnlyQ = `SELECT (b = x.b, w = w) FROM X x, x.a w WHERE w IN SELECT y.d FROM Y y WHERE x.b = y.b`
 
 // TestAutoNamesBareEvalNaive: on the cost-based path a translation that is a
 // bare Eval node is the naive candidate, so EXPLAIN's header, its candidate
@@ -144,18 +146,19 @@ func TestAutoNamesBareEvalNaive(t *testing.T) {
 }
 
 // TestExplainNamesDeclinedStrategies: EXPLAIN names every strategy whose
-// translation failed, with its error, even when a single candidate is left
-// and no candidate table is printed; a query every strategy translates
-// declines nothing.
+// translation failed, with its error. No candidate strategy fails on a
+// well-typed query: a block the nest-join translation cannot flatten stays
+// nested and runs naively, so a query only naive translates declines
+// nothing and, its single candidate left, prints no candidate table; a
+// query every strategy translates declines nothing either.
 func TestExplainNamesDeclinedStrategies(t *testing.T) {
 	eng := autoEngine(t)
 	out, err := eng.Explain(evalOnlyQ, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "declined: nestjoin: core: correlated subqueries in multi-source FROM are not flattenable\n"
-	if !strings.HasSuffix(out, want) || strings.Count(out, "declined:") != 1 || strings.Contains(out, "candidates considered:") {
-		t.Errorf("Explain does not name the declined strategy once:\n%s", out)
+	if strings.Contains(out, "declined:") || strings.Contains(out, "candidates considered:") {
+		t.Errorf("Explain names a declined strategy or several candidates:\n%s", out)
 	}
 	out, err = eng.Explain(`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, Options{})
 	if err != nil {

@@ -113,3 +113,54 @@ func TestConformanceExplainRenders(t *testing.T) {
 		}
 	}
 }
+
+// naiveLeafGoldens are the goldens whose auto plan keeps a naive leaf, each
+// with its reason.
+var naiveLeafGoldens = map[string]string{
+	"shadowed-inner-variable": "the inner block rebinds x, so it is an uncorrelated constant left in place",
+}
+
+// blockShapes are the goldens of the block builder's three shapes: FROM
+// subqueries, a multi-FROM block with a correlated subquery, a multi-FROM
+// inner block.
+var blockShapes = map[string]bool{
+	"from-clause-subqueries":         true,
+	"multi-from-correlated-subquery": true,
+	"multi-from-inner-block":         true,
+}
+
+// TestNaiveLeaves: EXPLAIN's line after the header counts the naive leaves
+// of the auto plan. No golden has one except those naiveLeafGoldens lists,
+// the block shapes have neither one nor an Eval leaf, and the non-linear
+// inner block — whose neighbor predicate holds a subquery correlated to the
+// outer variable — stays nested as one.
+func TestNaiveLeaves(t *testing.T) {
+	explain := func(db, q string) []string {
+		out, err := OpenDB(db).Explain(q, engine.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return strings.Split(out, "\n")
+	}
+	shapes := 0
+	for _, g := range Goldens {
+		lines := explain(g.DB, g.Query)
+		_, listed := naiveLeafGoldens[g.Name]
+		if strings.HasPrefix(lines[1], "naive leaves:") != listed {
+			t.Errorf("%s: naive leaves listed %v:\n%s", g.Name, listed, strings.Join(lines, "\n"))
+		}
+		if blockShapes[g.Name] {
+			shapes++
+			if strings.Contains(strings.Join(lines, "\n"), "Eval[") {
+				t.Errorf("%s: block shape keeps an Eval leaf:\n%s", g.Name, strings.Join(lines, "\n"))
+			}
+		}
+	}
+	if shapes != len(blockShapes) {
+		t.Errorf("%d of the %d block shapes are goldens", shapes, len(blockShapes))
+	}
+	nonLinear := `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE x.b = z.d`
+	if lines := explain("xyz", nonLinear); lines[1] != "naive leaves: 1" {
+		t.Errorf("non-linear inner block:\n%s", strings.Join(lines, "\n"))
+	}
+}

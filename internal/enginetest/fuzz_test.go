@@ -13,7 +13,9 @@ import (
 
 // fuzzQueries are the shapes the property runs over generated schemas: each
 // exercises a different translation path (semijoin, antijoin, nest join,
-// flat join, chain, naive fallback).
+// flat join, chain, SELECT-clause nest join, the block builder's FROM
+// subqueries, multi-FROM outer block with a correlated subquery and
+// multi-FROM inner block, and the non-linear inner block it keeps nested).
 var fuzzQueries = []string{
 	`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`,
 	`SELECT x FROM X x WHERE x.b NOT IN SELECT y.d FROM Y y WHERE x.b = y.d`,
@@ -25,6 +27,10 @@ var fuzzQueries = []string{
    WHERE x.b = y.b AND
      y.c SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`,
 	`SELECT (b = x.b, n = COUNT(SELECT y.a FROM Y y WHERE x.b = y.d)) FROM X x`,
+	`SELECT x FROM (SELECT x FROM X x WHERE x.b < 250) x, (SELECT y FROM Y y WHERE y.a < 3) y WHERE x.b = y.d`,
+	`SELECT x FROM X x, Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`,
+	`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b`,
+	`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE x.b = z.d`,
 }
 
 // fuzzSpec clamps raw fuzz inputs into a valid, small generator spec.
@@ -129,7 +135,8 @@ func FuzzStatsAnalyze(f *testing.F) {
 // shapeTemplates are query shapes with literal holes (%d): a point lookup, a
 // range, an OR of equalities (duplicates when two holes draw one value), a
 // point restriction beside a semijoin, a COUNT bound (k ∈ {0, 1, 2}, which
-// must stay part of the shape), and a SELECT-clause nest.
+// must stay part of the shape), a SELECT-clause nest, and a restriction
+// inside a FROM subquery, whose slot is rebound in the join graph's leaf.
 var shapeTemplates = []struct {
 	text  string
 	holes int
@@ -141,6 +148,7 @@ var shapeTemplates = []struct {
 	{`SELECT x FROM X x WHERE x.b = %d AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, 1, false},
 	{`SELECT x FROM X x WHERE COUNT(SELECT y FROM Y y WHERE x.b = y.d) >= %d`, 1, true},
 	{`SELECT (b = x.b, ys = SELECT y.a FROM Y y WHERE x.b = y.d AND y.a > %d) FROM X x WHERE x.b <> %d`, 2, false},
+	{`SELECT (b = x.b, a = y.a) FROM (SELECT x FROM X x WHERE x.b <> %d) x, Y y WHERE x.b = y.d`, 1, false},
 }
 
 // FuzzShapeReuseMatchesNaive is the plan-cache shape property: on one

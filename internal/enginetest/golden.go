@@ -188,6 +188,40 @@ var Goldens = []Golden{
 		Query:    `UNNEST(SELECT (SELECT (a = x.b, b = l_1.a) FROM Y l_1 WHERE x.b = l_1.d) FROM X x)`,
 		KimBuggy: true,
 	},
+	// The block builder's shapes: a FROM item may be a subquery, a
+	// multi-FROM outer block may hold a correlated subquery, and an inner
+	// block may have several FROM items. Each is one flat join graph whose
+	// relations are plans. The baselines keep only the canonical two-block
+	// form and run these naively, so Kim's bug cannot show.
+	{
+		Name:  "from-clause-subqueries",
+		DB:    "xyz",
+		Query: `SELECT x FROM (SELECT x FROM X x WHERE x.b < 250) x, (SELECT y FROM Y y WHERE y.a < 3) y WHERE x.b = y.d`,
+	},
+	{
+		Name:  "multi-from-correlated-subquery",
+		DB:    "xyz",
+		Query: `SELECT x FROM X x, Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`,
+	},
+	{
+		Name:  "multi-from-inner-block",
+		DB:    "xyz",
+		Query: `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b`,
+	},
+	{
+		// Dangling tuples: the joined Y-Z set is empty for every X row whose
+		// key no Y row carries, and those rows must survive with n = 0.
+		Name:  "multi-from-inner-dangling-count",
+		DB:    "xyz",
+		Query: `SELECT (b = x.b, n = COUNT(SELECT y.a FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b)) FROM X x`,
+	},
+	{
+		// The inner block rebinds the outer variable's name, so it has no
+		// free variable: an uncorrelated constant left in place.
+		Name:  "shadowed-inner-variable",
+		DB:    "xyz",
+		Query: `SELECT x FROM X x WHERE x.b IN SELECT x.d FROM Y x WHERE x.b > 0`,
+	},
 }
 
 // AccessIndexSpec names one persistent index to register: a table and its

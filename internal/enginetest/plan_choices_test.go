@@ -74,6 +74,9 @@ func planChoice(t *testing.T, eng *engine.Engine, name, q string) string {
 	}
 	lines := strings.Split(out, "\n")
 	header := strings.TrimSuffix(lines[0], " (cost-based)")
+	if strings.HasPrefix(lines[1], "naive leaves:") {
+		header, lines = header+" "+lines[1], lines[1:]
+	}
 	var body []string
 	for _, l := range lines[1:] {
 		if l == "" || strings.HasPrefix(l, "candidates considered:") {

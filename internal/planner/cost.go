@@ -145,14 +145,48 @@ func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 func (e *Estimator) rowWork(x tmql.Expr) float64 {
 	work := 1.0
 	tmql.Walk(x, func(n tmql.Expr) bool {
-		sfw, ok := n.(*tmql.SFW)
-		if !ok || len(tmql.Tables(sfw)) == 0 {
+		if !tableSubquery(n) {
 			return true
 		}
-		work += e.evalCost(sfw).Work
+		work += e.evalCost(n).Work
 		return false
 	})
 	return work
+}
+
+// tableSubquery reports whether n is a subquery over a stored extension.
+func tableSubquery(n tmql.Expr) bool {
+	sfw, ok := n.(*tmql.SFW)
+	return ok && len(tmql.Tables(sfw)) > 0
+}
+
+// NaiveLeaves counts the naive leaves of p: the EvalNode, Select and Map
+// operators whose expression embeds a subquery over a stored extension, so
+// that the evaluator runs it (once per row, for a Select or Map — the
+// subqueries rowWork charges).
+func NaiveLeaves(p algebra.Plan) int {
+	n := 0
+	algebra.Walk(p, func(op algebra.Plan) bool {
+		var x tmql.Expr
+		switch op := op.(type) {
+		case *algebra.EvalNode:
+			x = op.Expr
+		case *algebra.Select:
+			x = op.Pred
+		case *algebra.Map:
+			x = op.Out
+		}
+		naive := false
+		tmql.Walk(x, func(e tmql.Expr) bool {
+			naive = naive || tableSubquery(e)
+			return !naive
+		})
+		if naive {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // indexScanWork is the probe-cost model for an index-served selection: one

@@ -142,11 +142,13 @@ func TestEstimatorUnknownTable(t *testing.T) {
 // TestHiddenSubqueryChargedPerRow: a subquery the translator leaves inside a
 // Select predicate runs in the evaluator once per input row, so the plan
 // holding it can cost no less than one naive run of the subquery. The
-// multi-FROM inner block is such a query: it is only planned here, never
-// executed, since the hidden nested loop it plans to runs for seconds.
+// non-linear inner block, whose neighbor predicate holds a subquery
+// correlated to the outer variable, is such a query: it is only planned
+// here, never executed, since the hidden nested loop it plans to runs for
+// seconds.
 func TestHiddenSubqueryChargedPerRow(t *testing.T) {
 	cat, _, tr, est := logicalEnv(t)
-	q := `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y, Z z WHERE y.d = z.d AND x.b = y.b`
+	q := `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE x.b = z.d`
 	bound, err := tmql.NewBinder(cat).Bind(tmql.MustParse(q))
 	if err != nil {
 		t.Fatal(err)

@@ -265,6 +265,31 @@ func Walk(e Expr, fn func(Expr) bool) {
 	}
 }
 
+// Names returns every variable and binder name occurring in es: free or
+// bound variables, FROM variables, quantifier and WITH binders. A generated
+// name outside it captures nothing.
+func Names(es ...Expr) map[string]bool {
+	out := make(map[string]bool)
+	for _, e := range es {
+		Walk(e, func(n Expr) bool {
+			switch n := n.(type) {
+			case *Var:
+				out[n.Name] = true
+			case *Quant:
+				out[n.Var] = true
+			case *Let:
+				out[n.V] = true
+			case *SFW:
+				for _, f := range n.Froms {
+					out[f.Var] = true
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
 // FreeVars returns the set of variable names occurring free in e. Iteration
 // variables of SFW blocks and quantifiers, and WITH-bound names, are binders.
 func FreeVars(e Expr) map[string]bool {
