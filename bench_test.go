@@ -19,6 +19,7 @@ import (
 	"tmdb/internal/datagen"
 	"tmdb/internal/engine"
 	"tmdb/internal/planner"
+	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 )
 
@@ -385,6 +386,11 @@ func BenchmarkB8IndexScan(b *testing.B) {
 //	go test -run=NONE -bench=NestedExecStatements -benchmem -cpu 2 \
 //	    -cpuprofile cpu.out -memprofile mem.out -outputdir <dir>
 //
+// Each statement runs warm (named by itself: a hash build over a stored
+// scan is served from the snapshot's memo) and cold (cold/<name>: Y and Z
+// are unsealed and resealed outside the timer before every execution, so
+// each execution fills a fresh memo, as the first one after a write does).
+//
 // ---
 
 func BenchmarkNestedExecStatements(b *testing.B) {
@@ -401,19 +407,35 @@ func BenchmarkNestedExecStatements(b *testing.B) {
 	})
 	eng := tmdb.New(cat, db)
 	eng.Analyze()
-	for _, st := range statements {
-		p, err := eng.Prepare(st.q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(st.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Query(tmdb.Options{}); err != nil {
-					b.Fatal(err)
-				}
+	y, _ := db.Table("Y")
+	z, _ := db.Table("Z")
+	for _, cold := range []bool{false, true} {
+		for _, st := range statements {
+			p, err := eng.Prepare(st.q)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			name := st.name
+			if cold {
+				name = "cold/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						for _, t := range []*storage.Table{y, z} {
+							t.Unseal()
+							t.Seal()
+						}
+						b.StartTimer()
+					}
+					if _, err := p.Query(tmdb.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tmdb/internal/faultinject"
+	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
@@ -22,14 +23,22 @@ type TableScan struct {
 	src   chunks
 }
 
-// Open resolves the table.
+// Open resolves the table and takes its row snapshot.
 func (s *TableScan) Open() error {
+	_, err := s.openSnapshot()
+	return err
+}
+
+// openSnapshot is Open, returning the memo that belongs to the snapshot the
+// scan will read (nil for an unsealed table).
+func (s *TableScan) openSnapshot() (*storage.Memo, error) {
 	t, ok := s.Ctx.DB.Table(s.Table)
 	if !ok {
-		return fmt.Errorf("exec: unknown table %s", s.Table)
+		return nil, fmt.Errorf("exec: unknown table %s", s.Table)
 	}
-	s.src = chunks{rows: t.Rows()}
-	return nil
+	rows, memo := t.Snapshot()
+	s.src = chunks{rows: rows}
+	return memo, nil
 }
 
 // NextBatch returns the next batch of rows.

@@ -22,8 +22,10 @@ import (
 //   - JoinNL: the right input, drained once at Open. Every left row's bucket
 //     is all of it, and Residual is the whole join predicate; no equi-key is
 //     needed.
-//   - JoinHash: a table built over the right input on RKeys at Open; a left
-//     row's bucket is the one under its LKeys encoding.
+//   - JoinHash: a table built over the right input on RKeys at Open — or,
+//     over a bare stored scan keyed by field paths, the table kept for the
+//     stored table's snapshot (memo.go); a left row's bucket is the one
+//     under its LKeys encoding.
 //   - JoinIndex: a stored table's persistent hash index
 //     (storage.Table.CreateIndex), probed under the same LKeys encoding — a
 //     HashIndex keys its buckets by the concatenated value.AppendKey
@@ -43,8 +45,9 @@ import (
 // the nest join whenever the key is not unique on the right, so output stays
 // grouped by left rows. Residual predicates are re-checked per bucket
 // candidate. Governance is per row: each hash build row passes the
-// hash.build gate and is charged to the build budget, and each left row of
-// every method passes the hash.probe gate. The sorted runs are gated per
+// hash.build gate and is charged to the build budget (a kept table passes
+// the gate once and charges its build's bytes at once), and each left row
+// of every method passes the hash.probe gate. The sorted runs are gated per
 // drained batch instead (sortGate).
 
 // JoinMethod is where Join finds a left row's candidate right rows.
@@ -100,6 +103,12 @@ type Join struct {
 	right []value.Value
 	rkeys [][]byte
 	table *hashTable
+	// memo is the snapshot memo that keeps table, and buildKey table's key
+	// there; memo is nil when the table is this query's own.
+	memo     *storage.Memo
+	buildKey string
+	// slot is the hash slot of the bucket last found (-1: the empty bucket).
+	slot  int32
 	ix    *storage.HashIndex
 	lenc  keyEncoder
 	key   []byte
@@ -114,43 +123,37 @@ type Join struct {
 }
 
 // Open prepares the bucket source — drains the right input, builds its
-// table, resolves the index, or sorts both inputs — and opens the left
+// table (or takes the one kept for the stored table's snapshot), resolves
+// the index, or sorts both inputs — then the row probe, and opens the left
 // input.
 func (j *Join) Open() error {
-	probe, err := j.prober()
-	if err != nil {
-		return err
-	}
-	j.probe = probe
 	c := j.Ctx
 	j.lenc = newKeyEncoder(c, j.LKeys, j.LVar)
 	if (j.Method == JoinHash || j.Method == JoinMerge) && (len(j.LKeys) == 0 || len(j.LKeys) != len(j.RKeys)) {
 		return fmt.Errorf("exec: hash and sort-merge joins need matching non-empty key lists")
 	}
+	if j.Fn == nil && j.Kind == algebra.JoinLeftOuter && j.RElem == nil {
+		return fmt.Errorf("exec: outer join needs RElem for NULL padding")
+	}
+	var err error
 	switch j.Method {
 	case JoinHash:
-		run, err := drainKeyed(j.R, newKeyEncoder(c, j.RKeys, j.RVar), nil)
-		if err != nil {
-			return err
-		}
-		if j.table, err = buildTable(c, run); err != nil {
-			return err
-		}
+		j.table, err = j.buildHash()
 	case JoinIndex:
-		if j.ix, err = openIndex(c, j.Ix, j.Table, j.Index, len(j.LKeys)); err != nil {
-			return err
-		}
+		j.ix, err = openIndex(c, j.Ix, j.Table, j.Index, len(j.LKeys))
 	case JoinMerge:
-		// The sort drains and closes L: there is nothing left to open.
-		if j.sorted.rows, j.lkeys, err = sortRun(c, j.L, j.lenc); err != nil {
-			return err
+		if j.sorted.rows, j.lkeys, err = sortRun(c, j.L, j.lenc); err == nil {
+			j.right, j.rkeys, err = sortRun(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar))
 		}
-		j.right, j.rkeys, err = sortRun(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar))
-		return err
 	default:
-		if j.right, err = drainRows(j.R); err != nil {
-			return err
-		}
+		j.right, err = drainRows(j.R)
+	}
+	if err != nil {
+		return err
+	}
+	j.probe = j.prober()
+	if j.Method == JoinMerge {
+		return nil // the sort drained and closed L: there is nothing left to open
 	}
 	return j.L.Open()
 }
@@ -162,10 +165,10 @@ type rowProbe func(l value.Value, bucket, out []value.Value) ([]value.Value, err
 // prober returns the row probe of the join's kind. The semi and anti joins
 // take the early-out probe that never builds a group — the efficiency edge
 // §8 exploits when grouping is provably unnecessary.
-func (j *Join) prober() (rowProbe, error) {
+func (j *Join) prober() rowProbe {
 	res := compilePred(j.Ctx, j.Residual, j.LVar, j.RVar)
 	if j.Fn != nil {
-		return j.nestProber(res), nil
+		return j.nestProber(res)
 	}
 	switch j.Kind {
 	case algebra.JoinSemi, algebra.JoinAnti:
@@ -185,14 +188,11 @@ func (j *Join) prober() (rowProbe, error) {
 				out = append(out, l)
 			}
 			return out, nil
-		}, nil
+		}
 	}
 	outer := j.Kind == algebra.JoinLeftOuter
 	var pad value.Value
 	if outer {
-		if j.RElem == nil {
-			return nil, fmt.Errorf("exec: outer join needs RElem for NULL padding")
-		}
 		pad = nullTuple(j.RElem)
 	}
 	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
@@ -211,7 +211,7 @@ func (j *Join) prober() (rowProbe, error) {
 			out = append(out, l.Concat(pad))
 		}
 		return out, nil
-	}, nil
+	}
 }
 
 // bucketGroup is one nest-join group: the group, and the fused test's
@@ -232,10 +232,65 @@ func bucketID(bucket []value.Value) *value.Value {
 // nestProber returns the nest join's row probe. When neither the residual
 // nor the join function reads the left row, a group is a function of its
 // bucket alone: it is built once per hash slot or index bucket and shared by
-// every left row probing that bucket. A fused Test that does not read the
-// left row either is then also evaluated once per bucket.
+// every left row probing that bucket — and over a kept table, by every query
+// on its snapshot (sharedGroups). A fused Test that does not read the left
+// row either is then also evaluated once per bucket.
 func (j *Join) nestProber(res pred2) rowProbe {
-	fn := compile(j.Ctx, j.Fn, j.LVar, j.RVar)
+	fn := compileScalar2(j.Fn, j.LVar, j.RVar)
+	compiled := fn != nil
+	if !compiled {
+		fn = evaluated(j.Ctx, j.Fn, j.LVar, j.RVar)
+	}
+	perBucket := j.Test != nil && !tmql.FreeVars(j.Test)[j.LVar]
+	var groups bucketGroups
+	if shared := j.sharedGroups(fn, compiled); shared != nil {
+		groups = j.slotGroups(shared, perBucket)
+	} else {
+		groups = j.queryGroups(res, fn, perBucket)
+	}
+	if j.Test == nil {
+		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+			g, err := groups.get(l, bucket)
+			if err != nil {
+				return nil, err
+			}
+			return append(out, l.Extend(j.Label, g.group)), nil
+		}
+	}
+	test := compilePred(j.Ctx, j.Test, j.LVar, j.Label)
+	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
+		g, err := groups.get(l, bucket)
+		if err != nil {
+			return nil, err
+		}
+		if !g.decided {
+			if g.holds, err = test(l, g.group); err != nil {
+				return nil, err
+			}
+			if groups.keep != nil {
+				g.decided = true
+				groups.keep(bucket, g)
+			}
+		}
+		if g.holds {
+			out = append(out, l)
+		}
+		return out, nil
+	}
+}
+
+// bucketGroups is where a nest join's probe finds a bucket's group: get
+// returns it, with the fused test's verdict once decided, and keep records a
+// decided verdict — nil unless the verdict is a function of the bucket.
+type bucketGroups struct {
+	get  func(l value.Value, bucket []value.Value) (bucketGroup, error)
+	keep func(bucket []value.Value, g bucketGroup)
+}
+
+// queryGroups builds the groups of the buckets this query probes. When a
+// group is a function of its bucket, each is built once, memoized under the
+// bucket's first row.
+func (j *Join) queryGroups(res pred2, fn scalar2, perBucket bool) bucketGroups {
 	// A key bucket bounds its group closely; the nested-loop bucket is the
 	// whole right input, which would make every group hold |R| slots.
 	keyed := j.Method != JoinNL
@@ -243,7 +298,7 @@ func (j *Join) nestProber(res pred2) rowProbe {
 	if j.Residual == nil && !tmql.FreeVars(j.Fn)[j.LVar] {
 		memo = make(map[*value.Value]bucketGroup)
 	}
-	groupOf := func(l value.Value, bucket []value.Value) (bucketGroup, error) {
+	groups := bucketGroups{get: func(l value.Value, bucket []value.Value) (bucketGroup, error) {
 		if g, ok := memo[bucketID(bucket)]; ok {
 			return g, nil
 		}
@@ -257,37 +312,41 @@ func (j *Join) nestProber(res pred2) rowProbe {
 			memo[bucketID(bucket)] = g
 		}
 		return g, err
+	}}
+	if memo != nil && perBucket {
+		groups.keep = func(bucket []value.Value, g bucketGroup) { memo[bucketID(bucket)] = g }
 	}
-	if j.Test == nil {
-		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
-			g, err := groupOf(l, bucket)
-			if err != nil {
-				return nil, err
+	return groups
+}
+
+// slotGroups serves the shared groups of a kept table: the bucket of slot s
+// has group shared[s], the empty bucket ∅. Only the test's verdicts are the
+// query's own.
+func (j *Join) slotGroups(shared []value.Value, perBucket bool) bucketGroups {
+	empty := value.NewSetBuilder(0).Build()
+	// verdicts[s+1] is slot s's decided verdict, [0] the empty bucket's: 0
+	// while undecided, then 1 (fails) or 2 (holds).
+	var verdicts []uint8
+	groups := bucketGroups{get: func(value.Value, []value.Value) (bucketGroup, error) {
+		g := bucketGroup{group: empty}
+		if j.slot >= 0 {
+			g.group = shared[j.slot]
+		}
+		if verdicts != nil && verdicts[j.slot+1] != 0 {
+			g.decided, g.holds = true, verdicts[j.slot+1] == 2
+		}
+		return g, nil
+	}}
+	if perBucket {
+		verdicts = make([]uint8, len(shared)+1)
+		groups.keep = func(_ []value.Value, g bucketGroup) {
+			verdicts[j.slot+1] = 1
+			if g.holds {
+				verdicts[j.slot+1] = 2
 			}
-			return append(out, l.Extend(j.Label, g.group)), nil
 		}
 	}
-	test := compilePred(j.Ctx, j.Test, j.LVar, j.Label)
-	perBucket := memo != nil && !tmql.FreeVars(j.Test)[j.LVar]
-	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
-		g, err := groupOf(l, bucket)
-		if err != nil {
-			return nil, err
-		}
-		if !g.decided {
-			if g.holds, err = test(l, g.group); err != nil {
-				return nil, err
-			}
-			if perBucket {
-				g.decided = true
-				memo[bucketID(bucket)] = g
-			}
-		}
-		if g.holds {
-			out = append(out, l)
-		}
-		return out, nil
-	}
+	return groups
 }
 
 // nullTuple builds a tuple of the given type with NULL in every attribute —
@@ -369,7 +428,9 @@ func (j *Join) bucket(l value.Value) ([]value.Value, error) {
 	}
 	j.key = key
 	if j.Method == JoinHash {
-		return j.table.bucket(key), nil
+		var b []value.Value
+		b, j.slot = j.table.bucket(key)
+		return b, nil
 	}
 	return j.ix.LookupEncoded(string(key), len(j.LKeys)), nil
 }
@@ -446,7 +507,7 @@ func (j *Join) nextLeft() ([]value.Value, bool, error) {
 // Close releases the bucket source and closes the left input, which the
 // sort-merge method already closed at Open.
 func (j *Join) Close() error {
-	j.right, j.rkeys, j.lkeys, j.sorted, j.table, j.ix, j.left = nil, nil, nil, chunks{}, nil, nil, nil
+	j.right, j.rkeys, j.lkeys, j.sorted, j.table, j.memo, j.ix, j.left = nil, nil, nil, chunks{}, nil, nil, nil, nil
 	if j.Method == JoinMerge {
 		return nil
 	}

@@ -239,7 +239,7 @@ func TestBuildTable(t *testing.T) {
 	seen := 0
 	for k := 0; k < 13; k++ {
 		key := value.AppendKey(nil, value.Int(int64(k)))
-		bucket := table.bucket(key)
+		bucket, _ := table.bucket(key)
 		s := table.keys.find(key)
 		if len(bucket) == 0 || s < 0 || &bucket[0] != &table.rows[table.start[s]] {
 			t.Fatalf("key %d's bucket is not a run of the table's row slice", k)
@@ -251,7 +251,7 @@ func TestBuildTable(t *testing.T) {
 		}
 		seen += len(bucket)
 	}
-	if seen != len(rows) || table.bucket([]byte("absent")) != nil {
+	if seen != len(rows) || func() bool { b, _ := table.bucket([]byte("absent")); return b != nil }() {
 		t.Errorf("buckets hold %d of %d rows, or an absent key has a bucket", seen, len(rows))
 	}
 	allocs := func(perKey int) float64 {

@@ -202,10 +202,15 @@ func (r *keyedRun) len() int {
 // any other source's are copied. A non-nil gate runs once per batch, before
 // the batch's keys are encoded, with the batch's row count.
 func drainKeyed(in BatchIterator, enc keyEncoder, gate func(rows int) error) (keyedRun, error) {
-	var run keyedRun
 	if err := in.Open(); err != nil {
-		return run, err
+		return keyedRun{}, err
 	}
+	return drainOpened(in, enc, gate)
+}
+
+// drainOpened is drainKeyed over an input that is already open.
+func drainOpened(in BatchIterator, enc keyEncoder, gate func(rows int) error) (keyedRun, error) {
+	var run keyedRun
 	defer in.Close()
 	_, stable := in.(stableSource)
 	scratch := make([]byte, 0, 64)
@@ -284,11 +289,14 @@ func sortRun(c *Ctx, in BatchIterator, enc keyEncoder) ([]value.Value, [][]byte,
 
 // hashTable is an exact multimap from encoded key bytes to row buckets: slot
 // s's bucket is rows[start[s]:start[s+1]], the rows of slot s's key in input
-// order.
+// order. It is read-only once built, so a table kept in a snapshot's memo
+// serves concurrent queries.
 type hashTable struct {
 	keys  keyTable
 	rows  []value.Value
 	start []int32
+	// bytes is what the build charged the build budget.
+	bytes int64
 }
 
 // buildTable is the build kernel: it builds one table from the keyed run,
@@ -313,6 +321,7 @@ func buildTable(c *Ctx, run keyedRun) (*hashTable, error) {
 			if err := c.addBuild(len(key)); err != nil {
 				return nil, err
 			}
+			t.bytes += int64(len(key)) + buildRowOverhead
 			s, _ := t.keys.insert(key, hashKey(key), uint32(bi), off)
 			slots = append(slots, s)
 			off = next
@@ -341,11 +350,18 @@ func buildTable(c *Ctx, run keyedRun) (*hashTable, error) {
 	return t, nil
 }
 
-// bucket returns the rows stored under key (nil if none). Allocation-free.
-func (t *hashTable) bucket(key []byte) []value.Value {
-	if s := t.keys.find(key); s >= 0 {
-		lo, hi := t.start[s], t.start[s+1]
-		return t.rows[lo:hi:hi]
+// bucket returns the rows stored under key (nil if none) and key's slot (-1
+// if none). Allocation-free.
+func (t *hashTable) bucket(key []byte) ([]value.Value, int32) {
+	s := t.keys.find(key)
+	if s < 0 {
+		return nil, s
 	}
-	return nil
+	return t.slotRows(s), s
+}
+
+// slotRows returns slot s's bucket.
+func (t *hashTable) slotRows(s int32) []value.Value {
+	lo, hi := t.start[s], t.start[s+1]
+	return t.rows[lo:hi:hi]
 }

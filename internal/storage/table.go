@@ -15,6 +15,11 @@
 // one O(n) copy per write, no sort) instead of editing it, and the set view
 // is that same slice, so a snapshot taken by an open scan stays immutable
 // while later mutations build new ones.
+//
+// Each sealed snapshot carries a memo (Snapshot): a small cache, opaque to
+// storage, in which consumers keep what they derive from exactly those rows.
+// Every mutation that replaces the rows starts a fresh memo, so an entry is
+// dropped with its snapshot and never maintained.
 package storage
 
 import (
@@ -40,6 +45,9 @@ type Table struct {
 	sealed bool
 	// epoch counts mutations (inserts, deletes, seal/unseal transitions).
 	epoch uint64
+	// memo belongs to the current sealed rows; nil while unsealed. Every
+	// mutation replaces it (advanceLocked) rather than clearing it.
+	memo *Memo
 	// indexes maps a canonical index name (IndexName of the ordered attribute
 	// list; a bare attribute for single-attribute indexes) to its persistent
 	// hash index, rebuilt on Seal and maintained incrementally by sealed
@@ -95,7 +103,7 @@ func (t *Table) Insert(v value.Value) error {
 		return fmt.Errorf("storage: value %s does not conform to %s element type %s", v, t.name, t.elem)
 	}
 	t.rows = append(t.rows, v)
-	t.epoch++
+	t.advanceLocked()
 	return nil
 }
 
@@ -129,7 +137,7 @@ func (t *Table) Seal() {
 	}
 	t.rows = out
 	t.sealed = true
-	t.epoch++
+	t.advanceLocked()
 	for name, ix := range t.indexes {
 		t.indexes[name] = t.buildIndexLocked(ix.Attrs())
 	}
@@ -144,7 +152,7 @@ func (t *Table) Unseal() {
 		return
 	}
 	t.sealed = false
-	t.epoch++
+	t.advanceLocked()
 }
 
 // InsertSealed inserts one tuple into a sealed table, maintaining the sorted
@@ -170,7 +178,7 @@ func (t *Table) InsertSealed(v value.Value) (bool, error) {
 	rows = append(rows, v)
 	rows = append(rows, t.rows[i:]...)
 	t.rows = rows
-	t.epoch++
+	t.advanceLocked()
 	for _, ix := range t.indexes {
 		if !ix.Add(v) {
 			// The value typechecked, so a registered attribute must exist;
@@ -268,7 +276,18 @@ func (t *Table) removeRowsLocked(victims []int) {
 		from = i + 1
 	}
 	t.rows = append(rows, t.rows[from:]...)
+	t.advanceLocked()
+}
+
+// advanceLocked records a mutation: the epoch advances and the new rows get
+// a fresh memo, or none while the table is unsealed. Caller holds the write
+// lock.
+func (t *Table) advanceLocked() {
 	t.epoch++
+	t.memo = nil
+	if t.sealed {
+		t.memo = new(Memo)
+	}
 }
 
 // Len returns the current row count.
@@ -285,6 +304,60 @@ func (t *Table) Rows() []value.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rows
+}
+
+// Snapshot returns the row snapshot, as Rows does, together with the memo
+// that belongs to exactly those rows: whatever a consumer stores there was
+// derived from this snapshot and is served only with it. An unsealed table's
+// rows get no memo (nil).
+func (t *Table) Snapshot() ([]value.Value, *Memo) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows, t.memo
+}
+
+// MemoEntries is the most entries one snapshot's memo keeps. Entries are
+// whole derived structures (a hash join's build over the snapshot, a nest
+// join's groups), so the cap bounds a table's memo at a small multiple of
+// its snapshot's size.
+const MemoEntries = 16
+
+// Memo is the per-snapshot cache of a sealed table: entries derived from
+// one row snapshot, keyed by what they were derived with. Storage never
+// reads an entry; it only starts a fresh memo whenever the rows change. A
+// stored entry must be immutable: concurrent queries on the snapshot share
+// it. Safe for concurrent use.
+type Memo struct {
+	mu      sync.Mutex
+	entries map[string]any
+}
+
+// Load returns the entry stored under key.
+func (m *Memo) Load(key string) (any, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.entries[key]
+	return v, ok
+}
+
+// Store offers v under key and returns the entry served under key from now
+// on, and whether the memo keeps it. The first store wins: if an entry is
+// already there, that entry is returned. A memo that already holds
+// MemoEntries entries keeps nothing more, and v comes back unkept.
+func (m *Memo) Store(key string, v any) (served any, kept bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old, ok := m.entries[key]; ok {
+		return old, true
+	}
+	if len(m.entries) >= MemoEntries {
+		return v, false
+	}
+	if m.entries == nil {
+		m.entries = make(map[string]any)
+	}
+	m.entries[key] = v
+	return v, true
 }
 
 // AsSet returns the table contents as a TM set value (used by the naive
