@@ -22,7 +22,7 @@ func TestGoldenPlans(t *testing.T) {
 			name: "IN-semijoin",
 			src:  `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`,
 			want: `Map[x](x)
-  SemiJoin[x.b = y.d AND y.d = x.b](x, y)
+  SemiJoin[x.b = y.d](x, y)
     Scan(X)
     Scan(Y)
 `,
@@ -31,7 +31,7 @@ func TestGoldenPlans(t *testing.T) {
 			name: "NOTIN-antijoin",
 			src:  `SELECT x FROM X x WHERE x.b NOT IN SELECT y.d FROM Y y WHERE x.b = y.d`,
 			want: `Map[x](x)
-  AntiJoin[x.b = y.d AND y.d = x.b](x, y)
+  AntiJoin[x.b = y.d](x, y)
     Scan(X)
     Scan(Y)
 `,

@@ -327,7 +327,11 @@ func (t *Translator) applyWhere(p algebra.Plan, x string, conjuncts []tmql.Expr,
 		case ClassExists, ClassNotExists:
 			// Flat form: semijoin or antijoin on Q(x,y) ∧ P′(x, G(x,y)).
 			inner := SubstVar(cls.Inner, cls.V, blk.result)
-			pred := conjoin(append(blk.join, inner))
+			parts := blk.join
+			if !slices.ContainsFunc(parts, func(c tmql.Expr) bool { return restates(c, inner) }) {
+				parts = append(parts, inner)
+			}
+			pred := conjoin(parts)
 			kind := algebra.JoinSemi
 			if cls.Class == ClassNotExists {
 				kind = algebra.JoinAnti
@@ -501,6 +505,20 @@ func conjoinPair(a, b tmql.Expr) tmql.Expr {
 	default:
 		return &tmql.Binary{Op: tmql.OpAnd, L: a, R: b}
 	}
+}
+
+// restates reports whether conjunct c already says what e says: e itself,
+// or an equality with its operands swapped. A membership test often restates
+// its subquery's correlation (x.b IN SELECT y.d FROM Y y WHERE x.b = y.d),
+// and the semijoin's predicate then holds it once.
+func restates(c, e tmql.Expr) bool {
+	if tmql.Format(c) == tmql.Format(e) {
+		return true
+	}
+	ce, ok := c.(*tmql.Binary)
+	ee, ok2 := e.(*tmql.Binary)
+	return ok && ok2 && ce.Op == tmql.OpEq && ee.Op == tmql.OpEq &&
+		tmql.Format(ce.L) == tmql.Format(ee.R) && tmql.Format(ce.R) == tmql.Format(ee.L)
 }
 
 func trueExpr() tmql.Expr {

@@ -30,6 +30,7 @@ func TestDeadlineAbortsBatchedPlan(t *testing.T) {
 	}
 	want := golden.Value.String()
 
+	coldMemos(eng)
 	deactivate := faultinject.Activate(faultinject.Schedule{
 		Seed: 11,
 		Rules: []faultinject.Rule{

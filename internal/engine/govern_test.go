@@ -24,6 +24,17 @@ func slowDB() *Engine {
 
 const slowJoinQuery = `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d`
 
+// coldMemos unseals and reseals every table of eng: each gets a fresh
+// snapshot memo, so the next execution scans and builds instead of probing
+// builds the last one kept.
+func coldMemos(eng *Engine) {
+	for _, name := range eng.DB().Names() {
+		t, _ := eng.DB().Table(name)
+		t.Unseal()
+		t.Seal()
+	}
+}
+
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -167,6 +178,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	coldMemos(eng)
 	base := runtime.NumGoroutine()
 	deactivate := faultinject.Activate(faultinject.Schedule{
 		Seed: 3,

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -162,5 +164,191 @@ func TestSnapshotMemoConcurrentFillAndWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameAsNaive(t, eng, memoQueries[i], res)
+	}
+}
+
+// closedQueries are statements whose hash builds run over closed subtrees
+// rather than bare scans: nested_exec's chain3 (a build over the groupjoin
+// of Y with Z) and flat (over a filtered wrap of Y), and BenchmarkBlockShapes'
+// from_subqueries shape (over a wrapped FROM subquery on Y).
+var closedQueries = []string{
+	`SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b AND y.c SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`,
+	`SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`,
+	`SELECT x FROM (SELECT x FROM X x WHERE x.b < 250) x, (SELECT y FROM Y y WHERE y.a < 3) y WHERE x.b = y.d`,
+}
+
+// closedPartners returns Y rows that put the first dangling X row with a
+// non-empty x.a into every closedQueries answer, and the Z row they lean
+// on: chain3 takes the X row once Y holds one row per element of x.a under
+// its key whose c is the Z row's c under the Z row's d; flat and
+// from_subqueries once a Y row with a < 3 carries its key on d.
+func closedPartners(t *testing.T, eng *Engine) (ys []value.Value, z value.Value) {
+	t.Helper()
+	zs, _ := eng.DB().Table("Z")
+	z = zs.Rows()[0]
+	c, d := z.MustGet("c").AsInt(), z.MustGet("d").AsInt()
+	xs, _ := eng.DB().Table("X")
+	for _, x := range xs.Rows() {
+		if b := x.MustGet("b").AsInt(); b < 0 && x.MustGet("a").Len() > 0 {
+			for _, a := range x.MustGet("a").Elems() {
+				ys = append(ys, datagen.YRow(a.AsInt(), b, c, d))
+			}
+			return append(ys, datagen.YRow(0, 0, c, b)), z
+		}
+	}
+	t.Fatal("no dangling X row")
+	return nil, z
+}
+
+// TestClosedBuildsAcrossWritesAndRecreate executes the closedQueries as
+// prepared statements, twice per step, under auto and under pinned hash
+// joins: on the data as generated, after writes to Y only, after writes to Z
+// only, and after Z is dropped and created again with different rows at the
+// same epoch count. Every result must equal the naive oracle of the moment,
+// and each step changes the answers it is built to change.
+func TestClosedBuildsAcrossWritesAndRecreate(t *testing.T) {
+	for _, opts := range []Options{{}, {Joins: planner.ImplHash}} {
+		eng := xyzEngine(t)
+		partners, z0 := closedPartners(t, eng)
+		prepared := make([]*Prepared, len(closedQueries))
+		for i, q := range closedQueries {
+			p, err := eng.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepared[i] = p
+		}
+		last := make([]value.Value, len(closedQueries))
+		// step runs every statement twice and reports which answers changed.
+		step := func(name string, wantChanged ...int) {
+			t.Helper()
+			for i, p := range prepared {
+				var res *Result
+				for range 2 {
+					var err error
+					if res, err = p.Query(opts); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					sameAsNaive(t, eng, closedQueries[i], res)
+				}
+				if slices.Contains(wantChanged, i) && value.Equal(res.Value, last[i]) {
+					t.Errorf("joins=%s, %s: statement %d did not see the change", opts.Joins, name, i)
+				}
+				last[i] = res.Value
+			}
+		}
+		step("as generated")
+		for _, r := range partners {
+			if _, err := eng.InsertValue("Y", r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step("writes to Y", 0, 1, 2)
+		zs, _ := eng.DB().Table("Z")
+		d0 := z0.MustGet("d").AsInt()
+		if _, err := eng.Delete("Z", "z", fmt.Sprintf("z.d = %d", d0)); err != nil {
+			t.Fatal(err)
+		}
+		step("writes to Z", 0)
+
+		epoch, rows := zs.Epoch(), append(slices.Clone(zs.Rows()), z0)
+		if err := eng.DropTable("Z"); err != nil {
+			t.Fatal(err)
+		}
+		_, _, zT := datagen.XYZTypes()
+		fresh, err := eng.DB().Create("Z", zT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Pad with duplicates, which Seal drops, up to the old epoch count.
+		for len(rows) < int(epoch)-1 {
+			rows = append(rows, rows[0])
+		}
+		for _, r := range rows {
+			if err := fresh.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh.Seal()
+		if fresh.Epoch() != epoch {
+			t.Fatalf("re-created Z at epoch %d, want %d", fresh.Epoch(), epoch)
+		}
+		step("drop and re-create of Z", 0)
+	}
+}
+
+// TestClosedBuildsConcurrentFillAndWrites fills the closed builds of the
+// closedQueries from a cold start in two goroutines at once while a third
+// writes Y and Z: every execution must succeed, and once the writer stops
+// an execution must equal the naive oracle. Run it under -race.
+func TestClosedBuildsConcurrentFillAndWrites(t *testing.T) {
+	eng := xyzEngine(t)
+	partners, z0 := closedPartners(t, eng)
+	opts := Options{Joins: planner.ImplHash}
+	prepared := make([]*Prepared, len(closedQueries))
+	for i, q := range closedQueries {
+		p, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared[i] = p
+	}
+	rounds := 40
+	if testing.Short() {
+		rounds = 10
+	}
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	var readers, writer sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			<-start
+			for range rounds {
+				for _, p := range prepared {
+					if _, err := p.Query(opts); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		<-start
+		write := func(f func(string, value.Value) (bool, error), table string, rows ...value.Value) bool {
+			for _, r := range rows {
+				if _, err := f(table, r); err != nil {
+					t.Error(err)
+					return false
+				}
+			}
+			return true
+		}
+		for {
+			if !write(eng.InsertValue, "Y", partners...) || !write(eng.DeleteValue, "Z", z0) ||
+				!write(eng.DeleteValue, "Y", partners...) || !write(eng.InsertValue, "Z", z0) {
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	close(start)
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	for i, p := range prepared {
+		res, err := p.Query(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsNaive(t, eng, closedQueries[i], res)
 	}
 }

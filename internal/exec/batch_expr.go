@@ -186,8 +186,8 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 	if !ok {
 		return nil
 	}
-	switch b.Op {
-	case tmql.OpAnd, tmql.OpOr:
+	switch {
+	case b.Op == tmql.OpAnd || b.Op == tmql.OpOr:
 		l, r := compilePred2(b.L, n1, n2), compilePred2(b.R, n1, n2)
 		if l == nil || r == nil {
 			return nil
@@ -203,8 +203,7 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 			}
 			return r(a, c)
 		}
-	case tmql.OpEq, tmql.OpNe, tmql.OpLt, tmql.OpLe, tmql.OpGt, tmql.OpGe,
-		tmql.OpIn, tmql.OpNotIn, tmql.OpSubset, tmql.OpSubsetEq, tmql.OpSupset, tmql.OpSupsetEq:
+	case compiledComparison(b.Op):
 		ls, rs := compileScalar2(b.L, n1, n2), compileScalar2(b.R, n1, n2)
 		if ls == nil || rs == nil {
 			return nil
@@ -227,6 +226,17 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 		}
 	}
 	return nil
+}
+
+// compiledComparison reports whether op is a comparison compilePred2
+// compiles: scalar comparisons, set membership and set inclusion.
+func compiledComparison(op tmql.Op) bool {
+	switch op {
+	case tmql.OpEq, tmql.OpNe, tmql.OpLt, tmql.OpLe, tmql.OpGt, tmql.OpGe,
+		tmql.OpIn, tmql.OpNotIn, tmql.OpSubset, tmql.OpSubsetEq, tmql.OpSupset, tmql.OpSupsetEq:
+		return true
+	}
+	return false
 }
 
 // filterRows appends the rows that pass p to out[:0], in input order,

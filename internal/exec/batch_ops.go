@@ -21,23 +21,33 @@ type TableScan struct {
 	Ctx   *Ctx
 	Table string
 	src   chunks
+	// pinned reports that pin took the snapshot src holds, memo's, for the
+	// next Open to read.
+	pinned bool
+	memo   *storage.Memo
 }
 
-// Open resolves the table and takes its row snapshot.
+// Open resolves the table and takes its row snapshot, unless pin took it
+// already.
 func (s *TableScan) Open() error {
-	_, err := s.openSnapshot()
+	_, err := s.pin()
+	s.pinned = false
 	return err
 }
 
-// openSnapshot is Open, returning the memo that belongs to the snapshot the
-// scan will read (nil for an unsealed table).
-func (s *TableScan) openSnapshot() (*storage.Memo, error) {
+// pin takes the table's row snapshot for the next Open to read, unless it is
+// taken already, and returns the memo that belongs to it (nil for an
+// unsealed table).
+func (s *TableScan) pin() (*storage.Memo, error) {
+	if s.pinned {
+		return s.memo, nil
+	}
 	t, ok := s.Ctx.DB.Table(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown table %s", s.Table)
 	}
 	rows, memo := t.Snapshot()
-	s.src = chunks{rows: rows}
+	s.src, s.memo, s.pinned = chunks{rows: rows}, memo, true
 	return memo, nil
 }
 
@@ -57,7 +67,7 @@ func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
 }
 
 // Close releases the row snapshot.
-func (s *TableScan) Close() error { s.src = chunks{}; return nil }
+func (s *TableScan) Close() error { s.src, s.memo, s.pinned = chunks{}, nil, false; return nil }
 
 // stableBatches marks the batches as subslices of an immutable snapshot.
 func (*TableScan) stableBatches() {}

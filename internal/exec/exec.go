@@ -67,6 +67,9 @@ type Ctx struct {
 	Gov *Governor
 	// ticks spaces out the governor polls of check().
 	ticks uint32
+	// built is what the query's hash builds have charged so far, kept builds
+	// served included; a memo fill records its own share (memo.go).
+	built buildCharge
 }
 
 // NewCtx returns an ungoverned context over db with a fresh evaluator.

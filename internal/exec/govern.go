@@ -173,11 +173,13 @@ func (c *Ctx) check() error {
 	return c.Gov.Err()
 }
 
-// addBuild accounts one build-side row (key bytes + flat overhead) and
+// addBuild accounts one hash-build row (key bytes + flat overhead) and
 // returns any budget error.
 func (c *Ctx) addBuild(keyBytes int) error {
+	n := int64(keyBytes) + buildRowOverhead
+	c.built.bytes += n
 	if c.Gov == nil {
 		return nil
 	}
-	return c.Gov.AddBuildBytes(int64(keyBytes) + buildRowOverhead)
+	return c.Gov.AddBuildBytes(n)
 }

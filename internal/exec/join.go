@@ -23,9 +23,9 @@ import (
 //     is all of it, and Residual is the whole join predicate; no equi-key is
 //     needed.
 //   - JoinHash: a table built over the right input on RKeys at Open — or,
-//     over a bare stored scan keyed by field paths, the table kept for the
-//     stored table's snapshot (memo.go); a left row's bucket is the one
-//     under its LKeys encoding.
+//     over a closed subtree of stored-table scans, the table kept for the
+//     snapshots it reads (memo.go); a left row's bucket is the one under its
+//     LKeys encoding.
 //   - JoinIndex: a stored table's persistent hash index
 //     (storage.Table.CreateIndex), probed under the same LKeys encoding — a
 //     HashIndex keys its buckets by the concatenated value.AppendKey
@@ -46,9 +46,9 @@ import (
 // grouped by left rows. Residual predicates are re-checked per bucket
 // candidate. Governance is per row: each hash build row passes the
 // hash.build gate and is charged to the build budget (a kept table passes
-// the gate once and charges its build's bytes at once), and each left row
-// of every method passes the hash.probe gate. The sorted runs are gated per
-// drained batch instead (sortGate).
+// the gate once per build site of its fill and charges the fill's bytes at
+// once), and each left row of every method passes the hash.probe gate. The
+// sorted runs are gated per drained batch instead (sortGate).
 
 // JoinMethod is where Join finds a left row's candidate right rows.
 type JoinMethod uint8

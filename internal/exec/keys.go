@@ -205,11 +205,6 @@ func drainKeyed(in BatchIterator, enc keyEncoder, gate func(rows int) error) (ke
 	if err := in.Open(); err != nil {
 		return keyedRun{}, err
 	}
-	return drainOpened(in, enc, gate)
-}
-
-// drainOpened is drainKeyed over an input that is already open.
-func drainOpened(in BatchIterator, enc keyEncoder, gate func(rows int) error) (keyedRun, error) {
 	var run keyedRun
 	defer in.Close()
 	_, stable := in.(stableSource)
@@ -295,15 +290,17 @@ type hashTable struct {
 	keys  keyTable
 	rows  []value.Value
 	start []int32
-	// bytes is what the build charged the build budget.
-	bytes int64
+	// charge is what filling a kept table charged, its nested builds
+	// included; zero for a table built for one query.
+	charge buildCharge
 }
 
 // buildTable is the build kernel: it builds one table from the keyed run,
 // whose key chunks the table keeps. Pass 1 gates every row — the governor
-// check, the hash.build fault point and the build-budget charge — and
-// assigns it its key's slot; pass 2 places each row at its slot's next
-// position in one flat row slice.
+// check, the hash.build fault point and the build-budget charge, also
+// recorded in the query's build charge (Ctx.built) — and assigns it its
+// key's slot; pass 2 places each row at its slot's next position in one flat
+// row slice.
 func buildTable(c *Ctx, run keyedRun) (*hashTable, error) {
 	n := run.len()
 	t := &hashTable{keys: keyTable{chunks: run.keys}}
@@ -321,12 +318,12 @@ func buildTable(c *Ctx, run keyedRun) (*hashTable, error) {
 			if err := c.addBuild(len(key)); err != nil {
 				return nil, err
 			}
-			t.bytes += int64(len(key)) + buildRowOverhead
 			s, _ := t.keys.insert(key, hashKey(key), uint32(bi), off)
 			slots = append(slots, s)
 			off = next
 		}
 	}
+	c.built.sites++
 	k := len(t.keys.slots)
 	t.start = make([]int32, k+1)
 	for _, s := range slots {

@@ -1,44 +1,64 @@
 package exec
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 
+	"tmdb/internal/algebra"
 	"tmdb/internal/faultinject"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
 
-// Builds served per snapshot. The table a hash join builds over a bare scan
-// of a stored table, keyed by field paths of the scan's rows, is a pure
-// function of the table's sealed snapshot and those paths. Such a build is
-// kept in the snapshot's memo (storage.Table.Snapshot): the first execution
-// after a write fills it, and every later execution on that snapshot probes
-// the kept table instead of building one. A nest join over a kept table
-// whose groups depend on the bucket alone keeps them there too, one per slot.
-// Nothing is ever maintained: a write starts a fresh memo, and the old one
-// goes with its snapshot. No query waits on another's fill; when two cold
-// fills race, the first store wins and the loser probes the winner's table.
+// Builds served per snapshot. The table a hash join builds over a closed
+// subtree — stored-table scans under filters, maps and joins whose
+// expressions all compile without the evaluator and read no variable from
+// outside the subtree — keyed by compiled expressions of its rows, is a pure
+// function of the sealed snapshots the scans read. Such a build is kept in
+// the memo of the newest of those snapshots (storage.Table.Snapshot), under
+// a key naming the subtree's variable-free form, the build keys and every
+// snapshot read (by storage.Memo.ID): the first execution after a write
+// fills it, and every later execution on those snapshots probes the kept
+// table instead of building one. A bare scan is the one-leaf case. A nest
+// join over a kept table whose groups depend on the bucket alone keeps them
+// there too, one per slot. Nothing is ever maintained: a write starts a
+// fresh memo, and the old one goes with its snapshot. No query waits on
+// another's fill; when two cold fills race, the first store wins and the
+// loser probes the winner's table.
+
+// buildCharge is what hash builds charged the query: build-budget bytes, and
+// build sites, each of which passed the hash.build fault point.
+type buildCharge struct {
+	bytes int64
+	sites int
+}
 
 // buildHash returns the hash join's table over its right input: the kept
-// one, the one it builds and keeps, or — when the input is not a bare
-// stored scan keyed by field paths, or the memo is full — one built for this
-// query alone.
+// one, the one it builds and keeps, or — when the input is not a closed
+// subtree over sealed stored tables, or the memo is full — one built for
+// this query alone. A kept table records what its fill charged, nested
+// builds included, so that serving it charges the same.
 func (j *Join) buildHash() (*hashTable, error) {
 	c := j.Ctx
-	memo, key, err := j.openRight()
+	memo, key, leaves, err := j.pinRight()
 	if err != nil {
 		return nil, err
 	}
 	if memo != nil {
 		if v, ok := memo.Load(key); ok {
-			j.R.Close()
+			for _, s := range leaves {
+				s.Close()
+			}
 			j.memo, j.buildKey = memo, key
 			t := v.(*hashTable)
 			return t, t.serve(c)
 		}
 	}
-	run, err := drainOpened(j.R, newKeyEncoder(c, j.RKeys, j.RVar), nil)
+	before := c.built
+	run, err := drainKeyed(j.R, newKeyEncoder(c, j.RKeys, j.RVar), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -46,6 +66,7 @@ func (j *Join) buildHash() (*hashTable, error) {
 	if err != nil || memo == nil {
 		return t, err
 	}
+	t.charge = buildCharge{bytes: c.built.bytes - before.bytes, sites: c.built.sites - before.sites}
 	v, kept := memo.Store(key, t)
 	if kept {
 		j.memo, j.buildKey = memo, key
@@ -53,70 +74,56 @@ func (j *Join) buildHash() (*hashTable, error) {
 	return v.(*hashTable), nil
 }
 
-// openRight opens the right input and returns the memo its build belongs
-// in, with the build's key there: nil unless the input is a bare scan of a
-// sealed stored table keyed by field paths. The scan then reads the very
-// snapshot the memo belongs to.
-func (j *Join) openRight() (*storage.Memo, string, error) {
-	scan, ok := j.R.(*TableScan)
-	var key string
-	if ok {
-		key, ok = buildKey(j.RKeys, j.RVar)
+// pinRight returns the memo the build over the right input belongs in, with
+// the build's key there, and the input's leaf scans: nil unless the input is
+// a closed subtree whose every leaf reads a sealed table. It takes every
+// leaf's snapshot before anything is drained, so a fill reads exactly the
+// snapshots its key names, and the memo is the newest one's: writes to one
+// table leave no entries in the memos of the others.
+func (j *Join) pinRight() (*storage.Memo, string, []*TableScan, error) {
+	var b strings.Builder
+	b.Grow(128) // a bare scan's key and most subtrees' in one allocation
+	leaves := make([]*TableScan, 0, 4)
+	b.WriteByte('B')
+	if !appendPlanForm(&b, j.R, &leaves) || !appendForms(&b, j.RKeys, j.RVar) {
+		return nil, "", nil, nil
 	}
-	if !ok {
-		return nil, "", j.R.Open()
+	var home *storage.Memo
+	for _, s := range leaves {
+		m, err := s.pin()
+		if err != nil || m == nil {
+			return nil, "", nil, err
+		}
+		var id [8]byte
+		binary.LittleEndian.PutUint64(id[:], m.ID())
+		b.Write(id[:])
+		if home == nil || m.ID() > home.ID() {
+			home = m
+		}
 	}
-	memo, err := scan.openSnapshot()
-	return memo, key, err
+	return home, b.String(), leaves, nil
 }
 
-// serve charges a query that a kept table serves what building it charged,
-// at once: one pass through the hash.build fault point and the build's
-// recorded bytes in one budget call. A build-budget verdict and an armed
-// hash.build rule then do not depend on which query happened to fill the
-// memo.
+// serve charges a query that a kept table serves what filling it charged,
+// at once: one pass through the hash.build fault point per build site of
+// the fill and the fill's bytes in one budget call. A build-budget verdict
+// and an armed hash.build rule then do not depend on which query happened to
+// fill the memo.
 func (t *hashTable) serve(c *Ctx) error {
 	if err := c.checkBatch(); err != nil {
 		return err
 	}
-	if err := faultinject.Hit(faultinject.PointHashBuild); err != nil {
-		return err
+	for range t.charge.sites {
+		if err := faultinject.Hit(faultinject.PointHashBuild); err != nil {
+			return err
+		}
 	}
+	c.built.bytes += t.charge.bytes
+	c.built.sites += t.charge.sites
 	if c.Gov == nil {
 		return nil
 	}
-	return c.Gov.AddBuildBytes(t.bytes)
-}
-
-// buildKey returns the memo key of a build on keys, or false when a key is
-// not a field path of rvar. The key is the path list alone, so it does not
-// depend on the variable's name.
-func buildKey(keys []tmql.Expr, rvar string) (string, bool) {
-	var b strings.Builder
-	b.WriteString("hash")
-	for _, k := range keys {
-		b.WriteByte(0)
-		if !appendPath(&b, k, rvar) {
-			return "", false
-		}
-	}
-	return b.String(), true
-}
-
-// appendPath appends field path e of v, one ".label" per selection.
-func appendPath(b *strings.Builder, e tmql.Expr, v string) bool {
-	switch n := e.(type) {
-	case *tmql.Var:
-		return n.Name == v
-	case *tmql.FieldSel:
-		if !appendPath(b, n.X, v) {
-			return false
-		}
-		b.WriteByte('.')
-		b.WriteString(n.Label)
-		return true
-	}
-	return false
+	return c.Gov.AddBuildBytes(t.charge.bytes)
 }
 
 // sharedGroups returns the nest join's group of every slot of its kept
@@ -129,13 +136,14 @@ func appendPath(b *strings.Builder, e tmql.Expr, v string) bool {
 // nothing is kept and the join computes its groups per query, failing where
 // it always did.
 func (j *Join) sharedGroups(fn scalar2, compiled bool) []value.Value {
-	if j.memo == nil || !compiled || j.Residual != nil {
+	if j.memo == nil || !compiled || j.Residual != nil || j.LVar == j.RVar {
 		return nil
 	}
 	var b strings.Builder
+	b.Grow(len(j.buildKey) + 32)
+	b.WriteByte('G')
 	b.WriteString(j.buildKey)
-	b.WriteByte(1)
-	if !appendForm(&b, j.Fn, j.RVar) {
+	if !appendForm(&b, j.Fn, j.RVar, "") {
 		return nil
 	}
 	key := b.String()
@@ -150,44 +158,195 @@ func (j *Join) sharedGroups(fn scalar2, compiled bool) []value.Value {
 	return v.([]value.Value)
 }
 
-// appendForm appends the form of e, an expression of the compiled subset,
-// with v left unnamed, or reports false when e has none: when it reads a
-// variable other than v or holds a literal that is not a scalar. Two
-// expressions with one form compute the same function of v's row.
-func appendForm(b *strings.Builder, e tmql.Expr, v string) bool {
+// Forms. A form is a byte string naming what an operator subtree or an
+// expression computes, with variables named by position rather than by name:
+// two subtrees with one form over the same snapshots produce the same rows.
+// Every form is prefix-free — each node opens with its own tag, names are
+// length-prefixed, lists are counted — so forms concatenate unambiguously.
+
+// appendPlanForm appends the form of the operator subtree it and collects
+// its leaf scans, or reports false when the subtree is not closed: when it
+// holds an operator other than a table scan, filter, map, or a hash or
+// nested-loop join, or an expression without a form.
+func appendPlanForm(b *strings.Builder, it BatchIterator, leaves *[]*TableScan) bool {
+	switch n := it.(type) {
+	case *TableScan:
+		b.WriteByte('S')
+		appendName(b, n.Table)
+		*leaves = append(*leaves, n)
+		return true
+	case *Filter:
+		b.WriteByte('F')
+		return appendPred(b, n.Pred, n.Var, "") && appendPlanForm(b, n.In, leaves)
+	case *Map:
+		b.WriteByte('M')
+		b.WriteByte(flagByte(n.Distinct))
+		return appendForm(b, n.Out, n.Var, "") && appendPlanForm(b, n.In, leaves)
+	case *Join:
+		return n.appendForm(b, leaves)
+	}
+	return false
+}
+
+// appendForm appends the join's form: method, kind, keys, residual, nest
+// function, label and test — each expression over the variables it is
+// compiled against — the outer join's padding labels, and both inputs.
+func (j *Join) appendForm(b *strings.Builder, leaves *[]*TableScan) bool {
+	if j.Method != JoinHash && j.Method != JoinNL {
+		return false
+	}
+	b.WriteByte('J')
+	b.WriteByte(byte(j.Method))
+	b.WriteByte(byte(j.Kind))
+	if !appendForms(b, j.LKeys, j.LVar) || !appendForms(b, j.RKeys, j.RVar) ||
+		!appendOptional(b, j.Residual, appendPred, j.LVar, j.RVar) ||
+		!appendOptional(b, j.Fn, appendForm, j.LVar, j.RVar) {
+		return false
+	}
+	appendName(b, j.Label)
+	if !appendOptional(b, j.Test, appendPred, j.LVar, j.Label) {
+		return false
+	}
+	if j.Fn == nil && j.Kind == algebra.JoinLeftOuter {
+		if j.RElem == nil {
+			return false
+		}
+		appendCount(b, len(j.RElem.Fields))
+		for _, f := range j.RElem.Fields {
+			appendName(b, f.Label)
+		}
+	}
+	return appendPlanForm(b, j.L, leaves) && appendPlanForm(b, j.R, leaves)
+}
+
+// appendForms appends the forms of keys, each over v.
+func appendForms(b *strings.Builder, keys []tmql.Expr, v string) bool {
+	appendCount(b, len(keys))
+	for _, k := range keys {
+		if !appendForm(b, k, v, "") {
+			return false
+		}
+	}
+	return true
+}
+
+// appendOptional appends the form of e under form, or an absence tag for a
+// nil e.
+func appendOptional(b *strings.Builder, e tmql.Expr, form func(*strings.Builder, tmql.Expr, string, string) bool, n1, n2 string) bool {
+	if e == nil {
+		b.WriteByte('-')
+		return true
+	}
+	b.WriteByte('+')
+	return form(b, e, n1, n2)
+}
+
+// appendForm appends the form of e, a scalar expression over the rows bound
+// to n1 and n2 (n2 may be ""), or reports false when e has none: when e does
+// not compile without the evaluator (compileScalar2), reads any other
+// variable, or holds a literal that is not a scalar.
+func appendForm(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
 	switch n := e.(type) {
 	case *tmql.Lit:
-		switch k := n.V.Kind(); k {
-		case value.KindNull, value.KindBool, value.KindInt, value.KindFloat, value.KindString:
-			b.WriteString(k.String())
-			b.WriteByte(':')
-			b.WriteString(n.V.String())
-			return true
+		return appendLit(b, n.V)
+	case *tmql.Var:
+		switch {
+		case n.Name == n1:
+			b.WriteString("v0")
+		case n2 != "" && n.Name == n2:
+			b.WriteString("v1")
+		default:
+			return false
 		}
-		return false
-	case *tmql.Var, *tmql.FieldSel:
-		b.WriteByte('$')
-		return appendPath(b, e, v)
+		return true
+	case *tmql.FieldSel:
+		b.WriteByte('.')
+		appendName(b, n.Label)
+		return appendForm(b, n.X, n1, n2)
 	case *tmql.Agg:
-		b.WriteString(n.Kind.String())
-		b.WriteByte('(')
-		ok := appendForm(b, n.X, v)
-		b.WriteByte(')')
-		return ok
+		b.WriteByte('a')
+		b.WriteByte(byte(n.Kind))
+		return appendForm(b, n.X, n1, n2)
 	case *tmql.TupleCons:
-		b.WriteByte('(')
-		for _, f := range n.Fields {
-			b.WriteString(f.Label)
-			b.WriteByte('=')
-			if !appendForm(b, f.E, v) {
+		b.WriteByte('t')
+		appendCount(b, len(n.Fields))
+		for i, f := range n.Fields {
+			if slices.ContainsFunc(n.Fields[:i], func(g tmql.TupleField) bool { return g.Label == f.Label }) {
+				return false // duplicate labels: the evaluator reports them
+			}
+			appendName(b, f.Label)
+			if !appendForm(b, f.E, n1, n2) {
 				return false
 			}
-			b.WriteByte(',')
 		}
-		b.WriteByte(')')
 		return true
 	}
 	return false
+}
+
+// appendPred appends the form of predicate e over n1 and n2, or reports
+// false when it has none: when it does not compile without the evaluator
+// (compilePred2) or an operand has no form.
+func appendPred(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
+	bin, ok := e.(*tmql.Binary)
+	if !ok {
+		return false
+	}
+	switch {
+	case bin.Op == tmql.OpAnd || bin.Op == tmql.OpOr:
+		b.WriteByte('p')
+		b.WriteByte(byte(bin.Op))
+		return appendPred(b, bin.L, n1, n2) && appendPred(b, bin.R, n1, n2)
+	case compiledComparison(bin.Op):
+		b.WriteByte('c')
+		b.WriteByte(byte(bin.Op))
+		return appendForm(b, bin.L, n1, n2) && appendForm(b, bin.R, n1, n2)
+	}
+	return false
+}
+
+// appendLit appends a scalar literal: its kind and its exact bits, so 1 and
+// 1.0 — equal values of different kinds — keep different forms.
+func appendLit(b *strings.Builder, v value.Value) bool {
+	var buf [binary.MaxVarintLen64 + 2]byte
+	enc := append(buf[:0], 'l', byte(v.Kind()))
+	switch v.Kind() {
+	case value.KindNull:
+	case value.KindBool:
+		enc = append(enc, flagByte(v.AsBool()))
+	case value.KindInt:
+		enc = binary.AppendVarint(enc, v.AsInt())
+	case value.KindFloat:
+		enc = binary.AppendUvarint(enc, math.Float64bits(v.AsFloat()))
+	case value.KindString:
+		b.Write(enc)
+		appendName(b, v.AsString())
+		return true
+	default:
+		return false
+	}
+	b.Write(enc)
+	return true
+}
+
+// appendName appends s length-prefixed.
+func appendName(b *strings.Builder, s string) {
+	appendCount(b, len(s))
+	b.WriteString(s)
+}
+
+// appendCount appends n as a uvarint.
+func appendCount(b *strings.Builder, n int) {
+	var buf [binary.MaxVarintLen64]byte
+	b.Write(binary.AppendUvarint(buf[:0], uint64(n)))
+}
+
+// flagByte is a boolean's byte in a form.
+func flagByte(f bool) byte {
+	if f {
+		return 1
+	}
+	return 0
 }
 
 // nestGroups returns the nest-join group of every slot of t under fn, with

@@ -44,21 +44,36 @@ func storedJoin(ctx *Ctx, method JoinMethod, fn, test string) *Join {
 	return j
 }
 
-// yMemo returns the memo of Y's current snapshot.
-func yMemo(db *storage.DB) *storage.Memo {
-	y, _ := db.Table("Y")
-	_, m := y.Snapshot()
-	return m
+// buildKeyOf returns the memo j's hash build belongs in on the snapshots of
+// the moment, and its key there.
+func buildKeyOf(t *testing.T, j *Join) (*storage.Memo, string) {
+	t.Helper()
+	memo, key, leaves, err := j.pinRight()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range leaves {
+		s.Close()
+	}
+	if memo == nil {
+		t.Fatal("the build has no memo")
+	}
+	return memo, key
 }
 
-// yBuildKey is the memo key of a build over Y on y.b.
-func yBuildKey(t *testing.T) string {
-	key, ok := buildKey([]tmql.Expr{pred("y.b")}, "y")
-	if !ok {
-		t.Fatal("y.b is not a field path")
+// keptBuild returns the table kept for j's hash build on the snapshots of
+// the moment, or nil.
+func keptBuild(t *testing.T, j *Join) *hashTable {
+	t.Helper()
+	memo, key := buildKeyOf(t, j)
+	if v, ok := memo.Load(key); ok {
+		return v.(*hashTable)
 	}
-	return key
+	return nil
 }
+
+// yBuild is a hash join of X with Y on y.b: whose build the tests look up.
+func yBuild(db *storage.DB) *Join { return storedJoin(NewCtx(db), JoinHash, "", "") }
 
 // TestMemoServesBuildPerSnapshot runs the semijoin and the nest joins — bare,
 // fused with a test on the group alone and fused with one reading the left
@@ -79,9 +94,7 @@ func TestMemoServesBuildPerSnapshot(t *testing.T) {
 			run := func() (got, want string, kept *hashTable) {
 				j := storedJoin(NewCtx(db), JoinHash, sh.fn, sh.test)
 				got = collect(t, j).String()
-				if v, ok := yMemo(db).Load(yBuildKey(t)); ok {
-					kept = v.(*hashTable)
-				}
+				kept = keptBuild(t, yBuild(db))
 				return got, collect(t, storedJoin(NewCtx(db), JoinNL, sh.fn, sh.test)).String(), kept
 			}
 			got1, want1, kept1 := run()
@@ -115,10 +128,16 @@ func TestMemoServesBuildPerSnapshot(t *testing.T) {
 func TestMemoSharesNestGroups(t *testing.T) {
 	db := memoDB()
 	collect(t, storedJoin(NewCtx(db), JoinHash, "y.a", ""))
-	var b strings.Builder
-	appendForm(&b, pred("w.a"), "w")
-	key := yBuildKey(t) + "\x01" + b.String()
-	groups, ok := yMemo(db).Load(key)
+	memo, buildKey := buildKeyOf(t, yBuild(db))
+	groupsKey := func(fn, v string) string {
+		var b strings.Builder
+		b.WriteByte('G')
+		b.WriteString(buildKey)
+		appendForm(&b, pred(fn), v, "")
+		return b.String()
+	}
+	key := groupsKey("w.a", "w")
+	groups, ok := memo.Load(key)
 	if !ok {
 		t.Fatal("the nest join's groups were not kept")
 	}
@@ -132,7 +151,7 @@ func TestMemoSharesNestGroups(t *testing.T) {
 		t.Fatal("a join over another variable name was not served the kept build and groups")
 	}
 	j.Close()
-	if again, _ := yMemo(db).Load(key); &again.([]value.Value)[0] != &groups.([]value.Value)[0] {
+	if again, _ := memo.Load(key); &again.([]value.Value)[0] != &groups.([]value.Value)[0] {
 		t.Error("the groups were computed again")
 	}
 
@@ -146,10 +165,9 @@ func TestMemoSharesNestGroups(t *testing.T) {
 		"left_fn": storedJoin(NewCtx(db), JoinHash, "(a = y.a, b = x.b)", ""),
 	} {
 		collect(t, j)
+		memo, buildKey = buildKeyOf(t, yBuild(db))
 		for _, fn := range []string{"y.a", "(a = y.a, b = x.b)"} {
-			b.Reset()
-			appendForm(&b, pred(fn), "y")
-			if _, ok := yMemo(db).Load(yBuildKey(t) + "\x01" + b.String()); ok {
+			if _, ok := memo.Load(groupsKey(fn, "y")); ok {
 				t.Errorf("%s: groups of a group that reads the left row were kept", name)
 			}
 		}
@@ -161,7 +179,7 @@ func TestMemoSharesNestGroups(t *testing.T) {
 func TestMemoFnForm(t *testing.T) {
 	form := func(src, v string) string {
 		var b strings.Builder
-		if !appendForm(&b, pred(src), v) {
+		if !appendForm(&b, pred(src), v, "") {
 			return "<none>"
 		}
 		return b.String()
@@ -177,9 +195,9 @@ func TestMemoFnForm(t *testing.T) {
 	}
 }
 
-// buildCharge returns what the hash build over Y on y.b charges the build
+// yFillCharge returns what the hash build over Y on y.b charges the build
 // budget: the cold build's per-row charges, summed.
-func buildCharge(t *testing.T) int64 {
+func yFillCharge(t *testing.T) int64 {
 	gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 1 << 40})
 	if _, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(memoDB(), gov), JoinHash, "y.a", "")); err != nil {
 		t.Fatal(err)
@@ -191,7 +209,7 @@ func buildCharge(t *testing.T) int64 {
 // a build budget just below the build's charge fails the query that fills
 // the memo and the one it serves, and a budget at the charge passes both.
 func TestMemoBuildBudgetColdAndWarm(t *testing.T) {
-	charge := buildCharge(t)
+	charge := yFillCharge(t)
 	for _, limit := range []int64{charge - 1, charge} {
 		db := memoDB()
 		for _, phase := range []string{"cold", "warm"} {
@@ -201,7 +219,7 @@ func TestMemoBuildBudgetColdAndWarm(t *testing.T) {
 				t.Errorf("%s, limit %d of charge %d: err %v", phase, limit, charge, err)
 			}
 			if limit < charge && phase == "cold" {
-				if _, ok := yMemo(db).Load(yBuildKey(t)); ok {
+				if keptBuild(t, yBuild(db)) != nil {
 					t.Fatal("a build over budget was kept")
 				}
 				// Fill the memo ungoverned: the warm query is served it.
@@ -252,14 +270,14 @@ func TestMemoFillCancellation(t *testing.T) {
 		t.Fatal("cancellation did not interrupt the fill within 5s")
 	}
 	deactivate()
-	if _, ok := yMemo(db).Load(yBuildKey(t)); ok {
+	if keptBuild(t, yBuild(db)) != nil {
 		t.Fatal("a canceled fill kept its build")
 	}
 	got := collect(t, storedJoin(NewCtx(db), JoinHash, "y.a", "")).String()
 	if want := collect(t, storedJoin(NewCtx(db), JoinNL, "y.a", "")).String(); got != want {
 		t.Fatalf("rerun after the canceled fill:\ngot  %s\nwant %s", got, want)
 	}
-	if _, ok := yMemo(db).Load(yBuildKey(t)); !ok {
+	if keptBuild(t, yBuild(db)) == nil {
 		t.Error("the rerun did not keep its build")
 	}
 }

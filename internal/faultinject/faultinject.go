@@ -26,8 +26,9 @@ const (
 	// (exec.TableScan) or an index scan (exec.IndexScan).
 	PointScan = "scan.next"
 	// PointHashBuild fires once per right-input row entering the table of a
-	// hash join (exec.Join with the JoinHash method), and once per execution
-	// that a table kept in a stored table's snapshot memo serves instead.
+	// hash join (exec.Join with the JoinHash method), and, for an execution
+	// that a table kept in a snapshot memo serves instead, once per build
+	// site the table's fill passed.
 	PointHashBuild = "hash.build"
 	// PointHashProbe fires once per left row probed by exec.Join, whatever
 	// its method: hash table, persistent index, nested loops or sort-merge.

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tmdb/internal/types"
 	"tmdb/internal/value"
@@ -286,7 +287,7 @@ func (t *Table) advanceLocked() {
 	t.epoch++
 	t.memo = nil
 	if t.sealed {
-		t.memo = new(Memo)
+		t.memo = &Memo{id: memoIDs.Add(1)}
 	}
 }
 
@@ -328,9 +329,20 @@ const MemoEntries = 16
 // stored entry must be immutable: concurrent queries on the snapshot share
 // it. Safe for concurrent use.
 type Memo struct {
+	id      uint64
 	mu      sync.Mutex
 	entries map[string]any
 }
+
+// memoIDs numbers the memos of every table of the process.
+var memoIDs atomic.Uint64
+
+// ID returns the memo's number, unique in the process and larger than that
+// of every memo created before it: it names the snapshot the memo belongs
+// to, so an entry derived from several snapshots can be keyed by all of
+// them and kept in the newest one's memo. Unlike a table's epoch, it never
+// repeats when a table is dropped and created again.
+func (m *Memo) ID() uint64 { return m.id }
 
 // Load returns the entry stored under key.
 func (m *Memo) Load(key string) (any, bool) {
