@@ -15,14 +15,13 @@
 // Under the auto strategy the optimizer already enumerates the §6 rewrites
 // and join orders as costed candidates, so no pin is needed to benefit from
 // them. -pin pins one alternative by the label shown in EXPLAIN's candidate
-// table; base and rewrite also work under a fixed strategy, where rewrite
-// applies the §6 rewrite fixpoint to the translation.
+// table, under the auto strategy or a pinned one alike.
 //
 // REPL commands:
 //
 //	explain <query>                (physical plan, estimated rows/cost,
 //	                                candidate table: strategy × alternative
-//	                                × join family under auto)
+//	                                × join family)
 //	\strategy auto|naive|nestjoin|kim|outerjoin
 //	\joins auto|nl|hash|merge|index
 //	\pin <label>|off              (pin a logical alternative by label:

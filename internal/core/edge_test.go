@@ -141,7 +141,7 @@ func TestRewriteOptionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := algebra.Optimize(tr.Builder(), plan)
+		opt, err := algebra.Optimize(tr.b, plan)
 		if err != nil {
 			t.Fatalf("Optimize(%s): %v", q, err)
 		}

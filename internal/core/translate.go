@@ -87,9 +87,6 @@ func NewTranslator(cat *schema.Catalog) *Translator {
 	return &Translator{b: algebra.NewBuilder(cat), cat: cat}
 }
 
-// Builder exposes the underlying plan builder (used by baselines and tests).
-func (t *Translator) Builder() *algebra.Builder { return t.b }
-
 // JoinGraph returns the join graph of the last translation when it was a
 // pure flat join block (several FROM items or a collapsed UNNEST, and no
 // correlated subquery left to unnest), else nil. The planner's join-order

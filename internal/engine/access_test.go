@@ -191,31 +191,43 @@ func TestIndexScanInvalidatesOnMutation(t *testing.T) {
 	sameAsNaive(t, eng, q, res2)
 }
 
-// TestFixedStrategyStaysOnScans: fixed-strategy paths do not silently adopt
-// index scans — the access path remains the caller's choice, keeping
-// historical experiment numbers stable under index creation.
-func TestFixedStrategyStaysOnScans(t *testing.T) {
+// TestPinnedStrategyChoosesByCost: a pinned strategy narrows the
+// translations to its own and nothing else — on indexed tables a pinned
+// nest-join plan takes the index scan and the index join by cost, as the
+// unpinned planner would, EXPLAIN prints its candidate table, and the result
+// still equals naive evaluation.
+func TestPinnedStrategyChoosesByCost(t *testing.T) {
 	eng := accessEngine(t)
-	if err := eng.CreateIndex("X", "b"); err != nil {
-		t.Fatal(err)
+	for _, ix := range [][2]string{{"X", "b"}, {"Y", "d"}} {
+		if err := eng.CreateIndex(ix[0], ix[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res, err := eng.Query(`SELECT x FROM X x WHERE x.b = 3`, Options{Strategy: core.StrategyNestJoin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Access != planner.AccessScan {
-		t.Errorf("fixed strategy resolved access=%s, want scan", res.Access)
-	}
-	res2, err := eng.Query(`SELECT x FROM X x WHERE x.b = 3`,
-		Options{Strategy: core.StrategyNestJoin, Access: planner.AccessIndex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Access != planner.AccessIndex {
-		t.Errorf("explicit fixed-path pin resolved access=%s, want idxscan", res2.Access)
-	}
-	if value.Key(res.Value) != value.Key(res2.Value) {
-		t.Error("fixed-path access pin changed the result")
+	opts := Options{Strategy: core.StrategyNestJoin}
+	for _, c := range []struct {
+		q    string
+		want func(*Result) bool
+	}{
+		{`SELECT x FROM X x WHERE x.b = 3`, func(r *Result) bool { return r.Access == planner.AccessIndex }},
+		{`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`,
+			func(r *Result) bool { return r.Joins == planner.ImplIndex }},
+	} {
+		res, err := eng.Query(c.q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Auto || res.Strategy != core.StrategyNestJoin || !c.want(res) {
+			t.Errorf("%s: auto=%v strategy=%s joins=%s access=%s", c.q, res.Auto, res.Strategy, res.Joins, res.Access)
+		}
+		sameAsNaive(t, eng, c.q, res)
+		out, err := eng.Explain(c.q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(out, "strategy=nestjoin ") || !strings.Contains(out, "(fixed)") ||
+			!strings.Contains(out, "candidates considered:") || !strings.Contains(out, "← chosen") {
+			t.Errorf("%s: pinned EXPLAIN:\n%s", c.q, out)
+		}
 	}
 }
 

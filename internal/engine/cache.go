@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"tmdb/internal/planner"
 )
 
 // planCache memoizes physical planning decisions per engine: the key is the
 // query's shape (tmql.Shape: the bound query, canonically formatted, with
 // every slotted constant — see tmql.MarkSlots — rendered as its kind) plus
-// every option that can change the outcome plus, on the cost-based path, the
-// statistics generation of each referenced table, and the value is the fully
+// every option that can change the outcome plus the statistics generation of
+// each referenced table, and the value is the fully
 // resolved planned decision — chosen strategy, logical alternative, join
 // family, access path, plan, cost, the candidate table for
 // EXPLAIN, and the constants the plan carries. Repeated queries, and queries that
@@ -28,7 +26,7 @@ import (
 // of a query over that table then misses and replans; entries of the old
 // generation age out of the LRU. invalidateTable sweeps a table's entries
 // where the set of feasible plans changes without the statistics moving —
-// CreateIndex, DropIndex, DropTable, and the stale-index retry.
+// CreateIndex, DropIndex and DropTable.
 //
 // The cache is bounded: at most capacity entries are kept and the least
 // recently used entry is evicted on overflow, so long-running engines serving
@@ -65,12 +63,11 @@ func newPlanCache() *planCache {
 }
 
 // cacheKey builds the memoization key for a query shape under the given
-// options, the physical pin they resolve to, and gens, the rendered
-// statistics generations the plan is costed against ("table:generation,"
-// per referenced table in name order; empty on fixed-strategy paths).
-func cacheKey(shape string, opts Options, pin planner.PhysicalSpec, gens string) string {
+// options and gens, the rendered statistics generations the plan is costed
+// against ("table:generation," per referenced table in name order).
+func cacheKey(shape string, opts Options, gens string) string {
 	return fmt.Sprintf("s=%d|j=%d|a=%d|pin=%s|g=%s|%s",
-		opts.Strategy, pin.Joins, pin.Access, opts.PinAlt, gens, shape)
+		opts.Strategy, opts.Joins, opts.Access, opts.PinAlt, gens, shape)
 }
 
 func (c *planCache) get(key string) (*planned, bool) {

@@ -1,13 +1,14 @@
 // Package engine wires the full pipeline: parse → bind → translate
-// (strategy) → optimize → execute. When no strategy is fixed in Options (the
-// zero value, core.StrategyAuto), the engine runs the unified cost-based
-// optimizer: it translates the query under every correct strategy, expands
-// each translation into its logical alternatives (the plan as translated,
-// its §6 rewrite, and reordered join trees for multi-FROM blocks), costs
-// every alternative × join-family × access-path combination against the statistics catalog (exact for tiny tables, histogram/sketch
-// estimates above the threshold), and executes the cheapest — the path
-// Explain renders together with the full candidate table. Options.PinAlt
-// pins one logical alternative.
+// (strategy) → optimize → execute. Every query takes one path, the unified
+// cost-based optimizer: it translates the query under the strategy
+// Options.Strategy pins, or under every correct strategy when none is pinned
+// (the zero value, core.StrategyAuto), expands each translation into its
+// logical alternatives (the plan as translated, its §6 rewrite, and reordered
+// join trees for multi-FROM blocks), costs every alternative × join-family ×
+// access-path combination the options leave open against the statistics
+// catalog (exact for tiny tables, histogram/sketch estimates above the
+// threshold), and executes the cheapest — the path Explain renders together
+// with the full candidate table. Options.PinAlt pins one logical alternative.
 // Planning decisions are memoized in a bounded per-engine LRU plan cache
 // keyed on the query's shape — the bound query with each constant compared
 // against a field path replaced by a typed parameter slot — the options and
@@ -18,7 +19,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -96,28 +96,26 @@ type Options struct {
 	// (core.StrategyAuto) lets the cost-based planner choose among the
 	// correct strategies (nest join, outerjoin+ν*, naive); Kim's
 	// transformation is never auto-selected because it loses dangling
-	// tuples.
+	// tuples. A pinned strategy only narrows the translations to its own:
+	// the logical alternative, join family and access path are still chosen
+	// by cost unless pinned too.
 	Strategy core.Strategy
-	// Joins selects the physical join family (default: auto — enumerated by
-	// cost under StrategyAuto, hash-when-an-equi-key-exists under a fixed
-	// strategy).
+	// Joins selects the physical join family. The zero value
+	// (planner.ImplAuto) lets the cost-based planner weigh the families.
 	Joins planner.JoinImpl
 	// PinAlt pins one logical alternative by label: planner.AltBase,
 	// planner.AltRewrite (the §6 rewrite fixpoint — selection pushdown
 	// through nest joins and projections, dead nest-join elimination, select
-	// fusion — or the translation itself where no rule fires), or, on the
-	// cost-based path, a join-order label as shown in EXPLAIN's candidate
-	// table (e.g. "order:((z y) x)"). Empty means free choice on the
-	// cost-based path and the translation as produced under a fixed strategy.
-	// Pinning a label the path does not generate is an error; the conformance
-	// harness uses this to execute every alternative and assert identical
-	// results.
+	// fusion — or the translation itself where no rule fires), or a
+	// join-order label as shown in EXPLAIN's candidate table (e.g.
+	// "order:((z y) x)"). Empty means free choice. Pinning a label the
+	// translations do not generate is an error; the conformance harness uses
+	// this to execute every alternative and assert identical results.
 	PinAlt string
 	// Access selects the access path for leaf selections. The zero value
 	// (planner.AccessAuto) lets the cost-based planner weigh index scans
 	// against full scans wherever a selection's equality conjuncts cover a
-	// live index prefix (fixed-strategy paths stay on scans, keeping
-	// experiment numbers comparable); planner.AccessScan pins full scans;
+	// live index prefix; planner.AccessScan pins full scans;
 	// planner.AccessIndex pins index scans with per-selection scan fallback.
 	Access planner.AccessPath
 	// Limits are the query's resource budgets (wall-clock timeout, max
@@ -147,8 +145,8 @@ type Result struct {
 	// translation, planner.AltRewrite when the §6 rewrite won (or was
 	// pinned), an "order:…" label for a reordered join tree.
 	Alt string
-	// Joins is the join family actually used (resolved from Auto when the
-	// cost-based planner chose).
+	// Joins is the join family actually used (resolved from Auto by cost
+	// unless pinned).
 	Joins planner.JoinImpl
 	// Access is the access path leaf selections read through
 	// (planner.AccessIndex when index scans served them).
@@ -157,10 +155,10 @@ type Result struct {
 	// the benchmark harness (bench/trace.go) still reads it; the next change
 	// to the benchmark removes that read, and then this field.
 	Parallelism int
-	// Cost is the plan's estimated cost. Populated only on the cost-based
-	// path (Auto), so fixed-strategy benchmark runs skip statistics work.
+	// Cost is the plan's estimated cost.
 	Cost planner.Cost
-	// Auto reports whether the cost-based planner chose the plan.
+	// Auto reports whether the cost-based planner chose the strategy (no
+	// strategy was pinned).
 	Auto bool
 	// CacheHit reports whether planning was served from the plan cache: by
 	// this query's shape, possibly planned with other values for its slotted
@@ -195,10 +193,7 @@ type planned struct {
 	cost       planner.Cost
 	auto       bool
 	candidates []planner.Candidate
-	// declined holds, on the cost-based path, "strategy: error" for every
-	// strategy whose translation failed.
-	declined []string
-	vals     []value.Value
+	vals       []value.Value
 }
 
 // query is one bound top-level query, computed once per text: the bound
@@ -230,12 +225,6 @@ func (e *Engine) bind(src string) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.bindExpr(expr)
-}
-
-// bindExpr binds a parsed (possibly already bound) expression and gives its
-// constants parameter slots.
-func (e *Engine) bindExpr(expr tmql.Expr) (*query, error) {
 	bound, err := tmql.NewBinder(e.cat).Bind(expr)
 	if err != nil {
 		return nil, err
@@ -280,57 +269,24 @@ func (e *Engine) QueryContext(ctx context.Context, src string, opts Options) (*R
 	return e.execBound(ctx, q, opts, false)
 }
 
-// QueryExpr executes an already parsed (possibly already bound) expression.
-func (e *Engine) QueryExpr(expr tmql.Expr, opts Options) (*Result, error) {
-	return e.QueryExprContext(context.Background(), expr, opts)
-}
-
-// QueryExprContext is QueryExpr observing ctx.
-func (e *Engine) QueryExprContext(ctx context.Context, expr tmql.Expr, opts Options) (*Result, error) {
-	q, err := e.bindExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	return e.execBound(ctx, q, opts, false)
-}
-
 // execBound plans and executes a bound query — the shared tail of
-// QueryContext, QueryExprContext, Prepared.QueryContext and Delete's victim
-// query (oneShot: planned past the cache). The bound tree is never mutated,
-// so prepared statements may execute it from many goroutines.
+// QueryContext, Prepared.QueryContext and Delete's victim query (oneShot:
+// planned past the cache). The bound tree is never mutated, so prepared
+// statements may execute it from many goroutines.
 // Governance wraps the whole execution: Options.Limits.Timeout tightens the
 // context's deadline, a Governor (created only when the context is
 // cancellable or budgets are set — otherwise nil, the free path) is polled by
 // every operator, and a recovered panic becomes a typed *PanicError rather
 // than taking the process down.
-func (e *Engine) execBound(ctx context.Context, q *query, opts Options, oneShot bool) (*Result, error) {
+func (e *Engine) execBound(ctx context.Context, q *query, opts Options, oneShot bool) (res *Result, err error) {
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		if err := e.checkTablesLive(q.tables); err != nil {
-			return nil, err
-		}
-		pl, hit, err := e.plan(q, opts, oneShot)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.runPlanned(ctx, q, opts, pl, hit, start)
-		if err != nil && attempt == 0 && errors.Is(err, exec.ErrStaleIndex) {
-			// The plan probed an index dropped between planning and Open (the
-			// DropIndex cache sweep raced this execution). Sweep the query's
-			// tables and replan once against the current index registry; only a
-			// second stale failure — the churn outran the retry — surfaces.
-			for _, name := range q.tables {
-				e.cache.invalidateTable(name)
-			}
-			continue
-		}
-		return res, err
+	if err := e.checkTablesLive(q.tables); err != nil {
+		return nil, err
 	}
-}
-
-// runPlanned executes one resolved planning decision under governance — the
-// per-attempt body of execBound.
-func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *planned, hit bool, start time.Time) (res *Result, err error) {
+	pl, hit, err := e.plan(q, opts, oneShot)
+	if err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -379,141 +335,93 @@ func (e *Engine) runPlanned(ctx context.Context, q *query, opts Options, pl *pla
 }
 
 // plan resolves Options into a planned decision, consulting the plan cache
-// first. On the cost-based path the cache key carries, per referenced table,
-// the generation of the statistics the plan is costed against, so a cached
-// decision is served until one of its tables has drifted far enough for the
-// catalog to recollect it — then the key misses and the query replans against
-// the new statistics. A write within the drift bound changes neither. That
-// is safe because a planned decision holds only algebra and a PhysicalSpec:
-// rows and indexes are resolved per execution, and every plan returns the
-// same answer. Fixed-strategy plans depend on no statistics and touch none.
-// The key's query part is the shape, so a hit may have been planned with
-// other values for the slotted constants; rebind substitutes q's. A oneShot
+// first. The cache key carries, per referenced table, the generation of the
+// statistics the plan is costed against, so a cached decision is served until
+// one of its tables has drifted far enough for the catalog to recollect it —
+// then the key misses and the query replans against the new statistics. A
+// write within the drift bound changes neither. That is safe because a
+// planned decision holds only algebra and a PhysicalSpec: rows and indexes
+// are resolved per execution, and every plan returns the same answer. The
+// key's query part is the shape, so a hit may have been planned with other
+// values for the slotted constants; rebind substitutes q's. A oneShot
 // decision bypasses the cache in both directions. The reported bool is true
 // on a cache hit.
 func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, error) {
-	pin := opts.pin()
 	var gens strings.Builder
-	if opts.Strategy != core.StrategyAuto {
-		pin = pin.Fixed()
-	} else {
-		for _, name := range q.tables {
-			fmt.Fprintf(&gens, "%s:%d,", name, e.statsCat.Table(name).Epoch)
-		}
+	for _, name := range q.tables {
+		fmt.Fprintf(&gens, "%s:%d,", name, e.statsCat.Table(name).Epoch)
 	}
 	var key string
 	if !oneShot {
-		key = cacheKey(q.shape, opts, pin, gens.String())
+		key = cacheKey(q.shape, opts, gens.String())
 		if pl, ok := e.cache.get(key); ok {
 			return q.rebind(pl), true, nil
 		}
 	}
-	pl, err := e.planMiss(q.expr, opts, pin)
+	pl, err := e.planMiss(q.expr, opts)
 	if err != nil {
 		return nil, false, err
 	}
 	pl.vals = q.vals
-	// Validate a pinned join family before caching or executing, so Query and
-	// Explain fail identically at plan time (the auto path only ever chooses
-	// feasible families). An infeasible decision is never cached.
-	if reason := planner.ImplInfeasible(pl.plan, pl.Joins); reason != "" {
-		return nil, false, fmt.Errorf("engine: %s join requested but %s", pl.Joins, reason)
-	}
 	if !oneShot {
 		e.cache.put(key, q.tables, pl)
 	}
 	return pl, false, nil
 }
 
-// planMiss performs the full planning work: translate (under the fixed
-// strategy, or under every correct one), settle the logical alternatives
-// (the pinned one, or all of them for the optimizer to weigh), and resolve
-// the physical spec — by the pin's fixed defaults under a fixed strategy, by
-// cost over alternative × join-family × access candidates otherwise.
-func (e *Engine) planMiss(bound tmql.Expr, opts Options, pin planner.PhysicalSpec) (*planned, error) {
+// planMiss performs the full planning work: translate, settle the logical
+// alternatives, and choose the cheapest alternative × join-family ×
+// access-path combination the options leave open. Choose never picks an
+// infeasible combination; when a pinned join family leaves none feasible,
+// Query and Explain fail here alike, and nothing is cached.
+func (e *Engine) planMiss(bound tmql.Expr, opts Options) (*planned, error) {
 	est := planner.NewEstimatorStats(e.statsCat)
-	alts, declined, err := e.alternatives(bound, opts, est)
+	alts, err := e.alternatives(bound, opts, est)
 	if err != nil {
 		return nil, err
 	}
-	var pl *planned
-	if opts.Strategy != core.StrategyAuto {
-		pl = &planned{plan: alts[0].Plan, strategy: opts.Strategy, alt: alts[0].Alt, PhysicalSpec: pin}
-	} else {
-		best, all, err := est.Choose(alts, pin)
-		if err != nil {
-			return nil, err
-		}
-		strategy, _ := core.ParseStrategy(best.Strategy)
-		pl = &planned{
-			plan: best.Plan, strategy: strategy, alt: best.Alt, PhysicalSpec: best.PhysicalSpec,
-			cost: best.Cost, auto: true, candidates: all, declined: declined,
-		}
+	best, all, err := est.Choose(alts, opts.pin())
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	return pl, nil
+	strategy, _ := core.ParseStrategy(best.Strategy)
+	return &planned{
+		plan: best.Plan, strategy: strategy, alt: best.Alt, PhysicalSpec: best.PhysicalSpec,
+		cost: best.Cost, auto: opts.Strategy == core.StrategyAuto, candidates: all,
+	}, nil
 }
 
-// alternatives translates the query and returns the logical alternatives
-// planning chooses among, restricted to Options.PinAlt when set. A fixed
-// strategy yields exactly one: its translation as produced, or the §6
-// rewrite fixpoint of it when PinAlt asks for that (any other label is the
-// same no-match error the cost-based path raises) — no statistics are
-// touched, so fixed-strategy benchmark runs skip that work. StrategyAuto
-// translates under every correct strategy and expands each translation into
-// its alternatives (as translated, §6 rewrite, join orders costed by est);
-// the strategies whose translation failed are returned as declined, each
-// with its error. A non-naive translation that is one bare Eval node
-// unnested nothing: it is the naive plan under another name, so it is
-// dropped and the naive candidate stands for it.
-func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estimator) ([]planner.StrategyPlan, []string, error) {
+// alternatives translates the query under the pinned strategy, or under every
+// correct one when none is pinned, expands each translation into its
+// alternatives (as translated, §6 rewrite, join orders costed by est) and
+// restricts them to Options.PinAlt when set. Left to choose, a non-naive
+// translation that is one bare Eval node unnested nothing: it is the naive
+// plan under another name, so it is dropped and the naive candidate stands
+// for it.
+func (e *Engine) alternatives(bound tmql.Expr, opts Options, est *planner.Estimator) ([]planner.StrategyPlan, error) {
+	strategies := core.CandidateStrategies()
 	if opts.Strategy != core.StrategyAuto {
-		tr := core.NewTranslator(e.cat)
-		p, err := tr.Translate(bound, opts.Strategy)
-		if err != nil {
-			return nil, nil, err
-		}
-		alt := planner.StrategyPlan{Strategy: opts.Strategy.String(), Alt: planner.AltBase, Plan: p}
-		if opts.PinAlt == planner.AltRewrite {
-			if alt.Plan, err = algebra.Optimize(tr.Builder(), p); err != nil {
-				return nil, nil, err
-			}
-			alt.Alt = planner.AltRewrite
-		}
-		alts, err := planner.PinAlternatives([]planner.StrategyPlan{alt}, opts.PinAlt)
-		return alts, nil, err
+		strategies = []core.Strategy{opts.Strategy}
 	}
 	var sps []planner.StrategyPlan
-	var declined []string
-	var firstErr error
-	for _, s := range core.CandidateStrategies() {
+	for _, s := range strategies {
 		tr := core.NewTranslator(e.cat)
 		p, err := tr.Translate(bound, s)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			declined = append(declined, fmt.Sprintf("%s: %v", s, err))
-			continue
+			return nil, err
 		}
-		if _, bare := p.(*algebra.EvalNode); bare && s != core.StrategyNaive {
+		if _, bare := p.(*algebra.EvalNode); bare && s != core.StrategyNaive && opts.Strategy == core.StrategyAuto {
 			continue
 		}
 		sps = append(sps, planner.StrategyPlan{Strategy: s.String(), Plan: p, Graph: tr.JoinGraph()})
 	}
-	if len(sps) == 0 {
-		if firstErr != nil {
-			return nil, nil, firstErr
-		}
-		return nil, nil, fmt.Errorf("engine: no strategy could translate the query")
-	}
-	alts, err := planner.PinAlternatives(est.Alternatives(algebra.NewBuilder(e.cat), sps), opts.PinAlt)
-	return alts, declined, err
+	return planner.PinAlternatives(est.Alternatives(algebra.NewBuilder(e.cat), sps), opts.PinAlt)
 }
 
 // Explain parses, binds, and plans a query, returning the physical plan
 // rendering — chosen strategy, join family and access path,
-// per-operator estimated rows and cost, and (on the cost-based path) every
-// candidate considered — without executing it. Planning is served from the
+// per-operator estimated rows and cost, and every candidate considered —
+// without executing it. Planning is served from the
 // plan cache when possible, exactly as execution would be.
 func (e *Engine) Explain(src string, opts Options) (string, error) {
 	return e.ExplainContext(context.Background(), src, opts)
@@ -552,7 +460,9 @@ func ctxErr(ctx context.Context) error {
 
 // explainBound renders the physical plan for a bound query — the shared tail
 // of Explain and Prepared.Explain. Infeasible pinned join families are
-// rejected inside plan, identically to execution.
+// rejected inside plan, identically to execution. The header's mode is
+// "cost-based" when the planner chose the strategy and "fixed" when it was
+// pinned.
 func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	if err := e.checkTablesLive(q.tables); err != nil {
 		return "", err
@@ -567,33 +477,25 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	if pl.auto {
 		mode = "cost-based"
 	}
-	alt := pl.alt
-	if alt == "" {
-		alt = planner.AltBase
-	}
 	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s (%s)\n",
-		pl.strategy, alt, pl.Joins, pl.Access, mode)
+		pl.strategy, pl.alt, pl.Joins, pl.Access, mode)
 	if n := planner.NaiveLeaves(pl.plan); n > 0 {
 		fmt.Fprintf(&b, "naive leaves: %d\n", n)
 	}
 	b.WriteString(est.Explain(pl.plan, pl.PhysicalSpec))
-	if pl.auto && len(pl.candidates) > 1 {
+	if len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")
 		for _, c := range pl.candidates {
 			fmt.Fprintf(&b, "  %s\n", c)
 		}
-	}
-	for _, d := range pl.declined {
-		fmt.Fprintf(&b, "declined: %s\n", d)
 	}
 	return b.String(), nil
 }
 
 // PlanCandidates plans the query (through the plan cache, like Query and
 // Explain) and returns every candidate the optimizer considered — the
-// machine-readable form of EXPLAIN's candidate table. On a fixed-strategy
-// path the slice is empty. The conformance harness uses it to enumerate and
-// pin each logical alternative.
+// machine-readable form of EXPLAIN's candidate table. The conformance
+// harness uses it to enumerate and pin each logical alternative.
 func (e *Engine) PlanCandidates(src string, opts Options) ([]planner.Candidate, error) {
 	q, err := e.bind(src)
 	if err != nil {
@@ -604,19 +506,4 @@ func (e *Engine) PlanCandidates(src string, opts Options) ([]planner.Candidate, 
 		return nil, err
 	}
 	return pl.candidates, nil
-}
-
-// ExplainCosts renders the logical plan annotated with the cost model's
-// per-node estimates (the auto physical mapping), without strategy
-// enumeration. Explain is the physical, candidate-aware variant.
-func (e *Engine) ExplainCosts(src string, opts Options) (string, error) {
-	q, err := e.bind(src)
-	if err != nil {
-		return "", err
-	}
-	pl, _, err := e.plan(q, opts, false)
-	if err != nil {
-		return "", err
-	}
-	return planner.NewEstimatorStats(e.Stats()).ExplainCosts(pl.plan), nil
 }

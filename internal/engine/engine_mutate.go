@@ -151,10 +151,10 @@ func (e *Engine) CreateIndex(table string, attrs ...string) error {
 // DropIndex unregisters the persistent index on the table's ordered attribute
 // list. Like CreateIndex it leaves the data (and so the epoch and statistics)
 // untouched but sweeps the table's cached plans: a plan probing the dropped
-// index must not be served again. A query that planned before the drop and
-// opens after it observes a typed stale-index failure, which execBound turns
-// into one transparent replan — so concurrent index churn never surfaces as a
-// query error unless the churn outruns the retry.
+// index must not be served again. A query compiled before the drop probes
+// the copy-on-write index snapshot it resolved, and one compiled after it
+// falls back to scans or builds, so concurrent index churn never surfaces as
+// a query error.
 func (e *Engine) DropIndex(table string, attrs ...string) error {
 	if err := faultinject.Hit(faultinject.PointMutationEpoch); err != nil {
 		return err

@@ -140,8 +140,8 @@ func TestPinAltExecutesEveryAlternative(t *testing.T) {
 			}
 		}
 	}
-	// An absent label is the same error on both paths: a fixed strategy
-	// generates base and rewrite only, so a join-order pin cannot match there.
+	// An absent label is the same error whether or not the strategy is
+	// pinned.
 	_, autoErr := eng.Query(multiQ, Options{PinAlt: "order:(bogus)"})
 	_, fixedErr := eng.Query(multiQ, Options{Strategy: core.StrategyNestJoin, PinAlt: "order:(y x)"})
 	for path, err := range map[string]error{"auto": autoErr, "fixed": fixedErr} {
@@ -151,9 +151,9 @@ func TestPinAltExecutesEveryAlternative(t *testing.T) {
 	}
 }
 
-// TestRewritePinOnBothPaths: PinAlt "rewrite" restricts the auto path to the
-// rewrite alternatives (base where no rule fires) and applies the §6 rewrite
-// fixpoint on the fixed path; "base" is honoured on both.
+// TestRewritePinOnBothPaths: PinAlt "rewrite" restricts the candidates to the
+// rewrite alternatives (base where no rule fires), with or without a pinned
+// strategy; "base" is honoured on both.
 func TestRewritePinOnBothPaths(t *testing.T) {
 	eng := optEngine(t)
 	rewrite := Options{PinAlt: planner.AltRewrite}

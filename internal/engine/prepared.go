@@ -68,8 +68,8 @@ func (p *Prepared) ExplainContext(ctx context.Context, opts Options) (string, er
 	return p.e.explainBound(p.q, opts)
 }
 
-// Candidates plans the statement and returns the optimizer's candidate table
-// (empty on fixed-strategy paths), like Engine.PlanCandidates.
+// Candidates plans the statement and returns the optimizer's candidate table,
+// like Engine.PlanCandidates.
 func (p *Prepared) Candidates(opts Options) ([]planner.Candidate, error) {
 	pl, _, err := p.e.plan(p.q, opts, false)
 	if err != nil {

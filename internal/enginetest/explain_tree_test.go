@@ -52,7 +52,11 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 		}
 		switch o.Method {
 		case exec.JoinIndex:
-			return fmt.Sprintf("Idx%s using %s(%s)", d, o.Table, o.Index), inputs, []any{o.L, nil}, nil
+			scan, ok := inputs[1].(*algebra.Scan)
+			if !ok {
+				return "", nil, nil, fmt.Errorf("index join compiled over %T, not a stored table", inputs[1])
+			}
+			return fmt.Sprintf("Idx%s using %s(%s)", d, scan.Table, o.Ix.Name()), inputs, []any{o.L, nil}, nil
 		case exec.JoinHash:
 			return "Hash" + d, inputs, []any{o.L, o.R}, nil
 		case exec.JoinMerge:
@@ -119,9 +123,10 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
 	}
 	if sel, ok := n.(*algebra.Select); ok && strings.HasPrefix(line, "IndexScan(") {
 		leaf, ok := indexScanLeaf(op)
-		if !ok {
-			t.Errorf("EXPLAIN says %q, compiled %T without an IndexScan leaf", line, op)
-		} else if want := fmt.Sprintf("IndexScan(%s) using %s(%s)", leaf.Table, leaf.Table, leaf.Index); !strings.HasPrefix(line, want) {
+		_, scan, chained := planner.AccessChain(sel)
+		if !ok || !chained {
+			t.Errorf("EXPLAIN says %q, compiled %T without an IndexScan leaf over a stored table", line, op)
+		} else if want := fmt.Sprintf("IndexScan(%s) using %s(%s)", scan.Table, scan.Table, leaf.Ix.Name()); !strings.HasPrefix(line, want) {
 			t.Errorf("EXPLAIN says %q, compiled %s", line, want)
 		}
 		return matchTree(t, sel.In, nil, lines)

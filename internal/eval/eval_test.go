@@ -209,7 +209,10 @@ func TestEvalPaperQ2(t *testing.T) {
 		t.Fatalf("Q2 should produce one tuple per department, got %d", got.Len())
 	}
 	for _, row := range got.Elems() {
-		if !row.HasField("dname") || !row.HasField("emps") {
+		if _, ok := row.Get("dname"); !ok {
+			t.Fatalf("row shape wrong: %s", row)
+		}
+		if _, ok := row.Get("emps"); !ok {
 			t.Fatalf("row shape wrong: %s", row)
 		}
 		if row.MustGet("emps").Kind() != value.KindSet {

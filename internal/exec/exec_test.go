@@ -5,6 +5,7 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/datagen"
+	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/types"
 	"tmdb/internal/value"
@@ -390,9 +391,13 @@ func TestHashJoinKeyValidation(t *testing.T) {
 	if err := hnj.Open(); err == nil {
 		t.Error("hash nest join without keys should fail to open")
 	}
-	inj := &Join{Ctx: NewCtx(nil), Method: JoinIndex, L: &SliceScan{}, LVar: "x", RVar: "y", Table: "T", Index: "a"}
+	inj := &Join{Ctx: NewCtx(nil), Method: JoinIndex, L: &SliceScan{}, LVar: "x", RVar: "y", Ix: storage.NewHashIndex("a")}
 	if err := inj.Open(); err == nil {
 		t.Error("index join without keys should fail to open")
+	}
+	noIx := &Join{Ctx: NewCtx(nil), Method: JoinIndex, L: &SliceScan{}, LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x")}}
+	if err := noIx.Open(); err == nil {
+		t.Error("index join without an index should fail to open")
 	}
 	mnj := &Join{Ctx: NewCtx(nil), Method: JoinMerge, L: &SliceScan{}, R: &SliceScan{}, LVar: "x", RVar: "y",
 		Fn: pred("y"), Label: "s"}

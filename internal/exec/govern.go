@@ -31,13 +31,6 @@ var ErrDeadlineExceeded = errors.New("exec: query deadline exceeded")
 // ErrBudgetExceeded is the errors.Is target every *BudgetError matches.
 var ErrBudgetExceeded = errors.New("exec: query budget exceeded")
 
-// ErrStaleIndex reports a plan that probes a persistent index which no longer
-// exists — dropped (or the table unsealed) between planning and Open. It is
-// not a governance abort: the query did nothing wrong, its cached plan went
-// stale, and the engine responds by replanning once transparently (see
-// engine.execBound) before surfacing the error to callers.
-var ErrStaleIndex = errors.New("exec: stale index")
-
 // BudgetError reports an exhausted resource budget.
 type BudgetError struct {
 	// Resource names the exhausted budget: "rows" or "build_bytes".

@@ -81,11 +81,8 @@ type Join struct {
 	Residual tmql.Expr
 	// RElem is required for the outer join's NULL padding.
 	RElem *types.Type
-	// Table and Index locate JoinIndex's persistent index: the stored right
-	// table and the index's canonical registry name (storage.IndexName).
-	Table, Index string
-	// Ix is the index snapshot resolved by the planner at compile time; nil
-	// falls back to registry resolution at Open (typed-stale on miss).
+	// Ix is JoinIndex's persistent index over the stored right table: the
+	// snapshot the planner resolved at compile time.
 	Ix *storage.HashIndex
 	// Fn and Label make the operator the nest join: each left element is
 	// emitted exactly once, extended with Label = the (possibly empty) set
@@ -140,7 +137,7 @@ func (j *Join) Open() error {
 	case JoinHash:
 		j.table, err = j.buildHash()
 	case JoinIndex:
-		j.ix, err = openIndex(c, j.Ix, j.Table, j.Index, len(j.LKeys))
+		j.ix, err = openIndex(j.Ix, len(j.LKeys))
 	case JoinMerge:
 		if j.sorted.rows, j.lkeys, err = sortRun(c, j.L, j.lenc); err == nil {
 			j.right, j.rkeys, err = sortRun(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar))
@@ -387,28 +384,15 @@ func nestGroup(res pred2, fn scalar2, l value.Value, bucket []value.Value, size 
 
 // openIndex returns the persistent index a join or index scan probes at
 // depth leading attributes. The planner resolves the *HashIndex at compile
-// time and passes it as ix — index buckets are copy-on-write, so the
-// snapshot stays probeable even if the registry entry is dropped mid-query,
-// exactly like a scan's row snapshot. An operator constructed without the
-// pre-resolved handle resolves table's index by name and surfaces the typed
-// ErrStaleIndex when the registry no longer serves it (dropped, or the table
-// unsealed, since planning).
-func openIndex(c *Ctx, ix *storage.HashIndex, table, index string, depth int) (*storage.HashIndex, error) {
-	if depth < 1 {
-		return nil, fmt.Errorf("exec: index probe on %s.%s needs at least one key", table, index)
-	}
+// time — index buckets are copy-on-write, so the snapshot stays probeable
+// even if the registry entry is dropped mid-query, exactly like a scan's row
+// snapshot.
+func openIndex(ix *storage.HashIndex, depth int) (*storage.HashIndex, error) {
 	if ix == nil {
-		t, ok := c.DB.Table(table)
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown table %s", table)
-		}
-		if ix, ok = t.Index(index); !ok {
-			return nil, fmt.Errorf("no live index on %s(%s) (table unsealed or index dropped since planning): %w",
-				table, index, ErrStaleIndex)
-		}
+		return nil, fmt.Errorf("exec: index probe without an index")
 	}
-	if depth > len(ix.Attrs()) {
-		return nil, fmt.Errorf("exec: probe depth %d exceeds index %s(%s)", depth, table, index)
+	if depth < 1 || depth > len(ix.Attrs()) {
+		return nil, fmt.Errorf("exec: probe depth %d outside index (%s)", depth, ix.Name())
 	}
 	return ix, nil
 }

@@ -9,7 +9,6 @@ import (
 	"tmdb/internal/faultinject"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
-	"tmdb/internal/value"
 )
 
 // exprs parses each source into an expression.
@@ -287,7 +286,7 @@ func TestMemoKeyNamesEverySnapshot(t *testing.T) {
 	}
 	hashEarly, nlEarly := early(JoinHash), early(JoinNL)
 	z, _ := db.Table("Z")
-	if n, err := z.DeleteWhere(func(value.Value) bool { return true }); err != nil || n == 0 {
+	if n, err := z.DeleteRows(z.Rows()); err != nil || n == 0 {
 		t.Fatalf("deleted %d rows of Z: %v", n, err)
 	}
 	y, _ := db.Table("Y")

@@ -107,7 +107,13 @@ func TestMemoServesBuildPerSnapshot(t *testing.T) {
 			}
 			// Every X row with key 0 loses its matches.
 			y, _ := db.Table("Y")
-			if n, err := y.DeleteWhere(func(v value.Value) bool { return v.MustGet("b").AsInt() == 0 }); err != nil || n < 2 {
+			var victims []value.Value
+			for _, v := range y.Rows() {
+				if v.MustGet("b").AsInt() == 0 {
+					victims = append(victims, v)
+				}
+			}
+			if n, err := y.DeleteRows(victims); err != nil || n < 2 {
 				t.Fatalf("deleted %d rows: %v", n, err)
 			}
 			got3, want3, kept3 := run()

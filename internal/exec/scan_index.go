@@ -26,11 +26,8 @@ import (
 // buckets without deduplication.
 type IndexScan struct {
 	Ctx *Ctx
-	// Table and Index locate the persistent index: the scanned extension and
-	// the index's canonical registry name (storage.IndexName).
-	Table, Index string
-	// Ix is the index snapshot resolved by the planner at compile time;
-	// nil falls back to registry resolution at Open (typed-stale on miss).
+	// Ix is the persistent index over the scanned extension: the snapshot the
+	// planner resolved at compile time.
 	Ix *storage.HashIndex
 	// Depth is the number of leading index attributes each point covers.
 	Depth int
@@ -51,10 +48,10 @@ type IndexScan struct {
 // Open resolves the index, evaluates every point's keys, and fetches the
 // matching buckets. The base table's rows are never touched beyond them.
 func (s *IndexScan) Open() error {
-	if s.Depth < 1 || len(s.Points) == 0 {
-		return fmt.Errorf("exec: IndexScan on %s(%s) needs a positive depth and at least one point", s.Table, s.Index)
+	if len(s.Points) == 0 {
+		return fmt.Errorf("exec: IndexScan needs at least one point")
 	}
-	ix, err := openIndex(s.Ctx, s.Ix, s.Table, s.Index, s.Depth)
+	ix, err := openIndex(s.Ix, s.Depth)
 	if err != nil {
 		return err
 	}

@@ -111,6 +111,21 @@ func splitDB(t *testing.T) (*schema.Catalog, *storage.DB) {
 	return cat, db
 }
 
+// liveIndex returns the index named name on table, as the planner resolves
+// it at compile time.
+func liveIndex(t *testing.T, db *storage.DB, table, name string) *storage.HashIndex {
+	t.Helper()
+	tab, ok := db.Table(table)
+	if !ok {
+		t.Fatalf("no table %s", table)
+	}
+	ix, ok := tab.Index(name)
+	if !ok {
+		t.Fatalf("no index %s(%s)", table, name)
+	}
+	return ix
+}
+
 // naive evaluates a TM query with the naive evaluator over db.
 func naive(t *testing.T, cat *schema.Catalog, db *storage.DB, q string) value.Value {
 	t.Helper()
@@ -221,7 +236,7 @@ func TestSplitBatchesMatchNaive(t *testing.T) {
 						case JoinHash, JoinMerge:
 							j.R, j.LKeys, j.RKeys, j.Residual = in(scan(c, "Z")), []tmql.Expr{pred("x.b")}, []tmql.Expr{pred("z.d")}, residual
 						case JoinIndex:
-							j.Table, j.Index, j.LKeys, j.Residual = "Z", src.index, []tmql.Expr{pred("x.b")}, residual
+							j.Ix, j.LKeys, j.Residual = liveIndex(t, c.DB, "Z", src.index), []tmql.Expr{pred("x.b")}, residual
 						}
 						if k.nest {
 							j.Fn, j.Label = pred("z.c"), "s"
@@ -296,7 +311,7 @@ func TestIndexScanMatchesNaive(t *testing.T) {
 		{"residual/generic", []int64{2, 3}, "COUNT(x.a) >= 1", "(x.b = 2 OR x.b = 3) AND COUNT(x.a) >= 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &IndexScan{Ctx: NewCtx(db), Table: "X", Index: "b", Depth: 1, Var: "x"}
+			s := &IndexScan{Ctx: NewCtx(db), Ix: liveIndex(t, db, "X", "b"), Depth: 1, Var: "x"}
 			for _, p := range tc.points {
 				s.Points = append(s.Points, []tmql.Expr{&tmql.Lit{V: value.Int(p)}})
 			}

@@ -320,7 +320,7 @@ func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *stor
 		return nil, fmt.Errorf("planner: index-scan match without an access chain on %s", n.Describe())
 	}
 	leaf := &exec.IndexScan{
-		Ctx: p.ctx, Table: m.Table, Index: m.Name(), Ix: ix, Depth: m.Depth,
+		Ctx: p.ctx, Ix: ix, Depth: m.Depth,
 		Points: m.Points,
 	}
 	if len(chain) == 0 {

@@ -86,7 +86,9 @@ func (c Candidate) String() string {
 //     ImplIndex falls back per join operator).
 //
 // The returned slice reports every candidate considered (for EXPLAIN); the
-// returned pointer aliases its winning entry.
+// returned pointer aliases its winning entry. When a pinned hash or
+// sort-merge family leaves no candidate feasible, the error reads
+// "<family> join requested but <the first plan's reason>".
 func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, []Candidate, error) {
 	if len(plans) == 0 {
 		return nil, nil, fmt.Errorf("planner: no candidate plans to choose from")
@@ -152,7 +154,9 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 		}
 	}
 	if best < 0 {
-		return nil, all, fmt.Errorf("planner: no feasible strategy × join combination (joins=%s)", pin.Joins)
+		// Every candidate is infeasible, which only a pinned hash or
+		// sort-merge family causes, so all[0] carries a reason.
+		return nil, all, fmt.Errorf("%s join requested but %s", pin.Joins, all[0].Infeasible)
 	}
 	all[best].Chosen = true
 	return &all[best], all, nil

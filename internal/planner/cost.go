@@ -565,23 +565,3 @@ func (e *Estimator) evalCost(x tmql.Expr) Cost {
 	}
 	return Cost{Rows: 1, Work: 1}
 }
-
-// ExplainCosts renders the plan with per-node logical cost annotations
-// (auto physical mapping). See Explain for the physical rendering the
-// engine's EXPLAIN uses.
-func (e *Estimator) ExplainCosts(p algebra.Plan) string {
-	var out string
-	var walk func(n algebra.Plan, depth int)
-	walk = func(n algebra.Plan, depth int) {
-		c := e.Estimate(n, PhysicalSpec{})
-		for i := 0; i < depth; i++ {
-			out += "  "
-		}
-		out += fmt.Sprintf("%s  [%s]\n", n.Describe(), c)
-		for _, ch := range n.Children() {
-			walk(ch, depth+1)
-		}
-	}
-	walk(p, 0)
-	return out
-}

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"strings"
 	"testing"
 
 	"tmdb/internal/algebra"
@@ -114,20 +113,6 @@ func TestAndOrSelectivity(t *testing.T) {
 	if !(cAnd.Rows < ca.Rows && ca.Rows < cOr.Rows) {
 		t.Errorf("selectivity ordering broken: and=%v single=%v or=%v",
 			cAnd.Rows, ca.Rows, cOr.Rows)
-	}
-}
-
-func TestExplainCosts(t *testing.T) {
-	est, b := costEnv(t)
-	x, _ := b.Scan("X")
-	z, _ := b.Scan("Z")
-	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "s")
-	out := est.ExplainCosts(nj)
-	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "NestJoin") {
-		t.Errorf("ExplainCosts output:\n%s", out)
-	}
-	if !strings.Contains(out, "  Scan(X)") {
-		t.Errorf("children not indented:\n%s", out)
 	}
 }
 

@@ -24,9 +24,9 @@ func logicalEnv(t *testing.T) (*schema.Catalog, *storage.DB, *core.Translator, *
 	return cat, db, core.NewTranslator(cat), NewEstimatorStats(stats.New(db))
 }
 
-func translate(t *testing.T, tr *core.Translator, q string, s core.Strategy) algebra.Plan {
+func translate(t *testing.T, cat *schema.Catalog, tr *core.Translator, q string, s core.Strategy) algebra.Plan {
 	t.Helper()
-	bound, err := tmql.NewBinder(tr.Builder().Catalog()).Bind(tmql.MustParse(q))
+	bound, err := tmql.NewBinder(cat).Bind(tmql.MustParse(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func runPlan(t *testing.T, db *storage.DB, p algebra.Plan) value.Value {
 func TestJoinOrdersReorderAndAgree(t *testing.T) {
 	cat, db, tr, est := logicalEnv(t)
 	q := `SELECT (xb = x.b, zc = z.c) FROM X x, Y y, Z z WHERE x.b = y.d AND y.b = z.d`
-	base := translate(t, tr, q, core.StrategyNestJoin)
+	base := translate(t, cat, tr, q, core.StrategyNestJoin)
 	want := runPlan(t, db, base)
 
 	orders := est.JoinOrders(algebra.NewBuilder(cat), tr.JoinGraph())
@@ -80,7 +80,7 @@ func TestJoinOrdersReorderAndAgree(t *testing.T) {
 func TestJoinOrderPushesLeafSelections(t *testing.T) {
 	cat, db, tr, est := logicalEnv(t)
 	q := `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d AND x.b > 3`
-	base := translate(t, tr, q, core.StrategyNestJoin)
+	base := translate(t, cat, tr, q, core.StrategyNestJoin)
 	want := runPlan(t, db, base)
 	orders := est.JoinOrders(algebra.NewBuilder(cat), tr.JoinGraph())
 	if len(orders) == 0 {
@@ -109,7 +109,7 @@ func TestJoinOrderPushesLeafSelections(t *testing.T) {
 // carries no join graph, so it gets no order alternatives.
 func TestJoinOrdersNilOffShape(t *testing.T) {
 	cat, _, tr, est := logicalEnv(t)
-	translate(t, tr, `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, core.StrategyNestJoin)
+	translate(t, cat, tr, `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, core.StrategyNestJoin)
 	if g := tr.JoinGraph(); g != nil {
 		t.Errorf("semijoin translation carries a join graph over %v", g.Rels)
 	}
@@ -129,7 +129,7 @@ func TestAlternativesLabelsAndDedup(t *testing.T) {
 	// (grouping-class subquery conjunct first, plain conjunct second): the
 	// rewrite alternative must appear and differ from base.
 	q := `SELECT x.b FROM X x WHERE x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b) AND x.b < 0`
-	base := translate(t, tr, q, core.StrategyNestJoin)
+	base := translate(t, cat, tr, q, core.StrategyNestJoin)
 	alts := est.Alternatives(b, []StrategyPlan{{Strategy: "nestjoin", Plan: base}})
 	labels := map[string]bool{}
 	for _, a := range alts {
@@ -147,7 +147,7 @@ func TestAlternativesLabelsAndDedup(t *testing.T) {
 	}
 
 	// A plain scan has nothing to rewrite or reorder: one alternative only.
-	flat := translate(t, tr, `SELECT x.b FROM X x`, core.StrategyNestJoin)
+	flat := translate(t, cat, tr, `SELECT x.b FROM X x`, core.StrategyNestJoin)
 	alts = est.Alternatives(b, []StrategyPlan{{Strategy: "nestjoin", Plan: flat}})
 	if len(alts) != 1 || alts[0].Alt != AltBase {
 		t.Errorf("identity rewrite must dedup away: %v", alts)
@@ -193,7 +193,7 @@ func TestChooseWeighsRewriteAlternative(t *testing.T) {
 	cat, _, tr, est := logicalEnv(t)
 	b := algebra.NewBuilder(cat)
 	q := `SELECT x.b FROM X x WHERE x.a SUBSETEQ (SELECT y.a FROM Y y WHERE x.b = y.b) AND x.b < 0`
-	base := translate(t, tr, q, core.StrategyNestJoin)
+	base := translate(t, cat, tr, q, core.StrategyNestJoin)
 	alts := est.Alternatives(b, []StrategyPlan{{Strategy: "nestjoin", Plan: base}})
 	best, all, err := est.Choose(alts, PhysicalSpec{})
 	if err != nil {

@@ -78,17 +78,6 @@ type PhysicalSpec struct {
 	Access AccessPath
 }
 
-// Fixed resolves a pin without enumeration — the fixed-strategy path, where
-// every physical choice is the caller's and an open access path takes its
-// conservative value (full scans), so fixed-strategy experiment numbers do
-// not move when indexes appear.
-func (s PhysicalSpec) Fixed() PhysicalSpec {
-	if s.Access == AccessAuto {
-		s.Access = AccessScan
-	}
-	return s
-}
-
 // Planner compiles logical plans to operator trees over a context.
 type Planner struct {
 	ctx  *exec.Ctx
@@ -206,7 +195,7 @@ func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.P
 	case ImplIndex:
 		// The persistent index stands in for the right operand, which is
 		// never compiled, drained or built.
-		j.Method, j.Table, j.Index, j.Ix = exec.JoinIndex, op.probe.Table, op.probe.Name(), ix
+		j.Method, j.Ix = exec.JoinIndex, ix
 		j.LKeys = probeLKeys(op.lk, op.probe)
 		j.Residual = indexResidual(op.lk, op.rk, op.probe, op.residual)
 		return j, nil

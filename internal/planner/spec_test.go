@@ -300,6 +300,7 @@ func TestExplain(t *testing.T) {
 		{"merge", "plain", "nest-xy", PhysicalSpec{Joins: ImplMerge}, []string{"MergeNestJoin"}, nil},
 		{"flat joins have no merge variant: the hash lowering", "plain", "semi-xz", PhysicalSpec{Joins: ImplMerge}, []string{"HashSemiJoin"}, nil},
 		{"flat nested loops", "plain", "semi-xz", PhysicalSpec{Joins: ImplNestedLoop}, []string{"NLSemiJoin"}, nil},
+		{"inputs indented under their operator", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash}, []string{"\n  Scan(X)  (rows≈", "\n  Scan(Y)  (rows≈"}, nil},
 		{"operators carry no batch annotation", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash}, []string{"HashNestJoin[", "Scan(X)  ("}, []string{"[batch"}},
 		{"idxscan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessIndex}, []string{"IndexScan(Y) using Y(b,d) prefix=1", "residual["}, nil},
 		{"scan path renders no IndexScan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessScan}, nil, []string{"IndexScan"}},
@@ -320,18 +321,6 @@ func TestExplain(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFixedDefaults: a pin resolved without enumeration takes the
-// conservative value in every open dimension and keeps every explicit one.
-func TestFixedDefaults(t *testing.T) {
-	if got, want := (PhysicalSpec{}).Fixed(), (PhysicalSpec{Access: AccessScan}); got != want {
-		t.Errorf("open pin resolved to %+v, want %+v", got, want)
-	}
-	pinned := PhysicalSpec{Joins: ImplMerge, Access: AccessIndex}
-	if got := pinned.Fixed(); got != pinned {
-		t.Errorf("explicit pin changed: %+v", got)
 	}
 }
 

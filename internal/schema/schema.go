@@ -7,7 +7,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 
 	"tmdb/internal/types"
 )
@@ -84,16 +83,6 @@ func (c *Catalog) ClassByExtension(ext string) (*Class, bool) {
 func (c *Catalog) Sort(name string) (*Sort, bool) {
 	s, ok := c.sorts[name]
 	return s, ok
-}
-
-// Extensions returns all extension names, sorted.
-func (c *Catalog) Extensions() []string {
-	out := make([]string, 0, len(c.byExt))
-	for e := range c.byExt {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ElementType returns the fully resolved tuple type of one element of the

@@ -1,6 +1,8 @@
 package schema
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"tmdb/internal/types"
@@ -125,3 +127,6 @@ func TestCompanySchemaShape(t *testing.T) {
 		t.Errorf("address should resolve to a tuple, got %s", addr)
 	}
 }
+
+// Extensions returns all extension names, sorted.
+func (c *Catalog) Extensions() []string { return slices.Sorted(maps.Keys(c.byExt)) }

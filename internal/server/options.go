@@ -22,9 +22,9 @@ type WireOptions struct {
 	// Access: auto | scan | index.
 	Access string `json:"access,omitempty"`
 	// PinAlt pins a logical alternative by its candidate-table label: base |
-	// rewrite (the §6-rewritten alternative) | order:… (cost-based path
-	// only). The request decoder is strict, so a body still carrying the
-	// removed "rewrite" field is a 400; send "pin_alt": "rewrite".
+	// rewrite (the §6-rewritten alternative) | order:…. The request decoder
+	// is strict, so a body still carrying the removed "rewrite" field is a
+	// 400; send "pin_alt": "rewrite".
 	PinAlt string `json:"pin_alt,omitempty"`
 	// TimeoutMs is the per-query wall-clock deadline in milliseconds
 	// (0 = none). On expiry the request fails with 408 deadline_exceeded.

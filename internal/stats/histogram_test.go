@@ -218,3 +218,13 @@ func TestDistinctSketchExactBelowCapacity(t *testing.T) {
 		t.Errorf("below-capacity sketch must be exact: %d", got)
 	}
 }
+
+// SetExactThreshold overrides the exact-statistics cardinality threshold
+// (n <= 0 forces the approximate path for every table). It affects tables
+// scanned after the call; estimator tests use it to compare the approximate
+// path against exact ground truth on the same data.
+func (c *Catalog) SetExactThreshold(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.exactThreshold = n
+}

@@ -238,3 +238,22 @@ func TestIndexKeys(t *testing.T) {
 		t.Error("nil-db catalog must not report indexes")
 	}
 }
+
+// IndexKeys reports the distinct-key count of the persistent hash index with
+// the given canonical name on table, if one is registered and live — the
+// figure the planner's index joins use for lookup selectivity. Both counters
+// are O(1) reads.
+func (c *Catalog) IndexKeys(table, name string) (keys int, ok bool) {
+	if c.db == nil {
+		return 0, false
+	}
+	tab, ok := c.db.Table(table)
+	if !ok {
+		return 0, false
+	}
+	ix, ok := tab.Index(name)
+	if !ok {
+		return 0, false
+	}
+	return ix.Keys(), true
+}

@@ -18,8 +18,7 @@
 // the storage epoch they were collected at — their generation — and are
 // recollected once the table has drifted from it by more than a tenth of its
 // cardinality (see driftBound); Catalog.Refresh forces exactness. Mutating
-// one table never touches the statistics of another. SetTable and
-// SetDangling record statistics directly, without touching data.
+// one table never touches the statistics of another.
 package stats
 
 import (
@@ -157,16 +156,6 @@ func New(db *storage.DB) *Catalog {
 	}
 }
 
-// SetExactThreshold overrides the exact-statistics cardinality threshold
-// (n <= 0 forces the approximate path for every table). It affects tables
-// scanned after the call; estimator tests use it to compare the approximate
-// path against exact ground truth on the same data.
-func (c *Catalog) SetExactThreshold(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.exactThreshold = n
-}
-
 // Analyze is the eager ANALYZE entry point: it scans every table of db and
 // returns the fully populated catalog.
 func Analyze(db *storage.DB) *Catalog {
@@ -227,8 +216,7 @@ func (c *Catalog) release(key any) {
 // MarkStale drops the cached statistics for one table and every dangling
 // fraction involving it; the next lookup recollects. Epoch tracking makes
 // this automatic for storage-backed tables — MarkStale exists for dropped
-// tables and for catalogs populated through SetTable/SetDangling, whose
-// figures have no backing epoch to compare against.
+// tables, whose figures have no backing epoch to compare against.
 func (c *Catalog) MarkStale(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -244,25 +232,6 @@ func (c *Catalog) evict(name string) {
 			delete(c.dangling, k)
 		}
 	}
-}
-
-// IndexKeys reports the distinct-key count of the persistent hash index with
-// the given canonical name on table, if one is registered and live — the
-// figure the planner's index joins use for lookup selectivity. Both counters
-// are O(1) reads.
-func (c *Catalog) IndexKeys(table, name string) (keys int, ok bool) {
-	if c.db == nil {
-		return 0, false
-	}
-	tab, ok := c.db.Table(table)
-	if !ok {
-		return 0, false
-	}
-	ix, ok := tab.Index(name)
-	if !ok {
-		return 0, false
-	}
-	return ix.Keys(), true
 }
 
 // Indexes enumerates the live persistent indexes of a table as ordered
@@ -537,37 +506,4 @@ func estimateDangling(lh, rh *Histogram) float64 {
 		dangling += float64(b.Count) * (1 - match)
 	}
 	return dangling / float64(lh.Total)
-}
-
-// SetDangling records a dangling fraction directly, bypassing scanning.
-func (c *Catalog) SetDangling(lTable, lAttr, rTable, rAttr string, frac float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dangling[danglingKey{lTable, lAttr, rTable, rAttr}] = frac
-}
-
-// SetTable records table statistics directly, bypassing scanning.
-func (c *Catalog) SetTable(name string, s *TableStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s.Distinct == nil {
-		s.Distinct = make(map[string]int)
-	}
-	if s.AvgSetLen == nil {
-		s.AvgSetLen = make(map[string]float64)
-	}
-	if s.Hist == nil {
-		s.Hist = make(map[string]*Histogram)
-	}
-	if s.keys == nil && !s.Approx {
-		s.keys = make(map[string]map[string]bool)
-	}
-	// Tag the override with the current epoch (when the table is backed by
-	// storage), so it survives lookups until the table drifts past the bound.
-	if c.db != nil {
-		if t, ok := c.db.Table(name); ok {
-			s.Epoch = t.Epoch()
-		}
-	}
-	c.tables[name] = s
 }

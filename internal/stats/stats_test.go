@@ -226,3 +226,36 @@ func expectedDistinct(n, d int) float64 {
 	}
 	return float64(d) * (1 - math.Pow(1-1/float64(d), float64(n)))
 }
+
+// SetDangling records a dangling fraction directly, bypassing scanning.
+func (c *Catalog) SetDangling(lTable, lAttr, rTable, rAttr string, frac float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dangling[danglingKey{lTable, lAttr, rTable, rAttr}] = frac
+}
+
+// SetTable records table statistics directly, bypassing scanning.
+func (c *Catalog) SetTable(name string, s *TableStats) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s.Distinct == nil {
+		s.Distinct = make(map[string]int)
+	}
+	if s.AvgSetLen == nil {
+		s.AvgSetLen = make(map[string]float64)
+	}
+	if s.Hist == nil {
+		s.Hist = make(map[string]*Histogram)
+	}
+	if s.keys == nil && !s.Approx {
+		s.keys = make(map[string]map[string]bool)
+	}
+	// Tag the override with the current epoch (when the table is backed by
+	// storage), so it survives lookups until the table drifts past the bound.
+	if c.db != nil {
+		if t, ok := c.db.Table(name); ok {
+			s.Epoch = t.Epoch()
+		}
+	}
+	c.tables[name] = s
+}

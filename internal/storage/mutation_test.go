@@ -372,3 +372,24 @@ func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// DeleteWhere removes every tuple of a sealed table for which pred returns
+// true, returning the number removed. Mutation bookkeeping (epoch, indexes)
+// is paid once for the whole batch. pred runs under the table's lock: it must
+// be a pure function of the row and must not read this table (or any table,
+// transitively) through the database.
+func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.sealed {
+		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
+	}
+	var victims []int
+	for i, r := range t.rows {
+		if pred(r) {
+			victims = append(victims, i)
+		}
+	}
+	t.removeRowsLocked(victims)
+	return len(victims), nil
+}

@@ -105,3 +105,6 @@ func BuildHashIndex(t *Table, attrs ...string) (*HashIndex, error) {
 	}
 	return ix, nil
 }
+
+// ElemType returns the element tuple type.
+func (t *Table) ElemType() *types.Type { return t.elem }

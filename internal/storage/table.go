@@ -5,7 +5,7 @@
 // Seal, giving O(n log n) bulk loads instead of per-insert probes).
 //
 // Tables are mutable. The lifecycle is: bulk-load with Insert, Seal once, and
-// from then on either mutate in place with InsertSealed/Delete/DeleteWhere or
+// from then on either mutate in place with InsertSealed/Delete/DeleteRows or
 // run an Unseal → bulk Insert → Seal cycle. Every mutation advances the
 // table's data epoch, a monotonic counter; the statistics catalog measures
 // how far a table has drifted from its last collection by it.
@@ -69,12 +69,9 @@ func NewTable(name string, elem *types.Type) *Table {
 // Name returns the extension name.
 func (t *Table) Name() string { return t.name }
 
-// ElemType returns the element tuple type.
-func (t *Table) ElemType() *types.Type { return t.elem }
-
 // Epoch returns the table's mutation epoch: a monotonically increasing
 // counter advanced by every successful Insert, InsertSealed, Delete,
-// DeleteWhere, Seal, and Unseal. Consumers caching anything derived from the
+// DeleteRows, Seal, and Unseal. Consumers caching anything derived from the
 // table's contents record the epoch at derivation time; the difference to
 // the current epoch is the number of mutations since.
 func (t *Table) Epoch() uint64 {
@@ -238,27 +235,6 @@ func (t *Table) DeleteRows(vs []value.Value) (int, error) {
 	return len(victims), nil
 }
 
-// DeleteWhere removes every tuple of a sealed table for which pred returns
-// true, returning the number removed. Mutation bookkeeping (epoch, indexes)
-// is paid once for the whole batch. pred runs under the table's lock: it must
-// be a pure function of the row and must not read this table (or any table,
-// transitively) through the database.
-func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.sealed {
-		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
-	}
-	var victims []int
-	for i, r := range t.rows {
-		if pred(r) {
-			victims = append(victims, i)
-		}
-	}
-	t.removeRowsLocked(victims)
-	return len(victims), nil
-}
-
 // removeRowsLocked drops the rows at the given strictly ascending positions:
 // the surviving runs between victims are copied into a fresh slice
 // (copy-on-write), the victims leave every index, and the epoch advances. No
@@ -396,7 +372,7 @@ func (t *Table) AsSet() value.Value {
 // attribute gives the classic equi-key index; multiple attributes give a
 // composite index whose every non-empty prefix is probeable (see HashIndex).
 // The index is rebuilt on every Seal and maintained incrementally by
-// InsertSealed/Delete/DeleteWhere. Creating an index that already exists is
+// InsertSealed/Delete/DeleteRows. Creating an index that already exists is
 // a no-op.
 func (t *Table) CreateIndex(attrs ...string) error {
 	t.mu.Lock()
@@ -435,9 +411,8 @@ func (t *Table) CreateIndex(attrs ...string) error {
 // DropIndex unregisters the index on the given ordered attribute list,
 // reporting whether it existed. The data is unchanged, so the epoch does not
 // advance. An in-flight query that already resolved the *HashIndex keeps
-// probing its snapshot — buckets are copy-on-write — but subsequent Index
-// lookups miss, which exec surfaces as a typed stale-index error and the
-// engine turns into one transparent replan.
+// probing its snapshot — buckets are copy-on-write — while subsequent Index
+// lookups miss, so the planner compiles later queries without it.
 func (t *Table) DropIndex(attrs ...string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

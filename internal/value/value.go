@@ -283,12 +283,6 @@ func (v Value) MustGet(label string) Value {
 	return f
 }
 
-// HasField reports whether the tuple has a field with the given label.
-func (v Value) HasField(label string) bool {
-	_, ok := v.Get(label)
-	return ok
-}
-
 // Labels returns the labels of a tuple in canonical order.
 func (v Value) Labels() []string {
 	v.mustBe(KindTuple)

@@ -685,3 +685,9 @@ func writeLen(h *maphash.Hash, n int) {
 	binary.LittleEndian.PutUint32(buf[:], uint32(n))
 	h.Write(buf[:])
 }
+
+// HasField reports whether the tuple has a field with the given label.
+func (v Value) HasField(label string) bool {
+	_, ok := v.Get(label)
+	return ok
+}

@@ -25,7 +25,8 @@
 //     costs them against per-table statistics (see Analyze), and
 //     executes the cheapest; Engine.Explain renders the chosen physical plan
 //     with per-operator estimated rows and cost plus the full candidate
-//     table. Options.PinAlt pins one alternative by its candidate-table
+//     table. A pinned Options.Strategy only narrows the translations to its
+//     own, and Options.PinAlt pins one alternative by its candidate-table
 //     label (AltRewrite pins the §6-rewritten one; the optimizer weighs
 //     rewrites regardless);
 //   - histogram/sketch statistics: tables above a threshold are summarized
@@ -40,7 +41,7 @@
 //   - mutable storage whose writes cost what they change: tables are
 //     bulk-loaded, sealed, and then mutated in place (Engine.Insert /
 //     Engine.Delete / Engine.InsertValue / Engine.DeleteValue, or the
-//     storage-level InsertSealed / Delete / DeleteWhere / Unseal→reseal
+//     storage-level InsertSealed / Delete / DeleteRows / Unseal→reseal
 //     cycle). A write copies the table's row slice once and advances its
 //     data epoch; it rescans no statistics and discards no plan. Statistics
 //     only steer cost — every plan returns the same answer — so they may
@@ -153,7 +154,8 @@ type JoinImpl = planner.JoinImpl
 
 // Physical join implementations.
 const (
-	// AutoJoins picks hash joins when an equi-key exists, else nested loops.
+	// AutoJoins (the zero value) lets the cost-based planner weigh the join
+	// families.
 	AutoJoins = planner.ImplAuto
 	// NestedLoopJoins forces nested-loop implementations.
 	NestedLoopJoins = planner.ImplNestedLoop

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tmdb"
-	"tmdb/internal/engine"
 	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
@@ -96,16 +95,21 @@ func TestRewritePinPreservesSemantics(t *testing.T) {
 	}
 }
 
-func TestExplainCostsPublic(t *testing.T) {
+// TestPublicPinnedExplainShowsCosts: through the facade, EXPLAIN under a
+// pinned strategy annotates each operator with its estimate and lists the
+// join families the planner costed for that strategy.
+func TestPublicPinnedExplainShowsCosts(t *testing.T) {
 	cat, db := tmdb.CompanyExample(4, 24, 5)
 	eng := tmdb.New(cat, db)
-	out, err := eng.ExplainCosts(
+	out, err := eng.Explain(
 		`SELECT (d = d.name, es = SELECT e.name FROM EMP e WHERE e.address.city = d.address.city) FROM DEPT d`,
-		engine.Options{Strategy: tmdb.NestJoin})
+		tmdb.Options{Strategy: tmdb.NestJoin})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "NestJoin") {
-		t.Errorf("ExplainCosts:\n%s", out)
+	for _, want := range []string{"strategy=nestjoin ", "(fixed)", "NestJoin", "rows≈", "candidates considered:", "← chosen"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("pinned Explain missing %q:\n%s", want, out)
+		}
 	}
 }
