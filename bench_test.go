@@ -283,7 +283,7 @@ func BenchmarkB6RewriteSensitive(b *testing.B) {
 // on the B1 semijoin shape: the persistent index on Y.d removes the
 // right-input drain and the per-query hash build, so idxjoin's advantage
 // grows with the inner relation. The mutated variant re-runs the query after
-// a sealed insert each iteration, measuring the per-table invalidation path
+// an insert each iteration, measuring the per-table invalidation path
 // (replan + incremental index maintenance) end to end.
 func BenchmarkB7IndexJoin(b *testing.B) {
 	const q = `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
@@ -388,9 +388,9 @@ func BenchmarkB8IndexScan(b *testing.B) {
 //
 // Each statement runs warm (named by itself: a hash build over stored
 // tables is served from their snapshots' memos), cold (cold/<name>: Y and Z
-// are unsealed and resealed outside the timer before every execution, so
-// each execution fills fresh memos, as the first one after a write does)
-// and Z-cold (zcold/<name>: only Z is resealed, so chain3 refills its build
+// are reloaded with their own rows outside the timer before every execution,
+// so each execution fills fresh memos, as the first one after a write does)
+// and Z-cold (zcold/<name>: only Z is reloaded, so chain3 refills its build
 // over the groupjoin of Y with Z while builds over Y alone stay served).
 //
 // ---
@@ -413,7 +413,7 @@ func BenchmarkNestedExecStatements(b *testing.B) {
 	z, _ := db.Table("Z")
 	for _, v := range []struct {
 		prefix string
-		reseal []*storage.Table
+		reload []*storage.Table
 	}{{"", nil}, {"cold/", []*storage.Table{y, z}}, {"zcold/", []*storage.Table{z}}} {
 		for _, st := range statements {
 			p, err := eng.Prepare(st.q)
@@ -423,11 +423,12 @@ func BenchmarkNestedExecStatements(b *testing.B) {
 			b.Run(v.prefix+st.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if v.reseal != nil {
+					if v.reload != nil {
 						b.StopTimer()
-						for _, t := range v.reseal {
-							t.Unseal()
-							t.Seal()
+						for _, t := range v.reload {
+							if err := t.Load(t.Rows()); err != nil {
+								b.Fatal(err)
+							}
 						}
 						b.StartTimer()
 					}

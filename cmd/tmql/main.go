@@ -44,7 +44,7 @@
 //	\explain <query>               (alias of explain)
 //	\analyze                       (bring table statistics up to date and
 //	                                show them; only mutated tables rescan)
-//	\insert <table> <tuple-expr>   (mutate a sealed table in place; cached
+//	\insert <table> <tuple-expr>   (add a tuple to a table in place; cached
 //	                                plans stay valid, and its statistics —
 //	                                only its — are recollected once a tenth
 //	                                of the table has changed, or by \analyze)
@@ -395,11 +395,9 @@ func repl(eng *engine.Engine, opts engine.Options) {
 		case line == "\\index":
 			for _, name := range eng.DB().Names() {
 				tab, _ := eng.DB().Table(name)
-				for _, ixName := range tab.IndexAttrs() {
-					if ix, ok := tab.Index(ixName); ok {
-						fmt.Printf("%s(%s): %d keys, %d rows\n", name, ixName, ix.Keys(), ix.Len())
-					} else {
-						fmt.Printf("%s(%s): stale (table unsealed)\n", name, ixName)
+				for _, attrs := range tab.Indexes() {
+					if ix, ok := tab.IndexOn(attrs); ok {
+						fmt.Printf("%s(%s): %d keys, %d rows\n", name, ix.Name(), ix.Keys(), ix.Len())
 					}
 				}
 			}

@@ -33,31 +33,38 @@ func main() {
 
 	// 2. Load data.
 	db := tmdb.NewDB()
-	orders := db.MustCreate("ORDERS", orderT)
-	stock := db.MustCreate("STOCK", skuT)
 	item := func(sku string, qty int64) tmdb.Value {
 		return value.TupleOf(value.F("sku", value.Str(sku)), value.F("qty", value.Int(qty)))
 	}
-	orders.MustInsert(value.TupleOf(
-		value.F("id", value.Int(1)), value.F("customer", value.Str("ada")),
-		value.F("items", value.SetOf(item("bolt", 4), item("nut", 9))),
-	))
-	orders.MustInsert(value.TupleOf(
-		value.F("id", value.Int(2)), value.F("customer", value.Str("grace")),
-		value.F("items", value.SetOf(item("gear", 1))),
-	))
-	orders.MustInsert(value.TupleOf(
-		value.F("id", value.Int(3)), value.F("customer", value.Str("ada")),
-		value.F("items", value.EmptySet),
-	))
+	orders := []tmdb.Value{
+		value.TupleOf(
+			value.F("id", value.Int(1)), value.F("customer", value.Str("ada")),
+			value.F("items", value.SetOf(item("bolt", 4), item("nut", 9))),
+		),
+		value.TupleOf(
+			value.F("id", value.Int(2)), value.F("customer", value.Str("grace")),
+			value.F("items", value.SetOf(item("gear", 1))),
+		),
+		value.TupleOf(
+			value.F("id", value.Int(3)), value.F("customer", value.Str("ada")),
+			value.F("items", value.EmptySet),
+		),
+	}
+	var stock []tmdb.Value
 	for _, s := range []struct {
 		sku   string
 		stock int64
 	}{{"bolt", 100}, {"nut", 0}, {"gear", 7}} {
-		stock.MustInsert(value.TupleOf(
+		stock = append(stock, value.TupleOf(
 			value.F("sku", value.Str(s.sku)), value.F("stock", value.Int(s.stock))))
 	}
-	db.SealAll()
+	// Load typechecks every row, then stores the set of them.
+	if err := db.MustCreate("ORDERS", orderT).Load(orders); err != nil {
+		log.Fatal(err)
+	}
+	if err := db.MustCreate("STOCK", skuT).Load(stock); err != nil {
+		log.Fatal(err)
+	}
 
 	eng := tmdb.New(cat, db)
 

@@ -47,9 +47,6 @@ func NewBuilder(cat *schema.Catalog) *Builder {
 	return &Builder{cat: cat, binder: tmql.NewBinder(cat)}
 }
 
-// Catalog returns the catalog the builder resolves names against.
-func (b *Builder) Catalog() *schema.Catalog { return b.cat }
-
 // --- Scan ---
 
 // Scan reads a stored extension table.

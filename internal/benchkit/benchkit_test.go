@@ -106,3 +106,30 @@ func TestAllExperimentsQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestB5RowOrder: B5 prints, for each size, its 2-block row before its
+// 3-block row, so repro output compares line by line between runs. Many
+// runs, since an order drawn from map iteration puts the 2-block row first
+// in most of them.
+func TestB5RowOrder(t *testing.T) {
+	for range 128 {
+		var buf bytes.Buffer
+		if err := RunB5(&buf, true); err != nil {
+			t.Fatal(err)
+		}
+		var blocks []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[len(f)-1] == "ok" {
+				blocks = append(blocks, f[1])
+			}
+		}
+		if len(blocks) == 0 || len(blocks)%2 != 0 {
+			t.Fatalf("B5 printed block rows %v:\n%s", blocks, buf.String())
+		}
+		for i, b := range blocks {
+			if want := []string{"2", "3"}[i%2]; b != want {
+				t.Fatalf("B5 row %d has %s blocks, want %s:\n%s", i, b, want, buf.String())
+			}
+		}
+	}
+}

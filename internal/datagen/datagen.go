@@ -37,7 +37,6 @@ func Company(nDept, nEmp int, seed int64) (*schema.Catalog, *storage.DB) {
 	}
 
 	emps := make([]value.Value, nEmp)
-	empT := db.MustCreate("EMP", empElem)
 	for i := 0; i < nEmp; i++ {
 		nkids := r.Intn(3)
 		kids := make([]value.Value, nkids)
@@ -54,10 +53,9 @@ func Company(nDept, nEmp int, seed int64) (*schema.Catalog, *storage.DB) {
 			value.F("children", value.SetOf(kids...)),
 		)
 		emps[i] = e
-		empT.MustInsert(e)
 	}
 
-	deptT := db.MustCreate("DEPT", deptElem)
+	depts := make([]value.Value, nDept)
 	for i := 0; i < nDept; i++ {
 		var members []value.Value
 		for j := 0; j < nEmp; j++ {
@@ -65,14 +63,14 @@ func Company(nDept, nEmp int, seed int64) (*schema.Catalog, *storage.DB) {
 				members = append(members, emps[j])
 			}
 		}
-		d := value.TupleOf(
+		depts[i] = value.TupleOf(
 			value.F("name", value.Str(fmt.Sprintf("dept%d", i))),
 			value.F("address", address(streets[r.Intn(len(streets))], 100+i, cities[r.Intn(len(cities))])),
 			value.F("emps", value.SetOf(members...)),
 		)
-		deptT.MustInsert(d)
 	}
-	db.SealAll()
+	load(db, "EMP", empElem, emps)
+	load(db, "DEPT", deptElem, depts)
 	return cat, db
 }
 
@@ -105,15 +103,15 @@ func Table1() (*schema.Catalog, *storage.DB) {
 	must(cat.AddClass("XRow", "X", xT))
 	must(cat.AddClass("YRow", "Y", yT))
 	db := storage.NewDB()
-	x := db.MustCreate("X", xT)
-	y := db.MustCreate("Y", yT)
+	var xs, ys []value.Value
 	for _, r := range [][2]int64{{1, 1}, {2, 2}, {3, 3}} {
-		x.MustInsert(value.TupleOf(value.F("e", value.Int(r[0])), value.F("d", value.Int(r[1]))))
+		xs = append(xs, value.TupleOf(value.F("e", value.Int(r[0])), value.F("d", value.Int(r[1]))))
 	}
 	for _, r := range [][2]int64{{1, 1}, {2, 1}, {3, 3}} {
-		y.MustInsert(value.TupleOf(value.F("a", value.Int(r[0])), value.F("b", value.Int(r[1]))))
+		ys = append(ys, value.TupleOf(value.F("a", value.Int(r[0])), value.F("b", value.Int(r[1]))))
 	}
-	db.SealAll()
+	load(db, "X", xT, xs)
+	load(db, "Y", yT, ys)
 	return cat, db
 }
 
@@ -162,7 +160,7 @@ func XYZTypes() (x, y, z *types.Type) {
 }
 
 // YRow builds one Y tuple (see XYZTypes) — the shape mutation tests and
-// benchmarks insert into sealed Y tables.
+// benchmarks insert into Y tables.
 func YRow(a, b, c, d int64) value.Value {
 	return value.TupleOf(
 		value.F("a", value.Int(a)), value.F("b", value.Int(b)),
@@ -183,9 +181,7 @@ func XYZ(spec Spec) (*schema.Catalog, *storage.DB) {
 	must(cat.AddClass("YRow", "Y", yT))
 	must(cat.AddClass("ZRow", "Z", zT))
 	db := storage.NewDB()
-	x := db.MustCreate("X", xT)
-	y := db.MustCreate("Y", yT)
-	z := db.MustCreate("Z", zT)
+	xs, ys, zs := make([]value.Value, spec.NX), make([]value.Value, spec.NY), make([]value.Value, spec.NZ)
 
 	intSet := func(card int) value.Value {
 		es := make([]value.Value, card)
@@ -215,26 +211,28 @@ func XYZ(spec Spec) (*schema.Catalog, *storage.DB) {
 	}
 
 	for i := 0; i < spec.NX; i++ {
-		x.MustInsert(value.TupleOf(
+		xs[i] = value.TupleOf(
 			value.F("a", intSet(r.Intn(spec.SetAttrCard+1))),
 			value.F("b", value.Int(key(i, spec.NX, 0))),
-		))
+		)
 	}
 	for i := 0; i < spec.NY; i++ {
-		y.MustInsert(value.TupleOf(
+		ys[i] = value.TupleOf(
 			value.F("a", value.Int(int64(r.Intn(2*max(1, spec.SetAttrCard))))),
 			value.F("b", value.Int(matchedKey())),
 			value.F("c", intSet(r.Intn(spec.SetAttrCard+1))),
 			value.F("d", value.Int(key(i, spec.NY, 1<<30))),
-		))
+		)
 	}
 	for i := 0; i < spec.NZ; i++ {
-		z.MustInsert(value.TupleOf(
+		zs[i] = value.TupleOf(
 			value.F("c", value.Int(int64(r.Intn(2*max(1, spec.SetAttrCard))))),
 			value.F("d", value.Int(matchedKey())),
-		))
+		)
 	}
-	db.SealAll()
+	load(db, "X", xT, xs)
+	load(db, "Y", yT, ys)
+	load(db, "Z", zT, zs)
 	return cat, db
 }
 
@@ -253,17 +251,16 @@ func RS(nR, nS, keys int, danglingFrac float64, seed int64) (*schema.Catalog, *s
 	must(cat.AddClass("RRow", "R", rT))
 	must(cat.AddClass("SRow", "S", sT))
 	db := storage.NewDB()
-	rTab := db.MustCreate("R", rT)
-	sTab := db.MustCreate("S", sT)
+	rs, ss := make([]value.Value, nR), make([]value.Value, nS)
 
 	counts := make(map[int64]int64)
 	for i := 0; i < nS; i++ {
 		c := int64(r.Intn(keys))
 		counts[c]++
-		sTab.MustInsert(value.TupleOf(
+		ss[i] = value.TupleOf(
 			value.F("C", value.Int(c)),
 			value.F("D", value.Int(int64(r.Intn(100)))),
-		))
+		)
 	}
 	for i := 0; i < nR; i++ {
 		var c int64
@@ -278,14 +275,21 @@ func RS(nR, nS, keys int, danglingFrac float64, seed int64) (*schema.Catalog, *s
 		if r.Intn(2) == 0 {
 			b += int64(r.Intn(3) + 1)
 		}
-		rTab.MustInsert(value.TupleOf(
+		rs[i] = value.TupleOf(
 			value.F("A", value.Int(int64(i))),
 			value.F("B", value.Int(b)),
 			value.F("C", value.Int(c)),
-		))
+		)
 	}
-	db.SealAll()
+	load(db, "R", rT, rs)
+	load(db, "S", sT, ss)
 	return cat, db
+}
+
+// load creates table name of db and loads rows into it: a type error is a
+// generator bug.
+func load(db *storage.DB, name string, elem *types.Type, rows []value.Value) {
+	must(db.MustCreate(name, elem).Load(rows))
 }
 
 func must(err error) {

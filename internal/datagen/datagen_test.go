@@ -87,7 +87,7 @@ func TestXYZSpec(t *testing.T) {
 	if neg == 0 {
 		t.Error("no dangling X tuples despite DanglingFrac = 0.4")
 	}
-	// Seal dedup may shrink counts slightly; sanity bounds only.
+	// Load's dedup may shrink counts slightly; sanity bounds only.
 	if x.Len() == 0 || x.Len() > spec.NX {
 		t.Errorf("X len = %d", x.Len())
 	}

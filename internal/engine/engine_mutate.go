@@ -22,7 +22,7 @@ import (
 // type and run as a query over snapshots (never under the table's lock, so
 // predicates may freely subquery any table, including the one being mutated).
 
-// InsertValue inserts one tuple into a sealed table, reporting whether it
+// InsertValue inserts one tuple into a table, reporting whether it
 // was actually added (false: already present, set semantics).
 func (e *Engine) InsertValue(table string, v value.Value) (bool, error) {
 	tab, ok := e.db.Table(table)
@@ -32,7 +32,7 @@ func (e *Engine) InsertValue(table string, v value.Value) (bool, error) {
 	if err := faultinject.Hit(faultinject.PointMutationEpoch); err != nil {
 		return false, err
 	}
-	return tab.InsertSealed(v)
+	return tab.Insert(v)
 }
 
 // Insert parses src as a closed TM expression (typically a tuple
@@ -53,7 +53,7 @@ func (e *Engine) Insert(table, src string) (bool, error) {
 	return e.InsertValue(table, v)
 }
 
-// DeleteValue deletes one tuple (by value equality) from a sealed table,
+// DeleteValue deletes one tuple (by value equality) from a table,
 // reporting whether it was present.
 func (e *Engine) DeleteValue(table string, v value.Value) (bool, error) {
 	tab, ok := e.db.Table(table)

@@ -24,14 +24,15 @@ func slowDB() *Engine {
 
 const slowJoinQuery = `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d`
 
-// coldMemos unseals and reseals every table of eng: each gets a fresh
+// coldMemos reloads every table of eng with its own rows: each gets a fresh
 // snapshot memo, so the next execution scans and builds instead of probing
 // builds the last one kept.
 func coldMemos(eng *Engine) {
 	for _, name := range eng.DB().Names() {
 		t, _ := eng.DB().Table(name)
-		t.Unseal()
-		t.Seal()
+		if err := t.Load(t.Rows()); err != nil {
+			panic(err)
+		}
 	}
 }
 

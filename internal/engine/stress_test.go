@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -202,11 +203,11 @@ func TestPreparedReexecutionAfterDrop(t *testing.T) {
 	}
 }
 
-// TestStorageSealRacesReaderSnapshot locks in the copy-on-write Seal fix: a
-// reader iterating a pre-seal Rows snapshot must never observe the sort and
-// dedup of an Unseal → bulk-load → Seal cycle tearing its view. Run under
-// -race; before the fix Seal reordered the shared backing array in place.
-func TestStorageSealRacesReaderSnapshot(t *testing.T) {
+// TestStorageLoadRacesReaderSnapshot: a reader iterating a Rows snapshot
+// taken before a Load must never observe the load's sort and dedup tearing
+// its view, since Load sorts a copy. Run under -race; a load that reordered
+// the shared backing array in place would race the reader.
+func TestStorageLoadRacesReaderSnapshot(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{
 		NX: 50, NY: 100, NZ: 0, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 3,
 	})
@@ -229,7 +230,7 @@ func TestStorageSealRacesReaderSnapshot(t *testing.T) {
 			default:
 			}
 			rows := tab.Rows()
-			// Iterate the snapshot; with the in-place Seal this raced the sort.
+			// Iterate the snapshot; an in-place sort would race this.
 			for _, r := range rows {
 				_ = value.Key(r)
 			}
@@ -237,9 +238,10 @@ func TestStorageSealRacesReaderSnapshot(t *testing.T) {
 		}
 	}()
 	for i := 0; i < cycles; i++ {
-		tab.Unseal()
-		_ = tab.Insert(datagen.YRow(int64(i), int64(i%7), 1, int64(i%5)))
-		tab.Seal()
+		rows := append(slices.Clone(tab.Rows()), datagen.YRow(int64(i), int64(i%7), 1, int64(i%5)))
+		if err := tab.Load(rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()

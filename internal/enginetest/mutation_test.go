@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"slices"
 	"testing"
 
 	"tmdb/internal/core"
@@ -11,8 +12,8 @@ import (
 
 // Conformance across mutations: the engine-level guarantee that plans and
 // statistics kept across writes never change an answer. Each phase mutates
-// the data a different way (sealed insert through the engine, predicate
-// delete, direct storage seal→unseal→bulk-load→reseal cycle), and after
+// the data a different way (insert through the engine, predicate delete,
+// a direct storage reload), and after
 // every phase the cost-based auto path must agree byte-for-byte with a
 // freshly computed naive oracle — with persistent indexes registered so the
 // idxjoin family participates, and both with statistics left to drift within
@@ -34,7 +35,7 @@ func yRow(a, b, c, d int64) value.Value {
 	)
 }
 
-// TestConformanceAcrossMutationCycles is the seal→mutate→reseal conformance
+// TestConformanceAcrossMutationCycles is the load→mutate→reload conformance
 // axis: auto ≡ naive, byte-identical, after every mutation phase — and the
 // run that lets statistics drift produces
 // the same bytes as the run that analyzes after every phase.
@@ -81,13 +82,15 @@ func runMutationCycles(t *testing.T, analyze bool) []string {
 				t.Fatal("delete phase removed nothing (dangling Y rows expected)")
 			}
 		}},
-		{"storage-reseal-cycle", func(t *testing.T) {
+		{"storage-reload", func(t *testing.T) {
 			// Bypass the engine entirely.
 			tab, _ := eng.DB().Table("Z")
-			tab.Unseal()
-			tab.MustInsert(value.TupleOf(value.F("c", value.Int(77)), value.F("d", value.Int(1))))
-			tab.MustInsert(value.TupleOf(value.F("c", value.Int(78)), value.F("d", value.Int(-5))))
-			tab.Seal()
+			rows := append(slices.Clone(tab.Rows()),
+				value.TupleOf(value.F("c", value.Int(77)), value.F("d", value.Int(1))),
+				value.TupleOf(value.F("c", value.Int(78)), value.F("d", value.Int(-5))))
+			if err := tab.Load(rows); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	}
 
@@ -148,7 +151,7 @@ func TestMutationInvalidationIsPerTable(t *testing.T) {
 	wantHit := true
 	for _, writes := range []int{1, genY.Card / 10} {
 		for i := 0; i < writes; i++ {
-			if _, err := tab.InsertSealed(yRow(9, 9, int64(writes+i), 909090)); err != nil {
+			if _, err := tab.Insert(yRow(9, 9, int64(writes+i), 909090)); err != nil {
 				t.Fatal(err)
 			}
 		}

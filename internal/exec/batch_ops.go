@@ -36,8 +36,7 @@ func (s *TableScan) Open() error {
 }
 
 // pin takes the table's row snapshot for the next Open to read, unless it is
-// taken already, and returns the memo that belongs to it (nil for an
-// unsealed table).
+// taken already, and returns the memo that belongs to it.
 func (s *TableScan) pin() (*storage.Memo, error) {
 	if s.pinned {
 		return s.memo, nil

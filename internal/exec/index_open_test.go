@@ -15,11 +15,10 @@ import (
 func TestOpenIndexPinsResolvedSnapshot(t *testing.T) {
 	db := storage.NewDB()
 	tab := db.MustCreate("T", types.Tuple(types.F("a", types.Int)))
-	tab.Seal()
 	if err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	live, ok := tab.Index(storage.IndexName([]string{"a"}))
+	live, ok := tab.IndexOn([]string{"a"})
 	if !ok {
 		t.Fatal("created index is not served")
 	}

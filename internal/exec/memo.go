@@ -17,7 +17,7 @@ import (
 // subtree — stored-table scans under filters, maps and joins whose
 // expressions all compile without the evaluator and read no variable from
 // outside the subtree — keyed by compiled expressions of its rows, is a pure
-// function of the sealed snapshots the scans read. Such a build is kept in
+// function of the snapshots the scans read. Such a build is kept in
 // the memo of the newest of those snapshots (storage.Table.Snapshot), under
 // a key naming the subtree's variable-free form, the build keys and every
 // snapshot read (by storage.Memo.ID): the first execution after a write
@@ -38,7 +38,7 @@ type buildCharge struct {
 
 // buildHash returns the hash join's table over its right input: the kept
 // one, the one it builds and keeps, or — when the input is not a closed
-// subtree over sealed stored tables, or the memo is full — one built for
+// subtree over stored tables, or the memo is full — one built for
 // this query alone. A kept table records what its fill charged, nested
 // builds included, so that serving it charges the same.
 func (j *Join) buildHash() (*hashTable, error) {
@@ -76,7 +76,7 @@ func (j *Join) buildHash() (*hashTable, error) {
 
 // pinRight returns the memo the build over the right input belongs in, with
 // the build's key there, and the input's leaf scans: nil unless the input is
-// a closed subtree whose every leaf reads a sealed table. It takes every
+// a closed subtree whose every leaf reads a stored table. It takes every
 // leaf's snapshot before anything is drained, so a fill reads exactly the
 // snapshots its key names, and the memo is the newest one's: writes to one
 // table leave no entries in the memos of the others.
@@ -91,7 +91,7 @@ func (j *Join) pinRight() (*storage.Memo, string, []*TableScan, error) {
 	var home *storage.Memo
 	for _, s := range leaves {
 		m, err := s.pin()
-		if err != nil || m == nil {
+		if err != nil {
 			return nil, "", nil, err
 		}
 		var id [8]byte

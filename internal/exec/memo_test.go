@@ -15,7 +15,7 @@ import (
 	"tmdb/internal/value"
 )
 
-// memoDB is a small sealed XYZ database: every X row but the dangling ones
+// memoDB is a small XYZ database: every X row but the dangling ones
 // finds Y rows on x.b = y.b.
 func memoDB() *storage.DB {
 	_, db := datagen.XYZ(datagen.Spec{NX: 200, NY: 600, NZ: 10, Keys: 40, DanglingFrac: 0.2, SetAttrCard: 2, Seed: 37})

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"tmdb/internal/algebra"
@@ -111,15 +112,15 @@ func splitDB(t *testing.T) (*schema.Catalog, *storage.DB) {
 	return cat, db
 }
 
-// liveIndex returns the index named name on table, as the planner resolves
-// it at compile time.
+// liveIndex returns the index named name (attributes comma-joined) on table,
+// as the planner resolves it at compile time.
 func liveIndex(t *testing.T, db *storage.DB, table, name string) *storage.HashIndex {
 	t.Helper()
 	tab, ok := db.Table(table)
 	if !ok {
 		t.Fatalf("no table %s", table)
 	}
-	ix, ok := tab.Index(name)
+	ix, ok := tab.IndexOn(strings.Split(name, ","))
 	if !ok {
 		t.Fatalf("no index %s(%s)", table, name)
 	}
@@ -340,9 +341,10 @@ func TestSourcesCutAtDefaultBatchSize(t *testing.T) {
 	elems := make([]value.Value, n)
 	for i := range elems {
 		elems[i] = tup("k", i)
-		tab.MustInsert(elems[i])
 	}
-	tab.Seal()
+	if err := tab.Load(elems); err != nil {
+		t.Fatal(err)
+	}
 	c := NewCtx(db)
 	for name, it := range map[string]BatchIterator{
 		"table": &TableScan{Ctx: c, Table: "T"},

@@ -384,3 +384,6 @@ func TestIndexDepthStatsDriveCost(t *testing.T) {
 		t.Error("unregistered index must report !ok")
 	}
 }
+
+// Stats returns the backing statistics catalog.
+func (e *Estimator) Stats() *stats.Catalog { return e.stats }

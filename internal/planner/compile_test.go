@@ -89,15 +89,6 @@ func TestCompile(t *testing.T) {
 			}
 		}
 	}
-	// An unsealed table's rows are appended without deduplication, so an
-	// identity map over its scan keeps the Distinct.
-	_, udb := datagen.XYZ(datagen.DefaultSpec())
-	utab, _ := udb.Table("X")
-	utab.Unseal()
-	if tree, err := New(exec.NewCtx(udb), PhysicalSpec{}).Compile(ident(x, "x", false)); err != nil || distinct(true)(tree) != nil {
-		t.Errorf("identity map over an unsealed scan compiled to %+v (%v), want a deduplicating map", tree, err)
-	}
-
 	// Equivalence: every operator family × join implementation against the
 	// nested-loop plan — and on infeasible specs (merge or pinned hash
 	// without an equi-key) a refusal.
@@ -154,7 +145,8 @@ func TestCompile(t *testing.T) {
 
 // TestCompileGroupjoin: the grouping pipeline Map ∘ Select ∘ NestJoin
 // compiles to one fused exec.Join on every family — nested-loop, hash,
-// sort-merge and index — with the result of the unfused pipeline. Over an unsealed left table holding a duplicate row, the fused
+// sort-merge and index — with the result of the unfused pipeline. Over a left
+// input holding duplicate rows (μ of X's set-valued attribute), the fused
 // join is wrapped in the deduplicating map the projection it replaces was.
 func TestCompileGroupjoin(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{NX: 40, NY: 120, NZ: 10, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 9})
@@ -190,14 +182,18 @@ func TestCompileGroupjoin(t *testing.T) {
 	}
 	// The unfused pipeline: the rule fires on the Map, so its input compiles
 	// to the filter over the nest join, and the projection goes on top.
-	in, err := New(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}).Compile(sel)
-	if err != nil {
-		t.Fatal(err)
+	unfused := func(sel algebra.Plan, plan *algebra.Map) value.Value {
+		in, err := New(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}).Compile(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := exec.CollectBatches(&exec.Map{Ctx: exec.NewCtx(db), In: in, Var: "x", Out: plan.Out, Distinct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	want, err := exec.CollectBatches(&exec.Map{Ctx: exec.NewCtx(db), In: in, Var: "x", Out: plan.Out, Distinct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := unfused(sel, plan)
 	for _, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge, ImplIndex} {
 		tree, got := run(PhysicalSpec{Joins: impl})
 		if j, ok := tree.(*exec.Join); !ok || j.Test == nil {
@@ -208,17 +204,44 @@ func TestCompileGroupjoin(t *testing.T) {
 		}
 	}
 
+	// μ[a](X) emits one (b, a) row per element of x.a; the fixture holds
+	// two X rows with the same b sharing an element, so it emits duplicates.
 	xtab, _ := db.Table("X")
-	xtab.Unseal()
-	xtab.MustInsert(xtab.Rows()[0])
+	seen, dups := map[string]bool{}, 0
+	for _, r := range xtab.Rows() {
+		for _, e := range r.MustGet("a").Elems() {
+			k := value.Key(value.TupleOf(value.F("b", r.MustGet("b")), value.F("a", e)))
+			if seen[k] {
+				dups++
+			}
+			seen[k] = true
+		}
+	}
+	if dups == 0 {
+		t.Fatal("μ[a](X) emits no duplicates on this fixture")
+	}
+	u, err := b.Unnest(x, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nj, err = b.NestJoin(u, y, "x", "y", tmql.MustParse("x.b = y.b"), tmql.MustParse("y.a"), "zs"); err != nil {
+		t.Fatal(err)
+	}
+	if sel, err = b.Select(nj, "x", tmql.MustParse("x.a IN x.zs")); err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = b.Project(sel, "x", "b", "a"); err != nil {
+		t.Fatal(err)
+	}
+	want = unfused(sel, plan)
 	tree, got := run(PhysicalSpec{Joins: ImplHash})
 	if m, ok := tree.(*exec.Map); !ok || !m.Distinct {
-		t.Errorf("over an unsealed left table compiled to %T, want a deduplicating map", tree)
+		t.Errorf("over a left input with duplicates compiled to %T, want a deduplicating map", tree)
 	} else if j, ok := m.In.(*exec.Join); !ok || j.Test == nil {
 		t.Errorf("deduplicating map over %T, want the fused exec.Join", m.In)
 	}
-	if !value.Equal(got, want) {
-		t.Errorf("over an unsealed left table: got %s, want %s", got, want)
+	if !value.Equal(got, want) || got.Len() == 0 {
+		t.Errorf("over a left input with duplicates: got %s, want %s", got, want)
 	}
 }
 

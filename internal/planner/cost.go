@@ -43,9 +43,6 @@ func NewEstimatorStats(sc *stats.Catalog) *Estimator {
 	return &Estimator{stats: sc}
 }
 
-// Stats returns the backing statistics catalog.
-func (e *Estimator) Stats() *stats.Catalog { return e.stats }
-
 func (e *Estimator) tableStats(name string) *stats.TableStats {
 	return e.stats.Table(name)
 }

@@ -23,7 +23,7 @@ func TestScanCardinalityFromStats(t *testing.T) {
 	est, b := costEnv(t)
 	x, _ := b.Scan("X")
 	c := est.Estimate(x, PhysicalSpec{})
-	// Seal dedup may remove a few duplicates; the estimate is the exact
+	// Load's dedup may remove a few duplicates; the estimate is the exact
 	// stored cardinality.
 	if c.Rows <= 0 || c.Rows > 100 {
 		t.Errorf("Scan(X) rows = %v", c.Rows)

@@ -166,7 +166,7 @@ func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, error) {
 // compileMap builds a Map over its compiled input, deduplicating where set
 // semantics need it.
 func (p *Planner) compileMap(m *algebra.Map, in exec.BatchIterator) exec.BatchIterator {
-	return &exec.Map{Ctx: p.ctx, In: in, Var: m.Var, Out: m.Out, Distinct: p.needsDistinct(m)}
+	return &exec.Map{Ctx: p.ctx, In: in, Var: m.Var, Out: m.Out, Distinct: needsDistinct(m)}
 }
 
 // compileGroupjoin builds the groupjoin m resolved to: nest join nj with
@@ -177,7 +177,7 @@ func (p *Planner) compileGroupjoin(op physOp, ix *storage.HashIndex, m *algebra.
 	j, err := p.compileJoin(op, ix, nj.L, nj.R, &exec.Join{
 		Ctx: p.ctx, LVar: nj.LVar, RVar: nj.RVar, Residual: nj.Pred, Fn: nj.Fn, Label: nj.Label, Test: op.test,
 	})
-	if err != nil || p.duplicateFree(nj.L) {
+	if err != nil || duplicateFree(nj.L) {
 		return j, err
 	}
 	return &exec.Map{Ctx: p.ctx, In: j, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, nil
@@ -218,7 +218,7 @@ func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.P
 // value. It does not when the map is injective — its output is the variable
 // itself or a tuple with a field that is the variable, as in Map[x](x) and
 // Map[(x = x)](x) — and its input is duplicate-free by construction.
-func (p *Planner) needsDistinct(m *algebra.Map) bool {
+func needsDistinct(m *algebra.Map) bool {
 	isVar := func(e tmql.Expr) bool {
 		v, ok := e.(*tmql.Var)
 		return ok && v.Name == m.Var
@@ -227,38 +227,30 @@ func (p *Planner) needsDistinct(m *algebra.Map) bool {
 	if cons, ok := m.Out.(*tmql.TupleCons); ok {
 		injective = slices.ContainsFunc(cons.Fields, func(f tmql.TupleField) bool { return isVar(f.E) })
 	}
-	return !injective || !p.duplicateFree(m.In)
+	return !injective || !duplicateFree(m.In)
 }
 
 // duplicateFree reports whether plan's output is duplicate-free by
-// construction. The cases are a whitelist: scans of a sealed table (and index
-// scans, which are selections over one; an unsealed table's rows are appended
-// without deduplication, so its scan is not vouched for), selections of a
+// construction. The cases are a whitelist: scans of a stored table, which is
+// a set (and index scans, which are selections over one), selections of a
 // duplicate-free input, semi and anti joins of a duplicate-free left input,
 // inner, left-outer and nest joins of duplicate-free inputs, and every Map
 // (compiled injective or deduplicating). Unnest emits duplicates (see
 // exec.UnnestIter), and set operations and everything else are not vouched
-// for. A plan is compiled per execution, so the sealed state is the one the
-// scan will read.
-func (p *Planner) duplicateFree(plan algebra.Plan) bool {
+// for.
+func duplicateFree(plan algebra.Plan) bool {
 	switch n := plan.(type) {
-	case *algebra.Scan:
-		if p.ctx.DB == nil {
-			return false
-		}
-		t, ok := p.ctx.DB.Table(n.Table)
-		return ok && t.Sealed()
-	case *algebra.Map:
+	case *algebra.Scan, *algebra.Map:
 		return true
 	case *algebra.Select:
-		return p.duplicateFree(n.In)
+		return duplicateFree(n.In)
 	case *algebra.Join:
 		if n.Kind == algebra.JoinSemi || n.Kind == algebra.JoinAnti {
-			return p.duplicateFree(n.L)
+			return duplicateFree(n.L)
 		}
-		return p.duplicateFree(n.L) && p.duplicateFree(n.R)
+		return duplicateFree(n.L) && duplicateFree(n.R)
 	case *algebra.NestJoin:
-		return p.duplicateFree(n.L) && p.duplicateFree(n.R)
+		return duplicateFree(n.L) && duplicateFree(n.R)
 	}
 	return false
 }

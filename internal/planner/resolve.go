@@ -238,17 +238,18 @@ func (e *Estimator) resolve(n algebra.Plan, spec PhysicalSpec) physOp {
 // CreateIndex/DropIndex churn never fails a query.
 func (p *Planner) resolve(n algebra.Plan) (physOp, *storage.HashIndex) {
 	op := resolve(n, p.spec, p.liveIndexes)
-	var table, name string
+	var table string
+	var attrs []string
 	switch {
 	case op.indexScan:
-		table, name = op.scan.Table, op.scan.Name()
+		table, attrs = op.scan.Table, op.scan.IndexAttrs
 	case op.family == ImplIndex:
-		table, name = op.probe.Table, op.probe.Name()
+		table, attrs = op.probe.Table, op.probe.IndexAttrs
 	default:
 		return op, nil
 	}
 	if t, ok := p.table(table); ok {
-		if ix, live := t.Index(name); live {
+		if ix, live := t.IndexOn(attrs); live {
 			return op, ix
 		}
 	}

@@ -67,22 +67,10 @@ func (c *Catalog) AddClass(name, extension string, attrs *types.Type) error {
 	return nil
 }
 
-// Class returns the class with the given class name.
-func (c *Catalog) Class(name string) (*Class, bool) {
-	cl, ok := c.classes[name]
-	return cl, ok
-}
-
 // ClassByExtension returns the class whose extension has the given name.
 func (c *Catalog) ClassByExtension(ext string) (*Class, bool) {
 	cl, ok := c.byExt[ext]
 	return cl, ok
-}
-
-// Sort returns the sort with the given name.
-func (c *Catalog) Sort(name string) (*Sort, bool) {
-	s, ok := c.sorts[name]
-	return s, ok
 }
 
 // ElementType returns the fully resolved tuple type of one element of the

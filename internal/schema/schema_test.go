@@ -130,3 +130,15 @@ func TestCompanySchemaShape(t *testing.T) {
 
 // Extensions returns all extension names, sorted.
 func (c *Catalog) Extensions() []string { return slices.Sorted(maps.Keys(c.byExt)) }
+
+// Class returns the class with the given class name.
+func (c *Catalog) Class(name string) (*Class, bool) {
+	cl, ok := c.classes[name]
+	return cl, ok
+}
+
+// Sort returns the sort with the given name.
+func (c *Catalog) Sort(name string) (*Sort, bool) {
+	s, ok := c.sorts[name]
+	return s, ok
+}

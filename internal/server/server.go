@@ -157,9 +157,6 @@ func New(eng *engine.Engine, cfg Config) *Server {
 	return s
 }
 
-// Engine returns the engine the server fronts.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // statusClientClosedRequest is nginx's non-standard 499 "client closed
 // request": the client went away, so no one will read the body, but the
 // status still distinguishes the case in logs and tests.

@@ -603,3 +603,6 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 		t.Errorf("Y holds %d inserted rows after the load, want %d (inserted minus deleted)", ys.Rows, live.Load())
 	}
 }
+
+// Engine returns the engine the server fronts.
+func (s *Server) Engine() *engine.Engine { return s.eng }

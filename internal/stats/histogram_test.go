@@ -105,13 +105,14 @@ func TestHistogramRangeEstimate(t *testing.T) {
 		types.F("k", types.Int),
 		types.F("pad", types.Int),
 	))
+	var rows []value.Value
 	for i := 0; i < 1000; i++ {
-		tab.MustInsert(value.TupleOf(
+		rows = append(rows, value.TupleOf(
 			value.F("k", value.Int(int64(i))),
 			value.F("pad", value.Int(int64(i/7))),
 		))
 	}
-	db.SealAll()
+	load(t, tab, rows...)
 	c := New(db)
 	c.SetExactThreshold(0)
 	h := c.Table("T").Histogram("k")
@@ -146,7 +147,6 @@ func TestHistogramDanglingEstimateNearExact(t *testing.T) {
 func TestHistogramEmptyTable(t *testing.T) {
 	db := storage.NewDB()
 	db.MustCreate("E", types.Tuple(types.F("k", types.Int)))
-	db.SealAll()
 	c := New(db)
 	c.SetExactThreshold(0)
 	ts := c.Table("E")
@@ -167,13 +167,14 @@ func TestHistogramSingleValueColumn(t *testing.T) {
 		types.F("k", types.Int),
 		types.F("u", types.Int),
 	))
+	var rows []value.Value
 	for i := 0; i < 300; i++ {
-		tab.MustInsert(value.TupleOf(
+		rows = append(rows, value.TupleOf(
 			value.F("k", value.Int(42)),
 			value.F("u", value.Int(int64(i))),
 		))
 	}
-	db.SealAll()
+	load(t, tab, rows...)
 	c := New(db)
 	c.SetExactThreshold(0)
 	ts := c.Table("S")
@@ -193,10 +194,11 @@ func TestHistogramAllDistinctColumn(t *testing.T) {
 	const n = 2000
 	db := storage.NewDB()
 	tab := db.MustCreate("D", types.Tuple(types.F("k", types.String)))
+	var rows []value.Value
 	for i := 0; i < n; i++ {
-		tab.MustInsert(value.TupleOf(value.F("k", value.Str(fmt.Sprintf("v%06d", i)))))
+		rows = append(rows, value.TupleOf(value.F("k", value.Str(fmt.Sprintf("v%06d", i)))))
 	}
-	db.SealAll()
+	load(t, tab, rows...)
 	c := New(db)
 	c.SetExactThreshold(0)
 	ts := c.Table("D")

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,11 +29,13 @@ func TestPerTableStaleness(t *testing.T) {
 	db := storage.NewDB()
 	tt := db.MustCreate("T", kvType())
 	uu := db.MustCreate("U", kvType())
+	var ts, us []value.Value
 	for i := 0; i < 20; i++ {
-		tt.MustInsert(kvRow(int64(i), int64(i%5)))
-		uu.MustInsert(kvRow(int64(i%7), int64(i)))
+		ts = append(ts, kvRow(int64(i), int64(i%5)))
+		us = append(us, kvRow(int64(i%7), int64(i)))
 	}
-	db.SealAll()
+	load(t, tt, ts...)
+	load(t, uu, us...)
 	if err := tt.CreateIndex("v"); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestPerTableStaleness(t *testing.T) {
 
 	// Two writes to a 20-row table are within the bound: nothing moves.
 	for i := int64(0); i < 2; i++ {
-		if _, err := tt.InsertSealed(kvRow(1000+i, 1)); err != nil {
+		if _, err := tt.Insert(kvRow(1000+i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +82,7 @@ func TestPerTableStaleness(t *testing.T) {
 
 	// The third write since collection is past the bound (3·10 > 22).
 	for i := int64(0); i < 3; i++ {
-		if _, err := tt.InsertSealed(kvRow(2000+i, 1)); err != nil {
+		if _, err := tt.Insert(kvRow(2000+i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,19 +102,22 @@ func TestPerTableStaleness(t *testing.T) {
 
 // TestDriftBoundAmortisesRecollection: N single-row writes to an n-row table
 // cause at most ⌈10N/n⌉+1 recollections with |Card − Len| ≤ n/10 throughout,
-// while a tiny table refreshes on every write and a bulk load trips the
-// bound at once.
+// while a tiny table refreshes on every write; a reload that changes more
+// than a tenth of a table trips the bound at once, and one that changes
+// nothing stays within it.
 func TestDriftBoundAmortisesRecollection(t *testing.T) {
 	const n, writes = 400, 1000
 	db := storage.NewDB()
 	big, tiny := db.MustCreate("BIG", kvType()), db.MustCreate("TINY", kvType())
+	var bigRows, tinyRows []value.Value
 	for i := 0; i < n; i++ {
-		big.MustInsert(kvRow(int64(i), int64(i%9)))
+		bigRows = append(bigRows, kvRow(int64(i), int64(i%9)))
 	}
 	for i := 0; i < 5; i++ {
-		tiny.MustInsert(kvRow(int64(i), 0))
+		tinyRows = append(tinyRows, kvRow(int64(i), 0))
 	}
-	db.SealAll()
+	load(t, big, bigRows...)
+	load(t, tiny, tinyRows...)
 	c := Analyze(db)
 
 	last, recollections := c.Table("BIG"), 0
@@ -120,7 +127,7 @@ func TestDriftBoundAmortisesRecollection(t *testing.T) {
 		if i%3 == 2 {
 			_, err = big.Delete(kvRow(int64(n+i-1), 1))
 		} else {
-			_, err = big.InsertSealed(kvRow(int64(n+i), 1))
+			_, err = big.Insert(kvRow(int64(n+i), 1))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +146,7 @@ func TestDriftBoundAmortisesRecollection(t *testing.T) {
 
 	for i := int64(0); i < 3; i++ {
 		before := c.Table("TINY")
-		if _, err := tiny.InsertSealed(kvRow(100+i, 0)); err != nil {
+		if _, err := tiny.Insert(kvRow(100+i, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if after := c.Table("TINY"); after == before || after.Card != tiny.Len() {
@@ -147,14 +154,18 @@ func TestDriftBoundAmortisesRecollection(t *testing.T) {
 		}
 	}
 
-	before := c.Table("BIG")
-	big.Unseal()
-	for i := 0; i < n; i++ {
-		big.MustInsert(kvRow(int64(10_000+i), 2))
+	before := c.Refresh("BIG")
+	load(t, big, big.Rows()...)
+	if c.Table("BIG") != before {
+		t.Error("a reload of the same rows tripped the drift bound")
 	}
-	big.Seal()
+	rows := slices.Clone(big.Rows())
+	for i := 0; i <= len(rows)/10; i++ {
+		rows = append(rows, kvRow(int64(10_000+i), 2))
+	}
+	load(t, big, rows...)
 	if after := c.Table("BIG"); after == before || after.Card != big.Len() {
-		t.Error("a bulk load did not trip the drift bound")
+		t.Error("a reload adding more than a tenth of the table did not trip the drift bound")
 	}
 }
 
@@ -164,14 +175,16 @@ func TestDriftBoundAmortisesRecollection(t *testing.T) {
 func TestGenerationSingleFlight(t *testing.T) {
 	db := storage.NewDB()
 	tt, uu := db.MustCreate("T", kvType()), db.MustCreate("U", kvType())
+	var ts, us []value.Value
 	for i := 0; i < 2000; i++ {
-		tt.MustInsert(kvRow(int64(i), int64(i%5)))
-		uu.MustInsert(kvRow(int64(i%7), int64(i)))
+		ts = append(ts, kvRow(int64(i), int64(i%5)))
+		us = append(us, kvRow(int64(i%7), int64(i)))
 	}
-	db.SealAll()
+	load(t, tt, ts...)
+	load(t, uu, us...)
 	c := Analyze(db)
 	for round := int64(0); round < 20; round++ {
-		if _, err := tt.InsertSealed(kvRow(10_000+round, 1)); err != nil {
+		if _, err := tt.Insert(kvRow(10_000+round, 1)); err != nil {
 			t.Fatal(err)
 		}
 		uGen := c.Table("U")
@@ -208,22 +221,20 @@ func TestGenerationSingleFlight(t *testing.T) {
 	}
 }
 
-// TestIndexKeys pins the planner-facing index oracle: present only for live
+// TestIndexKeys pins the planner-facing index oracle: present only for
 // registered indexes, with the O(1) key counter.
 func TestIndexKeys(t *testing.T) {
 	db := storage.NewDB()
 	tt := db.MustCreate("T", kvType())
+	var rows []value.Value
 	for i := 0; i < 30; i++ {
-		tt.MustInsert(kvRow(int64(i), int64(i%6)))
+		rows = append(rows, kvRow(int64(i), int64(i%6)))
 	}
+	load(t, tt, rows...)
 	if err := tt.CreateIndex("v"); err != nil {
 		t.Fatal(err)
 	}
 	c := New(db)
-	if _, ok := c.IndexKeys("T", "v"); ok {
-		t.Error("unsealed table must not report a live index")
-	}
-	db.SealAll()
 	keys, ok := c.IndexKeys("T", "v")
 	if !ok || keys != 6 {
 		t.Errorf("IndexKeys = %d,%v want 6,true", keys, ok)
@@ -240,7 +251,7 @@ func TestIndexKeys(t *testing.T) {
 }
 
 // IndexKeys reports the distinct-key count of the persistent hash index with
-// the given canonical name on table, if one is registered and live — the
+// the given canonical name on table, if one is registered — the
 // figure the planner's index joins use for lookup selectivity. Both counters
 // are O(1) reads.
 func (c *Catalog) IndexKeys(table, name string) (keys int, ok bool) {
@@ -251,7 +262,7 @@ func (c *Catalog) IndexKeys(table, name string) (keys int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	ix, ok := tab.Index(name)
+	ix, ok := tab.IndexOn(strings.Split(name, ","))
 	if !ok {
 		return 0, false
 	}

@@ -234,10 +234,9 @@ func (c *Catalog) evict(name string) {
 	}
 }
 
-// Indexes enumerates the live persistent indexes of a table as ordered
-// attribute lists — the costing-side oracle behind the planner's index-probe
-// and index-scan matchers. Nil without storage backing or while the table is
-// unsealed.
+// Indexes enumerates the persistent indexes of a table as ordered attribute
+// lists — the costing-side oracle behind the planner's index-probe and
+// index-scan matchers. Nil without storage backing.
 func (c *Catalog) Indexes(table string) [][]string {
 	if c.db == nil {
 		return nil
@@ -405,11 +404,6 @@ func collect(tab *storage.Table, exactThreshold int) *TableStats {
 		}
 	}
 	return s
-}
-
-// Selectivity estimates equi-predicate selectivity of attr on table.
-func (c *Catalog) Selectivity(table, attr string) float64 {
-	return c.Table(table).Selectivity(attr)
 }
 
 // DanglingFrac returns the fraction of lTable rows whose lAttr value matches

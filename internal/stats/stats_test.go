@@ -84,7 +84,7 @@ func TestFromXYZSpecAgreesWithAnalyze(t *testing.T) {
 	scanned := Analyze(xyzDB(t, spec))
 	for _, name := range []string{"X", "Y", "Z"} {
 		p, s := predicted.Table(name), scanned.Table(name)
-		// Seal's set semantics drops duplicate rows; the Z prediction models
+		// Load's set semantics drops duplicate rows; the Z prediction models
 		// that explicitly, X and Y approximately (set-valued attributes make
 		// collisions rarer but not impossible).
 		if math.Abs(float64(p.Card-s.Card)) > 0.2*float64(p.Card) {
@@ -120,25 +120,30 @@ func TestUnknownTableZeroStats(t *testing.T) {
 	}
 }
 
+// load replaces tab's rows with rows, failing the test on a type error.
+func load(t testing.TB, tab *storage.Table, rows ...value.Value) {
+	t.Helper()
+	if err := tab.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExactFigures(t *testing.T) {
 	db := storage.NewDB()
 	tab := db.MustCreate("T", types.Tuple(
 		types.F("k", types.Int),
 		types.F("s", types.SetOf(types.Int)),
 	))
-	tab.MustInsert(value.TupleOf(
+	load(t, tab, value.TupleOf(
 		value.F("k", value.Int(1)),
 		value.F("s", value.SetOf(value.Int(1), value.Int(2))),
-	))
-	tab.MustInsert(value.TupleOf(
+	), value.TupleOf(
 		value.F("k", value.Int(1)),
 		value.F("s", value.SetOf(value.Int(3))),
-	))
-	tab.MustInsert(value.TupleOf(
+	), value.TupleOf(
 		value.F("k", value.Int(2)),
 		value.F("s", value.EmptySet),
 	))
-	db.SealAll()
 	st := New(db).Table("T")
 	if st.Card != 3 {
 		t.Errorf("Card = %d", st.Card)
@@ -157,10 +162,7 @@ func TestExactFigures(t *testing.T) {
 func TestNonTupleRowsOnlyCard(t *testing.T) {
 	db := storage.NewDB()
 	tab := db.MustCreate("NUMS", types.Int)
-	for i := int64(0); i < 5; i++ {
-		tab.MustInsert(value.Int(i))
-	}
-	db.SealAll()
+	load(t, tab, value.Int(0), value.Int(1), value.Int(2), value.Int(3), value.Int(4))
 	ts := New(db).Table("NUMS")
 	if ts.Card != 5 || len(ts.Distinct) != 0 {
 		t.Errorf("scalar table stats = %+v", ts)
@@ -202,7 +204,7 @@ func FromXYZSpec(spec datagen.Spec) *Catalog {
 		AvgSetLen: map[string]float64{"c": avgSet},
 	})
 	// Z draws both attributes from small domains, so duplicate rows are
-	// common and Seal's set semantics shrinks the stored cardinality; model
+	// common and Load's set semantics shrinks the stored cardinality; model
 	// it as the expected number of distinct draws.
 	zDomain := 2 * max(1, spec.SetAttrCard) * spec.Keys
 	c.SetTable("Z", &TableStats{

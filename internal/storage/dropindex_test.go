@@ -15,14 +15,15 @@ func TestDropIndex(t *testing.T) {
 	if err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		tab.MustInsert(pairRow(int64(i%3), int64(i%6), int64(i)))
+	rows := make([]value.Value, 12)
+	for i := range rows {
+		rows[i] = pairRow(int64(i%3), int64(i%6), int64(i))
 	}
-	tab.Seal()
+	load(t, tab, rows...)
 
 	ix, ok := tab.IndexOn([]string{"a"})
 	if !ok {
-		t.Fatal("index not served after seal")
+		t.Fatal("index not served after load")
 	}
 	epoch := tab.Epoch()
 
@@ -55,7 +56,6 @@ func TestDBDropIndex(t *testing.T) {
 	if err := tab.CreateIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	tab.Seal()
 
 	if _, err := db.DropIndex("nope", "a"); err == nil {
 		t.Error("DropIndex on an unknown table must error")

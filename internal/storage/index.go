@@ -134,27 +134,6 @@ func (ix *HashIndex) Remove(row value.Value) bool {
 	return removed
 }
 
-// Lookup returns the rows whose first attribute equals key (nil if none) —
-// the single-attribute convenience form of LookupPrefix. The returned slice
-// must not be modified.
-func (ix *HashIndex) Lookup(key value.Value) []value.Value {
-	return ix.LookupPrefix([]value.Value{key})
-}
-
-// LookupPrefix returns the rows whose first len(keys) index attributes equal
-// the given values (nil if none, error-free: a too-long prefix yields nil).
-// The returned slice must not be modified.
-func (ix *HashIndex) LookupPrefix(keys []value.Value) []value.Value {
-	if len(keys) == 0 || len(keys) > len(ix.attrs) {
-		return nil
-	}
-	var buf []byte
-	for _, k := range keys {
-		buf = value.AppendKey(buf, k)
-	}
-	return ix.LookupEncoded(string(buf), len(keys))
-}
-
 // LookupEncoded returns the bucket for an already-encoded key prefix at the
 // given depth (number of leading attributes the encoding covers). This is
 // the allocation-lean probe path: callers encode with value.AppendKey onto a
@@ -167,12 +146,6 @@ func (ix *HashIndex) LookupEncoded(key string, depth int) []value.Value {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.levels[depth-1][key]
-}
-
-// Contains reports whether any row is stored under the full composite key
-// prefix given.
-func (ix *HashIndex) Contains(keys ...value.Value) bool {
-	return ix.LookupPrefix(keys) != nil
 }
 
 // Keys returns the number of distinct full composite keys in O(1).

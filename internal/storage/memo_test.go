@@ -13,41 +13,38 @@ func memoOf(tab *Table) *Memo {
 	return m
 }
 
-// TestSnapshotMemoFreshPerMutation pins the memo's lifetime: each of the six
-// mutations that replace the rows starts a fresh, empty memo, so nothing
+// TestSnapshotMemoFreshPerMutation pins the memo's lifetime: each of the
+// five mutations that replace the rows starts a fresh, empty memo, so nothing
 // derived from the old rows is served with the new ones. A no-op mutation,
 // DropIndex and CreateIndex leave the data, and so the memo, alone.
 func TestSnapshotMemoFreshPerMutation(t *testing.T) {
 	tab := NewTable("T", rowType())
-	for i := range 8 {
-		tab.MustInsert(row(int64(i), "r"))
-	}
-	if memoOf(tab) != nil {
-		t.Fatal("an unsealed table served a memo")
+	rows := make([]value.Value, 8)
+	for i := range rows {
+		rows[i] = row(int64(i), "r")
 	}
 	mutations := []struct {
 		name   string
 		mutate func() error
 	}{
-		{"Seal", func() error { tab.Seal(); return nil }},
-		{"InsertSealed", func() error { _, err := tab.InsertSealed(row(100, "n")); return err }},
+		{"Load", func() error { return tab.Load(rows) }},
+		{"Insert", func() error { _, err := tab.Insert(row(100, "n")); return err }},
 		{"Delete", func() error { _, err := tab.Delete(row(100, "n")); return err }},
 		{"DeleteRows", func() error { _, err := tab.DeleteRows([]value.Value{row(0, "r"), row(1, "r")}); return err }},
 		{"DeleteWhere", func() error {
 			_, err := tab.DeleteWhere(func(v value.Value) bool { return v.MustGet("a").AsInt() == 2 })
 			return err
 		}},
+		{"Load of the same rows", func() error { return tab.Load(tab.Rows()) }},
 	}
 	prev := memoOf(tab)
 	for _, m := range mutations {
-		if prev != nil {
-			prev.Store("k", m.name)
-		}
+		prev.Store("k", m.name)
 		if err := m.mutate(); err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
 		cur := memoOf(tab)
-		if cur == nil || cur == prev {
+		if cur == nil || cur == prev || cur.ID() <= prev.ID() {
 			t.Fatalf("%s did not start a fresh memo", m.name)
 		}
 		if _, ok := cur.Load("k"); ok {
@@ -58,14 +55,15 @@ func TestSnapshotMemoFreshPerMutation(t *testing.T) {
 
 	prev.Store("k", "kept")
 	noops := map[string]func(){
-		"duplicate InsertSealed":  func() { tab.InsertSealed(row(3, "r")) },
+		"duplicate Insert":        func() { tab.Insert(row(3, "r")) },
+		"ill-typed Insert":        func() { tab.Insert(value.Int(1)) },
+		"ill-typed Load":          func() { tab.Load([]value.Value{value.Int(1)}) },
 		"Delete of an absent row": func() { tab.Delete(row(99, "zz")) },
 		"DeleteWhere matching nothing": func() {
 			tab.DeleteWhere(func(value.Value) bool { return false })
 		},
-		"CreateIndex":            func() { tab.CreateIndex("a") },
-		"DropIndex":              func() { tab.DropIndex("a") },
-		"Seal of a sealed table": func() { tab.Seal() },
+		"CreateIndex": func() { tab.CreateIndex("a") },
+		"DropIndex":   func() { tab.DropIndex("a") },
 	}
 	for name, op := range noops {
 		op()
@@ -76,29 +74,15 @@ func TestSnapshotMemoFreshPerMutation(t *testing.T) {
 	if v, ok := prev.Load("k"); !ok || v != "kept" {
 		t.Errorf("the memo lost its entry across no-op mutations: %v %v", v, ok)
 	}
-
-	tab.Unseal()
-	if memoOf(tab) != nil {
-		t.Error("Unseal kept a memo")
-	}
-	tab.MustInsert(row(200, "u"))
-	if memoOf(tab) != nil {
-		t.Error("a bulk-loaded unsealed table served a memo")
-	}
-	tab.Seal()
-	if m := memoOf(tab); m == nil || m == prev {
-		t.Error("Seal after Unseal did not start a fresh memo")
-	}
 }
 
 // TestSnapshotMemoRowsMatch pins that Snapshot hands out the memo together
 // with exactly the rows it belongs to.
 func TestSnapshotMemoRowsMatch(t *testing.T) {
 	tab := NewTable("T", rowType())
-	tab.MustInsert(row(1, "x"))
-	tab.Seal()
+	load(t, tab, row(1, "x"))
 	rows, m := tab.Snapshot()
-	if _, err := tab.InsertSealed(row(2, "y")); err != nil {
+	if _, err := tab.Insert(row(2, "y")); err != nil {
 		t.Fatal(err)
 	}
 	rows2, m2 := tab.Snapshot()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,67 +27,64 @@ func TestCreateRejectsNilElem(t *testing.T) {
 	NewTable("T", nil)
 }
 
-// TestEpochAdvancesOnEveryMutation pins the staleness signal: loads, seals,
-// unseals, sealed inserts, and deletes each advance the epoch; reads and
-// no-op mutations do not.
+// TestEpochAdvancesOnEveryMutation pins the staleness signal: a load
+// advances the epoch once per row it adds or removes (at least once), inserts
+// and deletes once each; reads and no-op mutations leave it alone.
 func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 	tab := NewTable("T", rowType())
 	e0 := tab.Epoch()
-	tab.MustInsert(row(1, "x"))
-	if tab.Epoch() == e0 {
-		t.Error("Insert did not advance the epoch")
+	load(t, tab, row(1, "x"), row(2, "y"), row(2, "y"))
+	if got := tab.Epoch() - e0; got != 2 {
+		t.Errorf("loading 2 rows into an empty table advanced the epoch by %d, want 2", got)
 	}
 	e1 := tab.Epoch()
-	tab.Seal()
-	if tab.Epoch() == e1 {
-		t.Error("Seal did not advance the epoch")
+	load(t, tab, tab.Rows()...)
+	if got := tab.Epoch() - e1; got != 1 {
+		t.Errorf("reloading the same rows advanced the epoch by %d, want 1", got)
 	}
 	e2 := tab.Epoch()
-	tab.Seal() // idempotent: no change, no epoch bump
-	if tab.Epoch() != e2 {
-		t.Error("idempotent Seal advanced the epoch")
-	}
-	if _, err := tab.InsertSealed(row(2, "y")); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Epoch() == e2 {
-		t.Error("InsertSealed did not advance the epoch")
+	load(t, tab, row(2, "y"), row(3, "z"), row(4, "w"))
+	if got := tab.Epoch() - e2; got != 3 {
+		t.Errorf("a reload removing 1 row and adding 2 advanced the epoch by %d, want 3", got)
 	}
 	e3 := tab.Epoch()
-	// Duplicate insert is a set-semantics no-op, but still reports a fresh
-	// epoch observation consistent with "nothing changed".
-	if added, err := tab.InsertSealed(row(2, "y")); err != nil || added {
-		t.Errorf("duplicate InsertSealed: added=%v err=%v", added, err)
+	if _, err := tab.Insert(row(5, "v")); err != nil {
+		t.Fatal(err)
 	}
-	if removed, err := tab.Delete(row(1, "x")); err != nil || !removed {
-		t.Fatalf("Delete: removed=%v err=%v", removed, err)
-	}
-	if tab.Epoch() == e3 {
-		t.Error("Delete did not advance the epoch")
+	if tab.Epoch() != e3+1 {
+		t.Error("Insert did not advance the epoch by one")
 	}
 	e4 := tab.Epoch()
-	if removed, _ := tab.Delete(row(99, "zzz")); removed {
-		t.Error("Delete of an absent row reported removal")
+	// Duplicate insert is a set-semantics no-op.
+	if added, err := tab.Insert(row(5, "v")); err != nil || added || tab.Epoch() != e4 {
+		t.Errorf("duplicate Insert: added=%v err=%v epoch %d -> %d", added, err, e4, tab.Epoch())
 	}
-	tab.Unseal()
-	if tab.Epoch() == e4 {
-		t.Error("Unseal did not advance the epoch")
+	if removed, err := tab.Delete(row(2, "y")); err != nil || !removed {
+		t.Fatalf("Delete: removed=%v err=%v", removed, err)
+	}
+	if tab.Epoch() != e4+1 {
+		t.Error("Delete did not advance the epoch by one")
+	}
+	e5 := tab.Epoch()
+	if removed, _ := tab.Delete(row(99, "zzz")); removed || tab.Epoch() != e5 {
+		t.Error("Delete of an absent row reported removal or advanced the epoch")
 	}
 }
 
-// TestSealedMutationMaintainsSetView checks the seal→mutate→reseal cycle:
-// sealed inserts and deletes keep rows sorted, duplicate-free, and the set
-// view in sync, and open snapshots are unaffected by later mutations.
-func TestSealedMutationMaintainsSetView(t *testing.T) {
+// TestMutationMaintainsSetView checks the load→mutate→reload cycle: inserts
+// and deletes keep rows sorted, duplicate-free, and the set view in sync, and
+// open snapshots are unaffected by later mutations.
+func TestMutationMaintainsSetView(t *testing.T) {
 	tab := NewTable("T", rowType())
-	for i := 0; i < 10; i++ {
-		tab.MustInsert(row(int64(i), fmt.Sprintf("v%d", i%3)))
+	rows := make([]value.Value, 10)
+	for i := range rows {
+		rows[i] = row(int64(i), fmt.Sprintf("v%d", i%3))
 	}
-	tab.Seal()
+	load(t, tab, rows...)
 	snapshot := tab.Rows()
 
-	if added, err := tab.InsertSealed(row(100, "new")); err != nil || !added {
-		t.Fatalf("InsertSealed: %v %v", added, err)
+	if added, err := tab.Insert(row(100, "new")); err != nil || !added {
+		t.Fatalf("Insert: %v %v", added, err)
 	}
 	if removed, err := tab.Delete(row(0, "v0")); err != nil || !removed {
 		t.Fatalf("Delete: %v %v", removed, err)
@@ -101,20 +99,18 @@ func TestSealedMutationMaintainsSetView(t *testing.T) {
 	if s.Len() != tab.Len() {
 		t.Errorf("set view %d elements vs %d rows", s.Len(), tab.Len())
 	}
-	// Rows stay sorted and deduplicated — the invariant InsertSealed's
-	// binary search relies on.
-	rows := tab.Rows()
+	// Rows stay sorted and deduplicated — the invariant Insert's binary
+	// search relies on.
+	rows = tab.Rows()
 	for i := 1; i < len(rows); i++ {
 		if !value.Less(rows[i-1], rows[i]) {
 			t.Fatalf("rows out of canonical order at %d", i)
 		}
 	}
-	// A full unseal → bulk load → reseal cycle dedupes again.
-	tab.Unseal()
-	tab.MustInsert(row(100, "new")) // duplicate of the sealed insert
-	tab.Seal()
+	// A reload holding a duplicate of the inserted row dedupes again.
+	load(t, tab, append(slices.Clone(rows), row(100, "new"))...)
 	if tab.Len() != 10 {
-		t.Errorf("reseal Len = %d, want 10 (set semantics)", tab.Len())
+		t.Errorf("reload Len = %d, want 10 (set semantics)", tab.Len())
 	}
 	n, err := tab.DeleteWhere(func(v value.Value) bool {
 		b, _ := v.Get("b")
@@ -129,9 +125,8 @@ func TestSealedMutationMaintainsSetView(t *testing.T) {
 }
 
 // TestIndexMaintainedAcrossMutations checks the persistent index registry:
-// built at Seal, incrementally maintained by sealed mutations, rebuilt on
-// reseal, stale (not served) while unsealed, with O(1) Keys/Len counters in
-// sync throughout.
+// built at CreateIndex, incrementally maintained by inserts and deletes,
+// rebuilt by Load, with O(1) Keys/Len counters in sync throughout.
 func TestIndexMaintainedAcrossMutations(t *testing.T) {
 	tab := NewTable("T", rowType())
 	if err := tab.CreateIndex("nope"); err == nil {
@@ -143,31 +138,29 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 	if err := tab.CreateIndex("b"); err != nil {
 		t.Errorf("re-creating an index must be a no-op, got %v", err)
 	}
-	for i := 0; i < 12; i++ {
-		tab.MustInsert(row(int64(i), fmt.Sprintf("k%d", i%4)))
+	rows := make([]value.Value, 12)
+	for i := range rows {
+		rows[i] = row(int64(i), fmt.Sprintf("k%d", i%4))
 	}
-	if _, ok := tab.Index("b"); ok {
-		t.Error("unsealed table must not serve an index")
-	}
-	tab.Seal()
-	ix, ok := tab.Index("b")
+	load(t, tab, rows...)
+	ix, ok := tab.IndexOn([]string{"b"})
 	if !ok {
-		t.Fatal("sealed table must serve the registered index")
+		t.Fatal("the table must serve the registered index")
 	}
 	if ix.Keys() != 4 || ix.Len() != 12 {
-		t.Fatalf("after seal: Keys=%d Len=%d, want 4/12", ix.Keys(), ix.Len())
+		t.Fatalf("after load: Keys=%d Len=%d, want 4/12", ix.Keys(), ix.Len())
 	}
 	if got := ix.Lookup(value.Str("k1")); len(got) != 3 {
 		t.Errorf("Lookup(k1) = %d rows, want 3", len(got))
 	}
 
-	if _, err := tab.InsertSealed(row(100, "k1")); err != nil {
+	if _, err := tab.Insert(row(100, "k1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := ix.Lookup(value.Str("k1")); len(got) != 4 {
 		t.Errorf("after insert Lookup(k1) = %d rows, want 4", len(got))
 	}
-	if _, err := tab.InsertSealed(row(101, "brand-new")); err != nil {
+	if _, err := tab.Insert(row(101, "brand-new")); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Keys() != 5 || ix.Len() != 14 {
@@ -183,19 +176,15 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 		t.Error("emptied bucket must vanish from the index")
 	}
 
-	// Unseal: the index goes dark; reseal rebuilds it from scratch.
-	tab.Unseal()
-	if _, ok := tab.Index("b"); ok {
-		t.Error("unsealed table served a stale index")
-	}
-	tab.Seal()
-	ix2, ok := tab.Index("b")
-	if !ok || ix2.Len() != tab.Len() {
-		t.Fatalf("reseal rebuild: ok=%v Len=%d want %d", ok, ix2.Len(), tab.Len())
+	// A reload rebuilds the index from scratch.
+	load(t, tab, tab.Rows()...)
+	ix2, ok := tab.IndexOn([]string{"b"})
+	if !ok || ix2 == ix || ix2.Len() != tab.Len() {
+		t.Fatalf("reload rebuild: ok=%v Len=%d want %d", ok, ix2.Len(), tab.Len())
 	}
 
-	if got := tab.IndexAttrs(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("IndexAttrs = %v", got)
+	if got := tab.Indexes(); len(got) != 1 || len(got[0]) != 1 || got[0][0] != "b" {
+		t.Errorf("Indexes = %v", got)
 	}
 	if err := (&DB{tables: map[string]*Table{"T": tab}}).CreateIndex("GHOST", "b"); err == nil {
 		t.Error("DB.CreateIndex on an unknown table must fail")
@@ -203,17 +192,18 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 }
 
 // TestConcurrentReadersAndWriter races scans, set views, and index lookups
-// against sealed mutations — the copy-on-write contract concurrent queries
-// rely on. Run with -race.
+// against mutations — the copy-on-write contract concurrent queries rely on.
+// Run with -race.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	tab := NewTable("T", rowType())
 	if err := tab.CreateIndex("b"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		tab.MustInsert(row(int64(i), fmt.Sprintf("k%d", i%10)))
+	rows := make([]value.Value, 200)
+	for i := range rows {
+		rows[i] = row(int64(i), fmt.Sprintf("k%d", i%10))
 	}
-	tab.Seal()
+	load(t, tab, rows...)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -232,7 +222,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					_ = r
 				}
 				_ = tab.AsSet().Len()
-				if ix, ok := tab.Index("b"); ok {
+				if ix, ok := tab.IndexOn([]string{"b"}); ok {
 					_ = ix.Lookup(value.Str("k3"))
 					_ = ix.Keys() + ix.Len()
 				}
@@ -241,7 +231,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := tab.InsertSealed(row(int64(1000+i), fmt.Sprintf("k%d", i%10))); err != nil {
+		if _, err := tab.Insert(row(int64(1000+i), fmt.Sprintf("k%d", i%10))); err != nil {
 			t.Error(err)
 			break
 		}
@@ -254,15 +244,15 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	ix, _ := tab.Index("b")
+	ix, _ := tab.IndexOn([]string{"b"})
 	if ix.Len() != tab.Len() {
 		t.Errorf("index rows %d out of sync with table %d", ix.Len(), tab.Len())
 	}
 }
 
 // TestSetViewMatchesRows: the set view aliases the copy-on-write row slice,
-// so after any history of sealed inserts, single and batched deletes (victims
-// in canonical order, shuffled, duplicated, absent) and reseal cycles it must
+// so after any history of inserts, single and batched deletes (victims in
+// canonical order, shuffled, duplicated, absent) and reloads it must
 // equal the canonicalization of the rows, and the index must follow.
 func TestSetViewMatchesRows(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
@@ -273,14 +263,13 @@ func TestSetViewMatchesRows(t *testing.T) {
 		}
 		live := map[int64]bool{}
 		key := func(a int64) value.Value { return row(a, fmt.Sprintf("k%d", a%7)) }
-		tab.Seal()
 		for step := 0; step < 300; step++ {
 			a := rng.Int63n(60)
 			switch op := rng.Intn(10); {
 			case op < 5:
-				added, err := tab.InsertSealed(key(a))
+				added, err := tab.Insert(key(a))
 				if err != nil || added == live[a] {
-					t.Fatalf("seed %d step %d: InsertSealed(%d) added=%v err=%v, present=%v", seed, step, a, added, err, live[a])
+					t.Fatalf("seed %d step %d: Insert(%d) added=%v err=%v, present=%v", seed, step, a, added, err, live[a])
 				}
 				live[a] = true
 			case op < 7:
@@ -311,9 +300,7 @@ func TestSetViewMatchesRows(t *testing.T) {
 					delete(live, v.MustGet("a").AsInt())
 				}
 			default:
-				tab.Unseal()
-				tab.MustInsert(key(a))
-				tab.Seal()
+				load(t, tab, append(slices.Clone(tab.Rows()), key(a))...)
 				live[a] = true
 			}
 			rows := tab.Rows()
@@ -321,7 +308,7 @@ func TestSetViewMatchesRows(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d rows, %d live, set view equal to SetOf(rows)=%v",
 					seed, step, len(rows), len(live), value.Equal(tab.AsSet(), value.SetOf(rows...)))
 			}
-			if ix, _ := tab.Index("b"); ix.Len() != len(rows) {
+			if ix, _ := tab.IndexOn([]string{"b"}); ix.Len() != len(rows) {
 				t.Fatalf("seed %d step %d: index holds %d rows, table %d", seed, step, ix.Len(), len(rows))
 			}
 		}
@@ -334,10 +321,11 @@ func TestSetViewMatchesRows(t *testing.T) {
 // mutates.
 func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 	tab := NewTable("T", rowType())
-	for i := 0; i < 500; i++ {
-		tab.MustInsert(row(int64(2*i), "v"))
+	rows := make([]value.Value, 500)
+	for i := range rows {
+		rows[i] = row(int64(2*i), "v")
 	}
-	tab.Seal()
+	load(t, tab, rows...)
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -362,7 +350,7 @@ func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 200; i++ {
-		if _, err := tab.InsertSealed(row(int64(2*i+1), "w")); err != nil {
+		if _, err := tab.Insert(row(int64(2*i+1), "w")); err != nil {
 			t.Error(err)
 		}
 		if _, err := tab.DeleteRows([]value.Value{row(int64(2*i), "v"), row(int64(2*i+1), "w")}); err != nil {
@@ -373,7 +361,7 @@ func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 	wg.Wait()
 }
 
-// DeleteWhere removes every tuple of a sealed table for which pred returns
+// DeleteWhere removes every tuple of the table for which pred returns
 // true, returning the number removed. Mutation bookkeeping (epoch, indexes)
 // is paid once for the whole batch. pred runs under the table's lock: it must
 // be a pure function of the row and must not read this table (or any table,
@@ -381,9 +369,6 @@ func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.sealed {
-		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
-	}
 	var victims []int
 	for i, r := range t.rows {
 		if pred(r) {

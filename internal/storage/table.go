@@ -1,25 +1,24 @@
 // Package storage provides the in-memory storage substrate: extension tables
 // of complex-object tuples and equi-key hash indexes (per-table statistics
-// live in internal/stats). TM sets are duplicate-free, so a table is
-// a set of tuples; Insert enforces this lazily (deduplication happens on
-// Seal, giving O(n log n) bulk loads instead of per-insert probes).
+// live in internal/stats). TM sets are duplicate-free, so a table is a set of
+// tuples, held in canonical order from its creation on.
 //
-// Tables are mutable. The lifecycle is: bulk-load with Insert, Seal once, and
-// from then on either mutate in place with InsertSealed/Delete/DeleteRows or
-// run an Unseal → bulk Insert → Seal cycle. Every mutation advances the
-// table's data epoch, a monotonic counter; the statistics catalog measures
-// how far a table has drifted from its last collection by it.
+// Tables are mutable: Load replaces every row at once (sorting and
+// deduplicating a copy, O(n log n)), and Insert, Delete and DeleteRows change
+// one or a few rows in place. Every mutation advances the table's data epoch,
+// a monotonic counter; the statistics catalog measures how far a table has
+// drifted from its last collection by it.
 //
 // Concurrency: readers (scans, set views, index lookups) may run concurrently
-// with mutators. Sealed-table mutations replace the row slice (copy-on-write:
-// one O(n) copy per write, no sort) instead of editing it, and the set view
-// is that same slice, so a snapshot taken by an open scan stays immutable
-// while later mutations build new ones.
+// with mutators. Mutations replace the row slice (copy-on-write: one O(n)
+// copy per write, no sort) instead of editing it, and the set view is that
+// same slice, so a snapshot taken by an open scan stays immutable while later
+// mutations build new ones.
 //
-// Each sealed snapshot carries a memo (Snapshot): a small cache, opaque to
-// storage, in which consumers keep what they derive from exactly those rows.
-// Every mutation that replaces the rows starts a fresh memo, so an entry is
-// dropped with its snapshot and never maintained.
+// Each snapshot carries a memo (Snapshot): a small cache, opaque to storage,
+// in which consumers keep what they derive from exactly those rows. Every
+// mutation that replaces the rows starts a fresh memo, so an entry is dropped
+// with its snapshot and never maintained.
 package storage
 
 import (
@@ -40,18 +39,17 @@ type Table struct {
 	elem *types.Type
 
 	mu sync.RWMutex
-	// rows is in canonical order and duplicate-free while sealed, and then
-	// never modified in place: AsSet aliases it.
-	rows   []value.Value
-	sealed bool
-	// epoch counts mutations (inserts, deletes, seal/unseal transitions).
+	// rows is in canonical order and duplicate-free, and never modified in
+	// place: AsSet aliases it.
+	rows []value.Value
+	// epoch counts mutations (see Epoch).
 	epoch uint64
-	// memo belongs to the current sealed rows; nil while unsealed. Every
-	// mutation replaces it (advanceLocked) rather than clearing it.
+	// memo belongs to the current rows. Every mutation replaces it rather
+	// than clearing it.
 	memo *Memo
 	// indexes maps a canonical index name (IndexName of the ordered attribute
 	// list; a bare attribute for single-attribute indexes) to its persistent
-	// hash index, rebuilt on Seal and maintained incrementally by sealed
+	// hash index, rebuilt by Load and maintained incrementally by the other
 	// mutations.
 	indexes map[string]*HashIndex
 }
@@ -63,110 +61,82 @@ func NewTable(name string, elem *types.Type) *Table {
 	if elem == nil {
 		panic(fmt.Sprintf("storage: table %s created with nil element type", name))
 	}
-	return &Table{name: name, elem: elem}
+	return &Table{name: name, elem: elem, memo: newMemo()}
 }
 
-// Name returns the extension name.
-func (t *Table) Name() string { return t.name }
-
 // Epoch returns the table's mutation epoch: a monotonically increasing
-// counter advanced by every successful Insert, InsertSealed, Delete,
-// DeleteRows, Seal, and Unseal. Consumers caching anything derived from the
-// table's contents record the epoch at derivation time; the difference to
-// the current epoch is the number of mutations since.
+// counter advanced once by every Insert, Delete and DeleteRows that changes
+// the rows, and by Load once per row added or removed (at least once).
+// Consumers caching anything derived from the table's contents record the
+// epoch at derivation time; the difference to the current epoch is the number
+// of rows changed since.
 func (t *Table) Epoch() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.epoch
 }
 
-// Sealed reports whether the table is sealed (deduplicated, sorted, and
-// serving a cached set view and live indexes).
-func (t *Table) Sealed() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sealed
-}
-
-// Insert appends a tuple after typechecking it — the bulk-load path. It is
-// only valid before Seal (or between Unseal and the next Seal); use
-// InsertSealed to mutate a sealed table in place.
-func (t *Table) Insert(v value.Value) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sealed {
-		return fmt.Errorf("storage: table %s is sealed (use InsertSealed or Unseal)", t.name)
-	}
-	if !types.Check(v, t.elem) {
-		return fmt.Errorf("storage: value %s does not conform to %s element type %s", v, t.name, t.elem)
-	}
-	t.rows = append(t.rows, v)
-	t.advanceLocked()
-	return nil
-}
-
-// MustInsert inserts and panics on type errors; for tests and generators.
-func (t *Table) MustInsert(v value.Value) {
-	if err := t.Insert(v); err != nil {
-		panic(err)
-	}
-}
-
-// Seal deduplicates (set semantics), sorts into the canonical order, freezes
-// the bulk-load path, and (re)builds every registered index.
-//
-// Sorting and deduplication work on a fresh copy of the row slice: a snapshot
-// handed out by Rows before this Seal (e.g. to a query running concurrently
-// with an Unseal → bulk-load → Seal cycle) shares the old backing array, and
-// reordering it in place would tear that reader's view.
-func (t *Table) Seal() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sealed {
-		return
-	}
-	rows := append(make([]value.Value, 0, len(t.rows)), t.rows...)
-	slices.SortFunc(rows, value.Compare)
-	out := rows[:0]
-	for i, r := range rows {
-		if i == 0 || !value.Equal(r, out[len(out)-1]) {
-			out = append(out, r)
+// Load replaces the table's rows with the set of the given ones, after
+// typechecking every one of them: an ill-typed row fails the load and leaves
+// the table as it was. The rows are sorted into canonical order and
+// deduplicated on a copy, so neither the caller's slice nor a snapshot handed
+// out before is touched; the new rows get a fresh memo, and every registered
+// index is rebuilt over them.
+func (t *Table) Load(rows []value.Value) error {
+	for _, r := range rows {
+		if err := t.check(r); err != nil {
+			return err
 		}
 	}
-	t.rows = out
-	t.sealed = true
-	t.advanceLocked()
+	out := slices.Clone(rows)
+	slices.SortFunc(out, value.Compare)
+	out = slices.CompactFunc(out, value.Equal)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.epoch += max(1, changed(t.rows, out))
+	t.rows, t.memo = out, newMemo()
 	for name, ix := range t.indexes {
 		t.indexes[name] = t.buildIndexLocked(ix.Attrs())
 	}
+	return nil
 }
 
-// Unseal reopens the table for bulk loading: the indexes go stale (they are
-// rebuilt by the next Seal) and the epoch advances.
-func (t *Table) Unseal() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.sealed {
-		return
+// changed counts the rows in exactly one of two canonical row lists: those a
+// load from a to b adds plus those it removes.
+func changed(a, b []value.Value) uint64 {
+	common := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := value.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			common, i, j = common+1, i+1, j+1
+		}
 	}
-	t.sealed = false
-	t.advanceLocked()
+	return uint64(len(a) + len(b) - 2*common)
 }
 
-// InsertSealed inserts one tuple into a sealed table, maintaining the sorted
+// check reports a value that does not conform to the element type.
+func (t *Table) check(v value.Value) error {
+	if !types.Check(v, t.elem) {
+		return fmt.Errorf("storage: value %s does not conform to %s element type %s", v, t.name, t.elem)
+	}
+	return nil
+}
+
+// Insert inserts one tuple after typechecking it, maintaining the sorted
 // duplicate-free row order and every registered index incrementally. It
 // reports whether the tuple was actually added (false for a duplicate: set
 // semantics make duplicate insertion a no-op). The row slice is replaced,
 // not edited, so open scans keep a consistent snapshot.
-func (t *Table) InsertSealed(v value.Value) (bool, error) {
+func (t *Table) Insert(v value.Value) (bool, error) {
+	if err := t.check(v); err != nil {
+		return false, err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.sealed {
-		return false, fmt.Errorf("storage: table %s is not sealed (use Insert during bulk load)", t.name)
-	}
-	if !types.Check(v, t.elem) {
-		return false, fmt.Errorf("storage: value %s does not conform to %s element type %s", v, t.name, t.elem)
-	}
 	i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
 	if i < len(t.rows) && value.Equal(t.rows[i], v) {
 		return false, nil // already present
@@ -187,14 +157,11 @@ func (t *Table) InsertSealed(v value.Value) (bool, error) {
 	return true, nil
 }
 
-// Delete removes one tuple (by value equality) from a sealed table,
-// maintaining row order and indexes. It reports whether the tuple was present.
+// Delete removes one tuple (by value equality), maintaining row order and
+// indexes. It reports whether the tuple was present.
 func (t *Table) Delete(v value.Value) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.sealed {
-		return false, fmt.Errorf("storage: table %s is not sealed", t.name)
-	}
 	i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
 	if i >= len(t.rows) || !value.Equal(t.rows[i], v) {
 		return false, nil
@@ -203,19 +170,16 @@ func (t *Table) Delete(v value.Value) (bool, error) {
 	return true, nil
 }
 
-// DeleteRows removes every listed tuple (by value equality) from a sealed
-// table in one batch — the entry point for callers that computed the victim
-// set from a snapshot (e.g. by evaluating a predicate that may itself read
-// this table, which must not run under the table's lock). Returns the number
-// of tuples actually present and removed. Victims in canonical order (a query
-// result's element order) are located by a search that only ever moves
-// forward; any other order costs one full binary search per victim.
+// DeleteRows removes every listed tuple (by value equality) in one batch —
+// the entry point for callers that computed the victim set from a snapshot
+// (e.g. by evaluating a predicate that may itself read this table, which must
+// not run under the table's lock). Returns the number of tuples actually
+// present and removed. Victims in canonical order (a query result's element
+// order) are located by a search that only ever moves forward; any other
+// order costs one full binary search per victim.
 func (t *Table) DeleteRows(vs []value.Value) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.sealed {
-		return 0, fmt.Errorf("storage: table %s is not sealed", t.name)
-	}
 	victims := make([]int, 0, len(vs))
 	lo := 0
 	for k, v := range vs {
@@ -238,7 +202,7 @@ func (t *Table) DeleteRows(vs []value.Value) (int, error) {
 // removeRowsLocked drops the rows at the given strictly ascending positions:
 // the surviving runs between victims are copied into a fresh slice
 // (copy-on-write), the victims leave every index, and the epoch advances. No
-// victims, no mutation. Caller holds the write lock on a sealed table.
+// victims, no mutation. Caller holds the write lock.
 func (t *Table) removeRowsLocked(victims []int) {
 	if len(victims) == 0 {
 		return
@@ -257,14 +221,10 @@ func (t *Table) removeRowsLocked(victims []int) {
 }
 
 // advanceLocked records a mutation: the epoch advances and the new rows get
-// a fresh memo, or none while the table is unsealed. Caller holds the write
-// lock.
+// a fresh memo. Caller holds the write lock.
 func (t *Table) advanceLocked() {
 	t.epoch++
-	t.memo = nil
-	if t.sealed {
-		t.memo = &Memo{id: memoIDs.Add(1)}
-	}
+	t.memo = newMemo()
 }
 
 // Len returns the current row count.
@@ -274,9 +234,9 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// Rows returns a snapshot of the rows; the slice must not be modified. Once
-// the table is sealed the snapshot is immutable — sealed mutations replace
-// the slice rather than editing it. Seal first for set semantics.
+// Rows returns a snapshot of the rows, in canonical order; the slice must not
+// be modified. The snapshot is immutable: mutations replace the slice rather
+// than editing it.
 func (t *Table) Rows() []value.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -285,8 +245,7 @@ func (t *Table) Rows() []value.Value {
 
 // Snapshot returns the row snapshot, as Rows does, together with the memo
 // that belongs to exactly those rows: whatever a consumer stores there was
-// derived from this snapshot and is served only with it. An unsealed table's
-// rows get no memo (nil).
+// derived from this snapshot and is served only with it.
 func (t *Table) Snapshot() ([]value.Value, *Memo) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -299,7 +258,7 @@ func (t *Table) Snapshot() ([]value.Value, *Memo) {
 // its snapshot's size.
 const MemoEntries = 16
 
-// Memo is the per-snapshot cache of a sealed table: entries derived from
+// Memo is the per-snapshot cache of a table: entries derived from
 // one row snapshot, keyed by what they were derived with. Storage never
 // reads an entry; it only starts a fresh memo whenever the rows change. A
 // stored entry must be immutable: concurrent queries on the snapshot share
@@ -312,6 +271,9 @@ type Memo struct {
 
 // memoIDs numbers the memos of every table of the process.
 var memoIDs atomic.Uint64
+
+// newMemo returns an empty memo numbered after every memo before it.
+func newMemo() *Memo { return &Memo{id: memoIDs.Add(1)} }
 
 // ID returns the memo's number, unique in the process and larger than that
 // of every memo created before it: it names the snapshot the memo belongs
@@ -349,31 +311,23 @@ func (m *Memo) Store(key string, v any) (served any, kept bool) {
 }
 
 // AsSet returns the table contents as a TM set value (used by the naive
-// evaluator, where a table reference is simply a set-valued constant). A
-// sealed table's rows are already canonical and never modified in place, so
-// the view is the row snapshot itself; an unsealed table canonicalizes a copy.
+// evaluator, where a table reference is simply a set-valued constant). The
+// rows are already canonical and never modified in place, so the view is the
+// row snapshot itself.
 func (t *Table) AsSet() value.Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.sealed {
-		return value.CanonicalSet(t.rows)
-	}
-	b := value.NewSetBuilder(len(t.rows))
-	for _, r := range t.rows {
-		b.Add(r)
-	}
-	return b.Build()
+	return value.CanonicalSet(t.rows)
 }
 
 // --- Per-table index registry ---
 
-// CreateIndex registers (and, if the table is sealed, builds) a persistent
-// hash index on the given ordered list of top-level attributes. A single
-// attribute gives the classic equi-key index; multiple attributes give a
-// composite index whose every non-empty prefix is probeable (see HashIndex).
-// The index is rebuilt on every Seal and maintained incrementally by
-// InsertSealed/Delete/DeleteRows. Creating an index that already exists is
-// a no-op.
+// CreateIndex registers and builds a persistent hash index on the given
+// ordered list of top-level attributes. A single attribute gives the classic
+// equi-key index; multiple attributes give a composite index whose every
+// non-empty prefix is probeable (see HashIndex). The index is rebuilt by
+// every Load and maintained incrementally by Insert/Delete/DeleteRows.
+// Creating an index that already exists is a no-op.
 func (t *Table) CreateIndex(attrs ...string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -400,18 +354,14 @@ func (t *Table) CreateIndex(attrs ...string) error {
 	if _, dup := t.indexes[name]; dup {
 		return nil
 	}
-	if t.sealed {
-		t.indexes[name] = t.buildIndexLocked(attrs)
-	} else {
-		t.indexes[name] = NewHashIndex(attrs...) // built by the next Seal
-	}
+	t.indexes[name] = t.buildIndexLocked(attrs)
 	return nil
 }
 
 // DropIndex unregisters the index on the given ordered attribute list,
 // reporting whether it existed. The data is unchanged, so the epoch does not
 // advance. An in-flight query that already resolved the *HashIndex keeps
-// probing its snapshot — buckets are copy-on-write — while subsequent Index
+// probing its snapshot — buckets are copy-on-write — while subsequent IndexOn
 // lookups miss, so the planner compiles later queries without it.
 func (t *Table) DropIndex(attrs ...string) bool {
 	t.mu.Lock()
@@ -444,48 +394,19 @@ func errMissingAttr(table string, row value.Value, attrs []string) error {
 		table, IndexName(attrs), row)
 }
 
-// Index returns the live index with the given canonical name (a bare
-// attribute for single-attribute indexes, IndexName(attrs) for composite
-// ones). It reports ok only while the table is sealed: between Unseal and
-// the next Seal the registered indexes are stale, and consumers (the
-// planner's index joins and scans) must not probe them.
-func (t *Table) Index(name string) (*HashIndex, bool) {
+// IndexOn returns the index on exactly the given ordered attribute list.
+func (t *Table) IndexOn(attrs []string) (*HashIndex, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if !t.sealed {
-		return nil, false
-	}
-	ix, ok := t.indexes[name]
+	ix, ok := t.indexes[IndexName(attrs)]
 	return ix, ok
 }
 
-// IndexOn returns the live index on exactly the given ordered attribute list.
-func (t *Table) IndexOn(attrs []string) (*HashIndex, bool) {
-	return t.Index(IndexName(attrs))
-}
-
-// IndexAttrs returns the canonical names of the registered indexes, sorted
-// ("b" for a single-attribute index, "b,d" for a composite one).
-func (t *Table) IndexAttrs() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.indexes))
-	for a := range t.indexes {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Indexes returns the attribute lists of the live indexes (nil while the
-// table is unsealed), sorted by canonical name — the planner's index
-// enumeration oracle.
+// Indexes returns the attribute lists of the registered indexes, sorted by
+// canonical name — the planner's index enumeration oracle.
 func (t *Table) Indexes() [][]string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if !t.sealed {
-		return nil
-	}
 	names := make([]string, 0, len(t.indexes))
 	for n := range t.indexes {
 		names = append(names, n)
@@ -575,19 +496,6 @@ func (db *DB) DropIndex(table string, attrs ...string) (bool, error) {
 		return false, fmt.Errorf("storage: unknown table %s", table)
 	}
 	return t.DropIndex(attrs...), nil
-}
-
-// SealAll seals every table.
-func (db *DB) SealAll() {
-	db.mu.RLock()
-	tables := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
-	for _, t := range tables {
-		t.Seal()
-	}
 }
 
 // Names returns all table names, sorted.

@@ -395,30 +395,3 @@ func Check(v value.Value, t *Type) bool {
 	}
 	return false
 }
-
-// ZeroOf returns a canonical zero value of the type, used by generators and
-// the outerjoin baseline's NULL padding at typed positions.
-func ZeroOf(t *Type) value.Value {
-	switch t.Kind {
-	case KBool:
-		return value.False
-	case KInt:
-		return value.Int(0)
-	case KFloat:
-		return value.Float(0)
-	case KString:
-		return value.Str("")
-	case KSet:
-		return value.EmptySet
-	case KList:
-		return value.ListOf()
-	case KTuple:
-		fs := make([]value.Field, 0, len(t.Fields))
-		for _, f := range t.Fields {
-			fs = append(fs, value.F(f.Label, ZeroOf(f.Type)))
-		}
-		return value.TupleOf(fs...)
-	default:
-		return value.Null
-	}
-}

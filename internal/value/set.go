@@ -143,9 +143,6 @@ func NewSetBuilder(n int) *SetBuilder {
 // Add appends an element (duplicates allowed; removed at Build).
 func (b *SetBuilder) Add(v Value) { b.elems = append(b.elems, v) }
 
-// Len returns the number of elements added so far (including duplicates).
-func (b *SetBuilder) Len() int { return len(b.elems) }
-
 // Build canonicalizes and returns the set. The builder is reset and may be
 // reused.
 func (b *SetBuilder) Build() Value {

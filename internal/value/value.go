@@ -181,7 +181,7 @@ func setFromOwned(es []Value) Value {
 // CanonicalSet wraps es as a set without copying or sorting. The caller
 // vouches that es is already in canonical order (strictly ascending under
 // Compare, hence duplicate-free) and is never modified again: the set
-// aliases the slice. Storage uses it to hand out a sealed table's
+// aliases the slice. Storage uses it to hand out a table's
 // copy-on-write row slice as its set view; anything else wants SetOf.
 func CanonicalSet(es []Value) Value { return elemsValue(KindSet, es) }
 
@@ -338,16 +338,6 @@ func (v Value) Extend(label string, x Value) Value {
 	fs[i] = Field{Label: label, V: x}
 	copy(fs[i+1:], old[i:])
 	return tupleValue(fs)
-}
-
-// Project returns the tuple restricted to the given labels. Missing labels
-// cause a panic (projection is type-checked upstream).
-func (v Value) Project(labels ...string) Value {
-	fs := make([]Field, 0, len(labels))
-	for _, l := range labels {
-		fs = append(fs, Field{Label: l, V: v.MustGet(l)})
-	}
-	return TupleOf(fs...)
 }
 
 // Drop returns the tuple without the given labels.

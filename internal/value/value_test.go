@@ -691,3 +691,16 @@ func (v Value) HasField(label string) bool {
 	_, ok := v.Get(label)
 	return ok
 }
+
+// Project returns the tuple restricted to the given labels. Missing labels
+// cause a panic (projection is type-checked upstream).
+func (v Value) Project(labels ...string) Value {
+	fs := make([]Field, 0, len(labels))
+	for _, l := range labels {
+		fs = append(fs, Field{Label: l, V: v.MustGet(l)})
+	}
+	return TupleOf(fs...)
+}
+
+// Len returns the number of elements added so far (including duplicates).
+func (b *SetBuilder) Len() int { return len(b.elems) }

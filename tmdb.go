@@ -38,12 +38,14 @@
 //     is a batch of one), with compiled keys, predicates and projections;
 //     there is no batch-size option, and how rows are cut never shows in a
 //     result;
-//   - mutable storage whose writes cost what they change: tables are
-//     bulk-loaded, sealed, and then mutated in place (Engine.Insert /
-//     Engine.Delete / Engine.InsertValue / Engine.DeleteValue, or the
-//     storage-level InsertSealed / Delete / DeleteRows / Unseal→reseal
-//     cycle). A write copies the table's row slice once and advances its
-//     data epoch; it rescans no statistics and discards no plan. Statistics
+//   - mutable storage whose writes cost what they change: a table is a set
+//     of tuples in canonical order from its creation on; Table.Load
+//     typechecks, sorts and deduplicates a whole extension at once, and
+//     single tuples are mutated in place (Engine.Insert / Engine.Delete /
+//     Engine.InsertValue / Engine.DeleteValue, or the storage-level
+//     Insert / Delete / DeleteRows). A write copies the table's row slice
+//     once and advances its data epoch; it rescans no statistics and
+//     discards no plan. Statistics
 //     only steer cost — every plan returns the same answer — so they may
 //     drift: a table is recollected once a tenth of its cardinality has
 //     changed since (per table; Engine.Analyze forces it exact);
@@ -52,7 +54,7 @@
 //   - persistent secondary indexes: Engine.CreateIndex registers a hash
 //     index on an ordered attribute list — one attribute for the classic
 //     equi-key index, several for a composite index whose every prefix is
-//     probeable (rebuilt on Seal, maintained incrementally by mutations).
+//     probeable (rebuilt by Load, maintained incrementally by mutations).
 //     The optimizer costs an idxjoin family (IndexJoins) that probes the
 //     index per outer row instead of draining and hashing the inner table
 //     (composite indexes serve multi-key equi-joins with no residual), and

@@ -64,9 +64,9 @@ func TestPublicSchemaBuilding(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := tmdb.NewDB()
-	tab := db.MustCreate("KS", rowT)
-	tab.MustInsert(value.TupleOf(value.F("k", value.Int(7))))
-	db.SealAll()
+	if err := db.MustCreate("KS", rowT).Load([]tmdb.Value{value.TupleOf(value.F("k", value.Int(7)))}); err != nil {
+		t.Fatal(err)
+	}
 	eng := tmdb.New(cat, db)
 	res, err := eng.Query(`SELECT x.k FROM KS x`, tmdb.Options{})
 	if err != nil {
