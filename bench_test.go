@@ -426,7 +426,7 @@ func BenchmarkNestedExecStatements(b *testing.B) {
 					if v.reload != nil {
 						b.StopTimer()
 						for _, t := range v.reload {
-							if err := t.Load(t.Rows()); err != nil {
+							if err := t.Load(t.AsSet().Elems()); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -489,9 +489,11 @@ func BenchmarkBlockShapes(b *testing.B) {
 // --- B11: a single-row write costs what it changes. One insert plus one
 // predicate delete of that row on the repo benchmark's indexed dataset
 // (XYZ{2000, 6000, 4000}, indexes X(b), Y(d), Y(b,d)) — the mixed_rw write
-// path at the engine boundary: one copy-on-write row-slice copy per write,
-// no sort, no statistics rescan, no plan-cache sweep; the delete's victim
-// query is a planned scan of Y (no index covers y.a). ---
+// path at the engine boundary: each write copies the one chunk of Y's rows it
+// touches (at most storage.ChunkRows rows) and Y's chunk directory, no sort,
+// no statistics rescan, no plan-cache sweep; the delete's victim query is a
+// planned scan of Y (no index covers y.a), a plan-cache hit after the first
+// delete since every y.a = k has one shape. ---
 
 func BenchmarkB11SingleRowWrite(b *testing.B) {
 	eng := xyzEngine(2000, 6000, 4000) // Keys 500, dangling 0.25: the repo benchmark's shape

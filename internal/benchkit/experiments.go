@@ -46,8 +46,11 @@ func RunTable1(w io.Writer, quick bool) error {
 
 	dump := func(name string) error {
 		tab, _ := env.DB.Table(name)
-		tt := Table{Title: name, Headers: labelsOf(tab.Rows()[0])}
-		for _, r := range tab.Rows() {
+		tt := Table{Title: name}
+		for i, r := range tab.Rows() {
+			if i == 0 {
+				tt.Headers = labelsOf(r)
+			}
 			cells := make([]any, 0, 2)
 			for _, f := range r.Fields() {
 				cells = append(cells, f.V.String())

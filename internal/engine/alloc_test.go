@@ -25,7 +25,7 @@ func TestPointPathAllocs(t *testing.T) {
 	}
 	eng.Analyze()
 	ys, _ := db.Table("Y")
-	y := ys.Rows()[0]
+	y := ys.AsSet().Elems()[0]
 	const semi = ` AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
 	for _, tc := range []struct {
 		name, query string

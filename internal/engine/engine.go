@@ -229,8 +229,14 @@ func (e *Engine) bind(src string) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newQuery(bound), nil
+}
+
+// newQuery gives a bound query's constants parameter slots and computes its
+// shape.
+func newQuery(bound tmql.Expr) *query {
 	vals := tmql.MarkSlots(bound)
-	return &query{expr: bound, tables: tmql.Tables(bound), shape: tmql.Shape(bound), vals: vals}, nil
+	return &query{expr: bound, tables: tmql.Tables(bound), shape: tmql.Shape(bound), vals: vals}
 }
 
 // rebind returns the cached decision pl for q's constants: pl itself when it
@@ -266,24 +272,24 @@ func (e *Engine) QueryContext(ctx context.Context, src string, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	return e.execBound(ctx, q, opts, false)
+	return e.execBound(ctx, q, opts)
 }
 
 // execBound plans and executes a bound query — the shared tail of
-// QueryContext, Prepared.QueryContext and Delete's victim query (oneShot:
-// planned past the cache). The bound tree is never mutated, so prepared
-// statements may execute it from many goroutines.
+// QueryContext, Prepared.QueryContext and Delete's victim query. The bound
+// tree is never mutated, so prepared statements may execute it from many
+// goroutines.
 // Governance wraps the whole execution: Options.Limits.Timeout tightens the
 // context's deadline, a Governor (created only when the context is
 // cancellable or budgets are set — otherwise nil, the free path) is polled by
 // every operator, and a recovered panic becomes a typed *PanicError rather
 // than taking the process down.
-func (e *Engine) execBound(ctx context.Context, q *query, opts Options, oneShot bool) (res *Result, err error) {
+func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Result, err error) {
 	start := time.Now()
 	if err := e.checkTablesLive(q.tables); err != nil {
 		return nil, err
 	}
-	pl, hit, err := e.plan(q, opts, oneShot)
+	pl, hit, err := e.plan(q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -343,29 +349,23 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options, oneShot 
 // planned decision holds only algebra and a PhysicalSpec: rows and indexes
 // are resolved per execution, and every plan returns the same answer. The
 // key's query part is the shape, so a hit may have been planned with other
-// values for the slotted constants; rebind substitutes q's. A oneShot
-// decision bypasses the cache in both directions. The reported bool is true
-// on a cache hit.
-func (e *Engine) plan(q *query, opts Options, oneShot bool) (*planned, bool, error) {
+// values for the slotted constants; rebind substitutes q's. The reported
+// bool is true on a cache hit.
+func (e *Engine) plan(q *query, opts Options) (*planned, bool, error) {
 	var gens strings.Builder
 	for _, name := range q.tables {
 		fmt.Fprintf(&gens, "%s:%d,", name, e.statsCat.Table(name).Epoch)
 	}
-	var key string
-	if !oneShot {
-		key = cacheKey(q.shape, opts, gens.String())
-		if pl, ok := e.cache.get(key); ok {
-			return q.rebind(pl), true, nil
-		}
+	key := cacheKey(q.shape, opts, gens.String())
+	if pl, ok := e.cache.get(key); ok {
+		return q.rebind(pl), true, nil
 	}
 	pl, err := e.planMiss(q.expr, opts)
 	if err != nil {
 		return nil, false, err
 	}
 	pl.vals = q.vals
-	if !oneShot {
-		e.cache.put(key, q.tables, pl)
-	}
+	e.cache.put(key, q.tables, pl)
 	return pl, false, nil
 }
 
@@ -467,7 +467,7 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	if err := e.checkTablesLive(q.tables); err != nil {
 		return "", err
 	}
-	pl, _, err := e.plan(q, opts, false)
+	pl, _, err := e.plan(q, opts)
 	if err != nil {
 		return "", err
 	}
@@ -501,7 +501,7 @@ func (e *Engine) PlanCandidates(src string, opts Options) ([]planner.Candidate, 
 	if err != nil {
 		return nil, err
 	}
-	pl, _, err := e.plan(q, opts, false)
+	pl, _, err := e.plan(q, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -13,14 +13,15 @@ import (
 )
 
 // Mutation entry points. A write costs what it changes: storage advances the
-// table's data epoch and copies the row slice once, and that is all — cached
-// plans stay valid (they hold no rows, and every plan returns the same
-// answer), and statistics are allowed to drift until the catalog's bound
-// recollects them. The engine wrappers give the REPL and embedders a typed,
-// typechecked surface: literals are parsed, bound, and evaluated with the
-// naive evaluator; delete predicates are bound against the table's element
-// type and run as a query over snapshots (never under the table's lock, so
-// predicates may freely subquery any table, including the one being mutated).
+// table's data epoch and copies the one chunk of rows the write touches, and
+// that is all — cached plans stay valid (they hold no rows, and every plan
+// returns the same answer), and statistics are allowed to drift until the
+// catalog's bound recollects them. The engine wrappers give the REPL and
+// embedders a typed, typechecked surface: literals are parsed, bound, and
+// evaluated with the naive evaluator; delete predicates are bound against the
+// table's element type and run as a query over snapshots (never under the
+// table's lock, so predicates may freely subquery any table, including the one
+// being mutated).
 
 // InsertValue inserts one tuple into a table, reporting whether it
 // was actually added (false: already present, set semantics).
@@ -72,8 +73,9 @@ func (e *Engine) DeleteValue(table string, v value.Value) (bool, error) {
 // the result of the query SELECT v FROM table v WHERE pred, planned and
 // executed like any other (an index scan when an index covers the predicate)
 // over snapshots, then deleted in one batch — so the predicate may contain
-// subqueries over any table. The victim plan never repeats and is kept out
-// of the plan cache.
+// subqueries over any table. The victim query's constants get parameter
+// slots as a query's do, so deletes of one shape (y.a = 5, y.a = 7) plan
+// once and share one plan-cache entry.
 func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	tab, ok := e.db.Table(table)
 	if !ok {
@@ -103,7 +105,7 @@ func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := e.execBound(context.Background(), &query{expr: victims, tables: tmql.Tables(victims)}, Options{}, true)
+	res, err := e.execBound(context.Background(), newQuery(victims), Options{})
 	if err != nil {
 		return 0, err
 	}

@@ -30,7 +30,7 @@ const slowJoinQuery = `SELECT (xb = x.b, zc = z.c) FROM X x, Z z WHERE x.b = z.d
 func coldMemos(eng *Engine) {
 	for _, name := range eng.DB().Names() {
 		t, _ := eng.DB().Table(name)
-		if err := t.Load(t.Rows()); err != nil {
+		if err := t.Load(t.AsSet().Elems()); err != nil {
 			panic(err)
 		}
 	}

@@ -185,7 +185,7 @@ var closedQueries = []string{
 func closedPartners(t *testing.T, eng *Engine) (ys []value.Value, z value.Value) {
 	t.Helper()
 	zs, _ := eng.DB().Table("Z")
-	z = zs.Rows()[0]
+	z = zs.AsSet().Elems()[0]
 	c, d := z.MustGet("c").AsInt(), z.MustGet("d").AsInt()
 	xs, _ := eng.DB().Table("X")
 	for _, x := range xs.Rows() {
@@ -251,7 +251,7 @@ func TestClosedBuildsAcrossWritesAndRecreate(t *testing.T) {
 		}
 		step("writes to Z", 0)
 
-		epoch, rows := zs.Epoch(), append(slices.Clone(zs.Rows()), z0)
+		epoch, rows := zs.Epoch(), append(slices.Clone(zs.AsSet().Elems()), z0)
 		if err := eng.DropTable("Z"); err != nil {
 			t.Fatal(err)
 		}

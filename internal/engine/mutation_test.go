@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,11 +140,46 @@ func TestMutationRefreshesStatsLazily(t *testing.T) {
 	}
 }
 
+// TestDeleteVictimPlansOncePerShape: deletes whose predicates differ only in
+// a slotted constant share one victim plan — the first misses the plan
+// cache, the second hits it — and each still removes exactly its own row.
+func TestDeleteVictimPlansOncePerShape(t *testing.T) {
+	eng := xyzEngine(t)
+	tab, _ := eng.DB().Table("Y")
+	keys := []int64{700001, 700002}
+	for _, a := range keys {
+		if added, err := eng.InsertValue("Y", datagen.YRow(a, 1, 1, 2)); err != nil || !added {
+			t.Fatalf("insert a=%d: added=%v err=%v", a, added, err)
+		}
+	}
+	n0, before := tab.Len(), eng.PlanCacheStats()
+	for i, a := range keys {
+		n, err := eng.Delete("Y", "y", fmt.Sprintf("y.a = %d", a))
+		if err != nil || n != 1 {
+			t.Fatalf("delete a=%d: removed %d, err %v", a, n, err)
+		}
+		live := map[int64]bool{}
+		for _, r := range tab.Rows() {
+			live[r.MustGet("a").AsInt()] = true
+		}
+		if live[a] || tab.Len() != n0-i-1 {
+			t.Errorf("delete a=%d: row still there or others removed (%d rows, want %d)", a, tab.Len(), n0-i-1)
+		}
+		if i == 0 && !live[keys[1]] {
+			t.Errorf("delete a=%d removed the row a=%d", a, keys[1])
+		}
+	}
+	after := eng.PlanCacheStats()
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 || after.Entries != before.Entries+1 {
+		t.Errorf("two deletes of one shape: cache %+v → %+v, want one miss, one hit, one entry", before, after)
+	}
+}
+
 // TestMutationDeleteThroughPlanner: Delete runs its predicate as the planned query
 // SELECT v FROM T v WHERE pred and removes exactly the rows the naive
 // evaluator selects — also when the predicate subqueries the table being
 // mutated — through an index scan when an index covers the predicate, and
-// without leaving its one-shot plan in the plan cache.
+// planning its victim query through the plan cache like any other query.
 func TestMutationDeleteThroughPlanner(t *testing.T) {
 	for _, pred := range []string{
 		`y.d < 0`,
@@ -175,8 +211,8 @@ func TestMutationDeleteThroughPlanner(t *testing.T) {
 		if n != want.Value.Len() || !value.Equal(tab.AsSet(), value.Diff(before, want.Value)) {
 			t.Errorf("%s: removed %d rows, naive selects %d; or the wrong ones", pred, n, want.Value.Len())
 		}
-		if after := eng.PlanCacheStats(); after.Entries != cache.Entries || after.Misses != cache.Misses {
-			t.Errorf("%s: the victim plan went through the plan cache: %+v → %+v", pred, cache, after)
+		if after := eng.PlanCacheStats(); after.Entries != cache.Entries+1 || after.Misses != cache.Misses+1 {
+			t.Errorf("%s: the victim plan did not go through the plan cache: %+v → %+v", pred, cache, after)
 		}
 	}
 

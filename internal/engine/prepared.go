@@ -51,7 +51,7 @@ func (p *Prepared) Query(opts Options) (*Result, error) {
 // dropped returns a typed *TableDroppedError instead of failing deep in the
 // executor.
 func (p *Prepared) QueryContext(ctx context.Context, opts Options) (*Result, error) {
-	return p.e.execBound(ctx, p.q, opts, false)
+	return p.e.execBound(ctx, p.q, opts)
 }
 
 // Explain renders the physical plan the statement would execute with, using
@@ -71,7 +71,7 @@ func (p *Prepared) ExplainContext(ctx context.Context, opts Options) (string, er
 // Candidates plans the statement and returns the optimizer's candidate table,
 // like Engine.PlanCandidates.
 func (p *Prepared) Candidates(opts Options) ([]planner.Candidate, error) {
-	pl, _, err := p.e.plan(p.q, opts, false)
+	pl, _, err := p.e.plan(p.q, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -238,7 +238,7 @@ func TestStorageLoadRacesReaderSnapshot(t *testing.T) {
 		}
 	}()
 	for i := 0; i < cycles; i++ {
-		rows := append(slices.Clone(tab.Rows()), datagen.YRow(int64(i), int64(i%7), 1, int64(i%5)))
+		rows := append(slices.Clone(tab.AsSet().Elems()), datagen.YRow(int64(i), int64(i%7), 1, int64(i%5)))
 		if err := tab.Load(rows); err != nil {
 			t.Fatal(err)
 		}

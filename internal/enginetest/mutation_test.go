@@ -85,7 +85,7 @@ func runMutationCycles(t *testing.T, analyze bool) []string {
 		{"storage-reload", func(t *testing.T) {
 			// Bypass the engine entirely.
 			tab, _ := eng.DB().Table("Z")
-			rows := append(slices.Clone(tab.Rows()),
+			rows := append(slices.Clone(tab.AsSet().Elems()),
 				value.TupleOf(value.F("c", value.Int(77)), value.F("d", value.Int(1))),
 				value.TupleOf(value.F("c", value.Int(78)), value.F("d", value.Int(-5))))
 			if err := tab.Load(rows); err != nil {

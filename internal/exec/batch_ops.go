@@ -16,11 +16,11 @@ import (
 // where the expressions allow.
 
 // TableScan reads a stored table one zero-copy batch at a time: each
-// emitted batch is a subslice of the table's row snapshot.
+// emitted batch is one chunk of the table's row snapshot.
 type TableScan struct {
 	Ctx   *Ctx
 	Table string
-	src   chunks
+	src   [][]value.Value
 	// pinned reports that pin took the snapshot src holds, memo's, for the
 	// next Open to read.
 	pinned bool
@@ -45,17 +45,18 @@ func (s *TableScan) pin() (*storage.Memo, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown table %s", s.Table)
 	}
-	rows, memo := t.Snapshot()
-	s.src, s.memo, s.pinned = chunks{rows: rows}, memo, true
-	return memo, nil
+	s.src, s.memo = t.Snapshot()
+	s.pinned = true
+	return s.memo, nil
 }
 
 // NextBatch returns the next batch of rows.
 func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
-	b, ok := s.src.next()
-	if !ok {
+	if len(s.src) == 0 {
 		return nil, false, nil
 	}
+	b := s.src[0]
+	s.src = s.src[1:]
 	if err := s.Ctx.checkBatch(); err != nil {
 		return nil, false, err
 	}
@@ -66,9 +67,9 @@ func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
 }
 
 // Close releases the row snapshot.
-func (s *TableScan) Close() error { s.src, s.memo, s.pinned = chunks{}, nil, false; return nil }
+func (s *TableScan) Close() error { s.src, s.memo, s.pinned = nil, nil, false; return nil }
 
-// stableBatches marks the batches as subslices of an immutable snapshot.
+// stableBatches marks the batches as chunks of an immutable snapshot.
 func (*TableScan) stableBatches() {}
 
 // EvalScan evaluates a closed set-typed TM expression with the naive

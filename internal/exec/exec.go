@@ -32,13 +32,14 @@ import (
 //     rows they retain (value.Value is an immutable struct, so retaining a
 //     row is a struct copy — the batch's backing slice is what gets reused),
 //     and never change the batch. The exception is a source whose batches
-//     alias immutable rows and so stay valid for good: TableScan (subslices
+//     alias immutable rows and so stay valid for good: TableScan (chunks
 //     of the table's row snapshot), EvalScan (of the evaluated collection)
 //     and ν (of its grouped output) say so through the stableSource marker,
 //     and a consumer may retain their batches without copying — the hash
 //     build does (drainKeyed).
 //   - Sources — table, index and evaluated scans, ν's output — emit
-//     zero-copy batches of at most DefaultBatchSize rows. Join stops
+//     zero-copy batches of at most DefaultBatchSize rows; a table scan
+//     emits one stored chunk per batch. Join stops
 //     probing once its output reaches DefaultBatchSize and resumes at the
 //     next left row, so it overshoots by at most one bucket's fanout and the
 //     row budget, charged per batch, trips within that. μ emits one batch
@@ -51,9 +52,10 @@ import (
 //     CollectBatches, which erases arrival order and duplicates, so how rows
 //     are cut into batches never shows in a result.
 
-// DefaultBatchSize is the row count of every batch a source emits. It bounds
-// the rows between governor polls of a scan-fed pipeline.
-const DefaultBatchSize = 1024
+// DefaultBatchSize is the most rows of a batch a source emits. It bounds the
+// rows between governor polls of a scan-fed pipeline. It is the capacity of
+// a stored chunk, so a table scan's batches are the table's chunks.
+const DefaultBatchSize = storage.ChunkRows
 
 // Ctx carries what operators need to evaluate embedded TM expressions —
 // the database (for table references inside predicates) and a shared

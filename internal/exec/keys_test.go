@@ -124,14 +124,14 @@ func TestKeyTableForcedCollisions(t *testing.T) {
 }
 
 // TestDrainKeyedAliasesStableBatches pins the copy-or-alias rule of the
-// build: a stored table's scan batches are retained as subslices of the
+// build: a stored table's scan batches are retained as the chunks of the
 // table's snapshot, while batches of an operator that reuses its output
 // buffer are copied.
 func TestDrainKeyedAliasesStableBatches(t *testing.T) {
 	_, db := datagen.XYZ(datagen.Spec{NX: 10, NY: 3000, NZ: 10, Keys: 50, SetAttrCard: 2, Seed: 34})
 	ctx := NewCtx(db)
 	y, _ := db.Table("Y")
-	rows := y.Rows()
+	chunks, _ := y.Snapshot()
 	enc := newKeyEncoder(ctx, []tmql.Expr{pred("y.b")}, "y")
 	run, err := drainKeyed(&TableScan{Ctx: ctx, Table: "Y"}, enc, nil)
 	if err != nil {
@@ -140,12 +140,13 @@ func TestDrainKeyedAliasesStableBatches(t *testing.T) {
 	if len(run.batches) < 3 {
 		t.Fatalf("%d batches: want several", len(run.batches))
 	}
-	off := 0
-	for _, b := range run.batches {
-		if &b[0] != &rows[off] {
-			t.Fatalf("batch at row %d is a copy, not the table's snapshot", off)
+	if len(run.batches) != len(chunks) {
+		t.Fatalf("%d batches over %d chunks", len(run.batches), len(chunks))
+	}
+	for k, b := range run.batches {
+		if &b[0] != &chunks[k][0] || len(b) != len(chunks[k]) {
+			t.Fatalf("batch %d is a copy, not the table's chunk", k)
 		}
-		off += len(b)
 	}
 	m := &Map{Ctx: ctx, In: &TableScan{Ctx: ctx, Table: "Y"}, Var: "y", Out: pred("(b = y.b, d = y.d)")}
 	if run, err = drainKeyed(m, enc, nil); err != nil {

@@ -183,7 +183,7 @@ func TestMemoServesClosedSubtrees(t *testing.T) {
 			}
 			for _, table := range sh.writes {
 				tab, _ := db.Table(table)
-				if ok, err := tab.Delete(tab.Rows()[0]); err != nil || !ok {
+				if ok, err := tab.Delete(tab.AsSet().Elems()[0]); err != nil || !ok {
 					t.Fatalf("deleting a row of %s: %v", table, err)
 				}
 				kept3, home := run()
@@ -286,11 +286,11 @@ func TestMemoKeyNamesEverySnapshot(t *testing.T) {
 	}
 	hashEarly, nlEarly := early(JoinHash), early(JoinNL)
 	z, _ := db.Table("Z")
-	if n, err := z.DeleteRows(z.Rows()); err != nil || n == 0 {
+	if n, err := z.DeleteRows(z.AsSet().Elems()); err != nil || n == 0 {
 		t.Fatalf("deleted %d rows of Z: %v", n, err)
 	}
 	y, _ := db.Table("Y")
-	if ok, err := y.Delete(y.Rows()[0]); err != nil || !ok {
+	if ok, err := y.Delete(y.AsSet().Elems()[0]); err != nil || !ok {
 		t.Fatalf("deleting a row of Y: %v", err)
 	}
 	late := collect(t, chain3(NewCtx(db), JoinHash)).String()

@@ -155,11 +155,11 @@ func TestDriftBoundAmortisesRecollection(t *testing.T) {
 	}
 
 	before := c.Refresh("BIG")
-	load(t, big, big.Rows()...)
+	load(t, big, big.AsSet().Elems()...)
 	if c.Table("BIG") != before {
 		t.Error("a reload of the same rows tripped the drift bound")
 	}
-	rows := slices.Clone(big.Rows())
+	rows := slices.Clone(big.AsSet().Elems())
 	for i := 0; i <= len(rows)/10; i++ {
 		rows = append(rows, kvRow(int64(10_000+i), 2))
 	}

@@ -330,17 +330,21 @@ func collect(tab *storage.Table, exactThreshold int) *TableStats {
 	// Epoch before rows: a write landing in between makes the rows newer than
 	// the generation claims, which only brings the next recollection forward.
 	s.Epoch = tab.Epoch()
-	rows := tab.Rows()
-	s.Card = len(rows)
+	chunks, _ := tab.Snapshot()
+	for _, ch := range chunks {
+		s.Card += len(ch)
+	}
 	s.Approx = s.Card > exactThreshold
 	setLen := make(map[string]int)
 	setCnt := make(map[string]int)
 	scalars := make(map[string][]value.Value)
 	// Histogram collection memory is bounded: above the cap only every
-	// stride-th row feeds the histograms (sketches and set counters still see
-	// every row). Row order is insertion order, uncorrelated with attribute
-	// values, so the stride behaves as a uniform sample; all histogram
-	// figures are fractions of Total and stay scale-free.
+	// stride-th row of the table's canonical order, counted across its
+	// chunks, feeds the histograms (sketches and set counters still see every
+	// row). That is a systematic sample in canonical order, where rows sort
+	// on their first label: every stride-th row of the whole table, not of
+	// any one chunk. All histogram figures are fractions of Total and stay
+	// scale-free.
 	stride := 1
 	if s.Card > histogramSampleCap {
 		stride = (s.Card + histogramSampleCap - 1) / histogramSampleCap
@@ -350,36 +354,40 @@ func collect(tab *storage.Table, exactThreshold int) *TableStats {
 		s.keys = nil
 		sketches = make(map[string]*distinctSketch)
 	}
-	for i, r := range rows {
-		if r.Kind() != value.KindTuple {
-			continue
-		}
-		sampled := i%stride == 0
-		for _, f := range r.Fields() {
-			if s.Approx {
-				sk, ok := sketches[f.Label]
-				if !ok {
-					sk = newDistinctSketch(sketchK)
-					sketches[f.Label] = sk
-				}
-				sk.Add(value.Key(f.V))
-			} else {
-				m, ok := s.keys[f.Label]
-				if !ok {
-					m = make(map[string]bool)
-					s.keys[f.Label] = m
-				}
-				m[value.Key(f.V)] = true
+	i := 0
+	for _, ch := range chunks {
+		for _, r := range ch {
+			sampled := i%stride == 0
+			i++
+			if r.Kind() != value.KindTuple {
+				continue
 			}
-			switch f.V.Kind() {
-			case value.KindSet:
-				setLen[f.Label] += f.V.Len()
-				setCnt[f.Label]++
-			case value.KindTuple, value.KindList:
-				// not histogrammed
-			default:
-				if sampled {
-					scalars[f.Label] = append(scalars[f.Label], f.V)
+			for _, f := range r.Fields() {
+				if s.Approx {
+					sk, ok := sketches[f.Label]
+					if !ok {
+						sk = newDistinctSketch(sketchK)
+						sketches[f.Label] = sk
+					}
+					sk.Add(value.Key(f.V))
+				} else {
+					m, ok := s.keys[f.Label]
+					if !ok {
+						m = make(map[string]bool)
+						s.keys[f.Label] = m
+					}
+					m[value.Key(f.V)] = true
+				}
+				switch f.V.Kind() {
+				case value.KindSet:
+					setLen[f.Label] += f.V.Len()
+					setCnt[f.Label]++
+				case value.KindTuple, value.KindList:
+					// not histogrammed
+				default:
+					if sampled {
+						scalars[f.Label] = append(scalars[f.Label], f.V)
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tmdb/internal/datagen"
@@ -260,4 +261,48 @@ func (c *Catalog) SetTable(name string, s *TableStats) {
 		}
 	}
 	c.tables[name] = s
+}
+
+// TestCollectOverChunksMatchesLoad: statistics depend on a table's rows, not
+// on how its chunks are cut. A table past the histogram sample cap (so the
+// histograms sample every other row) whose inserts split chunks collects,
+// exact and approximate, the same TableStats as the same rows loaded at once.
+func TestCollectOverChunksMatchesLoad(t *testing.T) {
+	elem := types.Tuple(types.F("a", types.Int), types.F("b", types.Int), types.F("c", types.SetOf(types.Int)))
+	mk := func(a int64) value.Value {
+		return value.TupleOf(value.F("a", value.Int(a)), value.F("b", value.Int(a*7919%5000)),
+			value.F("c", value.SetOf(value.Int(a%4), value.Int(a%7))))
+	}
+	rows := make([]value.Value, histogramSampleCap+5000)
+	for i := range rows {
+		rows[i] = mk(int64(2 * i))
+	}
+	db := storage.NewDB()
+	chunked, whole := db.MustCreate("C", elem), db.MustCreate("W", elem)
+	if err := chunked.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 300; k++ {
+		v := mk(2*(k*233%int64(len(rows))) + 1)
+		if _, err := chunked.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, v)
+	}
+	if err := whole.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	cs, _ := chunked.Snapshot()
+	ws, _ := whole.Snapshot()
+	if len(cs) == len(ws) {
+		t.Fatalf("the inserts split no chunk: %d chunks either way", len(cs))
+	}
+	for _, threshold := range []int{DefaultExactThreshold, len(rows)} {
+		got, want := collect(chunked, threshold), collect(whole, threshold)
+		got.Epoch, want.Epoch = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("threshold %d: the chunked table's statistics differ from the loaded one's: Card %d/%d, Distinct %v/%v, histograms equal %v",
+				threshold, got.Card, want.Card, got.Distinct, want.Distinct, reflect.DeepEqual(got.Hist, want.Hist))
+		}
+	}
 }

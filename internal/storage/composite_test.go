@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
@@ -145,7 +144,7 @@ func TestCompositeIndexMutationCycles(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		load(t, tab, append(slices.Clone(tab.Rows()), pairRow(int64(cycle), 7, int64(5000+cycle)))...)
+		load(t, tab, append(rowsOf(tab), pairRow(int64(cycle), 7, int64(5000+cycle)))...)
 	}
 	close(stop)
 	wg.Wait()

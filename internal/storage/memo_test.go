@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"tmdb/internal/value"
@@ -35,7 +36,7 @@ func TestSnapshotMemoFreshPerMutation(t *testing.T) {
 			_, err := tab.DeleteWhere(func(v value.Value) bool { return v.MustGet("a").AsInt() == 2 })
 			return err
 		}},
-		{"Load of the same rows", func() error { return tab.Load(tab.Rows()) }},
+		{"Load of the same rows", func() error { return tab.Load(rowsOf(tab)) }},
 	}
 	prev := memoOf(tab)
 	for _, m := range mutations {
@@ -86,8 +87,8 @@ func TestSnapshotMemoRowsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows2, m2 := tab.Snapshot()
-	if len(rows) != 1 || len(rows2) != 2 || m == m2 {
-		t.Errorf("snapshots: %d rows with memo %p, then %d rows with memo %p", len(rows), m, len(rows2), m2)
+	if n, n2 := len(slices.Concat(rows...)), len(slices.Concat(rows2...)); n != 1 || n2 != 2 || m == m2 {
+		t.Errorf("snapshots: %d rows with memo %p, then %d rows with memo %p", n, m, n2, m2)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 		t.Errorf("loading 2 rows into an empty table advanced the epoch by %d, want 2", got)
 	}
 	e1 := tab.Epoch()
-	load(t, tab, tab.Rows()...)
+	load(t, tab, rowsOf(tab)...)
 	if got := tab.Epoch() - e1; got != 1 {
 		t.Errorf("reloading the same rows advanced the epoch by %d, want 1", got)
 	}
@@ -81,7 +81,7 @@ func TestMutationMaintainsSetView(t *testing.T) {
 		rows[i] = row(int64(i), fmt.Sprintf("v%d", i%3))
 	}
 	load(t, tab, rows...)
-	snapshot := tab.Rows()
+	snapshot, _ := tab.Snapshot()
 
 	if added, err := tab.Insert(row(100, "new")); err != nil || !added {
 		t.Fatalf("Insert: %v %v", added, err)
@@ -89,8 +89,8 @@ func TestMutationMaintainsSetView(t *testing.T) {
 	if removed, err := tab.Delete(row(0, "v0")); err != nil || !removed {
 		t.Fatalf("Delete: %v %v", removed, err)
 	}
-	if len(snapshot) != 10 {
-		t.Errorf("open snapshot changed length: %d", len(snapshot))
+	if got := slices.Concat(snapshot...); !slices.EqualFunc(got, rows, value.Equal) {
+		t.Errorf("open snapshot changed: %v", got)
 	}
 	if tab.Len() != 10 {
 		t.Errorf("Len = %d, want 10", tab.Len())
@@ -101,7 +101,7 @@ func TestMutationMaintainsSetView(t *testing.T) {
 	}
 	// Rows stay sorted and deduplicated — the invariant Insert's binary
 	// search relies on.
-	rows = tab.Rows()
+	rows = rowsOf(tab)
 	for i := 1; i < len(rows); i++ {
 		if !value.Less(rows[i-1], rows[i]) {
 			t.Fatalf("rows out of canonical order at %d", i)
@@ -177,7 +177,7 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 	}
 
 	// A reload rebuilds the index from scratch.
-	load(t, tab, tab.Rows()...)
+	load(t, tab, rowsOf(tab)...)
 	ix2, ok := tab.IndexOn([]string{"b"})
 	if !ok || ix2 == ix || ix2.Len() != tab.Len() {
 		t.Fatalf("reload rebuild: ok=%v Len=%d want %d", ok, ix2.Len(), tab.Len())
@@ -217,8 +217,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					return
 				default:
 				}
-				rows := tab.Rows()
-				for _, r := range rows {
+				for _, r := range tab.Rows() {
 					_ = r
 				}
 				_ = tab.AsSet().Len()
@@ -250,8 +249,8 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
-// TestSetViewMatchesRows: the set view aliases the copy-on-write row slice,
-// so after any history of inserts, single and batched deletes (victims in
+// TestSetViewMatchesRows: the set view is the loaded slice or is
+// materialized from the copy-on-write chunks, so after any history of inserts, single and batched deletes (victims in
 // canonical order, shuffled, duplicated, absent) and reloads it must
 // equal the canonicalization of the rows, and the index must follow.
 func TestSetViewMatchesRows(t *testing.T) {
@@ -300,10 +299,10 @@ func TestSetViewMatchesRows(t *testing.T) {
 					delete(live, v.MustGet("a").AsInt())
 				}
 			default:
-				load(t, tab, append(slices.Clone(tab.Rows()), key(a))...)
+				load(t, tab, append(rowsOf(tab), key(a))...)
 				live[a] = true
 			}
-			rows := tab.Rows()
+			rows := rowsOf(tab)
 			if len(rows) != len(live) || !value.Equal(tab.AsSet(), value.SetOf(rows...)) {
 				t.Fatalf("seed %d step %d: %d rows, %d live, set view equal to SetOf(rows)=%v",
 					seed, step, len(rows), len(live), value.Equal(tab.AsSet(), value.SetOf(rows...)))
@@ -316,8 +315,8 @@ func TestSetViewMatchesRows(t *testing.T) {
 }
 
 // TestSetViewSnapshotStableUnderWriter: a set view taken before a write is
-// the same value after it — the writer copies, never edits, the slice the
-// view aliases. Run with -race: readers walk their snapshots while the writer
+// the same value after it — the writer copies, never edits, the chunks the
+// view shares. Run with -race: readers walk their snapshots while the writer
 // mutates.
 func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 	tab := NewTable("T", rowType())
@@ -369,10 +368,12 @@ func TestSetViewSnapshotStableUnderWriter(t *testing.T) {
 func (t *Table) DeleteWhere(pred func(value.Value) bool) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var victims []int
-	for i, r := range t.rows {
-		if pred(r) {
-			victims = append(victims, i)
+	var victims []pos
+	for c, ch := range t.snap.rows.chunks {
+		for i, r := range ch {
+			if pred(r) {
+				victims = append(victims, pos{c, i})
+			}
 		}
 	}
 	t.removeRowsLocked(victims)

@@ -5,15 +5,20 @@
 //
 // Tables are mutable: Load replaces every row at once (sorting and
 // deduplicating a copy, O(n log n)), and Insert, Delete and DeleteRows change
-// one or a few rows in place. Every mutation advances the table's data epoch,
-// a monotonic counter; the statistics catalog measures how far a table has
+// one or a few rows. Every mutation advances the table's data epoch, a
+// monotonic counter; the statistics catalog measures how far a table has
 // drifted from its last collection by it.
 //
+// The rows are held as a chunked canonical sequence: sorted chunks of at most
+// ChunkRows rows under a small directory. A write copies only the chunks it
+// touches and the directory (Insert splits a full chunk in half, a chunk left
+// empty is dropped); every other chunk is shared with the snapshots taken
+// before it.
+//
 // Concurrency: readers (scans, set views, index lookups) may run concurrently
-// with mutators. Mutations replace the row slice (copy-on-write: one O(n)
-// copy per write, no sort) instead of editing it, and the set view is that
-// same slice, so a snapshot taken by an open scan stays immutable while later
-// mutations build new ones.
+// with mutators. A mutation never edits a chunk or a directory: it builds a
+// new snapshot, so a snapshot taken by an open scan stays immutable while
+// later mutations build new ones.
 //
 // Each snapshot carries a memo (Snapshot): a small cache, opaque to storage,
 // in which consumers keep what they derive from exactly those rows. Every
@@ -23,6 +28,7 @@ package storage
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"sync"
@@ -39,20 +45,30 @@ type Table struct {
 	elem *types.Type
 
 	mu sync.RWMutex
-	// rows is in canonical order and duplicate-free, and never modified in
-	// place: AsSet aliases it.
-	rows []value.Value
+	// snap is the current rows with their memo. A mutation replaces it and
+	// never edits it.
+	snap *snapshot
 	// epoch counts mutations (see Epoch).
 	epoch uint64
-	// memo belongs to the current rows. Every mutation replaces it rather
-	// than clearing it.
-	memo *Memo
 	// indexes maps a canonical index name (IndexName of the ordered attribute
 	// list; a bare attribute for single-attribute indexes) to its persistent
 	// hash index, rebuilt by Load and maintained incrementally by the other
 	// mutations.
 	indexes map[string]*HashIndex
 }
+
+// snapshot is one immutable state of a table: its rows, the memo that
+// belongs to exactly those rows, and the contiguous set view (set by Load,
+// or materialized by AsSet at most once).
+type snapshot struct {
+	rows chunked
+	memo *Memo
+	once sync.Once
+	set  value.Value
+}
+
+// newSnapshot returns a snapshot of rows with a fresh memo.
+func newSnapshot(rows chunked) *snapshot { return &snapshot{rows: rows, memo: newMemo()} }
 
 // NewTable creates an empty table for elements of the given tuple type. The
 // element type is mandatory: a nil elem would silently disable Insert's
@@ -61,7 +77,7 @@ func NewTable(name string, elem *types.Type) *Table {
 	if elem == nil {
 		panic(fmt.Sprintf("storage: table %s created with nil element type", name))
 	}
-	return &Table{name: name, elem: elem, memo: newMemo()}
+	return &Table{name: name, elem: elem, snap: newSnapshot(chunked{})}
 }
 
 // Epoch returns the table's mutation epoch: a monotonically increasing
@@ -79,9 +95,10 @@ func (t *Table) Epoch() uint64 {
 // Load replaces the table's rows with the set of the given ones, after
 // typechecking every one of them: an ill-typed row fails the load and leaves
 // the table as it was. The rows are sorted into canonical order and
-// deduplicated on a copy, so neither the caller's slice nor a snapshot handed
-// out before is touched; the new rows get a fresh memo, and every registered
-// index is rebuilt over them.
+// deduplicated on a copy, which is then cut into full chunks without a second
+// copy, so neither the caller's slice nor a snapshot handed out before is
+// touched; the new rows get a fresh memo, and every registered index is
+// rebuilt over them.
 func (t *Table) Load(rows []value.Value) error {
 	for _, r := range rows {
 		if err := t.check(r); err != nil {
@@ -93,8 +110,10 @@ func (t *Table) Load(rows []value.Value) error {
 	out = slices.CompactFunc(out, value.Equal)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.epoch += max(1, changed(t.rows, out))
-	t.rows, t.memo = out, newMemo()
+	t.epoch += max(1, changed(t.snap.rows, out))
+	snap := newSnapshot(carve(out))
+	snap.once.Do(func() { snap.set = value.CanonicalSet(out) })
+	t.snap = snap
 	for name, ix := range t.indexes {
 		t.indexes[name] = t.buildIndexLocked(ix.Attrs())
 	}
@@ -103,19 +122,19 @@ func (t *Table) Load(rows []value.Value) error {
 
 // changed counts the rows in exactly one of two canonical row lists: those a
 // load from a to b adds plus those it removes.
-func changed(a, b []value.Value) uint64 {
-	common := 0
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch c := value.Compare(a[i], b[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			common, i, j = common+1, i+1, j+1
+func changed(a chunked, b []value.Value) uint64 {
+	common, j := 0, 0
+	for _, r := range a.all() {
+		for ; j < len(b); j++ {
+			if c := value.Compare(b[j], r); c >= 0 {
+				if c == 0 {
+					common, j = common+1, j+1
+				}
+				break
+			}
 		}
 	}
-	return uint64(len(a) + len(b) - 2*common)
+	return uint64(a.n + len(b) - 2*common)
 }
 
 // check reports a value that does not conform to the element type.
@@ -126,27 +145,23 @@ func (t *Table) check(v value.Value) error {
 	return nil
 }
 
-// Insert inserts one tuple after typechecking it, maintaining the sorted
+// Insert inserts one tuple after typechecking it, maintaining the canonical
 // duplicate-free row order and every registered index incrementally. It
 // reports whether the tuple was actually added (false for a duplicate: set
-// semantics make duplicate insertion a no-op). The row slice is replaced,
-// not edited, so open scans keep a consistent snapshot.
+// semantics make duplicate insertion a no-op). Only the chunk that receives
+// the tuple and the directory are copied, so open scans keep a consistent
+// snapshot.
 func (t *Table) Insert(v value.Value) (bool, error) {
 	if err := t.check(v); err != nil {
 		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
-	if i < len(t.rows) && value.Equal(t.rows[i], v) {
+	p, found := t.snap.rows.find(v, pos{})
+	if found {
 		return false, nil // already present
 	}
-	rows := make([]value.Value, 0, len(t.rows)+1)
-	rows = append(rows, t.rows[:i]...)
-	rows = append(rows, v)
-	rows = append(rows, t.rows[i:]...)
-	t.rows = rows
-	t.advanceLocked()
+	t.advanceLocked(t.snap.rows.insert(p, v))
 	for _, ix := range t.indexes {
 		if !ix.Add(v) {
 			// The value typechecked, so a registered attribute must exist;
@@ -162,11 +177,11 @@ func (t *Table) Insert(v value.Value) (bool, error) {
 func (t *Table) Delete(v value.Value) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := sort.Search(len(t.rows), func(i int) bool { return !value.Less(t.rows[i], v) })
-	if i >= len(t.rows) || !value.Equal(t.rows[i], v) {
+	p, found := t.snap.rows.find(v, pos{})
+	if !found {
 		return false, nil
 	}
-	t.removeRowsLocked([]int{i})
+	t.removeRowsLocked([]pos{p})
 	return true, nil
 }
 
@@ -175,81 +190,88 @@ func (t *Table) Delete(v value.Value) (bool, error) {
 // (e.g. by evaluating a predicate that may itself read this table, which must
 // not run under the table's lock). Returns the number of tuples actually
 // present and removed. Victims in canonical order (a query result's element
-// order) are located by a search that only ever moves forward; any other
-// order costs one full binary search per victim.
+// order) are located by a search over chunks and rows that only ever moves
+// forward; any other order costs one full search per victim.
 func (t *Table) DeleteRows(vs []value.Value) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	victims := make([]int, 0, len(vs))
-	lo := 0
+	victims := make([]pos, 0, len(vs))
+	var at pos
 	for k, v := range vs {
 		if k > 0 && !value.Less(vs[k-1], v) {
-			lo = 0
+			at = pos{}
 		}
-		i, found := slices.BinarySearchFunc(t.rows[lo:], v, value.Compare)
-		if lo += i; found {
-			victims = append(victims, lo)
+		p, found := t.snap.rows.find(v, at)
+		if at = p; found {
+			victims = append(victims, p)
 		}
 	}
-	if !slices.IsSorted(victims) {
-		slices.Sort(victims)
+	if !slices.IsSortedFunc(victims, comparePos) {
+		slices.SortFunc(victims, comparePos)
 	}
 	victims = slices.Compact(victims)
 	t.removeRowsLocked(victims)
 	return len(victims), nil
 }
 
+// comparePos orders positions by chunk, then by offset.
+func comparePos(a, b pos) int {
+	if a.c != b.c {
+		return a.c - b.c
+	}
+	return a.i - b.i
+}
+
 // removeRowsLocked drops the rows at the given strictly ascending positions:
-// the surviving runs between victims are copied into a fresh slice
-// (copy-on-write), the victims leave every index, and the epoch advances. No
-// victims, no mutation. Caller holds the write lock.
-func (t *Table) removeRowsLocked(victims []int) {
+// the chunks holding them are copied without them, the victims leave every
+// index, and the epoch advances. No victims, no mutation. Caller holds the
+// write lock.
+func (t *Table) removeRowsLocked(victims []pos) {
 	if len(victims) == 0 {
 		return
 	}
-	rows := make([]value.Value, 0, len(t.rows)-len(victims))
-	from := 0
-	for _, i := range victims {
+	rows := t.snap.rows
+	for _, p := range victims {
 		for _, ix := range t.indexes {
-			ix.Remove(t.rows[i])
+			ix.Remove(rows.chunks[p.c][p.i])
 		}
-		rows = append(rows, t.rows[from:i]...)
-		from = i + 1
 	}
-	t.rows = append(rows, t.rows[from:]...)
-	t.advanceLocked()
+	t.advanceLocked(rows.remove(victims))
 }
 
 // advanceLocked records a mutation: the epoch advances and the new rows get
-// a fresh memo. Caller holds the write lock.
-func (t *Table) advanceLocked() {
+// a fresh snapshot and memo. Caller holds the write lock.
+func (t *Table) advanceLocked(rows chunked) {
 	t.epoch++
-	t.memo = newMemo()
+	t.snap = newSnapshot(rows)
 }
 
 // Len returns the current row count.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.snap.rows.n
 }
 
-// Rows returns a snapshot of the rows, in canonical order; the slice must not
-// be modified. The snapshot is immutable: mutations replace the slice rather
-// than editing it.
-func (t *Table) Rows() []value.Value {
+// current returns the current snapshot.
+func (t *Table) current() *snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rows
+	return t.snap
 }
 
-// Snapshot returns the row snapshot, as Rows does, together with the memo
-// that belongs to exactly those rows: whatever a consumer stores there was
-// derived from this snapshot and is served only with it.
-func (t *Table) Snapshot() ([]value.Value, *Memo) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rows, t.memo
+// Rows iterates over one snapshot of the rows, taken when Rows is called, in
+// canonical order, yielding each row with its position.
+func (t *Table) Rows() iter.Seq2[int, value.Value] { return t.current().rows.all() }
+
+// Snapshot returns the current rows as their chunk directory — non-empty
+// chunks in canonical order, each at most ChunkRows rows, none of them ever
+// modified — together with the memo that belongs to exactly those rows:
+// whatever a consumer stores there was derived from this snapshot and is
+// served only with it.
+func (t *Table) Snapshot() ([][]value.Value, *Memo) {
+	s := t.current()
+	return s.rows.chunks, s.memo
 }
 
 // MemoEntries is the most entries one snapshot's memo keeps. Entries are
@@ -311,13 +333,14 @@ func (m *Memo) Store(key string, v any) (served any, kept bool) {
 }
 
 // AsSet returns the table contents as a TM set value (used by the naive
-// evaluator, where a table reference is simply a set-valued constant). The
-// rows are already canonical and never modified in place, so the view is the
-// row snapshot itself.
+// evaluator, where a table reference is simply a set-valued constant). A set
+// is one contiguous slice: a loaded snapshot's view is the slice Load carved
+// its chunks from, and a snapshot made by a write materializes its view from
+// the chunks on first use and keeps it.
 func (t *Table) AsSet() value.Value {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return value.CanonicalSet(t.rows)
+	s := t.current()
+	s.once.Do(func() { s.set = value.CanonicalSet(slices.Concat(s.rows.chunks...)) })
+	return s.set
 }
 
 // --- Per-table index registry ---
@@ -381,7 +404,7 @@ func (t *Table) DropIndex(attrs ...string) bool {
 // the write lock; attribute existence was validated by CreateIndex.
 func (t *Table) buildIndexLocked(attrs []string) *HashIndex {
 	ix := NewHashIndex(attrs...)
-	for _, r := range t.rows {
+	for _, r := range t.snap.rows.all() {
 		ix.Add(r)
 	}
 	return ix

@@ -181,8 +181,8 @@ func setFromOwned(es []Value) Value {
 // CanonicalSet wraps es as a set without copying or sorting. The caller
 // vouches that es is already in canonical order (strictly ascending under
 // Compare, hence duplicate-free) and is never modified again: the set
-// aliases the slice. Storage uses it to hand out a table's
-// copy-on-write row slice as its set view; anything else wants SetOf.
+// aliases the slice. Storage uses it to hand out a table's rows, one
+// immutable contiguous slice, as its set view; anything else wants SetOf.
 func CanonicalSet(es []Value) Value { return elemsValue(KindSet, es) }
 
 // CanonicalTuple wraps fs as a tuple without copying or sorting. The caller

@@ -5,14 +5,18 @@
 // It type-checks every non-test Go file of the repository, the bench module
 // included, with go/types, and resolves each use to the declaration it names:
 //
-//   - a function is used where non-test code outside its own body names it,
-//     called or as a value;
-//   - a method is used where non-test code outside its own body selects it on
-//     its own receiver type (or on a type embedding it), or where a method of
-//     an interface it implements is selected: the program's interfaces, the
-//     interface-typed fields, parameters and results it uses, error and
-//     fmt.Stringer.
+//   - a function is used where live non-test code outside its own body names
+//     it, called or as a value;
+//   - a method is used where live non-test code outside its own body selects
+//     it on its own receiver type (or on a type embedding it), or where live
+//     code selects a method of an interface it implements: the program's
+//     interfaces, the interface-typed fields, parameters and results it uses,
+//     error and fmt.Stringer.
 //
+// Live code is everything but the checked declarations, plus the checked
+// declarations that are used or allowlisted; a use inside an unused
+// declaration does not count. The check iterates to a fixpoint, so a chain
+// of declarations that only dead code reaches is reported whole in one run.
 // A name shared by two declarations hides neither. Exported and unexported
 // declarations are checked alike. internal/enginetest, the shared test
 // harness, is not checked.
@@ -211,24 +215,45 @@ func (l *loader) unused() []string {
 			}
 		}
 	}
-	body := map[*types.Func]decl{}
-	for _, d := range decls {
-		body[d.fn] = d
-	}
-	used := map[*types.Func]bool{}
+	// uses pairs each used function or method with the checked declaration
+	// whose body holds the use, nil for a use outside every one of them.
+	sort.Slice(decls, func(i, j int) bool { return decls[i].from < decls[j].from })
+	type use struct{ fn, in *types.Func }
+	var uses []use
 	for _, p := range l.pkgs {
 		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
-			fn = fn.Origin()
-			if d, ok := body[fn]; !ok || id.Pos() < d.from || id.Pos() >= d.to {
-				used[fn] = true
+			u := use{fn: fn.Origin()}
+			if k := sort.Search(len(decls), func(k int) bool { return decls[k].from > id.Pos() }) - 1; k >= 0 && id.Pos() < decls[k].to {
+				u.in = decls[k].fn
+			}
+			if u.in != u.fn {
+				uses = append(uses, u)
 			}
 		}
 	}
+	live := map[*types.Func]bool{}
+	for _, d := range decls {
+		live[d.fn] = allow[d.name] != ""
+	}
 	ifaces := l.interfaces()
+	used := map[*types.Func]bool{}
+	for grew := true; grew; {
+		grew = false
+		for _, u := range uses {
+			if u.in == nil || live[u.in] {
+				used[u.fn] = true
+			}
+		}
+		for _, d := range decls {
+			if !live[d.fn] && (used[d.fn] || implements(d.fn, ifaces, used)) {
+				live[d.fn], grew = true, true
+			}
+		}
+	}
 	var out []string
 	for _, d := range decls {
 		if !used[d.fn] && !implements(d.fn, ifaces, used) {

@@ -43,8 +43,9 @@
 //     typechecks, sorts and deduplicates a whole extension at once, and
 //     single tuples are mutated in place (Engine.Insert / Engine.Delete /
 //     Engine.InsertValue / Engine.DeleteValue, or the storage-level
-//     Insert / Delete / DeleteRows). A write copies the table's row slice
-//     once and advances its data epoch; it rescans no statistics and
+//     Insert / Delete / DeleteRows). A table holds its rows as
+//     copy-on-write chunks: a write copies the chunk it touches and
+//     advances the table's data epoch; it rescans no statistics and
 //     discards no plan. Statistics
 //     only steer cost — every plan returns the same answer — so they may
 //     drift: a table is recollected once a tenth of its cardinality has
