@@ -489,11 +489,20 @@ func BenchmarkBlockShapes(b *testing.B) {
 // --- B11: a single-row write costs what it changes. One insert plus one
 // predicate delete of that row on the repo benchmark's indexed dataset
 // (XYZ{2000, 6000, 4000}, indexes X(b), Y(d), Y(b,d)) — the mixed_rw write
-// path at the engine boundary: each write copies the one chunk of Y's rows it
-// touches (at most storage.ChunkRows rows) and Y's chunk directory, no sort,
-// no statistics rescan, no plan-cache sweep; the delete's victim query is a
-// planned scan of Y (no index covers y.a), a plan-cache hit after the first
-// delete since every y.a = k has one shape. ---
+// path at the engine boundary, timed as two sub-benchmarks so each write can
+// be attributed: insert times the insert (its delete runs outside the timer)
+// and delete the delete (its insert runs outside the timer). The inserted
+// row lies past Y's last row, so it starts a one-row chunk of its own (Y's
+// last loaded chunk is more than half full) and the delete drops that chunk
+// again: each write copies Y's chunk directory and no loaded chunk, no sort,
+// no statistics rescan, no plan-cache sweep. The delete's victim query, SELECT y FROM Y y WHERE
+// y.a = k, reads only the run of Y's chunks whose leading label a equals k
+// (a binary search, no index), collects it without a sort, and is a
+// plan-cache hit after the first delete since every y.a = k has one shape.
+//
+//	go test -run=NONE -bench=B11 -benchmem -benchtime 2000x .
+//
+// ---
 
 func BenchmarkB11SingleRowWrite(b *testing.B) {
 	eng := xyzEngine(2000, 6000, 4000) // Keys 500, dangling 0.25: the repo benchmark's shape
@@ -502,16 +511,38 @@ func BenchmarkB11SingleRowWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := int64(1_000_000 + i)
+	next := int64(1_000_000)
+	insert := func(b *testing.B, a int64) {
 		if added, err := eng.InsertValue("Y", datagen.YRow(a, 1, 1, 2)); err != nil || !added {
 			b.Fatalf("insert: added=%v err=%v", added, err)
 		}
+	}
+	del := func(b *testing.B, a int64) {
 		if n, err := eng.Delete("Y", "y", fmt.Sprintf("y.a = %d", a)); err != nil || n != 1 {
 			b.Fatalf("delete: n=%d err=%v", n, err)
 		}
+	}
+	for _, write := range []string{"insert", "delete"} {
+		b.Run(write, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a := next
+				next++
+				if write == "delete" {
+					b.StopTimer()
+				}
+				insert(b, a)
+				if write == "insert" {
+					b.StopTimer()
+				} else {
+					b.StartTimer()
+				}
+				del(b, a)
+				if write == "insert" {
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ func runE(cat *schema.Catalog, db *storage.DB, src string, s Strategy, ji planne
 	if err != nil {
 		return value.Value{}, fmt.Errorf("translate: %w", err)
 	}
-	tree, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{Joins: ji}).Compile(plan)
+	tree, _, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{Joins: ji}).Compile(plan)
 	if err != nil {
 		return value.Value{}, fmt.Errorf("compile: %w", err)
 	}
@@ -550,7 +550,7 @@ func mustBind(t *testing.T, cat *schema.Catalog, src string) tmql.Expr {
 // execPlan compiles and runs a logical plan, returning its result set.
 func execPlan(t *testing.T, db *storage.DB, plan algebra.Plan) value.Value {
 	t.Helper()
-	tree, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{}).Compile(plan)
+	tree, _, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{}).Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

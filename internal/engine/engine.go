@@ -304,14 +304,14 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 	gov := exec.NewGovernor(ctx, opts.Limits.exec())
 	ectx := exec.NewCtxGoverned(e.db, gov)
 	defer recoverAbort(gov, &res, &err)
-	tree, cerr := planner.New(ectx, pl.PhysicalSpec).Compile(pl.plan)
+	tree, canonical, cerr := planner.New(ectx, pl.PhysicalSpec).Compile(pl.plan)
 	if cerr != nil {
 		if terr := e.checkTablesLive(q.tables); terr != nil {
 			return nil, terr
 		}
 		return nil, cerr
 	}
-	v, err := exec.CollectBatchesGoverned(gov, tree)
+	v, err := exec.CollectBatchesGoverned(gov, tree, canonical)
 	if err != nil {
 		// A table dropped between the liveness pre-check and execution fails
 		// deep in the executor with an untyped unknown-table error; reclassify

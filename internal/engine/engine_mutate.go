@@ -21,7 +21,9 @@ import (
 // evaluated with the naive evaluator; delete predicates are bound against the
 // table's element type and run as a query over snapshots (never under the
 // table's lock, so predicates may freely subquery any table, including the one
-// being mutated).
+// being mutated). A predicate on the table's first label, such as y.a = k,
+// makes that query read only the run of the table's chunks in its range, and
+// its victims come back in canonical order without a sort.
 
 // InsertValue inserts one tuple into a table, reporting whether it
 // was actually added (false: already present, set semantics).
@@ -71,8 +73,10 @@ func (e *Engine) DeleteValue(table string, v value.Value) (bool, error) {
 // varName bound to the candidate tuple (e.g. Delete("EMP", "e",
 // "e.sal > 4000")). It returns the number of tuples removed. The victims are
 // the result of the query SELECT v FROM table v WHERE pred, planned and
-// executed like any other (an index scan when an index covers the predicate)
-// over snapshots, then deleted in one batch — so the predicate may contain
+// executed like any other (an index scan when an index covers the predicate,
+// a leading-label range of the chunks when the predicate compares the
+// table's first label with a constant) over snapshots, then deleted in one
+// batch — so the predicate may contain
 // subqueries over any table. The victim query's constants get parameter
 // slots as a query's do, so deletes of one shape (y.a = 5, y.a = 7) plan
 // once and share one plan-cache entry.

@@ -17,7 +17,7 @@ import (
 // planner's resolver; this test holds them to it. For every golden × catalog
 // × fixed strategy × logical alternative × join family × access path, each
 // EXPLAIN line must name exactly the operator the compile walk built for that
-// node. The catalog axis runs each golden with its access indexes registered
+// node, a narrowed scan's leading-label range included. The catalog axis runs each golden with its access indexes registered
 // and, where it has any, again without them, so the index pins' fallbacks to
 // scans and to the other join families are held to EXPLAIN too. The
 // alternative axis runs every distinct logical alternative of each
@@ -33,6 +33,11 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 	d, inputs := n.Describe(), n.Children()
 	switch o := op.(type) {
 	case *exec.TableScan:
+		// A scan narrowed to a leading-label range prints the range the
+		// compiled scan cuts its chunks to.
+		if o.Range.Bounded() {
+			d += fmt.Sprintf(" %s∈%s", n.Elem().Fields[0].Label, o.Range)
+		}
 		return d, inputs, nil, nil
 	case *exec.EvalScan:
 		return d, inputs, nil, nil
@@ -174,6 +179,21 @@ func TestExplainMatchesCompiledTree(t *testing.T) {
 // join family × access path, one subtest each under prefix, and returns how
 // many it ran.
 func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query string) int {
+	est := planner.NewEstimatorStats(eng.Stats())
+	return forEachCompiled(t, eng, prefix, query, func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, _ bool) {
+		lines := strings.Split(strings.TrimRight(est.Explain(plan, spec), "\n"), "\n")
+		if rest := matchTree(t, plan, tree, lines); len(rest) != 0 {
+			t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
+		}
+	})
+}
+
+// forEachCompiled compiles query on eng under every fixed strategy × logical
+// alternative × feasible join family × access path and hands each plan, its
+// spec, the compiled tree and whether the planner marks the tree canonical
+// to check, one subtest each under prefix. It returns how many it ran.
+func forEachCompiled(t *testing.T, eng *engine.Engine, prefix, query string,
+	check func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, canonical bool)) int {
 	fixed := []core.Strategy{core.StrategyNaive, core.StrategyNestJoin, core.StrategyKim, core.StrategyOuterJoin}
 	impls := []planner.JoinImpl{planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge, planner.ImplIndex}
 	bound, err := tmql.NewBinder(eng.Catalog()).Bind(tmql.MustParse(query))
@@ -198,14 +218,11 @@ func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query stri
 				for _, access := range []planner.AccessPath{planner.AccessScan, planner.AccessIndex} {
 					spec := planner.PhysicalSpec{Joins: ji, Access: access}
 					t.Run(fmt.Sprintf("%s/%s/%s/%s/%s", prefix, s, alt.Alt, ji, access), func(t *testing.T) {
-						tree, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(alt.Plan)
+						tree, canonical, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(alt.Plan)
 						if err != nil {
 							t.Fatal(err)
 						}
-						lines := strings.Split(strings.TrimRight(est.Explain(alt.Plan, spec), "\n"), "\n")
-						if rest := matchTree(t, alt.Plan, tree, lines); len(rest) != 0 {
-							t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
-						}
+						check(t, alt.Plan, spec, tree, canonical)
 					})
 					checked++
 				}

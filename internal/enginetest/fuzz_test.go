@@ -2,6 +2,7 @@ package enginetest
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -33,6 +34,68 @@ var fuzzQueries = []string{
 	`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND x.a SUBSETEQ SELECT z.c FROM Z z WHERE x.b = z.d`,
 }
 
+// rangeTemplates are shapes whose selections compare a table's leading
+// label (Y's and Z's first label) with constants, so the planner narrows
+// their scans to a range of the chunks: one comparison, two intersected, a
+// point restriction inside a semijoin's right input, Z's leading label, and
+// the flat join's wrapped scan. Each %s pair is an operator and a constant
+// (rangeConjunct), either orientation.
+var rangeTemplates = []string{
+	`SELECT y FROM Y y WHERE %s`,
+	`SELECT y FROM Y y WHERE %s AND %s`,
+	`SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d AND %s`,
+	`SELECT (c = z.c, d = z.d) FROM Z z WHERE %s AND z.d >= 0`,
+	`SELECT x.b FROM X x, Y y WHERE x.b = y.d AND %s`,
+}
+
+// rangeConjunct draws a comparison of attr with a constant: any of the five
+// operators the range path serves, in either orientation, against a value
+// inside, between or outside the generated ones (attr ∈ [0, hi)), written as
+// a literal (a parameter slot) or as a closed expression (part of the plan
+// shape, evaluated when the plan is made).
+func rangeConjunct(r *rand.Rand, attr string, hi int) string {
+	op := []string{"=", "<", "<=", ">", ">="}[r.Intn(5)]
+	var c string
+	switch r.Intn(4) {
+	case 0: // a stored value
+		c = fmt.Sprint(r.Intn(hi))
+	case 1: // between two stored values
+		c = fmt.Sprintf("%d.5", r.Intn(hi))
+	case 2: // below every one
+		c = fmt.Sprint(-1 - r.Intn(3))
+	default: // above every one
+		c = fmt.Sprint(hi + r.Intn(3))
+	}
+	if r.Intn(2) == 0 {
+		c = "(" + c + " + 0)"
+	}
+	if r.Intn(2) == 0 {
+		return attr + " " + op + " " + c
+	}
+	return c + " " + op + " " + attr
+}
+
+// fuzzQuery returns query qi: one of fuzzQueries, or a range template
+// filled from seed.
+func fuzzQuery(spec datagen.Spec, seed int64, qi uint8) string {
+	k := int(qi) % (len(fuzzQueries) + len(rangeTemplates))
+	if k < len(fuzzQueries) {
+		return fuzzQueries[k]
+	}
+	r := rand.New(rand.NewSource(seed))
+	tmpl := rangeTemplates[k-len(fuzzQueries)]
+	hi := 2 * spec.SetAttrCard // Y.a and Z.c are drawn from [0, hi)
+	attr := "y.a"
+	if strings.Contains(tmpl, "FROM Z z") {
+		attr = "z.c"
+	}
+	holes := make([]any, strings.Count(tmpl, "%s"))
+	for i := range holes {
+		holes[i] = rangeConjunct(r, attr, hi)
+	}
+	return fmt.Sprintf(tmpl, holes...)
+}
+
 // fuzzSpec clamps raw fuzz inputs into a valid, small generator spec.
 func fuzzSpec(nx, ny, keys, dangPct uint8, seed int64) datagen.Spec {
 	return datagen.Spec{
@@ -49,12 +112,18 @@ func fuzzSpec(nx, ny, keys, dangPct uint8, seed int64) datagen.Spec {
 // FuzzAutoMatchesNaive is the planner property test: over generated XYZ
 // schemas, the cost-based plan's result and the paper's fixed nest-join
 // strategy's must equal the naive oracle's, and EXPLAIN must render without
-// error. The seed corpus covers every query
-// shape and runs under plain `go test`; `go test -fuzz=FuzzAutoMatchesNaive`
-// explores further.
+// error. qi picks one of fuzzQueries or a range template whose leading-label
+// comparisons the seed draws, so the oracle checks the narrowed scans too.
+// The seed corpus covers every query shape and runs under plain `go test`;
+// `go test -fuzz=FuzzAutoMatchesNaive` explores further.
 func FuzzAutoMatchesNaive(f *testing.F) {
 	for qi := range fuzzQueries {
 		f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), uint8(qi))
+	}
+	for k := range rangeTemplates {
+		for seed := int64(1); seed <= 8; seed++ {
+			f.Add(uint8(24), uint8(72), uint8(6), uint8(25), seed, uint8(len(fuzzQueries)+k))
+		}
 	}
 	// Degenerate corners: single-row tables, all-dangling, single key.
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(99), int64(3), uint8(0))
@@ -65,7 +134,7 @@ func FuzzAutoMatchesNaive(f *testing.F) {
 		spec := fuzzSpec(nx, ny, keys, dangPct, seed)
 		cat, db := datagen.XYZ(spec)
 		eng := engine.New(cat, db)
-		q := fuzzQueries[int(qi)%len(fuzzQueries)]
+		q := fuzzQuery(spec, seed, qi)
 
 		oracle, err := eng.Query(q, engine.Options{Strategy: core.StrategyNaive})
 		if err != nil {

@@ -16,10 +16,14 @@ import (
 // where the expressions allow.
 
 // TableScan reads a stored table one zero-copy batch at a time: each
-// emitted batch is one chunk of the table's row snapshot.
+// emitted batch is one chunk of the table's row snapshot. With a bounded
+// Range it reads only the rows whose leading field lies in it, still in
+// canonical order; the planner sets one only beneath a selection whose whole
+// predicate stays as a filter above the scan.
 type TableScan struct {
 	Ctx   *Ctx
 	Table string
+	Range storage.KeyRange
 	src   [][]value.Value
 	// pinned reports that pin took the snapshot src holds, memo's, for the
 	// next Open to read.
@@ -35,8 +39,9 @@ func (s *TableScan) Open() error {
 	return err
 }
 
-// pin takes the table's row snapshot for the next Open to read, unless it is
-// taken already, and returns the memo that belongs to it.
+// pin takes the table's row snapshot for the next Open to read, cut to
+// Range, unless it is taken already, and returns the memo that belongs to
+// it. A kept build and a plain scan thus read the same rows.
 func (s *TableScan) pin() (*storage.Memo, error) {
 	if s.pinned {
 		return s.memo, nil
@@ -46,6 +51,7 @@ func (s *TableScan) pin() (*storage.Memo, error) {
 		return nil, fmt.Errorf("exec: unknown table %s", s.Table)
 	}
 	s.src, s.memo = t.Snapshot()
+	s.src = s.Range.Cut(s.src)
 	s.pinned = true
 	return s.memo, nil
 }

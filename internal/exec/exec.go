@@ -50,7 +50,9 @@ import (
 //     slow per-row predicate evaluation is still covered by the evaluator's
 //     own Check hook (every 256 eval steps). Results are canonicalized by
 //     CollectBatches, which erases arrival order and duplicates, so how rows
-//     are cut into batches never shows in a result.
+//     are cut into batches never shows in a result. A tree the planner
+//     vouches for as canonical (strictly ascending rows) is collected as it
+//     arrives, without the sort.
 
 // DefaultBatchSize is the most rows of a batch a source emits. It bounds the
 // rows between governor polls of a scan-fed pipeline. It is the capacity of
@@ -146,19 +148,23 @@ func drainRows(in BatchIterator) ([]value.Value, error) {
 
 // CollectBatches drains a batch iterator into a canonical set value.
 func CollectBatches(it BatchIterator) (value.Value, error) {
-	return CollectBatchesGoverned(nil, it)
+	return CollectBatchesGoverned(nil, it, false)
 }
 
 // CollectBatchesGoverned is CollectBatches under a governor: every batch of
 // rows added to the result set is accounted against the row budget
 // (pre-deduplication — the budget bounds produced work, not distinct output)
 // and the cancel state is polled once per batch. A nil governor makes it
-// plain CollectBatches.
-func CollectBatchesGoverned(gov *Governor, it BatchIterator) (value.Value, error) {
+// plain CollectBatches. canonical says the tree emits its rows in canonical
+// order, strictly ascending (the planner derives it when it compiles the
+// tree): the rows are then appended and wrapped as the set they already
+// are, with no sort and no deduplication.
+func CollectBatchesGoverned(gov *Governor, it BatchIterator, canonical bool) (value.Value, error) {
 	if err := it.Open(); err != nil {
 		return value.Value{}, err
 	}
 	defer it.Close()
+	var rows []value.Value
 	b := value.NewSetBuilder(0)
 	for {
 		bt, ok, err := it.NextBatch()
@@ -176,9 +182,16 @@ func CollectBatchesGoverned(gov *Governor, it BatchIterator) (value.Value, error
 				return value.Value{}, err
 			}
 		}
+		if canonical {
+			rows = append(rows, bt...)
+			continue
+		}
 		for _, v := range bt {
 			b.Add(v)
 		}
+	}
+	if canonical {
+		return value.CanonicalSet(rows), nil
 	}
 	return b.Build(), nil
 }

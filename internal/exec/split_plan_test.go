@@ -78,7 +78,7 @@ func TestSplitPlansMatchNaive(t *testing.T) {
 				spec := planner.PhysicalSpec{Joins: ji, Access: planner.AccessIndex}
 				for _, n := range []int{1, 7, 0} {
 					t.Run(fmt.Sprintf("%s/%s/%s/split=%d", g.Name, s, ji, n), func(t *testing.T) {
-						tree, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(plan)
+						tree, _, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(plan)
 						if err != nil {
 							t.Fatal(err)
 						}

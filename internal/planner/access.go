@@ -8,6 +8,7 @@ import (
 	"tmdb/internal/exec"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
+	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
 
@@ -80,29 +81,40 @@ const maxIndexScanPoints = 64
 // Name returns the index's canonical registry name.
 func (m IndexScanMatch) Name() string { return storage.IndexName(m.IndexAttrs) }
 
-// AccessChain unwraps a selection input down to its scan leaf, accepting
-// only the shapes the index scan can reproduce above the bucket rows:
-// further selections and the single-field wrapper Maps resolveScanAttr
-// already sees through. It returns the intermediate nodes top-down (empty
-// for a direct σ-over-scan) and the scan.
-func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok bool) {
+// chainScan returns the scan p chains down to through selections and
+// single-field wrapper Maps, or nil when it does not: the scan AccessChain
+// reaches, without collecting the chain.
+func chainScan(p algebra.Plan) *algebra.Scan {
 	for {
 		switch n := p.(type) {
 		case *algebra.Scan:
-			return chain, n, true
+			return n
 		case *algebra.Select:
-			chain = append(chain, n)
 			p = n.In
 		case *algebra.Map:
 			if algebra.WrapperLabel(n) == "" {
-				return nil, nil, false
+				return nil
 			}
-			chain = append(chain, n)
 			p = n.In
 		default:
-			return nil, nil, false
+			return nil
 		}
 	}
+}
+
+// AccessChain unwraps a selection input down to its scan leaf, accepting
+// only the shapes the index scan can reproduce above the bucket rows:
+// further selections and the single-field wrapper Maps resolveScanAttr
+// already sees through (chainScan). It returns the intermediate nodes
+// top-down (empty for a direct σ-over-scan) and the scan.
+func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok bool) {
+	if scan = chainScan(p); scan == nil {
+		return nil, nil, false
+	}
+	for ; p != algebra.Plan(scan); p = p.Children()[0] {
+		chain = append(chain, p)
+	}
+	return chain, scan, true
 }
 
 // FindIndexScan reports how the selection n can be served by a persistent
@@ -117,8 +129,8 @@ func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok b
 // per combination. The longest covered prefix wins, ties prefer the shorter
 // index — the same preference FindIndexProbe applies on the join side.
 func FindIndexScan(n *algebra.Select, indexesOf func(table string) [][]string) (IndexScanMatch, bool) {
-	_, scan, ok := AccessChain(n.In)
-	if !ok {
+	scan := chainScan(n.In)
+	if scan == nil {
 		return IndexScanMatch{}, false
 	}
 	conjuncts := tmql.SplitAnd(n.Pred)
@@ -250,22 +262,142 @@ func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string,
 }
 
 // constKey returns the canonical key of a closed constant expression's
-// plan-time value. Literals skip the evaluator; any other expression must be
-// closed (no free variables) and evaluate against no database — plan-time
-// evaluation that fails (say, an extension reference) reports ok=false and
-// the caller falls back to the scan path.
+// plan-time value (constValue).
 func constKey(e tmql.Expr) (string, bool) {
-	if lit, ok := e.(*tmql.Lit); ok {
-		return value.Key(lit.V), true
-	}
-	if len(tmql.FreeVars(e)) != 0 {
-		return "", false
-	}
-	v, err := eval.New(nil).Eval(e)
-	if err != nil {
+	v, ok := constValue(e)
+	if !ok {
 		return "", false
 	}
 	return value.Key(v), true
+}
+
+// constValue returns a closed constant expression's plan-time value.
+// Literals skip the evaluator; any other expression must be closed (no free
+// variables) and evaluate against no database — plan-time evaluation that
+// fails (say, an extension reference) reports ok=false and the caller falls
+// back to the scan path.
+func constValue(e tmql.Expr) (value.Value, bool) {
+	if lit, ok := e.(*tmql.Lit); ok {
+		return lit.V, true
+	}
+	if len(tmql.FreeVars(e)) != 0 {
+		return value.Value{}, false
+	}
+	v, err := eval.New(nil).Eval(e)
+	if err != nil {
+		return value.Value{}, false
+	}
+	return v, true
+}
+
+// Leading-label ranges. A stored table is a set in canonical order, and
+// every row of a tuple-typed table carries exactly the type's labels, so the
+// rows are sorted on the first label. A selection whose input chains down to
+// a scan of such a table (AccessChain) and whose conjuncts compare that label
+// with closed constants — v.a θ c or c θ v.a, θ one of = < <= > >= — narrows
+// the scan to the intersection of those conjuncts' ranges, and
+// exec.TableScan reads only that run of the chunks (storage.KeyRange.Cut).
+// The whole predicate stays as the filter above the scan, so the range need
+// only hold every row the filter keeps, and it does for every kind:
+// eval.Apply defines the five comparisons by value.Compare, the order the
+// cut searches by. Scans of KAny and KClass element types are never
+// narrowed. As under an index scan, the filter never sees a row outside the
+// range: a conjunct that would fail on such a row (1 / 0) fails the query no
+// more than it would if the range's conjunct came first in the AND.
+
+// leadingRange returns the range n's leading-label conjuncts narrow the scan
+// beneath it to, or false when there is none. A selection without such a
+// conjunct costs a walk of its AND tree and no allocation.
+func leadingRange(n *algebra.Select) (storage.KeyRange, bool) {
+	scan := chainScan(n.In)
+	if scan == nil {
+		return storage.KeyRange{}, false
+	}
+	elem := scan.Elem()
+	if elem == nil || elem.Kind != types.KTuple || len(elem.Fields) == 0 {
+		return storage.KeyRange{}, false
+	}
+	var r storage.KeyRange
+	ok := narrowBy(&r, n.Pred, n, scan.Table, elem.Fields[0].Label)
+	return r, ok
+}
+
+// narrowBy intersects r with the range of every conjunct of p that compares
+// the leading label of table with a closed constant, and reports whether
+// there was one.
+func narrowBy(r *storage.KeyRange, p tmql.Expr, n *algebra.Select, table, label string) bool {
+	b, ok := p.(*tmql.Binary)
+	if !ok {
+		return false
+	}
+	switch b.Op {
+	case tmql.OpAnd:
+		l := narrowBy(r, b.L, n, table, label)
+		return narrowBy(r, b.R, n, table, label) || l
+	case tmql.OpEq, tmql.OpLt, tmql.OpLe, tmql.OpGt, tmql.OpGe:
+	default:
+		return false
+	}
+	for k, side := range [2][2]tmql.Expr{{b.L, b.R}, {b.R, b.L}} {
+		// The label test first: it decides most conjuncts without
+		// allocating.
+		if fs, ok := side[0].(*tmql.FieldSel); !ok || fs.Label != label {
+			continue
+		}
+		if tab, attr, ok := resolveScanAttr(n.In, n.Var, side[0]); !ok || tab != table || attr != label {
+			continue
+		}
+		c, ok := constValue(side[1])
+		if !ok {
+			continue
+		}
+		op := b.Op
+		if k == 1 {
+			op = flipCompare(op)
+		}
+		switch op {
+		case tmql.OpEq:
+			narrowLo(r, storage.Bound{V: c, Set: true})
+			narrowHi(r, storage.Bound{V: c, Set: true})
+		case tmql.OpLt, tmql.OpLe:
+			narrowHi(r, storage.Bound{V: c, Set: true, Strict: op == tmql.OpLt})
+		default:
+			narrowLo(r, storage.Bound{V: c, Set: true, Strict: op == tmql.OpGt})
+		}
+		return true
+	}
+	return false
+}
+
+// narrowLo raises r's lower bound to b when b is the tighter one, narrowHi
+// lowers its upper bound; an absent b leaves r as it is.
+func narrowLo(r *storage.KeyRange, b storage.Bound) {
+	if b.Set && tighter(b, r.Lo, 1) {
+		r.Lo = b
+	}
+}
+
+func narrowHi(r *storage.KeyRange, b storage.Bound) {
+	if b.Set && tighter(b, r.Hi, -1) {
+		r.Hi = b
+	}
+}
+
+// tighter reports whether bound b excludes more than cur, both lower bounds
+// (sign 1) or both upper ones (sign -1).
+func tighter(b, cur storage.Bound, sign int) bool {
+	if !cur.Set {
+		return true
+	}
+	c := sign * value.Compare(b.V, cur.V)
+	return c > 0 || c == 0 && b.Strict
+}
+
+// intersect returns the range both a and b contain.
+func intersect(a, b storage.KeyRange) storage.KeyRange {
+	narrowLo(&a, b.Lo)
+	narrowHi(&a, b.Hi)
+	return a
 }
 
 // dedupConsts keeps the closed constant expressions of es deduplicated by

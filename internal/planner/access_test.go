@@ -192,7 +192,7 @@ func TestCompileIndexScanMultiPointExecutes(t *testing.T) {
 	y, _ := b.Scan("Y")
 	run := func(t *testing.T, plan algebra.Plan, access AccessPath) value.Value {
 		t.Helper()
-		tree, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(plan)
+		tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestCompileIndexScanExecutes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(access AccessPath) value.Value {
-				tree, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(tc.plan)
+				tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(tc.plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -330,7 +330,7 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 		t.Fatalf("probeLKeys = %d exprs, want 2", len(keys))
 	}
 	run := func(impl JoinImpl) value.Value {
-		tree, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(j)
+		tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(j)
 		if err != nil {
 			t.Fatal(err)
 		}

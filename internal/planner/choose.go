@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"tmdb/internal/algebra"
+	"tmdb/internal/storage"
 )
 
 // Cost-based physical planning: the engine translates the query once per
@@ -164,18 +165,23 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 
 // Explain renders the plan as the physical operator tree spec compiles it
 // to, each node named by the shared resolver and annotated with its estimated
-// rows and cost — the body of the engine's EXPLAIN.
+// rows and cost — the body of the engine's EXPLAIN. A scan narrowed to a
+// leading-label range prints it after its name, as Scan(Y) a∈[3, 7).
 func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
 	var b strings.Builder
-	var walk func(n algebra.Plan, depth int)
-	walk = func(n algebra.Plan, depth int) {
+	var walk func(n algebra.Plan, depth int, rng storage.KeyRange)
+	walk = func(n algebra.Plan, depth int, rng storage.KeyRange) {
 		op := e.resolve(n, spec)
 		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s  (%s)\n", op.describe(n), e.Estimate(n, spec))
+		b.WriteString(op.describe(n))
+		if s, ok := n.(*algebra.Scan); ok && rng.Bounded() {
+			fmt.Fprintf(&b, " %s∈%s", s.Elem().Fields[0].Label, rng)
+		}
+		fmt.Fprintf(&b, "  (%s)\n", e.Estimate(n, spec))
 		for _, ch := range op.inputs(n) {
-			walk(ch, depth+1)
+			walk(ch, depth+1, op.inputRange(n, rng))
 		}
 	}
-	walk(p, 0)
+	walk(p, 0, storage.KeyRange{})
 	return b.String()
 }

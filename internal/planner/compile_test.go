@@ -77,7 +77,7 @@ func TestCompile(t *testing.T) {
 		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Map", distinct(true)},
 		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{}, "*exec.Map", distinct(true)},
 	} {
-		tree, err := New(ctx, tc.spec).Compile(tc.plan)
+		tree, _, err := New(ctx, tc.spec).Compile(tc.plan)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -120,7 +120,7 @@ func TestCompile(t *testing.T) {
 	must("unnest-over-nestjoin", nn, err)
 
 	run := func(plan algebra.Plan, spec PhysicalSpec) (value.Value, error) {
-		tree, err := New(ctx, spec).Compile(plan)
+		tree, _, err := New(ctx, spec).Compile(plan)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -170,7 +170,7 @@ func TestCompileGroupjoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(spec PhysicalSpec) (exec.BatchIterator, value.Value) {
-		tree, err := New(exec.NewCtx(db), spec).Compile(plan)
+		tree, _, err := New(exec.NewCtx(db), spec).Compile(plan)
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
@@ -183,7 +183,7 @@ func TestCompileGroupjoin(t *testing.T) {
 	// The unfused pipeline: the rule fires on the Map, so its input compiles
 	// to the filter over the nest join, and the projection goes on top.
 	unfused := func(sel algebra.Plan, plan *algebra.Map) value.Value {
-		in, err := New(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}).Compile(sel)
+		in, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}).Compile(sel)
 		if err != nil {
 			t.Fatal(err)
 		}

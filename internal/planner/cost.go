@@ -6,7 +6,9 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/stats"
+	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
+	"tmdb/internal/value"
 )
 
 // Cost modeling for logical plans. The model is the classical textbook one —
@@ -74,10 +76,18 @@ func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 	case *algebra.Select:
 		in := e.Estimate(n.In, spec)
 		rows := in.Rows * e.predicateSelectivity(n.Pred, n.In, n.Var)
-		if op := e.resolve(n, spec); op.indexScan {
+		op := e.resolve(n, spec)
+		if op.indexScan {
 			return Cost{Rows: rows, Work: e.indexScanWork(op.scan)}
 		}
-		return Cost{Rows: rows, Work: in.Work + in.Rows*e.rowWork(n.Pred)}
+		work := in.Work + in.Rows*e.rowWork(n.Pred)
+		if op.rng.Bounded() {
+			// A narrowed scan: a binary search over the chunks, then the
+			// range's share of the rows through the chain and the filter.
+			card, f := e.rangeFraction(chainScan(n.In), op.rng)
+			work = math.Log2(card+1) + f*work
+		}
+		return Cost{Rows: rows, Work: work}
 
 	case *algebra.Map:
 		in := e.Estimate(n.In, spec)
@@ -443,6 +453,44 @@ func (e *Estimator) compareSelectivity(b *tmql.Binary, in algebra.Plan, varName 
 		return 0, false
 	}
 	return clampSelectivity(f, st.Card), true
+}
+
+// rangeFraction returns the cardinality of the scanned table and the
+// estimated share of its rows whose leading label lies in r: from the
+// label's histogram, the share below the upper bound less the share below
+// the lower one; without a histogram, the label's equality selectivity for a
+// point range and the default selectivity for any other.
+func (e *Estimator) rangeFraction(scan *algebra.Scan, r storage.KeyRange) (card, f float64) {
+	st := e.tableStats(scan.Table)
+	attr := scan.Elem().Fields[0].Label
+	point := r.Lo.Set && r.Hi.Set && !r.Lo.Strict && !r.Hi.Strict && value.Equal(r.Lo.V, r.Hi.V)
+	f = defaultSelectivity
+	if point {
+		f = st.Selectivity(attr)
+	}
+	// below is the share of rows under b's value, and at it when orEq.
+	below := func(h *stats.Histogram, b storage.Bound, orEq bool) (float64, bool) {
+		lt := h.EstimateLess(b.V)
+		if !orEq {
+			return lt, lt >= 0
+		}
+		eq := h.EstimateEq(b.V)
+		return lt + eq, lt >= 0 && eq >= 0
+	}
+	if h := st.Histogram(attr); h != nil {
+		hi, okHi := 1.0, true
+		if r.Hi.Set {
+			hi, okHi = below(h, r.Hi, !r.Hi.Strict)
+		}
+		lo, okLo := 0.0, true
+		if r.Lo.Set {
+			lo, okLo = below(h, r.Lo, r.Lo.Strict)
+		}
+		if okHi && okLo {
+			f = hi - lo
+		}
+	}
+	return float64(st.Card), clampSelectivity(f, st.Card)
 }
 
 // clampSelectivity keeps estimates inside (0, 1]: a zero estimate would zero

@@ -108,7 +108,7 @@ func TestCompileIndexJoinExecutes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := tc.mk()
 			run := func(impl JoinImpl) value.Value {
-				tree, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(plan)
+				tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(plan)
 				if err != nil {
 					t.Fatal(err)
 				}

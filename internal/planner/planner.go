@@ -91,76 +91,95 @@ func New(ctx *exec.Ctx, spec PhysicalSpec) *Planner {
 
 // Compile turns a logical plan into a physical operator tree — the one walk:
 // each case asks the resolver which operator the node becomes under the spec
-// and builds it over its compiled children.
-func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, error) {
+// and builds it over its compiled children. It also reports whether the tree
+// emits its rows in canonical order (strictly ascending under
+// value.Compare, hence duplicate-free), derived bottom-up by the same walk:
+// a scan does, narrowed or not; a filter, an identity map Map[v](v), and a
+// semi-, anti- or groupjoin probe that emits each left row unchanged, at
+// most once and in left order (every join method but sort-merge, which
+// reorders its left input by key) keep their (left) input's order; every
+// other operator drops it. exec.CollectBatchesGoverned then takes the rows
+// as the set they are, unsorted.
+func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, bool, error) {
+	return p.compile(plan, storage.KeyRange{})
+}
+
+// compile is Compile's walk; rng is the leading-label range the selections
+// above plan narrowed the scan at the bottom of its chain to.
+func (p *Planner) compile(plan algebra.Plan, rng storage.KeyRange) (exec.BatchIterator, bool, error) {
 	op, ix := p.resolve(plan)
 	if op.infeasible != "" {
-		return nil, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
+		return nil, false, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
 	}
 	c := p.ctx
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		return &exec.TableScan{Ctx: c, Table: n.Table}, nil
+		return &exec.TableScan{Ctx: c, Table: n.Table, Range: rng}, true, nil
 
 	case *algebra.EvalNode:
-		return &exec.EvalScan{Ctx: c, Expr: n.Expr}, nil
+		return &exec.EvalScan{Ctx: c, Expr: n.Expr}, false, nil
 
 	case *algebra.Select:
 		if op.indexScan {
-			return p.compileIndexScan(n, op.scan, ix)
+			it, err := p.compileIndexScan(n, op.scan, ix)
+			return it, false, err
 		}
-		in, err := p.Compile(n.In)
+		in, canonical, err := p.compile(n.In, op.inputRange(n, rng))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: n.Pred}, nil
+		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: n.Pred}, canonical, nil
 
 	case *algebra.Map:
 		if nj := op.fused; nj != nil {
 			return p.compileGroupjoin(op, ix, n, nj)
 		}
-		in, err := p.Compile(n.In)
+		in, canonical, err := p.compile(n.In, op.inputRange(n, rng))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return p.compileMap(n, in), nil
+		v, identity := n.Out.(*tmql.Var)
+		return p.compileMap(n, in), canonical && identity && v.Name == n.Var, nil
 
 	case *algebra.Join:
-		return p.compileJoin(op, ix, n.L, n.R, &exec.Join{
+		it, canonical, err := p.compileJoin(op, ix, n.L, n.R, &exec.Join{
 			Ctx: c, Kind: n.Kind, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, RElem: n.R.Elem(),
 		})
+		return it, canonical && (n.Kind == algebra.JoinSemi || n.Kind == algebra.JoinAnti), err
 
 	case *algebra.NestJoin:
-		return p.compileJoin(op, ix, n.L, n.R, &exec.Join{
+		// The row gains the group's label, which can reorder the rows.
+		it, _, err := p.compileJoin(op, ix, n.L, n.R, &exec.Join{
 			Ctx: c, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, Fn: n.Fn, Label: n.Label,
 		})
+		return it, false, err
 
 	case *algebra.Nest:
-		in, err := p.Compile(n.In)
+		in, _, err := p.Compile(n.In)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &exec.NestIter{Ctx: c, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}, nil
+		return &exec.NestIter{Ctx: c, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}, false, nil
 
 	case *algebra.Unnest:
-		in, err := p.Compile(n.In)
+		in, _, err := p.Compile(n.In)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &exec.UnnestIter{Ctx: c, In: in, Attr: n.Attr, Scalar: n.Scalar()}, nil
+		return &exec.UnnestIter{Ctx: c, In: in, Attr: n.Attr, Scalar: n.Scalar()}, false, nil
 
 	case *algebra.SetOp:
-		l, err := p.Compile(n.L)
+		l, _, err := p.Compile(n.L)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		r, err := p.Compile(n.R)
+		r, _, err := p.Compile(n.R)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: l, R: r}, nil
+		return &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: l, R: r}, false, nil
 	}
-	return nil, fmt.Errorf("planner: unhandled plan node %T", plan)
+	return nil, false, fmt.Errorf("planner: unhandled plan node %T", plan)
 }
 
 // compileMap builds a Map over its compiled input, deduplicating where set
@@ -172,24 +191,29 @@ func (p *Planner) compileMap(m *algebra.Map, in exec.BatchIterator) exec.BatchIt
 // compileGroupjoin builds the groupjoin m resolved to: nest join nj with
 // the selection between them as its test. The join emits left rows
 // unchanged, so where those are not duplicate-free by construction an
-// identity map deduplicates them, as the projection it replaces would have.
-func (p *Planner) compileGroupjoin(op physOp, ix *storage.HashIndex, m *algebra.Map, nj *algebra.NestJoin) (exec.BatchIterator, error) {
-	j, err := p.compileJoin(op, ix, nj.L, nj.R, &exec.Join{
+// identity map deduplicates them, as the projection it replaces would have;
+// either way the rows keep the order compileJoin reports.
+func (p *Planner) compileGroupjoin(op physOp, ix *storage.HashIndex, m *algebra.Map, nj *algebra.NestJoin) (exec.BatchIterator, bool, error) {
+	j, canonical, err := p.compileJoin(op, ix, nj.L, nj.R, &exec.Join{
 		Ctx: p.ctx, LVar: nj.LVar, RVar: nj.RVar, Residual: nj.Pred, Fn: nj.Fn, Label: nj.Label, Test: op.test,
 	})
 	if err != nil || duplicateFree(nj.L) {
-		return j, err
+		return j, canonical, err
 	}
-	return &exec.Map{Ctx: p.ctx, In: j, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, nil
+	return &exec.Map{Ctx: p.ctx, In: j, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, canonical, nil
 }
 
 // compileJoin completes j, which carries the node's kind, variables, whole
 // predicate (as Residual) and nest-join function, as the resolved family's
-// join method over the compiled operands of lp and rp.
-func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.Plan, j *exec.Join) (exec.BatchIterator, error) {
+// join method over the compiled operands of lp and rp. It reports whether
+// the left input is canonical and the method probes it in its own order —
+// every method but sort-merge — which is what the callers' kinds that emit
+// left rows unchanged need.
+func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.Plan, j *exec.Join) (exec.BatchIterator, bool, error) {
 	var err error
-	if j.L, err = p.Compile(lp); err != nil {
-		return nil, err
+	var canonical bool
+	if j.L, canonical, err = p.Compile(lp); err != nil {
+		return nil, false, err
 	}
 	switch op.family {
 	case ImplIndex:
@@ -198,7 +222,7 @@ func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.P
 		j.Method, j.Ix = exec.JoinIndex, ix
 		j.LKeys = probeLKeys(op.lk, op.probe)
 		j.Residual = indexResidual(op.lk, op.rk, op.probe, op.residual)
-		return j, nil
+		return j, canonical, nil
 	case ImplNestedLoop:
 		j.Method = exec.JoinNL
 	default:
@@ -207,10 +231,10 @@ func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.P
 			j.Method = exec.JoinMerge
 		}
 	}
-	if j.R, err = p.Compile(rp); err != nil {
-		return nil, err
+	if j.R, _, err = p.Compile(rp); err != nil {
+		return nil, false, err
 	}
-	return j, nil
+	return j, canonical && j.Method != exec.JoinMerge, nil
 }
 
 // needsDistinct reports whether a compiled Map needs to deduplicate its

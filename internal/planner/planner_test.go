@@ -103,7 +103,7 @@ func compileNJ(t *testing.T, impl JoinImpl, pred string) exec.BatchIterator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(nj)
+	tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(nj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestHashRequestedWithoutKeysFails(t *testing.T) {
 	y, _ := b.Scan("Y")
 	nj, _ := b.NestJoin(x, y, "x", "y", tmql.MustParse("x.b < y.b"), nil, "zs")
 	ctx := exec.NewCtx(nil)
-	if _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(nj); err == nil {
+	if _, _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(nj); err == nil {
 		t.Error("hash without keys should fail")
 	}
 	j, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b < y.b"))
-	if _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(j); err == nil {
+	if _, _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(j); err == nil {
 		t.Error("hash join without keys should fail")
 	}
 }
@@ -168,7 +168,7 @@ func TestCompileFullPipeline(t *testing.T) {
 	sel, _ := b.Select(nj, "x", tmql.MustParse("x.a SUBSETEQ x.zs"))
 	proj, _ := b.Project(sel, "x", "a", "b")
 	ctx := exec.NewCtx(db)
-	tree, err := New(ctx, PhysicalSpec{}).Compile(proj)
+	tree, _, err := New(ctx, PhysicalSpec{}).Compile(proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	x2, _ := b.Scan("X")
 	u, _ := b.SetOp(algebra.SetIntersect, x1, x2)
 	ctx := exec.NewCtx(db)
-	tree, err := New(ctx, PhysicalSpec{}).Compile(u)
+	tree, _, err := New(ctx, PhysicalSpec{}).Compile(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	}
 
 	un, _ := b.Unnest(x1, "a")
-	tree2, err := New(ctx, PhysicalSpec{}).Compile(un)
+	tree2, _, err := New(ctx, PhysicalSpec{}).Compile(un)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,9 @@ type physOp struct {
 	// scan.
 	indexScan bool
 	scan      IndexScanMatch
+	// rng is the leading-label range a Select not served by an index
+	// narrows the scan beneath it to (leadingRange); unbounded otherwise.
+	rng storage.KeyRange
 	// infeasible is why the spec cannot run this node ("" when it can): the
 	// hash and sort-merge families need an equi-key.
 	infeasible string
@@ -55,6 +58,9 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 				return physOp{indexScan: true, scan: m}
 			}
 			// No usable index on this selection: scan fallback.
+		}
+		if r, ok := leadingRange(n); ok {
+			return physOp{rng: r}
 		}
 	case *algebra.Map:
 		if nj, test := groupjoin(n); nj != nil {
@@ -211,6 +217,25 @@ func (op physOp) describe(n algebra.Plan) string {
 		desc = "Hash" + desc
 	}
 	return desc
+}
+
+// inputRange returns the range the scan beneath n reads, given rng, the one
+// the nodes above n narrowed it to: a selection intersects it with its own
+// and a wrapper Map passes it on — the nodes AccessChain sees through — and
+// every other node, an index-served selection and a groupjoin included,
+// reads its inputs whole. Compile and Explain both descend by it.
+func (op physOp) inputRange(n algebra.Plan, rng storage.KeyRange) storage.KeyRange {
+	switch n := n.(type) {
+	case *algebra.Select:
+		if !op.indexScan {
+			return intersect(rng, op.rng)
+		}
+	case *algebra.Map:
+		if op.fused == nil && algebra.WrapperLabel(n) != "" {
+			return rng
+		}
+	}
+	return storage.KeyRange{}
 }
 
 // inputs are the plan nodes the resolved operator reads: a groupjoin reads

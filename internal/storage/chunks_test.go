@@ -181,3 +181,59 @@ func TestLoadedSetViewSharesChunks(t *testing.T) {
 		t.Errorf("view after an insert has %d rows, want the %d rows of the chunks", len(got), len(want))
 	}
 }
+
+// TestAppendsStartTailChunk: rows inserted past the last row of a loaded
+// table, each deleted again ten inserts later, live in a chunk of their own,
+// so the loaded chunks are never copied; and appending rows in key order to
+// an empty table cuts them into half-full chunks.
+func TestAppendsStartTailChunk(t *testing.T) {
+	tab := NewTable("T", rowType())
+	rows := make([]value.Value, 6000)
+	for i := range rows {
+		rows[i] = row(int64(i), "v")
+	}
+	load(t, tab, rows...)
+	loaded, _ := tab.Snapshot()
+	ref := slices.Clone(rows)
+	for i := int64(0); i < 200; i++ {
+		v := row(10_000+i, "v")
+		if added, err := tab.Insert(v); err != nil || !added {
+			t.Fatalf("Insert %s: added=%v err=%v", v, added, err)
+		}
+		ref = append(ref, v)
+		if i >= 10 {
+			old := row(10_000+i-10, "v")
+			if removed, err := tab.Delete(old); err != nil || !removed {
+				t.Fatalf("Delete %s: removed=%v err=%v", old, removed, err)
+			}
+			ref = slices.DeleteFunc(ref, func(r value.Value) bool { return value.Equal(r, old) })
+		}
+		chunks, _ := tab.Snapshot()
+		at := fmt.Sprintf("after %d appends", i+1)
+		checkChunks(t, chunks, ref, at)
+		if len(chunks) != len(loaded)+1 {
+			t.Fatalf("%s: %d chunks, want the %d loaded ones and one tail", at, len(chunks), len(loaded))
+		}
+		for c, ch := range loaded {
+			if &chunks[c][0] != &ch[0] || len(chunks[c]) != len(ch) {
+				t.Fatalf("%s: loaded chunk %d was copied", at, c)
+			}
+		}
+	}
+
+	seq := NewTable("S", rowType())
+	var want []value.Value
+	for i := int64(0); i < 3*ChunkRows; i++ {
+		want = append(want, row(i, "v"))
+		if _, err := seq.Insert(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks, _ := seq.Snapshot()
+	checkChunks(t, chunks, want, "sequential appends")
+	for c, ch := range chunks {
+		if len(ch) != ChunkRows/2 {
+			t.Fatalf("sequential appends: chunk %d of %d holds %d rows, want %d", c, len(chunks), len(ch), ChunkRows/2)
+		}
+	}
+}

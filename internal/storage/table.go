@@ -11,9 +11,18 @@
 //
 // The rows are held as a chunked canonical sequence: sorted chunks of at most
 // ChunkRows rows under a small directory. A write copies only the chunks it
-// touches and the directory (Insert splits a full chunk in half, a chunk left
-// empty is dropped); every other chunk is shared with the snapshots taken
-// before it.
+// touches and the directory (Insert splits a full chunk in half, a row past
+// the last one starts a chunk of its own once the last chunk is half full,
+// and a chunk left empty is dropped); every other chunk is shared with the
+// snapshots taken before it. Chunks are never merged, so deletes can leave small ones until
+// the next Load recarves the table.
+//
+// The canonical order is used twice over. Writes find their chunk and row by
+// binary search. And since every row of a tuple-typed table carries exactly
+// its type's labels, the rows are sorted on their first field: a scan whose
+// selection compares that field with constants reads only the run of the
+// chunks in the range (KeyRange.Cut), and the executor collects a scan's
+// rows, and those of operators that keep their order, without sorting them.
 //
 // Concurrency: readers (scans, set views, index lookups) may run concurrently
 // with mutators. A mutation never edits a chunk or a directory: it builds a
