@@ -52,7 +52,7 @@ func TestIndexScanChosen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "access=idxscan") || !strings.Contains(out, "IndexScan(X) using X(b)") {
+	if !strings.Contains(out, "access=idxscan") || !strings.Contains(out, "Scan(X) using X(b)") {
 		t.Errorf("EXPLAIN does not render the chosen index scan:\n%s", out)
 	}
 	if !strings.Contains(out, "+idxscan") {
@@ -108,7 +108,7 @@ func TestCompositeIndexScanPrefixAndResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "using Y(b,a) prefix=1") || !strings.Contains(out, "residual[") {
+	if !strings.Contains(out, "Scan(Y) using Y(b,a) prefix=1") || !strings.Contains(out, "Select[y.d > 0](y)") {
 		t.Errorf("EXPLAIN does not render prefix/residual:\n%s", out)
 	}
 }

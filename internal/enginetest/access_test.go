@@ -2,8 +2,10 @@ package enginetest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/engine"
 	"tmdb/internal/planner"
@@ -125,6 +127,98 @@ func TestIndexScanEqualsFilteredScanProperty(t *testing.T) {
 		for k := 0; k < 6; k++ {
 			check(fmt.Sprintf(`SELECT x FROM X x WHERE x.b = %d`, k))
 			check(fmt.Sprintf(`SELECT y.a FROM Y y WHERE y.b = %d AND y.d = %d`, k, (k+2)%7))
+		}
+	}
+}
+
+// TestIndexSourcedBuildsAreNotKept: a hash build whose right input is an
+// index-served selection is built for its query alone. The index is not part
+// of the snapshot whose memo would keep the build, so a build kept under the
+// plan's form would serve the first point constant's rows to a selection with
+// another. Two queries differing only in that constant alternate on one
+// snapshot, each checked against naive evaluation.
+func TestIndexSourcedBuildsAreNotKept(t *testing.T) {
+	eng := engine.New(datagen.XYZ(datagen.Spec{NX: 200, NY: 600, NZ: 10, Keys: 50, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994}))
+	if err := eng.CreateIndex("Y", "b", "d"); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE y.b = %d AND x.b = y.d`
+	opts := engine.Options{Joins: planner.ImplHash, Access: planner.AccessIndex}
+	out, err := eng.Explain(fmt.Sprintf(q, 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "HashSemiJoin") || !strings.Contains(out, "Scan(Y) using Y(b,d) prefix=1") {
+		t.Fatalf("the build is not over an index-served selection:\n%s", out)
+	}
+	want := map[int]string{}
+	for _, k := range []int{1, 2} {
+		res, err := eng.Query(fmt.Sprintf(q, k), engine.Options{Strategy: core.StrategyNaive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = value.Key(res.Value)
+	}
+	if want[1] == want[2] {
+		t.Fatal("the two point constants select the same rows: the test cannot tell them apart")
+	}
+	for round := 0; round < 4; round++ {
+		for _, k := range []int{1, 2} {
+			res, err := eng.Query(fmt.Sprintf(q, k), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if value.Key(res.Value) != want[k] {
+				t.Fatalf("round %d, y.b = %d: %d rows differ from naive evaluation", round, k, res.Value.Len())
+			}
+		}
+	}
+}
+
+// TestNarrowedSourcesShareOneErrorRule: a filter never sees a row that its
+// narrowed source skips, whether a leading-label range or an index lookup
+// narrows it. A conjunct that fails on every row it is evaluated on fails the
+// query under either source exactly when the narrowed rows are not empty,
+// while naive evaluation, which reads every row, always fails.
+func TestNarrowedSourcesShareOneErrorRule(t *testing.T) {
+	eng := benchEngine(t, true)
+	if err := eng.CreateIndex("Y", "a"); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT y.b FROM Y y WHERE 1 / (y.d - y.d) = 0 AND y.a = %d`
+	sources := []struct {
+		name string
+		opts engine.Options
+		scan string
+	}{
+		{"range", engine.Options{Strategy: core.StrategyNestJoin, Access: planner.AccessScan}, "Scan(Y) a∈["},
+		{"index", engine.Options{Strategy: core.StrategyNestJoin, Access: planner.AccessIndex}, "Scan(Y) using Y(a)"},
+	}
+	divides := func(err error) bool { return err != nil && strings.Contains(err.Error(), "division by zero") }
+	for _, tc := range []struct {
+		name  string
+		a     int
+		empty bool
+	}{{"empty", -1, true}, {"rows", 0, false}} {
+		query := fmt.Sprintf(q, tc.a)
+		if _, err := eng.Query(query, engine.Options{Strategy: core.StrategyNaive}); !divides(err) {
+			t.Errorf("%s: naive evaluation = %v, want division by zero", tc.name, err)
+		}
+		for _, src := range sources {
+			out, err := eng.Explain(query, src.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, src.scan) {
+				t.Fatalf("%s/%s: the scan is not narrowed as %q:\n%s", tc.name, src.name, src.scan, out)
+			}
+			res, err := eng.Query(query, src.opts)
+			switch {
+			case tc.empty && (err != nil || res.Value.Len() != 0):
+				t.Errorf("%s/%s: got %v (err %v), want ∅", tc.name, src.name, res.Value, err)
+			case !tc.empty && !divides(err):
+				t.Errorf("%s/%s: err %v, want division by zero", tc.name, src.name, err)
+			}
 		}
 	}
 }

@@ -17,7 +17,9 @@ import (
 // planner's resolver; this test holds them to it. For every golden × catalog
 // × fixed strategy × logical alternative × join family × access path, each
 // EXPLAIN line must name exactly the operator the compile walk built for that
-// node, a narrowed scan's leading-label range included. The catalog axis runs each golden with its access indexes registered
+// node, a narrowed scan's source — leading-label range or index lookup — and
+// what an index-served selection's filter still checks included. The
+// catalog axis runs each golden with its access indexes registered
 // and, where it has any, again without them, so the index pins' fallbacks to
 // scans and to the other join families are held to EXPLAIN too. The
 // alternative axis runs every distinct logical alternative of each
@@ -27,22 +29,37 @@ import (
 // explainedAs renders the EXPLAIN description of plan node n from the
 // operator compiled for it, and returns the plan nodes that operator reads
 // (n's children, or the nest join's operands under a groupjoin) with the
-// operators compiled for them (nil under an index-served operator, whose
-// right operand or scan chain has no operators of its own).
+// operators compiled for them (nil under an index join, whose right operand
+// has no operators of its own).
 func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, kids []any, err error) {
 	d, inputs := n.Describe(), n.Children()
 	switch o := op.(type) {
 	case *exec.TableScan:
-		// A scan narrowed to a leading-label range prints the range the
-		// compiled scan cuts its chunks to.
-		if o.Range.Bounded() {
+		// A narrowed scan prints its source: the index the compiled scan
+		// reads, or the range it cuts its chunks to.
+		switch {
+		case o.Ix != nil:
+			d += fmt.Sprintf(" using %s(%s)", o.Table, o.Ix.Name())
+			if o.Depth < len(o.Ix.Attrs()) {
+				d += fmt.Sprintf(" prefix=%d", o.Depth)
+			}
+			if len(o.Points) > 1 {
+				d += fmt.Sprintf(" points=%d", len(o.Points))
+			}
+		case o.Range.Bounded():
 			d += fmt.Sprintf(" %s∈%s", n.Elem().Fields[0].Label, o.Range)
 		}
 		return d, inputs, nil, nil
 	case *exec.EvalScan:
 		return d, inputs, nil, nil
 	case *exec.Filter:
-		return d, inputs, []any{o.In}, nil
+		// The predicate the compiled filter checks: the selection's, or
+		// what is left of it when an index lookup serves it.
+		pred := "true"
+		if o.Pred != nil {
+			pred = tmql.Format(o.Pred)
+		}
+		return fmt.Sprintf("Select[%s](%s)", pred, o.Var), inputs, []any{o.In}, nil
 	case *exec.Map:
 		return d, inputs, []any{o.In}, nil
 	case *exec.Join:
@@ -91,23 +108,6 @@ func groupjoinOf(n algebra.Plan) (*algebra.NestJoin, bool) {
 	return nil, false
 }
 
-// indexScanLeaf descends the chain compileIndexScan rebuilds above the
-// bucket rows (filters and wrapper maps) to the IndexScan at its leaf.
-func indexScanLeaf(op any) (*exec.IndexScan, bool) {
-	for {
-		switch o := op.(type) {
-		case *exec.IndexScan:
-			return o, true
-		case *exec.Filter:
-			op = o.In
-		case *exec.Map:
-			op = o.In
-		default:
-			return nil, false
-		}
-	}
-}
-
 // matchTree walks plan and compiled tree together, consuming one EXPLAIN
 // line per plan node in preorder, and returns the lines left over.
 func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
@@ -119,22 +119,12 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
 	line = line[:strings.LastIndex(line, "  (rows≈")]
 	lines = lines[1:]
 	if op == nil {
-		// Beneath an index-served operator: EXPLAIN keeps the logical
-		// subtree for its estimates, and nothing is compiled for it.
+		// Beneath an index join: EXPLAIN keeps the logical subtree for its
+		// estimates, and nothing is compiled for it.
 		for _, ch := range n.Children() {
 			lines = matchTree(t, ch, nil, lines)
 		}
 		return lines
-	}
-	if sel, ok := n.(*algebra.Select); ok && strings.HasPrefix(line, "IndexScan(") {
-		leaf, ok := indexScanLeaf(op)
-		_, scan, chained := planner.AccessChain(sel)
-		if !ok || !chained {
-			t.Errorf("EXPLAIN says %q, compiled %T without an IndexScan leaf over a stored table", line, op)
-		} else if want := fmt.Sprintf("IndexScan(%s) using %s(%s)", scan.Table, scan.Table, leaf.Ix.Name()); !strings.HasPrefix(line, want) {
-			t.Errorf("EXPLAIN says %q, compiled %s", line, want)
-		}
-		return matchTree(t, sel.In, nil, lines)
 	}
 	want, inputs, kids, err := explainedAs(n, op)
 	if err != nil {

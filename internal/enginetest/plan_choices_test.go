@@ -98,7 +98,7 @@ func skeleton(lines []string) (string, []string) {
 	depth := func(l string) int { return len(l) - len(strings.TrimLeft(l, " ")) }
 	line := strings.TrimLeft(lines[0], " ")
 	name := line[:strings.IndexAny(line, "[(")]
-	if strings.HasPrefix(line, "Scan(") || strings.HasPrefix(line, "IndexScan(") {
+	if strings.HasPrefix(line, "Scan(") {
 		name = line[:strings.Index(line, ")")+1]
 	}
 	d := depth(lines[0])

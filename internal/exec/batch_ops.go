@@ -15,28 +15,70 @@ import (
 // work in a tight loop over the batch slice through compiled row programs
 // where the expressions allow.
 
-// TableScan reads a stored table one zero-copy batch at a time: each
-// emitted batch is one chunk of the table's row snapshot. With a bounded
-// Range it reads only the rows whose leading field lies in it, still in
-// canonical order; the planner sets one only beneath a selection whose whole
-// predicate stays as a filter above the scan.
+// TableScan reads a stored table one zero-copy batch at a time, from one of
+// two narrowed sources or the whole table. With a bounded Range it reads only
+// the rows whose leading field lies in it, still in canonical order; each
+// batch is one chunk of the table's row snapshot. With an index Ix it reads
+// only the index buckets under its Points, each a list of Depth closed key
+// expressions (the planner matches only conjuncts whose other side is
+// constant at plan time), cutting a bucket longer than DefaultBatchSize into
+// batches of that size. Distinct points address disjoint buckets (the key
+// encoding is injective per depth), so the buckets concatenate without
+// deduplication, though not in canonical order. Ix is the index the planner
+// resolved at compile time: buckets are copy-on-write, so it stays readable
+// even if the registry entry is dropped mid-query, like a row snapshot. The
+// planner sets either source only beneath a selection whose filter above the
+// scan still checks every conjunct the source does not.
 type TableScan struct {
-	Ctx   *Ctx
-	Table string
-	Range storage.KeyRange
-	src   [][]value.Value
+	Ctx    *Ctx
+	Table  string
+	Range  storage.KeyRange
+	Ix     *storage.HashIndex
+	Depth  int
+	Points [][]tmql.Expr
+	src    [][]value.Value
 	// pinned reports that pin took the snapshot src holds, memo's, for the
 	// next Open to read.
 	pinned bool
 	memo   *storage.Memo
 }
 
-// Open resolves the table and takes its row snapshot, unless pin took it
-// already.
+// Open takes the index buckets under the points, or else the table's row
+// snapshot, unless pin took it already.
 func (s *TableScan) Open() error {
+	if s.Ix != nil {
+		return s.lookup()
+	}
 	_, err := s.pin()
 	s.pinned = false
 	return err
+}
+
+// lookup evaluates every point's keys once and takes the matching buckets as
+// the rows to read. The table's other rows are never touched.
+func (s *TableScan) lookup() error {
+	if err := checkIndex(s.Ix, s.Depth); err != nil {
+		return err
+	}
+	s.src = s.src[:0]
+	buf := make([]byte, 0, 32) // point keys are short: the buffer stays on the stack
+	for _, pt := range s.Points {
+		if len(pt) != s.Depth {
+			return fmt.Errorf("exec: index scan point has %d keys, want depth %d", len(pt), s.Depth)
+		}
+		buf = buf[:0]
+		for _, k := range pt {
+			kv, err := s.Ctx.Ev.Eval(k)
+			if err != nil {
+				return err
+			}
+			buf = value.AppendKey(buf, kv)
+		}
+		if b := s.Ix.LookupEncoded(string(buf), s.Depth); len(b) > 0 {
+			s.src = append(s.src, b[:len(b):len(b)])
+		}
+	}
+	return nil
 }
 
 // pin takes the table's row snapshot for the next Open to read, cut to
@@ -56,13 +98,19 @@ func (s *TableScan) pin() (*storage.Memo, error) {
 	return s.memo, nil
 }
 
-// NextBatch returns the next batch of rows.
+// NextBatch returns the next batch of rows. Only an index bucket is ever cut:
+// a chunk holds at most DefaultBatchSize rows, so the chunk directory, which
+// the snapshot shares, is never written.
 func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
 	if len(s.src) == 0 {
 		return nil, false, nil
 	}
 	b := s.src[0]
-	s.src = s.src[1:]
+	if len(b) > DefaultBatchSize {
+		b, s.src[0] = b[:DefaultBatchSize:DefaultBatchSize], b[DefaultBatchSize:]
+	} else {
+		s.src = s.src[1:]
+	}
 	if err := s.Ctx.checkBatch(); err != nil {
 		return nil, false, err
 	}
@@ -72,10 +120,11 @@ func (s *TableScan) NextBatch() ([]value.Value, bool, error) {
 	return b, true, nil
 }
 
-// Close releases the row snapshot.
+// Close releases the rows.
 func (s *TableScan) Close() error { s.src, s.memo, s.pinned = nil, nil, false; return nil }
 
-// stableBatches marks the batches as chunks of an immutable snapshot.
+// stableBatches marks the batches as subslices of an immutable snapshot's
+// chunks or an index's copy-on-write buckets.
 func (*TableScan) stableBatches() {}
 
 // EvalScan evaluates a closed set-typed TM expression with the naive
@@ -112,7 +161,9 @@ func (s *EvalScan) Close() error { s.src = chunks{}; return nil }
 // stableBatches marks the batches as subslices of an immutable collection.
 func (*EvalScan) stableBatches() {}
 
-// Filter is σ: it emits the input batch's qualifying rows.
+// Filter is σ: it emits the input batch's qualifying rows. A nil Pred keeps
+// every row: the filter passes its input's batches through without copying
+// them.
 type Filter struct {
 	Ctx  *Ctx
 	In   BatchIterator
@@ -137,6 +188,9 @@ func (f *Filter) NextBatch() ([]value.Value, bool, error) {
 		}
 		if err := f.Ctx.checkBatch(); err != nil {
 			return nil, false, err
+		}
+		if f.Pred == nil {
+			return bt, true, nil
 		}
 		if f.out, err = filterRows(f.pred, bt, f.out); err != nil {
 			return nil, false, err

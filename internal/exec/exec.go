@@ -33,13 +33,14 @@ import (
 //     row is a struct copy — the batch's backing slice is what gets reused),
 //     and never change the batch. The exception is a source whose batches
 //     alias immutable rows and so stay valid for good: TableScan (chunks
-//     of the table's row snapshot), EvalScan (of the evaluated collection)
+//     of the table's row snapshot or pieces of copy-on-write index
+//     buckets), EvalScan (of the evaluated collection)
 //     and ν (of its grouped output) say so through the stableSource marker,
 //     and a consumer may retain their batches without copying — the hash
 //     build does (drainKeyed).
-//   - Sources — table, index and evaluated scans, ν's output — emit
-//     zero-copy batches of at most DefaultBatchSize rows; a table scan
-//     emits one stored chunk per batch. Join stops
+//   - Sources — table and evaluated scans, ν's output — emit zero-copy
+//     batches of at most DefaultBatchSize rows; a table scan emits one
+//     stored chunk or one piece of an index bucket per batch. Join stops
 //     probing once its output reaches DefaultBatchSize and resumes at the
 //     next left row, so it overshoots by at most one bucket's fanout and the
 //     row budget, charged per batch, trips within that. μ emits one batch

@@ -25,24 +25,25 @@ func TestOpenIndexPinsResolvedSnapshot(t *testing.T) {
 	if !tab.DropIndex("a") {
 		t.Fatal("DropIndex reported false")
 	}
-	if ix, err := openIndex(live, 1); err != nil || ix != live {
-		t.Errorf("resolved snapshot after drop: openIndex = %v, %v", ix, err)
+	if err := checkIndex(live, 1); err != nil {
+		t.Errorf("resolved snapshot after drop: checkIndex = %v", err)
 	}
 	for _, depth := range []int{0, 2} {
-		if _, err := openIndex(live, depth); err == nil {
+		if err := checkIndex(live, depth); err == nil {
 			t.Errorf("probe depth %d on a one-attribute index opened", depth)
 		}
 	}
-	if _, err := openIndex(nil, 1); err == nil {
+	if err := checkIndex(nil, 1); err == nil {
 		t.Error("an index probe without an index opened")
 	}
 
-	// Both index operators open over the dropped snapshot.
+	// The index join and the scan with an index source both open over the
+	// dropped snapshot.
 	ctx := NewCtx(db)
 	for name, op := range map[string]BatchIterator{
 		"join": &Join{Ctx: ctx, Method: JoinIndex, L: &SliceScan{}, LVar: "x", RVar: "t",
 			Ix: live, LKeys: []tmql.Expr{tmql.MustParse("x")}},
-		"scan": &IndexScan{Ctx: ctx, Ix: live, Depth: 1,
+		"scan": &TableScan{Ctx: ctx, Table: "T", Ix: live, Depth: 1,
 			Points: [][]tmql.Expr{{tmql.MustParse("1")}}},
 	} {
 		if err := op.Open(); err != nil {

@@ -106,7 +106,6 @@ type Join struct {
 	buildKey string
 	// slot is the hash slot of the bucket last found (-1: the empty bucket).
 	slot  int32
-	ix    *storage.HashIndex
 	lenc  keyEncoder
 	key   []byte
 	probe rowProbe
@@ -137,7 +136,7 @@ func (j *Join) Open() error {
 	case JoinHash:
 		j.table, err = j.buildHash()
 	case JoinIndex:
-		j.ix, err = openIndex(j.Ix, len(j.LKeys))
+		err = checkIndex(j.Ix, len(j.LKeys))
 	case JoinMerge:
 		if j.sorted.rows, j.lkeys, err = sortRun(c, j.L, j.lenc); err == nil {
 			j.right, j.rkeys, err = sortRun(c, j.R, newKeyEncoder(c, j.RKeys, j.RVar))
@@ -382,19 +381,19 @@ func nestGroup(res pred2, fn scalar2, l value.Value, bucket []value.Value, size 
 	return group.Build(), nil
 }
 
-// openIndex returns the persistent index a join or index scan probes at
-// depth leading attributes. The planner resolves the *HashIndex at compile
-// time — index buckets are copy-on-write, so the snapshot stays probeable
-// even if the registry entry is dropped mid-query, exactly like a scan's row
-// snapshot.
-func openIndex(ix *storage.HashIndex, depth int) (*storage.HashIndex, error) {
+// checkIndex checks the persistent index an index join or a table scan with
+// an index source probes at depth leading attributes. The planner resolves
+// the *HashIndex at compile time — index buckets are copy-on-write, so the
+// snapshot stays probeable even if the registry entry is dropped mid-query,
+// exactly like a scan's row snapshot.
+func checkIndex(ix *storage.HashIndex, depth int) error {
 	if ix == nil {
-		return nil, fmt.Errorf("exec: index probe without an index")
+		return fmt.Errorf("exec: index probe without an index")
 	}
 	if depth < 1 || depth > len(ix.Attrs()) {
-		return nil, fmt.Errorf("exec: probe depth %d outside index (%s)", depth, ix.Name())
+		return fmt.Errorf("exec: probe depth %d outside index (%s)", depth, ix.Name())
 	}
-	return ix, nil
+	return nil
 }
 
 // bucket returns the candidates of left row l: all of the right input, the
@@ -416,7 +415,7 @@ func (j *Join) bucket(l value.Value) ([]value.Value, error) {
 		b, j.slot = j.table.bucket(key)
 		return b, nil
 	}
-	return j.ix.LookupEncoded(string(key), len(j.LKeys)), nil
+	return j.Ix.LookupEncoded(string(key), len(j.LKeys)), nil
 }
 
 // mergeRun returns the bucket of the next left row in key order: the right
@@ -491,7 +490,7 @@ func (j *Join) nextLeft() ([]value.Value, bool, error) {
 // Close releases the bucket source and closes the left input, which the
 // sort-merge method already closed at Open.
 func (j *Join) Close() error {
-	j.right, j.rkeys, j.lkeys, j.sorted, j.table, j.memo, j.ix, j.left = nil, nil, nil, chunks{}, nil, nil, nil, nil
+	j.right, j.rkeys, j.lkeys, j.sorted, j.table, j.memo, j.left = nil, nil, nil, chunks{}, nil, nil, nil
 	if j.Method == JoinMerge {
 		return nil
 	}

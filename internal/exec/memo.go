@@ -14,9 +14,9 @@ import (
 )
 
 // Builds served per snapshot. The table a hash join builds over a closed
-// subtree — stored-table scans under filters, maps and joins whose
-// expressions all compile without the evaluator and read no variable from
-// outside the subtree — keyed by compiled expressions of its rows, is a pure
+// subtree — stored-table scans, none read through an index, under filters,
+// maps and joins whose expressions all compile without the evaluator and
+// read no variable from outside the subtree — keyed by compiled expressions of its rows, is a pure
 // function of the snapshots the scans read. Such a build is kept in
 // the memo of the newest of those snapshots (storage.Table.Snapshot), under
 // a key naming the subtree's variable-free form, the build keys and every
@@ -167,17 +167,22 @@ func (j *Join) sharedGroups(fn scalar2, compiled bool) []value.Value {
 // appendPlanForm appends the form of the operator subtree it and collects
 // its leaf scans, or reports false when the subtree is not closed: when it
 // holds an operator other than a table scan, filter, map, or a hash or
-// nested-loop join, or an expression without a form.
+// nested-loop join, a scan read through an index, or an expression without a
+// form. An index is not part of the snapshot whose memo would keep the
+// build, so a scan through one never has a form.
 func appendPlanForm(b *strings.Builder, it BatchIterator, leaves *[]*TableScan) bool {
 	switch n := it.(type) {
 	case *TableScan:
+		if n.Ix != nil {
+			return false
+		}
 		b.WriteByte('S')
 		appendName(b, n.Table)
 		*leaves = append(*leaves, n)
 		return true
 	case *Filter:
 		b.WriteByte('F')
-		return appendPred(b, n.Pred, n.Var, "") && appendPlanForm(b, n.In, leaves)
+		return appendOptional(b, n.Pred, appendPred, n.Var, "") && appendPlanForm(b, n.In, leaves)
 	case *Map:
 		b.WriteByte('M')
 		b.WriteByte(flagByte(n.Distinct))

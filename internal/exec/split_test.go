@@ -295,9 +295,9 @@ func TestSplitBatchesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestIndexScanMatchesNaive covers the index scan, the source that cuts its
-// own batches out of index buckets: one and several points, with no,
-// compiled and generic residuals.
+// TestIndexScanMatchesNaive covers the table scan with an index source, the
+// one that cuts its own batches out of index buckets: one and several
+// points, under a filter with no, a compiled and a generic residual.
 func TestIndexScanMatchesNaive(t *testing.T) {
 	cat, db := splitDB(t)
 	for _, tc := range []struct {
@@ -312,14 +312,16 @@ func TestIndexScanMatchesNaive(t *testing.T) {
 		{"residual/generic", []int64{2, 3}, "COUNT(x.a) >= 1", "(x.b = 2 OR x.b = 3) AND COUNT(x.a) >= 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &IndexScan{Ctx: NewCtx(db), Ix: liveIndex(t, db, "X", "b"), Depth: 1, Var: "x"}
+			c := NewCtx(db)
+			s := &TableScan{Ctx: c, Table: "X", Ix: liveIndex(t, db, "X", "b"), Depth: 1}
 			for _, p := range tc.points {
 				s.Points = append(s.Points, []tmql.Expr{&tmql.Lit{V: value.Int(p)}})
 			}
+			f := &Filter{Ctx: c, In: s, Var: "x"}
 			if tc.residual != "" {
-				s.Residual = pred(tc.residual)
+				f.Pred = pred(tc.residual)
 			}
-			got, err := CollectBatches(s)
+			got, err := CollectBatches(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,25 +333,35 @@ func TestIndexScanMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSourcesCutAtDefaultBatchSize pins the sources' batch shape: table and
-// evaluated scans and ν emit zero-copy batches of exactly DefaultBatchSize
-// rows, the last one shorter.
+// TestSourcesCutAtDefaultBatchSize pins the sources' batch shape: table
+// scans, whole or through one index bucket, evaluated scans and ν emit
+// zero-copy batches of exactly DefaultBatchSize rows, the last one shorter.
 func TestSourcesCutAtDefaultBatchSize(t *testing.T) {
 	db := storage.NewDB()
 	tab := db.MustCreate("T", types.Tuple(types.F("k", types.Int)))
+	same := db.MustCreate("S", types.Tuple(types.F("k", types.Int), types.F("v", types.Int)))
 	n := 2*DefaultBatchSize + 5
-	elems := make([]value.Value, n)
+	elems, sameRows := make([]value.Value, n), make([]value.Value, n)
 	for i := range elems {
 		elems[i] = tup("k", i)
+		sameRows[i] = tup("k", i, "v", 0)
 	}
 	if err := tab.Load(elems); err != nil {
+		t.Fatal(err)
+	}
+	if err := same.Load(sameRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := same.CreateIndex("v"); err != nil {
 		t.Fatal(err)
 	}
 	c := NewCtx(db)
 	for name, it := range map[string]BatchIterator{
 		"table": &TableScan{Ctx: c, Table: "T"},
-		"eval":  &EvalScan{Ctx: c, Expr: &tmql.Lit{V: value.SetOf(elems...)}},
-		"nest":  &NestIter{Ctx: c, In: &SliceScan{Rows: elems}, Attrs: []string{"none"}, Label: "g"},
+		"index": &TableScan{Ctx: c, Table: "S", Ix: liveIndex(t, db, "S", "v"), Depth: 1,
+			Points: [][]tmql.Expr{{&tmql.Lit{V: value.Int(0)}}}},
+		"eval": &EvalScan{Ctx: c, Expr: &tmql.Lit{V: value.SetOf(elems...)}},
+		"nest": &NestIter{Ctx: c, In: &SliceScan{Rows: elems}, Attrs: []string{"none"}, Label: "g"},
 	} {
 		if err := it.Open(); err != nil {
 			t.Fatal(err)

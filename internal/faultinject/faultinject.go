@@ -22,8 +22,8 @@ import (
 // Registered fault points. The names are stable API: tests address them in
 // schedules and the ARCHITECTURE.md registry documents them.
 const (
-	// PointScan fires once per batch leaving a table scan
-	// (exec.TableScan) or an index scan (exec.IndexScan).
+	// PointScan fires once per batch leaving a table scan (exec.TableScan),
+	// whole or narrowed to a range or to index buckets.
 	PointScan = "scan.next"
 	// PointHashBuild fires once per right-input row entering the table of a
 	// hash join (exec.Join with the JoinHash method), and, for an execution

@@ -1,26 +1,27 @@
 package planner
 
 import (
-	"fmt"
-
 	"tmdb/internal/algebra"
 	"tmdb/internal/eval"
-	"tmdb/internal/exec"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
 
-// Access-path selection for single-table selections. A selection whose
-// input is a direct scan (possibly through further selections and the
-// single-field wrapper Maps the flat-join translation introduces) and whose
-// equality conjuncts compare stored attributes against plan-time constants
-// can be served by a persistent index: the longest index prefix covered by
-// those conjuncts is probed point-wise, uncovered conjuncts become a
-// residual filter, and the base scan is never materialized. Like the
-// join-side FindIndexProbe, the shape test runs inside the shared resolver
-// (resolve.go).
+// Access paths for single-table selections. A stored table is read by one
+// operator, exec.TableScan, whole or from one of two narrowed sources that a
+// selection above it hands down through further selections and the
+// single-field wrapper Maps the flat-join translation introduces (chainScan):
+// a leading-label range (leadingRange, below), or an index lookup. A
+// selection whose equality conjuncts compare stored attributes against
+// plan-time constants can be served by a persistent index: the scan reads
+// only the buckets of the longest index prefix those conjuncts cover, point
+// by point, and the selection's filter checks the uncovered conjuncts, its
+// residual. Selections between it and the scan stay plain filters over the
+// bucket rows. Like the join-side FindIndexProbe, the shape test runs inside
+// the shared resolver (resolve.go). Under either source a filter never sees
+// a row that its source skips.
 
 // AccessPath selects how leaf selections read their tables.
 type AccessPath uint8
@@ -33,9 +34,9 @@ const (
 	AccessAuto AccessPath = iota
 	// AccessScan forces full scans (the pre-index behavior).
 	AccessScan
-	// AccessIndex compiles matching selections to exec.IndexScan, falling
-	// back to scans where no live index matches. Shown as "idxscan" in
-	// EXPLAIN.
+	// AccessIndex reads the scan beneath each matching selection through
+	// its index, falling back to scans where no live index matches. Shown
+	// as "idxscan" in EXPLAIN.
 	AccessIndex
 )
 
@@ -82,8 +83,8 @@ const maxIndexScanPoints = 64
 func (m IndexScanMatch) Name() string { return storage.IndexName(m.IndexAttrs) }
 
 // chainScan returns the scan p chains down to through selections and
-// single-field wrapper Maps, or nil when it does not: the scan AccessChain
-// reaches, without collecting the chain.
+// single-field wrapper Maps, the nodes a narrowed source passes through, or
+// nil when it does not.
 func chainScan(p algebra.Plan) *algebra.Scan {
 	for {
 		switch n := p.(type) {
@@ -102,21 +103,6 @@ func chainScan(p algebra.Plan) *algebra.Scan {
 	}
 }
 
-// AccessChain unwraps a selection input down to its scan leaf, accepting
-// only the shapes the index scan can reproduce above the bucket rows:
-// further selections and the single-field wrapper Maps resolveScanAttr
-// already sees through (chainScan). It returns the intermediate nodes
-// top-down (empty for a direct σ-over-scan) and the scan.
-func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok bool) {
-	if scan = chainScan(p); scan == nil {
-		return nil, nil, false
-	}
-	for ; p != algebra.Plan(scan); p = p.Children()[0] {
-		chain = append(chain, p)
-	}
-	return chain, scan, true
-}
-
 // FindIndexScan reports how the selection n can be served by a persistent
 // index: its input must chain down to a scan, and its equality conjuncts —
 // attr = const (either orientation; the attribute resolving through the
@@ -126,8 +112,8 @@ func AccessChain(p algebra.Plan) (chain []algebra.Plan, scan *algebra.Scan, ok b
 // at plan time, not just literals) — must cover a non-empty prefix of some
 // live index. Multi-point
 // conjuncts expand into the cartesian product of their constants, one point
-// per combination. The longest covered prefix wins, ties prefer the shorter
-// index — the same preference FindIndexProbe applies on the join side.
+// per combination. The index is chosen by longestCovered, as on the join
+// side.
 func FindIndexScan(n *algebra.Select, indexesOf func(table string) [][]string) (IndexScanMatch, bool) {
 	scan := chainScan(n.In)
 	if scan == nil {
@@ -153,44 +139,51 @@ func FindIndexScan(n *algebra.Select, indexesOf func(table string) [][]string) (
 	if len(eq) == 0 {
 		return IndexScanMatch{}, false
 	}
-	var best IndexScanMatch
-	var bestCovered []int
-	for _, attrs := range indexesOf(scan.Table) {
-		var lists [][]tmql.Expr
-		var covered []int
-		points := 1
-		for _, attr := range attrs {
-			c, ok := eq[attr]
-			if !ok || points*len(c.keys) > maxIndexScanPoints {
-				break
-			}
-			points *= len(c.keys)
-			lists = append(lists, c.keys)
-			covered = append(covered, c.pos)
-		}
-		if len(lists) == 0 {
-			continue
-		}
-		if len(lists) > best.Depth || (len(lists) == best.Depth && len(attrs) < len(best.IndexAttrs)) {
-			best = IndexScanMatch{Table: scan.Table, IndexAttrs: attrs, Depth: len(lists), Points: crossPoints(lists)}
-			bestCovered = covered
-		}
-	}
-	if best.Depth == 0 {
+	attrs, depth := longestCovered(indexesOf(scan.Table), func(attr string) int { return len(eq[attr].keys) })
+	if depth == 0 {
 		return IndexScanMatch{}, false
 	}
-	isCovered := make(map[int]bool, len(bestCovered))
-	for _, p := range bestCovered {
-		isCovered[p] = true
+	lists := make([][]tmql.Expr, depth)
+	covered := make(map[int]bool, depth)
+	for i, attr := range attrs[:depth] {
+		lists[i] = eq[attr].keys
+		covered[eq[attr].pos] = true
 	}
 	var rest []tmql.Expr
 	for i, c := range conjuncts {
-		if !isCovered[i] {
+		if !covered[i] {
 			rest = append(rest, c)
 		}
 	}
-	best.Residual = tmql.JoinAnd(rest)
-	return best, true
+	return IndexScanMatch{Table: scan.Table, IndexAttrs: attrs, Depth: depth, Points: crossPoints(lists),
+		Residual: tmql.JoinAnd(rest)}, true
+}
+
+// longestCovered picks among indexes, each an ordered attribute list, the one
+// whose leading attributes the conjuncts cover furthest, and returns it with
+// the covered prefix's length (0 when none covers even its first attribute).
+// alternatives(attr) is how many constants address attr: 0 when none does,
+// more than 1 for a multi-point conjunct; a prefix stops before its points,
+// the product of its alternatives, would exceed maxIndexScanPoints. The
+// longest covered prefix wins — deeper probes hit smaller buckets — and ties
+// go to the shorter index, then to the first listed, so the choice is
+// deterministic. FindIndexScan and FindIndexProbe both choose by it.
+func longestCovered(indexes [][]string, alternatives func(attr string) int) (best []string, depth int) {
+	for _, attrs := range indexes {
+		d, points := 0, 1
+		for _, attr := range attrs {
+			n := alternatives(attr)
+			if n == 0 || points*n > maxIndexScanPoints {
+				break
+			}
+			points *= n
+			d++
+		}
+		if d > depth || d > 0 && d == depth && len(attrs) < len(best) {
+			best, depth = attrs, d
+		}
+	}
+	return best, depth
 }
 
 // matchEqConsts matches one conjunct to a stored attribute of table and its
@@ -200,8 +193,8 @@ func FindIndexScan(n *algebra.Select, indexesOf func(table string) [][]string) (
 // accept any closed constant expression — literals fast-pathed, the rest
 // evaluated at plan time — deduplicated by the canonical key of their
 // values, so the expanded points address pairwise-disjoint buckets and the
-// concatenating exec.IndexScan never produces a row twice. No match returns
-// an empty list.
+// scan concatenating them never produces a row twice. No match returns an
+// empty list.
 func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string, []tmql.Expr) {
 	b, ok := c.(*tmql.Binary)
 	if !ok {
@@ -234,27 +227,14 @@ func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string,
 		var attr string
 		var consts []tmql.Expr
 		for _, d := range tmql.SplitOr(c) {
-			db, ok := d.(*tmql.Binary)
-			if !ok || db.Op != tmql.OpEq {
+			if db, ok := d.(*tmql.Binary); !ok || db.Op != tmql.OpEq {
 				return "", nil
 			}
-			matched := false
-			for _, side := range [2][2]tmql.Expr{{db.L, db.R}, {db.R, db.L}} {
-				attrE, constE := side[0], side[1]
-				if _, ok := constKey(constE); !ok {
-					continue
-				}
-				tab, a, ok := resolveScanAttr(in, varName, attrE)
-				if !ok || tab != table || (attr != "" && a != attr) {
-					continue
-				}
-				attr, matched = a, true
-				consts = append(consts, constE)
-				break
-			}
-			if !matched {
+			a, keys := matchEqConsts(d, in, varName, table)
+			if len(keys) == 0 || attr != "" && a != attr {
 				return "", nil
 			}
+			attr, consts = a, append(consts, keys...)
 		}
 		return attr, dedupConsts(consts)
 	}
@@ -293,7 +273,7 @@ func constValue(e tmql.Expr) (value.Value, bool) {
 // Leading-label ranges. A stored table is a set in canonical order, and
 // every row of a tuple-typed table carries exactly the type's labels, so the
 // rows are sorted on the first label. A selection whose input chains down to
-// a scan of such a table (AccessChain) and whose conjuncts compare that label
+// a scan of such a table (chainScan) and whose conjuncts compare that label
 // with closed constants — v.a θ c or c θ v.a, θ one of = < <= > >= — narrows
 // the scan to the intersection of those conjuncts' ranges, and
 // exec.TableScan reads only that run of the chunks (storage.KeyRange.Cut).
@@ -301,9 +281,9 @@ func constValue(e tmql.Expr) (value.Value, bool) {
 // only hold every row the filter keeps, and it does for every kind:
 // eval.Apply defines the five comparisons by value.Compare, the order the
 // cut searches by. Scans of KAny and KClass element types are never
-// narrowed. As under an index scan, the filter never sees a row outside the
-// range: a conjunct that would fail on such a row (1 / 0) fails the query no
-// more than it would if the range's conjunct came first in the AND.
+// narrowed. As under an index source, the filter never sees a row outside
+// the range: a conjunct that would fail on such a row (1 / 0) fails the query
+// no more than it would if the range's conjunct came first in the AND.
 
 // leadingRange returns the range n's leading-label conjuncts narrow the scan
 // beneath it to, or false when there is none. A selection without such a
@@ -403,8 +383,8 @@ func intersect(a, b storage.KeyRange) storage.KeyRange {
 // dedupConsts keeps the closed constant expressions of es deduplicated by
 // the canonical key of their plan-time values; any open or unevaluable
 // expression poisons the whole list. The expanded points must address
-// pairwise-disjoint buckets (the concatenating exec.IndexScan never produces
-// a row twice), so an alternative the planner cannot pin disqualifies the
+// pairwise-disjoint buckets (the scan concatenating them never produces a
+// row twice), so an alternative the planner cannot pin disqualifies the
 // multi-point expansion.
 func dedupConsts(es []tmql.Expr) []tmql.Expr {
 	seen := make(map[string]bool, len(es))
@@ -439,38 +419,4 @@ func crossPoints(lists [][]tmql.Expr) [][]tmql.Expr {
 		points = next
 	}
 	return points
-}
-
-// compileIndexScan compiles a matched selection to the index-backed access
-// path: an IndexScan at the leaf (probing the matched prefix, applying the
-// residual when the selection sits directly over the scan) with the
-// intermediate chain nodes — further selections and wrapper Maps — rebuilt
-// above the bucket rows.
-func (p *Planner) compileIndexScan(n *algebra.Select, m IndexScanMatch, ix *storage.HashIndex) (exec.BatchIterator, error) {
-	chain, _, ok := AccessChain(n.In)
-	if !ok {
-		return nil, fmt.Errorf("planner: index-scan match without an access chain on %s", n.Describe())
-	}
-	leaf := &exec.IndexScan{
-		Ctx: p.ctx, Ix: ix, Depth: m.Depth,
-		Points: m.Points,
-	}
-	if len(chain) == 0 {
-		// Direct σ-over-scan: the operator applies the residual itself.
-		leaf.Var, leaf.Residual = n.Var, m.Residual
-		return leaf, nil
-	}
-	var it exec.BatchIterator = leaf
-	for i := len(chain) - 1; i >= 0; i-- {
-		switch c := chain[i].(type) {
-		case *algebra.Select:
-			it = &exec.Filter{Ctx: p.ctx, In: it, Var: c.Var, Pred: c.Pred}
-		case *algebra.Map:
-			it = p.compileMap(c, it)
-		}
-	}
-	if m.Residual != nil {
-		it = &exec.Filter{Ctx: p.ctx, In: it, Var: n.Var, Pred: m.Residual}
-	}
-	return it, nil
 }

@@ -360,27 +360,46 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 }
 
 // TestIndexDepthStatsDriveCost: deeper prefixes mean smaller buckets and a
-// cheaper probe estimate.
+// cheaper probe estimate, read from the live index's counts, so a write
+// moves the estimate at once.
 func TestIndexDepthStatsDriveCost(t *testing.T) {
-	est, _, _, _ := accessEnv(t)
-	p1, ok1 := est.Stats().IndexDepth("Y", []string{"b", "d"}, 1)
-	p2, ok2 := est.Stats().IndexDepth("Y", []string{"b", "d"}, 2)
-	if !ok1 || !ok2 {
-		t.Fatalf("IndexDepth unavailable: %v %v", ok1, ok2)
+	est, b, db, _ := accessEnv(t)
+	ix, ok := est.Stats().Index("Y", []string{"b", "d"})
+	if !ok {
+		t.Fatal("Index(Y, b,d) unavailable")
 	}
-	if p1.Keys >= p2.Keys {
-		t.Errorf("depth-1 prefixes (%d) should be fewer than depth-2 keys (%d)", p1.Keys, p2.Keys)
+	if k1, k2 := ix.KeysAt(1), ix.KeysAt(2); k1 >= k2 {
+		t.Errorf("depth-1 prefixes (%d) should be fewer than depth-2 keys (%d)", k1, k2)
 	}
-	if p1.AvgBucket <= p2.AvgBucket {
-		t.Errorf("depth-1 buckets (%.2f) should be deeper than depth-2 (%.2f)", p1.AvgBucket, p2.AvgBucket)
+	y, _ := b.Scan("Y")
+	match := func(pred string) IndexScanMatch {
+		t.Helper()
+		sel, _ := b.Select(y, "y", tmql.MustParse(pred))
+		m, ok := FindIndexScan(sel, est.stats.Indexes)
+		if !ok {
+			t.Fatalf("%s: no index match", pred)
+		}
+		return m
 	}
-	if p1.Rows != p2.Rows {
-		t.Errorf("row totals disagree across depths: %d vs %d", p1.Rows, p2.Rows)
+	m1, m2 := match("y.b = 3"), match("y.b = 3 AND y.d = 2")
+	w1, w2 := est.indexScanWork(m1), est.indexScanWork(m2)
+	if w1 <= w2 {
+		t.Errorf("depth-1 probe (%.2f) should cost more than depth-2 (%.2f)", w1, w2)
 	}
-	if _, ok := est.Stats().IndexDepth("Y", []string{"b", "d"}, 3); ok {
-		t.Error("out-of-range depth must report !ok")
+	if want := 1 + 2*float64(ix.Len())/float64(ix.KeysAt(1)); w1 != want {
+		t.Errorf("depth-1 probe costs %.3f, want %.3f from the index's rows over its prefixes", w1, want)
 	}
-	if _, ok := est.Stats().IndexDepth("Y", []string{"a"}, 1); ok {
+	// A row with a new b value adds a depth-1 prefix: the next estimate sees it.
+	yt, _ := db.Table("Y")
+	row := value.TupleOf(value.F("a", value.Int(-1)), value.F("b", value.Int(-1)),
+		value.F("c", value.SetOf()), value.F("d", value.Int(-1)))
+	if _, err := yt.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 2*float64(ix.Len())/float64(ix.KeysAt(1)); est.indexScanWork(m1) != want || want == w1 {
+		t.Errorf("after a write the depth-1 probe costs %.3f, want %.3f (was %.3f)", est.indexScanWork(m1), want, w1)
+	}
+	if _, ok := est.Stats().Index("Y", []string{"a"}); ok {
 		t.Error("unregistered index must report !ok")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tmdb/internal/algebra"
-	"tmdb/internal/storage"
 )
 
 // Cost-based physical planning: the engine translates the query once per
@@ -165,23 +164,21 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 
 // Explain renders the plan as the physical operator tree spec compiles it
 // to, each node named by the shared resolver and annotated with its estimated
-// rows and cost — the body of the engine's EXPLAIN. A scan narrowed to a
-// leading-label range prints it after its name, as Scan(Y) a∈[3, 7).
+// rows and cost — the body of the engine's EXPLAIN. A narrowed scan prints
+// its source after its name: a leading-label range as Scan(Y) a∈[3, 7), an
+// index lookup as Scan(X) using X(b).
 func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
 	var b strings.Builder
-	var walk func(n algebra.Plan, depth int, rng storage.KeyRange)
-	walk = func(n algebra.Plan, depth int, rng storage.KeyRange) {
-		op := e.resolve(n, spec)
+	var walk func(n algebra.Plan, depth int, src source)
+	walk = func(n algebra.Plan, depth int, src source) {
+		op := e.resolve(n, spec).beneath(n, src)
 		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(op.describe(n))
-		if s, ok := n.(*algebra.Scan); ok && rng.Bounded() {
-			fmt.Fprintf(&b, " %s∈%s", s.Elem().Fields[0].Label, rng)
-		}
+		b.WriteString(op.describe(n, src))
 		fmt.Fprintf(&b, "  (%s)\n", e.Estimate(n, spec))
 		for _, ch := range op.inputs(n) {
-			walk(ch, depth+1, op.inputRange(n, rng))
+			walk(ch, depth+1, op.inputSource(n, src))
 		}
 	}
-	walk(p, 0, storage.KeyRange{})
+	walk(p, 0, source{})
 	return b.String()
 }

@@ -77,14 +77,14 @@ func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 		in := e.Estimate(n.In, spec)
 		rows := in.Rows * e.predicateSelectivity(n.Pred, n.In, n.Var)
 		op := e.resolve(n, spec)
-		if op.indexScan {
-			return Cost{Rows: rows, Work: e.indexScanWork(op.scan)}
+		if op.src.indexed() {
+			return Cost{Rows: rows, Work: e.indexScanWork(op.src.index)}
 		}
 		work := in.Work + in.Rows*e.rowWork(n.Pred)
-		if op.rng.Bounded() {
+		if op.src.rng.Bounded() {
 			// A narrowed scan: a binary search over the chunks, then the
 			// range's share of the rows through the chain and the filter.
-			card, f := e.rangeFraction(chainScan(n.In), op.rng)
+			card, f := e.rangeFraction(chainScan(n.In), op.src.rng)
 			work = math.Log2(card+1) + f*work
 		}
 		return Cost{Rows: rows, Work: work}
@@ -199,14 +199,16 @@ func NaiveLeaves(p algebra.Plan) int {
 // indexScanWork is the probe-cost model for an index-served selection: one
 // hash lookup per point, the matched prefix level's expected bucket visited
 // once, and each bucket row re-checked against the residual and the chain
-// nodes above the leaf. The expected bucket depth comes from the index's
-// per-bucket depth statistics (stats.Catalog.IndexDepth); the base scan is
-// never paid. Multi-point scans (OR/IN-list disjuncts) pay the per-point
-// cost once per point.
+// nodes above the leaf. The expected bucket is the live index's rows over
+// its distinct prefixes at the matched depth (HashIndex.Len, KeysAt: O(1),
+// kept current by every write); the base scan is never paid. Multi-point
+// scans (OR/IN-list disjuncts) pay the per-point cost once per point.
 func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 	avg := 1.0
-	if prof, ok := e.stats.IndexDepth(m.Table, m.IndexAttrs, m.Depth); ok && prof.AvgBucket > 0 {
-		avg = prof.AvgBucket
+	if ix, ok := e.stats.Index(m.Table, m.IndexAttrs); ok {
+		if keys := ix.KeysAt(m.Depth); keys > 0 {
+			avg = float64(ix.Len()) / float64(keys)
+		}
 	}
 	// Per point: one lookup + one visit per bucket row + one residual/chain
 	// re-check per bucket row.

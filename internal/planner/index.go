@@ -18,8 +18,9 @@ import (
 // storage registry at compile time and the statistics catalog at costing
 // time.
 //
-// (Selections get the analogous treatment in access.go: the same index
-// registry serves σ-over-scan shapes through the IndexScan access path.)
+// (Selections read the same registry in access.go: an index lookup is one
+// of the two narrowed sources of a table scan, next to a leading-label
+// range.)
 
 // IndexProbe names the persistent index serving a join-family operator's
 // right operand and which equi-key pairs its prefix covers.
@@ -55,9 +56,7 @@ func (pr IndexProbe) covers(i int) bool {
 // index. indexesOf enumerates the live indexes of a table as ordered
 // attribute lists — the storage registry at compile time, the statistics
 // catalog at costing time. Among the indexes whose leading attributes are
-// addressed by equi-key pairs, the longest covered prefix wins (deeper
-// probes hit smaller buckets); ties prefer the shorter index, then registry
-// order, so the choice is deterministic.
+// addressed by equi-key pairs, longestCovered chooses, as for selections.
 func FindIndexProbe(r algebra.Plan, rvar string, rk []tmql.Expr, indexesOf func(table string) [][]string) (IndexProbe, bool) {
 	s, ok := r.(*algebra.Scan)
 	if !ok {
@@ -81,24 +80,20 @@ func FindIndexProbe(r algebra.Plan, rvar string, rk []tmql.Expr, indexesOf func(
 	if len(pairOf) == 0 {
 		return IndexProbe{}, false
 	}
-	var best IndexProbe
-	for _, attrs := range indexesOf(s.Table) {
-		var pairs []int
-		for _, attr := range attrs {
-			i, ok := pairOf[attr]
-			if !ok {
-				break
-			}
-			pairs = append(pairs, i)
+	attrs, depth := longestCovered(indexesOf(s.Table), func(attr string) int {
+		if _, ok := pairOf[attr]; ok {
+			return 1
 		}
-		if len(pairs) == 0 {
-			continue
-		}
-		if len(pairs) > best.Depth || (len(pairs) == best.Depth && len(attrs) < len(best.IndexAttrs)) {
-			best = IndexProbe{Table: s.Table, IndexAttrs: attrs, Depth: len(pairs), Pairs: pairs}
-		}
+		return 0
+	})
+	if depth == 0 {
+		return IndexProbe{}, false
 	}
-	return best, best.Depth > 0
+	pairs := make([]int, depth)
+	for i, attr := range attrs[:depth] {
+		pairs[i] = pairOf[attr]
+	}
+	return IndexProbe{Table: s.Table, IndexAttrs: attrs, Depth: depth, Pairs: pairs}, true
 }
 
 // probeLKeys returns the left-side probe-key expressions for the covered

@@ -18,7 +18,6 @@ import (
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/exec"
-	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 )
 
@@ -72,9 +71,9 @@ type PhysicalSpec struct {
 	// Joins is the implementation family of all join-like operators.
 	Joins JoinImpl
 	// Access is the access path of leaf selections: AccessIndex serves
-	// selections whose equality conjuncts cover a live index prefix through
-	// exec.IndexScan (per-selection fallback to scans elsewhere); AccessAuto
-	// and AccessScan read full scans.
+	// selections whose equality conjuncts cover a live index prefix by a
+	// table scan whose source is that index (per-selection fallback to
+	// scans elsewhere); AccessAuto and AccessScan read full scans.
 	Access AccessPath
 }
 
@@ -94,47 +93,48 @@ func New(ctx *exec.Ctx, spec PhysicalSpec) *Planner {
 // and builds it over its compiled children. It also reports whether the tree
 // emits its rows in canonical order (strictly ascending under
 // value.Compare, hence duplicate-free), derived bottom-up by the same walk:
-// a scan does, narrowed or not; a filter, an identity map Map[v](v), and a
-// semi-, anti- or groupjoin probe that emits each left row unchanged, at
-// most once and in left order (every join method but sort-merge, which
-// reorders its left input by key) keep their (left) input's order; every
-// other operator drops it. exec.CollectBatchesGoverned then takes the rows
+// a scan does, whole or narrowed to a range, but not read through an index;
+// a filter, an identity map Map[v](v), and a semi-, anti- or groupjoin probe
+// that emits each left row unchanged, at most once and in left order (every
+// join method but sort-merge, which reorders its left input by key) keep
+// their (left) input's order; every other operator drops it. exec.CollectBatchesGoverned then takes the rows
 // as the set they are, unsorted.
 func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, bool, error) {
-	return p.compile(plan, storage.KeyRange{})
+	return p.compile(plan, source{})
 }
 
-// compile is Compile's walk; rng is the leading-label range the selections
-// above plan narrowed the scan at the bottom of its chain to.
-func (p *Planner) compile(plan algebra.Plan, rng storage.KeyRange) (exec.BatchIterator, bool, error) {
-	op, ix := p.resolve(plan)
+// compile is Compile's walk; src is the source the selections above plan
+// narrowed the scan at the bottom of its chain to.
+func (p *Planner) compile(plan algebra.Plan, src source) (exec.BatchIterator, bool, error) {
+	op := p.resolve(plan).beneath(plan, src)
 	if op.infeasible != "" {
 		return nil, false, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
 	}
 	c := p.ctx
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		return &exec.TableScan{Ctx: c, Table: n.Table, Range: rng}, true, nil
+		return &exec.TableScan{Ctx: c, Table: n.Table, Range: src.rng,
+			Ix: src.ix, Depth: src.index.Depth, Points: src.index.Points}, !src.indexed(), nil
 
 	case *algebra.EvalNode:
 		return &exec.EvalScan{Ctx: c, Expr: n.Expr}, false, nil
 
 	case *algebra.Select:
-		if op.indexScan {
-			it, err := p.compileIndexScan(n, op.scan, ix)
-			return it, false, err
-		}
-		in, canonical, err := p.compile(n.In, op.inputRange(n, rng))
+		in, canonical, err := p.compile(n.In, op.inputSource(n, src))
 		if err != nil {
 			return nil, false, err
 		}
-		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: n.Pred}, canonical, nil
+		pred := n.Pred
+		if op.src.indexed() {
+			pred = op.src.index.Residual
+		}
+		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: pred}, canonical, nil
 
 	case *algebra.Map:
 		if nj := op.fused; nj != nil {
-			return p.compileGroupjoin(op, ix, n, nj)
+			return p.compileGroupjoin(op, n, nj)
 		}
-		in, canonical, err := p.compile(n.In, op.inputRange(n, rng))
+		in, canonical, err := p.compile(n.In, op.inputSource(n, src))
 		if err != nil {
 			return nil, false, err
 		}
@@ -142,14 +142,14 @@ func (p *Planner) compile(plan algebra.Plan, rng storage.KeyRange) (exec.BatchIt
 		return p.compileMap(n, in), canonical && identity && v.Name == n.Var, nil
 
 	case *algebra.Join:
-		it, canonical, err := p.compileJoin(op, ix, n.L, n.R, &exec.Join{
+		it, canonical, err := p.compileJoin(op, n.L, n.R, &exec.Join{
 			Ctx: c, Kind: n.Kind, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, RElem: n.R.Elem(),
 		})
 		return it, canonical && (n.Kind == algebra.JoinSemi || n.Kind == algebra.JoinAnti), err
 
 	case *algebra.NestJoin:
 		// The row gains the group's label, which can reorder the rows.
-		it, _, err := p.compileJoin(op, ix, n.L, n.R, &exec.Join{
+		it, _, err := p.compileJoin(op, n.L, n.R, &exec.Join{
 			Ctx: c, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, Fn: n.Fn, Label: n.Label,
 		})
 		return it, false, err
@@ -193,8 +193,8 @@ func (p *Planner) compileMap(m *algebra.Map, in exec.BatchIterator) exec.BatchIt
 // unchanged, so where those are not duplicate-free by construction an
 // identity map deduplicates them, as the projection it replaces would have;
 // either way the rows keep the order compileJoin reports.
-func (p *Planner) compileGroupjoin(op physOp, ix *storage.HashIndex, m *algebra.Map, nj *algebra.NestJoin) (exec.BatchIterator, bool, error) {
-	j, canonical, err := p.compileJoin(op, ix, nj.L, nj.R, &exec.Join{
+func (p *Planner) compileGroupjoin(op physOp, m *algebra.Map, nj *algebra.NestJoin) (exec.BatchIterator, bool, error) {
+	j, canonical, err := p.compileJoin(op, nj.L, nj.R, &exec.Join{
 		Ctx: p.ctx, LVar: nj.LVar, RVar: nj.RVar, Residual: nj.Pred, Fn: nj.Fn, Label: nj.Label, Test: op.test,
 	})
 	if err != nil || duplicateFree(nj.L) {
@@ -209,7 +209,7 @@ func (p *Planner) compileGroupjoin(op physOp, ix *storage.HashIndex, m *algebra.
 // the left input is canonical and the method probes it in its own order —
 // every method but sort-merge — which is what the callers' kinds that emit
 // left rows unchanged need.
-func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.Plan, j *exec.Join) (exec.BatchIterator, bool, error) {
+func (p *Planner) compileJoin(op physOp, lp, rp algebra.Plan, j *exec.Join) (exec.BatchIterator, bool, error) {
 	var err error
 	var canonical bool
 	if j.L, canonical, err = p.Compile(lp); err != nil {
@@ -219,7 +219,7 @@ func (p *Planner) compileJoin(op physOp, ix *storage.HashIndex, lp, rp algebra.P
 	case ImplIndex:
 		// The persistent index stands in for the right operand, which is
 		// never compiled, drained or built.
-		j.Method, j.Ix = exec.JoinIndex, ix
+		j.Method, j.Ix = exec.JoinIndex, op.ix
 		j.LKeys = probeLKeys(op.lk, op.probe)
 		j.Residual = indexResidual(op.lk, op.rk, op.probe, op.residual)
 		return j, canonical, nil
@@ -256,7 +256,7 @@ func needsDistinct(m *algebra.Map) bool {
 
 // duplicateFree reports whether plan's output is duplicate-free by
 // construction. The cases are a whitelist: scans of a stored table, which is
-// a set (and index scans, which are selections over one), selections of a
+// a set (an index lookup reads disjoint buckets of it), selections of a
 // duplicate-free input, semi and anti joins of a duplicate-free left input,
 // inner, left-outer and nest joins of duplicate-free inputs, and every Map
 // (compiled injective or deduplicating). Unnest emits duplicates (see

@@ -7,6 +7,7 @@ import (
 	"tmdb/internal/algebra"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
+	"tmdb/internal/value"
 )
 
 // Operator resolution: which exec operator a plan node becomes under a
@@ -28,13 +29,13 @@ type physOp struct {
 	residual tmql.Expr
 	// probe is the persistent index an ImplIndex operator probes.
 	probe IndexProbe
-	// indexScan marks a Select served through exec.IndexScan as matched by
-	// scan.
-	indexScan bool
-	scan      IndexScanMatch
-	// rng is the leading-label range a Select not served by an index
-	// narrows the scan beneath it to (leadingRange); unbounded otherwise.
-	rng storage.KeyRange
+	// src is the source a Select narrows the scan beneath it to: the index
+	// lookup FindIndexScan matched, whose filter then checks only the
+	// match's residual, or else the range of leadingRange.
+	src source
+	// ix is the live index an ImplIndex operator or an index-served Select
+	// reads, fetched by the compile-time resolver; nil when costing.
+	ix *storage.HashIndex
 	// infeasible is why the spec cannot run this node ("" when it can): the
 	// hash and sort-merge families need an equi-key.
 	infeasible string
@@ -55,12 +56,12 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 	case *algebra.Select:
 		if spec.Access == AccessIndex {
 			if m, ok := FindIndexScan(n, indexesOf); ok {
-				return physOp{indexScan: true, scan: m}
+				return physOp{src: source{index: m}}
 			}
 			// No usable index on this selection: scan fallback.
 		}
 		if r, ok := leadingRange(n); ok {
-			return physOp{rng: r}
+			return physOp{src: source{rng: r}}
 		}
 	case *algebra.Map:
 		if nj, test := groupjoin(n); nj != nil {
@@ -183,9 +184,10 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 
 // describe names the resolved operator as EXPLAIN prints it: a join prefixed
 // with its method (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d), …), an
-// index-served selection as IndexScan(X) using X(b). Nodes with a single
-// physical form keep their logical description.
-func (op physOp) describe(n algebra.Plan) string {
+// index-served selection with the predicate its filter still checks, and a
+// scan with the source the selections above it narrowed it to, src. Nodes
+// with a single physical form keep their logical description.
+func (op physOp) describe(n algebra.Plan, src source) string {
 	desc := n.Describe()
 	if op.fused != nil {
 		// The groupjoin: the nest join with its test after a bar,
@@ -194,48 +196,96 @@ func (op physOp) describe(n algebra.Plan) string {
 		i := strings.LastIndex(desc, "](")
 		desc = desc[:i] + " | " + tmql.Format(op.test) + desc[i:]
 	}
+	switch n := n.(type) {
+	case *algebra.Scan:
+		return desc + src.describe(n)
+	case *algebra.Select:
+		if r := op.src.index.Residual; op.src.indexed() {
+			if r == nil {
+				r = &tmql.Lit{V: value.Bool(true)} // the index covers the whole predicate
+			}
+			return fmt.Sprintf("Select[%s](%s)", tmql.Format(r), n.Var)
+		}
+	}
+	switch op.family {
+	case ImplIndex:
+		desc = fmt.Sprintf("Idx%s using %s(%s)", desc, op.probe.Table, op.probe.Name())
+	case ImplNestedLoop:
+		desc = "NL" + desc
+	case ImplMerge:
+		desc = "Merge" + desc
+	case ImplHash:
+		desc = "Hash" + desc
+	}
+	return desc
+}
+
+// source is what the selections above a scan narrowed it to, passed down
+// through selections and wrapper maps by the compile walk and the Explain
+// walk alike: a leading-label range, or an index lookup (index.Depth > 0,
+// read through ix at compile time).
+type source struct {
+	rng   storage.KeyRange
+	index IndexScanMatch
+	ix    *storage.HashIndex
+}
+
+// indexed reports whether the source is an index lookup.
+func (s source) indexed() bool { return s.index.Depth > 0 }
+
+// describe is the scan line's suffix naming the source: a∈[2, 4) for a
+// range, using X(b) with prefix=N and points=N where they apply for an
+// index lookup, nothing for the whole table.
+func (s source) describe(scan *algebra.Scan) string {
+	m := s.index
 	switch {
-	case op.indexScan:
-		m := op.scan
-		desc = fmt.Sprintf("IndexScan(%s) using %s(%s)", m.Table, m.Table, m.Name())
+	case s.indexed():
+		desc := fmt.Sprintf(" using %s(%s)", m.Table, m.Name())
 		if m.Depth < len(m.IndexAttrs) {
 			desc += fmt.Sprintf(" prefix=%d", m.Depth)
 		}
 		if len(m.Points) > 1 {
 			desc += fmt.Sprintf(" points=%d", len(m.Points))
 		}
-		if m.Residual != nil {
-			desc += fmt.Sprintf(" residual[%s]", tmql.Format(m.Residual))
-		}
-	case op.family == ImplIndex:
-		desc = fmt.Sprintf("Idx%s using %s(%s)", desc, op.probe.Table, op.probe.Name())
-	case op.family == ImplNestedLoop:
-		desc = "NL" + desc
-	case op.family == ImplMerge:
-		desc = "Merge" + desc
-	case op.family == ImplHash:
-		desc = "Hash" + desc
+		return desc
+	case s.rng.Bounded():
+		return fmt.Sprintf(" %s∈%s", scan.Elem().Fields[0].Label, s.rng)
 	}
-	return desc
+	return ""
 }
 
-// inputRange returns the range the scan beneath n reads, given rng, the one
-// the nodes above n narrowed it to: a selection intersects it with its own
-// and a wrapper Map passes it on — the nodes AccessChain sees through — and
-// every other node, an index-served selection and a groupjoin included,
-// reads its inputs whole. Compile and Explain both descend by it.
-func (op physOp) inputRange(n algebra.Plan, rng storage.KeyRange) storage.KeyRange {
+// beneath returns op as node n runs beneath src: below an index source a
+// selection is a plain filter over the looked-up rows, as every other node
+// is what it resolved to.
+func (op physOp) beneath(n algebra.Plan, src source) physOp {
+	if _, ok := n.(*algebra.Select); ok && src.indexed() {
+		return physOp{}
+	}
+	return op
+}
+
+// inputSource returns the source of the scan beneath n, given src, the one
+// the nodes above n narrowed it to: an index-served selection hands its
+// lookup down, any other selection intersects src's range with its own (a
+// selection below an index source keeps it), and a wrapper Map passes src
+// on — the nodes chainScan sees through. Every other node, a groupjoin
+// included, reads its inputs whole. Compile and Explain both descend by it.
+func (op physOp) inputSource(n algebra.Plan, src source) source {
 	switch n := n.(type) {
 	case *algebra.Select:
-		if !op.indexScan {
-			return intersect(rng, op.rng)
+		switch {
+		case src.indexed():
+			return src
+		case op.src.indexed():
+			return source{index: op.src.index, ix: op.ix}
 		}
+		return source{rng: intersect(src.rng, op.src.rng)}
 	case *algebra.Map:
 		if op.fused == nil && algebra.WrapperLabel(n) != "" {
-			return rng
+			return src
 		}
 	}
-	return storage.KeyRange{}
+	return source{}
 }
 
 // inputs are the plan nodes the resolved operator reads: a groupjoin reads
@@ -255,30 +305,30 @@ func (e *Estimator) resolve(n algebra.Plan, spec PhysicalSpec) physOp {
 
 // resolve is the compile-time resolver, against the live index registry of
 // the execution context. For an index-served node it also fetches the
-// *HashIndex snapshot the operator will probe: resolving at compile time
-// (rather than Open) pins the query to the index state it was compiled
+// *HashIndex snapshot the operator will read (op.ix): resolving at compile
+// time (rather than Open) pins the query to the index state it was compiled
 // against — buckets are copy-on-write, so the snapshot stays probeable even
 // if the registry entry is dropped mid-query — and a miss (the index vanished
 // between the match and the fetch) re-resolves without indexes, so concurrent
 // CreateIndex/DropIndex churn never fails a query.
-func (p *Planner) resolve(n algebra.Plan) (physOp, *storage.HashIndex) {
+func (p *Planner) resolve(n algebra.Plan) physOp {
 	op := resolve(n, p.spec, p.liveIndexes)
 	var table string
 	var attrs []string
 	switch {
-	case op.indexScan:
-		table, attrs = op.scan.Table, op.scan.IndexAttrs
+	case op.src.indexed():
+		table, attrs = op.src.index.Table, op.src.index.IndexAttrs
 	case op.family == ImplIndex:
 		table, attrs = op.probe.Table, op.probe.IndexAttrs
 	default:
-		return op, nil
+		return op
 	}
 	if t, ok := p.table(table); ok {
-		if ix, live := t.IndexOn(attrs); live {
-			return op, ix
+		if op.ix, ok = t.IndexOn(attrs); ok {
+			return op
 		}
 	}
-	return resolve(n, p.spec, noIndexes), nil
+	return resolve(n, p.spec, noIndexes)
 }
 
 // table looks a table up in the planner's execution context, if it has one.
@@ -327,7 +377,7 @@ func (e *Estimator) HasIndexProbe(p algebra.Plan) bool {
 // access path to the candidate enumeration.
 func (e *Estimator) HasIndexScan(p algebra.Plan) bool {
 	_, ok := firstOp(p, PhysicalSpec{Access: AccessIndex}, e.stats.Indexes,
-		func(op physOp) bool { return op.indexScan })
+		func(op physOp) bool { return op.src.indexed() })
 	return ok
 }
 

@@ -302,8 +302,8 @@ func TestExplain(t *testing.T) {
 		{"flat nested loops", "plain", "semi-xz", PhysicalSpec{Joins: ImplNestedLoop}, []string{"NLSemiJoin"}, nil},
 		{"inputs indented under their operator", "plain", "nest-xy", PhysicalSpec{Joins: ImplHash}, []string{"\n  Scan(X)  (rows≈", "\n  Scan(Y)  (rows≈"}, nil},
 		{"operators carry no batch annotation", "plain", "nest-xz", PhysicalSpec{Joins: ImplHash}, []string{"HashNestJoin[", "Scan(X)  ("}, []string{"[batch"}},
-		{"idxscan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessIndex}, []string{"IndexScan(Y) using Y(b,d) prefix=1", "residual["}, nil},
-		{"scan path renders no IndexScan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessScan}, nil, []string{"IndexScan"}},
+		{"idxscan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessIndex}, []string{"Select[y.a > 0](y)  (", "\n  Scan(Y) using Y(b,d) prefix=1  ("}, nil},
+		{"scan path renders no IndexScan", "access", "sel-yb-residual", PhysicalSpec{Access: AccessScan}, []string{"Select[y.b = 3 AND y.a > 0](y)", "\n  Scan(Y) a∈(0, +∞)  ("}, []string{"IndexScan", "using"}},
 		{"multi-point idxscan", "access", "sel-xb-in3", PhysicalSpec{Access: AccessIndex}, []string{"points=3"}, nil},
 		{"idxjoin", "index", "semi-xz", PhysicalSpec{Joins: ImplIndex}, []string{"IdxSemiJoin", "using Z(d)"}, nil},
 	} {

@@ -105,31 +105,12 @@ type Catalog struct {
 	mu       sync.Mutex
 	tables   map[string]*TableStats
 	dangling map[danglingKey]float64
-	// indexDepth caches per-bucket depth profiles of index prefix levels,
-	// tagged with the owning table's statistics generation (computing one
-	// scans the level's bucket lengths; the cost model reads it per candidate
-	// plan).
-	indexDepth map[indexDepthKey]indexDepthEntry
 	// inflight marks the scans in progress, keyed by table name or
 	// danglingKey; the channel closes when the scan has published.
 	inflight map[any]chan struct{}
 	// exactThreshold is the cardinality at or below which a table keeps exact
 	// statistics; above it the catalog stores histograms and sketches only.
 	exactThreshold int
-}
-
-// indexDepthKey identifies one cached depth profile: table, canonical index
-// name, and prefix depth.
-type indexDepthKey struct {
-	table, index string
-	depth        int
-}
-
-// indexDepthEntry tags a cached profile with the statistics generation it
-// was computed under; a differing current generation recomputes.
-type indexDepthEntry struct {
-	epoch   uint64
-	profile storage.DepthProfile
 }
 
 // danglingKey identifies one cached dangling fraction by its attribute pair;
@@ -150,7 +131,6 @@ func New(db *storage.DB) *Catalog {
 		db:             db,
 		tables:         make(map[string]*TableStats),
 		dangling:       make(map[danglingKey]float64),
-		indexDepth:     make(map[indexDepthKey]indexDepthEntry),
 		inflight:       make(map[any]chan struct{}),
 		exactThreshold: DefaultExactThreshold,
 	}
@@ -248,39 +228,19 @@ func (c *Catalog) Indexes(table string) [][]string {
 	return tab.Indexes()
 }
 
-// IndexDepth returns the per-bucket depth profile of the index's prefix
-// level — distinct prefixes, total rows, average and maximum bucket size —
-// the figures driving the planner's index-scan probe cost. Profiles are
-// cached per statistics generation, so the O(distinct-prefixes) bucket scan
-// is paid once per generation, not per query or per mutation.
-func (c *Catalog) IndexDepth(table string, attrs []string, depth int) (storage.DepthProfile, bool) {
+// Index returns the live persistent index on table's ordered attribute
+// list, if one is registered: the planner reads its O(1) row and key counts
+// (HashIndex.Len, HashIndex.KeysAt) for the expected bucket of an index
+// lookup. Nil without storage backing.
+func (c *Catalog) Index(table string, attrs []string) (*storage.HashIndex, bool) {
 	if c.db == nil {
-		return storage.DepthProfile{}, false
+		return nil, false
 	}
 	tab, ok := c.db.Table(table)
 	if !ok {
-		return storage.DepthProfile{}, false
+		return nil, false
 	}
-	ix, ok := tab.IndexOn(attrs)
-	if !ok {
-		return storage.DepthProfile{}, false
-	}
-	key := indexDepthKey{table: table, index: ix.Name(), depth: depth}
-	epoch := c.Table(table).Epoch
-	c.mu.Lock()
-	if e, ok := c.indexDepth[key]; ok && e.epoch == epoch {
-		c.mu.Unlock()
-		return e.profile, true
-	}
-	c.mu.Unlock()
-	prof, ok := ix.Profile(depth)
-	if !ok {
-		return storage.DepthProfile{}, false
-	}
-	c.mu.Lock()
-	c.indexDepth[key] = indexDepthEntry{epoch: epoch, profile: prof}
-	c.mu.Unlock()
-	return prof, true
+	return tab.IndexOn(attrs)
 }
 
 // lookup returns the cached statistics while they are current and otherwise

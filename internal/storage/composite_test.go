@@ -68,12 +68,11 @@ func TestCompositeIndexPrefixLookups(t *testing.T) {
 		t.Error("over-long prefix must yield nil")
 	}
 
-	p, ok := ix.Profile(2)
-	if !ok || p.Keys != 6 || p.Rows != 24 || p.AvgBucket != 4 || p.MaxBucket != 4 {
-		t.Errorf("Profile(2) = %+v, %v", p, ok)
+	if keys, rows := ix.KeysAt(2), ix.Len(); keys != 6 || rows != 24 {
+		t.Errorf("KeysAt(2) = %d, Len = %d, want 6 and 24", keys, rows)
 	}
-	if _, ok := ix.Profile(3); ok {
-		t.Error("Profile beyond the attribute list must report !ok")
+	if ix.KeysAt(3) != 0 {
+		t.Error("KeysAt beyond the attribute list must be 0")
 	}
 	// A single-attribute index and a composite one coexist under distinct
 	// canonical names.
@@ -117,10 +116,6 @@ func TestCompositeIndexMutationCycles(t *testing.T) {
 					_ = ix.LookupPrefix([]value.Value{value.Int(int64(w % 5))})
 					_ = ix.LookupPrefix([]value.Value{value.Int(int64(w % 5)), value.Int(int64(w))})
 					_ = ix.KeysAt(1) + ix.KeysAt(2) + ix.Len()
-					if _, ok := ix.Profile(2); !ok {
-						t.Error("profile unavailable on a live index")
-						return
-					}
 				}
 			}
 		}(w)

@@ -169,40 +169,3 @@ func (ix *HashIndex) Len() int {
 	defer ix.mu.RUnlock()
 	return ix.rows
 }
-
-// DepthProfile summarizes the bucket-depth distribution of one prefix level:
-// the probe-cost figures the planner's access-path costing reads (through
-// the statistics catalog, which caches one profile per table epoch).
-type DepthProfile struct {
-	// Depth is the prefix length the profile describes.
-	Depth int
-	// Keys is the number of distinct key prefixes (= buckets).
-	Keys int
-	// Rows is the total number of indexed rows.
-	Rows int
-	// AvgBucket is Rows/Keys — the expected candidates per point lookup.
-	AvgBucket float64
-	// MaxBucket is the largest bucket — the worst-case lookup.
-	MaxBucket int
-}
-
-// Profile computes the depth profile of one prefix level by scanning the
-// level's bucket lengths (O(distinct prefixes)). Consumers cache it per
-// table epoch; see stats.Catalog.IndexDepth.
-func (ix *HashIndex) Profile(depth int) (DepthProfile, bool) {
-	if depth < 1 || depth > len(ix.attrs) {
-		return DepthProfile{}, false
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	p := DepthProfile{Depth: depth, Keys: len(ix.levels[depth-1]), Rows: ix.rows}
-	for _, b := range ix.levels[depth-1] {
-		if len(b) > p.MaxBucket {
-			p.MaxBucket = len(b)
-		}
-	}
-	if p.Keys > 0 {
-		p.AvgBucket = float64(p.Rows) / float64(p.Keys)
-	}
-	return p, true
-}

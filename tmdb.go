@@ -60,8 +60,9 @@
 //     index per outer row instead of draining and hashing the inner table
 //     (composite indexes serve multi-key equi-joins with no residual), and
 //     an idxscan access path (Options.Access) that answers single-table
-//     equality selections σ[x.a = c](X) from the matching bucket without
-//     scanning — probe costs come from per-bucket depth statistics, EXPLAIN
+//     equality selections σ[x.a = c](X) by one table scan whose source is
+//     the matching bucket, the other source being a leading-label range —
+//     probe costs come from the live index's rows per key, EXPLAIN
 //     lists both candidate kinds, and the cost-based path picks them when
 //     statistics favor it. Engine.DropIndex removes an index; compiled
 //     plans pin a copy-on-write index snapshot at plan time, so dropping
@@ -184,8 +185,9 @@ const (
 	AutoAccess = planner.AccessAuto
 	// ScanAccess pins full scans (the pre-index behavior).
 	ScanAccess = planner.AccessScan
-	// IndexAccess pins index scans where a live index matches, with
-	// per-selection fallback to scans. Shown as "idxscan" in EXPLAIN.
+	// IndexAccess pins index lookups as the scan's source where a live
+	// index matches, with per-selection fallback to the table or a range of
+	// it. Shown as "idxscan" in EXPLAIN.
 	IndexAccess = planner.AccessIndex
 )
 
