@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -62,18 +63,31 @@ func newPlanCache() *planCache {
 	}
 }
 
-// cacheKey builds the memoization key for a query shape under the given
-// options and gens, the rendered statistics generations the plan is costed
-// against ("table:generation," per referenced table in name order).
-func cacheKey(shape string, opts Options, gens string) string {
-	return fmt.Sprintf("s=%d|j=%d|a=%d|pin=%s|g=%s|%s",
-		opts.Strategy, opts.Joins, opts.Access, opts.PinAlt, gens, shape)
+// keyBufs holds the byte buffers plan lookups append their keys into, so a
+// hit allocates no key.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// appendCacheKey appends the memoization key for a query shape under the
+// given options, reading the statistics generation the plan is costed
+// against for each of tables (in name order), onto buf.
+func appendCacheKey(buf []byte, shape string, opts Options, tables []string, gen func(table string) uint64) []byte {
+	buf = strconv.AppendUint(append(buf, "s="...), uint64(opts.Strategy), 10)
+	buf = strconv.AppendUint(append(buf, "|j="...), uint64(opts.Joins), 10)
+	buf = strconv.AppendUint(append(buf, "|a="...), uint64(opts.Access), 10)
+	buf = append(append(buf, "|pin="...), opts.PinAlt...)
+	buf = append(buf, "|g="...)
+	for _, name := range tables {
+		buf = strconv.AppendUint(append(append(buf, name...), ':'), gen(name), 10)
+		buf = append(buf, ',')
+	}
+	return append(append(buf, '|'), shape...)
 }
 
-func (c *planCache) get(key string) (*planned, bool) {
+// get looks the key up; the key is only read, never kept.
+func (c *planCache) get(key []byte) (*planned, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)]
 	if !ok {
 		c.misses++
 		return nil, false

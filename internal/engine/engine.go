@@ -352,12 +352,10 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 // values for the slotted constants; rebind substitutes q's. The reported
 // bool is true on a cache hit.
 func (e *Engine) plan(q *query, opts Options) (*planned, bool, error) {
-	var gens strings.Builder
-	for _, name := range q.tables {
-		fmt.Fprintf(&gens, "%s:%d,", name, e.statsCat.Table(name).Epoch)
-	}
-	key := cacheKey(q.shape, opts, gens.String())
-	if pl, ok := e.cache.get(key); ok {
+	buf := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(buf)
+	*buf = appendCacheKey((*buf)[:0], q.shape, opts, q.tables, e.generation)
+	if pl, ok := e.cache.get(*buf); ok {
 		return q.rebind(pl), true, nil
 	}
 	pl, err := e.planMiss(q.expr, opts)
@@ -365,9 +363,12 @@ func (e *Engine) plan(q *query, opts Options) (*planned, bool, error) {
 		return nil, false, err
 	}
 	pl.vals = q.vals
-	e.cache.put(key, q.tables, pl)
+	e.cache.put(string(*buf), q.tables, pl)
 	return pl, false, nil
 }
+
+// generation is the statistics generation of the named table.
+func (e *Engine) generation(table string) uint64 { return e.statsCat.Table(table).Epoch }
 
 // planMiss performs the full planning work: translate, settle the logical
 // alternatives, and choose the cheapest alternative × join-family ×

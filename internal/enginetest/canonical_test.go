@@ -46,20 +46,29 @@ func drainAscending(t *testing.T, tree exec.BatchIterator) int {
 
 // TestCanonicalRootsCollectAscending drains every tree marked canonical over
 // every golden × catalog (bare and indexed) × fixed strategy × logical
-// alternative × join family × access path.
+// alternative × join family × access path. A fused projection emits rows it
+// builds, so it is never a canonical root, but it may sit in a canonical
+// tree: a semijoin probing Scan(X) may build over a fused join and bind the
+// rows of the wrap above it, and such trees must be among those drained.
 func TestCanonicalRootsCollectAscending(t *testing.T) {
 	canonical, rows := 0, 0
+	var seen fusedShapes
 	for _, g := range Goldens {
 		for _, indexed := range []bool{false, true} {
 			eng := OpenDB(g.DB)
+			est := planner.NewEstimatorStats(eng.Stats())
 			name := g.Name + "/bare"
 			if indexed {
 				registerAccessIndexes(t, eng, g.DB)
 				name = g.Name + "/indexed"
 			}
-			forEachCompiled(t, eng, name, g.Query, func(t *testing.T, _ algebra.Plan, _ planner.PhysicalSpec, tree exec.BatchIterator, marked bool) {
+			forEachCompiled(t, eng, name, g.Query, func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, marked bool) {
+				if j, ok := tree.(*exec.Join); ok && j.Out != nil && marked {
+					t.Fatal("a fused projection is marked canonical")
+				}
 				if marked {
 					canonical++
+					matchExplain(t, est, plan, spec, tree, &seen)
 					rows += drainAscending(t, tree)
 				}
 			})
@@ -67,6 +76,9 @@ func TestCanonicalRootsCollectAscending(t *testing.T) {
 	}
 	if canonical < 150 || rows == 0 {
 		t.Errorf("only %d canonical trees with %d rows: the property is barely derived", canonical, rows)
+	}
+	if seen.fused == 0 || seen.absorbed == 0 {
+		t.Errorf("the canonical trees hold %d fused projections and %d absorbed wraps", seen.fused, seen.absorbed)
 	}
 }
 

@@ -24,7 +24,13 @@ import (
 // scans and to the other join families are held to EXPLAIN too. The
 // alternative axis runs every distinct logical alternative of each
 // translation (as translated, §6 rewrite, join orders), so rewritten and
-// reordered trees are held to it as well.
+// reordered trees are held to it as well. A fused projection prints as its
+// join with the output after an arrow, and an absorbed wrap prints no line:
+// EXPLAIN writes both over the wrapped rows, so the check wraps what the
+// compiled operators read back before comparing.
+
+// fusedShapes counts the fused projections and absorbed wraps a walk met.
+type fusedShapes struct{ fused, absorbed int }
 
 // explainedAs renders the EXPLAIN description of plan node n from the
 // operator compiled for it, and returns the plan nodes that operator reads
@@ -54,16 +60,22 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 		return d, inputs, nil, nil
 	case *exec.Filter:
 		// The predicate the compiled filter checks: the selection's, or
-		// what is left of it when an index lookup serves it.
+		// what is left of it when an index lookup serves it, read off the
+		// wrapped row where the join above binds the wrap's content.
 		pred := "true"
 		if o.Pred != nil {
-			pred = tmql.Format(o.Pred)
+			pred = tmql.Format(rewrap(o.Pred, o.Var, absorbedWrap(n, o)))
 		}
 		return fmt.Sprintf("Select[%s](%s)", pred, o.Var), inputs, []any{o.In}, nil
 	case *exec.Map:
+		if m, ok := n.(*algebra.Map); ok && m.Out != o.Out {
+			// The identity map deduplicating a fused join's rows.
+			return explainedAs(n, o.In)
+		}
 		return d, inputs, []any{o.In}, nil
 	case *exec.Join:
-		if o.Test != nil {
+		switch {
+		case o.Test != nil:
 			nj, ok := groupjoinOf(n)
 			if !ok {
 				return "", nil, nil, fmt.Errorf("groupjoin compiled for %T, not Map ∘ Select ∘ NestJoin", n)
@@ -71,6 +83,18 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 			d, inputs = nj.Describe(), nj.Children()
 			i := strings.LastIndex(d, "](")
 			d = d[:i] + " | " + tmql.Format(o.Test) + d[i:]
+		case o.Out != nil:
+			m, ok := n.(*algebra.Map)
+			if !ok {
+				return "", nil, nil, fmt.Errorf("fused projection compiled for %T, not a Map", n)
+			}
+			d, inputs = m.In.Describe(), m.In.Children()
+			out := rewrap(o.Out, o.LVar, absorbedWrap(inputs[0], o.L))
+			if o.Fn == nil {
+				out = rewrap(out, o.RVar, absorbedWrap(inputs[1], o.R))
+			}
+			i := strings.LastIndex(d, "](")
+			d = d[:i] + " → " + tmql.Format(out) + d[i:]
 		}
 		switch o.Method {
 		case exec.JoinIndex:
@@ -108,10 +132,58 @@ func groupjoinOf(n algebra.Plan) (*algebra.NestJoin, bool) {
 	return nil, false
 }
 
+// absorbedWrap returns the label of the wrapper Map plan p chains down to
+// through selections when the operators op compiled for p have no Map for
+// it, the join above binding the wrap's content; "" otherwise.
+func absorbedWrap(p algebra.Plan, op any) string {
+	for {
+		sel, ok := p.(*algebra.Select)
+		if !ok {
+			break
+		}
+		f, ok := op.(*exec.Filter)
+		if !ok {
+			return ""
+		}
+		p, op = sel.In, f.In
+	}
+	m, ok := p.(*algebra.Map)
+	if !ok || algebra.WrapperLabel(m) == "" {
+		return ""
+	}
+	if em, ok := op.(*exec.Map); ok && em.Out == m.Out {
+		return ""
+	}
+	return algebra.WrapperLabel(m)
+}
+
+// rewrap reads e's free variable v as the wrapped row: v becomes v.w, as
+// EXPLAIN writes it. w == "" leaves e as it is.
+func rewrap(e tmql.Expr, v, w string) tmql.Expr {
+	if w == "" {
+		return e
+	}
+	return tmql.Subst(e, v, &tmql.FieldSel{X: &tmql.Var{Name: v}, Label: w})
+}
+
 // matchTree walks plan and compiled tree together, consuming one EXPLAIN
-// line per plan node in preorder, and returns the lines left over.
-func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
+// line per plan node in preorder, and returns the lines left over. It counts
+// the fused projections and absorbed wraps it meets into seen.
+func matchTree(t *testing.T, n algebra.Plan, op any, lines []string, seen *fusedShapes) []string {
 	t.Helper()
+	if m, ok := n.(*algebra.Map); ok && op != nil && absorbedWrap(m, op) != "" {
+		seen.absorbed++
+		return matchTree(t, m.In, op, lines, seen)
+	}
+	if m, ok := n.(*algebra.Map); ok {
+		in := op
+		if em, ok := op.(*exec.Map); ok && em.Out != m.Out {
+			in = em.In // the identity map deduplicating a fused join's rows
+		}
+		if j, ok := in.(*exec.Join); ok && j.Out != nil {
+			seen.fused++
+		}
+	}
 	if len(lines) == 0 {
 		t.Fatalf("EXPLAIN ran out of lines at %s", n.Describe())
 	}
@@ -122,7 +194,7 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
 		// Beneath an index join: EXPLAIN keeps the logical subtree for its
 		// estimates, and nothing is compiled for it.
 		for _, ch := range n.Children() {
-			lines = matchTree(t, ch, nil, lines)
+			lines = matchTree(t, ch, nil, lines, seen)
 		}
 		return lines
 	}
@@ -137,13 +209,14 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string) []string {
 		t.Fatalf("%s: %d compiled inputs for %d plan inputs", line, len(kids), len(inputs))
 	}
 	for i, ch := range inputs {
-		lines = matchTree(t, ch, kids[i], lines)
+		lines = matchTree(t, ch, kids[i], lines, seen)
 	}
 	return lines
 }
 
 func TestExplainMatchesCompiledTree(t *testing.T) {
 	checked := 0
+	var seen fusedShapes
 	for _, g := range Goldens {
 		catalogs := []bool{true}
 		if len(AccessIndexes[g.DB]) > 0 {
@@ -156,26 +229,35 @@ func TestExplainMatchesCompiledTree(t *testing.T) {
 				registerAccessIndexes(t, eng, g.DB)
 				name = g.Name + "/indexed"
 			}
-			checked += explainMatchesCompiled(t, eng, name, g.Query)
+			checked += explainMatchesCompiled(t, eng, name, g.Query, &seen)
 		}
 	}
 	if checked < 1200 {
 		t.Errorf("matrix shrank to %d combinations", checked)
 	}
+	if seen.fused < 300 || seen.absorbed < 300 {
+		t.Errorf("only %d fused projections and %d absorbed wraps checked", seen.fused, seen.absorbed)
+	}
 }
 
 // explainMatchesCompiled runs the EXPLAIN-versus-compiled-tree check for one
 // query on eng under every fixed strategy × logical alternative × feasible
-// join family × access path, one subtest each under prefix, and returns how
-// many it ran.
-func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query string) int {
+// join family × access path, one subtest each under prefix, counting into
+// seen, and returns how many it ran.
+func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query string, seen *fusedShapes) int {
 	est := planner.NewEstimatorStats(eng.Stats())
 	return forEachCompiled(t, eng, prefix, query, func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, _ bool) {
-		lines := strings.Split(strings.TrimRight(est.Explain(plan, spec), "\n"), "\n")
-		if rest := matchTree(t, plan, tree, lines); len(rest) != 0 {
-			t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
-		}
+		matchExplain(t, est, plan, spec, tree, seen)
 	})
+}
+
+// matchExplain holds plan's EXPLAIN under spec to tree, compiled from it.
+func matchExplain(t *testing.T, est *planner.Estimator, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, seen *fusedShapes) {
+	t.Helper()
+	lines := strings.Split(strings.TrimRight(est.Explain(plan, spec), "\n"), "\n")
+	if rest := matchTree(t, plan, tree, lines, seen); len(rest) != 0 {
+		t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
+	}
 }
 
 // forEachCompiled compiles query on eng under every fixed strategy × logical

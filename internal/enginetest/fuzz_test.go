@@ -48,6 +48,30 @@ var rangeTemplates = []string{
 	`SELECT x.b FROM X x, Y y WHERE x.b = y.d AND %s`,
 }
 
+// projectionQueries are shapes whose final map runs, fused, inside the probe
+// of the join beneath it, each under a strategy (the zero value leaves it to
+// the cost-based choice): a flat join projecting fields of all three
+// relations with a leading-label restriction on the middle one, a
+// projection outside the compiled subset, which stays a map over the joined
+// rows, the outer join's NULL pads under the outerjoin strategy, and MAX
+// over a nest join's groups, which fails on a dangling row exactly where
+// naive evaluation does. (A map reading the joined row whole cannot be
+// written: a block's result reads it through its relations' labels.)
+var projectionQueries = []fuzzCase{
+	{`SELECT (xb = x.b, ya = y.a, zc = z.c) FROM X x, Y y, Z z WHERE x.b = y.d AND y.d = z.d AND y.a < 3`, core.StrategyAuto, false},
+	{`SELECT x.b + y.a FROM X x, Y y WHERE x.b = y.d`, core.StrategyAuto, false},
+	{`SELECT x FROM X x WHERE COUNT(SELECT y.a FROM Y y WHERE x.b = y.d) < 2`, core.StrategyOuterJoin, false},
+	{`SELECT (b = x.b, m = MAX(SELECT y.a FROM Y y WHERE x.b = y.d)) FROM X x`, core.StrategyAuto, true},
+}
+
+// fuzzCase is a query, the strategy it is pinned to (the zero value leaves
+// it to the cost-based choice), and whether it may fail on valid data.
+type fuzzCase struct {
+	q       string
+	pin     core.Strategy
+	mayFail bool
+}
+
 // rangeConjunct draws a comparison of attr with a constant: any of the five
 // operators the range path serves, in either orientation, against a value
 // inside, between or outside the generated ones (attr ∈ [0, hi)), written as
@@ -75,12 +99,16 @@ func rangeConjunct(r *rand.Rand, attr string, hi int) string {
 	return c + " " + op + " " + attr
 }
 
-// fuzzQuery returns query qi: one of fuzzQueries, or a range template
-// filled from seed.
-func fuzzQuery(spec datagen.Spec, seed int64, qi uint8) string {
-	k := int(qi) % (len(fuzzQueries) + len(rangeTemplates))
-	if k < len(fuzzQueries) {
-		return fuzzQueries[k]
+// fuzzQuery returns query qi: one of fuzzQueries, a range template filled
+// from seed, or one of projectionQueries.
+func fuzzQuery(spec datagen.Spec, seed int64, qi uint8) fuzzCase {
+	n := len(fuzzQueries) + len(rangeTemplates)
+	k := int(qi) % (n + len(projectionQueries))
+	switch {
+	case k < len(fuzzQueries):
+		return fuzzCase{q: fuzzQueries[k]}
+	case k >= n:
+		return projectionQueries[k-n]
 	}
 	r := rand.New(rand.NewSource(seed))
 	tmpl := rangeTemplates[k-len(fuzzQueries)]
@@ -93,7 +121,7 @@ func fuzzQuery(spec datagen.Spec, seed int64, qi uint8) string {
 	for i := range holes {
 		holes[i] = rangeConjunct(r, attr, hi)
 	}
-	return fmt.Sprintf(tmpl, holes...)
+	return fuzzCase{q: fmt.Sprintf(tmpl, holes...)}
 }
 
 // fuzzSpec clamps raw fuzz inputs into a valid, small generator spec.
@@ -110,11 +138,13 @@ func fuzzSpec(nx, ny, keys, dangPct uint8, seed int64) datagen.Spec {
 }
 
 // FuzzAutoMatchesNaive is the planner property test: over generated XYZ
-// schemas, the cost-based plan's result and the paper's fixed nest-join
-// strategy's must equal the naive oracle's, and EXPLAIN must render without
-// error. qi picks one of fuzzQueries or a range template whose leading-label
-// comparisons the seed draws, so the oracle checks the narrowed scans too.
-// The seed corpus covers every query shape and runs under plain `go test`;
+// schemas, the cost-based plan's result (under the query's pinned strategy,
+// if any) and the paper's fixed nest-join strategy's must equal the naive
+// oracle's, and EXPLAIN must render without error; where the oracle fails,
+// both must fail with its message. qi picks one of fuzzQueries, a range
+// template whose leading-label comparisons the seed draws, so the oracle
+// checks the narrowed scans too, or one of projectionQueries. The seed corpus
+// covers every query shape and runs under plain `go test`;
 // `go test -fuzz=FuzzAutoMatchesNaive` explores further.
 func FuzzAutoMatchesNaive(f *testing.F) {
 	for qi := range fuzzQueries {
@@ -125,6 +155,11 @@ func FuzzAutoMatchesNaive(f *testing.F) {
 			f.Add(uint8(24), uint8(72), uint8(6), uint8(25), seed, uint8(len(fuzzQueries)+k))
 		}
 	}
+	for k := range projectionQueries {
+		qi := uint8(len(fuzzQueries) + len(rangeTemplates) + k)
+		f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), qi)
+		f.Add(uint8(24), uint8(72), uint8(6), uint8(0), int64(2), qi) // nothing dangles
+	}
 	// Degenerate corners: single-row tables, all-dangling, single key.
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(99), int64(3), uint8(0))
 	f.Add(uint8(1), uint8(48), uint8(0), uint8(0), int64(4), uint8(2))
@@ -134,32 +169,36 @@ func FuzzAutoMatchesNaive(f *testing.F) {
 		spec := fuzzSpec(nx, ny, keys, dangPct, seed)
 		cat, db := datagen.XYZ(spec)
 		eng := engine.New(cat, db)
-		q := fuzzQuery(spec, seed, qi)
+		fc := fuzzQuery(spec, seed, qi)
+		q := fc.q
 
-		oracle, err := eng.Query(q, engine.Options{Strategy: core.StrategyNaive})
-		if err != nil {
-			t.Fatalf("naive oracle failed on valid query: %v", err)
+		oracle, oracleErr := eng.Query(q, engine.Options{Strategy: core.StrategyNaive})
+		if oracleErr != nil && !fc.mayFail {
+			t.Fatalf("naive oracle failed on valid query: %v", oracleErr)
 		}
-		auto, err := eng.Query(q, engine.Options{})
-		if err != nil {
-			t.Fatalf("auto failed where naive succeeded: %v", err)
-		}
-		if !value.Equal(auto.Value, oracle.Value) {
-			t.Fatalf("auto (%s × %s) differs from naive on spec %+v:\nquery: %s",
-				auto.Strategy, auto.Joins, spec, q)
-		}
-		if auto.Strategy == core.StrategyKim {
-			t.Fatal("auto selected Kim")
-		}
-		nest, err := eng.Query(q, engine.Options{Strategy: core.StrategyNestJoin})
-		if err != nil {
-			t.Fatalf("nestjoin failed where naive succeeded: %v", err)
-		}
-		if value.Key(nest.Value) != value.Key(oracle.Value) {
-			t.Fatalf("nestjoin (× %s) differs from naive on spec %+v:\nquery: %s", nest.Joins, spec, q)
+		for _, opts := range []engine.Options{{Strategy: fc.pin}, {Strategy: core.StrategyNestJoin}} {
+			got, err := eng.Query(q, opts)
+			if oracleErr != nil {
+				// The oracle's error names its plan; what failed must match.
+				if err == nil || lastClause(err) != lastClause(oracleErr) {
+					t.Fatalf("%s: naive failed with %q, planned returned error %v on spec %+v:\nquery: %s",
+						opts.Strategy, oracleErr, err, spec, q)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s failed where naive succeeded: %v", opts.Strategy, err)
+			}
+			if value.Key(got.Value) != value.Key(oracle.Value) {
+				t.Fatalf("%s (%s × %s) differs from naive on spec %+v:\nquery: %s",
+					opts.Strategy, got.Strategy, got.Joins, spec, q)
+			}
+			if got.Strategy == core.StrategyKim {
+				t.Fatal("auto selected Kim")
+			}
 		}
 
-		out, err := eng.Explain(q, engine.Options{})
+		out, err := eng.Explain(q, engine.Options{Strategy: fc.pin})
 		if err != nil {
 			t.Fatalf("Explain: %v", err)
 		}
@@ -167,6 +206,13 @@ func FuzzAutoMatchesNaive(f *testing.F) {
 			t.Fatalf("malformed Explain:\n%s", out)
 		}
 	})
+}
+
+// lastClause is an error's message after its last ": ", what failed
+// without where.
+func lastClause(err error) string {
+	msg := err.Error()
+	return msg[strings.LastIndex(msg, ": ")+1:]
 }
 
 // FuzzStatsAnalyze hardens the statistics collector against arbitrary

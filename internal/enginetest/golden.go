@@ -222,6 +222,15 @@ var Goldens = []Golden{
 		DB:    "xyz",
 		Query: `SELECT x FROM X x WHERE x.b IN SELECT x.d FROM Y x WHERE x.b > 0`,
 	},
+	{
+		// A semijoin whose right operand is the wrap of a FROM subquery over
+		// a flat join: the subquery's projection runs in that join's probe,
+		// and the semijoin binds the projected rows, not their wraps.
+		Name:     "semijoin-over-fused-join",
+		DB:       "xyz",
+		Query:    `SELECT x FROM X x WHERE x.b IN SELECT v.d FROM (SELECT (b = y.b, d = y.d) FROM Y y, Z z WHERE y.d = z.d) v WHERE x.b = v.b`,
+		KimBuggy: true,
+	},
 }
 
 // AccessIndexSpec names one persistent index to register: a table and its

@@ -142,8 +142,10 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 // compileTuple compiles a tuple constructor, the shape every SELECT
 // projection bottoms out in. The labels are sorted once here: each field is
 // evaluated in source order (so the first error is the evaluator's) and
-// stored at its label's canonical position, and the tuple is wrapped as is —
-// one allocation per row, no sort.
+// stored at its label's canonical position, and the tuple is wrapped as is,
+// with no sort. The tuples' fields are cut from slabs holding the fields of
+// up to maxSlabTuples tuples, each slab twice the last, so a projection
+// allocates once per slab rather than once per row.
 func compileTuple(cons *tmql.TupleCons, n1, n2 string) scalar2 {
 	sorted := make([]string, len(cons.Fields))
 	scalars := make([]scalar2, len(cons.Fields))
@@ -163,8 +165,14 @@ func compileTuple(cons *tmql.TupleCons, n1, n2 string) scalar2 {
 	for i, f := range cons.Fields {
 		pos[i], _ = slices.BinarySearch(sorted, f.Label)
 	}
+	var slab []value.Field
+	size := len(scalars) // the next slab's fields
 	return func(a, b value.Value) (value.Value, error) {
-		fs := make([]value.Field, len(scalars))
+		if len(slab) < len(scalars) {
+			slab, size = make([]value.Field, size), min(2*size, maxSlabTuples*len(scalars))
+		}
+		fs := slab[:len(scalars):len(scalars)]
+		slab = slab[len(scalars):]
 		for i, s := range scalars {
 			fv, err := s(a, b)
 			if err != nil {
@@ -175,6 +183,10 @@ func compileTuple(cons *tmql.TupleCons, n1, n2 string) scalar2 {
 		return value.CanonicalTuple(fs), nil
 	}
 }
+
+// maxSlabTuples bounds the tuples whose fields compileTuple allocates at
+// once: a kept tuple keeps its slab alive.
+const maxSlabTuples = 64
 
 // compilePred2 compiles a predicate to a direct boolean function, or nil
 // when it falls outside the compiled subset: comparisons — scalar, set

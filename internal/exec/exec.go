@@ -187,9 +187,7 @@ func CollectBatchesGoverned(gov *Governor, it BatchIterator, canonical bool) (va
 			rows = append(rows, bt...)
 			continue
 		}
-		for _, v := range bt {
-			b.Add(v)
-		}
+		b.AddAll(bt)
 	}
 	if canonical {
 		return value.CanonicalSet(rows), nil

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -62,7 +63,8 @@ const (
 )
 
 // Join is the join operator: the flat join of Kind, or the paper's nest join
-// X △[Q, G; a] Y when Fn is set.
+// X △[Q, G; a] Y when Fn is set. With Out set it also runs the projection
+// above it inside its probe, so the joined row is never built.
 type Join struct {
 	Ctx    *Ctx
 	Method JoinMethod
@@ -94,6 +96,11 @@ type Join struct {
 	// holds with LVar bound to it and Label bound to its group, and dropped
 	// otherwise. A dangling element's group is ∅.
 	Test tmql.Expr
+	// Out, on an inner or left-outer join, is emitted for each joined pair
+	// in place of LVar ++ RVar, the outer join's pad standing as the right
+	// row; on a nest join without Test, in place of LVar ++ (Label = group),
+	// with Label bound to the group.
+	Out tmql.Expr
 
 	// right is JoinNL's right input, or JoinMerge's sorted right rows not
 	// yet passed by the cursor, with their keys in rkeys.
@@ -191,6 +198,7 @@ func (j *Join) prober() rowProbe {
 	if outer {
 		pad = nullTuple(j.RElem)
 	}
+	join := j.output(func(l, r value.Value) (value.Value, error) { return l.Concat(r), nil })
 	return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
 		matched := false
 		for _, r := range bucket {
@@ -200,15 +208,39 @@ func (j *Join) prober() rowProbe {
 			}
 			if ok {
 				matched = true
-				out = append(out, l.Concat(r))
+				if out, err = appendJoined(out, join, l, r); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if outer && !matched {
-			out = append(out, l.Concat(pad))
+			return appendJoined(out, join, l, pad)
 		}
 		return out, nil
 	}
 }
+
+// output returns Out compiled over LVar and outVar, or joined when Out is
+// unset.
+func (j *Join) output(joined scalar2) scalar2 {
+	if j.Out == nil {
+		return joined
+	}
+	return compile(j.Ctx, j.Out, j.LVar, j.outVar())
+}
+
+// appendJoined appends the output of join over l and r to out.
+func appendJoined(out []value.Value, join scalar2, l, r value.Value) ([]value.Value, error) {
+	v, err := join(l, r)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, v), nil
+}
+
+// outVar is the variable Out reads beside LVar: the nest join's group, or
+// the right row.
+func (j *Join) outVar() string { return cmp.Or(j.Label, j.RVar) }
 
 // bucketGroup is one nest-join group: the group, and the fused test's
 // verdict on it once that verdict is known to hold for the whole bucket.
@@ -245,12 +277,13 @@ func (j *Join) nestProber(res pred2) rowProbe {
 		groups = j.queryGroups(res, fn, perBucket)
 	}
 	if j.Test == nil {
+		extend := j.output(func(l, g value.Value) (value.Value, error) { return l.Extend(j.Label, g), nil })
 		return func(l value.Value, bucket, out []value.Value) ([]value.Value, error) {
 			g, err := groups.get(l, bucket)
 			if err != nil {
 				return nil, err
 			}
-			return append(out, l.Extend(j.Label, g.group)), nil
+			return appendJoined(out, extend, l, g.group)
 		}
 	}
 	test := compilePred(j.Ctx, j.Test, j.LVar, j.Label)

@@ -194,8 +194,8 @@ func appendPlanForm(b *strings.Builder, it BatchIterator, leaves *[]*TableScan) 
 }
 
 // appendForm appends the join's form: method, kind, keys, residual, nest
-// function, label and test — each expression over the variables it is
-// compiled against — the outer join's padding labels, and both inputs.
+// function, label, test and output — each expression over the variables it
+// is compiled against — the outer join's padding labels, and both inputs.
 func (j *Join) appendForm(b *strings.Builder, leaves *[]*TableScan) bool {
 	if j.Method != JoinHash && j.Method != JoinNL {
 		return false
@@ -209,7 +209,8 @@ func (j *Join) appendForm(b *strings.Builder, leaves *[]*TableScan) bool {
 		return false
 	}
 	appendName(b, j.Label)
-	if !appendOptional(b, j.Test, appendPred, j.LVar, j.Label) {
+	if !appendOptional(b, j.Test, appendPred, j.LVar, j.Label) ||
+		!appendOptional(b, j.Out, appendForm, j.LVar, j.outVar()) {
 		return false
 	}
 	if j.Fn == nil && j.Kind == algebra.JoinLeftOuter {

@@ -172,11 +172,16 @@ func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
 	var walk func(n algebra.Plan, depth int, src source)
 	walk = func(n algebra.Plan, depth int, src source) {
 		op := e.resolve(n, spec).beneath(n, src)
+		if _, isMap := n.(*algebra.Map); isMap && src.wrap != "" {
+			// A wrap the join binds through has no operator of its own.
+			walk(n.Children()[0], depth, op.inputSource(n, src, 0))
+			return
+		}
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(op.describe(n, src))
 		fmt.Fprintf(&b, "  (%s)\n", e.Estimate(n, spec))
-		for _, ch := range op.inputs(n) {
-			walk(ch, depth+1, op.inputSource(n, src))
+		for i, ch := range op.inputs(n) {
+			walk(ch, depth+1, op.inputSource(n, src, i))
 		}
 	}
 	walk(p, 0, source{})

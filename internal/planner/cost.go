@@ -91,9 +91,10 @@ func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
 
 	case *algebra.Map:
 		in := e.Estimate(n.In, spec)
-		if op := e.resolve(n, spec); op.fused != nil {
+		if op := e.resolve(n, spec); op.test != nil {
 			// The groupjoin: the nest join plus one test per left row,
-			// emitting the selection's rows.
+			// emitting the selection's rows. A fused projection costs what
+			// the map and the join it runs in did.
 			nj := e.Estimate(op.fused, spec)
 			return Cost{Rows: in.Rows, Work: nj.Work + nj.Rows*e.rowWork(op.test)}
 		}

@@ -120,7 +120,7 @@ func (p *Planner) compile(plan algebra.Plan, src source) (exec.BatchIterator, bo
 		return &exec.EvalScan{Ctx: c, Expr: n.Expr}, false, nil
 
 	case *algebra.Select:
-		in, canonical, err := p.compile(n.In, op.inputSource(n, src))
+		in, canonical, err := p.compile(n.In, op.inputSource(n, src, 0))
 		if err != nil {
 			return nil, false, err
 		}
@@ -128,30 +128,27 @@ func (p *Planner) compile(plan algebra.Plan, src source) (exec.BatchIterator, bo
 		if op.src.indexed() {
 			pred = op.src.index.Residual
 		}
-		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: pred}, canonical, nil
+		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: unwrap(pred, [2]string{n.Var}, [2]string{src.wrap})}, canonical, nil
 
 	case *algebra.Map:
-		if nj := op.fused; nj != nil {
-			return p.compileGroupjoin(op, n, nj)
+		if op.fused != nil {
+			return p.compileFused(op, n)
 		}
-		in, canonical, err := p.compile(n.In, op.inputSource(n, src))
-		if err != nil {
-			return nil, false, err
+		in, canonical, err := p.compile(n.In, op.inputSource(n, src, 0))
+		if err != nil || src.wrap != "" {
+			return in, canonical, err // the wrap its join binds through
 		}
 		v, identity := n.Out.(*tmql.Var)
-		return p.compileMap(n, in), canonical && identity && v.Name == n.Var, nil
+		return &exec.Map{Ctx: c, In: in, Var: n.Var, Out: n.Out, Distinct: needsDistinct(n)}, canonical && identity && v.Name == n.Var, nil
 
 	case *algebra.Join:
-		it, canonical, err := p.compileJoin(op, n.L, n.R, &exec.Join{
-			Ctx: c, Kind: n.Kind, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, RElem: n.R.Elem(),
-		})
+		// Semi and anti joins emit their left rows; the others build rows.
+		it, canonical, err := p.compileJoin(op, n)
 		return it, canonical && (n.Kind == algebra.JoinSemi || n.Kind == algebra.JoinAnti), err
 
 	case *algebra.NestJoin:
 		// The row gains the group's label, which can reorder the rows.
-		it, _, err := p.compileJoin(op, n.L, n.R, &exec.Join{
-			Ctx: c, LVar: n.LVar, RVar: n.RVar, Residual: n.Pred, Fn: n.Fn, Label: n.Label,
-		})
+		it, _, err := p.compileJoin(op, n)
 		return it, false, err
 
 	case *algebra.Nest:
@@ -182,37 +179,40 @@ func (p *Planner) compile(plan algebra.Plan, src source) (exec.BatchIterator, bo
 	return nil, false, fmt.Errorf("planner: unhandled plan node %T", plan)
 }
 
-// compileMap builds a Map over its compiled input, deduplicating where set
-// semantics need it.
-func (p *Planner) compileMap(m *algebra.Map, in exec.BatchIterator) exec.BatchIterator {
-	return &exec.Map{Ctx: p.ctx, In: in, Var: m.Var, Out: m.Out, Distinct: needsDistinct(m)}
-}
-
-// compileGroupjoin builds the groupjoin m resolved to: nest join nj with
-// the selection between them as its test. The join emits left rows
-// unchanged, so where those are not duplicate-free by construction an
-// identity map deduplicates them, as the projection it replaces would have;
-// either way the rows keep the order compileJoin reports.
-func (p *Planner) compileGroupjoin(op physOp, m *algebra.Map, nj *algebra.NestJoin) (exec.BatchIterator, bool, error) {
-	j, canonical, err := p.compileJoin(op, nj.L, nj.R, &exec.Join{
-		Ctx: p.ctx, LVar: nj.LVar, RVar: nj.RVar, Residual: nj.Pred, Fn: nj.Fn, Label: nj.Label, Test: op.test,
-	})
-	if err != nil || duplicateFree(nj.L) {
-		return j, canonical, err
+// compileFused builds the fused join m resolved to: a groupjoin, which
+// emits left rows unchanged, or a projection fusion, which emits m's output.
+// Where those rows are not duplicate-free by construction an identity map
+// deduplicates them, as m would have. A groupjoin keeps the order
+// compileJoin reports; a projection's rows have none.
+func (p *Planner) compileFused(op physOp, m *algebra.Map) (exec.BatchIterator, bool, error) {
+	it, canonical, err := p.compileJoin(op, op.fused)
+	canonical = canonical && op.test != nil
+	dedup := needsDistinct(m)
+	if op.test != nil {
+		dedup = !duplicateFree(op.fused.(*algebra.NestJoin).L)
 	}
-	return &exec.Map{Ctx: p.ctx, In: j, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, canonical, nil
+	if err != nil || !dedup {
+		return it, canonical, err
+	}
+	return &exec.Map{Ctx: p.ctx, In: it, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, canonical, nil
 }
 
-// compileJoin completes j, which carries the node's kind, variables, whole
-// predicate (as Residual) and nest-join function, as the resolved family's
-// join method over the compiled operands of lp and rp. It reports whether
-// the left input is canonical and the method probes it in its own order —
-// every method but sort-merge — which is what the callers' kinds that emit
-// left rows unchanged need.
-func (p *Planner) compileJoin(op physOp, lp, rp algebra.Plan, j *exec.Join) (exec.BatchIterator, bool, error) {
+// compileJoin compiles join-family node n as op's join method over its
+// compiled operands, each binding its wrapped row where op says so, with a
+// fused map's test or output. It reports whether the left input is canonical
+// and the method probes it in its own order — every method but sort-merge —
+// which is what the callers' kinds that emit left rows unchanged need.
+func (p *Planner) compileJoin(op physOp, n algebra.Plan) (exec.BatchIterator, bool, error) {
+	in, vars, pred, fn := joinParts(n)
+	j := &exec.Join{Ctx: p.ctx, LVar: vars[0], RVar: vars[1], Residual: pred, Fn: fn, RElem: in[1].Elem(), Test: op.test, Out: op.out}
+	if nj, ok := n.(*algebra.NestJoin); ok {
+		j.Label = nj.Label
+	} else {
+		j.Kind = n.(*algebra.Join).Kind
+	}
 	var err error
 	var canonical bool
-	if j.L, canonical, err = p.Compile(lp); err != nil {
+	if j.L, canonical, err = p.compile(in[0], source{wrap: op.wrap[0]}); err != nil {
 		return nil, false, err
 	}
 	switch op.family {
@@ -222,6 +222,7 @@ func (p *Planner) compileJoin(op physOp, lp, rp algebra.Plan, j *exec.Join) (exe
 		j.Method, j.Ix = exec.JoinIndex, op.ix
 		j.LKeys = probeLKeys(op.lk, op.probe)
 		j.Residual = indexResidual(op.lk, op.rk, op.probe, op.residual)
+		bindWraps(j, op.wrap)
 		return j, canonical, nil
 	case ImplNestedLoop:
 		j.Method = exec.JoinNL
@@ -231,10 +232,23 @@ func (p *Planner) compileJoin(op physOp, lp, rp algebra.Plan, j *exec.Join) (exe
 			j.Method = exec.JoinMerge
 		}
 	}
-	if j.R, _, err = p.Compile(rp); err != nil {
+	if j.R, _, err = p.compile(in[1], source{wrap: op.wrap[1]}); err != nil {
 		return nil, false, err
 	}
+	bindWraps(j, op.wrap)
 	return j, canonical && j.Method != exec.JoinMerge, nil
+}
+
+// bindWraps rewrites j's expressions over an operand that binds its wrapped
+// row (physOp.wrap) to read that row.
+func bindWraps(j *exec.Join, w [2]string) {
+	v := [2]string{j.LVar, j.RVar}
+	for _, keys := range [][]tmql.Expr{j.LKeys, j.RKeys} {
+		for k := range keys {
+			keys[k] = unwrap(keys[k], v, w)
+		}
+	}
+	j.Residual, j.Fn, j.Out = unwrap(j.Residual, v, w), unwrap(j.Fn, v, w), unwrap(j.Out, v, w)
 }
 
 // needsDistinct reports whether a compiled Map needs to deduplicate its

@@ -5,6 +5,7 @@ package planner
 import (
 	"testing"
 
+	"tmdb/internal/algebra"
 	"tmdb/internal/tmql"
 )
 
@@ -23,5 +24,36 @@ func TestLeadingRangeNoConjunctAllocs(t *testing.T) {
 		leadingRange(chained)
 	}); n != 0 {
 		t.Errorf("%v allocations matching selections without a leading-label conjunct", n)
+	}
+}
+
+// TestResolveUnfusedMapAllocs: the resolver runs on every execution of a
+// cached plan, and a Map it does not fuse must cost it nothing — one over a
+// scan, one over a join whose output reads the joined row whole, and one
+// whose output does not compile.
+func TestResolveUnfusedMapAllocs(t *testing.T) {
+	_, b, _, _ := accessEnv(t)
+	x, _ := b.Scan("X")
+	z, _ := b.Scan("Z")
+	j, _ := b.Join(algebra.JoinInner, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
+	var maps []algebra.Plan
+	for _, m := range []struct {
+		in  algebra.Plan
+		out string
+	}{{x, "(b = x.b)"}, {j, "(r = x)"}, {j, "x.b + x.d"}} {
+		p, err := b.Map(m.in, "x", tmql.MustParse(m.out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps = append(maps, p)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, m := range maps {
+			if op := resolve(m, PhysicalSpec{}, noIndexes); op.fused != nil {
+				t.Fatalf("%s fused", m.Describe())
+			}
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations resolving maps the rule does not fuse", n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"tmdb/internal/algebra"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
+	"tmdb/internal/types"
 	"tmdb/internal/value"
 )
 
@@ -39,10 +40,17 @@ type physOp struct {
 	// infeasible is why the spec cannot run this node ("" when it can): the
 	// hash and sort-merge families need an equi-key.
 	infeasible string
-	// fused marks a Map resolved as the groupjoin: one exec.Join running
-	// the nest join fused, with the selection between them as its test.
-	fused *algebra.NestJoin
-	test  tmql.Expr
+	// fused marks a Map resolved as the join beneath it, run as one
+	// exec.Join: the groupjoin, a nest join with the selection between them
+	// as its test, or a projection fusion, a Join or NestJoin emitting out,
+	// the map's output over the join's two rows (projection).
+	fused     algebra.Plan
+	test, out tmql.Expr
+	// wrap[i] is the label of the wrapper Map the join's i-th operand chains
+	// down to through selections when the join's variable binds the wrapped
+	// row itself: every expression reads v.wrap as v, and the wrap is never
+	// built (bindWraps). "" binds the operand's own rows.
+	wrap [2]string
 }
 
 // noIndexes is the index oracle of a context with no registry.
@@ -64,19 +72,32 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 			return physOp{src: source{rng: r}}
 		}
 	case *algebra.Map:
-		if nj, test := groupjoin(n); nj != nil {
-			op := resolveJoin(nj.Pred, nj.LVar, nj.RVar, nj.R, true, spec, indexesOf)
-			if op.infeasible == "" {
-				op.fused, op.test = nj, test
+		j, test := groupjoin(n)
+		var out tmql.Expr
+		if j == nil {
+			j, out = projection(n)
+		}
+		if j != nil {
+			if op := resolve(j, spec, indexesOf); op.infeasible == "" {
+				op.fused, op.test, op.out = j, test, out
+				op.bindWraps(j)
 				return op
 			}
 		}
-	case *algebra.Join:
-		return resolveJoin(n.Pred, n.LVar, n.RVar, n.R, false, spec, indexesOf)
-	case *algebra.NestJoin:
-		return resolveJoin(n.Pred, n.LVar, n.RVar, n.R, true, spec, indexesOf)
+	case *algebra.Join, *algebra.NestJoin:
+		return resolveJoin(n, spec, indexesOf)
 	}
 	return physOp{}
+}
+
+// joinParts returns join-family node n's operands, their variables, its
+// predicate and, on a nest join, its function.
+func joinParts(n algebra.Plan) (in [2]algebra.Plan, vars [2]string, pred, fn tmql.Expr) {
+	if nj, ok := n.(*algebra.NestJoin); ok {
+		return [2]algebra.Plan{nj.L, nj.R}, [2]string{nj.LVar, nj.RVar}, nj.Pred, nj.Fn
+	}
+	j := n.(*algebra.Join)
+	return [2]algebra.Plan{j.L, j.R}, [2]string{j.LVar, j.RVar}, j.Pred, nil
 }
 
 // groupjoin matches the pipeline a Table 2 grouping predicate P translates
@@ -84,7 +105,7 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 // projects exactly back onto the left element's labels. It returns the nest
 // join and P as the fused test, in which the group variable nj stands for
 // x.nj; nil when the stack has another shape or P cannot be rewritten.
-func groupjoin(m *algebra.Map) (*algebra.NestJoin, tmql.Expr) {
+func groupjoin(m *algebra.Map) (algebra.Plan, tmql.Expr) {
 	sel, ok := m.In.(*algebra.Select)
 	if !ok {
 		return nil, nil
@@ -148,20 +169,136 @@ func groupTest(p tmql.Expr, v, label string) tmql.Expr {
 	return test
 }
 
+// projection matches a Map over an inner or left-outer Join, or over a
+// NestJoin, whose output reads the joined row v only through its fields and
+// compiles without the evaluator. It returns the join and the output over
+// the join's two rows, and nil, allocating nothing, for every other Map. A
+// flat join's v.f reads the right row where f labels the right element and
+// the left row otherwise; a nest join's v.f reads the left row, and its
+// group, v.label, becomes the variable label.
+func projection(m *algebra.Map) (algebra.Plan, tmql.Expr) {
+	var l, r, group string
+	right := &types.Type{}
+	switch j := m.In.(type) {
+	case *algebra.Join:
+		if j.Kind != algebra.JoinInner && j.Kind != algebra.JoinLeftOuter {
+			return nil, nil
+		}
+		l, r, right = j.LVar, j.RVar, j.R.Elem()
+	case *algebra.NestJoin:
+		l, group = j.LVar, j.Label
+	default:
+		return nil, nil
+	}
+	if l == group || !readsThrough(m.Var, "", true, m.Out) {
+		return nil, nil
+	}
+	return m.In, tmql.SubstFieldSel(m.Out, func(u, label string) tmql.Expr {
+		_, onRight := right.Field(label)
+		switch {
+		case u != m.Var:
+			return nil
+		case label == group:
+			return &tmql.Var{Name: group}
+		case onRight:
+			return &tmql.FieldSel{X: &tmql.Var{Name: r}, Label: label}
+		}
+		return &tmql.FieldSel{X: &tmql.Var{Name: l}, Label: label}
+	})
+}
+
+// bindWraps decides the wrap bindings of join-family node n resolved as op.
+// Operand i binds its wrapped row when it chains down to a wrapper Map
+// through selections reading their row only through the wrap's label, every
+// expression of the join reads its variable only so, and the join does not
+// emit the operand's rows themselves: the left operand's are emitted unless
+// a fused projection computes the output, the right operand's by an inner
+// join without one and by the outer join, whose pad is the wrapped right
+// row. (An index join's right operand is a bare scan, which binds no wrap.)
+func (op *physOp) bindWraps(n algebra.Plan) {
+	in, vars, pred, fn := joinParts(n)
+	binds := [2]bool{op.out != nil, true}
+	if j, ok := n.(*algebra.Join); ok {
+		binds[1] = j.Kind != algebra.JoinLeftOuter && (j.Kind != algebra.JoinInner || op.out != nil)
+	}
+	for i, p := range in {
+		op.wrap[i] = ""
+		if w := wrapBinding(p); binds[i] && w != "" && readsThrough(vars[i], w, false, pred, fn, op.out) {
+			op.wrap[i] = w
+		}
+	}
+}
+
+// wrapBinding returns the label of the wrapper Map p chains down to through
+// selections each reading its row only through that label, or "".
+func wrapBinding(p algebra.Plan) string {
+	switch n := p.(type) {
+	case *algebra.Map:
+		return algebra.WrapperLabel(n)
+	case *algebra.Select:
+		if w := wrapBinding(n.In); w != "" && readsThrough(n.Var, w, false, n.Pred) {
+			return w
+		}
+	}
+	return ""
+}
+
+// readsThrough reports, allocating nothing, whether the expressions read
+// the variable v only through field selections — of label w, unless w is
+// "" — and, with compiled set, whether they stay within the compiled subset
+// (compileScalar2: literals, field selections, aggregates, and tuple
+// constructors, whose labels the binder keeps distinct), reading no other
+// variable. A binder of v inside them only makes the answer more cautious,
+// since unwrap leaves the bound occurrences alone.
+func readsThrough(v, w string, compiled bool, es ...tmql.Expr) bool {
+	ok := true
+	for _, e := range es {
+		tmql.Walk(e, func(n tmql.Expr) bool {
+			switch n := n.(type) {
+			case *tmql.FieldSel:
+				if x, isVar := n.X.(*tmql.Var); isVar && x.Name == v && (w == "" || n.Label == w) {
+					return false
+				}
+			case *tmql.Var:
+				ok = ok && !compiled && n.Name != v
+			case *tmql.Lit, *tmql.Agg, *tmql.TupleCons:
+			default:
+				ok = ok && !compiled
+			}
+			return ok
+		})
+	}
+	return ok
+}
+
+// unwrap rewrites e, which reads each v[i] with w[i] set only as v[i].w[i]
+// (readsThrough), to read the wrapped row v[i] binds instead.
+func unwrap(e tmql.Expr, v, w [2]string) tmql.Expr {
+	if e == nil || w == [2]string{} {
+		return e
+	}
+	return tmql.SubstFieldSel(e, func(u, l string) tmql.Expr {
+		if l != "" && (u == v[0] && l == w[0] || u == v[1] && l == w[1]) {
+			return &tmql.Var{Name: u}
+		}
+		return nil
+	})
+}
+
 // needsEquiKey reports whether the family cannot run a join without an
 // extractable equi-key.
 func needsEquiKey(impl JoinImpl) bool { return impl == ImplHash || impl == ImplMerge }
 
-// resolveJoin resolves a join-family node: r is the right operand, nest
-// distinguishes the nest join from the flat variants.
-func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
-	spec PhysicalSpec, indexesOf func(string) [][]string) physOp {
+// resolveJoin resolves join-family node n, its wrap bindings included.
+func resolveJoin(n algebra.Plan, spec PhysicalSpec, indexesOf func(string) [][]string) physOp {
+	in, vars, pred, fn := joinParts(n)
 	var op physOp
-	op.lk, op.rk, op.residual = ExtractEquiKeys(pred, lvar, rvar)
+	op.lk, op.rk, op.residual = ExtractEquiKeys(pred, vars[0], vars[1])
 	impl := spec.Joins
 	if impl == ImplIndex {
-		if pr, ok := FindIndexProbe(r, rvar, op.rk, indexesOf); ok {
+		if pr, ok := FindIndexProbe(in[1], vars[1], op.rk, indexesOf); ok {
 			op.family, op.probe = ImplIndex, pr
+			op.bindWraps(n)
 			return op
 		}
 		impl = ImplAuto // no usable index on this operator: the auto mapping
@@ -174,11 +311,12 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 		if needsEquiKey(impl) {
 			op.infeasible = "no equi-key in " + tmql.Format(pred)
 		}
-	case impl == ImplAuto, impl == ImplMerge && !nest:
+	case impl == ImplAuto, impl == ImplMerge && fn == nil:
 		op.family = ImplHash // flat joins have no merge variant
 	default:
 		op.family = impl
 	}
+	op.bindWraps(n)
 	return op
 }
 
@@ -190,11 +328,17 @@ func resolveJoin(pred tmql.Expr, lvar, rvar string, r algebra.Plan, nest bool,
 func (op physOp) describe(n algebra.Plan, src source) string {
 	desc := n.Describe()
 	if op.fused != nil {
-		// The groupjoin: the nest join with its test after a bar,
-		// HashNestJoin[x.b = y.b; y.a; nj_2 | x.a SUBSETEQ nj_2](x, y).
+		// The fused join: a groupjoin with its test after a bar,
+		// HashNestJoin[x.b = y.b; y.a; nj_2 | x.a SUBSETEQ nj_2](x, y), a
+		// projection with its output after an arrow,
+		// HashJoin[j1.x.b = j2.y.d → j1.x.b](j1, j2).
 		desc = op.fused.Describe()
 		i := strings.LastIndex(desc, "](")
-		desc = desc[:i] + " | " + tmql.Format(op.test) + desc[i:]
+		sep, e := " | ", op.test
+		if op.out != nil {
+			sep, e = " → ", op.out
+		}
+		desc = desc[:i] + sep + tmql.Format(e) + desc[i:]
 	}
 	switch n := n.(type) {
 	case *algebra.Scan:
@@ -223,11 +367,14 @@ func (op physOp) describe(n algebra.Plan, src source) string {
 // source is what the selections above a scan narrowed it to, passed down
 // through selections and wrapper maps by the compile walk and the Explain
 // walk alike: a leading-label range, or an index lookup (index.Depth > 0,
-// read through ix at compile time).
+// read through ix at compile time). wrap is the label of the wrapper Map a
+// join operand binds through (physOp.wrap), passed down the same
+// selections to the wrap, which absorbs it.
 type source struct {
 	rng   storage.KeyRange
 	index IndexScanMatch
 	ix    *storage.HashIndex
+	wrap  string
 }
 
 // indexed reports whether the source is an index lookup.
@@ -264,32 +411,35 @@ func (op physOp) beneath(n algebra.Plan, src source) physOp {
 	return op
 }
 
-// inputSource returns the source of the scan beneath n, given src, the one
-// the nodes above n narrowed it to: an index-served selection hands its
-// lookup down, any other selection intersects src's range with its own (a
-// selection below an index source keeps it), and a wrapper Map passes src
-// on — the nodes chainScan sees through. Every other node, a groupjoin
-// included, reads its inputs whole. Compile and Explain both descend by it.
-func (op physOp) inputSource(n algebra.Plan, src source) source {
+// inputSource returns the source of the scan beneath n's i-th input,
+// given src, the one the nodes above n narrowed it to: an index-served
+// selection hands its lookup down, any other selection intersects src's
+// range with its own (a selection below an index source keeps it), and a
+// wrapper Map passes src on — the nodes chainScan sees through — keeping the
+// wrap binding only up to itself. A join, fused or not, hands each operand
+// its wrap binding, and every other node reads its inputs whole. Compile and
+// Explain both descend by it.
+func (op physOp) inputSource(n algebra.Plan, src source, i int) source {
 	switch n := n.(type) {
 	case *algebra.Select:
 		switch {
 		case src.indexed():
 			return src
 		case op.src.indexed():
-			return source{index: op.src.index, ix: op.ix}
+			return source{index: op.src.index, ix: op.ix, wrap: src.wrap}
 		}
-		return source{rng: intersect(src.rng, op.src.rng)}
+		return source{rng: intersect(src.rng, op.src.rng), wrap: src.wrap}
 	case *algebra.Map:
 		if op.fused == nil && algebra.WrapperLabel(n) != "" {
+			src.wrap = ""
 			return src
 		}
 	}
-	return source{}
+	return source{wrap: op.wrap[i]}
 }
 
-// inputs are the plan nodes the resolved operator reads: a groupjoin reads
-// its nest join's operands, every other operator its node's children.
+// inputs are the plan nodes the resolved operator reads: a fused join reads
+// its join's operands, every other operator its node's children.
 func (op physOp) inputs(n algebra.Plan) []algebra.Plan {
 	if op.fused != nil {
 		return op.fused.Children()
