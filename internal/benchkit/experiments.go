@@ -3,6 +3,7 @@ package benchkit
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"tmdb/internal/core"
 	"tmdb/internal/datagen"
@@ -188,21 +189,9 @@ func RunQ12(w io.Writer, quick bool) error {
 	return nil
 }
 
+// containsOp reports whether a non-empty EXPLAIN text names op.
 func containsOp(explain, op string) bool {
-	return len(explain) > 0 && (stringContains(explain, op))
-}
-
-func stringContains(s, sub string) bool {
-	return len(sub) == 0 || (len(s) >= len(sub) && indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
+	return explain != "" && strings.Contains(explain, op)
 }
 
 // RunCountBug reproduces the §2 COUNT bug: all four strategies on

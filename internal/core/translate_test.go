@@ -11,6 +11,7 @@ import (
 	"tmdb/internal/exec"
 	"tmdb/internal/planner"
 	"tmdb/internal/schema"
+	"tmdb/internal/stats"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
@@ -40,7 +41,7 @@ func runE(cat *schema.Catalog, db *storage.DB, src string, s Strategy, ji planne
 	if err != nil {
 		return value.Value{}, fmt.Errorf("translate: %w", err)
 	}
-	tree, _, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{Joins: ji}).Compile(plan)
+	tree, _, err := planner.Compile(exec.NewCtx(db), planner.NewEstimatorStats(stats.New(db)).Resolve(plan, planner.PhysicalSpec{Joins: ji}))
 	if err != nil {
 		return value.Value{}, fmt.Errorf("compile: %w", err)
 	}
@@ -550,7 +551,7 @@ func mustBind(t *testing.T, cat *schema.Catalog, src string) tmql.Expr {
 // execPlan compiles and runs a logical plan, returning its result set.
 func execPlan(t *testing.T, db *storage.DB, plan algebra.Plan) value.Value {
 	t.Helper()
-	tree, _, err := planner.New(exec.NewCtx(db), planner.PhysicalSpec{}).Compile(plan)
+	tree, _, err := planner.Compile(exec.NewCtx(db), planner.NewEstimatorStats(stats.New(db)).Resolve(plan, planner.PhysicalSpec{}))
 	if err != nil {
 		t.Fatal(err)
 	}

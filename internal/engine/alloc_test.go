@@ -13,9 +13,11 @@ import (
 // the point_wire, adhoc_plan and mixed_rw benchmark workloads are made of,
 // on the benchmark's dataset shape and indexes, served from the plan cache.
 // The bounds are the allocations per execution measured once a plan-cache
-// hit stopped formatting its key (go1.24, amd64): a lookup that allocates
-// its key again, or anything else per execution, fails it. The race
-// detector changes allocation counts, so -race builds leave it out.
+// hit stopped formatting its key and stopped resolving its plan, keeping the
+// resolved tree and fetching only the live indexes it names (go1.24, amd64):
+// a lookup that allocates its key again, runs the resolver again, or
+// allocates anything else per execution fails it. The race detector changes
+// allocation counts, so -race builds leave it out.
 func TestPointPathAllocs(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994})
 	eng := New(cat, db)
@@ -32,10 +34,10 @@ func TestPointPathAllocs(t *testing.T) {
 		name, query string
 		max         float64
 	}{
-		{"point_x", `SELECT x FROM X x WHERE x.b = 7`, 16},
-		{"point_y", fmt.Sprintf(`SELECT y.a FROM Y y WHERE y.b = %d AND y.d = %d`, y.MustGet("b").AsInt(), y.MustGet("d").AsInt()), 29},
-		{"point_y_miss", `SELECT y.a FROM Y y WHERE y.b = 7 AND y.d = 7`, 22},
-		{"semi_pt", `SELECT x FROM X x WHERE x.b = 7` + semi, 30},
+		{"point_x", `SELECT x FROM X x WHERE x.b = 7`, 8},
+		{"point_y", fmt.Sprintf(`SELECT y.a FROM Y y WHERE y.b = %d AND y.d = %d`, y.MustGet("b").AsInt(), y.MustGet("d").AsInt()), 15},
+		{"point_y_miss", `SELECT y.a FROM Y y WHERE y.b = 7 AND y.d = 7`, 8},
+		{"semi_pt", `SELECT x FROM X x WHERE x.b = 7` + semi, 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := eng.Prepare(tc.query)
@@ -62,16 +64,14 @@ func TestPointPathAllocs(t *testing.T) {
 // TestNestedPathAllocs guards the allocations of the six prepared statements
 // of the nested_exec benchmark workload, on its unindexed dataset after
 // Analyze, served from the plan cache and from warm snapshot memos. Each
-// bound is the allocations per warm execution measured when hash builds
-// over stored scans and the nest join's groups began to be kept per
-// snapshot (43, 50 and 53 for in, subseteq and count), for chain3 when
-// builds over closed subtrees — the groupjoin of Y with Z — began to be kept
-// too (60), and for selnest and flat when their projections began to run
-// inside the join's probe over the rows of unbuilt wraps, with tuple fields
-// cut from slabs (116 and 86; go1.24, amd64), plus 10 %: a build or group
-// computation no longer served from the memo, a joined row, wrap or tuple
-// built per row again, or a per-row or per-distinct-key allocation creeping
-// back into a hash build, DISTINCT, ν or a set operation, fails it.
+// bound is the allocations per warm execution measured once a plan-cache
+// hit stopped resolving its plan (go1.24, amd64), with hash builds over
+// closed subtrees and the nest join's groups kept per snapshot, and the
+// projections of selnest and flat run inside the join's probe over the rows
+// of unbuilt wraps: the resolver running per execution again, a build or
+// group computation no longer served from the memo, a joined row, wrap or
+// tuple built per row again, or a per-row or per-distinct-key allocation
+// creeping back into a hash build, DISTINCT, ν or a set operation, fails it.
 func TestNestedPathAllocs(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994})
 	eng := New(cat, db)
@@ -80,12 +80,12 @@ func TestNestedPathAllocs(t *testing.T) {
 		name, query string
 		max         float64
 	}{
-		{"in", `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, 47},
-		{"subseteq", `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b`, 55},
-		{"chain3", `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b AND y.c SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`, 66},
-		{"count", `SELECT x FROM X x WHERE COUNT(SELECT y.a FROM Y y WHERE x.b = y.b) >= 2`, 58},
-		{"selnest", `SELECT (b = x.b, ys = SELECT y.a FROM Y y WHERE x.b = y.b) FROM X x`, 128},
-		{"flat", `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`, 95},
+		{"in", `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, 18},
+		{"subseteq", `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b`, 24},
+		{"chain3", `SELECT x FROM X x WHERE x.a SUBSETEQ SELECT y.a FROM Y y WHERE x.b = y.b AND y.c SUBSETEQ SELECT z.c FROM Z z WHERE y.d = z.d`, 26},
+		{"count", `SELECT x FROM X x WHERE COUNT(SELECT y.a FROM Y y WHERE x.b = y.b) >= 2`, 27},
+		{"selnest", `SELECT (b = x.b, ys = SELECT y.a FROM Y y WHERE x.b = y.b) FROM X x`, 107},
+		{"flat", `SELECT x.b FROM X x, Y y WHERE x.b = y.d AND y.a < 3 AND x.b < 250`, 62},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := eng.Prepare(tc.query)

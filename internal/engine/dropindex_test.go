@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"tmdb/internal/core"
 	"tmdb/internal/planner"
 	"tmdb/internal/value"
 )
@@ -56,11 +58,11 @@ func TestDropIndexReplansToScan(t *testing.T) {
 
 // TestIndexChurnNeverFailsQueries is the DDL-under-load invariant: with one
 // goroutine creating and dropping the index in a tight loop while others
-// query, no execution may surface an error or a wrong result. Two mechanisms
-// cooperate: the planner re-resolves indexes at every compile (a vanished
-// index silently falls back to scans), and the narrow compile→Open window —
-// where exec observes a typed stale-index failure — is closed by execBound's
-// one-shot transparent replan. Run under -race this also checks the index
+// query, no execution may surface an error or a wrong result. Every
+// execution fetches the live index its plan names when it compiles, and an
+// index gone by then sends the plan through resolution again without
+// indexes; the index snapshot fetched stays probeable if the index is
+// dropped while the query runs. Run under -race this also checks the index
 // registry's locking.
 func TestIndexChurnNeverFailsQueries(t *testing.T) {
 	eng := accessEngine(t)
@@ -114,4 +116,66 @@ func TestIndexChurnNeverFailsQueries(t *testing.T) {
 	queries.Wait()
 	close(stop)
 	churn.Wait()
+}
+
+// TestIndexDroppedBehindTheCache: storage.Table.DropIndex unregisters an
+// index without sweeping the plan cache, so the next execution is a hit on a
+// plan whose resolved tree names the dropped index. It must resolve the plan
+// again without indexes and answer as naive evaluation does, with no error,
+// for an index scan and an index join, ad hoc and prepared.
+func TestIndexDroppedBehindTheCache(t *testing.T) {
+	for _, tc := range []struct {
+		name, table, attr, query string
+		opts                     Options
+	}{
+		{"idxscan", "X", "b", `SELECT x FROM X x WHERE x.b = 3`, Options{Access: planner.AccessIndex}},
+		{"idxjoin", "Y", "d", `SELECT x FROM X x WHERE x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`, Options{Joins: planner.ImplIndex}},
+	} {
+		for _, prepared := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/prepared=%v", tc.name, prepared), func(t *testing.T) {
+				eng := accessEngine(t)
+				if err := eng.CreateIndex(tc.table, tc.attr); err != nil {
+					t.Fatal(err)
+				}
+				run := func() (*Result, error) { return eng.Query(tc.query, tc.opts) }
+				if prepared {
+					p, err := eng.Prepare(tc.query)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run = func() (*Result, error) { return p.Query(tc.opts) }
+				}
+				first, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				explain, err := eng.Explain(tc.query, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(explain, fmt.Sprintf("using %s(%s)", tc.table, tc.attr)) {
+					t.Fatalf("the cached plan reads no index:\n%s", explain)
+				}
+				tab, _ := eng.DB().Table(tc.table)
+				if !tab.DropIndex(tc.attr) {
+					t.Fatal("DropIndex found no index")
+				}
+				got, err := run()
+				if err != nil {
+					t.Fatalf("cached plan over a dropped index: %v", err)
+				}
+				if !got.CacheHit {
+					t.Error("the execution after the drop missed the plan cache")
+				}
+				want, err := eng.Query(tc.query, Options{Strategy: core.StrategyNaive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !value.Equal(got.Value, want.Value) || !value.Equal(first.Value, want.Value) {
+					t.Errorf("results differ from naive: before the drop %d rows, after %d, naive %d",
+						first.Value.Len(), got.Value.Len(), want.Value.Len())
+				}
+			})
+		}
+	}
 }

@@ -181,15 +181,14 @@ type Result struct {
 	Sched struct{ Dispatched, Stolen, BusyNanos int64 }
 }
 
-// planned is a resolved physical planning decision: what the plan cache
-// stores. Entries are immutable after construction — the plan is compiled
-// afresh into iterators per execution, never mutated. vals are the slotted
-// constants the plan carries.
+// planned is a physical planning decision: what the plan cache stores. tree
+// is the chosen plan resolved under the chosen spec, which every execution
+// compiles into fresh iterators and nothing writes. Entries are immutable
+// after construction. vals are the slotted constants the plan carries.
 type planned struct {
-	plan     algebra.Plan
-	strategy core.Strategy
-	alt      string
-	planner.PhysicalSpec
+	tree       *planner.Tree
+	strategy   core.Strategy
+	alt        string
 	cost       planner.Cost
 	auto       bool
 	candidates []planner.Candidate
@@ -240,10 +239,13 @@ func newQuery(bound tmql.Expr) *query {
 }
 
 // rebind returns the cached decision pl for q's constants: pl itself when it
-// carries them already, otherwise a copy whose plan carries them (memoized
-// per query). The copy keeps pl's strategy, physical spec, cost and candidate
-// table: a shape plans once, against the first values that reach it.
-func (q *query) rebind(pl *planned) *planned {
+// carries them already, otherwise a copy whose plan carries them, resolved
+// again against the live indexes of sc — index points, the deduplication of
+// IN and OR alternatives and range bounds come from the constants — and
+// memoized per query. The copy keeps pl's strategy, physical spec, cost and
+// candidate table: a shape plans once, against the first values that reach
+// it.
+func (q *query) rebind(pl *planned, sc *stats.Catalog) *planned {
 	if slices.EqualFunc(pl.vals, q.vals, value.Equal) {
 		return pl
 	}
@@ -251,7 +253,8 @@ func (q *query) rebind(pl *planned) *planned {
 		return &m.planned
 	}
 	m := &boundEntry{of: pl, planned: *pl}
-	m.plan, m.vals = algebra.BindSlots(pl.plan, q.vals), q.vals
+	m.tree = planner.NewEstimatorStats(sc).Resolve(algebra.BindSlots(pl.tree.Plan(), q.vals), pl.tree.Spec)
+	m.vals = q.vals
 	q.memo.Store(m)
 	return &m.planned
 }
@@ -304,7 +307,7 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 	gov := exec.NewGovernor(ctx, opts.Limits.exec())
 	ectx := exec.NewCtxGoverned(e.db, gov)
 	defer recoverAbort(gov, &res, &err)
-	tree, canonical, cerr := planner.New(ectx, pl.PhysicalSpec).Compile(pl.plan)
+	tree, canonical, cerr := planner.Compile(ectx, pl.tree)
 	if cerr != nil {
 		if terr := e.checkTablesLive(q.tables); terr != nil {
 			return nil, terr
@@ -321,16 +324,16 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 				return nil, terr
 			}
 		}
-		return nil, wrapAbort(fmt.Errorf("engine: executing %s: %w", pl.plan.Describe(), err), gov)
+		return nil, wrapAbort(fmt.Errorf("engine: executing %s: %w", pl.tree.Plan().Describe(), err), gov)
 	}
 	return &Result{
 		Value:       v,
-		Plan:        pl.plan,
+		Plan:        pl.tree.Plan(),
 		Expr:        q.expr,
 		Strategy:    pl.strategy,
 		Alt:         pl.alt,
-		Joins:       pl.Joins,
-		Access:      pl.Access,
+		Joins:       pl.tree.Spec.Joins,
+		Access:      pl.tree.Spec.Access,
 		Parallelism: 1,
 		Cost:        pl.cost,
 		Auto:        pl.auto,
@@ -346,17 +349,18 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 // one of its tables has drifted far enough for the catalog to recollect it —
 // then the key misses and the query replans against the new statistics. A
 // write within the drift bound changes neither. That is safe because a
-// planned decision holds only algebra and a PhysicalSpec: rows and indexes
-// are resolved per execution, and every plan returns the same answer. The
-// key's query part is the shape, so a hit may have been planned with other
-// values for the slotted constants; rebind substitutes q's. The reported
-// bool is true on a cache hit.
+// planned decision holds no rows and no index: each execution reads the
+// tables' current snapshots and fetches the live indexes its tree names,
+// and every plan returns the same answer. The key's query part is the
+// shape, so a hit may have been planned with other values for the slotted
+// constants; rebind substitutes q's. The reported bool is true on a cache
+// hit.
 func (e *Engine) plan(q *query, opts Options) (*planned, bool, error) {
 	buf := keyBufs.Get().(*[]byte)
 	defer keyBufs.Put(buf)
 	*buf = appendCacheKey((*buf)[:0], q.shape, opts, q.tables, e.generation)
 	if pl, ok := e.cache.get(*buf); ok {
-		return q.rebind(pl), true, nil
+		return q.rebind(pl, e.statsCat), true, nil
 	}
 	pl, err := e.planMiss(q.expr, opts)
 	if err != nil {
@@ -387,7 +391,7 @@ func (e *Engine) planMiss(bound tmql.Expr, opts Options) (*planned, error) {
 	}
 	strategy, _ := core.ParseStrategy(best.Strategy)
 	return &planned{
-		plan: best.Plan, strategy: strategy, alt: best.Alt, PhysicalSpec: best.PhysicalSpec,
+		tree: best.Tree, strategy: strategy, alt: best.Alt,
 		cost: best.Cost, auto: opts.Strategy == core.StrategyAuto, candidates: all,
 	}, nil
 }
@@ -479,11 +483,11 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 		mode = "cost-based"
 	}
 	fmt.Fprintf(&b, "strategy=%s alt=%s joins=%s access=%s (%s)\n",
-		pl.strategy, pl.alt, pl.Joins, pl.Access, mode)
-	if n := planner.NaiveLeaves(pl.plan); n > 0 {
+		pl.strategy, pl.alt, pl.tree.Spec.Joins, pl.tree.Spec.Access, mode)
+	if n := planner.NaiveLeaves(pl.tree.Plan()); n > 0 {
 		fmt.Fprintf(&b, "naive leaves: %d\n", n)
 	}
-	b.WriteString(est.Explain(pl.plan, pl.PhysicalSpec))
+	b.WriteString(est.Explain(pl.tree))
 	if len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")
 		for _, c := range pl.candidates {

@@ -3,7 +3,6 @@ package enginetest
 import (
 	"testing"
 
-	"tmdb/internal/algebra"
 	"tmdb/internal/engine"
 	"tmdb/internal/exec"
 	"tmdb/internal/planner"
@@ -62,13 +61,13 @@ func TestCanonicalRootsCollectAscending(t *testing.T) {
 				registerAccessIndexes(t, eng, g.DB)
 				name = g.Name + "/indexed"
 			}
-			forEachCompiled(t, eng, name, g.Query, func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, marked bool) {
+			forEachCompiled(t, eng, name, g.Query, func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, marked bool) {
 				if j, ok := tree.(*exec.Join); ok && j.Out != nil && marked {
 					t.Fatal("a fused projection is marked canonical")
 				}
 				if marked {
 					canonical++
-					matchExplain(t, est, plan, spec, tree, &seen)
+					matchExplain(t, est, resolved, tree, &seen)
 					rows += drainAscending(t, tree)
 				}
 			})
@@ -97,7 +96,7 @@ func TestNestedExecRootsCanonical(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := planner.PhysicalSpec{Joins: res.Joins, Access: res.Access}
-			tree, marked, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(res.Plan)
+			tree, marked, err := planner.Compile(exec.NewCtx(eng.DB()), planner.NewEstimatorStats(eng.Stats()).Resolve(res.Plan, spec))
 			if err != nil {
 				t.Fatal(err)
 			}

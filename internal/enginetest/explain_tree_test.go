@@ -13,8 +13,9 @@ import (
 	"tmdb/internal/tmql"
 )
 
-// EXPLAIN and compilation both name a node's operator by asking the
-// planner's resolver; this test holds them to it. For every golden × catalog
+// EXPLAIN and compilation both read one resolved tree; this test holds the
+// operator EXPLAIN names for each node to the one Compile builds from the
+// same tree. For every golden × catalog
 // × fixed strategy × logical alternative × join family × access path, each
 // EXPLAIN line must name exactly the operator the compile walk built for that
 // node, a narrowed scan's source — leading-label range or index lookup — and
@@ -246,26 +247,27 @@ func TestExplainMatchesCompiledTree(t *testing.T) {
 // seen, and returns how many it ran.
 func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query string, seen *fusedShapes) int {
 	est := planner.NewEstimatorStats(eng.Stats())
-	return forEachCompiled(t, eng, prefix, query, func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, _ bool) {
-		matchExplain(t, est, plan, spec, tree, seen)
+	return forEachCompiled(t, eng, prefix, query, func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, _ bool) {
+		matchExplain(t, est, resolved, tree, seen)
 	})
 }
 
-// matchExplain holds plan's EXPLAIN under spec to tree, compiled from it.
-func matchExplain(t *testing.T, est *planner.Estimator, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, seen *fusedShapes) {
+// matchExplain holds the EXPLAIN of resolved to tree, compiled from it.
+func matchExplain(t *testing.T, est *planner.Estimator, resolved *planner.Tree, tree exec.BatchIterator, seen *fusedShapes) {
 	t.Helper()
-	lines := strings.Split(strings.TrimRight(est.Explain(plan, spec), "\n"), "\n")
-	if rest := matchTree(t, plan, tree, lines, seen); len(rest) != 0 {
+	lines := strings.Split(strings.TrimRight(est.Explain(resolved), "\n"), "\n")
+	if rest := matchTree(t, resolved.Plan(), tree, lines, seen); len(rest) != 0 {
 		t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
 	}
 }
 
-// forEachCompiled compiles query on eng under every fixed strategy × logical
-// alternative × feasible join family × access path and hands each plan, its
-// spec, the compiled tree and whether the planner marks the tree canonical
-// to check, one subtest each under prefix. It returns how many it ran.
+// forEachCompiled resolves query on eng under every fixed strategy × logical
+// alternative × feasible join family × access path and hands each resolved
+// tree, the operators compiled from it and whether the planner marks them
+// canonical to check, one subtest each under prefix. It returns how many it
+// ran.
 func forEachCompiled(t *testing.T, eng *engine.Engine, prefix, query string,
-	check func(t *testing.T, plan algebra.Plan, spec planner.PhysicalSpec, tree exec.BatchIterator, canonical bool)) int {
+	check func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, canonical bool)) int {
 	fixed := []core.Strategy{core.StrategyNaive, core.StrategyNestJoin, core.StrategyKim, core.StrategyOuterJoin}
 	impls := []planner.JoinImpl{planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge, planner.ImplIndex}
 	bound, err := tmql.NewBinder(eng.Catalog()).Bind(tmql.MustParse(query))
@@ -284,17 +286,18 @@ func forEachCompiled(t *testing.T, eng *engine.Engine, prefix, query string,
 		alts := est.Alternatives(algebra.NewBuilder(eng.Catalog()), []planner.StrategyPlan{sp})
 		for _, alt := range alts {
 			for _, ji := range impls {
-				if planner.ImplInfeasible(alt.Plan, ji) != "" {
-					continue
-				}
 				for _, access := range []planner.AccessPath{planner.AccessScan, planner.AccessIndex} {
 					spec := planner.PhysicalSpec{Joins: ji, Access: access}
+					resolved := est.Resolve(alt.Plan, spec)
+					if resolved.Infeasible != "" {
+						break
+					}
 					t.Run(fmt.Sprintf("%s/%s/%s/%s/%s", prefix, s, alt.Alt, ji, access), func(t *testing.T) {
-						tree, canonical, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(alt.Plan)
+						tree, canonical, err := planner.Compile(exec.NewCtx(eng.DB()), resolved)
 						if err != nil {
 							t.Fatal(err)
 						}
-						check(t, alt.Plan, spec, tree, canonical)
+						check(t, resolved, tree, canonical)
 					})
 					checked++
 				}

@@ -267,22 +267,37 @@ var shapeTemplates = []struct {
 }
 
 // FuzzShapeReuseMatchesNaive is the plan-cache shape property: on one
-// generated engine, one template filled with at least four literal vectors in
-// turn — so every text after the first of its shape is served by a plan built
-// for other constants — must match naive evaluation at auto and under a fixed
-// nest-join strategy. The oracle's cache is cleared before every answer, so
-// it never reuses a plan. The seed corpus covers every template and runs
-// under plain `go test`.
+// generated engine, bare or (indexed) with the indexes X(b), Y(d) and Y(b,d)
+// created before the first query, one template filled with at least four
+// literal vectors in turn — so every text after the first of its shape is
+// served by a plan built for other constants, whose index points the rebound
+// plan must take from its own — must match naive evaluation at auto and
+// under a fixed nest-join strategy. An index lookup's EXPLAIN must count the
+// OR template's own distinct constants as its points. The oracle's cache is
+// cleared before every answer, so it never reuses a plan. The seed corpus
+// covers every template, bare and indexed, and runs under plain `go test`.
 func FuzzShapeReuseMatchesNaive(f *testing.F) {
 	for qi := range shapeTemplates {
-		f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), uint8(qi), []byte{1, 0, 2, 0, 3, 3, 7, 1, 2, 5, 4, 4})
+		for _, indexed := range []bool{false, true} {
+			f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), uint8(qi), []byte{1, 0, 2, 0, 3, 3, 7, 1, 2, 5, 4, 4}, indexed)
+		}
 	}
-	f.Add(uint8(30), uint8(90), uint8(8), uint8(25), int64(2), uint8(4), []byte{1, 0, 0, 2})
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(99), int64(3), uint8(2), []byte{0})
-	f.Fuzz(func(t *testing.T, nx, ny, keys, dangPct uint8, seed int64, qi uint8, lits []byte) {
+	f.Add(uint8(30), uint8(90), uint8(8), uint8(25), int64(2), uint8(4), []byte{1, 0, 0, 2}, false)
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(99), int64(3), uint8(2), []byte{0}, false)
+	// The OR template's constants first repeat (two points), then differ
+	// (three).
+	f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), uint8(2), []byte{3, 3, 7, 3, 4, 7}, true)
+	f.Fuzz(func(t *testing.T, nx, ny, keys, dangPct uint8, seed int64, qi uint8, lits []byte, indexed bool) {
 		spec := fuzzSpec(nx, ny, keys, dangPct, seed)
 		cat, db := datagen.XYZ(spec)
 		eng, oracle := engine.New(cat, db), engine.New(cat, db)
+		if indexed {
+			for _, ix := range [][]string{{"X", "b"}, {"Y", "d"}, {"Y", "b", "d"}} {
+				if err := eng.CreateIndex(ix[0], ix[1:]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		tmpl := shapeTemplates[int(qi)%len(shapeTemplates)]
 		vectors := max(4, (len(lits)+tmpl.holes-1)/tmpl.holes)
 		for v := 0; v < vectors; v++ {
@@ -313,7 +328,34 @@ func FuzzShapeReuseMatchesNaive(f *testing.F) {
 					t.Fatalf("%s (strategy %s, cache hit %v) on spec %+v:\n got   %d rows %s\n naive %d rows %s",
 						q, opts.Strategy, got.CacheHit, spec, got.Value.Len(), got.Value, want.Value.Len(), want.Value)
 				}
+				if strings.Contains(tmpl.text, " OR ") {
+					checkPoints(t, eng, q, opts, args)
+				}
 			}
 		}
 	})
+}
+
+// checkPoints holds the EXPLAIN of an OR of equalities served by an index
+// lookup to the query's own constants: one point per distinct one.
+func checkPoints(t *testing.T, eng *engine.Engine, q string, opts engine.Options, args []any) {
+	t.Helper()
+	out, err := eng.Explain(q, opts)
+	if err != nil {
+		t.Fatalf("EXPLAIN %s: %v", q, err)
+	}
+	if !strings.Contains(out, " using X(b)") {
+		return
+	}
+	distinct := map[any]bool{}
+	for _, a := range args {
+		distinct[a] = true
+	}
+	n, want := len(distinct), " using X(b)  ("
+	if n > 1 {
+		want = fmt.Sprintf(" using X(b) points=%d  (", n)
+	}
+	if !strings.Contains(out, want) {
+		t.Fatalf("%s (strategy %s): want %d points from its own constants:\n%s", q, opts.Strategy, n, out)
+	}
 }

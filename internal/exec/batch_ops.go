@@ -24,9 +24,10 @@ import (
 // constant at plan time), cutting a bucket longer than DefaultBatchSize into
 // batches of that size. Distinct points address disjoint buckets (the key
 // encoding is injective per depth), so the buckets concatenate without
-// deduplication, though not in canonical order. Ix is the index the planner
-// resolved at compile time: buckets are copy-on-write, so it stays readable
-// even if the registry entry is dropped mid-query, like a row snapshot. The
+// deduplication, though not in canonical order. Ix is the live index the
+// planner fetched when it compiled the scan: buckets are copy-on-write, so it
+// stays readable even if the registry entry is dropped mid-query, like a row
+// snapshot. The
 // planner sets either source only beneath a selection whose filter above the
 // scan still checks every conjunct the source does not.
 type TableScan struct {

@@ -60,7 +60,7 @@ func TestFusedBuildFormsStayApart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, _, err := planner.New(exec.NewCtx(eng.DB()), planner.PhysicalSpec{Joins: planner.ImplHash}).Compile(plan)
+		tree, _, err := planner.Compile(exec.NewCtx(eng.DB()), planner.NewEstimatorStats(eng.Stats()).Resolve(plan, planner.PhysicalSpec{Joins: planner.ImplHash}))
 		if err != nil {
 			t.Fatal(err)
 		}

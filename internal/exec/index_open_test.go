@@ -9,7 +9,7 @@ import (
 )
 
 // TestOpenIndexPinsResolvedSnapshot: index operators probe the snapshot the
-// planner resolved at compile time. A dropped registry entry does not
+// planner fetched when it compiled them. A dropped registry entry does not
 // reach it, so the snapshot still opens after the drop, while a probe deeper
 // than the index's attributes, an empty probe, or a missing index is refused.
 func TestOpenIndexPinsResolvedSnapshot(t *testing.T) {

@@ -84,7 +84,7 @@ type Join struct {
 	// RElem is required for the outer join's NULL padding.
 	RElem *types.Type
 	// Ix is JoinIndex's persistent index over the stored right table: the
-	// snapshot the planner resolved at compile time.
+	// live index the planner fetched when it compiled the join.
 	Ix *storage.HashIndex
 	// Fn and Label make the operator the nest join: each left element is
 	// emitted exactly once, extended with Label = the (possibly empty) set
@@ -415,10 +415,10 @@ func nestGroup(res pred2, fn scalar2, l value.Value, bucket []value.Value, size 
 }
 
 // checkIndex checks the persistent index an index join or a table scan with
-// an index source probes at depth leading attributes. The planner resolves
-// the *HashIndex at compile time — index buckets are copy-on-write, so the
-// snapshot stays probeable even if the registry entry is dropped mid-query,
-// exactly like a scan's row snapshot.
+// an index source probes at depth leading attributes. The planner fetches
+// the live *HashIndex by name each time it compiles the operator — index
+// buckets are copy-on-write, so the snapshot stays probeable even if the
+// registry entry is dropped mid-query, exactly like a scan's row snapshot.
 func checkIndex(ix *storage.HashIndex, depth int) error {
 	if ix == nil {
 		return fmt.Errorf("exec: index probe without an index")

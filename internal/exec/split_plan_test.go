@@ -72,13 +72,13 @@ func TestSplitPlansMatchNaive(t *testing.T) {
 				continue // the strategy does not apply to this query
 			}
 			for _, ji := range impls {
-				if planner.ImplInfeasible(plan, ji) != "" {
+				resolved := planner.NewEstimatorStats(eng.Stats()).Resolve(plan, planner.PhysicalSpec{Joins: ji, Access: planner.AccessIndex})
+				if resolved.Infeasible != "" {
 					continue
 				}
-				spec := planner.PhysicalSpec{Joins: ji, Access: planner.AccessIndex}
 				for _, n := range []int{1, 7, 0} {
 					t.Run(fmt.Sprintf("%s/%s/%s/split=%d", g.Name, s, ji, n), func(t *testing.T) {
-						tree, _, err := planner.New(exec.NewCtx(eng.DB()), spec).Compile(plan)
+						tree, _, err := planner.Compile(exec.NewCtx(eng.DB()), resolved)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -113,7 +113,7 @@ func splitDB(t *testing.T) (*schema.Catalog, *storage.DB) {
 }
 
 // liveIndex returns the index named name (attributes comma-joined) on table,
-// as the planner resolves it at compile time.
+// as the planner fetches it when it compiles an index operator.
 func liveIndex(t *testing.T, db *storage.DB, table, name string) *storage.HashIndex {
 	t.Helper()
 	tab, ok := db.Table(table)

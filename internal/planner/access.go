@@ -19,9 +19,9 @@ import (
 // only the buckets of the longest index prefix those conjuncts cover, point
 // by point, and the selection's filter checks the uncovered conjuncts, its
 // residual. Selections between it and the scan stay plain filters over the
-// bucket rows. Like the join-side FindIndexProbe, the shape test runs inside
-// the shared resolver (resolve.go). Under either source a filter never sees
-// a row that its source skips.
+// bucket rows. Like the join-side FindIndexProbe, the shape test runs when a
+// plan is resolved (resolve.go). Under either source a filter never sees a
+// row that its source skips.
 
 // AccessPath selects how leaf selections read their tables.
 type AccessPath uint8
@@ -30,7 +30,8 @@ type AccessPath uint8
 const (
 	// AccessAuto (the zero value) lets the cost-based enumeration decide:
 	// Choose costs both full-scan and index-scan variants when an index
-	// matches. At compile time it behaves like AccessScan.
+	// matches. Resolved under it, a plan reads full scans, as under
+	// AccessScan.
 	AccessAuto AccessPath = iota
 	// AccessScan forces full scans (the pre-index behavior).
 	AccessScan
@@ -241,16 +242,6 @@ func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string,
 	return "", nil
 }
 
-// constKey returns the canonical key of a closed constant expression's
-// plan-time value (constValue).
-func constKey(e tmql.Expr) (string, bool) {
-	v, ok := constValue(e)
-	if !ok {
-		return "", false
-	}
-	return value.Key(v), true
-}
-
 // constValue returns a closed constant expression's plan-time value.
 // Literals skip the evaluator; any other expression must be closed (no free
 // variables) and evaluate against no database — plan-time evaluation that
@@ -373,11 +364,19 @@ func tighter(b, cur storage.Bound, sign int) bool {
 	return c > 0 || c == 0 && b.Strict
 }
 
-// intersect returns the range both a and b contain.
-func intersect(a, b storage.KeyRange) storage.KeyRange {
-	narrowLo(&a, b.Lo)
-	narrowHi(&a, b.Hi)
-	return a
+// intersect returns the range both a and b contain, a nil range being the
+// unbounded one.
+func intersect(a, b *storage.KeyRange) *storage.KeyRange {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	r := *a
+	narrowLo(&r, b.Lo)
+	narrowHi(&r, b.Hi)
+	return &r
 }
 
 // dedupConsts keeps the closed constant expressions of es deduplicated by
@@ -390,10 +389,11 @@ func dedupConsts(es []tmql.Expr) []tmql.Expr {
 	seen := make(map[string]bool, len(es))
 	var out []tmql.Expr
 	for _, e := range es {
-		k, ok := constKey(e)
+		v, ok := constValue(e)
 		if !ok {
 			return nil
 		}
+		k := value.Key(v)
 		if seen[k] {
 			continue
 		}
@@ -404,19 +404,20 @@ func dedupConsts(es []tmql.Expr) []tmql.Expr {
 }
 
 // crossPoints expands per-attribute constant alternatives into the cartesian
-// product of key points, in index-attribute order.
+// product of key points, in index-attribute order, the last attribute's
+// alternatives varying fastest; the points share one backing array.
 func crossPoints(lists [][]tmql.Expr) [][]tmql.Expr {
-	points := [][]tmql.Expr{nil}
+	n, d := 1, len(lists)
 	for _, alts := range lists {
-		next := make([][]tmql.Expr, 0, len(points)*len(alts))
-		for _, p := range points {
-			for _, a := range alts {
-				pt := make([]tmql.Expr, len(p), len(p)+1)
-				copy(pt, p)
-				next = append(next, append(pt, a))
-			}
+		n *= len(alts)
+	}
+	flat, points := make([]tmql.Expr, n*d), make([][]tmql.Expr, n)
+	for p := range points {
+		points[p] = flat[p*d : (p+1)*d : (p+1)*d]
+		for i, k := d-1, p; i >= 0; i-- {
+			points[p][i] = lists[i][k%len(lists[i])]
+			k /= len(lists[i])
 		}
-		points = next
 	}
 	return points
 }

@@ -111,8 +111,9 @@ func TestFindIndexScanShapes(t *testing.T) {
 			t.Error("join input treated as an access chain")
 		}
 	}
-	if !est.HasIndexScan(s1) || est.HasIndexScan(s3) {
-		t.Error("HasIndexScan disagrees with FindIndexScan")
+	scans := func(p algebra.Plan) bool { return est.Resolve(p, PhysicalSpec{Access: AccessIndex}).scans }
+	if !scans(s1) || scans(s3) {
+		t.Error("the resolved tree's index scans disagree with FindIndexScan")
 	}
 }
 
@@ -192,7 +193,7 @@ func TestCompileIndexScanMultiPointExecutes(t *testing.T) {
 	y, _ := b.Scan("Y")
 	run := func(t *testing.T, plan algebra.Plan, access AccessPath) value.Value {
 		t.Helper()
-		tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(plan)
+		tree, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Access: access}, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestCompileIndexScanExecutes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(access AccessPath) value.Value {
-				tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Access: access}).Compile(tc.plan)
+				tree, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Access: access}, tc.plan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -316,21 +317,21 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 	y, _ := b.Scan("Y")
 	j, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b = y.b AND x.b = y.d"))
 	idxjoin := PhysicalSpec{Joins: ImplIndex}
-	op := est.resolve(j, idxjoin)
+	op := resolve(j, idxjoin, est.stats.Indexes).join
 	pr := op.probe
 	if op.family != ImplIndex || pr.Name() != "b,d" || pr.Depth != 2 || len(pr.Pairs) != 2 {
 		t.Fatalf("composite probe = %+v, family %s", pr, op.family)
 	}
 	lk, rk, residual := ExtractEquiKeys(j.Pred, j.LVar, j.RVar)
-	if res := indexResidual(lk, rk, pr, residual); res != nil {
+	if res := indexResidual(lk, rk, *pr, residual); res != nil {
 		t.Errorf("covering composite probe left a residual: %s", tmql.Format(res))
 	}
-	keys := probeLKeys(lk, pr)
+	keys := probeLKeys(lk, *pr)
 	if len(keys) != 2 {
 		t.Fatalf("probeLKeys = %d exprs, want 2", len(keys))
 	}
 	run := func(impl JoinImpl) value.Value {
-		tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(j)
+		tree, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Joins: impl}, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,13 +346,13 @@ func TestCompositeIndexProbeJoins(t *testing.T) {
 	}
 	// Only one pair addressed: depth-1 prefix probe, the other pair residual.
 	j1, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b = y.b AND x.b = y.a"))
-	op1 := est.resolve(j1, idxjoin)
+	op1 := resolve(j1, idxjoin, est.stats.Indexes).join
 	pr1 := op1.probe
 	if op1.family != ImplIndex || pr1.Depth != 1 || pr1.Name() != "b,d" {
 		t.Fatalf("prefix probe = %+v, family %s", pr1, op1.family)
 	}
 	lk1, rk1, res1 := ExtractEquiKeys(j1.Pred, j1.LVar, j1.RVar)
-	if res := indexResidual(lk1, rk1, pr1, res1); res == nil {
+	if res := indexResidual(lk1, rk1, *pr1, res1); res == nil {
 		t.Error("uncovered pair must stay in the residual")
 	}
 	if idx, hash := run(ImplIndex), run(ImplHash); value.Key(idx) != value.Key(hash) {

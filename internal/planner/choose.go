@@ -43,8 +43,11 @@ type Candidate struct {
 	// hash family requested with no equi-key); such candidates are never
 	// chosen.
 	Infeasible string
-	// Chosen marks the winning candidate.
+	// Chosen marks the winning candidate, and Tree is its plan resolved
+	// under its spec (nil on every other candidate, whose trees are dropped
+	// once costed).
 	Chosen bool
+	Tree   *Tree
 }
 
 // String renders the candidate as one row of EXPLAIN's candidate table:
@@ -85,8 +88,10 @@ func (c Candidate) String() string {
 //     selection (AccessIndex still falls back to scans per selection, as
 //     ImplIndex falls back per join operator).
 //
-// The returned slice reports every candidate considered (for EXPLAIN); the
-// returned pointer aliases its winning entry. When a pinned hash or
+// Each combination is resolved once (Resolve), and its tree answers both
+// whether it is feasible and what it costs. The returned slice reports every
+// candidate considered (for EXPLAIN); the returned pointer aliases its
+// winning entry, which alone keeps its tree. When a pinned hash or
 // sort-merge family leaves no candidate feasible, the error reads
 // "<family> join requested but <the first plan's reason>".
 func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, []Candidate, error) {
@@ -99,30 +104,33 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 	}
 	var all []Candidate
 	best := -1
+	var bestTree *Tree
 	for _, sp := range plans {
+		// One tree under both index dimensions says whether the plan has
+		// joins and nest joins, and whether a live persistent index can serve
+		// a join (then the idxjoin family joins the enumeration: it skips the
+		// right-input drain and build pass where the index applies and falls
+		// back to the auto mapping elsewhere) or a selection (then the
+		// idxscan access path does).
+		probe := e.Resolve(sp.Plan, PhysicalSpec{Joins: ImplIndex, Access: AccessIndex})
 		implsHere := impls
 		switch {
-		case !contains(sp.Plan, isJoinFamily):
+		case !probe.joins:
 			implsHere = []JoinImpl{ImplAuto}
 		case pin.Joins == ImplAuto:
-			if !contains(sp.Plan, isNestJoin) {
+			if !probe.nestJoins {
 				// Flat joins have no merge variant (resolveJoin lowers it
 				// to hash), so sort-merge would only repeat the hash rows.
 				implsHere = impls[:2]
 			}
-			if e.HasIndexProbe(sp.Plan) {
-				// A live persistent index can serve at least one join of
-				// this plan: the idxjoin family joins the enumeration (it
-				// skips the right-input drain and build pass where the
-				// index applies and falls back to the auto mapping
-				// elsewhere).
+			if probe.probes {
 				implsHere = append(implsHere[:len(implsHere):len(implsHere)], ImplIndex)
 			}
 		}
 		accesses := []AccessPath{AccessScan}
 		switch pin.Access {
 		case AccessAuto:
-			if e.HasIndexScan(sp.Plan) {
+			if probe.scans {
 				accesses = append(accesses, AccessIndex)
 			}
 		case AccessIndex:
@@ -133,22 +141,26 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 			alt = AltBase
 		}
 		for _, impl := range implsHere {
-			// Feasibility does not depend on the access path: report an
-			// infeasible combination once.
-			if reason := ImplInfeasible(sp.Plan, impl); reason != "" {
-				all = append(all, Candidate{
-					Strategy: sp.Strategy, Alt: alt, Plan: sp.Plan, Infeasible: reason,
-					PhysicalSpec: PhysicalSpec{Joins: impl, Access: AccessScan},
-				})
-				continue
-			}
 			for _, acc := range accesses {
 				spec := PhysicalSpec{Joins: impl, Access: acc}
+				t := probe
+				if spec != probe.Spec {
+					t = e.Resolve(sp.Plan, spec)
+				}
+				if t.Infeasible != "" {
+					// Feasibility does not depend on the access path:
+					// report an infeasible combination once.
+					all = append(all, Candidate{
+						Strategy: sp.Strategy, Alt: alt, Plan: sp.Plan, Infeasible: t.Infeasible,
+						PhysicalSpec: PhysicalSpec{Joins: impl, Access: AccessScan},
+					})
+					break
+				}
 				c := Candidate{Strategy: sp.Strategy, Alt: alt, PhysicalSpec: spec, Plan: sp.Plan}
-				c.Cost = e.Estimate(sp.Plan, spec)
+				c.Cost = e.Estimate(t)
 				all = append(all, c)
 				if best < 0 || c.Cost.Work < all[best].Cost.Work {
-					best = len(all) - 1
+					best, bestTree = len(all)-1, t
 				}
 			}
 		}
@@ -158,32 +170,37 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 		// sort-merge family causes, so all[0] carries a reason.
 		return nil, all, fmt.Errorf("%s join requested but %s", pin.Joins, all[0].Infeasible)
 	}
-	all[best].Chosen = true
+	all[best].Chosen, all[best].Tree = true, bestTree
 	return &all[best], all, nil
 }
 
-// Explain renders the plan as the physical operator tree spec compiles it
-// to, each node named by the shared resolver and annotated with its estimated
-// rows and cost — the body of the engine's EXPLAIN. A narrowed scan prints
-// its source after its name: a leading-label range as Scan(Y) a∈[3, 7), an
-// index lookup as Scan(X) using X(b).
-func (e *Estimator) Explain(p algebra.Plan, spec PhysicalSpec) string {
-	var b strings.Builder
-	var walk func(n algebra.Plan, depth int, src source)
-	walk = func(n algebra.Plan, depth int, src source) {
-		op := e.resolve(n, spec).beneath(n, src)
-		if _, isMap := n.(*algebra.Map); isMap && src.wrap != "" {
+// Explain renders a resolved tree as the physical operator tree Compile
+// builds from it, each node named as resolved and annotated with its
+// estimated rows and cost — the body of the engine's EXPLAIN. A narrowed
+// scan prints its source after its name: a leading-label range as Scan(Y)
+// a∈[3, 7), an index lookup as Scan(X) using X(b). One pass costs the tree
+// bottom-up while it lists the operators top-down.
+func (e *Estimator) Explain(t *Tree) string {
+	var lines []string
+	var walk func(n *node, depth int) Cost
+	walk = func(n *node, depth int) Cost {
+		var in [2]Cost
+		if n.absorbed {
 			// A wrap the join binds through has no operator of its own.
-			walk(n.Children()[0], depth, op.inputSource(n, src, 0))
-			return
+			in[0] = walk(n.in[0], depth)
+			return e.cost(n, in)
 		}
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(op.describe(n, src))
-		fmt.Fprintf(&b, "  (%s)\n", e.Estimate(n, spec))
-		for i, ch := range op.inputs(n) {
-			walk(ch, depth+1, op.inputSource(n, src, i))
+		i := len(lines)
+		lines = append(lines, strings.Repeat("  ", depth)+n.describe())
+		for k, ch := range n.in {
+			if ch != nil {
+				in[k] = walk(ch, depth+1)
+			}
 		}
+		c := e.cost(n, in)
+		lines[i] += fmt.Sprintf("  (%s)\n", c)
+		return c
 	}
-	walk(p, 0, source{})
-	return b.String()
+	walk(t.root, 0)
+	return strings.Join(lines, "")
 }

@@ -77,7 +77,7 @@ func TestCompile(t *testing.T) {
 		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Map", distinct(true)},
 		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{}, "*exec.Map", distinct(true)},
 	} {
-		tree, _, err := New(ctx, tc.spec).Compile(tc.plan)
+		tree, _, err := compilePlan(ctx, tc.spec, tc.plan)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -120,7 +120,7 @@ func TestCompile(t *testing.T) {
 	must("unnest-over-nestjoin", nn, err)
 
 	run := func(plan algebra.Plan, spec PhysicalSpec) (value.Value, error) {
-		tree, _, err := New(ctx, spec).Compile(plan)
+		tree, _, err := compilePlan(ctx, spec, plan)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -133,7 +133,7 @@ func TestCompile(t *testing.T) {
 		}
 		for _, spec := range []PhysicalSpec{{}, {Joins: ImplHash}, {Joins: ImplMerge}} {
 			got, err := run(plan, spec)
-			if infeasible := ImplInfeasible(plan, spec.Joins); (infeasible != "") != (err != nil) {
+			if infeasible := implInfeasible(plan, spec.Joins); (infeasible != "") != (err != nil) {
 				t.Fatalf("%s/%+v: err %v, infeasible %q", name, spec, err, infeasible)
 			}
 			if err == nil && !value.Equal(got, want) {
@@ -170,7 +170,7 @@ func TestCompileGroupjoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(spec PhysicalSpec) (exec.BatchIterator, value.Value) {
-		tree, _, err := New(exec.NewCtx(db), spec).Compile(plan)
+		tree, _, err := compilePlan(exec.NewCtx(db), spec, plan)
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
@@ -183,7 +183,7 @@ func TestCompileGroupjoin(t *testing.T) {
 	// The unfused pipeline: the rule fires on the Map, so its input compiles
 	// to the filter over the nest join, and the projection goes on top.
 	unfused := func(sel algebra.Plan, plan *algebra.Map) value.Value {
-		in, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}).Compile(sel)
+		in, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +292,8 @@ func TestGroupjoinRuleShapes(t *testing.T) {
 			t.Errorf("%s under %v: fused test %q, want %q", c.pred, c.labels, got, c.test)
 		}
 		for _, impl := range []JoinImpl{ImplHash, ImplMerge} {
-			if op := resolve(m, PhysicalSpec{Joins: impl}, noIndexes); (op.fused != nil) != (c.test != "") {
-				t.Errorf("%s under %v: %s resolves fused=%v, want %v", c.pred, c.labels, impl, op.fused != nil, c.test != "")
+			if op := resolve(m, PhysicalSpec{Joins: impl}, noIndexes); (op.join != nil) != (c.test != "") {
+				t.Errorf("%s under %v: %s resolves fused=%v, want %v", c.pred, c.labels, impl, op.join != nil, c.test != "")
 			}
 		}
 	}

@@ -45,10 +45,6 @@ func NewEstimatorStats(sc *stats.Catalog) *Estimator {
 	return &Estimator{stats: sc}
 }
 
-func (e *Estimator) tableStats(name string) *stats.TableStats {
-	return e.stats.Table(name)
-}
-
 // defaultSelectivity is used for predicates the model cannot analyze.
 const defaultSelectivity = 0.33
 
@@ -56,85 +52,83 @@ const defaultSelectivity = 0.33
 // direct scans with statistically known key attributes.
 const defaultDangling = 0.5
 
-// Estimate computes the cost of a logical plan compiled under spec; the zero
-// spec is the auto mapping (hash where an equi-key exists, nested loops
-// otherwise) over full scans. Output cardinalities are independent of the
-// spec — only the work term changes. Under AccessIndex, selections served by
-// a live index are costed as point probes. Infeasible specs (hash without an
-// equi-key) are costed as their nested-loop fallback; feasibility is
-// ImplInfeasible's job.
-func (e *Estimator) Estimate(p algebra.Plan, spec PhysicalSpec) Cost {
-	switch n := p.(type) {
+// Estimate computes the cost of a resolved tree; the zero spec is the auto
+// mapping (hash where an equi-key exists, nested loops otherwise) over full
+// scans. Output cardinalities are independent of the spec — only the work
+// term changes. Under AccessIndex, selections served by a live index are
+// costed as point probes. An infeasible tree (hash without an equi-key) is
+// costed as its nested-loop fallback; feasibility is Tree.Infeasible.
+func (e *Estimator) Estimate(t *Tree) Cost { return e.estimate(t.root) }
+
+// estimate costs n's subtree bottom-up.
+func (e *Estimator) estimate(n *node) Cost {
+	var in [2]Cost
+	for i, ch := range n.in {
+		if ch != nil {
+			in[i] = e.estimate(ch)
+		}
+	}
+	return e.cost(n, in)
+}
+
+// cost is node n's estimate over its inputs' estimates in. Every node is
+// costed as resolved on its own: a selection beneath an index source costs
+// what it would cost reading its own input.
+func (e *Estimator) cost(n *node, in [2]Cost) Cost {
+	switch p := n.plan.(type) {
 	case *algebra.Scan:
-		card := float64(e.tableStats(n.Table).Card)
+		card := float64(e.stats.Table(p.Table).Card)
 		return Cost{Rows: card, Work: card}
 
 	case *algebra.EvalNode:
 		// Naive nested-loop evaluation: costed by walking the expression.
-		return e.evalCost(n.Expr)
+		return e.evalCost(p.Expr)
 
 	case *algebra.Select:
-		in := e.Estimate(n.In, spec)
-		rows := in.Rows * e.predicateSelectivity(n.Pred, n.In, n.Var)
-		op := e.resolve(n, spec)
-		if op.src.indexed() {
-			return Cost{Rows: rows, Work: e.indexScanWork(op.src.index)}
+		rows := in[0].Rows * e.predicateSelectivity(p.Pred, p.In, p.Var)
+		if m := n.index; m != nil {
+			return Cost{Rows: rows, Work: e.indexScanWork(*m)}
 		}
-		work := in.Work + in.Rows*e.rowWork(n.Pred)
-		if op.src.rng.Bounded() {
+		work := in[0].Work + in[0].Rows*e.rowWork(p.Pred)
+		if r := n.rng; r != nil {
 			// A narrowed scan: a binary search over the chunks, then the
 			// range's share of the rows through the chain and the filter.
-			card, f := e.rangeFraction(chainScan(n.In), op.src.rng)
+			card, f := e.rangeFraction(chainScan(p.In), *r)
 			work = math.Log2(card+1) + f*work
 		}
 		return Cost{Rows: rows, Work: work}
 
 	case *algebra.Map:
-		in := e.Estimate(n.In, spec)
-		if op := e.resolve(n, spec); op.test != nil {
-			// The groupjoin: the nest join plus one test per left row,
-			// emitting the selection's rows. A fused projection costs what
-			// the map and the join it runs in did.
-			nj := e.Estimate(op.fused, spec)
-			return Cost{Rows: in.Rows, Work: nj.Work + nj.Rows*e.rowWork(op.test)}
+		j := n.join
+		if j == nil {
+			return Cost{Rows: in[0].Rows, Work: in[0].Work + in[0].Rows*e.rowWork(p.Out)}
 		}
-		return Cost{Rows: in.Rows, Work: in.Work + in.Rows*e.rowWork(n.Out)}
-
-	case *algebra.Join:
-		l, op, matches, work := e.joinWork(n, n.L, n.R, n.RVar, spec)
-		dang := e.danglingFrac(n.L, n.LVar, op.lk, n.R, n.RVar, op.rk)
-		rows := matches
-		switch n.Kind {
-		case algebra.JoinSemi:
-			rows = l.Rows * (1 - dang)
-		case algebra.JoinAnti:
-			rows = l.Rows * dang
-		case algebra.JoinLeftOuter:
-			if rows < l.Rows {
-				rows = l.Rows
-			}
+		joined := e.joinCost(j.fused, j, in)
+		if j.test == nil {
+			// A fused projection costs what the map and the join it runs
+			// in did.
+			return Cost{Rows: joined.Rows, Work: joined.Work + joined.Rows*e.rowWork(p.Out)}
 		}
-		return Cost{Rows: rows, Work: work}
+		// The groupjoin: the nest join plus one test per left row, emitting
+		// the selection's rows.
+		sel := p.In.(*algebra.Select)
+		rows := joined.Rows * e.predicateSelectivity(sel.Pred, sel.In, sel.Var)
+		return Cost{Rows: rows, Work: joined.Work + joined.Rows*e.rowWork(j.test)}
 
-	case *algebra.NestJoin:
-		// One output tuple per left element, always (dangling survive with ∅).
-		l, _, _, work := e.joinWork(n, n.L, n.R, n.RVar, spec)
-		return Cost{Rows: l.Rows, Work: work}
+	case *algebra.Join, *algebra.NestJoin:
+		return e.joinCost(p, n.join, in)
 
 	case *algebra.Nest:
-		in := e.Estimate(n.In, spec)
-		return Cost{Rows: in.Rows * 0.5, Work: in.Work + in.Rows}
+		return Cost{Rows: in[0].Rows * 0.5, Work: in[0].Work + in[0].Rows}
 
 	case *algebra.Unnest:
-		in := e.Estimate(n.In, spec)
-		fanout := e.unnestFanout(n)
-		return Cost{Rows: in.Rows * fanout, Work: in.Work + in.Rows*fanout}
+		fanout := e.unnestFanout(p)
+		return Cost{Rows: in[0].Rows * fanout, Work: in[0].Work + in[0].Rows*fanout}
 
 	case *algebra.SetOp:
-		l := e.Estimate(n.L, spec)
-		r := e.Estimate(n.R, spec)
+		l, r := in[0], in[1]
 		rows := l.Rows
-		switch n.Kind {
+		switch p.Kind {
 		case algebra.SetUnion:
 			rows = l.Rows + r.Rows
 		case algebra.SetIntersect:
@@ -216,35 +210,50 @@ func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 	return float64(len(m.Points)) * (1 + 2*avg)
 }
 
-// joinWork costs join-family node n (operands lp and rp, the right iterated
-// as rvar) under the operator it resolves to, returning the left operand's
-// estimate, the resolved operator, the expected matching pairs and the
-// node's total work. Nested loops evaluate the predicate over the cross
-// product; hash pays one visit per tuple on each side plus the matches
-// emitted; sort-merge adds the n·log n ordering passes on top of a hash-like
-// merge; an index-served operator never drains the right input — the persistent index
-// pre-exists, so neither the right subtree's work nor a build pass is paid,
-// only the per-left-row probe and the emitted matches.
-func (e *Estimator) joinWork(n, lp, rp algebra.Plan, rvar string, spec PhysicalSpec) (l Cost, op physOp, matches, work float64) {
-	l, r := e.Estimate(lp, spec), e.Estimate(rp, spec)
-	op = e.resolve(n, spec)
+// joinCost costs join-family node p, resolved as j, over its operands'
+// estimates in. Nested loops evaluate the predicate over the cross product;
+// hash pays one visit per tuple on each side plus the matches emitted;
+// sort-merge adds the n·log n ordering passes on top of a hash-like merge;
+// an index-served operator never drains the right input — the persistent
+// index pre-exists, so neither the right subtree's work nor a build pass is
+// paid, only the per-left-row probe and the emitted matches. A nest join
+// emits one row per left element, always (dangling ones with ∅).
+func (e *Estimator) joinCost(p algebra.Plan, j *joinOp, in [2]Cost) Cost {
+	ops, vars, _, _ := joinParts(p)
+	l, r := in[0], in[1]
 	sel := defaultSelectivity
-	if len(op.lk) > 0 {
-		sel = e.keySelectivity(rp, rvar, op.rk)
+	if len(j.lk) > 0 {
+		sel = e.keySelectivity(ops[1], vars[1], j.rk)
 	}
-	matches = l.Rows * r.Rows * sel
-	var probe float64
-	switch {
-	case op.family == ImplIndex:
-		return l, op, matches, l.Work + l.Rows + matches
-	case op.family == ImplNestedLoop:
-		probe = l.Rows * r.Rows
-	case op.family == ImplMerge:
-		probe = sortCost(l.Rows) + sortCost(r.Rows) + l.Rows + r.Rows + matches
+	matches := l.Rows * r.Rows * sel
+	var work float64
+	switch j.family {
+	case ImplIndex:
+		work = l.Work + l.Rows + matches
+	case ImplNestedLoop:
+		work = l.Work + r.Work + l.Rows*r.Rows
+	case ImplMerge:
+		work = l.Work + r.Work + (sortCost(l.Rows) + sortCost(r.Rows) + l.Rows + r.Rows + matches)
 	default: // hash
-		probe = l.Rows + r.Rows + matches
+		work = l.Work + r.Work + (l.Rows + r.Rows + matches)
 	}
-	return l, op, matches, l.Work + r.Work + probe
+	join, ok := p.(*algebra.Join)
+	if !ok {
+		return Cost{Rows: l.Rows, Work: work}
+	}
+	dang := e.danglingFrac(join.L, join.LVar, j.lk, join.R, join.RVar, j.rk)
+	rows := matches
+	switch join.Kind {
+	case algebra.JoinSemi:
+		rows = l.Rows * (1 - dang)
+	case algebra.JoinAnti:
+		rows = l.Rows * dang
+	case algebra.JoinLeftOuter:
+		if rows < l.Rows {
+			rows = l.Rows
+		}
+	}
+	return Cost{Rows: rows, Work: work}
 }
 
 func sortCost(n float64) float64 {
@@ -258,7 +267,7 @@ func sortCost(n float64) float64 {
 // unnested attribute when the input is a direct scan, else a constant 3.
 func (e *Estimator) unnestFanout(n *algebra.Unnest) float64 {
 	if s, ok := n.In.(*algebra.Scan); ok {
-		if avg, ok := e.tableStats(s.Table).AvgSetLen[n.Attr]; ok && avg > 0 {
+		if avg, ok := e.stats.Table(s.Table).AvgSetLen[n.Attr]; ok && avg > 0 {
 			return avg
 		}
 	}
@@ -274,7 +283,7 @@ func (e *Estimator) unnestFanout(n *algebra.Unnest) float64 {
 func (e *Estimator) keySelectivity(r algebra.Plan, rvar string, rkeys []tmql.Expr) float64 {
 	if len(rkeys) > 0 {
 		if tab, attr, ok := resolveScanAttr(r, rvar, rkeys[0]); ok {
-			if d, ok := e.tableStats(tab).Distinct[attr]; ok && d > 0 {
+			if d, ok := e.stats.Table(tab).Distinct[attr]; ok && d > 0 {
 				return 1.0 / float64(d)
 			}
 		}
@@ -283,7 +292,7 @@ func (e *Estimator) keySelectivity(r algebra.Plan, rvar string, rkeys []tmql.Exp
 	if !ok {
 		return 0.1
 	}
-	st := e.tableStats(s.Table)
+	st := e.stats.Table(s.Table)
 	best := 0.1
 	for _, d := range st.Distinct {
 		if d > 0 {
@@ -391,7 +400,7 @@ func (e *Estimator) predicateSelectivity(pred tmql.Expr, in algebra.Plan, varNam
 		if b.Op == tmql.OpEq {
 			if fs, ok := b.L.(*tmql.FieldSel); ok {
 				if tab, attr, ok := resolveScanAttr(in, varName, fs); ok {
-					return e.tableStats(tab).Selectivity(attr)
+					return e.stats.Table(tab).Selectivity(attr)
 				}
 			}
 			return 0.1
@@ -424,7 +433,7 @@ func (e *Estimator) compareSelectivity(b *tmql.Binary, in algebra.Plan, varName 
 	if !ok {
 		return 0, false
 	}
-	st := e.tableStats(tab)
+	st := e.stats.Table(tab)
 	h := st.Histogram(attr)
 	if op == tmql.OpEq {
 		if h != nil {
@@ -464,7 +473,7 @@ func (e *Estimator) compareSelectivity(b *tmql.Binary, in algebra.Plan, varName 
 // the lower one; without a histogram, the label's equality selectivity for a
 // point range and the default selectivity for any other.
 func (e *Estimator) rangeFraction(scan *algebra.Scan, r storage.KeyRange) (card, f float64) {
-	st := e.tableStats(scan.Table)
+	st := e.stats.Table(scan.Table)
 	attr := scan.Elem().Fields[0].Label
 	point := r.Lo.Set && r.Hi.Set && !r.Lo.Strict && !r.Hi.Strict && value.Equal(r.Lo.V, r.Hi.V)
 	f = defaultSelectivity
@@ -543,7 +552,7 @@ func (e *Estimator) evalCost(x tmql.Expr) Cost {
 		return Cost{Rows: 1, Work: 1}
 
 	case *tmql.TableRef:
-		card := float64(e.tableStats(n.Name).Card)
+		card := float64(e.stats.Table(n.Name).Card)
 		return Cost{Rows: card, Work: card}
 
 	case *tmql.FieldSel:
@@ -558,18 +567,10 @@ func (e *Estimator) evalCost(x tmql.Expr) Cost {
 		return Cost{Rows: 1, Work: work}
 
 	case *tmql.SetCons:
-		work := 1.0
-		for _, el := range n.Elems {
-			work += e.evalCost(el).Work
-		}
-		return Cost{Rows: math.Max(1, float64(len(n.Elems))), Work: work}
+		return e.elemsCost(n.Elems)
 
 	case *tmql.ListCons:
-		work := 1.0
-		for _, el := range n.Elems {
-			work += e.evalCost(el).Work
-		}
-		return Cost{Rows: math.Max(1, float64(len(n.Elems))), Work: work}
+		return e.elemsCost(n.Elems)
 
 	case *tmql.Binary:
 		l, r := e.evalCost(n.L), e.evalCost(n.R)
@@ -612,4 +613,13 @@ func (e *Estimator) evalCost(x tmql.Expr) Cost {
 		return Cost{Rows: c.Rows * 3, Work: c.Work + c.Rows*3}
 	}
 	return Cost{Rows: 1, Work: 1}
+}
+
+// elemsCost is evalCost of a set or list constructor over elems.
+func (e *Estimator) elemsCost(elems []tmql.Expr) Cost {
+	work := 1.0
+	for _, el := range elems {
+		work += e.evalCost(el).Work
+	}
+	return Cost{Rows: math.Max(1, float64(len(elems))), Work: work}
 }

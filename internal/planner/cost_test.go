@@ -22,7 +22,7 @@ func costEnv(t *testing.T) (*Estimator, *algebra.Builder) {
 func TestScanCardinalityFromStats(t *testing.T) {
 	est, b := costEnv(t)
 	x, _ := b.Scan("X")
-	c := est.Estimate(x, PhysicalSpec{})
+	c := est.Estimate(est.Resolve(x, PhysicalSpec{}))
 	// Load's dedup may remove a few duplicates; the estimate is the exact
 	// stored cardinality.
 	if c.Rows <= 0 || c.Rows > 100 {
@@ -37,7 +37,7 @@ func TestSelectionReducesRows(t *testing.T) {
 	est, b := costEnv(t)
 	x, _ := b.Scan("X")
 	sel, _ := b.Select(x, "x", tmql.MustParse("x.b = 3"))
-	cx, cs := est.Estimate(x, PhysicalSpec{}), est.Estimate(sel, PhysicalSpec{})
+	cx, cs := est.Estimate(est.Resolve(x, PhysicalSpec{})), est.Estimate(est.Resolve(sel, PhysicalSpec{}))
 	if cs.Rows >= cx.Rows {
 		t.Errorf("selection did not reduce rows: %v -> %v", cx.Rows, cs.Rows)
 	}
@@ -52,7 +52,7 @@ func TestHashCheaperThanNLEstimate(t *testing.T) {
 	z, _ := b.Scan("Z")
 	equi, _ := b.Join(algebra.JoinInner, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
 	theta, _ := b.Join(algebra.JoinInner, x, z, "x", "z", tmql.MustParse("x.b < z.d"))
-	ce, ct := est.Estimate(equi, PhysicalSpec{}), est.Estimate(theta, PhysicalSpec{})
+	ce, ct := est.Estimate(est.Resolve(equi, PhysicalSpec{})), est.Estimate(est.Resolve(theta, PhysicalSpec{}))
 	if ce.Work >= ct.Work {
 		t.Errorf("equi-join should cost less than theta join: %v vs %v", ce, ct)
 	}
@@ -63,7 +63,7 @@ func TestNestJoinRowsEqualLeft(t *testing.T) {
 	x, _ := b.Scan("X")
 	z, _ := b.Scan("Z")
 	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "s")
-	cx, cn := est.Estimate(x, PhysicalSpec{}), est.Estimate(nj, PhysicalSpec{})
+	cx, cn := est.Estimate(est.Resolve(x, PhysicalSpec{})), est.Estimate(est.Resolve(nj, PhysicalSpec{}))
 	if cn.Rows != cx.Rows {
 		t.Errorf("nest join preserves left cardinality: %v vs %v", cn.Rows, cx.Rows)
 	}
@@ -75,7 +75,7 @@ func TestSemijoinCheaperThanNestJoinEstimate(t *testing.T) {
 	z, _ := b.Scan("Z")
 	semi, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
 	nj, _ := b.NestJoin(x, z, "x", "z", tmql.MustParse("x.b = z.d"), nil, "s")
-	cs, cn := est.Estimate(semi, PhysicalSpec{}), est.Estimate(nj, PhysicalSpec{})
+	cs, cn := est.Estimate(est.Resolve(semi, PhysicalSpec{})), est.Estimate(est.Resolve(nj, PhysicalSpec{}))
 	if cs.Work > cn.Work {
 		t.Errorf("semijoin estimate should not exceed nest join: %v vs %v", cs, cn)
 	}
@@ -96,7 +96,7 @@ func TestEstimateCoversAllOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []algebra.Plan{m, n, u, so, ev, oj} {
-		c := est.Estimate(p, PhysicalSpec{})
+		c := est.Estimate(est.Resolve(p, PhysicalSpec{}))
 		if c.Rows <= 0 || c.Work <= 0 {
 			t.Errorf("%s: degenerate estimate %v", p.Describe(), c)
 		}
@@ -109,7 +109,7 @@ func TestAndOrSelectivity(t *testing.T) {
 	a, _ := b.Select(x, "x", tmql.MustParse("x.b > 1"))
 	and, _ := b.Select(x, "x", tmql.MustParse("x.b > 1 AND x.b < 5"))
 	or, _ := b.Select(x, "x", tmql.MustParse("x.b > 1 OR x.b < 5"))
-	ca, cAnd, cOr := est.Estimate(a, PhysicalSpec{}), est.Estimate(and, PhysicalSpec{}), est.Estimate(or, PhysicalSpec{})
+	ca, cAnd, cOr := est.Estimate(est.Resolve(a, PhysicalSpec{})), est.Estimate(est.Resolve(and, PhysicalSpec{})), est.Estimate(est.Resolve(or, PhysicalSpec{}))
 	if !(cAnd.Rows < ca.Rows && ca.Rows < cOr.Rows) {
 		t.Errorf("selectivity ordering broken: and=%v single=%v or=%v",
 			cAnd.Rows, ca.Rows, cOr.Rows)
@@ -118,7 +118,7 @@ func TestAndOrSelectivity(t *testing.T) {
 
 func TestEstimatorUnknownTable(t *testing.T) {
 	est := NewEstimatorStats(stats.New(storage.NewDB()))
-	c := est.tableStats("GHOST")
+	c := est.stats.Table("GHOST")
 	if c.Card != 0 {
 		t.Error("unknown table should have zero card")
 	}
@@ -157,6 +157,6 @@ func TestHiddenSubqueryChargedPerRow(t *testing.T) {
 	})
 	if naive := est.evalCost(block).Work; best.Cost.Work < naive {
 		t.Errorf("%s/%s chosen at cost≈%.0f, below one naive run of the embedded block (≈%.0f):\n%s",
-			best.Strategy, best.Alt, best.Cost.Work, naive, est.Explain(best.Plan, best.PhysicalSpec))
+			best.Strategy, best.Alt, best.Cost.Work, naive, est.Explain(best.Tree))
 	}
 }

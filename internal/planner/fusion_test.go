@@ -78,17 +78,17 @@ func TestProjectionFusionShapes(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: fused output %q, want %q", c.name, got, c.want)
 		}
-		op := resolve(m, PhysicalSpec{Joins: ImplHash}, noIndexes)
-		if (op.out != nil) != (c.want != "") || op.out != nil && op.wrap != c.wrap {
-			t.Errorf("%s: resolves fused=%v with wraps %q, want %v and %q", c.name, op.out != nil, op.wrap, c.want != "", c.wrap)
+		op := resolve(m, PhysicalSpec{Joins: ImplHash}, noIndexes).join
+		if (op != nil) != (c.want != "") || op != nil && op.wrap != c.wrap {
+			t.Errorf("%s: resolves fused=%v, want %v with wraps %q", c.name, op != nil, c.want != "", c.wrap)
 		}
 	}
 	// Unfused, a semijoin still binds the right operand's wrapped rows, and
 	// an inner join emitting its joined rows binds neither.
-	if op := resolve(semi, PhysicalSpec{}, noIndexes); op.wrap != [2]string{"", "y"} {
+	if op := resolve(semi, PhysicalSpec{}, noIndexes).join; op.wrap != [2]string{"", "y"} {
 		t.Errorf("semijoin wraps %q, want the right one bound", op.wrap)
 	}
-	if op := resolve(inner, PhysicalSpec{}, noIndexes); op.wrap != [2]string{} {
+	if op := resolve(inner, PhysicalSpec{}, noIndexes).join; op.wrap != [2]string{} {
 		t.Errorf("unfused inner join wraps %q, want none bound", op.wrap)
 	}
 }
@@ -121,7 +121,7 @@ func TestFusedProjectionMatchesUnfused(t *testing.T) {
 		{"nest, MAX of a dangling group", "x", "(b = x.b, m = MAX(x.zs))", nest, true},
 	} {
 		m := must(b.Map(c.in, c.v, tmql.MustParse(c.out))).(*algebra.Map)
-		in, _, err := New(ctx, PhysicalSpec{Joins: ImplNestedLoop}).Compile(c.in)
+		in, _, err := compilePlan(ctx, PhysicalSpec{Joins: ImplNestedLoop}, c.in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestFusedProjectionMatchesUnfused(t *testing.T) {
 			t.Fatalf("%s: no X row dangles, so no pad is projected", c.name)
 		}
 		for _, impl := range []JoinImpl{ImplNestedLoop, ImplHash, ImplMerge, ImplIndex} {
-			tree, _, err := New(ctx, PhysicalSpec{Joins: impl}).Compile(m)
+			tree, _, err := compilePlan(ctx, PhysicalSpec{Joins: impl}, m)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.name, impl, err)
 			}

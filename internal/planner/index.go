@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"slices"
+
 	"tmdb/internal/algebra"
 	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
@@ -14,9 +16,8 @@ import (
 // hash table. Composite indexes serve multi-key equi-joins — every covered
 // pair disappears from the residual, so a covering index removes the
 // per-probe residual evaluation single-attribute probes used to pay. The
-// shape test runs inside the shared resolver (resolve.go), against the
-// storage registry at compile time and the statistics catalog at costing
-// time.
+// shape test runs when a plan is resolved (resolve.go), against the live
+// indexes the statistics catalog lists.
 //
 // (Selections read the same registry in access.go: an index lookup is one
 // of the two narrowed sources of a table scan, next to a leading-label
@@ -41,21 +42,10 @@ type IndexProbe struct {
 // Name returns the index's canonical registry name.
 func (pr IndexProbe) Name() string { return storage.IndexName(pr.IndexAttrs) }
 
-// covers reports whether pair i is covered by the probe.
-func (pr IndexProbe) covers(i int) bool {
-	for _, p := range pr.Pairs {
-		if p == i {
-			return true
-		}
-	}
-	return false
-}
-
 // FindIndexProbe reports how the right operand r (iterated as rvar, with
 // right-side equi-key expressions rk) can be probed through a persistent
 // index. indexesOf enumerates the live indexes of a table as ordered
-// attribute lists — the storage registry at compile time, the statistics
-// catalog at costing time. Among the indexes whose leading attributes are
+// attribute lists. Among the indexes whose leading attributes are
 // addressed by equi-key pairs, longestCovered chooses, as for selections.
 func FindIndexProbe(r algebra.Plan, rvar string, rk []tmql.Expr, indexesOf func(table string) [][]string) (IndexProbe, bool) {
 	s, ok := r.(*algebra.Scan)
@@ -115,7 +105,7 @@ func probeLKeys(lk []tmql.Expr, pr IndexProbe) []tmql.Expr {
 func indexResidual(lk, rk []tmql.Expr, pr IndexProbe, residual tmql.Expr) tmql.Expr {
 	var parts []tmql.Expr
 	for i := range lk {
-		if !pr.covers(i) {
+		if !slices.Contains(pr.Pairs, i) {
 			parts = append(parts, &tmql.Binary{Op: tmql.OpEq, L: lk[i], R: rk[i]})
 		}
 	}

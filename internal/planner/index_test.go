@@ -35,8 +35,11 @@ func TestFindIndexProbeShapes(t *testing.T) {
 	x, _ := b.Scan("X")
 	j, _ := b.Join(algebra.JoinSemi, x, z, "x", "z", tmql.MustParse("x.b = z.d"))
 	probe := func(j *algebra.Join) (IndexProbe, bool) {
-		op := est.resolve(j, PhysicalSpec{Joins: ImplIndex})
-		return op.probe, op.family == ImplIndex
+		op := resolve(j, PhysicalSpec{Joins: ImplIndex}, est.stats.Indexes).join
+		if op.probe == nil {
+			return IndexProbe{}, false
+		}
+		return *op.probe, true
 	}
 	pr, ok := probe(j)
 	if !ok || pr.Table != "Z" || pr.Name() != "d" || pr.Depth != 1 || len(pr.Pairs) != 1 || pr.Pairs[0] != 0 {
@@ -48,14 +51,15 @@ func TestFindIndexProbeShapes(t *testing.T) {
 		t.Error("unindexed attribute reported a probe")
 	}
 	// Multi-pair predicate: the covered pair is found even when it is not
-	// first, and HasIndexProbe sees through the tree.
+	// first, and the resolved tree sees it.
 	j3, _ := b.Join(algebra.JoinInner, x, z, "x", "z", tmql.MustParse("x.b = z.c AND x.b = z.d"))
 	pr3, ok := probe(j3)
 	if !ok || len(pr3.Pairs) != 1 || pr3.Pairs[0] != 1 {
 		t.Errorf("multi-pair probe = %+v, %v (want pair 1)", pr3, ok)
 	}
-	if !est.HasIndexProbe(j3) || est.HasIndexProbe(j2) {
-		t.Error("HasIndexProbe disagrees with the resolver")
+	probes := func(p algebra.Plan) bool { return est.Resolve(p, PhysicalSpec{Joins: ImplIndex}).probes }
+	if !probes(j3) || probes(j2) {
+		t.Error("the resolved tree's index probes disagree with the resolver")
 	}
 	// A filtered (non-scan) right operand is not probeable.
 	zf, _ := b.Select(z, "z", tmql.MustParse("z.c = 1"))
@@ -108,7 +112,7 @@ func TestCompileIndexJoinExecutes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := tc.mk()
 			run := func(impl JoinImpl) value.Value {
-				tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(plan)
+				tree, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Joins: impl}, plan)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -73,7 +73,7 @@ func (e *Estimator) searchJoinOrder(b *algebra.Builder, g *algebra.JoinGraph, le
 		if err != nil {
 			return nil
 		}
-		best[1<<uint(i)] = &orderEntry{JoinTree: t, work: e.Estimate(t.Plan, PhysicalSpec{}).Work, leftDeep: true}
+		best[1<<uint(i)] = &orderEntry{JoinTree: t, work: e.Estimate(e.Resolve(t.Plan, PhysicalSpec{})).Work, leftDeep: true}
 	}
 	for mask := uint(1); mask < 1<<uint(n); mask++ {
 		if bits.OnesCount(mask) < 2 {
@@ -99,7 +99,7 @@ func (e *Estimator) searchJoinOrder(b *algebra.Builder, g *algebra.JoinGraph, le
 					continue
 				}
 				ent := &orderEntry{
-					JoinTree: t, work: e.Estimate(t.Plan, PhysicalSpec{}).Work,
+					JoinTree: t, work: e.Estimate(e.Resolve(t.Plan, PhysicalSpec{})).Work,
 					leftDeep: l.leftDeep && bits.OnesCount(s2) == 1,
 				}
 				if best[mask] == nil || ent.work < best[mask].work {

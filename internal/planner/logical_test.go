@@ -39,7 +39,7 @@ func translate(t *testing.T, cat *schema.Catalog, tr *core.Translator, q string,
 
 func runPlan(t *testing.T, db *storage.DB, p algebra.Plan) value.Value {
 	t.Helper()
-	tree, _, err := New(exec.NewCtx(db), PhysicalSpec{}).Compile(p)
+	tree, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package planner is the optimizer's back half: it expands translations
-// into logical alternatives (logical.go, joinorder.go), chooses a
-// PhysicalSpec for one by estimated cost (choose.go, cost.go), and compiles
-// the plan under that spec into exec operators (this file) — costing, EXPLAIN
-// and compilation all reading one operator-resolution rule (resolve.go). Its
+// into logical alternatives (logical.go, joinorder.go), resolves each under
+// every PhysicalSpec it weighs into a physical tree (resolve.go), chooses
+// the cheapest by estimated cost (choose.go, cost.go), and compiles the
+// chosen tree into exec operators (this file) — Choose, the cost model,
+// EXPLAIN and compilation all reading the one tree resolution built. Its
 // central decision mirrors §6 "Implementation": join-family
 // operators get hash implementations whenever an equi-key can be extracted
 // from the predicate (with the right operand as build side — mandatory for
@@ -13,11 +14,13 @@
 package planner
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"tmdb/internal/algebra"
 	"tmdb/internal/exec"
+	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 )
 
@@ -61,12 +64,12 @@ func (ji JoinImpl) String() string {
 // and the access path of leaf selections. §6's observation that the nest
 // join "adapts any common join method" makes these choices orthogonal to the
 // unnesting strategy, so they travel as one value that Choose enumerates and
-// that Estimate, Explain and Compile all read through the same
-// operator-resolution rule (resolve.go).
+// that Resolve turns a plan into a Tree under, the one tree Estimate,
+// Explain and Compile read.
 //
-// As a decision (what Candidate carries and Estimate/Explain/Compile take)
-// the fields mean what runs. As a pin (what Choose takes) a zero field leaves
-// that dimension to the enumeration; see Choose.
+// As a decision (what Candidate and Tree carry) the fields mean what runs.
+// As a pin (what Choose takes) a zero field leaves that dimension to the
+// enumeration; see Choose.
 type PhysicalSpec struct {
 	// Joins is the implementation family of all join-like operators.
 	Joins JoinImpl
@@ -77,178 +80,182 @@ type PhysicalSpec struct {
 	Access AccessPath
 }
 
-// Planner compiles logical plans to operator trees over a context.
-type Planner struct {
-	ctx  *exec.Ctx
-	spec PhysicalSpec
-}
-
-// New returns a planner compiling under spec against ctx.
-func New(ctx *exec.Ctx, spec PhysicalSpec) *Planner {
-	return &Planner{ctx: ctx, spec: spec}
-}
-
-// Compile turns a logical plan into a physical operator tree — the one walk:
-// each case asks the resolver which operator the node becomes under the spec
-// and builds it over its compiled children. It also reports whether the tree
-// emits its rows in canonical order (strictly ascending under
-// value.Compare, hence duplicate-free), derived bottom-up by the same walk:
-// a scan does, whole or narrowed to a range, but not read through an index;
-// a filter, an identity map Map[v](v), and a semi-, anti- or groupjoin probe
-// that emits each left row unchanged, at most once and in left order (every
-// join method but sort-merge, which reorders its left input by key) keep
-// their (left) input's order; every other operator drops it. exec.CollectBatchesGoverned then takes the rows
-// as the set they are, unsorted.
-func (p *Planner) Compile(plan algebra.Plan) (exec.BatchIterator, bool, error) {
-	return p.compile(plan, source{})
-}
-
-// compile is Compile's walk; src is the source the selections above plan
-// narrowed the scan at the bottom of its chain to.
-func (p *Planner) compile(plan algebra.Plan, src source) (exec.BatchIterator, bool, error) {
-	op := p.resolve(plan).beneath(plan, src)
-	if op.infeasible != "" {
-		return nil, false, fmt.Errorf("planner: %s join requested but %s", p.spec.Joins, op.infeasible)
+// Compile builds the exec operator tree of t over ctx: each node becomes
+// the operator it was resolved to over its inputs' operators, reading the
+// expressions resolution bound, and each persistent index a node reads is
+// fetched live by name. The snapshot fetched is what the query reads —
+// buckets are copy-on-write, so it stays probeable if the registry entry is
+// dropped mid-query — and an index dropped since t was resolved sends the
+// plan through resolution again without indexes, so concurrent
+// CreateIndex/DropIndex churn never fails a query. Compile also reports
+// whether the tree emits its rows in canonical order (strictly ascending
+// under value.Compare, hence duplicate-free), derived bottom-up by the same
+// walk: a scan does, whole or narrowed to a range, but not read through an
+// index; a filter, an identity map Map[v](v), and a semi-, anti- or
+// groupjoin probe that emits each left row unchanged, at most once and in
+// left order (every join method but sort-merge, which reorders its left
+// input by key) keep their (left) input's order; every other operator drops
+// it. exec.CollectBatchesGoverned then takes the rows as the set they are,
+// unsorted.
+func Compile(ctx *exec.Ctx, t *Tree) (exec.BatchIterator, bool, error) {
+	if t.Infeasible != "" {
+		return nil, false, fmt.Errorf("planner: %s join requested but %s", t.Spec.Joins, t.Infeasible)
 	}
-	c := p.ctx
-	switch n := plan.(type) {
+	it, canonical, err := compile(ctx, t.root)
+	if errors.Is(err, errIndexGone) {
+		return compile(ctx, resolveTree(t.Plan(), t.Spec, noIndexes).root)
+	}
+	return it, canonical, err
+}
+
+// errIndexGone is compile's report of an index its tree reads that is no
+// longer registered.
+var errIndexGone = errors.New("planner: index dropped since the plan was resolved")
+
+// liveIndex fetches the registered index of table on attrs from the
+// context's database.
+func liveIndex(c *exec.Ctx, table string, attrs []string) (*storage.HashIndex, error) {
+	if c.DB != nil {
+		if t, ok := c.DB.Table(table); ok {
+			if ix, ok := t.IndexOn(attrs); ok {
+				return ix, nil
+			}
+		}
+	}
+	return nil, errIndexGone
+}
+
+// compile is Compile's walk.
+func compile(c *exec.Ctx, n *node) (exec.BatchIterator, bool, error) {
+	switch p := n.plan.(type) {
 	case *algebra.Scan:
-		return &exec.TableScan{Ctx: c, Table: n.Table, Range: src.rng,
-			Ix: src.ix, Depth: src.index.Depth, Points: src.index.Points}, !src.indexed(), nil
+		s := &exec.TableScan{Ctx: c, Table: p.Table}
+		if r := n.rng; r != nil {
+			s.Range = *r
+		}
+		if m := n.index; m != nil {
+			ix, err := liveIndex(c, m.Table, m.IndexAttrs)
+			if err != nil {
+				return nil, false, err
+			}
+			s.Ix, s.Depth, s.Points = ix, m.Depth, m.Points
+		}
+		return s, n.index == nil, nil
 
 	case *algebra.EvalNode:
-		return &exec.EvalScan{Ctx: c, Expr: n.Expr}, false, nil
+		return &exec.EvalScan{Ctx: c, Expr: p.Expr}, false, nil
 
 	case *algebra.Select:
-		in, canonical, err := p.compile(n.In, op.inputSource(n, src, 0))
+		in, canonical, err := compile(c, n.in[0])
 		if err != nil {
 			return nil, false, err
 		}
-		pred := n.Pred
-		if op.src.indexed() {
-			pred = op.src.index.Residual
-		}
-		return &exec.Filter{Ctx: c, In: in, Var: n.Var, Pred: unwrap(pred, [2]string{n.Var}, [2]string{src.wrap})}, canonical, nil
+		return &exec.Filter{Ctx: c, In: in, Var: p.Var, Pred: n.pred}, canonical, nil
 
 	case *algebra.Map:
-		if op.fused != nil {
-			return p.compileFused(op, n)
+		if n.join != nil {
+			return compileFused(c, n, p)
 		}
-		in, canonical, err := p.compile(n.In, op.inputSource(n, src, 0))
-		if err != nil || src.wrap != "" {
+		in, canonical, err := compile(c, n.in[0])
+		if err != nil || n.absorbed {
 			return in, canonical, err // the wrap its join binds through
 		}
-		v, identity := n.Out.(*tmql.Var)
-		return &exec.Map{Ctx: c, In: in, Var: n.Var, Out: n.Out, Distinct: needsDistinct(n)}, canonical && identity && v.Name == n.Var, nil
+		v, identity := p.Out.(*tmql.Var)
+		return &exec.Map{Ctx: c, In: in, Var: p.Var, Out: p.Out, Distinct: n.dedup}, canonical && identity && v.Name == p.Var, nil
 
 	case *algebra.Join:
 		// Semi and anti joins emit their left rows; the others build rows.
-		it, canonical, err := p.compileJoin(op, n)
-		return it, canonical && (n.Kind == algebra.JoinSemi || n.Kind == algebra.JoinAnti), err
+		it, canonical, err := compileJoin(c, n, p)
+		return it, canonical && (p.Kind == algebra.JoinSemi || p.Kind == algebra.JoinAnti), err
 
 	case *algebra.NestJoin:
 		// The row gains the group's label, which can reorder the rows.
-		it, _, err := p.compileJoin(op, n)
+		it, _, err := compileJoin(c, n, p)
 		return it, false, err
 
 	case *algebra.Nest:
-		in, _, err := p.Compile(n.In)
+		in, _, err := compile(c, n.in[0])
 		if err != nil {
 			return nil, false, err
 		}
-		return &exec.NestIter{Ctx: c, In: in, Attrs: n.Attrs, Label: n.Label, NullAware: n.NullAware}, false, nil
+		return &exec.NestIter{Ctx: c, In: in, Attrs: p.Attrs, Label: p.Label, NullAware: p.NullAware}, false, nil
 
 	case *algebra.Unnest:
-		in, _, err := p.Compile(n.In)
+		in, _, err := compile(c, n.in[0])
 		if err != nil {
 			return nil, false, err
 		}
-		return &exec.UnnestIter{Ctx: c, In: in, Attr: n.Attr, Scalar: n.Scalar()}, false, nil
+		return &exec.UnnestIter{Ctx: c, In: in, Attr: p.Attr, Scalar: p.Scalar()}, false, nil
 
 	case *algebra.SetOp:
-		l, _, err := p.Compile(n.L)
+		l, _, err := compile(c, n.in[0])
 		if err != nil {
 			return nil, false, err
 		}
-		r, _, err := p.Compile(n.R)
+		r, _, err := compile(c, n.in[1])
 		if err != nil {
 			return nil, false, err
 		}
-		return &exec.SetOpIter{Ctx: c, Kind: int(n.Kind), L: l, R: r}, false, nil
+		return &exec.SetOpIter{Ctx: c, Kind: int(p.Kind), L: l, R: r}, false, nil
 	}
-	return nil, false, fmt.Errorf("planner: unhandled plan node %T", plan)
+	return nil, false, fmt.Errorf("planner: unhandled plan node %T", n.plan)
 }
 
-// compileFused builds the fused join m resolved to: a groupjoin, which
-// emits left rows unchanged, or a projection fusion, which emits m's output.
-// Where those rows are not duplicate-free by construction an identity map
-// deduplicates them, as m would have. A groupjoin keeps the order
-// compileJoin reports; a projection's rows have none.
-func (p *Planner) compileFused(op physOp, m *algebra.Map) (exec.BatchIterator, bool, error) {
-	it, canonical, err := p.compileJoin(op, op.fused)
-	canonical = canonical && op.test != nil
-	dedup := needsDistinct(m)
-	if op.test != nil {
-		dedup = !duplicateFree(op.fused.(*algebra.NestJoin).L)
-	}
-	if err != nil || !dedup {
+// compileFused builds the fused join Map node n resolved to: a groupjoin,
+// which emits left rows unchanged, or a projection fusion, which emits m's
+// output. Where those rows are not duplicate-free by construction an
+// identity map deduplicates them, as m would have. A groupjoin keeps the
+// order compileJoin reports; a projection's rows have none.
+func compileFused(c *exec.Ctx, n *node, m *algebra.Map) (exec.BatchIterator, bool, error) {
+	j := n.join
+	it, canonical, err := compileJoin(c, n, j.fused)
+	canonical = canonical && j.test != nil
+	if err != nil || !n.dedup {
 		return it, canonical, err
 	}
-	return &exec.Map{Ctx: p.ctx, In: it, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, canonical, nil
+	return &exec.Map{Ctx: c, In: it, Var: m.Var, Out: &tmql.Var{Name: m.Var}, Distinct: true}, canonical, nil
 }
 
-// compileJoin compiles join-family node n as op's join method over its
-// compiled operands, each binding its wrapped row where op says so, with a
-// fused map's test or output. It reports whether the left input is canonical
-// and the method probes it in its own order — every method but sort-merge —
-// which is what the callers' kinds that emit left rows unchanged need.
-func (p *Planner) compileJoin(op physOp, n algebra.Plan) (exec.BatchIterator, bool, error) {
-	in, vars, pred, fn := joinParts(n)
-	j := &exec.Join{Ctx: p.ctx, LVar: vars[0], RVar: vars[1], Residual: pred, Fn: fn, RElem: in[1].Elem(), Test: op.test, Out: op.out}
-	if nj, ok := n.(*algebra.NestJoin); ok {
+// compileJoin builds join-family plan node p, resolved as n's join, over its
+// compiled operands, with the expressions resolution bound. It reports
+// whether the left input is canonical and the method probes it in its own
+// order — every method but sort-merge — which is what the callers' kinds
+// that emit left rows unchanged need.
+func compileJoin(c *exec.Ctx, n *node, p algebra.Plan) (exec.BatchIterator, bool, error) {
+	op := n.join
+	in, vars, _, _ := joinParts(p)
+	j := &exec.Join{Ctx: c, LVar: vars[0], RVar: vars[1], LKeys: op.keys[0], RKeys: op.keys[1],
+		Residual: op.cond, Fn: op.fn, RElem: in[1].Elem(), Test: op.test, Out: op.proj}
+	if nj, ok := p.(*algebra.NestJoin); ok {
 		j.Label = nj.Label
 	} else {
-		j.Kind = n.(*algebra.Join).Kind
+		j.Kind = p.(*algebra.Join).Kind
 	}
 	var err error
 	var canonical bool
-	if j.L, canonical, err = p.compile(in[0], source{wrap: op.wrap[0]}); err != nil {
+	if j.L, canonical, err = compile(c, n.in[0]); err != nil {
 		return nil, false, err
 	}
 	switch op.family {
 	case ImplIndex:
 		// The persistent index stands in for the right operand, which is
 		// never compiled, drained or built.
-		j.Method, j.Ix = exec.JoinIndex, op.ix
-		j.LKeys = probeLKeys(op.lk, op.probe)
-		j.Residual = indexResidual(op.lk, op.rk, op.probe, op.residual)
-		bindWraps(j, op.wrap)
+		j.Method = exec.JoinIndex
+		if j.Ix, err = liveIndex(c, op.probe.Table, op.probe.IndexAttrs); err != nil {
+			return nil, false, err
+		}
 		return j, canonical, nil
 	case ImplNestedLoop:
 		j.Method = exec.JoinNL
+	case ImplMerge:
+		j.Method = exec.JoinMerge
 	default:
-		j.Method, j.LKeys, j.RKeys, j.Residual = exec.JoinHash, op.lk, op.rk, op.residual
-		if op.family == ImplMerge {
-			j.Method = exec.JoinMerge
-		}
+		j.Method = exec.JoinHash
 	}
-	if j.R, _, err = p.compile(in[1], source{wrap: op.wrap[1]}); err != nil {
+	if j.R, _, err = compile(c, n.in[1]); err != nil {
 		return nil, false, err
 	}
-	bindWraps(j, op.wrap)
 	return j, canonical && j.Method != exec.JoinMerge, nil
-}
-
-// bindWraps rewrites j's expressions over an operand that binds its wrapped
-// row (physOp.wrap) to read that row.
-func bindWraps(j *exec.Join, w [2]string) {
-	v := [2]string{j.LVar, j.RVar}
-	for _, keys := range [][]tmql.Expr{j.LKeys, j.RKeys} {
-		for k := range keys {
-			keys[k] = unwrap(keys[k], v, w)
-		}
-	}
-	j.Residual, j.Fn, j.Out = unwrap(j.Residual, v, w), unwrap(j.Fn, v, w), unwrap(j.Out, v, w)
 }
 
 // needsDistinct reports whether a compiled Map needs to deduplicate its
@@ -302,7 +309,7 @@ func duplicateFree(plan algebra.Plan) bool {
 // Constant conjuncts stay in the residual.
 func ExtractEquiKeys(pred tmql.Expr, lvar, rvar string) (lkeys, rkeys []tmql.Expr, residual tmql.Expr) {
 	var rest []tmql.Expr
-	for _, c := range SplitConjuncts(pred) {
+	for _, c := range tmql.SplitAnd(pred) {
 		l, r, ok := equiKey(c, lvar, rvar)
 		if !ok {
 			rest = append(rest, c)
@@ -316,7 +323,7 @@ func ExtractEquiKeys(pred tmql.Expr, lvar, rvar string) (lkeys, rkeys []tmql.Exp
 			lkeys, rkeys = append(lkeys, l), append(rkeys, r)
 		}
 	}
-	return lkeys, rkeys, JoinConjuncts(rest)
+	return lkeys, rkeys, tmql.JoinAnd(rest)
 }
 
 // samePath reports whether a and b are the same variable or the same field
@@ -359,16 +366,4 @@ func onlyVar(free map[string]bool, v string) bool {
 		}
 	}
 	return true
-}
-
-// SplitConjuncts flattens a right- or left-nested AND tree into its
-// conjuncts; a nil predicate yields nil. (Delegates to the shared tmql
-// helper; kept for the planner's public surface.)
-func SplitConjuncts(pred tmql.Expr) []tmql.Expr {
-	return tmql.SplitAnd(pred)
-}
-
-// JoinConjuncts rebuilds a conjunction from parts (nil for none).
-func JoinConjuncts(parts []tmql.Expr) tmql.Expr {
-	return tmql.JoinAnd(parts)
 }

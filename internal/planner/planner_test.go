@@ -7,6 +7,7 @@ import (
 	"tmdb/internal/algebra"
 	"tmdb/internal/datagen"
 	"tmdb/internal/exec"
+	"tmdb/internal/stats"
 	"tmdb/internal/tmql"
 	"tmdb/internal/value"
 )
@@ -76,19 +77,19 @@ func TestExtractEquiKeysDropsRepeatedPairs(t *testing.T) {
 }
 
 func TestSplitJoinConjuncts(t *testing.T) {
-	parts := SplitConjuncts(tmql.MustParse("a = 1 AND b = 2 AND c = 3"))
+	parts := tmql.SplitAnd(tmql.MustParse("a = 1 AND b = 2 AND c = 3"))
 	if len(parts) != 3 {
-		t.Errorf("SplitConjuncts: %d parts", len(parts))
+		t.Errorf("SplitAnd: %d parts", len(parts))
 	}
-	if SplitConjuncts(nil) != nil {
-		t.Error("SplitConjuncts(nil) should be nil")
+	if tmql.SplitAnd(nil) != nil {
+		t.Error("SplitAnd(nil) should be nil")
 	}
-	if JoinConjuncts(nil) != nil {
-		t.Error("JoinConjuncts(nil) should be nil")
+	if tmql.JoinAnd(nil) != nil {
+		t.Error("JoinAnd(nil) should be nil")
 	}
-	back := JoinConjuncts(parts)
+	back := tmql.JoinAnd(parts)
 	if got := tmql.Format(back); got != "a = 1 AND b = 2 AND c = 3" {
-		t.Errorf("JoinConjuncts = %q", got)
+		t.Errorf("JoinAnd = %q", got)
 	}
 }
 
@@ -103,7 +104,7 @@ func compileNJ(t *testing.T, impl JoinImpl, pred string) exec.BatchIterator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, _, err := New(exec.NewCtx(db), PhysicalSpec{Joins: impl}).Compile(nj)
+	tree, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Joins: impl}, nj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestHashRequestedWithoutKeysFails(t *testing.T) {
 	y, _ := b.Scan("Y")
 	nj, _ := b.NestJoin(x, y, "x", "y", tmql.MustParse("x.b < y.b"), nil, "zs")
 	ctx := exec.NewCtx(nil)
-	if _, _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(nj); err == nil {
+	if _, _, err := compilePlan(ctx, PhysicalSpec{Joins: ImplHash}, nj); err == nil {
 		t.Error("hash without keys should fail")
 	}
 	j, _ := b.Join(algebra.JoinSemi, x, y, "x", "y", tmql.MustParse("x.b < y.b"))
-	if _, _, err := New(ctx, PhysicalSpec{Joins: ImplHash}).Compile(j); err == nil {
+	if _, _, err := compilePlan(ctx, PhysicalSpec{Joins: ImplHash}, j); err == nil {
 		t.Error("hash join without keys should fail")
 	}
 }
@@ -168,7 +169,7 @@ func TestCompileFullPipeline(t *testing.T) {
 	sel, _ := b.Select(nj, "x", tmql.MustParse("x.a SUBSETEQ x.zs"))
 	proj, _ := b.Project(sel, "x", "a", "b")
 	ctx := exec.NewCtx(db)
-	tree, _, err := New(ctx, PhysicalSpec{}).Compile(proj)
+	tree, _, err := compilePlan(ctx, PhysicalSpec{}, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	x2, _ := b.Scan("X")
 	u, _ := b.SetOp(algebra.SetIntersect, x1, x2)
 	ctx := exec.NewCtx(db)
-	tree, _, err := New(ctx, PhysicalSpec{}).Compile(u)
+	tree, _, err := compilePlan(ctx, PhysicalSpec{}, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestSetOpAndUnnestCompile(t *testing.T) {
 	}
 
 	un, _ := b.Unnest(x1, "a")
-	tree2, _, err := New(ctx, PhysicalSpec{}).Compile(un)
+	tree2, _, err := compilePlan(ctx, PhysicalSpec{}, un)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,4 +233,15 @@ func TestJoinImplString(t *testing.T) {
 			t.Errorf("%d.String() = %s", ji, ji.String())
 		}
 	}
+}
+
+// compilePlan resolves p under spec against the live indexes of ctx's
+// database and compiles the tree.
+func compilePlan(ctx *exec.Ctx, spec PhysicalSpec, p algebra.Plan) (exec.BatchIterator, bool, error) {
+	return Compile(ctx, NewEstimatorStats(stats.New(ctx.DB)).Resolve(p, spec))
+}
+
+// implInfeasible is why the join family impl cannot run p ("" when it can).
+func implInfeasible(p algebra.Plan, impl JoinImpl) string {
+	return resolveTree(p, PhysicalSpec{Joins: impl}, noIndexes).Infeasible
 }

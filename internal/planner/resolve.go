@@ -11,65 +11,182 @@ import (
 	"tmdb/internal/value"
 )
 
-// Operator resolution: which exec operator a plan node becomes under a
-// PhysicalSpec. resolve is the only place that decision is made — the cost
-// model, ImplInfeasible, HasIndexProbe/HasIndexScan, the
-// EXPLAIN renderer and the compile walk all read its answer, and
-// enginetest's TestExplainMatchesCompiledTree checks the last two against
-// each other over the conformance matrix.
+// Physical resolution: which exec operator each node of a plan becomes
+// under a PhysicalSpec. Resolve makes that decision once per plan and spec
+// and records it as a Tree, and every reader reads the tree: Choose its
+// feasibility and whether an index serves it, Estimate and Explain its
+// costs, one pass each, and Compile the operators it builds. The engine's
+// plan cache keeps the winning candidate's tree, so an execution served
+// from the cache resolves nothing.
 
-// physOp is resolve's answer for one node.
+// Tree is a plan resolved under a PhysicalSpec: each node holds the
+// operator it resolved to, the source its scan chain reads, its expressions
+// rewritten for the wrap bindings it runs under, and its resolved inputs. A
+// tree is never written after Resolve returns it, so one tree may be
+// compiled and costed from many goroutines at once. It names the persistent
+// indexes it reads but holds none: Compile fetches each live index by name.
+type Tree struct {
+	Spec PhysicalSpec
+	// Infeasible is why Spec cannot run the plan ("" when it can): the hash
+	// and sort-merge families need an equi-key, and the first join, in
+	// preorder, without one names the reason.
+	Infeasible string
+	root       *node
+	// joins and nestJoins report whether the plan has join-family nodes and
+	// nest joins, probes whether some join probes a persistent index, and
+	// scans whether some selection is served by one.
+	joins, nestJoins, probes, scans bool
+}
+
+// node is one operator of a resolved tree.
+type node struct {
+	plan algebra.Plan
+	// physOp is plan resolved on its own, whatever runs above it: what the
+	// cost model reads. A scan, which resolves to nothing, holds the source
+	// it reads in rng and index instead: what the selections above it
+	// narrowed it to (inputSource).
+	physOp
+	// pred is a selection's filter predicate: its own, or the residual of
+	// the index lookup that serves it, read through the wrap binding above.
+	pred tmql.Expr
+	// beneath marks a selection beneath an index lookup, a plain filter over
+	// the looked-up rows; absorbed a wrapper Map whose join binds its
+	// content, which has no operator of its own; dedup a Map that
+	// deduplicates its rows (needsDistinct), or whose fused join's rows an
+	// identity map deduplicates.
+	beneath, absorbed, dedup bool
+	// in are the resolved inputs: a fused join's operands, every other
+	// node's children; nil past the last.
+	in [2]*node
+}
+
+// physOp is resolve's answer for one node: the source a selection narrows
+// the scan beneath it to on its own — the index lookup FindIndexScan
+// matched (index), whose filter then checks only the match's residual, or
+// else the range of leadingRange (rng) — and the join a join-family node, or
+// a Map fused with the join beneath it, runs as.
 type physOp struct {
-	// family is the join family a Join/NestJoin (or a groupjoin's nest
-	// join) runs as — ImplNestedLoop, ImplHash, ImplMerge or ImplIndex,
-	// never ImplAuto — and ImplAuto (zero) for every other node.
-	family JoinImpl
-	// lk, rk and residual split a join-family predicate into equi-key pairs
-	// and the rest (ExtractEquiKeys).
-	lk, rk   []tmql.Expr
-	residual tmql.Expr
-	// probe is the persistent index an ImplIndex operator probes.
-	probe IndexProbe
-	// src is the source a Select narrows the scan beneath it to: the index
-	// lookup FindIndexScan matched, whose filter then checks only the
-	// match's residual, or else the range of leadingRange.
-	src source
-	// ix is the live index an ImplIndex operator or an index-served Select
-	// reads, fetched by the compile-time resolver; nil when costing.
-	ix *storage.HashIndex
-	// infeasible is why the spec cannot run this node ("" when it can): the
-	// hash and sort-merge families need an equi-key.
-	infeasible string
-	// fused marks a Map resolved as the join beneath it, run as one
-	// exec.Join: the groupjoin, a nest join with the selection between them
-	// as its test, or a projection fusion, a Join or NestJoin emitting out,
-	// the map's output over the join's two rows (projection).
+	rng   *storage.KeyRange
+	index *IndexScanMatch
+	join  *joinOp
+}
+
+// joinOp is how a join-family node runs.
+type joinOp struct {
+	// family is ImplNestedLoop, ImplHash, ImplMerge or ImplIndex, never
+	// ImplAuto. infeasible marks a join the spec cannot run: the hash and
+	// sort-merge families need an equi-key.
+	family     JoinImpl
+	infeasible bool
+	// lk and rk are the equi-key pairs of the join predicate
+	// (ExtractEquiKeys), as the plan writes them.
+	lk, rk []tmql.Expr
+	// probe is the persistent index an ImplIndex join probes.
+	probe *IndexProbe
+	// fused is the join a Map resolved as, run as one exec.Join: the
+	// groupjoin, a nest join with the selection between them as its test,
+	// or a projection fusion, a Join or NestJoin emitting out, the map's
+	// output over the join's two rows (projection).
 	fused     algebra.Plan
 	test, out tmql.Expr
 	// wrap[i] is the label of the wrapper Map the join's i-th operand chains
 	// down to through selections when the join's variable binds the wrapped
 	// row itself: every expression reads v.wrap as v, and the wrap is never
-	// built (bindWraps). "" binds the operand's own rows.
+	// built (bind). "" binds the operand's own rows.
 	wrap [2]string
+	// keys, cond, fn and proj are what the exec.Join evaluates, each read
+	// through the wrap bindings: its key lists (the index's probe keys in
+	// attribute order under ImplIndex, none under nested loops), what the
+	// bucket does not decide (the whole predicate under nested loops), the
+	// nest join's function and the fused projection's output.
+	keys           [2][]tmql.Expr
+	cond, fn, proj tmql.Expr
 }
 
-// noIndexes is the index oracle of a context with no registry.
+// noIndexes is the index oracle that lists no index: Compile resolves a plan
+// against it once an index the plan's tree names is gone.
 func noIndexes(string) [][]string { return nil }
 
-// resolve answers for node n under spec. indexesOf enumerates a table's live
-// indexes as ordered attribute lists: the storage registry at compile time,
-// the statistics catalog at costing time.
+// Resolve resolves plan p under spec against the live indexes of the
+// estimator's catalog.
+func (e *Estimator) Resolve(p algebra.Plan, spec PhysicalSpec) *Tree {
+	return resolveTree(p, spec, e.stats.Indexes)
+}
+
+// resolveTree resolves p under spec; indexesOf enumerates a table's live
+// indexes as ordered attribute lists.
+func resolveTree(p algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][]string) *Tree {
+	t := &Tree{Spec: spec}
+	t.root = t.resolve(p, source{}, indexesOf)
+	return t
+}
+
+// Plan returns the plan t resolves.
+func (t *Tree) Plan() algebra.Plan { return t.root.plan }
+
+// resolve resolves plan node p, reading src, and the inputs of the operator
+// it becomes.
+func (t *Tree) resolve(p algebra.Plan, src source, indexesOf func(string) [][]string) *node {
+	n := &node{plan: p, physOp: resolve(p, t.Spec, indexesOf)}
+	if j := n.join; j != nil {
+		if j.infeasible && t.Infeasible == "" {
+			// A Map fuses only a feasible join, so p is the join.
+			_, _, pred, _ := joinParts(p)
+			t.Infeasible = "no equi-key in " + tmql.Format(pred)
+		}
+		_, nest := p.(*algebra.NestJoin)
+		_, fusedNest := j.fused.(*algebra.NestJoin)
+		t.joins, t.nestJoins = true, t.nestJoins || nest || fusedNest
+		t.probes = t.probes || j.family == ImplIndex
+	}
+	t.scans = t.scans || n.index != nil
+	var in [2]algebra.Plan
+	switch p := p.(type) {
+	case *algebra.Scan:
+		n.rng, n.index = src.rng, src.index
+	case *algebra.Select:
+		in[0] = p.In
+		n.beneath = src.index != nil
+		pred := p.Pred
+		if n.served() {
+			pred = n.index.Residual
+		}
+		n.pred = unwrap(pred, [2]string{p.Var}, [2]string{src.wrap})
+	case *algebra.Map:
+		in[0] = p.In
+		n.absorbed, n.dedup = src.wrap != "", needsDistinct(p)
+		if j := n.join; j != nil {
+			in, _, _, _ = joinParts(j.fused)
+			if j.test != nil {
+				n.dedup = !duplicateFree(in[0])
+			}
+		}
+	case *algebra.Join, *algebra.NestJoin:
+		in, _, _, _ = joinParts(p)
+	default:
+		copy(in[:], p.Children())
+	}
+	for i, ch := range in {
+		if ch != nil {
+			n.in[i] = t.resolve(ch, n.inputSource(src, i), indexesOf)
+		}
+	}
+	return n
+}
+
+// resolve answers for node n under spec, against the indexes indexesOf
+// lists per table.
 func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][]string) physOp {
 	switch n := n.(type) {
 	case *algebra.Select:
 		if spec.Access == AccessIndex {
 			if m, ok := FindIndexScan(n, indexesOf); ok {
-				return physOp{src: source{index: m}}
+				return physOp{index: &m}
 			}
 			// No usable index on this selection: scan fallback.
 		}
-		if r, ok := leadingRange(n); ok {
-			return physOp{src: source{rng: r}}
+		if r, ok := leadingRange(n); ok && r.Bounded() {
+			return physOp{rng: &r}
 		}
 	case *algebra.Map:
 		j, test := groupjoin(n)
@@ -78,14 +195,13 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 			j, out = projection(n)
 		}
 		if j != nil {
-			if op := resolve(j, spec, indexesOf); op.infeasible == "" {
-				op.fused, op.test, op.out = j, test, out
-				op.bindWraps(j)
-				return op
+			if op := resolveJoin(j, spec, indexesOf, test, out); !op.infeasible {
+				op.fused = j
+				return physOp{join: op}
 			}
 		}
 	case *algebra.Join, *algebra.NestJoin:
-		return resolveJoin(n, spec, indexesOf)
+		return physOp{join: resolveJoin(n, spec, indexesOf, nil, nil)}
 	}
 	return physOp{}
 }
@@ -207,7 +323,39 @@ func projection(m *algebra.Map) (algebra.Plan, tmql.Expr) {
 	})
 }
 
-// bindWraps decides the wrap bindings of join-family node n resolved as op.
+// resolveJoin resolves join-family node n, run with a fused map's test or
+// output when they are set, and binds its expressions (bind).
+func resolveJoin(n algebra.Plan, spec PhysicalSpec, indexesOf func(string) [][]string, test, out tmql.Expr) *joinOp {
+	in, vars, pred, fn := joinParts(n)
+	op := &joinOp{test: test, out: out}
+	var residual tmql.Expr
+	op.lk, op.rk, residual = ExtractEquiKeys(pred, vars[0], vars[1])
+	impl := spec.Joins
+	if impl == ImplIndex {
+		if pr, ok := FindIndexProbe(in[1], vars[1], op.rk, indexesOf); ok {
+			op.family, op.probe = ImplIndex, &pr
+			op.bind(n, residual)
+			return op
+		}
+		impl = ImplAuto // no usable index on this operator: the auto mapping
+	}
+	switch {
+	case len(op.lk) == 0:
+		// Costed and rendered as the nested loop it would have to be;
+		// Compile refuses an infeasible tree.
+		op.family, op.infeasible = ImplNestedLoop, needsEquiKey(impl)
+	case impl == ImplAuto, impl == ImplMerge && fn == nil:
+		op.family = ImplHash // flat joins have no merge variant
+	default:
+		op.family = impl
+	}
+	op.bind(n, residual)
+	return op
+}
+
+// bind decides the wrap bindings of join-family node n resolved as op, with
+// residual the part of its predicate no equi-key pair holds, and rewrites the
+// expressions the exec.Join evaluates to read through them.
 // Operand i binds its wrapped row when it chains down to a wrapper Map
 // through selections reading their row only through the wrap's label, every
 // expression of the join reads its variable only so, and the join does not
@@ -215,18 +363,34 @@ func projection(m *algebra.Map) (algebra.Plan, tmql.Expr) {
 // a fused projection computes the output, the right operand's by an inner
 // join without one and by the outer join, whose pad is the wrapped right
 // row. (An index join's right operand is a bare scan, which binds no wrap.)
-func (op *physOp) bindWraps(n algebra.Plan) {
+func (op *joinOp) bind(n algebra.Plan, residual tmql.Expr) {
 	in, vars, pred, fn := joinParts(n)
 	binds := [2]bool{op.out != nil, true}
 	if j, ok := n.(*algebra.Join); ok {
 		binds[1] = j.Kind != algebra.JoinLeftOuter && (j.Kind != algebra.JoinInner || op.out != nil)
 	}
 	for i, p := range in {
-		op.wrap[i] = ""
 		if w := wrapBinding(p); binds[i] && w != "" && readsThrough(vars[i], w, false, pred, fn, op.out) {
 			op.wrap[i] = w
 		}
 	}
+	keys, cond := [2][]tmql.Expr{op.lk, op.rk}, residual
+	switch op.family {
+	case ImplIndex:
+		keys, cond = [2][]tmql.Expr{probeLKeys(op.lk, *op.probe)}, indexResidual(op.lk, op.rk, *op.probe, residual)
+	case ImplNestedLoop:
+		keys, cond = [2][]tmql.Expr{}, pred
+	}
+	for i, ks := range keys {
+		op.keys[i] = ks
+		if op.wrap != [2]string{} && ks != nil {
+			op.keys[i] = make([]tmql.Expr, len(ks))
+			for k, e := range ks {
+				op.keys[i][k] = unwrap(e, vars, op.wrap)
+			}
+		}
+	}
+	op.cond, op.fn, op.proj = unwrap(cond, vars, op.wrap), unwrap(fn, vars, op.wrap), unwrap(op.out, vars, op.wrap)
 }
 
 // wrapBinding returns the label of the wrapper Map p chains down to through
@@ -289,104 +453,98 @@ func unwrap(e tmql.Expr, v, w [2]string) tmql.Expr {
 // extractable equi-key.
 func needsEquiKey(impl JoinImpl) bool { return impl == ImplHash || impl == ImplMerge }
 
-// resolveJoin resolves join-family node n, its wrap bindings included.
-func resolveJoin(n algebra.Plan, spec PhysicalSpec, indexesOf func(string) [][]string) physOp {
-	in, vars, pred, fn := joinParts(n)
-	var op physOp
-	op.lk, op.rk, op.residual = ExtractEquiKeys(pred, vars[0], vars[1])
-	impl := spec.Joins
-	if impl == ImplIndex {
-		if pr, ok := FindIndexProbe(in[1], vars[1], op.rk, indexesOf); ok {
-			op.family, op.probe = ImplIndex, pr
-			op.bindWraps(n)
-			return op
+// served reports whether n is a selection its own index lookup serves: one
+// not beneath another's lookup, whose filter checks only the residual.
+func (n *node) served() bool { return n.index != nil && !n.beneath }
+
+// inputSource returns the source of the scan beneath n's i-th input, given
+// src, the one the nodes above n narrowed it to: an index-served selection
+// hands its lookup down, any other selection intersects the range with its
+// own (a selection below an index source keeps it), and a wrapper Map passes
+// it on — the nodes chainScan sees through — keeping the wrap binding only up
+// to itself. A join, fused or not, hands each operand its wrap binding, and
+// every other node reads its inputs whole.
+func (n *node) inputSource(src source, i int) source {
+	switch p := n.plan.(type) {
+	case *algebra.Select:
+		switch {
+		case src.index != nil:
+			return src
+		case n.index != nil:
+			return source{index: n.index, wrap: src.wrap}
 		}
-		impl = ImplAuto // no usable index on this operator: the auto mapping
-	}
-	switch {
-	case len(op.lk) == 0:
-		// Costed and rendered as the nested loop it would have to be;
-		// callers that execute check infeasible first.
-		op.family = ImplNestedLoop
-		if needsEquiKey(impl) {
-			op.infeasible = "no equi-key in " + tmql.Format(pred)
+		return source{rng: intersect(src.rng, n.rng), wrap: src.wrap}
+	case *algebra.Map:
+		if n.join == nil && algebra.WrapperLabel(p) != "" {
+			src.wrap = ""
+			return src
 		}
-	case impl == ImplAuto, impl == ImplMerge && fn == nil:
-		op.family = ImplHash // flat joins have no merge variant
-	default:
-		op.family = impl
 	}
-	op.bindWraps(n)
-	return op
+	if j := n.join; j != nil {
+		return source{wrap: j.wrap[i]}
+	}
+	return source{}
 }
 
-// describe names the resolved operator as EXPLAIN prints it: a join prefixed
-// with its method (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d), …), an
-// index-served selection with the predicate its filter still checks, and a
-// scan with the source the selections above it narrowed it to, src. Nodes
-// with a single physical form keep their logical description.
-func (op physOp) describe(n algebra.Plan, src source) string {
-	desc := n.Describe()
-	if op.fused != nil {
+// describe names n's operator as EXPLAIN prints it: a join prefixed with its
+// method (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d), …), an index-served
+// selection with the predicate its filter still checks, and a scan with the
+// source the selections above it narrowed it to. Nodes with a single
+// physical form keep their logical description.
+func (n *node) describe() string {
+	desc := n.plan.Describe()
+	j := n.join
+	if j != nil && j.fused != nil {
 		// The fused join: a groupjoin with its test after a bar,
 		// HashNestJoin[x.b = y.b; y.a; nj_2 | x.a SUBSETEQ nj_2](x, y), a
 		// projection with its output after an arrow,
 		// HashJoin[j1.x.b = j2.y.d → j1.x.b](j1, j2).
-		desc = op.fused.Describe()
+		desc = j.fused.Describe()
 		i := strings.LastIndex(desc, "](")
-		sep, e := " | ", op.test
-		if op.out != nil {
-			sep, e = " → ", op.out
+		sep, e := " | ", j.test
+		if j.out != nil {
+			sep, e = " → ", j.out
 		}
 		desc = desc[:i] + sep + tmql.Format(e) + desc[i:]
 	}
-	switch n := n.(type) {
+	switch p := n.plan.(type) {
 	case *algebra.Scan:
-		return desc + src.describe(n)
+		return desc + n.describeSource(p)
 	case *algebra.Select:
-		if r := op.src.index.Residual; op.src.indexed() {
+		if n.served() {
+			r := n.index.Residual
 			if r == nil {
 				r = &tmql.Lit{V: value.Bool(true)} // the index covers the whole predicate
 			}
-			return fmt.Sprintf("Select[%s](%s)", tmql.Format(r), n.Var)
+			return fmt.Sprintf("Select[%s](%s)", tmql.Format(r), p.Var)
 		}
 	}
-	switch op.family {
-	case ImplIndex:
-		desc = fmt.Sprintf("Idx%s using %s(%s)", desc, op.probe.Table, op.probe.Name())
-	case ImplNestedLoop:
-		desc = "NL" + desc
-	case ImplMerge:
-		desc = "Merge" + desc
-	case ImplHash:
-		desc = "Hash" + desc
+	switch {
+	case j == nil:
+		return desc
+	case j.family == ImplIndex:
+		return fmt.Sprintf("Idx%s using %s(%s)", desc, j.probe.Table, j.probe.Name())
 	}
-	return desc
+	return [...]string{ImplNestedLoop: "NL", ImplHash: "Hash", ImplMerge: "Merge"}[j.family] + desc
 }
 
 // source is what the selections above a scan narrowed it to, passed down
-// through selections and wrapper maps by the compile walk and the Explain
-// walk alike: a leading-label range, or an index lookup (index.Depth > 0,
-// read through ix at compile time). wrap is the label of the wrapper Map a
-// join operand binds through (physOp.wrap), passed down the same
-// selections to the wrap, which absorbs it.
+// through selections and wrapper maps: a leading-label range, or an index
+// lookup, or neither, the whole table. wrap is the label of the wrapper Map a
+// join operand binds through (joinOp.wrap), passed down the same selections
+// to the wrap, which absorbs it.
 type source struct {
-	rng   storage.KeyRange
-	index IndexScanMatch
-	ix    *storage.HashIndex
+	rng   *storage.KeyRange
+	index *IndexScanMatch
 	wrap  string
 }
 
-// indexed reports whether the source is an index lookup.
-func (s source) indexed() bool { return s.index.Depth > 0 }
-
-// describe is the scan line's suffix naming the source: a∈[2, 4) for a
-// range, using X(b) with prefix=N and points=N where they apply for an
-// index lookup, nothing for the whole table.
-func (s source) describe(scan *algebra.Scan) string {
-	m := s.index
-	switch {
-	case s.indexed():
+// describeSource is a scan line's suffix naming the source op holds: a∈[2,
+// 4) for a range, using X(b) with prefix=N and points=N where they apply for
+// an index lookup, nothing for the whole table.
+func (op physOp) describeSource(scan *algebra.Scan) string {
+	switch m := op.index; {
+	case m != nil:
 		desc := fmt.Sprintf(" using %s(%s)", m.Table, m.Name())
 		if m.Depth < len(m.IndexAttrs) {
 			desc += fmt.Sprintf(" prefix=%d", m.Depth)
@@ -395,181 +553,8 @@ func (s source) describe(scan *algebra.Scan) string {
 			desc += fmt.Sprintf(" points=%d", len(m.Points))
 		}
 		return desc
-	case s.rng.Bounded():
-		return fmt.Sprintf(" %s∈%s", scan.Elem().Fields[0].Label, s.rng)
+	case op.rng != nil:
+		return fmt.Sprintf(" %s∈%s", scan.Elem().Fields[0].Label, op.rng)
 	}
 	return ""
-}
-
-// beneath returns op as node n runs beneath src: below an index source a
-// selection is a plain filter over the looked-up rows, as every other node
-// is what it resolved to.
-func (op physOp) beneath(n algebra.Plan, src source) physOp {
-	if _, ok := n.(*algebra.Select); ok && src.indexed() {
-		return physOp{}
-	}
-	return op
-}
-
-// inputSource returns the source of the scan beneath n's i-th input,
-// given src, the one the nodes above n narrowed it to: an index-served
-// selection hands its lookup down, any other selection intersects src's
-// range with its own (a selection below an index source keeps it), and a
-// wrapper Map passes src on — the nodes chainScan sees through — keeping the
-// wrap binding only up to itself. A join, fused or not, hands each operand
-// its wrap binding, and every other node reads its inputs whole. Compile and
-// Explain both descend by it.
-func (op physOp) inputSource(n algebra.Plan, src source, i int) source {
-	switch n := n.(type) {
-	case *algebra.Select:
-		switch {
-		case src.indexed():
-			return src
-		case op.src.indexed():
-			return source{index: op.src.index, ix: op.ix, wrap: src.wrap}
-		}
-		return source{rng: intersect(src.rng, op.src.rng), wrap: src.wrap}
-	case *algebra.Map:
-		if op.fused == nil && algebra.WrapperLabel(n) != "" {
-			src.wrap = ""
-			return src
-		}
-	}
-	return source{wrap: op.wrap[i]}
-}
-
-// inputs are the plan nodes the resolved operator reads: a fused join reads
-// its join's operands, every other operator its node's children.
-func (op physOp) inputs(n algebra.Plan) []algebra.Plan {
-	if op.fused != nil {
-		return op.fused.Children()
-	}
-	return n.Children()
-}
-
-// resolve is the costing-side resolver, against the statistics catalog's
-// index view.
-func (e *Estimator) resolve(n algebra.Plan, spec PhysicalSpec) physOp {
-	return resolve(n, spec, e.stats.Indexes)
-}
-
-// resolve is the compile-time resolver, against the live index registry of
-// the execution context. For an index-served node it also fetches the
-// *HashIndex snapshot the operator will read (op.ix): resolving at compile
-// time (rather than Open) pins the query to the index state it was compiled
-// against — buckets are copy-on-write, so the snapshot stays probeable even
-// if the registry entry is dropped mid-query — and a miss (the index vanished
-// between the match and the fetch) re-resolves without indexes, so concurrent
-// CreateIndex/DropIndex churn never fails a query.
-func (p *Planner) resolve(n algebra.Plan) physOp {
-	op := resolve(n, p.spec, p.liveIndexes)
-	var table string
-	var attrs []string
-	switch {
-	case op.src.indexed():
-		table, attrs = op.src.index.Table, op.src.index.IndexAttrs
-	case op.family == ImplIndex:
-		table, attrs = op.probe.Table, op.probe.IndexAttrs
-	default:
-		return op
-	}
-	if t, ok := p.table(table); ok {
-		if op.ix, ok = t.IndexOn(attrs); ok {
-			return op
-		}
-	}
-	return resolve(n, p.spec, noIndexes)
-}
-
-// table looks a table up in the planner's execution context, if it has one.
-func (p *Planner) table(name string) (*storage.Table, bool) {
-	if p.ctx == nil || p.ctx.DB == nil {
-		return nil, false
-	}
-	return p.ctx.DB.Table(name)
-}
-
-// liveIndexes is the compile-time index oracle: the live indexes of a table
-// in the planner's execution context.
-func (p *Planner) liveIndexes(table string) [][]string {
-	t, ok := p.table(table)
-	if !ok {
-		return nil
-	}
-	return t.Indexes()
-}
-
-// firstOp returns the first node of the plan, in preorder, that resolves
-// under spec to an operator satisfying pred.
-func firstOp(p algebra.Plan, spec PhysicalSpec, indexesOf func(string) [][]string, pred func(physOp) bool) (physOp, bool) {
-	if op := resolve(p, spec, indexesOf); pred(op) {
-		return op, true
-	}
-	for _, ch := range p.Children() {
-		if op, ok := firstOp(ch, spec, indexesOf, pred); ok {
-			return op, true
-		}
-	}
-	return physOp{}, false
-}
-
-// HasIndexProbe reports whether any join-family operator in the plan can be
-// served by a live persistent index — the condition under which Choose adds
-// the idxjoin family to the candidate enumeration.
-func (e *Estimator) HasIndexProbe(p algebra.Plan) bool {
-	_, ok := firstOp(p, PhysicalSpec{Joins: ImplIndex}, e.stats.Indexes,
-		func(op physOp) bool { return op.family == ImplIndex })
-	return ok
-}
-
-// HasIndexScan reports whether any selection in the plan can be served by a
-// live persistent index — the condition under which Choose adds the idxscan
-// access path to the candidate enumeration.
-func (e *Estimator) HasIndexScan(p algebra.Plan) bool {
-	_, ok := firstOp(p, PhysicalSpec{Access: AccessIndex}, e.stats.Indexes,
-		func(op physOp) bool { return op.src.indexed() })
-	return ok
-}
-
-// ImplInfeasible reports why a plan cannot run under the given join
-// implementation ("" when it can): the hash and sort-merge families require
-// an extractable equi-key on every join-family operator. The idxjoin family
-// is always feasible — an operator without a usable index falls back to the
-// auto mapping.
-func ImplInfeasible(p algebra.Plan, impl JoinImpl) string {
-	if !needsEquiKey(impl) {
-		return ""
-	}
-	op, _ := firstOp(p, PhysicalSpec{Joins: impl}, noIndexes,
-		func(op physOp) bool { return op.infeasible != "" })
-	return op.infeasible
-}
-
-// contains reports whether some node of the plan, the root included, is one
-// of the given operator kinds — a Join or NestJoin anywhere means the
-// join-implementation choice can affect execution, a NestJoin anywhere that
-// sort-merge can.
-func contains(p algebra.Plan, kinds func(algebra.Plan) bool) bool {
-	if kinds(p) {
-		return true
-	}
-	for _, ch := range p.Children() {
-		if contains(ch, kinds) {
-			return true
-		}
-	}
-	return false
-}
-
-func isJoinFamily(p algebra.Plan) bool {
-	switch p.(type) {
-	case *algebra.Join, *algebra.NestJoin:
-		return true
-	}
-	return false
-}
-
-func isNestJoin(p algebra.Plan) bool {
-	_, ok := p.(*algebra.NestJoin)
-	return ok
 }

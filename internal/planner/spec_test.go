@@ -264,7 +264,7 @@ func TestEstimate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := envs[tc.env]
-			a, b := env.est.Estimate(env.plans[tc.plan], tc.a), env.est.Estimate(env.plans[tc.plan], tc.b)
+			a, b := env.est.Estimate(env.est.Resolve(env.plans[tc.plan], tc.a)), env.est.Estimate(env.est.Resolve(env.plans[tc.plan], tc.b))
 			if a.Rows != b.Rows {
 				t.Errorf("the physical spec must not change cardinality estimates: %v vs %v", a, b)
 			}
@@ -277,12 +277,12 @@ func TestEstimate(t *testing.T) {
 	// Multi-point scans cost one probe per point.
 	acc := envs["access"]
 	idx := PhysicalSpec{Access: AccessIndex}
-	if three, one := acc.est.Estimate(acc.plans["sel-xb-in3"], idx), acc.est.Estimate(acc.plans["sel-xb-one"], idx); three.Work != 3*one.Work {
+	if three, one := acc.est.Estimate(acc.est.Resolve(acc.plans["sel-xb-in3"], idx)), acc.est.Estimate(acc.est.Resolve(acc.plans["sel-xb-one"], idx)); three.Work != 3*one.Work {
 		t.Errorf("3-point probe work %v, want 3× single-point %v", three.Work, one.Work)
 	}
 	// Naive evaluation: a correlated nested query reflects the |X|·|Y| blowup.
 	plain := envs["plain"]
-	cs, cn := plain.est.Estimate(plain.plans["naive-scan"], PhysicalSpec{}), plain.est.Estimate(plain.plans["naive-in"], PhysicalSpec{})
+	cs, cn := plain.est.Estimate(plain.est.Resolve(plain.plans["naive-scan"], PhysicalSpec{})), plain.est.Estimate(plain.est.Resolve(plain.plans["naive-in"], PhysicalSpec{}))
 	if cs.Work >= cn.Work || cn.Work < 100*400 {
 		t.Errorf("correlated nested query must cost more: flat=%v nested=%v", cs, cn)
 	}
@@ -309,7 +309,7 @@ func TestExplain(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := envs[tc.env]
-			out := env.est.Explain(env.plans[tc.plan], tc.spec)
+			out := env.est.Explain(env.est.Resolve(env.plans[tc.plan], tc.spec))
 			for _, w := range tc.want {
 				if !strings.Contains(out, w) {
 					t.Errorf("missing %q:\n%s", w, out)
@@ -353,13 +353,13 @@ func TestCandidateString(t *testing.T) {
 func TestImplInfeasible(t *testing.T) {
 	plain := specEnvs(t)["plain"]
 	theta, equi := plain.plans["theta-xz"], plain.plans["nest-xy"]
-	if r := ImplInfeasible(theta, ImplHash); !strings.Contains(r, "no equi-key") {
-		t.Errorf("ImplInfeasible(theta, hash) = %q", r)
+	if r := implInfeasible(theta, ImplHash); !strings.Contains(r, "no equi-key") {
+		t.Errorf("implInfeasible(theta, hash) = %q", r)
 	}
-	if r := ImplInfeasible(theta, ImplNestedLoop); r != "" {
+	if r := implInfeasible(theta, ImplNestedLoop); r != "" {
 		t.Errorf("nested loop always feasible, got %q", r)
 	}
-	if r := ImplInfeasible(equi, ImplMerge); r != "" {
+	if r := implInfeasible(equi, ImplMerge); r != "" {
 		t.Errorf("equi plan feasible under merge, got %q", r)
 	}
 }

@@ -215,8 +215,8 @@ func (c *Catalog) evict(name string) {
 }
 
 // Indexes enumerates the persistent indexes of a table as ordered attribute
-// lists — the costing-side oracle behind the planner's index-probe and
-// index-scan matchers. Nil without storage backing.
+// lists — the one oracle the planner resolves index probes and index scans
+// against. Nil without storage backing.
 func (c *Catalog) Indexes(table string) [][]string {
 	if c.db == nil {
 		return nil

@@ -38,6 +38,7 @@ package storage
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -62,8 +63,10 @@ type Table struct {
 	// indexes maps a canonical index name (IndexName of the ordered attribute
 	// list; a bare attribute for single-attribute indexes) to its persistent
 	// hash index, rebuilt by Load and maintained incrementally by the other
-	// mutations.
-	indexes map[string]*HashIndex
+	// mutations. indexList is their attribute lists sorted by name, rebuilt
+	// whenever an index is created or dropped (listIndexesLocked).
+	indexes   map[string]*HashIndex
+	indexList [][]string
 }
 
 // snapshot is one immutable state of a table: its rows, the memo that
@@ -387,14 +390,16 @@ func (t *Table) CreateIndex(attrs ...string) error {
 		return nil
 	}
 	t.indexes[name] = t.buildIndexLocked(attrs)
+	t.listIndexesLocked()
 	return nil
 }
 
 // DropIndex unregisters the index on the given ordered attribute list,
 // reporting whether it existed. The data is unchanged, so the epoch does not
-// advance. An in-flight query that already resolved the *HashIndex keeps
+// advance. An in-flight query that already fetched the *HashIndex keeps
 // probing its snapshot — buckets are copy-on-write — while subsequent IndexOn
-// lookups miss, so the planner compiles later queries without it.
+// lookups miss, so a plan that names the index resolves again without it
+// when it is next compiled.
 func (t *Table) DropIndex(attrs ...string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -406,6 +411,7 @@ func (t *Table) DropIndex(attrs ...string) bool {
 		return false
 	}
 	delete(t.indexes, name)
+	t.listIndexesLocked()
 	return true
 }
 
@@ -426,29 +432,35 @@ func errMissingAttr(table string, row value.Value, attrs []string) error {
 		table, IndexName(attrs), row)
 }
 
-// IndexOn returns the index on exactly the given ordered attribute list.
+// IndexOn returns the index on exactly the given ordered attribute list,
+// found without building its name.
 func (t *Table) IndexOn(attrs []string) (*HashIndex, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix, ok := t.indexes[IndexName(attrs)]
-	return ix, ok
+	for _, ix := range t.indexes {
+		if slices.Equal(ix.attrs, attrs) {
+			return ix, true
+		}
+	}
+	return nil, false
 }
 
 // Indexes returns the attribute lists of the registered indexes, sorted by
-// canonical name — the planner's index enumeration oracle.
+// canonical name — the planner's index enumeration oracle. The lists are
+// shared and must not be modified.
 func (t *Table) Indexes() [][]string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
+	return t.indexList
+}
+
+// listIndexesLocked rebuilds indexList from the registry. Caller holds the
+// write lock.
+func (t *Table) listIndexesLocked() {
+	t.indexList = nil
+	for _, name := range slices.Sorted(maps.Keys(t.indexes)) {
+		t.indexList = append(t.indexList, t.indexes[name].Attrs())
 	}
-	sort.Strings(names)
-	out := make([][]string, len(names))
-	for i, n := range names {
-		out[i] = t.indexes[n].Attrs()
-	}
-	return out
 }
 
 // DB is a collection of extension tables addressed by extension name. It is

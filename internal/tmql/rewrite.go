@@ -68,26 +68,35 @@ func SubstFieldSel(e Expr, repl func(varName, label string) Expr) Expr {
 
 // SplitAnd flattens a right- or left-nested AND tree into its conjuncts; a
 // nil expression yields nil.
-func SplitAnd(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		return append(SplitAnd(b.L), SplitAnd(b.R)...)
-	}
-	return []Expr{e}
-}
+func SplitAnd(e Expr) []Expr { return split(e, OpAnd) }
 
 // SplitOr flattens a right- or left-nested OR tree into its disjuncts; a
 // nil expression yields nil.
-func SplitOr(e Expr) []Expr {
+func SplitOr(e Expr) []Expr { return split(e, OpOr) }
+
+// split flattens the tree of op at e into its operands in one allocation; a
+// nil expression yields nil.
+func split(e Expr, op Op) []Expr {
 	if e == nil {
 		return nil
 	}
-	if b, ok := e.(*Binary); ok && b.Op == OpOr {
-		return append(SplitOr(b.L), SplitOr(b.R)...)
+	return appendSplit(make([]Expr, 0, countSplit(e, op)), e, op)
+}
+
+// countSplit counts the operands of the tree of op at e.
+func countSplit(e Expr, op Op) int {
+	if b, ok := e.(*Binary); ok && b.Op == op {
+		return countSplit(b.L, op) + countSplit(b.R, op)
 	}
-	return []Expr{e}
+	return 1
+}
+
+// appendSplit appends the operands of the tree of op at e onto dst.
+func appendSplit(dst []Expr, e Expr, op Op) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == op {
+		return appendSplit(appendSplit(dst, b.L, op), b.R, op)
+	}
+	return append(dst, e)
 }
 
 // JoinAnd rebuilds a conjunction from parts (nil for none).
