@@ -120,9 +120,10 @@ func TestIndexChurnNeverFailsQueries(t *testing.T) {
 
 // TestIndexDroppedBehindTheCache: storage.Table.DropIndex unregisters an
 // index without sweeping the plan cache, so the next execution is a hit on a
-// plan whose resolved tree names the dropped index. It must resolve the plan
-// again without indexes and answer as naive evaluation does, with no error,
-// for an index scan and an index join, ad hoc and prepared.
+// plan whose resolved tree names the dropped index. It must plan again and
+// answer as naive evaluation does, with no error, for an index scan and an
+// index join, ad hoc and prepared; and the hits after it must read a
+// decision that no longer names the index.
 func TestIndexDroppedBehindTheCache(t *testing.T) {
 	for _, tc := range []struct {
 		name, table, attr, query string
@@ -166,6 +167,22 @@ func TestIndexDroppedBehindTheCache(t *testing.T) {
 				}
 				if !got.CacheHit {
 					t.Error("the execution after the drop missed the plan cache")
+				}
+				// That execution replaced the stale decision: a later hit
+				// reads no dropped index, so it resolves nothing again.
+				later, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !later.CacheHit {
+					t.Error("the second execution after the drop missed the plan cache")
+				}
+				explain, err = eng.Explain(tc.query, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(explain, fmt.Sprintf("using %s(%s)", tc.table, tc.attr)) {
+					t.Errorf("a later hit still names the dropped index:\n%s", explain)
 				}
 				want, err := eng.Query(tc.query, Options{Strategy: core.StrategyNaive})
 				if err != nil {

@@ -19,6 +19,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -307,14 +308,14 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 	gov := exec.NewGovernor(ctx, opts.Limits.exec())
 	ectx := exec.NewCtxGoverned(e.db, gov)
 	defer recoverAbort(gov, &res, &err)
-	tree, canonical, cerr := planner.Compile(ectx, pl.tree)
+	pl, tree, rows, cerr := e.compile(ectx, q, opts, pl)
 	if cerr != nil {
 		if terr := e.checkTablesLive(q.tables); terr != nil {
 			return nil, terr
 		}
 		return nil, cerr
 	}
-	v, err := exec.CollectBatchesGoverned(gov, tree, canonical)
+	v, err := exec.CollectBatchesGoverned(gov, tree, rows)
 	if err != nil {
 		// A table dropped between the liveness pre-check and execution fails
 		// deep in the executor with an untyped unknown-table error; reclassify
@@ -341,6 +342,31 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 		Duration:    time.Since(start),
 		EvalSteps:   ectx.Ev.Steps,
 	}, nil
+}
+
+// compile compiles pl's tree over ectx. storage.Table.DropIndex unregisters
+// an index without sweeping the plan cache, so a cached tree may name an
+// index that is gone: the execution that finds so sweeps the cached plans
+// over q's tables, as Engine.DropIndex does, and plans q again, so it alone
+// pays and the executions after it hit the new decision. An index dropped
+// again between that planning and its compile runs the plan resolved without
+// indexes, so index churn never fails a query. It returns the decision the
+// tree was compiled from.
+func (e *Engine) compile(ectx *exec.Ctx, q *query, opts Options, pl *planned) (*planned, exec.BatchIterator, exec.Rows, error) {
+	tree, rows, err := planner.Compile(ectx, pl.tree)
+	if !errors.Is(err, planner.ErrIndexGone) {
+		return pl, tree, rows, err
+	}
+	for _, t := range q.tables {
+		e.cache.invalidateTable(t)
+	}
+	if pl, _, err = e.plan(q, opts); err != nil {
+		return nil, nil, exec.AnyRows, err
+	}
+	if tree, rows, err = planner.Compile(ectx, pl.tree); errors.Is(err, planner.ErrIndexGone) {
+		tree, rows, err = planner.Compile(ectx, planner.Unindexed(pl.tree))
+	}
+	return pl, tree, rows, err
 }
 
 // plan resolves Options into a planned decision, consulting the plan cache

@@ -79,7 +79,10 @@ func (e *Engine) DeleteValue(table string, v value.Value) (bool, error) {
 // batch — so the predicate may contain
 // subqueries over any table. The victim query's constants get parameter
 // slots as a query's do, so deletes of one shape (y.a = 5, y.a = 7) plan
-// once and share one plan-cache entry.
+// once and share one plan-cache entry. A table stored in the database but
+// named by no class of the schema catalog has no element type to bind the
+// predicate against: that fails with an error matching
+// schema.ErrUnknownExtension.
 func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	tab, ok := e.db.Table(table)
 	if !ok {
@@ -91,7 +94,7 @@ func (e *Engine) Delete(table, varName, predSrc string) (int, error) {
 	}
 	elem, err := e.cat.ElementType(table)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("engine: delete from %s, a table of no schema class: %w", table, err)
 	}
 	b := tmql.NewBinder(e.cat)
 	pred, err := b.BindIn(expr, tmql.VarBinding{Name: varName, Type: elem})

@@ -23,7 +23,7 @@ type Limits struct {
 	// Timeout is the query's wall-clock deadline, applied on top of (and
 	// never extending) any deadline already on the caller's context.
 	Timeout time.Duration
-	// MaxRows bounds result rows produced (pre-deduplication).
+	// MaxRows bounds the distinct rows the result keeps.
 	MaxRows int64
 	// MaxBuildBytes bounds approximate hash/sort build bytes; see
 	// exec.Limits.

@@ -11,6 +11,7 @@ import (
 	"tmdb/internal/exec"
 	"tmdb/internal/faultinject"
 	"tmdb/internal/planner"
+	"tmdb/internal/value"
 )
 
 // slowDB returns an engine whose flat X ⋈ Z join scans >1000 rows, so a
@@ -166,6 +167,47 @@ func TestRowAndBuildBudgets(t *testing.T) {
 	}
 	if !errors.As(err, &ab) || ab.PartialBuildBytes <= 0 {
 		t.Fatalf("build-budget abort must report the partial build bytes, got %+v", ab)
+	}
+}
+
+// TestGovernorChargesDistinctRootRows: a root projection over a join repeats
+// rows (many X ⋈ Z pairs share x.b), and the row budget is charged the rows
+// the result keeps, not the pairs the join emits: a budget of exactly the
+// distinct rows passes under every join family, one row less trips.
+func TestGovernorChargesDistinctRootRows(t *testing.T) {
+	eng := slowDB()
+	const q = `SELECT x.b FROM X x, Z z WHERE x.b = z.d`
+	want, err := eng.Query(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	xs, _ := eng.DB().Table("X")
+	zs, _ := eng.DB().Table("Z")
+	for _, x := range xs.Rows() {
+		for _, z := range zs.Rows() {
+			if value.Equal(x.MustGet("b"), z.MustGet("d")) {
+				pairs++
+			}
+		}
+	}
+	n := int64(want.Value.Len())
+	if n == 0 || int64(pairs) <= n {
+		t.Fatalf("%d join pairs for %d distinct rows: the root repeats nothing", pairs, n)
+	}
+	for _, impl := range []planner.JoinImpl{planner.ImplAuto, planner.ImplNestedLoop, planner.ImplHash} {
+		res, err := eng.Query(q, Options{Joins: impl, Limits: Limits{MaxRows: n}})
+		if err != nil {
+			t.Fatalf("%s: MaxRows at the %d distinct rows: %v", impl, n, err)
+		}
+		if !value.Equal(res.Value, want.Value) {
+			t.Errorf("%s: the result differs from auto's", impl)
+		}
+		_, err = eng.Query(q, Options{Joins: impl, Limits: Limits{MaxRows: n - 1}})
+		var be *exec.BudgetError
+		if !errors.As(err, &be) || be.Resource != "rows" || be.Used != n {
+			t.Errorf("%s: MaxRows one below the %d distinct rows: want a rows budget error at %d, got %v", impl, n, n, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/planner"
+	"tmdb/internal/schema"
 	"tmdb/internal/value"
 )
 
@@ -172,6 +174,32 @@ func TestDeleteVictimPlansOncePerShape(t *testing.T) {
 	after := eng.PlanCacheStats()
 	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 || after.Entries != before.Entries+1 {
 		t.Errorf("two deletes of one shape: cache %+v → %+v, want one miss, one hit, one entry", before, after)
+	}
+}
+
+// TestDeleteFromTableOfNoClass: a table stored in the database but named by
+// no class of the schema catalog cannot be deleted from by predicate, and the
+// error says so in a form callers match with errors.Is; its rows stay.
+func TestDeleteFromTableOfNoClass(t *testing.T) {
+	eng := xyzEngine(t)
+	y, _ := eng.DB().Table("Y")
+	elem, err := eng.Catalog().ElementType("Y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := eng.DB().MustCreate("ORPHAN", elem)
+	if err := orphan.Load(y.AsSet().Elems()); err != nil {
+		t.Fatal(err)
+	}
+	n, err := eng.Delete("ORPHAN", "o", "o.a > 0")
+	if !errors.Is(err, schema.ErrUnknownExtension) || n != 0 {
+		t.Fatalf("delete from a table of no class: removed %d, err %v", n, err)
+	}
+	if orphan.Len() != y.Len() {
+		t.Errorf("the failed delete left %d of %d rows", orphan.Len(), y.Len())
+	}
+	if _, err := eng.Delete("NOWHERE", "o", "o.a > 0"); err == nil || errors.Is(err, schema.ErrUnknownExtension) {
+		t.Errorf("delete from a table not stored at all: err %v, want the unknown-table error", err)
 	}
 }
 

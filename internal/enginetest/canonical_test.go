@@ -61,7 +61,8 @@ func TestCanonicalRootsCollectAscending(t *testing.T) {
 				registerAccessIndexes(t, eng, g.DB)
 				name = g.Name + "/indexed"
 			}
-			forEachCompiled(t, eng, name, g.Query, func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, marked bool) {
+			forEachCompiled(t, eng, name, g.Query, func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, mode exec.Rows) {
+				marked := mode == exec.CanonicalRows
 				if j, ok := tree.(*exec.Join); ok && j.Out != nil && marked {
 					t.Fatal("a fused projection is marked canonical")
 				}
@@ -96,10 +97,11 @@ func TestNestedExecRootsCanonical(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := planner.PhysicalSpec{Joins: res.Joins, Access: res.Access}
-			tree, marked, err := planner.Compile(exec.NewCtx(eng.DB()), planner.NewEstimatorStats(eng.Stats()).Resolve(res.Plan, spec))
+			tree, rows, err := planner.Compile(exec.NewCtx(eng.DB()), planner.NewEstimatorStats(eng.Stats()).Resolve(res.Plan, spec))
 			if err != nil {
 				t.Fatal(err)
 			}
+			marked := rows == exec.CanonicalRows
 			if marked != want[s.name] {
 				t.Errorf("%s (indexed %v): marked canonical %v, want %v", s.name, indexed, marked, want[s.name])
 			}

@@ -247,7 +247,7 @@ func TestExplainMatchesCompiledTree(t *testing.T) {
 // seen, and returns how many it ran.
 func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query string, seen *fusedShapes) int {
 	est := planner.NewEstimatorStats(eng.Stats())
-	return forEachCompiled(t, eng, prefix, query, func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, _ bool) {
+	return forEachCompiled(t, eng, prefix, query, func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, _ exec.Rows) {
 		matchExplain(t, est, resolved, tree, seen)
 	})
 }
@@ -263,11 +263,11 @@ func matchExplain(t *testing.T, est *planner.Estimator, resolved *planner.Tree, 
 
 // forEachCompiled resolves query on eng under every fixed strategy × logical
 // alternative × feasible join family × access path and hands each resolved
-// tree, the operators compiled from it and whether the planner marks them
-// canonical to check, one subtest each under prefix. It returns how many it
-// ran.
+// tree, the operators compiled from it and what the planner reports their
+// root's rows to be to check, one subtest each under prefix. It returns how
+// many it ran.
 func forEachCompiled(t *testing.T, eng *engine.Engine, prefix, query string,
-	check func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, canonical bool)) int {
+	check func(t *testing.T, resolved *planner.Tree, tree exec.BatchIterator, rows exec.Rows)) int {
 	fixed := []core.Strategy{core.StrategyNaive, core.StrategyNestJoin, core.StrategyKim, core.StrategyOuterJoin}
 	impls := []planner.JoinImpl{planner.ImplNestedLoop, planner.ImplHash, planner.ImplMerge, planner.ImplIndex}
 	bound, err := tmql.NewBinder(eng.Catalog()).Bind(tmql.MustParse(query))
@@ -293,11 +293,11 @@ func forEachCompiled(t *testing.T, eng *engine.Engine, prefix, query string,
 						break
 					}
 					t.Run(fmt.Sprintf("%s/%s/%s/%s/%s", prefix, s, alt.Alt, ji, access), func(t *testing.T) {
-						tree, canonical, err := planner.Compile(exec.NewCtx(eng.DB()), resolved)
+						tree, rows, err := planner.Compile(exec.NewCtx(eng.DB()), resolved)
 						if err != nil {
 							t.Fatal(err)
 						}
-						check(t, resolved, tree, canonical)
+						check(t, resolved, tree, rows)
 					})
 					checked++
 				}

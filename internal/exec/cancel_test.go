@@ -35,7 +35,7 @@ func cancelMidRun(t *testing.T, point, want string, mk func(ctx *Ctx) BatchItera
 	gov := NewGovernor(cctx, Limits{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := CollectBatchesGoverned(gov, mk(NewCtxGoverned(nil, gov)), false)
+		_, err := CollectBatchesGoverned(gov, mk(NewCtxGoverned(nil, gov)), AnyRows)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -117,7 +117,7 @@ func TestMergeJoinCancellation(t *testing.T) {
 func TestGovernorBudgets(t *testing.T) {
 	l, r := genRows(500, 13, "k", "v"), genRows(300, 7, "j", "w")
 	gov := NewGovernor(context.Background(), Limits{MaxRows: 5})
-	_, err := CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, 0), false)
+	_, err := CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, 0), AnyRows)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "rows" {
 		t.Fatalf("want rows BudgetError, got %v", err)
@@ -127,7 +127,7 @@ func TestGovernorBudgets(t *testing.T) {
 	}
 
 	gov = NewGovernor(context.Background(), Limits{MaxBuildBytes: 64})
-	_, err = CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, 0), false)
+	_, err = CollectBatchesGoverned(gov, hashJoin(NewCtxGoverned(nil, gov), algebra.JoinInner, l, r, nil, 0), AnyRows)
 	if !errors.As(err, &be) || be.Resource != "build_bytes" {
 		t.Fatalf("want build_bytes BudgetError, got %v", err)
 	}
@@ -147,7 +147,7 @@ func TestRowBudgetBoundsJoinFanout(t *testing.T) {
 			j = nlJoin(algebra.JoinInner, l, r, nil)
 			j.Ctx = NewCtxGoverned(nil, gov)
 		}
-		_, err := CollectBatchesGoverned(gov, j, false)
+		_, err := CollectBatchesGoverned(gov, j, AnyRows)
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Resource != "rows" {
 			t.Fatalf("%s: want rows BudgetError, got %v", name, err)

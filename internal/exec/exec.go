@@ -17,6 +17,8 @@
 package exec
 
 import (
+	"slices"
+
 	"tmdb/internal/eval"
 	"tmdb/internal/storage"
 	"tmdb/internal/value"
@@ -51,9 +53,10 @@ import (
 //     slow per-row predicate evaluation is still covered by the evaluator's
 //     own Check hook (every 256 eval steps). Results are canonicalized by
 //     CollectBatches, which erases arrival order and duplicates, so how rows
-//     are cut into batches never shows in a result. A tree the planner
-//     vouches for as canonical (strictly ascending rows) is collected as it
-//     arrives, without the sort.
+//     are cut into batches never shows in a result. It is the one place a
+//     result is deduplicated, and the planner tells it what the root
+//     already guarantees (Rows): distinct rows are only sorted, and
+//     canonical ones (strictly ascending) are collected as they arrive.
 
 // DefaultBatchSize is the most rows of a batch a source emits. It bounds the
 // rows between governor polls of a scan-fed pipeline. It is the capacity of
@@ -147,26 +150,40 @@ func drainRows(in BatchIterator) ([]value.Value, error) {
 	}
 }
 
+// Rows is what the root of an operator tree guarantees about the rows it
+// emits, and so how much of canonicalization is left to the collector. The
+// planner derives it when it compiles the tree (planner.Compile).
+type Rows uint8
+
+const (
+	// AnyRows may repeat a row and arrive in any order: the collector keeps
+	// the first of equal rows as it arrives and sorts the rows it kept.
+	AnyRows Rows = iota
+	// DistinctRows never repeat a row but arrive in any order: the collector
+	// sorts them.
+	DistinctRows
+	// CanonicalRows arrive in canonical order, strictly ascending under
+	// value.Compare: the collector wraps them as the set they already are.
+	CanonicalRows
+)
+
 // CollectBatches drains a batch iterator into a canonical set value.
 func CollectBatches(it BatchIterator) (value.Value, error) {
-	return CollectBatchesGoverned(nil, it, false)
+	return CollectBatchesGoverned(nil, it, AnyRows)
 }
 
-// CollectBatchesGoverned is CollectBatches under a governor: every batch of
-// rows added to the result set is accounted against the row budget
-// (pre-deduplication — the budget bounds produced work, not distinct output)
-// and the cancel state is polled once per batch. A nil governor makes it
-// plain CollectBatches. canonical says the tree emits its rows in canonical
-// order, strictly ascending (the planner derives it when it compiles the
-// tree): the rows are then appended and wrapped as the set they already
-// are, with no sort and no deduplication.
-func CollectBatchesGoverned(gov *Governor, it BatchIterator, canonical bool) (value.Value, error) {
+// CollectBatchesGoverned is CollectBatches under a governor, for a tree whose
+// root guarantees rows: the one place a result is deduplicated. Every row
+// the result keeps is accounted against the row budget as its batch is
+// collected — its distinct rows, however often the root repeats one — and
+// the cancel state is polled once per batch; a nil governor charges and
+// polls nothing.
+func CollectBatchesGoverned(gov *Governor, it BatchIterator, rows Rows) (value.Value, error) {
 	if err := it.Open(); err != nil {
 		return value.Value{}, err
 	}
 	defer it.Close()
-	var rows []value.Value
-	b := value.NewSetBuilder(0)
+	var kept distinctRows
 	for {
 		bt, ok, err := it.NextBatch()
 		if err != nil {
@@ -175,22 +192,79 @@ func CollectBatchesGoverned(gov *Governor, it BatchIterator, canonical bool) (va
 		if !ok {
 			break
 		}
+		n := len(bt)
+		if rows == AnyRows {
+			n = kept.add(bt)
+		} else {
+			kept.rows = append(kept.rows, bt...)
+		}
 		if gov != nil {
-			if err := gov.AddRows(int64(len(bt))); err != nil {
+			if err := gov.AddRows(int64(n)); err != nil {
 				return value.Value{}, err
 			}
 			if err := gov.Err(); err != nil {
 				return value.Value{}, err
 			}
 		}
-		if canonical {
-			rows = append(rows, bt...)
-			continue
+	}
+	if rows != CanonicalRows {
+		slices.SortFunc(kept.rows, value.Compare)
+	}
+	return value.CanonicalSet(kept.rows), nil
+}
+
+// distinctRows keeps the distinct rows of a stream, the first of equal rows
+// in arrival order. index is an open-addressing table with linear probing
+// whose entries hold a kept row's position+1 (0 is empty); its length is a
+// power of two that doubles when the rows reach half of it. hashes holds
+// each kept row's hash, of its canonical encoding (value.AppendKey) written
+// into one reused scratch buffer, and rows whose hashes match are compared
+// with value.Equal: no row's key bytes are kept.
+type distinctRows struct {
+	rows    []value.Value
+	hashes  []uint64
+	index   []int32
+	scratch []byte
+}
+
+// add keeps every row of bt equal to no row kept before and returns how many
+// it kept.
+func (d *distinctRows) add(bt []value.Value) int {
+	before := len(d.rows)
+	for _, v := range bt {
+		d.scratch = value.AppendKey(d.scratch[:0], v)
+		h := hashKey(d.scratch)
+		if 2*(len(d.rows)+1) > len(d.index) {
+			d.grow()
 		}
-		b.AddAll(bt)
+		mask := uint64(len(d.index) - 1)
+		i := h & mask
+		for d.index[i] != 0 && !d.equal(d.index[i]-1, v, h) {
+			i = (i + 1) & mask
+		}
+		if d.index[i] == 0 {
+			d.rows, d.hashes = append(d.rows, v), append(d.hashes, h)
+			d.index[i] = int32(len(d.rows))
+		}
 	}
-	if canonical {
-		return value.CanonicalSet(rows), nil
+	return len(d.rows) - before
+}
+
+// equal reports whether kept row r is v, whose hash is h.
+func (d *distinctRows) equal(r int32, v value.Value, h uint64) bool {
+	return d.hashes[r] == h && value.Equal(d.rows[r], v)
+}
+
+// grow doubles the index (or allocates the first one) and re-places every
+// kept row from its stored hash.
+func (d *distinctRows) grow() {
+	d.index = make([]int32, max(minKeyIndex, 2*len(d.index)))
+	mask := uint64(len(d.index) - 1)
+	for r, h := range d.hashes {
+		i := h & mask
+		for d.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		d.index[i] = int32(r) + 1
 	}
-	return b.Build(), nil
 }

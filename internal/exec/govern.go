@@ -48,8 +48,9 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 
 // Limits are the per-query resource budgets. Zero fields are unlimited.
 type Limits struct {
-	// MaxRows bounds the number of rows added to the query's result set
-	// (counted pre-deduplication, as produced by the plan root).
+	// MaxRows bounds the number of rows the query's result set keeps: the
+	// distinct rows of the plan root, counted as the collector keeps them
+	// (CollectBatchesGoverned), however often the root repeats one.
 	MaxRows int64
 	// MaxBuildBytes bounds the approximate bytes materialized into hash
 	// tables and sort runs, summed across all build sites of the plan. The

@@ -213,13 +213,13 @@ func TestMemoServesClosedSubtrees(t *testing.T) {
 // is never kept, so its evaluator steps are spent warm as cold.
 func TestMemoClosedGovernanceParity(t *testing.T) {
 	gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 1 << 40})
-	if _, err := CollectBatchesGoverned(gov, chain3(NewCtxGoverned(memoDB(), gov), JoinHash), false); err != nil {
+	if _, err := CollectBatchesGoverned(gov, chain3(NewCtxGoverned(memoDB(), gov), JoinHash), AnyRows); err != nil {
 		t.Fatal(err)
 	}
 	total := gov.BuildBytes()
 	run := func(db *storage.DB, limit int64) error {
 		gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: limit})
-		_, err := CollectBatchesGoverned(gov, chain3(NewCtxGoverned(db, gov), JoinHash), false)
+		_, err := CollectBatchesGoverned(gov, chain3(NewCtxGoverned(db, gov), JoinHash), AnyRows)
 		return err
 	}
 	db := memoDB()

@@ -205,7 +205,7 @@ func TestMemoFnForm(t *testing.T) {
 // budget: the cold build's per-row charges, summed.
 func yFillCharge(t *testing.T) int64 {
 	gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: 1 << 40})
-	if _, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(memoDB(), gov), JoinHash, "y.a", ""), false); err != nil {
+	if _, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(memoDB(), gov), JoinHash, "y.a", ""), AnyRows); err != nil {
 		t.Fatal(err)
 	}
 	return gov.BuildBytes()
@@ -220,7 +220,7 @@ func TestMemoBuildBudgetColdAndWarm(t *testing.T) {
 		db := memoDB()
 		for _, phase := range []string{"cold", "warm"} {
 			gov := NewGovernor(context.Background(), Limits{MaxBuildBytes: limit})
-			_, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(db, gov), JoinHash, "y.a", ""), false)
+			_, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(db, gov), JoinHash, "y.a", ""), AnyRows)
 			if fails := errors.Is(err, ErrBudgetExceeded); fails != (limit < charge) {
 				t.Errorf("%s, limit %d of charge %d: err %v", phase, limit, charge, err)
 			}
@@ -262,7 +262,7 @@ func TestMemoFillCancellation(t *testing.T) {
 	gov := NewGovernor(cctx, Limits{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(db, gov), JoinHash, "y.a", ""), false)
+		_, err := CollectBatchesGoverned(gov, storedJoin(NewCtxGoverned(db, gov), JoinHash, "y.a", ""), AnyRows)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

@@ -13,7 +13,7 @@ import (
 // long to leading-label ranges under the filter of the matching predicate,
 // and collects the filter canonically: the result must equal the full scan's
 // collected through a sort, the narrowed scan must emit its rows strictly
-// ascending, and both collections must charge the governor the same rows.
+// ascending, and every collector mode must charge the governor the same rows.
 func TestScanRangeCollectsCanonical(t *testing.T) {
 	_, db := datagen.XYZ(datagen.Spec{NX: 10, NY: 3000, NZ: 10, Keys: 40, SetAttrCard: 300, Seed: 5})
 	at := func(a int64, strict bool) storage.Bound {
@@ -49,20 +49,20 @@ func TestScanRangeCollectsCanonical(t *testing.T) {
 			t.Fatalf("%s: the narrowed scan reads %d rows, the filter keeps %d", tc.pred, len(rows), want.Len())
 		}
 
-		var charged [2]int64
-		for k, canonical := range []bool{true, false} {
+		var charged [3]int64
+		for k, mode := range []Rows{CanonicalRows, DistinctRows, AnyRows} {
 			gov := NewGovernor(context.Background(), Limits{MaxRows: 1 << 40})
-			got, err := CollectBatchesGoverned(gov, scan(NewCtxGoverned(db, gov), tc.rng), canonical)
+			got, err := CollectBatchesGoverned(gov, scan(NewCtxGoverned(db, gov), tc.rng), mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if value.Key(got) != value.Key(want) {
-				t.Fatalf("%s (canonical %v): %d rows, the full scan %d", tc.pred, canonical, got.Len(), want.Len())
+				t.Fatalf("%s (mode %d): %d rows, the full scan %d", tc.pred, mode, got.Len(), want.Len())
 			}
 			charged[k] = gov.Rows()
 		}
-		if charged[0] != charged[1] || charged[0] != int64(want.Len()) {
-			t.Fatalf("%s: charged %d rows collected canonically, %d sorted, for %d", tc.pred, charged[0], charged[1], want.Len())
+		if charged[0] != charged[1] || charged[0] != charged[2] || charged[0] != int64(want.Len()) {
+			t.Fatalf("%s: charged %v rows collected canonically, sorted and deduplicated, for %d", tc.pred, charged, want.Len())
 		}
 	}
 }

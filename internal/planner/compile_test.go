@@ -34,15 +34,28 @@ func TestCompile(t *testing.T) {
 		}
 	}
 	// Identity maps — the variable itself, or a tuple wrapping it — are
-	// injective, so they skip deduplication over a duplicate-free scan but
-	// not over μ, which emits duplicates.
-	distinct := func(want bool) func(op any) error {
+	// injective, so below the root they skip deduplication over a
+	// duplicate-free scan but not over μ, which emits duplicates. At the
+	// root no map deduplicates: the root reports its rows as duplicate-free
+	// (or canonical) where the operand map would skip deduplication, and as
+	// repeating where it would not, leaving it to the collector.
+	operand := func(want bool) func(op any) error {
 		return func(op any) error {
-			if m, ok := op.(*exec.Map); !ok || m.Distinct != want {
-				return fmt.Errorf("%T is not a map with Distinct = %v", op, want)
+			f, ok := op.(*exec.Filter)
+			if !ok {
+				return fmt.Errorf("%T is not a filter", op)
+			}
+			if m, ok := f.In.(*exec.Map); !ok || m.Distinct != want {
+				return fmt.Errorf("filter over %T, not a map with Distinct = %v", f.In, want)
 			}
 			return nil
 		}
+	}
+	root := func(op any) error {
+		if m, ok := op.(*exec.Map); !ok || m.Distinct {
+			return fmt.Errorf("%T is not a map without Distinct", op)
+		}
+		return nil
 	}
 	ident := func(in algebra.Plan, v string, wrap bool) algebra.Plan {
 		var out tmql.Expr = &tmql.Var{Name: v}
@@ -55,6 +68,17 @@ func TestCompile(t *testing.T) {
 		}
 		return m
 	}
+	above := func(in algebra.Plan) algebra.Plan {
+		v := "v"
+		if m, ok := in.(*algebra.Map); ok {
+			v = m.Var
+		}
+		sel, err := b.Select(in, v, tmql.MustParse("TRUE"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
 	unnested, err := b.Unnest(x, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -64,20 +88,26 @@ func TestCompile(t *testing.T) {
 		plan  algebra.Plan
 		spec  PhysicalSpec
 		want  string
+		rows  exec.Rows
 		check func(op any) error
 	}{
-		{"flat hash", fj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", method(exec.JoinHash)},
-		{"nest hash", nj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", method(exec.JoinHash)},
-		{"nest merge", nj, PhysicalSpec{Joins: ImplMerge}, "*exec.Join", method(exec.JoinMerge)},
-		{"nest nl", nj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", method(exec.JoinNL)},
-		{"flat nl", fj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", method(exec.JoinNL)},
-		{"scan", x, PhysicalSpec{}, "*exec.TableScan", nil},
-		{"identity map over a scan", ident(x, "x", false), PhysicalSpec{}, "*exec.Map", distinct(false)},
-		{"wrapping map over a scan", ident(x, "x", true), PhysicalSpec{}, "*exec.Map", distinct(false)},
-		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Map", distinct(true)},
-		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{}, "*exec.Map", distinct(true)},
+		{"flat hash", fj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", exec.CanonicalRows, method(exec.JoinHash)},
+		{"nest hash", nj, PhysicalSpec{Joins: ImplHash}, "*exec.Join", exec.DistinctRows, method(exec.JoinHash)},
+		{"nest merge", nj, PhysicalSpec{Joins: ImplMerge}, "*exec.Join", exec.DistinctRows, method(exec.JoinMerge)},
+		{"nest nl", nj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", exec.DistinctRows, method(exec.JoinNL)},
+		{"flat nl", fj, PhysicalSpec{Joins: ImplNestedLoop}, "*exec.Join", exec.CanonicalRows, method(exec.JoinNL)},
+		{"scan", x, PhysicalSpec{}, "*exec.TableScan", exec.CanonicalRows, nil},
+		{"unnest", unnested, PhysicalSpec{}, "*exec.UnnestIter", exec.AnyRows, nil},
+		{"identity map over a scan", ident(x, "x", false), PhysicalSpec{}, "*exec.Map", exec.CanonicalRows, root},
+		{"wrapping map over a scan", ident(x, "x", true), PhysicalSpec{}, "*exec.Map", exec.DistinctRows, root},
+		{"identity map over unnest", ident(unnested, "u", false), PhysicalSpec{}, "*exec.Map", exec.AnyRows, root},
+		{"wrapping map over unnest", ident(unnested, "u", true), PhysicalSpec{}, "*exec.Map", exec.AnyRows, root},
+		{"identity map over a scan, an operand", above(ident(x, "x", false)), PhysicalSpec{}, "*exec.Filter", exec.CanonicalRows, operand(false)},
+		{"wrapping map over a scan, an operand", above(ident(x, "x", true)), PhysicalSpec{}, "*exec.Filter", exec.DistinctRows, operand(false)},
+		{"identity map over unnest, an operand", above(ident(unnested, "u", false)), PhysicalSpec{}, "*exec.Filter", exec.DistinctRows, operand(true)},
+		{"wrapping map over unnest, an operand", above(ident(unnested, "u", true)), PhysicalSpec{}, "*exec.Filter", exec.DistinctRows, operand(true)},
 	} {
-		tree, _, err := compilePlan(ctx, tc.spec, tc.plan)
+		tree, rows, err := compilePlan(ctx, tc.spec, tc.plan)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -87,6 +117,9 @@ func TestCompile(t *testing.T) {
 			if err := tc.check(tree); err != nil {
 				t.Errorf("%s: %v", tc.name, err)
 			}
+		}
+		if rows != tc.rows {
+			t.Errorf("%s: the root's rows reported as %d, want %d", tc.name, rows, tc.rows)
 		}
 	}
 	// Equivalence: every operator family × join implementation against the
@@ -147,7 +180,8 @@ func TestCompile(t *testing.T) {
 // compiles to one fused exec.Join on every family — nested-loop, hash,
 // sort-merge and index — with the result of the unfused pipeline. Over a left
 // input holding duplicate rows (μ of X's set-valued attribute), the fused
-// join is wrapped in the deduplicating map the projection it replaces was.
+// join below the root is wrapped in the deduplicating map the projection it
+// replaces was; at the root it is not, and reports its rows as repeating.
 func TestCompileGroupjoin(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{NX: 40, NY: 120, NZ: 10, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 9})
 	b := algebra.NewBuilder(cat)
@@ -235,13 +269,32 @@ func TestCompileGroupjoin(t *testing.T) {
 	}
 	want = unfused(sel, plan)
 	tree, got := run(PhysicalSpec{Joins: ImplHash})
-	if m, ok := tree.(*exec.Map); !ok || !m.Distinct {
-		t.Errorf("over a left input with duplicates compiled to %T, want a deduplicating map", tree)
-	} else if j, ok := m.In.(*exec.Join); !ok || j.Test == nil {
-		t.Errorf("deduplicating map over %T, want the fused exec.Join", m.In)
+	if j, ok := tree.(*exec.Join); !ok || j.Test == nil {
+		t.Errorf("over a left input with duplicates compiled to %T at the root, want the fused exec.Join", tree)
+	}
+	if _, rows, _ := compilePlan(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}, plan); rows != exec.AnyRows {
+		t.Errorf("the root groupjoin over duplicates reports its rows as %d, want repeating", rows)
 	}
 	if !value.Equal(got, want) || got.Len() == 0 {
 		t.Errorf("over a left input with duplicates: got %s, want %s", got, want)
+	}
+	// Below the root, the deduplicating map stays.
+	above, err := b.Select(plan, "x", tmql.MustParse("TRUE"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, _, err := compilePlan(exec.NewCtx(db), PhysicalSpec{Joins: ImplHash}, above)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := op.(*exec.Filter)
+	if f == nil {
+		t.Fatalf("a selection compiled to %T", op)
+	}
+	if m, ok := f.In.(*exec.Map); !ok || !m.Distinct {
+		t.Errorf("an operand groupjoin over duplicates compiled to %T, want a deduplicating map", f.In)
+	} else if j, ok := m.In.(*exec.Join); !ok || j.Test == nil {
+		t.Errorf("deduplicating map over %T, want the fused exec.Join", m.In)
 	}
 }
 

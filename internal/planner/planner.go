@@ -85,32 +85,47 @@ type PhysicalSpec struct {
 // expressions resolution bound, and each persistent index a node reads is
 // fetched live by name. The snapshot fetched is what the query reads —
 // buckets are copy-on-write, so it stays probeable if the registry entry is
-// dropped mid-query — and an index dropped since t was resolved sends the
-// plan through resolution again without indexes, so concurrent
-// CreateIndex/DropIndex churn never fails a query. Compile also reports
-// whether the tree emits its rows in canonical order (strictly ascending
-// under value.Compare, hence duplicate-free), derived bottom-up by the same
-// walk: a scan does, whole or narrowed to a range, but not read through an
-// index; a filter, an identity map Map[v](v), and a semi-, anti- or
-// groupjoin probe that emits each left row unchanged, at most once and in
-// left order (every join method but sort-merge, which reorders its left
-// input by key) keep their (left) input's order; every other operator drops
-// it. exec.CollectBatchesGoverned then takes the rows as the set they are,
-// unsorted.
-func Compile(ctx *exec.Ctx, t *Tree) (exec.BatchIterator, bool, error) {
+// dropped mid-query — and an index dropped since t was resolved fails it
+// with ErrIndexGone before any operator runs (Unindexed is the tree that
+// cannot).
+//
+// The root does not deduplicate its rows: exec.CollectBatchesGoverned is
+// the one place a result is, and Compile reports what the root guarantees
+// so the collector does only what is left. The rows are canonical (strictly
+// ascending under value.Compare, hence duplicate-free) when the walk derives
+// so bottom-up: a scan emits them, whole or narrowed to a range, but not
+// read through an index; a filter, an identity map Map[v](v), and a semi-,
+// anti- or groupjoin probe that emits each left row unchanged, at most once
+// and in left order (every join method but sort-merge, which reorders its
+// left input by key) keep their (left) input's order; every other operator
+// drops it. Otherwise they are duplicate-free when the root is a Map that
+// needs no deduplication (needsDistinct, or a groupjoin over a
+// duplicate-free left input) or another operator duplicateFree vouches for,
+// and may repeat a row when not.
+func Compile(ctx *exec.Ctx, t *Tree) (exec.BatchIterator, exec.Rows, error) {
 	if t.Infeasible != "" {
-		return nil, false, fmt.Errorf("planner: %s join requested but %s", t.Spec.Joins, t.Infeasible)
+		return nil, exec.AnyRows, fmt.Errorf("planner: %s join requested but %s", t.Spec.Joins, t.Infeasible)
 	}
 	it, canonical, err := compile(ctx, t.root)
-	if errors.Is(err, errIndexGone) {
-		return compile(ctx, resolveTree(t.Plan(), t.Spec, noIndexes).root)
+	switch {
+	case err != nil:
+		return nil, exec.AnyRows, err
+	case canonical:
+		return it, exec.CanonicalRows, nil
+	case t.repeats:
+		return it, exec.AnyRows, nil
 	}
-	return it, canonical, err
+	return it, exec.DistinctRows, nil
 }
 
-// errIndexGone is compile's report of an index its tree reads that is no
-// longer registered.
-var errIndexGone = errors.New("planner: index dropped since the plan was resolved")
+// Unindexed returns t's plan resolved under t's spec as if no table had an
+// index: what runs once Compile reports that an index t reads is gone.
+func Unindexed(t *Tree) *Tree { return resolveTree(t.Plan(), t.Spec, noIndexes) }
+
+// ErrIndexGone is Compile's report of an index its tree reads that is no
+// longer registered: storage.Table.DropIndex unregisters one without
+// touching the trees that name it.
+var ErrIndexGone = errors.New("planner: index dropped since the plan was resolved")
 
 // liveIndex fetches the registered index of table on attrs from the
 // context's database.
@@ -122,7 +137,7 @@ func liveIndex(c *exec.Ctx, table string, attrs []string) (*storage.HashIndex, e
 			}
 		}
 	}
-	return nil, errIndexGone
+	return nil, ErrIndexGone
 }
 
 // compile is Compile's walk.
@@ -204,8 +219,9 @@ func compile(c *exec.Ctx, n *node) (exec.BatchIterator, bool, error) {
 // compileFused builds the fused join Map node n resolved to: a groupjoin,
 // which emits left rows unchanged, or a projection fusion, which emits m's
 // output. Where those rows are not duplicate-free by construction an
-// identity map deduplicates them, as m would have. A groupjoin keeps the
-// order compileJoin reports; a projection's rows have none.
+// identity map deduplicates them, as m would have — below the root, whose
+// rows the collector deduplicates. A groupjoin keeps the order compileJoin
+// reports; a projection's rows have none.
 func compileFused(c *exec.Ctx, n *node, m *algebra.Map) (exec.BatchIterator, bool, error) {
 	j := n.join
 	it, canonical, err := compileJoin(c, n, j.fused)

@@ -237,7 +237,7 @@ func TestJoinImplString(t *testing.T) {
 
 // compilePlan resolves p under spec against the live indexes of ctx's
 // database and compiles the tree.
-func compilePlan(ctx *exec.Ctx, spec PhysicalSpec, p algebra.Plan) (exec.BatchIterator, bool, error) {
+func compilePlan(ctx *exec.Ctx, spec PhysicalSpec, p algebra.Plan) (exec.BatchIterator, exec.Rows, error) {
 	return Compile(ctx, NewEstimatorStats(stats.New(ctx.DB)).Resolve(p, spec))
 }
 

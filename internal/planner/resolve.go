@@ -34,8 +34,10 @@ type Tree struct {
 	root       *node
 	// joins and nestJoins report whether the plan has join-family nodes and
 	// nest joins, probes whether some join probes a persistent index, and
-	// scans whether some selection is served by one.
-	joins, nestJoins, probes, scans bool
+	// scans whether some selection is served by one. repeats reports that
+	// the root may emit a row more than once: it leaves deduplication to
+	// the collector (Compile).
+	joins, nestJoins, probes, scans, repeats bool
 }
 
 // node is one operator of a resolved tree.
@@ -51,9 +53,9 @@ type node struct {
 	pred tmql.Expr
 	// beneath marks a selection beneath an index lookup, a plain filter over
 	// the looked-up rows; absorbed a wrapper Map whose join binds its
-	// content, which has no operator of its own; dedup a Map that
-	// deduplicates its rows (needsDistinct), or whose fused join's rows an
-	// identity map deduplicates.
+	// content, which has no operator of its own; dedup a Map below the root
+	// that deduplicates its rows (needsDistinct), or whose fused join's rows
+	// an identity map deduplicates.
 	beneath, absorbed, dedup bool
 	// in are the resolved inputs: a fused join's operands, every other
 	// node's children; nil past the last.
@@ -118,6 +120,11 @@ func (e *Estimator) Resolve(p algebra.Plan, spec PhysicalSpec) *Tree {
 func resolveTree(p algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][]string) *Tree {
 	t := &Tree{Spec: spec}
 	t.root = t.resolve(p, source{}, indexesOf)
+	// The collector deduplicates the root's rows; the root does not.
+	t.repeats, t.root.dedup = t.root.dedup, false
+	if _, ok := p.(*algebra.Map); !ok {
+		t.repeats = !duplicateFree(p)
+	}
 	return t
 }
 

@@ -6,6 +6,7 @@
 package schema
 
 import (
+	"errors"
 	"fmt"
 
 	"tmdb/internal/types"
@@ -73,6 +74,10 @@ func (c *Catalog) ClassByExtension(ext string) (*Class, bool) {
 	return cl, ok
 }
 
+// ErrUnknownExtension is the errors.Is target of the error ElementType
+// returns for an extension no class of the catalog has.
+var ErrUnknownExtension = errors.New("schema: unknown extension")
+
 // ElementType returns the fully resolved tuple type of one element of the
 // named extension: class attributes with sort references expanded and class
 // references replaced by the referenced class's element structure reduced to
@@ -81,7 +86,7 @@ func (c *Catalog) ClassByExtension(ext string) (*Class, bool) {
 func (c *Catalog) ElementType(ext string) (*types.Type, error) {
 	cl, ok := c.byExt[ext]
 	if !ok {
-		return nil, fmt.Errorf("schema: unknown extension %s", ext)
+		return nil, fmt.Errorf("%w %s", ErrUnknownExtension, ext)
 	}
 	return c.Resolve(cl.Attrs, map[string]bool{cl.Name: true})
 }

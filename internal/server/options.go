@@ -29,7 +29,7 @@ type WireOptions struct {
 	// TimeoutMs is the per-query wall-clock deadline in milliseconds
 	// (0 = none). On expiry the request fails with 408 deadline_exceeded.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// MaxRows bounds result rows produced (pre-deduplication; 0 = unlimited).
+	// MaxRows bounds the distinct rows the result keeps (0 = unlimited).
 	// On breach the request fails with 413 budget_exceeded.
 	MaxRows int64 `json:"max_rows,omitempty"`
 	// MaxBuildBytes bounds the approximate bytes materialized in hash/sort

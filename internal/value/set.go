@@ -143,9 +143,6 @@ func NewSetBuilder(n int) *SetBuilder {
 // Add appends an element (duplicates allowed; removed at Build).
 func (b *SetBuilder) Add(v Value) { b.elems = append(b.elems, v) }
 
-// AddAll appends elements (duplicates allowed; removed at Build).
-func (b *SetBuilder) AddAll(vs []Value) { b.elems = append(b.elems, vs...) }
-
 // Build canonicalizes and returns the set. The builder is reset and may be
 // reused.
 func (b *SetBuilder) Build() Value {
