@@ -21,7 +21,7 @@ func evalPlan(t *testing.T, db *storage.DB, p Plan) value.Value {
 	t.Helper()
 	v, err := evalPlanE(db, p)
 	if err != nil {
-		t.Fatalf("evalPlan(%s): %v", p.Describe(), err)
+		t.Fatalf("evalPlan(%s): %v", p.Describe(nil), err)
 	}
 	return v
 }

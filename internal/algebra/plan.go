@@ -18,6 +18,7 @@ import (
 	"tmdb/internal/schema"
 	"tmdb/internal/tmql"
 	"tmdb/internal/types"
+	"tmdb/internal/value"
 )
 
 // Plan is a logical operator tree producing a collection of values (usually
@@ -27,8 +28,11 @@ type Plan interface {
 	Elem() *types.Type
 	// Children returns the input plans, left to right.
 	Children() []Plan
-	// Describe returns a one-line rendering of this node (without inputs).
-	Describe() string
+	// Describe returns a one-line rendering of this node (without inputs),
+	// its slotted literals printed as their arguments in args, the values of
+	// the query it runs for (tmql.FormatArgs); nil args print the literals
+	// themselves.
+	Describe(args []value.Value) string
 }
 
 // Builder constructs validated plans against a catalog. The catalog is used
@@ -64,9 +68,9 @@ func (b *Builder) Scan(table string) (*Scan, error) {
 	return &Scan{Table: table, elem: elem}, nil
 }
 
-func (s *Scan) Elem() *types.Type { return s.elem }
-func (s *Scan) Children() []Plan  { return nil }
-func (s *Scan) Describe() string  { return fmt.Sprintf("Scan(%s)", s.Table) }
+func (s *Scan) Elem() *types.Type             { return s.elem }
+func (s *Scan) Children() []Plan              { return nil }
+func (s *Scan) Describe([]value.Value) string { return fmt.Sprintf("Scan(%s)", s.Table) }
 
 // --- Select (σ) ---
 
@@ -92,8 +96,8 @@ func (b *Builder) Select(in Plan, v string, pred tmql.Expr) (*Select, error) {
 
 func (s *Select) Elem() *types.Type { return s.elem }
 func (s *Select) Children() []Plan  { return []Plan{s.In} }
-func (s *Select) Describe() string {
-	return fmt.Sprintf("Select[%s](%s)", tmql.Format(s.Pred), s.Var)
+func (s *Select) Describe(args []value.Value) string {
+	return fmt.Sprintf("Select[%s](%s)", tmql.FormatArgs(s.Pred, args), s.Var)
 }
 
 // --- Map (function application / projection) ---
@@ -128,8 +132,8 @@ func (b *Builder) Project(in Plan, v string, labels ...string) (*Map, error) {
 
 func (m *Map) Elem() *types.Type { return m.elem }
 func (m *Map) Children() []Plan  { return []Plan{m.In} }
-func (m *Map) Describe() string {
-	return fmt.Sprintf("Map[%s](%s)", tmql.Format(m.Out), m.Var)
+func (m *Map) Describe(args []value.Value) string {
+	return fmt.Sprintf("Map[%s](%s)", tmql.FormatArgs(m.Out, args), m.Var)
 }
 
 // --- Join family ---
@@ -224,8 +228,8 @@ func concatType(l, r *types.Type) (*types.Type, error) {
 
 func (j *Join) Elem() *types.Type { return j.elem }
 func (j *Join) Children() []Plan  { return []Plan{j.L, j.R} }
-func (j *Join) Describe() string {
-	return fmt.Sprintf("%s[%s](%s, %s)", j.Kind, tmql.Format(j.Pred), j.LVar, j.RVar)
+func (j *Join) Describe(args []value.Value) string {
+	return fmt.Sprintf("%s[%s](%s, %s)", j.Kind, tmql.FormatArgs(j.Pred, args), j.LVar, j.RVar)
 }
 
 // --- Nest join (△) — the paper's §6 operator ---
@@ -288,9 +292,9 @@ func (b *Builder) NestJoin(l, r Plan, lv, rv string, pred, fn tmql.Expr, label s
 
 func (n *NestJoin) Elem() *types.Type { return n.elem }
 func (n *NestJoin) Children() []Plan  { return []Plan{n.L, n.R} }
-func (n *NestJoin) Describe() string {
+func (n *NestJoin) Describe(args []value.Value) string {
 	return fmt.Sprintf("NestJoin[%s; %s; %s](%s, %s)",
-		tmql.Format(n.Pred), tmql.Format(n.Fn), n.Label, n.LVar, n.RVar)
+		tmql.FormatArgs(n.Pred, args), tmql.FormatArgs(n.Fn, args), n.Label, n.LVar, n.RVar)
 }
 
 // --- Nest (ν) and NULL-aware nest (ν*) ---
@@ -348,7 +352,7 @@ func (b *Builder) Nest(in Plan, attrs []string, label string, nullAware bool) (*
 
 func (n *Nest) Elem() *types.Type { return n.elem }
 func (n *Nest) Children() []Plan  { return []Plan{n.In} }
-func (n *Nest) Describe() string {
+func (n *Nest) Describe([]value.Value) string {
 	op := "Nest"
 	if n.NullAware {
 		op = "Nest*"
@@ -413,9 +417,9 @@ func (b *Builder) Unnest(in Plan, attr string) (*Unnest, error) {
 // Scalar reports whether the unnested elements are non-tuples.
 func (u *Unnest) Scalar() bool { return u.scalar }
 
-func (u *Unnest) Elem() *types.Type { return u.elem }
-func (u *Unnest) Children() []Plan  { return []Plan{u.In} }
-func (u *Unnest) Describe() string  { return fmt.Sprintf("Unnest[%s]", u.Attr) }
+func (u *Unnest) Elem() *types.Type             { return u.elem }
+func (u *Unnest) Children() []Plan              { return []Plan{u.In} }
+func (u *Unnest) Describe([]value.Value) string { return fmt.Sprintf("Unnest[%s]", u.Attr) }
 
 // --- Set operations over plans ---
 
@@ -459,9 +463,9 @@ func (b *Builder) SetOp(kind SetOpKind, l, r Plan) (*SetOp, error) {
 	return &SetOp{Kind: kind, L: l, R: r, elem: u}, nil
 }
 
-func (s *SetOp) Elem() *types.Type { return s.elem }
-func (s *SetOp) Children() []Plan  { return []Plan{s.L, s.R} }
-func (s *SetOp) Describe() string  { return s.Kind.String() }
+func (s *SetOp) Elem() *types.Type             { return s.elem }
+func (s *SetOp) Children() []Plan              { return []Plan{s.L, s.R} }
+func (s *SetOp) Describe([]value.Value) string { return s.Kind.String() }
 
 // --- Remote (naive) evaluation node ---
 
@@ -497,4 +501,6 @@ func (b *Builder) EvalSet(e tmql.Expr) (*EvalNode, error) {
 
 func (e *EvalNode) Elem() *types.Type { return e.elem }
 func (e *EvalNode) Children() []Plan  { return nil }
-func (e *EvalNode) Describe() string  { return fmt.Sprintf("Eval[%s]", tmql.Format(e.Expr)) }
+func (e *EvalNode) Describe(args []value.Value) string {
+	return fmt.Sprintf("Eval[%s]", tmql.FormatArgs(e.Expr, args))
+}

@@ -15,7 +15,7 @@ func Explain(p Plan) string {
 
 func explain(sb *strings.Builder, p Plan, depth int) {
 	sb.WriteString(strings.Repeat("  ", depth))
-	sb.WriteString(p.Describe())
+	sb.WriteString(p.Describe(nil))
 	sb.WriteByte('\n')
 	for _, c := range p.Children() {
 		explain(sb, c, depth+1)

@@ -61,6 +61,59 @@ func TestPointPathAllocs(t *testing.T) {
 	}
 }
 
+// TestPointHitOtherConstantsAllocs holds an ad-hoc point lookup that hits a
+// plan cached for other constants to what a hit on a plan cached for its own
+// costs, on TestPointPathAllocs' dataset and indexes: the cached tree is
+// compiled with the text's values, never copied and resolved again. Two
+// engines over one database run the same text, one having planned its shape
+// with other constants, the other with the text's own, so both executions
+// read the same rows.
+func TestPointHitOtherConstantsAllocs(t *testing.T) {
+	cat, db := datagen.XYZ(datagen.Spec{NX: 2000, NY: 6000, NZ: 4000, Keys: 500, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1994})
+	other, same := New(cat, db), New(cat, db)
+	for _, ix := range [][]string{{"X", "b"}, {"Y", "d"}, {"Y", "b", "d"}} {
+		if err := other.CreateIndex(ix[0], ix[1:]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other.Analyze()
+	same.Analyze()
+	// Two Y rows whose keys are non-negative: a negative constant is the
+	// negation of a literal, which has no slot.
+	ys, _ := db.Table("Y")
+	var pointY []string
+	for _, y := range ys.AsSet().Elems() {
+		if b, d := y.MustGet("b").AsInt(), y.MustGet("d").AsInt(); b >= 0 && d >= 0 && len(pointY) < 2 {
+			pointY = append(pointY, fmt.Sprintf(`SELECT y.a FROM Y y WHERE y.b = %d AND y.d = %d`, b, d))
+		}
+	}
+	const semi = ` AND x.b IN SELECT y.d FROM Y y WHERE x.b = y.d`
+	for _, tc := range []struct{ name, planned, text string }{
+		{"point_x", `SELECT x FROM X x WHERE x.b = 3`, `SELECT x FROM X x WHERE x.b = 7`},
+		{"point_y", pointY[1], pointY[0]},
+		{"semi_pt", `SELECT x FROM X x WHERE x.b = 3` + semi, `SELECT x FROM X x WHERE x.b = 7` + semi},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(eng *Engine, planned string) float64 {
+				if _, err := eng.Query(planned, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(50, func() {
+					res, err := eng.Query(tc.text, Options{})
+					if err != nil || !res.CacheHit {
+						t.Fatalf("execution missed the plan cache (err %v)", err)
+					}
+				})
+			}
+			o, s := allocs(other, tc.planned), allocs(same, tc.text)
+			t.Logf("%.0f allocs per hit planned with other constants, %.0f with its own", o, s)
+			if o > s {
+				t.Errorf("a hit planned with other constants allocates %.0f, more than the %.0f of one planned with its own", o, s)
+			}
+		})
+	}
+}
+
 // TestNestedPathAllocs guards the allocations of the six prepared statements
 // of the nested_exec benchmark workload, on its unindexed dataset after
 // Analyze, served from the plan cache and from warm snapshot memos. Each

@@ -13,13 +13,13 @@ import (
 // every slotted constant — see tmql.MarkSlots — rendered as its kind) plus
 // every option that can change the outcome plus the statistics generation of
 // each referenced table, and the value is the planned decision — chosen
-// strategy, logical alternative, cost, the candidate table for EXPLAIN, the
-// constants the plan carries, and the chosen plan resolved under the chosen
-// join family and access path into its physical tree. Repeated queries
-// therefore skip translation, alternative generation, costing and
-// resolution entirely, and queries that differ only in slotted constants
-// resolve a copy of the plan carrying their own once (query.rebind).
-// Entries are treated as immutable after insertion.
+// strategy, logical alternative, cost, the candidate table for EXPLAIN, and
+// the chosen plan resolved under the chosen join family and access path into
+// its physical tree. Repeated queries therefore skip translation,
+// alternative generation, costing and resolution entirely, and so do
+// queries that differ only in slotted constants: every query of the shape
+// compiles the one tree with its own constants as arguments (see
+// tmql.MarkSlots). Entries are treated as immutable after insertion.
 //
 // A decision is only ever a matter of cost, never of correctness, so it is
 // reused across writes: the generation in the key changes when the catalog

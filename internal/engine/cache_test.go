@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"tmdb/internal/algebra"
 	"tmdb/internal/core"
 	"tmdb/internal/datagen"
 	"tmdb/internal/planner"
@@ -142,9 +141,10 @@ func TestPlanCacheServesExplain(t *testing.T) {
 }
 
 // TestPlanCacheShapes pins the shape-keyed cache contract: texts differing
-// only in a slotted constant share one entry — the later ones hit, carry
-// their own constant in Result.Plan and match naive — while a constant's
-// kind, a COUNT bound, an IN-list and a bool comparand are part of the shape.
+// only in a slotted constant share one entry — the later ones hit, run the
+// cached plan (Result.Plan), match naive and EXPLAIN with their own
+// constants — while a constant's kind, a COUNT bound, an IN-list and a bool
+// comparand are part of the shape.
 func TestPlanCacheShapes(t *testing.T) {
 	const count = `SELECT x FROM X x WHERE COUNT(SELECT y FROM Y y WHERE x.b = y.d) >= `
 	const flag = `SELECT s FROM (SELECT (b = x.b, p = x.b > 2) FROM X x) s WHERE s.p = `
@@ -152,7 +152,8 @@ func TestPlanCacheShapes(t *testing.T) {
 		name    string
 		texts   []string
 		entries int
-		// shows is a fragment of the last text's plan, absent from the first's.
+		// shows is a fragment of the last text's EXPLAIN, absent from the
+		// first's.
 		shows string
 	}{
 		{"slotted constant", []string{`SELECT x FROM X x WHERE x.b = 3`, `SELECT x FROM X x WHERE x.b = 5`}, 1, "x.b = 5"},
@@ -165,7 +166,7 @@ func TestPlanCacheShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, oracle := xyzEngine(t), xyzEngine(t)
-			var first, last *Result
+			var first *Result
 			for i, text := range tc.texts {
 				res, err := eng.Query(text, Options{})
 				if err != nil {
@@ -180,39 +181,62 @@ func TestPlanCacheShapes(t *testing.T) {
 				}
 				if hit := i >= tc.entries; res.CacheHit != hit {
 					t.Errorf("%s: CacheHit = %v, want %v", text, res.CacheHit, hit)
+				} else if hit && res.Plan != first.Plan {
+					t.Errorf("%s: a hit ran another plan than the cached one", text)
 				}
 				if first == nil {
 					first = res
 				}
-				last = res
 			}
 			if st := eng.PlanCacheStats(); st.Entries != tc.entries {
 				t.Errorf("entries = %d, want %d", st.Entries, tc.entries)
 			}
-			if !strings.Contains(algebra.Explain(last.Plan), tc.shows) || strings.Contains(algebra.Explain(first.Plan), tc.shows) {
-				t.Errorf("plans do not carry their own constants:\nfirst:\n%s\nlast:\n%s",
-					algebra.Explain(first.Plan), algebra.Explain(last.Plan))
+			firstOut, err := eng.Explain(tc.texts[0], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lastOut, err := eng.Explain(tc.texts[len(tc.texts)-1], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(lastOut, tc.shows) || strings.Contains(firstOut, tc.shows) {
+				t.Errorf("EXPLAIN does not show each query's own constants:\nfirst:\n%s\nlast:\n%s", firstOut, lastOut)
 			}
 		})
 	}
 
+	// EXPLAIN of a hit renders and costs the cached tree with the hit's own
+	// constants: an index lookup's residual, and a leading-label range's
+	// bounds.
 	t.Run("EXPLAIN of a hit", func(t *testing.T) {
-		eng := xyzEngine(t)
-		if err := eng.CreateIndex("X", "b"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Query(`SELECT x FROM X x WHERE x.b = 3 AND x.b <> 7`, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		out, err := eng.Explain(`SELECT x FROM X x WHERE x.b = 5 AND x.b <> 9`, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := eng.PlanCacheStats(); st.Entries != 1 || st.Hits != 1 {
-			t.Errorf("EXPLAIN of the same shape missed: %+v", st)
-		}
-		if !strings.Contains(out, "Select[x.b <> 9](x)") || !strings.Contains(out, "Scan(X) using X(b)") {
-			t.Errorf("EXPLAIN of a hit does not show its own constant:\n%s", out)
+		for _, tc := range []struct {
+			planned, hit string
+			shows        []string
+		}{
+			{`SELECT x FROM X x WHERE x.b = 3 AND x.b <> 7`, `SELECT x FROM X x WHERE x.b = 5 AND x.b <> 9`,
+				[]string{"Select[x.b <> 9](x)", "Scan(X) using X(b)"}},
+			{`SELECT y FROM Y y WHERE y.a >= 2 AND y.a < 5`, `SELECT y FROM Y y WHERE y.a >= 4 AND y.a < 9`,
+				[]string{"Select[y.a >= 4 AND y.a < 9](y)", "Scan(Y) a∈[4, 9)"}},
+		} {
+			eng := xyzEngine(t)
+			if err := eng.CreateIndex("X", "b"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Query(tc.planned, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			out, err := eng.Explain(tc.hit, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := eng.PlanCacheStats(); st.Entries != 1 || st.Hits != 1 {
+				t.Errorf("%s: EXPLAIN of the same shape missed: %+v", tc.hit, st)
+			}
+			for _, want := range tc.shows {
+				if !strings.Contains(out, want) {
+					t.Errorf("EXPLAIN of a hit does not show %q:\n%s", want, out)
+				}
+			}
 		}
 	})
 }

@@ -13,17 +13,16 @@
 // keyed on the query's shape — the bound query with each constant compared
 // against a field path replaced by a typed parameter slot — the options and
 // the statistics generations they were costed against, so repeated queries,
-// and queries differing only in such constants, skip translation and
-// enumeration. It is the implementation behind the public tmdb package.
+// and queries differing only in such constants, skip translation,
+// enumeration and resolution: each compiles the cached tree with its own
+// constants. It is the implementation behind the public tmdb package.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"tmdb/internal/algebra"
@@ -136,7 +135,10 @@ func (o Options) pin() planner.PhysicalSpec {
 type Result struct {
 	// Value is the query result (a set for SFW queries).
 	Value value.Value
-	// Plan is the logical plan that was executed.
+	// Plan is the logical plan that was executed: the plan cached for the
+	// query's shape, whose slotted literals (tmql.MarkSlots) hold the values
+	// the shape was planned with. The execution read the query's own values
+	// in their place; Expr holds those, and EXPLAIN prints them.
 	Plan algebra.Plan
 	// Expr is the bound query expression.
 	Expr tmql.Expr
@@ -163,9 +165,9 @@ type Result struct {
 	Auto bool
 	// CacheHit reports whether planning was served from the plan cache: by
 	// this query's shape, possibly planned with other values for its slotted
-	// constants (Plan then carries this query's values, while Cost and the
-	// strategy, join and access choices are those of the values that planned
-	// the shape).
+	// constants (Plan, Cost and the strategy, join and access choices are
+	// then those of the values that planned the shape, and the execution
+	// read this query's values).
 	CacheHit bool
 	// Duration is the wall-clock execution time (translation + execution,
 	// excluding parse/bind).
@@ -184,8 +186,8 @@ type Result struct {
 
 // planned is a physical planning decision: what the plan cache stores. tree
 // is the chosen plan resolved under the chosen spec, which every execution
-// compiles into fresh iterators and nothing writes. Entries are immutable
-// after construction. vals are the slotted constants the plan carries.
+// of the shape compiles into fresh iterators, with its own slot values as
+// arguments, and nothing writes. Entries are immutable after construction.
 type planned struct {
 	tree       *planner.Tree
 	strategy   core.Strategy
@@ -193,30 +195,19 @@ type planned struct {
 	cost       planner.Cost
 	auto       bool
 	candidates []planner.Candidate
-	vals       []value.Value
 }
 
 // query is one bound top-level query, computed once per text: the bound
 // expression, the tables it reads (sorted), its shape (tmql.Shape, the query
 // part of the plan-cache key) and the values of its slotted constants in
-// slot order. Query, Explain and their siblings bind one per call; a
-// Prepared statement holds one for its lifetime.
+// slot order, the arguments its executions compile the cached tree with.
+// Query, Explain and their siblings bind one per call; a Prepared statement
+// holds one for its lifetime.
 type query struct {
 	expr   tmql.Expr
 	tables []string
 	shape  string
 	vals   []value.Value
-	// memo is the last cache entry this query hit with other values, bound to
-	// this query's: prepared statements of one shape share an entry, and each
-	// substitutes its values once rather than per execution.
-	memo atomic.Pointer[boundEntry]
-}
-
-// boundEntry copies the cached decision of, its plan carrying another query's
-// values.
-type boundEntry struct {
-	of *planned
-	planned
 }
 
 // bind parses and binds src and gives its constants parameter slots.
@@ -237,27 +228,6 @@ func (e *Engine) bind(src string) (*query, error) {
 func newQuery(bound tmql.Expr) *query {
 	vals := tmql.MarkSlots(bound)
 	return &query{expr: bound, tables: tmql.Tables(bound), shape: tmql.Shape(bound), vals: vals}
-}
-
-// rebind returns the cached decision pl for q's constants: pl itself when it
-// carries them already, otherwise a copy whose plan carries them, resolved
-// again against the live indexes of sc — index points, the deduplication of
-// IN and OR alternatives and range bounds come from the constants — and
-// memoized per query. The copy keeps pl's strategy, physical spec, cost and
-// candidate table: a shape plans once, against the first values that reach
-// it.
-func (q *query) rebind(pl *planned, sc *stats.Catalog) *planned {
-	if slices.EqualFunc(pl.vals, q.vals, value.Equal) {
-		return pl
-	}
-	if m := q.memo.Load(); m != nil && m.of == pl {
-		return &m.planned
-	}
-	m := &boundEntry{of: pl, planned: *pl}
-	m.tree = planner.NewEstimatorStats(sc).Resolve(algebra.BindSlots(pl.tree.Plan(), q.vals), pl.tree.Spec)
-	m.vals = q.vals
-	q.memo.Store(m)
-	return &m.planned
 }
 
 // Query parses, binds, translates, and executes a TM query string. It is
@@ -307,6 +277,7 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 	}
 	gov := exec.NewGovernor(ctx, opts.Limits.exec())
 	ectx := exec.NewCtxGoverned(e.db, gov)
+	ectx.Ev.Args = q.vals
 	defer recoverAbort(gov, &res, &err)
 	pl, tree, rows, cerr := e.compile(ectx, q, opts, pl)
 	if cerr != nil {
@@ -325,7 +296,7 @@ func (e *Engine) execBound(ctx context.Context, q *query, opts Options) (res *Re
 				return nil, terr
 			}
 		}
-		return nil, wrapAbort(fmt.Errorf("engine: executing %s: %w", pl.tree.Plan().Describe(), err), gov)
+		return nil, wrapAbort(fmt.Errorf("engine: executing %s: %w", pl.tree.Plan().Describe(q.vals), err), gov)
 	}
 	return &Result{
 		Value:       v,
@@ -379,20 +350,19 @@ func (e *Engine) compile(ectx *exec.Ctx, q *query, opts Options, pl *planned) (*
 // tables' current snapshots and fetches the live indexes its tree names,
 // and every plan returns the same answer. The key's query part is the
 // shape, so a hit may have been planned with other values for the slotted
-// constants; rebind substitutes q's. The reported bool is true on a cache
-// hit.
+// constants: its tree reads q's as arguments when it is compiled, so it
+// serves q unchanged. The reported bool is true on a cache hit.
 func (e *Engine) plan(q *query, opts Options) (*planned, bool, error) {
 	buf := keyBufs.Get().(*[]byte)
 	defer keyBufs.Put(buf)
 	*buf = appendCacheKey((*buf)[:0], q.shape, opts, q.tables, e.generation)
 	if pl, ok := e.cache.get(*buf); ok {
-		return q.rebind(pl, e.statsCat), true, nil
+		return pl, true, nil
 	}
 	pl, err := e.planMiss(q.expr, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	pl.vals = q.vals
 	e.cache.put(string(*buf), q.tables, pl)
 	return pl, false, nil
 }
@@ -513,7 +483,7 @@ func (e *Engine) explainBound(q *query, opts Options) (string, error) {
 	if n := planner.NaiveLeaves(pl.tree.Plan()); n > 0 {
 		fmt.Fprintf(&b, "naive leaves: %d\n", n)
 	}
-	b.WriteString(est.Explain(pl.tree))
+	b.WriteString(est.Explain(pl.tree, q.vals))
 	if len(pl.candidates) > 1 {
 		b.WriteString("candidates considered:\n")
 		for _, c := range pl.candidates {

@@ -141,7 +141,7 @@ func TestAutoNamesBareEvalNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, bare := res.Plan.(*algebra.EvalNode); !bare || res.Strategy != core.StrategyNaive {
-		t.Errorf("Result.Strategy = %s over %s, want naive over a bare Eval", res.Strategy, res.Plan.Describe())
+		t.Errorf("Result.Strategy = %s over %s, want naive over a bare Eval", res.Strategy, res.Plan.Describe(nil))
 	}
 }
 
@@ -175,7 +175,7 @@ func TestPinnedStrategyKeepsBareEvalName(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, bare := res.Plan.(*algebra.EvalNode); !bare || res.Strategy != core.StrategyOuterJoin {
-		t.Errorf("Result.Strategy = %s over %s, want outerjoin over a bare Eval", res.Strategy, res.Plan.Describe())
+		t.Errorf("Result.Strategy = %s over %s, want outerjoin over a bare Eval", res.Strategy, res.Plan.Describe(nil))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"tmdb/internal/datagen"
 	"tmdb/internal/planner"
+	"tmdb/internal/storage"
 	"tmdb/internal/value"
 )
 
@@ -89,6 +90,52 @@ func TestSnapshotMemoPreparedAcrossWrites(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMemoKeyPerConstant runs one shape with two slotted constants,
+// alternating, on one engine and one snapshot of Y. Every execution after
+// the first hits the one cached plan, whose right input, Select[y.a > ?int]
+// over Y, is built and its groups kept in Y's memo: the build's form holds
+// the query's own constant, not the value the shape was planned with, so
+// each constant must fill and be served its own. Every answer must equal
+// naive evaluation, and the memo must hold one build, with its groups, per
+// constant.
+func TestMemoKeyPerConstant(t *testing.T) {
+	eng := xyzEngine(t)
+	const shape = `SELECT (b = x.b, ys = SELECT y.a FROM Y y WHERE x.b = y.d AND y.a > %d) FROM X x`
+	opts := Options{Joins: planner.ImplHash}
+	ys, _ := eng.DB().Table("Y")
+	_, memo := ys.Snapshot()
+	answers := map[int]value.Value{}
+	for i := range 6 {
+		k := 2 + i%2
+		q := fmt.Sprintf(shape, k)
+		res, err := eng.Query(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit != (i > 0) {
+			t.Errorf("execution %d: CacheHit = %v", i, res.CacheHit)
+		}
+		sameAsNaive(t, eng, q, res)
+		answers[k] = res.Value
+	}
+	if value.Equal(answers[2], answers[3]) {
+		t.Fatal("the two constants answer alike: the test cannot tell their builds apart")
+	}
+	if _, m := ys.Snapshot(); m != memo {
+		t.Fatal("Y's snapshot changed")
+	}
+	// Count the memo's entries by filling it up to its cap.
+	kept := 0
+	for ; ; kept++ {
+		if _, ok := memo.Store(fmt.Sprintf("probe %d", kept), nil); !ok {
+			break
+		}
+	}
+	if n := storage.MemoEntries - kept; n != 4 {
+		t.Errorf("Y's memo holds %d entries, want a build and its groups per constant, 4", n)
 	}
 }
 

@@ -249,9 +249,9 @@ func TestStorageLoadRacesReaderSnapshot(t *testing.T) {
 
 // TestShapeSharedConcurrently runs prepared statements and ad-hoc texts that
 // share shapes but not constants from 8 goroutines on one engine: every
-// execution goes through the one cache entry per shape, the prepared ones
-// through their per-statement rebinding memo as well. Under -race it is the
-// sweep for the shared entry and the memo; every result must match naive.
+// execution compiles the one cached tree per shape with its own constants.
+// Under -race it is the sweep for the shared entry and tree; every result
+// must match naive.
 func TestShapeSharedConcurrently(t *testing.T) {
 	cat, db := datagen.XYZ(datagen.Spec{
 		NX: 30, NY: 90, NZ: 60, Keys: 8, DanglingFrac: 0.25, SetAttrCard: 3, Seed: 1,

@@ -151,7 +151,7 @@ func TestCandidateTableHasNoRepeats(t *testing.T) {
 		est := planner.NewEstimatorStats(eng.Stats())
 		seen := map[string]string{}
 		for _, c := range cands {
-			skel, _ := skeleton(strings.Split(strings.TrimSpace(est.Explain(est.Resolve(c.Plan, c.PhysicalSpec))), "\n"))
+			skel, _ := skeleton(strings.Split(strings.TrimSpace(est.Explain(est.Resolve(c.Plan, c.PhysicalSpec), nil)), "\n"))
 			key := fmt.Sprintf("%s %s %s %s %.0f", c.Strategy, c.Joins, c.Access, skel, c.Cost.Work)
 			if prev, ok := seen[key]; ok {
 				t.Errorf("candidate %s repeats %s", c, prev)

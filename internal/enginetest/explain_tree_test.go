@@ -39,7 +39,7 @@ type fusedShapes struct{ fused, absorbed int }
 // operators compiled for them (nil under an index join, whose right operand
 // has no operators of its own).
 func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, kids []any, err error) {
-	d, inputs := n.Describe(), n.Children()
+	d, inputs := n.Describe(nil), n.Children()
 	switch o := op.(type) {
 	case *exec.TableScan:
 		// A narrowed scan prints its source: the index the compiled scan
@@ -81,7 +81,7 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 			if !ok {
 				return "", nil, nil, fmt.Errorf("groupjoin compiled for %T, not Map ∘ Select ∘ NestJoin", n)
 			}
-			d, inputs = nj.Describe(), nj.Children()
+			d, inputs = nj.Describe(nil), nj.Children()
 			i := strings.LastIndex(d, "](")
 			d = d[:i] + " | " + tmql.Format(o.Test) + d[i:]
 		case o.Out != nil:
@@ -89,7 +89,7 @@ func explainedAs(n algebra.Plan, op any) (desc string, inputs []algebra.Plan, ki
 			if !ok {
 				return "", nil, nil, fmt.Errorf("fused projection compiled for %T, not a Map", n)
 			}
-			d, inputs = m.In.Describe(), m.In.Children()
+			d, inputs = m.In.Describe(nil), m.In.Children()
 			out := rewrap(o.Out, o.LVar, absorbedWrap(inputs[0], o.L))
 			if o.Fn == nil {
 				out = rewrap(out, o.RVar, absorbedWrap(inputs[1], o.R))
@@ -186,7 +186,7 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string, seen *fused
 		}
 	}
 	if len(lines) == 0 {
-		t.Fatalf("EXPLAIN ran out of lines at %s", n.Describe())
+		t.Fatalf("EXPLAIN ran out of lines at %s", n.Describe(nil))
 	}
 	line := strings.TrimLeft(lines[0], " ")
 	line = line[:strings.LastIndex(line, "  (rows≈")]
@@ -201,7 +201,7 @@ func matchTree(t *testing.T, n algebra.Plan, op any, lines []string, seen *fused
 	}
 	want, inputs, kids, err := explainedAs(n, op)
 	if err != nil {
-		t.Fatalf("%s: %v", n.Describe(), err)
+		t.Fatalf("%s: %v", n.Describe(nil), err)
 	}
 	if line != want {
 		t.Errorf("EXPLAIN says %q, the compiled %T renders as %q", line, op, want)
@@ -255,7 +255,7 @@ func explainMatchesCompiled(t *testing.T, eng *engine.Engine, prefix, query stri
 // matchExplain holds the EXPLAIN of resolved to tree, compiled from it.
 func matchExplain(t *testing.T, est *planner.Estimator, resolved *planner.Tree, tree exec.BatchIterator, seen *fusedShapes) {
 	t.Helper()
-	lines := strings.Split(strings.TrimRight(est.Explain(resolved), "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(est.Explain(resolved, nil), "\n"), "\n")
 	if rest := matchTree(t, resolved.Plan(), tree, lines, seen); len(rest) != 0 {
 		t.Errorf("%d EXPLAIN lines beyond the plan:\n%s", len(rest), strings.Join(rest, "\n"))
 	}

@@ -251,7 +251,7 @@ func FuzzStatsAnalyze(f *testing.F) {
 // range, an OR of equalities (duplicates when two holes draw one value), a
 // point restriction beside a semijoin, a COUNT bound (k ∈ {0, 1, 2}, which
 // must stay part of the shape), a SELECT-clause nest, and a restriction
-// inside a FROM subquery, whose slot is rebound in the join graph's leaf.
+// inside a FROM subquery, whose slot sits in the join graph's leaf.
 var shapeTemplates = []struct {
 	text  string
 	holes int
@@ -270,8 +270,8 @@ var shapeTemplates = []struct {
 // generated engine, bare or (indexed) with the indexes X(b), Y(d) and Y(b,d)
 // created before the first query, one template filled with at least four
 // literal vectors in turn — so every text after the first of its shape is
-// served by a plan built for other constants, whose index points the rebound
-// plan must take from its own — must match naive evaluation at auto and
+// served by a plan built for other constants, whose index points and range
+// bounds it must read from its own — must match naive evaluation at auto and
 // under a fixed nest-join strategy. An index lookup's EXPLAIN must count the
 // OR template's own distinct constants as its points. The oracle's cache is
 // cleared before every answer, so it never reuses a plan. The seed corpus

@@ -55,6 +55,10 @@ type Evaluator struct {
 	// evaluation without per-operator cooperation. Nil costs one compare per
 	// visit.
 	Check func() error
+	// Args are the slot values of the query being evaluated: a slotted
+	// literal evaluates to its argument (tmql.Lit.Value). Nil evaluates the
+	// literals themselves.
+	Args []value.Value
 }
 
 // checkEverySteps spaces out the Check polls; a power of two so the test is
@@ -82,7 +86,7 @@ func (ev *Evaluator) EvalEnv(e tmql.Expr, env *Env) (value.Value, error) {
 	}
 	switch n := e.(type) {
 	case *tmql.Lit:
-		return n.V, nil
+		return n.Value(ev.Args), nil
 
 	case *tmql.Var:
 		if v, ok := env.Lookup(n.Name); ok {

@@ -41,7 +41,7 @@ type pred2 func(a, b value.Value) (bool, error)
 // n2 = "" for single-variable contexts): compiled when e is in the subset,
 // the generic evaluator otherwise. It never returns nil.
 func compile(c *Ctx, e tmql.Expr, n1, n2 string) scalar2 {
-	if s := compileScalar2(e, n1, n2); s != nil {
+	if s := compileScalar2(e, c.Ev.Args, n1, n2); s != nil {
 		return s
 	}
 	return evaluated(c, e, n1, n2)
@@ -54,7 +54,7 @@ func compilePred(c *Ctx, e tmql.Expr, n1, n2 string) pred2 {
 	if e == nil {
 		return func(value.Value, value.Value) (bool, error) { return true, nil }
 	}
-	if p := compilePred2(e, n1, n2); p != nil {
+	if p := compilePred2(e, c.Ev.Args, n1, n2); p != nil {
 		return p
 	}
 	s := evaluated(c, e, n1, n2)
@@ -86,11 +86,12 @@ func evaluated(c *Ctx, e tmql.Expr, n1, n2 string) scalar2 {
 // compileScalar2 compiles e to a direct function of the rows bound to n1 and
 // n2, or nil when e falls outside the compiled subset: literals, the row
 // variables themselves, field-selection chains over them, aggregates of
-// those, and tuple constructors over them.
-func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
+// those, and tuple constructors over them. A slotted literal is its argument
+// in args, the query's slot values, read here once (tmql.Lit.Value).
+func compileScalar2(e tmql.Expr, args []value.Value, n1, n2 string) scalar2 {
 	switch n := e.(type) {
 	case *tmql.Lit:
-		v := n.V
+		v := n.Value(args)
 		return func(value.Value, value.Value) (value.Value, error) { return v, nil }
 	case *tmql.Var:
 		if n.Name == n1 {
@@ -101,7 +102,7 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 		}
 		return nil
 	case *tmql.FieldSel:
-		x := compileScalar2(n.X, n1, n2)
+		x := compileScalar2(n.X, args, n1, n2)
 		if x == nil {
 			return nil
 		}
@@ -121,7 +122,7 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 			return f, nil
 		}
 	case *tmql.Agg:
-		x := compileScalar2(n.X, n1, n2)
+		x := compileScalar2(n.X, args, n1, n2)
 		if x == nil {
 			return nil
 		}
@@ -134,7 +135,7 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 			return value.Aggregate(kind, xv)
 		}
 	case *tmql.TupleCons:
-		return compileTuple(n, n1, n2)
+		return compileTuple(n, args, n1, n2)
 	}
 	return nil
 }
@@ -146,11 +147,11 @@ func compileScalar2(e tmql.Expr, n1, n2 string) scalar2 {
 // with no sort. The tuples' fields are cut from slabs holding the fields of
 // up to maxSlabTuples tuples, each slab twice the last, so a projection
 // allocates once per slab rather than once per row.
-func compileTuple(cons *tmql.TupleCons, n1, n2 string) scalar2 {
+func compileTuple(cons *tmql.TupleCons, args []value.Value, n1, n2 string) scalar2 {
 	sorted := make([]string, len(cons.Fields))
 	scalars := make([]scalar2, len(cons.Fields))
 	for i, f := range cons.Fields {
-		if scalars[i] = compileScalar2(f.E, n1, n2); scalars[i] == nil {
+		if scalars[i] = compileScalar2(f.E, args, n1, n2); scalars[i] == nil {
 			return nil
 		}
 		sorted[i] = f.Label
@@ -193,14 +194,14 @@ const maxSlabTuples = 64
 // membership and set inclusion — between compiled scalars and AND/OR
 // combinations of compiled predicates (which always yield booleans, so the
 // evaluator's short-circuit truthiness is reproduced exactly).
-func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
+func compilePred2(e tmql.Expr, args []value.Value, n1, n2 string) pred2 {
 	b, ok := e.(*tmql.Binary)
 	if !ok {
 		return nil
 	}
 	switch {
 	case b.Op == tmql.OpAnd || b.Op == tmql.OpOr:
-		l, r := compilePred2(b.L, n1, n2), compilePred2(b.R, n1, n2)
+		l, r := compilePred2(b.L, args, n1, n2), compilePred2(b.R, args, n1, n2)
 		if l == nil || r == nil {
 			return nil
 		}
@@ -216,7 +217,7 @@ func compilePred2(e tmql.Expr, n1, n2 string) pred2 {
 			return r(a, c)
 		}
 	case compiledComparison(b.Op):
-		ls, rs := compileScalar2(b.L, n1, n2), compileScalar2(b.R, n1, n2)
+		ls, rs := compileScalar2(b.L, args, n1, n2), compileScalar2(b.R, args, n1, n2)
 		if ls == nil || rs == nil {
 			return nil
 		}

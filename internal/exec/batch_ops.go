@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -20,16 +21,17 @@ import (
 // the rows whose leading field lies in it, still in canonical order; each
 // batch is one chunk of the table's row snapshot. With an index Ix it reads
 // only the index buckets under its Points, each a list of Depth closed key
-// expressions (the planner matches only conjuncts whose other side is
-// constant at plan time), cutting a bucket longer than DefaultBatchSize into
-// batches of that size. Distinct points address disjoint buckets (the key
-// encoding is injective per depth), so the buckets concatenate without
-// deduplication, though not in canonical order. Ix is the live index the
-// planner fetched when it compiled the scan: buckets are copy-on-write, so it
-// stays readable even if the registry entry is dropped mid-query, like a row
-// snapshot. The
-// planner sets either source only beneath a selection whose filter above the
-// scan still checks every conjunct the source does not.
+// expressions evaluated at Open under the query's arguments, cutting a bucket
+// longer than DefaultBatchSize into batches of that size. Points may repeat a
+// key (x.b = ?int OR x.b = ?int with equal arguments): Open takes the bucket
+// of each distinct encoded key once, and distinct keys address disjoint
+// buckets (the key encoding is injective per depth), so the buckets
+// concatenate without deduplication, though not in canonical order. Ix is the
+// live index the planner fetched when it compiled the scan: buckets are
+// copy-on-write, so it stays readable even if the registry entry is dropped
+// mid-query, like a row snapshot. The planner sets either source only
+// beneath a selection whose filter above the scan still checks every
+// conjunct the source does not.
 type TableScan struct {
 	Ctx    *Ctx
 	Table  string
@@ -55,27 +57,41 @@ func (s *TableScan) Open() error {
 	return err
 }
 
-// lookup evaluates every point's keys once and takes the matching buckets as
-// the rows to read. The table's other rows are never touched.
+// lookup evaluates every point's keys once and takes the bucket of each
+// distinct encoded key as the rows to read. The table's other rows are never
+// touched.
 func (s *TableScan) lookup() error {
 	if err := checkIndex(s.Ix, s.Depth); err != nil {
 		return err
 	}
 	s.src = s.src[:0]
-	buf := make([]byte, 0, 32) // point keys are short: the buffer stays on the stack
+	// keys holds every distinct point's encoding, ends where each one ends;
+	// point keys are short, so a single point's stay on the stack.
+	keys := make([]byte, 0, 32)
+	var endsBuf [4]int
+	ends := endsBuf[:0]
 	for _, pt := range s.Points {
 		if len(pt) != s.Depth {
 			return fmt.Errorf("exec: index scan point has %d keys, want depth %d", len(pt), s.Depth)
 		}
-		buf = buf[:0]
+		start := len(keys)
 		for _, k := range pt {
 			kv, err := s.Ctx.Ev.Eval(k)
 			if err != nil {
 				return err
 			}
-			buf = value.AppendKey(buf, kv)
+			keys = value.AppendKey(keys, kv)
 		}
-		if b := s.Ix.LookupEncoded(string(buf), s.Depth); len(b) > 0 {
+		key, dup, prev := keys[start:], false, 0
+		for _, end := range ends {
+			dup, prev = dup || bytes.Equal(keys[prev:end], key), end
+		}
+		if dup {
+			keys = keys[:start]
+			continue
+		}
+		ends = append(ends, len(keys))
+		if b := s.Ix.LookupEncoded(string(key), s.Depth); len(b) > 0 {
 			s.src = append(s.src, b[:len(b):len(b)])
 		}
 	}

@@ -31,7 +31,7 @@ func TestCompiledPredicateErrorsMatchGeneric(t *testing.T) {
 			LVar: "x", RVar: "y", LKeys: []tmql.Expr{pred("x.k")}, RKeys: []tmql.Expr{pred("y.j")}, Fn: pred(fn), Label: "s"}
 	}
 	const fn = "(a = y.j, b = y.missing)"
-	if compileScalar2(pred(fn), "x", "y") == nil {
+	if compileScalar2(pred(fn), nil, "x", "y") == nil {
 		t.Fatalf("%s is outside the compiled subset", fn)
 	}
 	for _, c := range []struct {
@@ -54,7 +54,7 @@ func TestCompiledPredicateErrorsMatchGeneric(t *testing.T) {
 	}
 
 	const mixed = "x.b = 1 AND FORALL e IN x.c (e > 1)"
-	if compilePred2(pred(mixed), "x", "") != nil {
+	if compilePred2(pred(mixed), nil, "x", "") != nil {
 		t.Fatalf("%s compiled", mixed)
 	}
 	rows := []value.Value{tup("b", 1, "c", ints(2, 3)), tup("b", 1, "c", ints(1)), tup("b", 2, "c", ints(5))}

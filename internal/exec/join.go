@@ -264,7 +264,7 @@ func bucketID(bucket []value.Value) *value.Value {
 // on its snapshot (sharedGroups). A fused Test that does not read the left
 // row either is then also evaluated once per bucket.
 func (j *Join) nestProber(res pred2) rowProbe {
-	fn := compileScalar2(j.Fn, j.LVar, j.RVar)
+	fn := compileScalar2(j.Fn, j.Ctx.Ev.Args, j.LVar, j.RVar)
 	compiled := fn != nil
 	if !compiled {
 		fn = evaluated(j.Ctx, j.Fn, j.LVar, j.RVar)

@@ -85,7 +85,7 @@ func (j *Join) pinRight() (*storage.Memo, string, []*TableScan, error) {
 	b.Grow(128) // a bare scan's key and most subtrees' in one allocation
 	leaves := make([]*TableScan, 0, 4)
 	b.WriteByte('B')
-	if !appendPlanForm(&b, j.R, &leaves) || !appendForms(&b, j.RKeys, j.RVar) {
+	if !appendPlanForm(&b, j.R, &leaves) || !appendForms(&b, j.RKeys, j.Ctx.Ev.Args, j.RVar) {
 		return nil, "", nil, nil
 	}
 	var home *storage.Memo
@@ -143,7 +143,7 @@ func (j *Join) sharedGroups(fn scalar2, compiled bool) []value.Value {
 	b.Grow(len(j.buildKey) + 32)
 	b.WriteByte('G')
 	b.WriteString(j.buildKey)
-	if !appendForm(&b, j.Fn, j.RVar, "") {
+	if !appendForm(&b, j.Fn, j.Ctx.Ev.Args, j.RVar, "") {
 		return nil
 	}
 	key := b.String()
@@ -182,11 +182,11 @@ func appendPlanForm(b *strings.Builder, it BatchIterator, leaves *[]*TableScan) 
 		return true
 	case *Filter:
 		b.WriteByte('F')
-		return appendOptional(b, n.Pred, appendPred, n.Var, "") && appendPlanForm(b, n.In, leaves)
+		return appendOptional(b, n.Pred, n.Ctx.Ev.Args, appendPred, n.Var, "") && appendPlanForm(b, n.In, leaves)
 	case *Map:
 		b.WriteByte('M')
 		b.WriteByte(flagByte(n.Distinct))
-		return appendForm(b, n.Out, n.Var, "") && appendPlanForm(b, n.In, leaves)
+		return appendForm(b, n.Out, n.Ctx.Ev.Args, n.Var, "") && appendPlanForm(b, n.In, leaves)
 	case *Join:
 		return n.appendForm(b, leaves)
 	}
@@ -200,17 +200,18 @@ func (j *Join) appendForm(b *strings.Builder, leaves *[]*TableScan) bool {
 	if j.Method != JoinHash && j.Method != JoinNL {
 		return false
 	}
+	args := j.Ctx.Ev.Args
 	b.WriteByte('J')
 	b.WriteByte(byte(j.Method))
 	b.WriteByte(byte(j.Kind))
-	if !appendForms(b, j.LKeys, j.LVar) || !appendForms(b, j.RKeys, j.RVar) ||
-		!appendOptional(b, j.Residual, appendPred, j.LVar, j.RVar) ||
-		!appendOptional(b, j.Fn, appendForm, j.LVar, j.RVar) {
+	if !appendForms(b, j.LKeys, args, j.LVar) || !appendForms(b, j.RKeys, args, j.RVar) ||
+		!appendOptional(b, j.Residual, args, appendPred, j.LVar, j.RVar) ||
+		!appendOptional(b, j.Fn, args, appendForm, j.LVar, j.RVar) {
 		return false
 	}
 	appendName(b, j.Label)
-	if !appendOptional(b, j.Test, appendPred, j.LVar, j.Label) ||
-		!appendOptional(b, j.Out, appendForm, j.LVar, j.outVar()) {
+	if !appendOptional(b, j.Test, args, appendPred, j.LVar, j.Label) ||
+		!appendOptional(b, j.Out, args, appendForm, j.LVar, j.outVar()) {
 		return false
 	}
 	if j.Fn == nil && j.Kind == algebra.JoinLeftOuter {
@@ -226,10 +227,10 @@ func (j *Join) appendForm(b *strings.Builder, leaves *[]*TableScan) bool {
 }
 
 // appendForms appends the forms of keys, each over v.
-func appendForms(b *strings.Builder, keys []tmql.Expr, v string) bool {
+func appendForms(b *strings.Builder, keys []tmql.Expr, args []value.Value, v string) bool {
 	appendCount(b, len(keys))
 	for _, k := range keys {
-		if !appendForm(b, k, v, "") {
+		if !appendForm(b, k, args, v, "") {
 			return false
 		}
 	}
@@ -238,23 +239,26 @@ func appendForms(b *strings.Builder, keys []tmql.Expr, v string) bool {
 
 // appendOptional appends the form of e under form, or an absence tag for a
 // nil e.
-func appendOptional(b *strings.Builder, e tmql.Expr, form func(*strings.Builder, tmql.Expr, string, string) bool, n1, n2 string) bool {
+func appendOptional(b *strings.Builder, e tmql.Expr, args []value.Value,
+	form func(*strings.Builder, tmql.Expr, []value.Value, string, string) bool, n1, n2 string) bool {
 	if e == nil {
 		b.WriteByte('-')
 		return true
 	}
 	b.WriteByte('+')
-	return form(b, e, n1, n2)
+	return form(b, e, args, n1, n2)
 }
 
 // appendForm appends the form of e, a scalar expression over the rows bound
 // to n1 and n2 (n2 may be ""), or reports false when e has none: when e does
 // not compile without the evaluator (compileScalar2), reads any other
-// variable, or holds a literal that is not a scalar.
-func appendForm(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
+// variable, or holds a literal that is not a scalar. A slotted literal's form
+// is its argument's in args, what the compiled expression reads, so builds
+// of one plan for other constants never share a form.
+func appendForm(b *strings.Builder, e tmql.Expr, args []value.Value, n1, n2 string) bool {
 	switch n := e.(type) {
 	case *tmql.Lit:
-		return appendLit(b, n.V)
+		return appendLit(b, n.Value(args))
 	case *tmql.Var:
 		switch {
 		case n.Name == n1:
@@ -268,11 +272,11 @@ func appendForm(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
 	case *tmql.FieldSel:
 		b.WriteByte('.')
 		appendName(b, n.Label)
-		return appendForm(b, n.X, n1, n2)
+		return appendForm(b, n.X, args, n1, n2)
 	case *tmql.Agg:
 		b.WriteByte('a')
 		b.WriteByte(byte(n.Kind))
-		return appendForm(b, n.X, n1, n2)
+		return appendForm(b, n.X, args, n1, n2)
 	case *tmql.TupleCons:
 		b.WriteByte('t')
 		appendCount(b, len(n.Fields))
@@ -281,7 +285,7 @@ func appendForm(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
 				return false // duplicate labels: the evaluator reports them
 			}
 			appendName(b, f.Label)
-			if !appendForm(b, f.E, n1, n2) {
+			if !appendForm(b, f.E, args, n1, n2) {
 				return false
 			}
 		}
@@ -293,7 +297,7 @@ func appendForm(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
 // appendPred appends the form of predicate e over n1 and n2, or reports
 // false when it has none: when it does not compile without the evaluator
 // (compilePred2) or an operand has no form.
-func appendPred(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
+func appendPred(b *strings.Builder, e tmql.Expr, args []value.Value, n1, n2 string) bool {
 	bin, ok := e.(*tmql.Binary)
 	if !ok {
 		return false
@@ -302,11 +306,11 @@ func appendPred(b *strings.Builder, e tmql.Expr, n1, n2 string) bool {
 	case bin.Op == tmql.OpAnd || bin.Op == tmql.OpOr:
 		b.WriteByte('p')
 		b.WriteByte(byte(bin.Op))
-		return appendPred(b, bin.L, n1, n2) && appendPred(b, bin.R, n1, n2)
+		return appendPred(b, bin.L, args, n1, n2) && appendPred(b, bin.R, args, n1, n2)
 	case compiledComparison(bin.Op):
 		b.WriteByte('c')
 		b.WriteByte(byte(bin.Op))
-		return appendForm(b, bin.L, n1, n2) && appendForm(b, bin.R, n1, n2)
+		return appendForm(b, bin.L, args, n1, n2) && appendForm(b, bin.R, args, n1, n2)
 	}
 	return false
 }

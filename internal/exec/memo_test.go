@@ -139,7 +139,7 @@ func TestMemoSharesNestGroups(t *testing.T) {
 		var b strings.Builder
 		b.WriteByte('G')
 		b.WriteString(buildKey)
-		appendForm(&b, pred(fn), v, "")
+		appendForm(&b, pred(fn), nil, v, "")
 		return b.String()
 	}
 	key := groupsKey("w.a", "w")
@@ -153,7 +153,7 @@ func TestMemoSharesNestGroups(t *testing.T) {
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if j.memo == nil || j.sharedGroups(compileScalar2(j.Fn, j.LVar, j.RVar), true) == nil {
+	if j.memo == nil || j.sharedGroups(compileScalar2(j.Fn, nil, j.LVar, j.RVar), true) == nil {
 		t.Fatal("a join over another variable name was not served the kept build and groups")
 	}
 	j.Close()
@@ -185,7 +185,7 @@ func TestMemoSharesNestGroups(t *testing.T) {
 func TestMemoFnForm(t *testing.T) {
 	form := func(src, v string) string {
 		var b strings.Builder
-		if !appendForm(&b, pred(src), v, "") {
+		if !appendForm(&b, pred(src), nil, v, "") {
 			return "<none>"
 		}
 		return b.String()

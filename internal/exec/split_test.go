@@ -333,6 +333,29 @@ func TestIndexScanMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestIndexScanRepeatedKeyOnce: points may repeat a key — a literal beside
+// a slotted literal whose argument equals it — and the scan, deduplicating
+// the encoded keys when it opens, yields that key's bucket once.
+func TestIndexScanRepeatedKeyOnce(t *testing.T) {
+	cat, db := splitDB(t)
+	c := NewCtx(db)
+	c.Ev.Args = []value.Value{value.Int(2)}
+	s := &TableScan{Ctx: c, Table: "X", Ix: liveIndex(t, db, "X", "b"), Depth: 1, Points: [][]tmql.Expr{
+		{&tmql.Lit{V: value.Int(2)}}, {&tmql.Lit{V: value.Int(3)}}, {&tmql.Lit{V: value.Int(7), Slot: 1}},
+	}}
+	rows, err := drainRows(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive(t, cat, db, `SELECT x FROM X x WHERE x.b = 2`).Len() == 0 {
+		t.Fatal("the repeated key's bucket is empty")
+	}
+	want := naive(t, cat, db, `SELECT x FROM X x WHERE x.b = 2 OR x.b = 3`)
+	if got := value.SetOf(rows...); len(rows) != want.Len() || value.Key(got) != value.Key(want) {
+		t.Errorf("%d rows %s, want each of %s once", len(rows), got, want)
+	}
+}
+
 // TestSourcesCutAtDefaultBatchSize pins the sources' batch shape: table
 // scans, whole or through one index bucket, evaluated scans and ν emit
 // zero-copy batches of exactly DefaultBatchSize rows, the last one shorter.

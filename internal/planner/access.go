@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"slices"
+
 	"tmdb/internal/algebra"
 	"tmdb/internal/eval"
 	"tmdb/internal/storage"
@@ -15,13 +17,16 @@ import (
 // single-field wrapper Maps the flat-join translation introduces (chainScan):
 // a leading-label range (leadingRange, below), or an index lookup. A
 // selection whose equality conjuncts compare stored attributes against
-// plan-time constants can be served by a persistent index: the scan reads
-// only the buckets of the longest index prefix those conjuncts cover, point
-// by point, and the selection's filter checks the uncovered conjuncts, its
-// residual. Selections between it and the scan stay plain filters over the
-// bucket rows. Like the join-side FindIndexProbe, the shape test runs when a
-// plan is resolved (resolve.go). Under either source a filter never sees a
-// row that its source skips.
+// closed constant expressions can be served by a persistent index: the scan
+// reads only the buckets of the longest index prefix those conjuncts cover,
+// point by point, and the selection's filter checks the uncovered conjuncts,
+// its residual. Selections between it and the scan stay plain filters over
+// the bucket rows. Like the join-side FindIndexProbe, the shape test runs
+// when a plan is resolved (resolve.go). Resolution keeps the constants of
+// either source as expressions: the scan evaluates its points under the
+// query's arguments when it opens, and Compile its range, so one resolved
+// tree serves every query of its shape. Under either source a filter never
+// sees a row that its source skips.
 
 // AccessPath selects how leaf selections read their tables.
 type AccessPath uint8
@@ -64,11 +69,13 @@ type IndexScanMatch struct {
 	IndexAttrs []string
 	// Depth is the covered prefix length.
 	Depth int
-	// Points holds the constant key points, each a list of Depth expressions
-	// in index order. A plain conjunction of equalities yields one point;
-	// OR/IN-list equality disjuncts over covered attributes multiply out into
-	// several (capped at maxIndexScanPoints), each addressing a disjoint
-	// bucket.
+	// Points holds the constant key points, each a list of Depth closed
+	// expressions in index order. A plain conjunction of equalities yields
+	// one point; OR/IN-list equality disjuncts over covered attributes
+	// multiply out into several (capped at maxIndexScanPoints). Points may
+	// repeat a key — equal constants, or slotted ones whose arguments are
+	// equal — and the scan reads each distinct key's bucket once
+	// (exec.TableScan), which distinctPoints counts.
 	Points [][]tmql.Expr
 	// Residual is the conjunction of the selection's uncovered conjuncts
 	// (nil when the index covers the whole predicate).
@@ -109,12 +116,11 @@ func chainScan(p algebra.Plan) *algebra.Scan {
 // attr = const (either orientation; the attribute resolving through the
 // chain to a stored attribute of the scanned table, the other side free of
 // variables), attr IN {const, …}, or an OR of attr = const equalities over
-// one attribute (constants being closed expressions the planner can evaluate
-// at plan time, not just literals) — must cover a non-empty prefix of some
-// live index. Multi-point
-// conjuncts expand into the cartesian product of their constants, one point
-// per combination. The index is chosen by longestCovered, as on the join
-// side.
+// one attribute (constants being closed expressions, not just literals) —
+// must cover a non-empty prefix of some live index. Multi-point conjuncts
+// expand into the cartesian product of their constants, one point per
+// combination. The index is chosen by longestCovered, as on the join side.
+// No constant is evaluated: the match depends on the query's shape alone.
 func FindIndexScan(n *algebra.Select, indexesOf func(table string) [][]string) (IndexScanMatch, bool) {
 	scan := chainScan(n.In)
 	if scan == nil {
@@ -163,12 +169,13 @@ func FindIndexScan(n *algebra.Select, indexesOf func(table string) [][]string) (
 // longestCovered picks among indexes, each an ordered attribute list, the one
 // whose leading attributes the conjuncts cover furthest, and returns it with
 // the covered prefix's length (0 when none covers even its first attribute).
-// alternatives(attr) is how many constants address attr: 0 when none does,
-// more than 1 for a multi-point conjunct; a prefix stops before its points,
-// the product of its alternatives, would exceed maxIndexScanPoints. The
-// longest covered prefix wins — deeper probes hit smaller buckets — and ties
-// go to the shorter index, then to the first listed, so the choice is
-// deterministic. FindIndexScan and FindIndexProbe both choose by it.
+// alternatives(attr) is how many constants address attr, repeats included: 0
+// when none does, more than 1 for a multi-point conjunct; a prefix stops
+// before its points, the product of its alternatives, would exceed
+// maxIndexScanPoints. The longest covered prefix wins — deeper probes hit
+// smaller buckets — and ties go to the shorter index, then to the first
+// listed, so the choice is deterministic. FindIndexScan and FindIndexProbe
+// both choose by it.
 func longestCovered(indexes [][]string, alternatives func(attr string) int) (best []string, depth int) {
 	for _, attrs := range indexes {
 		d, points := 0, 1
@@ -188,14 +195,10 @@ func longestCovered(indexes [][]string, alternatives func(attr string) int) (bes
 }
 
 // matchEqConsts matches one conjunct to a stored attribute of table and its
-// constant alternatives: attr = const in either orientation (one
-// alternative, any closed expression), attr IN {const, …}, or an OR of
-// attr = const equalities over a single attribute. Multi-constant shapes
-// accept any closed constant expression — literals fast-pathed, the rest
-// evaluated at plan time — deduplicated by the canonical key of their
-// values, so the expanded points address pairwise-disjoint buckets and the
-// scan concatenating them never produces a row twice. No match returns an
-// empty list.
+// constant alternatives: attr = const in either orientation, attr IN {const,
+// …}, or an OR of attr = const equalities over a single attribute, every
+// constant a closed expression. The alternatives may repeat a value; the
+// scan reads each distinct key once. No match returns an empty list.
 func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string, []tmql.Expr) {
 	b, ok := c.(*tmql.Binary)
 	if !ok {
@@ -219,11 +222,12 @@ func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string,
 		if !ok {
 			return "", nil
 		}
+		open := func(e tmql.Expr) bool { return len(tmql.FreeVars(e)) != 0 }
 		tab, attr, ok := resolveScanAttr(in, varName, b.L)
-		if !ok || tab != table {
+		if !ok || tab != table || slices.ContainsFunc(set.Elems, open) {
 			return "", nil
 		}
-		return attr, dedupConsts(set.Elems)
+		return attr, set.Elems
 	case tmql.OpOr:
 		var attr string
 		var consts []tmql.Expr
@@ -237,28 +241,55 @@ func matchEqConsts(c tmql.Expr, in algebra.Plan, varName, table string) (string,
 			}
 			attr, consts = a, append(consts, keys...)
 		}
-		return attr, dedupConsts(consts)
+		return attr, consts
 	}
 	return "", nil
 }
 
-// constValue returns a closed constant expression's plan-time value.
-// Literals skip the evaluator; any other expression must be closed (no free
-// variables) and evaluate against no database — plan-time evaluation that
-// fails (say, an extension reference) reports ok=false and the caller falls
-// back to the scan path.
-func constValue(e tmql.Expr) (value.Value, bool) {
+// constValue returns a closed constant expression's value under args, the
+// query's slot values (nil: the literals' own). Literals skip the evaluator;
+// any other expression must be closed (no free variables) and evaluate
+// against no database — evaluation that fails (say, an extension reference)
+// reports ok=false, and the caller leaves the scan unnarrowed by it.
+func constValue(e tmql.Expr, args []value.Value) (value.Value, bool) {
 	if lit, ok := e.(*tmql.Lit); ok {
-		return lit.V, true
+		return lit.Value(args), true
 	}
 	if len(tmql.FreeVars(e)) != 0 {
 		return value.Value{}, false
 	}
-	v, err := eval.New(nil).Eval(e)
+	ev := eval.New(nil)
+	ev.Args = args
+	v, err := ev.Eval(e)
 	if err != nil {
 		return value.Value{}, false
 	}
 	return v, true
+}
+
+// distinctPoints counts the distinct keys m's points address under args,
+// each point's read once as the scan reads it; a point whose keys fail to
+// evaluate counts as one of its own.
+func (m IndexScanMatch) distinctPoints(args []value.Value) int {
+	if len(m.Points) < 2 {
+		return len(m.Points)
+	}
+	keys, failed := make(map[string]bool, len(m.Points)), 0
+	var buf []byte
+points:
+	for _, pt := range m.Points {
+		buf = buf[:0]
+		for _, k := range pt {
+			v, ok := constValue(k, args)
+			if !ok {
+				failed++
+				continue points
+			}
+			buf = value.AppendKey(buf, v)
+		}
+		keys[string(buf)] = true
+	}
+	return len(keys) + failed
 }
 
 // Leading-label ranges. A stored table is a set in canonical order, and
@@ -268,46 +299,59 @@ func constValue(e tmql.Expr) (value.Value, bool) {
 // with closed constants — v.a θ c or c θ v.a, θ one of = < <= > >= — narrows
 // the scan to the intersection of those conjuncts' ranges, and
 // exec.TableScan reads only that run of the chunks (storage.KeyRange.Cut).
-// The whole predicate stays as the filter above the scan, so the range need
-// only hold every row the filter keeps, and it does for every kind:
-// eval.Apply defines the five comparisons by value.Compare, the order the
-// cut searches by. Scans of KAny and KClass element types are never
-// narrowed. As under an index source, the filter never sees a row outside
-// the range: a conjunct that would fail on such a row (1 / 0) fails the query
-// no more than it would if the range's conjunct came first in the AND.
+// Resolution records the conjuncts as bounds, and the range is their
+// intersection under a query's arguments (bounds.keyRange), which Compile,
+// the cost model and EXPLAIN each evaluate. The whole predicate stays as the
+// filter above the scan, so the range need only hold every row the filter
+// keeps, and it does for every kind: eval.Apply defines the five comparisons
+// by value.Compare, the order the cut searches by. Scans of KAny and KClass
+// element types are never narrowed. As under an index source, the filter
+// never sees a row outside the range: a conjunct that would fail on such a
+// row (1 / 0) fails the query no more than it would if the range's conjunct
+// came first in the AND.
 
-// leadingRange returns the range n's leading-label conjuncts narrow the scan
-// beneath it to, or false when there is none. A selection without such a
-// conjunct costs a walk of its AND tree and no allocation.
-func leadingRange(n *algebra.Select) (storage.KeyRange, bool) {
+// bound is one leading-label conjunct, read as label op c.
+type bound struct {
+	op tmql.Op
+	c  tmql.Expr
+}
+
+// bounds are the leading-label conjuncts narrowing a scan; nil narrows
+// nothing.
+type bounds []bound
+
+// leadingRange returns the bounds n's leading-label conjuncts narrow the
+// scan beneath it by, or false when there are none. A selection without such
+// a conjunct costs a walk of its AND tree and no allocation.
+func leadingRange(n *algebra.Select) (bounds, bool) {
 	scan := chainScan(n.In)
 	if scan == nil {
-		return storage.KeyRange{}, false
+		return nil, false
 	}
 	elem := scan.Elem()
 	if elem == nil || elem.Kind != types.KTuple || len(elem.Fields) == 0 {
-		return storage.KeyRange{}, false
+		return nil, false
 	}
-	var r storage.KeyRange
-	ok := narrowBy(&r, n.Pred, n, scan.Table, elem.Fields[0].Label)
-	return r, ok
+	var bs bounds
+	narrowBy(&bs, n.Pred, n, scan.Table, elem.Fields[0].Label)
+	return bs, bs != nil
 }
 
-// narrowBy intersects r with the range of every conjunct of p that compares
-// the leading label of table with a closed constant, and reports whether
-// there was one.
-func narrowBy(r *storage.KeyRange, p tmql.Expr, n *algebra.Select, table, label string) bool {
+// narrowBy appends to bs every conjunct of p that compares the leading label
+// of table with a closed constant.
+func narrowBy(bs *bounds, p tmql.Expr, n *algebra.Select, table, label string) {
 	b, ok := p.(*tmql.Binary)
 	if !ok {
-		return false
+		return
 	}
 	switch b.Op {
 	case tmql.OpAnd:
-		l := narrowBy(r, b.L, n, table, label)
-		return narrowBy(r, b.R, n, table, label) || l
+		narrowBy(bs, b.L, n, table, label)
+		narrowBy(bs, b.R, n, table, label)
+		return
 	case tmql.OpEq, tmql.OpLt, tmql.OpLe, tmql.OpGt, tmql.OpGe:
 	default:
-		return false
+		return
 	}
 	for k, side := range [2][2]tmql.Expr{{b.L, b.R}, {b.R, b.L}} {
 		// The label test first: it decides most conjuncts without
@@ -318,26 +362,39 @@ func narrowBy(r *storage.KeyRange, p tmql.Expr, n *algebra.Select, table, label 
 		if tab, attr, ok := resolveScanAttr(n.In, n.Var, side[0]); !ok || tab != table || attr != label {
 			continue
 		}
-		c, ok := constValue(side[1])
-		if !ok {
+		if len(tmql.FreeVars(side[1])) != 0 {
 			continue
 		}
 		op := b.Op
 		if k == 1 {
 			op = flipCompare(op)
 		}
-		switch op {
-		case tmql.OpEq:
-			narrowLo(r, storage.Bound{V: c, Set: true})
-			narrowHi(r, storage.Bound{V: c, Set: true})
-		case tmql.OpLt, tmql.OpLe:
-			narrowHi(r, storage.Bound{V: c, Set: true, Strict: op == tmql.OpLt})
-		default:
-			narrowLo(r, storage.Bound{V: c, Set: true, Strict: op == tmql.OpGt})
-		}
-		return true
+		*bs = append(*bs, bound{op: op, c: side[1]})
+		return
 	}
-	return false
+}
+
+// keyRange is the range bs intersect to under args, the query's slot values
+// (nil: the literals' own). A bound whose constant fails to evaluate
+// narrows nothing.
+func (bs bounds) keyRange(args []value.Value) storage.KeyRange {
+	var r storage.KeyRange
+	for _, b := range bs {
+		c, ok := constValue(b.c, args)
+		if !ok {
+			continue
+		}
+		switch b.op {
+		case tmql.OpEq:
+			narrowLo(&r, storage.Bound{V: c, Set: true})
+			narrowHi(&r, storage.Bound{V: c, Set: true})
+		case tmql.OpLt, tmql.OpLe:
+			narrowHi(&r, storage.Bound{V: c, Set: true, Strict: b.op == tmql.OpLt})
+		default:
+			narrowLo(&r, storage.Bound{V: c, Set: true, Strict: b.op == tmql.OpGt})
+		}
+	}
+	return r
 }
 
 // narrowLo raises r's lower bound to b when b is the tighter one, narrowHi
@@ -364,43 +421,12 @@ func tighter(b, cur storage.Bound, sign int) bool {
 	return c > 0 || c == 0 && b.Strict
 }
 
-// intersect returns the range both a and b contain, a nil range being the
-// unbounded one.
-func intersect(a, b *storage.KeyRange) *storage.KeyRange {
-	switch {
-	case a == nil:
+// intersect returns the bounds of both a and b: the range they intersect to.
+func intersect(a, b bounds) bounds {
+	if a == nil {
 		return b
-	case b == nil:
-		return a
 	}
-	r := *a
-	narrowLo(&r, b.Lo)
-	narrowHi(&r, b.Hi)
-	return &r
-}
-
-// dedupConsts keeps the closed constant expressions of es deduplicated by
-// the canonical key of their plan-time values; any open or unevaluable
-// expression poisons the whole list. The expanded points must address
-// pairwise-disjoint buckets (the scan concatenating them never produces a
-// row twice), so an alternative the planner cannot pin disqualifies the
-// multi-point expansion.
-func dedupConsts(es []tmql.Expr) []tmql.Expr {
-	seen := make(map[string]bool, len(es))
-	var out []tmql.Expr
-	for _, e := range es {
-		v, ok := constValue(e)
-		if !ok {
-			return nil
-		}
-		k := value.Key(v)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, e)
-	}
-	return out
+	return append(a[:len(a):len(a)], b...)
 }
 
 // crossPoints expands per-attribute constant alternatives into the cartesian

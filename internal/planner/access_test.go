@@ -119,8 +119,9 @@ func TestFindIndexScanShapes(t *testing.T) {
 
 // TestFindIndexScanMultiPoint pins the multi-point matcher: OR/IN-list
 // equality disjuncts over one indexed attribute become one index scan with
-// several points, constants deduplicate, mixed attributes and non-literal
-// disjuncts stay unmatched, and the point cap stops prefix coverage.
+// several points, repeated constants count once among the distinct points
+// the scan reads, mixed attributes and open disjuncts stay unmatched, and the
+// point cap stops prefix coverage.
 func TestFindIndexScanMultiPoint(t *testing.T) {
 	est, b, _, _ := accessEnv(t)
 	x, _ := b.Scan("X")
@@ -132,10 +133,11 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 	if !ok || m.Depth != 1 || len(m.Points) != 3 || m.Residual != nil {
 		t.Fatalf("or-list match = %+v, %v", m, ok)
 	}
-	// IN-list: same shape through the membership operator, duplicates fold.
+	// IN-list: same shape through the membership operator; a repeated
+	// constant is a point of its own that addresses no new key.
 	s2, _ := b.Select(x, "x", tmql.MustParse("x.b IN {1, 2, 2, 3}"))
 	m2, ok := FindIndexScan(s2, est.stats.Indexes)
-	if !ok || len(m2.Points) != 3 {
+	if !ok || len(m2.Points) != 4 || m2.distinctPoints(nil) != 3 {
 		t.Fatalf("in-list match = %+v, %v", m2, ok)
 	}
 	// Composite coverage multiplies out: 2 × 2 points over Y(b,d).
@@ -152,9 +154,8 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 	if _, ok := FindIndexScan(s4, est.stats.Indexes); ok {
 		t.Error("mixed-attribute OR matched")
 	}
-	// Closed non-literal constants are evaluated at plan time: 1 + 1 is a
-	// point like any literal, and plan-time values — not expression shapes —
-	// drive the dedup that keeps the expanded points disjoint.
+	// Closed non-literal constants are points like any literal, and their
+	// values — not expression shapes — decide which points are distinct.
 	s5, _ := b.Select(x, "x", tmql.MustParse("x.b = 1 OR x.b = 1 + 1"))
 	m5, ok := FindIndexScan(s5, est.stats.Indexes)
 	if !ok || m5.Depth != 1 || len(m5.Points) != 2 {
@@ -162,7 +163,7 @@ func TestFindIndexScanMultiPoint(t *testing.T) {
 	}
 	s5b, _ := b.Select(x, "x", tmql.MustParse("x.b IN {2, 1 + 1, 3}"))
 	m5b, ok := FindIndexScan(s5b, est.stats.Indexes)
-	if !ok || len(m5b.Points) != 2 {
+	if !ok || len(m5b.Points) != 3 || m5b.distinctPoints(nil) != 2 {
 		t.Fatalf("value-level dedup of closed constants = %+v, %v", m5b, ok)
 	}
 	// Open disjunct constants (free variables) still poison the list.

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"tmdb/internal/algebra"
+	"tmdb/internal/value"
 )
 
 // Cost-based physical planning: the engine translates the query once per
@@ -175,12 +176,16 @@ func (e *Estimator) Choose(plans []StrategyPlan, pin PhysicalSpec) (*Candidate, 
 }
 
 // Explain renders a resolved tree as the physical operator tree Compile
-// builds from it, each node named as resolved and annotated with its
-// estimated rows and cost — the body of the engine's EXPLAIN. A narrowed
-// scan prints its source after its name: a leading-label range as Scan(Y)
-// a∈[3, 7), an index lookup as Scan(X) using X(b). One pass costs the tree
-// bottom-up while it lists the operators top-down.
-func (e *Estimator) Explain(t *Tree) string {
+// builds from it for a query whose slot values are args (nil: the literals'
+// own), each node named as resolved and annotated with its estimated rows
+// and cost — the body of the engine's EXPLAIN. A narrowed scan prints its
+// source after its name: a leading-label range as Scan(Y) a∈[3, 7), an index
+// lookup as Scan(X) using X(b). One pass costs the tree bottom-up while it
+// lists the operators top-down. The constants, range bounds, point counts
+// and estimates are args', so a tree cached for its shape explains any query
+// of that shape.
+func (e *Estimator) Explain(t *Tree, args []value.Value) string {
+	e = &Estimator{stats: e.stats, args: args}
 	var lines []string
 	var walk func(n *node, depth int) Cost
 	walk = func(n *node, depth int) Cost {
@@ -191,7 +196,7 @@ func (e *Estimator) Explain(t *Tree) string {
 			return e.cost(n, in)
 		}
 		i := len(lines)
-		lines = append(lines, strings.Repeat("  ", depth)+n.describe())
+		lines = append(lines, strings.Repeat("  ", depth)+n.describe(args))
 		for k, ch := range n.in {
 			if ch != nil {
 				in[k] = walk(ch, depth+1)

@@ -37,6 +37,11 @@ func (c Cost) String() string {
 // queries.
 type Estimator struct {
 	stats *stats.Catalog
+	// args are the slot values of the query the estimates are for: nil when
+	// planning, where the slotted literals' planning values are read, and a
+	// query's own when EXPLAIN costs a cached tree for it (Explain). The cost
+	// model is the only reader of a slotted literal's planning value.
+	args []value.Value
 }
 
 // NewEstimatorStats returns an estimator over an existing catalog (shared
@@ -90,10 +95,10 @@ func (e *Estimator) cost(n *node, in [2]Cost) Cost {
 			return Cost{Rows: rows, Work: e.indexScanWork(*m)}
 		}
 		work := in[0].Work + in[0].Rows*e.rowWork(p.Pred)
-		if r := n.rng; r != nil {
+		if r := n.rng.keyRange(e.args); r.Bounded() {
 			// A narrowed scan: a binary search over the chunks, then the
 			// range's share of the rows through the chain and the filter.
-			card, f := e.rangeFraction(chainScan(p.In), *r)
+			card, f := e.rangeFraction(chainScan(p.In), r)
 			work = math.Log2(card+1) + f*work
 		}
 		return Cost{Rows: rows, Work: work}
@@ -197,7 +202,8 @@ func NaiveLeaves(p algebra.Plan) int {
 // nodes above the leaf. The expected bucket is the live index's rows over
 // its distinct prefixes at the matched depth (HashIndex.Len, KeysAt: O(1),
 // kept current by every write); the base scan is never paid. Multi-point
-// scans (OR/IN-list disjuncts) pay the per-point cost once per point.
+// scans (OR/IN-list disjuncts) pay the per-point cost once per distinct
+// point.
 func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 	avg := 1.0
 	if ix, ok := e.stats.Index(m.Table, m.IndexAttrs); ok {
@@ -207,7 +213,7 @@ func (e *Estimator) indexScanWork(m IndexScanMatch) float64 {
 	}
 	// Per point: one lookup + one visit per bucket row + one residual/chain
 	// re-check per bucket row.
-	return float64(len(m.Points)) * (1 + 2*avg)
+	return float64(m.distinctPoints(e.args)) * (1 + 2*avg)
 }
 
 // joinCost costs join-family node p, resolved as j, over its operands'
@@ -429,6 +435,7 @@ func (e *Estimator) compareSelectivity(b *tmql.Binary, in algebra.Plan, varName 
 	if !isLit {
 		return 0, false
 	}
+	v := lit.Value(e.args)
 	tab, attr, ok := resolveScanAttr(in, varName, attrE)
 	if !ok {
 		return 0, false
@@ -437,7 +444,7 @@ func (e *Estimator) compareSelectivity(b *tmql.Binary, in algebra.Plan, varName 
 	h := st.Histogram(attr)
 	if op == tmql.OpEq {
 		if h != nil {
-			if f := h.EstimateEq(lit.V); f >= 0 {
+			if f := h.EstimateEq(v); f >= 0 {
 				return clampSelectivity(f, st.Card), true
 			}
 		}
@@ -446,11 +453,11 @@ func (e *Estimator) compareSelectivity(b *tmql.Binary, in algebra.Plan, varName 
 	if h == nil {
 		return 0, false
 	}
-	lt := h.EstimateLess(lit.V)
+	lt := h.EstimateLess(v)
 	if lt < 0 {
 		return 0, false
 	}
-	eq := math.Max(0, h.EstimateEq(lit.V))
+	eq := math.Max(0, h.EstimateEq(v))
 	var f float64
 	switch op {
 	case tmql.OpLt:

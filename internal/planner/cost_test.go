@@ -98,7 +98,7 @@ func TestEstimateCoversAllOperators(t *testing.T) {
 	for _, p := range []algebra.Plan{m, n, u, so, ev, oj} {
 		c := est.Estimate(est.Resolve(p, PhysicalSpec{}))
 		if c.Rows <= 0 || c.Work <= 0 {
-			t.Errorf("%s: degenerate estimate %v", p.Describe(), c)
+			t.Errorf("%s: degenerate estimate %v", p.Describe(nil), c)
 		}
 	}
 }
@@ -157,6 +157,6 @@ func TestHiddenSubqueryChargedPerRow(t *testing.T) {
 	})
 	if naive := est.evalCost(block).Work; best.Cost.Work < naive {
 		t.Errorf("%s/%s chosen at cost≈%.0f, below one naive run of the embedded block (≈%.0f):\n%s",
-			best.Strategy, best.Alt, best.Cost.Work, naive, est.Explain(best.Tree))
+			best.Strategy, best.Alt, best.Cost.Work, naive, est.Explain(best.Tree, nil))
 	}
 }

@@ -144,10 +144,7 @@ func liveIndex(c *exec.Ctx, table string, attrs []string) (*storage.HashIndex, e
 func compile(c *exec.Ctx, n *node) (exec.BatchIterator, bool, error) {
 	switch p := n.plan.(type) {
 	case *algebra.Scan:
-		s := &exec.TableScan{Ctx: c, Table: p.Table}
-		if r := n.rng; r != nil {
-			s.Range = *r
-		}
+		s := &exec.TableScan{Ctx: c, Table: p.Table, Range: n.rng.keyRange(c.Ev.Args)}
 		if m := n.index; m != nil {
 			ix, err := liveIndex(c, m.Table, m.IndexAttrs)
 			if err != nil {

@@ -28,10 +28,9 @@ func TestLeadingRangeNoConjunctAllocs(t *testing.T) {
 }
 
 // TestResolveUnfusedMapAllocs: the resolver runs for every candidate a miss
-// costs and for every ad-hoc text a cached plan is rebound to, and a Map it
-// does not fuse must cost it nothing — one over a scan, one over a join
-// whose output reads the joined row whole, and one whose output does not
-// compile.
+// costs, and a Map it does not fuse must cost it nothing — one over a scan,
+// one over a join whose output reads the joined row whole, and one whose
+// output does not compile.
 func TestResolveUnfusedMapAllocs(t *testing.T) {
 	_, b, _, _ := accessEnv(t)
 	x, _ := b.Scan("X")
@@ -51,7 +50,7 @@ func TestResolveUnfusedMapAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		for _, m := range maps {
 			if op := resolve(m, PhysicalSpec{}, noIndexes); op.join != nil {
-				t.Fatalf("%s fused", m.Describe())
+				t.Fatalf("%s fused", m.Describe(nil))
 			}
 		}
 	}); n != 0 {

@@ -58,10 +58,10 @@ func TestLeadingRangeShapes(t *testing.T) {
 		r, ok := leadingRange(tc.s)
 		got := ""
 		if ok {
-			got = r.String()
+			got = r.keyRange(nil).String()
 		}
 		if got != tc.want {
-			t.Errorf("%s: range %q, want %q", tc.s.Describe(), got, tc.want)
+			t.Errorf("%s: range %q, want %q", tc.s.Describe(nil), got, tc.want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tmdb/internal/algebra"
-	"tmdb/internal/storage"
 	"tmdb/internal/tmql"
 	"tmdb/internal/types"
 	"tmdb/internal/value"
@@ -25,6 +24,9 @@ import (
 // tree is never written after Resolve returns it, so one tree may be
 // compiled and costed from many goroutines at once. It names the persistent
 // indexes it reads but holds none: Compile fetches each live index by name.
+// It holds a query's constants as expressions — index points and range
+// bounds among them — which Compile, Estimate and Explain read under a
+// query's arguments, so one tree serves every query of its shape.
 type Tree struct {
 	Spec PhysicalSpec
 	// Infeasible is why Spec cannot run the plan ("" when it can): the hash
@@ -65,10 +67,10 @@ type node struct {
 // physOp is resolve's answer for one node: the source a selection narrows
 // the scan beneath it to on its own — the index lookup FindIndexScan
 // matched (index), whose filter then checks only the match's residual, or
-// else the range of leadingRange (rng) — and the join a join-family node, or
+// else the bounds of leadingRange (rng) — and the join a join-family node, or
 // a Map fused with the join beneath it, runs as.
 type physOp struct {
-	rng   *storage.KeyRange
+	rng   bounds
 	index *IndexScanMatch
 	join  *joinOp
 }
@@ -192,8 +194,8 @@ func resolve(n algebra.Plan, spec PhysicalSpec, indexesOf func(table string) [][
 			}
 			// No usable index on this selection: scan fallback.
 		}
-		if r, ok := leadingRange(n); ok && r.Bounded() {
-			return physOp{rng: &r}
+		if bs, ok := leadingRange(n); ok {
+			return physOp{rng: bs}
 		}
 	case *algebra.Map:
 		j, test := groupjoin(n)
@@ -493,37 +495,38 @@ func (n *node) inputSource(src source, i int) source {
 	return source{}
 }
 
-// describe names n's operator as EXPLAIN prints it: a join prefixed with its
-// method (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d), …), an index-served
+// describe names n's operator as EXPLAIN prints it for a query whose slot
+// values are args (nil: the literals' own): a join prefixed with its method
+// (NLJoin, HashSemiJoin, IdxSemiJoin using Y(d), …), an index-served
 // selection with the predicate its filter still checks, and a scan with the
 // source the selections above it narrowed it to. Nodes with a single
 // physical form keep their logical description.
-func (n *node) describe() string {
-	desc := n.plan.Describe()
+func (n *node) describe(args []value.Value) string {
+	desc := n.plan.Describe(args)
 	j := n.join
 	if j != nil && j.fused != nil {
 		// The fused join: a groupjoin with its test after a bar,
 		// HashNestJoin[x.b = y.b; y.a; nj_2 | x.a SUBSETEQ nj_2](x, y), a
 		// projection with its output after an arrow,
 		// HashJoin[j1.x.b = j2.y.d → j1.x.b](j1, j2).
-		desc = j.fused.Describe()
+		desc = j.fused.Describe(args)
 		i := strings.LastIndex(desc, "](")
 		sep, e := " | ", j.test
 		if j.out != nil {
 			sep, e = " → ", j.out
 		}
-		desc = desc[:i] + sep + tmql.Format(e) + desc[i:]
+		desc = desc[:i] + sep + tmql.FormatArgs(e, args) + desc[i:]
 	}
 	switch p := n.plan.(type) {
 	case *algebra.Scan:
-		return desc + n.describeSource(p)
+		return desc + n.describeSource(p, args)
 	case *algebra.Select:
 		if n.served() {
 			r := n.index.Residual
 			if r == nil {
 				r = &tmql.Lit{V: value.Bool(true)} // the index covers the whole predicate
 			}
-			return fmt.Sprintf("Select[%s](%s)", tmql.Format(r), p.Var)
+			return fmt.Sprintf("Select[%s](%s)", tmql.FormatArgs(r, args), p.Var)
 		}
 	}
 	switch {
@@ -541,27 +544,30 @@ func (n *node) describe() string {
 // join operand binds through (joinOp.wrap), passed down the same selections
 // to the wrap, which absorbs it.
 type source struct {
-	rng   *storage.KeyRange
+	rng   bounds
 	index *IndexScanMatch
 	wrap  string
 }
 
-// describeSource is a scan line's suffix naming the source op holds: a∈[2,
-// 4) for a range, using X(b) with prefix=N and points=N where they apply for
-// an index lookup, nothing for the whole table.
-func (op physOp) describeSource(scan *algebra.Scan) string {
+// describeSource is a scan line's suffix naming the source op holds under
+// args: a∈[2, 4) for a range, using X(b) with prefix=N and points=N (the
+// distinct ones) where they apply for an index lookup, nothing for the whole
+// table.
+func (op physOp) describeSource(scan *algebra.Scan, args []value.Value) string {
 	switch m := op.index; {
 	case m != nil:
 		desc := fmt.Sprintf(" using %s(%s)", m.Table, m.Name())
 		if m.Depth < len(m.IndexAttrs) {
 			desc += fmt.Sprintf(" prefix=%d", m.Depth)
 		}
-		if len(m.Points) > 1 {
-			desc += fmt.Sprintf(" points=%d", len(m.Points))
+		if n := m.distinctPoints(args); n > 1 {
+			desc += fmt.Sprintf(" points=%d", n)
 		}
 		return desc
 	case op.rng != nil:
-		return fmt.Sprintf(" %s∈%s", scan.Elem().Fields[0].Label, op.rng)
+		if r := op.rng.keyRange(args); r.Bounded() {
+			return fmt.Sprintf(" %s∈%s", scan.Elem().Fields[0].Label, r)
+		}
 	}
 	return ""
 }

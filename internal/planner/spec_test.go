@@ -309,7 +309,7 @@ func TestExplain(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := envs[tc.env]
-			out := env.est.Explain(env.est.Resolve(env.plans[tc.plan], tc.spec))
+			out := env.est.Explain(env.est.Resolve(env.plans[tc.plan], tc.spec), nil)
 			for _, w := range tc.want {
 				if !strings.Contains(out, w) {
 					t.Errorf("missing %q:\n%s", w, out)

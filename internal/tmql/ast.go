@@ -29,11 +29,21 @@ type typed interface{ setType(*types.Type) }
 
 // Lit is a literal constant (int, float, string, bool). Slot is the
 // literal's parameter slot (1-based, see MarkSlots); 0 means the constant is
-// part of the query's shape.
+// part of the query's shape. A slotted literal stands for args[Slot-1] of
+// the query it runs for, and V is only the value its shape was planned with.
 type Lit struct {
 	exprBase
 	V    value.Value
 	Slot int
+}
+
+// Value returns the literal's value under args, a query's slot values: its
+// slot's argument when it has one and args are given, V otherwise.
+func (l *Lit) Value(args []value.Value) value.Value {
+	if l.Slot > 0 && args != nil {
+		return args[l.Slot-1]
+	}
+	return l.V
 }
 
 // Var is a name: a bound iteration variable, a WITH-bound local, or (resolved

@@ -3,14 +3,21 @@ package tmql
 import (
 	"fmt"
 	"strings"
+
+	"tmdb/internal/value"
 )
 
 // Format renders an expression back to parsable TM surface syntax. The output
 // is fully parenthesized where precedence demands it and round-trips through
 // Parse (tested property: Parse(Format(e)) structurally equals e up to
 // positions).
-func Format(e Expr) string {
-	var p printer
+func Format(e Expr) string { return FormatArgs(e, nil) }
+
+// FormatArgs renders e like Format but prints every slotted literal (see
+// MarkSlots) as its argument in args, the values of a query that shares e's
+// shape; nil args print the literals themselves.
+func FormatArgs(e Expr, args []value.Value) string {
+	p := printer{args: args}
 	p.expr(e, 0)
 	return p.String()
 }
@@ -25,10 +32,11 @@ func Shape(e Expr) string {
 }
 
 // printer renders expressions; shape selects Shape's rendering of slotted
-// literals.
+// literals, and args FormatArgs'.
 type printer struct {
 	strings.Builder
 	shape bool
+	args  []value.Value
 }
 
 // Precedence levels matching the parser, loosest first.
@@ -72,7 +80,7 @@ func (p *printer) expr(e Expr, min int) {
 			p.WriteString(n.V.Kind().String())
 			return
 		}
-		p.WriteString(n.V.String())
+		p.WriteString(n.Value(p.args).String())
 	case *Var:
 		p.WriteString(n.Name)
 	case *TableRef:
@@ -148,7 +156,7 @@ func (p *printer) expr(e Expr, min int) {
 		p.WriteByte('-')
 		// Guard against "--", which the lexer reads as a line comment: a
 		// negative literal or nested negation is parenthesized.
-		inner := printer{shape: p.shape}
+		inner := printer{shape: p.shape, args: p.args}
 		inner.expr(n.X, precUnary)
 		if strings.HasPrefix(inner.String(), "-") {
 			p.WriteByte('(')

@@ -12,10 +12,12 @@ import "tmdb/internal/value"
 // binder copies Slot, so slots survive translation.
 //
 // The engine keys cached plans on Shape, which renders slotted literals by
-// kind only, and re-runs a cached plan with new values substituted (see
-// BindSlots). That is correct because no translation or rewrite rule reads a
-// slotted value — costs, histograms and index matching read it only as an
-// estimate, and compilation runs on the substituted plan:
+// kind only, and runs a cached plan for another query of the shape with that
+// query's values as args (Lit.Value): the evaluator, compiled expressions,
+// index points and range bounds read args[Slot-1] when the plan is compiled,
+// and Lit.V keeps the value the shape was planned with. That is correct
+// because only the cost model reads a slotted literal's planning value — no
+// translation, rewrite or resolution rule does:
 //   - core's classifyCountComparison specializes COUNT(…) op k, but there the
 //     other operand is an aggregate, so k is never slotted;
 //   - the rule dropping σ[true] reads only bool literals, which are never
@@ -71,106 +73,4 @@ func isFieldPath(e Expr) bool {
 		}
 		e = fs.X
 	}
-}
-
-// BindSlots returns e with every slotted literal's value replaced by
-// vals[slot-1]. Nodes off the paths to slotted literals are shared and
-// inferred types are kept (a slot's kind is part of the shape), so the result
-// needs no re-binding; e itself is never mutated.
-func BindSlots(e Expr, vals []value.Value) Expr {
-	sub := func(x Expr) Expr { return BindSlots(x, vals) }
-	switch n := e.(type) {
-	case *Lit:
-		if n.Slot > 0 {
-			return cloneWith(n, func(c *Lit) { c.V = vals[n.Slot-1] })
-		}
-	case *FieldSel:
-		if x := sub(n.X); x != n.X {
-			return cloneWith(n, func(c *FieldSel) { c.X = x })
-		}
-	case *TupleCons:
-		var fs []TupleField
-		for i, f := range n.Fields {
-			if x := sub(f.E); x != f.E {
-				if fs == nil {
-					fs = append([]TupleField(nil), n.Fields...)
-				}
-				fs[i].E = x
-			}
-		}
-		if fs != nil {
-			return cloneWith(n, func(c *TupleCons) { c.Fields = fs })
-		}
-	case *SetCons:
-		if es := bindSlotsAll(n.Elems, vals); es != nil {
-			return cloneWith(n, func(c *SetCons) { c.Elems = es })
-		}
-	case *ListCons:
-		if es := bindSlotsAll(n.Elems, vals); es != nil {
-			return cloneWith(n, func(c *ListCons) { c.Elems = es })
-		}
-	case *Binary:
-		if l, r := sub(n.L), sub(n.R); l != n.L || r != n.R {
-			return cloneWith(n, func(c *Binary) { c.L, c.R = l, r })
-		}
-	case *Unary:
-		if x := sub(n.X); x != n.X {
-			return cloneWith(n, func(c *Unary) { c.X = x })
-		}
-	case *Agg:
-		if x := sub(n.X); x != n.X {
-			return cloneWith(n, func(c *Agg) { c.X = x })
-		}
-	case *Unnest:
-		if x := sub(n.X); x != n.X {
-			return cloneWith(n, func(c *Unnest) { c.X = x })
-		}
-	case *Quant:
-		if over, pred := sub(n.Over), sub(n.Pred); over != n.Over || pred != n.Pred {
-			return cloneWith(n, func(c *Quant) { c.Over, c.Pred = over, pred })
-		}
-	case *Let:
-		if def, body := sub(n.Def), sub(n.Body); def != n.Def || body != n.Body {
-			return cloneWith(n, func(c *Let) { c.Def, c.Body = def, body })
-		}
-	case *SFW:
-		var froms []FromItem
-		for i, f := range n.Froms {
-			if src := sub(f.Src); src != f.Src {
-				if froms == nil {
-					froms = append([]FromItem(nil), n.Froms...)
-				}
-				froms[i].Src = src
-			}
-		}
-		if result, where := sub(n.Result), sub(n.Where); froms != nil || result != n.Result || where != n.Where {
-			if froms == nil {
-				froms = n.Froms
-			}
-			return cloneWith(n, func(c *SFW) { c.Froms, c.Result, c.Where = froms, result, where })
-		}
-	}
-	return e
-}
-
-// bindSlotsAll applies BindSlots to each of es and returns the result in a
-// fresh slice, or nil when no element changed.
-func bindSlotsAll(es []Expr, vals []value.Value) []Expr {
-	var out []Expr
-	for i, x := range es {
-		if y := BindSlots(x, vals); y != x {
-			if out == nil {
-				out = append([]Expr(nil), es...)
-			}
-			out[i] = y
-		}
-	}
-	return out
-}
-
-// cloneWith returns a shallow copy of *n with set applied to it.
-func cloneWith[T any](n *T, set func(*T)) *T {
-	c := *n
-	set(&c)
-	return &c
 }

@@ -48,32 +48,18 @@ func TestShapeSlotsFieldPathComparisons(t *testing.T) {
 	}
 }
 
-// TestBindSlotsCopiesOnlyTheSlottedPaths: substitution leaves the input
-// alone, shares every subtree without a slot, keeps inferred types, and
-// re-marking the copy yields the substituted values.
-func TestBindSlotsCopiesOnlyTheSlottedPaths(t *testing.T) {
-	bound := bindStr(t, `SELECT (n = e.name, k = COUNT(e.children)) FROM EMP e WHERE e.sal > 3000 AND e.name <> "x"`)
+// TestFormatArgsPrintsArguments: FormatArgs prints each slotted literal as
+// its argument and every other literal as written, and nil args print the
+// literals themselves.
+func TestFormatArgsPrintsArguments(t *testing.T) {
+	const src = `SELECT (n = e.name, k = COUNT(e.children)) FROM EMP e WHERE e.sal > 3000 AND e.name <> "x" AND COUNT(e.children) >= 1`
+	bound := bindStr(t, src)
 	MarkSlots(bound)
-	before := Format(bound)
-	vals := []value.Value{value.Int(10), value.Str("y")}
-	got := BindSlots(bound, vals)
-	if Format(bound) != before {
-		t.Fatal("BindSlots mutated its input")
+	args := []value.Value{value.Int(10), value.Str("y")}
+	if got, want := FormatArgs(bound, args), `SELECT (n = e.name, k = COUNT(e.children)) FROM EMP e WHERE e.sal > 10 AND e.name <> "y" AND COUNT(e.children) >= 1`; got != want {
+		t.Errorf("got %s\nwant %s", got, want)
 	}
-	if want := `SELECT (n = e.name, k = COUNT(e.children)) FROM EMP e WHERE e.sal > 10 AND e.name <> "y"`; Format(got) != want {
-		t.Errorf("got %s\nwant %s", Format(got), want)
-	}
-	in, out := bound.(*SFW), got.(*SFW)
-	if in.Result != out.Result || in.Froms[0].Src != out.Froms[0].Src {
-		t.Error("subtrees without slots were copied")
-	}
-	if out.Type() != in.Type() || out.Where.Type() == nil {
-		t.Error("inferred types were not kept")
-	}
-	if again := MarkSlots(got); !value.Equal(again[0], vals[0]) || !value.Equal(again[1], vals[1]) {
-		t.Errorf("re-marked slots %v, want %v", again, vals)
-	}
-	if BindSlots(in.Result, vals) != in.Result {
-		t.Error("a tree without slots was copied")
+	if got, want := FormatArgs(bound, nil), Format(bindStr(t, src)); got != want {
+		t.Errorf("nil args print %s, want the literals %s", got, want)
 	}
 }
