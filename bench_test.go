@@ -551,8 +551,9 @@ func BenchmarkB11SingleRowWrite(b *testing.B) {
 // indexed dataset (XYZ{2000, 6000, 4000}, seed 1994, indexes X(b), Y(d),
 // Y(b,d)). "prepared" alternates the prepared point_x and point_y statements
 // (plan-cache hits: HTTP, JSON, admission); "adhoc" cycles point_x, point_y
-// and semi_pt as never-repeating text (every request also parses, binds and
-// plans). B/op here is what sets point_wire's and adhoc_plan's GC cadence,
+// and semi_pt as never-repeating text (every request also parses and binds,
+// then hits the plan of its shape: the extra negative constant is a
+// parameter like any other). B/op here is what sets point_wire's and adhoc_plan's GC cadence,
 // and with it their p95: the smaller the live heap, the more collections the
 // same garbage costs. Client and server share the process, so both halves of
 // the wire count. Profile the allocation sites with:

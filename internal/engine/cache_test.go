@@ -157,6 +157,8 @@ func TestPlanCacheShapes(t *testing.T) {
 		shows string
 	}{
 		{"slotted constant", []string{`SELECT x FROM X x WHERE x.b = 3`, `SELECT x FROM X x WHERE x.b = 5`}, 1, "x.b = 5"},
+		{"negative constant", []string{`SELECT x FROM X x WHERE x.b = 7 AND x.b <> -1`, `SELECT x FROM X x WHERE x.b = 7 AND x.b <> -2`, `SELECT x FROM X x WHERE x.b = 7 AND x.b <> -3`}, 1, "x.b <> -3"},
+		{"negative float", []string{`SELECT y.a FROM Y y WHERE y.d > -1.5`, `SELECT y.a FROM Y y WHERE y.d > -2.5`}, 1, "-2.5"},
 		{"reversed operands", []string{`SELECT y.a FROM Y y WHERE 2 < y.d AND y.b = 1`, `SELECT y.a FROM Y y WHERE 6 < y.d AND y.b = 4`}, 1, "6 < y.d"},
 		{"kinds", []string{`SELECT v FROM {} v WHERE v.a = 1`, `SELECT v FROM {} v WHERE v.a = 1.0`, `SELECT v FROM {} v WHERE v.a = "1"`}, 3, `"1"`},
 		{"COUNT bound", []string{count + `1`, count + `2`}, 2, ">= 2"},

@@ -272,7 +272,8 @@ var shapeTemplates = []struct {
 // literal vectors in turn — so every text after the first of its shape is
 // served by a plan built for other constants, whose index points and range
 // bounds it must read from its own — must match naive evaluation at auto and
-// under a fixed nest-join strategy. An index lookup's EXPLAIN must count the
+// under a fixed nest-join strategy. A literal byte from 0x80 up draws a
+// negative constant. An index lookup's EXPLAIN must count the
 // OR template's own distinct constants as its points. The oracle's cache is
 // cleared before every answer, so it never reuses a plan. The seed corpus
 // covers every template, bare and indexed, and runs under plain `go test`.
@@ -287,6 +288,13 @@ func FuzzShapeReuseMatchesNaive(f *testing.F) {
 	// The OR template's constants first repeat (two points), then differ
 	// (three).
 	f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(1), uint8(2), []byte{3, 3, 7, 3, 4, 7}, true)
+	// Negative constants: a shape planned with one is served with others
+	// and with non-negative ones, and the other way round.
+	for qi := range shapeTemplates {
+		for _, indexed := range []bool{false, true} {
+			f.Add(uint8(24), uint8(72), uint8(6), uint8(25), int64(4), uint8(qi), []byte{0x80, 0x83, 3, 0x81, 5, 0x80, 2, 4, 0x90, 1, 0x82, 6}, indexed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, nx, ny, keys, dangPct uint8, seed int64, qi uint8, lits []byte, indexed bool) {
 		spec := fuzzSpec(nx, ny, keys, dangPct, seed)
 		cat, db := datagen.XYZ(spec)
@@ -307,9 +315,12 @@ func FuzzShapeReuseMatchesNaive(f *testing.F) {
 				if len(lits) > 0 {
 					b = lits[(v*tmpl.holes+h)%len(lits)]
 				}
-				if tmpl.count {
+				switch {
+				case tmpl.count:
 					args[h] = int(b) % 3
-				} else {
+				case b >= 0x80:
+					args[h] = -int(b&0x7f) - 2 // a negative constant, −2 … −129
+				default:
 					args[h] = int(b)%(spec.Keys+2) - 1 // absent keys at both ends
 				}
 			}

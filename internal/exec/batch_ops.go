@@ -187,7 +187,7 @@ type Filter struct {
 	Var  string
 	Pred tmql.Expr
 	pred pred2
-	out  []value.Value
+	out  outBuf
 }
 
 // Open compiles the predicate and opens the input.
@@ -209,17 +209,17 @@ func (f *Filter) NextBatch() ([]value.Value, bool, error) {
 		if f.Pred == nil {
 			return bt, true, nil
 		}
-		if f.out, err = filterRows(f.pred, bt, f.out); err != nil {
+		if f.out.rows, err = filterRows(f.pred, bt, f.out.reset()); err != nil {
 			return nil, false, err
 		}
-		if len(f.out) > 0 {
-			return f.out, true, nil
+		if len(f.out.rows) > 0 {
+			return f.out.rows, true, nil
 		}
 	}
 }
 
-// Close closes the input.
-func (f *Filter) Close() error { return f.In.Close() }
+// Close returns the output buffer and closes the input.
+func (f *Filter) Close() error { f.out.release(); return f.In.Close() }
 
 // Map applies Out(Var) to every row of every input batch. With
 // Distinct set it also drops every output row equal to an earlier one: TM
@@ -239,7 +239,7 @@ type Map struct {
 	identity bool
 	proj     scalar2
 	seen     *keyTable // allocated only under Distinct
-	out      []value.Value
+	out      outBuf
 }
 
 // Open compiles the projection and opens the input.
@@ -266,7 +266,7 @@ func (m *Map) NextBatch() ([]value.Value, bool, error) {
 		if m.identity && !m.Distinct {
 			return bt, true, nil
 		}
-		m.out = slices.Grow(m.out[:0], len(bt))
+		out := slices.Grow(m.out.reset(), len(bt))
 		scratch := make([]byte, 0, 64) // short keys stay on the stack
 		for _, v := range bt {
 			if v, err = m.proj(v, value.Value{}); err != nil {
@@ -278,13 +278,13 @@ func (m *Map) NextBatch() ([]value.Value, bool, error) {
 					continue
 				}
 			}
-			m.out = append(m.out, v)
+			out = append(out, v)
 		}
-		if len(m.out) > 0 {
-			return m.out, true, nil
+		if m.out.rows = out; len(out) > 0 {
+			return out, true, nil
 		}
 	}
 }
 
-// Close releases the seen table and closes the input.
-func (m *Map) Close() error { m.seen = nil; return m.In.Close() }
+// Close releases the seen table and the output buffer and closes the input.
+func (m *Map) Close() error { m.seen = nil; m.out.release(); return m.In.Close() }

@@ -18,6 +18,7 @@ package exec
 
 import (
 	"slices"
+	"sync"
 
 	"tmdb/internal/eval"
 	"tmdb/internal/storage"
@@ -30,13 +31,17 @@ import (
 //     single-use. NextBatch never returns an empty batch: ok=false is the
 //     only end-of-input signal.
 //   - A batch is owned by the operator that returned it and is valid only
-//     until the next NextBatch or Close on that operator. Consumers copy the
-//     rows they retain (value.Value is an immutable struct, so retaining a
-//     row is a struct copy — the batch's backing slice is what gets reused),
-//     and never change the batch. The exception is a source whose batches
-//     alias immutable rows and so stay valid for good: TableScan (chunks
-//     of the table's row snapshot or pieces of copy-on-write index
-//     buckets), EvalScan (of the evaluated collection)
+//     until the next NextBatch or Close on that operator: the operators that
+//     build their own batches (Join, Map, Filter, μ, the set operations)
+//     borrow their output buffer from a pool shared by all queries (outBuf)
+//     and give it back at Close, when it starts holding another query's
+//     rows. Consumers copy the rows they retain (value.Value is an immutable
+//     struct, so retaining a row is a struct copy — the batch's backing
+//     slice is what gets reused), and never change the batch: nothing a
+//     memo, hash table or result keeps is borrowed. The exception is a
+//     source whose batches alias immutable rows and so stay valid for good:
+//     TableScan (chunks of the table's row snapshot or pieces of
+//     copy-on-write index buckets), EvalScan (of the evaluated collection)
 //     and ν (of its grouped output) say so through the stableSource marker,
 //     and a consumer may retain their batches without copying — the hash
 //     build does (drainKeyed).
@@ -132,6 +137,43 @@ func (c *chunks) next() ([]value.Value, bool) {
 	return b, true
 }
 
+// rowBufs recycles output buffers across executions; one grown past
+// maxPooledRows is left to the garbage collector rather than pinned. A
+// pooled buffer holds no rows: its slots are cleared before it is put back.
+var rowBufs = sync.Pool{New: func() any { return new([]value.Value) }}
+
+const maxPooledRows = 4 * DefaultBatchSize
+
+// outBuf is an operator's reused output batch. It is borrowed from rowBufs at
+// the first reset and given back, cleared, at release (the operator's Close),
+// so a tree compiled per execution reuses the buffers of earlier ones.
+type outBuf struct {
+	rows []value.Value
+	p    *[]value.Value
+}
+
+// reset empties the buffer for the next batch and returns it.
+func (b *outBuf) reset() []value.Value {
+	if b.p == nil {
+		b.p = rowBufs.Get().(*[]value.Value)
+		b.rows = *b.p
+	}
+	b.rows = b.rows[:0]
+	return b.rows
+}
+
+// release gives the buffer back to rowBufs, its whole capacity cleared (a
+// failed batch may have written past its length), unless it grew past
+// maxPooledRows; the operator's batches are invalid from here on.
+func (b *outBuf) release() {
+	if b.p != nil && cap(b.rows) <= maxPooledRows {
+		clear(b.rows[:cap(b.rows)])
+		*b.p = b.rows[:0]
+		rowBufs.Put(b.p)
+	}
+	*b = outBuf{}
+}
+
 // drainRows opens in, copies every row it produces into one owned slice, and
 // closes it: how operators that need their whole input (ν, a set operation's
 // right side, a nested-loop join's right side) materialize it.
@@ -178,12 +220,17 @@ func CollectBatches(it BatchIterator) (value.Value, error) {
 // collected — its distinct rows, however often the root repeats one — and
 // the cancel state is polled once per batch; a nil governor charges and
 // polls nothing.
+//
+// The rows are gathered, deduplicated and sorted in scratch borrowed from
+// collectors, and the result is their one copy at its exact size (none for
+// ∅): the scratch is cleared and given back for the next query's rows.
 func CollectBatchesGoverned(gov *Governor, it BatchIterator, rows Rows) (value.Value, error) {
 	if err := it.Open(); err != nil {
 		return value.Value{}, err
 	}
 	defer it.Close()
-	var kept distinctRows
+	kept := collectors.Get().(*distinctRows)
+	defer kept.release()
 	for {
 		bt, ok, err := it.NextBatch()
 		if err != nil {
@@ -210,8 +257,15 @@ func CollectBatchesGoverned(gov *Governor, it BatchIterator, rows Rows) (value.V
 	if rows != CanonicalRows {
 		slices.SortFunc(kept.rows, value.Compare)
 	}
-	return value.CanonicalSet(kept.rows), nil
+	return value.CanonicalSet(slices.Clone(kept.rows)), nil
 }
+
+// collectors recycles the collector's scratch across queries; one grown past
+// maxPooledRows rows (or a key past maxPooledKey bytes) is left to the
+// garbage collector rather than pinned.
+var collectors = sync.Pool{New: func() any { return new(distinctRows) }}
+
+const maxPooledKey = 64 << 10
 
 // distinctRows keeps the distinct rows of a stream, the first of equal rows
 // in arrival order. index is an open-addressing table with linear probing
@@ -225,6 +279,18 @@ type distinctRows struct {
 	hashes  []uint64
 	index   []int32
 	scratch []byte
+}
+
+// release empties d and gives it back to collectors, unless it grew past
+// the pool's caps.
+func (d *distinctRows) release() {
+	if cap(d.rows) > maxPooledRows || cap(d.scratch) > maxPooledKey {
+		return
+	}
+	clear(d.rows)
+	clear(d.index)
+	d.rows, d.hashes = d.rows[:0], d.hashes[:0]
+	collectors.Put(d)
 }
 
 // add keeps every row of bt equal to no row kept before and returns how many

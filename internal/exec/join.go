@@ -122,7 +122,7 @@ type Join struct {
 	lkeys  [][]byte
 	// left is the unprobed rest of the current left batch.
 	left []value.Value
-	out  []value.Value
+	out  outBuf
 }
 
 // Open prepares the bucket source — drains the right input, builds its
@@ -482,17 +482,17 @@ func probeCheck(c *Ctx) error {
 // overshoots DefaultBatchSize by at most one bucket's fanout however large
 // the join's fanout is, and no output batch spans two left batches.
 func (j *Join) NextBatch() ([]value.Value, bool, error) {
-	j.out = j.out[:0]
-	for len(j.out) < DefaultBatchSize {
+	out := j.out.reset()
+	for len(out) < DefaultBatchSize {
 		if len(j.left) == 0 {
-			if len(j.out) > 0 {
+			if len(out) > 0 {
 				break
 			}
 			bt, ok, err := j.nextLeft()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.left, j.out = bt, slices.Grow(j.out, len(bt))
+			j.left, out = bt, slices.Grow(out, len(bt))
 		}
 		l := j.left[0]
 		j.left = j.left[1:]
@@ -503,11 +503,12 @@ func (j *Join) NextBatch() ([]value.Value, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		if j.out, err = j.probe(l, bucket, j.out); err != nil {
+		if out, err = j.probe(l, bucket, out); err != nil {
 			return nil, false, err
 		}
+		j.out.rows = out
 	}
-	return j.out, true, nil
+	return out, true, nil
 }
 
 // nextLeft returns the next left batch: of the sorted left rows under
@@ -520,9 +521,10 @@ func (j *Join) nextLeft() ([]value.Value, bool, error) {
 	return j.L.NextBatch()
 }
 
-// Close releases the bucket source and closes the left input, which the
-// sort-merge method already closed at Open.
+// Close releases the bucket source and the output buffer and closes the left
+// input, which the sort-merge method already closed at Open.
 func (j *Join) Close() error {
+	j.out.release()
 	j.right, j.rkeys, j.lkeys, j.sorted, j.table, j.memo, j.left = nil, nil, nil, chunks{}, nil, nil, nil
 	if j.Method == JoinMerge {
 		return nil

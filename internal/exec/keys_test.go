@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tmdb/internal/algebra"
@@ -148,13 +149,35 @@ func TestDrainKeyedAliasesStableBatches(t *testing.T) {
 			t.Fatalf("batch %d is a copy, not the table's chunk", k)
 		}
 	}
-	m := &Map{Ctx: ctx, In: &TableScan{Ctx: ctx, Table: "Y"}, Var: "y", Out: pred("(b = y.b, d = y.d)")}
+	// The map's buffer goes back to the pool at Close, inside the drain, so
+	// its address is taken from each batch as it passes.
+	m := &batchAddrs{BatchIterator: &Map{Ctx: ctx, In: &TableScan{Ctx: ctx, Table: "Y"}, Var: "y", Out: pred("(b = y.b, d = y.d)")}}
 	if run, err = drainKeyed(m, enc, nil); err != nil {
 		t.Fatal(err)
 	}
-	if &run.batches[0][0] == &run.batches[1][0] || &run.batches[0][0] == &m.out[0] {
-		t.Fatal("a reused output buffer was retained instead of copied")
+	if len(m.addrs) < 3 {
+		t.Fatalf("%d map batches: want several", len(m.addrs))
 	}
+	for k, b := range run.batches {
+		if slices.Contains(m.addrs, &b[0]) || k > 0 && &b[0] == &run.batches[0][0] {
+			t.Fatal("a reused output buffer was retained instead of copied")
+		}
+	}
+}
+
+// batchAddrs passes its input's batches through and records the address of
+// each one's first row.
+type batchAddrs struct {
+	BatchIterator
+	addrs []*value.Value
+}
+
+func (b *batchAddrs) NextBatch() ([]value.Value, bool, error) {
+	bt, ok, err := b.BatchIterator.NextBatch()
+	if ok {
+		b.addrs = append(b.addrs, &bt[0])
+	}
+	return bt, ok, err
 }
 
 // TestHashJoinOverReusedBatches is the copy half of the rule end to end: a

@@ -101,7 +101,7 @@ type UnnestIter struct {
 	// the algebra node's typing).
 	Scalar bool
 
-	out []value.Value
+	out outBuf
 }
 
 // Open opens the input.
@@ -117,7 +117,7 @@ func (u *UnnestIter) NextBatch() ([]value.Value, bool, error) {
 		if err := u.Ctx.checkBatch(); err != nil {
 			return nil, false, err
 		}
-		u.out = u.out[:0]
+		out := u.out.reset()
 		for _, t := range bt {
 			s, found := t.Get(u.Attr)
 			if !found {
@@ -130,22 +130,22 @@ func (u *UnnestIter) NextBatch() ([]value.Value, bool, error) {
 			for _, e := range s.Elems() {
 				switch {
 				case u.Scalar:
-					u.out = append(u.out, rest.Extend(u.Attr, e))
+					out = append(out, rest.Extend(u.Attr, e))
 				case e.Kind() != value.KindTuple:
 					return nil, false, fmt.Errorf("exec: unnest element %s is not a tuple", e)
 				default:
-					u.out = append(u.out, rest.Concat(e))
+					out = append(out, rest.Concat(e))
 				}
 			}
 		}
-		if len(u.out) > 0 {
-			return u.out, true, nil
+		if u.out.rows = out; len(out) > 0 {
+			return out, true, nil
 		}
 	}
 }
 
-// Close closes the input.
-func (u *UnnestIter) Close() error { return u.In.Close() }
+// Close returns the output buffer and closes the input.
+func (u *UnnestIter) Close() error { u.out.release(); return u.In.Close() }
 
 // SetOpIter implements plan-level Union / Intersect / Diff by materializing
 // the right input into a key set and streaming the left. Union additionally
@@ -164,7 +164,7 @@ type SetOpIter struct {
 	// seen keys the distinct left elements.
 	seen     keyTable
 	leftDone bool
-	out      []value.Value
+	out      outBuf
 }
 
 // Open materializes the right input and opens the left.
@@ -200,7 +200,7 @@ func (s *SetOpIter) NextBatch() ([]value.Value, bool, error) {
 		if err := s.Ctx.checkBatch(); err != nil {
 			return nil, false, err
 		}
-		s.out = s.out[:0]
+		out := s.out.reset()
 		scratch := make([]byte, 0, 64) // short keys stay on the stack
 		for _, v := range bt {
 			scratch = value.AppendKey(scratch[:0], v)
@@ -214,31 +214,32 @@ func (s *SetOpIter) NextBatch() ([]value.Value, bool, error) {
 			// Union passes every left element, intersect those in the right,
 			// diff those not in it.
 			if s.Kind == 0 || (rs >= 0) == (s.Kind == 1) {
-				s.out = append(s.out, v)
+				out = append(out, v)
 			}
 		}
-		if len(s.out) > 0 {
-			return s.out, true, nil
+		if s.out.rows = out; len(out) > 0 {
+			return out, true, nil
 		}
 	}
 	// Union's tail: the right elements not already emitted, in one batch.
-	s.out = s.out[:0]
+	out := s.out.reset()
 	if s.Kind == 0 {
 		for rs, r := range s.rightRows {
 			if !s.inLeft[rs] {
 				s.inLeft[rs] = true
-				s.out = append(s.out, r)
+				out = append(out, r)
 			}
 		}
 	}
-	if len(s.out) == 0 {
+	if s.out.rows = out; len(out) == 0 {
 		return nil, false, nil
 	}
-	return s.out, true, nil
+	return out, true, nil
 }
 
-// Close releases state and closes the left input.
+// Close releases state and the output buffer and closes the left input.
 func (s *SetOpIter) Close() error {
+	s.out.release()
 	s.right, s.seen, s.rightRows, s.inLeft = keyTable{}, keyTable{}, nil, nil
 	return s.L.Close()
 }

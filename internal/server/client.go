@@ -159,7 +159,7 @@ func (c *Client) doOnce(method, path string, body []byte, into any) error {
 		return err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

@@ -31,8 +31,7 @@ func (s *Server) writeResult(w http.ResponseWriter, reqID string, res *engine.Re
 	bp := respBufs.Get().(*[]byte)
 	b, err := appendQueryResponse((*bp)[:0], reqID, res)
 	if err == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Request-ID", reqID)
+		setJSONHeaders(w.Header(), reqID)
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(b)
 	}

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -420,12 +421,23 @@ type StatsResponse struct {
 // --- plumbing ---
 
 func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("req-%d", s.reqSeq.Add(1))
+	return "req-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
+}
+
+// jsonContentType is the Content-Type of every JSON body, shared: its
+// capacity is 1, so an Add to a header holding it copies it.
+var jsonContentType = []string{"application/json"}
+
+// setJSONHeaders sets a JSON response's headers by their canonical keys,
+// which Header().Set would canonicalize again and give a fresh value slice
+// each.
+func setJSONHeaders(h http.Header, reqID string) {
+	h["Content-Type"] = jsonContentType
+	h["X-Request-Id"] = []string{reqID}
 }
 
 func writeJSON(w http.ResponseWriter, status int, reqID string, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Request-ID", reqID)
+	setJSONHeaders(w.Header(), reqID)
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(body)

@@ -287,12 +287,27 @@ func (p *Parser) parseMul() (Expr, error) {
 	}
 }
 
+// parseUnary folds a minus written directly before a nonzero int or float
+// literal into a negative literal, so that a negative constant is a literal
+// like any other: it takes a parameter slot (MarkSlots) and shares its
+// shape's plan. A negated zero, parenthesized expression or negation stays a
+// negation, as Format prints it, so that Format stays a fixpoint.
 func (p *Parser) parseUnary() (Expr, error) {
 	if p.peek().Kind == TokMinus {
 		pos := p.next().Pos
+		num := p.peek().Kind == TokInt || p.peek().Kind == TokFloat
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
+		}
+		if lit, ok := x.(*Lit); ok && num && lit.V.AsFloat() != 0 {
+			lit.pos = pos
+			if lit.V.Kind() == value.KindInt {
+				lit.V = value.Int(-lit.V.AsInt())
+			} else {
+				lit.V = value.Float(-lit.V.AsFloat())
+			}
+			return lit, nil
 		}
 		return &Unary{exprBase: exprBase{pos: pos}, Op: OpNeg, X: x}, nil
 	}

@@ -80,7 +80,13 @@ func (p *printer) expr(e Expr, min int) {
 			p.WriteString(n.V.Kind().String())
 			return
 		}
-		p.WriteString(n.Value(p.args).String())
+		// A negative number reads back as a minus and a literal: it is
+		// parenthesized where a negation would be.
+		s := n.Value(p.args).String()
+		if strings.HasPrefix(s, "-") && precUnary < min {
+			s = "(" + s + ")"
+		}
+		p.WriteString(s)
 	case *Var:
 		p.WriteString(n.Name)
 	case *TableRef:

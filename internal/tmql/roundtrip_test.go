@@ -35,9 +35,12 @@ var rtBinOps = []Op{
 
 func randomExpr(r *rand.Rand, depth int) Expr {
 	if depth <= 0 {
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			return &Lit{V: value.Int(int64(r.Intn(10)))}
+		case 4:
+			// A negative number, which reparses from its text as a literal.
+			return &Lit{V: value.Float(-float64(r.Intn(10)) - 0.5)}
 		case 1:
 			return &Lit{V: value.Str("s")}
 		case 2:

@@ -27,6 +27,11 @@ func TestShapeSlotsFieldPathComparisons(t *testing.T) {
 			[]value.Value{value.Int(7)}},
 		{`SELECT d FROM DEPT d WHERE EXISTS e IN d.emps (e.sal < 10)`,
 			`SELECT d FROM DEPT d WHERE EXISTS e IN d.emps (e.sal < ?int)`, []value.Value{value.Int(10)}},
+		// A minus written before a nonzero number is part of the literal; a
+		// negated zero or parenthesized number stays a negation.
+		{`SELECT e FROM EMP e WHERE e.sal > -3 AND e.sal < -0.5`, `SELECT e FROM EMP e WHERE e.sal > ?int AND e.sal < ?float`,
+			[]value.Value{value.Int(-3), value.Float(-0.5)}},
+		{`SELECT e FROM EMP e WHERE e.sal > -(3) AND e.sal <> -0`, `SELECT e FROM EMP e WHERE e.sal > -3 AND e.sal <> -0`, nil},
 	}
 	for _, c := range cases {
 		bound := bindStr(t, c.src)
